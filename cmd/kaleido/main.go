@@ -47,7 +47,6 @@ func main() {
 	budget := flag.String("budget", "", "memory budget for intermediate data (e.g. 512MiB); empty = in-memory")
 	spill := flag.String("spill", os.TempDir(), "spill directory for hybrid storage")
 	predict := flag.Bool("predict", true, "prediction-based load balancing for spilled levels")
-	compress := flag.Bool("compress", true, "delta+varint codec for spilled parts")
 	compressResident := flag.Bool("compress-resident", true, "compressed-mem residency tier under a memory budget")
 	iso := flag.String("iso", "eigen", "isomorphism backend: eigen | bliss | exact")
 	minCount := flag.Uint64("min-count", 0, "drop motif/fsm patterns below this count")
@@ -77,9 +76,6 @@ func main() {
 	off := false
 	if !*predict {
 		spec.Predict = &off
-	}
-	if !*compress {
-		spec.Compress = &off
 	}
 	if !*compressResident {
 		spec.CompressResident = &off

@@ -9,8 +9,8 @@
 // Experiments: table2 (+fig10), table3, fig11, fig12, fig13, fig14, table4,
 // fig16 (+fig15), fig17 (+fig18), plus "sinks" — the fused terminal-
 // expansion paths (clique-d4 / motif-d3 of BENCH_expand.json) with their
-// all-disk write-byte accounting — "compress" — the delta+varint spill
-// codec's time and bytes-on-disk against raw spilling — "concurrent" —
+// all-disk write-byte accounting — "compress" — the spill codec's time and
+// logical vs physical bytes on disk — "concurrent" —
 // N concurrent runs sharing one memory budget through a kaleido.Engine,
 // with the combined resident peak the arbiter recorded — "shards" —
 // prefix-range sharded execution scaling the vertex-d4 frontier count over
@@ -52,7 +52,6 @@ func main() {
 	faults := flag.Bool("faults", false, "run the fault-injection campaign (shorthand for -exp faults)")
 	faultP := flag.Float64("fault-p", 0, "per-op probability of each transient fault class in the faults campaign (0 = default 0.01)")
 	faultSeed := flag.Int64("fault-seed", 0, "fault schedule seed (0 = default 42)")
-	compress := flag.Bool("compress", true, "delta+varint codec for spilled parts in budgeted experiments")
 	compressResident := flag.Bool("compress-resident", true, "compressed-mem residency tier for budgeted experiments")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
@@ -72,9 +71,6 @@ func main() {
 		PredictSample:  *predictSample,
 		FaultP:         *faultP,
 		FaultSeed:      *faultSeed,
-	}
-	if !*compress {
-		cfg.Compression = storage.CompressionOff
 	}
 	if !*compressResident {
 		cfg.ResidentCompression = storage.CompressionOff

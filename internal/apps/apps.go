@@ -52,9 +52,6 @@ type Options struct {
 	PredictSample  int // exactly-predicted groups per chunk (0 = default, <0 = all)
 	BufSize        int
 	BlockSize      int
-	// Compression selects the on-disk encoding of spilled level parts
-	// (storage.CompressionAuto compresses spill files; memory stays raw).
-	Compression storage.Compression
 	// ResidentCompression enables the compressed-mem tier for budgeted runs
 	// (storage.CompressionAuto, the default): under pressure the budget
 	// governor squeezes raw resident parts into in-memory codec blocks
@@ -111,8 +108,8 @@ type SpillInfo struct {
 	// cold-level compaction).
 	CompressedParts int
 	// SpilledBytes is the logical size (raw word bytes) of the spilled
-	// parts; SpilledBytesPhysical is what they occupied on disk — smaller
-	// when spill compression is on.
+	// parts; SpilledBytesPhysical is what their codec blocks occupied on
+	// disk.
 	SpilledBytes         int64
 	SpilledBytesPhysical int64
 	// ResidentBytesLogical is the raw word footprint the memory-resident
@@ -132,7 +129,6 @@ func (o Options) exploreConfig(g *graph.Graph, mode explore.Mode) explore.Config
 		SpillWatermark: o.SpillWatermark,
 		Predict:        o.Predict, PredictSample: o.PredictSample,
 		BufSize: o.BufSize, BlockSize: o.BlockSize,
-		Compression:         o.Compression,
 		ResidentCompression: o.ResidentCompression,
 		FS:                  o.FS,
 		Tracker:             o.Tracker,

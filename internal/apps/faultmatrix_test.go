@@ -209,9 +209,9 @@ func TestFaultMatrixCompressedResidentNoVFS(t *testing.T) {
 
 // TestFaultMatrixCorruption: with every read flipping one bit, any spilling
 // regime must fail with ErrSpillCorrupt — never return wrong counts — and
-// still tear down cleanly. (The default CompressionAuto puts every spilled
-// byte under a block CRC; the all-memory regime reads nothing and is
-// exercised by the transient matrix above.)
+// still tear down cleanly. (Every spilled byte is under a block CRC; the
+// all-memory regime reads nothing and is exercised by the transient matrix
+// above.)
 func TestFaultMatrixCorruption(t *testing.T) {
 	for _, reg := range regimes[1:] { // hybrid, disk
 		reg := reg
@@ -220,8 +220,7 @@ func TestFaultMatrixCorruption(t *testing.T) {
 			dir := t.TempDir()
 			ff := vfs.NewFaultFS(nil, vfs.Fault{Seed: 55, BitFlipP: 1})
 			_, err := runAllApps(t, Options{
-				Threads: 3, MemoryBudget: reg.budget, SpillDir: dir,
-				Compression: storage.CompressionAuto, FS: ff,
+				Threads: 3, MemoryBudget: reg.budget, SpillDir: dir, FS: ff,
 			})
 			if err == nil {
 				t.Fatal("bit-flipped spill reads produced a result")

@@ -37,12 +37,10 @@ type RunConfig struct {
 	SpillWatermark float64
 	PredictSample  int
 
-	// Compression and ResidentCompression select the spill codec and the
-	// compressed-mem residency tier for the budgeted experiments (table4,
-	// fig16, fig17, sinks). Zero values = both on (storage.CompressionAuto).
-	// The "compress" and "resident" experiments sweep these dimensions
-	// themselves and ignore the knobs.
-	Compression         storage.Compression
+	// ResidentCompression selects the compressed-mem residency tier for the
+	// budgeted experiments (table4, fig16, fig17, sinks). The zero value is
+	// on (storage.CompressionAuto). The "resident" experiment sweeps this
+	// dimension itself and ignores the knob.
 	ResidentCompression storage.Compression
 
 	// FaultP and FaultSeed parameterize the "faults" campaign: the

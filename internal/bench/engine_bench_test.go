@@ -460,10 +460,9 @@ func TestCompressedResidentBytesGuard(t *testing.T) {
 	}
 }
 
-// runDiskCase expands the vertex-d3-disk case once under the given
-// compression mode, returning the produced embedding count and the logical /
+// runDiskCase expands the vertex-d3-disk case once, returning the logical /
 // physical spilled byte totals.
-func runDiskCase(tb testing.TB, comp storage.Compression) (produced int, logical, physical int64) {
+func runDiskCase(tb testing.TB) (logical, physical int64) {
 	tb.Helper()
 	var c expandCase
 	for _, ec := range expandCases() {
@@ -477,7 +476,7 @@ func runDiskCase(tb testing.TB, comp storage.Compression) (produced int, logical
 	g := engineGraph(tb, c.n, c.m, c.seed)
 	ex, err := explore.New(explore.Config{
 		Graph: g, Mode: c.mode, Threads: c.threads,
-		MemoryBudget: c.budget, SpillDir: tb.TempDir(), Compression: comp,
+		MemoryBudget: c.budget, SpillDir: tb.TempDir(),
 		// Raw residency: this guard isolates the spill codec's bytes-on-disk
 		// win, so the compressed-mem tier must not absorb any of the spill.
 		ResidentCompression: storage.CompressionOff,
@@ -494,33 +493,24 @@ func runDiskCase(tb testing.TB, comp storage.Compression) (produced int, logical
 			tb.Fatal(err)
 		}
 	}
-	return ex.Count(), ex.SpilledBytes(), ex.SpilledBytesPhysical()
+	return ex.SpilledBytes(), ex.SpilledBytesPhysical()
 }
 
 // assertCompressedSpill pins the codec's headline win on the out-of-core
-// bench case: compression on (the default) must produce the same embeddings
-// as raw spilling while putting at least 2x fewer bytes on disk.
+// bench case: the spilled level must occupy at most half its logical bytes
+// on disk — logical bytes being exactly what spilling raw words would have
+// written.
 func assertCompressedSpill(t *testing.T) {
 	t.Helper()
-	nAuto, logAuto, physAuto := runDiskCase(t, storage.CompressionAuto)
-	nRaw, logRaw, physRaw := runDiskCase(t, storage.CompressionOff)
-	if nAuto != nRaw {
-		t.Errorf("compressed run produced %d embeddings, raw run %d", nAuto, nRaw)
+	logical, physical := runDiskCase(t)
+	if logical == 0 || physical == 0 {
+		t.Fatalf("vertex-d3-disk spilled %d logical / %d physical bytes", logical, physical)
 	}
-	if logAuto != logRaw {
-		t.Errorf("logical spill bytes differ: %d compressed vs %d raw", logAuto, logRaw)
-	}
-	if physRaw != logRaw {
-		t.Errorf("raw spill physical %d != logical %d", physRaw, logRaw)
-	}
-	if physRaw == 0 {
-		t.Fatal("vertex-d3-disk spilled nothing")
-	}
-	if physAuto*2 > physRaw {
-		t.Errorf("compressed spill %d bytes vs raw %d — below the 2x bytes-on-disk goal (%.2fx)",
-			physAuto, physRaw, float64(physRaw)/float64(physAuto))
+	if 2*physical > logical {
+		t.Errorf("spill occupies %d bytes for %d logical — below the 2x bytes-on-disk goal (%.2fx)",
+			physical, logical, float64(logical)/float64(physical))
 	} else {
-		t.Logf("bytes on disk: %d compressed vs %d raw (%.2fx)", physAuto, physRaw, float64(physRaw)/float64(physAuto))
+		t.Logf("bytes on disk: %d for %d logical (%.2fx)", physical, logical, float64(logical)/float64(physical))
 	}
 }
 

@@ -11,8 +11,8 @@
 // (units are vertex ids) and edge-induced embeddings (units are edge ids).
 //
 // Levels are accessed through the LevelData interface so that a level can
-// live in memory (MemLevel), on disk (internal/storage.DiskLevel), or part
-// by part in both at once (internal/storage.HybridLevel) — the
+// live in memory (MemLevel) or part by part in memory and on disk
+// (internal/storage.HybridLevel, all-disk when every part has migrated) — the
 // half-memory-half-disk hybrid storage of §4.1.
 package cse
 
@@ -31,20 +31,14 @@ type LevelData interface {
 	// Groups is the number of parent embeddings (length of offs minus 1).
 	// Level 1 has no parents and returns 0.
 	Groups() int
-	// VertCursor returns a sequential cursor over verts[lo:hi].
-	VertCursor(lo, hi int) VertCursor
-	// BoundCursor returns a sequential cursor over the group end boundaries
+	// VertBlocks returns a sequential cursor over verts[lo:hi], delivered as
+	// decoded slices so hot loops iterate plain arrays instead of paying one
+	// dynamic call per unit. In-memory levels hand out sub-slices of their
+	// backing array (zero copy); encoded parts decode one block at a time.
+	VertBlocks(lo, hi int) VertBlockCursor
+	// BoundBlocks returns a sequential cursor over the group end boundaries
 	// offs[first+1 ... ], i.e. successive values of offs[i+1] starting at
 	// parent index first. Level 1 implementations may return nil.
-	BoundCursor(first int) BoundCursor
-	// VertBlocks returns a block cursor over verts[lo:hi]: the same units as
-	// VertCursor(lo, hi), delivered as decoded slices so hot loops iterate
-	// plain arrays instead of paying one dynamic call per unit. In-memory
-	// levels hand out sub-slices of their backing array (zero copy); disk
-	// levels decode one prefetch block at a time.
-	VertBlocks(lo, hi int) VertBlockCursor
-	// BoundBlocks is the block analogue of BoundCursor(first). Level 1
-	// implementations may return nil.
 	BoundBlocks(first int) BoundBlockCursor
 	// UnitAt returns verts[i] — the random-access read used by Extract; disk
 	// levels serve it with one bounded pread instead of a streaming cursor.
@@ -68,24 +62,6 @@ type LevelData interface {
 	Close() error
 }
 
-// VertCursor iterates units sequentially.
-type VertCursor interface {
-	// Next returns the next unit; ok is false once the range is exhausted
-	// or a stream error occurred (check Err).
-	Next() (unit uint32, ok bool)
-	// Err returns the first stream error, if any.
-	Err() error
-	// Close releases cursor resources.
-	Close() error
-}
-
-// BoundCursor iterates successive group end positions.
-type BoundCursor interface {
-	Next() (bound uint64, ok bool)
-	Err() error
-	Close() error
-}
-
 // VertBlockCursor streams decoded unit blocks. A returned block is never
 // empty and stays valid only until the following NextBlock call (disk
 // implementations reuse one decode buffer).
@@ -104,61 +80,6 @@ type BoundBlockCursor interface {
 	Err() error
 	Close() error
 }
-
-// VertCursorOverBlocks adapts a block cursor to the unit-at-a-time interface,
-// so implementations only maintain the block path.
-func VertCursorOverBlocks(bc VertBlockCursor) VertCursor {
-	return &blockVertCursor{bc: bc}
-}
-
-type blockVertCursor struct {
-	bc  VertBlockCursor
-	blk []uint32
-	pos int
-}
-
-func (c *blockVertCursor) Next() (uint32, bool) {
-	if c.pos >= len(c.blk) {
-		blk, ok := c.bc.NextBlock()
-		if !ok {
-			return 0, false
-		}
-		c.blk, c.pos = blk, 0
-	}
-	v := c.blk[c.pos]
-	c.pos++
-	return v, true
-}
-
-func (c *blockVertCursor) Err() error   { return c.bc.Err() }
-func (c *blockVertCursor) Close() error { return c.bc.Close() }
-
-// BoundCursorOverBlocks adapts a bound block cursor to the unit interface.
-func BoundCursorOverBlocks(bc BoundBlockCursor) BoundCursor {
-	return &blockBoundCursor{bc: bc}
-}
-
-type blockBoundCursor struct {
-	bc  BoundBlockCursor
-	blk []uint64
-	pos int
-}
-
-func (c *blockBoundCursor) Next() (uint64, bool) {
-	if c.pos >= len(c.blk) {
-		blk, ok := c.bc.NextBlock()
-		if !ok {
-			return 0, false
-		}
-		c.blk, c.pos = blk, 0
-	}
-	v := c.blk[c.pos]
-	c.pos++
-	return v, true
-}
-
-func (c *blockBoundCursor) Err() error   { return c.bc.Err() }
-func (c *blockBoundCursor) Close() error { return c.bc.Close() }
 
 // PredictChunk is the granularity of the load balancer's predicted-work
 // summaries: one segment per this many embeddings (segments at part seams
@@ -356,19 +277,6 @@ func (m *MemLevel) Groups() int {
 	return len(m.Offs) - 1
 }
 
-// VertCursor implements LevelData.
-func (m *MemLevel) VertCursor(lo, hi int) VertCursor {
-	return &sliceVertCursor{s: m.Verts[lo:hi]}
-}
-
-// BoundCursor implements LevelData.
-func (m *MemLevel) BoundCursor(first int) BoundCursor {
-	if m.Offs == nil {
-		return nil
-	}
-	return &sliceBoundCursor{s: m.Offs[first+1:]}
-}
-
 // VertBlocks implements LevelData: the whole range as one zero-copy block.
 func (m *MemLevel) VertBlocks(lo, hi int) VertBlockCursor {
 	return &sliceVertBlocks{s: m.Verts[lo:hi]}
@@ -421,40 +329,6 @@ func (m *MemLevel) Bytes() int64 {
 
 // Close implements LevelData.
 func (m *MemLevel) Close() error { return nil }
-
-type sliceVertCursor struct {
-	s []uint32
-	i int
-}
-
-func (c *sliceVertCursor) Next() (uint32, bool) {
-	if c.i >= len(c.s) {
-		return 0, false
-	}
-	v := c.s[c.i]
-	c.i++
-	return v, true
-}
-
-func (c *sliceVertCursor) Err() error   { return nil }
-func (c *sliceVertCursor) Close() error { return nil }
-
-type sliceBoundCursor struct {
-	s []uint64
-	i int
-}
-
-func (c *sliceBoundCursor) Next() (uint64, bool) {
-	if c.i >= len(c.s) {
-		return 0, false
-	}
-	v := c.s[c.i]
-	c.i++
-	return v, true
-}
-
-func (c *sliceBoundCursor) Err() error   { return nil }
-func (c *sliceBoundCursor) Close() error { return nil }
 
 type sliceVertBlocks struct {
 	s    []uint32

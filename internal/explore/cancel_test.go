@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"kaleido/internal/memtrack"
+	"kaleido/internal/storage"
 )
 
 // dirEntries returns every file under dir (recursively).
@@ -199,6 +200,11 @@ func TestFilterTopPromotesParts(t *testing.T) {
 		Graph: g, Mode: VertexInduced, Threads: 4,
 		MemoryBudget: after2 + (after3-after2)/2, SpillDir: t.TempDir(),
 		Tracker: memtrack.New(),
+		// Raw residency only: half a level over budget has to reach disk.
+		// The compressed-mem tier would absorb an overshoot this small
+		// without spilling anything (the governor spills only what the
+		// overshoot requires), leaving no disk part to promote.
+		ResidentCompression: storage.CompressionOff,
 	})
 	if err != nil {
 		t.Fatal(err)

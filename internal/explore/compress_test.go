@@ -9,11 +9,11 @@ import (
 	"kaleido/internal/storage"
 )
 
-// TestCompressionPlacementConformance runs the same exploration with
-// compression on and off across the three storage regimes — all-memory,
-// partially spilled, heavily spilled — and requires identical embeddings,
-// Extract results and ParentOf answers everywhere. It also checks the byte
-// split: auto compresses the spilled bytes, off keeps physical == logical.
+// TestCompressionPlacementConformance runs the same exploration across the
+// three storage regimes — all-memory, partially spilled, heavily spilled —
+// and requires identical embeddings, Extract results and ParentOf answers
+// everywhere. It also checks the byte split: whatever spills is codec
+// blocks, physically smaller than its logical word size.
 func TestCompressionPlacementConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	g := randomGraph(rng, 50, 200)
@@ -43,66 +43,61 @@ func TestCompressionPlacementConformance(t *testing.T) {
 		bytesAfter2 + (bytesAfter3-bytesAfter2)/2, // partial spill
 		bytesAfter2 / 2, // heavy spill
 	}
-	for _, comp := range []storage.Compression{storage.CompressionAuto, storage.CompressionOff} {
-		for bi, budget := range budgets {
-			cfg := Config{Graph: g, Mode: VertexInduced, Threads: 3, Compression: comp,
-				// Pin raw residency: this test is about the placement
-				// of *spilled* bytes, so the compressed-mem tier must
-				// not absorb the contrived budget pressure.
-				ResidentCompression: storage.CompressionOff}
-			if budget > 0 {
-				cfg.MemoryBudget, cfg.SpillDir = budget, t.TempDir()
+	for bi, budget := range budgets {
+		cfg := Config{Graph: g, Mode: VertexInduced, Threads: 3,
+			// Pin raw residency: this test is about the placement
+			// of *spilled* bytes, so the compressed-mem tier must
+			// not absorb the contrived budget pressure.
+			ResidentCompression: storage.CompressionOff}
+		if budget > 0 {
+			cfg.MemoryBudget, cfg.SpillDir = budget, t.TempDir()
+		}
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if err := e.InitVertices(nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := e.Expand(bgCtx, nil, nil); err != nil {
+				t.Fatalf("budget[%d]: %v", bi, err)
 			}
-			e, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+		}
+		if got := collect(t, e); !reflect.DeepEqual(got, want) {
+			t.Fatalf("budget[%d]: embeddings differ (%d vs %d)", bi, len(got), len(want))
+		}
+		top := e.CSE().Top()
+		for i := 0; i < e.Count(); i++ {
+			emb := make([]uint32, e.Depth())
+			if err := e.CSE().Extract(i, emb); err != nil {
+				t.Fatalf("budget[%d]: Extract(%d): %v", bi, i, err)
 			}
-			defer e.Close()
-			if err := e.InitVertices(nil); err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(emb, wantExtract[i]) {
+				t.Fatalf("budget[%d]: Extract(%d) = %v, want %v", bi, i, emb, wantExtract[i])
 			}
-			for i := 0; i < 2; i++ {
-				if err := e.Expand(bgCtx, nil, nil); err != nil {
-					t.Fatalf("comp=%d budget[%d]: %v", comp, bi, err)
-				}
+			rp, rerr := ref.CSE().Top().ParentOf(i)
+			gp, gerr := top.ParentOf(i)
+			if rerr != nil || gerr != nil || rp != gp {
+				t.Fatalf("budget[%d]: ParentOf(%d) = %d (%v), want %d (%v)", bi, i, gp, gerr, rp, rerr)
 			}
-			if got := collect(t, e); !reflect.DeepEqual(got, want) {
-				t.Fatalf("comp=%d budget[%d]: embeddings differ (%d vs %d)", comp, bi, len(got), len(want))
+		}
+		sl, sp := e.SpilledBytes(), e.SpilledBytesPhysical()
+		if budget == 0 {
+			if sl != 0 || sp != 0 {
+				t.Fatalf("all-mem run reports spilled bytes %d/%d", sl, sp)
 			}
-			top := e.CSE().Top()
-			for i := 0; i < e.Count(); i++ {
-				emb := make([]uint32, e.Depth())
-				if err := e.CSE().Extract(i, emb); err != nil {
-					t.Fatalf("comp=%d budget[%d]: Extract(%d): %v", comp, bi, i, err)
-				}
-				if !reflect.DeepEqual(emb, wantExtract[i]) {
-					t.Fatalf("comp=%d budget[%d]: Extract(%d) = %v, want %v", comp, bi, i, emb, wantExtract[i])
-				}
-				rp, rerr := ref.CSE().Top().ParentOf(i)
-				gp, gerr := top.ParentOf(i)
-				if rerr != nil || gerr != nil || rp != gp {
-					t.Fatalf("comp=%d budget[%d]: ParentOf(%d) = %d (%v), want %d (%v)", comp, bi, i, gp, gerr, rp, rerr)
-				}
-			}
-			sl, sp := e.SpilledBytes(), e.SpilledBytesPhysical()
-			if budget == 0 {
-				if sl != 0 || sp != 0 {
-					t.Fatalf("comp=%d: all-mem run reports spilled bytes %d/%d", comp, sl, sp)
-				}
-				continue
-			}
-			if e.SpilledParts() == 0 {
-				t.Fatalf("comp=%d budget[%d]: budgeted run spilled nothing", comp, bi)
-			}
-			if sl == 0 || sp == 0 {
-				t.Fatalf("comp=%d budget[%d]: spilled bytes %d logical / %d physical", comp, bi, sl, sp)
-			}
-			if comp == storage.CompressionOff && sl != sp {
-				t.Fatalf("budget[%d]: compression off but physical %d != logical %d", bi, sp, sl)
-			}
-			if comp == storage.CompressionAuto && sp >= sl {
-				t.Fatalf("budget[%d]: compression auto but physical %d not below logical %d", bi, sp, sl)
-			}
+			continue
+		}
+		if e.SpilledParts() == 0 {
+			t.Fatalf("budget[%d]: budgeted run spilled nothing", bi)
+		}
+		if sl == 0 || sp == 0 {
+			t.Fatalf("budget[%d]: spilled bytes %d logical / %d physical", bi, sl, sp)
+		}
+		if sp >= sl {
+			t.Fatalf("budget[%d]: physical %d not below logical %d", bi, sp, sl)
 		}
 	}
 }

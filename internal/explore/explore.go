@@ -88,11 +88,6 @@ type Config struct {
 	BufSize   int // write-queue buffer size (0 = storage.DefaultBufSize)
 	BlockSize int // read prefetch block size (0 = storage.DefaultBlockSize)
 
-	// Compression selects the encoding of spilled level parts. The zero
-	// value (storage.CompressionAuto) compresses everything that goes to
-	// disk; raw memory-resident parts are unaffected.
-	Compression storage.Compression
-
 	// ResidentCompression enables the compressed-mem tier for budgeted
 	// runs: under pressure the budget governor squeezes the largest raw
 	// resident parts into in-memory codec blocks before resorting to disk
@@ -397,8 +392,8 @@ func (e *Explorer) PromotedParts() int { return e.promotedParts }
 func (e *Explorer) SpilledBytes() int64 { return e.spilledBytes }
 
 // SpilledBytesPhysical reports the bytes those same parts actually occupied
-// on disk — equal to SpilledBytes with compression off, smaller with the
-// delta+varint encoding on.
+// on disk: the size of their codec blocks, typically 2-4× below
+// SpilledBytes.
 func (e *Explorer) SpilledBytesPhysical() int64 { return e.spilledPhys }
 
 // CompressedParts reports how many raw resident parts were squeezed into
@@ -439,8 +434,8 @@ type LevelStat struct {
 	// stand for — equal to ResidentBytes when none are compressed.
 	ResidentBytesLogical int64
 	DiskBytes            int64 // logical on-disk footprint (raw word size)
-	// DiskBytesPhysical is the bytes the disk parts actually occupy —
-	// smaller than DiskBytes when the spill files are compressed.
+	// DiskBytesPhysical is the bytes the disk parts' codec blocks actually
+	// occupy.
 	DiskBytesPhysical int64
 }
 
@@ -465,24 +460,22 @@ func (e *Explorer) LevelStats() []LevelStat {
 
 // levelPlacement classifies a level's parts by residency.
 func levelPlacement(l cse.LevelData) (memParts, compressedParts, diskParts int, diskBytes, diskBytesPhysical, residentLogical int64) {
-	switch v := l.(type) {
-	case *storage.HybridLevel:
+	if v, ok := l.(*storage.HybridLevel); ok {
 		return v.MemParts(), v.CompressedParts(), v.DiskParts(), v.DiskBytes(), v.DiskBytesPhysical(), v.ResidentBytesLogical()
-	case *storage.DiskLevel:
-		return 0, 0, v.NumParts(), v.DiskBytes(), v.DiskBytesPhysical(), v.Bytes()
-	default:
-		return 1, 0, 0, 0, 0, l.Bytes()
 	}
+	return 1, 0, 0, 0, 0, l.Bytes()
 }
 
 // promoteTop promotes disk-resident parts of top back to memory while the
 // (shared, via the arbiter) budget watermark has headroom. The level's
 // resident bytes are already charged, so the headroom is the watermark minus
 // everything tracked: the live-byte cap covers external charges (pattern
-// maps) that buildBudget's CSE-only base misses, and active pressure vetoes
-// promotion outright (the governor is force-spilling; reloading parts would
-// fight it). Promotion is gated on the raw resident cost of a part but
-// ordered by its physical read cost, so compressed parts promote first.
+// maps) that buildBudget's CSE-only base misses — and is zero or less
+// whenever the tracked total is at the watermark, so promotion never fights
+// a governor that is spilling under pressure. (The pressure flag itself is
+// not consulted: it is only kept current while a build runs.) Promotion is
+// gated on the raw resident cost of a part but ordered by its physical read
+// cost, so compressed parts promote first.
 func (e *Explorer) promoteTop(top *storage.HybridLevel) error {
 	return e.promoteLevel(e.c.Depth(), top)
 }
@@ -495,9 +488,6 @@ func (e *Explorer) promoteLevel(l int, h *storage.HybridLevel) error {
 		if g := e.watermarkBytes() - t.SharedLive(); g < headroom {
 			headroom = g
 		}
-	}
-	if e.pressure.Load() {
-		headroom = 0
 	}
 	if headroom <= 0 {
 		return nil
@@ -675,8 +665,7 @@ func (e *Explorer) hybridBuilderFor(nparts int, baseBytes int64) (*storage.Hybri
 	if e.hybridBuilder == nil {
 		hb, err := storage.NewHybridLevelBuilder(
 			e.fs, e.runDir, e.levelSeq, nparts, e.queue, e.cfg.BlockSize, e.cfg.Tracker,
-			budget, &e.pressure, e.watermarkBytes(), e.cfg.Compression,
-			e.cfg.ResidentCompression)
+			budget, &e.pressure, e.watermarkBytes(), e.cfg.ResidentCompression)
 		if err != nil {
 			return nil, err
 		}
@@ -1020,8 +1009,8 @@ func (e *Explorer) ForEachExpansion(ctx context.Context, vf VertexFilter, visit 
 // slices, so they are nearly free. Budgeted builds pay real fixed costs per
 // part (files, write buffers, governor bookkeeping), so they use two parts
 // per thread — enough placement granularity for a meaningful mem/disk split
-// — and the all-disk regime (budget exhausted before the build starts)
-// falls back to one part per thread like the classic DiskLevel layout.
+// — and the all-disk regime (budget exhausted before the build starts), where
+// every part migrates anyway, falls back to one part per thread.
 func (e *Explorer) buildChunks(n int, baseBytes int64) int {
 	if e.cfg.MemoryBudget > 0 && e.cfg.SpillDir != "" {
 		t := e.cfg.Threads

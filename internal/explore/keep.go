@@ -299,10 +299,22 @@ func (e *Explorer) filterRange(ctx context.Context, top cse.LevelData, k, plo, p
 		return err
 	}
 	defer w.Close()
-	bc := cse.BoundCursorOverBlocks(top.BoundBlocks(plo))
+	bc := top.BoundBlocks(plo)
 	defer bc.Close()
+	var ends []uint64 // unread rest of the current block of group end boundaries
+	nextEnd := func() (uint64, bool) {
+		if len(ends) == 0 {
+			var ok bool
+			if ends, ok = bc.NextBlock(); !ok {
+				return 0, false
+			}
+		}
+		end := ends[0]
+		ends = ends[1:]
+		return end, true
+	}
 
-	end, ok := bc.Next()
+	end, ok := nextEnd()
 	if !ok && phi > plo {
 		return fmt.Errorf("explore: missing group boundary at parent %d: %w", plo, bc.Err())
 	}
@@ -325,7 +337,7 @@ func (e *Explorer) filterRange(ctx context.Context, top cse.LevelData, k, plo, p
 				}
 				emitted++
 				var bok bool
-				end, bok = bc.Next()
+				end, bok = nextEnd()
 				if !bok {
 					return fmt.Errorf("explore: boundary stream ended at parent %d: %w", plo+emitted, bc.Err())
 				}

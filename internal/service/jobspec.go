@@ -14,7 +14,7 @@ import (
 // JobSpec is the wire description of one mining job — the single encoding
 // shared by the kaleidod HTTP API and the kaleido CLI flags, so a flag added
 // to one cannot silently drift from the other. The zero value of every field
-// means "default"; the tri-state knobs (Predict, Compress, CompressResident)
+// means "default"; the tri-state knobs (Predict, CompressResident)
 // use *bool so that an absent JSON field and an explicit false are
 // distinguishable, matching the CLI flags that default to true.
 type JobSpec struct {
@@ -40,10 +40,9 @@ type JobSpec struct {
 	// SpillDir receives spilled level parts of a standalone budgeted run
 	// (daemon jobs spill into the engine's directory).
 	SpillDir string `json:"spill_dir,omitempty"`
-	// Predict, Compress and CompressResident gate the §4.2 predictor, the
-	// spill codec and the compressed-resident tier. nil means on.
+	// Predict and CompressResident gate the §4.2 predictor and the
+	// compressed-resident tier. nil means on.
 	Predict          *bool `json:"predict,omitempty"`
-	Compress         *bool `json:"compress,omitempty"`
 	CompressResident *bool `json:"compress_resident,omitempty"`
 	// Iso selects the isomorphism backend: "eigen" (default), "bliss" or
 	// "exact".
@@ -151,9 +150,6 @@ func (s *JobSpec) Config() (kaleido.Config, error) {
 		Shards:  s.Shards,
 		Predict: boolOr(s.Predict, true),
 		Iso:     iso,
-	}
-	if !boolOr(s.Compress, true) {
-		cfg.Compression = kaleido.CompressionOff
 	}
 	if !boolOr(s.CompressResident, true) {
 		cfg.ResidentCompression = kaleido.CompressionOff

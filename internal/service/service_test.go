@@ -69,12 +69,12 @@ func TestJobSpecValidate(t *testing.T) {
 // defaulted knobs are omitted, and decode(encode(spec)) is the identity.
 func TestJobSpecRoundTrip(t *testing.T) {
 	off := false
-	spec := JobSpec{App: "fsm", K: 3, Support: 7, Dataset: "mico", Compress: &off, TopK: 5}
+	spec := JobSpec{App: "fsm", K: 3, Support: 7, Dataset: "mico", CompressResident: &off, TopK: 5}
 	b, err := json.Marshal(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(b, []byte("predict")) || bytes.Contains(b, []byte("compress_resident")) {
+	if bytes.Contains(b, []byte("predict")) {
 		t.Fatalf("defaulted knobs leaked into the encoding: %s", b)
 	}
 	var back JobSpec
@@ -82,14 +82,14 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.App != spec.App || back.K != spec.K || back.Support != spec.Support ||
-		back.TopK != spec.TopK || back.Compress == nil || *back.Compress {
+		back.TopK != spec.TopK || back.CompressResident == nil || *back.CompressResident {
 		t.Fatalf("round trip mangled the spec: %+v", back)
 	}
 	cfg, err := back.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Compression != kaleido.CompressionOff || cfg.ResidentCompression != kaleido.CompressionAuto || !cfg.Predict {
+	if cfg.ResidentCompression != kaleido.CompressionOff || !cfg.Predict {
 		t.Fatalf("tri-state knobs resolved wrong: %+v", cfg)
 	}
 }

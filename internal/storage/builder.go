@@ -1,0 +1,599 @@
+package storage
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+
+	"kaleido/internal/cse"
+	"kaleido/internal/memtrack"
+	"kaleido/internal/storage/vfs"
+)
+
+// Compression switches the compressed-mem residency tier of a budgeted build
+// on or off (the residentCompress argument of NewHybridLevelBuilder). It is
+// a placement policy, not a format: whatever reaches disk is always v2 codec
+// blocks.
+type Compression int
+
+const (
+	// CompressionAuto (the zero value) enables the tier: under pressure the
+	// governor squeezes sealed raw parts into resident codec blocks before
+	// resorting to disk, and promotions off disk land compressed.
+	CompressionAuto Compression = iota
+	// CompressionOff keeps every memory-resident part raw: residency is
+	// two-state, raw or disk.
+	CompressionOff
+)
+
+func (c Compression) enabled() bool { return c != CompressionOff }
+
+// HybridLevelBuilder builds a HybridLevel from t concurrently written parts.
+// Every part starts in memory; the budget governor watches the total
+// resident bytes of the in-flight parts and, when they cross the watermark,
+// marks the largest parts for migration. A marked part is drained to disk
+// through the WriteQueue (write-behind: the part's accumulated — oldest —
+// data goes out, the still-growing parts stay hot in RAM) and keeps
+// appending to disk from then on. With a watermark the build can never
+// over-run the memory budget by more than one part's growth between
+// appends, and a level that fits stays entirely in memory with no I/O.
+type HybridLevelBuilder struct {
+	dir       string
+	level     int
+	queue     *WriteQueue
+	blockSize int
+	tracker   *memtrack.Tracker
+	rcompress Compression
+	fs        vfs.FS
+	gov       governor
+	parts     []hybridPartWriter
+	reserved  int64
+}
+
+// NewHybridLevelBuilder creates a builder of nparts parts. memBudget is the
+// resident-byte watermark for this build (≤ 0 sends every part to disk
+// immediately: the all-disk regime). pressure, when non-nil, is an external
+// back-pressure flag (e.g. a memtrack high-water callback): while set, the
+// governor spills as if the budget were exhausted. A positive pressureLimit
+// tells the governor how far the tracker's live bytes have to come down, so
+// it sheds flushed parts only as far as the overshoot requires (parts still
+// growing spill regardless) and clears the flag once live is back under the
+// limit — a transient spike does not condemn the whole level to disk. Part files are created lazily, only when a part actually
+// migrates, and always hold v2 codec blocks. residentCompress enables the
+// compressed-mem tier: under pressure the governor squeezes the largest
+// flushed raw parts into resident codec blocks before resorting to disk
+// spill, and the finished level keeps compressed residents (promotions land
+// compressed). fs is the filesystem the spill files live on (nil = the real
+// one).
+func NewHybridLevelBuilder(fs vfs.FS, dir string, level, nparts int, q *WriteQueue, blockSize int, tracker *memtrack.Tracker, memBudget int64, pressure *atomic.Bool, pressureLimit int64, residentCompress Compression) (*HybridLevelBuilder, error) {
+	fs = vfs.OrOS(fs)
+	if err := fs.MkdirAll(dir); err != nil {
+		return nil, wrapIO("mkdir", dir, err)
+	}
+	b := &HybridLevelBuilder{
+		dir: dir, queue: q, blockSize: blockSize, tracker: tracker,
+		rcompress: residentCompress, fs: fs,
+	}
+	b.gov.pressure = pressure
+	b.gov.pressureLimit = pressureLimit
+	b.gov.tracker = tracker
+	b.gov.b = b
+	b.Reset(level, nparts, memBudget)
+	return b, nil
+}
+
+// Reset re-arms a builder for a new level build, reusing its part-writer
+// slice (and, through the part pool, the buffers of levels that have since
+// been closed). The directory, write queue, block size, tracker and pressure
+// flag stay as constructed; level names the new level's spill files and
+// memBudget is the new build's governor watermark.
+func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
+	b.level = level
+	if cap(b.parts) < nparts {
+		b.parts = make([]hybridPartWriter, nparts)
+	} else {
+		b.parts = b.parts[:nparts]
+	}
+	b.reserved = 0
+	b.gov.reset(memBudget)
+	for i := range b.parts {
+		p := &b.parts[i]
+		p.b, p.idx = b, i
+		p.verts, p.counts = nil, nil
+		p.cverts, p.ccnts, p.rcomp, p.rchunkCum = nil, nil, nil, nil
+		p.cnumVerts, p.cnumGroups = 0, 0
+		p.rcompressed.Store(false)
+		p.bytes.Store(0)
+		// All-disk regime: nothing fits, so skip the pointless memory stay —
+		// the first append migrates with an empty replay.
+		p.spillReq.Store(memBudget <= 0)
+		p.flushed.Store(false)
+		p.claimed = 0
+		p.migrated = false
+		p.dwSealed = false
+		p.dw = diskPartWriter{}
+		p.acc.Reset()
+		p.pred = false
+	}
+}
+
+// hybridPartWriter receives one part's groups. Each part is appended by a
+// single goroutine; the governor only touches a part after its Flush.
+type hybridPartWriter struct {
+	b   *HybridLevelBuilder
+	idx int
+
+	// Memory stage (owner-only until flushed).
+	verts  []uint32
+	counts []uint32
+
+	// Compressed-resident stage: the governor squeezed the flushed raw
+	// arrays into codec blocks (see compressResident). rcompressed records
+	// the attempt; rcomp != nil records that it actually took.
+	cverts, ccnts         []byte
+	rcomp                 *partComp
+	rchunkCum             []uint64
+	cnumVerts, cnumGroups int
+	rcompressed           atomic.Bool
+
+	// Placement control.
+	bytes    atomic.Int64
+	spillReq atomic.Bool
+	flushed  atomic.Bool
+	claimed  int64      // bytes credited to governor.pending at mark time
+	mu       sync.Mutex // guards migration and dw sealing
+	migrated bool
+	dwSealed bool
+	dw       diskPartWriter
+
+	// §4.2 prediction accounting, kept here across migration.
+	acc  cse.PredAccum
+	pred bool
+}
+
+// Part implements cse.LevelBuilder.
+func (b *HybridLevelBuilder) Part(i int) cse.PartWriter { return &b.parts[i] }
+
+// Parts implements cse.LevelBuilder.
+func (b *HybridLevelBuilder) Parts() int { return len(b.parts) }
+
+// ReservePart pre-grows part i's memory buffers (§4.2 pre-sizing). A part's
+// reserve is capped at twice its even share of the memory watermark, and
+// reserves stop once their sum reaches the watermark — capacity is real
+// resident memory, and a part likely to migrate should not pre-claim it.
+func (b *HybridLevelBuilder) ReservePart(i, verts, groups int) {
+	if b.gov.budget <= 0 {
+		return
+	}
+	if verts > maxHybridReserve {
+		verts = maxHybridReserve
+	}
+	if perPart := int(b.gov.budget / int64(4*len(b.parts)) * 2); verts > perPart {
+		verts = perPart
+	}
+	bytes := int64(verts)*4 + int64(groups)*4
+	if b.reserved+bytes > b.gov.budget {
+		return
+	}
+	b.reserved += bytes
+	p := &b.parts[i]
+	if p.verts == nil {
+		p.verts = poolGetU32() // a pooled buffer may already cover the reserve
+	}
+	if p.counts == nil {
+		p.counts = poolGetU32()
+	}
+	if verts > cap(p.verts) {
+		s := make([]uint32, len(p.verts), verts)
+		copy(s, p.verts)
+		p.verts = s
+	}
+	if groups > cap(p.counts) {
+		s := make([]uint32, len(p.counts), groups)
+		copy(s, p.counts)
+		p.counts = s
+	}
+}
+
+// maxHybridReserve mirrors cse.MemLevelBuilder's per-part reserve cap.
+const maxHybridReserve = 1 << 27
+
+// AppendGroup implements cse.PartWriter.
+func (p *hybridPartWriter) AppendGroup(children []uint32, preds []uint32) error {
+	if p.b.queue.Failed() {
+		// The write-behind queue hit a hard error (ENOSPC, retries
+		// exhausted): fail the chunk worker promptly instead of finishing
+		// the whole expansion into a queue that discards everything.
+		return p.b.queue.Err()
+	}
+	if preds != nil {
+		if len(preds) != len(children) {
+			return fmt.Errorf("storage: %d preds for %d children", len(preds), len(children))
+		}
+		p.pred = true
+		p.acc.Add(preds)
+	}
+	// Before Flush only the owner migrates the part, so the plain reads of
+	// p.migrated on the owning goroutine are safe.
+	if !p.migrated && p.spillReq.Load() {
+		if err := p.migrate(); err != nil {
+			return err
+		}
+	}
+	if p.migrated {
+		p.dw.appendGroup(children)
+		return nil
+	}
+	if p.verts == nil {
+		p.verts = poolGetU32()
+	}
+	if p.counts == nil {
+		p.counts = poolGetU32()
+	}
+	p.verts = append(p.verts, children...)
+	p.counts = append(p.counts, uint32(len(children)))
+	// Charge the part's eventual resident size: the 4-byte counts become
+	// 8-byte global bounds at Finish, so a group costs 8 bytes for good.
+	delta := int64(len(children))*4 + 8
+	p.bytes.Add(delta)
+	p.b.gov.noteAlloc(delta)
+	return nil
+}
+
+// compressResident squeezes a flushed, still-raw part writer into encoded
+// codec blocks in place — the governor's step before any disk spill. Only
+// the governor calls this, and only after the owner's Flush, so the raw
+// arrays are quiescent. The attempt is recorded even when the part is
+// incompressible, so the governor does not retry it forever.
+func (p *hybridPartWriter) compressResident() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.migrated || p.rcompressed.Load() {
+		return
+	}
+	p.rcompressed.Store(true)
+	cverts, ccnts, comp, chunkCum, now := encodePart(p.verts, p.counts)
+	old := p.bytes.Load()
+	if now >= old {
+		return // incompressible; the spill path can still take it
+	}
+	p.cnumVerts, p.cnumGroups = len(p.verts), len(p.counts)
+	p.cverts, p.ccnts, p.rcomp, p.rchunkCum = cverts, ccnts, comp, chunkCum
+	poolPutU32(p.verts)
+	poolPutU32(p.counts)
+	p.verts, p.counts = nil, nil
+	p.bytes.Store(now)
+	p.b.gov.noteFree(old - now)
+}
+
+// migrate drains the part's accumulated memory data to freshly created part
+// files through the write queue and switches the part to disk appends.
+func (p *hybridPartWriter) migrate() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.migrated {
+		return nil
+	}
+	b := p.b
+	vf, cf, err := openFilePair(b.fs,
+		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.vert", b.level, p.idx)),
+		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.cnt", b.level, p.idx)))
+	if err != nil {
+		return err
+	}
+	p.dw = newDiskPartWriter(b.queue, vf, cf)
+	if p.rcomp != nil {
+		// The part was governor-compressed after its Flush: the resident
+		// blocks ARE the on-disk format, so stream the bytes out verbatim
+		// and adopt the directory. No appends follow a Flush, so the writer
+		// never extends these files.
+		p.dw.comp = p.rcomp
+		p.dw.vbuf = appendQueueBytes(b.queue, vf, p.dw.vbuf, p.cverts)
+		p.dw.cbuf = appendQueueBytes(b.queue, cf, p.dw.cbuf, p.ccnts)
+		p.dw.numVerts, p.dw.numGroups, p.dw.chunkCum = p.cnumVerts, p.cnumGroups, p.rchunkCum
+		p.cverts, p.ccnts, p.rcomp, p.rchunkCum = nil, nil, nil, nil
+	} else {
+		// Bulk-drain the accumulated arrays (no per-group bookkeeping — this
+		// runs on the critical path of whichever worker triggered the
+		// migration): full codec blocks are sealed, the partial tails stay
+		// open in the writer, so later appends extend the same blocks.
+		p.dw.appendVerts(p.verts)
+		for _, c := range p.counts {
+			p.dw.appendCnt(c)
+		}
+		poolPutU32(p.verts)
+		poolPutU32(p.counts)
+		p.verts, p.counts = nil, nil
+	}
+	b.gov.noteFree(p.bytes.Swap(0))
+	b.gov.pending.Add(-p.claimed)
+	p.claimed = 0
+	p.migrated = true
+	if p.flushed.Load() && !p.dwSealed {
+		// Migrated after the owner's Flush (governor path): seal now.
+		p.dw.flush()
+		p.dwSealed = true
+	}
+	return nil
+}
+
+// Flush implements cse.PartWriter.
+func (p *hybridPartWriter) Flush() error {
+	p.acc.Flush()
+	p.flushed.Store(true)
+	if p.spillReq.Load() {
+		if err := p.migrate(); err != nil {
+			return err
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.migrated && !p.dwSealed {
+		p.dw.flush()
+		p.dwSealed = true
+	}
+	return nil
+}
+
+// Finish implements cse.LevelBuilder: it waits for the write queue to drain
+// the migrated parts, verifies their files, and assembles the HybridLevel —
+// computing the global group end boundaries of the memory parts now that
+// every part's base offsets are known.
+func (b *HybridLevelBuilder) Finish() (cse.LevelData, error) {
+	b.gov.releaseInflight()
+	if err := b.gov.takeErr(); err != nil {
+		b.Abort()
+		return nil, err
+	}
+	anyDisk := false
+	for i := range b.parts {
+		if b.parts[i].migrated {
+			anyDisk = true
+		}
+	}
+	if anyDisk {
+		if err := b.queue.Barrier(); err != nil {
+			b.Abort()
+			return nil, err
+		}
+	}
+	h := &HybridLevel{blockSize: b.blockSize, tracker: b.tracker, fs: b.fs, rcomp: b.rcompress.enabled()}
+	sawPred, sawPlainNonEmpty := false, false
+	for i := range b.parts {
+		p := &b.parts[i]
+		hp := hybridPart{vertBase: h.totalVerts, groupBase: h.totalGroups}
+		if p.migrated {
+			if err := p.dw.verify(); err != nil {
+				b.Abort()
+				return nil, err
+			}
+			if b.tracker != nil {
+				b.tracker.SpillIO(p.dw.logicalBytes(), p.dw.physBytes())
+			}
+			hp.vf, hp.cf, hp.chunkCum, hp.comp = p.dw.vf, p.dw.cf, p.dw.chunkCum, p.dw.comp
+			hp.numVerts, hp.numGroups = p.dw.numVerts, p.dw.numGroups
+		} else if p.rcomp != nil {
+			// Governor-compressed resident part: hand the encoded blocks and
+			// their directory straight to the level.
+			hp.cverts, hp.ccnts, hp.comp, hp.chunkCum = p.cverts, p.ccnts, p.rcomp, p.rchunkCum
+			hp.numVerts, hp.numGroups = p.cnumVerts, p.cnumGroups
+			p.cverts, p.ccnts, p.rcomp, p.rchunkCum = nil, nil, nil, nil
+		} else {
+			hp.verts = p.verts
+			p.verts = nil // owned by the level now; recycled at its Close
+			hp.numVerts, hp.numGroups = len(hp.verts), len(p.counts)
+			hp.bounds = poolGetU64(len(p.counts))
+			off := uint64(h.totalVerts)
+			for j, c := range p.counts {
+				off += uint64(c)
+				hp.bounds[j] = off
+			}
+			poolPutU32(p.counts) // bounds replace the counts; recycle them
+			p.counts = nil
+		}
+		if p.pred {
+			sawPred = true
+		} else if hp.numVerts > 0 {
+			sawPlainNonEmpty = true
+		}
+		h.parts = append(h.parts, hp)
+		h.totalVerts += hp.numVerts
+		h.totalGroups += hp.numGroups
+		h.pred = append(h.pred, p.acc.Segs...)
+	}
+	if sawPred && sawPlainNonEmpty {
+		b.Abort()
+		return nil, fmt.Errorf("storage: mixed prediction state across parts")
+	}
+	// Keep the part-writer slice for Reset: the builder is pooled across
+	// level builds (handed-over buffers were nil'ed above; Reset clears the
+	// remaining per-part state).
+	b.parts = b.parts[:0]
+	return h, nil
+}
+
+// Abort implements cse.LevelBuilder: close and remove any migrated parts'
+// files and drop the memory parts.
+func (b *HybridLevelBuilder) Abort() error {
+	b.gov.releaseInflight()
+	var first error
+	for i := range b.parts {
+		if p := &b.parts[i]; p.migrated {
+			if err := removeFiles(b.fs, p.dw.vf, p.dw.cf); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	b.parts = nil
+	return first
+}
+
+// openFilePair creates (truncating) a part's vert/cnt file pair, removing
+// the vert file again if the cnt open fails. Cleanup failures on that path
+// are joined onto the create error instead of being swallowed.
+func openFilePair(fs vfs.FS, vname, cname string) (vf, cf vfs.File, err error) {
+	fs = vfs.OrOS(fs)
+	vf, err = fs.Create(vname)
+	if err != nil {
+		return nil, nil, wrapIO("create", vname, err)
+	}
+	cf, err = fs.Create(cname)
+	if err != nil {
+		return nil, nil, errors.Join(wrapIO("create", cname, err), removeFiles(fs, vf))
+	}
+	return vf, cf, nil
+}
+
+// diskPartWriter encodes one part's groups into codec blocks and streams
+// them to the part's vert/cnt files through the write queue, building the
+// block directory and sparse cnt index as it goes. It serves the migrated
+// parts of a build and the restreamed disk parts of an in-place rewrite.
+type diskPartWriter struct {
+	q          *WriteQueue
+	vf, cf     vfs.File
+	vbuf, cbuf []byte // open (unsubmitted) queue buffers
+	numVerts   int
+	numGroups  int
+	children   uint64 // sum of the counts appended so far
+	chunkCum   []uint64
+	comp       *partComp
+
+	// The open (not yet sealed) codec blocks and encode scratch.
+	vblock, cblock []uint32
+	enc, payload   []byte
+}
+
+func newDiskPartWriter(q *WriteQueue, vf, cf vfs.File) diskPartWriter {
+	return diskPartWriter{q: q, vf: vf, cf: cf, vbuf: q.GetBuf(), cbuf: q.GetBuf(), comp: &partComp{}}
+}
+
+// appendGroup appends one group's children and its count.
+func (p *diskPartWriter) appendGroup(children []uint32) {
+	p.appendVerts(children)
+	p.appendCnt(uint32(len(children)))
+}
+
+// appendVerts buffers verts into the open codec block, sealing full blocks
+// as they fill.
+func (p *diskPartWriter) appendVerts(vals []uint32) {
+	if p.vblock == nil {
+		p.vblock = poolGetU32()
+	}
+	p.numVerts += len(vals)
+	for len(vals) > 0 {
+		n := min(codecBlockVals-len(p.vblock), len(vals))
+		p.vblock = append(p.vblock, vals[:n]...)
+		vals = vals[n:]
+		if len(p.vblock) == codecBlockVals {
+			p.sealVertBlock()
+		}
+	}
+}
+
+// appendCnt buffers one group's child count into the open codec block. Every
+// cnt block opens a sparse-index entry (codecBlockVals equals CntChunk).
+func (p *diskPartWriter) appendCnt(v uint32) {
+	if p.cblock == nil {
+		p.cblock = poolGetU32()
+	}
+	if len(p.cblock) == 0 {
+		p.chunkCum = append(p.chunkCum, p.children)
+	}
+	p.cblock = append(p.cblock, v)
+	p.children += uint64(v)
+	p.numGroups++
+	if len(p.cblock) == codecBlockVals {
+		p.sealCntBlock()
+	}
+}
+
+// sealVertBlock encodes the writer's open vert block, records its physical
+// offset in the directory, and hands the bytes to the write queue. Encoding
+// runs here, on the worker that produced the values: the block is still
+// cache-hot, and with t workers the codec throughput scales with the
+// expansion instead of serializing on the queue's I/O goroutine.
+func (p *diskPartWriter) sealVertBlock() {
+	p.comp.vOffs = append(p.comp.vOffs, p.comp.physVerts)
+	p.enc = appendVertBlock(p.enc[:0], p.vblock, &p.payload)
+	p.comp.physVerts += int64(len(p.enc))
+	p.vbuf = appendQueueBytes(p.q, p.vf, p.vbuf, p.enc)
+	p.vblock = p.vblock[:0]
+}
+
+// sealCntBlock is sealVertBlock for the cnt file.
+func (p *diskPartWriter) sealCntBlock() {
+	p.comp.cOffs = append(p.comp.cOffs, p.comp.physCnts)
+	p.enc = appendCntBlock(p.enc[:0], p.cblock, &p.payload)
+	p.comp.physCnts += int64(len(p.enc))
+	p.cbuf = appendQueueBytes(p.q, p.cf, p.cbuf, p.enc)
+	p.cblock = p.cblock[:0]
+}
+
+// appendQueueBytes copies data into the open queue buffer, submitting and
+// replacing it as it fills.
+func appendQueueBytes(q *WriteQueue, f vfs.File, buf, data []byte) []byte {
+	for len(data) > 0 {
+		space := cap(buf) - len(buf)
+		if space == 0 {
+			q.Submit(f, buf)
+			buf = q.GetBuf()
+			continue
+		}
+		n := min(space, len(data))
+		buf = append(buf, data[:n]...)
+		data = data[n:]
+	}
+	return buf
+}
+
+// flush seals the partial tail blocks — the part is done growing — and
+// submits the open queue buffers.
+func (p *diskPartWriter) flush() {
+	if len(p.vblock) > 0 {
+		p.sealVertBlock()
+	}
+	if len(p.cblock) > 0 {
+		p.sealCntBlock()
+	}
+	poolPutU32(p.vblock)
+	poolPutU32(p.cblock)
+	p.vblock, p.cblock = nil, nil
+	p.q.Submit(p.vf, p.vbuf)
+	p.q.Submit(p.cf, p.cbuf)
+	p.vbuf, p.cbuf = nil, nil
+}
+
+// logicalBytes is the raw word size of what the part wrote: 4 bytes per vert
+// and per group, whatever the blocks compress to.
+func (p *diskPartWriter) logicalBytes() int64 { return int64(4 * (p.numVerts + p.numGroups)) }
+
+// physBytes reports the bytes the part occupies on disk.
+func (p *diskPartWriter) physBytes() int64 { return p.comp.physVerts + p.comp.physCnts }
+
+// verify checks, once the queue has drained, that the directory accounts for
+// every value the part took in (an unflushed part still holds its tail
+// blocks open) and that the files hold exactly the bytes the directory
+// recorded — the check both level assembly and the in-place rewrite run
+// before installing files.
+func (p *diskPartWriter) verify() error {
+	blocks := func(n int) int { return (n + codecBlockVals - 1) / codecBlockVals }
+	if len(p.comp.vOffs) != blocks(p.numVerts) || len(p.comp.cOffs) != blocks(p.numGroups) {
+		return fmt.Errorf("storage: part %s was not flushed: %d/%d blocks sealed for %d verts, %d groups",
+			p.vf.Name(), len(p.comp.vOffs), len(p.comp.cOffs), p.numVerts, p.numGroups)
+	}
+	for _, chk := range []struct {
+		f    vfs.File
+		want int64
+	}{{p.vf, p.comp.physVerts}, {p.cf, p.comp.physCnts}} {
+		size, err := chk.f.Size()
+		if err != nil {
+			return wrapIO("stat", chk.f.Name(), err)
+		}
+		if size != chk.want {
+			return corruptAt(chk.f.Name(), 0, fmt.Errorf("file has %d bytes, want %d", size, chk.want))
+		}
+	}
+	return nil
+}

@@ -6,30 +6,12 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
-
-	"kaleido/internal/memtrack"
-	"kaleido/internal/storage/vfs"
 )
 
-// Compression selects the on-disk encoding of spilled level parts.
-type Compression int
-
-const (
-	// CompressionAuto (the zero value) compresses disk-resident data:
-	// vert blocks are delta+varint encoded, cnt blocks frame-of-reference
-	// encoded. Memory-resident parts always stay raw, so the zero-copy
-	// read path of resident data is unaffected — the representation
-	// follows the placement.
-	CompressionAuto Compression = iota
-	// CompressionOff stores raw fixed-width little-endian words, the
-	// pre-compression format.
-	CompressionOff
-)
-
-func (c Compression) enabled() bool { return c != CompressionOff }
-
-// The compressed on-disk format is a sequence of self-delimiting blocks of
-// codecBlockVals values each (the last block of a file may hold fewer):
+// Encoded parts — spilled to disk or compressed in memory, byte for byte the
+// same — are a sequence of self-delimiting blocks of codecBlockVals values
+// each (the last block of a stream may hold fewer). This is the only spill
+// format:
 //
 //	[1 byte version][uvarint count][uvarint payloadLen][4-byte LE CRC32C][payload]
 //
@@ -74,11 +56,11 @@ const (
 // measurable cost against the ±3% throughput guard.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// partComp is the block directory of one compressed part: the physical file
-// offset where each block starts, plus the physical file sizes. Logical
-// offsets are implicit — block b covers values [b·codecBlockVals, ...) — so
-// the directory is what lets vertSpans/offAt random access keep working at
-// block granularity.
+// partComp is the block directory of one encoded part: the physical offset —
+// into the part's file or its resident byte slice — where each block starts,
+// plus the physical stream sizes. Logical offsets are implicit — block b
+// covers values [b·codecBlockVals, ...) — so the directory is what gives the
+// cursors and the random-access probes block-granular seeks.
 type partComp struct {
 	vOffs     []int64
 	cOffs     []int64
@@ -108,13 +90,6 @@ func (c *partComp) dirBytes() int64 {
 		return 0
 	}
 	return int64(len(c.vOffs)+len(c.cOffs)) * 8
-}
-
-func newPartComp(compress Compression) *partComp {
-	if !compress.enabled() {
-		return nil
-	}
-	return &partComp{}
 }
 
 // codecScratch returns scratch grown to the worst-case payload size, full
@@ -515,318 +490,6 @@ func decodeCntPayload(payload []byte, dst []uint32) error {
 	return nil
 }
 
-// byteCarry reassembles self-delimiting codec blocks from the byte windows a
-// blockStream delivers: a block may straddle two prefetch windows, so the
-// unconsumed tail of one window is carried into the next. The leftover is
-// always smaller than one encoded block, so the compaction copy is cheap.
-type byteCarry struct {
-	buf []byte
-	off int
-}
-
-func (c *byteCarry) rest() []byte { return c.buf[c.off:] }
-
-func (c *byteCarry) consume(n int) { c.off += n }
-
-func (c *byteCarry) add(raw []byte) {
-	if c.off >= len(c.buf) {
-		c.buf = c.buf[:0]
-	} else if c.off > 0 {
-		n := copy(c.buf, c.buf[c.off:])
-		c.buf = c.buf[:n]
-	}
-	c.off = 0
-	c.buf = append(c.buf, raw...)
-}
-
-// compVertBlocks streams compressed vert blocks: whole codec blocks are
-// decoded into a reused buffer, skip leading values are dropped (the read
-// may start mid-block — block granularity of the random access), and the
-// tail is trimmed to the requested range.
-type compVertBlocks struct {
-	bs        *blockStream
-	carry     byteCarry
-	dec       []uint32
-	skip      int
-	remaining int
-	err       error
-	// path and blk locate decode failures: the file the streamed range
-	// starts in and the running block index within that range, attached to
-	// the CorruptError a bad block surfaces as.
-	path string
-	blk  int
-}
-
-func (c *compVertBlocks) NextBlock() ([]uint32, bool) {
-	if c.err != nil || c.remaining <= 0 || c.bs == nil {
-		return nil, false
-	}
-	if cap(c.dec) < codecBlockVals {
-		c.dec = make([]uint32, codecBlockVals)
-	}
-	for {
-		vals, consumed, err := decodeCodecBlock(c.carry.rest(), true, c.dec[:codecBlockVals])
-		if err != nil {
-			c.err = corruptAt(c.path, c.blk, err)
-			return nil, false
-		}
-		if consumed > 0 {
-			c.carry.consume(consumed)
-			c.blk++
-			if c.skip >= len(vals) {
-				c.skip -= len(vals)
-				continue
-			}
-			out := vals[c.skip:]
-			c.skip = 0
-			if len(out) > c.remaining {
-				out = out[:c.remaining]
-			}
-			c.remaining -= len(out)
-			if len(out) == 0 {
-				continue
-			}
-			return out, true
-		}
-		raw, ok := c.bs.nextBlock()
-		if !ok {
-			if err := c.bs.Err(); err != nil {
-				c.err = err
-			} else {
-				c.err = corruptAt(c.path, c.blk, fmt.Errorf("truncated compressed vert stream (%d units missing)", c.remaining))
-			}
-			return nil, false
-		}
-		c.carry.add(raw)
-	}
-}
-
-func (c *compVertBlocks) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.bs == nil {
-		return nil
-	}
-	return c.bs.Err()
-}
-
-func (c *compVertBlocks) Close() error {
-	if c.bs == nil {
-		return nil
-	}
-	return c.bs.Close()
-}
-
-// compBoundBlocks streams compressed cnt blocks as global group-end
-// boundaries. Skipped leading cnt values do not advance cum: the cursor's
-// starting base already accounts for them.
-type compBoundBlocks struct {
-	bs        *blockStream
-	carry     byteCarry
-	dec       []uint32
-	out       []uint64
-	skip      int
-	remaining int
-	cum       uint64
-	err       error
-	// path/blk: see compVertBlocks.
-	path string
-	blk  int
-}
-
-func (c *compBoundBlocks) NextBlock() ([]uint64, bool) {
-	if c.err != nil || c.remaining <= 0 || c.bs == nil {
-		return nil, false
-	}
-	if cap(c.dec) < codecBlockVals {
-		c.dec = make([]uint32, codecBlockVals)
-	}
-	for {
-		vals, consumed, err := decodeCodecBlock(c.carry.rest(), false, c.dec[:codecBlockVals])
-		if err != nil {
-			c.err = corruptAt(c.path, c.blk, err)
-			return nil, false
-		}
-		if consumed > 0 {
-			c.carry.consume(consumed)
-			c.blk++
-			if c.skip >= len(vals) {
-				c.skip -= len(vals)
-				continue
-			}
-			vals = vals[c.skip:]
-			c.skip = 0
-			if len(vals) > c.remaining {
-				vals = vals[:c.remaining]
-			}
-			if len(vals) == 0 {
-				continue
-			}
-			if cap(c.out) < len(vals) {
-				c.out = make([]uint64, codecBlockVals)
-			}
-			out := c.out[:len(vals)]
-			cum := c.cum
-			for i, v := range vals {
-				cum += uint64(v)
-				out[i] = cum
-			}
-			c.cum = cum
-			c.remaining -= len(out)
-			return out, true
-		}
-		raw, ok := c.bs.nextBlock()
-		if !ok {
-			if err := c.bs.Err(); err != nil {
-				c.err = err
-			} else {
-				c.err = corruptAt(c.path, c.blk, fmt.Errorf("truncated compressed cnt stream (%d groups missing)", c.remaining))
-			}
-			return nil, false
-		}
-		c.carry.add(raw)
-	}
-}
-
-func (c *compBoundBlocks) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.bs == nil {
-		return nil
-	}
-	return c.bs.Err()
-}
-
-func (c *compBoundBlocks) Close() error {
-	if c.bs == nil {
-		return nil
-	}
-	return c.bs.Close()
-}
-
-// readPartCnts dispatches a bounded cnt read between the raw and compressed
-// representations of a part.
-func readPartCnts(cf vfs.File, comp *partComp, lo, hi int, tracker *memtrack.Tracker, sc *cntScratch) ([]uint32, error) {
-	if comp == nil {
-		return readCntsAt(cf, lo, hi, tracker, sc)
-	}
-	b0 := lo / codecBlockVals
-	b1 := (hi - 1) / codecBlockVals
-	off := comp.cOffs[b0]
-	end := comp.cntEnd(b1)
-	n := int(end - off)
-	if cap(sc.buf) < n {
-		sc.buf = make([]byte, n)
-	}
-	buf := sc.buf[:n]
-	if err := retryReadAt(cf, buf, off, nil, tracker); err != nil {
-		return nil, err
-	}
-	if tracker != nil {
-		tracker.ReadIO(int64(n))
-	}
-	want := hi - lo
-	if cap(sc.out) < want {
-		sc.out = make([]uint32, 0, want)
-	}
-	out := sc.out[:0]
-	if cap(sc.blk) < codecBlockVals {
-		sc.blk = make([]uint32, codecBlockVals)
-	}
-	pos := 0
-	for b := b0; b <= b1; b++ {
-		vals, consumed, err := decodeCodecBlock(buf[pos:], false, sc.blk[:codecBlockVals])
-		if err != nil {
-			return nil, corruptAt(cf.Name(), b, err)
-		}
-		if consumed == 0 {
-			return nil, corruptAt(cf.Name(), b, fmt.Errorf("truncated cnt block"))
-		}
-		pos += consumed
-		start := lo - b*codecBlockVals
-		if start < 0 {
-			start = 0
-		}
-		stop := hi - b*codecBlockVals
-		if stop > len(vals) {
-			stop = len(vals)
-		}
-		if stop > start {
-			out = append(out, vals[start:stop]...)
-		}
-	}
-	sc.out = out
-	if len(out) != want {
-		return nil, corruptAt(cf.Name(), b0, fmt.Errorf("cnt blocks [%d,%d] decoded %d entries, want %d", b0, b1, len(out), want))
-	}
-	return out, nil
-}
-
-// readPartUnit dispatches a single-unit vert read: one 4-byte pread for raw
-// parts, one block read+decode for compressed parts.
-func readPartUnit(vf vfs.File, comp *partComp, li int, tracker *memtrack.Tracker) (uint32, error) {
-	if comp == nil {
-		var b [4]byte
-		if err := retryReadAt(vf, b[:], int64(4*li), nil, tracker); err != nil {
-			return 0, err
-		}
-		if tracker != nil {
-			tracker.ReadIO(4)
-		}
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	b := li / codecBlockVals
-	off := comp.vOffs[b]
-	end := comp.vertEnd(b)
-	sc := cntPool.Get().(*cntScratch)
-	defer cntPool.Put(sc)
-	n := int(end - off)
-	if cap(sc.buf) < n {
-		sc.buf = make([]byte, n)
-	}
-	buf := sc.buf[:n]
-	if err := retryReadAt(vf, buf, off, nil, tracker); err != nil {
-		return 0, err
-	}
-	if tracker != nil {
-		tracker.ReadIO(int64(n))
-	}
-	if cap(sc.blk) < codecBlockVals {
-		sc.blk = make([]uint32, codecBlockVals)
-	}
-	vals, consumed, err := decodeCodecBlock(buf, true, sc.blk[:codecBlockVals])
-	if err != nil {
-		return 0, corruptAt(vf.Name(), b, err)
-	}
-	if consumed == 0 {
-		return 0, corruptAt(vf.Name(), b, fmt.Errorf("truncated vert block"))
-	}
-	k := li - b*codecBlockVals
-	if k >= len(vals) {
-		return 0, corruptAt(vf.Name(), b, fmt.Errorf("block holds %d units, need index %d", len(vals), k))
-	}
-	return vals[k], nil
-}
-
-// readCompFile reads a whole compressed part file (phys bytes) and decodes
-// every block into dst, whose length must equal the part's logical value
-// count — the bulk load behind PromotePart.
-func readCompFile(f vfs.File, phys int64, vert bool, dst []uint32) error {
-	if phys == 0 {
-		if len(dst) != 0 {
-			return corruptAt(f.Name(), 0, fmt.Errorf("empty compressed file, want %d values", len(dst)))
-		}
-		return nil
-	}
-	buf := make([]byte, phys)
-	if err := retryReadAt(f, buf, 0, nil, nil); err != nil {
-		return err
-	}
-	return decodeAllBlocks(buf, vert, dst, f.Name())
-}
-
 // decodeAllBlocks decodes a complete sequence of codec blocks from buf into
 // dst, whose length must equal the sequence's logical value count. name
 // labels corruption errors — a file path or memBlockPath for resident
@@ -853,95 +516,4 @@ func decodeAllBlocks(buf []byte, vert bool, dst []uint32, name string) error {
 		return corruptAt(name, b, fmt.Errorf("compressed blocks decoded %d values, want %d", got, len(dst)))
 	}
 	return nil
-}
-
-// appendQueueBytes copies data into the open queue buffer, submitting and
-// replacing it as it fills — the write-behind seam the codec shares with the
-// raw bulkEncode path.
-func appendQueueBytes(q *WriteQueue, f vfs.File, buf, data []byte) []byte {
-	for len(data) > 0 {
-		space := cap(buf) - len(buf)
-		if space == 0 {
-			q.Submit(f, buf)
-			buf = q.GetBuf()
-			continue
-		}
-		n := min(space, len(data))
-		buf = append(buf, data[:n]...)
-		data = data[n:]
-	}
-	return buf
-}
-
-// sealVertBlock encodes the writer's open vert block, records its physical
-// offset in the directory, and hands the bytes to the write queue. Encoding
-// runs here, on the worker that produced the values: the block is still
-// cache-hot, and with t workers the codec throughput scales with the
-// expansion instead of serializing on the queue's I/O goroutine.
-func (p *diskPartWriter) sealVertBlock() {
-	p.comp.vOffs = append(p.comp.vOffs, p.comp.physVerts)
-	p.enc = appendVertBlock(p.enc[:0], p.vblock, &p.payload)
-	p.comp.physVerts += int64(len(p.enc))
-	p.vbuf = appendQueueBytes(p.q, p.vf, p.vbuf, p.enc)
-	p.vblock = p.vblock[:0]
-}
-
-// sealCntBlock is sealVertBlock for the cnt file.
-func (p *diskPartWriter) sealCntBlock() {
-	p.comp.cOffs = append(p.comp.cOffs, p.comp.physCnts)
-	p.enc = appendCntBlock(p.enc[:0], p.cblock, &p.payload)
-	p.comp.physCnts += int64(len(p.enc))
-	p.cbuf = appendQueueBytes(p.q, p.cf, p.cbuf, p.enc)
-	p.cblock = p.cblock[:0]
-}
-
-// appendVertsComp buffers verts into the open codec block, sealing full
-// blocks as they fill.
-func (p *diskPartWriter) appendVertsComp(vals []uint32) {
-	if p.vblock == nil {
-		p.vblock = poolGetU32()
-	}
-	for len(vals) > 0 {
-		n := min(codecBlockVals-len(p.vblock), len(vals))
-		p.vblock = append(p.vblock, vals[:n]...)
-		vals = vals[n:]
-		if len(p.vblock) == codecBlockVals {
-			p.sealVertBlock()
-		}
-	}
-}
-
-// appendCntComp buffers one cnt value into the open codec block.
-func (p *diskPartWriter) appendCntComp(v uint32) {
-	if p.cblock == nil {
-		p.cblock = poolGetU32()
-	}
-	p.cblock = append(p.cblock, v)
-	if len(p.cblock) == codecBlockVals {
-		p.sealCntBlock()
-	}
-}
-
-// appendCntsComp buffers cnt values into the open codec block.
-func (p *diskPartWriter) appendCntsComp(vals []uint32) {
-	if p.cblock == nil {
-		p.cblock = poolGetU32()
-	}
-	for len(vals) > 0 {
-		n := min(codecBlockVals-len(p.cblock), len(vals))
-		p.cblock = append(p.cblock, vals[:n]...)
-		vals = vals[n:]
-		if len(p.cblock) == codecBlockVals {
-			p.sealCntBlock()
-		}
-	}
-}
-
-// physBytes reports the bytes the part occupies on disk: the compressed
-// footprint when encoded, the raw word footprint otherwise.
-func (p *diskPartWriter) physBytes() int64 {
-	if p.comp != nil {
-		return p.comp.physVerts + p.comp.physCnts
-	}
-	return int64(4 * (p.numVerts + p.numGroups))
 }

@@ -3,13 +3,9 @@ package storage
 import (
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
-
-	"kaleido/internal/cse"
-	"kaleido/internal/memtrack"
 )
 
 // codecRoundTrip encodes vals as one framed block and decodes it back,
@@ -156,238 +152,6 @@ func TestCodecCorruptHeader(t *testing.T) {
 	}
 }
 
-// buildCompressed is buildBoth with the codec enabled on the disk side.
-func buildCompressed(t *testing.T, groups [][]uint32, nparts int, withPred bool) (*cse.MemLevel, *DiskLevel, *memtrack.Tracker) {
-	t.Helper()
-	tracker := memtrack.New()
-	q := NewWriteQueue(64, tracker) // tiny buffers force block-straddling reads
-	t.Cleanup(func() { q.Close() })
-	mb := cse.NewMemLevelBuilder(nparts)
-	db, err := NewDiskLevelBuilder(nil, t.TempDir(), 2, nparts, q, 128, tracker, CompressionAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := (len(groups) + nparts - 1) / nparts
-	for i := 0; i < nparts; i++ {
-		lo, hi := min(i*per, len(groups)), min(i*per+per, len(groups))
-		for _, g := range groups[lo:hi] {
-			var preds []uint32
-			if withPred {
-				preds = make([]uint32, len(g))
-				for j := range preds {
-					preds[j] = g[j] % 7
-				}
-			}
-			if err := mb.Part(i).AppendGroup(g, preds); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Part(i).AppendGroup(g, preds); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := mb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ml, err := mb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl, err := db.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dl.Close() })
-	return ml.(*cse.MemLevel), dl.(*DiskLevel), tracker
-}
-
-// TestCompressedDiskLevelMatchesMemLevel is the conformance property with the
-// codec on: every LevelData operation must agree with the all-memory
-// reference, bit for bit, across block seams and sub-range starts that land
-// mid-block.
-func TestCompressedDiskLevelMatchesMemLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 8; trial++ {
-		groups := randGroups(rng, 1+rng.Intn(400))
-		nparts := 1 + rng.Intn(4)
-		ml, dl, _ := buildCompressed(t, groups, nparts, trial%2 == 0)
-		if ml.Len() != dl.Len() || ml.Groups() != dl.Groups() {
-			t.Fatalf("trial %d: shape %d/%d vs %d/%d", trial, ml.Len(), ml.Groups(), dl.Len(), dl.Groups())
-		}
-		for r := 0; r < 8; r++ {
-			lo := rng.Intn(ml.Len() + 1)
-			hi := lo + rng.Intn(ml.Len()-lo+1)
-			if r == 0 {
-				lo, hi = 0, ml.Len()
-			}
-			got := make([]uint32, 0, hi-lo)
-			bc := dl.VertBlocks(lo, hi)
-			for {
-				blk, ok := bc.NextBlock()
-				if !ok {
-					break
-				}
-				got = append(got, blk...)
-			}
-			if err := bc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			bc.Close()
-			if !reflect.DeepEqual(got, append(make([]uint32, 0, hi-lo), ml.Verts[lo:hi]...)) {
-				t.Fatalf("trial %d range [%d,%d): compressed blocks differ from mem verts", trial, lo, hi)
-			}
-		}
-		for r := 0; r < 6; r++ {
-			first := rng.Intn(ml.Groups())
-			want := ml.Offs[first+1:]
-			got := make([]uint64, 0, len(want))
-			bb := dl.BoundBlocks(first)
-			for {
-				blk, ok := bb.NextBlock()
-				if !ok {
-					break
-				}
-				got = append(got, blk...)
-			}
-			if err := bb.Err(); err != nil {
-				t.Fatal(err)
-			}
-			bb.Close()
-			if !reflect.DeepEqual(got, append(make([]uint64, 0, len(want)), want...)) {
-				t.Fatalf("trial %d bounds from %d: compressed blocks differ from mem offs", trial, first)
-			}
-		}
-		for i := 0; i < ml.Len(); i++ {
-			mu, _ := ml.UnitAt(i)
-			du, err := dl.UnitAt(i)
-			if err != nil || mu != du {
-				t.Fatalf("trial %d: UnitAt(%d) = %d vs %d (%v)", trial, i, mu, du, err)
-			}
-			mp, _ := ml.ParentOf(i)
-			dp, err := dl.ParentOf(i)
-			if err != nil || mp != dp {
-				t.Fatalf("trial %d: ParentOf(%d) = %d vs %d (%v)", trial, i, mp, dp, err)
-			}
-		}
-		for g := 0; g <= ml.Groups(); g++ {
-			ms, _ := ml.GroupStart(g)
-			ds, err := dl.GroupStart(g)
-			if err != nil || ms != ds {
-				t.Fatalf("trial %d: GroupStart(%d) = %d vs %d (%v)", trial, g, ms, ds, err)
-			}
-		}
-		if !reflect.DeepEqual(ml.Predicted(), dl.Predicted()) {
-			t.Fatalf("trial %d: predictions differ", trial)
-		}
-	}
-}
-
-// TestCompressedCntChunkBoundaries drives the multi-block random-access cnt
-// path: with more than codecBlockVals groups, ParentOf and GroupStart probes
-// land on both sides of cnt block seams.
-func TestCompressedCntChunkBoundaries(t *testing.T) {
-	n := 2*CntChunk + 3
-	groups := make([][]uint32, n)
-	for i := range groups {
-		groups[i] = []uint32{uint32(i)}
-	}
-	for _, nparts := range []int{1, 2} {
-		ml, dl, _ := buildCompressed(t, groups, nparts, false)
-		for _, g := range []int{0, 1, CntChunk - 1, CntChunk, CntChunk + 1, 2*CntChunk - 1, 2 * CntChunk, n - 1, n} {
-			ms, merr := ml.GroupStart(g)
-			ds, derr := dl.GroupStart(g)
-			if merr != nil || derr != nil || ms != ds {
-				t.Fatalf("nparts %d: GroupStart(%d) = %d (%v) vs %d (%v)", nparts, g, ms, merr, ds, derr)
-			}
-		}
-		for _, i := range []int{0, CntChunk - 1, CntChunk, CntChunk + 1, 2*CntChunk - 1, 2 * CntChunk, n - 1} {
-			mp, merr := ml.ParentOf(i)
-			dp, derr := dl.ParentOf(i)
-			if merr != nil || derr != nil || mp != dp {
-				t.Fatalf("nparts %d: ParentOf(%d) = %d (%v) vs %d (%v)", nparts, i, mp, merr, dp, derr)
-			}
-			mu, merr := ml.UnitAt(i)
-			du, derr := dl.UnitAt(i)
-			if merr != nil || derr != nil || mu != du {
-				t.Fatalf("nparts %d: UnitAt(%d) = %d (%v) vs %d (%v)", nparts, i, mu, merr, du, derr)
-			}
-		}
-	}
-}
-
-// TestCompressedCorruptionSurfaces mirrors TestParentOfSurfacesCorruption for
-// the codec: a truncated or version-bumped compressed file must turn into an
-// error from every read path — never silently wrong data.
-func TestCompressedCorruptionSurfaces(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	groups := randGroups(rng, 120)
-	_, dl, _ := buildCompressed(t, groups, 1, false)
-	if dl.Len() == 0 {
-		t.Skip("empty level")
-	}
-
-	// Truncated cnt file: ParentOf errors, walker seeding fails.
-	if err := os.Truncate(dl.parts[0].cf.Name(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dl.ParentOf(dl.Len() - 1); err == nil {
-		t.Fatal("ParentOf on truncated compressed cnt file returned no error")
-	}
-	base := make([]uint32, dl.Groups())
-	c := cse.New(cse.NewBaseLevel(base))
-	if err := c.Push(dl); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cse.NewWalker(c, 1, dl.Len()); err == nil {
-		t.Fatal("walker seeded from corrupt compressed level without error")
-	}
-
-	// Version-bumped vert file: the streaming cursor must refuse to decode.
-	vf, err := os.OpenFile(dl.parts[0].vf.Name(), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vf.WriteAt([]byte{codecVersion + 1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	vf.Close()
-	bc := dl.VertBlocks(0, dl.Len())
-	defer bc.Close()
-	for {
-		if _, ok := bc.NextBlock(); !ok {
-			break
-		}
-	}
-	if err := bc.Err(); err == nil || !strings.Contains(err.Error(), "unknown compressed block version") {
-		t.Fatalf("version-bumped vert stream: err = %v", err)
-	}
-	if _, err := dl.UnitAt(0); err == nil || !strings.Contains(err.Error(), "unknown compressed block version") {
-		t.Fatalf("version-bumped UnitAt: err = %v", err)
-	}
-
-	// Truncated vert file: the stream must end with a truncation error.
-	_, dl2, _ := buildCompressed(t, groups, 1, false)
-	if sz, err := dl2.parts[0].vf.Size(); err != nil || sz < 4 {
-		t.Skip("vert file too small to truncate meaningfully")
-	}
-	if err := os.Truncate(dl2.parts[0].vf.Name(), 3); err != nil {
-		t.Fatal(err)
-	}
-	bc2 := dl2.VertBlocks(0, dl2.Len())
-	defer bc2.Close()
-	for {
-		if _, ok := bc2.NextBlock(); !ok {
-			break
-		}
-	}
-	if bc2.Err() == nil {
-		t.Fatal("truncated compressed vert stream ended without error")
-	}
-}
-
 // TestCompressedRatioAndAccounting: near-sorted spill data must compress at
 // least 2× — and the logical/physical split must be visible in the level,
 // the tracker's spill totals, and the write I/O counter.
@@ -405,7 +169,7 @@ func TestCompressedRatioAndAccounting(t *testing.T) {
 		groups[i] = g
 		next -= 60 // overlap between consecutive groups, still near-sorted
 	}
-	_, dl, tracker := buildCompressed(t, groups, 2, false)
+	_, dl, tracker := buildLevels(t, nil, groups, 2, false, layoutDisk)
 	logical := dl.DiskBytes()
 	phys := dl.DiskBytesPhysical()
 	if logical == 0 || phys == 0 {
@@ -420,280 +184,5 @@ func TestCompressedRatioAndAccounting(t *testing.T) {
 	}
 	if _, w := tracker.IOTotals(); w != phys {
 		t.Fatalf("write bytes = %d, want physical %d", w, phys)
-	}
-}
-
-// buildHybridCompressed is buildHybridMixed with the codec on.
-func buildHybridCompressed(t *testing.T, groups [][]uint32, nparts int, spillParts map[int]bool, withPred bool) (*cse.MemLevel, *HybridLevel, *memtrack.Tracker) {
-	t.Helper()
-	tracker := memtrack.New()
-	q := NewWriteQueue(64, tracker)
-	t.Cleanup(func() { q.Close() })
-	mb := cse.NewMemLevelBuilder(nparts)
-	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 2, nparts, q, 128, tracker, 1<<40, nil, 0, CompressionAuto, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range spillParts {
-		hb.parts[i].spillReq.Store(true)
-	}
-	per := (len(groups) + nparts - 1) / nparts
-	for i := 0; i < nparts; i++ {
-		lo, hi := min(i*per, len(groups)), min(i*per+per, len(groups))
-		for _, g := range groups[lo:hi] {
-			var preds []uint32
-			if withPred {
-				preds = make([]uint32, len(g))
-				for j := range preds {
-					preds[j] = g[j] % 7
-				}
-			}
-			if err := mb.Part(i).AppendGroup(g, preds); err != nil {
-				t.Fatal(err)
-			}
-			if err := hb.Part(i).AppendGroup(g, preds); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := mb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := hb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ml, err := mb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hl, err := hb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hl.Close() })
-	return ml.(*cse.MemLevel), hl.(*HybridLevel), tracker
-}
-
-// TestHybridCompressedMatchesMemLevel: the mixed-placement conformance
-// property with compressed disk parts — cursors crossing raw-mem→compressed-
-// disk seams, random access landing mid-block, and sub-cursor starts inside
-// a spilled part.
-func TestHybridCompressedMatchesMemLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	for trial := 0; trial < 6; trial++ {
-		groups := randGroups(rng, 1+rng.Intn(400))
-		nparts := 2 + rng.Intn(4)
-		spill := map[int]bool{rng.Intn(nparts): true}
-		for i := 0; i < nparts; i++ {
-			if rng.Intn(2) == 0 {
-				spill[i] = true
-			}
-		}
-		if len(spill) == nparts {
-			delete(spill, rng.Intn(nparts))
-		}
-		ml, hl, _ := buildHybridCompressed(t, groups, nparts, spill, trial%2 == 0)
-		if ml.Len() != hl.Len() || ml.Groups() != hl.Groups() {
-			t.Fatalf("trial %d: shape %d/%d vs %d/%d", trial, ml.Len(), ml.Groups(), hl.Len(), hl.Groups())
-		}
-		for r := 0; r < 8; r++ {
-			lo := rng.Intn(ml.Len() + 1)
-			hi := lo + rng.Intn(ml.Len()-lo+1)
-			if r == 0 {
-				lo, hi = 0, ml.Len()
-			}
-			got := make([]uint32, 0, hi-lo)
-			bc := hl.VertBlocks(lo, hi)
-			for {
-				blk, ok := bc.NextBlock()
-				if !ok {
-					break
-				}
-				got = append(got, blk...)
-			}
-			if err := bc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			bc.Close()
-			if !reflect.DeepEqual(got, append(make([]uint32, 0, hi-lo), ml.Verts[lo:hi]...)) {
-				t.Fatalf("trial %d range [%d,%d): hybrid compressed blocks differ", trial, lo, hi)
-			}
-		}
-		for r := 0; r < 6; r++ {
-			first := rng.Intn(ml.Groups())
-			want := ml.Offs[first+1:]
-			got := make([]uint64, 0, len(want))
-			bb := hl.BoundBlocks(first)
-			for {
-				blk, ok := bb.NextBlock()
-				if !ok {
-					break
-				}
-				got = append(got, blk...)
-			}
-			if err := bb.Err(); err != nil {
-				t.Fatal(err)
-			}
-			bb.Close()
-			if !reflect.DeepEqual(got, append(make([]uint64, 0, len(want)), want...)) {
-				t.Fatalf("trial %d bounds from %d: hybrid compressed bounds differ", trial, first)
-			}
-		}
-		for i := 0; i < ml.Len(); i++ {
-			mu, _ := ml.UnitAt(i)
-			hu, err := hl.UnitAt(i)
-			if err != nil || mu != hu {
-				t.Fatalf("trial %d: UnitAt(%d) = %d vs %d (%v)", trial, i, mu, hu, err)
-			}
-			mp, _ := ml.ParentOf(i)
-			hp, err := hl.ParentOf(i)
-			if err != nil || mp != hp {
-				t.Fatalf("trial %d: ParentOf(%d) = %d vs %d (%v)", trial, i, mp, hp, err)
-			}
-		}
-		for g := 0; g <= ml.Groups(); g++ {
-			ms, _ := ml.GroupStart(g)
-			hs, err := hl.GroupStart(g)
-			if err != nil || ms != hs {
-				t.Fatalf("trial %d: GroupStart(%d) = %d vs %d (%v)", trial, g, ms, hs, err)
-			}
-		}
-		if hl.DiskBytesPhysical() >= hl.DiskBytes() && hl.DiskBytes() > 4096 {
-			t.Fatalf("trial %d: physical %d not below logical %d", trial, hl.DiskBytesPhysical(), hl.DiskBytes())
-		}
-	}
-}
-
-// TestHybridCompressedMidBuildSpill: the governor migrates raw in-memory
-// parts into compressed files mid-build (no re-sorting, partial codec blocks
-// continue filling), and the result matches the mem reference.
-func TestHybridCompressedMidBuildSpill(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	groups := make([][]uint32, 600)
-	var totalBytes int64
-	for i := range groups {
-		g := make([]uint32, 2+rng.Intn(6))
-		for j := range g {
-			g[j] = rng.Uint32() % 5000
-		}
-		groups[i] = g
-		totalBytes += int64(len(g))*4 + 4
-	}
-	tracker := memtrack.New()
-	q := NewWriteQueue(0, tracker)
-	defer q.Close()
-	const nparts = 8
-	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 3, nparts, q, 0, tracker, totalBytes/2, nil, 0, CompressionAuto, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb := cse.NewMemLevelBuilder(nparts)
-	per := (len(groups) + nparts - 1) / nparts
-	for i := 0; i < nparts; i++ {
-		lo, hi := min(i*per, len(groups)), min(i*per+per, len(groups))
-		for _, g := range groups[lo:hi] {
-			if err := hb.Part(i).AppendGroup(g, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := mb.Part(i).AppendGroup(g, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := hb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := mb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lvl, err := hb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lvl.Close()
-	hl := lvl.(*HybridLevel)
-	if hl.DiskParts() == 0 || hl.MemParts() == 0 {
-		t.Fatalf("placement not hybrid: %d mem / %d disk", hl.MemParts(), hl.DiskParts())
-	}
-	ml, err := mb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := ml.(*cse.MemLevel)
-	got := make([]uint32, 0, hl.Len())
-	bc := hl.VertBlocks(0, hl.Len())
-	for {
-		blk, ok := bc.NextBlock()
-		if !ok {
-			break
-		}
-		got = append(got, blk...)
-	}
-	if err := bc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	bc.Close()
-	if !reflect.DeepEqual(got, mem.Verts) {
-		t.Fatal("compressed hybrid level differs from mem reference after mid-build spill")
-	}
-	for g := 0; g <= mem.Groups(); g++ {
-		ms, _ := mem.GroupStart(g)
-		hs, err := hl.GroupStart(g)
-		if err != nil || ms != hs {
-			t.Fatalf("GroupStart(%d) = %d vs %d (%v)", g, ms, hs, err)
-		}
-	}
-	sl, sp := tracker.SpillTotals()
-	if sl == 0 || sp == 0 || sp >= sl {
-		t.Fatalf("spill totals (%d logical, %d physical) not compressed", sl, sp)
-	}
-}
-
-// TestHybridCompressedPromote: a compressed disk part promotes back into raw
-// in-memory arrays — whole-file decode, files removed, conformance intact.
-func TestHybridCompressedPromote(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	groups := randGroups(rng, 300)
-	ml, hl, _ := buildHybridCompressed(t, groups, 4, map[int]bool{1: true, 3: true}, false)
-
-	var files []string
-	for i := range hl.parts {
-		if hl.parts[i].onDisk() {
-			files = append(files, hl.parts[i].vf.Name(), hl.parts[i].cf.Name())
-		}
-	}
-	n, err := hl.Promote(1 << 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || hl.DiskParts() != 0 {
-		t.Fatalf("promoted %d, %d disk parts remain", n, hl.DiskParts())
-	}
-	for _, f := range files {
-		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Fatalf("promoted part file %s still exists", f)
-		}
-	}
-	if hl.DiskBytes() != 0 || hl.DiskBytesPhysical() != 0 {
-		t.Fatalf("disk bytes %d/%d after full promotion", hl.DiskBytes(), hl.DiskBytesPhysical())
-	}
-	for i := 0; i < ml.Len(); i++ {
-		mu, _ := ml.UnitAt(i)
-		hu, err := hl.UnitAt(i)
-		if err != nil || mu != hu {
-			t.Fatalf("unit %d: %d vs %d (%v)", i, mu, hu, err)
-		}
-		mp, _ := ml.ParentOf(i)
-		hp, err := hl.ParentOf(i)
-		if err != nil || mp != hp {
-			t.Fatalf("parent %d: %d vs %d (%v)", i, mp, hp, err)
-		}
-	}
-	for g := 0; g <= ml.Groups(); g++ {
-		ms, _ := ml.GroupStart(g)
-		hs, err := hl.GroupStart(g)
-		if err != nil || ms != hs {
-			t.Fatalf("group start %d: %d vs %d (%v)", g, ms, hs, err)
-		}
 	}
 }

@@ -1,0 +1,320 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"kaleido/internal/cse"
+	"kaleido/internal/memtrack"
+	"kaleido/internal/storage/vfs"
+)
+
+// layout says where buildLevels puts each part of the hybrid level.
+type layout struct {
+	name   string
+	budget int64               // builder watermark; ≤ 0 is the all-disk regime
+	at     func(part int) byte // 'r' raw, 'c' compressed-mem, 'd' disk (forced spill)
+	rcomp  Compression         // the level's resident-compression policy (zero value: on)
+}
+
+var (
+	layoutRaw   = layout{name: "raw", budget: 1 << 40, at: func(int) byte { return 'r' }}
+	layoutComp  = layout{name: "compressed-mem", budget: 1 << 40, at: func(int) byte { return 'c' }}
+	layoutDisk  = layout{name: "disk", budget: 0, at: func(int) byte { return 'd' }}
+	layoutMixed = layout{name: "mixed", budget: 1 << 40, at: func(i int) byte { return "drc"[i%3] }}
+	layouts     = []layout{layoutRaw, layoutComp, layoutDisk, layoutMixed}
+)
+
+// buildLevels writes the same groups, split into nparts contiguous ranges,
+// through a MemLevelBuilder (the reference) and a HybridLevelBuilder whose
+// parts end up where lay says. The tiny queue buffers and 128-byte prefetch
+// windows force frequent queue traffic and codec blocks that straddle
+// windows. fs is the filesystem of the spilled parts (nil = the real one).
+func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPred bool, lay layout) (*cse.MemLevel, *HybridLevel, *memtrack.Tracker) {
+	t.Helper()
+	tracker := memtrack.New()
+	q := NewWriteQueue(64, tracker)
+	t.Cleanup(func() { q.Close() })
+
+	mb := cse.NewMemLevelBuilder(nparts)
+	hb, err := NewHybridLevelBuilder(fs, t.TempDir(), 2, nparts, q, 128, tracker, lay.budget, nil, 0, lay.rcomp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nparts; i++ {
+		if lay.at(i) == 'd' {
+			hb.parts[i].spillReq.Store(true)
+		}
+	}
+	per := (len(groups) + nparts - 1) / nparts
+	for i := 0; i < nparts; i++ {
+		lo, hi := min(i*per, len(groups)), min(i*per+per, len(groups))
+		for _, g := range groups[lo:hi] {
+			var preds []uint32
+			if withPred {
+				preds = make([]uint32, len(g))
+				for j := range preds {
+					preds[j] = g[j] % 7
+				}
+			}
+			for _, pw := range []cse.PartWriter{mb.Part(i), hb.Part(i)} {
+				if err := pw.AppendGroup(g, preds); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, pw := range []cse.PartWriter{mb.Part(i), hb.Part(i)} {
+			if err := pw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ml, err := mb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvl, err := hb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl := lvl.(*HybridLevel)
+	t.Cleanup(func() { hl.Close() })
+	for i := 0; i < nparts; i++ {
+		if lay.at(i) == 'c' {
+			hl.CompressPart(i)
+		}
+	}
+	return ml.(*cse.MemLevel), hl, tracker
+}
+
+func randGroups(rng *rand.Rand, n int) [][]uint32 {
+	groups := make([][]uint32, n)
+	for i := range groups {
+		sz := rng.Intn(5)
+		if rng.Intn(10) == 0 {
+			sz = rng.Intn(50) // occasional big group
+		}
+		g := make([]uint32, sz)
+		for j := range g {
+			g[j] = rng.Uint32() % 1000
+		}
+		groups[i] = g
+	}
+	return groups
+}
+
+// readVerts drains a vert block cursor, checking no block is empty.
+func readVerts(t *testing.T, c cse.VertBlockCursor) ([]uint32, error) {
+	t.Helper()
+	defer c.Close()
+	out := []uint32{}
+	for {
+		blk, ok := c.NextBlock()
+		if !ok {
+			return out, c.Err()
+		}
+		if len(blk) == 0 {
+			t.Fatal("empty block with ok=true")
+		}
+		out = append(out, blk...)
+	}
+}
+
+// readBounds drains a bound block cursor.
+func readBounds(c cse.BoundBlockCursor) ([]uint64, error) {
+	defer c.Close()
+	out := []uint64{}
+	for {
+		blk, ok := c.NextBlock()
+		if !ok {
+			return out, c.Err()
+		}
+		out = append(out, blk...)
+	}
+}
+
+// around returns the in-range indices within 2 of every seam.
+func around(seams []int, limit int) []int {
+	set := map[int]bool{}
+	for _, s := range seams {
+		for d := -2; d <= 2; d++ {
+			if i := s + d; i >= 0 && i < limit {
+				set[i] = true
+			}
+		}
+	}
+	out := make([]int, 0, len(set))
+	for i := range set {
+		out = append(out, i)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestConformance is the LevelData conformance property: the same random
+// groups built as a MemLevel (the reference) and as a hybrid level in each
+// residency — all raw, all compressed-mem, all disk (budget ≤ 0), mixed —
+// must agree on every operation. Sequential cursors are compared from every
+// start offset that straddles a part seam, a codec-block seam or a CntChunk
+// seam; random access at those offsets plus a stride over the whole level
+// (every index on the small shapes).
+func TestConformance(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	type shape struct {
+		name   string
+		groups [][]uint32
+		nparts int
+		pred   bool
+	}
+	// Big enough that every part spans several codec blocks and CntChunks:
+	// ~2·CntChunk groups and ~3 vert blocks per part.
+	big := make([][]uint32, 3*(2*CntChunk+37))
+	for i := range big {
+		g := make([]uint32, rng.Intn(4))
+		for j := range g {
+			g[j] = uint32(i/3+j*5) + rng.Uint32()%4
+		}
+		big[i] = g
+	}
+	// One child per group puts vert and cnt seams at the same indices.
+	unit := make([][]uint32, 2*CntChunk+3)
+	for i := range unit {
+		unit[i] = []uint32{uint32(i)}
+	}
+	shapes := []shape{{"seams", big, 3, false}, {"unit-1part", unit, 1, false}, {"unit-2parts", unit, 2, false}}
+	for trial := 0; trial < 6; trial++ {
+		shapes = append(shapes, shape{fmt.Sprintf("random%d", trial), randGroups(rng, 1+rng.Intn(400)), 1 + rng.Intn(5), trial%2 == 0})
+	}
+	for _, sh := range shapes {
+		for _, lay := range layouts {
+			t.Run(sh.name+"/"+lay.name, func(t *testing.T) {
+				ml, hl, _ := buildLevels(t, nil, sh.groups, sh.nparts, sh.pred, lay)
+				checkConforms(t, ml, hl, base(ml.Groups()))
+				if lay.name == "compressed-mem" && len(sh.groups) > 1000 && hl.CompressedParts() != hl.MemParts() {
+					t.Fatalf("%d of %d parts compressed", hl.CompressedParts(), hl.MemParts())
+				}
+				if lay.name == "disk" && hl.MemParts() != 0 {
+					t.Fatalf("budget ≤ 0 left %d parts in memory", hl.MemParts())
+				}
+			})
+		}
+	}
+}
+
+// base returns a level-1 unit list for a level with n groups.
+func base(n int) []uint32 {
+	units := make([]uint32, n)
+	for i := range units {
+		units[i] = uint32(i + 100)
+	}
+	return units
+}
+
+// checkConforms compares every LevelData operation of hl against ml.
+func checkConforms(t *testing.T, ml *cse.MemLevel, hl *HybridLevel, units []uint32) {
+	t.Helper()
+	if ml.Len() != hl.Len() || ml.Groups() != hl.Groups() {
+		t.Fatalf("shape %d/%d vs %d/%d", ml.Len(), ml.Groups(), hl.Len(), hl.Groups())
+	}
+	if !reflect.DeepEqual(ml.Predicted(), hl.Predicted()) {
+		t.Fatalf("predictions differ: %v vs %v", ml.Predicted(), hl.Predicted())
+	}
+	// Seams in vert index space and in group index space.
+	vseams, gseams := []int{0, ml.Len()}, []int{0, ml.Groups()}
+	for i := range hl.parts {
+		p := &hl.parts[i]
+		for k := 0; k*codecBlockVals <= p.numVerts; k++ {
+			vseams = append(vseams, p.vertBase+k*codecBlockVals)
+		}
+		for k := 0; k*CntChunk <= p.numGroups; k++ {
+			gseams = append(gseams, p.groupBase+k*CntChunk)
+		}
+	}
+	starts := around(vseams, ml.Len()+1)
+	for _, lo := range starts {
+		// Ends: one unit, just past each of the next few seams, everything.
+		ends := []int{lo + 1, ml.Len()}
+		for _, s := range starts {
+			if s > lo && len(ends) < 12 {
+				ends = append(ends, s)
+			}
+		}
+		for _, hi := range ends {
+			if hi > ml.Len() {
+				continue
+			}
+			got, err := readVerts(t, hl.VertBlocks(lo, hi))
+			if err != nil {
+				t.Fatalf("VertBlocks(%d,%d): %v", lo, hi, err)
+			}
+			if !reflect.DeepEqual(got, append([]uint32{}, ml.Verts[lo:hi]...)) {
+				t.Fatalf("VertBlocks(%d,%d) differs from mem verts", lo, hi)
+			}
+		}
+	}
+	for _, first := range around(gseams, ml.Groups()) {
+		got, err := readBounds(hl.BoundBlocks(first))
+		if err != nil {
+			t.Fatalf("BoundBlocks(%d): %v", first, err)
+		}
+		if !reflect.DeepEqual(got, append([]uint64{}, ml.Offs[first+1:]...)) {
+			t.Fatalf("BoundBlocks(%d) differs from mem offs", first)
+		}
+	}
+	if got, err := readBounds(hl.BoundBlocks(ml.Groups())); err != nil || len(got) != 0 {
+		t.Fatalf("BoundBlocks past the end: %d bounds, %v", len(got), err)
+	}
+
+	// Random access: every index on small levels, the seams plus a stride on
+	// large ones (each probe of an encoded part decodes a whole block).
+	stride := 1 + ml.Len()/2000
+	verts := around(vseams, ml.Len())
+	for i := 0; i < ml.Len(); i += stride {
+		verts = append(verts, i)
+	}
+	mem := cse.New(cse.NewBaseLevel(units))
+	hyb := cse.New(cse.NewBaseLevel(units))
+	if err := mem.Push(ml); err != nil {
+		t.Fatal(err)
+	}
+	if err := hyb.Push(hl); err != nil {
+		t.Fatal(err)
+	}
+	want, got := make([]uint32, 2), make([]uint32, 2)
+	for _, i := range verts {
+		mu, merr := ml.UnitAt(i)
+		hu, herr := hl.UnitAt(i)
+		if merr != nil || herr != nil || mu != hu {
+			t.Fatalf("UnitAt(%d) = %d (%v) vs %d (%v)", i, mu, merr, hu, herr)
+		}
+		mp, merr := ml.ParentOf(i)
+		hp, herr := hl.ParentOf(i)
+		if merr != nil || herr != nil || mp != hp {
+			t.Fatalf("ParentOf(%d) = %d (%v) vs %d (%v)", i, mp, merr, hp, herr)
+		}
+		if err := mem.Extract(i, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := hyb.Extract(i, got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Extract(%d) = %v, want %v", i, got, want)
+		}
+	}
+	gstride := 1 + ml.Groups()/2000
+	groups := around(gseams, ml.Groups()+1)
+	for g := 0; g <= ml.Groups(); g += gstride {
+		groups = append(groups, g)
+	}
+	for _, g := range groups {
+		ms, merr := ml.GroupStart(g)
+		hs, herr := hl.GroupStart(g)
+		if merr != nil || herr != nil || ms != hs {
+			t.Fatalf("GroupStart(%d) = %d (%v) vs %d (%v)", g, ms, merr, hs, herr)
+		}
+	}
+}

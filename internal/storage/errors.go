@@ -28,13 +28,14 @@ var (
 	ErrNoSpace = errors.New("no space left for spill")
 )
 
-// CorruptError pinpoints a corrupt spill block: which file, which block
-// within it, and what failed. It unwraps to ErrSpillCorrupt.
+// CorruptError pinpoints a corrupt codec block: which byte source, which
+// block within it, and what failed. It unwraps to ErrSpillCorrupt.
 type CorruptError struct {
-	// Path is the spill file containing the bad block.
+	// Path is the spill file containing the bad block, or "(compressed-mem)"
+	// for a block held in memory.
 	Path string
-	// Block is the zero-based index of the bad block within the file region
-	// being decoded.
+	// Block is the zero-based index of the bad block within its part's vert
+	// or cnt stream.
 	Block int
 	// Detail says what validation failed.
 	Detail string
@@ -50,6 +51,16 @@ func (e *CorruptError) Unwrap() error { return ErrSpillCorrupt }
 // coordinates.
 func corruptAt(path string, block int, err error) error {
 	return &CorruptError{Path: path, Block: block, Detail: err.Error()}
+}
+
+// locateCorrupt attaches block coordinates to corruption reported by a layer
+// that knows only the file — retryReadAt's truncation; other errors pass
+// through unchanged.
+func locateCorrupt(err error, path string, block int) error {
+	if errors.Is(err, ErrSpillCorrupt) {
+		return corruptAt(path, block, err)
+	}
+	return err
 }
 
 // wrapIO classifies err as ErrNoSpace (ENOSPC) or ErrSpillIO and wraps it

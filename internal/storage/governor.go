@@ -1,0 +1,196 @@
+package storage
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"kaleido/internal/memtrack"
+)
+
+// governor is the placement policy of a hybrid build: an atomic running
+// total of in-flight resident bytes, compared against the build's watermark
+// on every append. Crossing it marks the largest unmarked parts until the
+// bytes marked cover the overshoot — never more. pending tracks the bytes of
+// parts marked but not yet migrated, so the post-crossing fast path stays a
+// few atomic loads — the full part scan runs only when a new victim is
+// needed.
+//
+// External pressure with a known limit (the tracked total — pattern maps and
+// sibling runs included — is over pressureLimit) follows the same rule for
+// data at rest: flushed parts are compressed while the limit is exceeded and
+// spilled only until the marked bytes cover the overshoot, so a spike of a
+// few bytes no longer sends a whole level to disk. What it condemns beyond
+// that is only what is still growing: marked bytes stay resident until their
+// migration completes, and letting the other workers keep appending in
+// memory meanwhile is what overruns the limit (measured on the repo
+// benchmark's store4-hybrid, two workers: covering the overshoot with one
+// victim raised the tracked peak from the watermark to 10-30% above it).
+type governor struct {
+	budget        int64
+	pressure      *atomic.Bool
+	pressureLimit int64
+	tracker       *memtrack.Tracker
+	inflight      atomic.Int64
+	pending       atomic.Int64
+	b             *HybridLevelBuilder
+
+	mu  sync.Mutex // serializes victim selection and error recording
+	err error
+}
+
+// reset re-arms the governor for a new build under memBudget.
+func (g *governor) reset(memBudget int64) {
+	g.budget = memBudget
+	g.releaseInflight() // no-op after a completed Finish/Abort
+	g.pending.Store(0)
+	g.mu.Lock()
+	g.err = nil
+	g.mu.Unlock()
+}
+
+func (g *governor) noteAlloc(delta int64) {
+	// In-flight build bytes are charged to the tracker as they grow, not
+	// just at Finish: under a shared arbiter this is what makes one run's
+	// half-built level visible to its siblings' governors — the cross-run
+	// watermark fires on genuinely resident bytes, not only completed
+	// levels. Finish/Abort release the in-flight charge (the finished level
+	// is then charged by its owner).
+	if g.tracker != nil {
+		g.tracker.Alloc(delta)
+	}
+	g.inflight.Add(delta)
+	if over, pressed := g.overshoot(); over > 0 || pressed {
+		g.spillOver()
+	}
+}
+
+func (g *governor) noteFree(n int64) {
+	if g.tracker != nil {
+		g.tracker.Free(n)
+	}
+	g.inflight.Add(-n)
+}
+
+// releaseInflight returns the tracker charge of whatever in-flight bytes
+// remain — the end-of-build handoff (Finish: the assembled level is charged
+// by its owner) and the Abort teardown.
+func (g *governor) releaseInflight() {
+	if n := g.inflight.Swap(0); n != 0 && g.tracker != nil {
+		g.tracker.Free(n)
+	}
+}
+
+// overshoot returns how many resident bytes still have to be marked for
+// spilling: the in-flight bytes above the build's watermark and, while the
+// external pressure flag is up, the tracked live bytes above pressureLimit —
+// whichever is larger — less the bytes already marked (pending migrations
+// will free them). pressed reports that such a measured limit is exceeded
+// right now, marked bytes or not: the caller, an unmarked part that just
+// grew, has to stop growing. Without a limit (or a tracker to measure against) the flag carries no
+// size, so the governor spills everything while it is up.
+func (g *governor) overshoot() (over int64, pressed bool) {
+	resident := g.inflight.Load() - g.pending.Load()
+	over = resident - g.budget
+	if g.pressure == nil || !g.pressure.Load() {
+		return over, false
+	}
+	if g.pressureLimit <= 0 || g.tracker == nil {
+		return resident, false
+	}
+	live := g.tracker.SharedLive()
+	if live < g.pressureLimit {
+		// The spike has passed: stop force-spilling. The high-water callback
+		// re-arms below the limit, so a second crossing sets the flag again.
+		g.pressure.Store(false)
+		return over, false
+	}
+	return max(over, live-g.pending.Load()-g.pressureLimit), true
+}
+
+// mark condemns part p, holding bytes resident bytes, to disk: its owner
+// migrates it at its next append or Flush (spillOver does it for parts
+// already flushed).
+func (g *governor) mark(p *hybridPartWriter, bytes int64) {
+	p.claimed = bytes
+	g.pending.Add(bytes)
+	p.spillReq.Store(true)
+}
+
+// spillOver frees or marks resident bytes until the marked bytes cover the
+// overshoot and, under measured pressure, nothing grows in memory any more:
+// the largest flushed raw parts are compressed first; failing that every
+// part still growing is marked at once under pressure; then the largest
+// unmarked parts one by one. Already-flushed victims are migrated on the
+// calling goroutine (their owner is done with them).
+func (g *governor) spillOver() {
+	if g.b.queue.Failed() {
+		// The write-behind queue hit a hard error (typically ENOSPC): there
+		// is nowhere for victims to go, so stop marking parts — the run is
+		// failing; AppendGroup surfaces the queue's typed error.
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for {
+		over, pressed := g.overshoot()
+		// One scan: the largest flushed raw part (a compression candidate),
+		// the largest unmarked part (the next victim), and whether any
+		// unmarked part is still being appended to.
+		var cv, victim *hybridPartWriter
+		var cvBytes, victimBytes int64
+		growing := false
+		for i := range g.b.parts {
+			p := &g.b.parts[i]
+			bb := p.bytes.Load()
+			if p.spillReq.Load() || bb == 0 {
+				continue
+			}
+			if !p.flushed.Load() {
+				growing = true
+			} else if !p.rcompressed.Load() && bb > cvBytes {
+				cv, cvBytes = p, bb
+			}
+			if bb > victimBytes {
+				victim, victimBytes = p, bb
+			}
+		}
+		switch {
+		case (over > 0 || pressed) && cv != nil && g.b.rcompress.enabled():
+			// Squeeze the largest flushed raw part into resident codec
+			// blocks before spilling anything: compression frees most of a
+			// part's bytes for no I/O at all. Only flushed parts are
+			// eligible — their owner is done appending, so the raw arrays
+			// are quiescent. Compress under the lock: a sibling worker that
+			// crosses the watermark meanwhile waits here for the bytes about
+			// to be freed instead of finding nothing left to compress and
+			// spilling an in-flight part the budget had room for.
+			cv.compressResident()
+		case pressed && growing:
+			for i := range g.b.parts {
+				p := &g.b.parts[i]
+				if bb := p.bytes.Load(); bb > 0 && !p.spillReq.Load() && !p.flushed.Load() {
+					g.mark(p, bb)
+				}
+			}
+		case over <= 0 || victim == nil:
+			return // covered — or everything is marked and migrations will catch up
+		default:
+			g.mark(victim, victimBytes)
+			if victim.flushed.Load() {
+				// The owner has moved on; migrate here.
+				g.mu.Unlock()
+				err := victim.migrate()
+				g.mu.Lock()
+				if err != nil && g.err == nil {
+					g.err = err
+				}
+			}
+		}
+	}
+}
+
+func (g *governor) takeErr() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.err
+}

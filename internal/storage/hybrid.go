@@ -1,13 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
@@ -15,16 +10,16 @@ import (
 )
 
 // HybridLevel is one CSE level whose parts are individually memory- or
-// disk-resident — the genuinely half-memory-half-disk storage of §4.1.
-// Placement is per part, decided during the build by the budget governor
-// (see HybridLevelBuilder): a level slightly over budget keeps most parts in
-// RAM and pays disk I/O only for the migrated remainder, instead of the
-// all-or-nothing cliff of routing the whole level to a DiskLevel.
+// disk-resident — the genuinely half-memory-half-disk storage of §4.1, and
+// the only spilled or budgeted cse.LevelData. Placement is per part (see
+// hybridPart for the three residency states), decided during the build by
+// the budget governor (see HybridLevelBuilder): a level slightly over budget
+// keeps most parts in RAM and pays disk I/O only for the migrated remainder,
+// and the all-disk regime is simply every part on disk.
 //
-// All LevelData operations dispatch per part: memory parts hand out
-// zero-copy slices (exactly like MemLevel), disk parts decode whole prefetch
-// blocks (exactly like DiskLevel), and cursors stream transparently across
-// the mem→disk seams.
+// All LevelData operations dispatch per part: raw parts hand out zero-copy
+// slices (exactly like MemLevel), encoded parts decode whole codec blocks,
+// and cursors stream transparently across the seams.
 type HybridLevel struct {
 	parts       []hybridPart
 	totalVerts  int
@@ -33,40 +28,11 @@ type HybridLevel struct {
 	blockSize   int
 	tracker     *memtrack.Tracker
 	fs          vfs.FS
-	comp        bool // encoding of disk parts, incl. future rewrites
 	rcomp       bool // keep resident parts compressed (promote lands compressed-mem, rewrites re-encode)
 	closed      bool
 }
 
 var _ cse.LevelData = (*HybridLevel)(nil)
-
-// hybridPart is one part of a hybrid level in one of three residency states:
-// raw memory (verts+bounds populated), compressed memory (cverts/ccnts hold
-// encoded codec blocks, comp indexes them — see resident.go), or disk
-// (vf/cf+chunkCum populated). The state ladder under pressure is raw-mem →
-// compressed-mem → disk, and the reverse on recovery.
-type hybridPart struct {
-	// Raw memory residency.
-	verts  []uint32
-	bounds []uint64 // global end boundary of each local group; len = numGroups
-
-	// Compressed memory residency: the same codec blocks a compressed spill
-	// file holds, resident. comp's offsets index into these slices.
-	cverts []byte
-	ccnts  []byte
-
-	// Disk residency.
-	vf, cf   vfs.File
-	chunkCum []uint64  // chunkCum[j] = children in local groups [0, j·CntChunk); also kept compressed-mem
-	comp     *partComp // compressed-block directory, nil for raw representations
-
-	numVerts  int
-	numGroups int
-	vertBase  int
-	groupBase int
-}
-
-func (p *hybridPart) onDisk() bool { return p.vf != nil }
 
 // Len implements cse.LevelData.
 func (h *HybridLevel) Len() int { return h.totalVerts }
@@ -77,8 +43,8 @@ func (h *HybridLevel) Groups() int { return h.totalGroups }
 // Predicted implements cse.LevelData.
 func (h *HybridLevel) Predicted() []cse.PredSeg { return h.pred }
 
-// Bytes reports the resident footprint: the full arrays of raw memory parts,
-// the encoded blocks plus directory of compressed-mem parts, and the sparse
+// Bytes reports the resident footprint: the full arrays of raw parts, the
+// encoded blocks plus directory of compressed-mem parts, and the sparse
 // indexes of disk parts.
 func (h *HybridLevel) Bytes() int64 {
 	var b int64
@@ -89,34 +55,24 @@ func (h *HybridLevel) Bytes() int64 {
 }
 
 // DiskBytes reports the logical on-disk footprint of the migrated parts:
-// their raw word size, regardless of encoding.
+// their raw word size (4 bytes per vert and per group).
 func (h *HybridLevel) DiskBytes() int64 {
 	var b int64
 	for i := range h.parts {
-		p := &h.parts[i]
-		if p.onDisk() {
+		if p := &h.parts[i]; p.onDisk() {
 			b += int64(p.numVerts)*4 + int64(p.numGroups)*4
 		}
 	}
 	return b
 }
 
-// diskBytesPhysical is the bytes part p actually occupies on disk.
-func (p *hybridPart) diskBytesPhysical() int64 {
-	if p.comp != nil {
-		return p.comp.physVerts + p.comp.physCnts
-	}
-	return int64(p.numVerts)*4 + int64(p.numGroups)*4
-}
-
 // DiskBytesPhysical reports the bytes the migrated parts actually occupy on
-// disk — equal to DiskBytes for raw parts, smaller for compressed ones.
+// disk: the size of their codec blocks.
 func (h *HybridLevel) DiskBytesPhysical() int64 {
 	var b int64
 	for i := range h.parts {
-		p := &h.parts[i]
-		if p.onDisk() {
-			b += p.diskBytesPhysical()
+		if p := &h.parts[i]; p.onDisk() {
+			b += p.encodedBytes()
 		}
 	}
 	return b
@@ -136,6 +92,17 @@ func (h *HybridLevel) MemParts() int {
 	return n
 }
 
+// CompressedParts counts the compressed-mem parts.
+func (h *HybridLevel) CompressedParts() int {
+	n := 0
+	for i := range h.parts {
+		if h.parts[i].compressed() {
+			n++
+		}
+	}
+	return n
+}
+
 // DiskParts counts the disk-resident parts.
 func (h *HybridLevel) DiskParts() int {
 	n := 0
@@ -147,7 +114,21 @@ func (h *HybridLevel) DiskParts() int {
 	return n
 }
 
-// Close removes the backing files of the disk-resident parts; memory parts
+// ResidentBytesLogical reports the raw word footprint of the memory-resident
+// parts (raw and compressed-mem) plus prediction segments — what Bytes would
+// report with resident compression off. The ratio ResidentBytesLogical/Bytes
+// is the budget stretch the compressed-resident tier buys.
+func (h *HybridLevel) ResidentBytesLogical() int64 {
+	var b int64
+	for i := range h.parts {
+		if p := &h.parts[i]; !p.onDisk() {
+			b += p.logicalBytes()
+		}
+	}
+	return b + int64(len(h.pred))*16
+}
+
+// Close removes the backing files of the disk-resident parts; raw parts
 // return their buffers to the part pool, so the next level build reuses
 // them instead of growing fresh arrays.
 func (h *HybridLevel) Close() error {
@@ -155,26 +136,15 @@ func (h *HybridLevel) Close() error {
 		return nil
 	}
 	h.closed = true
-	fs := vfs.OrOS(h.fs)
 	var first error
 	for i := range h.parts {
 		p := &h.parts[i]
-		if !p.onDisk() {
-			poolPutU32(p.verts)
-			poolPutU64(p.bounds)
-			p.verts, p.bounds = nil, nil
-			p.cverts, p.ccnts, p.comp = nil, nil, nil
-			continue
+		if err := removeFiles(h.fs, p.vf, p.cf); err != nil && first == nil {
+			first = err
 		}
-		for _, f := range []vfs.File{p.vf, p.cf} {
-			name := f.Name()
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-			if err := fs.Remove(name); err != nil && first == nil {
-				first = err
-			}
-		}
+		poolPutU32(p.verts)
+		poolPutU64(p.bounds)
+		p.setRaw(nil, nil)
 	}
 	return first
 }
@@ -200,33 +170,29 @@ func (h *HybridLevel) partIndexForGroup(g int) int {
 	return sort.Search(len(h.parts), func(x int) bool { return h.parts[x].groupBase > g }) - 1
 }
 
-// UnitAt implements cse.LevelData: a slice index for raw memory parts, one
-// resident block decode for compressed-mem parts, one bounded pread for disk
-// parts.
+// UnitAt implements cse.LevelData: a slice index for raw parts, one block
+// decode — resident, or behind one bounded pread — for encoded parts.
 func (h *HybridLevel) UnitAt(i int) (uint32, error) {
 	if i < 0 || i >= h.totalVerts {
 		return 0, fmt.Errorf("storage: unit %d out of range %d", i, h.totalVerts)
 	}
 	p := &h.parts[h.partIndexForVert(i)]
-	li := i - p.vertBase
-	if p.compressed() {
-		return p.residentUnit(li)
+	if p.raw() {
+		return p.verts[i-p.vertBase], nil
 	}
-	if !p.onDisk() {
-		return p.verts[li], nil
-	}
-	return readPartUnit(p.vf, p.comp, li, h.tracker)
+	return p.unit(i-p.vertBase, h.tracker)
 }
 
 // ParentOf implements cse.LevelData: binary search over the resident bounds
-// for raw memory parts, sparse index plus one bounded cnt decode (resident
-// blocks or a disk read) for the other residencies.
+// for raw parts, sparse index plus one cnt block decode for encoded parts.
+// Read errors are returned so walker seeding surfaces corruption instead of
+// silently starting from a wrong parent.
 func (h *HybridLevel) ParentOf(i int) (int, error) {
 	if i < 0 || i >= h.totalVerts {
 		return 0, fmt.Errorf("storage: parent of %d out of range %d", i, h.totalVerts)
 	}
 	p := &h.parts[h.partIndexForVert(i)]
-	if !p.onDisk() && !p.compressed() {
+	if p.raw() {
 		// First local group whose end boundary exceeds i.
 		j := sort.Search(len(p.bounds), func(x int) bool { return p.bounds[x] > uint64(i) })
 		return p.groupBase + j, nil
@@ -234,13 +200,10 @@ func (h *HybridLevel) ParentOf(i int) (int, error) {
 	li := uint64(i - p.vertBase)
 	j := sort.Search(len(p.chunkCum), func(x int) bool { return p.chunkCum[x] > li }) - 1
 	lo := j * CntChunk
-	hi := lo + CntChunk
-	if hi > p.numGroups {
-		hi = p.numGroups
-	}
+	hi := min(lo+CntChunk, p.numGroups)
 	sc := cntPool.Get().(*cntScratch)
 	defer cntPool.Put(sc)
-	cnts, err := p.partCnts(lo, hi, h.tracker, sc)
+	cnts, err := p.cnts(lo, hi, h.tracker, sc)
 	if err != nil {
 		return 0, err
 	}
@@ -254,25 +217,6 @@ func (h *HybridLevel) ParentOf(i int) (int, error) {
 	return p.groupBase + hi - 1, nil
 }
 
-// offAtLocal returns the global offs value at local group lg of a disk or
-// compressed-mem part (the global vert index where lg's children start).
-func (p *hybridPart) offAtLocal(lg int, tracker *memtrack.Tracker) (uint64, error) {
-	j := lg / CntChunk
-	cum := p.chunkCum[j]
-	if lg > j*CntChunk {
-		sc := cntPool.Get().(*cntScratch)
-		defer cntPool.Put(sc)
-		cnts, err := p.partCnts(j*CntChunk, lg, tracker, sc)
-		if err != nil {
-			return 0, err
-		}
-		for _, c := range cnts {
-			cum += uint64(c)
-		}
-	}
-	return uint64(p.vertBase) + cum, nil
-}
-
 // GroupStart implements cse.LevelData.
 func (h *HybridLevel) GroupStart(g int) (uint64, error) {
 	if g < 0 || g > h.totalGroups {
@@ -283,539 +227,106 @@ func (h *HybridLevel) GroupStart(g int) (uint64, error) {
 	}
 	p := &h.parts[h.partIndexForGroup(g)]
 	lg := g - p.groupBase
-	if !p.onDisk() && !p.compressed() {
-		if lg == 0 {
-			return uint64(p.vertBase), nil
-		}
-		return p.bounds[lg-1], nil
+	if !p.raw() {
+		return p.offAtLocal(lg, h.tracker)
 	}
-	return p.offAtLocal(lg, h.tracker)
+	if lg == 0 {
+		return uint64(p.vertBase), nil
+	}
+	return p.bounds[lg-1], nil
 }
 
-// VertBlocks implements cse.LevelData: memory parts contribute zero-copy
-// sub-slices, disk parts whole-prefetch-block decodes, stitched across part
-// seams in one stream.
-func (h *HybridLevel) VertBlocks(lo, hi int) cse.VertBlockCursor {
-	if lo >= hi {
-		return &hybridVertBlocks{}
-	}
-	return &hybridVertBlocks{h: h, next: lo, end: hi, pi: h.partIndexForVert(lo)}
-}
-
-// BoundBlocks implements cse.LevelData: the block stream of global group end
-// boundaries from parent index first, across mem and disk parts.
-func (h *HybridLevel) BoundBlocks(first int) cse.BoundBlockCursor {
-	if first >= h.totalGroups {
-		return &hybridBoundBlocks{}
-	}
-	pi := h.partIndexForGroup(first)
-	return &hybridBoundBlocks{h: h, g: first, pi: pi, active: true}
-}
-
-// VertCursor implements cse.LevelData as a unit view of VertBlocks.
-func (h *HybridLevel) VertCursor(lo, hi int) cse.VertCursor {
-	return cse.VertCursorOverBlocks(h.VertBlocks(lo, hi))
-}
-
-// BoundCursor implements cse.LevelData as a unit view of BoundBlocks.
-func (h *HybridLevel) BoundCursor(first int) cse.BoundCursor {
-	return cse.BoundCursorOverBlocks(h.BoundBlocks(first))
-}
-
-type hybridVertBlocks struct {
-	h         *HybridLevel
-	next, end int
-	pi        int
-	dv        cse.VertBlockCursor // active disk sub-cursor, nil otherwise
-	err       error
-}
-
-func (c *hybridVertBlocks) NextBlock() ([]uint32, bool) {
-	if c.err != nil || c.h == nil {
-		return nil, false
-	}
-	for {
-		if c.dv != nil {
-			blk, ok := c.dv.NextBlock()
-			if ok {
-				c.next += len(blk)
-				return blk, true
-			}
-			if err := c.dv.Err(); err != nil {
-				c.err = err
-				return nil, false
-			}
-			c.dv.Close()
-			c.dv = nil
-			c.pi++
-		}
-		if c.next >= c.end || c.pi >= len(c.h.parts) {
-			return nil, false
-		}
-		p := &c.h.parts[c.pi]
-		pEnd := p.vertBase + p.numVerts
-		if c.next >= pEnd {
-			c.pi++
-			continue
-		}
-		take := min(c.end, pEnd) - c.next
-		from := c.next - p.vertBase
-		if p.compressed() {
-			b0 := from / codecBlockVals
-			b1 := (from + take - 1) / codecBlockVals
-			off := p.comp.vOffs[b0]
-			c.dv = &memCompVertBlocks{
-				buf:       p.cverts[off:p.comp.vertEnd(b1)],
-				skip:      from - b0*codecBlockVals,
-				remaining: take,
-				blk:       b0,
-			}
-			continue
-		}
-		if !p.onDisk() {
-			blk := p.verts[from : from+take]
-			c.next += take
-			c.pi++
-			return blk, true
-		}
-		if p.comp != nil {
-			b0 := from / codecBlockVals
-			b1 := (from + take - 1) / codecBlockVals
-			off := p.comp.vOffs[b0]
-			span := fileSpan{f: p.vf, off: off, n: p.comp.vertEnd(b1) - off}
-			c.dv = &compVertBlocks{
-				bs:        newBlockStream([]fileSpan{span}, c.h.blockSize, c.h.tracker),
-				skip:      from - b0*codecBlockVals,
-				remaining: take,
-				path:      p.vf.Name(),
-			}
-		} else {
-			span := fileSpan{f: p.vf, off: int64(4 * from), n: int64(4 * take)}
-			c.dv = &diskVertBlocks{
-				bs:        newBlockStream([]fileSpan{span}, c.h.blockSize, c.h.tracker),
-				remaining: take,
-			}
-		}
-	}
-}
-
-func (c *hybridVertBlocks) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.dv != nil {
-		return c.dv.Err()
-	}
-	return nil
-}
-
-func (c *hybridVertBlocks) Close() error {
-	if c.dv != nil {
-		return c.dv.Close()
-	}
-	return nil
-}
-
-type hybridBoundBlocks struct {
-	h      *HybridLevel
-	g      int // next global group whose end boundary to deliver
-	pi     int
-	active bool
-	dv     cse.BoundBlockCursor
-	err    error
-}
-
-func (c *hybridBoundBlocks) NextBlock() ([]uint64, bool) {
-	if c.err != nil || !c.active {
-		return nil, false
-	}
-	for {
-		if c.dv != nil {
-			blk, ok := c.dv.NextBlock()
-			if ok {
-				c.g += len(blk)
-				return blk, true
-			}
-			if err := c.dv.Err(); err != nil {
-				c.err = err
-				return nil, false
-			}
-			c.dv.Close()
-			c.dv = nil
-			c.pi++
-		}
-		if c.pi >= len(c.h.parts) {
-			return nil, false
-		}
-		p := &c.h.parts[c.pi]
-		lf := c.g - p.groupBase
-		if lf >= p.numGroups {
-			c.pi++
-			continue
-		}
-		if !p.onDisk() && !p.compressed() {
-			blk := p.bounds[lf:]
-			c.g += len(blk)
-			c.pi++
-			return blk, true
-		}
-		base, err := p.offAtLocal(lf, c.h.tracker)
-		if err != nil {
-			c.err = err
-			return nil, false
-		}
-		if p.compressed() {
-			b0 := lf / codecBlockVals
-			c.dv = &memCompBoundBlocks{
-				buf:       p.ccnts[p.comp.cOffs[b0]:],
-				skip:      lf - b0*codecBlockVals,
-				remaining: p.numGroups - lf,
-				cum:       base,
-				blk:       b0,
-			}
-			continue
-		}
-		if p.comp != nil {
-			b0 := lf / codecBlockVals
-			off := p.comp.cOffs[b0]
-			span := fileSpan{f: p.cf, off: off, n: p.comp.physCnts - off}
-			c.dv = &compBoundBlocks{
-				bs:        newBlockStream([]fileSpan{span}, c.h.blockSize, c.h.tracker),
-				skip:      lf - b0*codecBlockVals,
-				remaining: p.numGroups - lf,
-				cum:       base,
-				path:      p.cf.Name(),
-			}
-		} else {
-			span := fileSpan{f: p.cf, off: int64(4 * lf), n: int64(4 * (p.numGroups - lf))}
-			c.dv = &diskBoundBlocks{
-				bs:  newBlockStream([]fileSpan{span}, c.h.blockSize, c.h.tracker),
-				cum: base,
-			}
-		}
-	}
-}
-
-func (c *hybridBoundBlocks) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.dv != nil {
-		return c.dv.Err()
-	}
-	return nil
-}
-
-func (c *hybridBoundBlocks) Close() error {
-	if c.dv != nil {
-		return c.dv.Close()
-	}
-	return nil
-}
-
-// PartRewriter rewrites one part of a hybrid level during an in-place
-// filter pass (explore.FilterTop's keep sink). Group structure is preserved
-// — the rewritten part keeps its group count, only the kept units are
-// written back. A memory-resident part is compacted in place: writer and
-// the pass's sequential reader share the part's arrays on one goroutine,
-// with writes strictly trailing reads, and each bounds slot the reader has
-// passed temporarily holds that group's kept count until FinishRewrite
-// turns the counts back into global boundaries. A disk-resident part is
-// restreamed through the write queue into fresh files that replace the old
-// ones at FinishRewrite — no resident copy of the part is ever made.
-type PartRewriter struct {
-	p *hybridPart
-
-	// Memory compaction.
-	w      int // write index into p.verts
-	g      int // local group index
-	cnt    uint32
-	recomp bool // part was compressed-mem; FinishRewrite re-encodes it
-
-	// Disk restream.
-	dw  *diskPartWriter
-	buf []uint32 // current group's kept units
-}
-
-// openFilePair creates (truncating) a part's vert/cnt file pair, removing
-// the vert file again if the cnt open fails. Cleanup failures on that path
-// are joined onto the create error instead of being swallowed.
-func openFilePair(fs vfs.FS, vname, cname string) (vf, cf vfs.File, err error) {
-	fs = vfs.OrOS(fs)
-	vf, err = fs.Create(vname)
-	if err != nil {
-		return nil, nil, wrapIO("create", vname, err)
-	}
-	cf, err = fs.Create(cname)
-	if err != nil {
-		err = wrapIO("create", cname, err)
-		if cerr := vf.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		if rerr := fs.Remove(vname); rerr != nil {
-			err = errors.Join(err, rerr)
-		}
-		return nil, nil, err
-	}
-	return vf, cf, nil
-}
-
-// verifyPartFiles checks that a part's vert/cnt files hold exactly the
-// written bytes — raw word counts, or the physical sizes the compressed
-// writer recorded — the corruption check both level assembly and the
-// in-place rewrite run before installing files.
-func verifyPartFiles(vf, cf vfs.File, numVerts, numGroups int, comp *partComp) error {
-	wantV, wantC := int64(4*numVerts), int64(4*numGroups)
-	if comp != nil {
-		wantV, wantC = comp.physVerts, comp.physCnts
-	}
-	for _, chk := range []struct {
-		f    vfs.File
-		want int64
-	}{{vf, wantV}, {cf, wantC}} {
-		size, err := chk.f.Size()
-		if err != nil {
-			return wrapIO("stat", chk.f.Name(), err)
-		}
-		if size != chk.want {
-			return corruptAt(chk.f.Name(), 0, fmt.Errorf("file has %d bytes, want %d", size, chk.want))
-		}
-	}
-	return nil
-}
-
-// RewritePart starts a rewrite of part i. q is used only when the part is
-// disk-resident.
-func (h *HybridLevel) RewritePart(i int, q *WriteQueue) (*PartRewriter, error) {
+// CompressPart encodes raw part i into the compressed-mem state and returns
+// the resident bytes freed. Parts already encoded, empty, or that would not
+// shrink are left untouched (freed 0). The caller owns the accounting: the
+// level's Bytes changes by -freed.
+func (h *HybridLevel) CompressPart(i int) int64 {
 	p := &h.parts[i]
-	r := &PartRewriter{p: p}
-	if p.compressed() {
-		// Decompress for the in-place pass (a transient raw copy of one
-		// part); FinishRewrite re-encodes the compacted result.
-		if err := h.decompressPart(i); err != nil {
-			return nil, err
-		}
-		r.recomp = true
-		return r, nil
+	if !p.raw() || (p.numVerts == 0 && p.numGroups == 0) {
+		return 0
 	}
-	if !p.onDisk() {
-		return r, nil
+	// The cnt blocks encode local per-group counts (as on disk); recover
+	// them from the global end boundaries.
+	cnts := poolGetU32Len(p.numGroups)
+	defer poolPutU32(cnts)
+	prev := uint64(p.vertBase)
+	for g, b := range p.bounds {
+		cnts[g] = uint32(b - prev)
+		prev = b
 	}
-	vf, cf, err := openFilePair(h.fs, p.vf.Name()+".r", p.cf.Name()+".r")
-	if err != nil {
-		return nil, err
+	cverts, ccnts, comp, chunkCum, now := encodePart(p.verts, cnts)
+	old := p.residentBytes()
+	if now >= old {
+		return 0 // incompressible; raw stays the cheaper representation
 	}
-	dw := newDiskPartWriter(q, vf, cf, newPartCompBool(h.comp))
-	r.dw = &dw
-	r.buf = poolGetU32()
-	return r, nil
+	poolPutU32(p.verts)
+	poolPutU64(p.bounds)
+	p.verts, p.bounds = nil, nil
+	p.cverts, p.ccnts, p.comp, p.chunkCum = cverts, ccnts, comp, chunkCum
+	return old - now
 }
 
-// newPartCompBool is newPartComp for callers holding a resolved on/off flag.
-func newPartCompBool(on bool) *partComp {
-	if !on {
-		return nil
-	}
-	return &partComp{}
-}
-
-// Keep records u as kept in the current group.
-func (r *PartRewriter) Keep(u uint32) {
-	if r.dw != nil {
-		r.buf = append(r.buf, u)
-		return
-	}
-	r.p.verts[r.w] = u
-	r.w++
-	r.cnt++
-}
-
-// GroupDone closes the current group.
-func (r *PartRewriter) GroupDone() error {
-	if r.dw != nil {
-		err := r.dw.AppendGroup(r.buf, nil)
-		r.buf = r.buf[:0]
-		return err
-	}
-	r.p.bounds[r.g] = uint64(r.cnt) // local count; FinishRewrite rebases
-	r.g++
-	r.cnt = 0
-	return nil
-}
-
-// Flush completes the part's rewrite stream.
-func (r *PartRewriter) Flush() error {
-	if r.dw != nil {
-		return r.dw.Flush()
-	}
-	return nil
-}
-
-// FinishRewrite completes an in-place filter pass: it drains the write
-// queue for restreamed disk parts, verifies and swaps their fresh files in
-// (removing the old ones), turns the memory parts' recorded per-group kept
-// counts back into global boundaries, and rebases every part. Group counts
-// are unchanged; the level shrinks to the kept units and drops its
-// prediction segments. On error the level is left in an unspecified state
-// and must be Closed.
-func (h *HybridLevel) FinishRewrite(rws []*PartRewriter, q *WriteQueue) error {
-	anyDisk := false
-	for _, r := range rws {
-		if r.dw != nil {
-			anyDisk = true
-		}
-	}
-	if anyDisk {
-		if err := q.Barrier(); err != nil {
-			return errors.Join(err, h.AbortRewrite(rws))
-		}
-	}
-	fs := vfs.OrOS(h.fs)
-	var swapErr error
-	total := 0
+// CompressResident compresses every raw part of the level — the cold-level
+// compaction pass run once a level is sealed below the top of the walker
+// stack, where it is only ever read sequentially. Returns the parts
+// compressed and the resident bytes freed.
+func (h *HybridLevel) CompressResident() (parts int, freed int64) {
 	for i := range h.parts {
-		p := &h.parts[i]
-		r := rws[i]
-		p.vertBase = total
-		if r.dw != nil {
-			if err := verifyPartFiles(r.dw.vf, r.dw.cf, r.dw.numVerts, r.dw.numGroups, r.dw.comp); err != nil {
-				return errors.Join(err, h.AbortRewrite(rws[i:]))
-			}
-			if r.dw.numGroups != p.numGroups {
-				err := fmt.Errorf("storage: rewrite of %s closed %d groups, want %d", r.dw.vf.Name(), r.dw.numGroups, p.numGroups)
-				return errors.Join(err, h.AbortRewrite(rws[i:]))
-			}
-			if h.tracker != nil {
-				h.tracker.SpillIO(int64(4*(r.dw.numVerts+r.dw.numGroups)), r.dw.physBytes())
-			}
-			// Swap the fresh files in; old-file cleanup failures are collected
-			// and surfaced after the swap completes (the rewrite itself
-			// succeeded — the level state below is still installed).
-			for _, f := range []vfs.File{p.vf, p.cf} {
-				name := f.Name()
-				if err := f.Close(); err != nil && swapErr == nil {
-					swapErr = err
-				}
-				if err := fs.Remove(name); err != nil && swapErr == nil {
-					swapErr = err
-				}
-			}
-			p.vf, p.cf, p.chunkCum, p.comp = r.dw.vf, r.dw.cf, r.dw.chunkCum, r.dw.comp
-			p.numVerts = r.dw.numVerts
-			poolPutU32(r.buf)
-			r.buf, r.dw = nil, nil
-		} else {
-			p.verts = p.verts[:r.w]
-			p.numVerts = r.w
-			cum := uint64(total)
-			for g := 0; g < p.numGroups; g++ {
-				cum += p.bounds[g]
-				p.bounds[g] = cum
-			}
-			if r.recomp {
-				// The part entered the pass compressed-mem; re-encode the
-				// compacted result so the level keeps its squeezed footprint.
-				h.CompressPart(i)
-			}
+		if f := h.CompressPart(i); f > 0 {
+			parts++
+			freed += f
 		}
-		total += p.numVerts
 	}
-	h.totalVerts = total
-	h.pred = nil
-	return swapErr
+	return parts, freed
 }
 
-// promoteCost returns the extra resident bytes fully decoding the part costs,
-// net of whatever it currently holds: the raw arrays minus the sparse index,
-// block directory and (for compressed-mem parts) the encoded blocks it frees.
-func (p *hybridPart) promoteCost() int64 {
-	freed := int64(len(p.chunkCum))*8 + p.comp.dirBytes() + int64(len(p.cverts)+len(p.ccnts))
-	return p.logicalBytes() - freed
-}
-
-// PromotePart materializes part i as raw arrays in memory: a compressed-mem
-// part is decoded in place; a disk part's vert file is read into a pooled
-// array, its cnt file decoded into global group bounds, and the backing
-// files removed. Bases must already be final (promotion happens between
-// operations, e.g. after FinishRewrite), since the rebuilt bounds are
-// global. On a read error the part is left where it was, untouched.
-func (h *HybridLevel) PromotePart(i int) error {
+// decompressPart materializes compressed-mem part i back into raw arrays.
+// Bases must already be final (the rebuilt bounds are global). On a decode
+// error the part is left compressed, untouched.
+func (h *HybridLevel) decompressPart(i int) error {
 	p := &h.parts[i]
-	if p.compressed() {
-		return h.decompressPart(i)
+	verts, bounds, err := p.decodeArrays(p.cverts, p.ccnts, memBlockPath, memBlockPath)
+	if err != nil {
+		return fmt.Errorf("storage: decompress of resident part: %w", err)
 	}
-	if !p.onDisk() {
-		return nil
-	}
-	verts := poolGetU32()
-	if cap(verts) < p.numVerts {
-		verts = make([]uint32, p.numVerts)
-	}
-	verts = verts[:p.numVerts]
-	cnts := poolGetU32()
-	if cap(cnts) < p.numGroups {
-		cnts = make([]uint32, p.numGroups)
-	}
-	cnts = cnts[:p.numGroups]
-	fail := func(f vfs.File, err error) error {
-		poolPutU32(verts)
-		poolPutU32(cnts)
-		return fmt.Errorf("storage: promote read of %s: %w", f.Name(), err)
-	}
-	if p.comp != nil {
-		if err := readCompFile(p.vf, p.comp.physVerts, true, verts); err != nil {
-			return fail(p.vf, err)
+	p.setRaw(verts, bounds)
+	return nil
+}
+
+// takeOffDisk moves disk part i into memory and removes its files: the file
+// bytes are read verbatim — the on-disk block format is the compressed-mem
+// format — and kept as they are when the level keeps compressed residents,
+// decoded to raw arrays otherwise. Bases must already be final. On a read or
+// decode error the part is left on disk, untouched.
+func (h *HybridLevel) takeOffDisk(i int) error {
+	p := &h.parts[i]
+	cverts := make([]byte, p.comp.physVerts)
+	ccnts := make([]byte, p.comp.physCnts)
+	for _, r := range []struct {
+		f   vfs.File
+		buf []byte
+	}{{p.vf, cverts}, {p.cf, ccnts}} {
+		if len(r.buf) == 0 {
+			continue
 		}
-		if err := readCompFile(p.cf, p.comp.physCnts, false, cnts); err != nil {
-			return fail(p.cf, err)
+		if err := retryReadAt(r.f, r.buf, 0, nil, h.tracker); err != nil {
+			return fmt.Errorf("storage: promote read of %s: %w", r.f.Name(), err)
 		}
-		if h.tracker != nil {
-			h.tracker.ReadIO(p.comp.physVerts + p.comp.physCnts)
-		}
+	}
+	if h.tracker != nil {
+		h.tracker.ReadIO(int64(len(cverts) + len(ccnts)))
+	}
+	vf, cf := p.vf, p.cf
+	if h.rcomp {
+		p.cverts, p.ccnts, p.vf, p.cf = cverts, ccnts, nil, nil
 	} else {
-		vbuf := make([]byte, 4*p.numVerts)
-		if p.numVerts > 0 {
-			if err := retryReadAt(p.vf, vbuf, 0, nil, h.tracker); err != nil {
-				return fail(p.vf, err)
-			}
+		verts, bounds, err := p.decodeArrays(cverts, ccnts, vf.Name(), cf.Name())
+		if err != nil {
+			return fmt.Errorf("storage: promote of %s: %w", vf.Name(), err)
 		}
-		for j := range verts {
-			verts[j] = binary.LittleEndian.Uint32(vbuf[4*j:])
-		}
-		cbuf := make([]byte, 4*p.numGroups)
-		if p.numGroups > 0 {
-			if err := retryReadAt(p.cf, cbuf, 0, nil, h.tracker); err != nil {
-				return fail(p.cf, err)
-			}
-		}
-		for j := range cnts {
-			cnts[j] = binary.LittleEndian.Uint32(cbuf[4*j:])
-		}
-		if h.tracker != nil {
-			h.tracker.ReadIO(int64(len(vbuf) + len(cbuf)))
-		}
+		p.setRaw(verts, bounds)
 	}
-	bounds := poolGetU64(p.numGroups)
-	off := uint64(p.vertBase)
-	for j, c := range cnts {
-		off += uint64(c)
-		bounds[j] = off
-	}
-	poolPutU32(cnts)
-	fs := vfs.OrOS(h.fs)
-	var first error
-	for _, f := range []vfs.File{p.vf, p.cf} {
-		name := f.Name()
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-		if err := fs.Remove(name); err != nil && first == nil {
-			first = err
-		}
-	}
-	p.vf, p.cf, p.chunkCum, p.comp = nil, nil, nil, nil
-	p.verts, p.bounds = verts, bounds
-	return first
+	return removeFiles(h.fs, vf, cf)
 }
 
 // Promote climbs the recovery ladder while headroom allows, and returns how
@@ -824,711 +335,44 @@ func (h *HybridLevel) PromotePart(i int) error {
 // under build-time pressure may now fit again.
 //
 // Phase one takes parts off disk, smallest physical read first — into
-// compressed-mem when the level keeps compressed residents and the part is
-// encoded (a verbatim byte load, densest use of headroom), to raw arrays
-// otherwise. Phase two spends any remaining headroom decompressing
-// compressed-mem parts back to raw zero-copy arrays, smallest decode first.
+// compressed-mem when the level keeps compressed residents (a verbatim byte
+// load, densest use of headroom), to raw arrays otherwise. Phase two spends
+// any remaining headroom decompressing compressed-mem parts back to raw
+// zero-copy arrays, smallest decode first.
 func (h *HybridLevel) Promote(headroom int64) (int, error) {
 	promoted := 0
-	for {
-		best, bestCost, bestPhys := -1, int64(0), int64(0)
-		for i := range h.parts {
-			p := &h.parts[i]
-			if !p.onDisk() {
-				continue
-			}
-			c := p.offDiskCost(h.rcomp)
-			if c > headroom {
-				continue
-			}
-			if phys := p.diskBytesPhysical(); best < 0 || phys < bestPhys {
-				best, bestCost, bestPhys = i, c, phys
-			}
-		}
-		if best < 0 {
-			break
-		}
-		p := &h.parts[best]
-		var err error
-		if h.rcomp && p.comp != nil {
-			err = h.promotePartCompressed(best)
-		} else {
-			err = h.PromotePart(best)
-		}
-		if err != nil {
-			return promoted, err
-		}
-		headroom -= bestCost
-		promoted++
-	}
-	for {
-		best, bestCost, bestSize := -1, int64(0), int64(0)
-		for i := range h.parts {
-			p := &h.parts[i]
-			if !p.compressed() {
-				continue
-			}
-			c := p.promoteCost()
-			if c > headroom {
-				continue
-			}
-			if size := int64(len(p.cverts) + len(p.ccnts)); best < 0 || size < bestSize {
-				best, bestCost, bestSize = i, c, size
-			}
-		}
-		if best < 0 {
-			return promoted, nil
-		}
-		if err := h.PromotePart(best); err != nil {
-			return promoted, err
-		}
-		headroom -= bestCost
-		promoted++
-	}
-}
-
-// AbortRewrite discards the fresh files of an unfinished rewrite, returning
-// the first cleanup failure instead of swallowing it. The level itself may
-// already be partially compacted (memory parts rewrite in place), so a
-// failed pass is fatal for the level — AbortRewrite only guarantees no stray
-// files remain; Close the level afterwards.
-func (h *HybridLevel) AbortRewrite(rws []*PartRewriter) error {
-	fs := vfs.OrOS(h.fs)
-	var first error
-	for _, r := range rws {
-		if r == nil || r.dw == nil {
-			continue
-		}
-		for _, f := range []vfs.File{r.dw.vf, r.dw.cf} {
-			if f == nil {
-				continue
-			}
-			name := f.Name()
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-			if err := fs.Remove(name); err != nil && first == nil {
-				first = err
-			}
-		}
-		poolPutU32(r.buf)
-		r.buf, r.dw = nil, nil
-	}
-	return first
-}
-
-// HybridLevelBuilder builds a HybridLevel from t concurrently written parts.
-// Every part starts in memory; the budget governor watches the total
-// resident bytes of the in-flight parts and, when they cross the watermark,
-// marks the largest parts for migration. A marked part is drained to disk
-// through the WriteQueue (write-behind: the part's accumulated — oldest —
-// data goes out, the still-growing parts stay hot in RAM) and keeps
-// appending to disk from then on. With a watermark the build can never
-// over-run the memory budget by more than one part's growth between
-// appends, and a level that fits stays entirely in memory with no I/O.
-type HybridLevelBuilder struct {
-	dir       string
-	level     int
-	queue     *WriteQueue
-	blockSize int
-	tracker   *memtrack.Tracker
-	compress  Compression
-	rcompress Compression
-	fs        vfs.FS
-	gov       governor
-	parts     []hybridPartWriter
-	reserved  int64
-}
-
-// NewHybridLevelBuilder creates a builder of nparts parts. memBudget is the
-// resident-byte watermark for this build (≤ 0 sends every part to disk
-// immediately, reproducing the all-disk DiskLevel behavior). pressure, when
-// non-nil, is an external back-pressure flag (e.g. a memtrack high-water
-// callback): while set, the governor spills as if the budget were exhausted.
-// A positive pressureLimit lets the governor clear the flag once the
-// tracker's live bytes drop back under it, so a transient spike does not
-// condemn the whole remainder of the level to disk. Part files are created
-// lazily, only when a part actually migrates. compress selects the on-disk
-// encoding of migrated parts. residentCompress enables the compressed-mem
-// tier: under pressure the governor squeezes the largest flushed raw parts
-// into resident codec blocks before resorting to disk spill, and the
-// finished level keeps compressed residents (promotions land compressed).
-// fs is the filesystem the spill files live on (nil = the real one).
-func NewHybridLevelBuilder(fs vfs.FS, dir string, level, nparts int, q *WriteQueue, blockSize int, tracker *memtrack.Tracker, memBudget int64, pressure *atomic.Bool, pressureLimit int64, compress, residentCompress Compression) (*HybridLevelBuilder, error) {
-	fs = vfs.OrOS(fs)
-	if err := fs.MkdirAll(dir); err != nil {
-		return nil, wrapIO("mkdir", dir, err)
-	}
-	b := &HybridLevelBuilder{
-		dir: dir, level: level, queue: q, blockSize: blockSize, tracker: tracker,
-		compress: compress, rcompress: residentCompress, fs: fs,
-		parts: make([]hybridPartWriter, nparts),
-	}
-	b.gov.budget = memBudget
-	b.gov.pressure = pressure
-	b.gov.pressureLimit = pressureLimit
-	b.gov.tracker = tracker
-	b.gov.b = b
-	for i := range b.parts {
-		p := &b.parts[i]
-		p.b, p.idx = b, i
-		if memBudget <= 0 {
-			// Nothing fits: skip the pointless memory stay, the first append
-			// migrates with an empty replay.
-			p.spillReq.Store(true)
-		}
-	}
-	return b, nil
-}
-
-// governor is the placement policy: an atomic running total of in-flight
-// resident bytes, compared against the build's watermark on every append.
-// Crossing it marks the largest unmarked parts until the projected resident
-// total is back under the watermark. pending tracks the bytes of parts
-// marked but not yet migrated, so the post-crossing fast path stays two
-// atomic loads — the full part scan runs only when a new victim is needed.
-type governor struct {
-	budget        int64
-	pressure      *atomic.Bool
-	pressureLimit int64
-	tracker       *memtrack.Tracker
-	inflight      atomic.Int64
-	pending       atomic.Int64
-	b             *HybridLevelBuilder
-
-	mu  sync.Mutex // serializes victim selection and error recording
-	err error
-}
-
-func (g *governor) noteAlloc(delta int64) {
-	// In-flight build bytes are charged to the tracker as they grow, not
-	// just at Finish: under a shared arbiter this is what makes one run's
-	// half-built level visible to its siblings' governors — the cross-run
-	// watermark fires on genuinely resident bytes, not only completed
-	// levels. Finish/Abort release the in-flight charge (the finished level
-	// is then charged by its owner).
-	if g.tracker != nil {
-		g.tracker.Alloc(delta)
-	}
-	in := g.inflight.Add(delta)
-	budget := g.budget
-	if g.pressure != nil && g.pressure.Load() {
-		if g.pressureLimit > 0 && g.tracker != nil && g.tracker.SharedLive() < g.pressureLimit {
-			// The spike has passed: stop force-spilling. The high-water
-			// callback re-arms below the limit, so a second crossing sets
-			// the flag again.
-			g.pressure.Store(false)
-		} else {
-			budget = 0
-		}
-	}
-	if in-g.pending.Load() <= budget {
-		return
-	}
-	g.spillOver(budget)
-}
-
-func (g *governor) noteFree(n int64) {
-	if g.tracker != nil {
-		g.tracker.Free(n)
-	}
-	g.inflight.Add(-n)
-}
-
-// releaseInflight returns the tracker charge of whatever in-flight bytes
-// remain — the end-of-build handoff (Finish: the assembled level is charged
-// by its owner) and the Abort teardown.
-func (g *governor) releaseInflight() {
-	if n := g.inflight.Swap(0); n != 0 && g.tracker != nil {
-		g.tracker.Free(n)
-	}
-}
-
-// spillOver marks the largest unmarked parts until the projected resident
-// bytes fit the budget, migrating already-flushed victims on the calling
-// goroutine (their owner is done with them).
-func (g *governor) spillOver(budget int64) {
-	if g.b.queue.Failed() {
-		// The write-behind queue hit a hard error (typically ENOSPC): there
-		// is nowhere for victims to go, so stop marking parts — the run is
-		// failing; AppendGroup surfaces the queue's typed error.
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.inflight.Load()-g.pending.Load() > budget {
-		if g.b.rcompress.enabled() {
-			// Squeeze the largest flushed raw part into resident codec
-			// blocks before spilling anything: compression frees most of a
-			// part's bytes for no I/O at all. Only flushed parts are
-			// eligible — their owner is done appending, so the raw arrays
-			// are quiescent (the same discipline as the inline migrate
-			// below).
-			var cv *hybridPartWriter
-			var cvBytes int64
-			for i := range g.b.parts {
-				p := &g.b.parts[i]
-				if p.spillReq.Load() || p.rcompressed.Load() || !p.flushed.Load() {
+	for _, phase := range []struct {
+		in   func(*hybridPart) bool
+		cost func(*hybridPart) int64
+		move func(int) error
+	}{
+		{(*hybridPart).onDisk, func(p *hybridPart) int64 { return p.offDiskCost(h.rcomp) }, h.takeOffDisk},
+		{(*hybridPart).compressed, (*hybridPart).promoteCost, h.decompressPart},
+	} {
+		for {
+			best, bestCost, bestSize := -1, int64(0), int64(0)
+			for i := range h.parts {
+				p := &h.parts[i]
+				if !phase.in(p) {
 					continue
 				}
-				if bb := p.bytes.Load(); bb > cvBytes {
-					cv, cvBytes = p, bb
+				c := phase.cost(p)
+				if c > headroom {
+					continue
+				}
+				if size := p.encodedBytes(); best < 0 || size < bestSize {
+					best, bestCost, bestSize = i, c, size
 				}
 			}
-			if cv != nil {
-				g.mu.Unlock()
-				cv.compressResident()
-				g.mu.Lock()
-				continue
+			if best < 0 {
+				break
 			}
-		}
-		var victim *hybridPartWriter
-		var victimBytes int64
-		for i := range g.b.parts {
-			p := &g.b.parts[i]
-			if p.spillReq.Load() {
-				continue
+			if err := phase.move(best); err != nil {
+				return promoted, err
 			}
-			if bb := p.bytes.Load(); bb > victimBytes {
-				victim, victimBytes = p, bb
-			}
-		}
-		if victim == nil {
-			return // everything already marked; migrations will catch up
-		}
-		victim.claimed = victimBytes
-		g.pending.Add(victimBytes)
-		victim.spillReq.Store(true)
-		if victim.flushed.Load() {
-			// The owner has moved on; migrate here.
-			g.mu.Unlock()
-			err := victim.migrate()
-			g.mu.Lock()
-			if err != nil && g.err == nil {
-				g.err = err
-			}
+			headroom -= bestCost
+			promoted++
 		}
 	}
-}
-
-func (g *governor) takeErr() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}
-
-// hybridPartWriter receives one part's groups. Each part is appended by a
-// single goroutine; the governor only touches a part after its Flush.
-type hybridPartWriter struct {
-	b   *HybridLevelBuilder
-	idx int
-
-	// Memory stage (owner-only until flushed).
-	verts  []uint32
-	counts []uint32
-
-	// Compressed-resident stage: the governor squeezed the flushed raw
-	// arrays into codec blocks (see compressResident). rcompressed records
-	// the attempt; rcomp != nil records that it actually took.
-	cverts, ccnts         []byte
-	rcomp                 *partComp
-	rchunkCum             []uint64
-	cnumVerts, cnumGroups int
-	rcompressed           atomic.Bool
-
-	// Placement control.
-	bytes    atomic.Int64
-	spillReq atomic.Bool
-	flushed  atomic.Bool
-	claimed  int64      // bytes credited to governor.pending at mark time
-	mu       sync.Mutex // guards migration and dw sealing
-	migrated bool
-	dwSealed bool
-	dw       diskPartWriter
-
-	// §4.2 prediction accounting, kept here across migration.
-	acc  cse.PredAccum
-	pred bool
-}
-
-// Part implements cse.LevelBuilder.
-func (b *HybridLevelBuilder) Part(i int) cse.PartWriter { return &b.parts[i] }
-
-// Parts implements cse.LevelBuilder.
-func (b *HybridLevelBuilder) Parts() int { return len(b.parts) }
-
-// ReservePart pre-grows part i's memory buffers (§4.2 pre-sizing). A part's
-// reserve is capped at twice its even share of the memory watermark, and
-// reserves stop once their sum reaches the watermark — capacity is real
-// resident memory, and a part likely to migrate should not pre-claim it.
-func (b *HybridLevelBuilder) ReservePart(i, verts, groups int) {
-	if b.gov.budget <= 0 {
-		return
-	}
-	if verts > maxHybridReserve {
-		verts = maxHybridReserve
-	}
-	if perPart := int(b.gov.budget / int64(4*len(b.parts)) * 2); verts > perPart {
-		verts = perPart
-	}
-	bytes := int64(verts)*4 + int64(groups)*4
-	if b.reserved+bytes > b.gov.budget {
-		return
-	}
-	b.reserved += bytes
-	p := &b.parts[i]
-	if p.verts == nil {
-		p.verts = poolGetU32() // a pooled buffer may already cover the reserve
-	}
-	if p.counts == nil {
-		p.counts = poolGetU32()
-	}
-	if verts > cap(p.verts) {
-		s := make([]uint32, len(p.verts), verts)
-		copy(s, p.verts)
-		p.verts = s
-	}
-	if groups > cap(p.counts) {
-		s := make([]uint32, len(p.counts), groups)
-		copy(s, p.counts)
-		p.counts = s
-	}
-}
-
-// maxHybridReserve mirrors cse.MemLevelBuilder's per-part reserve cap.
-const maxHybridReserve = 1 << 27
-
-// AppendGroup implements cse.PartWriter.
-func (p *hybridPartWriter) AppendGroup(children []uint32, preds []uint32) error {
-	if p.b.queue.Failed() {
-		// Fail the chunk worker promptly instead of finishing the whole
-		// expansion into a queue that discards everything (see governor).
-		return p.b.queue.Err()
-	}
-	if preds != nil {
-		if len(preds) != len(children) {
-			return fmt.Errorf("storage: %d preds for %d children", len(preds), len(children))
-		}
-		p.pred = true
-		p.acc.Add(preds)
-	}
-	if !p.migratedByOwner() && p.spillReq.Load() {
-		if err := p.migrate(); err != nil {
-			return err
-		}
-	}
-	if p.migratedByOwner() {
-		return p.dw.AppendGroup(children, nil)
-	}
-	if p.verts == nil {
-		p.verts = poolGetU32()
-	}
-	if p.counts == nil {
-		p.counts = poolGetU32()
-	}
-	p.verts = append(p.verts, children...)
-	p.counts = append(p.counts, uint32(len(children)))
-	// Charge the part's eventual resident size: the 4-byte counts become
-	// 8-byte global bounds at Finish, so a group costs 8 bytes for good.
-	delta := int64(len(children))*4 + 8
-	p.bytes.Add(delta)
-	p.b.gov.noteAlloc(delta)
-	return nil
-}
-
-// migratedByOwner reads the migration state from the owning goroutine.
-// Before Flush only the owner migrates the part, so a plain read is safe.
-func (p *hybridPartWriter) migratedByOwner() bool { return p.migrated }
-
-// migrate drains the part's accumulated memory data to freshly created part
-// files through the write queue and switches the part to disk appends.
-func (p *hybridPartWriter) migrate() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.migrated {
-		return nil
-	}
-	b := p.b
-	vf, cf, err := openFilePair(b.fs,
-		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.vert", b.level, p.idx)),
-		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.cnt", b.level, p.idx)))
-	if err != nil {
-		return err
-	}
-	if p.rcomp != nil {
-		// The part was governor-compressed after its Flush: the resident
-		// blocks ARE the compressed on-disk format, so stream the bytes out
-		// verbatim and adopt the directory. No appends follow a Flush, so
-		// the writer never extends these files.
-		p.dw = newDiskPartWriter(b.queue, vf, cf, p.rcomp)
-		p.dw.vbuf = appendQueueBytes(b.queue, vf, p.dw.vbuf, p.cverts)
-		p.dw.cbuf = appendQueueBytes(b.queue, cf, p.dw.cbuf, p.ccnts)
-		p.dw.numVerts = p.cnumVerts
-		p.dw.numGroups = p.cnumGroups
-		p.dw.chunkCum = p.rchunkCum
-		p.cverts, p.ccnts, p.rcomp, p.rchunkCum = nil, nil, nil, nil
-	} else {
-		p.dw = newDiskPartWriter(b.queue, vf, cf, newPartComp(b.compress))
-		// Bulk-drain the accumulated arrays: straight-line encodes into queue
-		// buffers (no per-group bookkeeping — this runs on the critical path of
-		// whichever worker triggered the migration), then seed the disk writer's
-		// counters and sparse index so subsequent appends continue seamlessly.
-		// The compressed path seals full codec blocks and leaves the partial
-		// tails open in the writer, so later appends extend the same blocks.
-		if p.dw.comp != nil {
-			p.dw.appendVertsComp(p.verts)
-			p.dw.appendCntsComp(p.counts)
-		} else {
-			p.dw.vbuf = bulkEncode(b.queue, vf, p.dw.vbuf, p.verts)
-			p.dw.cbuf = bulkEncode(b.queue, cf, p.dw.cbuf, p.counts)
-		}
-		p.dw.numVerts = len(p.verts)
-		p.dw.numGroups = len(p.counts)
-		var cum uint64
-		for j, c := range p.counts {
-			if j%CntChunk == 0 {
-				p.dw.chunkCum = append(p.dw.chunkCum, cum)
-			}
-			cum += uint64(c)
-		}
-		poolPutU32(p.verts)
-		poolPutU32(p.counts)
-		p.verts, p.counts = nil, nil
-	}
-	p.b.gov.noteFree(p.bytes.Swap(0))
-	p.b.gov.pending.Add(-p.claimed)
-	p.claimed = 0
-	p.migrated = true
-	if p.flushed.Load() && !p.dwSealed {
-		// Migrated after the owner's Flush (governor path): seal now.
-		if err := p.dw.Flush(); err != nil {
-			return err
-		}
-		p.dwSealed = true
-	}
-	return nil
-}
-
-// partBufPool recycles the memory-stage buffers a build no longer needs: a
-// migrated part's verts and counts (the data just moved to disk) and a
-// resident part's counts (turned into bounds at Finish). Steady-state hybrid
-// builds then allocate only what the finished level actually keeps — the
-// resident verts and bounds — instead of regrowing every part from nil.
-var partBufPool = sync.Pool{New: func() any { return []uint32(nil) }}
-
-func poolGetU32() []uint32 {
-	return partBufPool.Get().([]uint32)[:0]
-}
-
-func poolPutU32(s []uint32) {
-	if cap(s) > 0 {
-		partBufPool.Put(s[:0])
-	}
-}
-
-// partBufPool64 recycles the bounds arrays of resident parts, returned by
-// HybridLevel.Close like the uint32 buffers above.
-var partBufPool64 = sync.Pool{New: func() any { return []uint64(nil) }}
-
-func poolGetU64(n int) []uint64 {
-	s := partBufPool64.Get().([]uint64)
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func poolPutU64(s []uint64) {
-	if cap(s) > 0 {
-		partBufPool64.Put(s[:0])
-	}
-}
-
-// bulkEncode appends vals to f through the write queue in buffer-sized
-// chunks, returning the open (unsubmitted) tail buffer.
-func bulkEncode(q *WriteQueue, f vfs.File, buf []byte, vals []uint32) []byte {
-	for off := 0; off < len(vals); {
-		space := (cap(buf) - len(buf)) / 4
-		if space == 0 {
-			q.Submit(f, buf)
-			buf = q.GetBuf()
-			continue
-		}
-		n := min(space, len(vals)-off)
-		base := len(buf)
-		buf = buf[:base+4*n]
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[base+4*i:], vals[off+i])
-		}
-		off += n
-	}
-	return buf
-}
-
-// Flush implements cse.PartWriter.
-func (p *hybridPartWriter) Flush() error {
-	p.acc.Flush()
-	p.flushed.Store(true)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.migrated && p.spillReq.Load() {
-		p.mu.Unlock()
-		err := p.migrate()
-		p.mu.Lock()
-		if err != nil {
-			return err
-		}
-	}
-	if p.migrated && !p.dwSealed {
-		if err := p.dw.Flush(); err != nil {
-			return err
-		}
-		p.dwSealed = true
-	}
-	return nil
-}
-
-// Finish implements cse.LevelBuilder: it waits for the write queue to drain
-// the migrated parts, verifies their file sizes, and assembles the
-// HybridLevel — computing the global group end boundaries of the memory
-// parts now that every part's base offsets are known.
-func (b *HybridLevelBuilder) Finish() (cse.LevelData, error) {
-	b.gov.releaseInflight()
-	if err := b.gov.takeErr(); err != nil {
-		b.Abort()
-		return nil, err
-	}
-	anyDisk := false
-	for i := range b.parts {
-		if b.parts[i].migrated {
-			anyDisk = true
-		}
-	}
-	if anyDisk {
-		if err := b.queue.Barrier(); err != nil {
-			b.Abort()
-			return nil, err
-		}
-	}
-	h := &HybridLevel{blockSize: b.blockSize, tracker: b.tracker, fs: b.fs, comp: b.compress.enabled(), rcomp: b.rcompress.enabled()}
-	sawPred, sawPlainNonEmpty := false, false
-	for i := range b.parts {
-		p := &b.parts[i]
-		hp := hybridPart{vertBase: h.totalVerts, groupBase: h.totalGroups}
-		if p.migrated {
-			if err := verifyPartFiles(p.dw.vf, p.dw.cf, p.dw.numVerts, p.dw.numGroups, p.dw.comp); err != nil {
-				b.Abort()
-				return nil, err
-			}
-			if b.tracker != nil {
-				b.tracker.SpillIO(int64(4*(p.dw.numVerts+p.dw.numGroups)), p.dw.physBytes())
-			}
-			hp.vf, hp.cf, hp.chunkCum, hp.comp = p.dw.vf, p.dw.cf, p.dw.chunkCum, p.dw.comp
-			hp.numVerts, hp.numGroups = p.dw.numVerts, p.dw.numGroups
-		} else if p.rcomp != nil {
-			// Governor-compressed resident part: hand the encoded blocks and
-			// their directory straight to the level.
-			hp.cverts, hp.ccnts, hp.comp, hp.chunkCum = p.cverts, p.ccnts, p.rcomp, p.rchunkCum
-			hp.numVerts, hp.numGroups = p.cnumVerts, p.cnumGroups
-			p.cverts, p.ccnts, p.rcomp, p.rchunkCum = nil, nil, nil, nil
-		} else {
-			hp.verts = p.verts
-			p.verts = nil // owned by the level now; recycled at its Close
-			hp.numVerts, hp.numGroups = len(hp.verts), len(p.counts)
-			hp.bounds = poolGetU64(len(p.counts))
-			off := uint64(h.totalVerts)
-			for j, c := range p.counts {
-				off += uint64(c)
-				hp.bounds[j] = off
-			}
-			poolPutU32(p.counts) // bounds replace the counts; recycle them
-			p.counts = nil
-		}
-		if p.pred {
-			sawPred = true
-		} else if hp.numVerts > 0 {
-			sawPlainNonEmpty = true
-		}
-		h.parts = append(h.parts, hp)
-		h.totalVerts += hp.numVerts
-		h.totalGroups += hp.numGroups
-		h.pred = append(h.pred, p.acc.Segs...)
-	}
-	if sawPred && sawPlainNonEmpty {
-		b.Abort()
-		return nil, fmt.Errorf("storage: mixed prediction state across parts")
-	}
-	// Keep the part-writer slice for Reset: the builder is pooled across
-	// level builds (handed-over buffers were nil'ed above; Reset clears the
-	// remaining per-part state).
-	b.parts = b.parts[:0]
-	return h, nil
-}
-
-// Reset re-arms a finished builder for a new level build, reusing its
-// part-writer slice (and, through the part pool, the buffers of levels that
-// have since been closed). The directory, write queue, block size, tracker
-// and pressure flag stay as constructed; level names the new level's spill
-// files and memBudget is the new build's governor watermark.
-func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
-	b.level = level
-	if cap(b.parts) < nparts {
-		b.parts = make([]hybridPartWriter, nparts)
-	} else {
-		b.parts = b.parts[:nparts]
-	}
-	b.reserved = 0
-	b.gov.budget = memBudget
-	b.gov.releaseInflight() // no-op after a completed Finish/Abort
-	b.gov.pending.Store(0)
-	b.gov.mu.Lock()
-	b.gov.err = nil
-	b.gov.mu.Unlock()
-	for i := range b.parts {
-		p := &b.parts[i]
-		p.b, p.idx = b, i
-		p.verts, p.counts = nil, nil
-		p.cverts, p.ccnts, p.rcomp, p.rchunkCum = nil, nil, nil, nil
-		p.cnumVerts, p.cnumGroups = 0, 0
-		p.rcompressed.Store(false)
-		p.bytes.Store(0)
-		// All-disk regime: skip the pointless memory stay, the first append
-		// migrates with an empty replay (as in NewHybridLevelBuilder).
-		p.spillReq.Store(memBudget <= 0)
-		p.flushed.Store(false)
-		p.claimed = 0
-		p.migrated = false
-		p.dwSealed = false
-		p.dw = diskPartWriter{}
-		p.acc.Reset()
-		p.pred = false
-	}
-}
-
-// Abort implements cse.LevelBuilder: close and remove any migrated parts'
-// files and drop the memory parts.
-func (b *HybridLevelBuilder) Abort() error {
-	b.gov.releaseInflight()
-	fs := vfs.OrOS(b.fs)
-	var first error
-	for i := range b.parts {
-		p := &b.parts[i]
-		if !p.migrated {
-			continue
-		}
-		for _, f := range []vfs.File{p.dw.vf, p.dw.cf} {
-			if f == nil {
-				continue
-			}
-			name := f.Name()
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-			if err := fs.Remove(name); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	b.parts = nil
-	return first
+	return promoted, nil
 }

@@ -3,8 +3,8 @@ package storage
 import (
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,171 +12,10 @@ import (
 	"kaleido/internal/memtrack"
 )
 
-// buildHybridMixed writes groups through a MemLevelBuilder and a
-// HybridLevelBuilder whose parts in spillParts are forced to disk, returning
-// both levels. The budget is effectively unlimited, so placement follows
-// spillParts exactly — deterministic mixed mem/disk layouts for conformance.
-func buildHybridMixed(t *testing.T, groups [][]uint32, nparts int, spillParts map[int]bool, withPred bool) (*cse.MemLevel, *HybridLevel) {
-	t.Helper()
-	tracker := memtrack.New()
-	q := NewWriteQueue(64, tracker) // tiny buffers force frequent queue traffic
-	t.Cleanup(func() { q.Close() })
-
-	mb := cse.NewMemLevelBuilder(nparts)
-	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 2, nparts, q, 128, tracker, 1<<40, nil, 0, CompressionOff, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range spillParts {
-		hb.parts[i].spillReq.Store(true)
-	}
-	per := (len(groups) + nparts - 1) / nparts
-	for i := 0; i < nparts; i++ {
-		lo, hi := min(i*per, len(groups)), min(i*per+per, len(groups))
-		for _, g := range groups[lo:hi] {
-			var preds []uint32
-			if withPred {
-				preds = make([]uint32, len(g))
-				for j := range preds {
-					preds[j] = g[j] % 7
-				}
-			}
-			if err := mb.Part(i).AppendGroup(g, preds); err != nil {
-				t.Fatal(err)
-			}
-			if err := hb.Part(i).AppendGroup(g, preds); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := mb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := hb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ml, err := mb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hl, err := hb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hl.Close() })
-	return ml.(*cse.MemLevel), hl.(*HybridLevel)
-}
-
-// TestHybridLevelMatchesMemLevel is the conformance property over mixed
-// mem/disk part layouts: every LevelData operation must agree with the
-// all-memory reference, including cursors that stream across mem→disk seams.
-func TestHybridLevelMatchesMemLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 8; trial++ {
-		groups := randGroups(rng, 1+rng.Intn(400))
-		nparts := 2 + rng.Intn(4)
-		spill := map[int]bool{}
-		for i := 0; i < nparts; i++ {
-			if rng.Intn(2) == 0 {
-				spill[i] = true
-			}
-		}
-		if len(spill) == nparts {
-			delete(spill, rng.Intn(nparts)) // keep at least one part in memory
-		}
-		if len(spill) == 0 {
-			spill[rng.Intn(nparts)] = true // and at least one on disk
-		}
-		ml, hl := buildHybridMixed(t, groups, nparts, spill, trial%2 == 0)
-
-		if ml.Len() != hl.Len() || ml.Groups() != hl.Groups() {
-			t.Fatalf("trial %d: shape %d/%d vs %d/%d", trial, ml.Len(), ml.Groups(), hl.Len(), hl.Groups())
-		}
-		if hl.DiskParts() == 0 {
-			t.Fatalf("trial %d: no disk parts despite forced spill", trial)
-		}
-		// Vert blocks over full and random sub-ranges (128-byte blocks, so
-		// every disk segment spans many blocks).
-		for r := 0; r < 8; r++ {
-			lo := rng.Intn(ml.Len() + 1)
-			hi := lo + rng.Intn(ml.Len()-lo+1)
-			if r == 0 {
-				lo, hi = 0, ml.Len()
-			}
-			got := make([]uint32, 0, hi-lo)
-			bc := hl.VertBlocks(lo, hi)
-			for {
-				blk, ok := bc.NextBlock()
-				if !ok {
-					break
-				}
-				if len(blk) == 0 {
-					t.Fatalf("trial %d range [%d,%d): empty block with ok=true", trial, lo, hi)
-				}
-				got = append(got, blk...)
-			}
-			if err := bc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			bc.Close()
-			if !reflect.DeepEqual(got, append(make([]uint32, 0, hi-lo), ml.Verts[lo:hi]...)) {
-				t.Fatalf("trial %d range [%d,%d): blocks differ from mem verts", trial, lo, hi)
-			}
-		}
-		// Bound blocks from random starts.
-		for r := 0; r < 6; r++ {
-			first := rng.Intn(ml.Groups())
-			want := ml.Offs[first+1:]
-			got := make([]uint64, 0, len(want))
-			bb := hl.BoundBlocks(first)
-			for {
-				blk, ok := bb.NextBlock()
-				if !ok {
-					break
-				}
-				got = append(got, blk...)
-			}
-			if err := bb.Err(); err != nil {
-				t.Fatal(err)
-			}
-			bb.Close()
-			if !reflect.DeepEqual(got, append(make([]uint64, 0, len(want)), want...)) {
-				t.Fatalf("trial %d bounds from %d: blocks differ from mem offs", trial, first)
-			}
-		}
-		// Random access: UnitAt, ParentOf at every index; GroupStart at every
-		// group including the end sentinel.
-		for i := 0; i < ml.Len(); i++ {
-			mu, merr := ml.UnitAt(i)
-			hu, herr := hl.UnitAt(i)
-			if merr != nil || herr != nil || mu != hu {
-				t.Fatalf("trial %d: UnitAt(%d) = %d (%v) vs %d (%v)", trial, i, mu, merr, hu, herr)
-			}
-			mp, merr := ml.ParentOf(i)
-			hp, herr := hl.ParentOf(i)
-			if merr != nil || herr != nil || mp != hp {
-				t.Fatalf("trial %d: ParentOf(%d) = %d (%v) vs %d (%v)", trial, i, mp, merr, hp, herr)
-			}
-		}
-		for g := 0; g <= ml.Groups(); g++ {
-			ms, merr := ml.GroupStart(g)
-			hs, herr := hl.GroupStart(g)
-			if merr != nil || herr != nil || ms != hs {
-				t.Fatalf("trial %d: GroupStart(%d) = %d (%v) vs %d (%v)", trial, g, ms, merr, hs, herr)
-			}
-		}
-		if !reflect.DeepEqual(ml.Predicted(), hl.Predicted()) {
-			t.Fatalf("trial %d: predictions differ", trial)
-		}
-		if hl.Bytes() >= ml.Bytes() && ml.Len() > 50 {
-			t.Fatalf("trial %d: hybrid resident bytes %d not below mem level %d", trial, hl.Bytes(), ml.Bytes())
-		}
-	}
-}
-
 // TestHybridMidBuildSpill drives a build against a budget sized to roughly
 // half the level: the governor must migrate the largest in-flight parts mid
-// build, ending with both residencies present and the resident bytes near
+// build (raw arrays drained into codec blocks, partial blocks continuing to
+// fill), ending with both residencies present and the resident bytes near
 // the watermark, while the data stays bit-identical to the mem reference.
 func TestHybridMidBuildSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -190,40 +29,10 @@ func TestHybridMidBuildSpill(t *testing.T) {
 		groups[i] = g
 		totalBytes += int64(len(g))*4 + 4
 	}
-	tracker := memtrack.New()
-	q := NewWriteQueue(0, tracker)
-	defer q.Close()
-	budget := totalBytes / 2
 	const nparts = 8
-	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 3, nparts, q, 0, tracker, budget, nil, 0, CompressionOff, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb := cse.NewMemLevelBuilder(nparts)
-	per := (len(groups) + nparts - 1) / nparts
-	for i := 0; i < nparts; i++ {
-		lo, hi := min(i*per, len(groups)), min(i*per+per, len(groups))
-		for _, g := range groups[lo:hi] {
-			if err := hb.Part(i).AppendGroup(g, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := mb.Part(i).AppendGroup(g, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := hb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := mb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lvl, err := hb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lvl.Close()
-	hl := lvl.(*HybridLevel)
+	budget := totalBytes / 2
+	ml, hl, tracker := buildLevels(t, nil, groups, nparts, false,
+		layout{name: "half", budget: budget, at: func(int) byte { return 'r' }, rcomp: CompressionOff})
 	if hl.DiskParts() == 0 || hl.MemParts() == 0 {
 		t.Fatalf("placement not hybrid: %d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
 	}
@@ -239,23 +48,10 @@ func TestHybridMidBuildSpill(t *testing.T) {
 	if residentVerts > budget+slack {
 		t.Fatalf("resident part bytes %d exceed budget %d + slack %d", residentVerts, budget, slack)
 	}
-	ml, err := mb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := ml.(*cse.MemLevel)
-	got := make([]uint32, 0, hl.Len())
-	bc := hl.VertBlocks(0, hl.Len())
-	for {
-		blk, ok := bc.NextBlock()
-		if !ok {
-			break
-		}
-		got = append(got, blk...)
-	}
-	bc.Close()
-	if !reflect.DeepEqual(got, mem.Verts) {
-		t.Fatal("hybrid level data differs from mem reference after mid-build spill")
+	checkConforms(t, ml, hl, base(ml.Groups()))
+	sl, sp := tracker.SpillTotals()
+	if sl == 0 || sp == 0 || sp >= sl {
+		t.Fatalf("spill totals (%d logical, %d physical) not compressed", sl, sp)
 	}
 }
 
@@ -267,7 +63,7 @@ func TestHybridPressureSpill(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	var pressure atomic.Bool
-	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 4, 2, q, 0, tracker, 1<<40, &pressure, 0, CompressionOff, CompressionOff)
+	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 4, 2, q, 0, tracker, 1<<40, &pressure, 0, CompressionOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +109,7 @@ func TestHybridPressureClears(t *testing.T) {
 	defer q.Close()
 	var pressure atomic.Bool
 	pressure.Store(true) // spike already over: live (0) < limit
-	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 7, 1, q, 0, tracker, 1<<40, &pressure, 1<<20, CompressionOff, CompressionOff)
+	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 7, 1, q, 0, tracker, 1<<40, &pressure, 1<<20, CompressionOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,148 +134,114 @@ func TestHybridPressureClears(t *testing.T) {
 	}
 }
 
-// TestHybridCloseRemovesOnlyDiskParts: Close must delete exactly the files
-// of the migrated parts and be idempotent; memory parts own no files.
-func TestHybridCloseRemovesOnlyDiskParts(t *testing.T) {
-	tracker := memtrack.New()
-	q := NewWriteQueue(0, tracker)
-	defer q.Close()
-	dir := t.TempDir()
-	hb, err := NewHybridLevelBuilder(nil, dir, 5, 3, q, 0, tracker, 1<<40, nil, 0, CompressionOff, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb.parts[1].spillReq.Store(true) // only the middle part goes to disk
-	for i := 0; i < 3; i++ {
-		if err := hb.Part(i).AppendGroup([]uint32{uint32(i), uint32(i + 10)}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := hb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lvl, err := hb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 { // L5.p1.vert + L5.p1.cnt, nothing for mem parts
-		t.Fatalf("disk files before Close: %v, want exactly the spilled part's pair", files)
-	}
-	if err := lvl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lvl.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	files, err = filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 0 {
-		t.Fatalf("Close left files: %v", files)
-	}
-}
-
-// TestWalkerHybridLevelStack runs walker stacks where hybrid levels with
-// mixed placements appear at multiple depths, against the all-memory walk.
-func TestWalkerHybridLevelStack(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	base := make([]uint32, 40)
-	for i := range base {
-		base[i] = uint32(i + 100)
-	}
-	groups2 := randGroups(rng, len(base))
-	groups2[0] = []uint32{1, 2, 3}
-	ml2, hl2 := buildHybridMixed(t, groups2, 3, map[int]bool{0: true, 2: true}, false)
-	groups3 := randGroups(rng, ml2.Len())
-	groups3[ml2.Len()-1] = []uint32{7, 8}
-	ml3, hl3 := buildHybridMixed(t, groups3, 4, map[int]bool{1: true}, false)
-
-	stack := func(l2, l3 cse.LevelData) *cse.CSE {
-		c := cse.New(cse.NewBaseLevel(base))
-		if err := c.Push(l2); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Push(l3); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	walk := func(c *cse.CSE, lo, hi int) ([][]uint32, []int) {
-		w, err := cse.NewWalker(c, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		var embs [][]uint32
-		var chs []int
-		for {
-			emb, ch, ok := w.Next()
-			if !ok {
-				break
+// TestPressureSpillsOnlyTheOvershoot pins the governor's pressure invariant:
+// with a known pressureLimit, data at rest is shed only until the marked
+// bytes cover SharedLive − pressureLimit, never more; what is condemned
+// beyond that is only what is still growing. Six parts are built and flushed
+// under an unlimited build budget, then two more grow side by side —
+// interleaved on one goroutine, or one goroutine each, the outcome must not
+// depend on it — while an external charge puts the tracked total over the
+// limit:
+//
+//   - by a few bytes, late in the growth: the two growing parts spill and
+//     cover it; every flushed part stays resident (a collapsed budget sent
+//     all eight to disk);
+//   - by a part and a half before the growth starts: the growing parts
+//     cover next to nothing, so flushed parts are shed, largest first,
+//     until the marked bytes cover the spike — two of them, not six.
+func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
+	const (
+		cold     = 6 // parts flushed before the pressure
+		nparts   = cold + 2
+		ngroups  = 200
+		groupLen = 4
+		delta    = groupLen*4 + 8 // in-flight bytes charged per group
+		partSize = ngroups * delta
+		external = 1 << 20
+		// Crossed when the two growing parts are 90% built.
+		limit = external + cold*partSize + 2*partSize*9/10
+	)
+	group := make([]uint32, groupLen)
+	for _, tc := range []struct {
+		name     string
+		spike    int64 // charged after the cold parts are flushed
+		wantCold int   // flushed parts still resident at the end
+	}{
+		{"a few bytes", 0, cold},
+		{"a part and a half", (limit - external - cold*partSize) + partSize*3/2, cold - 2},
+	} {
+		for _, concurrent := range []bool{false, true} {
+			tracker := memtrack.New()
+			q := NewWriteQueue(0, tracker)
+			var pressure atomic.Bool
+			cancel := tracker.OnSharedHighWater(limit, func(int64) { pressure.Store(true) })
+			tracker.Alloc(external)
+			hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 2, nparts, q, 0, tracker, 1<<40, &pressure, limit, CompressionOff)
+			if err != nil {
+				t.Fatal(err)
 			}
-			embs = append(embs, append([]uint32(nil), emb...))
-			chs = append(chs, ch)
-		}
-		if err := w.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return embs, chs
-	}
-
-	ref := stack(ml2, ml3)
-	n := ml3.Len()
-	variants := map[string]*cse.CSE{
-		"hyb2-mem3": stack(hl2, ml3),
-		"mem2-hyb3": stack(ml2, hl3),
-		"hyb2-hyb3": stack(hl2, hl3),
-	}
-	for _, r := range [][2]int{{0, n}, {1, n}, {n / 3, 2 * n / 3}, {n - 1, n}} {
-		wantE, wantC := walk(ref, r[0], r[1])
-		for name, c := range variants {
-			gotE, gotC := walk(c, r[0], r[1])
-			if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotC, wantC) {
-				t.Fatalf("%s range %v: walk differs from all-memory", name, r)
+			// build appends ngroups groups to each of parts, round-robin on
+			// this goroutine or with one goroutine per part.
+			build := func(parts ...int) {
+				appendTo := func(i int) {
+					if err := hb.Part(i).AppendGroup(group, nil); err != nil {
+						t.Error(err)
+					}
+				}
+				if !concurrent {
+					for g := 0; g < ngroups; g++ {
+						for _, i := range parts {
+							appendTo(i)
+						}
+					}
+					return
+				}
+				var wg sync.WaitGroup
+				for _, i := range parts {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						for g := 0; g < ngroups; g++ {
+							appendTo(i)
+						}
+					}(i)
+				}
+				wg.Wait()
 			}
-		}
-	}
-}
-
-// TestHybridExtract exercises the random-access path (UnitAt + ParentOf)
-// through CSE.Extract over a hybrid stack.
-func TestHybridExtract(t *testing.T) {
-	rng := rand.New(rand.NewSource(107))
-	base := make([]uint32, 30)
-	for i := range base {
-		base[i] = uint32(i)
-	}
-	groups := randGroups(rng, len(base))
-	groups[3] = []uint32{9, 9, 9}
-	ml, hl := buildHybridMixed(t, groups, 3, map[int]bool{1: true}, false)
-
-	mem := cse.New(cse.NewBaseLevel(base))
-	if err := mem.Push(ml); err != nil {
-		t.Fatal(err)
-	}
-	hyb := cse.New(cse.NewBaseLevel(base))
-	if err := hyb.Push(hl); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]uint32, 2)
-	got := make([]uint32, 2)
-	for i := 0; i < ml.Len(); i++ {
-		if err := mem.Extract(i, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := hyb.Extract(i, got); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Extract(%d) = %v, want %v", i, got, want)
+			build(0, 1, 2, 3, 4, 5)
+			for i := 0; i < cold; i++ {
+				if err := hb.Part(i).Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tracker.Alloc(tc.spike)
+			build(cold, cold+1)
+			for i := cold; i < nparts; i++ {
+				if err := hb.Part(i).Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lvl, err := hb.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			hl := lvl.(*HybridLevel)
+			if hl.Len() != nparts*ngroups*groupLen {
+				t.Fatalf("level len = %d", hl.Len())
+			}
+			var resident int64 // in the governor's units: 4 bytes per vert, 8 per group
+			for i := range hl.parts {
+				if p := &hl.parts[i]; !p.onDisk() {
+					resident += p.logicalBytes()
+				}
+			}
+			if want := int64(tc.wantCold * partSize); resident != want {
+				t.Errorf("over by %s, concurrent=%v: %d bytes stayed resident (%d mem / %d disk parts), want %d",
+					tc.name, concurrent, resident, hl.MemParts(), hl.DiskParts(), want)
+			}
+			hl.Close()
+			cancel()
+			q.Close()
 		}
 	}
 }
@@ -491,7 +253,7 @@ func TestHybridAllMemFinish(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	hb, err := NewHybridLevelBuilder(nil, dir, 6, 2, q, 0, tracker, 1<<40, nil, 0, CompressionOff, CompressionOff)
+	hb, err := NewHybridLevelBuilder(nil, dir, 6, 2, q, 0, tracker, 1<<40, nil, 0, CompressionOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,89 +282,142 @@ func TestHybridAllMemFinish(t *testing.T) {
 	}
 }
 
-// TestHybridPromote loads disk parts back into memory and checks the level
-// still matches the all-memory reference, the files are gone, and the
-// headroom policy promotes only what fits.
+// spillTwo puts parts 1 and 3 of four on disk and keeps the rest raw.
+func spillTwo(rcomp Compression) layout {
+	return layout{name: "two-disk", budget: 1 << 40, rcomp: rcomp, at: func(i int) byte {
+		if i%2 == 1 {
+			return 'd'
+		}
+		return 'r'
+	}}
+}
+
+// TestHybridPromote takes disk parts back into memory under both resident
+// policies — straight to raw arrays, or verbatim into compressed-mem and
+// from there to raw while headroom lasts — and checks the level still
+// matches the all-memory reference, the files are gone, and the headroom
+// policy promotes only what fits.
 func TestHybridPromote(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	groups := randGroups(rng, 300)
-	ml, hl := buildHybridMixed(t, groups, 4, map[int]bool{1: true, 3: true}, false)
+	for _, rcomp := range []Compression{CompressionOff, CompressionAuto} {
+		rng := rand.New(rand.NewSource(91))
+		groups := randGroups(rng, 300)
+		ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo(rcomp))
 
-	// Headroom below the smallest part's cost promotes nothing.
-	if n, err := hl.Promote(1); err != nil || n != 0 {
-		t.Fatalf("Promote(1) = %d, %v", n, err)
-	}
-	if hl.DiskParts() != 2 {
-		t.Fatalf("disk parts = %d after no-op promote", hl.DiskParts())
-	}
-
-	var files []string
-	for i := range hl.parts {
-		if hl.parts[i].onDisk() {
-			files = append(files, hl.parts[i].vf.Name(), hl.parts[i].cf.Name())
+		// Headroom below the smallest part's cost promotes nothing.
+		if n, err := hl.Promote(1); err != nil || n != 0 {
+			t.Fatalf("Promote(1) = %d, %v", n, err)
 		}
-	}
-	n, err := hl.Promote(1 << 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || hl.DiskParts() != 0 {
-		t.Fatalf("promoted %d, %d disk parts remain", n, hl.DiskParts())
-	}
-	for _, f := range files {
-		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Fatalf("promoted part file %s still exists", f)
+		if hl.DiskParts() != 2 {
+			t.Fatalf("disk parts = %d after no-op promote", hl.DiskParts())
 		}
-	}
-	// Full conformance after promotion: units, group starts, parents.
-	for i := 0; i < ml.Len(); i++ {
-		mu, _ := ml.UnitAt(i)
-		hu, err := hl.UnitAt(i)
-		if err != nil || mu != hu {
-			t.Fatalf("unit %d: %d vs %d (%v)", i, mu, hu, err)
+		var files []string
+		for i := range hl.parts {
+			if hl.parts[i].onDisk() {
+				files = append(files, hl.parts[i].vf.Name(), hl.parts[i].cf.Name())
+			}
 		}
-		mp, _ := ml.ParentOf(i)
-		hp, err := hl.ParentOf(i)
-		if err != nil || mp != hp {
-			t.Fatalf("parent %d: %d vs %d (%v)", i, mp, hp, err)
+		n, err := hl.Promote(1 << 40)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for g := 0; g <= ml.Groups(); g++ {
-		ms, _ := ml.GroupStart(g)
-		hs, err := hl.GroupStart(g)
-		if err != nil || ms != hs {
-			t.Fatalf("group start %d: %d vs %d (%v)", g, ms, hs, err)
+		// Off disk is one transition per part; with compressed residents
+		// each part then takes a second one, compressed-mem to raw.
+		if want := map[Compression]int{CompressionOff: 2, CompressionAuto: 4}[rcomp]; n != want {
+			t.Fatalf("rcomp %d: promoted %d transitions, want %d", rcomp, n, want)
 		}
-	}
-	if hl.DiskBytes() != 0 {
-		t.Fatalf("DiskBytes = %d after full promotion", hl.DiskBytes())
+		if hl.DiskParts() != 0 || hl.CompressedParts() != 0 || hl.DiskBytes() != 0 || hl.DiskBytesPhysical() != 0 {
+			t.Fatalf("after full promotion: %d disk / %d compressed parts, %d/%d disk bytes",
+				hl.DiskParts(), hl.CompressedParts(), hl.DiskBytes(), hl.DiskBytesPhysical())
+		}
+		for _, f := range files {
+			if _, err := os.Stat(f); !os.IsNotExist(err) {
+				t.Fatalf("promoted part file %s still exists", f)
+			}
+		}
+		checkConforms(t, ml, hl, base(ml.Groups()))
 	}
 }
 
 // TestHybridPromotePartial checks the smallest-first selection: headroom for
-// one part promotes exactly the cheaper one.
+// one part promotes exactly the cheaper one, and with compressed residents
+// it lands in compressed-mem, still matching the reference.
 func TestHybridPromotePartial(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	groups := randGroups(rng, 240)
-	_, hl := buildHybridMixed(t, groups, 3, map[int]bool{0: true, 2: true}, false)
-	var costs []int64
-	for i := range hl.parts {
-		if hl.parts[i].onDisk() {
-			costs = append(costs, hl.parts[i].promoteCost())
+	for _, rcomp := range []Compression{CompressionOff, CompressionAuto} {
+		rng := rand.New(rand.NewSource(97))
+		groups := randGroups(rng, 240)
+		ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo(rcomp))
+		var costs []int64
+		for i := range hl.parts {
+			if hl.parts[i].onDisk() {
+				costs = append(costs, hl.parts[i].offDiskCost(rcomp.enabled()))
+			}
+		}
+		if len(costs) != 2 {
+			t.Fatalf("disk parts = %d", len(costs))
+		}
+		n, err := hl.Promote(min(costs[0], costs[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 1 || hl.DiskParts() != 1 {
+			t.Fatalf("rcomp %d: promoted %d, %d disk parts remain", rcomp, n, hl.DiskParts())
+		}
+		if want := map[Compression]int{CompressionOff: 0, CompressionAuto: 1}[rcomp]; hl.CompressedParts() != want {
+			t.Fatalf("rcomp %d: %d compressed-mem parts after promotion, want %d", rcomp, hl.CompressedParts(), want)
+		}
+		checkConforms(t, ml, hl, base(ml.Groups()))
+	}
+}
+
+// TestRewriteEveryResidency filters a mixed level in place — raw parts
+// compact, compressed-mem parts decode, compact and re-encode, disk parts
+// restream into fresh files — and compares against filtering the reference.
+func TestRewriteEveryResidency(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	groups := randGroups(rng, 500)
+	ml, hl, tracker := buildLevels(t, nil, groups, 6, true, layoutMixed)
+	before := [3]int{hl.MemParts() - hl.CompressedParts(), hl.CompressedParts(), hl.DiskParts()}
+	keep := func(u uint32) bool { return u%3 != 0 }
+
+	q := NewWriteQueue(64, tracker)
+	defer q.Close()
+	rws := make([]*PartRewriter, hl.NumParts())
+	for i := range rws {
+		r, err := hl.RewritePart(i, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rws[i] = r
+		lo, hi := hl.PartGroups(i)
+		for g := lo; g < hi; g++ {
+			for _, u := range ml.Verts[ml.Offs[g]:ml.Offs[g+1]] {
+				if keep(u) {
+					r.Keep(u)
+				}
+			}
+			if err := r.GroupDone(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Flush(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(costs) != 2 {
-		t.Fatalf("disk parts = %d", len(costs))
-	}
-	smaller := costs[0]
-	if costs[1] < smaller {
-		smaller = costs[1]
-	}
-	n, err := hl.Promote(smaller)
-	if err != nil {
+	if err := hl.FinishRewrite(rws, q); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || hl.DiskParts() != 1 {
-		t.Fatalf("promoted %d, %d disk parts remain", n, hl.DiskParts())
+	want := &cse.MemLevel{Offs: make([]uint64, 1, len(ml.Offs))}
+	for g := 0; g < ml.Groups(); g++ {
+		for _, u := range ml.Verts[ml.Offs[g]:ml.Offs[g+1]] {
+			if keep(u) {
+				want.Verts = append(want.Verts, u)
+			}
+		}
+		want.Offs = append(want.Offs, uint64(len(want.Verts)))
+	}
+	checkConforms(t, want, hl, base(want.Groups()))
+	after := [3]int{hl.MemParts() - hl.CompressedParts(), hl.CompressedParts(), hl.DiskParts()}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("rewrite moved parts between residencies: raw/compressed/disk %v -> %v", before, after)
 	}
 }

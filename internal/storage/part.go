@@ -1,0 +1,358 @@
+package storage
+
+import (
+	"fmt"
+	"sync"
+
+	"kaleido/internal/memtrack"
+	"kaleido/internal/storage/vfs"
+)
+
+// CntChunk is the group granularity of the sparse random-access index kept
+// for every encoded part: one cumulative child count every CntChunk groups.
+// Random access (only used to locate the t partition starts of an iteration)
+// costs one bounded block decode; sequential access never touches the index.
+const CntChunk = 4096
+
+// memBlockPath labels corruption errors from compressed-mem blocks, which
+// have no backing file to name.
+const memBlockPath = "(compressed-mem)"
+
+// hybridPart is one part of a hybrid level, in exactly one of three
+// residency states:
+//
+//   - raw: verts+bounds populated, read as zero-copy slices;
+//   - compressed-mem: cverts/ccnts hold the part's v2 codec blocks in
+//     memory, comp indexes them;
+//   - disk: vf/cf hold the same blocks byte for byte, comp indexes them.
+//
+// The two encoded states share every read path — only where the bytes of
+// block b come from differs (blockBytes, codecBlocks.start) — and moving a
+// part between them is a verbatim byte copy. The ladder under pressure is
+// raw → compressed-mem → disk, and the reverse on recovery.
+type hybridPart struct {
+	// Raw residency.
+	verts  []uint32
+	bounds []uint64 // global end boundary of each local group; len = numGroups
+
+	// Compressed-mem residency. Resident bytes are only ever read: cursors
+	// and probes decode out of sub-slices without copying or writing.
+	cverts []byte
+	ccnts  []byte
+
+	// Disk residency.
+	vf, cf vfs.File
+
+	// Both encoded states.
+	comp     *partComp // block directory; nil exactly when the part is raw
+	chunkCum []uint64  // chunkCum[j] = children in local groups [0, j·CntChunk)
+
+	numVerts  int
+	numGroups int
+	vertBase  int
+	groupBase int
+}
+
+func (p *hybridPart) raw() bool        { return p.comp == nil }
+func (p *hybridPart) onDisk() bool     { return p.vf != nil }
+func (p *hybridPart) compressed() bool { return !p.raw() && !p.onDisk() }
+
+// residentBytes is the part's contribution to the level's resident
+// footprint: full arrays for raw parts, encoded blocks plus directory and
+// sparse index for compressed-mem parts, directory and index only for disk
+// parts. Every term is zero in the states that do not hold it.
+func (p *hybridPart) residentBytes() int64 {
+	return int64(len(p.verts))*4 + int64(len(p.bounds))*8 +
+		int64(len(p.cverts)+len(p.ccnts)) + int64(len(p.chunkCum))*8 + p.comp.dirBytes()
+}
+
+// logicalBytes is the raw word footprint the part would have fully decoded
+// in memory: verts as uint32s plus one uint64 bound per group.
+func (p *hybridPart) logicalBytes() int64 {
+	return int64(p.numVerts)*4 + int64(p.numGroups)*8
+}
+
+// encodedBytes is the size of the part's codec blocks — what an encoded part
+// occupies on disk, or in memory on top of its directory and index.
+func (p *hybridPart) encodedBytes() int64 { return p.comp.physVerts + p.comp.physCnts }
+
+// promoteCost returns the extra resident bytes fully decoding an encoded
+// part costs, net of whatever it currently holds.
+func (p *hybridPart) promoteCost() int64 { return p.logicalBytes() - p.residentBytes() }
+
+// offDiskCost is the resident-byte delta of taking disk part p off disk:
+// its file bytes land in RAM as-is when the level keeps compressed
+// residents, otherwise the full decoded footprint net of the freed indexes.
+func (p *hybridPart) offDiskCost(rcomp bool) int64 {
+	if rcomp {
+		return p.encodedBytes()
+	}
+	return p.promoteCost()
+}
+
+// cntScratch pools the buffers of the random-access probes: ParentOf and
+// GroupStart run once per walker seeding — t workers per iteration — and
+// previously allocated a fresh byte buffer plus decode slice on every call.
+// buf receives a disk part's block bytes, blk one decoded block, out the
+// assembled cnt range.
+type cntScratch struct {
+	buf []byte
+	out []uint32
+	blk []uint32
+}
+
+var cntPool = sync.Pool{New: func() any { return new(cntScratch) }}
+
+// span locates blocks [b0, b1] of an encoded part's vert or cnt stream: for a
+// disk part the file and byte range, for a compressed-mem part the resident
+// bytes themselves (res; clamped to what the slice holds, so bytes that went
+// missing decode as truncation instead of faulting).
+func (p *hybridPart) span(vert bool, b0, b1 int) (f vfs.File, off, end int64, res []byte) {
+	if vert {
+		off, end, f, res = p.comp.vOffs[b0], p.comp.vertEnd(b1), p.vf, p.cverts
+	} else {
+		off, end, f, res = p.comp.cOffs[b0], p.comp.cntEnd(b1), p.cf, p.ccnts
+	}
+	if !p.onDisk() {
+		n := int64(len(res))
+		res = res[min(off, n):min(end, n)]
+	}
+	return f, off, end, res
+}
+
+// blockBytes returns the encoded bytes of blocks [b0, b1] of an encoded
+// part's vert or cnt stream, with the name corruption in them is reported
+// under: a sub-slice of the resident bytes, or one bounded pread into
+// sc.buf.
+func (p *hybridPart) blockBytes(vert bool, b0, b1 int, tracker *memtrack.Tracker, sc *cntScratch) ([]byte, string, error) {
+	f, off, end, res := p.span(vert, b0, b1)
+	if !p.onDisk() {
+		return res, memBlockPath, nil
+	}
+	n := int(end - off)
+	if cap(sc.buf) < n {
+		sc.buf = make([]byte, n)
+	}
+	buf := sc.buf[:n]
+	if err := retryReadAt(f, buf, off, nil, tracker); err != nil {
+		return nil, "", locateCorrupt(err, f.Name(), b0) // the file ends before the block does
+	}
+	if tracker != nil {
+		tracker.ReadIO(int64(n))
+	}
+	return buf, f.Name(), nil
+}
+
+// decodeBlock decodes the one complete block at the front of buf into
+// sc.blk; path and b are the coordinates a CorruptError carries.
+func (sc *cntScratch) decodeBlock(buf []byte, vert bool, path string, b int) ([]uint32, int, error) {
+	if cap(sc.blk) < codecBlockVals {
+		sc.blk = make([]uint32, codecBlockVals)
+	}
+	vals, consumed, err := decodeCodecBlock(buf, vert, sc.blk[:codecBlockVals])
+	if err == nil && consumed == 0 {
+		err = fmt.Errorf("truncated block")
+	}
+	if err != nil {
+		return nil, 0, corruptAt(path, b, err)
+	}
+	return vals, consumed, nil
+}
+
+// unit returns the vert at local index li of an encoded part: one block
+// decode — from resident bytes, or behind one bounded pread — with no
+// streaming cursor or prefetch goroutine; the random access Extract needs.
+func (p *hybridPart) unit(li int, tracker *memtrack.Tracker) (uint32, error) {
+	b := li / codecBlockVals
+	sc := cntPool.Get().(*cntScratch)
+	defer cntPool.Put(sc)
+	buf, path, err := p.blockBytes(true, b, b, tracker, sc)
+	if err != nil {
+		return 0, err
+	}
+	vals, _, err := sc.decodeBlock(buf, true, path, b)
+	if err != nil {
+		return 0, err
+	}
+	k := li - b*codecBlockVals
+	if k >= len(vals) {
+		return 0, corruptAt(path, b, fmt.Errorf("block holds %d units, need index %d", len(vals), k))
+	}
+	return vals[k], nil
+}
+
+// cnts decodes the per-group child counts [lo, hi) of an encoded part into
+// sc's buffers; the returned slice is valid until sc is reused or returned
+// to the pool. codecBlockVals equals CntChunk, so the sparse-index probes
+// behind ParentOf and GroupStart touch exactly one block.
+func (p *hybridPart) cnts(lo, hi int, tracker *memtrack.Tracker, sc *cntScratch) ([]uint32, error) {
+	b0 := lo / codecBlockVals
+	b1 := (hi - 1) / codecBlockVals
+	buf, path, err := p.blockBytes(false, b0, b1, tracker, sc)
+	if err != nil {
+		return nil, err
+	}
+	want := hi - lo
+	if cap(sc.out) < want {
+		sc.out = make([]uint32, 0, want)
+	}
+	out := sc.out[:0]
+	for b := b0; b <= b1; b++ {
+		vals, consumed, err := sc.decodeBlock(buf, false, path, b)
+		if err != nil {
+			return nil, err
+		}
+		buf = buf[consumed:]
+		start := max(lo-b*codecBlockVals, 0)
+		stop := min(hi-b*codecBlockVals, len(vals))
+		if stop > start {
+			out = append(out, vals[start:stop]...)
+		}
+	}
+	sc.out = out
+	if len(out) != want {
+		return nil, corruptAt(path, b0, fmt.Errorf("cnt blocks [%d,%d] decoded %d entries, want %d", b0, b1, len(out), want))
+	}
+	return out, nil
+}
+
+// offAtLocal returns the global offs value at local group lg of an encoded
+// part (the global vert index where lg's children start).
+func (p *hybridPart) offAtLocal(lg int, tracker *memtrack.Tracker) (uint64, error) {
+	j := lg / CntChunk
+	cum := p.chunkCum[j]
+	if lg > j*CntChunk {
+		sc := cntPool.Get().(*cntScratch)
+		defer cntPool.Put(sc)
+		cnts, err := p.cnts(j*CntChunk, lg, tracker, sc)
+		if err != nil {
+			return 0, err
+		}
+		for _, c := range cnts {
+			cum += uint64(c)
+		}
+	}
+	return uint64(p.vertBase) + cum, nil
+}
+
+// encodePart encodes a part's verts and per-group child counts into resident
+// codec blocks with their directory and sparse index, and reports the
+// resident bytes the encoded form occupies. The encoding is byte-identical
+// to what a part writer spills, so the result can later go to disk verbatim.
+func encodePart(verts, counts []uint32) (cverts, ccnts []byte, comp *partComp, chunkCum []uint64, size int64) {
+	comp = &partComp{}
+	var scratch []byte
+	for off := 0; off < len(verts); off += codecBlockVals {
+		comp.vOffs = append(comp.vOffs, int64(len(cverts)))
+		cverts = appendVertBlock(cverts, verts[off:min(off+codecBlockVals, len(verts))], &scratch)
+	}
+	var cum uint64
+	for off := 0; off < len(counts); off += codecBlockVals {
+		blk := counts[off:min(off+codecBlockVals, len(counts))]
+		comp.cOffs = append(comp.cOffs, int64(len(ccnts)))
+		ccnts = appendCntBlock(ccnts, blk, &scratch)
+		chunkCum = append(chunkCum, cum) // codecBlockVals == CntChunk
+		for _, c := range blk {
+			cum += uint64(c)
+		}
+	}
+	comp.physVerts, comp.physCnts = int64(len(cverts)), int64(len(ccnts))
+	size = comp.physVerts + comp.physCnts + int64(len(chunkCum))*8 + comp.dirBytes()
+	return cverts, ccnts, comp, chunkCum, size
+}
+
+// decodeArrays decodes the part's complete vert and cnt block streams into
+// pooled raw arrays: the verts, and the global group end boundaries — so
+// the part's bases must already be final. vpath and cpath label corruption.
+func (p *hybridPart) decodeArrays(cverts, ccnts []byte, vpath, cpath string) ([]uint32, []uint64, error) {
+	verts := poolGetU32Len(p.numVerts)
+	cnts := poolGetU32Len(p.numGroups)
+	defer poolPutU32(cnts)
+	err := decodeAllBlocks(cverts, true, verts, vpath)
+	if err == nil {
+		err = decodeAllBlocks(ccnts, false, cnts, cpath)
+	}
+	if err != nil {
+		poolPutU32(verts)
+		return nil, nil, err
+	}
+	bounds := poolGetU64(p.numGroups)
+	off := uint64(p.vertBase)
+	for j, c := range cnts {
+		off += uint64(c)
+		bounds[j] = off
+	}
+	return verts, bounds, nil
+}
+
+// setRaw installs decoded arrays as the part's raw residency, dropping the
+// encoded state (the caller has already disposed of any files).
+func (p *hybridPart) setRaw(verts []uint32, bounds []uint64) {
+	p.verts, p.bounds = verts, bounds
+	p.cverts, p.ccnts, p.vf, p.cf, p.comp, p.chunkCum = nil, nil, nil, nil, nil, nil
+}
+
+// removeFiles closes and removes spill files (nil entries are skipped),
+// returning the first failure instead of swallowing it. The data is scratch
+// output of one exploration run, useless once its part is dropped.
+func removeFiles(fs vfs.FS, files ...vfs.File) error {
+	fs = vfs.OrOS(fs)
+	var first error
+	for _, f := range files {
+		if f == nil {
+			continue
+		}
+		name := f.Name()
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
+		if err := fs.Remove(name); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// partBufPool recycles the memory-stage buffers a build no longer needs: a
+// migrated part's verts and counts (the data just moved to disk) and a
+// resident part's counts (turned into bounds at Finish). Steady-state hybrid
+// builds then allocate only what the finished level actually keeps — the
+// resident verts and bounds — instead of regrowing every part from nil.
+var partBufPool = sync.Pool{New: func() any { return []uint32(nil) }}
+
+func poolGetU32() []uint32 {
+	return partBufPool.Get().([]uint32)[:0]
+}
+
+// poolGetU32Len returns a pooled buffer of length n (contents unspecified).
+func poolGetU32Len(n int) []uint32 {
+	s := poolGetU32()
+	if cap(s) < n {
+		return make([]uint32, n)
+	}
+	return s[:n]
+}
+
+func poolPutU32(s []uint32) {
+	if cap(s) > 0 {
+		partBufPool.Put(s[:0])
+	}
+}
+
+// partBufPool64 recycles the bounds arrays of resident parts, returned by
+// HybridLevel.Close like the uint32 buffers above.
+var partBufPool64 = sync.Pool{New: func() any { return []uint64(nil) }}
+
+func poolGetU64(n int) []uint64 {
+	s := partBufPool64.Get().([]uint64)
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
+}
+
+func poolPutU64(s []uint64) {
+	if cap(s) > 0 {
+		partBufPool64.Put(s[:0])
+	}
+}

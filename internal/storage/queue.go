@@ -1,36 +1,34 @@
 // Package storage implements Kaleido's half-memory-half-disk hybrid storage
-// for CSE levels (paper §4.1, Fig. 7). Levels are built in t parts; every
-// part starts in memory and a budget governor migrates the largest in-flight
-// parts to disk when the resident bytes cross the spill watermark
-// (HybridLevelBuilder), so one level's parts can be split between RAM and
-// disk. Migrated parts are written through a single writing queue that keeps
-// disk writes sequential; reading streams them back through sliding-window
-// prefetch cursors, so the I/O of the next window is hidden behind the
-// computation on the current one. DiskLevel remains as the all-disk level
-// representation (and the degenerate hybrid case of a zero budget).
+// for CSE levels (paper §4.1, Fig. 7). There is one level implementation,
+// HybridLevel, and one way to store a part. Levels are built in t parts;
+// every part starts in memory and a budget governor migrates the largest
+// in-flight parts to disk when the resident bytes cross the spill watermark
+// (HybridLevelBuilder, governor.go), so one level's parts can be split
+// between RAM and disk — and the all-disk regime is simply the level whose
+// every part migrated (a zero budget). Migrated parts are written through a
+// single writing queue that keeps disk writes sequential; reading streams
+// them back through sliding-window prefetch cursors, so the I/O of the next
+// window is hidden behind the computation on the current one.
 //
-// Spilled bytes are compressed by default (Compression, codec.go): vertex
+// Residency is three-state (part.go): raw (plain []uint32 slices, zero-copy
+// reads) → compressed-mem (the part's codec blocks held in memory, charged
+// to the budget at physical size) → disk (the same blocks in a file pair).
+// There is one encoded format (codec.go) and no option selecting it: vertex
 // IDs as group-varint zigzag deltas and group counts frame-of-reference
 // coded, in self-delimiting versioned blocks (version 2: a CRC32C of the
 // payload sits between the header and the payload, verified on every
-// whole-block decode) that decode whole-block into the pooled prefetch
-// buffers. Version-1 blocks — the pre-checksum format — are cleanly
-// rejected, not decoded: spill files are single-run scratch, so no
+// whole-block decode). Version-1 blocks — the pre-checksum format — are
+// cleanly rejected, not decoded: spill files are single-run scratch, so no
 // cross-version reader is needed. The per-part block directory gives the
-// cursors and the random-access readers block-granular seeks into the
-// compressed streams.
-//
-// Residency is three-state (resident.go): raw-mem (plain []uint32 slices,
-// zero-copy reads) → compressed-mem (the same codec blocks held in memory,
-// decoded by the cursors without any file handle or vfs traffic, charged
-// to the budget at physical size) → disk. The governor compresses the
-// largest sealed raw parts in place (CompressPart) before spilling, and
-// because the in-memory and on-disk encodings are byte-identical, a
-// compressed part migrates to disk — and is promoted back — as a verbatim
-// block copy. ResidentCompression (a second Compression knob on the
-// builder) gates the middle state; CompressedParts and
-// ResidentBytesLogical expose the transition count and the raw footprint
-// the resident bytes stand for.
+// cursors and the random-access probes block-granular seeks. Because the
+// in-memory and on-disk encodings are byte-identical, one decoder
+// (cursor.go: codecBlocks) serves both encoded states — fed by the resident
+// bytes, or by a prefetching stream over the file span — and a compressed
+// part migrates to disk, and is promoted back, as a verbatim block copy. The
+// governor compresses the largest sealed raw parts in place before spilling;
+// ResidentCompression (a placement policy on the builder, not a format)
+// gates the middle state; CompressedParts and ResidentBytesLogical expose
+// the transition count and the raw footprint the resident bytes stand for.
 //
 // The spill path is hardened against I/O failure: all file access goes
 // through the vfs seam (package vfs) so tests inject faults; transient write

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"reflect"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -18,13 +19,14 @@ import (
 	"kaleido/internal/storage/vfs"
 )
 
-// buildDiskOn builds a compressed DiskLevel for groups on the given vfs.
-func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*DiskLevel, *memtrack.Tracker, error) {
+// buildDiskOn builds an all-disk hybrid level (budget ≤ 0) for groups on the
+// given vfs, returning build failures instead of failing the test.
+func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*HybridLevel, *memtrack.Tracker, error) {
 	t.Helper()
 	tracker := memtrack.New()
 	q := NewWriteQueue(256, tracker) // tiny buffers: many queue writes
 	t.Cleanup(func() { q.Close() })
-	db, err := NewDiskLevelBuilder(fs, t.TempDir(), 2, nparts, q, 128, tracker, CompressionAuto)
+	db, err := NewHybridLevelBuilder(fs, t.TempDir(), 2, nparts, q, 128, tracker, 0, nil, 0, CompressionOff)
 	if err != nil {
 		return nil, tracker, err
 	}
@@ -45,23 +47,14 @@ func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*DiskL
 	if err != nil {
 		return nil, tracker, err
 	}
-	dl := lvl.(*DiskLevel)
+	dl := lvl.(*HybridLevel)
 	t.Cleanup(func() { dl.Close() })
 	return dl, tracker, nil
 }
 
-func readAllVerts(t *testing.T, dl *DiskLevel) ([]uint32, error) {
+func readAllVerts(t *testing.T, dl *HybridLevel) ([]uint32, error) {
 	t.Helper()
-	var out []uint32
-	c := dl.VertCursor(0, dl.Len())
-	defer c.Close()
-	for {
-		v, ok := c.Next()
-		if !ok {
-			return out, c.Err()
-		}
-		out = append(out, uint32(v))
-	}
+	return readVerts(t, dl.VertBlocks(0, dl.Len()))
 }
 
 // TestRetryRidesOutTransientFaults: a fault schedule of EIO reads/writes and
@@ -114,56 +107,86 @@ func TestRetryRidesOutTransientFaults(t *testing.T) {
 	}
 }
 
-// TestChecksumCatchesBitFlip: a single flipped payload bit in a spill file
-// must surface as ErrSpillCorrupt carrying block coordinates — never as a
-// silent misdecode.
-func TestChecksumCatchesBitFlip(t *testing.T) {
+// TestChecksumCorruptionBothByteSources: the one decoder reads a part's
+// blocks from resident bytes (compressed-mem) or from a file (disk). A
+// flipped payload bit, a truncated tail and a bumped version byte, planted
+// in either source, must surface from the sequential cursors and the random
+// probes as a CorruptError carrying the source's name — the file, or
+// "(compressed-mem)" — and the block index, never as a silent misdecode.
+// And decoding must leave resident bytes alone: reading a compressed-mem
+// range twice returns identical values.
+func TestChecksumCorruptionBothByteSources(t *testing.T) {
+	// Several codec blocks per stream, so the damaged block is not block 0.
+	groups := make([][]uint32, 2*CntChunk+100)
 	rng := rand.New(rand.NewSource(13))
-	groups := make([][]uint32, 400)
 	for i := range groups {
-		g := make([]uint32, 2+rng.Intn(5))
+		g := make([]uint32, 1+rng.Intn(3))
 		for j := range g {
 			g[j] = rng.Uint32() % 100000
 		}
 		groups[i] = g
 	}
-	dl, _, err := buildDiskOn(t, nil, groups, 1)
-	if err != nil {
-		t.Fatal(err)
+	// damage applies one fault to the encoded vert and cnt streams of the
+	// level's only part, in whichever source holds them, and returns the
+	// index of the last vert block.
+	type fault func(b []byte) []byte
+	faults := map[string]fault{
+		"bit-flip":  func(b []byte) []byte { b[len(b)-3] ^= 0x10; return b }, // inside the last block's payload
+		"truncated": func(b []byte) []byte { return append([]byte(nil), b[:len(b)-3]...) },
+		"version":   func(b []byte) []byte { b[0] = codecVersion + 1; return b },
 	}
-	name := dl.parts[0].vf.Name()
-	sz, err := dl.parts[0].vf.Size()
-	if err != nil || sz < 32 {
-		t.Fatalf("vert file size %d, %v", sz, err)
-	}
-	// Flip one bit deep in the file: past the first block header, inside
-	// some block's payload.
-	f, err := os.OpenFile(name, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := sz / 2
-	b := make([]byte, 1)
-	if _, err := f.ReadAt(b, pos); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x10
-	if _, err := f.WriteAt(b, pos); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	_, err = readAllVerts(t, dl)
-	if err == nil {
-		t.Fatal("flipped bit decoded without error")
-	}
-	if !errors.Is(err, ErrSpillCorrupt) {
-		t.Fatalf("corruption error %v does not wrap ErrSpillCorrupt", err)
-	}
-	var ce *CorruptError
-	if errors.As(err, &ce) {
-		if ce.Path != name || ce.Block < 0 {
-			t.Fatalf("corrupt coordinates %q block %d, want file %q", ce.Path, ce.Block, name)
+	for _, lay := range []layout{layoutComp, layoutDisk} {
+		for name, damage := range faults {
+			_, hl, _ := buildLevels(t, nil, groups, 1, false, lay)
+			p := &hl.parts[0]
+			want, err := readVerts(t, hl.VertBlocks(0, hl.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, err := readVerts(t, hl.VertBlocks(0, hl.Len())); err != nil || !reflect.DeepEqual(again, want) {
+				t.Fatalf("%s: second read of the same range differs (%v)", lay.name, err)
+			}
+			vpath, cpath := memBlockPath, memBlockPath
+			if p.onDisk() {
+				vpath, cpath = p.vf.Name(), p.cf.Name()
+				for _, path := range []string{vpath, cpath} {
+					b, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, damage(b), 0o600); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				p.cverts, p.ccnts = damage(p.cverts), damage(p.ccnts)
+			}
+			// The version byte is in the first block, the other faults in
+			// the last.
+			vblk, cblk, unit, group := len(p.comp.vOffs)-1, len(p.comp.cOffs)-1, hl.Len()-1, hl.Groups()-1
+			if name == "version" {
+				vblk, cblk, unit, group = 0, 0, 0, 1
+			}
+			check := func(op string, err error, path string, blk int) {
+				t.Helper()
+				var ce *CorruptError
+				if !errors.As(err, &ce) || !errors.Is(err, ErrSpillCorrupt) {
+					t.Fatalf("%s/%s: %s returned %v, want a CorruptError", lay.name, name, op, err)
+				}
+				if ce.Path != path || ce.Block != blk {
+					t.Fatalf("%s/%s: %s blames block %d of %q, want block %d of %q (%v)", lay.name, name, op, ce.Block, ce.Path, blk, path, err)
+				}
+			}
+			_, err = readVerts(t, hl.VertBlocks(0, hl.Len()))
+			check("VertBlocks", err, vpath, vblk)
+			_, err = readBounds(hl.BoundBlocks(0))
+			check("BoundBlocks", err, cpath, cblk)
+			_, err = hl.UnitAt(unit)
+			check("UnitAt", err, vpath, vblk)
+			_, err = hl.ParentOf(unit)
+			check("ParentOf", err, cpath, cblk)
+			_, err = hl.GroupStart(group)
+			check("GroupStart", err, cpath, cblk)
 		}
 	}
 }

@@ -12,259 +12,300 @@ import (
 	"kaleido/internal/memtrack"
 )
 
-// buildBoth writes the same groups through a MemLevelBuilder and a
-// DiskLevelBuilder (t parts) and returns both levels.
-func buildBoth(t *testing.T, groups [][]uint32, nparts int, withPred bool) (*cse.MemLevel, *DiskLevel, *memtrack.Tracker) {
+// The tests below pin the behaviour of spilled parts on an all-disk hybrid
+// level (budget ≤ 0: every part migrates on its first append).
+
+// walkAll collects every embedding and change index a walker over [lo, hi)
+// of c produces.
+func walkAll(t *testing.T, c *cse.CSE, lo, hi int) ([][]uint32, []int) {
 	t.Helper()
-	tracker := memtrack.New()
-	q := NewWriteQueue(64, tracker) // tiny buffers force frequent queue traffic
-	t.Cleanup(func() { q.Close() })
-
-	mb := cse.NewMemLevelBuilder(nparts)
-	db, err := NewDiskLevelBuilder(nil, t.TempDir(), 2, nparts, q, 128, tracker, CompressionOff)
+	w, err := cse.NewWalker(c, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Split the groups into nparts contiguous ranges.
-	per := (len(groups) + nparts - 1) / nparts
-	for i := 0; i < nparts; i++ {
-		lo := i * per
-		hi := lo + per
-		if lo > len(groups) {
-			lo = len(groups)
+	defer w.Close()
+	var embs [][]uint32
+	var chs []int
+	for {
+		emb, ch, ok := w.Next()
+		if !ok {
+			break
 		}
-		if hi > len(groups) {
-			hi = len(groups)
-		}
-		for _, g := range groups[lo:hi] {
-			var preds []uint32
-			if withPred {
-				preds = make([]uint32, len(g))
-				for j := range preds {
-					preds[j] = g[j] % 7
-				}
-			}
-			if err := mb.Part(i).AppendGroup(g, preds); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Part(i).AppendGroup(g, preds); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := mb.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
+		embs = append(embs, append([]uint32(nil), emb...))
+		chs = append(chs, ch)
 	}
-	ml, err := mb.Finish()
-	if err != nil {
+	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	dl, err := db.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dl.Close() })
-	return ml.(*cse.MemLevel), dl.(*DiskLevel), tracker
+	return embs, chs
 }
 
-func randGroups(rng *rand.Rand, n int) [][]uint32 {
-	groups := make([][]uint32, n)
-	for i := range groups {
-		sz := rng.Intn(5)
-		if rng.Intn(10) == 0 {
-			sz = rng.Intn(50) // occasional big group
+// TestWalkerMixedLevelStack walks 3-level stacks (the §4.1 hybrid
+// configuration) with every combination of in-memory, all-disk and
+// mixed-residency levels at depths 2 and 3, and compares to the all-memory
+// walk.
+func TestWalkerMixedLevelStack(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	units := base(40)
+	groups2 := randGroups(rng, len(units))
+	groups2[0] = []uint32{1, 2, 3} // ensure a non-empty level
+	ml2, dl2, _ := buildLevels(t, nil, groups2, 2, false, layoutDisk)
+	_, hl2, _ := buildLevels(t, nil, groups2, 3, false, layoutMixed)
+	groups3 := randGroups(rng, ml2.Len())
+	groups3[ml2.Len()-1] = []uint32{7, 8} // exercise the last group
+	ml3, dl3, _ := buildLevels(t, nil, groups3, 3, false, layoutDisk)
+	_, hl3, _ := buildLevels(t, nil, groups3, 4, false, layoutMixed)
+
+	stack := func(l2, l3 cse.LevelData) *cse.CSE {
+		c := cse.New(cse.NewBaseLevel(units))
+		if err := c.Push(l2); err != nil {
+			t.Fatal(err)
 		}
-		g := make([]uint32, sz)
-		for j := range g {
-			g[j] = rng.Uint32() % 1000
+		if err := c.Push(l3); err != nil {
+			t.Fatal(err)
 		}
-		groups[i] = g
+		return c
 	}
-	return groups
-}
-
-// TestDiskLevelMatchesMemLevel is the conformance property: every LevelData
-// operation must agree between the two implementations.
-func TestDiskLevelMatchesMemLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 8; trial++ {
-		groups := randGroups(rng, 1+rng.Intn(400))
-		nparts := 1 + rng.Intn(4)
-		ml, dl, _ := buildBoth(t, groups, nparts, trial%2 == 0)
-
-		if ml.Len() != dl.Len() || ml.Groups() != dl.Groups() {
-			t.Fatalf("trial %d: shape %d/%d vs %d/%d", trial, ml.Len(), ml.Groups(), dl.Len(), dl.Groups())
-		}
-		// Full and random sub-range vert cursors.
-		for r := 0; r < 6; r++ {
-			lo := rng.Intn(ml.Len() + 1)
-			hi := lo + rng.Intn(ml.Len()-lo+1)
-			if r == 0 {
-				lo, hi = 0, ml.Len()
+	ref := stack(ml2, ml3)
+	n := ml3.Len()
+	variants := map[string]*cse.CSE{
+		"disk2-mem3":  stack(dl2, ml3),
+		"mem2-disk3":  stack(ml2, dl3),
+		"disk2-disk3": stack(dl2, dl3),
+		"hyb2-mem3":   stack(hl2, ml3),
+		"mem2-hyb3":   stack(ml2, hl3),
+		"hyb2-hyb3":   stack(hl2, hl3),
+		"disk2-hyb3":  stack(dl2, hl3),
+	}
+	for _, r := range [][2]int{{0, n}, {1, n}, {5, n / 2}, {n / 3, 2 * n / 3}, {n - 1, n}} {
+		wantE, wantC := walkAll(t, ref, r[0], r[1])
+		for name, c := range variants {
+			gotE, gotC := walkAll(t, c, r[0], r[1])
+			if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotC, wantC) {
+				t.Fatalf("%s range %v: walk differs from all-memory", name, r)
 			}
-			mc, dc := ml.VertCursor(lo, hi), dl.VertCursor(lo, hi)
-			for {
-				mv, mok := mc.Next()
-				dv, dok := dc.Next()
-				if mok != dok || mv != dv {
-					t.Fatalf("trial %d range [%d,%d): mem (%d,%v) disk (%d,%v)", trial, lo, hi, mv, mok, dv, dok)
-				}
-				if !mok {
-					break
-				}
-			}
-			if err := dc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			dc.Close()
-		}
-		// ParentOf at every index.
-		for i := 0; i < ml.Len(); i++ {
-			mp, merr := ml.ParentOf(i)
-			dp, derr := dl.ParentOf(i)
-			if merr != nil || derr != nil || mp != dp {
-				t.Fatalf("trial %d: ParentOf(%d) = %d (%v) vs %d (%v)", trial, i, mp, merr, dp, derr)
-			}
-		}
-		// Bound cursors from several starting groups.
-		for r := 0; r < 5; r++ {
-			first := rng.Intn(ml.Groups())
-			mc, dc := ml.BoundCursor(first), dl.BoundCursor(first)
-			for n := 0; n < 50; n++ {
-				mv, mok := mc.Next()
-				dv, dok := dc.Next()
-				if mok != dok || mv != dv {
-					t.Fatalf("trial %d bounds from %d: mem (%d,%v) disk (%d,%v)", trial, first, mv, mok, dv, dok)
-				}
-				if !mok {
-					break
-				}
-			}
-			dc.Close()
-		}
-		// Prediction segments agree.
-		if !reflect.DeepEqual(ml.Predicted(), dl.Predicted()) {
-			t.Fatalf("trial %d: predictions differ: %v vs %v", trial, ml.Predicted(), dl.Predicted())
 		}
 	}
 }
 
-// TestWalkerOverDiskLevel runs the CSE walker over a hybrid CSE (memory base
-// + disk top) and compares to an all-memory CSE.
-func TestWalkerOverDiskLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base := make([]uint32, 60)
-	for i := range base {
-		base[i] = uint32(i)
-	}
-	groups := randGroups(rng, 60)
-	ml, dl, _ := buildBoth(t, groups, 3, false)
-
-	mem := cse.New(cse.NewBaseLevel(base))
-	if err := mem.Push(ml); err != nil {
-		t.Fatal(err)
-	}
-	hyb := cse.New(cse.NewBaseLevel(base))
-	if err := hyb.Push(dl); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range [][2]int{{0, ml.Len()}, {5, ml.Len() / 2}, {ml.Len() / 3, ml.Len()}} {
-		mw, err := cse.NewWalker(mem, r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		dw, err := cse.NewWalker(hyb, r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			me, mch, mok := mw.Next()
-			de, dch, dok := dw.Next()
-			if mok != dok || mch != dch || !reflect.DeepEqual(me, de) {
-				t.Fatalf("range %v: mem (%v,%d,%v) disk (%v,%d,%v)", r, me, mch, mok, de, dch, dok)
-			}
-			if !mok {
-				break
-			}
-		}
-		if err := dw.Err(); err != nil {
-			t.Fatal(err)
-		}
-		mw.Close()
-		dw.Close()
-	}
-}
-
+// TestIOAccounting: the write counter must equal the bytes the spilled parts
+// occupy, and streaming the level back must read at least its vert blocks.
 func TestIOAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	groups := randGroups(rng, 200)
-	_, dl, tracker := buildBoth(t, groups, 2, false)
+	_, dl, tracker := buildLevels(t, nil, groups, 2, false, layoutDisk)
 	_, w := tracker.IOTotals()
-	if want := dl.DiskBytes(); w != want {
+	if want := dl.DiskBytesPhysical(); w != want || w == 0 {
 		t.Fatalf("write bytes = %d, want %d", w, want)
 	}
-	c := dl.VertCursor(0, dl.Len())
-	for {
-		if _, ok := c.Next(); !ok {
-			break
-		}
+	if _, err := readVerts(t, dl.VertBlocks(0, dl.Len())); err != nil {
+		t.Fatal(err)
 	}
-	c.Close()
-	r, _ := tracker.IOTotals()
-	if r < int64(dl.Len())*4 {
-		t.Fatalf("read bytes = %d, want ≥ %d", r, dl.Len()*4)
+	var physVerts int64
+	for i := range dl.parts {
+		physVerts += dl.parts[i].comp.physVerts
+	}
+	if r, _ := tracker.IOTotals(); r < physVerts {
+		t.Fatalf("read bytes = %d, want ≥ %d", r, physVerts)
 	}
 }
 
 func TestTruncatedVertFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	groups := randGroups(rng, 100)
-	_, dl, _ := buildBoth(t, groups, 1, false)
+	_, dl, _ := buildLevels(t, nil, groups, 1, false, layoutDisk)
 	// Truncate the vert file behind the level's back.
-	if err := os.Truncate(dl.parts[0].vf.Name(), int64(dl.Len()*4/2)); err != nil {
+	if err := os.Truncate(dl.parts[0].vf.Name(), dl.parts[0].comp.physVerts/2); err != nil {
 		t.Fatal(err)
 	}
-	c := dl.VertCursor(0, dl.Len())
-	defer c.Close()
-	n := 0
-	for {
-		if _, ok := c.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if c.Err() == nil {
-		t.Fatalf("read %d/%d units from truncated file without error", n, dl.Len())
+	got, err := readVerts(t, dl.VertBlocks(0, dl.Len()))
+	if !errors.Is(err, ErrSpillCorrupt) {
+		t.Fatalf("read %d/%d units from truncated file, err = %v", len(got), dl.Len(), err)
 	}
 }
 
+// TestFinishDetectsShortFiles: a part whose Flush was "forgotten" still has
+// its tail blocks open — nothing (or not everything) reached the files — and
+// Finish must refuse to assemble a level whose directory does not cover its
+// values, removing the files.
 func TestFinishDetectsShortFiles(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	db, err := NewDiskLevelBuilder(nil, dir, 3, 1, q, 0, tracker, CompressionOff)
+	db, err := NewHybridLevelBuilder(nil, dir, 3, 1, q, 0, tracker, 0, nil, 0, CompressionOff)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Part(0).AppendGroup([]uint32{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Flush "forgotten" — Finish must detect the size mismatch (the write
-	// buffers were never submitted).
 	if _, err := db.Finish(); err == nil {
 		t.Fatal("Finish accepted un-flushed part")
 	}
-	// Abort must have removed the files.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {
 		t.Fatalf("abort left %d files behind", len(entries))
+	}
+}
+
+// TestBlockCursorsAcrossEmptyParts streams an all-disk level whose part
+// sequence has completely empty parts in the middle and at the end, and
+// walks a CSE over it: the walker must skip the empty groups.
+func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
+	tracker := memtrack.New()
+	q := NewWriteQueue(0, tracker)
+	defer q.Close()
+	db, err := NewHybridLevelBuilder(nil, t.TempDir(), 2, 5, q, 64, tracker, 0, nil, 0, CompressionOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Parts 0 and 3 get groups; parts 1, 2, 4 stay empty.
+	for _, g := range [][]uint32{{1, 2, 3}, {}, {4}} {
+		if err := db.Part(0).AppendGroup(g, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range [][]uint32{{5}, {}, {6, 7, 8, 9}} {
+		if err := db.Part(3).AppendGroup(g, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if err := db.Part(i).Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lvl, err := db.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lvl.Close()
+	dl := lvl.(*HybridLevel)
+	if dl.Len() != 9 || dl.Groups() != 6 || dl.MemParts() != 0 {
+		t.Fatalf("shape %d/%d with %d mem parts, want 9/6 all on disk", dl.Len(), dl.Groups(), dl.MemParts())
+	}
+	if verts, err := readVerts(t, dl.VertBlocks(0, 9)); err != nil || !reflect.DeepEqual(verts, []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+		t.Fatalf("verts = %v, %v", verts, err)
+	}
+	if bounds, err := readBounds(dl.BoundBlocks(0)); err != nil || !reflect.DeepEqual(bounds, []uint64{3, 3, 4, 5, 5, 9}) {
+		t.Fatalf("bounds = %v, %v", bounds, err)
+	}
+	c := cse.New(cse.NewBaseLevel([]uint32{10, 11, 12, 13, 14, 15}))
+	if err := c.Push(dl); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]uint32{
+		{10, 1}, {10, 2}, {10, 3}, {12, 4}, {13, 5}, {15, 6}, {15, 7}, {15, 8}, {15, 9},
+	}
+	if got, _ := walkAll(t, c, 0, 9); !reflect.DeepEqual(got, want) {
+		t.Fatalf("embeddings = %v, want %v", got, want)
+	}
+}
+
+// TestEmptyParts: all groups in part 0, parts 1 and 2 completely empty —
+// empty parts still migrate in the all-disk regime, as empty file pairs.
+func TestEmptyParts(t *testing.T) {
+	groups := [][]uint32{{1, 2}, {}, {3}}
+	tracker := memtrack.New()
+	q := NewWriteQueue(0, tracker)
+	defer q.Close()
+	db, err := NewHybridLevelBuilder(nil, t.TempDir(), 2, 3, q, 0, tracker, 0, nil, 0, CompressionOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range groups {
+		if err := db.Part(0).AppendGroup(g, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := db.Part(i).Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lvl, err := db.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lvl.Close()
+	if lvl.Len() != 3 || lvl.Groups() != 3 || lvl.(*HybridLevel).DiskParts() != 3 {
+		t.Fatalf("shape %d/%d, %d disk parts", lvl.Len(), lvl.Groups(), lvl.(*HybridLevel).DiskParts())
+	}
+	if got, err := readVerts(t, lvl.VertBlocks(0, 3)); err != nil || !reflect.DeepEqual(got, []uint32{1, 2, 3}) {
+		t.Fatalf("verts = %v, %v", got, err)
+	}
+}
+
+// TestCloseRemovesFiles: Close must delete exactly the files of the migrated
+// parts and be idempotent; memory parts own no files.
+func TestCloseRemovesFiles(t *testing.T) {
+	for _, lay := range []layout{layoutDisk, layoutMixed} {
+		tracker := memtrack.New()
+		q := NewWriteQueue(0, tracker)
+		defer q.Close()
+		dir := t.TempDir()
+		hb, err := NewHybridLevelBuilder(nil, dir, 5, 3, q, 0, tracker, lay.budget, nil, 0, CompressionOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFiles := 0
+		for i := 0; i < 3; i++ {
+			if lay.at(i) == 'd' {
+				hb.parts[i].spillReq.Store(true)
+				wantFiles += 2
+			}
+			if err := hb.Part(i).AppendGroup([]uint32{uint32(i), uint32(i + 10)}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := hb.Part(i).Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lvl, err := hb.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != wantFiles { // one vert/cnt pair per spilled part, nothing for mem parts
+			t.Fatalf("%s: files before Close: %v, want %d", lay.name, files, wantFiles)
+		}
+		if err := lvl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := lvl.Close(); err != nil { // idempotent
+			t.Fatal(err)
+		}
+		if files, _ = filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+			t.Fatalf("%s: Close left files: %v", lay.name, files)
+		}
+	}
+}
+
+// TestParentOfSurfacesCorruption: a broken cnt file must turn into an error
+// from ParentOf — and hence a failed walker seed — not a silent wrong parent.
+func TestParentOfSurfacesCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	groups := randGroups(rng, 120)
+	_, dl, _ := buildLevels(t, nil, groups, 1, false, layoutDisk)
+	if err := os.Truncate(dl.parts[0].cf.Name(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dl.ParentOf(dl.Len() - 1); !errors.Is(err, ErrSpillCorrupt) {
+		t.Fatalf("ParentOf on truncated cnt file: err = %v", err)
+	}
+	c := cse.New(cse.NewBaseLevel(base(dl.Groups())))
+	if err := c.Push(dl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cse.NewWalker(c, 1, dl.Len()); err == nil {
+		t.Fatal("walker seeded from corrupt level without error")
 	}
 }
 
@@ -305,373 +346,6 @@ func TestWriteQueueErrorPropagation(t *testing.T) {
 	}
 	if q.Err() != nil || q.Failed() {
 		t.Fatal("Reset left error state behind")
-	}
-}
-
-func TestEmptyParts(t *testing.T) {
-	// All groups in part 0; parts 1,2 completely empty.
-	groups := [][]uint32{{1, 2}, {}, {3}}
-	tracker := memtrack.New()
-	q := NewWriteQueue(0, tracker)
-	defer q.Close()
-	db, err := NewDiskLevelBuilder(nil, t.TempDir(), 2, 3, q, 0, tracker, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range groups {
-		if err := db.Part(0).AppendGroup(g, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if err := db.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lvl, err := db.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lvl.Close()
-	if lvl.Len() != 3 || lvl.Groups() != 3 {
-		t.Fatalf("shape %d/%d", lvl.Len(), lvl.Groups())
-	}
-	c := lvl.VertCursor(0, 3)
-	defer c.Close()
-	var got []uint32
-	for {
-		v, ok := c.Next()
-		if !ok {
-			break
-		}
-		got = append(got, v)
-	}
-	if !reflect.DeepEqual(got, []uint32{1, 2, 3}) {
-		t.Fatalf("verts = %v", got)
-	}
-}
-
-func TestCloseRemovesFiles(t *testing.T) {
-	tracker := memtrack.New()
-	q := NewWriteQueue(0, tracker)
-	defer q.Close()
-	dir := t.TempDir()
-	db, err := NewDiskLevelBuilder(nil, dir, 2, 2, q, 0, tracker, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := db.Part(i).AppendGroup([]uint32{uint32(i)}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lvl, err := db.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lvl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lvl.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 0 {
-		t.Fatalf("Close left files: %v", files)
-	}
-}
-
-// TestBlockCursorsMatchMemLevel is the block-API conformance property: the
-// concatenation of VertBlocks/BoundBlocks blocks must equal the mem level's
-// backing arrays, over full ranges, random sub-ranges (spanning part seams —
-// buildBoth uses a 128-byte block size, so every range covers many blocks),
-// and random bound starts.
-func TestBlockCursorsMatchMemLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 6; trial++ {
-		groups := randGroups(rng, 1+rng.Intn(300))
-		nparts := 1 + rng.Intn(4)
-		ml, dl, _ := buildBoth(t, groups, nparts, false)
-		for r := 0; r < 8; r++ {
-			lo := rng.Intn(ml.Len() + 1)
-			hi := lo + rng.Intn(ml.Len()-lo+1)
-			if r == 0 {
-				lo, hi = 0, ml.Len()
-			}
-			got := make([]uint32, 0, hi-lo)
-			bc := dl.VertBlocks(lo, hi)
-			for {
-				blk, ok := bc.NextBlock()
-				if !ok {
-					break
-				}
-				if len(blk) == 0 {
-					t.Fatalf("trial %d range [%d,%d): empty block with ok=true", trial, lo, hi)
-				}
-				got = append(got, blk...)
-			}
-			if err := bc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			bc.Close()
-			if !reflect.DeepEqual(got, append(make([]uint32, 0, hi-lo), ml.Verts[lo:hi]...)) {
-				t.Fatalf("trial %d range [%d,%d): blocks differ from mem verts", trial, lo, hi)
-			}
-		}
-		for r := 0; r < 5; r++ {
-			first := rng.Intn(ml.Groups())
-			want := ml.Offs[first+1:]
-			got := make([]uint64, 0, len(want))
-			bb := dl.BoundBlocks(first)
-			for {
-				blk, ok := bb.NextBlock()
-				if !ok {
-					break
-				}
-				got = append(got, blk...)
-			}
-			if err := bb.Err(); err != nil {
-				t.Fatal(err)
-			}
-			bb.Close()
-			if !reflect.DeepEqual(got, append(make([]uint64, 0, len(want)), want...)) {
-				t.Fatalf("trial %d bounds from %d: blocks differ from mem offs", trial, first)
-			}
-		}
-	}
-}
-
-// TestBlockCursorsAcrossEmptyParts streams a level whose part sequence has
-// completely empty parts in the middle and at the end.
-func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
-	tracker := memtrack.New()
-	q := NewWriteQueue(0, tracker)
-	defer q.Close()
-	db, err := NewDiskLevelBuilder(nil, t.TempDir(), 2, 5, q, 64, tracker, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Parts 0 and 3 get groups; parts 1, 2, 4 stay empty.
-	for _, g := range [][]uint32{{1, 2, 3}, {}, {4}} {
-		if err := db.Part(0).AppendGroup(g, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, g := range [][]uint32{{5}, {}, {6, 7, 8, 9}} {
-		if err := db.Part(3).AppendGroup(g, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if err := db.Part(i).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lvl, err := db.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lvl.Close()
-	dl := lvl.(*DiskLevel)
-	if dl.Len() != 9 || dl.Groups() != 6 {
-		t.Fatalf("shape %d/%d, want 9/6", dl.Len(), dl.Groups())
-	}
-	var verts []uint32
-	bc := dl.VertBlocks(0, 9)
-	for {
-		blk, ok := bc.NextBlock()
-		if !ok {
-			break
-		}
-		verts = append(verts, blk...)
-	}
-	bc.Close()
-	if !reflect.DeepEqual(verts, []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
-		t.Fatalf("verts = %v", verts)
-	}
-	var bounds []uint64
-	bb := dl.BoundBlocks(0)
-	for {
-		blk, ok := bb.NextBlock()
-		if !ok {
-			break
-		}
-		bounds = append(bounds, blk...)
-	}
-	bb.Close()
-	if !reflect.DeepEqual(bounds, []uint64{3, 3, 4, 5, 5, 9}) {
-		t.Fatalf("bounds = %v", bounds)
-	}
-	// Walk a hybrid CSE over it: the walker must skip the empty groups.
-	base := []uint32{10, 11, 12, 13, 14, 15}
-	c := cse.New(cse.NewBaseLevel(base))
-	if err := c.Push(dl); err != nil {
-		t.Fatal(err)
-	}
-	w, err := cse.NewWalker(c, 0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	want := [][]uint32{
-		{10, 1}, {10, 2}, {10, 3}, {12, 4}, {13, 5}, {15, 6}, {15, 7}, {15, 8}, {15, 9},
-	}
-	for i := 0; ; i++ {
-		emb, _, ok := w.Next()
-		if !ok {
-			break
-		}
-		if i >= len(want) || !reflect.DeepEqual(append([]uint32(nil), emb...), want[i]) {
-			t.Fatalf("embedding %d = %v, want %v", i, emb, want[i])
-		}
-	}
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCntChunkBoundaries checks ParentOf and GroupStart exactly at the sparse
-// index's CntChunk seams, single- and multi-part.
-func TestCntChunkBoundaries(t *testing.T) {
-	n := 2*CntChunk + 3
-	groups := make([][]uint32, n)
-	for i := range groups {
-		groups[i] = []uint32{uint32(i)}
-	}
-	for _, nparts := range []int{1, 2} {
-		ml, dl, _ := buildBoth(t, groups, nparts, false)
-		for _, g := range []int{0, 1, CntChunk - 1, CntChunk, CntChunk + 1, 2*CntChunk - 1, 2 * CntChunk, n - 1, n} {
-			ms, merr := ml.GroupStart(g)
-			ds, derr := dl.GroupStart(g)
-			if merr != nil || derr != nil || ms != ds {
-				t.Fatalf("nparts %d: GroupStart(%d) = %d (%v) vs %d (%v)", nparts, g, ms, merr, ds, derr)
-			}
-		}
-		for _, i := range []int{0, CntChunk - 1, CntChunk, CntChunk + 1, 2*CntChunk - 1, 2 * CntChunk, n - 1} {
-			mp, merr := ml.ParentOf(i)
-			dp, derr := dl.ParentOf(i)
-			if merr != nil || derr != nil || mp != dp {
-				t.Fatalf("nparts %d: ParentOf(%d) = %d (%v) vs %d (%v)", nparts, i, mp, merr, dp, derr)
-			}
-		}
-	}
-}
-
-// TestParentOfSurfacesCorruption: a broken cnt file must turn into an error
-// from ParentOf — and hence a failed walker seed — not a silent wrong parent.
-func TestParentOfSurfacesCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	groups := randGroups(rng, 120)
-	_, dl, _ := buildBoth(t, groups, 1, false)
-	if dl.Len() == 0 {
-		t.Skip("empty level")
-	}
-	if err := os.Truncate(dl.parts[0].cf.Name(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dl.ParentOf(dl.Len() - 1); err == nil {
-		t.Fatal("ParentOf on truncated cnt file returned no error")
-	}
-	base := make([]uint32, dl.Groups())
-	c := cse.New(cse.NewBaseLevel(base))
-	if err := c.Push(dl); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cse.NewWalker(c, 1, dl.Len()); err == nil {
-		t.Fatal("walker seeded from corrupt level without error")
-	}
-}
-
-// TestWalkerMixedLevelStack walks every mem/disk combination of a 3-level
-// stack (the §4.1 hybrid configuration) and compares to the all-memory walk.
-func TestWalkerMixedLevelStack(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	base := make([]uint32, 40)
-	for i := range base {
-		base[i] = uint32(i + 100)
-	}
-	groups2 := randGroups(rng, len(base))
-	groups2[0] = []uint32{1, 2, 3} // ensure a non-empty level
-	ml2, dl2, _ := buildBoth(t, groups2, 2, false)
-	groups3 := randGroups(rng, ml2.Len())
-	groups3[ml2.Len()-1] = []uint32{7, 8} // exercise the last group
-	ml3, dl3, _ := buildBoth(t, groups3, 3, false)
-
-	stack := func(l2, l3 cse.LevelData) *cse.CSE {
-		c := cse.New(cse.NewBaseLevel(base))
-		if err := c.Push(l2); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Push(l3); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	walk := func(c *cse.CSE, lo, hi int) ([][]uint32, []int) {
-		w, err := cse.NewWalker(c, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		var embs [][]uint32
-		var chs []int
-		for {
-			emb, ch, ok := w.Next()
-			if !ok {
-				break
-			}
-			embs = append(embs, append([]uint32(nil), emb...))
-			chs = append(chs, ch)
-		}
-		if err := w.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return embs, chs
-	}
-
-	ref := stack(ml2, ml3)
-	n := ml3.Len()
-	variants := map[string]*cse.CSE{
-		"disk2-mem3":  stack(dl2, ml3),
-		"mem2-disk3":  stack(ml2, dl3),
-		"disk2-disk3": stack(dl2, dl3),
-	}
-	ranges := [][2]int{{0, n}, {1, n}, {n / 3, 2 * n / 3}, {n - 1, n}}
-	for _, r := range ranges {
-		wantE, wantC := walk(ref, r[0], r[1])
-		for name, c := range variants {
-			gotE, gotC := walk(c, r[0], r[1])
-			if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotC, wantC) {
-				t.Fatalf("%s range %v: walk differs from all-memory", name, r)
-			}
-		}
-	}
-}
-
-func TestChunkIndexLargeLevel(t *testing.T) {
-	// More than CntChunk groups exercises the sparse index path.
-	rng := rand.New(rand.NewSource(13))
-	groups := make([][]uint32, CntChunk+500)
-	for i := range groups {
-		g := make([]uint32, rng.Intn(3))
-		for j := range g {
-			g[j] = rng.Uint32() % 100
-		}
-		groups[i] = g
-	}
-	ml, dl, _ := buildBoth(t, groups, 2, false)
-	for _, i := range []int{0, 1, ml.Len() / 2, ml.Len() - 1} {
-		mp, merr := ml.ParentOf(i)
-		dp, derr := dl.ParentOf(i)
-		if merr != nil || derr != nil || mp != dp {
-			t.Fatalf("ParentOf(%d): %d (%v) vs %d (%v)", i, mp, merr, dp, derr)
-		}
 	}
 }
 

@@ -115,20 +115,18 @@ type Config struct {
 	// extrapolate the latest sampled mean (0 = a sensible default, negative
 	// = predict every group exactly).
 	PredictSample int
-	// Compression selects the on-disk encoding of spilled level parts.
-	// The default (CompressionAuto) writes spilled parts with a versioned
-	// delta+varint block codec — typically 2-4× smaller than raw — while
-	// memory-resident parts stay raw; CompressionOff writes raw words.
-	Compression Compression
 	// ResidentCompression controls the compressed-mem residency tier of
-	// budgeted runs. With the default (CompressionAuto) a part under memory
-	// pressure is first squeezed into in-memory codec blocks — the same
-	// delta+varint encoding the spill files use — and only spills to disk
-	// if that is not enough, levels sealed below the top of the walker
-	// stack are compacted wholesale, and parts promoted off disk land
-	// compressed. The effect is ≥2× more logical level bytes per byte of
-	// MemoryBudget. CompressionOff keeps every resident part raw (the
-	// pre-tier behavior). Ignored when MemoryBudget is 0.
+	// budgeted runs. Spilled bytes have one format and no knob: whatever
+	// reaches disk is always version-2 checksummed codec blocks (delta+varint
+	// verts, frame-of-reference counts, a CRC32C per block verified on every
+	// decode — typically 2-4× smaller than the raw words). With the default
+	// (CompressionAuto) a part under memory pressure is first squeezed into
+	// those same codec blocks in memory and only spills to disk if that is
+	// not enough, levels sealed below the top of the walker stack are
+	// compacted wholesale, and parts promoted off disk land compressed. The
+	// effect is ≥2× more logical level bytes per byte of MemoryBudget.
+	// CompressionOff keeps every resident part raw (the pre-tier behavior).
+	// Ignored when MemoryBudget is 0.
 	ResidentCompression Compression
 	// Iso selects the isomorphism backend for pattern aggregation.
 	Iso IsoAlgo
@@ -182,15 +180,16 @@ func (s *FaultSpec) fs() vfs.FS {
 	})
 }
 
-// Compression selects the on-disk encoding of spilled CSE level parts.
+// Compression switches the compressed-mem residency tier on or off
+// (Config.ResidentCompression). It is a placement policy, not a format:
+// spilled bytes are always checksummed codec blocks.
 type Compression int
 
 const (
-	// CompressionAuto (the default) compresses spilled parts with the
-	// delta+varint block codec; data kept in memory stays raw, so the
-	// encoding follows placement.
+	// CompressionAuto (the default) lets memory-resident parts under
+	// pressure rest as in-memory codec blocks before anything spills.
 	CompressionAuto Compression = iota
-	// CompressionOff spills raw little-endian words (the pre-codec format).
+	// CompressionOff keeps every memory-resident part raw.
 	CompressionOff
 )
 
@@ -230,9 +229,9 @@ type Stats struct {
 	// cold-level compaction). Zero with ResidentCompression off.
 	CompressedParts int
 	// SpilledBytes is the logical size (raw word bytes) of the spilled
-	// parts; SpilledBytesPhysical is what those parts actually occupied on
-	// disk. They are equal with CompressionOff; with the default codec the
-	// physical count is typically 2-4× smaller.
+	// parts — exactly what spilling them uncompressed would have written;
+	// SpilledBytesPhysical is what their codec blocks actually occupied on
+	// disk, typically 2-4× smaller.
 	SpilledBytes, SpilledBytesPhysical int64
 	// ResidentBytesLogical is the raw word footprint the memory-resident
 	// level data stood for at run end — exceeds the tracked resident bytes
@@ -266,7 +265,6 @@ func (c Config) appOptionsWith(tracker *memtrack.Tracker) (apps.Options, *memtra
 		SpillWatermark:      c.SpillWatermark,
 		Predict:             c.Predict,
 		PredictSample:       c.PredictSample,
-		Compression:         storage.Compression(c.Compression),
 		ResidentCompression: storage.Compression(c.ResidentCompression),
 		FS:                  c.Faults.fs(),
 		Iso:                 apps.IsoAlgo(c.Iso),
@@ -428,9 +426,6 @@ func (c Config) validate() error {
 	}
 	if c.Iso < IsoEigen || c.Iso > IsoEigenExact {
 		return fmt.Errorf("kaleido: unknown Iso backend %d", c.Iso)
-	}
-	if c.Compression < CompressionAuto || c.Compression > CompressionOff {
-		return fmt.Errorf("kaleido: unknown Compression mode %d", c.Compression)
 	}
 	if c.ResidentCompression < CompressionAuto || c.ResidentCompression > CompressionOff {
 		return fmt.Errorf("kaleido: unknown ResidentCompression mode %d", c.ResidentCompression)

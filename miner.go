@@ -70,7 +70,6 @@ func newMiner(ctx context.Context, g *Graph, mode Mode, cfg Config, tracker *mem
 		SpillWatermark:      cfg.SpillWatermark,
 		Predict:             cfg.Predict,
 		PredictSample:       cfg.PredictSample,
-		Compression:         storage.Compression(cfg.Compression),
 		ResidentCompression: storage.Compression(cfg.ResidentCompression),
 		FS:                  cfg.Faults.fs(),
 		Tracker:             tracker,
@@ -199,9 +198,8 @@ func (m *Miner) PromotedParts() int { return m.e.PromotedParts() }
 // run migrated to disk, cumulatively.
 func (m *Miner) SpilledBytes() int64 { return m.e.SpilledBytes() }
 
-// SpilledBytesPhysical reports what those parts actually occupied on disk —
-// equal to SpilledBytes with CompressionOff, typically 2-4× smaller with the
-// default delta+varint spill codec.
+// SpilledBytesPhysical reports what those parts' codec blocks actually
+// occupied on disk — typically 2-4× below SpilledBytes.
 func (m *Miner) SpilledBytesPhysical() int64 { return m.e.SpilledBytesPhysical() }
 
 // CompressedParts reports how many memory-resident CSE level parts were
@@ -226,8 +224,8 @@ type LevelStat struct {
 	// indexes of disk parts); ResidentBytesLogical is the raw word
 	// footprint the resident parts stand for (equal to ResidentBytes when
 	// none are compressed); DiskBytes is the logical on-disk footprint
-	// (raw word size); DiskBytesPhysical is the bytes the disk parts
-	// actually occupy — smaller than DiskBytes when spill compression is on.
+	// (raw word size); DiskBytesPhysical is the bytes the disk parts' codec
+	// blocks actually occupy.
 	ResidentBytes, ResidentBytesLogical, DiskBytes, DiskBytesPhysical int64
 }
 

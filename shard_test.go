@@ -3,6 +3,7 @@ package kaleido
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"kaleido/internal/iso"
@@ -97,13 +98,16 @@ func TestMinerOriginalIDs(t *testing.T) {
 	if err := m.Expand(bgCtx, nil); err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex // ForEach calls back from both workers
 	var got []string
 	if err := m.ForEach(bgCtx, func(_ int, emb []uint32) error {
 		u, v := emb[0], emb[1]
 		if u > v {
 			u, v = v, u
 		}
+		mu.Lock()
 		got = append(got, fmt.Sprint([]uint32{u, v}))
+		mu.Unlock()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
