@@ -6,7 +6,9 @@
 //	kbench -exp table2            # one experiment
 //	kbench -exp all -quick        # the full suite, reduced grids
 //
-// Experiments: table2 (+fig10), table3, fig11, fig12, fig13, fig14, table4,
+// Experiments: table2 (+fig10), table3, fig11, fig12 (alias iso: the
+// isomorphism layer — whole-application Eigen vs bliss-like plus classes,
+// backend calls and ns per backend call), fig13, fig14, table4,
 // fig16 (+fig15), fig17 (+fig18), plus "sinks" — the fused terminal-
 // expansion paths (clique-d4 / motif-d3 of BENCH_expand.json) with their
 // all-disk write-byte accounting — "compress" — the spill codec's time and

@@ -2,7 +2,6 @@ package kaleido
 
 import (
 	"runtime"
-	"sort"
 
 	"kaleido/internal/dataset"
 	"kaleido/internal/gen"
@@ -49,12 +48,3 @@ func Synthetic(n, m, labels int, seed int64) (*Graph, error) {
 }
 
 func defaultWorkerCount() int { return runtime.GOMAXPROCS(0) }
-
-func sortPublicCounts(out []PatternCount) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Pattern.String() < out[j].Pattern.String()
-	})
-}

@@ -1,0 +1,337 @@
+package apps
+
+// Pattern aggregation, shared by every application that classifies
+// embeddings: MotifCount's Mapper, FSM's per-level aggregation and pruning
+// pass, and the Miner's default ResultAggregator all fill a pattern per
+// embedding and fold it into a per-worker PatternMap through one aggregator.
+//
+// The isomorphism backend is cheap per pattern but a run has orders of
+// magnitude more embeddings than distinct filled patterns (k-motifs on an
+// unlabeled graph have at most 2^(k(k−1)/2) adjacency words), so each worker
+// puts a small exact memo in front of it: keyed by the pattern exactly as
+// filled and compared by value, it returns the class hash and the
+// (label, degree) sort permutation of a pattern seen before without sorting
+// or hashing again — Arabesque's two-level "quick pattern" aggregation, at
+// the one seam every backend sits behind.
+
+import (
+	"context"
+	"fmt"
+
+	"kaleido/internal/blisslike"
+	"kaleido/internal/eigen"
+	"kaleido/internal/explore"
+	"kaleido/internal/graph"
+	"kaleido/internal/mni"
+	"kaleido/internal/pattern"
+)
+
+// hasher is an isomorphism backend: an isomorphism-invariant 64-bit hash of
+// a pattern whose vertices are already sorted by (label, degree). A hasher
+// may carry scratch state and is used by one worker only.
+type hasher func(p *pattern.Pattern) uint64
+
+func newHasher(a IsoAlgo) hasher {
+	switch a {
+	case IsoBliss:
+		return blisslike.Hash
+	case IsoEigenExact:
+		return eigen.NewExact().Hash
+	default:
+		return eigen.New().Hash
+	}
+}
+
+// memoBits sizes the per-worker memo: 2^11 slots of 48 bytes, 96 KiB of
+// fixed scratch per worker whatever the run. Motif counting up to k = 5 fits
+// without a single eviction (see memoSlot); 4-FSM over 4 labels has about as
+// many distinct filled patterns as there are slots and re-hashes under 0.1 %
+// of its embeddings. A run with more keys than slots evicts and pays the
+// backend again, never a wrong answer. Must be at least 10.
+const memoBits = 11
+
+// memoEntry maps one filled pattern — (k, adjacency word, label array), the
+// whole key held by value so that a hit is an exact match, never a digest
+// match — to its class hash and sort permutation (perm[i] is the sorted
+// position of the vertex filled at index i).
+type memoEntry struct {
+	adj    uint64
+	labels [pattern.MaxK]graph.Label
+	hash   uint64
+	perm   [pattern.MaxK]uint8
+	k      uint8 // 0 marks an empty slot: patterns have at least one vertex
+}
+
+// classifier is one worker's isomorphism state: the backend behind a
+// direct-mapped memo. It is scratch like the backend's own matrices — fixed
+// size, not intermediate data, not charged to the memory tracker.
+type classifier struct {
+	backend hasher
+	calls   uint64 // backend invocations, i.e. memo misses
+	slots   [1 << memoBits]memoEntry
+}
+
+// classify returns the memo entry of p's filled form. On a miss the backend
+// runs, the slot's previous occupant is overwritten, and p is left sorted by
+// (label, degree); on a hit p is untouched.
+func (c *classifier) classify(p *pattern.Pattern) (e *memoEntry, miss bool) {
+	adj := p.AdjBits()
+	e = &c.slots[memoSlot(adj, &p.Labels)]
+	if e.adj == adj && e.labels == p.Labels && int(e.k) == p.K {
+		return e, false
+	}
+	e.adj, e.labels, e.k = adj, p.Labels, uint8(p.K)
+	p.SortByLabelDegreeTracked(&e.perm)
+	e.hash = c.backend(p)
+	c.calls++
+	return e, true
+}
+
+// memoSlot picks the slot of a key. The ten pairs among the first five
+// vertices index the table directly and everything else — the remaining
+// pairs and the labels — is hashed and XORed over that index, so keys that
+// differ only in those ten pairs never share a slot. In particular the
+// unlabeled patterns on up to five vertices (all 64 4-motif words, all 1024
+// 5-motif words) each own a slot: motif counting never evicts, and a worker
+// runs the backend once per word it meets.
+func memoSlot(adj uint64, l *[pattern.MaxK]graph.Label) uint64 {
+	const (
+		upper = 0x0080C0E0F0F8FCFE // bit i*8+j of the adjacency word, i < j
+		five  = 0x10181C1E         // ... with j < 5
+	)
+	direct := adj>>1&0xF | adj>>10&7<<4 | adj>>19&3<<7 | adj>>28&1<<9
+	l0 := uint64(l[0]) | uint64(l[1])<<16 | uint64(l[2])<<32 | uint64(l[3])<<48
+	l1 := uint64(l[4]) | uint64(l[5])<<16 | uint64(l[6])<<32 | uint64(l[7])<<48
+	rest := adj&(upper&^five) ^ l0*0x9E3779B97F4A7C15 ^ l1*0xC2B2AE3D27D4EB4F
+	return direct ^ rest*0xD6E8FEB86659FD93>>(64-memoBits)
+}
+
+// aggregator is the Mapper state of one aggregation pass: per-worker
+// classifiers and PatternMaps keyed by class hash. support is the MNI
+// threshold of FSM; 0 aggregates counts only (motifs, the Miner's default
+// aggregator).
+type aggregator struct {
+	g       *graph.Graph
+	support uint64
+	info    *SpillInfo // receives the backend-call count; may be nil
+	workers []*aggWorker
+}
+
+type aggWorker struct {
+	cl          classifier
+	classes     map[uint64]*mni.Agg
+	pat, prefix pattern.Pattern
+	verts, emb  []uint32
+}
+
+func newAggregator(g *graph.Graph, support uint64, opt Options) *aggregator {
+	a := &aggregator{g: g, support: support, info: opt.Spill, workers: make([]*aggWorker, threadsOf(opt))}
+	for i := range a.workers {
+		a.workers[i] = &aggWorker{
+			cl:      classifier{backend: newHasher(opt.Iso)},
+			classes: map[uint64]*mni.Agg{},
+		}
+	}
+	return a
+}
+
+// add folds the filled pattern ws.pat into the worker's PatternMap; verts
+// lists the embedding's vertices in fill order (nil when only counting).
+// Every distinct filled pattern misses the memo at least once per worker, so
+// offering the sorted form on misses alone makes each class's representative
+// the smallest encoding over all its embeddings — the same pattern whatever
+// the schedule. (A memo outlives a pass only in FSM, whose passes have
+// patterns of different edge counts: no key of one pass hits in another.)
+func (a *aggregator) add(ws *aggWorker, verts []uint32) {
+	e, miss := ws.cl.classify(&ws.pat)
+	agg := ws.classes[e.hash]
+	switch {
+	case agg == nil:
+		if !miss {
+			ws.pat.SortByLabelDegree()
+		}
+		if a.support == 0 {
+			agg = mni.NewCount(&ws.pat)
+		} else {
+			agg = mni.NewAgg(&ws.pat)
+		}
+		ws.classes[e.hash] = agg
+	case miss:
+		agg.Offer(&ws.pat)
+	}
+	agg.Insert(verts, &e.perm, a.support)
+}
+
+// addVertices folds one vertex-induced embedding, with its labels.
+func (a *aggregator) addVertices(w int, emb []uint32) error {
+	ws := a.workers[w]
+	if err := fillVertices(a.g, emb, false, &ws.pat); err != nil {
+		return err
+	}
+	a.add(ws, nil)
+	return nil
+}
+
+// addMotifs folds the unlabeled patterns of one parent embedding's
+// extensions. The children share the parent's adjacency, so that part of the
+// pattern is probed once per parent and each child adds only its own k−1
+// pairs.
+func (a *aggregator) addMotifs(w int, emb, children []uint32) error {
+	if len(children) == 0 {
+		return nil
+	}
+	ws := a.workers[w]
+	if err := ws.prefix.Reset(len(emb) + 1); err != nil {
+		return err
+	}
+	for i, v := range emb {
+		setVertex(a.g, &ws.prefix, emb[:i], v, true)
+	}
+	for _, c := range children {
+		ws.pat = ws.prefix
+		setVertex(a.g, &ws.pat, emb, c, true)
+		a.add(ws, nil)
+	}
+	return nil
+}
+
+// fillEdges sets ws.pat and ws.verts to the pattern and vertices of one
+// edge-induced embedding.
+func (ws *aggWorker) fillEdges(g *graph.Graph, emb []uint32) (err error) {
+	ws.verts, err = fillEdges(g, emb, ws.verts, &ws.pat)
+	return err
+}
+
+// addEdges folds one edge-induced embedding, tracking MNI domains when the
+// aggregator has a support threshold.
+func (a *aggregator) addEdges(w int, emb []uint32) error {
+	ws := a.workers[w]
+	if err := ws.fillEdges(a.g, emb); err != nil {
+		return err
+	}
+	a.add(ws, ws.verts)
+	return nil
+}
+
+// addEdgeExtension is addEdges for the extension (emb, cand) of a fused
+// terminal expansion.
+func (a *aggregator) addEdgeExtension(w int, emb []uint32, cand uint32) error {
+	ws := a.workers[w]
+	ws.emb = append(append(ws.emb[:0], emb...), cand)
+	return a.addEdges(w, ws.emb)
+}
+
+// hashEdges returns the class hash of one edge-induced embedding without
+// aggregating it — the lookup key of FSM's pruning pass.
+func (a *aggregator) hashEdges(w int, emb []uint32) (uint64, error) {
+	ws := a.workers[w]
+	if err := ws.fillEdges(a.g, emb); err != nil {
+		return 0, err
+	}
+	e, _ := ws.cl.classify(&ws.pat)
+	return e.hash, nil
+}
+
+// merge Reduces the per-worker maps into one (the paper notes this merge is
+// the scalability cost of FSM, Fig. 14) and leaves the workers with empty
+// maps — and warm memos — for the next pass.
+func (a *aggregator) merge() map[uint64]*mni.Agg {
+	maps := make([]map[uint64]*mni.Agg, len(a.workers))
+	var calls uint64
+	for i, ws := range a.workers {
+		maps[i], ws.classes = ws.classes, map[uint64]*mni.Agg{}
+		calls += ws.cl.calls
+		ws.cl.calls = 0
+	}
+	if a.info != nil {
+		a.info.IsoCalls += calls
+	}
+	return mni.MergeMaps(maps, a.support)
+}
+
+// counts Reduces a count-only aggregation into sorted results.
+func (a *aggregator) counts() []PatternCount {
+	merged := a.merge()
+	out := make([]PatternCount, 0, len(merged))
+	for _, agg := range merged {
+		out = append(out, PatternCount{Pattern: agg.Pat, Count: agg.Count})
+	}
+	sortCounts(out)
+	return out
+}
+
+// AggregatePatterns counts the pattern classes of the explorer's current
+// embeddings with the configured backend — the default ResultAggregator of
+// the Miner API. Vertex-induced embeddings aggregate their labeled induced
+// patterns, edge-induced ones the pattern of exactly their edges.
+func AggregatePatterns(ctx context.Context, g *graph.Graph, e *explore.Explorer, mode explore.Mode, opt Options) ([]PatternCount, error) {
+	a := newAggregator(g, 0, opt)
+	visit := a.addVertices
+	if mode == explore.EdgeInduced {
+		visit = a.addEdges
+	}
+	if err := e.ForEach(ctx, visit); err != nil {
+		return nil, err
+	}
+	return a.counts(), nil
+}
+
+// fillVertices sets p to the vertex-induced pattern of verts; unlabeled
+// strips labels (motif counting treats the graph as unlabeled, §6.2).
+func fillVertices(g *graph.Graph, verts []uint32, unlabeled bool, p *pattern.Pattern) error {
+	if err := p.Reset(len(verts)); err != nil {
+		return err
+	}
+	for i, v := range verts {
+		setVertex(g, p, verts[:i], v, unlabeled)
+	}
+	return nil
+}
+
+// setVertex places v at pattern index len(before): its label and its edges
+// to the vertices before it, the only pairs v adds.
+func setVertex(g *graph.Graph, p *pattern.Pattern, before []uint32, v uint32, unlabeled bool) {
+	k := len(before)
+	if !unlabeled {
+		p.Labels[k] = g.Label(v)
+	}
+	for i, u := range before {
+		if g.HasEdge(u, v) {
+			p.SetEdge(i, k)
+		}
+	}
+}
+
+// fillEdges sets p to the labeled pattern of an edge-induced embedding and
+// returns (reusing vbuf) its distinct vertices in pattern-index order.
+func fillEdges(g *graph.Graph, emb []uint32, vbuf []uint32, p *pattern.Pattern) ([]uint32, error) {
+	verts := vbuf[:0]
+	idx := func(v uint32) int {
+		for i, u := range verts {
+			if u == v {
+				return i
+			}
+		}
+		verts = append(verts, v)
+		return len(verts) - 1
+	}
+	type pe struct{ a, b int }
+	var edges [pattern.MaxK * (pattern.MaxK - 1) / 2]pe
+	if len(emb) > len(edges) {
+		return verts, fmt.Errorf("apps: %d edges exceed pattern capacity", len(emb))
+	}
+	for i, eid := range emb {
+		ed := g.EdgeAt(eid)
+		edges[i] = pe{idx(ed.U), idx(ed.V)}
+	}
+	if err := p.Reset(len(verts)); err != nil {
+		return verts, err
+	}
+	for i, v := range verts {
+		p.Labels[i] = g.Label(v)
+	}
+	for i := range emb {
+		p.SetEdge(edges[i].a, edges[i].b)
+	}
+	return verts, nil
+}

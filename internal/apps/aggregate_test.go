@@ -1,0 +1,432 @@
+package apps
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"kaleido/internal/explore"
+	"kaleido/internal/graph"
+	"kaleido/internal/iso"
+	"kaleido/internal/pattern"
+)
+
+var isoAlgos = map[string]IsoAlgo{"eigen": IsoEigen, "bliss": IsoBliss, "exact": IsoEigenExact}
+
+// randomPattern draws a labeled pattern on k vertices, each pair an edge with
+// probability 1/density.
+func randomPattern(rng *rand.Rand, k, labels, density int) *pattern.Pattern {
+	p, _ := pattern.New(k)
+	for i := 0; i < k; i++ {
+		p.Labels[i] = graph.Label(rng.Intn(labels))
+		for j := i + 1; j < k; j++ {
+			if rng.Intn(density) == 0 {
+				p.SetEdge(i, j)
+			}
+		}
+	}
+	return p
+}
+
+// TestFillVertices pins the vertex-induced fill: labels copied (or stripped),
+// exactly the induced edges set.
+func TestFillVertices(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(3, 0)
+	b.SetLabel(0, 2)
+	b.SetLabel(2, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p pattern.Pattern
+	if err := fillVertices(g, []uint32{0, 1, 2}, false, &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.K != 3 || p.Edges() != 2 || !p.HasEdge(0, 1) || !p.HasEdge(1, 2) || p.HasEdge(0, 2) {
+		t.Fatalf("wrong structure: %v", &p)
+	}
+	if p.Labels[0] != 2 || p.Labels[1] != 0 || p.Labels[2] != 1 {
+		t.Fatalf("wrong labels: %v", p.Labels[:3])
+	}
+	if err := fillVertices(g, []uint32{0, 1, 2}, true, &p); err != nil || p.Labels != [pattern.MaxK]graph.Label{} || p.Edges() != 2 {
+		t.Fatalf("unlabeled fill = %v, %v", &p, err)
+	}
+	if err := fillVertices(g, make([]uint32, pattern.MaxK+1), true, &p); err == nil {
+		t.Fatal("oversized embedding accepted")
+	}
+}
+
+// TestClassifierMatchesBackend is the memo's differential property: for
+// random labeled patterns of every size, classify returns exactly what a
+// fresh backend computes for the sorted pattern — hash and permutation — on
+// first sight, on a hit, and after the entry was evicted and recomputed. The
+// key set is several times the table, so slots are overwritten constantly.
+func TestClassifierMatchesBackend(t *testing.T) {
+	for name, algo := range isoAlgos {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			keys, kmin := 3<<memoBits, 2
+			if algo != IsoEigen {
+				// The slow backends get fewer keys, all from the large sizes
+				// where random draws rarely repeat: still more than the table.
+				keys, kmin = 1<<memoBits+400, 5
+			}
+			pats := make([]*pattern.Pattern, keys)
+			distinct := map[string]bool{}
+			for i := range pats {
+				pats[i] = randomPattern(rng, kmin+i%(pattern.MaxK+1-kmin), 3, 2+rng.Intn(2))
+				distinct[pats[i].Encode()] = true
+			}
+			if len(distinct) <= 1<<memoBits {
+				t.Fatalf("%d distinct keys do not overflow the %d-slot table", len(distinct), 1<<memoBits)
+			}
+			cl := &classifier{backend: newHasher(algo)}
+			fresh := newHasher(algo)
+			var hits, misses int
+			for round := 0; round < 2; round++ {
+				for i, p := range pats {
+					// Each key twice in a row: the second lookup can only miss
+					// if the memo lost what it stored a moment ago.
+					for rep := 0; rep < 2; rep++ {
+						want := p.Clone()
+						var perm [pattern.MaxK]uint8
+						want.SortByLabelDegreeTracked(&perm)
+						wantHash := fresh(want.Clone())
+
+						q := p.Clone()
+						e, miss := cl.classify(q)
+						if rep == 1 && miss {
+							t.Fatalf("key %d: missed right after being stored", i)
+						}
+						if miss {
+							misses++
+							if !q.Equal(want) {
+								t.Fatalf("key %d: pattern left as %v after a miss, want sorted %v", i, q, want)
+							}
+						} else {
+							hits++
+							if !q.Equal(p) {
+								t.Fatalf("key %d: a hit modified the pattern", i)
+							}
+						}
+						if e.hash != wantHash {
+							t.Fatalf("key %d (%v): memo hash %#x, backend %#x (miss=%v)", i, p, e.hash, wantHash, miss)
+						}
+						for v := 0; v < p.K; v++ {
+							if e.perm[v] != perm[v] {
+								t.Fatalf("key %d (%v): memo perm %v, want %v", i, p, e.perm[:p.K], perm[:p.K])
+							}
+						}
+					}
+				}
+			}
+			if uint64(misses) != cl.calls {
+				t.Fatalf("%d misses but %d backend calls", misses, cl.calls)
+			}
+			if misses < len(distinct)+1<<(memoBits-1) {
+				t.Fatalf("%d misses over %d distinct keys in 2 rounds: too few evictions to test the overwrite path", misses, len(distinct))
+			}
+			if hits < 2*keys {
+				t.Fatalf("only %d hits", hits)
+			}
+		})
+	}
+}
+
+// TestClassifierPreservesIsomorphism checks the memoised hashes against exact
+// isomorphism: isomorphic patterns (random vertex permutations of each other,
+// so they have different memo keys) get equal hashes and non-isomorphic ones
+// of the same size and edge count get different ones, for every backend.
+func TestClassifierPreservesIsomorphism(t *testing.T) {
+	for name, algo := range isoAlgos {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			cl := &classifier{backend: newHasher(algo)}
+			hashOf := func(p *pattern.Pattern) uint64 {
+				e, _ := cl.classify(p.Clone())
+				return e.hash
+			}
+			type bucket struct{ k, edges int }
+			buckets := map[bucket][]*pattern.Pattern{}
+			for trial := 0; trial < 300; trial++ {
+				p := randomPattern(rng, 2+rng.Intn(pattern.MaxK-1), 3, 3)
+				buckets[bucket{p.K, p.Edges()}] = append(buckets[bucket{p.K, p.Edges()}], p)
+				if h, hp := hashOf(p), hashOf(p.Permuted(rng.Perm(p.K))); h != hp {
+					t.Fatalf("%v and a permutation of it hash to %#x and %#x", p, h, hp)
+				}
+			}
+			checked := 0
+			for _, ps := range buckets {
+				for i := 0; i < len(ps); i++ {
+					for j := i + 1; j < len(ps) && j < i+8; j++ {
+						if hashEq, isoEq := hashOf(ps[i]) == hashOf(ps[j]), iso.Isomorphic(ps[i], ps[j]); hashEq != isoEq {
+							t.Fatalf("hash equal %v, isomorphic %v\n p=%v\n q=%v", hashEq, isoEq, ps[i], ps[j])
+						}
+						checked++
+					}
+				}
+			}
+			if checked < 100 {
+				t.Fatalf("only %d pairs compared", checked)
+			}
+		})
+	}
+}
+
+// TestMemoSlotSmallMotifsOwnSlots checks memoSlot's guarantee: every
+// unlabeled adjacency word on up to five vertices has a slot of its own.
+func TestMemoSlotSmallMotifsOwnSlots(t *testing.T) {
+	owner := map[uint64]uint64{}
+	for k := 2; k <= 5; k++ {
+		for mask := 0; mask < 1<<(k*(k-1)/2); mask++ {
+			p, _ := pattern.New(k)
+			bit := 0
+			for i := 0; i < k; i++ {
+				for j := i + 1; j < k; j++ {
+					if mask>>bit&1 == 1 {
+						p.SetEdge(i, j)
+					}
+					bit++
+				}
+			}
+			slot := memoSlot(p.AdjBits(), &p.Labels)
+			if slot >= 1<<memoBits {
+				t.Fatalf("slot %d out of range", slot)
+			}
+			if prev, taken := owner[slot]; taken && prev != p.AdjBits() {
+				t.Fatalf("adjacency words %#x and %#x share slot %d", prev, p.AdjBits(), slot)
+			}
+			owner[slot] = p.AdjBits()
+		}
+	}
+}
+
+// TestMotifBackendCallsBounded pins what the memo is for: 4-motifs have at
+// most 2^6 distinct adjacency words, so a worker runs the backend at most 64
+// times however many embeddings it classifies.
+func TestMotifBackendCallsBounded(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(21)), 300, 1500, 1)
+	for _, threads := range []int{1, 3} {
+		var info SpillInfo
+		res, err := MotifCount(bgCtx, g, 4, Options{Threads: threads, Spill: &info})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var embeddings uint64
+		for _, pc := range res {
+			embeddings += pc.Count
+		}
+		calls := info.IsoCalls
+		if calls < uint64(len(res)) || calls > uint64(64*threads) {
+			t.Fatalf("threads=%d: %d backend calls for %d classes, want at most 64 per worker", threads, calls, len(res))
+		}
+		if embeddings < 1000*calls {
+			t.Fatalf("threads=%d: only %d embeddings for %d backend calls; graph too small to show the memo", threads, embeddings, calls)
+		}
+	}
+}
+
+// aggregateAtDepth expands a fresh explorer to depth and runs the default
+// aggregator over its top level.
+func aggregateAtDepth(t *testing.T, g *graph.Graph, mode explore.Mode, depth int, opt Options) []PatternCount {
+	t.Helper()
+	e, err := explore.New(opt.exploreConfig(g, mode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if mode == explore.EdgeInduced {
+		err = e.InitEdges(nil)
+	} else {
+		err = e.InitVertices(nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Depth() < depth {
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := AggregatePatterns(bgCtx, g, e, mode, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRepresentativeDeterministic pins that the pattern representing a class
+// does not depend on which worker or shard met which embedding first: the
+// three aggregating entry points return byte-identical results for every
+// thread and shard count, with every backend.
+func TestRepresentativeDeterministic(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(31)), 60, 260, 3)
+	for name, algo := range isoAlgos {
+		if algo == IsoEigenExact && testing.Short() {
+			continue
+		}
+		base := Options{Threads: 1, Iso: algo}
+		motifs, err := MotifCount(bgCtx, g, 4, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsm, err := FSM(bgCtx, g, 4, 3, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggV := aggregateAtDepth(t, g, explore.VertexInduced, 3, base)
+		aggE := aggregateAtDepth(t, g, explore.EdgeInduced, 2, base)
+		if len(motifs) < 6 || len(fsm) < 10 || len(aggV) < 10 || len(aggE) < 10 {
+			t.Fatalf("%s: weak input: %d motifs, %d fsm, %d/%d aggregated classes", name, len(motifs), len(fsm), len(aggV), len(aggE))
+		}
+		for _, threads := range []int{1, 2, 3} {
+			for _, shards := range []int{1, 2} {
+				what := fmt.Sprintf("%s threads=%d shards=%d", name, threads, shards)
+				opt := Options{Threads: threads, Iso: algo}
+				got, err := MotifCountSharded(bgCtx, g, 4, shardOpts(g, opt, shards, false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				comparePatternCounts(t, what+" motifs", got, motifs)
+				got, _, err = FSMSharded(bgCtx, g, 4, 3, shardOpts(g, opt, shards, true))
+				if err != nil {
+					t.Fatal(err)
+				}
+				comparePatternCounts(t, what+" fsm", got, fsm)
+			}
+			opt := Options{Threads: threads, Iso: algo}
+			what := fmt.Sprintf("%s threads=%d", name, threads)
+			comparePatternCounts(t, what+" aggregate vertex-induced", aggregateAtDepth(t, g, explore.VertexInduced, 3, opt), aggV)
+			comparePatternCounts(t, what+" aggregate edge-induced", aggregateAtDepth(t, g, explore.EdgeInduced, 2, opt), aggE)
+		}
+	}
+}
+
+// TestAggregatePatternsEdgeInducedMatchesFSM checks the default aggregator in
+// edge-induced mode against FSM at support 1, which keeps every pattern and
+// prunes nothing: same classes, same representatives, same counts.
+func TestAggregatePatternsEdgeInducedMatchesFSM(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(41)), 18, 40, 3)
+	for _, k := range []int{3, 4} {
+		opt := Options{Threads: 2}
+		want, err := FSM(bgCtx, g, k, 1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := aggregateAtDepth(t, g, explore.EdgeInduced, k-1, opt)
+		var kept []PatternCount
+		for _, pc := range got {
+			if pc.Pattern.K <= k { // FSM(k) bounds the vertex count, the Miner does not
+				kept = append(kept, pc)
+			}
+		}
+		for i := range want {
+			want[i].Support = 0 // the default aggregator counts, it has no support
+		}
+		comparePatternCounts(t, fmt.Sprintf("k=%d", k), kept, want)
+	}
+}
+
+// memoBenchPatterns returns n distinct connected-ish random patterns on k
+// vertices over 3 labels.
+func memoBenchPatterns(k, n int) []pattern.Pattern {
+	rng := rand.New(rand.NewSource(int64(k)))
+	seen := map[string]bool{}
+	var out []pattern.Pattern
+	for len(out) < n {
+		p := randomPattern(rng, k, 3, 2)
+		if enc := p.Encode(); !seen[enc] {
+			seen[enc] = true
+			out = append(out, *p)
+		}
+	}
+	return out
+}
+
+var benchSink uint64
+
+// BenchmarkHashMemo is the "pattern hashing" layer: one classify per op.
+// hit cycles through 16 keys that all stay resident — the steady state of a
+// run; miss cycles through 8× more keys than slots, so nearly every lookup
+// evicts and pays sort + backend — the un-memoised cost per embedding.
+func BenchmarkHashMemo(b *testing.B) {
+	for _, k := range []int{4, 8} {
+		for _, c := range []struct {
+			name string
+			keys int
+		}{{"hit", 16}, {"miss", 8 << memoBits}} {
+			keys := c.keys
+			if k == 4 && keys > 4096 {
+				keys = 4096 // 3^4 label arrays × 2^6 adjacency words bound the k=4 key space
+			}
+			pats := memoBenchPatterns(k, keys)
+			b.Run(fmt.Sprintf("%s/k%d", c.name, k), func(b *testing.B) {
+				cl := &classifier{backend: newHasher(IsoEigen)}
+				var p pattern.Pattern
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p = pats[i%len(pats)]
+					e, _ := cl.classify(&p)
+					benchSink += e.hash
+				}
+				b.ReportMetric(float64(cl.calls)/float64(b.N), "backend-calls/op")
+			})
+		}
+	}
+}
+
+// BenchmarkMotifMapper measures the whole per-embedding Mapper cost of
+// 4-motif counting — pattern fill plus memo lookup plus tally — over stored
+// 3-embeddings, one op per 4-embedding, without the expansion that produces
+// the candidates.
+func BenchmarkMotifMapper(b *testing.B) {
+	g := randomGraph(rand.New(rand.NewSource(3)), 400, 2400, 1)
+	type group struct {
+		emb      [3]uint32
+		children []uint32
+	}
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Threads: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitVertices(nil); err != nil {
+		b.Fatal(err)
+	}
+	for e.Depth() < 3 {
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var groups []group
+	var embeddings int
+	err = e.ExpandVisitGroups(bgCtx, nil, nil, func(_ int, emb, children []uint32) error {
+		if len(children) > 0 && embeddings < 1<<20 {
+			groups = append(groups, group{[3]uint32(emb), append([]uint32(nil), children...)})
+			embeddings += len(children)
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := newAggregator(g, 0, Options{Threads: 1})
+	b.ResetTimer()
+	done := 0
+	for done < b.N {
+		for i := range groups {
+			if err := a.addMotifs(0, groups[i].emb[:], groups[i].children); err != nil {
+				b.Fatal(err)
+			}
+			if done += len(groups[i].children); done >= b.N {
+				break
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(a.workers[0].cl.calls), "backend-calls")
+}

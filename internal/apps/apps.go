@@ -18,8 +18,6 @@ import (
 	"slices"
 	"sort"
 
-	"kaleido/internal/blisslike"
-	"kaleido/internal/eigen"
 	"kaleido/internal/explore"
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
@@ -120,6 +118,10 @@ type SpillInfo struct {
 	// (base level first), taken just before the explorer closed — the
 	// per-level view a metrics endpoint can report after the run is gone.
 	Levels []explore.LevelStat
+	// IsoCalls counts how often the run's pattern aggregation ran the
+	// isomorphism backend — its memo misses, where the hashing time goes
+	// (the aggregator adds to it at every merge).
+	IsoCalls uint64
 }
 
 func (o Options) exploreConfig(g *graph.Graph, mode explore.Mode) explore.Config {
@@ -148,31 +150,8 @@ func captureSpill(opt Options, e *explore.Explorer) {
 			SpilledBytesPhysical: e.SpilledBytesPhysical(),
 			ResidentBytesLogical: e.ResidentBytesLogical(),
 			Levels:               e.LevelStats(),
+			IsoCalls:             opt.Spill.IsoCalls,
 		}
-	}
-}
-
-// hasher is the per-worker isomorphism hash state. Hash must sort the
-// pattern by (label, degree) as Algorithm 1 does.
-type hasher interface {
-	Hash(p *pattern.Pattern) uint64
-}
-
-type blissHasher struct{}
-
-func (blissHasher) Hash(p *pattern.Pattern) uint64 {
-	p.SortByLabelDegree() // keep position semantics identical across backends
-	return blisslike.Hash(p)
-}
-
-func newHasher(a IsoAlgo) hasher {
-	switch a {
-	case IsoBliss:
-		return blissHasher{}
-	case IsoEigenExact:
-		return eigen.NewExact()
-	default:
-		return eigen.New()
 	}
 }
 
@@ -322,8 +301,8 @@ func CliqueCount(ctx context.Context, g *graph.Graph, k int, opt Options) (uint6
 
 // MotifCount counts the frequency of every k-motif (§5.1): exploration stops
 // at (k−1)-embeddings; the Mapper explores each one's canonical extensions
-// on the fly and aggregates pattern hashes. Labels are ignored: motifs are
-// structural. ctx cancels the run between blocks of work.
+// on the fly and aggregates their pattern classes. Labels are ignored: motifs
+// are structural. ctx cancels the run between blocks of work.
 func MotifCount(ctx context.Context, g *graph.Graph, k int, opt Options) ([]PatternCount, error) {
 	if k < 2 || k > pattern.MaxK {
 		return nil, fmt.Errorf("apps: motif size %d out of [2,%d]", k, pattern.MaxK)
@@ -347,91 +326,11 @@ func MotifCount(ctx context.Context, g *graph.Graph, k int, opt Options) ([]Patt
 			return nil, err
 		}
 	}
-	nw := threadsOf(opt)
-	maps := make([]map[uint64]*motifAgg, nw)
-	hashers := make([]hasher, nw)
-	for i := range maps {
-		maps[i] = map[uint64]*motifAgg{}
-		hashers[i] = newHasher(opt.Iso)
-	}
-	verts := make([][]uint32, nw)
-	pats := make([]pattern.Pattern, nw)
-	for i := range verts {
-		verts[i] = make([]uint32, k)
-	}
-	err = e.ExpandVisit(ctx, nil, nil, func(w int, emb []uint32, cand uint32) error {
-		vs := verts[w]
-		copy(vs, emb)
-		vs[k-1] = cand
-		p := &pats[w]
-		if err := fillPatternOfVertices(g, vs, true, p); err != nil {
-			return err
-		}
-		h := hashers[w].Hash(p)
-		if agg, ok := maps[w][h]; ok {
-			agg.count++
-		} else {
-			maps[w][h] = &motifAgg{pat: p.Clone(), count: 1}
-		}
-		return nil
-	})
-	if err != nil {
+	a := newAggregator(g, 0, opt)
+	if err := e.ExpandVisitGroups(ctx, nil, nil, a.addMotifs); err != nil {
 		return nil, err
 	}
-	merged := map[uint64]*motifAgg{}
-	for _, m := range maps {
-		for h, agg := range m {
-			if prev, ok := merged[h]; ok {
-				prev.count += agg.count
-			} else {
-				merged[h] = agg
-			}
-		}
-	}
-	out := make([]PatternCount, 0, len(merged))
-	for _, agg := range merged {
-		out = append(out, PatternCount{Pattern: agg.pat, Count: agg.count})
-	}
-	sortCounts(out)
-	return out, nil
-}
-
-type motifAgg struct {
-	pat   *pattern.Pattern
-	count uint64
-}
-
-// patternOfVertices builds the vertex-induced pattern of verts; unlabeled
-// strips labels (motif counting treats the graph as unlabeled, §6.2).
-func patternOfVertices(g *graph.Graph, verts []uint32, unlabeled bool) (*pattern.Pattern, error) {
-	p, err := pattern.New(len(verts))
-	if err != nil {
-		return nil, err
-	}
-	if err := fillPatternOfVertices(g, verts, unlabeled, p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// fillPatternOfVertices is patternOfVertices into a reused Pattern value.
-func fillPatternOfVertices(g *graph.Graph, verts []uint32, unlabeled bool, p *pattern.Pattern) error {
-	if err := p.Reset(len(verts)); err != nil {
-		return err
-	}
-	if !unlabeled {
-		for i, v := range verts {
-			p.Labels[i] = g.Label(v)
-		}
-	}
-	for i := 0; i < len(verts); i++ {
-		for j := i + 1; j < len(verts); j++ {
-			if g.HasEdge(verts[i], verts[j]) {
-				p.SetEdge(i, j)
-			}
-		}
-	}
-	return nil
+	return a.counts(), nil
 }
 
 func threadsOf(opt Options) int {

@@ -156,12 +156,12 @@ func bruteMotifs(t *testing.T, g *graph.Graph, k int) map[string]uint64 {
 	var rec func(start uint32)
 	rec = func(start uint32) {
 		if len(set) == k {
-			p, err := patternOfVertices(g, set, true)
-			if err != nil {
+			var p pattern.Pattern
+			if err := fillVertices(g, set, true, &p); err != nil {
 				t.Fatal(err)
 			}
 			if p.Connected() {
-				out[iso.CanonicalBrute(p)]++
+				out[iso.CanonicalBrute(&p)]++
 			}
 			return
 		}
@@ -325,11 +325,11 @@ func bruteEdgePatterns(t *testing.T, g *graph.Graph, k int) map[string]uint64 {
 			if len(verts) > k || !edgeSetConnected(g, set) {
 				return
 			}
-			p, _, err := patternOfEdges(g, set, nil)
-			if err != nil {
+			var p pattern.Pattern
+			if _, err := fillEdges(g, set, nil, &p); err != nil {
 				t.Fatal(err)
 			}
-			out[iso.CanonicalBrute(p)]++
+			out[iso.CanonicalBrute(&p)]++
 			return
 		}
 		for e := start; e < uint32(g.M()); e++ {

@@ -54,6 +54,7 @@ func fsmRun(ctx context.Context, g *graph.Graph, k int, support uint64, opt Opti
 	}
 
 	filter := fsmEmbeddingFilter(g, k, freqPairs)
+	a := newAggregator(g, support, opt)
 
 	var result []PatternCount
 	var total uint64
@@ -65,11 +66,11 @@ func fsmRun(ctx context.Context, g *graph.Graph, k int, support uint64, opt Opti
 			if err := e.Expand(ctx, nil, filter); err != nil {
 				return nil, 0, err
 			}
-			merged, err := aggregateFSM(ctx, g, e, support, opt)
+			merged, err := aggregateFSM(ctx, a, e)
 			if err != nil {
 				return nil, 0, err
 			}
-			if err := fsmFilterTop(ctx, g, e, k, merged, opt); err != nil {
+			if err := fsmFilterTop(ctx, a, e, merged); err != nil {
 				return nil, 0, err
 			}
 			continue
@@ -77,7 +78,7 @@ func fsmRun(ctx context.Context, g *graph.Graph, k int, support uint64, opt Opti
 		// Final level: the largest level of the run is aggregated at the
 		// expansion frontier and never materialized — the §6.5
 		// terminal-consumption trick applied to FSM.
-		merged, n, err := aggregateFSMFused(ctx, g, e, filter, support, opt)
+		merged, n, err := aggregateFSMFused(ctx, a, e, filter)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -129,25 +130,17 @@ func fsmEmbeddingFilter(g *graph.Graph, k int, freqPairs map[uint32]bool) explor
 // patterns, rewriting the top level in place (keep sink) so resident data is
 // compacted where it sits instead of being copied through a fresh builder.
 // When the merged map shows every pattern frequent, nothing would be pruned
-// and the whole hash pass over the level is skipped.
-func fsmFilterTop(ctx context.Context, g *graph.Graph, e *explore.Explorer, k int, merged map[uint64]*mni.Agg, opt Options) error {
+// and the whole hash pass over the level is skipped. a is the aggregator of
+// the level's aggregation pass: its memos already hold the level's patterns.
+func fsmFilterTop(ctx context.Context, a *aggregator, e *explore.Explorer, merged map[uint64]*mni.Agg) error {
 	if allFrequent(merged) {
 		return nil
 	}
-	nw := threadsOf(opt)
-	hashers := make([]hasher, nw)
-	bufs := make([][]uint32, nw)
-	for i := range hashers {
-		hashers[i] = newHasher(opt.Iso)
-		bufs[i] = make([]uint32, 0, 2*k)
-	}
 	return e.FilterTop(ctx, func(w int, emb []uint32) bool {
-		p, verts, err := patternOfEdges(g, emb, bufs[w])
-		bufs[w] = verts[:0]
+		h, err := a.hashEdges(w, emb)
 		if err != nil {
 			return false
 		}
-		h := hashers[w].Hash(p)
 		agg, ok := merged[h]
 		return ok && agg.Frequent()
 	})
@@ -246,63 +239,11 @@ func frequentEdgePatterns(g *graph.Graph, support uint64) (map[uint32]bool, []Pa
 	return freq, counts
 }
 
-// fsmAggregator is the per-worker Mapper state of FSM's pattern
-// aggregation, shared by the materialized path (ForEach over a stored
-// level) and the fused path (VisitSink at the expansion frontier).
-type fsmAggregator struct {
-	g       *graph.Graph
-	support uint64
-	maps    []map[uint64]*mni.Agg
-	hashers []hasher
-	bufs    [][]uint32
-}
-
-func newFSMAggregator(g *graph.Graph, support uint64, opt Options) *fsmAggregator {
-	nw := threadsOf(opt)
-	a := &fsmAggregator{
-		g: g, support: support,
-		maps:    make([]map[uint64]*mni.Agg, nw),
-		hashers: make([]hasher, nw),
-		bufs:    make([][]uint32, nw),
-	}
-	for i := range a.maps {
-		a.maps[i] = map[uint64]*mni.Agg{}
-		a.hashers[i] = newHasher(opt.Iso)
-		a.bufs[i] = make([]uint32, 0, 16)
-	}
-	return a
-}
-
-// add folds one embedding into worker w's PatternMap.
-func (a *fsmAggregator) add(w int, emb []uint32) error {
-	p, verts, err := patternOfEdges(a.g, emb, a.bufs[w])
-	a.bufs[w] = verts[:0]
-	if err != nil {
-		return err
-	}
-	var perm [pattern.MaxK]uint8
-	p.SortByLabelDegreeTracked(&perm)
-	h := a.hashers[w].Hash(p) // already sorted; hash only
-	agg, ok := a.maps[w][h]
-	if !ok {
-		agg = mni.NewAgg(p)
-		a.maps[w][h] = agg
-	}
-	agg.Insert(verts, &perm, a.support)
-	return nil
-}
-
-// merge Reduces the per-worker maps into one (the paper notes this merge is
-// the scalability cost of FSM, Fig. 14).
-func (a *fsmAggregator) merge() map[uint64]*mni.Agg {
-	return mni.MergeMaps(a.maps, a.support)
-}
-
-// aggregateFSM runs the Mapper over all top-level embeddings with per-worker
-// PatternMaps, then Reduces them into one map keyed by isomorphism hash.
-func aggregateFSM(ctx context.Context, g *graph.Graph, e *explore.Explorer, support uint64, opt Options) (map[uint64]*mni.Agg, error) {
-	a := newFSMAggregator(g, support, opt)
-	if err := e.ForEach(ctx, a.add); err != nil {
+// aggregateFSM runs the Mapper over all top-level embeddings with a's
+// per-worker PatternMaps, then Reduces them into one map keyed by
+// isomorphism hash.
+func aggregateFSM(ctx context.Context, a *aggregator, e *explore.Explorer) (map[uint64]*mni.Agg, error) {
+	if err := e.ForEach(ctx, a.addEdges); err != nil {
 		return nil, err
 	}
 	return a.merge(), nil
@@ -313,54 +254,12 @@ func aggregateFSM(ctx context.Context, g *graph.Graph, e *explore.Explorer, supp
 // never stored, so FSM's largest level writes zero bytes. The sink is the
 // combined Count+Visit sink, so the total embedding count of the final level
 // comes out of the same pass instead of a second walk over the aggregates.
-func aggregateFSMFused(ctx context.Context, g *graph.Graph, e *explore.Explorer, filter explore.EdgeFilter, support uint64, opt Options) (map[uint64]*mni.Agg, uint64, error) {
-	a := newFSMAggregator(g, support, opt)
-	embBufs := make([][]uint32, threadsOf(opt))
-	total, err := e.ExpandCountVisit(ctx, nil, filter, func(w int, emb []uint32, cand uint32) error {
-		buf := append(embBufs[w][:0], emb...)
-		buf = append(buf, cand)
-		embBufs[w] = buf
-		return a.add(w, buf)
-	})
+func aggregateFSMFused(ctx context.Context, a *aggregator, e *explore.Explorer, filter explore.EdgeFilter) (map[uint64]*mni.Agg, uint64, error) {
+	total, err := e.ExpandCountVisit(ctx, nil, filter, a.addEdgeExtension)
 	if err != nil {
 		return nil, 0, err
 	}
 	return a.merge(), total, nil
-}
-
-// patternOfEdges builds the labeled pattern of an edge-induced embedding.
-// verts (reusing vbuf) lists the distinct vertices in pattern-index order.
-func patternOfEdges(g *graph.Graph, emb []uint32, vbuf []uint32) (*pattern.Pattern, []uint32, error) {
-	verts := vbuf[:0]
-	idx := func(v uint32) int {
-		for i, u := range verts {
-			if u == v {
-				return i
-			}
-		}
-		verts = append(verts, v)
-		return len(verts) - 1
-	}
-	type pe struct{ a, b int }
-	var edges [pattern.MaxK * (pattern.MaxK - 1) / 2]pe
-	if len(emb) > len(edges) {
-		return nil, verts, fmt.Errorf("apps: %d edges exceed pattern capacity", len(emb))
-	}
-	for i, eid := range emb {
-		ed := g.EdgeAt(eid)
-		edges[i] = pe{idx(ed.U), idx(ed.V)}
-	}
-	p, err := pattern.New(len(verts))
-	if err != nil {
-		return nil, verts, err
-	}
-	for i, v := range verts {
-		p.Labels[i] = g.Label(v)
-	}
-	for i := range emb {
-		p.SetEdge(edges[i].a, edges[i].b)
-	}
-	return p, verts, nil
 }
 
 // sortedContains reports membership in a sorted slice.

@@ -129,21 +129,27 @@ func MotifCountSharded(ctx context.Context, g *graph.Graph, k int, opts []Option
 }
 
 // MergePatternCounts merges per-shard pattern tallies: counts of isomorphic
-// patterns (same hash under the configured backend) sum. Supports do NOT
-// merge here — FSM's MNI supports need domain unions, which FSMSharded does
-// level-synchronously — so this helper is for count-only aggregates
-// (motifs). The result is sorted like a single-run output.
+// patterns (same hash under the configured backend) sum, and the class keeps
+// the smallest-encoding representative any shard found — the one an
+// unsharded run reports. Supports do NOT merge here — FSM's MNI supports
+// need domain unions, which FSMSharded does level-synchronously — so this
+// helper is for count-only aggregates (motifs). The result is sorted like a
+// single-run output.
 func MergePatternCounts(lists [][]PatternCount, iso IsoAlgo) []PatternCount {
-	h := newHasher(iso)
+	hash := newHasher(iso)
 	merged := map[uint64]*PatternCount{}
 	for _, list := range lists {
 		for _, pc := range list {
-			key := h.Hash(pc.Pattern)
-			if prev, ok := merged[key]; ok {
-				prev.Count += pc.Count
-			} else {
+			key := hash(pc.Pattern) // representatives are (label, degree)-sorted
+			prev, ok := merged[key]
+			if !ok {
 				cp := pc
 				merged[key] = &cp
+				continue
+			}
+			prev.Count += pc.Count
+			if pc.Pattern.Encode() < prev.Pattern.Encode() {
+				prev.Pattern = pc.Pattern
 			}
 		}
 	}
@@ -188,7 +194,7 @@ func FSMSharded(ctx context.Context, g *graph.Graph, k int, support uint64, opts
 		}
 	}()
 	for i := range shards {
-		sh, err := newShardFSM(g, freqPairs, opts[i])
+		sh, err := newShardFSM(g, freqPairs, support, opts[i])
 		if err != nil {
 			return nil, 0, err
 		}
@@ -209,7 +215,7 @@ func FSMSharded(ctx context.Context, g *graph.Graph, k int, support uint64, opts
 				if err := shards[i].e.Expand(ctx, nil, filter); err != nil {
 					return err
 				}
-				m, err := aggregateFSM(ctx, g, shards[i].e, support, opts[i])
+				m, err := aggregateFSM(ctx, shards[i].a, shards[i].e)
 				maps[i] = m
 				return err
 			})
@@ -219,7 +225,7 @@ func FSMSharded(ctx context.Context, g *graph.Graph, k int, support uint64, opts
 			// Barrier: global supports before any shard prunes.
 			global := mni.MergeMaps(maps, support)
 			err = runShards(ctx, S, func(ctx context.Context, i int) error {
-				return fsmFilterTop(ctx, g, shards[i].e, k, global, opts[i])
+				return fsmFilterTop(ctx, shards[i].a, shards[i].e, global)
 			})
 			if err != nil {
 				return nil, 0, err
@@ -227,7 +233,7 @@ func FSMSharded(ctx context.Context, g *graph.Graph, k int, support uint64, opts
 			continue
 		}
 		err := runShards(ctx, S, func(ctx context.Context, i int) error {
-			m, n, err := aggregateFSMFused(ctx, g, shards[i].e, filter, support, opts[i])
+			m, n, err := aggregateFSMFused(ctx, shards[i].a, shards[i].e, filter)
 			maps[i] = m
 			totalMu.Lock()
 			total += n
@@ -247,10 +253,11 @@ func FSMSharded(ctx context.Context, g *graph.Graph, k int, support uint64, opts
 // across the level loop, unlike the counting apps' one-shot runs).
 type shardFSM struct {
 	e   *explore.Explorer
+	a   *aggregator
 	opt Options
 }
 
-func newShardFSM(g *graph.Graph, freqPairs map[uint32]bool, opt Options) (*shardFSM, error) {
+func newShardFSM(g *graph.Graph, freqPairs map[uint32]bool, support uint64, opt Options) (*shardFSM, error) {
 	e, err := explore.New(opt.exploreConfig(g, explore.EdgeInduced))
 	if err != nil {
 		return nil, err
@@ -259,7 +266,7 @@ func newShardFSM(g *graph.Graph, freqPairs map[uint32]bool, opt Options) (*shard
 		e.Close()
 		return nil, err
 	}
-	return &shardFSM{e: e, opt: opt}, nil
+	return &shardFSM{e: e, a: newAggregator(g, support, opt), opt: opt}, nil
 }
 
 func (s *shardFSM) close() {

@@ -17,6 +17,7 @@ import (
 	"kaleido/internal/iso"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/mni"
+	"kaleido/internal/pattern"
 	"kaleido/internal/storage"
 )
 
@@ -105,11 +106,11 @@ func materializedMotifCount(t *testing.T, g *graph.Graph, k int) map[string]uint
 	out := map[string]uint64{}
 	var mu sync.Mutex
 	err = e.ForEach(bgCtx, func(_ int, emb []uint32) error {
-		p, err := patternOfVertices(g, emb, true)
-		if err != nil {
+		var p pattern.Pattern
+		if err := fillVertices(g, emb, true, &p); err != nil {
 			return err
 		}
-		key := iso.CanonicalBrute(p)
+		key := iso.CanonicalBrute(&p)
 		mu.Lock()
 		out[key]++
 		mu.Unlock()
@@ -182,30 +183,34 @@ func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, o
 		}
 		return len(verts)+nv <= k
 	}
+	a := newAggregator(g, support, opt)
 	var result []PatternCount
 	for level := 2; level <= k-1; level++ {
 		if err := e.Expand(bgCtx, nil, filter); err != nil {
 			t.Fatal(err)
 		}
 		var merged map[uint64]*mni.Agg
-		if merged, err = aggregateFSM(bgCtx, g, e, support, opt); err != nil {
+		if merged, err = aggregateFSM(bgCtx, a, e); err != nil {
 			t.Fatal(err)
 		}
 		if level < k-1 {
+			// The pruning pass hashes every embedding with a fresh backend,
+			// no memo: the reference the memoised fsmFilterTop must match.
 			nw := threadsOf(opt)
 			hashers := make([]hasher, nw)
+			pats := make([]pattern.Pattern, nw)
 			bufs := make([][]uint32, nw)
 			for i := range hashers {
 				hashers[i] = newHasher(opt.Iso)
-				bufs[i] = make([]uint32, 0, 2*k)
 			}
 			err = e.FilterTop(bgCtx, func(w int, emb []uint32) bool {
-				p, verts, err := patternOfEdges(g, emb, bufs[w])
+				verts, err := fillEdges(g, emb, bufs[w], &pats[w])
 				bufs[w] = verts[:0]
 				if err != nil {
 					return false
 				}
-				agg, ok := merged[hashers[w].Hash(p)]
+				pats[w].SortByLabelDegree()
+				agg, ok := merged[hashers[w](&pats[w])]
 				return ok && agg.Frequent()
 			})
 			if err != nil {

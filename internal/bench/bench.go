@@ -92,7 +92,8 @@ func (r Result) Render() string {
 }
 
 // Experiments lists the available experiment ids in paper order, followed by
-// the engine experiments that go beyond the paper's evaluation.
+// the engine experiments that go beyond the paper's evaluation. Run also
+// accepts "iso" for fig12, the isomorphism layer's experiment.
 func Experiments() []string {
 	return []string{"table2", "table3", "fig11", "fig12", "fig13", "fig14", "table4", "fig16", "fig17", "sinks", "compress", "resident", "concurrent", "faults", "shards", "service"}
 }
@@ -106,7 +107,7 @@ func Run(id string, cfg RunConfig) ([]Result, error) {
 		return table3(cfg)
 	case "fig11":
 		return fig11(cfg)
-	case "fig12":
+	case "fig12", "iso":
 		return fig12(cfg)
 	case "fig13":
 		return fig13(cfg)

@@ -6,8 +6,8 @@
 //
 // By Theorem 2 of the paper (building on Harary's cospectral-graph bounds),
 // for embeddings with fewer than 9 vertices equal hashes coincide with
-// isomorphism. The characteristic polynomial is computed exactly modulo two
-// 61-bit primes; both residue vectors enter the hash, so a false merge
+// isomorphism. The characteristic polynomial is computed exactly modulo the
+// two primes next to 2^61; both residue vectors enter the hash, so a false merge
 // additionally requires a simultaneous double-modular collision.
 package eigen
 

@@ -167,11 +167,27 @@ func (s *CountSink) abort() {}
 // Total returns the number of children the expansion produced.
 func (s *CountSink) Total() uint64 { return s.total }
 
-// VisitSink hands every (embedding, extension) pair of the expansion stream
-// to a per-worker callback — the Mapper-side consumption of §5.1 (motif
-// counting, FSM's final aggregation). Nothing is materialized.
+// VisitSink hands the expansion stream to a per-worker callback, one parent
+// embedding with all its canonical extensions per call — the Mapper-side
+// consumption of §5.1 (motif counting, FSM's final aggregation). Nothing is
+// materialized.
 type VisitSink struct {
-	visit func(worker int, emb []uint32, cand uint32) error
+	visit func(worker int, emb, children []uint32) error
+}
+
+// perChild adapts a per-extension callback to the sink's per-parent one.
+func perChild(visit func(worker int, emb []uint32, cand uint32) error) func(int, []uint32, []uint32) error {
+	if visit == nil {
+		return nil
+	}
+	return func(worker int, emb, children []uint32) error {
+		for _, c := range children {
+			if err := visit(worker, emb, c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 func (s *VisitSink) storing() bool { return false }
@@ -184,12 +200,7 @@ func (s *VisitSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
 }
 
 func (s *VisitSink) emit(worker, chunk int, emb, children, preds []uint32) error {
-	for _, c := range children {
-		if err := s.visit(worker, emb, c); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.visit(worker, emb, children)
 }
 
 func (s *VisitSink) endChunk(worker, chunk int) error { return nil }
@@ -299,6 +310,14 @@ func (e *Explorer) ExpandCount(ctx context.Context, vf VertexFilter, ef EdgeFilt
 // mode, an edge id in edge-induced mode). The CSE is unchanged. ctx cancels
 // the walk (see Expand).
 func (e *Explorer) ExpandVisit(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit func(worker int, emb []uint32, cand uint32) error) error {
+	return e.ExpandVisitGroups(ctx, vf, ef, perChild(visit))
+}
+
+// ExpandVisitGroups is ExpandVisit handing over each parent embedding once,
+// with all its canonical extensions (possibly none), so a Mapper can do the
+// work the extensions share — the parent's own adjacency — once per parent.
+// children is a reused buffer like emb.
+func (e *Explorer) ExpandVisitGroups(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit func(worker int, emb, children []uint32) error) error {
 	s := VisitSink{visit: visit}
 	return e.ExpandTo(ctx, &s, vf, ef)
 }
@@ -308,7 +327,7 @@ func (e *Explorer) ExpandVisit(ctx context.Context, vf VertexFilter, ef EdgeFilt
 // many there were, so terminal aggregations that also report a count do not
 // need a second pass over their aggregate state. The CSE is unchanged.
 func (e *Explorer) ExpandCountVisit(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit func(worker int, emb []uint32, cand uint32) error) (uint64, error) {
-	s := CountVisitSink{VisitSink: VisitSink{visit: visit}}
+	s := CountVisitSink{VisitSink: VisitSink{visit: perChild(visit)}}
 	if err := e.ExpandTo(ctx, &s, vf, ef); err != nil {
 		return 0, err
 	}

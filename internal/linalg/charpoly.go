@@ -3,7 +3,7 @@
 // adjacency matrix computed with the Faddeev–LeVerrier algorithm (paper
 // Algorithm 1, CharPloynomical). Two arithmetics are provided:
 //
-//   - an exact computation modulo two 61-bit Mersenne-like primes, the
+//   - an exact computation modulo two primes next to 2^61 (P1, P2), the
 //     default production path (integer characteristic-polynomial coefficients
 //     of k≤8 weighted matrices overflow int64, and floating point would make
 //     hash equality unreliable);
@@ -24,24 +24,37 @@ import (
 const MaxN = 8
 
 // The two moduli used by the fingerprinted characteristic polynomial.
-// P1 is the Mersenne prime 2^61−1; P2 is a random 61-bit prime. A collision
-// requires all n+1 coefficients to agree modulo both primes, probability
-// < (n+1)·2^-122 for adversarial inputs drawn independently.
+// P1 is the 61-bit Mersenne prime 2^61−1; P2 = 2^61+15 is the next prime
+// above it, one bit longer. A collision requires all n+1 coefficients to
+// agree modulo both primes, probability < (n+1)·2^-122 for adversarial
+// inputs drawn independently.
 const (
 	P1 uint64 = (1 << 61) - 1
-	P2 uint64 = 2305843009213693967 // next prime above 2^61−1
+	P2 uint64 = 2305843009213693967 // 2^61+15
 )
 
-// mulmod returns a*b mod p using a 128-bit intermediate product.
+// mulmod returns a*b mod p using a 128-bit intermediate product. Modulo the
+// Mersenne prime P1 the reduction is shifts and adds (2^61 ≡ 1, so the
+// product's 61-bit digits simply sum); other moduli pay a 128-by-64 division.
 func mulmod(a, b, p uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
+	if p == P1 {
+		// hi·2^64 + lo with 2^64 ≡ 8: four digits below 2^61 (two of them
+		// tiny), whose sum fits 63 bits and folds once more.
+		s := lo&P1 + lo>>61 + (hi<<3)&P1 + hi>>58
+		s = s&P1 + s>>61
+		if s >= P1 {
+			s -= P1
+		}
+		return s
+	}
 	_, rem := bits.Div64(hi%p, lo, p)
 	return rem
 }
 
 func addmod(a, b, p uint64) uint64 {
 	s := a + b
-	if s >= p || s < a { // s < a catches the (impossible for 61-bit) wrap
+	if s >= p || s < a { // s < a catches the (impossible below 2^62) wrap
 		s -= p
 	}
 	return s
@@ -153,7 +166,10 @@ func matMulMod(dst []uint64, a, b []uint64, n int, p uint64) {
 		for j := 0; j < n; j++ {
 			var s uint64
 			for k := 0; k < n; k++ {
-				s = addmod(s, mulmod(a[i*n+k], b[k*n+j], p), p)
+				// a is a pattern's adjacency matrix: mostly zeros.
+				if aik := a[i*n+k]; aik != 0 {
+					s = addmod(s, mulmod(aik, b[k*n+j], p), p)
+				}
 			}
 			out[i*n+j] = s
 		}

@@ -25,6 +25,9 @@ func TestMulmod(t *testing.T) {
 		{1, 1, P1, 1},
 		{P1 - 1, P1 - 1, P1, 1}, // (-1)·(-1) = 1
 		{1 << 60, 1 << 60, P2, mulmodSlow(1<<60, 1<<60, P2)},
+		// Unreduced operands: the Mersenne fold must not assume a, b < P1.
+		{^uint64(0), ^uint64(0), P1, mulmodSlow(^uint64(0), ^uint64(0), P1)},
+		{P1, P1 + 5, P1, 0},
 	}
 	for _, c := range cases {
 		if got := mulmod(c.a, c.b, c.p); got != c.want {
@@ -40,9 +43,8 @@ func mulmodSlow(a, b, p uint64) uint64 {
 
 func TestMulmodProperty(t *testing.T) {
 	f := func(a, b uint64) bool {
-		a %= P1
-		b %= P1
 		return mulmod(a, b, P1) == mulmodSlow(a, b, P1) &&
+			mulmod(a%P1, b%P1, P1) == mulmodSlow(a%P1, b%P1, P1) &&
 			mulmod(a%P2, b%P2, P2) == mulmodSlow(a%P2, b%P2, P2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

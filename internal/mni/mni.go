@@ -27,6 +27,13 @@ type Agg struct {
 	tie      []uint8
 }
 
+// NewCount starts a count-only aggregation for (a clone of) the sorted
+// pattern p: the Agg is frequent from the start — a support threshold of 0 —
+// so it tallies embeddings and never tracks a domain.
+func NewCount(p *pattern.Pattern) *Agg {
+	return &Agg{Pat: p.Clone(), frequent: true}
+}
+
 // NewAgg starts aggregation for (a clone of) the sorted pattern p.
 func NewAgg(p *pattern.Pattern) *Agg {
 	a := &Agg{Pat: p.Clone(), domains: make([]map[uint32]struct{}, p.K)}
@@ -46,6 +53,18 @@ func (a *Agg) Frequent() bool { return a.frequent }
 // value once frequent).
 func (a *Agg) Support() uint64 { return a.support }
 
+// Offer makes (a clone of) the sorted pattern p the class representative if
+// it encodes smaller than the current one. The representative is the minimum
+// over every offer and every merged Agg, so it does not depend on the order
+// embeddings, workers or shards arrive in. The positions' (label, degree)
+// pairs — all the domains depend on — are the same for every sorted pattern
+// of the class.
+func (a *Agg) Offer(p *pattern.Pattern) {
+	if p.Encode() < a.Pat.Encode() {
+		a.Pat = p.Clone()
+	}
+}
+
 // Insert records one embedding: verts[i] is the graph vertex at original
 // pattern index i, perm maps original indices to sorted positions.
 func (a *Agg) Insert(verts []uint32, perm *[pattern.MaxK]uint8, support uint64) {
@@ -61,6 +80,7 @@ func (a *Agg) Insert(verts []uint32, perm *[pattern.MaxK]uint8, support uint64) 
 
 // Merge folds b (an Agg of the same pattern from another worker) into a.
 func (a *Agg) Merge(b *Agg, support uint64) {
+	a.Offer(b.Pat)
 	a.Count += b.Count
 	if a.frequent {
 		return

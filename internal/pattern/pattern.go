@@ -48,27 +48,6 @@ func (p *Pattern) Reset(k int) error {
 	return nil
 }
 
-// FromEmbedding builds the pattern of the embedding verts in graph g:
-// vertex i of the pattern is verts[i], labels are copied, and every pair is
-// probed for an edge (vertex-induced patternization).
-func FromEmbedding(g *graph.Graph, verts []uint32) (*Pattern, error) {
-	p, err := New(len(verts))
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range verts {
-		p.Labels[i] = g.Label(v)
-	}
-	for i := 0; i < p.K; i++ {
-		for j := i + 1; j < p.K; j++ {
-			if g.HasEdge(verts[i], verts[j]) {
-				p.SetEdge(i, j)
-			}
-		}
-	}
-	return p, nil
-}
-
 // FromEdgeEmbedding builds the pattern of an edge-induced embedding: verts
 // lists the distinct vertices and edges lists index pairs into verts. Only
 // the listed edges are present, even if the input graph has more edges among

@@ -156,33 +156,6 @@ func TestPermutedPreservesStructure(t *testing.T) {
 	}
 }
 
-func TestFromEmbedding(t *testing.T) {
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 3)
-	b.AddEdge(3, 0)
-	b.SetLabel(0, 2)
-	b.SetLabel(2, 1)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := FromEmbedding(g, []uint32{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.K != 3 || p.Edges() != 2 {
-		t.Fatalf("pattern = %v", p)
-	}
-	if !p.HasEdge(0, 1) || !p.HasEdge(1, 2) || p.HasEdge(0, 2) {
-		t.Fatalf("wrong structure: %v", p)
-	}
-	if p.Labels[0] != 2 || p.Labels[1] != 0 || p.Labels[2] != 1 {
-		t.Fatalf("wrong labels: %v", p.Labels[:3])
-	}
-}
-
 func TestFromEdgeEmbedding(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1)

@@ -88,9 +88,8 @@ type Config struct {
 	// concurrent sub-runs that share this Config's memory budget and merge
 	// their results at the barrier (counts sum; motif aggregates merge by
 	// isomorphism hash; FSM prunes level-synchronously against globally
-	// merged supports, so sharded counts and supports equal unsharded ones
-	// exactly — only the representative edge list rendering a pattern class
-	// may vary, as in any concurrent run).
+	// merged supports, so sharded results equal unsharded ones exactly, down
+	// to the pattern that represents each class).
 	// Threads are divided across the shards, each shard getting at least
 	// one worker. 0 or 1 runs unsharded. See also Engine.RunSharded.
 	Shards int

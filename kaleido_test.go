@@ -1,6 +1,7 @@
 package kaleido
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -299,5 +300,100 @@ func TestMinerEdgeInduced(t *testing.T) {
 	}
 	if m.Count() == 0 {
 		t.Fatal("no 2-edge embeddings")
+	}
+}
+
+// aggregateMiner expands a fresh Miner steps times and returns its default
+// aggregate.
+func aggregateMiner(t *testing.T, g *Graph, mode Mode, steps int, cfg Config) []PatternCount {
+	t.Helper()
+	m, err := g.NewMiner(bgCtx, mode, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for i := 0; i < steps; i++ {
+		if err := m.Expand(bgCtx, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := m.AggregatePatterns(bgCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestMinerEdgeInducedAggregate: AggregatePatterns on an edge-induced Miner
+// builds each pattern from the embedding's edges (it used to index vertices
+// with edge ids and fail) with the configured backend, and so equals FSM at
+// support 1 — which prunes nothing — over the same 3-edge embeddings.
+func TestMinerEdgeInducedAggregate(t *testing.T) {
+	g, err := Synthetic(40, 90, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []IsoAlgo{IsoEigen, IsoBliss} {
+		cfg := Config{Threads: 2, Iso: algo}
+		want, err := g.FSM(bgCtx, 4, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []PatternCount
+		for _, pc := range aggregateMiner(t, g, EdgeInduced, 2, cfg) {
+			if pc.Pattern.K <= 4 { // FSM(4) bounds the vertex count, the Miner does not
+				got = append(got, pc)
+			}
+		}
+		if len(want) < 10 {
+			t.Fatalf("iso=%d: weak input, %d patterns", algo, len(want))
+		}
+		for i := range want {
+			want[i].Support = 0 // the default aggregator counts, it has no support
+		}
+		samePublicCounts(t, fmt.Sprintf("iso=%d edge-induced aggregate vs FSM", algo), got, want)
+	}
+}
+
+// TestPublicRepresentativeDeterministic pins that Motifs, FSM and
+// AggregatePatterns return the very same Patterns — not just isomorphic ones
+// — whatever the thread and shard count.
+func TestPublicRepresentativeDeterministic(t *testing.T) {
+	g, err := Synthetic(120, 480, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{Threads: 1}
+	motifs, err := g.Motifs(bgCtx, 4, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsm, err := g.FSM(bgCtx, 4, 5, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggV := aggregateMiner(t, g, VertexInduced, 2, base)
+	aggE := aggregateMiner(t, g, EdgeInduced, 2, base)
+	if len(motifs) != 6 || len(fsm) < 10 || len(aggV) < 10 || len(aggE) < 10 {
+		t.Fatalf("weak input: %d motifs, %d fsm, %d/%d aggregated classes", len(motifs), len(fsm), len(aggV), len(aggE))
+	}
+	for _, threads := range []int{1, 2, 3} {
+		for _, shards := range []int{1, 2} {
+			cfg := Config{Threads: threads, Shards: shards}
+			what := fmt.Sprintf("threads=%d shards=%d", threads, shards)
+			got, err := g.Motifs(bgCtx, 4, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePublicCounts(t, what+" motifs", got, motifs)
+			if got, err = g.FSM(bgCtx, 4, 5, cfg); err != nil {
+				t.Fatal(err)
+			}
+			samePublicCounts(t, what+" fsm", got, fsm)
+		}
+		cfg := Config{Threads: threads}
+		what := fmt.Sprintf("threads=%d", threads)
+		samePublicCounts(t, what+" vertex-induced aggregate", aggregateMiner(t, g, VertexInduced, 2, cfg), aggV)
+		samePublicCounts(t, what+" edge-induced aggregate", aggregateMiner(t, g, EdgeInduced, 2, cfg), aggE)
 	}
 }

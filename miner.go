@@ -5,10 +5,8 @@ import (
 	"sync"
 
 	"kaleido/internal/apps"
-	"kaleido/internal/eigen"
 	"kaleido/internal/explore"
 	"kaleido/internal/memtrack"
-	"kaleido/internal/pattern"
 	"kaleido/internal/storage"
 )
 
@@ -265,57 +263,19 @@ func (m *Miner) ForEach(ctx context.Context, visit func(worker int, emb []uint32
 	return m.e.ForEach(ctxOrBackground(ctx), visit)
 }
 
-// AggregatePatterns computes the pattern of every current vertex-induced
-// embedding with the configured isomorphism backend and returns the counts —
-// the ResultAggregator of Listing 1 with the default mapper. Cancelling ctx
-// aborts the aggregation with ctx.Err().
+// AggregatePatterns classifies every current embedding with the configured
+// isomorphism backend (Config.Iso) and returns the classes with their
+// embedding counts — the ResultAggregator of Listing 1 with the default
+// mapper. A vertex-induced Miner aggregates the labeled induced patterns of
+// its embeddings, an edge-induced Miner the patterns made of exactly their
+// edges. Cancelling ctx aborts the aggregation with ctx.Err().
 func (m *Miner) AggregatePatterns(ctx context.Context) ([]PatternCount, error) {
-	threads := m.cfg.Threads
-	if threads <= 0 {
-		threads = defaultWorkerCount()
-	}
-	type agg struct {
-		pat   *pattern.Pattern
-		count uint64
-	}
-	maps := make([]map[uint64]*agg, threads)
-	hashers := make([]*eigen.Hasher, threads)
-	for i := range maps {
-		maps[i] = map[uint64]*agg{}
-		hashers[i] = eigen.New()
-	}
-	err := m.e.ForEach(ctxOrBackground(ctx), func(w int, emb []uint32) error {
-		p, err := pattern.FromEmbedding(m.g.g, emb)
-		if err != nil {
-			return err
-		}
-		h := hashers[w].Hash(p)
-		if a, ok := maps[w][h]; ok {
-			a.count++
-		} else {
-			maps[w][h] = &agg{pat: p.Clone(), count: 1}
-		}
-		return nil
-	})
+	opt := apps.Options{Threads: m.cfg.Threads, Iso: apps.IsoAlgo(m.cfg.Iso)}
+	res, err := apps.AggregatePatterns(ctxOrBackground(ctx), m.g.g, m.e, modeOf(m.mode), opt)
 	if err != nil {
 		return nil, err
 	}
-	merged := map[uint64]*agg{}
-	for _, mm := range maps {
-		for h, a := range mm {
-			if prev, ok := merged[h]; ok {
-				prev.count += a.count
-			} else {
-				merged[h] = a
-			}
-		}
-	}
-	out := make([]PatternCount, 0, len(merged))
-	for _, a := range merged {
-		out = append(out, PatternCount{Pattern: publicPattern(a.pat), Count: a.count})
-	}
-	sortPublicCounts(out)
-	return out, nil
+	return publicCounts(res), nil
 }
 
 // Close releases the Miner's resources, removing any spilled levels. A Miner

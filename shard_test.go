@@ -2,11 +2,10 @@ package kaleido
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
-
-	"kaleido/internal/iso"
 )
 
 // starGraph builds a graph whose degree order differs from its id order, so
@@ -123,17 +122,16 @@ func TestMinerOriginalIDs(t *testing.T) {
 	}
 }
 
-// samePublicCounts compares result lists by count, support and isomorphism
-// class: the representative edge list of a class is whichever embedding a
-// worker aggregated first, so it is not pinned across shardings.
+// samePublicCounts compares result lists exactly — counts, supports and the
+// representative pattern of every class, which is the class's smallest
+// encoding and so the same for every thread and shard count.
 func samePublicCounts(t *testing.T, label string, got, want []PatternCount) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d patterns, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Count != want[i].Count || got[i].Support != want[i].Support ||
-			!iso.Isomorphic(got[i].Pattern.internal(), want[i].Pattern.internal()) {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("%s: pattern %d differs: %+v vs %+v", label, i, got[i], want[i])
 		}
 	}
