@@ -8,7 +8,7 @@
 // of being stored. CliqueCount counts its last expansion with a CountSink,
 // MotifCount's Mapper and FSM's final aggregation ride a VisitSink, and
 // FSM's level-synchronous pruning rewrites the top level in place
-// (FilterTop's keep sink) — so every application writes zero bytes for its
+// (FilterTop) — so every application writes zero bytes for its
 // terminal level, on any storage regime.
 package apps
 

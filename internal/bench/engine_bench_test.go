@@ -13,6 +13,7 @@ package bench
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -457,6 +458,49 @@ func TestCompressedResidentBytesGuard(t *testing.T) {
 		t.Errorf("resident stretch %.2fx (%d logical / %d resident) — below the 2x goal", ratio, logical, resident)
 	} else {
 		t.Logf("resident stretch %.2fx (%d logical / %d resident)", ratio, logical, resident)
+	}
+}
+
+// TestUnbudgetedAllocGuard pins what building a level in memory costs in
+// allocated bytes, as a multiple of what the built CSE holds: one unbudgeted
+// vertex-d4 build from an empty part pool. Every part is written once, into
+// the buffer the level then keeps, so the multiple is the pre-sizing
+// overshoot (the fan-out guess reserves about twice what level 4 needs)
+// plus the regrowth of the parts the guess undershoots. The two-copy builder
+// this replaced — grow a buffer per part, then stitch every part into fresh
+// contiguous arrays — measured 2.81x on the same build at 1, 2 and 4 CPUs;
+// the limit is the 1.83x measured now plus 15%.
+func TestUnbudgetedAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("depth-4 build: minutes under the race detector, and the guard is about bytes, not interleavings")
+	}
+	g := engineGraph(t, 4000, 16000, 42)
+	// Two collections empty the part pool (and its victim cache), so the
+	// build allocates everything it uses.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ex, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	if err := ex.InitVertices(nil); err != nil {
+		t.Fatal(err)
+	}
+	for ex.Depth() < 4 {
+		if err := ex.Expand(bgCtx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 1.83 * 1.15
+	allocated, held := after.TotalAlloc-before.TotalAlloc, ex.Bytes()
+	if ratio := float64(allocated) / float64(held); ratio > limit {
+		t.Errorf("allocated %d bytes to build %d (%.2fx) — above %.2fx", allocated, held, ratio, limit)
+	} else {
+		t.Logf("allocated %d bytes to build %d (%.2fx)", allocated, held, ratio)
 	}
 }
 

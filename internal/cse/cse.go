@@ -10,10 +10,12 @@
 // one more level. The same structure stores vertex-induced embeddings
 // (units are vertex ids) and edge-induced embeddings (units are edge ids).
 //
-// Levels are accessed through the LevelData interface so that a level can
-// live in memory (MemLevel) or part by part in memory and on disk
-// (internal/storage.HybridLevel, all-disk when every part has migrated) — the
-// half-memory-half-disk hybrid storage of §4.1.
+// Levels are accessed through the LevelData interface. Every level an
+// exploration builds is an internal/storage.HybridLevel — part by part raw in
+// memory, compressed in memory or on disk, the half-memory-half-disk hybrid
+// storage of §4.1 (all raw without a budget, all-disk when every part has
+// migrated). MemLevel, two plain arrays, is the base unit list under them and
+// the reference the storage conformance tests compare against.
 package cse
 
 import (
@@ -168,17 +170,6 @@ func (c *CSE) PopTop() error {
 	return top.Close()
 }
 
-// ReplaceTop swaps the deepest level for a filtered version with the same
-// group count.
-func (c *CSE) ReplaceTop(l LevelData) error {
-	if l.Groups() != c.levels[len(c.levels)-2].Len() {
-		return fmt.Errorf("cse: replacement has %d groups, want %d", l.Groups(), c.levels[len(c.levels)-2].Len())
-	}
-	old := c.levels[len(c.levels)-1]
-	c.levels[len(c.levels)-1] = l
-	return old.Close()
-}
-
 // Bytes sums the resident footprint of all levels.
 func (c *CSE) Bytes() int64 {
 	var total int64
@@ -229,7 +220,8 @@ func (c *CSE) Extract(idx int, dst []uint32) error {
 	return nil
 }
 
-// MemLevel is an in-memory CSE level.
+// MemLevel is a CSE level held in two plain arrays: the base level of every
+// CSE, and the reference implementation of LevelData.
 type MemLevel struct {
 	Verts []uint32
 	// Offs groups Verts under the previous level; nil for the base level.

@@ -193,14 +193,8 @@ func TestPushValidation(t *testing.T) {
 	}
 }
 
-func TestPopAndReplaceTop(t *testing.T) {
+func TestPopTop(t *testing.T) {
 	c := fig4CSE(t)
-	if err := c.ReplaceTop(&MemLevel{Verts: []uint32{2}, Offs: []uint64{0, 1, 1, 1, 1, 1, 1, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Top().Len() != 1 {
-		t.Fatal("replace did not take effect")
-	}
 	if err := c.PopTop(); err != nil {
 		t.Fatal(err)
 	}
@@ -382,79 +376,4 @@ func randUnits(rng *rand.Rand, n int) []uint32 {
 		s[i] = uint32(rng.Intn(100))
 	}
 	return s
-}
-
-// TestMemBuilderStreamingFinish: parts flushed out of order must still
-// assemble in part order, and Finish after the streaming drain must match a
-// straight construction — including across a Reset reuse.
-func TestMemBuilderStreamingFinish(t *testing.T) {
-	build := func(order []int) *MemLevel {
-		b := NewMemLevelBuilder(3)
-		groups := [][][]uint32{
-			{{1, 2}, {}},
-			{{3}, {4, 5, 6}},
-			{{7}},
-		}
-		for pi, gs := range groups {
-			for _, g := range gs {
-				if err := b.Part(pi).AppendGroup(g, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for _, pi := range order {
-			if err := b.Part(pi).Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		lvl, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reuse the builder for a second level to check Reset state.
-		b.Reset(2)
-		if err := b.Part(1).AppendGroup([]uint32{9}, nil); err != nil {
-			t.Fatal(err)
-		}
-		b.Part(1).Flush()
-		b.Part(0).Flush()
-		lvl2, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m2 := lvl2.(*MemLevel); len(m2.Verts) != 1 || m2.Verts[0] != 9 || m2.Groups() != 1 {
-			t.Fatalf("reused builder produced %+v", m2)
-		}
-		return lvl.(*MemLevel)
-	}
-	want := build([]int{0, 1, 2})
-	for _, order := range [][]int{{2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
-		got := build(order)
-		if !reflect.DeepEqual(got.Verts, want.Verts) || !reflect.DeepEqual(got.Offs, want.Offs) {
-			t.Fatalf("flush order %v: level differs (%v/%v vs %v/%v)", order, got.Verts, got.Offs, want.Verts, want.Offs)
-		}
-	}
-	if !reflect.DeepEqual(want.Verts, []uint32{1, 2, 3, 4, 5, 6, 7}) {
-		t.Fatalf("verts = %v", want.Verts)
-	}
-	if !reflect.DeepEqual(want.Offs, []uint64{0, 2, 2, 3, 6, 7}) {
-		t.Fatalf("offs = %v", want.Offs)
-	}
-}
-
-// TestMemBuilderMixedPredRejected: a non-empty part without predictions
-// alongside predicted parts must fail Finish, streamed or not.
-func TestMemBuilderMixedPredRejected(t *testing.T) {
-	b := NewMemLevelBuilder(2)
-	if err := b.Part(0).AppendGroup([]uint32{1}, []uint32{3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Part(1).AppendGroup([]uint32{2}, nil); err != nil {
-		t.Fatal(err)
-	}
-	b.Part(0).Flush()
-	b.Part(1).Flush()
-	if _, err := b.Finish(); err == nil {
-		t.Fatal("mixed prediction state accepted")
-	}
 }

@@ -11,10 +11,9 @@ import "fmt"
 // per unit. Only the t range starts use random access (ParentOf).
 //
 // A Walker is reusable: Reset repositions it over a new range (or a new CSE)
-// without reallocating its per-level buffers, and in-memory levels feed the
-// walker their backing arrays directly as a single zero-copy block — a
-// steady-state Reset over MemLevels allocates nothing. Workers therefore keep
-// one Walker each and Reset it per chunk.
+// without reallocating its per-level buffers; raw level data reaches it as
+// zero-copy blocks of the levels' own arrays. Workers therefore keep one
+// Walker each and Reset it per chunk.
 type Walker struct {
 	k        int
 	cur, hi  int // current and end index at level k
@@ -25,9 +24,9 @@ type Walker struct {
 	groupEnd []uint64 // groupEnd[l-1] = end boundary of current group at level l (l ≥ 2)
 
 	// Per-level block state: the current decoded vert/bound block and the
-	// consumption position within it. MemLevels contribute their backing
-	// arrays directly (vcur/bcur stay nil — one zero-copy block); other
-	// levels refill from their block cursors.
+	// consumption position within it, refilled from the level's block
+	// cursors. A MemLevel — the base level — contributes its verts directly
+	// (vcur stays nil: one zero-copy block).
 	vblk [][]uint32
 	vpos []int
 	bblk [][]uint64
@@ -109,16 +108,12 @@ func (w *Walker) Reset(c *CSE, lo, hi int) error {
 		lv := c.Level(l)
 		w.idx[l-1] = a[l-1]
 		if ml, ok := lv.(*MemLevel); ok {
-			w.vblk[l-1] = ml.Verts[a[l-1] : b[l-1]+1]
+			w.vblk[l-1] = ml.Verts[a[l-1] : b[l-1]+1] // the base level: one zero-copy block
 		} else {
 			w.vcur[l-1] = lv.VertBlocks(a[l-1], b[l-1]+1)
 		}
 		if l >= 2 {
-			if ml, ok := lv.(*MemLevel); ok && ml.Offs != nil {
-				w.bblk[l-1] = ml.Offs[a[l-2]+1:]
-			} else {
-				w.bcur[l-1] = lv.BoundBlocks(a[l-2])
-			}
+			w.bcur[l-1] = lv.BoundBlocks(a[l-2])
 			ge, ok := w.nextBound(l)
 			if !ok {
 				err := streamErr(w.boundErr(l), "boundary", l)

@@ -53,8 +53,9 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines did not drain: %d (baseline %d)", runtime.NumGoroutine(), base)
 }
 
-// cancelDuringExpand runs one budgeted expansion whose filter cancels the
-// context after trips calls, then verifies the cancellation contract.
+// cancelDuringExpand runs one expansion under the given budget (0 = none)
+// whose filter cancels the context after trips calls, then verifies the
+// cancellation contract.
 func cancelDuringExpand(t *testing.T, budget int64, trips int64) {
 	baseGoroutines := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(101))
@@ -98,9 +99,20 @@ func cancelDuringExpand(t *testing.T, budget int64, trips int64) {
 	if got := collect(t, e); !reflect.DeepEqual(got, want) {
 		t.Fatal("pre-cancel top level changed")
 	}
-	// The explorer still works: the same expansion completes uncancelled.
+	// The explorer still works: the same expansion completes uncancelled, on
+	// the builder the cancelled one aborted, with the result of an explorer
+	// that was never cancelled.
 	if err := e.Expand(bgCtx, filter, nil); err != nil {
 		t.Fatal(err)
+	}
+	ref := newVertexExplorer(t, g, 4)
+	for i := 0; i < 2; i++ {
+		if err := ref.Expand(bgCtx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := collect(t, e); !reflect.DeepEqual(got, collect(t, ref)) {
+		t.Fatalf("expansion after a cancelled one differs: %d embeddings, want %d", e.Count(), ref.Count())
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -119,6 +131,12 @@ func TestExpandCancelHybrid(t *testing.T) {
 
 func TestExpandCancelAllDisk(t *testing.T) {
 	cancelDuringExpand(t, 1, 500)
+}
+
+// TestExpandCancelUnbudgeted cancels mid-expand with no budget: the aborted
+// build is all raw parts, which go back to the part pool.
+func TestExpandCancelUnbudgeted(t *testing.T) {
+	cancelDuringExpand(t, 0, 500)
 }
 
 func TestExpandCancelInMemory(t *testing.T) {
@@ -247,11 +265,10 @@ func TestFilterTopPromotesParts(t *testing.T) {
 	}
 }
 
-// TestMemKeepParallelStitch pins the segmented parallel stitch against the
-// straightforward expectation at keep rates that shape the segments
-// differently: keep-all (every boundary a cut — fully parallel), sparse keeps
-// (few cuts — mostly sequential), and empty.
-func TestMemKeepParallelStitch(t *testing.T) {
+// TestFilterTopKeepRates pins the in-place rewrite of raw parts against the
+// straightforward expectation at keep rates that leave the parts differently
+// full: keep-all, sparse keeps, half, and empty.
+func TestFilterTopKeepRates(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	g := randomGraph(rng, 120, 700)
 	for _, tc := range []struct {

@@ -5,18 +5,21 @@
 //
 // Expansion is sink-driven: Expand produces a stream of (parent embedding,
 // canonical children) pairs and emits it into a pluggable ExpandSink.
-// StoreSink materializes the stream as the next CSE level (in memory, or
-// part-by-part hybrid under a memory budget); the terminal sinks consume it
+// StoreSink materializes the stream as the next CSE level (a part-structured
+// storage.HybridLevel: every part raw in memory without a budget, placed per
+// part by the governor with one); the terminal sinks consume it
 // at the frontier instead — CountSink tallies it (ExpandCount), VisitSink
 // hands every extension to a per-worker callback (ExpandVisit), so the
 // largest level of a counting or aggregating workload is never written
-// (§6.5 generalized). FilterTop is the keep-side analogue: resident levels
-// are rewritten in place rather than copied through a fresh builder.
+// (§6.5 generalized). FilterTop is the keep-side analogue: the top level is
+// rewritten in place, part by part, rather than copied through a fresh
+// builder.
 package explore
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -64,8 +67,9 @@ type Config struct {
 	// §4.1). Levels are built part by part in memory; when the resident
 	// total crosses the spill watermark, the budget governor migrates the
 	// largest in-flight parts to SpillDir mid-build, so a single level can
-	// end up half in memory and half on disk. 0 means keep everything in
-	// memory.
+	// end up half in memory and half on disk. 0 means no limit: the same
+	// builder runs with its watermark out of reach, so every part stays raw
+	// in memory and the run touches neither SpillDir nor the filesystem.
 	MemoryBudget int64
 	SpillDir     string
 
@@ -140,13 +144,11 @@ type Explorer struct {
 	// Expand/ForEach/ForEachExpansion/FilterTop calls so the steady-state
 	// per-chunk work allocates nothing.
 	scratch []workerScratch
-	// memBuilder is the reusable in-memory level builder (exploration ops
-	// run one at a time, so a single instance suffices).
-	memBuilder *cse.MemLevelBuilder
-	// hybridBuilder is the pooled budget-governed builder, re-armed per
-	// build so its part-writer slice (and, via the storage part pool, the
-	// part buffers) survive across Expand iterations.
-	hybridBuilder *storage.HybridLevelBuilder
+	// builder is the pooled level builder (exploration ops run one at a
+	// time, so a single instance suffices), re-armed per build so its
+	// part-writer slice (and, via the storage part pool, the part buffers)
+	// survive across Expand iterations.
+	builder *storage.HybridLevelBuilder
 	// store is the pooled StoreSink behind Expand.
 	store StoreSink
 
@@ -154,16 +156,6 @@ type Explorer struct {
 	// two most recent expansions — the pre-sizing fallback when no §4.2
 	// prediction segments were recorded.
 	lastFanout, prevFanout float64
-}
-
-// memBuilderFor returns the reusable mem builder re-armed for n parts.
-func (e *Explorer) memBuilderFor(n int) *cse.MemLevelBuilder {
-	if e.memBuilder == nil {
-		e.memBuilder = cse.NewMemLevelBuilder(n)
-	} else {
-		e.memBuilder.Reset(n)
-	}
-	return e.memBuilder
 }
 
 // workerScratch holds one worker's reusable buffers. Workers are indexed
@@ -229,7 +221,11 @@ func New(cfg Config) (*Explorer, error) {
 	if cfg.SpillWatermark < 0 || cfg.SpillWatermark > 1 {
 		return nil, fmt.Errorf("explore: spill watermark %v outside [0, 1]", cfg.SpillWatermark)
 	}
-	e := &Explorer{cfg: cfg, fs: vfs.OrOS(cfg.FS), scratch: make([]workerScratch, cfg.Threads)}
+	e := &Explorer{
+		cfg: cfg, fs: vfs.OrOS(cfg.FS), scratch: make([]workerScratch, cfg.Threads),
+		// Idle until something spills: no goroutine, no buffers.
+		queue: storage.NewWriteQueue(cfg.BufSize, cfg.Tracker),
+	}
 	if cfg.MemoryBudget > 0 {
 		// Spill into a private subdirectory: concurrent runs (e.g. vended by
 		// one budget-sharing engine) may point at the same SpillDir, and the
@@ -255,8 +251,11 @@ func New(cfg Config) (*Explorer, error) {
 }
 
 // watermarkBytes is the absolute spill watermark: the configured fraction of
-// the memory budget.
+// the memory budget, or out of reach without one.
 func (e *Explorer) watermarkBytes() int64 {
+	if e.cfg.MemoryBudget <= 0 {
+		return math.MaxInt64
+	}
 	w := e.cfg.SpillWatermark
 	if w == 0 {
 		w = DefaultSpillWatermark
@@ -425,7 +424,10 @@ func (e *Explorer) ResidentBytesLogical() int64 {
 // LevelStat describes the storage placement of one live CSE level.
 type LevelStat struct {
 	Len, Groups int
-	MemParts    int // memory-resident parts holding data (raw or compressed)
+	// MemParts counts the memory-resident parts holding data (raw or
+	// compressed): the parts the level was built in, whether or not the run
+	// has a budget (the base level, a plain unit list, counts as one).
+	MemParts int
 	// CompressedParts is the compressed-mem subset of MemParts.
 	CompressedParts int
 	DiskParts       int   // disk-resident parts
@@ -458,7 +460,8 @@ func (e *Explorer) LevelStats() []LevelStat {
 	return out
 }
 
-// levelPlacement classifies a level's parts by residency.
+// levelPlacement classifies a level's parts by residency; only the base
+// level is not part-structured.
 func levelPlacement(l cse.LevelData) (memParts, compressedParts, diskParts int, diskBytes, diskBytesPhysical, residentLogical int64) {
 	if v, ok := l.(*storage.HybridLevel); ok {
 		return v.MemParts(), v.CompressedParts(), v.DiskParts(), v.DiskBytes(), v.DiskBytesPhysical(), v.ResidentBytesLogical()
@@ -583,10 +586,8 @@ func (e *Explorer) Close() error {
 			e.uncharge()
 		}
 	}
-	if e.queue != nil {
-		if err := e.queue.Close(); err != nil && first == nil {
-			first = err
-		}
+	if err := e.queue.Close(); err != nil && first == nil {
+		first = err
 	}
 	if e.runDir != "" {
 		// Belt and braces: the levels and builders remove their own files;
@@ -620,75 +621,42 @@ func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) e
 	return e.ExpandTo(ctx, &e.store, vf, ef)
 }
 
-// partReserver is the pre-sizing hook shared by the memory and hybrid level
-// builders.
-type partReserver interface {
-	ReservePart(i, verts, groups int)
-}
-
-// levelBuilderFor picks the builder of a new level. Without a memory budget
-// the pooled in-memory builder is used; with one, the level is built
-// part-granular by a HybridLevelBuilder whose governor watermark is the
-// budget share left after the resident levels (baseBytes). The up-front
-// mem-vs-disk projection of earlier versions is gone: placement is decided
-// per part, during the build.
-func (e *Explorer) levelBuilderFor(top cse.LevelData, bounds []int, baseBytes int64) (cse.LevelBuilder, error) {
-	nparts := len(bounds) - 1
-	if e.cfg.MemoryBudget <= 0 || e.cfg.SpillDir == "" {
-		b := e.memBuilderFor(nparts)
-		e.presizeParts(top, bounds, b)
-		return b, nil
-	}
-	hb, err := e.hybridBuilderFor(nparts, baseBytes)
-	if err != nil {
-		return nil, err
-	}
-	e.presizeParts(top, bounds, hb)
-	return hb, nil
-}
-
-// hybridBuilderFor re-arms the pooled budget-governed hybrid builder for
-// nparts parts, where baseBytes of the budget are already held by levels
-// that will remain resident alongside the new one. The builder (and, via
-// the storage part-buffer pool, the buffers of parts whose levels have been
-// popped or filtered) is reused across Expand iterations instead of being
-// allocated per level.
-func (e *Explorer) hybridBuilderFor(nparts int, baseBytes int64) (*storage.HybridLevelBuilder, error) {
-	if e.queue == nil {
-		e.queue = storage.NewWriteQueue(e.cfg.BufSize, e.cfg.Tracker)
-	}
+// levelBuilderFor re-arms the pooled level builder for the parts cut at
+// bounds over top, where baseBytes of the budget are already held by levels
+// that will remain resident alongside the new one: the governor watermark is
+// the budget share left after them, and placement is decided per part,
+// during the build. The builder (and, via the storage part-buffer pool, the
+// buffers of parts whose levels have been popped or filtered) is reused
+// across Expand iterations instead of being allocated per level.
+func (e *Explorer) levelBuilderFor(top cse.LevelData, bounds []int, baseBytes int64) *storage.HybridLevelBuilder {
 	// Refresh external pressure: tracked memory may already exceed the
 	// watermark before this build starts (pattern maps, earlier levels —
 	// and, under a shared arbiter, the sibling runs' data).
 	e.pressure.Store(e.cfg.Tracker != nil && e.cfg.Tracker.SharedLive() >= e.watermarkBytes())
-	budget := e.buildBudget(baseBytes)
-	if e.hybridBuilder == nil {
-		hb, err := storage.NewHybridLevelBuilder(
+	nparts, budget := len(bounds)-1, e.buildBudget(baseBytes)
+	if e.builder == nil {
+		e.builder = storage.NewHybridLevelBuilder(
 			e.fs, e.runDir, e.levelSeq, nparts, e.queue, e.cfg.BlockSize, e.cfg.Tracker,
 			budget, &e.pressure, e.watermarkBytes(), e.cfg.ResidentCompression)
-		if err != nil {
-			return nil, err
-		}
-		e.hybridBuilder = hb
 	} else {
-		e.hybridBuilder.Reset(e.levelSeq, nparts, budget)
+		e.builder.Reset(e.levelSeq, nparts, budget)
 	}
 	e.levelSeq++
-	return e.hybridBuilder, nil
+	e.presizeParts(top, bounds, e.builder)
+	return e.builder
 }
 
 // buildBudget returns the governor watermark for a new level build: the
-// watermark fraction of the memory budget, minus the bytes the resident
-// levels already hold and minus the bytes the sibling runs of a shared
-// arbiter hold (the watermark is a cross-run property: N runs charging one
-// pool must together stay under one budget). Negative means nothing fits —
-// every part goes straight to disk.
+// spill watermark minus the bytes the resident levels already hold and minus
+// the bytes the sibling runs of a shared arbiter hold (the watermark is a
+// cross-run property: N runs charging one pool must together stay under one
+// budget). Negative means nothing fits — every part goes straight to disk;
+// without a memory budget there is no limit to take anything from.
 func (e *Explorer) buildBudget(baseBytes int64) int64 {
-	w := e.cfg.SpillWatermark
-	if w == 0 {
-		w = DefaultSpillWatermark
+	if e.cfg.MemoryBudget <= 0 {
+		return math.MaxInt64
 	}
-	return int64(w*float64(e.cfg.MemoryBudget)) - baseBytes - e.foreignLive()
+	return e.watermarkBytes() - baseBytes - e.foreignLive()
 }
 
 // foreignLive returns the tracked live bytes held by the sibling runs of a
@@ -710,9 +678,9 @@ func (e *Explorer) foreignLive() int64 {
 // without them the fan-out trend of the previous iterations is extrapolated.
 // Either way the cold-start append-doubling of large level buffers (~170 MB
 // of transient growth on the vertex-d4 benchmark) collapses into one
-// allocation per part. The hybrid builder additionally caps reserves at its
-// governor watermark, since reserved capacity is real resident memory.
-func (e *Explorer) presizeParts(top cse.LevelData, bounds []int, r partReserver) {
+// allocation per part. The builder caps reserves at its governor watermark,
+// since reserved capacity is real resident memory.
+func (e *Explorer) presizeParts(top cse.LevelData, bounds []int, b *storage.HybridLevelBuilder) {
 	n := top.Len()
 	if n == 0 {
 		return
@@ -720,18 +688,7 @@ func (e *Explorer) presizeParts(top cse.LevelData, bounds []int, r partReserver)
 	if segs := top.Predicted(); len(segs) > 0 {
 		works := segWorkPerRange(segs, bounds)
 		for i, w := range works {
-			r.ReservePart(i, w, bounds[i+1]-bounds[i])
-		}
-		// Prediction totals bound the level size — exactly with
-		// PredictSample < 0 (candidate counts only shrink under the
-		// canonical filter), approximately under the sampled default (mean
-		// extrapolation can undershoot) — so the builder may stream its
-		// final assembly against them: an undershoot merely stops the
-		// streamed verts at the reserve and falls back to the exact
-		// allocation at Finish. The fan-out guess below is pure
-		// extrapolation and gets no such promise.
-		if tr, ok := r.(interface{ TrustReserve() }); ok {
-			tr.TrustReserve()
+			b.ReservePart(i, w, bounds[i+1]-bounds[i])
 		}
 		return
 	}
@@ -751,7 +708,7 @@ func (e *Explorer) presizeParts(top cse.LevelData, bounds []int, r partReserver)
 	}
 	for i := 0; i+1 < len(bounds); i++ {
 		leaves := bounds[i+1] - bounds[i]
-		r.ReservePart(i, int(float64(leaves)*f), leaves)
+		b.ReservePart(i, int(float64(leaves)*f), leaves)
 	}
 }
 
@@ -1004,31 +961,32 @@ func (e *Explorer) ForEachExpansion(ctx context.Context, vf VertexFilter, visit 
 	return e.ExpandVisit(ctx, vf, nil, visit)
 }
 
-// buildChunks picks the chunk (= builder part) count of a level build.
-// In-memory builds keep the fine work-stealing chunking — parts are pooled
-// slices, so they are nearly free. Budgeted builds pay real fixed costs per
-// part (files, write buffers, governor bookkeeping), so they use two parts
-// per thread — enough placement granularity for a meaningful mem/disk split
-// — and the all-disk regime (budget exhausted before the build starts), where
-// every part migrates anyway, falls back to one part per thread.
+// buildChunks picks the chunk (= builder part) count of a level build. A
+// part that may migrate pays real fixed costs (files, write buffers, governor
+// bookkeeping), so a budgeted build uses two parts per thread — enough
+// placement granularity for a meaningful mem/disk split — and the all-disk
+// regime (budget exhausted before the build starts), where every part
+// migrates anyway, falls back to one part per thread. A part that cannot
+// migrate is a pair of pooled slices, nearly free, so an unbudgeted build
+// keeps the fine work-stealing chunking of every other parallel walk.
 func (e *Explorer) buildChunks(n int, baseBytes int64) int {
-	if e.cfg.MemoryBudget > 0 && e.cfg.SpillDir != "" {
-		t := e.cfg.Threads
-		if e.buildBudget(baseBytes) > 0 {
-			t *= 2
-		}
-		if n < t {
-			t = n
-		}
-		if t < 1 {
-			t = 1
-		}
-		return t
+	if e.cfg.MemoryBudget <= 0 {
+		return e.chunks(n)
 	}
-	return e.chunks(n)
+	t := e.cfg.Threads
+	if e.buildBudget(baseBytes) > 0 {
+		t *= 2
+	}
+	if n < t {
+		t = n
+	}
+	if t < 1 {
+		t = 1
+	}
+	return t
 }
 
-// chunks picks the work-stealing chunk count for in-memory parallel walks.
+// chunks picks the work-stealing chunk count of parallel walks.
 func (e *Explorer) chunks(n int) int {
 	c := e.cfg.Threads * 8
 	if n < c {
@@ -1174,14 +1132,10 @@ func (e *Explorer) runParallel(ctx context.Context, nchunks int, fn func(worker,
 // partial output's files — so no late write lands on a closed file — and the
 // queue is re-armed for the next operation.
 func (e *Explorer) abortOp(abort func()) {
-	if e.queue != nil {
-		e.queue.Abort()
-		// Drain: discarded jobs only recycle their buffers. The error state
-		// is irrelevant here — the operation already failed.
-		_ = e.queue.Barrier()
-	}
+	e.queue.Abort()
+	// Drain: discarded jobs only recycle their buffers. The error state is
+	// irrelevant here — the operation already failed.
+	_ = e.queue.Barrier()
 	abort()
-	if e.queue != nil {
-		_ = e.queue.Reset()
-	}
+	_ = e.queue.Reset()
 }

@@ -10,22 +10,23 @@ package explore
 // final expansion happens inside the Mapper; the sinks generalize that trick
 // to every application).
 //
-//	StoreSink — today's Expand: build level k+1 (memory, hybrid, or disk
-//	            placement decided by the budget governor) and push it.
+//	StoreSink — today's Expand: build level k+1 (each part's raw, compressed
+//	            or disk placement decided by the budget governor) and push it.
 //	CountSink — per-worker counters; nothing is written. CliqueCount's
 //	            final expansion.
 //	VisitSink — per-worker (emb, cand) callback; the engine primitive under
 //	            ForEachExpansion and the Mapper of motif counting and FSM's
 //	            final aggregation.
-//	KeepSink  — the FilterTop analogue (keep.go): rewrite the top level in
-//	            place under a keep predicate instead of copying it through a
-//	            fresh builder.
+//	FilterTop — the keep-side analogue (keep.go): rewrite the top level in
+//	            place, part by part, under a keep predicate instead of
+//	            copying it through a fresh builder.
 
 import (
 	"context"
 	"fmt"
 
 	"kaleido/internal/cse"
+	"kaleido/internal/storage"
 )
 
 // ExpandSink consumes the output stream of one exploration iteration. The
@@ -54,37 +55,27 @@ type ExpandSink interface {
 }
 
 // StoreSink materializes the expansion stream as the next CSE level — the
-// classic Expand. The level builder is chosen per build: the pooled
-// in-memory builder without a budget, the governor-backed hybrid builder
-// with one.
+// classic Expand — through the explorer's pooled level builder, one builder
+// part per chunk.
 type StoreSink struct {
-	builder cse.LevelBuilder
-	pws     []cse.PartWriter
+	builder *storage.HybridLevelBuilder
 	parents int
 }
 
 func (s *StoreSink) storing() bool { return true }
 
 func (s *StoreSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
-	b, err := e.levelBuilderFor(top, bounds, e.c.Bytes())
-	if err != nil {
-		return err
-	}
-	s.builder = b
+	s.builder = e.levelBuilderFor(top, bounds, e.c.Bytes())
 	s.parents = top.Len()
-	s.pws = s.pws[:0]
-	for i := 0; i+1 < len(bounds); i++ {
-		s.pws = append(s.pws, b.Part(i))
-	}
 	return nil
 }
 
 func (s *StoreSink) emit(worker, chunk int, emb, children, preds []uint32) error {
-	return s.pws[chunk].AppendGroup(children, preds)
+	return s.builder.Part(chunk).AppendGroup(children, preds)
 }
 
 func (s *StoreSink) endChunk(worker, chunk int) error {
-	return s.pws[chunk].Flush()
+	return s.builder.Part(chunk).Flush()
 }
 
 func (s *StoreSink) finish(e *Explorer) error {
@@ -96,14 +87,13 @@ func (s *StoreSink) finish(e *Explorer) error {
 		lvl.Close()
 		return err
 	}
-	_, cp, dp, db, dbp, _ := levelPlacement(lvl)
-	if dp > 0 {
+	if dp := lvl.DiskParts(); dp > 0 {
 		e.spilled++
 		e.spilledParts += dp
-		e.spilledBytes += db
-		e.spilledPhys += dbp
+		e.spilledBytes += lvl.DiskBytes()
+		e.spilledPhys += lvl.DiskBytesPhysical()
 	}
-	e.compParts += cp // parts the governor squeezed during this build
+	e.compParts += lvl.CompressedParts() // parts the governor squeezed during this build
 	e.charge(lvl.Bytes())
 	e.compactColdLevel()
 	if s.parents > 0 {

@@ -30,7 +30,12 @@ const (
 
 func (c Compression) enabled() bool { return c != CompressionOff }
 
-// HybridLevelBuilder builds a HybridLevel from t concurrently written parts.
+// HybridLevelBuilder builds a HybridLevel from t concurrently written parts —
+// the output side of one exploration iteration (paper Fig. 7) and the only
+// level builder. Part i receives the child groups of the i-th contiguous
+// range of parent embeddings; distinct parts may be written concurrently,
+// each by a single goroutine.
+//
 // Every part starts in memory; the budget governor watches the total
 // resident bytes of the in-flight parts and, when they cross the watermark,
 // marks the largest parts for migration. A marked part is drained to disk
@@ -38,7 +43,10 @@ func (c Compression) enabled() bool { return c != CompressionOff }
 // data goes out, the still-growing parts stay hot in RAM) and keeps
 // appending to disk from then on. With a watermark the build can never
 // over-run the memory budget by more than one part's growth between
-// appends, and a level that fits stays entirely in memory with no I/O.
+// appends, and a level that fits — every level of an unbudgeted run, whose
+// watermark is out of reach — stays entirely in memory: each part finishes
+// raw and is handed to the level where it was written, with no copy, no
+// filesystem call and no I/O goroutine.
 type HybridLevelBuilder struct {
 	dir       string
 	level     int
@@ -53,35 +61,34 @@ type HybridLevelBuilder struct {
 }
 
 // NewHybridLevelBuilder creates a builder of nparts parts. memBudget is the
-// resident-byte watermark for this build (≤ 0 sends every part to disk
-// immediately: the all-disk regime). pressure, when non-nil, is an external
+// resident-byte watermark for this build: ≤ 0 sends every part to disk
+// immediately (the all-disk regime), math.MaxInt64 is no limit at all (an
+// unbudgeted run). pressure, when non-nil, is an external
 // back-pressure flag (e.g. a memtrack high-water callback): while set, the
 // governor spills as if the budget were exhausted. A positive pressureLimit
 // tells the governor how far the tracker's live bytes have to come down, so
 // it sheds flushed parts only as far as the overshoot requires (parts still
 // growing spill regardless) and clears the flag once live is back under the
-// limit — a transient spike does not condemn the whole level to disk. Part files are created lazily, only when a part actually
-// migrates, and always hold v2 codec blocks. residentCompress enables the
+// limit — a transient spike does not condemn the whole level to disk. dir and
+// the part files in it are created lazily, only when a part actually
+// migrates (a build that cannot migrate may pass a nil queue), and the files
+// always hold v2 codec blocks. residentCompress enables the
 // compressed-mem tier: under pressure the governor squeezes the largest
 // flushed raw parts into resident codec blocks before resorting to disk
 // spill, and the finished level keeps compressed residents (promotions land
 // compressed). fs is the filesystem the spill files live on (nil = the real
 // one).
-func NewHybridLevelBuilder(fs vfs.FS, dir string, level, nparts int, q *WriteQueue, blockSize int, tracker *memtrack.Tracker, memBudget int64, pressure *atomic.Bool, pressureLimit int64, residentCompress Compression) (*HybridLevelBuilder, error) {
-	fs = vfs.OrOS(fs)
-	if err := fs.MkdirAll(dir); err != nil {
-		return nil, wrapIO("mkdir", dir, err)
-	}
+func NewHybridLevelBuilder(fs vfs.FS, dir string, level, nparts int, q *WriteQueue, blockSize int, tracker *memtrack.Tracker, memBudget int64, pressure *atomic.Bool, pressureLimit int64, residentCompress Compression) *HybridLevelBuilder {
 	b := &HybridLevelBuilder{
 		dir: dir, queue: q, blockSize: blockSize, tracker: tracker,
-		rcompress: residentCompress, fs: fs,
+		rcompress: residentCompress, fs: vfs.OrOS(fs),
 	}
 	b.gov.pressure = pressure
 	b.gov.pressureLimit = pressureLimit
 	b.gov.tracker = tracker
 	b.gov.b = b
 	b.Reset(level, nparts, memBudget)
-	return b, nil
+	return b
 }
 
 // Reset re-arms a builder for a new level build, reusing its part-writer
@@ -153,16 +160,17 @@ type hybridPartWriter struct {
 	pred bool
 }
 
-// Part implements cse.LevelBuilder.
-func (b *HybridLevelBuilder) Part(i int) cse.PartWriter { return &b.parts[i] }
+// Part returns the writer of part i of the build's nparts.
+func (b *HybridLevelBuilder) Part(i int) *hybridPartWriter { return &b.parts[i] }
 
-// Parts implements cse.LevelBuilder.
-func (b *HybridLevelBuilder) Parts() int { return len(b.parts) }
-
-// ReservePart pre-grows part i's memory buffers (§4.2 pre-sizing). A part's
-// reserve is capped at twice its even share of the memory watermark, and
-// reserves stop once their sum reaches the watermark — capacity is real
-// resident memory, and a part likely to migrate should not pre-claim it.
+// ReservePart pre-grows part i's memory buffers to hold about verts child
+// units in groups groups — the §4.2 prediction-driven pre-sizing that
+// replaces append-doubling during cold-start expansion with one up-front
+// allocation. It is a hint, not a limit: parts still grow on demand past the
+// reserve. A part's reserve is capped at twice its even share of the memory
+// watermark, and reserves stop once their sum reaches the watermark —
+// capacity is real resident memory, and a part likely to migrate should not
+// pre-claim it.
 func (b *HybridLevelBuilder) ReservePart(i, verts, groups int) {
 	if b.gov.budget <= 0 {
 		return
@@ -197,10 +205,13 @@ func (b *HybridLevelBuilder) ReservePart(i, verts, groups int) {
 	}
 }
 
-// maxHybridReserve mirrors cse.MemLevelBuilder's per-part reserve cap.
+// maxHybridReserve caps a single part's pre-sized capacity (in units) so a
+// wildly overestimated prediction cannot balloon resident memory.
 const maxHybridReserve = 1 << 27
 
-// AppendGroup implements cse.PartWriter.
+// AppendGroup appends the children of the next parent embedding. preds
+// optionally carries each child's predicted candidate size for the §4.2 load
+// balancer; it must be all-nil or always len(children) within a level.
 func (p *hybridPartWriter) AppendGroup(children []uint32, preds []uint32) error {
 	if p.b.queue.Failed() {
 		// The write-behind queue hit a hard error (ENOSPC, retries
@@ -238,7 +249,9 @@ func (p *hybridPartWriter) AppendGroup(children []uint32, preds []uint32) error 
 	// 8-byte global bounds at Finish, so a group costs 8 bytes for good.
 	delta := int64(len(children))*4 + 8
 	p.bytes.Add(delta)
-	p.b.gov.noteAlloc(delta)
+	if p.b.gov.policing() {
+		p.b.gov.noteAlloc(delta)
+	}
 	return nil
 }
 
@@ -277,6 +290,9 @@ func (p *hybridPartWriter) migrate() error {
 		return nil
 	}
 	b := p.b
+	if err := b.fs.MkdirAll(b.dir); err != nil {
+		return wrapIO("mkdir", b.dir, err)
+	}
 	vf, cf, err := openFilePair(b.fs,
 		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.vert", b.level, p.idx)),
 		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.cnt", b.level, p.idx)))
@@ -319,10 +335,13 @@ func (p *hybridPartWriter) migrate() error {
 	return nil
 }
 
-// Flush implements cse.PartWriter.
+// Flush completes the part. Parts may flush in any order.
 func (p *hybridPartWriter) Flush() error {
 	p.acc.Flush()
 	p.flushed.Store(true)
+	if !p.b.gov.policing() {
+		p.b.gov.noteAlloc(p.bytes.Load())
+	}
 	if p.spillReq.Load() {
 		if err := p.migrate(); err != nil {
 			return err
@@ -337,11 +356,12 @@ func (p *hybridPartWriter) Flush() error {
 	return nil
 }
 
-// Finish implements cse.LevelBuilder: it waits for the write queue to drain
-// the migrated parts, verifies their files, and assembles the HybridLevel —
-// computing the global group end boundaries of the memory parts now that
-// every part's base offsets are known.
-func (b *HybridLevelBuilder) Finish() (cse.LevelData, error) {
+// Finish completes the level; every part must have been flushed. It waits
+// for the write queue to drain the migrated parts, verifies their files, and
+// assembles the HybridLevel in part order — computing the global group end
+// boundaries of the memory parts now that every part's base offsets are
+// known.
+func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 	b.gov.releaseInflight()
 	if err := b.gov.takeErr(); err != nil {
 		b.Abort()
@@ -414,19 +434,25 @@ func (b *HybridLevelBuilder) Finish() (cse.LevelData, error) {
 	return h, nil
 }
 
-// Abort implements cse.LevelBuilder: close and remove any migrated parts'
-// files and drop the memory parts.
+// Abort discards the partially built level: it closes and removes any
+// migrated parts' files and returns the memory parts' buffers to the part
+// pool. The builder stays reusable through Reset — a cancelled explorer may
+// be driven further.
 func (b *HybridLevelBuilder) Abort() error {
 	b.gov.releaseInflight()
 	var first error
 	for i := range b.parts {
-		if p := &b.parts[i]; p.migrated {
+		p := &b.parts[i]
+		if p.migrated {
 			if err := removeFiles(b.fs, p.dw.vf, p.dw.cf); err != nil && first == nil {
 				first = err
 			}
 		}
+		poolPutU32(p.verts)
+		poolPutU32(p.counts)
+		p.verts, p.counts = nil, nil
 	}
-	b.parts = nil
+	b.parts = b.parts[:0]
 	return first
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -18,6 +19,7 @@ type layout struct {
 	budget int64               // builder watermark; ≤ 0 is the all-disk regime
 	at     func(part int) byte // 'r' raw, 'c' compressed-mem, 'd' disk (forced spill)
 	rcomp  Compression         // the level's resident-compression policy (zero value: on)
+	bare   bool                // no spill dir, no write queue, no tracker: the build may need none
 }
 
 var (
@@ -25,25 +27,33 @@ var (
 	layoutComp  = layout{name: "compressed-mem", budget: 1 << 40, at: func(int) byte { return 'c' }}
 	layoutDisk  = layout{name: "disk", budget: 0, at: func(int) byte { return 'd' }}
 	layoutMixed = layout{name: "mixed", budget: 1 << 40, at: func(i int) byte { return "drc"[i%3] }}
-	layouts     = []layout{layoutRaw, layoutComp, layoutDisk, layoutMixed}
+	// An unbudgeted run: the watermark is out of reach, so nothing the spill
+	// path needs is even there.
+	layoutUnbudgeted = layout{name: "unbudgeted", budget: math.MaxInt64, at: func(int) byte { return 'r' }, bare: true}
+	layouts          = []layout{layoutRaw, layoutComp, layoutDisk, layoutMixed, layoutUnbudgeted}
 )
 
-// buildLevels writes the same groups, split into nparts contiguous ranges,
-// through a MemLevelBuilder (the reference) and a HybridLevelBuilder whose
-// parts end up where lay says. The tiny queue buffers and 128-byte prefetch
-// windows force frequent queue traffic and codec blocks that straddle
-// windows. fs is the filesystem of the spilled parts (nil = the real one).
+// buildLevels lays the same groups, split into nparts contiguous ranges, out
+// by hand as a cse.MemLevel (the reference) and writes them through a
+// HybridLevelBuilder whose parts end up where lay says. The tiny queue
+// buffers and 128-byte prefetch windows force frequent queue traffic and
+// codec blocks that straddle windows. fs is the filesystem of the spilled
+// parts (nil = the real one).
 func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPred bool, lay layout) (*cse.MemLevel, *HybridLevel, *memtrack.Tracker) {
 	t.Helper()
-	tracker := memtrack.New()
-	q := NewWriteQueue(64, tracker)
-	t.Cleanup(func() { q.Close() })
-
-	mb := cse.NewMemLevelBuilder(nparts)
-	hb, err := NewHybridLevelBuilder(fs, t.TempDir(), 2, nparts, q, 128, tracker, lay.budget, nil, 0, lay.rcomp)
-	if err != nil {
-		t.Fatal(err)
+	var (
+		tracker *memtrack.Tracker
+		q       *WriteQueue
+		dir     string
+	)
+	if !lay.bare {
+		tracker = memtrack.New()
+		q = NewWriteQueue(64, tracker)
+		t.Cleanup(func() { q.Close() })
+		dir = t.TempDir()
 	}
+	ml := &cse.MemLevel{Offs: []uint64{0}}
+	hb := NewHybridLevelBuilder(fs, dir, 2, nparts, q, 128, tracker, lay.budget, nil, 0, lay.rcomp)
 	for i := 0; i < nparts; i++ {
 		if lay.at(i) == 'd' {
 			hb.parts[i].spillReq.Store(true)
@@ -52,6 +62,7 @@ func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPre
 	per := (len(groups) + nparts - 1) / nparts
 	for i := 0; i < nparts; i++ {
 		lo, hi := min(i*per, len(groups)), min(i*per+per, len(groups))
+		var acc cse.PredAccum // prediction segments restart at every part seam
 		for _, g := range groups[lo:hi] {
 			var preds []uint32
 			if withPred {
@@ -59,35 +70,34 @@ func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPre
 				for j := range preds {
 					preds[j] = g[j] % 7
 				}
+				acc.Add(preds)
 			}
-			for _, pw := range []cse.PartWriter{mb.Part(i), hb.Part(i)} {
-				if err := pw.AppendGroup(g, preds); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for _, pw := range []cse.PartWriter{mb.Part(i), hb.Part(i)} {
-			if err := pw.Flush(); err != nil {
+			ml.Verts = append(ml.Verts, g...)
+			ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
+			if err := hb.Part(i).AppendGroup(g, preds); err != nil {
 				t.Fatal(err)
 			}
 		}
+		acc.Flush()
+		ml.Pred = append(ml.Pred, acc.Segs...)
+		if err := hb.Part(i).Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ml, err := mb.Finish()
+	if err := ml.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	hl, err := hb.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lvl, err := hb.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hl := lvl.(*HybridLevel)
 	t.Cleanup(func() { hl.Close() })
 	for i := 0; i < nparts; i++ {
 		if lay.at(i) == 'c' {
 			hl.CompressPart(i)
 		}
 	}
-	return ml.(*cse.MemLevel), hl, tracker
+	return ml, hl, tracker
 }
 
 func randGroups(rng *rand.Rand, n int) [][]uint32 {
@@ -155,8 +165,9 @@ func around(seams []int, limit int) []int {
 }
 
 // TestConformance is the LevelData conformance property: the same random
-// groups built as a MemLevel (the reference) and as a hybrid level in each
-// residency — all raw, all compressed-mem, all disk (budget ≤ 0), mixed —
+// groups laid out as a MemLevel (the reference) and built as a hybrid level
+// in each residency — all raw, all compressed-mem, all disk (budget ≤ 0),
+// mixed, and all raw with nothing of the spill path present (unbudgeted) —
 // must agree on every operation. Sequential cursors are compared from every
 // start offset that straddles a part seam, a codec-block seam or a CntChunk
 // seam; random access at those offsets plus a stride over the whole level
@@ -198,6 +209,9 @@ func TestConformance(t *testing.T) {
 				}
 				if lay.name == "disk" && hl.MemParts() != 0 {
 					t.Fatalf("budget ≤ 0 left %d parts in memory", hl.MemParts())
+				}
+				if lay.bare && hl.DiskParts()+hl.CompressedParts() != 0 {
+					t.Fatalf("no budget, yet %d disk and %d compressed parts", hl.DiskParts(), hl.CompressedParts())
 				}
 			})
 		}

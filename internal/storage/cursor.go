@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync"
 
 	"kaleido/internal/cse"
 )
@@ -148,31 +149,46 @@ func (c *codecBlocks) nextBounds() ([]uint64, bool) {
 	return out, true
 }
 
-// close stops the prefetch goroutine of a file source, if any.
+// close stops the prefetch goroutine of a file source, if any, and lets go
+// of the part's resident bytes; the decode buffers are kept for the next
+// start.
 func (c *codecBlocks) close() {
 	if c.src != nil {
 		c.src.Close()
 		c.src = nil
 	}
+	c.carry = byteCarry{}
 }
+
+// The cursors are recycled: every walker seeding opens two per level, and a
+// cursor over encoded parts carries 48 KB of decode buffers. Close returns a
+// cursor to its pool, so it must not be used afterwards.
+var (
+	vertCursorPool  = sync.Pool{New: func() any { return new(hybridVertBlocks) }}
+	boundCursorPool = sync.Pool{New: func() any { return new(hybridBoundBlocks) }}
+)
 
 // VertBlocks implements cse.LevelData: raw parts contribute zero-copy
 // sub-slices, encoded parts whole decoded codec blocks, stitched across part
 // seams in one stream.
 func (h *HybridLevel) VertBlocks(lo, hi int) cse.VertBlockCursor {
-	if lo >= hi {
-		return &hybridVertBlocks{h: h}
+	c := vertCursorPool.Get().(*hybridVertBlocks)
+	c.h, c.next, c.end, c.pi, c.streaming, c.cb.err = h, lo, hi, 0, false, nil
+	if lo < hi {
+		c.pi = h.partIndexForVert(lo)
 	}
-	return &hybridVertBlocks{h: h, next: lo, end: hi, pi: h.partIndexForVert(lo)}
+	return c
 }
 
 // BoundBlocks implements cse.LevelData: the block stream of global group end
 // boundaries from parent index first, across every residency.
 func (h *HybridLevel) BoundBlocks(first int) cse.BoundBlockCursor {
-	if first >= h.totalGroups {
-		return &hybridBoundBlocks{h: h, pi: len(h.parts)}
+	c := boundCursorPool.Get().(*hybridBoundBlocks)
+	c.h, c.g, c.pi, c.streaming, c.cb.err = h, first, len(h.parts), false, nil
+	if first < h.totalGroups {
+		c.pi = h.partIndexForGroup(first)
 	}
-	return &hybridBoundBlocks{h: h, g: first, pi: h.partIndexForGroup(first)}
+	return c
 }
 
 // hybridVertBlocks stitches the parts overlapping [next, end): per part it
@@ -225,6 +241,10 @@ func (c *hybridVertBlocks) Err() error { return c.cb.err }
 
 func (c *hybridVertBlocks) Close() error {
 	c.cb.close()
+	if c.h != nil { // a second Close must not pool the cursor twice
+		c.h = nil
+		vertCursorPool.Put(c)
+	}
 	return nil
 }
 
@@ -283,5 +303,9 @@ func (c *hybridBoundBlocks) Err() error { return c.cb.err }
 
 func (c *hybridBoundBlocks) Close() error {
 	c.cb.close()
+	if c.h != nil {
+		c.h = nil
+		boundCursorPool.Put(c)
+	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -26,13 +27,21 @@ import (
 // benchmark's store4-hybrid, two workers: covering the overshoot with one
 // victim raised the tracked peak from the watermark to 10-30% above it).
 type governor struct {
+	// Fixed for the length of a build, and read by every append.
 	budget        int64
 	pressure      *atomic.Bool
 	pressureLimit int64
 	tracker       *memtrack.Tracker
-	inflight      atomic.Int64
-	pending       atomic.Int64
 	b             *HybridLevelBuilder
+
+	// The counters every append of every worker writes sit a cache line away
+	// from the fields above: sharing one, each append's first read of the
+	// budget fetched the line its own add then had to fetch again for
+	// writing (measured on the repo benchmark's store4-hybrid job, two
+	// workers: 0.62 s together, 0.55 s apart).
+	_        [64]byte
+	inflight atomic.Int64
+	pending  atomic.Int64
 
 	mu  sync.Mutex // serializes victim selection and error recording
 	err error
@@ -47,6 +56,13 @@ func (g *governor) reset(memBudget int64) {
 	g.err = nil
 	g.mu.Unlock()
 }
+
+// policing reports whether the build has a watermark to hold. Without one
+// (an unbudgeted run) nothing can ever be marked, so the per-append charge —
+// three contended atomics per group, a quarter of an in-memory build's CPU
+// on the repo benchmark's store4-mem — is replaced by one charge per part,
+// at its Flush.
+func (g *governor) policing() bool { return g.budget != math.MaxInt64 }
 
 func (g *governor) noteAlloc(delta int64) {
 	// In-flight build bytes are charged to the tracker as they grow, not

@@ -11,15 +11,16 @@ import (
 
 // HybridLevel is one CSE level whose parts are individually memory- or
 // disk-resident — the genuinely half-memory-half-disk storage of §4.1, and
-// the only spilled or budgeted cse.LevelData. Placement is per part (see
-// hybridPart for the three residency states), decided during the build by
-// the budget governor (see HybridLevelBuilder): a level slightly over budget
-// keeps most parts in RAM and pays disk I/O only for the migrated remainder,
-// and the all-disk regime is simply every part on disk.
+// the cse.LevelData of every level an exploration builds. Placement is per
+// part (see hybridPart for the three residency states), decided during the
+// build by the budget governor (see HybridLevelBuilder): a level slightly
+// over budget keeps most parts in RAM and pays disk I/O only for the
+// migrated remainder, the all-disk regime is simply every part on disk, and
+// without a budget every part is raw, still in the buffer its worker wrote.
 //
 // All LevelData operations dispatch per part: raw parts hand out zero-copy
-// slices (exactly like MemLevel), encoded parts decode whole codec blocks,
-// and cursors stream transparently across the seams.
+// slices of their own arrays, encoded parts decode whole codec blocks, and
+// cursors stream transparently across the seams.
 type HybridLevel struct {
 	parts       []hybridPart
 	totalVerts  int

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -63,10 +64,7 @@ func TestHybridPressureSpill(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	var pressure atomic.Bool
-	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 4, 2, q, 0, tracker, 1<<40, &pressure, 0, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hb := NewHybridLevelBuilder(nil, t.TempDir(), 4, 2, q, 0, tracker, 1<<40, &pressure, 0, CompressionOff)
 	group := []uint32{1, 2, 3, 4}
 	for i := 0; i < 50; i++ {
 		if err := hb.Part(0).AppendGroup(group, nil); err != nil {
@@ -85,12 +83,11 @@ func TestHybridPressureSpill(t *testing.T) {
 	if err := hb.Part(1).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lvl, err := hb.Finish()
+	hl, err := hb.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lvl.Close()
-	hl := lvl.(*HybridLevel)
+	defer hl.Close()
 	if hl.DiskParts() != 1 {
 		t.Fatalf("pressure flag did not migrate the active part: %d disk parts", hl.DiskParts())
 	}
@@ -109,10 +106,7 @@ func TestHybridPressureClears(t *testing.T) {
 	defer q.Close()
 	var pressure atomic.Bool
 	pressure.Store(true) // spike already over: live (0) < limit
-	hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 7, 1, q, 0, tracker, 1<<40, &pressure, 1<<20, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hb := NewHybridLevelBuilder(nil, t.TempDir(), 7, 1, q, 0, tracker, 1<<40, &pressure, 1<<20, CompressionOff)
 	for i := 0; i < 10; i++ {
 		if err := hb.Part(0).AppendGroup([]uint32{1, 2, 3}, nil); err != nil {
 			t.Fatal(err)
@@ -129,7 +123,7 @@ func TestHybridPressureClears(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lvl.Close()
-	if lvl.(*HybridLevel).DiskParts() != 0 {
+	if lvl.DiskParts() != 0 {
 		t.Fatal("stale pressure spilled parts despite live bytes under the limit")
 	}
 }
@@ -176,10 +170,7 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 			var pressure atomic.Bool
 			cancel := tracker.OnSharedHighWater(limit, func(int64) { pressure.Store(true) })
 			tracker.Alloc(external)
-			hb, err := NewHybridLevelBuilder(nil, t.TempDir(), 2, nparts, q, 0, tracker, 1<<40, &pressure, limit, CompressionOff)
-			if err != nil {
-				t.Fatal(err)
-			}
+			hb := NewHybridLevelBuilder(nil, t.TempDir(), 2, nparts, q, 0, tracker, 1<<40, &pressure, limit, CompressionOff)
 			// build appends ngroups groups to each of parts, round-robin on
 			// this goroutine or with one goroutine per part.
 			build := func(parts ...int) {
@@ -221,11 +212,10 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			lvl, err := hb.Finish()
+			hl, err := hb.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
-			hl := lvl.(*HybridLevel)
 			if hl.Len() != nparts*ngroups*groupLen {
 				t.Fatalf("level len = %d", hl.Len())
 			}
@@ -253,10 +243,7 @@ func TestHybridAllMemFinish(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	hb, err := NewHybridLevelBuilder(nil, dir, 6, 2, q, 0, tracker, 1<<40, nil, 0, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hb := NewHybridLevelBuilder(nil, dir, 6, 2, q, 0, tracker, 1<<40, nil, 0, CompressionOff)
 	for i := 0; i < 2; i++ {
 		if err := hb.Part(i).AppendGroup([]uint32{uint32(i)}, nil); err != nil {
 			t.Fatal(err)
@@ -265,12 +252,11 @@ func TestHybridAllMemFinish(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lvl, err := hb.Finish()
+	hl, err := hb.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lvl.Close()
-	hl := lvl.(*HybridLevel)
+	defer hl.Close()
 	if hl.DiskParts() != 0 || hl.DiskBytes() != 0 {
 		t.Fatalf("all-mem build produced %d disk parts / %d disk bytes", hl.DiskParts(), hl.DiskBytes())
 	}
@@ -279,6 +265,80 @@ func TestHybridAllMemFinish(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("all-mem build left files: %v", entries)
+	}
+}
+
+// TestBuilderFlushAnyOrder: parts flushed out of order must still assemble
+// in part order, in memory and on disk — and the builder must come back
+// clean from Reset after a Finish and after an Abort (which returns the
+// memory parts' buffers to the pool instead of dropping its part slice).
+func TestBuilderFlushAnyOrder(t *testing.T) {
+	groups := [][][]uint32{
+		{{1, 2}, {}},
+		{{3}, {4, 5, 6}},
+		{{7}},
+	}
+	for _, budget := range []int64{math.MaxInt64, 0} {
+		q := NewWriteQueue(0, nil)
+		defer q.Close()
+		hb := NewHybridLevelBuilder(nil, t.TempDir(), 2, 3, q, 0, nil, budget, nil, 0, CompressionOff)
+		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
+			for pi, gs := range groups {
+				for _, g := range gs {
+					if err := hb.Part(pi).AppendGroup(g, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, pi := range order {
+				if err := hb.Part(pi).Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hl, err := hb.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			verts, verr := readVerts(t, hl.VertBlocks(0, hl.Len()))
+			bounds, berr := readBounds(hl.BoundBlocks(0))
+			if verr != nil || berr != nil {
+				t.Fatal(verr, berr)
+			}
+			if !reflect.DeepEqual(verts, []uint32{1, 2, 3, 4, 5, 6, 7}) || !reflect.DeepEqual(bounds, []uint64{2, 2, 3, 6, 7}) {
+				t.Fatalf("budget %d, flush order %v: verts %v bounds %v", budget, order, verts, bounds)
+			}
+			hl.Close()
+
+			// A build abandoned half-way must not leak into the next one.
+			hb.Reset(3, 2, budget)
+			if err := hb.Part(1).AppendGroup([]uint32{8, 9}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := hb.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if cap(hb.parts) < 2 || hb.parts[:2][1].verts != nil {
+				t.Fatalf("Abort kept a part buffer or dropped the part slice (cap %d)", cap(hb.parts))
+			}
+			hb.Reset(2, 3, budget)
+		}
+	}
+}
+
+// TestBuilderMixedPredRejected: a non-empty part without predictions
+// alongside predicted parts must fail Finish.
+func TestBuilderMixedPredRejected(t *testing.T) {
+	hb := NewHybridLevelBuilder(nil, "", 2, 2, nil, 0, nil, math.MaxInt64, nil, 0, CompressionOff)
+	if err := hb.Part(0).AppendGroup([]uint32{1}, []uint32{3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := hb.Part(1).AppendGroup([]uint32{2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	hb.Part(0).Flush()
+	hb.Part(1).Flush()
+	if _, err := hb.Finish(); err == nil {
+		t.Fatal("mixed prediction state accepted")
 	}
 }
 

@@ -313,16 +313,48 @@ func removeFiles(fs vfs.FS, files ...vfs.File) error {
 	return first
 }
 
-// partBufPool recycles the memory-stage buffers a build no longer needs: a
-// migrated part's verts and counts (the data just moved to disk) and a
-// resident part's counts (turned into bounds at Finish). Steady-state hybrid
-// builds then allocate only what the finished level actually keeps — the
-// resident verts and bounds — instead of regrowing every part from nil.
-var partBufPool = sync.Pool{New: func() any { return []uint32(nil) }}
+// slicePool recycles slices through a sync.Pool without allocating per Put: a
+// sync.Pool boxes what it is given, and boxing a slice allocates a copy of
+// its header, so the buffers travel behind *[]T headers instead and an
+// emptied header waits in a second pool for the next Put.
+type slicePool[T any] struct{ bufs, hdrs sync.Pool }
 
-func poolGetU32() []uint32 {
-	return partBufPool.Get().([]uint32)[:0]
+// get returns an empty pooled slice, nil when the pool has none.
+func (p *slicePool[T]) get() []T {
+	h, _ := p.bufs.Get().(*[]T)
+	if h == nil {
+		return nil
+	}
+	s := *h
+	*h = nil
+	p.hdrs.Put(h)
+	return s
 }
+
+func (p *slicePool[T]) put(s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	h, _ := p.hdrs.Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = s[:0]
+	p.bufs.Put(h)
+}
+
+// partBufPool recycles the uint32 buffers of parts: the verts a closed level
+// or an aborted build gives back, a migrated part's verts and counts (the
+// data just moved to disk) and a resident part's counts (turned into bounds
+// at Finish). Steady-state builds then allocate only what the pool cannot
+// supply instead of regrowing every part from nil. partBufPool64 does the
+// same for the bounds arrays of raw parts.
+var (
+	partBufPool   slicePool[uint32]
+	partBufPool64 slicePool[uint64]
+)
+
+func poolGetU32() []uint32 { return partBufPool.get() }
 
 // poolGetU32Len returns a pooled buffer of length n (contents unspecified).
 func poolGetU32Len(n int) []uint32 {
@@ -333,26 +365,15 @@ func poolGetU32Len(n int) []uint32 {
 	return s[:n]
 }
 
-func poolPutU32(s []uint32) {
-	if cap(s) > 0 {
-		partBufPool.Put(s[:0])
-	}
-}
+func poolPutU32(s []uint32) { partBufPool.put(s) }
 
-// partBufPool64 recycles the bounds arrays of resident parts, returned by
-// HybridLevel.Close like the uint32 buffers above.
-var partBufPool64 = sync.Pool{New: func() any { return []uint64(nil) }}
-
+// poolGetU64 returns a pooled buffer of length n (contents unspecified).
 func poolGetU64(n int) []uint64 {
-	s := partBufPool64.Get().([]uint64)
+	s := partBufPool64.get()
 	if cap(s) < n {
 		return make([]uint64, n)
 	}
 	return s[:n]
 }
 
-func poolPutU64(s []uint64) {
-	if cap(s) > 0 {
-		partBufPool64.Put(s[:0])
-	}
-}
+func poolPutU64(s []uint64) { partBufPool64.put(s) }

@@ -4,8 +4,11 @@
 // every part starts in memory and a budget governor migrates the largest
 // in-flight parts to disk when the resident bytes cross the spill watermark
 // (HybridLevelBuilder, governor.go), so one level's parts can be split
-// between RAM and disk — and the all-disk regime is simply the level whose
-// every part migrated (a zero budget). Migrated parts are written through a
+// between RAM and disk — the all-disk regime is simply the level whose every
+// part migrated (a zero budget), and an unbudgeted run the level none of
+// whose parts can: its watermark is out of reach, every part stays raw where
+// it was written, and neither a file nor the write queue's goroutine ever
+// comes into being. Migrated parts are written through a
 // single writing queue that keeps disk writes sequential; reading streams
 // them back through sliding-window prefetch cursors, so the I/O of the next
 // window is hidden behind the computation on the current one.
@@ -65,7 +68,8 @@ const DefaultBufSize = 1 << 20
 // stop early, and Err() carries the typed first error to the operation's
 // Barrier.
 type WriteQueue struct {
-	jobs    chan wjob
+	start   sync.Once // starts the I/O goroutine, at the first Submit
+	jobs    chan wjob // nil until started
 	wg      sync.WaitGroup
 	pool    sync.Pool
 	tracker *memtrack.Tracker
@@ -89,19 +93,15 @@ type wjob struct {
 	done chan struct{} // non-nil for barrier jobs
 }
 
-// NewWriteQueue starts the queue's I/O goroutine. tracker may be nil.
+// NewWriteQueue returns an idle queue: the I/O goroutine starts and the first
+// buffer is allocated only when something is actually submitted, so a run
+// that never spills pays for neither. tracker may be nil.
 func NewWriteQueue(bufSize int, tracker *memtrack.Tracker) *WriteQueue {
 	if bufSize <= 0 {
 		bufSize = DefaultBufSize
 	}
-	q := &WriteQueue{
-		jobs:    make(chan wjob, 64),
-		tracker: tracker,
-		abortCh: make(chan struct{}),
-	}
+	q := &WriteQueue{tracker: tracker, abortCh: make(chan struct{})}
 	q.pool.New = func() any { return make([]byte, 0, bufSize) }
-	q.wg.Add(1)
-	go q.run()
 	return q
 }
 
@@ -180,6 +180,11 @@ func (q *WriteQueue) Submit(f vfs.File, buf []byte) {
 		q.pool.Put(buf[:0])
 		return
 	}
+	q.start.Do(func() {
+		q.jobs = make(chan wjob, 64)
+		q.wg.Add(1)
+		go q.run()
+	})
 	q.jobs <- wjob{f: f, buf: buf}
 }
 
@@ -199,8 +204,9 @@ func (q *WriteQueue) Abort() {
 
 // Failed reports whether a write gave up and latched the queue into discard
 // mode. Producers poll this to stop building work for a doomed operation;
-// the typed error is at Err.
-func (q *WriteQueue) Failed() bool { return q.failed.Load() }
+// the typed error is at Err. A nil queue — a build that cannot spill — never
+// fails.
+func (q *WriteQueue) Failed() bool { return q != nil && q.failed.Load() }
 
 // Reset re-arms an aborted or failed queue for the next operation, clearing
 // and returning any recorded write error (the failed operation owns it; the
@@ -219,10 +225,13 @@ func (q *WriteQueue) Reset() error {
 }
 
 // Barrier blocks until every previously submitted buffer has been written.
+// Like Close it must not race with the first Submit.
 func (q *WriteQueue) Barrier() error {
-	done := make(chan struct{})
-	q.jobs <- wjob{done: done}
-	<-done
+	if q.jobs != nil {
+		done := make(chan struct{})
+		q.jobs <- wjob{done: done}
+		<-done
+	}
 	return q.Err()
 }
 
@@ -233,9 +242,11 @@ func (q *WriteQueue) Err() error {
 	return q.err
 }
 
-// Close drains the queue and stops the I/O goroutine.
+// Close drains the queue and stops the I/O goroutine, if it ever started.
 func (q *WriteQueue) Close() error {
-	close(q.jobs)
-	q.wg.Wait()
+	if q.jobs != nil {
+		close(q.jobs)
+		q.wg.Wait()
+	}
 	return q.Err()
 }

@@ -26,10 +26,7 @@ func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*Hybri
 	tracker := memtrack.New()
 	q := NewWriteQueue(256, tracker) // tiny buffers: many queue writes
 	t.Cleanup(func() { q.Close() })
-	db, err := NewHybridLevelBuilder(fs, t.TempDir(), 2, nparts, q, 128, tracker, 0, nil, 0, CompressionOff)
-	if err != nil {
-		return nil, tracker, err
-	}
+	db := NewHybridLevelBuilder(fs, t.TempDir(), 2, nparts, q, 128, tracker, 0, nil, 0, CompressionOff)
 	per := (len(groups) + nparts - 1) / nparts
 	for i, g := range groups {
 		if err := db.Part(i/per).AppendGroup(g, nil); err != nil {
@@ -43,11 +40,10 @@ func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*Hybri
 			return nil, tracker, err
 		}
 	}
-	lvl, err := db.Finish()
+	dl, err := db.Finish()
 	if err != nil {
 		return nil, tracker, err
 	}
-	dl := lvl.(*HybridLevel)
 	t.Cleanup(func() { dl.Close() })
 	return dl, tracker, nil
 }

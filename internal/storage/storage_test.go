@@ -133,10 +133,7 @@ func TestFinishDetectsShortFiles(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	db, err := NewHybridLevelBuilder(nil, dir, 3, 1, q, 0, tracker, 0, nil, 0, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := NewHybridLevelBuilder(nil, dir, 3, 1, q, 0, tracker, 0, nil, 0, CompressionOff)
 	if err := db.Part(0).AppendGroup([]uint32{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +156,7 @@ func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	db, err := NewHybridLevelBuilder(nil, t.TempDir(), 2, 5, q, 64, tracker, 0, nil, 0, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := NewHybridLevelBuilder(nil, t.TempDir(), 2, 5, q, 64, tracker, 0, nil, 0, CompressionOff)
 	// Parts 0 and 3 get groups; parts 1, 2, 4 stay empty.
 	for _, g := range [][]uint32{{1, 2, 3}, {}, {4}} {
 		if err := db.Part(0).AppendGroup(g, nil); err != nil {
@@ -179,12 +173,11 @@ func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lvl, err := db.Finish()
+	dl, err := db.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lvl.Close()
-	dl := lvl.(*HybridLevel)
+	defer dl.Close()
 	if dl.Len() != 9 || dl.Groups() != 6 || dl.MemParts() != 0 {
 		t.Fatalf("shape %d/%d with %d mem parts, want 9/6 all on disk", dl.Len(), dl.Groups(), dl.MemParts())
 	}
@@ -213,10 +206,7 @@ func TestEmptyParts(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	db, err := NewHybridLevelBuilder(nil, t.TempDir(), 2, 3, q, 0, tracker, 0, nil, 0, CompressionOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := NewHybridLevelBuilder(nil, t.TempDir(), 2, 3, q, 0, tracker, 0, nil, 0, CompressionOff)
 	for _, g := range groups {
 		if err := db.Part(0).AppendGroup(g, nil); err != nil {
 			t.Fatal(err)
@@ -232,8 +222,8 @@ func TestEmptyParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lvl.Close()
-	if lvl.Len() != 3 || lvl.Groups() != 3 || lvl.(*HybridLevel).DiskParts() != 3 {
-		t.Fatalf("shape %d/%d, %d disk parts", lvl.Len(), lvl.Groups(), lvl.(*HybridLevel).DiskParts())
+	if lvl.Len() != 3 || lvl.Groups() != 3 || lvl.DiskParts() != 3 {
+		t.Fatalf("shape %d/%d, %d disk parts", lvl.Len(), lvl.Groups(), lvl.DiskParts())
 	}
 	if got, err := readVerts(t, lvl.VertBlocks(0, 3)); err != nil || !reflect.DeepEqual(got, []uint32{1, 2, 3}) {
 		t.Fatalf("verts = %v, %v", got, err)
@@ -248,10 +238,7 @@ func TestCloseRemovesFiles(t *testing.T) {
 		q := NewWriteQueue(0, tracker)
 		defer q.Close()
 		dir := t.TempDir()
-		hb, err := NewHybridLevelBuilder(nil, dir, 5, 3, q, 0, tracker, lay.budget, nil, 0, CompressionOff)
-		if err != nil {
-			t.Fatal(err)
-		}
+		hb := NewHybridLevelBuilder(nil, dir, 5, 3, q, 0, tracker, lay.budget, nil, 0, CompressionOff)
 		wantFiles := 0
 		for i := 0; i < 3; i++ {
 			if lay.at(i) == 'd' {

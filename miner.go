@@ -215,7 +215,9 @@ func (m *Miner) ResidentBytesLogical() int64 { return m.e.ResidentBytesLogical()
 type LevelStat struct {
 	// Len and Groups are the level's embedding and parent-group counts.
 	Len, Groups int
-	// MemParts and DiskParts count the level's parts by residency;
+	// MemParts and DiskParts count the level's parts holding data by
+	// residency — with or without a budget: an unbudgeted level reports the
+	// parts it was built in (all of them MemParts), the base level 1;
 	// CompressedParts is the compressed-mem subset of MemParts.
 	MemParts, CompressedParts, DiskParts int
 	// ResidentBytes is the in-memory footprint (arrays plus the sparse
