@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"kaleido/internal/apps"
-	"kaleido/internal/memtrack"
 	"kaleido/internal/pattern"
 )
 
@@ -70,60 +69,20 @@ func publicCounts(in []apps.PatternCount) []PatternCount {
 // Triangles counts the triangles of the graph (§5.1 Triangle Counting).
 // Cancelling ctx aborts the run promptly with ctx.Err().
 func (g *Graph) Triangles(ctx context.Context, cfg Config) (uint64, error) {
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
-	if cfg.Shards > 1 {
-		res, err := runSharded(ctx, Job{Graph: g, App: AppTriangles, Config: cfg}, cfg.Shards, memtrack.NewArbiter(cfg.MemoryBudget))
-		if err != nil {
-			return 0, err
-		}
-		return res.Count, nil
-	}
-	opt, tracker := cfg.appOptions()
-	defer cfg.finish(tracker, opt.Spill)
-	return apps.TriangleCount(ctxOrBackground(ctx), g.g, opt)
+	return countOf(runJob(ctx, nil, Job{Graph: g, App: AppTriangles, Config: cfg}))
 }
 
 // Cliques counts the k-cliques of the graph (§5.1 Clique Discovery).
 // Cancelling ctx aborts the run promptly with ctx.Err().
 func (g *Graph) Cliques(ctx context.Context, k int, cfg Config) (uint64, error) {
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
-	if cfg.Shards > 1 {
-		res, err := runSharded(ctx, Job{Graph: g, App: AppCliques, K: k, Config: cfg}, cfg.Shards, memtrack.NewArbiter(cfg.MemoryBudget))
-		if err != nil {
-			return 0, err
-		}
-		return res.Count, nil
-	}
-	opt, tracker := cfg.appOptions()
-	defer cfg.finish(tracker, opt.Spill)
-	return apps.CliqueCount(ctxOrBackground(ctx), g.g, k, opt)
+	return countOf(runJob(ctx, nil, Job{Graph: g, App: AppCliques, K: k, Config: cfg}))
 }
 
 // Motifs counts the frequency of every k-vertex motif, treating the graph as
 // unlabeled (§5.1 Motif Counting). k must be at most 8. Cancelling ctx
 // aborts the run promptly with ctx.Err().
 func (g *Graph) Motifs(ctx context.Context, k int, cfg Config) ([]PatternCount, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Shards > 1 {
-		res, err := runSharded(ctx, Job{Graph: g, App: AppMotifs, K: k, Config: cfg}, cfg.Shards, memtrack.NewArbiter(cfg.MemoryBudget))
-		if err != nil {
-			return nil, err
-		}
-		return res.Patterns, nil
-	}
-	opt, tracker := cfg.appOptions()
-	defer cfg.finish(tracker, opt.Spill)
-	res, err := apps.MotifCount(ctxOrBackground(ctx), g.g, k, opt)
-	if err != nil {
-		return nil, err
-	}
-	return publicCounts(res), nil
+	return patternsOf(runJob(ctx, nil, Job{Graph: g, App: AppMotifs, K: k, Config: cfg}))
 }
 
 // FSM mines the frequent subgraphs with k−1 edges and at most k vertices
@@ -132,21 +91,5 @@ func (g *Graph) Motifs(ctx context.Context, k int, cfg Config) ([]PatternCount, 
 // reported Support is the threshold-crossing value, not the exact MNI.
 // Cancelling ctx aborts the run promptly with ctx.Err().
 func (g *Graph) FSM(ctx context.Context, k int, support uint64, cfg Config) ([]PatternCount, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Shards > 1 {
-		res, err := runSharded(ctx, Job{Graph: g, App: AppFSM, K: k, Support: support, Config: cfg}, cfg.Shards, memtrack.NewArbiter(cfg.MemoryBudget))
-		if err != nil {
-			return nil, err
-		}
-		return res.Patterns, nil
-	}
-	opt, tracker := cfg.appOptions()
-	defer cfg.finish(tracker, opt.Spill)
-	res, err := apps.FSM(ctxOrBackground(ctx), g.g, k, support, opt)
-	if err != nil {
-		return nil, err
-	}
-	return publicCounts(res), nil
+	return patternsOf(runJob(ctx, nil, Job{Graph: g, App: AppFSM, K: k, Support: support, Config: cfg}))
 }

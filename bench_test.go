@@ -20,6 +20,7 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/rstream"
+	"kaleido/internal/run"
 )
 
 var bgCtx = context.Background()
@@ -52,16 +53,16 @@ func BenchmarkTable2(b *testing.B) {
 		run  func() error
 	}
 	cells := []cell{
-		{"3FSM300/Kaleido", func() error { _, err := apps.FSM(bgCtx, g, 3, 300, apps.Options{}); return err }},
+		{"3FSM300/Kaleido", func() error { _, err := apps.FSM(bgCtx, g, 3, 300, &run.Env{}); return err }},
 		{"3FSM300/Arabesque", func() error { _, err := arabesque.FSM(g, 3, 300, arabesque.Options{Threads: 4}); return err }},
 		{"3FSM300/RStream", func() error { _, _, err := rstream.FSM(g, 3, 300, rstream.Options{Threads: 4}); return err }},
-		{"Motif3/Kaleido", func() error { _, err := apps.MotifCount(bgCtx, g, 3, apps.Options{}); return err }},
+		{"Motif3/Kaleido", func() error { _, err := apps.MotifCount(bgCtx, g, 3, &run.Env{}); return err }},
 		{"Motif3/Arabesque", func() error { _, err := arabesque.MotifCount(g, 3, arabesque.Options{Threads: 4}); return err }},
 		{"Motif3/RStream", func() error { _, _, err := rstream.MotifCount(g, 3, rstream.Options{Threads: 4}); return err }},
-		{"Clique4/Kaleido", func() error { _, err := apps.CliqueCount(bgCtx, g, 4, apps.Options{}); return err }},
+		{"Clique4/Kaleido", func() error { _, err := apps.CliqueCount(bgCtx, g, 4, &run.Env{}); return err }},
 		{"Clique4/Arabesque", func() error { _, err := arabesque.CliqueCount(g, 4, arabesque.Options{Threads: 4}); return err }},
 		{"Clique4/RStream", func() error { _, _, err := rstream.CliqueCount(g, 4, rstream.Options{Threads: 4}); return err }},
-		{"TC/Kaleido", func() error { _, err := apps.TriangleCount(bgCtx, g, apps.Options{}); return err }},
+		{"TC/Kaleido", func() error { _, err := apps.TriangleCount(bgCtx, g, &run.Env{}); return err }},
 		{"TC/Arabesque", func() error { _, err := arabesque.TriangleCount(g, arabesque.Options{Threads: 4}); return err }},
 		{"TC/RStream", func() error { _, _, err := rstream.TriangleCount(g, rstream.Options{Threads: 4}); return err }},
 	}
@@ -80,7 +81,7 @@ func BenchmarkTable2(b *testing.B) {
 // reported as the peak-MB custom metric.
 func BenchmarkTable3(b *testing.B) {
 	g := benchGraph(b, "citeseer")
-	run := func(b *testing.B, fn func(tr *memtrack.Tracker) error) {
+	tracked := func(b *testing.B, fn func(tr *memtrack.Tracker) error) {
 		var peak int64
 		for i := 0; i < b.N; i++ {
 			tr := memtrack.New()
@@ -92,19 +93,19 @@ func BenchmarkTable3(b *testing.B) {
 		b.ReportMetric(float64(peak)/(1<<20), "peak-MB")
 	}
 	b.Run("Motif3/Kaleido", func(b *testing.B) {
-		run(b, func(tr *memtrack.Tracker) error {
-			_, err := apps.MotifCount(bgCtx, g, 3, apps.Options{Tracker: tr})
+		tracked(b, func(tr *memtrack.Tracker) error {
+			_, err := apps.MotifCount(bgCtx, g, 3, &run.Env{Tracker: tr})
 			return err
 		})
 	})
 	b.Run("Motif3/Arabesque", func(b *testing.B) {
-		run(b, func(tr *memtrack.Tracker) error {
+		tracked(b, func(tr *memtrack.Tracker) error {
 			_, err := arabesque.MotifCount(g, 3, arabesque.Options{Threads: 4, Tracker: tr})
 			return err
 		})
 	})
 	b.Run("Motif3/RStream", func(b *testing.B) {
-		run(b, func(tr *memtrack.Tracker) error {
+		tracked(b, func(tr *memtrack.Tracker) error {
 			_, _, err := rstream.MotifCount(g, 3, rstream.Options{Threads: 4, Tracker: tr})
 			return err
 		})
@@ -118,7 +119,7 @@ func BenchmarkFig11FSMSupportSweep(b *testing.B) {
 	for _, support := range []uint64{10, 100, 1000, 10000} {
 		b.Run(fmt.Sprintf("support=%d", support), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.FSM(bgCtx, g, 3, support, apps.Options{}); err != nil {
+				if _, err := apps.FSM(bgCtx, g, 3, support, &run.Env{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -132,18 +133,18 @@ func BenchmarkFig12Iso(b *testing.B) {
 	g := benchGraph(b, "citeseer")
 	for _, algo := range []struct {
 		name string
-		iso  apps.IsoAlgo
-	}{{"Eigen", apps.IsoEigen}, {"Bliss", apps.IsoBliss}, {"EigenExact", apps.IsoEigenExact}} {
+		iso  run.IsoAlgo
+	}{{"Eigen", run.IsoEigen}, {"Bliss", run.IsoBliss}, {"EigenExact", run.IsoEigenExact}} {
 		b.Run("4-Motif/"+algo.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.MotifCount(bgCtx, g, 4, apps.Options{Iso: algo.iso}); err != nil {
+				if _, err := apps.MotifCount(bgCtx, g, 4, &run.Env{Iso: algo.iso}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("4-FSM/"+algo.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.FSM(bgCtx, g, 4, 10, apps.Options{Iso: algo.iso}); err != nil {
+				if _, err := apps.FSM(bgCtx, g, 4, 10, &run.Env{Iso: algo.iso}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -165,11 +166,11 @@ func BenchmarkFig13Labels(b *testing.B) {
 	}{{"PA-7", g7}, {"PA-37", g37}} {
 		for _, algo := range []struct {
 			name string
-			iso  apps.IsoAlgo
-		}{{"Eigen", apps.IsoEigen}, {"Bliss", apps.IsoBliss}} {
+			iso  run.IsoAlgo
+		}{{"Eigen", run.IsoEigen}, {"Bliss", run.IsoBliss}} {
 			b.Run(v.name+"/"+algo.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := apps.FSM(bgCtx, v.g, 3, 300, apps.Options{Iso: algo.iso}); err != nil {
+					if _, err := apps.FSM(bgCtx, v.g, 3, 300, &run.Env{Iso: algo.iso}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -185,21 +186,21 @@ func BenchmarkFig14Scalability(b *testing.B) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("3-Motif/threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.MotifCount(bgCtx, g, 3, apps.Options{Threads: threads}); err != nil {
+				if _, err := apps.MotifCount(bgCtx, g, 3, &run.Env{Threads: threads}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("3-FSM-5000/threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.FSM(bgCtx, g, 3, 5000, apps.Options{Threads: threads}); err != nil {
+				if _, err := apps.FSM(bgCtx, g, 3, 5000, &run.Env{Threads: threads}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("5-Clique/threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.CliqueCount(bgCtx, g, 5, apps.Options{Threads: threads}); err != nil {
+				if _, err := apps.CliqueCount(bgCtx, g, 5, &run.Env{Threads: threads}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,7 +214,7 @@ func BenchmarkTable4Hybrid(b *testing.B) {
 	g := benchGraph(b, "mico")
 	b.Run("4-Motif/InMemory", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := apps.MotifCount(bgCtx, g, 4, apps.Options{}); err != nil {
+			if _, err := apps.MotifCount(bgCtx, g, 4, &run.Env{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -221,7 +222,7 @@ func BenchmarkTable4Hybrid(b *testing.B) {
 	b.Run("4-Motif/Hybrid", func(b *testing.B) {
 		dir := b.TempDir()
 		for i := 0; i < b.N; i++ {
-			if _, err := apps.MotifCount(bgCtx, g, 4, apps.Options{
+			if _, err := apps.MotifCount(bgCtx, g, 4, &run.Env{
 				MemoryBudget: 1, SpillDir: dir, Predict: true,
 			}); err != nil {
 				b.Fatal(err)
@@ -240,7 +241,7 @@ func BenchmarkFig16MemoryBudget(b *testing.B) {
 			var read, written int64
 			for i := 0; i < b.N; i++ {
 				tr := memtrack.New()
-				if _, err := apps.MotifCount(bgCtx, g, 4, apps.Options{
+				if _, err := apps.MotifCount(bgCtx, g, 4, &run.Env{
 					MemoryBudget: budgetMB << 20, SpillDir: dir, Predict: true, Tracker: tr,
 				}); err != nil {
 					b.Fatal(err)
@@ -265,7 +266,7 @@ func BenchmarkFig17Prediction(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			dir := b.TempDir()
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.MotifCount(bgCtx, g, 4, apps.Options{
+				if _, err := apps.MotifCount(bgCtx, g, 4, &run.Env{
 					MemoryBudget: 1, SpillDir: dir, Predict: predict,
 				}); err != nil {
 					b.Fatal(err)

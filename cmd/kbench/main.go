@@ -40,7 +40,7 @@ import (
 	"runtime"
 
 	"kaleido/internal/bench"
-	"kaleido/internal/storage"
+	"kaleido/internal/run"
 )
 
 func main() {
@@ -49,8 +49,6 @@ func main() {
 	threads := flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads")
 	cache := flag.String("cache", defaultCache(), "dataset cache directory")
 	spill := flag.String("spill", os.TempDir(), "scratch directory for hybrid storage")
-	watermark := flag.Float64("watermark", 0, "spill watermark as a fraction of the memory budget (0 = engine default)")
-	predictSample := flag.Int("predict-sample", 0, "exactly-predicted groups per chunk for §4.2 prediction (0 = engine default, -1 = every group)")
 	faults := flag.Bool("faults", false, "run the fault-injection campaign (shorthand for -exp faults)")
 	faultP := flag.Float64("fault-p", 0, "per-op probability of each transient fault class in the faults campaign (0 = default 0.01)")
 	faultSeed := flag.Int64("fault-seed", 0, "fault schedule seed (0 = default 42)")
@@ -65,17 +63,15 @@ func main() {
 		return
 	}
 	cfg := bench.RunConfig{
-		Threads:        *threads,
-		CacheDir:       *cache,
-		SpillDir:       *spill,
-		Quick:          *quick,
-		SpillWatermark: *watermark,
-		PredictSample:  *predictSample,
-		FaultP:         *faultP,
-		FaultSeed:      *faultSeed,
+		Threads:   *threads,
+		CacheDir:  *cache,
+		SpillDir:  *spill,
+		Quick:     *quick,
+		FaultP:    *faultP,
+		FaultSeed: *faultSeed,
 	}
 	if !*compressResident {
-		cfg.ResidentCompression = storage.CompressionOff
+		cfg.ResidentCompression = run.CompressionOff
 	}
 	ids := []string{*exp}
 	if *faults {

@@ -1,8 +1,6 @@
 package kaleido
 
 import (
-	"runtime"
-
 	"kaleido/internal/dataset"
 	"kaleido/internal/gen"
 )
@@ -46,5 +44,3 @@ func Synthetic(n, m, labels int, seed int64) (*Graph, error) {
 	}
 	return wrapGraph(g)
 }
-
-func defaultWorkerCount() int { return runtime.GOMAXPROCS(0) }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kaleido/internal/apps"
 	"kaleido/internal/memtrack"
 )
 
@@ -34,17 +33,13 @@ type Engine struct {
 	// Threads is the default per-run worker count (0 = GOMAXPROCS); a
 	// run's Config.Threads overrides it.
 	Threads int
-	// SpillWatermark is the fraction of MemoryBudget at which mid-build
-	// spilling starts (0 = the default 0.9), applied to the combined
-	// resident bytes of all runs.
-	SpillWatermark float64
 	// QueueLimit bounds the admission queue of Admit (0 = the default 64):
 	// past it new requests fail fast with ErrQueueFull instead of queueing.
 	QueueLimit int
 	// AdmitWatermark is the fraction of MemoryBudget that admitted work —
 	// live bytes plus outstanding reservations plus a new run's projected
-	// bytes — may plan to fill (0 = the default 0.8). Keeping it under
-	// SpillWatermark means an admitted run starts into real headroom.
+	// bytes — may plan to fill (0 = the default 0.8). Keeping it under the
+	// spill watermark (0.9) means an admitted run starts into real headroom.
 	AdmitWatermark float64
 
 	once sync.Once
@@ -58,7 +53,7 @@ type Engine struct {
 	// Cumulative run accounting behind Stats(). The byte-level counters
 	// (live/peak/reserved, I/O, spilled bytes, retries) live on the arbiter;
 	// these cover what the arbiter does not see: run lifecycles and the
-	// part-transition counts reported per run through SpillInfo.
+	// part-transition counts each run reports in its Stats.
 	activeRuns      atomic.Int64
 	completedRuns   atomic.Int64
 	failedRuns      atomic.Int64
@@ -136,30 +131,18 @@ func (en *Engine) Stats() EngineStats {
 // queue — a finished run is the main headroom-freeing event.
 func (en *Engine) beginRun() { en.activeRuns.Add(1) }
 
-func (en *Engine) endRun(spill *apps.SpillInfo, err error) {
+func (en *Engine) endRun(s Stats, err error) {
 	en.activeRuns.Add(-1)
 	if err != nil {
 		en.failedRuns.Add(1)
 	} else {
 		en.completedRuns.Add(1)
 	}
-	if spill != nil {
-		en.spilledLevels.Add(int64(spill.SpilledLevels))
-		en.spilledParts.Add(int64(spill.SpilledParts))
-		en.promotedParts.Add(int64(spill.PromotedParts))
-		en.compressedParts.Add(int64(spill.CompressedParts))
-	}
+	en.spilledLevels.Add(int64(s.SpilledLevels))
+	en.spilledParts.Add(int64(s.SpilledParts))
+	en.promotedParts.Add(int64(s.PromotedParts))
+	en.compressedParts.Add(int64(s.CompressedParts))
 	en.kickAdmission()
-}
-
-// endRunStats is endRun for sharded runs, whose accounting arrives merged.
-func (en *Engine) endRunStats(s *Stats, err error) {
-	spill := &apps.SpillInfo{}
-	if s != nil {
-		spill.SpilledLevels, spill.SpilledParts = s.SpilledLevels, s.SpilledParts
-		spill.PromotedParts, spill.CompressedParts = s.PromotedParts, s.CompressedParts
-	}
-	en.endRun(spill, err)
 }
 
 // arbiter lazily creates the shared budget arbiter, so a literal
@@ -169,13 +152,13 @@ func (en *Engine) arbiter() *memtrack.Arbiter {
 	return en.arb
 }
 
-// config merges the engine's shared knobs into a per-run Config: budget,
-// spill placement and watermark always come from the engine (they are
-// engine-wide properties), threads only when the run doesn't choose its own.
+// config merges the engine's shared knobs into a per-run Config — the only
+// Engine → Config merge: budget and spill placement always come from the
+// engine (they are engine-wide properties), threads only when the run doesn't
+// choose its own.
 func (en *Engine) config(cfg Config) Config {
 	cfg.MemoryBudget = en.MemoryBudget
 	cfg.SpillDir = en.SpillDir
-	cfg.SpillWatermark = en.SpillWatermark
 	if cfg.Threads == 0 {
 		cfg.Threads = en.Threads
 	}
@@ -193,126 +176,36 @@ func (en *Engine) PeakBytes() int64 { return en.arbiter().Peak() }
 // shared budget pool. Close the Miner to release its share (and any spilled
 // files); the Miner counts as an active run until then.
 func (en *Engine) NewMiner(ctx context.Context, g *Graph, mode Mode, cfg Config) (*Miner, error) {
-	cfg = en.config(cfg)
-	if err := cfg.validate(); err != nil {
+	env, err := en.config(cfg).env(en.arbiter().NewTracker())
+	if err != nil {
 		return nil, err
 	}
 	en.beginRun()
-	m, err := newMiner(ctx, g, mode, cfg, en.arbiter().NewTracker())
+	m, err := newMiner(ctx, g, mode, env, cfg.Stats)
 	if err != nil {
-		en.endRun(nil, err)
+		en.endRun(Stats{}, err)
 		return nil, err
 	}
 	m.en = en
 	return m, nil
 }
 
-// engineSpill ensures every engine-vended run carries spill accounting, so
-// Engine.Stats accumulates it whether or not the caller asked for Stats.
-func engineSpill(opt *apps.Options) *apps.SpillInfo {
-	if opt.Spill == nil {
-		opt.Spill = &apps.SpillInfo{}
-	}
-	return opt.Spill
-}
-
-// runShardedEngine is the engine-accounted sharded dispatch shared by
-// Engine.RunSharded and the app methods' Config.Shards branch.
-func (en *Engine) runShardedEngine(ctx context.Context, job Job, shards int) (*Result, error) {
-	en.beginRun()
-	res, err := runSharded(ctx, job, shards, en.arbiter())
-	if res != nil {
-		en.endRunStats(&res.Stats, err)
-	} else {
-		en.endRunStats(nil, err)
-	}
-	return res, err
-}
-
 // Triangles is Graph.Triangles charged against the engine's shared budget.
-func (en *Engine) Triangles(ctx context.Context, g *Graph, cfg Config) (_ uint64, err error) {
-	cfg = en.config(cfg)
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
-	if cfg.Shards > 1 {
-		res, err := en.runShardedEngine(ctx, Job{Graph: g, App: AppTriangles, Config: cfg}, cfg.Shards)
-		if err != nil {
-			return 0, err
-		}
-		return res.Count, nil
-	}
-	opt, tracker := cfg.appOptionsWith(en.arbiter().NewTracker())
-	spill := engineSpill(&opt)
-	en.beginRun()
-	defer func() { cfg.finish(tracker, spill); en.endRun(spill, err) }()
-	return apps.TriangleCount(ctxOrBackground(ctx), g.g, opt)
+func (en *Engine) Triangles(ctx context.Context, g *Graph, cfg Config) (uint64, error) {
+	return countOf(runJob(ctx, en, Job{Graph: g, App: AppTriangles, Config: cfg}))
 }
 
 // Cliques is Graph.Cliques charged against the engine's shared budget.
-func (en *Engine) Cliques(ctx context.Context, g *Graph, k int, cfg Config) (_ uint64, err error) {
-	cfg = en.config(cfg)
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
-	if cfg.Shards > 1 {
-		res, err := en.runShardedEngine(ctx, Job{Graph: g, App: AppCliques, K: k, Config: cfg}, cfg.Shards)
-		if err != nil {
-			return 0, err
-		}
-		return res.Count, nil
-	}
-	opt, tracker := cfg.appOptionsWith(en.arbiter().NewTracker())
-	spill := engineSpill(&opt)
-	en.beginRun()
-	defer func() { cfg.finish(tracker, spill); en.endRun(spill, err) }()
-	return apps.CliqueCount(ctxOrBackground(ctx), g.g, k, opt)
+func (en *Engine) Cliques(ctx context.Context, g *Graph, k int, cfg Config) (uint64, error) {
+	return countOf(runJob(ctx, en, Job{Graph: g, App: AppCliques, K: k, Config: cfg}))
 }
 
 // Motifs is Graph.Motifs charged against the engine's shared budget.
-func (en *Engine) Motifs(ctx context.Context, g *Graph, k int, cfg Config) (_ []PatternCount, err error) {
-	cfg = en.config(cfg)
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Shards > 1 {
-		sres, err := en.runShardedEngine(ctx, Job{Graph: g, App: AppMotifs, K: k, Config: cfg}, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return sres.Patterns, nil
-	}
-	opt, tracker := cfg.appOptionsWith(en.arbiter().NewTracker())
-	spill := engineSpill(&opt)
-	en.beginRun()
-	defer func() { cfg.finish(tracker, spill); en.endRun(spill, err) }()
-	res, err := apps.MotifCount(ctxOrBackground(ctx), g.g, k, opt)
-	if err != nil {
-		return nil, err
-	}
-	return publicCounts(res), nil
+func (en *Engine) Motifs(ctx context.Context, g *Graph, k int, cfg Config) ([]PatternCount, error) {
+	return patternsOf(runJob(ctx, en, Job{Graph: g, App: AppMotifs, K: k, Config: cfg}))
 }
 
 // FSM is Graph.FSM charged against the engine's shared budget.
-func (en *Engine) FSM(ctx context.Context, g *Graph, k int, support uint64, cfg Config) (_ []PatternCount, err error) {
-	cfg = en.config(cfg)
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Shards > 1 {
-		sres, err := en.runShardedEngine(ctx, Job{Graph: g, App: AppFSM, K: k, Support: support, Config: cfg}, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return sres.Patterns, nil
-	}
-	opt, tracker := cfg.appOptionsWith(en.arbiter().NewTracker())
-	spill := engineSpill(&opt)
-	en.beginRun()
-	defer func() { cfg.finish(tracker, spill); en.endRun(spill, err) }()
-	res, err := apps.FSM(ctxOrBackground(ctx), g.g, k, support, opt)
-	if err != nil {
-		return nil, err
-	}
-	return publicCounts(res), nil
+func (en *Engine) FSM(ctx context.Context, g *Graph, k int, support uint64, cfg Config) ([]PatternCount, error) {
+	return patternsOf(runJob(ctx, en, Job{Graph: g, App: AppFSM, K: k, Support: support, Config: cfg}))
 }

@@ -7,23 +7,22 @@
 // memory budget instead of each assuming it owns the whole machine.
 //
 // Spilling is per part, governed during the build: every level starts in
-// memory, and when the resident bytes cross SpillWatermark·MemoryBudget the
-// governor migrates the largest in-flight parts to SpillDir while the rest
+// memory, and when the resident bytes cross the spill watermark — 90 % of
+// MemoryBudget — the governor migrates the largest in-flight parts to SpillDir while the rest
 // stay in RAM. A level slightly over budget therefore pays disk I/O only for
 // its spilled share — Stats.SpilledParts vs Stats.SpilledLevels below shows
 // how partial the spilling was. Under an Engine the same watermark is a
 // cross-run property: the governor fires on the combined resident bytes of
 // every run the engine has vended.
 //
-// Worked example of the knob interplay: with MemoryBudget = 64 MB and the
-// default SpillWatermark = 0.9, a run whose levels reach 40 MB never touches
-// SpillDir. If the next level would push the resident total to 80 MB, the
-// governor starts migrating parts at ≈ 57.6 MB (0.9 × 64 MB); roughly
-// 22 MB of that level ends up in SpillDir and the rest stays hot. Lowering
-// SpillWatermark to 0.5 makes spilling start at 32 MB — more I/O, more
-// headroom for the untracked remainder of the process. Two concurrent runs
-// through an Engine with the same 64 MB budget trip the same ≈ 57.6 MB
-// watermark on their combined levels.
+// Worked example: with MemoryBudget = 64 MB, a run whose levels reach 40 MB
+// never touches SpillDir. If the next level would push the resident total to
+// 80 MB, the governor starts migrating parts at ≈ 57.6 MB (0.9 × 64 MB);
+// roughly 22 MB of that level ends up in SpillDir and the rest stays hot. The
+// 10 % above the watermark is headroom for growth between governor decisions;
+// to leave more room for the untracked remainder of the process, lower
+// MemoryBudget. Two concurrent runs through an Engine with the same 64 MB
+// budget trip the same ≈ 57.6 MB watermark on their combined levels.
 package main
 
 import (
@@ -74,9 +73,8 @@ func main() {
 	hybrid, err := g.Motifs(ctx, 4, kaleido.Config{
 		MemoryBudget: memStats.PeakBytes / 8,
 		SpillDir:     spill,
-		// SpillWatermark: 0.9 is the default — spill when resident bytes
-		// reach 90% of the budget, keeping 10% headroom for growth
-		// between governor decisions.
+		// Spilling starts when resident bytes reach 90% of the budget,
+		// keeping 10% headroom for growth between governor decisions.
 		Predict: true, // §4.2 prediction-based load balancing
 		Stats:   &hybStats,
 	})

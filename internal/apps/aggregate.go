@@ -24,6 +24,7 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/mni"
 	"kaleido/internal/pattern"
+	"kaleido/internal/run"
 )
 
 // hasher is an isomorphism backend: an isomorphism-invariant 64-bit hash of
@@ -31,11 +32,11 @@ import (
 // may carry scratch state and is used by one worker only.
 type hasher func(p *pattern.Pattern) uint64
 
-func newHasher(a IsoAlgo) hasher {
+func newHasher(a run.IsoAlgo) hasher {
 	switch a {
-	case IsoBliss:
+	case run.IsoBliss:
 		return blisslike.Hash
-	case IsoEigenExact:
+	case run.IsoEigenExact:
 		return eigen.NewExact().Hash
 	default:
 		return eigen.New().Hash
@@ -113,7 +114,7 @@ func memoSlot(adj uint64, l *[pattern.MaxK]graph.Label) uint64 {
 type aggregator struct {
 	g       *graph.Graph
 	support uint64
-	info    *SpillInfo // receives the backend-call count; may be nil
+	info    *run.SpillInfo // receives the backend-call count; may be nil
 	workers []*aggWorker
 }
 
@@ -124,11 +125,11 @@ type aggWorker struct {
 	verts, emb  []uint32
 }
 
-func newAggregator(g *graph.Graph, support uint64, opt Options) *aggregator {
-	a := &aggregator{g: g, support: support, info: opt.Spill, workers: make([]*aggWorker, threadsOf(opt))}
+func newAggregator(g *graph.Graph, support uint64, env *run.Env) *aggregator {
+	a := &aggregator{g: g, support: support, info: env.Spill, workers: make([]*aggWorker, env.Workers())}
 	for i := range a.workers {
 		a.workers[i] = &aggWorker{
-			cl:      classifier{backend: newHasher(opt.Iso)},
+			cl:      classifier{backend: newHasher(env.Iso)},
 			classes: map[uint64]*mni.Agg{},
 		}
 	}
@@ -264,8 +265,8 @@ func (a *aggregator) counts() []PatternCount {
 // embeddings with the configured backend — the default ResultAggregator of
 // the Miner API. Vertex-induced embeddings aggregate their labeled induced
 // patterns, edge-induced ones the pattern of exactly their edges.
-func AggregatePatterns(ctx context.Context, g *graph.Graph, e *explore.Explorer, mode explore.Mode, opt Options) ([]PatternCount, error) {
-	a := newAggregator(g, 0, opt)
+func AggregatePatterns(ctx context.Context, g *graph.Graph, e *explore.Explorer, mode explore.Mode, env *run.Env) ([]PatternCount, error) {
+	a := newAggregator(g, 0, env)
 	visit := a.addVertices
 	if mode == explore.EdgeInduced {
 		visit = a.addEdges

@@ -9,9 +9,10 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/iso"
 	"kaleido/internal/pattern"
+	"kaleido/internal/run"
 )
 
-var isoAlgos = map[string]IsoAlgo{"eigen": IsoEigen, "bliss": IsoBliss, "exact": IsoEigenExact}
+var isoAlgos = map[string]run.IsoAlgo{"eigen": run.IsoEigen, "bliss": run.IsoBliss, "exact": run.IsoEigenExact}
 
 // randomPattern draws a labeled pattern on k vertices, each pair an edge with
 // probability 1/density.
@@ -70,7 +71,7 @@ func TestClassifierMatchesBackend(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			keys, kmin := 3<<memoBits, 2
-			if algo != IsoEigen {
+			if algo != run.IsoEigen {
 				// The slow backends get fewer keys, all from the large sizes
 				// where random draws rarely repeat: still more than the table.
 				keys, kmin = 1<<memoBits+400, 5
@@ -211,8 +212,8 @@ func TestMemoSlotSmallMotifsOwnSlots(t *testing.T) {
 func TestMotifBackendCallsBounded(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(21)), 300, 1500, 1)
 	for _, threads := range []int{1, 3} {
-		var info SpillInfo
-		res, err := MotifCount(bgCtx, g, 4, Options{Threads: threads, Spill: &info})
+		var info run.SpillInfo
+		res, err := MotifCount(bgCtx, g, 4, &run.Env{Threads: threads, Spill: &info})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,9 +233,9 @@ func TestMotifBackendCallsBounded(t *testing.T) {
 
 // aggregateAtDepth expands a fresh explorer to depth and runs the default
 // aggregator over its top level.
-func aggregateAtDepth(t *testing.T, g *graph.Graph, mode explore.Mode, depth int, opt Options) []PatternCount {
+func aggregateAtDepth(t *testing.T, g *graph.Graph, mode explore.Mode, depth int, opt *run.Env) []PatternCount {
 	t.Helper()
-	e, err := explore.New(opt.exploreConfig(g, mode))
+	e, err := explore.New(explore.Config{Graph: g, Mode: mode, Env: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +267,10 @@ func aggregateAtDepth(t *testing.T, g *graph.Graph, mode explore.Mode, depth int
 func TestRepresentativeDeterministic(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(31)), 60, 260, 3)
 	for name, algo := range isoAlgos {
-		if algo == IsoEigenExact && testing.Short() {
+		if algo == run.IsoEigenExact && testing.Short() {
 			continue
 		}
-		base := Options{Threads: 1, Iso: algo}
+		base := &run.Env{Threads: 1, Iso: algo}
 		motifs, err := MotifCount(bgCtx, g, 4, base)
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +287,7 @@ func TestRepresentativeDeterministic(t *testing.T) {
 		for _, threads := range []int{1, 2, 3} {
 			for _, shards := range []int{1, 2} {
 				what := fmt.Sprintf("%s threads=%d shards=%d", name, threads, shards)
-				opt := Options{Threads: threads, Iso: algo}
+				opt := &run.Env{Threads: threads, Iso: algo}
 				got, err := MotifCountSharded(bgCtx, g, 4, shardOpts(g, opt, shards, false))
 				if err != nil {
 					t.Fatal(err)
@@ -298,7 +299,7 @@ func TestRepresentativeDeterministic(t *testing.T) {
 				}
 				comparePatternCounts(t, what+" fsm", got, fsm)
 			}
-			opt := Options{Threads: threads, Iso: algo}
+			opt := &run.Env{Threads: threads, Iso: algo}
 			what := fmt.Sprintf("%s threads=%d", name, threads)
 			comparePatternCounts(t, what+" aggregate vertex-induced", aggregateAtDepth(t, g, explore.VertexInduced, 3, opt), aggV)
 			comparePatternCounts(t, what+" aggregate edge-induced", aggregateAtDepth(t, g, explore.EdgeInduced, 2, opt), aggE)
@@ -312,7 +313,7 @@ func TestRepresentativeDeterministic(t *testing.T) {
 func TestAggregatePatternsEdgeInducedMatchesFSM(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(41)), 18, 40, 3)
 	for _, k := range []int{3, 4} {
-		opt := Options{Threads: 2}
+		opt := &run.Env{Threads: 2}
 		want, err := FSM(bgCtx, g, k, 1, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -365,7 +366,7 @@ func BenchmarkHashMemo(b *testing.B) {
 			}
 			pats := memoBenchPatterns(k, keys)
 			b.Run(fmt.Sprintf("%s/k%d", c.name, k), func(b *testing.B) {
-				cl := &classifier{backend: newHasher(IsoEigen)}
+				cl := &classifier{backend: newHasher(run.IsoEigen)}
 				var p pattern.Pattern
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -389,7 +390,7 @@ func BenchmarkMotifMapper(b *testing.B) {
 		emb      [3]uint32
 		children []uint32
 	}
-	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Threads: 1})
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{Threads: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func BenchmarkMotifMapper(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := newAggregator(g, 0, Options{Threads: 1})
+	a := newAggregator(g, 0, &run.Env{Threads: 1})
 	b.ResetTimer()
 	done := 0
 	for done < b.N {

@@ -10,6 +10,11 @@
 // FSM's level-synchronous pruning rewrites the top level in place
 // (FilterTop) — so every application writes zero bytes for its
 // terminal level, on any storage regime.
+//
+// An application run is configured by one *run.Env — threads, budget, spill
+// placement, tracker, isomorphism backend, seed range, accounting out-pointer
+// — which each application hands unchanged to its explorer; nothing here
+// copies or re-declares a run knob.
 package apps
 
 import (
@@ -20,140 +25,9 @@ import (
 
 	"kaleido/internal/explore"
 	"kaleido/internal/graph"
-	"kaleido/internal/memtrack"
 	"kaleido/internal/pattern"
-	"kaleido/internal/storage"
-	"kaleido/internal/storage/vfs"
+	"kaleido/internal/run"
 )
-
-// IsoAlgo selects the isomorphism backend of the pattern aggregation phase.
-type IsoAlgo int
-
-const (
-	// IsoEigen is Kaleido's Algorithm 1 (the default).
-	IsoEigen IsoAlgo = iota
-	// IsoBliss is the bliss-like search-tree canonical labeler — the §6.3
-	// baseline.
-	IsoBliss
-	// IsoEigenExact is Algorithm 1 with exact big-integer characteristic
-	// polynomials (ablation).
-	IsoEigenExact
-)
-
-// Options configures an application run.
-type Options struct {
-	Threads        int
-	MemoryBudget   int64
-	SpillDir       string
-	SpillWatermark float64 // fraction of MemoryBudget where spilling starts (0 = default)
-	Predict        bool
-	PredictSample  int // exactly-predicted groups per chunk (0 = default, <0 = all)
-	BufSize        int
-	BlockSize      int
-	// ResidentCompression enables the compressed-mem tier for budgeted runs
-	// (storage.CompressionAuto, the default): under pressure the budget
-	// governor squeezes raw resident parts into in-memory codec blocks
-	// before spilling to disk, and sealed levels are compacted wholesale.
-	// storage.CompressionOff keeps resident parts raw.
-	ResidentCompression storage.Compression
-	// FS routes all spill I/O; nil means the real filesystem. Fault
-	// campaigns inject a vfs.FaultFS here.
-	FS      vfs.FS
-	Iso     IsoAlgo
-	Tracker *memtrack.Tracker
-	// Spill, when non-nil, receives the run's part-level spill accounting.
-	Spill *SpillInfo
-	// Seeds restricts level 1 to a contiguous range of exploration units —
-	// vertex ids for vertex-induced apps, edge ids for FSM. Nil seeds the
-	// full range. Prefix-range sharded execution gives each shard one range:
-	// every canonical embedding is rooted at exactly one level-1 unit, so
-	// disjoint ranges covering the id space partition the embedding space.
-	Seeds *SeedRange
-}
-
-// SeedRange is a half-open level-1 unit id range [Lo, Hi).
-type SeedRange struct {
-	Lo, Hi uint32
-}
-
-// initVertices seeds level 1 with the Options' vertex range (or all vertices).
-func (o Options) initVertices(e *explore.Explorer, g *graph.Graph, filter func(v uint32) bool) error {
-	if o.Seeds != nil {
-		return e.InitVertexRange(o.Seeds.Lo, o.Seeds.Hi, filter)
-	}
-	return e.InitVertices(filter)
-}
-
-// initEdges seeds level 1 with the Options' edge range (or all edges).
-func (o Options) initEdges(e *explore.Explorer, g *graph.Graph, filter func(eid uint32) bool) error {
-	if o.Seeds != nil {
-		return e.InitEdgeRange(o.Seeds.Lo, o.Seeds.Hi, filter)
-	}
-	return e.InitEdges(filter)
-}
-
-// SpillInfo is the hybrid-storage accounting of one application run.
-type SpillInfo struct {
-	// SpilledLevels counts expansions that migrated at least one part.
-	SpilledLevels int
-	// SpilledParts counts the level parts migrated to disk.
-	SpilledParts int
-	// PromotedParts counts disk parts promoted back to memory after an
-	// in-place filter or a pop left the (shared) budget with headroom.
-	PromotedParts int
-	// CompressedParts counts raw resident parts squeezed into
-	// compressed-mem blocks (by the build governor under pressure and by
-	// cold-level compaction).
-	CompressedParts int
-	// SpilledBytes is the logical size (raw word bytes) of the spilled
-	// parts; SpilledBytesPhysical is what their codec blocks occupied on
-	// disk.
-	SpilledBytes         int64
-	SpilledBytesPhysical int64
-	// ResidentBytesLogical is the raw word footprint the memory-resident
-	// level data stood for at run end — larger than the tracked resident
-	// bytes when compressed-mem parts were live.
-	ResidentBytesLogical int64
-	// Levels is the final placement snapshot of the run's live CSE levels
-	// (base level first), taken just before the explorer closed — the
-	// per-level view a metrics endpoint can report after the run is gone.
-	Levels []explore.LevelStat
-	// IsoCalls counts how often the run's pattern aggregation ran the
-	// isomorphism backend — its memo misses, where the hashing time goes
-	// (the aggregator adds to it at every merge).
-	IsoCalls uint64
-}
-
-func (o Options) exploreConfig(g *graph.Graph, mode explore.Mode) explore.Config {
-	return explore.Config{
-		Graph: g, Mode: mode, Threads: o.Threads,
-		MemoryBudget: o.MemoryBudget, SpillDir: o.SpillDir,
-		SpillWatermark: o.SpillWatermark,
-		Predict:        o.Predict, PredictSample: o.PredictSample,
-		BufSize: o.BufSize, BlockSize: o.BlockSize,
-		ResidentCompression: o.ResidentCompression,
-		FS:                  o.FS,
-		Tracker:             o.Tracker,
-	}
-}
-
-// captureSpill snapshots the explorer's spill counters into opt.Spill; use
-// it as a deferred call so the final expansion is included.
-func captureSpill(opt Options, e *explore.Explorer) {
-	if opt.Spill != nil {
-		*opt.Spill = SpillInfo{
-			SpilledLevels:        e.SpilledLevels(),
-			SpilledParts:         e.SpilledParts(),
-			PromotedParts:        e.PromotedParts(),
-			CompressedParts:      e.CompressedParts(),
-			SpilledBytes:         e.SpilledBytes(),
-			SpilledBytesPhysical: e.SpilledBytesPhysical(),
-			ResidentBytesLogical: e.ResidentBytesLogical(),
-			Levels:               e.LevelStats(),
-			IsoCalls:             opt.Spill.IsoCalls,
-		}
-	}
-}
 
 // PatternCount is one aggregated pattern: a representative (normalized)
 // pattern, its embedding count, and — for FSM — its MNI support.
@@ -182,20 +56,19 @@ func sortCounts(out []PatternCount) {
 // one gallop to the first neighbor past v plus one probe per remaining
 // neighbor, instead of a fresh linear merge of both lists per embedding.
 // ctx cancels the run between blocks of work.
-func TriangleCount(ctx context.Context, g *graph.Graph, opt Options) (uint64, error) {
-	e, err := explore.New(opt.exploreConfig(g, explore.VertexInduced))
+func TriangleCount(ctx context.Context, g *graph.Graph, env *run.Env) (uint64, error) {
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: env})
 	if err != nil {
 		return 0, err
 	}
 	defer e.Close()
-	defer captureSpill(opt, e)
-	if err := opt.initVertices(e, g, nil); err != nil {
+	if err := e.InitVertices(nil); err != nil {
 		return 0, err
 	}
 	if err := e.Expand(ctx, nil, nil); err != nil {
 		return 0, err
 	}
-	nw := threadsOf(opt)
+	nw := env.Workers()
 	counts := make([]uint64, nw)
 	type markState struct {
 		mk     *graph.NeighborMarker
@@ -274,20 +147,19 @@ func cliqueFilter(g *graph.Graph, nw int) explore.VertexFilter {
 // levels are materialized: the final expansion — the largest level of the
 // run — is consumed by a CountSink at the frontier (§6.5 generalized), so
 // zero bytes are written for it. ctx cancels the run between blocks of work.
-func CliqueCount(ctx context.Context, g *graph.Graph, k int, opt Options) (uint64, error) {
+func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint64, error) {
 	if k < 2 {
 		return 0, fmt.Errorf("apps: clique size %d < 2", k)
 	}
-	e, err := explore.New(opt.exploreConfig(g, explore.VertexInduced))
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: env})
 	if err != nil {
 		return 0, err
 	}
 	defer e.Close()
-	defer captureSpill(opt, e)
-	if err := opt.initVertices(e, g, nil); err != nil {
+	if err := e.InitVertices(nil); err != nil {
 		return 0, err
 	}
-	filter := cliqueFilter(g, threadsOf(opt))
+	filter := cliqueFilter(g, env.Workers())
 	for i := 1; i < k-1; i++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
@@ -303,17 +175,16 @@ func CliqueCount(ctx context.Context, g *graph.Graph, k int, opt Options) (uint6
 // at (k−1)-embeddings; the Mapper explores each one's canonical extensions
 // on the fly and aggregates their pattern classes. Labels are ignored: motifs
 // are structural. ctx cancels the run between blocks of work.
-func MotifCount(ctx context.Context, g *graph.Graph, k int, opt Options) ([]PatternCount, error) {
+func MotifCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) ([]PatternCount, error) {
 	if k < 2 || k > pattern.MaxK {
 		return nil, fmt.Errorf("apps: motif size %d out of [2,%d]", k, pattern.MaxK)
 	}
-	e, err := explore.New(opt.exploreConfig(g, explore.VertexInduced))
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: env})
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
-	defer captureSpill(opt, e)
-	if err := opt.initVertices(e, g, nil); err != nil {
+	if err := e.InitVertices(nil); err != nil {
 		return nil, err
 	}
 	// k-Motif stores only k−1 levels (§6.5): the last expansion is consumed
@@ -326,16 +197,9 @@ func MotifCount(ctx context.Context, g *graph.Graph, k int, opt Options) ([]Patt
 			return nil, err
 		}
 	}
-	a := newAggregator(g, 0, opt)
+	a := newAggregator(g, 0, env)
 	if err := e.ExpandVisitGroups(ctx, nil, nil, a.addMotifs); err != nil {
 		return nil, err
 	}
 	return a.counts(), nil
-}
-
-func threadsOf(opt Options) int {
-	if opt.Threads > 0 {
-		return opt.Threads
-	}
-	return defaultThreads()
 }

@@ -8,6 +8,7 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/iso"
 	"kaleido/internal/pattern"
+	"kaleido/internal/run"
 )
 
 var bgCtx = context.Background()
@@ -43,7 +44,7 @@ func randomGraph(rng *rand.Rand, n, m, labels int) *graph.Graph {
 
 func TestTriangleCountPaperExample(t *testing.T) {
 	g := paperGraph(t)
-	got, err := TriangleCount(bgCtx, g, Options{Threads: 2})
+	got, err := TriangleCount(bgCtx, g, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestTriangleCountRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 15; trial++ {
 		g := randomGraph(rng, 10+rng.Intn(30), rng.Intn(120), 3)
-		got, err := TriangleCount(bgCtx, g, Options{Threads: 1 + rng.Intn(4)})
+		got, err := TriangleCount(bgCtx, g, &run.Env{Threads: 1 + rng.Intn(4)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,14 +87,14 @@ func TestTriangleCountRandom(t *testing.T) {
 
 func TestCliqueCountPaperExample(t *testing.T) {
 	g := paperGraph(t)
-	got, err := CliqueCount(bgCtx, g, 3, Options{Threads: 2})
+	got, err := CliqueCount(bgCtx, g, 3, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 3 {
 		t.Fatalf("3-cliques = %d, want 3 (paper Fig. 9)", got)
 	}
-	got4, err := CliqueCount(bgCtx, g, 4, Options{Threads: 2})
+	got4, err := CliqueCount(bgCtx, g, 4, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestCliqueCountCompleteGraph(t *testing.T) {
 	}
 	want := map[int]uint64{2: 15, 3: 20, 4: 15, 5: 6}
 	for k, w := range want {
-		got, err := CliqueCount(bgCtx, g, k, Options{Threads: 3})
+		got, err := CliqueCount(bgCtx, g, k, &run.Env{Threads: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestCliqueCountCompleteGraph(t *testing.T) {
 			t.Fatalf("%d-cliques of K6 = %d, want %d", k, got, w)
 		}
 	}
-	if _, err := CliqueCount(bgCtx, g, 1, Options{}); err == nil {
+	if _, err := CliqueCount(bgCtx, g, 1, &run.Env{}); err == nil {
 		t.Fatal("k=1 accepted")
 	}
 }
@@ -132,7 +133,7 @@ func TestCliqueCountCompleteGraph(t *testing.T) {
 func TestMotifCountPaperExample(t *testing.T) {
 	// Paper §5.1: the Fig. 3 graph has 5 3-chains and 3 triangles.
 	g := paperGraph(t)
-	got, err := MotifCount(bgCtx, g, 3, Options{Threads: 2})
+	got, err := MotifCount(bgCtx, g, 3, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMotifCountMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng, 8+rng.Intn(8), rng.Intn(40), 1)
 		for k := 3; k <= 4; k++ {
-			got, err := MotifCount(bgCtx, g, k, Options{Threads: 1 + rng.Intn(4)})
+			got, err := MotifCount(bgCtx, g, k, &run.Env{Threads: 1 + rng.Intn(4)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,8 +203,8 @@ func TestMotifCountIsoBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 20, 60, 1)
 	var ref []PatternCount
-	for _, algo := range []IsoAlgo{IsoEigen, IsoBliss, IsoEigenExact} {
-		got, err := MotifCount(bgCtx, g, 4, Options{Threads: 2, Iso: algo})
+	for _, algo := range []run.IsoAlgo{run.IsoEigen, run.IsoBliss, run.IsoEigenExact} {
+		got, err := MotifCount(bgCtx, g, 4, &run.Env{Threads: 2, Iso: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +247,7 @@ func TestFSMTwoStars(t *testing.T) {
 	g := twoStarGraph(t)
 	// 3-FSM (2 edges, ≤3 vertices), support 2: the only 2-edge pattern is
 	// the path 1-0-1, MNI = min(|{0,1}|, |{2,3,4,5}|) = 2 → frequent.
-	got, err := FSM(bgCtx, g, 3, 2, Options{Threads: 2})
+	got, err := FSM(bgCtx, g, 3, 2, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestFSMTwoStars(t *testing.T) {
 		t.Fatalf("pattern = %v", got[0].Pattern)
 	}
 	// Support 3: even single edges are infrequent (MNI 2).
-	none, err := FSM(bgCtx, g, 3, 3, Options{Threads: 2})
+	none, err := FSM(bgCtx, g, 3, 3, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestFSMTwoStars(t *testing.T) {
 func TestFSMSingleEdgeLevel(t *testing.T) {
 	g := twoStarGraph(t)
 	// 2-FSM = frequent single-edge patterns.
-	got, err := FSM(bgCtx, g, 2, 2, Options{})
+	got, err := FSM(bgCtx, g, 2, 2, &run.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestFSMSupportOneMatchesEnumeration(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 7+rng.Intn(5), rng.Intn(20), 2)
 		k := 3 + rng.Intn(2)
-		got, err := FSM(bgCtx, g, k, 1, Options{Threads: 1 + rng.Intn(3)})
+		got, err := FSM(bgCtx, g, k, 1, &run.Env{Threads: 1 + rng.Intn(3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,11 +369,11 @@ func edgeSetConnected(g *graph.Graph, set []uint32) bool {
 func TestFSMHybridMatchesMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 30, 90, 3)
-	mem, err := FSM(bgCtx, g, 4, 2, Options{Threads: 2})
+	mem, err := FSM(bgCtx, g, 4, 2, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := FSM(bgCtx, g, 4, 2, Options{
+	hyb, err := FSM(bgCtx, g, 4, 2, &run.Env{
 		Threads: 2, MemoryBudget: 1, SpillDir: t.TempDir(), Predict: true,
 	})
 	if err != nil {
@@ -390,16 +391,16 @@ func TestFSMHybridMatchesMemory(t *testing.T) {
 
 func TestFSMValidation(t *testing.T) {
 	g := paperGraph(t)
-	if _, err := FSM(bgCtx, g, 1, 1, Options{}); err == nil {
+	if _, err := FSM(bgCtx, g, 1, 1, &run.Env{}); err == nil {
 		t.Fatal("k=1 accepted")
 	}
-	if _, err := FSM(bgCtx, g, 3, 0, Options{}); err == nil {
+	if _, err := FSM(bgCtx, g, 3, 0, &run.Env{}); err == nil {
 		t.Fatal("support 0 accepted")
 	}
-	if _, err := FSM(bgCtx, g, pattern.MaxK+1, 1, Options{}); err == nil {
+	if _, err := FSM(bgCtx, g, pattern.MaxK+1, 1, &run.Env{}); err == nil {
 		t.Fatal("oversized k accepted")
 	}
-	if _, err := MotifCount(bgCtx, g, 1, Options{}); err == nil {
+	if _, err := MotifCount(bgCtx, g, 1, &run.Env{}); err == nil {
 		t.Fatal("motif k=1 accepted")
 	}
 }
@@ -409,7 +410,7 @@ func TestFSMThreadInvariance(t *testing.T) {
 	g := randomGraph(rng, 25, 70, 3)
 	var ref []PatternCount
 	for _, threads := range []int{1, 2, 4} {
-		got, err := FSM(bgCtx, g, 4, 3, Options{Threads: threads})
+		got, err := FSM(bgCtx, g, 4, 3, &run.Env{Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,7 @@ import (
 
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 	"kaleido/internal/storage"
 	"kaleido/internal/storage/vfs"
 )
@@ -56,7 +57,7 @@ func matrixGraph() *graph.Graph {
 	return randomGraph(rng, 100, 800, 3)
 }
 
-func runAllApps(t *testing.T, opt Options) (appResults, error) {
+func runAllApps(t *testing.T, opt *run.Env) (appResults, error) {
 	t.Helper()
 	g := matrixGraph()
 	var r appResults
@@ -125,7 +126,7 @@ func waitDrained(t *testing.T, base int) {
 }
 
 func TestFaultMatrixTransient(t *testing.T) {
-	base, err := runAllApps(t, Options{Threads: 3})
+	base, err := runAllApps(t, &run.Env{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFaultMatrixTransient(t *testing.T) {
 			baseGoroutines := runtime.NumGoroutine()
 			dir := t.TempDir()
 			ff := vfs.NewFaultFS(nil, transientFaults)
-			got, err := runAllApps(t, Options{
+			got, err := runAllApps(t, &run.Env{
 				Threads: 3, MemoryBudget: reg.budget, SpillDir: dir, FS: ff,
 			})
 			if err != nil {
@@ -175,7 +176,7 @@ func TestFaultMatrixTransient(t *testing.T) {
 func TestFaultMatrixCompressedResidentNoVFS(t *testing.T) {
 	g := matrixGraph()
 	tr := memtrack.New()
-	base, err := MotifCount(context.Background(), g, 4, Options{Threads: 3, Tracker: tr})
+	base, err := MotifCount(context.Background(), g, 4, &run.Env{Threads: 3, Tracker: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +189,8 @@ func TestFaultMatrixCompressedResidentNoVFS(t *testing.T) {
 	// parts) absorbs the overshoot without reaching for the disk.
 	budget := tr.Peak() * 4 / 5
 	ff := vfs.NewFaultFS(nil, vfs.Fault{Seed: 99, ReadErrP: 1, WriteErrP: 1, ShortWriteP: 1})
-	var spill SpillInfo
-	got, err := MotifCount(context.Background(), g, 4, Options{
+	var spill run.SpillInfo
+	got, err := MotifCount(context.Background(), g, 4, &run.Env{
 		Threads: 3, MemoryBudget: budget, SpillDir: t.TempDir(), FS: ff, Spill: &spill,
 	})
 	if err != nil {
@@ -219,7 +220,7 @@ func TestFaultMatrixCorruption(t *testing.T) {
 			baseGoroutines := runtime.NumGoroutine()
 			dir := t.TempDir()
 			ff := vfs.NewFaultFS(nil, vfs.Fault{Seed: 55, BitFlipP: 1})
-			_, err := runAllApps(t, Options{
+			_, err := runAllApps(t, &run.Env{
 				Threads: 3, MemoryBudget: reg.budget, SpillDir: dir, FS: ff,
 			})
 			if err == nil {
@@ -245,7 +246,7 @@ func TestFaultMatrixNoSpace(t *testing.T) {
 			baseGoroutines := runtime.NumGoroutine()
 			dir := t.TempDir()
 			ff := vfs.NewFaultFS(nil, vfs.Fault{Seed: 56, WriteCap: 256})
-			_, err := runAllApps(t, Options{
+			_, err := runAllApps(t, &run.Env{
 				Threads: 3, MemoryBudget: reg.budget, SpillDir: dir, FS: ff,
 			})
 			if err == nil {

@@ -3,15 +3,13 @@ package apps
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"kaleido/internal/explore"
 	"kaleido/internal/graph"
 	"kaleido/internal/mni"
 	"kaleido/internal/pattern"
+	"kaleido/internal/run"
 )
-
-func defaultThreads() int { return runtime.GOMAXPROCS(0) }
 
 // FSM mines frequent subgraphs with the minimum image-based (MNI) support
 // metric (§5.1): k-FSM returns frequent patterns with k−1 edges and at most
@@ -21,15 +19,15 @@ func defaultThreads() int { return runtime.GOMAXPROCS(0) }
 // reaches the threshold it is marked frequent and its domain tracking is
 // dropped, which is why FSM run time is non-monotonic in the support
 // (Fig. 11). ctx cancels the run between blocks of work.
-func FSM(ctx context.Context, g *graph.Graph, k int, support uint64, opt Options) ([]PatternCount, error) {
-	res, _, err := fsmRun(ctx, g, k, support, opt)
+func FSM(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.Env) ([]PatternCount, error) {
+	res, _, err := fsmRun(ctx, g, k, support, env)
 	return res, err
 }
 
 // fsmRun is FSM returning also the number of final-level embeddings the
 // fused aggregation visited (the CountVisitSink total) — the Count a sharded
 // Result reports.
-func fsmRun(ctx context.Context, g *graph.Graph, k int, support uint64, opt Options) ([]PatternCount, uint64, error) {
+func fsmRun(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.Env) ([]PatternCount, uint64, error) {
 	if err := fsmValidate(k, support); err != nil {
 		return nil, 0, err
 	}
@@ -43,18 +41,17 @@ func fsmRun(ctx context.Context, g *graph.Graph, k int, support uint64, opt Opti
 		return out, uint64(g.M()), nil
 	}
 
-	e, err := explore.New(opt.exploreConfig(g, explore.EdgeInduced))
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: env})
 	if err != nil {
 		return nil, 0, err
 	}
 	defer e.Close()
-	defer captureSpill(opt, e)
-	if err := opt.initEdges(e, g, fsmSeedFilter(g, freqPairs)); err != nil {
+	if err := e.InitEdges(fsmSeedFilter(g, freqPairs)); err != nil {
 		return nil, 0, err
 	}
 
 	filter := fsmEmbeddingFilter(g, k, freqPairs)
-	a := newAggregator(g, support, opt)
+	a := newAggregator(g, support, env)
 
 	var result []PatternCount
 	var total uint64

@@ -3,7 +3,7 @@ package apps
 // Prefix-range sharded execution: the level-1 unit range is split into
 // contiguous id ranges (graph.DegreeMassVertexRanges /
 // DegreeMassEdgeRanges balance them by degree mass) and each shard runs the
-// application over its own explorer, seeded with Options.Seeds. Every
+// application over its own explorer, seeded with its run.Env's Seeds. Every
 // canonical embedding is rooted at exactly one level-1 unit, so disjoint
 // seed ranges covering the id space partition the embedding space exactly:
 // shard results merge by plain summation (triangles, cliques), by
@@ -24,6 +24,7 @@ import (
 	"kaleido/internal/explore"
 	"kaleido/internal/graph"
 	"kaleido/internal/mni"
+	"kaleido/internal/run"
 )
 
 // runShards runs f(i) for every shard concurrently and waits for all of
@@ -64,15 +65,16 @@ func runShards(ctx context.Context, n int, f func(ctx context.Context, shard int
 	return nil
 }
 
-// TriangleCountSharded runs TriangleCount as len(opts) concurrent shards
-// (each opts[i] carrying its Seeds range and Tracker) and sums the counts.
-func TriangleCountSharded(ctx context.Context, g *graph.Graph, opts []Options) (uint64, error) {
-	if len(opts) == 1 {
-		return TriangleCount(ctx, g, opts[0])
+// TriangleCountSharded runs TriangleCount as len(envs) concurrent shards
+// (each envs[i] carrying its Seeds range and Tracker) and sums the counts. One
+// shard is simply the unsharded run — so for every *Sharded helper.
+func TriangleCountSharded(ctx context.Context, g *graph.Graph, envs []*run.Env) (uint64, error) {
+	if len(envs) == 1 {
+		return TriangleCount(ctx, g, envs[0])
 	}
-	counts := make([]uint64, len(opts))
-	err := runShards(ctx, len(opts), func(ctx context.Context, i int) error {
-		n, err := TriangleCount(ctx, g, opts[i])
+	counts := make([]uint64, len(envs))
+	err := runShards(ctx, len(envs), func(ctx context.Context, i int) error {
+		n, err := TriangleCount(ctx, g, envs[i])
 		counts[i] = n
 		return err
 	})
@@ -86,15 +88,15 @@ func TriangleCountSharded(ctx context.Context, g *graph.Graph, opts []Options) (
 	return total, nil
 }
 
-// CliqueCountSharded runs CliqueCount as len(opts) concurrent shards and
+// CliqueCountSharded runs CliqueCount as len(envs) concurrent shards and
 // sums the counts.
-func CliqueCountSharded(ctx context.Context, g *graph.Graph, k int, opts []Options) (uint64, error) {
-	if len(opts) == 1 {
-		return CliqueCount(ctx, g, k, opts[0])
+func CliqueCountSharded(ctx context.Context, g *graph.Graph, k int, envs []*run.Env) (uint64, error) {
+	if len(envs) == 1 {
+		return CliqueCount(ctx, g, k, envs[0])
 	}
-	counts := make([]uint64, len(opts))
-	err := runShards(ctx, len(opts), func(ctx context.Context, i int) error {
-		n, err := CliqueCount(ctx, g, k, opts[i])
+	counts := make([]uint64, len(envs))
+	err := runShards(ctx, len(envs), func(ctx context.Context, i int) error {
+		n, err := CliqueCount(ctx, g, k, envs[i])
 		counts[i] = n
 		return err
 	})
@@ -108,24 +110,24 @@ func CliqueCountSharded(ctx context.Context, g *graph.Graph, k int, opts []Optio
 	return total, nil
 }
 
-// MotifCountSharded runs MotifCount as len(opts) concurrent shards and
+// MotifCountSharded runs MotifCount as len(envs) concurrent shards and
 // merges the per-shard results by isomorphism hash (the char-poly hash is
 // invariant under the vertex order, so identical shapes found by different
 // shards collide exactly).
-func MotifCountSharded(ctx context.Context, g *graph.Graph, k int, opts []Options) ([]PatternCount, error) {
-	if len(opts) == 1 {
-		return MotifCount(ctx, g, k, opts[0])
+func MotifCountSharded(ctx context.Context, g *graph.Graph, k int, envs []*run.Env) ([]PatternCount, error) {
+	if len(envs) == 1 {
+		return MotifCount(ctx, g, k, envs[0])
 	}
-	results := make([][]PatternCount, len(opts))
-	err := runShards(ctx, len(opts), func(ctx context.Context, i int) error {
-		res, err := MotifCount(ctx, g, k, opts[i])
+	results := make([][]PatternCount, len(envs))
+	err := runShards(ctx, len(envs), func(ctx context.Context, i int) error {
+		res, err := MotifCount(ctx, g, k, envs[i])
 		results[i] = res
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return MergePatternCounts(results, opts[0].Iso), nil
+	return MergePatternCounts(results, envs[0].Iso), nil
 }
 
 // MergePatternCounts merges per-shard pattern tallies: counts of isomorphic
@@ -135,7 +137,7 @@ func MotifCountSharded(ctx context.Context, g *graph.Graph, k int, opts []Option
 // need domain unions, which FSMSharded does level-synchronously — so this
 // helper is for count-only aggregates (motifs). The result is sorted like a
 // single-run output.
-func MergePatternCounts(lists [][]PatternCount, iso IsoAlgo) []PatternCount {
+func MergePatternCounts(lists [][]PatternCount, iso run.IsoAlgo) []PatternCount {
 	hash := newHasher(iso)
 	merged := map[uint64]*PatternCount{}
 	for _, list := range lists {
@@ -161,7 +163,7 @@ func MergePatternCounts(lists [][]PatternCount, iso IsoAlgo) []PatternCount {
 	return out
 }
 
-// FSMSharded mines frequent subgraphs over len(opts) concurrent shards of
+// FSMSharded mines frequent subgraphs over len(envs) concurrent shards of
 // the edge id range. Unlike the counting apps the shards cannot run to
 // completion independently: MNI support is a global property, so each
 // level's pruning must see every shard's aggregates. The loop is therefore
@@ -171,9 +173,9 @@ func MergePatternCounts(lists [][]PatternCount, iso IsoAlgo) []PatternCount {
 // equals a single-run merge), and every shard prunes its own top level
 // against the global map. Returns the frequent patterns and the total
 // number of final-level embeddings aggregated.
-func FSMSharded(ctx context.Context, g *graph.Graph, k int, support uint64, opts []Options) ([]PatternCount, uint64, error) {
-	if len(opts) == 1 {
-		return fsmRun(ctx, g, k, support, opts[0])
+func FSMSharded(ctx context.Context, g *graph.Graph, k int, support uint64, envs []*run.Env) ([]PatternCount, uint64, error) {
+	if len(envs) == 1 {
+		return fsmRun(ctx, g, k, support, envs[0])
 	}
 	if err := fsmValidate(k, support); err != nil {
 		return nil, 0, err
@@ -184,17 +186,17 @@ func FSMSharded(ctx context.Context, g *graph.Graph, k int, support uint64, opts
 		return edgeCounts, uint64(g.M()), nil
 	}
 
-	S := len(opts)
+	S := len(envs)
 	shards := make([]*shardFSM, S)
 	defer func() {
 		for _, sh := range shards {
 			if sh != nil {
-				sh.close()
+				sh.e.Close()
 			}
 		}
 	}()
 	for i := range shards {
-		sh, err := newShardFSM(g, freqPairs, support, opts[i])
+		sh, err := newShardFSM(g, freqPairs, support, envs[i])
 		if err != nil {
 			return nil, 0, err
 		}
@@ -252,24 +254,18 @@ func FSMSharded(ctx context.Context, g *graph.Graph, k int, support uint64, opts
 // shardFSM is one shard's long-lived exploration state (FSM's shards live
 // across the level loop, unlike the counting apps' one-shot runs).
 type shardFSM struct {
-	e   *explore.Explorer
-	a   *aggregator
-	opt Options
+	e *explore.Explorer
+	a *aggregator
 }
 
-func newShardFSM(g *graph.Graph, freqPairs map[uint32]bool, support uint64, opt Options) (*shardFSM, error) {
-	e, err := explore.New(opt.exploreConfig(g, explore.EdgeInduced))
+func newShardFSM(g *graph.Graph, freqPairs map[uint32]bool, support uint64, env *run.Env) (*shardFSM, error) {
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: env})
 	if err != nil {
 		return nil, err
 	}
-	if err := opt.initEdges(e, g, fsmSeedFilter(g, freqPairs)); err != nil {
+	if err := e.InitEdges(fsmSeedFilter(g, freqPairs)); err != nil {
 		e.Close()
 		return nil, err
 	}
-	return &shardFSM{e: e, a: newAggregator(g, support, opt), opt: opt}, nil
-}
-
-func (s *shardFSM) close() {
-	captureSpill(s.opt, s.e)
-	s.e.Close()
+	return &shardFSM{e: e, a: newAggregator(g, support, env)}, nil
 }

@@ -10,13 +10,14 @@ import (
 	"kaleido/internal/explore"
 	"kaleido/internal/graph"
 	"kaleido/internal/iso"
+	"kaleido/internal/run"
 )
 
 // regimes returns the three storage regimes of the differential tests:
 // all-memory, hybrid (some parts spill), and disk (everything spills).
-func storageRegimes(t *testing.T) map[string]Options {
+func storageRegimes(t *testing.T) map[string]*run.Env {
 	t.Helper()
-	return map[string]Options{
+	return map[string]*run.Env{
 		"mem":    {Threads: 2},
 		"hybrid": {Threads: 2, MemoryBudget: 1 << 12, SpillDir: t.TempDir(), Predict: true},
 		"disk":   {Threads: 2, MemoryBudget: 1, SpillDir: t.TempDir(), Predict: true},
@@ -85,7 +86,7 @@ func TestAppsRelabelDifferential(t *testing.T) {
 // original-id space, each sorted, as strings.
 func embeddingSet(t *testing.T, g *graph.Graph, k int) []string {
 	t.Helper()
-	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Threads: 1})
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{Threads: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,18 +138,19 @@ func TestRelabelEmbeddingsIdentical(t *testing.T) {
 }
 
 // shardOpts splits the level-1 unit range of base into k degree-mass-balanced
-// prefix ranges, one Options per shard.
-func shardOpts(g *graph.Graph, base Options, k int, edges bool) []Options {
+// prefix ranges, one *run.Env per shard.
+func shardOpts(g *graph.Graph, base *run.Env, k int, edges bool) []*run.Env {
 	var bounds []int
 	if edges {
 		bounds = g.DegreeMassEdgeRanges(k)
 	} else {
 		bounds = g.DegreeMassVertexRanges(k)
 	}
-	opts := make([]Options, k)
+	opts := make([]*run.Env, k)
 	for i := range opts {
-		opts[i] = base
-		opts[i].Seeds = &SeedRange{Lo: uint32(bounds[i]), Hi: uint32(bounds[i+1])}
+		env := *base
+		env.Seeds = &run.SeedRange{Lo: uint32(bounds[i]), Hi: uint32(bounds[i+1])}
+		opts[i] = &env
 	}
 	return opts
 }
@@ -163,7 +165,7 @@ func TestShardedConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, g := range map[string]*graph.Graph{"raw": raw, "relabeled": rel} {
-		base := Options{Threads: 1}
+		base := &run.Env{Threads: 1}
 		tcRef, err := TriangleCount(bgCtx, g, base)
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +222,7 @@ func TestShardedHybridConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Options{Threads: 2, MemoryBudget: 1 << 10, SpillDir: t.TempDir(), Predict: true}
+	base := &run.Env{Threads: 2, MemoryBudget: 1 << 10, SpillDir: t.TempDir(), Predict: true}
 	moRef, err := MotifCount(bgCtx, g, 4, base)
 	if err != nil {
 		t.Fatal(err)
@@ -245,18 +247,18 @@ func TestShardedHybridConformance(t *testing.T) {
 // shards get empty seed ranges) still merge to the exact result.
 func TestShardedEmptyRanges(t *testing.T) {
 	g := paperGraph(t)
-	tc, err := TriangleCountSharded(bgCtx, g, shardOpts(g, Options{Threads: 1}, 8, false))
+	tc, err := TriangleCountSharded(bgCtx, g, shardOpts(g, &run.Env{Threads: 1}, 8, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tc != 3 {
 		t.Fatalf("triangles with empty shards = %d, want 3", tc)
 	}
-	fs, _, err := FSMSharded(bgCtx, g, 3, 1, shardOpts(g, Options{Threads: 1}, 9, true))
+	fs, _, err := FSMSharded(bgCtx, g, 3, 1, shardOpts(g, &run.Env{Threads: 1}, 9, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := FSM(bgCtx, g, 3, 1, Options{Threads: 1})
+	ref, err := FSM(bgCtx, g, 3, 1, &run.Env{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +273,10 @@ func TestShardedCancellation(t *testing.T) {
 	g := randomGraph(rng, 40, 160, 2)
 	ctx, cancel := context.WithCancel(bgCtx)
 	cancel()
-	if _, err := TriangleCountSharded(ctx, g, shardOpts(g, Options{Threads: 1}, 3, false)); err == nil {
+	if _, err := TriangleCountSharded(ctx, g, shardOpts(g, &run.Env{Threads: 1}, 3, false)); err == nil {
 		t.Fatal("cancelled sharded run returned nil error")
 	}
-	if _, _, err := FSMSharded(ctx, g, 3, 1, shardOpts(g, Options{Threads: 1}, 3, true)); err == nil {
+	if _, _, err := FSMSharded(ctx, g, 3, 1, shardOpts(g, &run.Env{Threads: 1}, 3, true)); err == nil {
 		t.Fatal("cancelled sharded FSM returned nil error")
 	}
 }

@@ -18,18 +18,18 @@ import (
 	"kaleido/internal/memtrack"
 	"kaleido/internal/mni"
 	"kaleido/internal/pattern"
-	"kaleido/internal/storage"
+	"kaleido/internal/run"
 )
 
 // appConfigs enumerates the storage regimes: all-mem, a mid-size budget
 // (hybrid placement decided by the governor — with the compressed-resident
 // tier on by default, and once with it pinned off so both residency ladders
 // must produce identical results), and a 1-byte budget (all-disk).
-func appConfigs(t *testing.T) []Options {
-	return []Options{
+func appConfigs(t *testing.T) []*run.Env {
+	return []*run.Env{
 		{Threads: 3},
 		{Threads: 3, MemoryBudget: 64 << 10, SpillDir: t.TempDir()},
-		{Threads: 3, MemoryBudget: 64 << 10, SpillDir: t.TempDir(), ResidentCompression: storage.CompressionOff},
+		{Threads: 3, MemoryBudget: 64 << 10, SpillDir: t.TempDir(), ResidentCompression: run.CompressionOff},
 		{Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Predict: true},
 	}
 }
@@ -51,7 +51,7 @@ func naiveCliqueFilter(g *graph.Graph) explore.VertexFilter {
 // expansions with the naive filter, then Count of the stored top.
 func materializedCliqueCount(t *testing.T, g *graph.Graph, k int) uint64 {
 	t.Helper()
-	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Threads: 3})
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{Threads: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCliqueFusedMatchesMaterialized(t *testing.T) {
 // with ForEach — the pre-sink motif path.
 func materializedMotifCount(t *testing.T, g *graph.Graph, k int) map[string]uint64 {
 	t.Helper()
-	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Threads: 3})
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{Threads: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +150,14 @@ func TestMotifFusedMatchesMaterialized(t *testing.T) {
 // materializedFSMFinal replays FSM but materializes the final level
 // (Expand + ForEach aggregation) instead of fusing it — the pre-sink path,
 // byte-for-byte the old implementation.
-func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, opt Options) []PatternCount {
+func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, opt *run.Env) []PatternCount {
 	t.Helper()
 	freqPairs, edgeCounts := frequentEdgePatterns(g, support)
 	if k == 2 {
 		sortCounts(edgeCounts)
 		return edgeCounts
 	}
-	e, err := explore.New(opt.exploreConfig(g, explore.EdgeInduced))
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, o
 		if level < k-1 {
 			// The pruning pass hashes every embedding with a fresh backend,
 			// no memo: the reference the memoised fsmFilterTop must match.
-			nw := threadsOf(opt)
+			nw := opt.Workers()
 			hashers := make([]hasher, nw)
 			pats := make([]pattern.Pattern, nw)
 			bufs := make([][]uint32, nw)
@@ -234,8 +234,8 @@ func TestFSMFusedMatchesMaterialized(t *testing.T) {
 				// deterministic order, so counts AND threshold-crossing
 				// supports must be byte-identical between the fused and the
 				// materialized final level.
-				exact := materializedFSMFinal(t, g, k, support, Options{Threads: 1})
-				got1, err := FSM(bgCtx, g, k, support, Options{Threads: 1})
+				exact := materializedFSMFinal(t, g, k, support, &run.Env{Threads: 1})
+				got1, err := FSM(bgCtx, g, k, support, &run.Env{Threads: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -303,10 +303,10 @@ func TestFusedTerminalWritesZeroBytes(t *testing.T) {
 
 	// Expected: one stored level (depth 2) under the clique filter.
 	tr := memtrack.New()
-	e, err := explore.New(explore.Config{
-		Graph: g, Mode: explore.VertexInduced, Threads: 3,
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{
+		Threads:      3,
 		MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: tr,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestFusedTerminalWritesZeroBytes(t *testing.T) {
 	}
 
 	trClique := memtrack.New()
-	if _, err := CliqueCount(bgCtx, g, 3, Options{
+	if _, err := CliqueCount(bgCtx, g, 3, &run.Env{
 		Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: trClique,
 	}); err != nil {
 		t.Fatal(err)
@@ -334,10 +334,10 @@ func TestFusedTerminalWritesZeroBytes(t *testing.T) {
 
 	// Expected: one stored unfiltered level (depth 2) for 3-motifs.
 	tr2 := memtrack.New()
-	e2, err := explore.New(explore.Config{
-		Graph: g, Mode: explore.VertexInduced, Threads: 3,
+	e2, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{
+		Threads:      3,
 		MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: tr2,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestFusedTerminalWritesZeroBytes(t *testing.T) {
 	e2.Close()
 
 	trMotif := memtrack.New()
-	if _, err := MotifCount(bgCtx, g, 3, Options{
+	if _, err := MotifCount(bgCtx, g, 3, &run.Env{
 		Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: trMotif,
 	}); err != nil {
 		t.Fatal(err)

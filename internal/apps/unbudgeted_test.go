@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kaleido/internal/explore"
+	"kaleido/internal/run"
 	"kaleido/internal/storage/vfs"
 )
 
@@ -35,11 +36,11 @@ func (f *noFS) MkdirTemp(string, string) (string, error) {
 func TestUnbudgetedTouchesNoFilesystem(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	fs := &noFS{}
-	want, err := runAllApps(t, Options{Threads: 3})
+	want, err := runAllApps(t, &run.Env{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runAllApps(t, Options{Threads: 3, FS: fs})
+	got, err := runAllApps(t, &run.Env{Threads: 3, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestUnbudgetedTouchesNoFilesystem(t *testing.T) {
 	comparePatternCounts(t, "motifs", got.motifs, want.motifs)
 	comparePatternCounts(t, "fsm", got.fsm, want.fsm)
 
-	e, err := explore.New(explore.Config{Graph: matrixGraph(), Mode: explore.VertexInduced, Threads: 3, FS: fs})
+	e, err := explore.New(explore.Config{Graph: matrixGraph(), Mode: explore.VertexInduced, Env: &run.Env{Threads: 3, FS: fs}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/iso"
 	"kaleido/internal/pattern"
+	"kaleido/internal/run"
 )
 
 var bgCtx = context.Background()
@@ -71,7 +72,7 @@ func TestTriangleCountMatchesKaleido(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 10+rng.Intn(20), rng.Intn(80), 2)
-		want, err := apps.TriangleCount(bgCtx, g, apps.Options{Threads: 2})
+		want, err := apps.TriangleCount(bgCtx, g, &run.Env{Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestCliqueCountMatchesKaleido(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g := randomGraph(rng, 12+rng.Intn(12), rng.Intn(70), 2)
 		for k := 3; k <= 4; k++ {
-			want, err := apps.CliqueCount(bgCtx, g, k, apps.Options{Threads: 2})
+			want, err := apps.CliqueCount(bgCtx, g, k, &run.Env{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +111,7 @@ func TestMotifCountMatchesKaleido(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(rng, 10+rng.Intn(8), rng.Intn(40), 1)
 		for k := 3; k <= 4; k++ {
-			want, err := apps.MotifCount(bgCtx, g, k, apps.Options{Threads: 2})
+			want, err := apps.MotifCount(bgCtx, g, k, &run.Env{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +137,7 @@ func TestFSMMatchesKaleido(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(rng, 12+rng.Intn(10), rng.Intn(40), 2)
 		for _, support := range []uint64{1, 2, 4} {
-			want, err := apps.FSM(bgCtx, g, 4, support, apps.Options{Threads: 2})
+			want, err := apps.FSM(bgCtx, g, 4, support, &run.Env{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

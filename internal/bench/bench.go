@@ -17,7 +17,7 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/rstream"
-	"kaleido/internal/storage"
+	"kaleido/internal/run"
 )
 
 // bgCtx is the uncancellable context of the harness's own runs: experiments
@@ -31,17 +31,11 @@ type RunConfig struct {
 	SpillDir string // scratch space for hybrid storage and RStream tables
 	Quick    bool   // reduced grids for CI
 
-	// SpillWatermark and PredictSample are passed to the hybrid-storage
-	// experiments (table4, fig16, fig17) so the paper-artifact runs can
-	// sweep the governor watermark and the §4.2 sampling budget.
-	SpillWatermark float64
-	PredictSample  int
-
 	// ResidentCompression selects the compressed-mem residency tier for the
 	// budgeted experiments (table4, fig16, fig17, sinks). The zero value is
-	// on (storage.CompressionAuto). The "resident" experiment sweeps this
+	// on (run.CompressionAuto). The "resident" experiment sweeps this
 	// dimension itself and ignores the knob.
-	ResidentCompression storage.Compression
+	ResidentCompression run.Compression
 
 	// FaultP and FaultSeed parameterize the "faults" campaign: the
 	// per-operation probability of each transient fault class (EIO read,
@@ -198,7 +192,7 @@ func runCell(g *graph.Graph, sys system, w workload, cfg RunConfig) measured {
 	return timed(func(tr *memtrack.Tracker) error {
 		switch sys {
 		case sysKaleido:
-			opt := apps.Options{Threads: threads, Tracker: tr}
+			opt := &run.Env{Threads: threads, Tracker: tr}
 			switch w.app {
 			case "3-FSM":
 				_, err := apps.FSM(bgCtx, g, 3, w.option, opt)

@@ -50,7 +50,6 @@ func concurrent(cfg RunConfig) ([]Result, error) {
 		// Sequential baseline: each run still budget-bound, but alone.
 		eng := &kaleido.Engine{
 			MemoryBudget: budget, SpillDir: dir, Threads: cfg.Threads,
-			SpillWatermark: cfg.SpillWatermark,
 		}
 		start := time.Now()
 		for i := 0; i < n; i++ {
@@ -63,7 +62,6 @@ func concurrent(cfg RunConfig) ([]Result, error) {
 
 		eng = &kaleido.Engine{
 			MemoryBudget: budget, SpillDir: dir, Threads: cfg.Threads,
-			SpillWatermark: cfg.SpillWatermark,
 		}
 		var wg sync.WaitGroup
 		errs := make([]error, n)

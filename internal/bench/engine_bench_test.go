@@ -21,7 +21,7 @@ import (
 	"kaleido/internal/explore"
 	"kaleido/internal/gen"
 	"kaleido/internal/graph"
-	"kaleido/internal/storage"
+	"kaleido/internal/run"
 )
 
 var engineGraphs = map[int64]*graph.Graph{}
@@ -43,7 +43,7 @@ func engineGraph(tb testing.TB, n, m int, seed int64) *graph.Graph {
 // engineExplorer builds an explorer expanded to the case's starting depth.
 func engineExplorer(tb testing.TB, g *graph.Graph, c expandCase) *explore.Explorer {
 	tb.Helper()
-	cfg := explore.Config{Graph: g, Mode: c.mode, Threads: c.threads, Predict: c.predict}
+	cfg := explore.Config{Graph: g, Mode: c.mode, Env: &run.Env{Threads: c.threads, Predict: c.predict}}
 	if c.budget > 0 {
 		cfg.MemoryBudget = c.budget
 		cfg.SpillDir = tb.TempDir()
@@ -82,7 +82,7 @@ type expandCase struct {
 	// cases. The raw spill cases pin CompressionOff so they keep measuring
 	// the disk path the budget was sized for; vertex-d4-budget leaves the
 	// Auto default and measures the tier avoiding that spill.
-	residentComp storage.Compression
+	residentComp run.Compression
 }
 
 func expandCases() []expandCase {
@@ -90,13 +90,13 @@ func expandCases() []expandCase {
 		{name: "vertex-d3", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4},
 		{name: "vertex-d4", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 3, threads: 4},
 		{name: "edge-d3", mode: explore.EdgeInduced, n: 2000, m: 6000, seed: 7, depth: 2, threads: 4},
-		{name: "vertex-d3-disk", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1, residentComp: storage.CompressionOff},
+		{name: "vertex-d3-disk", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1, residentComp: run.CompressionOff},
 		// The hybrid case sizes the budget so the governor sends roughly
 		// half of the ~2.2 MB leaf level to disk and keeps the rest
 		// resident (the §4.1 half-memory-half-disk configuration); its
 		// throughput must land strictly between vertex-d3 (all-mem) and
 		// vertex-d3-disk (all-disk).
-		{name: "vertex-d3-hybrid", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1_350_000, residentComp: storage.CompressionOff},
+		{name: "vertex-d3-hybrid", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1_350_000, residentComp: run.CompressionOff},
 		// The budgeted d4 case sizes the budget below the ~179 MB raw leaf
 		// level but above its compressed-mem footprint: with the resident
 		// tier on (the default) the whole level stays memory-resident in
@@ -115,15 +115,15 @@ func expandCases() []expandCase {
 type appCase struct {
 	name    string
 	threads int
-	run     func(g *graph.Graph, opt apps.Options) (uint64, error)
+	run     func(g *graph.Graph, opt *run.Env) (uint64, error)
 }
 
 func appCases() []appCase {
 	return []appCase{
-		{name: "clique-d4", threads: 4, run: func(g *graph.Graph, opt apps.Options) (uint64, error) {
+		{name: "clique-d4", threads: 4, run: func(g *graph.Graph, opt *run.Env) (uint64, error) {
 			return apps.CliqueCount(bgCtx, g, 4, opt)
 		}},
-		{name: "motif-d3", threads: 4, run: func(g *graph.Graph, opt apps.Options) (uint64, error) {
+		{name: "motif-d3", threads: 4, run: func(g *graph.Graph, opt *run.Env) (uint64, error) {
 			res, err := apps.MotifCount(bgCtx, g, 3, opt)
 			if err != nil {
 				return 0, err
@@ -147,7 +147,7 @@ func measureAppCase(c appCase) (testing.BenchmarkResult, int) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v, err := c.run(g, apps.Options{Threads: c.threads})
+			v, err := c.run(g, &run.Env{Threads: c.threads})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func BenchmarkApps(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.run(g, apps.Options{Threads: c.threads}); err != nil {
+				if _, err := c.run(g, &run.Env{Threads: c.threads}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -362,7 +362,7 @@ func TestHybridBenchCasePlacement(t *testing.T) {
 // expandToDepth runs a fresh explorer of the vertex-d4-budget case to its
 // full depth under the given resident-compression mode, returning the final
 // explorer for inspection (caller closes it).
-func budgetCaseExplorer(tb testing.TB, rc storage.Compression) *explore.Explorer {
+func budgetCaseExplorer(tb testing.TB, rc run.Compression) *explore.Explorer {
 	tb.Helper()
 	var c expandCase
 	for _, ec := range expandCases() {
@@ -374,10 +374,10 @@ func budgetCaseExplorer(tb testing.TB, rc storage.Compression) *explore.Explorer
 		tb.Fatal("vertex-d4-budget case missing")
 	}
 	g := engineGraph(tb, c.n, c.m, c.seed)
-	ex, err := explore.New(explore.Config{
-		Graph: g, Mode: c.mode, Threads: c.threads,
+	ex, err := explore.New(explore.Config{Graph: g, Mode: c.mode, Env: &run.Env{
+		Threads:      c.threads,
 		MemoryBudget: c.budget, SpillDir: tb.TempDir(), ResidentCompression: rc,
-	})
+	}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -402,9 +402,9 @@ func TestBudgetBenchCaseAvoidsSpill(t *testing.T) {
 	if raceEnabled {
 		t.Skip("depth-4 budget case: minutes under the race detector; the compressed-resident ladder is race-covered by the explore and apps suites")
 	}
-	comp := budgetCaseExplorer(t, storage.CompressionAuto)
+	comp := budgetCaseExplorer(t, run.CompressionAuto)
 	defer comp.Close()
-	raw := budgetCaseExplorer(t, storage.CompressionOff)
+	raw := budgetCaseExplorer(t, run.CompressionOff)
 	defer raw.Close()
 	if comp.Count() != raw.Count() {
 		t.Errorf("embedding counts differ: %d compressed-resident vs %d raw", comp.Count(), raw.Count())
@@ -431,10 +431,10 @@ func TestCompressedResidentBytesGuard(t *testing.T) {
 		t.Skip("depth-4 budget case: minutes under the race detector; the compressed-resident ladder is race-covered by the explore and apps suites")
 	}
 	g := engineGraph(t, 4000, 16000, 42)
-	ex, err := explore.New(explore.Config{
-		Graph: g, Mode: explore.VertexInduced, Threads: 4,
+	ex, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{
+		Threads:      4,
 		MemoryBudget: 4 << 20, SpillDir: t.TempDir(),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestUnbudgetedAllocGuard(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ex, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Threads: 4})
+	ex, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{Threads: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,13 +518,13 @@ func runDiskCase(tb testing.TB) (logical, physical int64) {
 		tb.Fatal("vertex-d3-disk case missing")
 	}
 	g := engineGraph(tb, c.n, c.m, c.seed)
-	ex, err := explore.New(explore.Config{
-		Graph: g, Mode: c.mode, Threads: c.threads,
+	ex, err := explore.New(explore.Config{Graph: g, Mode: c.mode, Env: &run.Env{
+		Threads:      c.threads,
 		MemoryBudget: c.budget, SpillDir: tb.TempDir(),
 		// Raw residency: this guard isolates the spill codec's bytes-on-disk
 		// win, so the compressed-mem tier must not absorb any of the spill.
-		ResidentCompression: storage.CompressionOff,
-	})
+		ResidentCompression: run.CompressionOff,
+	}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -679,7 +679,7 @@ func TestBenchThroughputGuard(t *testing.T) {
 		best := float64(0)
 		bestAllocs := int64(-1)
 		produced := 0
-		for run := 0; run < 3; run++ {
+		for rep := 0; rep < 3; rep++ {
 			r, p := measure()
 			if ns := float64(r.NsPerOp()); best == 0 || ns < best {
 				best = ns

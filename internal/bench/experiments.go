@@ -13,7 +13,7 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/pattern"
-	"kaleido/internal/storage"
+	"kaleido/internal/run"
 )
 
 // coarsenPatent maps the 37 fine labels to 7 coarse categories (Fig. 13's
@@ -46,7 +46,7 @@ func fig11(cfg RunConfig) ([]Result, error) {
 		row := []string{ds}
 		for _, s := range supports {
 			m := timed(func(tr *memtrack.Tracker) error {
-				_, err := apps.FSM(bgCtx, g, 3, s, apps.Options{Threads: cfg.Threads, Tracker: tr})
+				_, err := apps.FSM(bgCtx, g, 3, s, &run.Env{Threads: cfg.Threads, Tracker: tr})
 				return err
 			})
 			row = append(row, m.timeCell(), m.memCell())
@@ -101,10 +101,10 @@ func fig12(cfg RunConfig) ([]Result, error) {
 			return nil, err
 		}
 		var classes []apps.PatternCount
-		var info apps.SpillInfo
-		run := func(iso apps.IsoAlgo) measured {
+		var info run.SpillInfo
+		measure := func(iso run.IsoAlgo) measured {
 			return timed(func(tr *memtrack.Tracker) error {
-				opt := apps.Options{Threads: cfg.Threads, Tracker: tr, Iso: iso, Spill: &info}
+				opt := &run.Env{Threads: cfg.Threads, Tracker: tr, Iso: iso, Spill: &info}
 				var err error
 				if w.app == "motif" {
 					classes, err = apps.MotifCount(bgCtx, g, w.k, opt)
@@ -114,10 +114,10 @@ func fig12(cfg RunConfig) ([]Result, error) {
 				return err
 			})
 		}
-		eig := run(apps.IsoEigen)
+		eig := measure(run.IsoEigen)
 		calls := info.IsoCalls
-		info = apps.SpillInfo{}
-		bls := run(apps.IsoBliss)
+		info = run.SpillInfo{}
+		bls := measure(run.IsoBliss)
 		row := []string{w.name, eig.timeCell(), bls.timeCell(), "-", "-", "-", "-", "-", "-", eig.memCell(), bls.memCell()}
 		if eig.skipped == "" && bls.skipped == "" && eig.seconds > 0 {
 			row[3] = fmt.Sprintf("%.1fx", bls.seconds/eig.seconds)
@@ -176,13 +176,13 @@ func fig13(cfg RunConfig) ([]Result, error) {
 		Header: []string{"Workload", "Eigen t", "Bliss t", "Eigen MB", "Bliss MB"},
 	}
 	add := func(name string, g *graph.Graph, k int, s uint64) {
-		run := func(iso apps.IsoAlgo) measured {
+		measure := func(iso run.IsoAlgo) measured {
 			return timed(func(tr *memtrack.Tracker) error {
-				_, err := apps.FSM(bgCtx, g, k, s, apps.Options{Threads: cfg.Threads, Tracker: tr, Iso: iso})
+				_, err := apps.FSM(bgCtx, g, k, s, &run.Env{Threads: cfg.Threads, Tracker: tr, Iso: iso})
 				return err
 			})
 		}
-		eig, bls := run(apps.IsoEigen), run(apps.IsoBliss)
+		eig, bls := measure(run.IsoEigen), measure(run.IsoBliss)
 		res.Rows = append(res.Rows, []string{name, eig.timeCell(), bls.timeCell(), eig.memCell(), bls.memCell()})
 	}
 	for _, s := range supports3 {
@@ -217,15 +217,15 @@ func fig14(cfg RunConfig) ([]Result, error) {
 	for _, t := range threads {
 		row := []string{fmt.Sprint(t)}
 		fsm := timed(func(tr *memtrack.Tracker) error {
-			_, err := apps.FSM(bgCtx, g, 3, 5000, apps.Options{Threads: t, Tracker: tr})
+			_, err := apps.FSM(bgCtx, g, 3, 5000, &run.Env{Threads: t, Tracker: tr})
 			return err
 		})
 		motif := timed(func(tr *memtrack.Tracker) error {
-			_, err := apps.MotifCount(bgCtx, g, 3, apps.Options{Threads: t, Tracker: tr})
+			_, err := apps.MotifCount(bgCtx, g, 3, &run.Env{Threads: t, Tracker: tr})
 			return err
 		})
 		clique := timed(func(tr *memtrack.Tracker) error {
-			_, err := apps.CliqueCount(bgCtx, g, 5, apps.Options{Threads: t, Tracker: tr})
+			_, err := apps.CliqueCount(bgCtx, g, 5, &run.Env{Threads: t, Tracker: tr})
 			return err
 		})
 		row = append(row, fsm.timeCell(), fsm.memCell(), motif.timeCell(), motif.memCell(),
@@ -265,12 +265,11 @@ func table4(cfg RunConfig) ([]Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(budget int64, dir string) measured {
+		measure := func(budget int64, dir string) measured {
 			return timed(func(tr *memtrack.Tracker) error {
-				opt := apps.Options{
+				opt := &run.Env{
 					Threads: cfg.Threads, Tracker: tr,
 					MemoryBudget: budget, SpillDir: dir, Predict: budget > 0,
-					SpillWatermark: cfg.SpillWatermark, PredictSample: cfg.PredictSample,
 					ResidentCompression: cfg.ResidentCompression,
 				}
 				if w.app == "motif" {
@@ -281,13 +280,13 @@ func table4(cfg RunConfig) ([]Result, error) {
 				return err
 			})
 		}
-		mem := run(0, "")
+		mem := measure(0, "")
 		dir, err := os.MkdirTemp(cfg.SpillDir, "t4")
 		if err != nil {
 			return nil, err
 		}
 		// Budget below the in-memory peak forces the last level(s) to disk.
-		hyb := run(maxI64(mem.peak/4, 1<<20), dir)
+		hyb := measure(maxI64(mem.peak/4, 1<<20), dir)
 		os.RemoveAll(dir)
 		slow := "-"
 		if mem.skipped == "" && hyb.skipped == "" && mem.seconds > 0 {
@@ -310,7 +309,7 @@ func fig16(cfg RunConfig) ([]Result, error) {
 	// Baseline in-memory run to size the budgets.
 	const f16support = 150
 	base := timed(func(tr *memtrack.Tracker) error {
-		_, err := apps.FSM(bgCtx, g, 4, f16support, apps.Options{Threads: cfg.Threads, Tracker: tr})
+		_, err := apps.FSM(bgCtx, g, 4, f16support, &run.Env{Threads: cfg.Threads, Tracker: tr})
 		return err
 	})
 	if base.skipped != "" {
@@ -337,10 +336,9 @@ func fig16(cfg RunConfig) ([]Result, error) {
 		}
 		tr := memtrack.New()
 		start := time.Now()
-		_, err = apps.FSM(bgCtx, g, 4, f16support, apps.Options{
+		_, err = apps.FSM(bgCtx, g, 4, f16support, &run.Env{
 			Threads: cfg.Threads, Tracker: tr,
 			MemoryBudget: budget, SpillDir: dir, Predict: true,
-			SpillWatermark: cfg.SpillWatermark, PredictSample: cfg.PredictSample,
 			ResidentCompression: cfg.ResidentCompression,
 		})
 		secs := time.Since(start).Seconds()
@@ -392,17 +390,16 @@ func fig17(cfg RunConfig) ([]Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(predict bool) measured {
+		measure := func(predict bool) measured {
 			dir, err := os.MkdirTemp(cfg.SpillDir, "f17")
 			if err != nil {
 				return measured{skipped: "err:" + err.Error()}
 			}
 			defer os.RemoveAll(dir)
 			return timed(func(tr *memtrack.Tracker) error {
-				opt := apps.Options{
+				opt := &run.Env{
 					Threads: cfg.Threads, Tracker: tr,
 					MemoryBudget: 1, SpillDir: dir, Predict: predict,
-					SpillWatermark: cfg.SpillWatermark, PredictSample: cfg.PredictSample,
 					ResidentCompression: cfg.ResidentCompression,
 				}
 				if w.app == "motif" {
@@ -413,8 +410,8 @@ func fig17(cfg RunConfig) ([]Result, error) {
 				return err
 			})
 		}
-		pred := run(true)
-		nopred := run(false)
+		pred := measure(true)
+		nopred := measure(false)
 		speed := "-"
 		if pred.skipped == "" && nopred.skipped == "" && pred.seconds > 0 {
 			speed = fmt.Sprintf("%.2fx", nopred.seconds/pred.seconds)
@@ -443,28 +440,27 @@ func sinks(cfg RunConfig) ([]Result, error) {
 	}
 	type wl struct {
 		name string
-		run  func(opt apps.Options) error
+		run  func(opt *run.Env) error
 	}
 	wls := []wl{
-		{"4-Clique (CountSink)", func(opt apps.Options) error { _, err := apps.CliqueCount(bgCtx, g, 4, opt); return err }},
-		{"3-Motif (VisitSink)", func(opt apps.Options) error { _, err := apps.MotifCount(bgCtx, g, 3, opt); return err }},
-		{"3-FSM s=100 (VisitSink+KeepSink)", func(opt apps.Options) error { _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
+		{"4-Clique (CountSink)", func(opt *run.Env) error { _, err := apps.CliqueCount(bgCtx, g, 4, opt); return err }},
+		{"3-Motif (VisitSink)", func(opt *run.Env) error { _, err := apps.MotifCount(bgCtx, g, 3, opt); return err }},
+		{"3-FSM s=100 (VisitSink+KeepSink)", func(opt *run.Env) error { _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
 	}
 	if cfg.Quick {
 		wls = wls[:2]
 	}
 	for _, w := range wls {
 		m := timed(func(tr *memtrack.Tracker) error {
-			return w.run(apps.Options{Threads: cfg.Threads, Tracker: tr})
+			return w.run(&run.Env{Threads: cfg.Threads, Tracker: tr})
 		})
 		dir, err := os.MkdirTemp(cfg.SpillDir, "sinks")
 		if err != nil {
 			return nil, err
 		}
 		tr := memtrack.New()
-		err = w.run(apps.Options{
+		err = w.run(&run.Env{
 			Threads: cfg.Threads, Tracker: tr, MemoryBudget: 1, SpillDir: dir,
-			SpillWatermark: cfg.SpillWatermark, PredictSample: cfg.PredictSample,
 			ResidentCompression: cfg.ResidentCompression,
 		})
 		os.RemoveAll(dir)
@@ -495,12 +491,12 @@ func compress(cfg RunConfig) ([]Result, error) {
 	}
 	type wl struct {
 		name string
-		run  func(opt apps.Options) error
+		run  func(opt *run.Env) error
 	}
 	wls := []wl{
-		{"4-Clique", func(opt apps.Options) error { _, err := apps.CliqueCount(bgCtx, g, 4, opt); return err }},
-		{"4-Motif", func(opt apps.Options) error { _, err := apps.MotifCount(bgCtx, g, 4, opt); return err }},
-		{"3-FSM s=100", func(opt apps.Options) error { _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
+		{"4-Clique", func(opt *run.Env) error { _, err := apps.CliqueCount(bgCtx, g, 4, opt); return err }},
+		{"4-Motif", func(opt *run.Env) error { _, err := apps.MotifCount(bgCtx, g, 4, opt); return err }},
+		{"3-FSM s=100", func(opt *run.Env) error { _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
 	}
 	if cfg.Quick {
 		wls = wls[:1]
@@ -510,11 +506,10 @@ func compress(cfg RunConfig) ([]Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var spill apps.SpillInfo
+		var spill run.SpillInfo
 		m := timed(func(tr *memtrack.Tracker) error {
-			return w.run(apps.Options{
+			return w.run(&run.Env{
 				Threads: cfg.Threads, Tracker: tr, MemoryBudget: 1, SpillDir: dir,
-				SpillWatermark: cfg.SpillWatermark, PredictSample: cfg.PredictSample,
 				Spill: &spill,
 			})
 		})
@@ -558,11 +553,11 @@ func resident(cfg RunConfig) ([]Result, error) {
 	}
 	type wl struct {
 		name string
-		run  func(opt apps.Options) (uint64, error)
+		run  func(opt *run.Env) (uint64, error)
 	}
 	wls := []wl{
-		{"4-Clique", func(opt apps.Options) (uint64, error) { return apps.CliqueCount(bgCtx, g, 4, opt) }},
-		{"4-Motif", func(opt apps.Options) (uint64, error) {
+		{"4-Clique", func(opt *run.Env) (uint64, error) { return apps.CliqueCount(bgCtx, g, 4, opt) }},
+		{"4-Motif", func(opt *run.Env) (uint64, error) {
 			pcs, err := apps.MotifCount(bgCtx, g, 4, opt)
 			if err != nil {
 				return 0, err
@@ -573,7 +568,7 @@ func resident(cfg RunConfig) ([]Result, error) {
 			}
 			return total, nil
 		}},
-		{"3-FSM s=100", func(opt apps.Options) (uint64, error) {
+		{"3-FSM s=100", func(opt *run.Env) (uint64, error) {
 			pcs, err := apps.FSM(bgCtx, g, 3, 100, opt)
 			if err != nil {
 				return 0, err
@@ -593,7 +588,7 @@ func resident(cfg RunConfig) ([]Result, error) {
 	for _, w := range wls {
 		var baseCount uint64
 		base := timed(func(tr *memtrack.Tracker) error {
-			v, err := w.run(apps.Options{Threads: cfg.Threads, Tracker: tr})
+			v, err := w.run(&run.Env{Threads: cfg.Threads, Tracker: tr})
 			baseCount = v
 			return err
 		})
@@ -602,18 +597,17 @@ func resident(cfg RunConfig) ([]Result, error) {
 		}
 		budget := maxI64(base.peak/2, 1<<20)
 		var counts [2]uint64
-		var spills [2]apps.SpillInfo
+		var spills [2]run.SpillInfo
 		var times [2]measured
-		for i, rc := range []storage.Compression{storage.CompressionOff, storage.CompressionAuto} {
+		for i, rc := range []run.Compression{run.CompressionOff, run.CompressionAuto} {
 			dir, err := os.MkdirTemp(cfg.SpillDir, "resident")
 			if err != nil {
 				return nil, err
 			}
 			times[i] = timed(func(tr *memtrack.Tracker) error {
-				v, err := w.run(apps.Options{
+				v, err := w.run(&run.Env{
 					Threads: cfg.Threads, Tracker: tr,
 					MemoryBudget: budget, SpillDir: dir,
-					SpillWatermark: cfg.SpillWatermark, PredictSample: cfg.PredictSample,
 					ResidentCompression: rc, Spill: &spills[i],
 				})
 				counts[i] = v

@@ -15,6 +15,7 @@ import (
 
 	"kaleido/internal/apps"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 	"kaleido/internal/storage"
 	"kaleido/internal/storage/vfs"
 )
@@ -47,7 +48,7 @@ func faults(cfg RunConfig) ([]Result, error) {
 	if cfg.Quick {
 		k = 3
 	}
-	want, err := apps.MotifCount(bgCtx, g, k, apps.Options{Threads: cfg.Threads})
+	want, err := apps.MotifCount(bgCtx, g, k, &run.Env{Threads: cfg.Threads})
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +60,7 @@ func faults(cfg RunConfig) ([]Result, error) {
 	}
 	for _, reg := range faultRegimes {
 		clean := timed(func(tr *memtrack.Tracker) error {
-			_, err := apps.MotifCount(bgCtx, g, k, apps.Options{
+			_, err := apps.MotifCount(bgCtx, g, k, &run.Env{
 				Threads: cfg.Threads, MemoryBudget: reg.budget, SpillDir: cfg.SpillDir, Tracker: tr,
 			})
 			return err
@@ -69,7 +70,7 @@ func faults(cfg RunConfig) ([]Result, error) {
 		var retries int64
 		faulted := timed(func(tr *memtrack.Tracker) error {
 			var err error
-			got, err = apps.MotifCount(bgCtx, g, k, apps.Options{
+			got, err = apps.MotifCount(bgCtx, g, k, &run.Env{
 				Threads: cfg.Threads, MemoryBudget: reg.budget, SpillDir: cfg.SpillDir, FS: ff, Tracker: tr,
 			})
 			retries = tr.IORetries()
@@ -102,7 +103,7 @@ func faults(cfg RunConfig) ([]Result, error) {
 		{"device full", vfs.Fault{Seed: seed, WriteCap: 4 << 10}, storage.ErrNoSpace, "ErrNoSpace"},
 	} {
 		ff := vfs.NewFaultFS(nil, h.schedule)
-		_, err := apps.MotifCount(bgCtx, g, k, apps.Options{
+		_, err := apps.MotifCount(bgCtx, g, k, &run.Env{
 			Threads: cfg.Threads, MemoryBudget: 1, SpillDir: cfg.SpillDir, FS: ff,
 		})
 		hard.Rows = append(hard.Rows, []string{

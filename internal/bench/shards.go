@@ -8,6 +8,7 @@ import (
 	"kaleido/internal/explore"
 	"kaleido/internal/gen"
 	"kaleido/internal/graph"
+	"kaleido/internal/run"
 )
 
 // The shards experiment measures prefix-range sharded execution on the
@@ -44,12 +45,14 @@ func shardExplorers(g *graph.Graph, shards int) ([]*explore.Explorer, error) {
 		return nil, err
 	}
 	for i := range exs {
-		ex, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Threads: 1})
+		ex, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{
+			Threads: 1, Seeds: &run.SeedRange{Lo: uint32(bounds[i]), Hi: uint32(bounds[i+1])},
+		}})
 		if err != nil {
 			return fail(err)
 		}
 		exs[i] = ex
-		if err := ex.InitVertexRange(uint32(bounds[i]), uint32(bounds[i+1]), nil); err != nil {
+		if err := ex.InitVertices(nil); err != nil {
 			return fail(err)
 		}
 		for ex.Depth() < shardsBenchDepth {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 	"kaleido/internal/storage"
 )
 
@@ -61,15 +62,18 @@ func cancelDuringExpand(t *testing.T, budget int64, trips int64) {
 	rng := rand.New(rand.NewSource(101))
 	g := randomGraph(rng, 200, 1200)
 	spill := t.TempDir()
-	e, err := New(Config{
-		Graph: g, Mode: VertexInduced, Threads: 4,
+	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+		Threads:      4,
 		MemoryBudget: budget, SpillDir: spill,
-		BufSize: 256, // tiny write buffers: the queue stays busy mid-cancel
 		Tracker: memtrack.New(),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Tiny write buffers: the queue stays busy mid-cancel. (The queue New
+	// made is idle until something spills, so swapping it is safe.)
+	e.queue.Close()
+	e.queue = storage.NewWriteQueue(256, e.cfg.Tracker)
 	if err := e.InitVertices(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +218,16 @@ func TestFilterTopPromotesParts(t *testing.T) {
 	}
 	want := collect(t, ref)
 
-	e, err := New(Config{
-		Graph: g, Mode: VertexInduced, Threads: 4,
+	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+		Threads:      4,
 		MemoryBudget: after2 + (after3-after2)/2, SpillDir: t.TempDir(),
 		Tracker: memtrack.New(),
 		// Raw residency only: half a level over budget has to reach disk.
 		// The compressed-mem tier would absorb an overshoot this small
 		// without spilling anything (the governor spills only what the
 		// overshoot requires), leaving no disk part to promote.
-		ResidentCompression: storage.CompressionOff,
-	})
+		ResidentCompression: run.CompressionOff,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"kaleido/internal/memtrack"
-	"kaleido/internal/storage"
+	"kaleido/internal/run"
 )
 
 // TestCompressionPlacementConformance runs the same exploration across the
@@ -44,11 +44,11 @@ func TestCompressionPlacementConformance(t *testing.T) {
 		bytesAfter2 / 2, // heavy spill
 	}
 	for bi, budget := range budgets {
-		cfg := Config{Graph: g, Mode: VertexInduced, Threads: 3,
+		cfg := Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3,
 			// Pin raw residency: this test is about the placement
 			// of *spilled* bytes, so the compressed-mem tier must
 			// not absorb the contrived budget pressure.
-			ResidentCompression: storage.CompressionOff}
+			ResidentCompression: run.CompressionOff}}
 		if budget > 0 {
 			cfg.MemoryBudget, cfg.SpillDir = budget, t.TempDir()
 		}
@@ -110,10 +110,10 @@ func TestPopTopPromotesCompressedParts(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	g := randomGraph(rng, 40, 160)
 	tr := memtrack.New()
-	e, err := New(Config{
-		Graph: g, Mode: VertexInduced, Threads: 2,
+	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+		Threads:      2,
 		MemoryBudget: 1 << 30, SpillDir: t.TempDir(), Tracker: tr,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

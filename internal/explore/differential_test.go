@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"kaleido/internal/graph"
+	"kaleido/internal/run"
 )
 
 // refExpandVertex expands every embedding with the reference filter.
@@ -137,7 +138,7 @@ func TestDifferentialFusedCanonicalVertex(t *testing.T) {
 		maxDepth := 3 + rng.Intn(2)
 		predict := trial%2 == 0
 
-		e, err := New(Config{Graph: g, Mode: VertexInduced, Threads: 3, Predict: predict})
+		e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3, Predict: predict}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestDifferentialFusedCanonicalVertexWithFilter(t *testing.T) {
 			}
 			return true
 		}
-		e, err := New(Config{Graph: g, Mode: VertexInduced, Threads: 2})
+		e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func TestDifferentialFusedCanonicalEdge(t *testing.T) {
 		g := randomGraph(rng, n, rng.Intn(2*n)+1)
 		predict := trial%2 == 1
 
-		e, err := New(Config{Graph: g, Mode: EdgeInduced, Threads: 3, Predict: predict})
+		e, err := New(Config{Graph: g, Mode: EdgeInduced, Env: &run.Env{Threads: 3, Predict: predict}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +250,7 @@ func TestDifferentialForEachExpansion(t *testing.T) {
 		n := 8 + rng.Intn(16)
 		g := randomGraph(rng, n, rng.Intn(4*n)+1)
 
-		e, err := New(Config{Graph: g, Mode: VertexInduced, Threads: 3})
+		e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}

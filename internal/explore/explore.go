@@ -14,20 +14,25 @@
 // (§6.5 generalized). FilterTop is the keep-side analogue: the top level is
 // rewritten in place, part by part, rather than copied through a fresh
 // builder.
+//
+// An Explorer is configured by what it explores (Graph, Mode) and by the
+// run's one *run.Env, which it holds by pointer and passes on to the level
+// builder: no run knob is declared here. The two constants of the storage
+// policy live here — the spill watermark (0.9 of the budget) and the §4.2
+// prediction sample (128 groups per chunk).
 package explore
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"kaleido/internal/cse"
 	"kaleido/internal/graph"
-	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 	"kaleido/internal/storage"
 	"kaleido/internal/storage/vfs"
 )
@@ -57,82 +62,44 @@ type VertexFilter func(worker int, emb []uint32, cand uint32) bool
 // calling goroutine for per-worker filter scratch.
 type EdgeFilter func(worker int, emb []uint32, verts []uint32, cand uint32) bool
 
-// Config configures an Explorer.
+// Config configures an Explorer: what to explore, and the run's one
+// configuration (nil = the zero Env: all CPUs, no budget, no accounting).
 type Config struct {
-	Graph   *graph.Graph
-	Mode    Mode
-	Threads int // 0 = GOMAXPROCS
-
-	// MemoryBudget caps the resident bytes of the CSE (hybrid storage,
-	// §4.1). Levels are built part by part in memory; when the resident
-	// total crosses the spill watermark, the budget governor migrates the
-	// largest in-flight parts to SpillDir mid-build, so a single level can
-	// end up half in memory and half on disk. 0 means no limit: the same
-	// builder runs with its watermark out of reach, so every part stays raw
-	// in memory and the run touches neither SpillDir nor the filesystem.
-	MemoryBudget int64
-	SpillDir     string
-
-	// SpillWatermark is the fraction of MemoryBudget at which mid-build
-	// spilling starts (0 = DefaultSpillWatermark). The headroom above the
-	// watermark absorbs the growth between governor decisions.
-	SpillWatermark float64
-
-	// Predict enables the §4.2 candidate-size prediction: per-chunk work
-	// summaries are recorded during expansion and used to cut balanced
-	// partitions in the next iteration.
-	Predict bool
-
-	// PredictSample bounds the prediction cost: at most this many groups
-	// per chunk pay the exact per-child candidate-union count, the rest
-	// extrapolate the latest sampled mean. 0 = DefaultPredictSample,
-	// negative = predict every group exactly.
-	PredictSample int
-
-	BufSize   int // write-queue buffer size (0 = storage.DefaultBufSize)
-	BlockSize int // read prefetch block size (0 = storage.DefaultBlockSize)
-
-	// ResidentCompression enables the compressed-mem tier for budgeted
-	// runs: under pressure the budget governor squeezes the largest raw
-	// resident parts into in-memory codec blocks before resorting to disk
-	// spill, levels sealed below the walker-stack top are compacted
-	// wholesale, and promotions off disk land compressed. The zero value
-	// (storage.CompressionAuto) enables it; storage.CompressionOff keeps
-	// every resident part raw. Unbudgeted runs never compress residents.
-	ResidentCompression storage.Compression
-
-	// FS is the filesystem the spill path goes through. nil means the real
-	// one (vfs.OS); tests and fault campaigns inject a vfs.FaultFS here.
-	FS vfs.FS
-
-	Tracker *memtrack.Tracker // optional instrumentation
+	Graph *graph.Graph
+	Mode  Mode
+	*run.Env
 }
 
-// DefaultSpillWatermark is the default fraction of the memory budget at
-// which the governor starts migrating parts to disk.
-const DefaultSpillWatermark = 0.9
+// spillWatermark is the fraction of the memory budget at which the governor
+// starts migrating parts to disk. The headroom above it absorbs the growth
+// between governor decisions.
+const spillWatermark = 0.9
 
-// DefaultPredictSample is the default number of exactly-predicted groups per
-// chunk when Config.PredictSample is 0.
-const DefaultPredictSample = 128
+// defaultPredictSample is the number of groups per chunk that pay the exact
+// per-child candidate-union count of the §4.2 prediction; the rest
+// extrapolate the latest sampled mean.
+const defaultPredictSample = 128
 
 // Explorer drives iterative embedding exploration over one input graph,
 // owning the CSE and its spilled levels.
 type Explorer struct {
-	cfg           Config
-	fs            vfs.FS // resolved cfg.FS (never nil)
-	c             *cse.CSE
-	queue         *storage.WriteQueue
-	runDir        string // per-run spill subdirectory (concurrent runs may share SpillDir)
-	levelSeq      int
-	spilled       int     // cumulative expansions that migrated ≥ 1 part to disk
-	spilledParts  int     // cumulative parts migrated to disk by expansions
-	promotedParts int     // cumulative disk parts promoted back to memory
-	spilledBytes  int64   // cumulative logical bytes of finished levels' disk parts
-	spilledPhys   int64   // cumulative physical (on-disk) bytes of the same parts
-	compParts     int     // cumulative raw resident parts squeezed to compressed-mem
-	ledger        []int64 // tracker bytes charged per level
-	closed        bool
+	cfg      Config
+	threads  int    // cfg.Workers(), resolved once
+	fs       vfs.FS // resolved cfg.FS (never nil)
+	c        *cse.CSE
+	queue    *storage.WriteQueue
+	runDir   string // per-run spill subdirectory (concurrent runs may share SpillDir)
+	levelSeq int
+	// acct holds the cumulative spill/promote/compress counters; Close adds
+	// the final placement snapshot and hands it to cfg.Spill.
+	acct   run.SpillInfo
+	ledger []int64 // tracker bytes charged per level
+	closed bool
+
+	// predictSample is the §4.2 sampling budget (exactly-predicted groups per
+	// chunk; negative = every group). Only the sampled-vs-exact equivalence
+	// tests set it to anything but the default.
+	predictSample int
 
 	// pressure is the external back-pressure flag the budget governor
 	// consults: set by the tracker's high-water callback when total tracked
@@ -159,7 +126,7 @@ type Explorer struct {
 }
 
 // workerScratch holds one worker's reusable buffers. Workers are indexed
-// 0..Threads-1 by runParallel, so slots are never shared.
+// 0..threads-1 by runParallel, so slots are never shared.
 type workerScratch struct {
 	walker   *cse.Walker
 	children []uint32
@@ -212,20 +179,19 @@ func New(cfg Config) (*Explorer, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("explore: nil graph")
 	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = runtime.GOMAXPROCS(0)
+	if cfg.Env == nil {
+		cfg.Env = &run.Env{}
 	}
 	if cfg.MemoryBudget > 0 && cfg.SpillDir == "" {
 		return nil, fmt.Errorf("explore: memory budget set but no spill directory")
 	}
-	if cfg.SpillWatermark < 0 || cfg.SpillWatermark > 1 {
-		return nil, fmt.Errorf("explore: spill watermark %v outside [0, 1]", cfg.SpillWatermark)
-	}
 	e := &Explorer{
-		cfg: cfg, fs: vfs.OrOS(cfg.FS), scratch: make([]workerScratch, cfg.Threads),
+		cfg: cfg, threads: cfg.Workers(), fs: vfs.OrOS(cfg.FS),
+		predictSample: defaultPredictSample,
 		// Idle until something spills: no goroutine, no buffers.
-		queue: storage.NewWriteQueue(cfg.BufSize, cfg.Tracker),
+		queue: storage.NewWriteQueue(0, cfg.Tracker),
 	}
+	e.scratch = make([]workerScratch, e.threads)
 	if cfg.MemoryBudget > 0 {
 		// Spill into a private subdirectory: concurrent runs (e.g. vended by
 		// one budget-sharing engine) may point at the same SpillDir, and the
@@ -250,65 +216,50 @@ func New(cfg Config) (*Explorer, error) {
 	return e, nil
 }
 
-// watermarkBytes is the absolute spill watermark: the configured fraction of
-// the memory budget, or out of reach without one.
+// watermarkBytes is the absolute spill watermark: spillWatermark of the
+// memory budget, or out of reach without one.
 func (e *Explorer) watermarkBytes() int64 {
 	if e.cfg.MemoryBudget <= 0 {
 		return math.MaxInt64
 	}
-	w := e.cfg.SpillWatermark
-	if w == 0 {
-		w = DefaultSpillWatermark
-	}
-	return int64(w * float64(e.cfg.MemoryBudget))
+	return int64(spillWatermark * float64(e.cfg.MemoryBudget))
 }
 
-// InitVertices sets level 1 to the graph's vertices (optionally filtered) —
-// the Init of vertex-induced applications (§5).
+// InitVertices sets level 1 to the vertices of the run's seed range
+// (optionally filtered) — the Init of vertex-induced applications (§5).
 func (e *Explorer) InitVertices(filter func(v uint32) bool) error {
-	return e.InitVertexRange(0, uint32(e.cfg.Graph.N()), filter)
-}
-
-// InitVertexRange sets level 1 to the vertex ids in [lo, hi) (optionally
-// filtered) — the seed-range restricted Init of prefix-range sharded runs.
-// Every canonical embedding is rooted at exactly one level-1 unit, so
-// explorers seeded with disjoint ranges covering [0, N) together enumerate
-// exactly the embeddings of a full run, each exactly once.
-func (e *Explorer) InitVertexRange(lo, hi uint32, filter func(v uint32) bool) error {
 	if e.cfg.Mode != VertexInduced {
 		return fmt.Errorf("explore: InitVertices on edge-induced explorer")
 	}
-	if n := uint32(e.cfg.Graph.N()); hi > n || lo > hi {
-		return fmt.Errorf("explore: vertex seed range [%d, %d) outside [0, %d)", lo, hi, n)
-	}
-	units := make([]uint32, 0, hi-lo)
-	for v := lo; v < hi; v++ {
-		if filter == nil || filter(v) {
-			units = append(units, v)
-		}
-	}
-	return e.initBase(units)
+	return e.initUnits(e.cfg.Graph.N(), filter)
 }
 
-// InitEdges sets level 1 to the graph's edge ids (optionally filtered) — the
-// Init of edge-induced applications (§5).
+// InitEdges sets level 1 to the edge ids of the run's seed range (optionally
+// filtered) — the Init of edge-induced applications (§5).
 func (e *Explorer) InitEdges(filter func(eid uint32) bool) error {
-	return e.InitEdgeRange(0, uint32(e.cfg.Graph.M()), filter)
-}
-
-// InitEdgeRange sets level 1 to the edge ids in [lo, hi) (optionally
-// filtered) — the edge-induced analogue of InitVertexRange.
-func (e *Explorer) InitEdgeRange(lo, hi uint32, filter func(eid uint32) bool) error {
 	if e.cfg.Mode != EdgeInduced {
 		return fmt.Errorf("explore: InitEdges on vertex-induced explorer")
 	}
-	if m := uint32(e.cfg.Graph.M()); hi > m || lo > hi {
-		return fmt.Errorf("explore: edge seed range [%d, %d) outside [0, %d)", lo, hi, m)
+	return e.initUnits(e.cfg.Graph.M(), filter)
+}
+
+// initUnits seeds level 1 with the units of [0, n) — or of the run's Seeds,
+// the range of one shard of a prefix-range sharded job — that pass filter.
+// Every canonical embedding is rooted at exactly one level-1 unit, so
+// explorers seeded with disjoint ranges covering [0, n) together enumerate
+// exactly the embeddings of a full run, each exactly once.
+func (e *Explorer) initUnits(n int, filter func(u uint32) bool) error {
+	lo, hi := uint32(0), uint32(n)
+	if s := e.cfg.Seeds; s != nil {
+		if s.Hi > hi || s.Lo > s.Hi {
+			return fmt.Errorf("explore: seed range [%d, %d) outside [0, %d)", s.Lo, s.Hi, n)
+		}
+		lo, hi = s.Lo, s.Hi
 	}
 	units := make([]uint32, 0, hi-lo)
-	for eid := lo; eid < hi; eid++ {
-		if filter == nil || filter(eid) {
-			units = append(units, eid)
+	for u := lo; u < hi; u++ {
+		if filter == nil || filter(u) {
+			units = append(units, u)
 		}
 	}
 	return e.initBase(units)
@@ -373,34 +324,34 @@ func (e *Explorer) Bytes() int64 { return e.c.Bytes() }
 
 // SpilledLevels reports how many expansions migrated at least one part to
 // disk (cumulative; popped levels keep counting).
-func (e *Explorer) SpilledLevels() int { return e.spilled }
+func (e *Explorer) SpilledLevels() int { return e.acct.SpilledLevels }
 
 // SpilledParts reports how many level parts expansions migrated to disk
 // (cumulative). A level under memory pressure typically spills only some of
 // its parts, so this exceeds SpilledLevels by the per-level spill fan-out.
-func (e *Explorer) SpilledParts() int { return e.spilledParts }
+func (e *Explorer) SpilledParts() int { return e.acct.SpilledParts }
 
 // PromotedParts reports how many disk-resident parts were promoted back to
 // memory after an in-place FilterTop or a PopTop left the (shared) budget
 // with headroom (cumulative).
-func (e *Explorer) PromotedParts() int { return e.promotedParts }
+func (e *Explorer) PromotedParts() int { return e.acct.PromotedParts }
 
 // SpilledBytes reports the logical bytes (raw word size) of the disk parts
 // finished levels held when they were built (cumulative; popped levels keep
 // counting).
-func (e *Explorer) SpilledBytes() int64 { return e.spilledBytes }
+func (e *Explorer) SpilledBytes() int64 { return e.acct.SpilledBytes }
 
 // SpilledBytesPhysical reports the bytes those same parts actually occupied
 // on disk: the size of their codec blocks, typically 2-4× below
 // SpilledBytes.
-func (e *Explorer) SpilledBytesPhysical() int64 { return e.spilledPhys }
+func (e *Explorer) SpilledBytesPhysical() int64 { return e.acct.SpilledBytesPhysical }
 
 // CompressedParts reports how many raw resident parts were squeezed into
 // compressed-mem blocks (cumulative): by the build governor under pressure
 // and by cold-level compaction after an Expand seals the previous top.
 // Parts promoted off disk into the compressed-mem tier are counted by
 // PromotedParts, not here.
-func (e *Explorer) CompressedParts() int { return e.compParts }
+func (e *Explorer) CompressedParts() int { return e.acct.CompressedParts }
 
 // ResidentBytesLogical reports the raw word footprint the currently
 // memory-resident level data stands for — what Bytes would report if every
@@ -421,36 +372,16 @@ func (e *Explorer) ResidentBytesLogical() int64 {
 	return b
 }
 
-// LevelStat describes the storage placement of one live CSE level.
-type LevelStat struct {
-	Len, Groups int
-	// MemParts counts the memory-resident parts holding data (raw or
-	// compressed): the parts the level was built in, whether or not the run
-	// has a budget (the base level, a plain unit list, counts as one).
-	MemParts int
-	// CompressedParts is the compressed-mem subset of MemParts.
-	CompressedParts int
-	DiskParts       int   // disk-resident parts
-	ResidentBytes   int64 // in-memory footprint (arrays + sparse indexes)
-	// ResidentBytesLogical is the raw word footprint the resident parts
-	// stand for — equal to ResidentBytes when none are compressed.
-	ResidentBytesLogical int64
-	DiskBytes            int64 // logical on-disk footprint (raw word size)
-	// DiskBytesPhysical is the bytes the disk parts' codec blocks actually
-	// occupy.
-	DiskBytesPhysical int64
-}
-
 // LevelStats reports the placement of every live level, base level first.
-func (e *Explorer) LevelStats() []LevelStat {
+func (e *Explorer) LevelStats() []run.LevelStat {
 	if e.c == nil {
 		return nil
 	}
-	out := make([]LevelStat, e.c.Depth())
+	out := make([]run.LevelStat, e.c.Depth())
 	for i := range out {
 		l := e.c.Level(i + 1)
 		mp, cp, dp, db, dbp, rbl := levelPlacement(l)
-		out[i] = LevelStat{
+		out[i] = run.LevelStat{
 			Len: l.Len(), Groups: l.Groups(),
 			MemParts: mp, CompressedParts: cp, DiskParts: dp,
 			ResidentBytes: l.Bytes(), ResidentBytesLogical: rbl,
@@ -497,7 +428,7 @@ func (e *Explorer) promoteLevel(l int, h *storage.HybridLevel) error {
 	}
 	n, err := h.Promote(headroom)
 	if n > 0 {
-		e.promotedParts += n
+		e.acct.PromotedParts += n
 		e.rechargeLevel(l, h.Bytes())
 	}
 	return err
@@ -510,7 +441,7 @@ func (e *Explorer) promoteLevel(l int, h *storage.HybridLevel) error {
 // wholesale and the reclaimed bytes are returned to the shared budget for
 // the hotter levels above it.
 func (e *Explorer) compactColdLevel() {
-	if e.cfg.ResidentCompression == storage.CompressionOff || e.cfg.MemoryBudget <= 0 {
+	if e.cfg.ResidentCompression == run.CompressionOff || e.cfg.MemoryBudget <= 0 {
 		return
 	}
 	l := e.c.Depth() - 1
@@ -522,7 +453,7 @@ func (e *Explorer) compactColdLevel() {
 		return
 	}
 	if n, _ := h.CompressResident(); n > 0 {
-		e.compParts += n
+		e.acct.CompressedParts += n
 		e.rechargeLevel(l, h.Bytes())
 	}
 }
@@ -566,13 +497,20 @@ func (e *Explorer) PopTop() error {
 // CSE exposes the underlying structure (read-only use).
 func (e *Explorer) CSE() *cse.CSE { return e.c }
 
-// Close releases the CSE (removing spilled files) and stops the write queue.
-// Close is idempotent.
+// Close releases the CSE (removing spilled files) and stops the write queue,
+// after handing the run's storage accounting — the cumulative counters plus
+// the final placement of the levels about to go — to cfg.Spill. Close is
+// idempotent.
 func (e *Explorer) Close() error {
 	if e.closed {
 		return nil
 	}
 	e.closed = true
+	if out := e.cfg.Spill; out != nil {
+		e.acct.ResidentBytesLogical, e.acct.Levels = e.ResidentBytesLogical(), e.LevelStats()
+		e.acct.IsoCalls = out.IsoCalls // the aggregator's counter, not ours
+		*out = e.acct
+	}
 	var first error
 	if e.cancelHighWater != nil {
 		e.cancelHighWater()
@@ -621,7 +559,7 @@ func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) e
 	return e.ExpandTo(ctx, &e.store, vf, ef)
 }
 
-// levelBuilderFor re-arms the pooled level builder for the parts cut at
+// levelBuilderFor arms the pooled level builder for the parts cut at
 // bounds over top, where baseBytes of the budget are already held by levels
 // that will remain resident alongside the new one: the governor watermark is
 // the budget share left after them, and placement is decided per part,
@@ -635,12 +573,9 @@ func (e *Explorer) levelBuilderFor(top cse.LevelData, bounds []int, baseBytes in
 	e.pressure.Store(e.cfg.Tracker != nil && e.cfg.Tracker.SharedLive() >= e.watermarkBytes())
 	nparts, budget := len(bounds)-1, e.buildBudget(baseBytes)
 	if e.builder == nil {
-		e.builder = storage.NewHybridLevelBuilder(
-			e.fs, e.runDir, e.levelSeq, nparts, e.queue, e.cfg.BlockSize, e.cfg.Tracker,
-			budget, &e.pressure, e.watermarkBytes(), e.cfg.ResidentCompression)
-	} else {
-		e.builder.Reset(e.levelSeq, nparts, budget)
+		e.builder = storage.NewHybridLevelBuilder(e.cfg.Env, e.runDir, e.queue, &e.pressure, e.watermarkBytes())
 	}
+	e.builder.Reset(e.levelSeq, nparts, budget)
 	e.levelSeq++
 	e.presizeParts(top, bounds, e.builder)
 	return e.builder
@@ -777,7 +712,7 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	// level to balance), only every stride-th group pays the exact per-child
 	// candidate-union count (which needs the materialized level-k candidate
 	// set, refreshLevel); the groups in between reuse the latest sampled
-	// per-child mean, bounding prediction cost to PredictSample groups per
+	// per-child mean, bounding prediction cost to predictSample groups per
 	// chunk instead of every embedding.
 	ps := predSampler{
 		stride: e.predictStride(hi - lo),
@@ -853,7 +788,7 @@ type predictor interface {
 	predict(k int, u uint32) int
 }
 
-// predSampler applies the PredictSample policy over one chunk: every
+// predSampler applies the predictSample policy over one chunk: every
 // stride-th group is priced exactly (refreshLevel + per-child predict), the
 // groups in between reuse the latest sampled per-child mean.
 type predSampler struct {
@@ -883,17 +818,13 @@ func (s *predSampler) groupPreds(st predictor, k int, emb []uint32, children, bu
 	return buf
 }
 
-// predictStride converts the PredictSample budget (exactly-predicted groups
+// predictStride converts the predictSample budget (exactly-predicted groups
 // per chunk) into a sampling stride over a chunk of the given group count.
 func (e *Explorer) predictStride(groups int) int {
-	s := e.cfg.PredictSample
-	if s < 0 {
+	if e.predictSample < 0 {
 		return 1 // exact prediction for every group
 	}
-	if s == 0 {
-		s = DefaultPredictSample
-	}
-	stride := groups / s
+	stride := groups / e.predictSample
 	if stride < 1 {
 		stride = 1
 	}
@@ -973,7 +904,7 @@ func (e *Explorer) buildChunks(n int, baseBytes int64) int {
 	if e.cfg.MemoryBudget <= 0 {
 		return e.chunks(n)
 	}
-	t := e.cfg.Threads
+	t := e.threads
 	if e.buildBudget(baseBytes) > 0 {
 		t *= 2
 	}
@@ -988,7 +919,7 @@ func (e *Explorer) buildChunks(n int, baseBytes int64) int {
 
 // chunks picks the work-stealing chunk count of parallel walks.
 func (e *Explorer) chunks(n int) int {
-	c := e.cfg.Threads * 8
+	c := e.threads * 8
 	if n < c {
 		c = n
 	}
@@ -1078,7 +1009,7 @@ func partitionSegs(segs []cse.PredSeg, n, p int) []int {
 // any other error, the caller's abort path reclaims the partial output, and
 // sibling runs sharing the engine stay unaffected.
 func (e *Explorer) runParallel(ctx context.Context, nchunks int, fn func(worker, chunk int) error) error {
-	threads := e.cfg.Threads
+	threads := e.threads
 	if threads > nchunks {
 		threads = nchunks
 	}

@@ -11,6 +11,7 @@ import (
 	"kaleido/internal/cse"
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 )
 
 // paperGraph is the 5-vertex running example of Fig. 3 (0-based).
@@ -165,7 +166,7 @@ func edgeSetConnected(g *graph.Graph, set []uint32) bool {
 
 func newVertexExplorer(t *testing.T, g *graph.Graph, threads int) *Explorer {
 	t.Helper()
-	e, err := New(Config{Graph: g, Mode: VertexInduced, Threads: threads})
+	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: threads}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestEdgeEnumerationMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		for k := 2; k <= 3; k++ {
-			e, err := New(Config{Graph: g, Mode: EdgeInduced, Threads: 1 + rng.Intn(4)})
+			e, err := New(Config{Graph: g, Mode: EdgeInduced, Env: &run.Env{Threads: 1 + rng.Intn(4)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,13 +288,13 @@ func TestHybridMatchesInMemory(t *testing.T) {
 		wantSets := collect(t, mem)
 
 		for _, predict := range []bool{false, true} {
-			hy, err := New(Config{
-				Graph: g, Mode: VertexInduced, Threads: 3,
+			hy, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+				Threads:      3,
 				MemoryBudget: 1, // force every level to disk
 				SpillDir:     t.TempDir(),
 				Predict:      predict,
 				Tracker:      memtrack.New(),
-			})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,10 +443,10 @@ func TestFilterTopOnDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomGraph(rng, 30, 90)
 	mem := newVertexExplorer(t, g, 2)
-	hyb, err := New(Config{
-		Graph: g, Mode: VertexInduced, Threads: 2,
+	hyb, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+		Threads:      2,
 		MemoryBudget: 1, SpillDir: t.TempDir(),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +490,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("nil graph accepted")
 	}
 	g := paperGraph(t)
-	if _, err := New(Config{Graph: g, MemoryBudget: 100}); err == nil {
+	if _, err := New(Config{Graph: g, Env: &run.Env{MemoryBudget: 100}}); err == nil {
 		t.Fatal("budget without spill dir accepted")
 	}
 }
@@ -516,7 +517,7 @@ func TestPresizedExpandMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomGraph(rng, 30, 120)
 	plain := newVertexExplorer(t, g, 3)
-	pred, err := New(Config{Graph: g, Mode: VertexInduced, Threads: 3, Predict: true})
+	pred, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3, Predict: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"kaleido/internal/memtrack"
-	"kaleido/internal/storage"
+	"kaleido/internal/run"
 )
 
 // TestPartialSpillBetweenLevelSizes is the acceptance property of the
@@ -36,14 +36,14 @@ func TestPartialSpillBetweenLevelSizes(t *testing.T) {
 	// Budget halfway between the two depths' resident sizes: level 3 can
 	// only partially stay in memory.
 	budget := bytesAfter2 + (bytesAfter3-bytesAfter2)/2
-	hy, err := New(Config{
-		Graph: g, Mode: VertexInduced, Threads: 4,
+	hy, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+		Threads:      4,
 		MemoryBudget: budget, SpillDir: t.TempDir(),
 		// Raw residency only: the test pins the partial *disk* spill a
 		// between-levels budget forces, which resident compression would
 		// otherwise absorb in memory.
-		ResidentCompression: storage.CompressionOff,
-	})
+		ResidentCompression: run.CompressionOff,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,12 @@ func TestPartialSpillBetweenLevelSizes(t *testing.T) {
 func TestPredictSamplingMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	g := randomGraph(rng, 40, 160)
-	run := func(sample int) ([][]uint32, *Explorer) {
-		e, err := New(Config{Graph: g, Mode: VertexInduced, Threads: 3, Predict: true, PredictSample: sample})
+	sampled := func(sample int) ([][]uint32, *Explorer) {
+		e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3, Predict: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.predictSample = sample
 		t.Cleanup(func() { e.Close() })
 		if err := e.InitVertices(nil); err != nil {
 			t.Fatal(err)
@@ -100,9 +101,9 @@ func TestPredictSamplingMatchesExact(t *testing.T) {
 		}
 		return collect(t, e), e
 	}
-	exact, ee := run(-1)
-	for _, sample := range []int{0, 1, 4} {
-		got, ge := run(sample)
+	exact, ee := sampled(-1)
+	for _, sample := range []int{defaultPredictSample, 1, 4} {
+		got, ge := sampled(sample)
 		if !reflect.DeepEqual(got, exact) {
 			t.Fatalf("sample=%d: embeddings differ from exact prediction", sample)
 		}
@@ -111,7 +112,7 @@ func TestPredictSamplingMatchesExact(t *testing.T) {
 		}
 	}
 	// Sampled runs must still record work segments for the load balancer.
-	_, se := run(2)
+	_, se := sampled(2)
 	if se.CSE().Top().Predicted() == nil {
 		t.Fatal("sampled prediction recorded no segments")
 	}
@@ -122,11 +123,12 @@ func TestPredictSamplingMatchesExact(t *testing.T) {
 func TestPredictSamplingEdgeMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	g := randomGraph(rng, 20, 60)
-	run := func(sample int) [][]uint32 {
-		e, err := New(Config{Graph: g, Mode: EdgeInduced, Threads: 2, Predict: true, PredictSample: sample})
+	sampled := func(sample int) [][]uint32 {
+		e, err := New(Config{Graph: g, Mode: EdgeInduced, Env: &run.Env{Threads: 2, Predict: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.predictSample = sample
 		t.Cleanup(func() { e.Close() })
 		if err := e.InitEdges(nil); err != nil {
 			t.Fatal(err)
@@ -138,8 +140,8 @@ func TestPredictSamplingEdgeMode(t *testing.T) {
 		}
 		return collect(t, e)
 	}
-	exact := run(-1)
-	if got := run(1); !reflect.DeepEqual(got, exact) {
+	exact := sampled(-1)
+	if got := sampled(1); !reflect.DeepEqual(got, exact) {
 		t.Fatal("edge-mode sampled prediction changed the embeddings")
 	}
 }
@@ -151,10 +153,10 @@ func TestTrackerPressureForcesSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	g := randomGraph(rng, 30, 90)
 	tr := memtrack.New()
-	e, err := New(Config{
-		Graph: g, Mode: VertexInduced, Threads: 2,
+	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+		Threads:      2,
 		MemoryBudget: 1 << 30, SpillDir: t.TempDir(), Tracker: tr,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,18 +176,5 @@ func TestTrackerPressureForcesSpill(t *testing.T) {
 	stats := e.LevelStats()
 	if stats[len(stats)-1].DiskParts == 0 {
 		t.Fatal("top level has no disk parts despite pressure")
-	}
-}
-
-// TestWatermarkConfigValidation rejects watermarks outside [0, 1].
-func TestWatermarkConfigValidation(t *testing.T) {
-	g := paperGraph(t)
-	for _, w := range []float64{-0.1, 1.5} {
-		if _, err := New(Config{Graph: g, SpillWatermark: w}); err == nil {
-			t.Fatalf("watermark %v accepted", w)
-		}
-	}
-	if _, err := New(Config{Graph: g, SpillWatermark: 0.5, MemoryBudget: 10, SpillDir: t.TempDir()}); err != nil {
-		t.Fatal(err)
 	}
 }

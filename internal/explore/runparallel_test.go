@@ -12,7 +12,7 @@ import (
 // the other workers from pulling further chunks: the failed workload must
 // not run to completion.
 func TestRunParallelCancelsOnError(t *testing.T) {
-	e := &Explorer{cfg: Config{Threads: 2}}
+	e := &Explorer{threads: 2}
 	var executed atomic.Int64
 	boom := errors.New("boom")
 	err := e.runParallel(bgCtx, 100, func(worker, chunk int) error {
@@ -34,7 +34,7 @@ func TestRunParallelCancelsOnError(t *testing.T) {
 
 // TestRunParallelCompletesWithoutError runs every chunk exactly once.
 func TestRunParallelCompletesWithoutError(t *testing.T) {
-	e := &Explorer{cfg: Config{Threads: 4}}
+	e := &Explorer{threads: 4}
 	seen := make([]atomic.Int32, 64)
 	if err := e.runParallel(bgCtx, 64, func(worker, chunk int) error {
 		seen[chunk].Add(1)
@@ -52,7 +52,7 @@ func TestRunParallelCompletesWithoutError(t *testing.T) {
 // TestRunParallelCtxCancel verifies workers stop pulling chunks once the
 // context is cancelled and surface ctx.Err().
 func TestRunParallelCtxCancel(t *testing.T) {
-	e := &Explorer{cfg: Config{Threads: 2}}
+	e := &Explorer{threads: 2}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var executed atomic.Int64

@@ -88,12 +88,12 @@ func (s *StoreSink) finish(e *Explorer) error {
 		return err
 	}
 	if dp := lvl.DiskParts(); dp > 0 {
-		e.spilled++
-		e.spilledParts += dp
-		e.spilledBytes += lvl.DiskBytes()
-		e.spilledPhys += lvl.DiskBytesPhysical()
+		e.acct.SpilledLevels++
+		e.acct.SpilledParts += dp
+		e.acct.SpilledBytes += lvl.DiskBytes()
+		e.acct.SpilledBytesPhysical += lvl.DiskBytesPhysical()
 	}
-	e.compParts += lvl.CompressedParts() // parts the governor squeezed during this build
+	e.acct.CompressedParts += lvl.CompressedParts() // parts the governor squeezed during this build
 	e.charge(lvl.Bytes())
 	e.compactColdLevel()
 	if s.parents > 0 {
@@ -127,10 +127,10 @@ type paddedCount struct {
 func (s *CountSink) storing() bool { return false }
 
 func (s *CountSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
-	if cap(s.counts) < e.cfg.Threads {
-		s.counts = make([]paddedCount, e.cfg.Threads)
+	if cap(s.counts) < e.threads {
+		s.counts = make([]paddedCount, e.threads)
 	}
-	s.counts = s.counts[:e.cfg.Threads]
+	s.counts = s.counts[:e.threads]
 	for i := range s.counts {
 		s.counts[i].n = 0
 	}
@@ -212,10 +212,10 @@ func (s *CountVisitSink) begin(e *Explorer, top cse.LevelData, bounds []int) err
 	if err := s.VisitSink.begin(e, top, bounds); err != nil {
 		return err
 	}
-	if cap(s.counts) < e.cfg.Threads {
-		s.counts = make([]paddedCount, e.cfg.Threads)
+	if cap(s.counts) < e.threads {
+		s.counts = make([]paddedCount, e.threads)
 	}
-	s.counts = s.counts[:e.cfg.Threads]
+	s.counts = s.counts[:e.threads]
 	for i := range s.counts {
 		s.counts[i].n = 0
 	}

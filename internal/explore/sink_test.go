@@ -16,6 +16,7 @@ import (
 
 	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 	"kaleido/internal/storage"
 )
 
@@ -53,7 +54,7 @@ func TestExpandCountMatchesExpandAcrossConfigs(t *testing.T) {
 	for _, sc := range sinkConfigs() {
 		t.Run(sc.name, func(t *testing.T) {
 			tr := memtrack.New()
-			cfg := Config{Graph: g, Mode: VertexInduced, Threads: 4, Tracker: tr}
+			cfg := Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 4, Tracker: tr}}
 			if b := sc.budget(after2, after3); b > 0 {
 				cfg.MemoryBudget = b
 				cfg.SpillDir = t.TempDir()
@@ -107,7 +108,7 @@ func TestExpandVisitMatchesExpandEdgeMode(t *testing.T) {
 			continue
 		}
 		mk := func() *Explorer {
-			e, err := New(Config{Graph: g, Mode: EdgeInduced, Threads: 3})
+			e, err := New(Config{Graph: g, Mode: EdgeInduced, Env: &run.Env{Threads: 3}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,14 +249,14 @@ func TestFilterTopHybridInPlace(t *testing.T) {
 	}
 	want := collect(t, ref)
 
-	hy, err := New(Config{
-		Graph: g, Mode: VertexInduced, Threads: 4,
+	hy, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+		Threads:      4,
 		MemoryBudget: after2 + (after3-after2)/2, SpillDir: t.TempDir(),
 		Tracker: memtrack.New(),
 		// Raw residency only: the disk-part bookkeeping below assumes the
 		// contrived budget forces real disk parts.
-		ResidentCompression: storage.CompressionOff,
-	})
+		ResidentCompression: run.CompressionOff,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,10 +323,10 @@ func TestFilterTopHybridInPlace(t *testing.T) {
 func TestHybridBuilderPooling(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	g := randomGraph(rng, 40, 160)
-	e, err := New(Config{
-		Graph: g, Mode: VertexInduced, Threads: 3,
+	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+		Threads:      3,
 		MemoryBudget: 1, SpillDir: t.TempDir(),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/iso"
 	"kaleido/internal/pattern"
+	"kaleido/internal/run"
 )
 
 var bgCtx = context.Background()
@@ -60,7 +61,7 @@ func TestTriangleCountMatchesKaleido(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 6; trial++ {
 		g := randomGraph(rng, 12+rng.Intn(18), rng.Intn(80), 2)
-		want, err := apps.TriangleCount(bgCtx, g, apps.Options{Threads: 2})
+		want, err := apps.TriangleCount(bgCtx, g, &run.Env{Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestCliqueCountMatchesKaleido(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(rng, 10+rng.Intn(10), rng.Intn(60), 2)
 		for k := 3; k <= 4; k++ {
-			want, err := apps.CliqueCount(bgCtx, g, k, apps.Options{Threads: 2})
+			want, err := apps.CliqueCount(bgCtx, g, k, &run.Env{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +103,7 @@ func TestMotifCountMatchesKaleido(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		g := randomGraph(rng, 9+rng.Intn(6), rng.Intn(30), 1)
 		for k := 3; k <= 4; k++ {
-			want, err := apps.MotifCount(bgCtx, g, k, apps.Options{Threads: 2})
+			want, err := apps.MotifCount(bgCtx, g, k, &run.Env{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +136,7 @@ func TestFSMMatchesKaleido(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		g := randomGraph(rng, 12+rng.Intn(8), rng.Intn(35), 2)
 		for _, support := range []uint64{1, 3} {
-			want, err := apps.FSM(bgCtx, g, 4, support, apps.Options{Threads: 2})
+			want, err := apps.FSM(bgCtx, g, 4, support, &run.Env{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

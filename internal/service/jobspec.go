@@ -137,9 +137,10 @@ func (s *JobSpec) isoAlgo() (kaleido.IsoAlgo, error) {
 	return 0, fmt.Errorf("service: unknown iso backend %q (have eigen, bliss, exact)", s.Iso)
 }
 
-// Config translates the spec into a run Config. The budget fields are filled
-// from Budget/SpillDir; Engine-dispatched runs override them with the
-// engine's shared budget, so the translation is safe for both paths.
+// Config translates the spec into a run Config — the only wire → Config
+// mapping. The budget fields are filled from Budget/SpillDir;
+// Engine-dispatched runs override them with the engine's shared budget, so
+// the translation is safe for both paths.
 func (s *JobSpec) Config() (kaleido.Config, error) {
 	iso, err := s.isoAlgo()
 	if err != nil {
@@ -233,7 +234,8 @@ type PatternResult struct {
 // JobResult is a finished job's output.
 type JobResult struct {
 	// Count is the scalar result: triangles, cliques, total motif
-	// embeddings, or FSM final-level embeddings visited.
+	// embeddings, or — for FSM — the number of frequent patterns found
+	// (TotalPatterns; the embeddings visited are not on the wire).
 	Count uint64 `json:"count"`
 	// Patterns holds the (filtered) pattern aggregates of motif/FSM jobs.
 	Patterns []PatternResult `json:"patterns,omitempty"`
@@ -243,42 +245,34 @@ type JobResult struct {
 	Stats kaleido.Stats `json:"stats"`
 }
 
-// Execute runs the spec's job on eng over g, filling stats (which must be
-// non-nil to collect accounting; it is wired into the run Config). It is the
+// Execute runs the spec's job on eng over g, filling stats (when non-nil; it
+// is wired into the run Config) as well as the result's Stats. It is the
 // single dispatch both the daemon's job runner and the CLI's -serve parity
 // path use, so a daemon job and a direct Engine call of the same spec produce
-// identical results.
+// identical results: the spec becomes a kaleido.Job and takes the engine's
+// one run path.
 func Execute(ctx context.Context, eng *kaleido.Engine, g *kaleido.Graph, spec *JobSpec, stats *kaleido.Stats) (*JobResult, error) {
+	app, err := spec.AppID()
+	if err != nil {
+		return nil, err
+	}
 	cfg, err := spec.Config()
 	if err != nil {
 		return nil, err
 	}
 	cfg.Stats = stats
-	res := &JobResult{}
-	var pats []kaleido.PatternCount
-	switch spec.App {
-	case "tc":
-		res.Count, err = eng.Triangles(ctx, g, cfg)
-	case "clique":
-		res.Count, err = eng.Cliques(ctx, g, spec.K, cfg)
-	case "motif":
-		pats, err = eng.Motifs(ctx, g, spec.K, cfg)
-		for _, pc := range pats {
-			res.Count += pc.Count
-		}
-	case "fsm":
-		pats, err = eng.FSM(ctx, g, spec.K, spec.Support, cfg)
-		res.Count = uint64(len(pats))
-	default:
-		err = fmt.Errorf("service: unknown app %q", spec.App)
-	}
+	out, err := eng.RunSharded(ctx, kaleido.Job{Graph: g, App: app, K: spec.K, Support: spec.Support, Config: cfg}, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	res.TotalPatterns = len(pats)
-	res.Patterns = filterPatterns(pats, spec.MinCount, spec.TopK)
-	if stats != nil {
-		res.Stats = *stats
+	res := &JobResult{
+		Count:         out.Count,
+		Patterns:      filterPatterns(out.Patterns, spec.MinCount, spec.TopK),
+		TotalPatterns: len(out.Patterns),
+		Stats:         out.Stats,
+	}
+	if app == kaleido.AppFSM {
+		res.Count = uint64(len(out.Patterns))
 	}
 	return res, nil
 }

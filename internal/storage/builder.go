@@ -9,26 +9,9 @@ import (
 
 	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 	"kaleido/internal/storage/vfs"
 )
-
-// Compression switches the compressed-mem residency tier of a budgeted build
-// on or off (the residentCompress argument of NewHybridLevelBuilder). It is
-// a placement policy, not a format: whatever reaches disk is always v2 codec
-// blocks.
-type Compression int
-
-const (
-	// CompressionAuto (the zero value) enables the tier: under pressure the
-	// governor squeezes sealed raw parts into resident codec blocks before
-	// resorting to disk, and promotions off disk land compressed.
-	CompressionAuto Compression = iota
-	// CompressionOff keeps every memory-resident part raw: residency is
-	// two-state, raw or disk.
-	CompressionOff
-)
-
-func (c Compression) enabled() bool { return c != CompressionOff }
 
 // HybridLevelBuilder builds a HybridLevel from t concurrently written parts —
 // the output side of one exploration iteration (paper Fig. 7) and the only
@@ -51,51 +34,50 @@ type HybridLevelBuilder struct {
 	dir       string
 	level     int
 	queue     *WriteQueue
-	blockSize int
+	blockSize int // prefetch block size handed to the level; 0 = DefaultBlockSize (tests shrink it)
 	tracker   *memtrack.Tracker
-	rcompress Compression
+	rcompress bool
 	fs        vfs.FS
 	gov       governor
 	parts     []hybridPartWriter
 	reserved  int64
 }
 
-// NewHybridLevelBuilder creates a builder of nparts parts. memBudget is the
-// resident-byte watermark for this build: ≤ 0 sends every part to disk
-// immediately (the all-disk regime), math.MaxInt64 is no limit at all (an
-// unbudgeted run). pressure, when non-nil, is an external
-// back-pressure flag (e.g. a memtrack high-water callback): while set, the
-// governor spills as if the budget were exhausted. A positive pressureLimit
-// tells the governor how far the tracker's live bytes have to come down, so
-// it sheds flushed parts only as far as the overshoot requires (parts still
-// growing spill regardless) and clears the flag once live is back under the
-// limit — a transient spike does not condemn the whole level to disk. dir and
-// the part files in it are created lazily, only when a part actually
-// migrates (a build that cannot migrate may pass a nil queue), and the files
-// always hold v2 codec blocks. residentCompress enables the
-// compressed-mem tier: under pressure the governor squeezes the largest
-// flushed raw parts into resident codec blocks before resorting to disk
-// spill, and the finished level keeps compressed residents (promotions land
-// compressed). fs is the filesystem the spill files live on (nil = the real
-// one).
-func NewHybridLevelBuilder(fs vfs.FS, dir string, level, nparts int, q *WriteQueue, blockSize int, tracker *memtrack.Tracker, memBudget int64, pressure *atomic.Bool, pressureLimit int64, residentCompress Compression) *HybridLevelBuilder {
+// NewHybridLevelBuilder creates the level builder of one run; Reset arms it
+// for a build. env supplies what the run configured once — the filesystem the
+// spill files live on, the tracker, the residency policy — and the remaining
+// arguments are the run-scoped resources its explorer owns. dir and the part
+// files in it are created lazily, only when a part actually migrates (a build
+// that cannot migrate may pass a nil queue), and the files always hold v2
+// codec blocks. pressure, when non-nil, is an external back-pressure flag
+// (e.g. a memtrack high-water callback): while set, the governor spills as if
+// the budget were exhausted. A positive pressureLimit tells the governor how
+// far the tracker's live bytes have to come down, so it sheds flushed parts
+// only as far as the overshoot requires (parts still growing spill
+// regardless) and clears the flag once live is back under the limit — a
+// transient spike does not condemn the whole level to disk. With
+// env.ResidentCompression on, the governor under pressure squeezes the
+// largest flushed raw parts into resident codec blocks before resorting to
+// disk spill, and the finished level keeps compressed residents (promotions
+// land compressed).
+func NewHybridLevelBuilder(env *run.Env, dir string, q *WriteQueue, pressure *atomic.Bool, pressureLimit int64) *HybridLevelBuilder {
 	b := &HybridLevelBuilder{
-		dir: dir, queue: q, blockSize: blockSize, tracker: tracker,
-		rcompress: residentCompress, fs: vfs.OrOS(fs),
+		dir: dir, queue: q, tracker: env.Tracker,
+		rcompress: env.ResidentCompression != run.CompressionOff, fs: vfs.OrOS(env.FS),
 	}
 	b.gov.pressure = pressure
 	b.gov.pressureLimit = pressureLimit
-	b.gov.tracker = tracker
+	b.gov.tracker = env.Tracker
 	b.gov.b = b
-	b.Reset(level, nparts, memBudget)
 	return b
 }
 
-// Reset re-arms a builder for a new level build, reusing its part-writer
-// slice (and, through the part pool, the buffers of levels that have since
-// been closed). The directory, write queue, block size, tracker and pressure
-// flag stay as constructed; level names the new level's spill files and
-// memBudget is the new build's governor watermark.
+// Reset arms the builder for a level build of nparts parts, reusing its
+// part-writer slice (and, through the part pool, the buffers of levels that
+// have since been closed). level names the new level's spill files. memBudget
+// is the resident-byte watermark for this build: ≤ 0 sends every part to disk
+// immediately (the all-disk regime), math.MaxInt64 is no limit at all (an
+// unbudgeted run).
 func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
 	b.level = level
 	if cap(b.parts) < nparts {
@@ -379,7 +361,7 @@ func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 			return nil, err
 		}
 	}
-	h := &HybridLevel{blockSize: b.blockSize, tracker: b.tracker, fs: b.fs, rcomp: b.rcompress.enabled()}
+	h := &HybridLevel{blockSize: b.blockSize, tracker: b.tracker, fs: b.fs, rcomp: b.rcompress}
 	sawPred, sawPlainNonEmpty := false, false
 	for i := range b.parts {
 		p := &b.parts[i]

@@ -10,6 +10,7 @@ import (
 
 	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 	"kaleido/internal/storage/vfs"
 )
 
@@ -18,7 +19,7 @@ type layout struct {
 	name   string
 	budget int64               // builder watermark; ≤ 0 is the all-disk regime
 	at     func(part int) byte // 'r' raw, 'c' compressed-mem, 'd' disk (forced spill)
-	rcomp  Compression         // the level's resident-compression policy (zero value: on)
+	rcomp  run.Compression     // the level's resident-compression policy (zero value: on)
 	bare   bool                // no spill dir, no write queue, no tracker: the build may need none
 }
 
@@ -53,7 +54,9 @@ func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPre
 		dir = t.TempDir()
 	}
 	ml := &cse.MemLevel{Offs: []uint64{0}}
-	hb := NewHybridLevelBuilder(fs, dir, 2, nparts, q, 128, tracker, lay.budget, nil, 0, lay.rcomp)
+	hb := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker, ResidentCompression: lay.rcomp}, dir, q, nil, 0)
+	hb.Reset(2, nparts, lay.budget)
+	hb.blockSize = 128
 	for i := 0; i < nparts; i++ {
 		if lay.at(i) == 'd' {
 			hb.parts[i].spillReq.Store(true)

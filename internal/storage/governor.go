@@ -171,7 +171,7 @@ func (g *governor) spillOver() {
 			}
 		}
 		switch {
-		case (over > 0 || pressed) && cv != nil && g.b.rcompress.enabled():
+		case (over > 0 || pressed) && cv != nil && g.b.rcompress:
 			// Squeeze the largest flushed raw part into resident codec
 			// blocks before spilling anything: compression frees most of a
 			// part's bytes for no I/O at all. Only flushed parts are

@@ -11,6 +11,7 @@ import (
 
 	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 )
 
 // TestHybridMidBuildSpill drives a build against a budget sized to roughly
@@ -33,7 +34,7 @@ func TestHybridMidBuildSpill(t *testing.T) {
 	const nparts = 8
 	budget := totalBytes / 2
 	ml, hl, tracker := buildLevels(t, nil, groups, nparts, false,
-		layout{name: "half", budget: budget, at: func(int) byte { return 'r' }, rcomp: CompressionOff})
+		layout{name: "half", budget: budget, at: func(int) byte { return 'r' }, rcomp: run.CompressionOff})
 	if hl.DiskParts() == 0 || hl.MemParts() == 0 {
 		t.Fatalf("placement not hybrid: %d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
 	}
@@ -64,7 +65,8 @@ func TestHybridPressureSpill(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	var pressure atomic.Bool
-	hb := NewHybridLevelBuilder(nil, t.TempDir(), 4, 2, q, 0, tracker, 1<<40, &pressure, 0, CompressionOff)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, &pressure, 0)
+	hb.Reset(4, 2, 1<<40)
 	group := []uint32{1, 2, 3, 4}
 	for i := 0; i < 50; i++ {
 		if err := hb.Part(0).AppendGroup(group, nil); err != nil {
@@ -106,7 +108,8 @@ func TestHybridPressureClears(t *testing.T) {
 	defer q.Close()
 	var pressure atomic.Bool
 	pressure.Store(true) // spike already over: live (0) < limit
-	hb := NewHybridLevelBuilder(nil, t.TempDir(), 7, 1, q, 0, tracker, 1<<40, &pressure, 1<<20, CompressionOff)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, &pressure, 1<<20)
+	hb.Reset(7, 1, 1<<40)
 	for i := 0; i < 10; i++ {
 		if err := hb.Part(0).AppendGroup([]uint32{1, 2, 3}, nil); err != nil {
 			t.Fatal(err)
@@ -170,7 +173,8 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 			var pressure atomic.Bool
 			cancel := tracker.OnSharedHighWater(limit, func(int64) { pressure.Store(true) })
 			tracker.Alloc(external)
-			hb := NewHybridLevelBuilder(nil, t.TempDir(), 2, nparts, q, 0, tracker, 1<<40, &pressure, limit, CompressionOff)
+			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, &pressure, limit)
+			hb.Reset(2, nparts, 1<<40)
 			// build appends ngroups groups to each of parts, round-robin on
 			// this goroutine or with one goroutine per part.
 			build := func(parts ...int) {
@@ -243,7 +247,8 @@ func TestHybridAllMemFinish(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	hb := NewHybridLevelBuilder(nil, dir, 6, 2, q, 0, tracker, 1<<40, nil, 0, CompressionOff)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, dir, q, nil, 0)
+	hb.Reset(6, 2, 1<<40)
 	for i := 0; i < 2; i++ {
 		if err := hb.Part(i).AppendGroup([]uint32{uint32(i)}, nil); err != nil {
 			t.Fatal(err)
@@ -281,7 +286,8 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 	for _, budget := range []int64{math.MaxInt64, 0} {
 		q := NewWriteQueue(0, nil)
 		defer q.Close()
-		hb := NewHybridLevelBuilder(nil, t.TempDir(), 2, 3, q, 0, nil, budget, nil, 0, CompressionOff)
+		hb := NewHybridLevelBuilder(&run.Env{ResidentCompression: run.CompressionOff}, t.TempDir(), q, nil, 0)
+		hb.Reset(2, 3, budget)
 		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
 			for pi, gs := range groups {
 				for _, g := range gs {
@@ -328,7 +334,8 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 // TestBuilderMixedPredRejected: a non-empty part without predictions
 // alongside predicted parts must fail Finish.
 func TestBuilderMixedPredRejected(t *testing.T) {
-	hb := NewHybridLevelBuilder(nil, "", 2, 2, nil, 0, nil, math.MaxInt64, nil, 0, CompressionOff)
+	hb := NewHybridLevelBuilder(&run.Env{ResidentCompression: run.CompressionOff}, "", nil, nil, 0)
+	hb.Reset(2, 2, math.MaxInt64)
 	if err := hb.Part(0).AppendGroup([]uint32{1}, []uint32{3}); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +350,7 @@ func TestBuilderMixedPredRejected(t *testing.T) {
 }
 
 // spillTwo puts parts 1 and 3 of four on disk and keeps the rest raw.
-func spillTwo(rcomp Compression) layout {
+func spillTwo(rcomp run.Compression) layout {
 	return layout{name: "two-disk", budget: 1 << 40, rcomp: rcomp, at: func(i int) byte {
 		if i%2 == 1 {
 			return 'd'
@@ -358,7 +365,7 @@ func spillTwo(rcomp Compression) layout {
 // matches the all-memory reference, the files are gone, and the headroom
 // policy promotes only what fits.
 func TestHybridPromote(t *testing.T) {
-	for _, rcomp := range []Compression{CompressionOff, CompressionAuto} {
+	for _, rcomp := range []run.Compression{run.CompressionOff, run.CompressionAuto} {
 		rng := rand.New(rand.NewSource(91))
 		groups := randGroups(rng, 300)
 		ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo(rcomp))
@@ -382,7 +389,7 @@ func TestHybridPromote(t *testing.T) {
 		}
 		// Off disk is one transition per part; with compressed residents
 		// each part then takes a second one, compressed-mem to raw.
-		if want := map[Compression]int{CompressionOff: 2, CompressionAuto: 4}[rcomp]; n != want {
+		if want := map[run.Compression]int{run.CompressionOff: 2, run.CompressionAuto: 4}[rcomp]; n != want {
 			t.Fatalf("rcomp %d: promoted %d transitions, want %d", rcomp, n, want)
 		}
 		if hl.DiskParts() != 0 || hl.CompressedParts() != 0 || hl.DiskBytes() != 0 || hl.DiskBytesPhysical() != 0 {
@@ -402,14 +409,14 @@ func TestHybridPromote(t *testing.T) {
 // one part promotes exactly the cheaper one, and with compressed residents
 // it lands in compressed-mem, still matching the reference.
 func TestHybridPromotePartial(t *testing.T) {
-	for _, rcomp := range []Compression{CompressionOff, CompressionAuto} {
+	for _, rcomp := range []run.Compression{run.CompressionOff, run.CompressionAuto} {
 		rng := rand.New(rand.NewSource(97))
 		groups := randGroups(rng, 240)
 		ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo(rcomp))
 		var costs []int64
 		for i := range hl.parts {
 			if hl.parts[i].onDisk() {
-				costs = append(costs, hl.parts[i].offDiskCost(rcomp.enabled()))
+				costs = append(costs, hl.parts[i].offDiskCost(hl.rcomp))
 			}
 		}
 		if len(costs) != 2 {
@@ -422,7 +429,7 @@ func TestHybridPromotePartial(t *testing.T) {
 		if n != 1 || hl.DiskParts() != 1 {
 			t.Fatalf("rcomp %d: promoted %d, %d disk parts remain", rcomp, n, hl.DiskParts())
 		}
-		if want := map[Compression]int{CompressionOff: 0, CompressionAuto: 1}[rcomp]; hl.CompressedParts() != want {
+		if want := map[run.Compression]int{run.CompressionOff: 0, run.CompressionAuto: 1}[rcomp]; hl.CompressedParts() != want {
 			t.Fatalf("rcomp %d: %d compressed-mem parts after promotion, want %d", rcomp, hl.CompressedParts(), want)
 		}
 		checkConforms(t, ml, hl, base(ml.Groups()))

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 	"kaleido/internal/storage/vfs"
 )
 
@@ -26,7 +27,9 @@ func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*Hybri
 	tracker := memtrack.New()
 	q := NewWriteQueue(256, tracker) // tiny buffers: many queue writes
 	t.Cleanup(func() { q.Close() })
-	db := NewHybridLevelBuilder(fs, t.TempDir(), 2, nparts, q, 128, tracker, 0, nil, 0, CompressionOff)
+	db := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, nil, 0)
+	db.Reset(2, nparts, 0)
+	db.blockSize = 128
 	per := (len(groups) + nparts - 1) / nparts
 	for i, g := range groups {
 		if err := db.Part(i/per).AppendGroup(g, nil); err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 )
 
 // The tests below pin the behaviour of spilled parts on an all-disk hybrid
@@ -133,7 +134,8 @@ func TestFinishDetectsShortFiles(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	db := NewHybridLevelBuilder(nil, dir, 3, 1, q, 0, tracker, 0, nil, 0, CompressionOff)
+	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, dir, q, nil, 0)
+	db.Reset(3, 1, 0)
 	if err := db.Part(0).AppendGroup([]uint32{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,9 @@ func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	db := NewHybridLevelBuilder(nil, t.TempDir(), 2, 5, q, 64, tracker, 0, nil, 0, CompressionOff)
+	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, nil, 0)
+	db.Reset(2, 5, 0)
+	db.blockSize = 64
 	// Parts 0 and 3 get groups; parts 1, 2, 4 stay empty.
 	for _, g := range [][]uint32{{1, 2, 3}, {}, {4}} {
 		if err := db.Part(0).AppendGroup(g, nil); err != nil {
@@ -206,7 +210,8 @@ func TestEmptyParts(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	db := NewHybridLevelBuilder(nil, t.TempDir(), 2, 3, q, 0, tracker, 0, nil, 0, CompressionOff)
+	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, nil, 0)
+	db.Reset(2, 3, 0)
 	for _, g := range groups {
 		if err := db.Part(0).AppendGroup(g, nil); err != nil {
 			t.Fatal(err)
@@ -238,7 +243,8 @@ func TestCloseRemovesFiles(t *testing.T) {
 		q := NewWriteQueue(0, tracker)
 		defer q.Close()
 		dir := t.TempDir()
-		hb := NewHybridLevelBuilder(nil, dir, 5, 3, q, 0, tracker, lay.budget, nil, 0, CompressionOff)
+		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, dir, q, nil, 0)
+		hb.Reset(5, 3, lay.budget)
 		wantFiles := 0
 		for i := 0; i < 3; i++ {
 			if lay.at(i) == 'd' {

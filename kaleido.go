@@ -52,10 +52,10 @@ import (
 	"slices"
 	"time"
 
-	"kaleido/internal/apps"
 	"kaleido/internal/explore"
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 	"kaleido/internal/storage"
 	"kaleido/internal/storage/vfs"
 )
@@ -95,25 +95,20 @@ type Config struct {
 	Shards int
 	// MemoryBudget caps the resident bytes of intermediate embedding data
 	// (§4.1 hybrid storage). Levels are built in memory part by part; when
-	// the resident total crosses SpillWatermark·MemoryBudget mid-build, the
-	// largest in-flight parts migrate to SpillDir, so a single level can be
-	// half in memory and half on disk. 0 keeps everything in memory.
+	// the resident total crosses the spill watermark — 0.9·MemoryBudget; the
+	// headroom above it absorbs allocation growth between spill decisions —
+	// mid-build, the largest in-flight parts migrate to SpillDir, so a single
+	// level can be half in memory and half on disk. 0 keeps everything in
+	// memory.
 	MemoryBudget int64
 	// SpillDir receives spilled CSE level parts. Required when
 	// MemoryBudget > 0.
 	SpillDir string
-	// SpillWatermark is the fraction of MemoryBudget at which mid-build
-	// spilling starts (0 = the default 0.9). The headroom above the
-	// watermark absorbs allocation growth between spill decisions.
-	SpillWatermark float64
 	// Predict enables the §4.2 candidate-size prediction for balanced
-	// partitioning of spilled levels.
+	// partitioning of spilled levels. Its cost is bounded by sampling: 128
+	// groups per worker chunk pay the exact candidate-union count per child,
+	// the rest extrapolate the latest sampled mean.
 	Predict bool
-	// PredictSample caps the prediction cost: at most this many groups per
-	// worker chunk pay the exact candidate-union count per child, the rest
-	// extrapolate the latest sampled mean (0 = a sensible default, negative
-	// = predict every group exactly).
-	PredictSample int
 	// ResidentCompression controls the compressed-mem residency tier of
 	// budgeted runs. Spilled bytes have one format and no knob: whatever
 	// reaches disk is always version-2 checksummed codec blocks (delta+varint
@@ -245,51 +240,72 @@ type Stats struct {
 	// Levels is the final placement snapshot of the run's live CSE levels
 	// (base level first), captured just before the run released them — the
 	// per-level residency view that outlives the run, for metrics endpoints
-	// and post-mortems. Empty for sharded runs (each shard's levels are
-	// private) and for custom Miners (read Miner.LevelStats live instead).
+	// and post-mortems. Filled for application runs and, at Close, for custom
+	// Miners; empty only when the run had Shards > 1 (each shard's levels are
+	// private).
 	Levels []LevelStat
 }
 
-func (c Config) appOptions() (apps.Options, *memtrack.Tracker) {
-	return c.appOptionsWith(memtrack.New())
-}
-
-// appOptionsWith builds the internal options around a caller-supplied
-// tracker — the child of an Engine's budget arbiter for shared runs.
-func (c Config) appOptionsWith(tracker *memtrack.Tracker) (apps.Options, *memtrack.Tracker) {
-	opt := apps.Options{
+// env validates the public configuration and maps it onto the run's one
+// internal configuration — the only place a Config field is read on its way
+// into the engine: a new run input is one field on run.Env plus one line
+// here. tracker is the run's byte and I/O accounting (nil = untracked): a
+// private one for a standalone run, the child of a budget arbiter when the
+// budget is shared. Shards and Stats stay behind: they shape the run path
+// (runJob), not the run.
+func (c Config) env(tracker *memtrack.Tracker) (*run.Env, error) {
+	switch {
+	case c.MemoryBudget > 0 && c.SpillDir == "":
+		return nil, fmt.Errorf("kaleido: MemoryBudget set but SpillDir empty")
+	case c.Shards < 0:
+		return nil, fmt.Errorf("kaleido: negative Shards %d", c.Shards)
+	case c.Iso < IsoEigen || c.Iso > IsoEigenExact:
+		return nil, fmt.Errorf("kaleido: unknown Iso backend %d", c.Iso)
+	case c.ResidentCompression < CompressionAuto || c.ResidentCompression > CompressionOff:
+		return nil, fmt.Errorf("kaleido: unknown ResidentCompression mode %d", c.ResidentCompression)
+	}
+	return &run.Env{
 		Threads:             c.Threads,
 		MemoryBudget:        c.MemoryBudget,
 		SpillDir:            c.SpillDir,
-		SpillWatermark:      c.SpillWatermark,
 		Predict:             c.Predict,
-		PredictSample:       c.PredictSample,
-		ResidentCompression: storage.Compression(c.ResidentCompression),
+		ResidentCompression: run.Compression(c.ResidentCompression),
 		FS:                  c.Faults.fs(),
-		Iso:                 apps.IsoAlgo(c.Iso),
+		Iso:                 run.IsoAlgo(c.Iso),
 		Tracker:             tracker,
-	}
-	if c.Stats != nil {
-		opt.Spill = &apps.SpillInfo{}
-	}
-	return opt, tracker
+		Spill:               &run.SpillInfo{},
+	}, nil
 }
 
-func (c Config) finish(tracker *memtrack.Tracker, spill *apps.SpillInfo) {
-	if c.Stats == nil {
-		return
+// statsOf is the one translation from a run's internal accounting to the
+// public Stats: what each sub-run's tracker counted and what its explorer
+// handed to Env.Spill when it closed. I/O, retry and spill counters sum over
+// the sub-runs (one, unless the job was sharded). PeakBytes is the run's own
+// tracked peak; for sub-runs that shared a pool the caller substitutes the
+// pool's.
+func statsOf(envs ...*run.Env) Stats {
+	var s Stats
+	for _, env := range envs {
+		if t := env.Tracker; t != nil {
+			s.PeakBytes = t.Peak()
+			r, w := t.IOTotals()
+			s.ReadBytes += r
+			s.WriteBytes += w
+			s.IORetries += t.IORetries()
+		}
+		sp := env.Spill
+		s.SpilledLevels += sp.SpilledLevels
+		s.SpilledParts += sp.SpilledParts
+		s.PromotedParts += sp.PromotedParts
+		s.CompressedParts += sp.CompressedParts
+		s.SpilledBytes += sp.SpilledBytes
+		s.SpilledBytesPhysical += sp.SpilledBytesPhysical
+		s.ResidentBytesLogical += sp.ResidentBytesLogical
 	}
-	c.Stats.PeakBytes = tracker.Peak()
-	c.Stats.ReadBytes, c.Stats.WriteBytes = tracker.IOTotals()
-	c.Stats.IORetries = tracker.IORetries()
-	if spill != nil {
-		c.Stats.SpilledLevels, c.Stats.SpilledParts = spill.SpilledLevels, spill.SpilledParts
-		c.Stats.PromotedParts = spill.PromotedParts
-		c.Stats.CompressedParts = spill.CompressedParts
-		c.Stats.SpilledBytes, c.Stats.SpilledBytesPhysical = spill.SpilledBytes, spill.SpilledBytesPhysical
-		c.Stats.ResidentBytesLogical = spill.ResidentBytesLogical
-		c.Stats.Levels = publicLevelStats(spill.Levels)
+	if len(envs) == 1 {
+		s.Levels = publicLevelStats(envs[0].Spill.Levels)
 	}
+	return s
 }
 
 // ctxOrBackground normalizes a nil context so internal layers can poll it
@@ -410,26 +426,6 @@ func (g *Graph) Neighbors(v uint32) []uint32 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// validate checks a config for early, friendly errors.
-func (c Config) validate() error {
-	if c.MemoryBudget > 0 && c.SpillDir == "" {
-		return fmt.Errorf("kaleido: MemoryBudget set but SpillDir empty")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("kaleido: negative Shards %d", c.Shards)
-	}
-	if c.SpillWatermark < 0 || c.SpillWatermark > 1 {
-		return fmt.Errorf("kaleido: SpillWatermark %v outside [0, 1]", c.SpillWatermark)
-	}
-	if c.Iso < IsoEigen || c.Iso > IsoEigenExact {
-		return fmt.Errorf("kaleido: unknown Iso backend %d", c.Iso)
-	}
-	if c.ResidentCompression < CompressionAuto || c.ResidentCompression > CompressionOff {
-		return fmt.Errorf("kaleido: unknown ResidentCompression mode %d", c.ResidentCompression)
-	}
-	return nil
 }
 
 // modeOf converts the public mode.

@@ -7,7 +7,7 @@ import (
 	"kaleido/internal/apps"
 	"kaleido/internal/explore"
 	"kaleido/internal/memtrack"
-	"kaleido/internal/storage"
+	"kaleido/internal/run"
 )
 
 // Mode selects the exploration unit for a custom Miner.
@@ -36,46 +36,43 @@ type EmbeddingFilter func(worker int, emb []uint32, cand uint32) bool
 type Miner struct {
 	g    *Graph
 	e    *explore.Explorer
-	cfg  Config
+	env  *run.Env
 	mode Mode
 
-	// en, when the Miner was vended by an Engine, receives the run-lifecycle
-	// accounting at Close (once, even though Close is idempotent).
-	en     *Engine
-	enOnce sync.Once
+	// The run's accounting is reported on the first Close (Close is
+	// idempotent): to stats, the Config.Stats the Miner was created with, and
+	// to en, the Engine that vended it — either may be nil.
+	stats *Stats
+	en    *Engine
+	once  sync.Once
 }
 
 // NewMiner creates a Miner over g. ctx only gates creation; each exploration
 // call takes its own context. Use Engine.NewMiner to share one memory budget
 // across concurrent miners.
 func (g *Graph) NewMiner(ctx context.Context, mode Mode, cfg Config) (*Miner, error) {
-	return newMiner(ctx, g, mode, cfg, nil)
-}
-
-func newMiner(ctx context.Context, g *Graph, mode Mode, cfg Config, tracker *memtrack.Tracker) (*Miner, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	// Bytes and I/O are tracked only when someone will read them: an
+	// untracked Miner pays no accounting atomics at all.
+	var tracker *memtrack.Tracker
+	if cfg.Stats != nil {
+		tracker = memtrack.New()
 	}
-	if err := ctxOrBackground(ctx).Err(); err != nil {
-		return nil, err
-	}
-	e, err := explore.New(explore.Config{
-		Graph:               g.g,
-		Mode:                modeOf(mode),
-		Threads:             cfg.Threads,
-		MemoryBudget:        cfg.MemoryBudget,
-		SpillDir:            cfg.SpillDir,
-		SpillWatermark:      cfg.SpillWatermark,
-		Predict:             cfg.Predict,
-		PredictSample:       cfg.PredictSample,
-		ResidentCompression: storage.Compression(cfg.ResidentCompression),
-		FS:                  cfg.Faults.fs(),
-		Tracker:             tracker,
-	})
+	env, err := cfg.env(tracker)
 	if err != nil {
 		return nil, err
 	}
-	m := &Miner{g: g, e: e, cfg: cfg, mode: mode}
+	return newMiner(ctx, g, mode, env, cfg.Stats)
+}
+
+func newMiner(ctx context.Context, g *Graph, mode Mode, env *run.Env, stats *Stats) (*Miner, error) {
+	if err := ctxOrBackground(ctx).Err(); err != nil {
+		return nil, err
+	}
+	e, err := explore.New(explore.Config{Graph: g.g, Mode: modeOf(mode), Env: env})
+	if err != nil {
+		return nil, err
+	}
+	m := &Miner{g: g, e: e, env: env, mode: mode, stats: stats}
 	if mode == EdgeInduced {
 		err = e.InitEdges(nil)
 	} else {
@@ -155,11 +152,7 @@ func (m *Miner) translator() func(worker int, emb []uint32) []uint32 {
 	if m.mode != VertexInduced || !g.Relabeled() {
 		return nil
 	}
-	threads := m.cfg.Threads
-	if threads <= 0 {
-		threads = defaultWorkerCount()
-	}
-	bufs := make([][]uint32, threads)
+	bufs := make([][]uint32, m.env.Workers())
 	return func(w int, emb []uint32) []uint32 {
 		buf := append(bufs[w][:0], emb...)
 		for i, v := range buf {
@@ -237,18 +230,13 @@ func (m *Miner) LevelStats() []LevelStat {
 
 // publicLevelStats converts the internal level placement snapshot to the
 // public type; shared by Miner.LevelStats and the Stats.Levels capture.
-func publicLevelStats(in []explore.LevelStat) []LevelStat {
+func publicLevelStats(in []run.LevelStat) []LevelStat {
 	if len(in) == 0 {
 		return nil
 	}
 	out := make([]LevelStat, len(in))
 	for i, s := range in {
-		out[i] = LevelStat{
-			Len: s.Len, Groups: s.Groups,
-			MemParts: s.MemParts, CompressedParts: s.CompressedParts, DiskParts: s.DiskParts,
-			ResidentBytes: s.ResidentBytes, ResidentBytesLogical: s.ResidentBytesLogical,
-			DiskBytes: s.DiskBytes, DiskBytesPhysical: s.DiskBytesPhysical,
-		}
+		out[i] = LevelStat(s) // the same fields in the same order
 	}
 	return out
 }
@@ -272,27 +260,27 @@ func (m *Miner) ForEach(ctx context.Context, visit func(worker int, emb []uint32
 // its embeddings, an edge-induced Miner the patterns made of exactly their
 // edges. Cancelling ctx aborts the aggregation with ctx.Err().
 func (m *Miner) AggregatePatterns(ctx context.Context) ([]PatternCount, error) {
-	opt := apps.Options{Threads: m.cfg.Threads, Iso: apps.IsoAlgo(m.cfg.Iso)}
-	res, err := apps.AggregatePatterns(ctxOrBackground(ctx), m.g.g, m.e, modeOf(m.mode), opt)
+	res, err := apps.AggregatePatterns(ctxOrBackground(ctx), m.g.g, m.e, modeOf(m.mode), m.env)
 	if err != nil {
 		return nil, err
 	}
 	return publicCounts(res), nil
 }
 
-// Close releases the Miner's resources, removing any spilled levels. A Miner
-// vended by an Engine stops counting as an active run and folds its spill
-// accounting into Engine.Stats on the first Close.
+// Close releases the Miner's resources, removing any spilled levels. The
+// first Close reports the run: it fills the Config.Stats the Miner was
+// created with, and a Miner vended by an Engine stops counting as an active
+// run and folds its spill accounting into Engine.Stats.
 func (m *Miner) Close() error {
-	if m.en != nil {
-		m.enOnce.Do(func() {
-			m.en.endRun(&apps.SpillInfo{
-				SpilledLevels:   m.e.SpilledLevels(),
-				SpilledParts:    m.e.SpilledParts(),
-				PromotedParts:   m.e.PromotedParts(),
-				CompressedParts: m.e.CompressedParts(),
-			}, nil)
-		})
-	}
-	return m.e.Close()
+	err := m.e.Close() // hands the explorer's accounting to env.Spill
+	m.once.Do(func() {
+		s := statsOf(m.env)
+		if m.stats != nil {
+			*m.stats = s
+		}
+		if m.en != nil {
+			m.en.endRun(s, nil)
+		}
+	})
+	return err
 }

@@ -6,9 +6,10 @@ import (
 
 	"kaleido/internal/apps"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/run"
 )
 
-// App identifies one of the built-in mining applications for sharded jobs.
+// App identifies one of the built-in mining applications.
 type App int
 
 const (
@@ -22,7 +23,8 @@ const (
 	AppFSM
 )
 
-// Job describes one mining job for Engine.RunSharded.
+// Job describes one mining job — the argument of Engine.RunSharded and the
+// form every application method takes on its way to the engine.
 type Job struct {
 	Graph *Graph
 	App   App
@@ -35,7 +37,7 @@ type Job struct {
 	Config Config
 }
 
-// Result is the merged output of a sharded run.
+// Result is the (merged) output of a job.
 type Result struct {
 	// Count is the scalar result: triangles or K-cliques counted; for
 	// motifs the total embeddings aggregated; for FSM the number of
@@ -44,9 +46,9 @@ type Result struct {
 	// Patterns holds the merged aggregates of motif and FSM jobs, sorted
 	// exactly as an unsharded run sorts them.
 	Patterns []PatternCount
-	// Stats is the merged accounting of all shards (I/O and spill counters
-	// sum; PeakBytes is the combined peak of the budget pool the shards
-	// shared).
+	// Stats is the accounting of the run, merged over its shards: I/O and
+	// spill counters sum; with more than one shard PeakBytes is the combined
+	// peak of the budget pool the shards shared and Levels is empty.
 	Stats Stats
 }
 
@@ -60,115 +62,113 @@ type Result struct {
 // merged results are identical to an unsharded run's. Job threads are
 // divided across the shards. Cancelling ctx cancels every shard.
 func (en *Engine) RunSharded(ctx context.Context, job Job, shards int) (*Result, error) {
-	job.Config = en.config(job.Config)
-	return en.runShardedEngine(ctx, job, shards)
+	job.Config.Shards = shards
+	return runJob(ctx, en, job)
 }
 
-// runSharded is the shared sharded-execution core: used by Engine.RunSharded
-// and by the Config.Shards dispatch of the one-shot Graph methods (which
-// pass a private arbiter so the shards respect the one Config budget).
-func runSharded(ctx context.Context, job Job, shards int, arb *memtrack.Arbiter) (*Result, error) {
-	cfg := job.Config
-	cfg.Shards = 0
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// runJob is the one run path: the Graph and Engine application methods and
+// Engine.RunSharded all describe their run as a Job and end up here. en is
+// the engine whose shared budget and lifecycle accounting the run joins, nil
+// for a standalone run. The job runs as max(Config.Shards, 1) sub-runs, each
+// over its own run.Env; an unsharded run is the one-shard case, which the
+// apps.*Sharded helpers forward to the plain application.
+func runJob(ctx context.Context, en *Engine, job Job) (_ *Result, err error) {
 	if job.Graph == nil {
-		return nil, fmt.Errorf("kaleido: sharded job without a graph")
+		return nil, fmt.Errorf("kaleido: job without a graph")
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	ctx = ctxOrBackground(ctx)
-	g := job.Graph.g
+	g, cfg := job.Graph.g, job.Config
+	shards := max(cfg.Shards, 1)
 
-	// Seed ranges balanced by degree mass; FSM shards the edge id range.
-	var bounds []int
-	if job.App == AppFSM {
-		bounds = g.DegreeMassEdgeRanges(shards)
-	} else {
-		bounds = g.DegreeMassVertexRanges(shards)
+	// A standalone unsharded run keeps a private tracker: as the child of an
+	// arbiter every Alloc would pay the parent's atomics too. Sub-runs that
+	// share a budget — the shards of one job, the runs of one engine — charge
+	// one arbiter, so the spill watermark fires on their combined bytes.
+	newTracker := memtrack.New
+	var pool *memtrack.Arbiter
+	if en != nil {
+		cfg, pool = en.config(cfg), en.arbiter()
+	} else if shards > 1 {
+		pool = memtrack.NewArbiter(cfg.MemoryBudget)
 	}
-
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = defaultWorkerCount()
+	if pool != nil {
+		newTracker = pool.NewTracker
 	}
-	perShard := threads / shards
-	if perShard < 1 {
-		perShard = 1
+	envs := make([]*run.Env, shards)
+	for i := range envs {
+		if envs[i], err = cfg.env(newTracker()); err != nil {
+			return nil, err
+		}
 	}
-
-	opts := make([]apps.Options, shards)
-	trackers := make([]*memtrack.Tracker, shards)
-	for i := range opts {
-		scfg := cfg
-		scfg.Threads = perShard
-		opt, tracker := scfg.appOptionsWith(arb.NewTracker())
-		opt.Seeds = &apps.SeedRange{Lo: uint32(bounds[i]), Hi: uint32(bounds[i+1])}
-		opt.Spill = &apps.SpillInfo{}
-		opts[i] = opt
-		trackers[i] = tracker
+	if shards > 1 {
+		// Seed ranges balanced by degree mass (FSM shards the edge id range),
+		// threads divided across the shards. One shard seeds the full range
+		// and skips the partitioner.
+		bounds := g.DegreeMassVertexRanges(shards)
+		if job.App == AppFSM {
+			bounds = g.DegreeMassEdgeRanges(shards)
+		}
+		perShard := max(envs[0].Workers()/shards, 1)
+		for i, env := range envs {
+			env.Threads = perShard
+			env.Seeds = &run.SeedRange{Lo: uint32(bounds[i]), Hi: uint32(bounds[i+1])}
+		}
 	}
 
 	res := &Result{}
-	var err error
+	if en != nil {
+		en.beginRun()
+		defer func() { en.endRun(res.Stats, err) }()
+	}
+	// The accounting is reported whether or not the run succeeds: a failed
+	// run's retries and spilled bytes are what explains the failure.
+	defer func() {
+		res.Stats = statsOf(envs...)
+		if shards > 1 {
+			// The combined peak of the pool the shards shared (for an engine
+			// job that pool includes sibling runs).
+			res.Stats.PeakBytes = pool.Peak()
+		}
+		if cfg.Stats != nil {
+			*cfg.Stats = res.Stats
+		}
+	}()
+
+	ctx = ctxOrBackground(ctx)
+	var pats []apps.PatternCount
 	switch job.App {
 	case AppTriangles:
-		res.Count, err = apps.TriangleCountSharded(ctx, g, opts)
+		res.Count, err = apps.TriangleCountSharded(ctx, g, envs)
 	case AppCliques:
-		res.Count, err = apps.CliqueCountSharded(ctx, g, job.K, opts)
+		res.Count, err = apps.CliqueCountSharded(ctx, g, job.K, envs)
 	case AppMotifs:
-		var pats []apps.PatternCount
-		pats, err = apps.MotifCountSharded(ctx, g, job.K, opts)
-		if err == nil {
-			res.Patterns = publicCounts(pats)
-			for _, pc := range pats {
-				res.Count += pc.Count
-			}
+		pats, err = apps.MotifCountSharded(ctx, g, job.K, envs)
+		for _, pc := range pats {
+			res.Count += pc.Count
 		}
+		res.Patterns = publicCounts(pats)
 	case AppFSM:
-		var pats []apps.PatternCount
-		pats, res.Count, err = apps.FSMSharded(ctx, g, job.K, job.Support, opts)
-		if err == nil {
-			res.Patterns = publicCounts(pats)
-		}
+		pats, res.Count, err = apps.FSMSharded(ctx, g, job.K, job.Support, envs)
+		res.Patterns = publicCounts(pats)
 	default:
-		return nil, fmt.Errorf("kaleido: unknown app %d", job.App)
+		err = fmt.Errorf("kaleido: unknown app %d", job.App)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = mergeShardStats(arb, trackers, opts)
-	if cfg.Stats != nil {
-		*cfg.Stats = res.Stats
-	}
 	return res, nil
 }
 
-// mergeShardStats folds per-shard accounting into one Stats: I/O, retry and
-// spill counters sum; PeakBytes is the combined peak of the arbiter pool the
-// shards charged (for Engine jobs that pool includes sibling runs).
-func mergeShardStats(arb *memtrack.Arbiter, trackers []*memtrack.Tracker, opts []apps.Options) Stats {
-	var s Stats
-	s.PeakBytes = arb.Peak()
-	for _, t := range trackers {
-		r, w := t.IOTotals()
-		s.ReadBytes += r
-		s.WriteBytes += w
-		s.IORetries += t.IORetries()
+// countOf and patternsOf unwrap a Result for the application methods.
+func countOf(res *Result, err error) (uint64, error) {
+	if err != nil {
+		return 0, err
 	}
-	for _, opt := range opts {
-		if opt.Spill == nil {
-			continue
-		}
-		s.SpilledLevels += opt.Spill.SpilledLevels
-		s.SpilledParts += opt.Spill.SpilledParts
-		s.PromotedParts += opt.Spill.PromotedParts
-		s.CompressedParts += opt.Spill.CompressedParts
-		s.SpilledBytes += opt.Spill.SpilledBytes
-		s.SpilledBytesPhysical += opt.Spill.SpilledBytesPhysical
-		s.ResidentBytesLogical += opt.Spill.ResidentBytesLogical
+	return res.Count, nil
+}
+
+func patternsOf(res *Result, err error) ([]PatternCount, error) {
+	if err != nil {
+		return nil, err
 	}
-	return s
+	return res.Patterns, nil
 }
