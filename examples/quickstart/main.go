@@ -65,7 +65,7 @@ func main() {
 
 	// Custom workloads use the Miner directly. The EmbeddingFilter is
 	// worker-aware — the worker index lets a filter keep per-goroutine
-	// scratch (the built-in clique filter uses it for a neighbor marker).
+	// scratch (this one needs none: it just asks the graph).
 	// When the run only needs a number, finish with ExpandCount instead of
 	// a final Expand: the last level — the largest one — is counted at the
 	// expansion frontier and never materialized, so it writes zero bytes.

@@ -17,6 +17,7 @@ package apps
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"kaleido/internal/blisslike"
 	"kaleido/internal/eigen"
@@ -175,22 +176,26 @@ func (a *aggregator) addVertices(w int, emb []uint32) error {
 
 // addMotifs folds the unlabeled patterns of one parent embedding's
 // extensions. The children share the parent's adjacency, so that part of the
-// pattern is probed once per parent and each child adds only its own k−1
-// pairs.
-func (a *aggregator) addMotifs(w int, emb, children []uint32) error {
+// pattern is filled once per parent; each child then adds only its own row,
+// which is its adjacency mask adj[j] (bit i ⇔ adjacent to emb[i]) as the
+// candidate merge produced it — no probe of the graph per child.
+func (a *aggregator) addMotifs(w int, emb, children, adj []uint32) error {
 	if len(children) == 0 {
 		return nil
 	}
 	ws := a.workers[w]
-	if err := ws.prefix.Reset(len(emb) + 1); err != nil {
+	if err := fillVertices(a.g, emb, true, &ws.prefix); err != nil {
 		return err
 	}
-	for i, v := range emb {
-		setVertex(a.g, &ws.prefix, emb[:i], v, true)
+	k, err := ws.prefix.AddVertex()
+	if err != nil {
+		return err
 	}
-	for _, c := range children {
+	for _, row := range adj {
 		ws.pat = ws.prefix
-		setVertex(a.g, &ws.pat, emb, c, true)
+		for ; row != 0; row &= row - 1 {
+			ws.pat.SetEdge(bits.TrailingZeros32(row), k)
+		}
 		a.add(ws, nil)
 	}
 	return nil
@@ -283,24 +288,17 @@ func fillVertices(g *graph.Graph, verts []uint32, unlabeled bool, p *pattern.Pat
 	if err := p.Reset(len(verts)); err != nil {
 		return err
 	}
-	for i, v := range verts {
-		setVertex(g, p, verts[:i], v, unlabeled)
-	}
-	return nil
-}
-
-// setVertex places v at pattern index len(before): its label and its edges
-// to the vertices before it, the only pairs v adds.
-func setVertex(g *graph.Graph, p *pattern.Pattern, before []uint32, v uint32, unlabeled bool) {
-	k := len(before)
-	if !unlabeled {
-		p.Labels[k] = g.Label(v)
-	}
-	for i, u := range before {
-		if g.HasEdge(u, v) {
-			p.SetEdge(i, k)
+	for k, v := range verts {
+		if !unlabeled {
+			p.Labels[k] = g.Label(v)
+		}
+		for i, u := range verts[:k] {
+			if g.HasEdge(u, v) {
+				p.SetEdge(i, k)
+			}
 		}
 	}
+	return nil
 }
 
 // fillEdges sets p to the labeled pattern of an edge-induced embedding and

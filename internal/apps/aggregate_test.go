@@ -381,14 +381,15 @@ func BenchmarkHashMemo(b *testing.B) {
 }
 
 // BenchmarkMotifMapper measures the whole per-embedding Mapper cost of
-// 4-motif counting — pattern fill plus memo lookup plus tally — over stored
-// 3-embeddings, one op per 4-embedding, without the expansion that produces
-// the candidates.
+// 4-motif counting — pattern fill (the parent's pairs probed once per parent,
+// each child's row taken from its adjacency mask) plus memo lookup plus tally
+// — over stored 3-embeddings, one op per 4-embedding, without the expansion
+// that produces the candidates and their masks.
 func BenchmarkMotifMapper(b *testing.B) {
 	g := randomGraph(rand.New(rand.NewSource(3)), 400, 2400, 1)
 	type group struct {
-		emb      [3]uint32
-		children []uint32
+		emb           [3]uint32
+		children, adj []uint32
 	}
 	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{Threads: 1}})
 	if err != nil {
@@ -405,9 +406,9 @@ func BenchmarkMotifMapper(b *testing.B) {
 	}
 	var groups []group
 	var embeddings int
-	err = e.ExpandVisitGroups(bgCtx, nil, nil, func(_ int, emb, children []uint32) error {
+	err = e.ExpandVisitGroups(bgCtx, nil, nil, func(_ int, emb, children, adj []uint32) error {
 		if len(children) > 0 && embeddings < 1<<20 {
-			groups = append(groups, group{[3]uint32(emb), append([]uint32(nil), children...)})
+			groups = append(groups, group{[3]uint32(emb), append([]uint32(nil), children...), append([]uint32(nil), adj...)})
 			embeddings += len(children)
 		}
 		return nil
@@ -420,7 +421,7 @@ func BenchmarkMotifMapper(b *testing.B) {
 	done := 0
 	for done < b.N {
 		for i := range groups {
-			if err := a.addMotifs(0, groups[i].emb[:], groups[i].children); err != nil {
+			if err := a.addMotifs(0, groups[i].emb[:], groups[i].children, groups[i].adj); err != nil {
 				b.Fatal(err)
 			}
 			if done += len(groups[i].children); done >= b.N {

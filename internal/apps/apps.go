@@ -11,6 +11,13 @@
 // (FilterTop) — so every application writes zero bytes for its
 // terminal level, on any storage regime.
 //
+// Neither CliqueCount nor MotifCount asks the graph about adjacency per
+// candidate: the candidate merge carries every candidate's adjacency to its
+// embedding as a bit mask, so the clique filter is one compare and the motif
+// Mapper reads each child's pattern row from the mask. Only TriangleCount,
+// which intersects two neighbor lists rather than expanding a union, keeps a
+// graph.NeighborMarker.
+//
 // An application run is configured by one *run.Env — threads, budget, spill
 // placement, tracker, isomorphism backend, seed range, accounting out-pointer
 // — which each application hands unchanged to its explorer; nothing here
@@ -20,7 +27,6 @@ package apps
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"kaleido/internal/explore"
@@ -108,37 +114,11 @@ func TriangleCount(ctx context.Context, g *graph.Graph, env *run.Env) (uint64, e
 	return total, nil
 }
 
-// cliqueFilter returns the worker-aware clique EmbeddingFilter: a candidate
-// must be adjacent to every embedding vertex. Instead of one adjacency
-// search per (candidate, embedding vertex) pair, each worker keeps a
-// NeighborMarker: the prefix emb[:k-1] — shared by a whole run of leaves —
-// is marked once at O(Σ deg), after which each candidate costs one O(1)
-// count probe (adjacent to all k−1 prefix vertices?) plus a single
-// adjacency test against the leaf.
-func cliqueFilter(g *graph.Graph, nw int) explore.VertexFilter {
-	type markState struct {
-		mk     *graph.NeighborMarker
-		prefix []uint32
-		marked bool
-	}
-	states := make([]*markState, nw)
-	return func(w int, emb []uint32, cand uint32) bool {
-		st := states[w]
-		if st == nil {
-			st = &markState{mk: g.NewNeighborMarker()}
-			states[w] = st
-		}
-		pre := emb[:len(emb)-1]
-		if !st.marked || !slices.Equal(st.prefix, pre) {
-			st.mk.Begin()
-			for _, v := range pre {
-				st.mk.MarkNeighbors(v)
-			}
-			st.prefix = append(st.prefix[:0], pre...)
-			st.marked = true
-		}
-		return st.mk.Count(cand) == len(pre) && g.HasEdge(emb[len(emb)-1], cand)
-	}
+// cliqueFilter is the clique EmbeddingFilter: a candidate must be adjacent to
+// every embedding vertex — all len(emb) bits of the adjacency mask the
+// candidate merge carried to it, one compare and no probe of the graph.
+func cliqueFilter(_ int, emb []uint32, _, adj uint32) bool {
+	return adj == 1<<len(emb)-1
 }
 
 // CliqueCount counts k-cliques (§5.1): the EmbeddingFilter admits only
@@ -159,16 +139,15 @@ func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint
 	if err := e.InitVertices(nil); err != nil {
 		return 0, err
 	}
-	filter := cliqueFilter(g, env.Workers())
 	for i := 1; i < k-1; i++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		if err := e.Expand(ctx, filter, nil); err != nil {
+		if err := e.Expand(ctx, cliqueFilter, nil); err != nil {
 			return 0, err
 		}
 	}
-	return e.ExpandCount(ctx, filter, nil)
+	return e.ExpandCount(ctx, cliqueFilter, nil)
 }
 
 // MotifCount counts the frequency of every k-motif (§5.1): exploration stops

@@ -34,10 +34,10 @@ func appConfigs(t *testing.T) []*run.Env {
 	}
 }
 
-// naiveCliqueFilter is the per-candidate HasEdge reference the marker-based
+// naiveCliqueFilter is the per-candidate HasEdge reference the mask-compare
 // cliqueFilter must match.
 func naiveCliqueFilter(g *graph.Graph) explore.VertexFilter {
-	return func(_ int, emb []uint32, cand uint32) bool {
+	return func(_ int, emb []uint32, cand, _ uint32) bool {
 		for _, v := range emb {
 			if !g.HasEdge(v, cand) {
 				return false

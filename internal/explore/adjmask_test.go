@@ -1,0 +1,326 @@
+package explore
+
+// The adjacency mask is the one fact the candidate merge hands to filters and
+// sinks in place of graph probes, so these tests hold it to the definition —
+// bit i ⇔ HasEdge(emb[i], cand) — on every (embedding, candidate) pair a
+// filter or an ExpandVisitGroups consumer ever sees, and pin the depth bound a
+// bit per position implies.
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"kaleido/internal/graph"
+	"kaleido/internal/run"
+)
+
+// hubGraph is a sparse random graph plus a few hubs, so that accumulated
+// candidate lists meet both much shorter neighbor lists (the gallop kernel)
+// and comparable ones (the linear kernel).
+func hubGraph(t *testing.T, rng *rand.Rand, n, m, hubs, hubDeg, hubThreshold int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	for i := 0; i < m; i++ {
+		b.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
+	}
+	for h := 0; h < hubs; h++ {
+		hub := uint32(rng.Intn(n))
+		for i := 0; i < hubDeg; i++ {
+			b.AddEdge(hub, uint32(rng.Intn(n)))
+		}
+	}
+	b.SetHubThreshold(hubThreshold)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestAdjMaskMatchesHasEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, hubThreshold := range []int{-1, 4} { // hub bitset rows off / on
+		for _, relabel := range []bool{false, true} {
+			g := hubGraph(t, rng, 26, 22, 2, 14, hubThreshold)
+			if (g.HubThreshold() > 0) != (hubThreshold > 0) {
+				t.Fatalf("hub threshold %d: index threshold %d", hubThreshold, g.HubThreshold())
+			}
+			if relabel {
+				var err error
+				if g, err = graph.Relabel(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, threads := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("hub%d/relabel=%v/threads%d", hubThreshold, relabel, threads), func(t *testing.T) {
+					checkAdjMasks(t, g, threads)
+				})
+			}
+		}
+	}
+}
+
+// checkAdjMasks expands g from depth 1 to 5 and, at each depth, checks every
+// mask the filter and the group visitor receive and the emitted children
+// against the reference enumeration.
+func checkAdjMasks(t *testing.T, g *graph.Graph, threads int) {
+	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: threads}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitVertices(nil); err != nil {
+		t.Fatal(err)
+	}
+	var filtered, visited atomic.Int64
+	check := func(who string, emb []uint32, cand, adj uint32) {
+		if want := refAdjMask(g, emb, cand); adj != want {
+			t.Errorf("%s: emb %v cand %d: adj %b, want %b", who, emb, cand, adj, want)
+		}
+	}
+	filter := func(_ int, emb []uint32, cand, adj uint32) bool {
+		filtered.Add(1)
+		check("filter", emb, cand, adj)
+		return true
+	}
+	for depth := 1; depth <= 5; depth++ {
+		want := refExpandVertex(g, collect(t, e), nil)
+		sortEmbs(want)
+		var mu sync.Mutex
+		var got [][]uint32
+		err := e.ExpandVisitGroups(bgCtx, filter, nil, func(_ int, emb, children, adj []uint32) error {
+			if len(adj) != len(children) {
+				t.Errorf("emb %v: %d masks for %d children", emb, len(adj), len(children))
+				return nil
+			}
+			ext := make([][]uint32, len(children))
+			for j, c := range children {
+				visited.Add(1)
+				check("visitor", emb, c, adj[j])
+				ext[j] = append(append([]uint32(nil), emb...), c)
+			}
+			mu.Lock()
+			got = append(got, ext...)
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortEmbs(got)
+		if !embsEqual(got, want) {
+			t.Fatalf("depth %d: %d children, reference %d: %s", depth, len(got), len(want), diffSample(got, want))
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if filtered.Load() == 0 || filtered.Load() != visited.Load() {
+		t.Fatalf("filter saw %d candidates, visitor %d", filtered.Load(), visited.Load())
+	}
+}
+
+// refMergeFirstAdj is the position merge the masks replaced, kept as the
+// oracle of the lowest set bit: candidates of a keep their first adjacent
+// position, candidates only in b get bPos, ties keep a's.
+func refMergeFirstAdj(aids []uint32, afa []uint16, b []uint32, bPos uint16) ([]uint32, []uint16) {
+	var ids []uint32
+	var fa []uint16
+	i, j := 0, 0
+	for i < len(aids) || j < len(b) {
+		switch {
+		case j == len(b) || i < len(aids) && aids[i] <= b[j]:
+			if j < len(b) && aids[i] == b[j] {
+				j++
+			}
+			ids, fa = append(ids, aids[i]), append(fa, afa[i])
+			i++
+		default:
+			ids, fa = append(ids, b[j]), append(fa, bPos)
+			j++
+		}
+	}
+	return ids, fa
+}
+
+// TestMergeProvKernelsMatchPositionMerge runs both merge kernels on lists
+// whose length ratio straddles gallopRatio: the ids and the lowest set bit of
+// every mask equal the old position merge, and the mask is the OR of both
+// sides.
+func TestMergeProvKernelsMatchPositionMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sortedList := func(n, universe int) []uint32 {
+		seen := map[uint32]bool{}
+		for len(seen) < n {
+			seen[uint32(rng.Intn(universe))] = true
+		}
+		out := make([]uint32, 0, n)
+		for v := uint32(0); int(v) < universe; v++ {
+			if seen[v] {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	kernels := map[string]func(ids, adj, aids, aadj, b []uint32, bBit uint32) int{
+		"linear": mergeProvLinear, "gallop": mergeProvGallop,
+	}
+	for trial := 0; trial < 300; trial++ {
+		bPos := uint16(1 + rng.Intn(maskBits-1))
+		la, lb := rng.Intn(40), rng.Intn(12)
+		aids, b := sortedList(la, 64), sortedList(lb, 64)
+		afa, aadj := make([]uint16, la), make([]uint32, la)
+		for i := range aids {
+			afa[i] = uint16(rng.Intn(int(bPos)))
+			aadj[i] = (1<<afa[i] | rng.Uint32()<<(afa[i]+1)) & (1<<bPos - 1) // lowest bit afa[i], nothing at or above bPos
+		}
+		wantIDs, wantFA := refMergeFirstAdj(aids, afa, b, bPos)
+		inB := map[uint32]bool{}
+		for _, v := range b {
+			inB[v] = true
+		}
+		maskOf := map[uint32]uint32{}
+		for i, v := range aids {
+			maskOf[v] = aadj[i]
+		}
+		verify := func(name string, ids, adj []uint32) {
+			if len(ids) != len(wantIDs) || len(adj) != len(ids) {
+				t.Fatalf("trial %d %s: %d ids, %d masks, want %d", trial, name, len(ids), len(adj), len(wantIDs))
+			}
+			for i, v := range ids {
+				want := maskOf[v]
+				if inB[v] {
+					want |= 1 << bPos
+				}
+				if v != wantIDs[i] || adj[i] != want || bits.TrailingZeros32(adj[i]) != int(wantFA[i]) {
+					t.Fatalf("trial %d %s: [%d] = (%d, %b), want (%d, %b) with first position %d",
+						trial, name, i, v, adj[i], wantIDs[i], want, wantFA[i])
+				}
+			}
+		}
+		for name, kernel := range kernels {
+			ids, adj := make([]uint32, la+lb), make([]uint32, la+lb)
+			n := kernel(ids, adj, aids, aadj, b, 1<<bPos)
+			verify(name, ids[:n], adj[:n])
+		}
+		var dst candBuf
+		mergeUnionProv(&dst, &candBuf{ids: aids, adj: aadj}, b, 1<<bPos)
+		verify("dispatch", dst.ids, dst.adj)
+	}
+}
+
+// TestEdgeMaskLowestBitIsFirstAdjacentEdge: edge-induced candidates enter
+// only through new endpoints, so their masks are partial — but the lowest set
+// bit, the only one read, is the first embedding edge sharing an endpoint.
+func TestEdgeMaskLowestBitIsFirstAdjacentEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	g := hubGraph(t, rng, 20, 24, 1, 10, -1)
+	e, err := New(Config{Graph: g, Mode: EdgeInduced, Env: &run.Env{Threads: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitEdges(nil); err != nil {
+		t.Fatal(err)
+	}
+	for depth := 1; depth <= 3; depth++ {
+		st := newEdgeState(g, depth)
+		for _, emb := range collect(t, e) {
+			st.update(emb, 1)
+			c := st.candidates(depth)
+			for i, f := range c.ids {
+				fe, first := g.EdgeAt(f), -1
+				for p, eid := range emb {
+					pe := g.EdgeAt(eid)
+					if pe.U == fe.U || pe.U == fe.V || pe.V == fe.U || pe.V == fe.V {
+						first = p
+						break
+					}
+				}
+				if m := c.adj[i]; first < 0 || bits.TrailingZeros32(m) != first || m>>depth != 0 {
+					t.Fatalf("emb %v cand %d: mask %b, first adjacent position %d", emb, f, m, first)
+				}
+			}
+		}
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestExpandBeyondMaskWidth walks a path graph — O(n) embeddings per level at
+// any depth — up to the mask width in both modes: every level matches the
+// reference enumeration, the expansion past the width fails with an error,
+// and the levels built before it stay usable.
+func TestExpandBeyondMaskWidth(t *testing.T) {
+	const n = maskBits + 8
+	b := graph.NewBuilder(n)
+	for v := uint32(0); v+1 < n; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{VertexInduced, EdgeInduced} {
+		e, err := New(Config{Graph: g, Mode: mode, Env: &run.Env{Threads: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		units := g.N()
+		if mode == EdgeInduced {
+			units = g.M()
+			err = e.InitEdges(nil)
+		} else {
+			err = e.InitVertices(nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := collect(t, e)
+		for depth := 2; depth <= maskBits; depth++ {
+			if err := e.Expand(bgCtx, nil, nil); err != nil {
+				t.Fatalf("mode %d: expand to depth %d: %v", mode, depth, err)
+			}
+			if mode == EdgeInduced {
+				ref = refExpandEdge(g, ref)
+			} else {
+				ref = refExpandVertex(g, ref, nil)
+			}
+			sortEmbs(ref)
+			if got := collect(t, e); !embsEqual(got, ref) || len(got) != units-depth+1 {
+				t.Fatalf("mode %d depth %d: %d embeddings, reference %d, want %d: %s",
+					mode, depth, len(got), len(ref), units-depth+1, diffSample(got, ref))
+			}
+		}
+		for _, op := range []func() error{
+			func() error { return e.Expand(bgCtx, nil, nil) },
+			func() error { _, err := e.ExpandCount(bgCtx, nil, nil); return err },
+		} {
+			if err := op(); err == nil || !strings.Contains(err.Error(), "cannot expand past") {
+				t.Fatalf("mode %d: expansion past the mask width returned %v", mode, err)
+			}
+		}
+		if e.Depth() != maskBits || !embsEqual(collect(t, e), ref) {
+			t.Fatalf("mode %d: top level changed by the refused expansion", mode)
+		}
+		if err := e.PopTop(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			t.Fatalf("mode %d: re-expand to the width after PopTop: %v", mode, err)
+		}
+		if got := collect(t, e); !embsEqual(got, ref) {
+			t.Fatalf("mode %d: re-expanded level differs: %s", mode, diffSample(got, ref))
+		}
+		e.Close()
+	}
+}

@@ -1,0 +1,129 @@
+package explore
+
+// Micro-benchmarks of the two loops every expansion spends its time in: the
+// provenance merge that maintains the per-level candidate sets (once per run
+// of leaves) and the fused leaf merge + canonical filter (once per leaf).
+// Both report ns per candidate — per element of the union they produce or
+// consume — and must not allocate in the steady state.
+
+import (
+	"sort"
+	"testing"
+
+	"kaleido/internal/gen"
+	"kaleido/internal/graph"
+	"kaleido/internal/run"
+)
+
+func benchGraph(b *testing.B) *graph.Graph {
+	b.Helper()
+	g, err := gen.PowerLaw(gen.Config{N: 4000, M: 24000, Alpha: 2.1, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkMergeUnionProv measures one provenance merge per op on each
+// kernel, into the hub's neighbor list: linear merges the second-largest
+// list (comparable length), gallop a median one (ratio past gallopRatio).
+func BenchmarkMergeUnionProv(b *testing.B) {
+	g := benchGraph(b)
+	order := make([]uint32, g.N())
+	for v := range order {
+		order[v] = uint32(v)
+	}
+	sort.Slice(order, func(i, j int) bool { return g.Degree(order[i]) > g.Degree(order[j]) })
+	var a, dst candBuf
+	a.setAll(g.Neighbors(order[0]))
+	for _, c := range []struct {
+		name string
+		nb   []uint32
+	}{{"linear", g.Neighbors(order[1])}, {"gallop", g.Neighbors(order[len(order)/2])}} {
+		if gallops := len(a.ids) >= gallopRatio*len(c.nb); gallops != (c.name == "gallop") {
+			b.Fatalf("%s: lists of %d and %d run the other kernel", c.name, len(a.ids), len(c.nb))
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			mergeUnionProv(&dst, &a, c.nb, 2) // size dst once
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mergeUnionProv(&dst, &a, c.nb, 2)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst.ids)), "ns/candidate")
+		})
+	}
+}
+
+// BenchmarkAppendCanonical measures the fused leaf merge over the stored
+// 3-embeddings of a power-law graph, one op per parent embedding, in its
+// three uses: no filter into a storing or counting sink, a filter that reads
+// the adjacency mask (the clique filter), and a sink that takes the
+// children's masks (the motif Mapper).
+func BenchmarkAppendCanonical(b *testing.B) {
+	g := benchGraph(b)
+	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitVertices(nil); err != nil {
+		b.Fatal(err)
+	}
+	const k = 3
+	for e.Depth() < k {
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var embs [][k]uint32
+	var cands int
+	err = e.ForEach(bgCtx, func(_ int, emb []uint32) error {
+		if len(embs) < 1<<14 {
+			embs = append(embs, [k]uint32(emb))
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := newVertexState(g, k)
+	for i := range embs {
+		st.update(embs[i][:], 1)
+		cands += len(st.candidates(k).ids)
+	}
+	perParent := float64(cands) / float64(len(embs))
+
+	all := func(_ int, emb []uint32, _, adj uint32) bool { return adj == 1<<len(emb)-1 }
+	for _, c := range []struct {
+		name    string
+		vf      VertexFilter
+		wantAdj bool
+	}{{"nofilter", nil, false}, {"maskfilter", all, false}, {"adjsink", nil, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			var x expansion
+			var emb [k]uint32
+			step := func(i int) {
+				next := embs[i%len(embs)]
+				from := 1
+				for from < k && i > 0 && next[from-1] == emb[from-1] {
+					from++
+				}
+				emb = next
+				if from < k {
+					st.updatePrefix(emb[:], from, k)
+				}
+				st.appendCanonical(k, emb[k-1], emb[:], 0, c.vf, c.wantAdj, &x)
+			}
+			for i := range embs {
+				step(i) // grow the pooled buffers to their steady-state size
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perParent, "ns/candidate")
+		})
+	}
+}

@@ -86,7 +86,7 @@ func cancelDuringExpand(t *testing.T, budget int64, trips int64) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	filter := func(_ int, _ []uint32, _ uint32) bool {
+	filter := func(_ int, _ []uint32, _, _ uint32) bool {
 		if calls.Add(1) == trips {
 			cancel()
 		}

@@ -21,9 +21,10 @@ import "kaleido/internal/graph"
 // This is the O(k·log d̄) reference implementation, kept for external
 // engines and as the oracle of the differential tests. The exploration hot
 // path does not call it: the expansion loop uses the fused filter
-// (vertexState.canonical / edgeState.canonical), which derives property
-// (ii)'s attachment position from merge provenance and checks (i)+(iii)
-// with two integer comparisons against precomputed suffix maxima.
+// (vertexState.appendCanonical / edgeState.appendCanonical), which derives
+// property (ii)'s attachment position from merge provenance — the lowest set
+// bit of the candidate's adjacency mask — and checks (i)+(iii) with two
+// integer comparisons against precomputed suffix maxima.
 func CanonicalVertex(g *graph.Graph, emb []uint32, cand uint32) bool {
 	if cand <= emb[0] {
 		return false
@@ -138,90 +139,93 @@ const gallopRatio = 4
 
 // mergeUnionProv writes the sorted union of candidate buffer a and sorted
 // list b into dst, carrying provenance: candidates from a keep their
-// firstAdj position, candidates only in b get bPos. Ties keep a's position —
-// every provenance in a precedes bPos by construction (a covers earlier
-// embedding positions), so the result is the earliest adjacent position of
-// each candidate. dst must not alias a.
+// adjacency mask, candidates in b get bBit — the bit of the embedding
+// position whose list b is — ORed in (a tie is adjacent to both sides), and
+// candidates only in b carry bBit alone. Every bit of a's masks lies below
+// bBit by construction (a covers earlier embedding positions), so the lowest
+// set bit of a result is still the earliest adjacent position. dst must not
+// alias a.
 //
 // This is the hottest loop of exploration (≈half the expansion profile), so
 // it writes into a pre-sized destination by index — no per-element capacity
 // checks — and, because the candidate list grows with depth while each
 // neighbor list stays at d̄, gallops over the long side in bulk memmoves once
 // the ratio passes gallopRatio.
-func mergeUnionProv(dst, a *candBuf, b []uint32, bPos uint16) {
-	aids, afa := a.ids, a.firstAdj
+func mergeUnionProv(dst, a *candBuf, b []uint32, bBit uint32) {
+	aids, aadj := a.ids, a.adj
 	need := len(aids) + len(b)
 	ids := dst.ids
 	if cap(ids) < need {
 		ids = make([]uint32, need)
 	}
 	ids = ids[:need]
-	fa := dst.firstAdj
-	if cap(fa) < need {
-		fa = make([]uint16, need)
+	adj := dst.adj
+	if cap(adj) < need {
+		adj = make([]uint32, need)
 	}
-	fa = fa[:need]
+	adj = adj[:need]
 
 	var n int
 	if len(aids) >= gallopRatio*len(b) {
-		n = mergeProvGallop(ids, fa, aids, afa, b, bPos)
+		n = mergeProvGallop(ids, adj, aids, aadj, b, bBit)
 	} else {
-		n = mergeProvLinear(ids, fa, aids, afa, b, bPos)
+		n = mergeProvLinear(ids, adj, aids, aadj, b, bBit)
 	}
-	dst.ids, dst.firstAdj = ids[:n], fa[:n]
+	dst.ids, dst.adj = ids[:n], adj[:n]
 }
 
 // mergeProvLinear is the element-wise merge for comparably sized inputs,
 // written branch-lite (conditional selects plus unconditional index
 // arithmetic) over pre-sized outputs.
-func mergeProvLinear(ids []uint32, fa []uint16, aids []uint32, afa []uint16, b []uint32, bPos uint16) int {
+func mergeProvLinear(ids, adj, aids, aadj, b []uint32, bBit uint32) int {
 	n, i, j := 0, 0, 0
 	for i < len(aids) && j < len(b) {
 		x, y := aids[i], b[j]
-		v, f := x, afa[i]
+		v, m := x, aadj[i]
 		if y < x {
-			v, f = y, bPos
+			v, m = y, 0
 		}
-		ids[n], fa[n] = v, f
-		n++
 		if x <= y {
 			i++
 		}
 		if y <= x {
+			m |= bBit
 			j++
 		}
+		ids[n], adj[n] = v, m
+		n++
 	}
-	m := copy(ids[n:], aids[i:])
-	copy(fa[n:], afa[i:])
-	n += m
-	m = copy(ids[n:], b[j:])
-	for x := 0; x < m; x++ {
-		fa[n+x] = bPos
+	c := copy(ids[n:], aids[i:])
+	copy(adj[n:], aadj[i:])
+	n += c
+	c = copy(ids[n:], b[j:])
+	for x := 0; x < c; x++ {
+		adj[n+x] = bBit
 	}
-	return n + m
+	return n + c
 }
 
 // mergeProvGallop merges a short b into a much longer a: for each b element
 // it gallops to the insertion point and memmoves the intervening run of a —
 // per-unit cost approaches copy bandwidth instead of compare-branch chains.
-func mergeProvGallop(ids []uint32, fa []uint16, aids []uint32, afa []uint16, b []uint32, bPos uint16) int {
+func mergeProvGallop(ids, adj, aids, aadj, b []uint32, bBit uint32) int {
 	n, i := 0, 0
 	for _, v := range b {
 		p := gallopGE(aids, i, v)
 		n += copy(ids[n:], aids[i:p])
-		copy(fa[n-(p-i):], afa[i:p])
+		copy(adj[n-(p-i):], aadj[i:p])
 		i = p
+		m := bBit
 		if i < len(aids) && aids[i] == v {
-			ids[n], fa[n] = v, afa[i]
+			m |= aadj[i]
 			i++
-		} else {
-			ids[n], fa[n] = v, bPos
 		}
+		ids[n], adj[n] = v, m
 		n++
 	}
-	m := copy(ids[n:], aids[i:])
-	copy(fa[n:], afa[i:])
-	return n + m
+	c := copy(ids[n:], aids[i:])
+	copy(adj[n:], aadj[i:])
+	return n + c
 }
 
 // mergeUnionCount returns |a ∪ b| for sorted slices without materializing

@@ -139,23 +139,16 @@ func TestVertexStateIncremental(t *testing.T) {
 		if len(got.ids) != len(want) {
 			t.Fatalf("trial %d: %d candidates, want %d", trial, len(got.ids), len(want))
 		}
-		if len(got.firstAdj) != len(got.ids) {
-			t.Fatalf("trial %d: %d provenances for %d ids", trial, len(got.firstAdj), len(got.ids))
+		if len(got.adj) != len(got.ids) {
+			t.Fatalf("trial %d: %d provenances for %d ids", trial, len(got.adj), len(got.ids))
 		}
 		for i, u := range got.ids {
 			if !want[u] {
 				t.Fatalf("trial %d: spurious candidate %d", trial, u)
 			}
-			// Provenance is the earliest embedding position adjacent to u.
-			wantAdj := -1
-			for p, v := range emb {
-				if g.HasEdge(v, u) {
-					wantAdj = p
-					break
-				}
-			}
-			if wantAdj < 0 || int(got.firstAdj[i]) != wantAdj {
-				t.Fatalf("trial %d: candidate %d firstAdj = %d, want %d", trial, u, got.firstAdj[i], wantAdj)
+			// Provenance is the set of embedding positions adjacent to u.
+			if wantAdj := refAdjMask(g, emb, u); wantAdj == 0 || got.adj[i] != wantAdj {
+				t.Fatalf("trial %d: candidate %d adj = %b, want %b", trial, u, got.adj[i], wantAdj)
 			}
 		}
 		// Prediction equals the true union size with one more vertex.

@@ -16,6 +16,17 @@ import (
 	"kaleido/internal/run"
 )
 
+// refAdjMask is the adjacency mask by definition: bit i ⇔ HasEdge(emb[i], cand).
+func refAdjMask(g *graph.Graph, emb []uint32, cand uint32) uint32 {
+	var m uint32
+	for i, v := range emb {
+		if g.HasEdge(v, cand) {
+			m |= 1 << i
+		}
+	}
+	return m
+}
+
 // refExpandVertex expands every embedding with the reference filter.
 func refExpandVertex(g *graph.Graph, embs [][]uint32, vf VertexFilter) [][]uint32 {
 	var out [][]uint32
@@ -35,7 +46,7 @@ func refExpandVertex(g *graph.Graph, embs [][]uint32, vf VertexFilter) [][]uint3
 			if !CanonicalVertex(g, emb, u) {
 				continue
 			}
-			if vf != nil && !vf(0, emb, u) {
+			if vf != nil && !vf(0, emb, u, refAdjMask(g, emb, u)) {
 				continue
 			}
 			child := append(append([]uint32(nil), emb...), u)
@@ -172,7 +183,7 @@ func TestDifferentialFusedCanonicalVertexWithFilter(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 10 + rng.Intn(15)
 		g := randomGraph(rng, n, rng.Intn(5*n)+n)
-		clique := func(_ int, emb []uint32, cand uint32) bool {
+		clique := func(_ int, emb []uint32, cand, _ uint32) bool {
 			for _, v := range emb {
 				if !g.HasEdge(v, cand) {
 					return false

@@ -50,12 +50,13 @@ const (
 
 // VertexFilter is the user-defined EmbeddingFilter of the Kaleido API for
 // vertex-induced exploration: may cand be appended to emb? The default
-// canonical filter has already passed when it is called. worker identifies
-// the calling goroutine (0..Threads-1) so a filter can keep per-worker
-// scratch — e.g. a graph.NeighborMarker that marks the embedding's
-// neighborhoods once per prefix and answers each candidate probe in O(1)
-// instead of per-candidate adjacency searches.
-type VertexFilter func(worker int, emb []uint32, cand uint32) bool
+// canonical filter has already passed when it is called. adj is cand's
+// adjacency mask — bit i set iff cand is adjacent to emb[i], no bit at or
+// above len(emb) — carried through the candidate merge, so a filter that asks
+// about adjacency to the embedding (a clique is adj == 1<<len(emb)−1) never
+// probes the graph. worker identifies the calling goroutine (0..Threads-1)
+// so a filter can keep per-worker scratch.
+type VertexFilter func(worker int, emb []uint32, cand, adj uint32) bool
 
 // EdgeFilter is the edge-induced EmbeddingFilter: emb holds edge ids, verts
 // the sorted vertex set, cand the candidate edge id. worker identifies the
@@ -128,11 +129,26 @@ type Explorer struct {
 // workerScratch holds one worker's reusable buffers. Workers are indexed
 // 0..threads-1 by runParallel, so slots are never shared.
 type workerScratch struct {
-	walker   *cse.Walker
+	walker *cse.Walker
+	x      expansion
+	preds  []uint32
+	vstate *vertexState
+	estate *edgeState
+}
+
+// expansion is what one step of the expansion loop hands to a sink: a parent
+// embedding and its canonical extensions. The slices are the worker's pooled
+// buffers, valid only during emit.
+type expansion struct {
+	emb      []uint32 // the parent, leaf filled
 	children []uint32
-	preds    []uint32
-	vstate   *vertexState
-	estate   *edgeState
+	// adj holds the children's adjacency masks, parallel to children (bit i of
+	// adj[j] set iff children[j] is adjacent to emb[i]) — collected only in
+	// vertex-induced mode and only for a sink that wantAdj.
+	adj []uint32
+	// preds holds the children's predicted candidate sizes (§4.2), nil unless
+	// the expansion is predicting.
+	preds []uint32
 }
 
 // walkerFor returns the worker's walker positioned over [lo, hi).
@@ -701,9 +717,8 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	defer w.Close()
 
 	sc := &e.scratch[worker]
-	children := sc.children[:0]
-	preds := sc.preds[:0]
-	defer func() { sc.children, sc.preds = children, preds }()
+	x := &sc.x
+	x.preds = nil
 
 	// Both modes run the fused fast path: per run, refresh the shared prefix
 	// once; per leaf, consume cands[k-2] ∪ N(leaf) as it is merged — the
@@ -722,6 +737,7 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	runs := 0
 	if e.cfg.Mode == VertexInduced {
 		st := e.vertexStateFor(worker, k)
+		wantAdj := sink.wantAdj()
 		for {
 			emb, from, leaves, ok := w.NextRun()
 			if !ok {
@@ -735,15 +751,15 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 			if from < k {
 				st.updatePrefix(emb, from, k)
 			}
+			x.emb = emb
 			for _, u := range leaves {
 				emb[k-1] = u
-				children = st.appendCanonical(k, u, emb, worker, vf, children[:0])
-				var pr []uint32
+				st.appendCanonical(k, u, emb, worker, vf, wantAdj, x)
 				if predicting {
-					preds = ps.groupPreds(st, k, emb, children, preds)
-					pr = preds
+					sc.preds = ps.groupPreds(st, k, emb, x.children, sc.preds)
+					x.preds = sc.preds
 				}
-				if err := sink.emit(worker, chunk, emb, children, pr); err != nil {
+				if err := sink.emit(worker, chunk, x); err != nil {
 					return err
 				}
 			}
@@ -764,15 +780,15 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 		if from < k {
 			st.updatePrefix(emb, from, k)
 		}
+		x.emb = emb
 		for _, f := range leaves {
 			emb[k-1] = f
-			children = st.appendCanonical(k, f, emb, worker, ef, children[:0])
-			var pr []uint32
+			x.children = st.appendCanonical(k, f, emb, worker, ef, x.children[:0])
 			if predicting {
-				preds = ps.groupPreds(st, k, emb, children, preds)
-				pr = preds
+				sc.preds = ps.groupPreds(st, k, emb, x.children, sc.preds)
+				x.preds = sc.preds
 			}
-			if err := sink.emit(worker, chunk, emb, children, pr); err != nil {
+			if err := sink.emit(worker, chunk, x); err != nil {
 				return err
 			}
 		}

@@ -346,7 +346,7 @@ func TestUserFilterClique(t *testing.T) {
 	// the paper graph: triangles {0,1,4}, {1,2,4}, {2,3,4}.
 	g := paperGraph(t)
 	e := newVertexExplorer(t, g, 2)
-	cliqueFilter := func(_ int, emb []uint32, cand uint32) bool {
+	cliqueFilter := func(_ int, emb []uint32, cand, _ uint32) bool {
 		for _, v := range emb {
 			if !g.HasEdge(v, cand) {
 				return false

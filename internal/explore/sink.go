@@ -39,9 +39,12 @@ type ExpandSink interface {
 	begin(e *Explorer, top cse.LevelData, bounds []int) error
 	// emit consumes the canonical children of one parent embedding. It is
 	// called from worker goroutines; chunks are processed one at a time per
-	// worker, in parent order within a chunk. emb (leaf filled), children
-	// and preds are reused buffers, valid only during the call.
-	emit(worker, chunk int, emb, children, preds []uint32) error
+	// worker, in parent order within a chunk. x and its slices are reused
+	// buffers, valid only during the call.
+	emit(worker, chunk int, x *expansion) error
+	// wantAdj reports whether emit reads x.adj, the children's adjacency
+	// masks. The expansion collects them for no other sink.
+	wantAdj() bool
 	// endChunk completes one chunk after its last emit.
 	endChunk(worker, chunk int) error
 	// finish completes the sink after every chunk succeeded.
@@ -63,6 +66,7 @@ type StoreSink struct {
 }
 
 func (s *StoreSink) storing() bool { return true }
+func (s *StoreSink) wantAdj() bool { return false }
 
 func (s *StoreSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
 	s.builder = e.levelBuilderFor(top, bounds, e.c.Bytes())
@@ -70,8 +74,8 @@ func (s *StoreSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
 	return nil
 }
 
-func (s *StoreSink) emit(worker, chunk int, emb, children, preds []uint32) error {
-	return s.builder.Part(chunk).AppendGroup(children, preds)
+func (s *StoreSink) emit(worker, chunk int, x *expansion) error {
+	return s.builder.Part(chunk).AppendGroup(x.children, x.preds)
 }
 
 func (s *StoreSink) endChunk(worker, chunk int) error {
@@ -125,6 +129,7 @@ type paddedCount struct {
 }
 
 func (s *CountSink) storing() bool { return false }
+func (s *CountSink) wantAdj() bool { return false }
 
 func (s *CountSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
 	if cap(s.counts) < e.threads {
@@ -138,8 +143,8 @@ func (s *CountSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
 	return nil
 }
 
-func (s *CountSink) emit(worker, chunk int, emb, children, preds []uint32) error {
-	s.counts[worker].n += uint64(len(children))
+func (s *CountSink) emit(worker, chunk int, x *expansion) error {
+	s.counts[worker].n += uint64(len(x.children))
 	return nil
 }
 
@@ -160,17 +165,18 @@ func (s *CountSink) Total() uint64 { return s.total }
 // VisitSink hands the expansion stream to a per-worker callback, one parent
 // embedding with all its canonical extensions per call — the Mapper-side
 // consumption of §5.1 (motif counting, FSM's final aggregation). Nothing is
-// materialized.
+// materialized. adj is set when visit reads the children's adjacency masks.
 type VisitSink struct {
-	visit func(worker int, emb, children []uint32) error
+	visit func(worker int, emb, children, adj []uint32) error
+	adj   bool
 }
 
 // perChild adapts a per-extension callback to the sink's per-parent one.
-func perChild(visit func(worker int, emb []uint32, cand uint32) error) func(int, []uint32, []uint32) error {
+func perChild(visit func(worker int, emb []uint32, cand uint32) error) func(int, []uint32, []uint32, []uint32) error {
 	if visit == nil {
 		return nil
 	}
-	return func(worker int, emb, children []uint32) error {
+	return func(worker int, emb, children, _ []uint32) error {
 		for _, c := range children {
 			if err := visit(worker, emb, c); err != nil {
 				return err
@@ -181,6 +187,7 @@ func perChild(visit func(worker int, emb []uint32, cand uint32) error) func(int,
 }
 
 func (s *VisitSink) storing() bool { return false }
+func (s *VisitSink) wantAdj() bool { return s.adj }
 
 func (s *VisitSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
 	if s.visit == nil {
@@ -189,8 +196,8 @@ func (s *VisitSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
 	return nil
 }
 
-func (s *VisitSink) emit(worker, chunk int, emb, children, preds []uint32) error {
-	return s.visit(worker, emb, children)
+func (s *VisitSink) emit(worker, chunk int, x *expansion) error {
+	return s.visit(worker, x.emb, x.children, x.adj)
 }
 
 func (s *VisitSink) endChunk(worker, chunk int) error { return nil }
@@ -223,9 +230,9 @@ func (s *CountVisitSink) begin(e *Explorer, top cse.LevelData, bounds []int) err
 	return nil
 }
 
-func (s *CountVisitSink) emit(worker, chunk int, emb, children, preds []uint32) error {
-	s.counts[worker].n += uint64(len(children))
-	return s.VisitSink.emit(worker, chunk, emb, children, preds)
+func (s *CountVisitSink) emit(worker, chunk int, x *expansion) error {
+	s.counts[worker].n += uint64(len(x.children))
+	return s.VisitSink.emit(worker, chunk, x)
 }
 
 func (s *CountVisitSink) finish(e *Explorer) error {
@@ -254,6 +261,10 @@ func (e *Explorer) ExpandTo(ctx context.Context, sink ExpandSink, vf VertexFilte
 	top := e.c.Top()
 	n := top.Len()
 	k := e.c.Depth()
+	if k >= maskBits {
+		// A bit per embedding position: a deeper level would mis-filter.
+		return fmt.Errorf("explore: cannot expand past %d units per embedding", maskBits)
+	}
 
 	var bounds []int
 	if sink.storing() {
@@ -306,9 +317,12 @@ func (e *Explorer) ExpandVisit(ctx context.Context, vf VertexFilter, ef EdgeFilt
 // ExpandVisitGroups is ExpandVisit handing over each parent embedding once,
 // with all its canonical extensions (possibly none), so a Mapper can do the
 // work the extensions share — the parent's own adjacency — once per parent.
-// children is a reused buffer like emb.
-func (e *Explorer) ExpandVisitGroups(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit func(worker int, emb, children []uint32) error) error {
-	s := VisitSink{visit: visit}
+// In vertex-induced mode adj is parallel to children: bit i of adj[j] is set
+// iff children[j] is adjacent to emb[i], straight from the candidate merge, so
+// the Mapper knows each child's pattern row without probing the graph; in
+// edge-induced mode it is nil. children and adj are reused buffers like emb.
+func (e *Explorer) ExpandVisitGroups(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit func(worker int, emb, children, adj []uint32) error) error {
+	s := VisitSink{visit: visit, adj: true}
 	return e.ExpandTo(ctx, &s, vf, ef)
 }
 

@@ -12,8 +12,8 @@ import "math"
 //     targets, where most adjacency probes land.
 //  2. NeighborMarker — an epoch-stamped scratch array for batch membership
 //     tests: mark the neighborhoods of a small working set once (O(Σ deg)),
-//     then answer "is u adjacent to a marked vertex" / "to how many?" in
-//     O(1) per probe, amortizing list walks across many probes.
+//     then answer "is u adjacent to a marked vertex" in O(1) per probe,
+//     amortizing list walks across many probes.
 //
 // Both are built once per graph (the bitsets in Builder.Build, markers on
 // demand per worker) and never mutated afterwards, so they are safe for
@@ -127,7 +127,7 @@ func (g *Graph) IsHub(v uint32) bool {
 // NeighborMarker is a reusable, epoch-stamped scratch for batch adjacency
 // tests against a small working set of vertices. A batch starts with Begin,
 // adds neighborhoods with MarkNeighbors (or single vertices with Mark), and
-// then answers Marked/Count probes in O(1). Begin is O(1): stale stamps from
+// then answers Marked probes in O(1). Begin is O(1): stale stamps from
 // earlier batches are invalidated by bumping the epoch, not by clearing.
 //
 // A marker belongs to one goroutine; concurrent workers each create their
@@ -136,7 +136,6 @@ type NeighborMarker struct {
 	g     *Graph
 	epoch uint32
 	stamp []uint32 // stamp[v] == epoch ⇔ v marked in the current batch
-	count []uint16 // valid only when stamp[v] == epoch
 }
 
 // NewNeighborMarker returns a marker for batch membership tests on g. The
@@ -147,7 +146,6 @@ func (g *Graph) NewNeighborMarker() *NeighborMarker {
 		g:     g,
 		epoch: 1,
 		stamp: make([]uint32, g.n),
-		count: make([]uint16, g.n),
 	}
 }
 
@@ -161,14 +159,7 @@ func (m *NeighborMarker) Begin() {
 }
 
 // Mark adds a single vertex to the batch.
-func (m *NeighborMarker) Mark(v uint32) {
-	if m.stamp[v] == m.epoch {
-		m.count[v]++
-		return
-	}
-	m.stamp[v] = m.epoch
-	m.count[v] = 1
-}
+func (m *NeighborMarker) Mark(v uint32) { m.stamp[v] = m.epoch }
 
 // MarkNeighbors adds every neighbor of v to the batch. Marking the
 // neighborhoods of a working set S costs O(Σ_{v∈S} deg v) once; afterwards
@@ -181,13 +172,3 @@ func (m *NeighborMarker) MarkNeighbors(v uint32) {
 
 // Marked reports whether v is in the current batch.
 func (m *NeighborMarker) Marked(v uint32) bool { return m.stamp[v] == m.epoch }
-
-// Count returns how many times v was marked in the current batch — with
-// MarkNeighbors this is the number of working-set vertices adjacent to v,
-// the quantity clique filters test against |S|.
-func (m *NeighborMarker) Count(v uint32) int {
-	if m.stamp[v] != m.epoch {
-		return 0
-	}
-	return int(m.count[v])
-}

@@ -49,14 +49,14 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 	bad := []JobSpec{
 		{App: "nope", Dataset: "mico"},
-		{App: "tc"},                                            // no graph source
-		{App: "tc", Dataset: "mico", GraphPath: "x"},           // both sources
-		{App: "clique", K: 1, Dataset: "mico"},                 // k too small
-		{App: "tc", Dataset: "mico", Shards: -1},               // negative shards
-		{App: "tc", Dataset: "mico", Budget: "12XB"},           // bad budget
-		{App: "tc", Dataset: "mico", Iso: "magic"},             // bad iso
-		{App: "tc", Dataset: "mico", QueueDeadlineMS: -5},      // negative deadline
-		{App: "motif", K: 3, Dataset: "mico", TopK: -1},        // negative top-k
+		{App: "tc"},                                       // no graph source
+		{App: "tc", Dataset: "mico", GraphPath: "x"},      // both sources
+		{App: "clique", K: 1, Dataset: "mico"},            // k too small
+		{App: "tc", Dataset: "mico", Shards: -1},          // negative shards
+		{App: "tc", Dataset: "mico", Budget: "12XB"},      // bad budget
+		{App: "tc", Dataset: "mico", Iso: "magic"},        // bad iso
+		{App: "tc", Dataset: "mico", QueueDeadlineMS: -5}, // negative deadline
+		{App: "motif", K: 3, Dataset: "mico", TopK: -1},   // negative top-k
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {

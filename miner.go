@@ -24,10 +24,10 @@ const (
 // may cand (a vertex id in vertex-induced mode, an edge id in edge-induced
 // mode) extend the embedding emb? The default canonical filter has already
 // been applied. worker identifies the calling goroutine (0..Threads-1) so a
-// filter can keep per-worker scratch — e.g. a NeighborMarker-style structure
-// that marks the embedding's neighborhoods once per shared prefix and then
-// answers every candidate probe in O(1); the built-in clique filter works
-// this way.
+// filter can keep per-worker scratch. (The built-in clique filter needs none:
+// inside the engine a filter also receives the candidate's adjacency to the
+// embedding, carried through the candidate merge, and a clique is "adjacent
+// to all of it" — the public filter asks the graph instead.)
 type EmbeddingFilter func(worker int, emb []uint32, cand uint32) bool
 
 // Miner exposes the paper's exploration API (Listing 1: Init,
@@ -126,7 +126,8 @@ func (m *Miner) ExpandVisit(ctx context.Context, filter EmbeddingFilter, visit f
 	return m.e.ExpandVisit(ctxOrBackground(ctx), vf, ef, visit)
 }
 
-// filters adapts the public filter to both engine modes. On a relabeled
+// filters adapts the public filter to both engine modes, dropping the
+// adjacency mask the engine's vertex filter carries. On a relabeled
 // vertex-induced graph the filter sees original ids — the same translation
 // ForEach and ExpandVisit apply — so user code is id-layout agnostic.
 func (m *Miner) filters(filter EmbeddingFilter) (explore.VertexFilter, explore.EdgeFilter) {
@@ -140,7 +141,7 @@ func (m *Miner) filters(filter EmbeddingFilter) (explore.VertexFilter, explore.E
 			return inner(w, tr(w, emb), og.OrigID(cand))
 		}
 	}
-	return func(w int, emb []uint32, cand uint32) bool { return filter(w, emb, cand) },
+	return func(w int, emb []uint32, cand, _ uint32) bool { return filter(w, emb, cand) },
 		func(w int, emb []uint32, _ []uint32, cand uint32) bool { return filter(w, emb, cand) }
 }
 
