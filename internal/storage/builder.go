@@ -24,12 +24,13 @@ import (
 // marks the largest parts for migration. A marked part is drained to disk
 // through the WriteQueue (write-behind: the part's accumulated — oldest —
 // data goes out, the still-growing parts stay hot in RAM) and keeps
-// appending to disk from then on. With a watermark the build can never
-// over-run the memory budget by more than one part's growth between
-// appends, and a level that fits — every level of an unbudgeted run, whose
-// watermark is out of reach — stays entirely in memory: each part finishes
-// raw and is handed to the level where it was written, with no copy, no
-// filesystem call and no I/O goroutine.
+// appending to disk from then on. Parts charge the governor a slab of bytes
+// at a time (see governor), so with a watermark the build can never over-run
+// the memory budget by more than one part's growth between charges, and a
+// level that fits — every level of an unbudgeted run, whose watermark is out
+// of reach — stays entirely in memory: each part finishes raw and is handed
+// to the level where it was written, with no copy, no filesystem call and no
+// I/O goroutine.
 type HybridLevelBuilder struct {
 	dir       string
 	level     int
@@ -86,7 +87,7 @@ func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
 		b.parts = b.parts[:nparts]
 	}
 	b.reserved = 0
-	b.gov.reset(memBudget)
+	b.gov.reset(memBudget, nparts)
 	for i := range b.parts {
 		p := &b.parts[i]
 		p.b, p.idx = b, i
@@ -100,6 +101,7 @@ func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
 		p.spillReq.Store(memBudget <= 0)
 		p.flushed.Store(false)
 		p.claimed = 0
+		p.uncharged = 0
 		p.migrated = false
 		p.dwSealed = false
 		p.dw = diskPartWriter{}
@@ -128,14 +130,15 @@ type hybridPartWriter struct {
 	rcompressed           atomic.Bool
 
 	// Placement control.
-	bytes    atomic.Int64
-	spillReq atomic.Bool
-	flushed  atomic.Bool
-	claimed  int64      // bytes credited to governor.pending at mark time
-	mu       sync.Mutex // guards migration and dw sealing
-	migrated bool
-	dwSealed bool
-	dw       diskPartWriter
+	bytes     atomic.Int64 // resident bytes charged to the governor
+	spillReq  atomic.Bool
+	flushed   atomic.Bool
+	claimed   int64      // bytes credited to governor.pending at mark time
+	uncharged int64      // owner-only: bytes appended since the last charge; 0 once flushed or migrated
+	mu        sync.Mutex // guards migration and dw sealing
+	migrated  bool
+	dwSealed  bool
+	dw        diskPartWriter
 
 	// §4.2 prediction accounting, kept here across migration.
 	acc  cse.PredAccum
@@ -193,7 +196,9 @@ const maxHybridReserve = 1 << 27
 
 // AppendGroup appends the children of the next parent embedding. preds
 // optionally carries each child's predicted candidate size for the §4.2 load
-// balancer; it must be all-nil or always len(children) within a level.
+// balancer; it must be all-nil or always len(children) within a level. A
+// part in memory charges the governor once its uncharged bytes reach the
+// build's slab, or at every group while the external pressure flag is up.
 func (p *hybridPartWriter) AppendGroup(children []uint32, preds []uint32) error {
 	if p.b.queue.Failed() {
 		// The write-behind queue hit a hard error (ENOSPC, retries
@@ -227,14 +232,22 @@ func (p *hybridPartWriter) AppendGroup(children []uint32, preds []uint32) error 
 	}
 	p.verts = append(p.verts, children...)
 	p.counts = append(p.counts, uint32(len(children)))
-	// Charge the part's eventual resident size: the 4-byte counts become
+	// Account the part's eventual resident size: the 4-byte counts become
 	// 8-byte global bounds at Finish, so a group costs 8 bytes for good.
-	delta := int64(len(children))*4 + 8
-	p.bytes.Add(delta)
-	if p.b.gov.policing() {
-		p.b.gov.noteAlloc(delta)
+	p.uncharged += int64(len(children))*4 + 8
+	if p.uncharged >= p.b.gov.slab || p.b.gov.pressed() {
+		p.charge()
 	}
 	return nil
+}
+
+// charge hands the part's uncharged bytes to the governor. Owner only.
+func (p *hybridPartWriter) charge() {
+	if n := p.uncharged; n != 0 {
+		p.uncharged = 0
+		p.bytes.Add(n)
+		p.b.gov.noteAlloc(n)
+	}
 }
 
 // compressResident squeezes a flushed, still-raw part writer into encoded
@@ -305,9 +318,11 @@ func (p *hybridPartWriter) migrate() error {
 		poolPutU32(p.counts)
 		p.verts, p.counts = nil, nil
 	}
+	// Free what was charged. The bytes the owner appended since its last
+	// charge never were, so they are dropped, not freed.
 	b.gov.noteFree(p.bytes.Swap(0))
 	b.gov.pending.Add(-p.claimed)
-	p.claimed = 0
+	p.claimed, p.uncharged = 0, 0
 	p.migrated = true
 	if p.flushed.Load() && !p.dwSealed {
 		// Migrated after the owner's Flush (governor path): seal now.
@@ -320,10 +335,10 @@ func (p *hybridPartWriter) migrate() error {
 // Flush completes the part. Parts may flush in any order.
 func (p *hybridPartWriter) Flush() error {
 	p.acc.Flush()
+	// Charge the tail before publishing the flush: from then on the governor
+	// may compress or migrate the part, and either frees all of its bytes.
+	p.charge()
 	p.flushed.Store(true)
-	if !p.b.gov.policing() {
-		p.b.gov.noteAlloc(p.bytes.Load())
-	}
 	if p.spillReq.Load() {
 		if err := p.migrate(); err != nil {
 			return err

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -10,11 +9,21 @@ import (
 
 // governor is the placement policy of a hybrid build: an atomic running
 // total of in-flight resident bytes, compared against the build's watermark
-// on every append. Crossing it marks the largest unmarked parts until the
+// at every charge. Crossing it marks the largest unmarked parts until the
 // bytes marked cover the overshoot — never more. pending tracks the bytes of
 // parts marked but not yet migrated, so the post-crossing fast path stays a
 // few atomic loads — the full part scan runs only when a new victim is
 // needed.
+//
+// A part charges its appended bytes once per slab, not once per group, and
+// the rest at its Flush — budgeted or not, one rule. A charge writes the
+// governor's inflight, the run's tracker and, under an Engine, the arbiter:
+// atomics every worker contends on. Charged per group they were a fifth to a
+// quarter of the CPU of the repo benchmark's store4-hybrid job. Tracked
+// bytes therefore lag the resident bytes by less than one slab per part
+// still growing, and the slabs of all parts add up to at most 1/64 of the
+// build's limit. While the external pressure flag is up every group
+// charges, so the reaction to it does not lag.
 //
 // External pressure with a known limit (the tracked total — pattern maps and
 // sibling runs included — is over pressureLimit) follows the same rule for
@@ -29,16 +38,17 @@ import (
 type governor struct {
 	// Fixed for the length of a build, and read by every append.
 	budget        int64
+	slab          int64 // bytes a part appends between charges; ≤ 0 charges every group
 	pressure      *atomic.Bool
 	pressureLimit int64
 	tracker       *memtrack.Tracker
 	b             *HybridLevelBuilder
 
-	// The counters every append of every worker writes sit a cache line away
-	// from the fields above: sharing one, each append's first read of the
+	// The counters every charge of every worker writes sit a cache line away
+	// from the fields above: sharing one, each charge's first read of the
 	// budget fetched the line its own add then had to fetch again for
-	// writing (measured on the repo benchmark's store4-hybrid job, two
-	// workers: 0.62 s together, 0.55 s apart).
+	// writing (measured when every append charged, on the repo benchmark's
+	// store4-hybrid job, two workers: 0.62 s together, 0.55 s apart).
 	_        [64]byte
 	inflight atomic.Int64
 	pending  atomic.Int64
@@ -47,9 +57,17 @@ type governor struct {
 	err error
 }
 
-// reset re-arms the governor for a new build under memBudget.
-func (g *governor) reset(memBudget int64) {
+// maxSlab caps the slab: at 32 KiB the charges of a store4-sized build are
+// a few thousand per level, off the profile.
+const maxSlab = 32 << 10
+
+// reset re-arms the governor for a new build of nparts parts under
+// memBudget. The slab is 1/64 of each part's share of the smaller of the
+// build's two limits, capped at maxSlab: an unbudgeted build charges every
+// 32 KiB, a tiny budget (or an unknown pressure limit, ≤ 0) every group.
+func (g *governor) reset(memBudget int64, nparts int) {
 	g.budget = memBudget
+	g.slab = min(maxSlab, min(memBudget, g.pressureLimit)/int64(64*max(nparts, 1)))
 	g.releaseInflight() // no-op after a completed Finish/Abort
 	g.pending.Store(0)
 	g.mu.Lock()
@@ -57,20 +75,16 @@ func (g *governor) reset(memBudget int64) {
 	g.mu.Unlock()
 }
 
-// policing reports whether the build has a watermark to hold. Without one
-// (an unbudgeted run) nothing can ever be marked, so the per-append charge —
-// three contended atomics per group, a quarter of an in-memory build's CPU
-// on the repo benchmark's store4-mem — is replaced by one charge per part,
-// at its Flush.
-func (g *governor) policing() bool { return g.budget != math.MaxInt64 }
+// pressed reports whether the external pressure flag is up.
+func (g *governor) pressed() bool { return g.pressure != nil && g.pressure.Load() }
 
 func (g *governor) noteAlloc(delta int64) {
-	// In-flight build bytes are charged to the tracker as they grow, not
-	// just at Finish: under a shared arbiter this is what makes one run's
-	// half-built level visible to its siblings' governors — the cross-run
-	// watermark fires on genuinely resident bytes, not only completed
-	// levels. Finish/Abort release the in-flight charge (the finished level
-	// is then charged by its owner).
+	// In-flight build bytes are charged to the tracker as they grow (slab by
+	// slab), not just at Finish: under a shared arbiter this is what makes
+	// one run's half-built level visible to its siblings' governors — the
+	// cross-run watermark fires on genuinely resident bytes, not only
+	// completed levels. Finish/Abort release the in-flight charge (the
+	// finished level is then charged by its owner).
 	if g.tracker != nil {
 		g.tracker.Alloc(delta)
 	}
@@ -102,12 +116,13 @@ func (g *governor) releaseInflight() {
 // whichever is larger — less the bytes already marked (pending migrations
 // will free them). pressed reports that such a measured limit is exceeded
 // right now, marked bytes or not: the caller, an unmarked part that just
-// grew, has to stop growing. Without a limit (or a tracker to measure against) the flag carries no
-// size, so the governor spills everything while it is up.
+// grew, has to stop growing. Without a limit (or a tracker to measure
+// against) the flag carries no size, so the governor spills everything while
+// it is up.
 func (g *governor) overshoot() (over int64, pressed bool) {
 	resident := g.inflight.Load() - g.pending.Load()
 	over = resident - g.budget
-	if g.pressure == nil || !g.pressure.Load() {
+	if !g.pressed() {
 		return over, false
 	}
 	if g.pressureLimit <= 0 || g.tracker == nil {

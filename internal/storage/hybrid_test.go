@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -237,6 +238,255 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 			cancel()
 			q.Close()
 		}
+	}
+}
+
+// TestHybridSlabLagBound pins what charging the governor a slab at a time
+// costs the watermark. Tracked bytes lag the resident ones by less than one
+// slab per part, plus the group a writer may have appended but not yet
+// charged, so the resident bytes the governor has not condemned stay within
+// watermark + nparts·slab + one group per writer. Resident bytes are tallied
+// by the test, not read from the builder: each writer publishes what its
+// parts hold in memory after every append, and sums the parts not marked for
+// disk under the governor's lock. 1, 2 and 4 writers share eight parts. The
+// build must actually spill and actually lag (a slab is many groups), and the
+// level must still equal the reference.
+func TestHybridSlabLagBound(t *testing.T) {
+	const (
+		nparts    = 8
+		perPart   = 10000 // groups
+		watermark = 1 << 20
+		maxGroup  = 8*4 + 8 // the governor's bytes for the largest group
+	)
+	rng := rand.New(rand.NewSource(7))
+	groups := make([][][]uint32, nparts)
+	ml := &cse.MemLevel{Offs: []uint64{0}}
+	for i := range groups {
+		groups[i] = make([][]uint32, perPart)
+		for j := range groups[i] {
+			g := make([]uint32, 1+rng.Intn(8))
+			for k := range g {
+				g[k] = uint32(j + k)
+			}
+			groups[i][j] = g
+			ml.Verts = append(ml.Verts, g...)
+			ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
+		}
+	}
+	for _, writers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%dwriters", writers), func(t *testing.T) {
+			tracker := memtrack.New()
+			q := NewWriteQueue(0, tracker)
+			defer q.Close()
+			var pressure atomic.Bool
+			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, &pressure, watermark)
+			hb.Reset(2, nparts, watermark)
+			// The lag is at most 1/64 of the watermark, and still many groups.
+			slab := hb.gov.slab
+			if slab > watermark/(64*nparts) || slab < 16*maxGroup {
+				t.Fatalf("slab %d bytes for %d parts under a %d-byte watermark", slab, nparts, watermark)
+			}
+			var resident [nparts]atomic.Int64 // in the governor's units
+			unmarked := func() int64 {
+				hb.gov.mu.Lock()
+				defer hb.gov.mu.Unlock()
+				var n int64
+				for i := range hb.parts {
+					if !hb.parts[i].spillReq.Load() {
+						n += resident[i].Load()
+					}
+				}
+				return n
+			}
+			worst := make([]int64, writers)
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					// Writer w owns parts w, w+writers, … and appends to them
+					// round-robin.
+					for j := 0; j < perPart; j++ {
+						for i := w; i < nparts; i += writers {
+							p := hb.Part(i)
+							g := groups[i][j]
+							if err := p.AppendGroup(g, nil); err != nil {
+								t.Error(err)
+								return
+							}
+							if p.migrated {
+								resident[i].Store(0)
+							} else {
+								resident[i].Add(int64(len(g))*4 + 8)
+							}
+							worst[w] = max(worst[w], unmarked())
+						}
+					}
+					for i := w; i < nparts; i += writers {
+						if err := hb.Part(i).Flush(); err != nil {
+							t.Error(err)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			bound := watermark + nparts*slab + int64(writers*maxGroup)
+			for w, got := range worst {
+				if got > bound {
+					t.Errorf("writer %d saw %d unmarked resident bytes, bound %d (watermark %d + %d parts × slab %d + %d × group %d)",
+						w, got, bound, watermark, nparts, slab, writers, maxGroup)
+				}
+			}
+			hl, err := hb.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hl.Close()
+			if hl.DiskParts() == 0 || hl.MemParts() == 0 {
+				t.Fatalf("placement not hybrid: %d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
+			}
+			verts, verr := readVerts(t, hl.VertBlocks(0, hl.Len()))
+			bounds, berr := readBounds(hl.BoundBlocks(0))
+			if verr != nil || berr != nil {
+				t.Fatal(verr, berr)
+			}
+			if !reflect.DeepEqual(verts, ml.Verts) || !reflect.DeepEqual(bounds, ml.Offs[1:]) {
+				t.Fatal("the level differs from the reference")
+			}
+			if live := tracker.Live(); live != 0 {
+				t.Fatalf("tracker holds %d bytes after Finish", live)
+			}
+		})
+	}
+}
+
+// TestHybridSlabConservation: charging a slab at a time must not leak a
+// byte. One level holds a part in each state — raw, compressed by the
+// governor after its Flush, and migrated by its owner while it held
+// uncharged bytes (which are then dropped, never freed). At every step a raw
+// part's charged plus uncharged bytes are what was appended to it, a migrated
+// part holds neither, the governor's in-flight bytes are the parts' charged
+// bytes and the tracker holds exactly those over its baseline; Live() is back
+// at the baseline after Finish and Close, and after an Abort.
+func TestHybridSlabConservation(t *testing.T) {
+	const baseline = 12345 // charged by someone else before the build
+	for _, abort := range []bool{false, true} {
+		tracker := memtrack.New()
+		tracker.Alloc(baseline)
+		q := NewWriteQueue(0, tracker)
+		var pressure atomic.Bool
+		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, 1<<20)
+		hb.Reset(2, 4, 1<<20)
+		if hb.gov.slab < 1024 {
+			t.Fatalf("slab %d bytes: too small to lag", hb.gov.slab)
+		}
+		ml := &cse.MemLevel{Offs: []uint64{0}}
+		var appended [4]int64 // raw bytes appended in memory, in the governor's units
+		fill := func(part, n int) {
+			t.Helper()
+			for j := 0; j < n; j++ {
+				g := []uint32{uint32(j), uint32(j + 1), uint32(j + 3)}
+				ml.Verts = append(ml.Verts, g...)
+				ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
+				if err := hb.Part(part).AppendGroup(g, nil); err != nil {
+					t.Fatal(err)
+				}
+				appended[part] += int64(len(g))*4 + 8
+			}
+		}
+		conserved := func(step string) {
+			t.Helper()
+			var charged int64
+			for i := range hb.parts {
+				p := &hb.parts[i]
+				charged += p.bytes.Load()
+				switch {
+				case p.migrated:
+					if p.bytes.Load() != 0 || p.uncharged != 0 {
+						t.Fatalf("abort=%v, %s: migrated part %d holds %d charged + %d uncharged bytes", abort, step, i, p.bytes.Load(), p.uncharged)
+					}
+				case p.rcomp == nil:
+					if got := p.bytes.Load() + p.uncharged; got != appended[i] {
+						t.Fatalf("abort=%v, %s: raw part %d accounts for %d bytes, %d appended", abort, step, i, got, appended[i])
+					}
+				}
+			}
+			if got := hb.gov.inflight.Load(); got != charged {
+				t.Fatalf("abort=%v, %s: governor holds %d in-flight bytes, parts %d charged", abort, step, got, charged)
+			}
+			if got := tracker.Live() - baseline; got != charged {
+				t.Fatalf("abort=%v, %s: tracker holds %d build bytes, parts %d charged", abort, step, got, charged)
+			}
+		}
+		p0, p1, p2 := &hb.parts[0], &hb.parts[1], &hb.parts[2]
+
+		fill(0, 700) // raw
+		conserved("raw part growing")
+		if err := p0.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if p0.uncharged != 0 {
+			t.Fatalf("flushed part holds %d uncharged bytes", p0.uncharged)
+		}
+		conserved("raw part flushed")
+
+		fill(1, 700) // compressed by the governor after its Flush
+		if err := p1.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		p1.compressResident()
+		if p1.rcomp == nil {
+			t.Fatal("part 1 did not compress")
+		}
+		conserved("part compressed")
+
+		fill(2, 700) // marked while holding uncharged bytes; its owner migrates it
+		if p2.uncharged == 0 {
+			t.Fatal("part 2 holds no uncharged bytes: the owner's migration path is not exercised")
+		}
+		hb.gov.mu.Lock()
+		hb.gov.mark(p2, p2.bytes.Load())
+		hb.gov.mu.Unlock()
+		fill(2, 300)
+		if !p2.migrated {
+			t.Fatal("part 2 did not migrate")
+		}
+		conserved("part migrated by its owner")
+
+		fill(3, 100) // raw, still growing
+		conserved("all three states")
+
+		if abort {
+			if err := hb.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for i := 2; i < 4; i++ {
+				if err := hb.Part(i).Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			conserved("every part flushed")
+			hl, err := hb.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hl.MemParts() != 3 || hl.CompressedParts() != 1 || hl.DiskParts() != 1 {
+				t.Fatalf("placed %d mem (%d compressed) / %d disk parts, want 3 (1) / 1", hl.MemParts(), hl.CompressedParts(), hl.DiskParts())
+			}
+			checkConforms(t, ml, hl, base(ml.Groups()))
+			if live := tracker.Live(); live != baseline {
+				t.Fatalf("after Finish the tracker holds %d bytes, baseline %d", live, baseline)
+			}
+			hl.Close()
+		}
+		if live := tracker.Live(); live != baseline {
+			t.Fatalf("abort=%v: the tracker holds %d bytes at the end, baseline %d", abort, live, baseline)
+		}
+		q.Close()
 	}
 }
 
