@@ -47,7 +47,6 @@ func main() {
 	budget := flag.String("budget", "", "memory budget for intermediate data (e.g. 512MiB); empty = in-memory")
 	spill := flag.String("spill", os.TempDir(), "spill directory for hybrid storage")
 	predict := flag.Bool("predict", true, "prediction-based load balancing for spilled levels")
-	compressResident := flag.Bool("compress-resident", true, "compressed-mem residency tier under a memory budget")
 	iso := flag.String("iso", "eigen", "isomorphism backend: eigen | bliss | exact")
 	minCount := flag.Uint64("min-count", 0, "drop motif/fsm patterns below this count")
 	topK := flag.Int("top-k", 0, "keep only the first K patterns after sorting (0 = all)")
@@ -71,14 +70,11 @@ func main() {
 	if *budget != "" {
 		spec.SpillDir = *spill
 	}
-	// The tri-state spec knobs stay nil (= on) unless the flag turned them
+	// The tri-state spec knob stays nil (= on) unless the flag turned it
 	// off, keeping the emitted JSON minimal.
-	off := false
 	if !*predict {
+		off := false
 		spec.Predict = &off
-	}
-	if !*compressResident {
-		spec.CompressResident = &off
 	}
 
 	if *printSpec {
@@ -118,9 +114,8 @@ func main() {
 		float64(stats.PeakBytes)/(1<<20),
 		float64(stats.ReadBytes)/(1<<20),
 		float64(stats.WriteBytes)/(1<<20))
-	if stats.SpilledParts > 0 || stats.CompressedParts > 0 {
-		fmt.Printf("residency: %d parts spilled to disk, %d parts compressed in memory\n",
-			stats.SpilledParts, stats.CompressedParts)
+	if stats.SpilledParts > 0 {
+		fmt.Printf("residency: %d parts spilled to disk\n", stats.SpilledParts)
 	}
 }
 

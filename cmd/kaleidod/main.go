@@ -62,7 +62,9 @@ func main() {
 	}
 
 	srv := service.NewServer(eng, *cacheDir, *cacheGraphs)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	// Bound how long a client may take to send its headers, so idle or
+	// trickling connections cannot pin goroutines and sockets forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
 
 	// SIGTERM/SIGINT: refuse new jobs, let in-flight ones finish (bounded by
 	// -drain-timeout, after which they are canceled and unwind cleanly), then

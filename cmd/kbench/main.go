@@ -17,10 +17,7 @@
 // with the combined resident peak the arbiter recorded — "shards" —
 // prefix-range sharded execution scaling the vertex-d4 frontier count over
 // 1/2/4 degree-mass-balanced shards (one worker each), with the summed
-// embedding count pinned across shard counts — "resident" — the
-// compressed-resident tier (raw-mem → compressed-mem → disk) against raw
-// spilling under a halved budget, reporting spilled/compressed part counts
-// and the physical resident-peak reduction — and "service" — N jobs
+// embedding count pinned across shard counts — and "service" — N jobs
 // submitted to an in-process kaleidod HTTP daemon against the same N direct
 // Engine runs, with the admission queue's wait columns and the counts pinned
 // across both paths. See EXPERIMENTS.md for the paper-vs-measured record.
@@ -40,7 +37,6 @@ import (
 	"runtime"
 
 	"kaleido/internal/bench"
-	"kaleido/internal/run"
 )
 
 func main() {
@@ -52,7 +48,6 @@ func main() {
 	faults := flag.Bool("faults", false, "run the fault-injection campaign (shorthand for -exp faults)")
 	faultP := flag.Float64("fault-p", 0, "per-op probability of each transient fault class in the faults campaign (0 = default 0.01)")
 	faultSeed := flag.Int64("fault-seed", 0, "fault schedule seed (0 = default 42)")
-	compressResident := flag.Bool("compress-resident", true, "compressed-mem residency tier for budgeted experiments")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
@@ -69,9 +64,6 @@ func main() {
 		Quick:     *quick,
 		FaultP:    *faultP,
 		FaultSeed: *faultSeed,
-	}
-	if !*compressResident {
-		cfg.ResidentCompression = run.CompressionOff
 	}
 	ids := []string{*exp}
 	if *faults {

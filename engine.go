@@ -54,13 +54,12 @@ type Engine struct {
 	// (live/peak/reserved, I/O, spilled bytes, retries) live on the arbiter;
 	// these cover what the arbiter does not see: run lifecycles and the
 	// part-transition counts each run reports in its Stats.
-	activeRuns      atomic.Int64
-	completedRuns   atomic.Int64
-	failedRuns      atomic.Int64
-	spilledLevels   atomic.Int64
-	spilledParts    atomic.Int64
-	promotedParts   atomic.Int64
-	compressedParts atomic.Int64
+	activeRuns    atomic.Int64
+	completedRuns atomic.Int64
+	failedRuns    atomic.Int64
+	spilledLevels atomic.Int64
+	spilledParts  atomic.Int64
+	promotedParts atomic.Int64
 }
 
 // EngineStats is one race-clean snapshot of an Engine's aggregate state: the
@@ -82,8 +81,8 @@ type EngineStats struct {
 	CompletedRuns, FailedRuns int64
 	// Cumulative part-residency transitions across all runs: levels that
 	// spilled at least one part, parts migrated to disk, disk parts promoted
-	// back, raw parts squeezed into compressed-mem blocks.
-	SpilledLevels, SpilledParts, PromotedParts, CompressedParts int64
+	// back.
+	SpilledLevels, SpilledParts, PromotedParts int64
 	// SpilledBytes is the cumulative logical size of the spilled parts,
 	// SpilledBytesPhysical what they occupied on disk.
 	SpilledBytes, SpilledBytesPhysical int64
@@ -117,7 +116,6 @@ func (en *Engine) Stats() EngineStats {
 		SpilledLevels:        en.spilledLevels.Load(),
 		SpilledParts:         en.spilledParts.Load(),
 		PromotedParts:        en.promotedParts.Load(),
-		CompressedParts:      en.compressedParts.Load(),
 		SpilledBytes:         sl,
 		SpilledBytesPhysical: sp,
 		ReadBytes:            r,
@@ -141,7 +139,6 @@ func (en *Engine) endRun(s Stats, err error) {
 	en.spilledLevels.Add(int64(s.SpilledLevels))
 	en.spilledParts.Add(int64(s.SpilledParts))
 	en.promotedParts.Add(int64(s.PromotedParts))
-	en.compressedParts.Add(int64(s.CompressedParts))
 	en.kickAdmission()
 }
 

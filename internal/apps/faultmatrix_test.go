@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"kaleido/internal/graph"
-	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
 	"kaleido/internal/storage"
 	"kaleido/internal/storage/vfs"
@@ -164,47 +163,6 @@ func TestFaultMatrixTransient(t *testing.T) {
 			}
 			waitDrained(t, baseGoroutines)
 		})
-	}
-}
-
-// TestFaultMatrixCompressedResidentNoVFS: compressed-mem is a pure memory
-// transition — a budget the resident tier can absorb without spilling must
-// never open, read, or write a spill file. The run executes over a FaultFS
-// that fails EVERY read and write; the run succeeding with baseline counts
-// and the fault counters all zero proves compressed-mem parts never touch
-// vfs (zero injected faults observed).
-func TestFaultMatrixCompressedResidentNoVFS(t *testing.T) {
-	g := matrixGraph()
-	tr := memtrack.New()
-	base, err := MotifCount(context.Background(), g, 4, &run.Env{Threads: 3, Tracker: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Peak() == 0 {
-		t.Fatal("degenerate: in-memory run tracked no intermediate data")
-	}
-
-	// Four fifths of the in-memory peak: tight enough that raw residency
-	// trips the governor, loose enough that compression (≥2× on sealed
-	// parts) absorbs the overshoot without reaching for the disk.
-	budget := tr.Peak() * 4 / 5
-	ff := vfs.NewFaultFS(nil, vfs.Fault{Seed: 99, ReadErrP: 1, WriteErrP: 1, ShortWriteP: 1})
-	var spill run.SpillInfo
-	got, err := MotifCount(context.Background(), g, 4, &run.Env{
-		Threads: 3, MemoryBudget: budget, SpillDir: t.TempDir(), FS: ff, Spill: &spill,
-	})
-	if err != nil {
-		t.Fatalf("compressed-resident run reached the always-failing filesystem: %v", err)
-	}
-	comparePatternCounts(t, "motifs", got, base)
-	if spill.CompressedParts == 0 {
-		t.Fatalf("vacuous: no parts were compressed under budget %d (peak %d)", budget, tr.Peak())
-	}
-	if spill.SpilledParts != 0 {
-		t.Fatalf("budget %d spilled %d parts; the compressed tier should have absorbed it", budget, spill.SpilledParts)
-	}
-	if st := ff.Stats(); st.Reads != 0 || st.Writes != 0 || st.ReadErrs != 0 || st.WriteErrs != 0 || st.ShortWrites != 0 {
-		t.Fatalf("compressed-mem residency touched vfs: %+v", st)
 	}
 }
 

@@ -22,14 +22,12 @@ import (
 )
 
 // appConfigs enumerates the storage regimes: all-mem, a mid-size budget
-// (hybrid placement decided by the governor — with the compressed-resident
-// tier on by default, and once with it pinned off so both residency ladders
-// must produce identical results), and a 1-byte budget (all-disk).
+// (hybrid placement decided by the governor), and a 1-byte budget
+// (all-disk).
 func appConfigs(t *testing.T) []*run.Env {
 	return []*run.Env{
 		{Threads: 3},
 		{Threads: 3, MemoryBudget: 64 << 10, SpillDir: t.TempDir()},
-		{Threads: 3, MemoryBudget: 64 << 10, SpillDir: t.TempDir(), ResidentCompression: run.CompressionOff},
 		{Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Predict: true},
 	}
 }

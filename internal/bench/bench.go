@@ -31,12 +31,6 @@ type RunConfig struct {
 	SpillDir string // scratch space for hybrid storage and RStream tables
 	Quick    bool   // reduced grids for CI
 
-	// ResidentCompression selects the compressed-mem residency tier for the
-	// budgeted experiments (table4, fig16, fig17, sinks). The zero value is
-	// on (run.CompressionAuto). The "resident" experiment sweeps this
-	// dimension itself and ignores the knob.
-	ResidentCompression run.Compression
-
 	// FaultP and FaultSeed parameterize the "faults" campaign: the
 	// per-operation probability of each transient fault class (EIO read,
 	// EIO write, short write) and the deterministic schedule seed.
@@ -89,7 +83,7 @@ func (r Result) Render() string {
 // the engine experiments that go beyond the paper's evaluation. Run also
 // accepts "iso" for fig12, the isomorphism layer's experiment.
 func Experiments() []string {
-	return []string{"table2", "table3", "fig11", "fig12", "fig13", "fig14", "table4", "fig16", "fig17", "sinks", "compress", "resident", "concurrent", "faults", "shards", "service"}
+	return []string{"table2", "table3", "fig11", "fig12", "fig13", "fig14", "table4", "fig16", "fig17", "sinks", "compress", "concurrent", "faults", "shards", "service"}
 }
 
 // Run executes one experiment by id.
@@ -117,8 +111,6 @@ func Run(id string, cfg RunConfig) ([]Result, error) {
 		return sinks(cfg)
 	case "compress":
 		return compress(cfg)
-	case "resident":
-		return resident(cfg)
 	case "concurrent":
 		return concurrent(cfg)
 	case "faults":

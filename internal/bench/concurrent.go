@@ -14,12 +14,9 @@ import (
 // 4-motif runs on a synthetic power-law graph, first sequentially (one run
 // at a time, sole owner of the budget), then concurrently through one
 // kaleido.Engine (all runs charging a single pool). The table reports the
-// wall time of completing all N runs, the combined physical resident peak
-// the arbiter recorded (compressed-mem parts charge at physical size), and
-// the per-run spilled and compressed part counts — the peak staying under
-// the budget at every N is the point of the cross-run watermark, and the
-// compressed column shows the resident tier absorbing contention that would
-// otherwise go to disk.
+// wall time of completing all N runs, the combined resident peak the arbiter
+// recorded, and the per-run spilled part counts — the peak staying under the
+// budget at every N is the point of the cross-run watermark.
 func concurrent(cfg RunConfig) ([]Result, error) {
 	g, err := kaleido.Synthetic(600, 2400, 8, 42)
 	if err != nil {
@@ -36,7 +33,7 @@ func concurrent(cfg RunConfig) ([]Result, error) {
 	res := Result{
 		ID:     "concurrent",
 		Title:  fmt.Sprintf("N concurrent 4-Motif runs, one %0.1f MB budget (Engine arbiter)", float64(budget)/(1<<20)),
-		Header: []string{"Runs", "sequential t", "concurrent t", "combined phys peak MB", "peak/budget", "spilled parts", "compressed parts"},
+		Header: []string{"Runs", "sequential t", "concurrent t", "combined peak MB", "peak/budget", "spilled parts"},
 	}
 	counts := []int{1, 2, 4}
 	if cfg.Quick {
@@ -88,25 +85,24 @@ func concurrent(cfg RunConfig) ([]Result, error) {
 			fmt.Sprintf("%.2f", conc),
 			fmt.Sprintf("%.1f", float64(eng.PeakBytes())/(1<<20)),
 			fmt.Sprintf("%.0f%%", 100*float64(eng.PeakBytes())/float64(budget)),
-			perRunCounts(stats, func(s kaleido.Stats) int { return s.SpilledParts }),
-			perRunCounts(stats, func(s kaleido.Stats) int { return s.CompressedParts }),
+			perRunSpills(stats),
 		})
 	}
 	res.Notes = append(res.Notes,
 		"budget = one solo run's tracked peak; concurrent runs share it through the Engine arbiter",
 		"peak/budget staying under 100% at every N is the cross-run watermark doing its job",
-		"part counts are totals with the per-run breakdown in parentheses; compressed-mem parts soak up contention before any disk spill")
+		"spilled parts are totals with the per-run breakdown in parentheses")
 	return []Result{res}, nil
 }
 
-// perRunCounts renders one per-run counter as "total (a+b+…)" — or just the
-// number for a single run.
-func perRunCounts(stats []kaleido.Stats, get func(kaleido.Stats) int) string {
+// perRunSpills renders the runs' spilled part counts as "total (a+b+…)" — or
+// just the number for a single run.
+func perRunSpills(stats []kaleido.Stats) string {
 	total := 0
 	parts := make([]string, len(stats))
 	for i, s := range stats {
-		total += get(s)
-		parts[i] = fmt.Sprint(get(s))
+		total += s.SpilledParts
+		parts[i] = fmt.Sprint(s.SpilledParts)
 	}
 	if len(stats) == 1 {
 		return fmt.Sprint(total)

@@ -47,7 +47,6 @@ func engineExplorer(tb testing.TB, g *graph.Graph, c expandCase) *explore.Explor
 	if c.budget > 0 {
 		cfg.MemoryBudget = c.budget
 		cfg.SpillDir = tb.TempDir()
-		cfg.ResidentCompression = c.residentComp
 	}
 	ex, err := explore.New(cfg)
 	if err != nil {
@@ -77,12 +76,7 @@ type expandCase struct {
 	depth   int // expand from depth to depth+1 each iteration
 	threads int
 	predict bool  // enable §4.2 candidate-size prediction
-	budget  int64 // memory budget; > 0 spills every level to disk (out-of-core)
-	// residentComp selects the compressed-mem residency tier for budgeted
-	// cases. The raw spill cases pin CompressionOff so they keep measuring
-	// the disk path the budget was sized for; vertex-d4-budget leaves the
-	// Auto default and measures the tier avoiding that spill.
-	residentComp run.Compression
+	budget  int64 // memory budget; > 0 bounds the resident CSE, spilling what does not fit
 }
 
 func expandCases() []expandCase {
@@ -90,18 +84,16 @@ func expandCases() []expandCase {
 		{name: "vertex-d3", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4},
 		{name: "vertex-d4", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 3, threads: 4},
 		{name: "edge-d3", mode: explore.EdgeInduced, n: 2000, m: 6000, seed: 7, depth: 2, threads: 4},
-		{name: "vertex-d3-disk", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1, residentComp: run.CompressionOff},
+		{name: "vertex-d3-disk", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1},
 		// The hybrid case sizes the budget so the governor sends roughly
 		// half of the ~2.2 MB leaf level to disk and keeps the rest
 		// resident (the §4.1 half-memory-half-disk configuration); its
 		// throughput must land strictly between vertex-d3 (all-mem) and
 		// vertex-d3-disk (all-disk).
-		{name: "vertex-d3-hybrid", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1_350_000, residentComp: run.CompressionOff},
-		// The budgeted d4 case sizes the budget below the ~179 MB raw leaf
-		// level but above its compressed-mem footprint: with the resident
-		// tier on (the default) the whole level stays memory-resident in
-		// codec blocks, where the same budget under raw residency spills
-		// parts to disk (TestBudgetBenchCaseAvoidsSpill pins this split).
+		{name: "vertex-d3-hybrid", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1_350_000},
+		// The budgeted d4 case is the same configuration one level deeper:
+		// the budget sits below the ~179 MB leaf level, so the governor
+		// spills part of it and keeps the rest resident.
 		{name: "vertex-d4-budget", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 3, threads: 4, budget: 140 << 20},
 	}
 }
@@ -325,139 +317,47 @@ func BenchmarkForEachExpansion(b *testing.B) {
 	}
 }
 
-// TestHybridBenchCasePlacement pins the vertex-d3-hybrid budget to its
-// intent: the leaf level must end up genuinely hybrid, with a substantial
-// share of its bytes on each side, so the benchmark really measures the
-// half-memory-half-disk path (not a disguised all-mem or all-disk run).
+// TestHybridBenchCasePlacement pins the budgeted cases to their intent: the
+// leaf level of vertex-d3-hybrid and of vertex-d4-budget must end up
+// genuinely hybrid, with a substantial share of its bytes on each side and
+// the resident CSE within the case budget, so the benchmark really measures
+// the half-memory-half-disk path (not a disguised all-mem or all-disk run).
 func TestHybridBenchCasePlacement(t *testing.T) {
-	var c expandCase
-	for _, ec := range expandCases() {
-		if ec.name == "vertex-d3-hybrid" {
-			c = ec
-		}
-	}
-	if c.name == "" {
-		t.Fatal("vertex-d3-hybrid case missing")
-	}
-	g := engineGraph(t, c.n, c.m, c.seed)
-	ex := engineExplorer(t, g, c)
-	defer ex.Close()
-	if err := ex.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	stats := ex.LevelStats()
-	top := stats[len(stats)-1]
-	if top.MemParts == 0 || top.DiskParts == 0 {
-		t.Fatalf("leaf level not hybrid: %+v", top)
-	}
-	total := top.ResidentBytes + top.DiskBytes
-	if top.DiskBytes < total/5 || top.DiskBytes > total*4/5 {
-		t.Fatalf("placement skewed: %d of %d bytes on disk (want a real split)", top.DiskBytes, total)
-	}
-	if ex.Bytes() > c.budget {
-		t.Fatalf("resident CSE %d exceeds the case budget %d", ex.Bytes(), c.budget)
-	}
-}
-
-// expandToDepth runs a fresh explorer of the vertex-d4-budget case to its
-// full depth under the given resident-compression mode, returning the final
-// explorer for inspection (caller closes it).
-func budgetCaseExplorer(tb testing.TB, rc run.Compression) *explore.Explorer {
-	tb.Helper()
-	var c expandCase
-	for _, ec := range expandCases() {
-		if ec.name == "vertex-d4-budget" {
-			c = ec
-		}
-	}
-	if c.name == "" {
-		tb.Fatal("vertex-d4-budget case missing")
-	}
-	g := engineGraph(tb, c.n, c.m, c.seed)
-	ex, err := explore.New(explore.Config{Graph: g, Mode: c.mode, Env: &run.Env{
-		Threads:      c.threads,
-		MemoryBudget: c.budget, SpillDir: tb.TempDir(), ResidentCompression: rc,
-	}})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := ex.InitVertices(nil); err != nil {
-		ex.Close()
-		tb.Fatal(err)
-	}
-	for ex.Depth() < c.depth+1 {
-		if err := ex.Expand(bgCtx, nil, nil); err != nil {
-			ex.Close()
-			tb.Fatal(err)
-		}
-	}
-	return ex
-}
-
-// TestBudgetBenchCaseAvoidsSpill pins the vertex-d4-budget case to its
-// intent: under its budget the compressed-resident tier (the default) keeps
-// the whole leaf level memory-resident, where raw residency must spill parts
-// — so the benchmark measures compression buying back the disk round-trip.
-func TestBudgetBenchCaseAvoidsSpill(t *testing.T) {
-	if raceEnabled {
-		t.Skip("depth-4 budget case: minutes under the race detector; the compressed-resident ladder is race-covered by the explore and apps suites")
-	}
-	comp := budgetCaseExplorer(t, run.CompressionAuto)
-	defer comp.Close()
-	raw := budgetCaseExplorer(t, run.CompressionOff)
-	defer raw.Close()
-	if comp.Count() != raw.Count() {
-		t.Errorf("embedding counts differ: %d compressed-resident vs %d raw", comp.Count(), raw.Count())
-	}
-	if n := raw.SpilledParts(); n == 0 {
-		t.Error("raw residency spilled nothing — the budget is not tight, resize the case")
-	}
-	if n := comp.SpilledParts(); n > 0 {
-		t.Errorf("compressed residency spilled %d parts — the budget no longer fits the compressed level", n)
-	}
-	if n := comp.CompressedParts(); n == 0 {
-		t.Error("compressed-resident run compressed no parts")
-	}
-}
-
-// TestCompressedResidentBytesGuard pins the compressed-resident tier's
-// headline win: on a budget tight enough that every level lives under
-// pressure, the resident level data must stand for at least 2x its physical
-// footprint (logical bytes per resident byte). Count identity with raw runs
-// is covered by TestBudgetBenchCaseAvoidsSpill and the apps conformance
-// suite.
-func TestCompressedResidentBytesGuard(t *testing.T) {
-	if raceEnabled {
-		t.Skip("depth-4 budget case: minutes under the race detector; the compressed-resident ladder is race-covered by the explore and apps suites")
-	}
-	g := engineGraph(t, 4000, 16000, 42)
-	ex, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{
-		Threads:      4,
-		MemoryBudget: 4 << 20, SpillDir: t.TempDir(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	if err := ex.InitVertices(nil); err != nil {
-		t.Fatal(err)
-	}
-	for ex.Depth() < 4 {
-		if err := ex.Expand(bgCtx, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ex.CompressedParts() == 0 {
-		t.Fatal("tight budget compressed no parts")
-	}
-	logical, resident := ex.ResidentBytesLogical(), ex.Bytes()
-	if resident <= 0 {
-		t.Fatalf("resident bytes %d", resident)
-	}
-	if ratio := float64(logical) / float64(resident); ratio < 2 {
-		t.Errorf("resident stretch %.2fx (%d logical / %d resident) — below the 2x goal", ratio, logical, resident)
-	} else {
-		t.Logf("resident stretch %.2fx (%d logical / %d resident)", ratio, logical, resident)
+	for _, name := range []string{"vertex-d3-hybrid", "vertex-d4-budget"} {
+		t.Run(name, func(t *testing.T) {
+			var c expandCase
+			for _, ec := range expandCases() {
+				if ec.name == name {
+					c = ec
+				}
+			}
+			if c.name == "" {
+				t.Fatalf("%s case missing", name)
+			}
+			if raceEnabled && c.depth > 2 {
+				t.Skip("depth-4 build: minutes under the race detector; placement is race-covered by the explore and storage suites")
+			}
+			g := engineGraph(t, c.n, c.m, c.seed)
+			ex := engineExplorer(t, g, c)
+			defer ex.Close()
+			if err := ex.Expand(bgCtx, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			stats := ex.LevelStats()
+			top := stats[len(stats)-1]
+			if top.MemParts == 0 || top.DiskParts == 0 {
+				t.Fatalf("leaf level not hybrid: %+v", top)
+			}
+			total := top.ResidentBytes + top.DiskBytes
+			if top.DiskBytes < total/5 || top.DiskBytes > total*4/5 {
+				t.Fatalf("placement skewed: %d of %d bytes on disk (want a real split)", top.DiskBytes, total)
+			}
+			if ex.Bytes() > c.budget {
+				t.Fatalf("resident CSE %d exceeds the case budget %d", ex.Bytes(), c.budget)
+			}
+			t.Logf("%d of %d leaf bytes on disk (%d of %d parts), resident CSE %d of budget %d",
+				top.DiskBytes, total, top.DiskParts, top.DiskParts+top.MemParts, ex.Bytes(), c.budget)
+		})
 	}
 }
 
@@ -521,9 +421,6 @@ func runDiskCase(tb testing.TB) (logical, physical int64) {
 	ex, err := explore.New(explore.Config{Graph: g, Mode: c.mode, Env: &run.Env{
 		Threads:      c.threads,
 		MemoryBudget: c.budget, SpillDir: tb.TempDir(),
-		// Raw residency: this guard isolates the spill codec's bytes-on-disk
-		// win, so the compressed-mem tier must not absorb any of the spill.
-		ResidentCompression: run.CompressionOff,
 	}})
 	if err != nil {
 		tb.Fatal(err)

@@ -270,7 +270,6 @@ func table4(cfg RunConfig) ([]Result, error) {
 				opt := &run.Env{
 					Threads: cfg.Threads, Tracker: tr,
 					MemoryBudget: budget, SpillDir: dir, Predict: budget > 0,
-					ResidentCompression: cfg.ResidentCompression,
 				}
 				if w.app == "motif" {
 					_, err := apps.MotifCount(bgCtx, g, 4, opt)
@@ -339,7 +338,6 @@ func fig16(cfg RunConfig) ([]Result, error) {
 		_, err = apps.FSM(bgCtx, g, 4, f16support, &run.Env{
 			Threads: cfg.Threads, Tracker: tr,
 			MemoryBudget: budget, SpillDir: dir, Predict: true,
-			ResidentCompression: cfg.ResidentCompression,
 		})
 		secs := time.Since(start).Seconds()
 		os.RemoveAll(dir)
@@ -400,7 +398,6 @@ func fig17(cfg RunConfig) ([]Result, error) {
 				opt := &run.Env{
 					Threads: cfg.Threads, Tracker: tr,
 					MemoryBudget: 1, SpillDir: dir, Predict: predict,
-					ResidentCompression: cfg.ResidentCompression,
 				}
 				if w.app == "motif" {
 					_, err := apps.MotifCount(bgCtx, g, 4, opt)
@@ -461,7 +458,6 @@ func sinks(cfg RunConfig) ([]Result, error) {
 		tr := memtrack.New()
 		err = w.run(&run.Env{
 			Threads: cfg.Threads, Tracker: tr, MemoryBudget: 1, SpillDir: dir,
-			ResidentCompression: cfg.ResidentCompression,
 		})
 		os.RemoveAll(dir)
 		if err != nil {
@@ -531,115 +527,6 @@ func compress(cfg RunConfig) ([]Result, error) {
 	res.Notes = append(res.Notes,
 		"logical MB is the raw word size of the spilled level parts, physical MB what their codec blocks occupy on disk; ratio = logical/physical",
 		"the codec is block-aligned with the sparse group index, so random access stays one block per probe")
-	return []Result{res}, nil
-}
-
-// resident measures the compressed-resident tier end-to-end: each workload
-// runs in-memory once to size a tight budget (half its tracked peak), then
-// under that budget with raw residency vs the compressed-mem tier. Raw runs
-// must spill level parts the budget cannot hold; compressed-resident runs
-// hold the same levels in in-memory codec blocks instead — fewer (ideally
-// zero) spilled parts, a ≥2x smaller physical resident peak than the
-// in-memory baseline, and results identical across all three runs.
-func resident(cfg RunConfig) ([]Result, error) {
-	res := Result{
-		ID:     "resident",
-		Title:  "compressed-resident tier under a tight budget (half the in-memory peak), synthetic power-law (4000 v, 16000 e)",
-		Header: []string{"Workload", "base peak MB", "budget MB", "raw spill", "raw peak MB", "raw t", "comp spill", "comp peak MB", "comp t", "peak ×"},
-	}
-	g, err := gen.PowerLaw(gen.Config{N: 4000, M: 16000, Alpha: 2.6, NumLabels: 8, LabelSkew: 0.7, Seed: 42})
-	if err != nil {
-		return nil, err
-	}
-	type wl struct {
-		name string
-		run  func(opt *run.Env) (uint64, error)
-	}
-	wls := []wl{
-		{"4-Clique", func(opt *run.Env) (uint64, error) { return apps.CliqueCount(bgCtx, g, 4, opt) }},
-		{"4-Motif", func(opt *run.Env) (uint64, error) {
-			pcs, err := apps.MotifCount(bgCtx, g, 4, opt)
-			if err != nil {
-				return 0, err
-			}
-			var total uint64
-			for _, pc := range pcs {
-				total += pc.Count
-			}
-			return total, nil
-		}},
-		{"3-FSM s=100", func(opt *run.Env) (uint64, error) {
-			pcs, err := apps.FSM(bgCtx, g, 3, 100, opt)
-			if err != nil {
-				return 0, err
-			}
-			var total uint64
-			for _, pc := range pcs {
-				total += pc.Support
-			}
-			return total + uint64(len(pcs))<<32, nil
-		}},
-	}
-	if cfg.Quick {
-		// 4-Clique's intermediate data is too small to pressure any budget;
-		// 4-Motif is the smallest workload that exercises the resident tier.
-		wls = wls[1:2]
-	}
-	for _, w := range wls {
-		var baseCount uint64
-		base := timed(func(tr *memtrack.Tracker) error {
-			v, err := w.run(&run.Env{Threads: cfg.Threads, Tracker: tr})
-			baseCount = v
-			return err
-		})
-		if base.skipped != "" {
-			return nil, fmt.Errorf("bench: %s in-memory baseline: %s", w.name, base.skipped)
-		}
-		budget := maxI64(base.peak/2, 1<<20)
-		var counts [2]uint64
-		var spills [2]run.SpillInfo
-		var times [2]measured
-		for i, rc := range []run.Compression{run.CompressionOff, run.CompressionAuto} {
-			dir, err := os.MkdirTemp(cfg.SpillDir, "resident")
-			if err != nil {
-				return nil, err
-			}
-			times[i] = timed(func(tr *memtrack.Tracker) error {
-				v, err := w.run(&run.Env{
-					Threads: cfg.Threads, Tracker: tr,
-					MemoryBudget: budget, SpillDir: dir,
-					ResidentCompression: rc, Spill: &spills[i],
-				})
-				counts[i] = v
-				return err
-			})
-			os.RemoveAll(dir)
-			if times[i].skipped != "" {
-				return nil, fmt.Errorf("bench: %s with resident compression=%d: %s", w.name, rc, times[i].skipped)
-			}
-		}
-		if counts[0] != baseCount || counts[1] != baseCount {
-			return nil, fmt.Errorf("bench: %s results diverge: base %d, raw %d, compressed-resident %d",
-				w.name, baseCount, counts[0], counts[1])
-		}
-		peakX := "-"
-		if times[1].peak > 0 {
-			peakX = fmt.Sprintf("%.2fx", float64(base.peak)/float64(times[1].peak))
-		}
-		res.Rows = append(res.Rows, []string{
-			w.name,
-			base.memCell(),
-			fmt.Sprintf("%.1f", float64(budget)/(1<<20)),
-			fmt.Sprintf("%d", spills[0].SpilledParts),
-			times[0].memCell(), times[0].timeCell(),
-			fmt.Sprintf("%d/%dc", spills[1].SpilledParts, spills[1].CompressedParts),
-			times[1].memCell(), times[1].timeCell(),
-			peakX,
-		})
-	}
-	res.Notes = append(res.Notes,
-		"all three runs of a row produce identical counts; spill columns count level parts (comp shows spilled/compressed)",
-		"peak × = in-memory baseline peak over the compressed-resident run's physical peak — the budget stretch of the resident tier (≥2x goal)")
 	return []Result{res}, nil
 }
 

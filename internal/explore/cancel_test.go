@@ -222,11 +222,6 @@ func TestFilterTopPromotesParts(t *testing.T) {
 		Threads:      4,
 		MemoryBudget: after2 + (after3-after2)/2, SpillDir: t.TempDir(),
 		Tracker: memtrack.New(),
-		// Raw residency only: half a level over budget has to reach disk.
-		// The compressed-mem tier would absorb an overshoot this small
-		// without spilling anything (the governor spills only what the
-		// overshoot requires), leaving no disk part to promote.
-		ResidentCompression: run.CompressionOff,
 	}})
 	if err != nil {
 		t.Fatal(err)

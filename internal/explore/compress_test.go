@@ -44,11 +44,7 @@ func TestCompressionPlacementConformance(t *testing.T) {
 		bytesAfter2 / 2, // heavy spill
 	}
 	for bi, budget := range budgets {
-		cfg := Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3,
-			// Pin raw residency: this test is about the placement
-			// of *spilled* bytes, so the compressed-mem tier must
-			// not absorb the contrived budget pressure.
-			ResidentCompression: run.CompressionOff}}
+		cfg := Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3}}
 		if budget > 0 {
 			cfg.MemoryBudget, cfg.SpillDir = budget, t.TempDir()
 		}
@@ -102,11 +98,12 @@ func TestCompressionPlacementConformance(t *testing.T) {
 	}
 }
 
-// TestPopTopPromotesCompressedParts: a level spilled under (external) memory
-// pressure keeps its compressed disk parts until the level above is popped;
-// PopTop must release the popped charge and promote the compressed parts
-// back to raw memory, leaving the data intact.
-func TestPopTopPromotesCompressedParts(t *testing.T) {
+// TestPopTopPromotesSpilledParts: a level spilled under (external) memory
+// pressure keeps its disk parts — codec blocks, physically smaller than
+// their logical size — until the level above is popped; PopTop must release
+// the popped charge and promote the spilled parts back to raw memory,
+// leaving the data intact.
+func TestPopTopPromotesSpilledParts(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	g := randomGraph(rng, 40, 160)
 	tr := memtrack.New()
@@ -121,7 +118,7 @@ func TestPopTopPromotesCompressedParts(t *testing.T) {
 	if err := e.InitVertices(nil); err != nil {
 		t.Fatal(err)
 	}
-	// External pressure forces the depth-3 build to spill compressed parts.
+	// External pressure forces the depth-3 build to spill.
 	tr.Alloc(2 << 30)
 	if err := e.Expand(bgCtx, nil, nil); err != nil {
 		t.Fatal(err)

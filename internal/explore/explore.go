@@ -91,7 +91,7 @@ type Explorer struct {
 	queue    *storage.WriteQueue
 	runDir   string // per-run spill subdirectory (concurrent runs may share SpillDir)
 	levelSeq int
-	// acct holds the cumulative spill/promote/compress counters; Close adds
+	// acct holds the cumulative spill/promote counters; Close adds
 	// the final placement snapshot and hands it to cfg.Spill.
 	acct   run.SpillInfo
 	ledger []int64 // tracker bytes charged per level
@@ -362,32 +362,6 @@ func (e *Explorer) SpilledBytes() int64 { return e.acct.SpilledBytes }
 // SpilledBytes.
 func (e *Explorer) SpilledBytesPhysical() int64 { return e.acct.SpilledBytesPhysical }
 
-// CompressedParts reports how many raw resident parts were squeezed into
-// compressed-mem blocks (cumulative): by the build governor under pressure
-// and by cold-level compaction after an Expand seals the previous top.
-// Parts promoted off disk into the compressed-mem tier are counted by
-// PromotedParts, not here.
-func (e *Explorer) CompressedParts() int { return e.acct.CompressedParts }
-
-// ResidentBytesLogical reports the raw word footprint the currently
-// memory-resident level data stands for — what Bytes would report if every
-// compressed-mem part were decompressed. The gap between the two is the
-// budget stretch the compressed-resident tier is buying right now.
-func (e *Explorer) ResidentBytesLogical() int64 {
-	if e.c == nil {
-		return 0
-	}
-	var b int64
-	for l := 1; l <= e.c.Depth(); l++ {
-		if h, ok := e.c.Level(l).(*storage.HybridLevel); ok {
-			b += h.ResidentBytesLogical()
-		} else {
-			b += e.c.Level(l).Bytes()
-		}
-	}
-	return b
-}
-
 // LevelStats reports the placement of every live level, base level first.
 func (e *Explorer) LevelStats() []run.LevelStat {
 	if e.c == nil {
@@ -396,11 +370,10 @@ func (e *Explorer) LevelStats() []run.LevelStat {
 	out := make([]run.LevelStat, e.c.Depth())
 	for i := range out {
 		l := e.c.Level(i + 1)
-		mp, cp, dp, db, dbp, rbl := levelPlacement(l)
+		mp, dp, db, dbp := levelPlacement(l)
 		out[i] = run.LevelStat{
 			Len: l.Len(), Groups: l.Groups(),
-			MemParts: mp, CompressedParts: cp, DiskParts: dp,
-			ResidentBytes: l.Bytes(), ResidentBytesLogical: rbl,
+			MemParts: mp, DiskParts: dp, ResidentBytes: l.Bytes(),
 			DiskBytes: db, DiskBytesPhysical: dbp,
 		}
 	}
@@ -409,11 +382,11 @@ func (e *Explorer) LevelStats() []run.LevelStat {
 
 // levelPlacement classifies a level's parts by residency; only the base
 // level is not part-structured.
-func levelPlacement(l cse.LevelData) (memParts, compressedParts, diskParts int, diskBytes, diskBytesPhysical, residentLogical int64) {
+func levelPlacement(l cse.LevelData) (memParts, diskParts int, diskBytes, diskBytesPhysical int64) {
 	if v, ok := l.(*storage.HybridLevel); ok {
-		return v.MemParts(), v.CompressedParts(), v.DiskParts(), v.DiskBytes(), v.DiskBytesPhysical(), v.ResidentBytesLogical()
+		return v.MemParts(), v.DiskParts(), v.DiskBytes(), v.DiskBytesPhysical()
 	}
-	return 1, 0, 0, 0, 0, l.Bytes()
+	return 1, 0, 0, 0
 }
 
 // promoteTop promotes disk-resident parts of top back to memory while the
@@ -425,7 +398,7 @@ func levelPlacement(l cse.LevelData) (memParts, compressedParts, diskParts int, 
 // a governor that is spilling under pressure. (The pressure flag itself is
 // not consulted: it is only kept current while a build runs.) Promotion is
 // gated on the raw resident cost of a part but ordered by its physical read
-// cost, so compressed parts promote first.
+// cost, so the parts whose files are smallest promote first.
 func (e *Explorer) promoteTop(top *storage.HybridLevel) error {
 	return e.promoteLevel(e.c.Depth(), top)
 }
@@ -450,30 +423,6 @@ func (e *Explorer) promoteLevel(l int, h *storage.HybridLevel) error {
 	return err
 }
 
-// compactColdLevel compresses the raw resident parts of the level an Expand
-// just buried under the new top. Sealed below the walker-stack top, that
-// level is henceforth only read through sequential cursors — where block
-// decode is nearly free — so with resident compression on it is squeezed
-// wholesale and the reclaimed bytes are returned to the shared budget for
-// the hotter levels above it.
-func (e *Explorer) compactColdLevel() {
-	if e.cfg.ResidentCompression == run.CompressionOff || e.cfg.MemoryBudget <= 0 {
-		return
-	}
-	l := e.c.Depth() - 1
-	if l < 1 {
-		return
-	}
-	h, ok := e.c.Level(l).(*storage.HybridLevel)
-	if !ok {
-		return
-	}
-	if n, _ := h.CompressResident(); n > 0 {
-		e.acct.CompressedParts += n
-		e.rechargeLevel(l, h.Bytes())
-	}
-}
-
 // promoteLevels promotes disk-resident parts of every live hybrid level, top
 // level first (its data is the hottest: the next expansion reads it), while
 // the shared budget watermark keeps headroom. Each promotion recomputes the
@@ -482,7 +431,7 @@ func (e *Explorer) compactColdLevel() {
 func (e *Explorer) promoteLevels() error {
 	for l := e.c.Depth(); l >= 1; l-- {
 		h, ok := e.c.Level(l).(*storage.HybridLevel)
-		if !ok || (h.DiskParts() == 0 && h.CompressedParts() == 0) {
+		if !ok || h.DiskParts() == 0 {
 			continue
 		}
 		if err := e.promoteLevel(l, h); err != nil {
@@ -523,7 +472,7 @@ func (e *Explorer) Close() error {
 	}
 	e.closed = true
 	if out := e.cfg.Spill; out != nil {
-		e.acct.ResidentBytesLogical, e.acct.Levels = e.ResidentBytesLogical(), e.LevelStats()
+		e.acct.Levels = e.LevelStats()
 		e.acct.IsoCalls = out.IsoCalls // the aggregator's counter, not ours
 		*out = e.acct
 	}

@@ -39,10 +39,6 @@ func TestPartialSpillBetweenLevelSizes(t *testing.T) {
 	hy, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
 		Threads:      4,
 		MemoryBudget: budget, SpillDir: t.TempDir(),
-		// Raw residency only: the test pins the partial *disk* spill a
-		// between-levels budget forces, which resident compression would
-		// otherwise absorb in memory.
-		ResidentCompression: run.CompressionOff,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@ package explore
 // final expansion happens inside the Mapper; the sinks generalize that trick
 // to every application).
 //
-//	StoreSink — today's Expand: build level k+1 (each part's raw, compressed
-//	            or disk placement decided by the budget governor) and push it.
+//	StoreSink — today's Expand: build level k+1 (each part's raw or disk
+//	            placement decided by the budget governor) and push it.
 //	CountSink — per-worker counters; nothing is written. CliqueCount's
 //	            final expansion.
 //	VisitSink — per-worker (emb, cand) callback; the engine primitive under
@@ -97,9 +97,7 @@ func (s *StoreSink) finish(e *Explorer) error {
 		e.acct.SpilledBytes += lvl.DiskBytes()
 		e.acct.SpilledBytesPhysical += lvl.DiskBytesPhysical()
 	}
-	e.acct.CompressedParts += lvl.CompressedParts() // parts the governor squeezed during this build
 	e.charge(lvl.Bytes())
-	e.compactColdLevel()
 	if s.parents > 0 {
 		e.prevFanout, e.lastFanout = e.lastFanout, float64(lvl.Len())/float64(s.parents)
 	}

@@ -253,9 +253,6 @@ func TestFilterTopHybridInPlace(t *testing.T) {
 		Threads:      4,
 		MemoryBudget: after2 + (after3-after2)/2, SpillDir: t.TempDir(),
 		Tracker: memtrack.New(),
-		// Raw residency only: the disk-part bookkeeping below assumes the
-		// contrived budget forces real disk parts.
-		ResidentCompression: run.CompressionOff,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -41,14 +41,6 @@ type Env struct {
 	// partitions in the next iteration.
 	Predict bool
 
-	// ResidentCompression is the residency policy of a budgeted run. With the
-	// zero value (CompressionAuto) the governor squeezes the largest raw
-	// resident parts into in-memory codec blocks before resorting to disk,
-	// levels sealed below the walker-stack top are compacted wholesale, and
-	// promotions off disk land compressed; CompressionOff keeps every resident
-	// part raw. Unbudgeted runs never compress residents.
-	ResidentCompression Compression
-
 	// FS is the filesystem the spill path goes through. nil means the real
 	// one (vfs.OS); tests and fault campaigns inject a vfs.FaultFS here.
 	FS vfs.FS
@@ -82,19 +74,6 @@ func (e *Env) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Compression switches the compressed-mem residency tier on or off. It is a
-// placement policy, not a format: whatever reaches disk is always v2 codec
-// blocks.
-type Compression int
-
-const (
-	// CompressionAuto (the zero value) enables the tier.
-	CompressionAuto Compression = iota
-	// CompressionOff keeps every memory-resident part raw: residency is
-	// two-state, raw or disk.
-	CompressionOff
-)
-
 // IsoAlgo selects the isomorphism backend of the pattern aggregation phase.
 type IsoAlgo int
 
@@ -123,18 +102,10 @@ type SpillInfo struct {
 	// PromotedParts counts disk parts promoted back to memory after an
 	// in-place filter or a pop left the (shared) budget with headroom.
 	PromotedParts int
-	// CompressedParts counts raw resident parts squeezed into
-	// compressed-mem blocks (by the build governor under pressure and by
-	// cold-level compaction).
-	CompressedParts int
 	// SpilledBytes is the logical size (raw word bytes) of the spilled
 	// parts; SpilledBytesPhysical is what their codec blocks occupied on
 	// disk.
 	SpilledBytes, SpilledBytesPhysical int64
-	// ResidentBytesLogical is the raw word footprint the memory-resident
-	// level data stood for at run end — larger than the tracked resident
-	// bytes when compressed-mem parts were live.
-	ResidentBytesLogical int64
 	// Levels is the final placement snapshot of the run's live CSE levels
 	// (base level first), taken just before the explorer released them — the
 	// per-level view a metrics endpoint can report after the run is gone.
@@ -148,18 +119,13 @@ type SpillInfo struct {
 // LevelStat describes the storage placement of one live CSE level.
 type LevelStat struct {
 	Len, Groups int
-	// MemParts counts the memory-resident parts holding data (raw or
-	// compressed): the parts the level was built in, whether or not the run
-	// has a budget (the base level, a plain unit list, counts as one).
-	MemParts int
-	// CompressedParts is the compressed-mem subset of MemParts.
-	CompressedParts int
-	DiskParts       int   // disk-resident parts
-	ResidentBytes   int64 // in-memory footprint (arrays + sparse indexes)
-	// ResidentBytesLogical is the raw word footprint the resident parts
-	// stand for — equal to ResidentBytes when none are compressed.
-	ResidentBytesLogical int64
-	DiskBytes            int64 // logical on-disk footprint (raw word size)
+	// MemParts counts the memory-resident parts holding data: the parts the
+	// level was built in, whether or not the run has a budget (the base
+	// level, a plain unit list, counts as one).
+	MemParts      int
+	DiskParts     int   // disk-resident parts
+	ResidentBytes int64 // in-memory footprint (arrays + sparse indexes)
+	DiskBytes     int64 // logical on-disk footprint (raw word size)
 	// DiskBytesPhysical is the bytes the disk parts' codec blocks actually
 	// occupy.
 	DiskBytesPhysical int64

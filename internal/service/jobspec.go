@@ -14,9 +14,9 @@ import (
 // JobSpec is the wire description of one mining job — the single encoding
 // shared by the kaleidod HTTP API and the kaleido CLI flags, so a flag added
 // to one cannot silently drift from the other. The zero value of every field
-// means "default"; the tri-state knobs (Predict, CompressResident)
-// use *bool so that an absent JSON field and an explicit false are
-// distinguishable, matching the CLI flags that default to true.
+// means "default"; the tri-state knob Predict uses *bool so that an absent
+// JSON field and an explicit false are distinguishable, matching the CLI
+// flag that defaults to true.
 type JobSpec struct {
 	// App selects the application: "tc", "clique", "motif" or "fsm".
 	App string `json:"app"`
@@ -40,10 +40,8 @@ type JobSpec struct {
 	// SpillDir receives spilled level parts of a standalone budgeted run
 	// (daemon jobs spill into the engine's directory).
 	SpillDir string `json:"spill_dir,omitempty"`
-	// Predict and CompressResident gate the §4.2 predictor and the
-	// compressed-resident tier. nil means on.
-	Predict          *bool `json:"predict,omitempty"`
-	CompressResident *bool `json:"compress_resident,omitempty"`
+	// Predict gates the §4.2 predictor. nil means on.
+	Predict *bool `json:"predict,omitempty"`
 	// Iso selects the isomorphism backend: "eigen" (default), "bliss" or
 	// "exact".
 	Iso string `json:"iso,omitempty"`
@@ -151,9 +149,6 @@ func (s *JobSpec) Config() (kaleido.Config, error) {
 		Shards:  s.Shards,
 		Predict: boolOr(s.Predict, true),
 		Iso:     iso,
-	}
-	if !boolOr(s.CompressResident, true) {
-		cfg.ResidentCompression = kaleido.CompressionOff
 	}
 	if s.Budget != "" {
 		b, err := ParseBytes(s.Budget)

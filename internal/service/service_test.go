@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,12 +70,12 @@ func TestJobSpecValidate(t *testing.T) {
 // defaulted knobs are omitted, and decode(encode(spec)) is the identity.
 func TestJobSpecRoundTrip(t *testing.T) {
 	off := false
-	spec := JobSpec{App: "fsm", K: 3, Support: 7, Dataset: "mico", CompressResident: &off, TopK: 5}
+	spec := JobSpec{App: "fsm", K: 3, Support: 7, Dataset: "mico", Predict: &off, TopK: 5}
 	b, err := json.Marshal(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(b, []byte("predict")) {
+	if bytes.Contains(b, []byte("threads")) || bytes.Contains(b, []byte("iso")) {
 		t.Fatalf("defaulted knobs leaked into the encoding: %s", b)
 	}
 	var back JobSpec
@@ -82,15 +83,19 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.App != spec.App || back.K != spec.K || back.Support != spec.Support ||
-		back.TopK != spec.TopK || back.CompressResident == nil || *back.CompressResident {
+		back.TopK != spec.TopK || back.Predict == nil || *back.Predict {
 		t.Fatalf("round trip mangled the spec: %+v", back)
 	}
 	cfg, err := back.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ResidentCompression != kaleido.CompressionOff || !cfg.Predict {
-		t.Fatalf("tri-state knobs resolved wrong: %+v", cfg)
+	if cfg.Predict {
+		t.Fatalf("tri-state knob resolved wrong: %+v", cfg)
+	}
+	var dflt JobSpec
+	if cfg, err := dflt.Config(); err != nil || !cfg.Predict {
+		t.Fatalf("absent predict resolved to %+v, %v; want on", cfg, err)
 	}
 }
 
@@ -550,5 +555,46 @@ func TestServiceDrainCancels(t *testing.T) {
 	}
 	if files := spillFiles(t, spill); len(files) != 0 {
 		t.Fatalf("spill files survived the forced drain: %v", files)
+	}
+}
+
+// TestSubmitRefusesBadBodies: the submit route decodes strictly and boundedly.
+// A spec carrying a field the server does not know — here compress_resident,
+// a knob that no longer exists — is a 400 naming the unknown field, not a
+// silent accept; a body past the 1 MiB cap is refused without being read
+// whole; and neither leaves the server unable to take the next valid job.
+func TestSubmitRefusesBadBodies(t *testing.T) {
+	path := writeGraphFile(t)
+	srv := NewServer(&kaleido.Engine{}, "", 2)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	post := func(body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	graph, _ := json.Marshal(path)
+	if code, msg := post([]byte(`{"app":"tc","graph":` + string(graph) + `,"compress_resident":false}`)); code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") {
+		t.Fatalf("spec with compress_resident: HTTP %d %q, want 400 naming the unknown field", code, msg)
+	}
+	huge := []byte(`{"app":"tc","graph":"` + strings.Repeat("a", maxSpecBytes) + `"}`)
+	if code, msg := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte spec: HTTP %d %q, want 413", len(huge), code, msg)
+	}
+	if n := len(srv.Jobs()); n != 0 {
+		t.Fatalf("refused specs registered %d jobs", n)
+	}
+	job := postJob(t, ts.URL, JobSpec{App: "tc", GraphPath: path})
+	if job = waitJob(t, ts.URL, job.ID); job.State != StateDone {
+		t.Fatalf("valid job after the refusals: %s (%s)", job.State, job.Error)
 	}
 }

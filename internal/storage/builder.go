@@ -37,7 +37,6 @@ type HybridLevelBuilder struct {
 	queue     *WriteQueue
 	blockSize int // prefetch block size handed to the level; 0 = DefaultBlockSize (tests shrink it)
 	tracker   *memtrack.Tracker
-	rcompress bool
 	fs        vfs.FS
 	gov       governor
 	parts     []hybridPartWriter
@@ -46,26 +45,18 @@ type HybridLevelBuilder struct {
 
 // NewHybridLevelBuilder creates the level builder of one run; Reset arms it
 // for a build. env supplies what the run configured once — the filesystem the
-// spill files live on, the tracker, the residency policy — and the remaining
-// arguments are the run-scoped resources its explorer owns. dir and the part
-// files in it are created lazily, only when a part actually migrates (a build
-// that cannot migrate may pass a nil queue), and the files always hold v2
-// codec blocks. pressure, when non-nil, is an external back-pressure flag
+// spill files live on and the tracker — and the remaining arguments are the
+// run-scoped resources its explorer owns. dir and the part files in it are
+// created lazily, only when a part actually migrates (a build that cannot
+// migrate may pass a nil queue), and the files always hold v2 codec blocks. pressure, when non-nil, is an external back-pressure flag
 // (e.g. a memtrack high-water callback): while set, the governor spills as if
 // the budget were exhausted. A positive pressureLimit tells the governor how
 // far the tracker's live bytes have to come down, so it sheds flushed parts
 // only as far as the overshoot requires (parts still growing spill
 // regardless) and clears the flag once live is back under the limit — a
-// transient spike does not condemn the whole level to disk. With
-// env.ResidentCompression on, the governor under pressure squeezes the
-// largest flushed raw parts into resident codec blocks before resorting to
-// disk spill, and the finished level keeps compressed residents (promotions
-// land compressed).
+// transient spike does not condemn the whole level to disk.
 func NewHybridLevelBuilder(env *run.Env, dir string, q *WriteQueue, pressure *atomic.Bool, pressureLimit int64) *HybridLevelBuilder {
-	b := &HybridLevelBuilder{
-		dir: dir, queue: q, tracker: env.Tracker,
-		rcompress: env.ResidentCompression != run.CompressionOff, fs: vfs.OrOS(env.FS),
-	}
+	b := &HybridLevelBuilder{dir: dir, queue: q, tracker: env.Tracker, fs: vfs.OrOS(env.FS)}
 	b.gov.pressure = pressure
 	b.gov.pressureLimit = pressureLimit
 	b.gov.tracker = env.Tracker
@@ -92,9 +83,6 @@ func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
 		p := &b.parts[i]
 		p.b, p.idx = b, i
 		p.verts, p.counts = nil, nil
-		p.cverts, p.ccnts, p.rcomp, p.rchunkCum = nil, nil, nil, nil
-		p.cnumVerts, p.cnumGroups = 0, 0
-		p.rcompressed.Store(false)
 		p.bytes.Store(0)
 		// All-disk regime: nothing fits, so skip the pointless memory stay —
 		// the first append migrates with an empty replay.
@@ -119,15 +107,6 @@ type hybridPartWriter struct {
 	// Memory stage (owner-only until flushed).
 	verts  []uint32
 	counts []uint32
-
-	// Compressed-resident stage: the governor squeezed the flushed raw
-	// arrays into codec blocks (see compressResident). rcompressed records
-	// the attempt; rcomp != nil records that it actually took.
-	cverts, ccnts         []byte
-	rcomp                 *partComp
-	rchunkCum             []uint64
-	cnumVerts, cnumGroups int
-	rcompressed           atomic.Bool
 
 	// Placement control.
 	bytes     atomic.Int64 // resident bytes charged to the governor
@@ -250,32 +229,6 @@ func (p *hybridPartWriter) charge() {
 	}
 }
 
-// compressResident squeezes a flushed, still-raw part writer into encoded
-// codec blocks in place — the governor's step before any disk spill. Only
-// the governor calls this, and only after the owner's Flush, so the raw
-// arrays are quiescent. The attempt is recorded even when the part is
-// incompressible, so the governor does not retry it forever.
-func (p *hybridPartWriter) compressResident() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.migrated || p.rcompressed.Load() {
-		return
-	}
-	p.rcompressed.Store(true)
-	cverts, ccnts, comp, chunkCum, now := encodePart(p.verts, p.counts)
-	old := p.bytes.Load()
-	if now >= old {
-		return // incompressible; the spill path can still take it
-	}
-	p.cnumVerts, p.cnumGroups = len(p.verts), len(p.counts)
-	p.cverts, p.ccnts, p.rcomp, p.rchunkCum = cverts, ccnts, comp, chunkCum
-	poolPutU32(p.verts)
-	poolPutU32(p.counts)
-	p.verts, p.counts = nil, nil
-	p.bytes.Store(now)
-	p.b.gov.noteFree(old - now)
-}
-
 // migrate drains the part's accumulated memory data to freshly created part
 // files through the write queue and switches the part to disk appends.
 func (p *hybridPartWriter) migrate() error {
@@ -295,29 +248,17 @@ func (p *hybridPartWriter) migrate() error {
 		return err
 	}
 	p.dw = newDiskPartWriter(b.queue, vf, cf)
-	if p.rcomp != nil {
-		// The part was governor-compressed after its Flush: the resident
-		// blocks ARE the on-disk format, so stream the bytes out verbatim
-		// and adopt the directory. No appends follow a Flush, so the writer
-		// never extends these files.
-		p.dw.comp = p.rcomp
-		p.dw.vbuf = appendQueueBytes(b.queue, vf, p.dw.vbuf, p.cverts)
-		p.dw.cbuf = appendQueueBytes(b.queue, cf, p.dw.cbuf, p.ccnts)
-		p.dw.numVerts, p.dw.numGroups, p.dw.chunkCum = p.cnumVerts, p.cnumGroups, p.rchunkCum
-		p.cverts, p.ccnts, p.rcomp, p.rchunkCum = nil, nil, nil, nil
-	} else {
-		// Bulk-drain the accumulated arrays (no per-group bookkeeping — this
-		// runs on the critical path of whichever worker triggered the
-		// migration): full codec blocks are sealed, the partial tails stay
-		// open in the writer, so later appends extend the same blocks.
-		p.dw.appendVerts(p.verts)
-		for _, c := range p.counts {
-			p.dw.appendCnt(c)
-		}
-		poolPutU32(p.verts)
-		poolPutU32(p.counts)
-		p.verts, p.counts = nil, nil
+	// Bulk-drain the accumulated arrays (no per-group bookkeeping — this runs
+	// on the critical path of whichever worker triggered the migration): full
+	// codec blocks are sealed, the partial tails stay open in the writer, so
+	// later appends extend the same blocks.
+	p.dw.appendVerts(p.verts)
+	for _, c := range p.counts {
+		p.dw.appendCnt(c)
 	}
+	poolPutU32(p.verts)
+	poolPutU32(p.counts)
+	p.verts, p.counts = nil, nil
 	// Free what was charged. The bytes the owner appended since its last
 	// charge never were, so they are dropped, not freed.
 	b.gov.noteFree(p.bytes.Swap(0))
@@ -336,7 +277,7 @@ func (p *hybridPartWriter) migrate() error {
 func (p *hybridPartWriter) Flush() error {
 	p.acc.Flush()
 	// Charge the tail before publishing the flush: from then on the governor
-	// may compress or migrate the part, and either frees all of its bytes.
+	// may migrate the part, which frees all of its bytes.
 	p.charge()
 	p.flushed.Store(true)
 	if p.spillReq.Load() {
@@ -376,7 +317,7 @@ func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 			return nil, err
 		}
 	}
-	h := &HybridLevel{blockSize: b.blockSize, tracker: b.tracker, fs: b.fs, rcomp: b.rcompress}
+	h := &HybridLevel{blockSize: b.blockSize, tracker: b.tracker, fs: b.fs}
 	sawPred, sawPlainNonEmpty := false, false
 	for i := range b.parts {
 		p := &b.parts[i]
@@ -391,12 +332,6 @@ func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 			}
 			hp.vf, hp.cf, hp.chunkCum, hp.comp = p.dw.vf, p.dw.cf, p.dw.chunkCum, p.dw.comp
 			hp.numVerts, hp.numGroups = p.dw.numVerts, p.dw.numGroups
-		} else if p.rcomp != nil {
-			// Governor-compressed resident part: hand the encoded blocks and
-			// their directory straight to the level.
-			hp.cverts, hp.ccnts, hp.comp, hp.chunkCum = p.cverts, p.ccnts, p.rcomp, p.rchunkCum
-			hp.numVerts, hp.numGroups = p.cnumVerts, p.cnumGroups
-			p.cverts, p.ccnts, p.rcomp, p.rchunkCum = nil, nil, nil, nil
 		} else {
 			hp.verts = p.verts
 			p.verts = nil // owned by the level now; recycled at its Close

@@ -8,10 +8,9 @@ import (
 	"math/bits"
 )
 
-// Encoded parts — spilled to disk or compressed in memory, byte for byte the
-// same — are a sequence of self-delimiting blocks of codecBlockVals values
-// each (the last block of a stream may hold fewer). This is the only spill
-// format:
+// Spilled parts are a sequence of self-delimiting blocks of codecBlockVals
+// values each (the last block of a stream may hold fewer). This is the only
+// spill format:
 //
 //	[1 byte version][uvarint count][uvarint payloadLen][4-byte LE CRC32C][payload]
 //
@@ -56,9 +55,9 @@ const (
 // measurable cost against the ±3% throughput guard.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// partComp is the block directory of one encoded part: the physical offset —
-// into the part's file or its resident byte slice — where each block starts,
-// plus the physical stream sizes. Logical offsets are implicit — block b
+// partComp is the block directory of one spilled part: the physical offset
+// into the part's file where each block starts, plus the physical stream
+// sizes. Logical offsets are implicit — block b
 // covers values [b·codecBlockVals, ...) — so the directory is what gives the
 // cursors and the random-access probes block-granular seeks.
 type partComp struct {
@@ -491,9 +490,8 @@ func decodeCntPayload(payload []byte, dst []uint32) error {
 }
 
 // decodeAllBlocks decodes a complete sequence of codec blocks from buf into
-// dst, whose length must equal the sequence's logical value count. name
-// labels corruption errors — a file path or memBlockPath for resident
-// blocks.
+// dst, whose length must equal the sequence's logical value count. name, the
+// file the bytes were read from, labels corruption errors.
 func decodeAllBlocks(buf []byte, vert bool, dst []uint32, name string) error {
 	blk := make([]uint32, codecBlockVals)
 	pos, got, b := 0, 0, 0

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
@@ -184,5 +186,94 @@ func TestCompressedRatioAndAccounting(t *testing.T) {
 	}
 	if _, w := tracker.IOTotals(); w != phys {
 		t.Fatalf("write bytes = %d, want physical %d", w, phys)
+	}
+}
+
+// FuzzDecodeCodecBlock feeds arbitrary bytes to the block decoder. Every byte
+// it decodes was read from a spill file, so it is untrusted input: for any
+// bytes the decoder must not panic, must consume no more than it was given
+// and return at most codecBlockVals values, and whatever values it accepts
+// must encode and decode back to themselves. The input is decoded twice: as
+// it is, and framed as the payload of a block with a correct checksum (its
+// first two bytes pick the value count), so the payload decoders are reached
+// without the fuzzer having to forge a CRC. The seeds are real vert and cnt
+// blocks (runs, noise, extremes, a full block), their truncations, a bumped
+// version byte and single bit flips in the header, checksum and payload.
+func FuzzDecodeCodecBlock(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	run := make([]uint32, 300)
+	for i := range run {
+		run[i] = 1000 + uint32(i)*3 + uint32(rng.Intn(3))
+	}
+	noise := make([]uint32, 61)
+	for i := range noise {
+		noise[i] = rng.Uint32()
+	}
+	extremes := []uint32{0, math.MaxUint32, 0, math.MaxUint32, 1, math.MaxUint32 - 1, 0}
+	full := make([]uint32, codecBlockVals)
+	for i := range full {
+		full[i] = uint32(i * 7)
+	}
+	var scratch []byte
+	for _, vals := range [][]uint32{nil, {42}, run, noise, extremes, full} {
+		for _, vert := range []bool{true, false} {
+			enc := encodeBlock(vals, vert, &scratch)
+			f.Add(enc, vert)
+			f.Add(enc, !vert)
+			f.Add(enc[:len(enc)/2], vert)
+			f.Add(enc[:len(enc)-1], vert)
+			bumped := append([]byte(nil), enc...)
+			bumped[0]++
+			f.Add(bumped, vert)
+			for _, at := range []int{1, len(enc) / 2, len(enc) - 1} {
+				flipped := append([]byte(nil), enc...)
+				flipped[at] ^= 1 << (at % 8)
+				f.Add(flipped, vert)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, buf []byte, vert bool) {
+		checkDecode(t, buf, vert)
+		if len(buf) >= 2 {
+			count := int(binary.LittleEndian.Uint16(buf)) % (codecBlockVals + 1)
+			payload := buf[2:]
+			framed := []byte{codecVersion}
+			framed = binary.AppendUvarint(framed, uint64(count))
+			framed = binary.AppendUvarint(framed, uint64(len(payload)))
+			framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(payload, castagnoli))
+			checkDecode(t, append(framed, payload...), vert)
+		}
+	})
+}
+
+// encodeBlock encodes vals as one framed vert or cnt block.
+func encodeBlock(vals []uint32, vert bool, scratch *[]byte) []byte {
+	if vert {
+		return appendVertBlock(nil, vals, scratch)
+	}
+	return appendCntBlock(nil, vals, scratch)
+}
+
+// checkDecode decodes buf and checks the fuzz properties.
+func checkDecode(t *testing.T, buf []byte, vert bool) {
+	t.Helper()
+	vals, consumed, err := decodeCodecBlock(buf, vert, make([]uint32, codecBlockVals))
+	if consumed < 0 || consumed > len(buf) {
+		t.Fatalf("consumed %d of %d bytes", consumed, len(buf))
+	}
+	if len(vals) > codecBlockVals {
+		t.Fatalf("decoded %d values, a block holds at most %d", len(vals), codecBlockVals)
+	}
+	if err != nil || consumed == 0 {
+		return
+	}
+	var scratch []byte
+	enc := encodeBlock(vals, vert, &scratch)
+	again, n, err := decodeCodecBlock(enc, vert, make([]uint32, codecBlockVals))
+	if err != nil || n != len(enc) {
+		t.Fatalf("re-encoded block of %d values: consumed %d of %d, %v", len(vals), n, len(enc), err)
+	}
+	if !reflect.DeepEqual(append([]uint32{}, again...), append([]uint32{}, vals...)) {
+		t.Fatalf("values do not survive a re-encode: %v -> %v", vals, again)
 	}
 }

@@ -18,20 +18,19 @@ import (
 type layout struct {
 	name   string
 	budget int64               // builder watermark; ≤ 0 is the all-disk regime
-	at     func(part int) byte // 'r' raw, 'c' compressed-mem, 'd' disk (forced spill)
-	rcomp  run.Compression     // the level's resident-compression policy (zero value: on)
+	at     func(part int) byte // 'r' raw, 'd' disk (forced spill), 'p' spilled then promoted back to raw
 	bare   bool                // no spill dir, no write queue, no tracker: the build may need none
 }
 
 var (
-	layoutRaw   = layout{name: "raw", budget: 1 << 40, at: func(int) byte { return 'r' }}
-	layoutComp  = layout{name: "compressed-mem", budget: 1 << 40, at: func(int) byte { return 'c' }}
-	layoutDisk  = layout{name: "disk", budget: 0, at: func(int) byte { return 'd' }}
-	layoutMixed = layout{name: "mixed", budget: 1 << 40, at: func(i int) byte { return "drc"[i%3] }}
+	layoutRaw      = layout{name: "raw", budget: 1 << 40, at: func(int) byte { return 'r' }}
+	layoutPromoted = layout{name: "promoted", budget: 1 << 40, at: func(int) byte { return 'p' }}
+	layoutDisk     = layout{name: "disk", budget: 0, at: func(int) byte { return 'd' }}
+	layoutMixed    = layout{name: "mixed", budget: 1 << 40, at: func(i int) byte { return "drp"[i%3] }}
 	// An unbudgeted run: the watermark is out of reach, so nothing the spill
 	// path needs is even there.
 	layoutUnbudgeted = layout{name: "unbudgeted", budget: math.MaxInt64, at: func(int) byte { return 'r' }, bare: true}
-	layouts          = []layout{layoutRaw, layoutComp, layoutDisk, layoutMixed, layoutUnbudgeted}
+	layouts          = []layout{layoutRaw, layoutPromoted, layoutDisk, layoutMixed, layoutUnbudgeted}
 )
 
 // buildLevels lays the same groups, split into nparts contiguous ranges, out
@@ -54,11 +53,11 @@ func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPre
 		dir = t.TempDir()
 	}
 	ml := &cse.MemLevel{Offs: []uint64{0}}
-	hb := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker, ResidentCompression: lay.rcomp}, dir, q, nil, 0)
+	hb := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker}, dir, q, nil, 0)
 	hb.Reset(2, nparts, lay.budget)
 	hb.blockSize = 128
 	for i := 0; i < nparts; i++ {
-		if lay.at(i) == 'd' {
+		if at := lay.at(i); at == 'd' || at == 'p' {
 			hb.parts[i].spillReq.Store(true)
 		}
 	}
@@ -96,8 +95,10 @@ func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPre
 	}
 	t.Cleanup(func() { hl.Close() })
 	for i := 0; i < nparts; i++ {
-		if lay.at(i) == 'c' {
-			hl.CompressPart(i)
+		if lay.at(i) == 'p' {
+			if err := hl.takeOffDisk(i); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return ml, hl, tracker
@@ -169,12 +170,12 @@ func around(seams []int, limit int) []int {
 
 // TestConformance is the LevelData conformance property: the same random
 // groups laid out as a MemLevel (the reference) and built as a hybrid level
-// in each residency — all raw, all compressed-mem, all disk (budget ≤ 0),
-// mixed, and all raw with nothing of the spill path present (unbudgeted) —
-// must agree on every operation. Sequential cursors are compared from every
-// start offset that straddles a part seam, a codec-block seam or a CntChunk
-// seam; random access at those offsets plus a stride over the whole level
-// (every index on the small shapes).
+// in each residency — all raw, all disk (budget ≤ 0), all spilled and
+// promoted back to raw, mixed, and all raw with nothing of the spill path
+// present (unbudgeted) — must agree on every operation. Sequential cursors
+// are compared from every start offset that straddles a part seam, a
+// codec-block seam or a CntChunk seam; random access at those offsets plus a
+// stride over the whole level (every index on the small shapes).
 func TestConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	type shape struct {
@@ -207,14 +208,11 @@ func TestConformance(t *testing.T) {
 			t.Run(sh.name+"/"+lay.name, func(t *testing.T) {
 				ml, hl, _ := buildLevels(t, nil, sh.groups, sh.nparts, sh.pred, lay)
 				checkConforms(t, ml, hl, base(ml.Groups()))
-				if lay.name == "compressed-mem" && len(sh.groups) > 1000 && hl.CompressedParts() != hl.MemParts() {
-					t.Fatalf("%d of %d parts compressed", hl.CompressedParts(), hl.MemParts())
-				}
 				if lay.name == "disk" && hl.MemParts() != 0 {
 					t.Fatalf("budget ≤ 0 left %d parts in memory", hl.MemParts())
 				}
-				if lay.bare && hl.DiskParts()+hl.CompressedParts() != 0 {
-					t.Fatalf("no budget, yet %d disk and %d compressed parts", hl.DiskParts(), hl.CompressedParts())
+				if (lay.bare || lay.name == "promoted") && hl.DiskParts() != 0 {
+					t.Fatalf("%s: %d parts on disk", lay.name, hl.DiskParts())
 				}
 			})
 		}

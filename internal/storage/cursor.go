@@ -31,14 +31,12 @@ func (c *byteCarry) add(raw []byte) {
 	c.buf = append(c.buf, raw...)
 }
 
-// codecBlocks is the one decoder of encoded parts: it streams a value range
-// of one part's vert or cnt stream by decoding whole codec blocks into a
-// reused buffer, dropping the leading values of the first block (the range
-// may start mid-block — block granularity of the directory) and trimming
-// the tail. The encoded bytes come from one of two sources: a compressed-mem
-// part hands its resident bytes over once (src == nil; the carry aliases
-// them and, never being refilled, never writes to them), a disk part is read
-// through a prefetching blockStream whose windows the carry reassembles.
+// codecBlocks is the one decoder of disk parts: it streams a value range of
+// one part's vert or cnt file by decoding whole codec blocks into a reused
+// buffer, dropping the leading values of the first block (the range may
+// start mid-block — block granularity of the directory) and trimming the
+// tail. The bytes have one source: a prefetching blockStream over the file
+// span, whose windows the carry reassembles.
 type codecBlocks struct {
 	vert      bool
 	src       *blockStream
@@ -47,9 +45,9 @@ type codecBlocks struct {
 	skip      int
 	remaining int
 	err       error
-	// path and blk locate decode failures — the file (or memBlockPath) and
-	// the block index within the part's stream — for the CorruptError a bad
-	// block surfaces as.
+	// path and blk locate decode failures — the file and the block index
+	// within the part's stream — for the CorruptError a bad block surfaces
+	// as.
 	path string
 	blk  int
 
@@ -58,21 +56,15 @@ type codecBlocks struct {
 	out []uint64
 }
 
-// start points the decoder at values [from, from+n) of encoded part p's vert
-// or cnt stream. The previous source must be closed; the decode buffers are
-// kept.
+// start points the decoder at values [from, from+n) of disk part p's vert or
+// cnt stream. The previous stream must be closed (which empties the carry);
+// the decode buffers are kept.
 func (c *codecBlocks) start(h *HybridLevel, p *hybridPart, vert bool, from, n int) {
 	b0 := from / codecBlockVals
 	b1 := (from + n - 1) / codecBlockVals
-	f, off, end, res := p.span(vert, b0, b1)
-	if p.onDisk() {
-		c.src = newBlockStream([]fileSpan{{f: f, off: off, n: end - off}}, h.blockSize, h.tracker)
-		c.carry = byteCarry{}
-		c.path = f.Name()
-	} else {
-		c.carry = byteCarry{buf: res}
-		c.path = memBlockPath
-	}
+	f, off, end := p.span(vert, b0, b1)
+	c.src = newBlockStream([]fileSpan{{f: f, off: off, n: end - off}}, h.blockSize, h.tracker)
+	c.path = f.Name()
 	if c.dec == nil {
 		c.dec = make([]uint32, codecBlockVals)
 	}
@@ -112,18 +104,16 @@ func (c *codecBlocks) next() ([]uint32, bool) {
 }
 
 // fill pulls the next prefetch window into the carry. Running out of bytes
-// with values still owed means the stream is shorter than the directory
-// promised: resident bytes have no more to give, a file's end is truncation.
+// with values still owed means the file is shorter than the directory
+// promised: truncation.
 func (c *codecBlocks) fill() {
-	if c.src != nil {
-		if raw, ok := c.src.nextBlock(); ok {
-			c.carry.add(raw)
-			return
-		}
-		if err := c.src.Err(); err != nil {
-			c.err = locateCorrupt(err, c.path, c.blk) // the file ends mid-window
-			return
-		}
+	if raw, ok := c.src.nextBlock(); ok {
+		c.carry.add(raw)
+		return
+	}
+	if err := c.src.Err(); err != nil {
+		c.err = locateCorrupt(err, c.path, c.blk) // the file ends mid-window
+		return
 	}
 	c.err = corruptAt(c.path, c.blk, fmt.Errorf("truncated block stream (%d values missing)", c.remaining))
 }
@@ -149,9 +139,8 @@ func (c *codecBlocks) nextBounds() ([]uint64, bool) {
 	return out, true
 }
 
-// close stops the prefetch goroutine of a file source, if any, and lets go
-// of the part's resident bytes; the decode buffers are kept for the next
-// start.
+// close stops the prefetch goroutine, if a stream is open, and drops the
+// carried bytes; the decode buffers are kept for the next start.
 func (c *codecBlocks) close() {
 	if c.src != nil {
 		c.src.Close()
@@ -169,7 +158,7 @@ var (
 )
 
 // VertBlocks implements cse.LevelData: raw parts contribute zero-copy
-// sub-slices, encoded parts whole decoded codec blocks, stitched across part
+// sub-slices, disk parts whole decoded codec blocks, stitched across part
 // seams in one stream.
 func (h *HybridLevel) VertBlocks(lo, hi int) cse.VertBlockCursor {
 	c := vertCursorPool.Get().(*hybridVertBlocks)
@@ -226,7 +215,7 @@ func (c *hybridVertBlocks) NextBlock() ([]uint32, bool) {
 		}
 		take := min(c.end, pEnd) - c.next
 		from := c.next - p.vertBase
-		if p.raw() {
+		if !p.onDisk() {
 			c.next += take
 			c.pi++
 			return p.verts[from : from+take], true
@@ -281,7 +270,7 @@ func (c *hybridBoundBlocks) NextBlock() ([]uint64, bool) {
 			c.pi++
 			continue
 		}
-		if p.raw() {
+		if !p.onDisk() {
 			blk := p.bounds[lf:]
 			c.g += len(blk)
 			c.pi++

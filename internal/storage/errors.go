@@ -28,11 +28,10 @@ var (
 	ErrNoSpace = errors.New("no space left for spill")
 )
 
-// CorruptError pinpoints a corrupt codec block: which byte source, which
+// CorruptError pinpoints a corrupt codec block: which spill file, which
 // block within it, and what failed. It unwraps to ErrSpillCorrupt.
 type CorruptError struct {
-	// Path is the spill file containing the bad block, or "(compressed-mem)"
-	// for a block held in memory.
+	// Path is the spill file containing the bad block.
 	Path string
 	// Block is the zero-based index of the bad block within its part's vert
 	// or cnt stream.

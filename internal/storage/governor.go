@@ -27,14 +27,14 @@ import (
 //
 // External pressure with a known limit (the tracked total — pattern maps and
 // sibling runs included — is over pressureLimit) follows the same rule for
-// data at rest: flushed parts are compressed while the limit is exceeded and
-// spilled only until the marked bytes cover the overshoot, so a spike of a
-// few bytes no longer sends a whole level to disk. What it condemns beyond
-// that is only what is still growing: marked bytes stay resident until their
-// migration completes, and letting the other workers keep appending in
-// memory meanwhile is what overruns the limit (measured on the repo
-// benchmark's store4-hybrid, two workers: covering the overshoot with one
-// victim raised the tracked peak from the watermark to 10-30% above it).
+// data at rest: flushed parts are spilled only until the marked bytes cover
+// the overshoot, so a spike of a few bytes does not send a whole level to
+// disk. What it condemns beyond that is only what is still growing: marked
+// bytes stay resident until their migration completes, and letting the
+// other workers keep appending in memory meanwhile is what overruns the
+// limit (measured on the repo benchmark's store4-hybrid, two workers:
+// covering the overshoot with one victim raised the tracked peak from the
+// watermark to 10-30% above it).
 type governor struct {
 	// Fixed for the length of a build, and read by every append.
 	budget        int64
@@ -147,12 +147,11 @@ func (g *governor) mark(p *hybridPartWriter, bytes int64) {
 	p.spillReq.Store(true)
 }
 
-// spillOver frees or marks resident bytes until the marked bytes cover the
-// overshoot and, under measured pressure, nothing grows in memory any more:
-// the largest flushed raw parts are compressed first; failing that every
-// part still growing is marked at once under pressure; then the largest
-// unmarked parts one by one. Already-flushed victims are migrated on the
-// calling goroutine (their owner is done with them).
+// spillOver marks resident bytes until the marked bytes cover the overshoot
+// and, under measured pressure, nothing grows in memory any more: every part
+// still growing is marked at once under pressure, then the largest unmarked
+// parts one by one. Already-flushed victims are migrated on the calling
+// goroutine (their owner is done with them).
 func (g *governor) spillOver() {
 	if g.b.queue.Failed() {
 		// The write-behind queue hit a hard error (typically ENOSPC): there
@@ -164,11 +163,10 @@ func (g *governor) spillOver() {
 	defer g.mu.Unlock()
 	for {
 		over, pressed := g.overshoot()
-		// One scan: the largest flushed raw part (a compression candidate),
-		// the largest unmarked part (the next victim), and whether any
-		// unmarked part is still being appended to.
-		var cv, victim *hybridPartWriter
-		var cvBytes, victimBytes int64
+		// One scan: the largest unmarked part (the next victim), and whether
+		// any unmarked part is still being appended to.
+		var victim *hybridPartWriter
+		var victimBytes int64
 		growing := false
 		for i := range g.b.parts {
 			p := &g.b.parts[i]
@@ -178,24 +176,12 @@ func (g *governor) spillOver() {
 			}
 			if !p.flushed.Load() {
 				growing = true
-			} else if !p.rcompressed.Load() && bb > cvBytes {
-				cv, cvBytes = p, bb
 			}
 			if bb > victimBytes {
 				victim, victimBytes = p, bb
 			}
 		}
 		switch {
-		case (over > 0 || pressed) && cv != nil && g.b.rcompress:
-			// Squeeze the largest flushed raw part into resident codec
-			// blocks before spilling anything: compression frees most of a
-			// part's bytes for no I/O at all. Only flushed parts are
-			// eligible — their owner is done appending, so the raw arrays
-			// are quiescent. Compress under the lock: a sibling worker that
-			// crosses the watermark meanwhile waits here for the bytes about
-			// to be freed instead of finding nothing left to compress and
-			// spilling an in-flight part the budget had room for.
-			cv.compressResident()
 		case pressed && growing:
 			for i := range g.b.parts {
 				p := &g.b.parts[i]

@@ -12,15 +12,15 @@ import (
 // HybridLevel is one CSE level whose parts are individually memory- or
 // disk-resident — the genuinely half-memory-half-disk storage of §4.1, and
 // the cse.LevelData of every level an exploration builds. Placement is per
-// part (see hybridPart for the three residency states), decided during the
+// part (see hybridPart for the two residency states), decided during the
 // build by the budget governor (see HybridLevelBuilder): a level slightly
 // over budget keeps most parts in RAM and pays disk I/O only for the
 // migrated remainder, the all-disk regime is simply every part on disk, and
 // without a budget every part is raw, still in the buffer its worker wrote.
 //
 // All LevelData operations dispatch per part: raw parts hand out zero-copy
-// slices of their own arrays, encoded parts decode whole codec blocks, and
-// cursors stream transparently across the seams.
+// slices of their own arrays, disk parts decode whole codec blocks read from
+// their files, and cursors stream transparently across the seams.
 type HybridLevel struct {
 	parts       []hybridPart
 	totalVerts  int
@@ -29,7 +29,6 @@ type HybridLevel struct {
 	blockSize   int
 	tracker     *memtrack.Tracker
 	fs          vfs.FS
-	rcomp       bool // keep resident parts compressed (promote lands compressed-mem, rewrites re-encode)
 	closed      bool
 }
 
@@ -44,9 +43,8 @@ func (h *HybridLevel) Groups() int { return h.totalGroups }
 // Predicted implements cse.LevelData.
 func (h *HybridLevel) Predicted() []cse.PredSeg { return h.pred }
 
-// Bytes reports the resident footprint: the full arrays of raw parts, the
-// encoded blocks plus directory of compressed-mem parts, and the sparse
-// indexes of disk parts.
+// Bytes reports the resident footprint: the full arrays of raw parts and the
+// block directories and sparse indexes of disk parts.
 func (h *HybridLevel) Bytes() int64 {
 	var b int64
 	for i := range h.parts {
@@ -80,24 +78,12 @@ func (h *HybridLevel) DiskBytesPhysical() int64 {
 }
 
 // MemParts counts the memory-resident parts holding data (empty parts carry
-// no placement information and are not counted). Compressed-mem parts are
-// memory residents and count here too; CompressedParts reports the subset.
+// no placement information and are not counted).
 func (h *HybridLevel) MemParts() int {
 	n := 0
 	for i := range h.parts {
 		p := &h.parts[i]
 		if !p.onDisk() && (p.numVerts > 0 || p.numGroups > 0) {
-			n++
-		}
-	}
-	return n
-}
-
-// CompressedParts counts the compressed-mem parts.
-func (h *HybridLevel) CompressedParts() int {
-	n := 0
-	for i := range h.parts {
-		if h.parts[i].compressed() {
 			n++
 		}
 	}
@@ -113,20 +99,6 @@ func (h *HybridLevel) DiskParts() int {
 		}
 	}
 	return n
-}
-
-// ResidentBytesLogical reports the raw word footprint of the memory-resident
-// parts (raw and compressed-mem) plus prediction segments — what Bytes would
-// report with resident compression off. The ratio ResidentBytesLogical/Bytes
-// is the budget stretch the compressed-resident tier buys.
-func (h *HybridLevel) ResidentBytesLogical() int64 {
-	var b int64
-	for i := range h.parts {
-		if p := &h.parts[i]; !p.onDisk() {
-			b += p.logicalBytes()
-		}
-	}
-	return b + int64(len(h.pred))*16
 }
 
 // Close removes the backing files of the disk-resident parts; raw parts
@@ -172,20 +144,20 @@ func (h *HybridLevel) partIndexForGroup(g int) int {
 }
 
 // UnitAt implements cse.LevelData: a slice index for raw parts, one block
-// decode — resident, or behind one bounded pread — for encoded parts.
+// decode behind one bounded pread for disk parts.
 func (h *HybridLevel) UnitAt(i int) (uint32, error) {
 	if i < 0 || i >= h.totalVerts {
 		return 0, fmt.Errorf("storage: unit %d out of range %d", i, h.totalVerts)
 	}
 	p := &h.parts[h.partIndexForVert(i)]
-	if p.raw() {
+	if !p.onDisk() {
 		return p.verts[i-p.vertBase], nil
 	}
 	return p.unit(i-p.vertBase, h.tracker)
 }
 
 // ParentOf implements cse.LevelData: binary search over the resident bounds
-// for raw parts, sparse index plus one cnt block decode for encoded parts.
+// for raw parts, sparse index plus one cnt block decode for disk parts.
 // Read errors are returned so walker seeding surfaces corruption instead of
 // silently starting from a wrong parent.
 func (h *HybridLevel) ParentOf(i int) (int, error) {
@@ -193,7 +165,7 @@ func (h *HybridLevel) ParentOf(i int) (int, error) {
 		return 0, fmt.Errorf("storage: parent of %d out of range %d", i, h.totalVerts)
 	}
 	p := &h.parts[h.partIndexForVert(i)]
-	if p.raw() {
+	if !p.onDisk() {
 		// First local group whose end boundary exceeds i.
 		j := sort.Search(len(p.bounds), func(x int) bool { return p.bounds[x] > uint64(i) })
 		return p.groupBase + j, nil
@@ -228,7 +200,7 @@ func (h *HybridLevel) GroupStart(g int) (uint64, error) {
 	}
 	p := &h.parts[h.partIndexForGroup(g)]
 	lg := g - p.groupBase
-	if !p.raw() {
+	if p.onDisk() {
 		return p.offAtLocal(lg, h.tracker)
 	}
 	if lg == 0 {
@@ -237,76 +209,17 @@ func (h *HybridLevel) GroupStart(g int) (uint64, error) {
 	return p.bounds[lg-1], nil
 }
 
-// CompressPart encodes raw part i into the compressed-mem state and returns
-// the resident bytes freed. Parts already encoded, empty, or that would not
-// shrink are left untouched (freed 0). The caller owns the accounting: the
-// level's Bytes changes by -freed.
-func (h *HybridLevel) CompressPart(i int) int64 {
-	p := &h.parts[i]
-	if !p.raw() || (p.numVerts == 0 && p.numGroups == 0) {
-		return 0
-	}
-	// The cnt blocks encode local per-group counts (as on disk); recover
-	// them from the global end boundaries.
-	cnts := poolGetU32Len(p.numGroups)
-	defer poolPutU32(cnts)
-	prev := uint64(p.vertBase)
-	for g, b := range p.bounds {
-		cnts[g] = uint32(b - prev)
-		prev = b
-	}
-	cverts, ccnts, comp, chunkCum, now := encodePart(p.verts, cnts)
-	old := p.residentBytes()
-	if now >= old {
-		return 0 // incompressible; raw stays the cheaper representation
-	}
-	poolPutU32(p.verts)
-	poolPutU64(p.bounds)
-	p.verts, p.bounds = nil, nil
-	p.cverts, p.ccnts, p.comp, p.chunkCum = cverts, ccnts, comp, chunkCum
-	return old - now
-}
-
-// CompressResident compresses every raw part of the level — the cold-level
-// compaction pass run once a level is sealed below the top of the walker
-// stack, where it is only ever read sequentially. Returns the parts
-// compressed and the resident bytes freed.
-func (h *HybridLevel) CompressResident() (parts int, freed int64) {
-	for i := range h.parts {
-		if f := h.CompressPart(i); f > 0 {
-			parts++
-			freed += f
-		}
-	}
-	return parts, freed
-}
-
-// decompressPart materializes compressed-mem part i back into raw arrays.
-// Bases must already be final (the rebuilt bounds are global). On a decode
-// error the part is left compressed, untouched.
-func (h *HybridLevel) decompressPart(i int) error {
-	p := &h.parts[i]
-	verts, bounds, err := p.decodeArrays(p.cverts, p.ccnts, memBlockPath, memBlockPath)
-	if err != nil {
-		return fmt.Errorf("storage: decompress of resident part: %w", err)
-	}
-	p.setRaw(verts, bounds)
-	return nil
-}
-
-// takeOffDisk moves disk part i into memory and removes its files: the file
-// bytes are read verbatim — the on-disk block format is the compressed-mem
-// format — and kept as they are when the level keeps compressed residents,
-// decoded to raw arrays otherwise. Bases must already be final. On a read or
-// decode error the part is left on disk, untouched.
+// takeOffDisk moves disk part i into memory as raw arrays and removes its
+// files: both files are read whole and decoded. Bases must already be final.
+// On a read or decode error the part is left on disk, untouched.
 func (h *HybridLevel) takeOffDisk(i int) error {
 	p := &h.parts[i]
-	cverts := make([]byte, p.comp.physVerts)
-	ccnts := make([]byte, p.comp.physCnts)
+	vbytes := make([]byte, p.comp.physVerts)
+	cbytes := make([]byte, p.comp.physCnts)
 	for _, r := range []struct {
 		f   vfs.File
 		buf []byte
-	}{{p.vf, cverts}, {p.cf, ccnts}} {
+	}{{p.vf, vbytes}, {p.cf, cbytes}} {
 		if len(r.buf) == 0 {
 			continue
 		}
@@ -315,65 +228,47 @@ func (h *HybridLevel) takeOffDisk(i int) error {
 		}
 	}
 	if h.tracker != nil {
-		h.tracker.ReadIO(int64(len(cverts) + len(ccnts)))
+		h.tracker.ReadIO(int64(len(vbytes) + len(cbytes)))
+	}
+	verts, bounds, err := p.decodeArrays(vbytes, cbytes)
+	if err != nil {
+		return fmt.Errorf("storage: promote of %s: %w", p.vf.Name(), err)
 	}
 	vf, cf := p.vf, p.cf
-	if h.rcomp {
-		p.cverts, p.ccnts, p.vf, p.cf = cverts, ccnts, nil, nil
-	} else {
-		verts, bounds, err := p.decodeArrays(cverts, ccnts, vf.Name(), cf.Name())
-		if err != nil {
-			return fmt.Errorf("storage: promote of %s: %w", vf.Name(), err)
-		}
-		p.setRaw(verts, bounds)
-	}
+	p.setRaw(verts, bounds)
 	return removeFiles(h.fs, vf, cf)
 }
 
-// Promote climbs the recovery ladder while headroom allows, and returns how
-// many part transitions it made. This is the recovery path after an in-place
-// filter or a PopTop left the (shared) budget with headroom: parts demoted
-// under build-time pressure may now fit again.
-//
-// Phase one takes parts off disk, smallest physical read first — into
-// compressed-mem when the level keeps compressed residents (a verbatim byte
-// load, densest use of headroom), to raw arrays otherwise. Phase two spends
-// any remaining headroom decompressing compressed-mem parts back to raw
-// zero-copy arrays, smallest decode first.
+// Promote takes disk parts back into memory as raw arrays while headroom
+// allows, smallest physical read first, and returns how many it promoted.
+// This is the recovery path after an in-place filter or a PopTop left the
+// (shared) budget with headroom: parts spilled under build-time pressure may
+// now fit again. A part is admitted on its raw cost net of the directory and
+// index it frees.
 func (h *HybridLevel) Promote(headroom int64) (int, error) {
 	promoted := 0
-	for _, phase := range []struct {
-		in   func(*hybridPart) bool
-		cost func(*hybridPart) int64
-		move func(int) error
-	}{
-		{(*hybridPart).onDisk, func(p *hybridPart) int64 { return p.offDiskCost(h.rcomp) }, h.takeOffDisk},
-		{(*hybridPart).compressed, (*hybridPart).promoteCost, h.decompressPart},
-	} {
-		for {
-			best, bestCost, bestSize := -1, int64(0), int64(0)
-			for i := range h.parts {
-				p := &h.parts[i]
-				if !phase.in(p) {
-					continue
-				}
-				c := phase.cost(p)
-				if c > headroom {
-					continue
-				}
-				if size := p.encodedBytes(); best < 0 || size < bestSize {
-					best, bestCost, bestSize = i, c, size
-				}
+	for {
+		best, bestCost, bestSize := -1, int64(0), int64(0)
+		for i := range h.parts {
+			p := &h.parts[i]
+			if !p.onDisk() {
+				continue
 			}
-			if best < 0 {
-				break
+			c := p.promoteCost()
+			if c > headroom {
+				continue
 			}
-			if err := phase.move(best); err != nil {
-				return promoted, err
+			if size := p.encodedBytes(); best < 0 || size < bestSize {
+				best, bestCost, bestSize = i, c, size
 			}
-			headroom -= bestCost
-			promoted++
 		}
+		if best < 0 {
+			return promoted, nil
+		}
+		if err := h.takeOffDisk(best); err != nil {
+			return promoted, err
+		}
+		headroom -= bestCost
+		promoted++
 	}
-	return promoted, nil
 }

@@ -35,7 +35,7 @@ func TestHybridMidBuildSpill(t *testing.T) {
 	const nparts = 8
 	budget := totalBytes / 2
 	ml, hl, tracker := buildLevels(t, nil, groups, nparts, false,
-		layout{name: "half", budget: budget, at: func(int) byte { return 'r' }, rcomp: run.CompressionOff})
+		layout{name: "half", budget: budget, at: func(int) byte { return 'r' }})
 	if hl.DiskParts() == 0 || hl.MemParts() == 0 {
 		t.Fatalf("placement not hybrid: %d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
 	}
@@ -66,7 +66,7 @@ func TestHybridPressureSpill(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	var pressure atomic.Bool
-	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, &pressure, 0)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, 0)
 	hb.Reset(4, 2, 1<<40)
 	group := []uint32{1, 2, 3, 4}
 	for i := 0; i < 50; i++ {
@@ -109,7 +109,7 @@ func TestHybridPressureClears(t *testing.T) {
 	defer q.Close()
 	var pressure atomic.Bool
 	pressure.Store(true) // spike already over: live (0) < limit
-	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, &pressure, 1<<20)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, 1<<20)
 	hb.Reset(7, 1, 1<<40)
 	for i := 0; i < 10; i++ {
 		if err := hb.Part(0).AppendGroup([]uint32{1, 2, 3}, nil); err != nil {
@@ -174,7 +174,7 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 			var pressure atomic.Bool
 			cancel := tracker.OnSharedHighWater(limit, func(int64) { pressure.Store(true) })
 			tracker.Alloc(external)
-			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, &pressure, limit)
+			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, limit)
 			hb.Reset(2, nparts, 1<<40)
 			// build appends ngroups groups to each of parts, round-robin on
 			// this goroutine or with one goroutine per part.
@@ -279,7 +279,7 @@ func TestHybridSlabLagBound(t *testing.T) {
 			q := NewWriteQueue(0, tracker)
 			defer q.Close()
 			var pressure atomic.Bool
-			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, &pressure, watermark)
+			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, watermark)
 			hb.Reset(2, nparts, watermark)
 			// The lag is at most 1/64 of the watermark, and still many groups.
 			slab := hb.gov.slab
@@ -364,9 +364,9 @@ func TestHybridSlabLagBound(t *testing.T) {
 }
 
 // TestHybridSlabConservation: charging a slab at a time must not leak a
-// byte. One level holds a part in each state — raw, compressed by the
-// governor after its Flush, and migrated by its owner while it held
-// uncharged bytes (which are then dropped, never freed). At every step a raw
+// byte. One level holds a part on each path — raw, migrated by the governor
+// after its Flush, and migrated by its owner while it held uncharged bytes
+// (which are then dropped, never freed). At every step a raw
 // part's charged plus uncharged bytes are what was appended to it, a migrated
 // part holds neither, the governor's in-flight bytes are the parts' charged
 // bytes and the tracker holds exactly those over its baseline; Live() is back
@@ -408,7 +408,7 @@ func TestHybridSlabConservation(t *testing.T) {
 					if p.bytes.Load() != 0 || p.uncharged != 0 {
 						t.Fatalf("abort=%v, %s: migrated part %d holds %d charged + %d uncharged bytes", abort, step, i, p.bytes.Load(), p.uncharged)
 					}
-				case p.rcomp == nil:
+				default:
 					if got := p.bytes.Load() + p.uncharged; got != appended[i] {
 						t.Fatalf("abort=%v, %s: raw part %d accounts for %d bytes, %d appended", abort, step, i, got, appended[i])
 					}
@@ -433,15 +433,17 @@ func TestHybridSlabConservation(t *testing.T) {
 		}
 		conserved("raw part flushed")
 
-		fill(1, 700) // compressed by the governor after its Flush
+		fill(1, 700) // migrated by the governor after its Flush
 		if err := p1.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		p1.compressResident()
-		if p1.rcomp == nil {
-			t.Fatal("part 1 did not compress")
+		hb.gov.mu.Lock()
+		hb.gov.mark(p1, p1.bytes.Load())
+		hb.gov.mu.Unlock()
+		if err := p1.migrate(); err != nil {
+			t.Fatal(err)
 		}
-		conserved("part compressed")
+		conserved("flushed part migrated by the governor")
 
 		fill(2, 700) // marked while holding uncharged bytes; its owner migrates it
 		if p2.uncharged == 0 {
@@ -457,7 +459,7 @@ func TestHybridSlabConservation(t *testing.T) {
 		conserved("part migrated by its owner")
 
 		fill(3, 100) // raw, still growing
-		conserved("all three states")
+		conserved("every path taken")
 
 		if abort {
 			if err := hb.Abort(); err != nil {
@@ -474,8 +476,8 @@ func TestHybridSlabConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hl.MemParts() != 3 || hl.CompressedParts() != 1 || hl.DiskParts() != 1 {
-				t.Fatalf("placed %d mem (%d compressed) / %d disk parts, want 3 (1) / 1", hl.MemParts(), hl.CompressedParts(), hl.DiskParts())
+			if hl.MemParts() != 2 || hl.DiskParts() != 2 {
+				t.Fatalf("placed %d mem / %d disk parts, want 2 / 2", hl.MemParts(), hl.DiskParts())
 			}
 			checkConforms(t, ml, hl, base(ml.Groups()))
 			if live := tracker.Live(); live != baseline {
@@ -497,7 +499,7 @@ func TestHybridAllMemFinish(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, dir, q, nil, 0)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
 	hb.Reset(6, 2, 1<<40)
 	for i := 0; i < 2; i++ {
 		if err := hb.Part(i).AppendGroup([]uint32{uint32(i)}, nil); err != nil {
@@ -536,7 +538,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 	for _, budget := range []int64{math.MaxInt64, 0} {
 		q := NewWriteQueue(0, nil)
 		defer q.Close()
-		hb := NewHybridLevelBuilder(&run.Env{ResidentCompression: run.CompressionOff}, t.TempDir(), q, nil, 0)
+		hb := NewHybridLevelBuilder(&run.Env{}, t.TempDir(), q, nil, 0)
 		hb.Reset(2, 3, budget)
 		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
 			for pi, gs := range groups {
@@ -584,7 +586,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 // TestBuilderMixedPredRejected: a non-empty part without predictions
 // alongside predicted parts must fail Finish.
 func TestBuilderMixedPredRejected(t *testing.T) {
-	hb := NewHybridLevelBuilder(&run.Env{ResidentCompression: run.CompressionOff}, "", nil, nil, 0)
+	hb := NewHybridLevelBuilder(&run.Env{}, "", nil, nil, 0)
 	hb.Reset(2, 2, math.MaxInt64)
 	if err := hb.Part(0).AppendGroup([]uint32{1}, []uint32{3}); err != nil {
 		t.Fatal(err)
@@ -600,100 +602,86 @@ func TestBuilderMixedPredRejected(t *testing.T) {
 }
 
 // spillTwo puts parts 1 and 3 of four on disk and keeps the rest raw.
-func spillTwo(rcomp run.Compression) layout {
-	return layout{name: "two-disk", budget: 1 << 40, rcomp: rcomp, at: func(i int) byte {
-		if i%2 == 1 {
-			return 'd'
-		}
-		return 'r'
-	}}
-}
-
-// TestHybridPromote takes disk parts back into memory under both resident
-// policies — straight to raw arrays, or verbatim into compressed-mem and
-// from there to raw while headroom lasts — and checks the level still
-// matches the all-memory reference, the files are gone, and the headroom
-// policy promotes only what fits.
-func TestHybridPromote(t *testing.T) {
-	for _, rcomp := range []run.Compression{run.CompressionOff, run.CompressionAuto} {
-		rng := rand.New(rand.NewSource(91))
-		groups := randGroups(rng, 300)
-		ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo(rcomp))
-
-		// Headroom below the smallest part's cost promotes nothing.
-		if n, err := hl.Promote(1); err != nil || n != 0 {
-			t.Fatalf("Promote(1) = %d, %v", n, err)
-		}
-		if hl.DiskParts() != 2 {
-			t.Fatalf("disk parts = %d after no-op promote", hl.DiskParts())
-		}
-		var files []string
-		for i := range hl.parts {
-			if hl.parts[i].onDisk() {
-				files = append(files, hl.parts[i].vf.Name(), hl.parts[i].cf.Name())
-			}
-		}
-		n, err := hl.Promote(1 << 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Off disk is one transition per part; with compressed residents
-		// each part then takes a second one, compressed-mem to raw.
-		if want := map[run.Compression]int{run.CompressionOff: 2, run.CompressionAuto: 4}[rcomp]; n != want {
-			t.Fatalf("rcomp %d: promoted %d transitions, want %d", rcomp, n, want)
-		}
-		if hl.DiskParts() != 0 || hl.CompressedParts() != 0 || hl.DiskBytes() != 0 || hl.DiskBytesPhysical() != 0 {
-			t.Fatalf("after full promotion: %d disk / %d compressed parts, %d/%d disk bytes",
-				hl.DiskParts(), hl.CompressedParts(), hl.DiskBytes(), hl.DiskBytesPhysical())
-		}
-		for _, f := range files {
-			if _, err := os.Stat(f); !os.IsNotExist(err) {
-				t.Fatalf("promoted part file %s still exists", f)
-			}
-		}
-		checkConforms(t, ml, hl, base(ml.Groups()))
+var spillTwo = layout{name: "two-disk", budget: 1 << 40, at: func(i int) byte {
+	if i%2 == 1 {
+		return 'd'
 	}
+	return 'r'
+}}
+
+// TestHybridPromote takes disk parts back into memory as raw arrays and
+// checks the level still matches the all-memory reference, the files are
+// gone, and the headroom policy promotes only what fits.
+func TestHybridPromote(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	groups := randGroups(rng, 300)
+	ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo)
+
+	// Headroom below the smallest part's cost promotes nothing.
+	if n, err := hl.Promote(1); err != nil || n != 0 {
+		t.Fatalf("Promote(1) = %d, %v", n, err)
+	}
+	if hl.DiskParts() != 2 {
+		t.Fatalf("disk parts = %d after no-op promote", hl.DiskParts())
+	}
+	var files []string
+	for i := range hl.parts {
+		if hl.parts[i].onDisk() {
+			files = append(files, hl.parts[i].vf.Name(), hl.parts[i].cf.Name())
+		}
+	}
+	n, err := hl.Promote(1 << 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("promoted %d parts, want 2", n)
+	}
+	if hl.DiskParts() != 0 || hl.DiskBytes() != 0 || hl.DiskBytesPhysical() != 0 {
+		t.Fatalf("after full promotion: %d disk parts, %d/%d disk bytes",
+			hl.DiskParts(), hl.DiskBytes(), hl.DiskBytesPhysical())
+	}
+	for _, f := range files {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Fatalf("promoted part file %s still exists", f)
+		}
+	}
+	checkConforms(t, ml, hl, base(ml.Groups()))
 }
 
 // TestHybridPromotePartial checks the smallest-first selection: headroom for
-// one part promotes exactly the cheaper one, and with compressed residents
-// it lands in compressed-mem, still matching the reference.
+// one part promotes exactly the cheaper one, still matching the reference.
 func TestHybridPromotePartial(t *testing.T) {
-	for _, rcomp := range []run.Compression{run.CompressionOff, run.CompressionAuto} {
-		rng := rand.New(rand.NewSource(97))
-		groups := randGroups(rng, 240)
-		ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo(rcomp))
-		var costs []int64
-		for i := range hl.parts {
-			if hl.parts[i].onDisk() {
-				costs = append(costs, hl.parts[i].offDiskCost(hl.rcomp))
-			}
+	rng := rand.New(rand.NewSource(97))
+	groups := randGroups(rng, 240)
+	ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo)
+	var costs []int64
+	for i := range hl.parts {
+		if hl.parts[i].onDisk() {
+			costs = append(costs, hl.parts[i].promoteCost())
 		}
-		if len(costs) != 2 {
-			t.Fatalf("disk parts = %d", len(costs))
-		}
-		n, err := hl.Promote(min(costs[0], costs[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 1 || hl.DiskParts() != 1 {
-			t.Fatalf("rcomp %d: promoted %d, %d disk parts remain", rcomp, n, hl.DiskParts())
-		}
-		if want := map[run.Compression]int{run.CompressionOff: 0, run.CompressionAuto: 1}[rcomp]; hl.CompressedParts() != want {
-			t.Fatalf("rcomp %d: %d compressed-mem parts after promotion, want %d", rcomp, hl.CompressedParts(), want)
-		}
-		checkConforms(t, ml, hl, base(ml.Groups()))
 	}
+	if len(costs) != 2 {
+		t.Fatalf("disk parts = %d", len(costs))
+	}
+	n, err := hl.Promote(min(costs[0], costs[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 || hl.DiskParts() != 1 {
+		t.Fatalf("promoted %d, %d disk parts remain", n, hl.DiskParts())
+	}
+	checkConforms(t, ml, hl, base(ml.Groups()))
 }
 
 // TestRewriteEveryResidency filters a mixed level in place — raw parts
-// compact, compressed-mem parts decode, compact and re-encode, disk parts
-// restream into fresh files — and compares against filtering the reference.
+// (promoted ones included) compact, disk parts restream into fresh files —
+// and compares against filtering the reference.
 func TestRewriteEveryResidency(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	groups := randGroups(rng, 500)
 	ml, hl, tracker := buildLevels(t, nil, groups, 6, true, layoutMixed)
-	before := [3]int{hl.MemParts() - hl.CompressedParts(), hl.CompressedParts(), hl.DiskParts()}
+	before := [2]int{hl.MemParts(), hl.DiskParts()}
 	keep := func(u uint32) bool { return u%3 != 0 }
 
 	q := NewWriteQueue(64, tracker)
@@ -733,8 +721,8 @@ func TestRewriteEveryResidency(t *testing.T) {
 		want.Offs = append(want.Offs, uint64(len(want.Verts)))
 	}
 	checkConforms(t, want, hl, base(want.Groups()))
-	after := [3]int{hl.MemParts() - hl.CompressedParts(), hl.CompressedParts(), hl.DiskParts()}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("rewrite moved parts between residencies: raw/compressed/disk %v -> %v", before, after)
+	after := [2]int{hl.MemParts(), hl.DiskParts()}
+	if before != after {
+		t.Fatalf("rewrite moved parts between residencies: raw/disk %v -> %v", before, after)
 	}
 }

@@ -9,41 +9,27 @@ import (
 )
 
 // CntChunk is the group granularity of the sparse random-access index kept
-// for every encoded part: one cumulative child count every CntChunk groups.
+// for every disk part: one cumulative child count every CntChunk groups.
 // Random access (only used to locate the t partition starts of an iteration)
 // costs one bounded block decode; sequential access never touches the index.
 const CntChunk = 4096
 
-// memBlockPath labels corruption errors from compressed-mem blocks, which
-// have no backing file to name.
-const memBlockPath = "(compressed-mem)"
-
-// hybridPart is one part of a hybrid level, in exactly one of three
-// residency states:
+// hybridPart is one part of a hybrid level, in exactly one of two residency
+// states — the half-memory-half-disk split of §4.1, at part granularity:
 //
 //   - raw: verts+bounds populated, read as zero-copy slices;
-//   - compressed-mem: cverts/ccnts hold the part's v2 codec blocks in
-//     memory, comp indexes them;
-//   - disk: vf/cf hold the same blocks byte for byte, comp indexes them.
+//   - disk: vf/cf hold the part's v2 codec blocks, comp indexes them.
 //
-// The two encoded states share every read path — only where the bytes of
-// block b come from differs (blockBytes, codecBlocks.start) — and moving a
-// part between them is a verbatim byte copy. The ladder under pressure is
-// raw → compressed-mem → disk, and the reverse on recovery.
+// A part moves to disk while its level is built (the governor migrates it)
+// and back to raw when a promotion decodes its files; nothing else changes
+// its state.
 type hybridPart struct {
 	// Raw residency.
 	verts  []uint32
 	bounds []uint64 // global end boundary of each local group; len = numGroups
 
-	// Compressed-mem residency. Resident bytes are only ever read: cursors
-	// and probes decode out of sub-slices without copying or writing.
-	cverts []byte
-	ccnts  []byte
-
 	// Disk residency.
-	vf, cf vfs.File
-
-	// Both encoded states.
+	vf, cf   vfs.File
 	comp     *partComp // block directory; nil exactly when the part is raw
 	chunkCum []uint64  // chunkCum[j] = children in local groups [0, j·CntChunk)
 
@@ -53,17 +39,13 @@ type hybridPart struct {
 	groupBase int
 }
 
-func (p *hybridPart) raw() bool        { return p.comp == nil }
-func (p *hybridPart) onDisk() bool     { return p.vf != nil }
-func (p *hybridPart) compressed() bool { return !p.raw() && !p.onDisk() }
+func (p *hybridPart) onDisk() bool { return p.vf != nil }
 
 // residentBytes is the part's contribution to the level's resident
-// footprint: full arrays for raw parts, encoded blocks plus directory and
-// sparse index for compressed-mem parts, directory and index only for disk
-// parts. Every term is zero in the states that do not hold it.
+// footprint: full arrays for raw parts, directory and sparse index for disk
+// parts. Every term is zero in the state that does not hold it.
 func (p *hybridPart) residentBytes() int64 {
-	return int64(len(p.verts))*4 + int64(len(p.bounds))*8 +
-		int64(len(p.cverts)+len(p.ccnts)) + int64(len(p.chunkCum))*8 + p.comp.dirBytes()
+	return int64(len(p.verts))*4 + int64(len(p.bounds))*8 + int64(len(p.chunkCum))*8 + p.comp.dirBytes()
 }
 
 // logicalBytes is the raw word footprint the part would have fully decoded
@@ -72,23 +54,12 @@ func (p *hybridPart) logicalBytes() int64 {
 	return int64(p.numVerts)*4 + int64(p.numGroups)*8
 }
 
-// encodedBytes is the size of the part's codec blocks — what an encoded part
-// occupies on disk, or in memory on top of its directory and index.
+// encodedBytes is the size of a disk part's codec blocks — its two files.
 func (p *hybridPart) encodedBytes() int64 { return p.comp.physVerts + p.comp.physCnts }
 
-// promoteCost returns the extra resident bytes fully decoding an encoded
-// part costs, net of whatever it currently holds.
+// promoteCost returns the extra resident bytes decoding a disk part to raw
+// arrays costs, net of the directory and index it frees.
 func (p *hybridPart) promoteCost() int64 { return p.logicalBytes() - p.residentBytes() }
-
-// offDiskCost is the resident-byte delta of taking disk part p off disk:
-// its file bytes land in RAM as-is when the level keeps compressed
-// residents, otherwise the full decoded footprint net of the freed indexes.
-func (p *hybridPart) offDiskCost(rcomp bool) int64 {
-	if rcomp {
-		return p.encodedBytes()
-	}
-	return p.promoteCost()
-}
 
 // cntScratch pools the buffers of the random-access probes: ParentOf and
 // GroupStart run once per walker seeding — t workers per iteration — and
@@ -103,32 +74,20 @@ type cntScratch struct {
 
 var cntPool = sync.Pool{New: func() any { return new(cntScratch) }}
 
-// span locates blocks [b0, b1] of an encoded part's vert or cnt stream: for a
-// disk part the file and byte range, for a compressed-mem part the resident
-// bytes themselves (res; clamped to what the slice holds, so bytes that went
-// missing decode as truncation instead of faulting).
-func (p *hybridPart) span(vert bool, b0, b1 int) (f vfs.File, off, end int64, res []byte) {
+// span locates blocks [b0, b1] of a disk part's vert or cnt stream: the file
+// and its byte range.
+func (p *hybridPart) span(vert bool, b0, b1 int) (f vfs.File, off, end int64) {
 	if vert {
-		off, end, f, res = p.comp.vOffs[b0], p.comp.vertEnd(b1), p.vf, p.cverts
-	} else {
-		off, end, f, res = p.comp.cOffs[b0], p.comp.cntEnd(b1), p.cf, p.ccnts
+		return p.vf, p.comp.vOffs[b0], p.comp.vertEnd(b1)
 	}
-	if !p.onDisk() {
-		n := int64(len(res))
-		res = res[min(off, n):min(end, n)]
-	}
-	return f, off, end, res
+	return p.cf, p.comp.cOffs[b0], p.comp.cntEnd(b1)
 }
 
-// blockBytes returns the encoded bytes of blocks [b0, b1] of an encoded
-// part's vert or cnt stream, with the name corruption in them is reported
-// under: a sub-slice of the resident bytes, or one bounded pread into
-// sc.buf.
+// blockBytes reads the encoded bytes of blocks [b0, b1] of a disk part's vert
+// or cnt stream into sc.buf with one bounded pread, and returns them with the
+// file name corruption in them is reported under.
 func (p *hybridPart) blockBytes(vert bool, b0, b1 int, tracker *memtrack.Tracker, sc *cntScratch) ([]byte, string, error) {
-	f, off, end, res := p.span(vert, b0, b1)
-	if !p.onDisk() {
-		return res, memBlockPath, nil
-	}
+	f, off, end := p.span(vert, b0, b1)
 	n := int(end - off)
 	if cap(sc.buf) < n {
 		sc.buf = make([]byte, n)
@@ -159,9 +118,9 @@ func (sc *cntScratch) decodeBlock(buf []byte, vert bool, path string, b int) ([]
 	return vals, consumed, nil
 }
 
-// unit returns the vert at local index li of an encoded part: one block
-// decode — from resident bytes, or behind one bounded pread — with no
-// streaming cursor or prefetch goroutine; the random access Extract needs.
+// unit returns the vert at local index li of a disk part: one block decode
+// behind one bounded pread, with no streaming cursor or prefetch goroutine;
+// the random access Extract needs.
 func (p *hybridPart) unit(li int, tracker *memtrack.Tracker) (uint32, error) {
 	b := li / codecBlockVals
 	sc := cntPool.Get().(*cntScratch)
@@ -181,7 +140,7 @@ func (p *hybridPart) unit(li int, tracker *memtrack.Tracker) (uint32, error) {
 	return vals[k], nil
 }
 
-// cnts decodes the per-group child counts [lo, hi) of an encoded part into
+// cnts decodes the per-group child counts [lo, hi) of a disk part into
 // sc's buffers; the returned slice is valid until sc is reused or returned
 // to the pool. codecBlockVals equals CntChunk, so the sparse-index probes
 // behind ParentOf and GroupStart touch exactly one block.
@@ -216,8 +175,8 @@ func (p *hybridPart) cnts(lo, hi int, tracker *memtrack.Tracker, sc *cntScratch)
 	return out, nil
 }
 
-// offAtLocal returns the global offs value at local group lg of an encoded
-// part (the global vert index where lg's children start).
+// offAtLocal returns the global offs value at local group lg of a disk part
+// (the global vert index where lg's children start).
 func (p *hybridPart) offAtLocal(lg int, tracker *memtrack.Tracker) (uint64, error) {
 	j := lg / CntChunk
 	cum := p.chunkCum[j]
@@ -235,42 +194,16 @@ func (p *hybridPart) offAtLocal(lg int, tracker *memtrack.Tracker) (uint64, erro
 	return uint64(p.vertBase) + cum, nil
 }
 
-// encodePart encodes a part's verts and per-group child counts into resident
-// codec blocks with their directory and sparse index, and reports the
-// resident bytes the encoded form occupies. The encoding is byte-identical
-// to what a part writer spills, so the result can later go to disk verbatim.
-func encodePart(verts, counts []uint32) (cverts, ccnts []byte, comp *partComp, chunkCum []uint64, size int64) {
-	comp = &partComp{}
-	var scratch []byte
-	for off := 0; off < len(verts); off += codecBlockVals {
-		comp.vOffs = append(comp.vOffs, int64(len(cverts)))
-		cverts = appendVertBlock(cverts, verts[off:min(off+codecBlockVals, len(verts))], &scratch)
-	}
-	var cum uint64
-	for off := 0; off < len(counts); off += codecBlockVals {
-		blk := counts[off:min(off+codecBlockVals, len(counts))]
-		comp.cOffs = append(comp.cOffs, int64(len(ccnts)))
-		ccnts = appendCntBlock(ccnts, blk, &scratch)
-		chunkCum = append(chunkCum, cum) // codecBlockVals == CntChunk
-		for _, c := range blk {
-			cum += uint64(c)
-		}
-	}
-	comp.physVerts, comp.physCnts = int64(len(cverts)), int64(len(ccnts))
-	size = comp.physVerts + comp.physCnts + int64(len(chunkCum))*8 + comp.dirBytes()
-	return cverts, ccnts, comp, chunkCum, size
-}
-
-// decodeArrays decodes the part's complete vert and cnt block streams into
-// pooled raw arrays: the verts, and the global group end boundaries — so
-// the part's bases must already be final. vpath and cpath label corruption.
-func (p *hybridPart) decodeArrays(cverts, ccnts []byte, vpath, cpath string) ([]uint32, []uint64, error) {
+// decodeArrays decodes a disk part's complete vert and cnt files, read into
+// vbytes and cbytes, into pooled raw arrays: the verts, and the global group
+// end boundaries — so the part's bases must already be final.
+func (p *hybridPart) decodeArrays(vbytes, cbytes []byte) ([]uint32, []uint64, error) {
 	verts := poolGetU32Len(p.numVerts)
 	cnts := poolGetU32Len(p.numGroups)
 	defer poolPutU32(cnts)
-	err := decodeAllBlocks(cverts, true, verts, vpath)
+	err := decodeAllBlocks(vbytes, true, verts, p.vf.Name())
 	if err == nil {
-		err = decodeAllBlocks(ccnts, false, cnts, cpath)
+		err = decodeAllBlocks(cbytes, false, cnts, p.cf.Name())
 	}
 	if err != nil {
 		poolPutU32(verts)
@@ -286,10 +219,10 @@ func (p *hybridPart) decodeArrays(cverts, ccnts []byte, vpath, cpath string) ([]
 }
 
 // setRaw installs decoded arrays as the part's raw residency, dropping the
-// encoded state (the caller has already disposed of any files).
+// disk state (the caller has already disposed of the files).
 func (p *hybridPart) setRaw(verts []uint32, bounds []uint64) {
 	p.verts, p.bounds = verts, bounds
-	p.cverts, p.ccnts, p.vf, p.cf, p.comp, p.chunkCum = nil, nil, nil, nil, nil, nil
+	p.vf, p.cf, p.comp, p.chunkCum = nil, nil, nil, nil
 }
 
 // removeFiles closes and removes spill files (nil entries are skipped),

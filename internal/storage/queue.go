@@ -13,25 +13,21 @@
 // them back through sliding-window prefetch cursors, so the I/O of the next
 // window is hidden behind the computation on the current one.
 //
-// Residency is three-state (part.go): raw (plain []uint32 slices, zero-copy
-// reads) → compressed-mem (the part's codec blocks held in memory, charged
-// to the budget at physical size) → disk (the same blocks in a file pair).
-// There is one encoded format (codec.go) and no option selecting it: vertex
-// IDs as group-varint zigzag deltas and group counts frame-of-reference
-// coded, in self-delimiting versioned blocks (version 2: a CRC32C of the
-// payload sits between the header and the payload, verified on every
-// whole-block decode). Version-1 blocks — the pre-checksum format — are
-// cleanly rejected, not decoded: spill files are single-run scratch, so no
-// cross-version reader is needed. The per-part block directory gives the
-// cursors and the random-access probes block-granular seeks. Because the
-// in-memory and on-disk encodings are byte-identical, one decoder
-// (cursor.go: codecBlocks) serves both encoded states — fed by the resident
-// bytes, or by a prefetching stream over the file span — and a compressed
-// part migrates to disk, and is promoted back, as a verbatim block copy. The
-// governor compresses the largest sealed raw parts in place before spilling;
-// ResidentCompression (a placement policy on the builder, not a format)
-// gates the middle state; CompressedParts and ResidentBytesLogical expose
-// the transition count and the raw footprint the resident bytes stand for.
+// Residency is two-state (part.go), as in §4.1: a part is raw in memory
+// (plain []uint32 slices, zero-copy reads) or codec blocks in a file pair on
+// disk. Spilling encodes; promotion (after a filter or a pop frees budget)
+// reads both files and decodes them back to raw arrays. There is one encoded
+// format (codec.go) and no option selecting it: vertex IDs as group-varint
+// zigzag deltas and group counts frame-of-reference coded, in
+// self-delimiting versioned blocks (version 2: a CRC32C of the payload sits
+// between the header and the payload, verified on every whole-block decode).
+// Version-1 blocks — the pre-checksum format — are cleanly rejected, not
+// decoded: spill files are single-run scratch, so no cross-version reader is
+// needed. The per-part block directory gives the cursors and the
+// random-access probes block-granular seeks, and one decoder (cursor.go:
+// codecBlocks) streams every disk part through a prefetching window over
+// its file span. Every byte it decodes was read from a file, so the decoder
+// treats its input as untrusted (FuzzDecodeCodecBlock).
 //
 // The spill path is hardened against I/O failure: all file access goes
 // through the vfs seam (package vfs) so tests inject faults; transient write

@@ -19,10 +19,9 @@ type PartRewriter struct {
 	p *hybridPart
 
 	// Memory compaction.
-	w      int // write index into p.verts
-	g      int // local group index
-	cnt    uint32
-	recomp bool // part was compressed-mem; FinishRewrite re-encodes it
+	w   int // write index into p.verts
+	g   int // local group index
+	cnt uint32
 
 	// Disk restream.
 	dw  *diskPartWriter
@@ -34,15 +33,7 @@ type PartRewriter struct {
 func (h *HybridLevel) RewritePart(i int, q *WriteQueue) (*PartRewriter, error) {
 	p := &h.parts[i]
 	r := &PartRewriter{p: p}
-	switch {
-	case p.compressed():
-		// Decompress for the in-place pass (a transient raw copy of one
-		// part); FinishRewrite re-encodes the compacted result.
-		if err := h.decompressPart(i); err != nil {
-			return nil, err
-		}
-		r.recomp = true
-	case p.onDisk():
+	if p.onDisk() {
 		vf, cf, err := openFilePair(h.fs, p.vf.Name()+".r", p.cf.Name()+".r")
 		if err != nil {
 			return nil, err
@@ -143,11 +134,6 @@ func (h *HybridLevel) FinishRewrite(rws []*PartRewriter, q *WriteQueue) error {
 			for g := 0; g < p.numGroups; g++ {
 				cum += p.bounds[g]
 				p.bounds[g] = cum
-			}
-			if r.recomp {
-				// The part entered the pass compressed-mem; re-encode the
-				// compacted result so the level keeps its squeezed footprint.
-				h.CompressPart(i)
 			}
 		}
 		total += p.numVerts

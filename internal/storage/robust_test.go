@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"reflect"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -27,7 +26,7 @@ func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*Hybri
 	tracker := memtrack.New()
 	q := NewWriteQueue(256, tracker) // tiny buffers: many queue writes
 	t.Cleanup(func() { q.Close() })
-	db := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, nil, 0)
+	db := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker}, t.TempDir(), q, nil, 0)
 	db.Reset(2, nparts, 0)
 	db.blockSize = 128
 	per := (len(groups) + nparts - 1) / nparts
@@ -106,15 +105,12 @@ func TestRetryRidesOutTransientFaults(t *testing.T) {
 	}
 }
 
-// TestChecksumCorruptionBothByteSources: the one decoder reads a part's
-// blocks from resident bytes (compressed-mem) or from a file (disk). A
-// flipped payload bit, a truncated tail and a bumped version byte, planted
-// in either source, must surface from the sequential cursors and the random
-// probes as a CorruptError carrying the source's name — the file, or
-// "(compressed-mem)" — and the block index, never as a silent misdecode.
-// And decoding must leave resident bytes alone: reading a compressed-mem
-// range twice returns identical values.
-func TestChecksumCorruptionBothByteSources(t *testing.T) {
+// TestChecksumCorruptionLocatesBlock: a flipped payload bit, a truncated
+// tail and a bumped version byte, planted in a spilled part's vert and cnt
+// files, must surface from the sequential cursors and the random probes as a
+// CorruptError carrying the file's name and the block index, never as a
+// silent misdecode.
+func TestChecksumCorruptionLocatesBlock(t *testing.T) {
 	// Several codec blocks per stream, so the damaged block is not block 0.
 	groups := make([][]uint32, 2*CntChunk+100)
 	rng := rand.New(rand.NewSource(13))
@@ -125,68 +121,55 @@ func TestChecksumCorruptionBothByteSources(t *testing.T) {
 		}
 		groups[i] = g
 	}
-	// damage applies one fault to the encoded vert and cnt streams of the
-	// level's only part, in whichever source holds them, and returns the
-	// index of the last vert block.
+	// A fault damages the bytes of one of the level's only part's files.
 	type fault func(b []byte) []byte
 	faults := map[string]fault{
 		"bit-flip":  func(b []byte) []byte { b[len(b)-3] ^= 0x10; return b }, // inside the last block's payload
 		"truncated": func(b []byte) []byte { return append([]byte(nil), b[:len(b)-3]...) },
 		"version":   func(b []byte) []byte { b[0] = codecVersion + 1; return b },
 	}
-	for _, lay := range []layout{layoutComp, layoutDisk} {
-		for name, damage := range faults {
-			_, hl, _ := buildLevels(t, nil, groups, 1, false, lay)
-			p := &hl.parts[0]
-			want, err := readVerts(t, hl.VertBlocks(0, hl.Len()))
+	for name, damage := range faults {
+		_, hl, _ := buildLevels(t, nil, groups, 1, false, layoutDisk)
+		p := &hl.parts[0]
+		if _, err := readVerts(t, hl.VertBlocks(0, hl.Len())); err != nil {
+			t.Fatal(err)
+		}
+		vpath, cpath := p.vf.Name(), p.cf.Name()
+		for _, path := range []string{vpath, cpath} {
+			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again, err := readVerts(t, hl.VertBlocks(0, hl.Len())); err != nil || !reflect.DeepEqual(again, want) {
-				t.Fatalf("%s: second read of the same range differs (%v)", lay.name, err)
+			if err := os.WriteFile(path, damage(b), 0o600); err != nil {
+				t.Fatal(err)
 			}
-			vpath, cpath := memBlockPath, memBlockPath
-			if p.onDisk() {
-				vpath, cpath = p.vf.Name(), p.cf.Name()
-				for _, path := range []string{vpath, cpath} {
-					b, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, damage(b), 0o600); err != nil {
-						t.Fatal(err)
-					}
-				}
-			} else {
-				p.cverts, p.ccnts = damage(p.cverts), damage(p.ccnts)
-			}
-			// The version byte is in the first block, the other faults in
-			// the last.
-			vblk, cblk, unit, group := len(p.comp.vOffs)-1, len(p.comp.cOffs)-1, hl.Len()-1, hl.Groups()-1
-			if name == "version" {
-				vblk, cblk, unit, group = 0, 0, 0, 1
-			}
-			check := func(op string, err error, path string, blk int) {
-				t.Helper()
-				var ce *CorruptError
-				if !errors.As(err, &ce) || !errors.Is(err, ErrSpillCorrupt) {
-					t.Fatalf("%s/%s: %s returned %v, want a CorruptError", lay.name, name, op, err)
-				}
-				if ce.Path != path || ce.Block != blk {
-					t.Fatalf("%s/%s: %s blames block %d of %q, want block %d of %q (%v)", lay.name, name, op, ce.Block, ce.Path, blk, path, err)
-				}
-			}
-			_, err = readVerts(t, hl.VertBlocks(0, hl.Len()))
-			check("VertBlocks", err, vpath, vblk)
-			_, err = readBounds(hl.BoundBlocks(0))
-			check("BoundBlocks", err, cpath, cblk)
-			_, err = hl.UnitAt(unit)
-			check("UnitAt", err, vpath, vblk)
-			_, err = hl.ParentOf(unit)
-			check("ParentOf", err, cpath, cblk)
-			_, err = hl.GroupStart(group)
-			check("GroupStart", err, cpath, cblk)
 		}
+		// The version byte is in the first block, the other faults in the
+		// last.
+		vblk, cblk, unit, group := len(p.comp.vOffs)-1, len(p.comp.cOffs)-1, hl.Len()-1, hl.Groups()-1
+		if name == "version" {
+			vblk, cblk, unit, group = 0, 0, 0, 1
+		}
+		check := func(op string, err error, path string, blk int) {
+			t.Helper()
+			var ce *CorruptError
+			if !errors.As(err, &ce) || !errors.Is(err, ErrSpillCorrupt) {
+				t.Fatalf("%s: %s returned %v, want a CorruptError", name, op, err)
+			}
+			if ce.Path != path || ce.Block != blk {
+				t.Fatalf("%s: %s blames block %d of %q, want block %d of %q (%v)", name, op, ce.Block, ce.Path, blk, path, err)
+			}
+		}
+		_, err := readVerts(t, hl.VertBlocks(0, hl.Len()))
+		check("VertBlocks", err, vpath, vblk)
+		_, err = readBounds(hl.BoundBlocks(0))
+		check("BoundBlocks", err, cpath, cblk)
+		_, err = hl.UnitAt(unit)
+		check("UnitAt", err, vpath, vblk)
+		_, err = hl.ParentOf(unit)
+		check("ParentOf", err, cpath, cblk)
+		_, err = hl.GroupStart(group)
+		check("GroupStart", err, cpath, cblk)
 	}
 }
 

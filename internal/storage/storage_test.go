@@ -134,7 +134,7 @@ func TestFinishDetectsShortFiles(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, dir, q, nil, 0)
+	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
 	db.Reset(3, 1, 0)
 	if err := db.Part(0).AppendGroup([]uint32{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, nil, 0)
+	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, nil, 0)
 	db.Reset(2, 5, 0)
 	db.blockSize = 64
 	// Parts 0 and 3 get groups; parts 1, 2, 4 stay empty.
@@ -210,7 +210,7 @@ func TestEmptyParts(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, t.TempDir(), q, nil, 0)
+	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, nil, 0)
 	db.Reset(2, 3, 0)
 	for _, g := range groups {
 		if err := db.Part(0).AppendGroup(g, nil); err != nil {
@@ -243,7 +243,7 @@ func TestCloseRemovesFiles(t *testing.T) {
 		q := NewWriteQueue(0, tracker)
 		defer q.Close()
 		dir := t.TempDir()
-		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker, ResidentCompression: run.CompressionOff}, dir, q, nil, 0)
+		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
 		hb.Reset(5, 3, lay.budget)
 		wantFiles := 0
 		for i := 0; i < 3; i++ {

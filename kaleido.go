@@ -98,8 +98,12 @@ type Config struct {
 	// the resident total crosses the spill watermark — 0.9·MemoryBudget; the
 	// headroom above it absorbs allocation growth between spill decisions —
 	// mid-build, the largest in-flight parts migrate to SpillDir, so a single
-	// level can be half in memory and half on disk. 0 keeps everything in
-	// memory.
+	// level can be half in memory and half on disk. A part is either raw in
+	// memory or on disk; what reaches disk is always version-2 checksummed
+	// codec blocks (delta+varint verts, frame-of-reference counts, a CRC32C
+	// per block verified on every decode — typically 2-4× smaller than the
+	// raw words), and spilled parts come back raw once a filter or a pop
+	// frees budget. 0 keeps everything in memory.
 	MemoryBudget int64
 	// SpillDir receives spilled CSE level parts. Required when
 	// MemoryBudget > 0.
@@ -109,19 +113,6 @@ type Config struct {
 	// groups per worker chunk pay the exact candidate-union count per child,
 	// the rest extrapolate the latest sampled mean.
 	Predict bool
-	// ResidentCompression controls the compressed-mem residency tier of
-	// budgeted runs. Spilled bytes have one format and no knob: whatever
-	// reaches disk is always version-2 checksummed codec blocks (delta+varint
-	// verts, frame-of-reference counts, a CRC32C per block verified on every
-	// decode — typically 2-4× smaller than the raw words). With the default
-	// (CompressionAuto) a part under memory pressure is first squeezed into
-	// those same codec blocks in memory and only spills to disk if that is
-	// not enough, levels sealed below the top of the walker stack are
-	// compacted wholesale, and parts promoted off disk land compressed. The
-	// effect is ≥2× more logical level bytes per byte of MemoryBudget.
-	// CompressionOff keeps every resident part raw (the pre-tier behavior).
-	// Ignored when MemoryBudget is 0.
-	ResidentCompression Compression
 	// Iso selects the isomorphism backend for pattern aggregation.
 	Iso IsoAlgo
 	// Stats, when non-nil, receives memory and I/O accounting.
@@ -174,19 +165,6 @@ func (s *FaultSpec) fs() vfs.FS {
 	})
 }
 
-// Compression switches the compressed-mem residency tier on or off
-// (Config.ResidentCompression). It is a placement policy, not a format:
-// spilled bytes are always checksummed codec blocks.
-type Compression int
-
-const (
-	// CompressionAuto (the default) lets memory-resident parts under
-	// pressure rest as in-memory codec blocks before anything spills.
-	CompressionAuto Compression = iota
-	// CompressionOff keeps every memory-resident part raw.
-	CompressionOff
-)
-
 // IsoAlgo selects the isomorphism backend.
 type IsoAlgo int
 
@@ -218,20 +196,16 @@ type Stats struct {
 	// in-place filter or a pop shrank the resident total under the (shared)
 	// budget watermark.
 	PromotedParts int
-	// CompressedParts counts memory-resident parts squeezed into the
-	// compressed-mem tier (by the mid-build governor under pressure and by
-	// cold-level compaction). Zero with ResidentCompression off.
+	// CompressedParts is always 0: a part is raw in memory or on disk.
+	//
+	// Deprecated: parts are no longer compressed in memory; the field stays
+	// for source compatibility and will be removed.
 	CompressedParts int
 	// SpilledBytes is the logical size (raw word bytes) of the spilled
 	// parts — exactly what spilling them uncompressed would have written;
 	// SpilledBytesPhysical is what their codec blocks actually occupied on
 	// disk, typically 2-4× smaller.
 	SpilledBytes, SpilledBytesPhysical int64
-	// ResidentBytesLogical is the raw word footprint the memory-resident
-	// level data stood for at run end — exceeds the tracked resident bytes
-	// while compressed-mem parts are live; the ratio is the budget stretch
-	// the compressed-resident tier bought.
-	ResidentBytesLogical int64
 	// IORetries counts transient spill I/O errors that were absorbed by the
 	// retry/backoff policy instead of failing the run. Nonzero retries with
 	// a successful result mean the storage layer rode out real (or injected)
@@ -261,19 +235,16 @@ func (c Config) env(tracker *memtrack.Tracker) (*run.Env, error) {
 		return nil, fmt.Errorf("kaleido: negative Shards %d", c.Shards)
 	case c.Iso < IsoEigen || c.Iso > IsoEigenExact:
 		return nil, fmt.Errorf("kaleido: unknown Iso backend %d", c.Iso)
-	case c.ResidentCompression < CompressionAuto || c.ResidentCompression > CompressionOff:
-		return nil, fmt.Errorf("kaleido: unknown ResidentCompression mode %d", c.ResidentCompression)
 	}
 	return &run.Env{
-		Threads:             c.Threads,
-		MemoryBudget:        c.MemoryBudget,
-		SpillDir:            c.SpillDir,
-		Predict:             c.Predict,
-		ResidentCompression: run.Compression(c.ResidentCompression),
-		FS:                  c.Faults.fs(),
-		Iso:                 run.IsoAlgo(c.Iso),
-		Tracker:             tracker,
-		Spill:               &run.SpillInfo{},
+		Threads:      c.Threads,
+		MemoryBudget: c.MemoryBudget,
+		SpillDir:     c.SpillDir,
+		Predict:      c.Predict,
+		FS:           c.Faults.fs(),
+		Iso:          run.IsoAlgo(c.Iso),
+		Tracker:      tracker,
+		Spill:        &run.SpillInfo{},
 	}, nil
 }
 
@@ -297,10 +268,8 @@ func statsOf(envs ...*run.Env) Stats {
 		s.SpilledLevels += sp.SpilledLevels
 		s.SpilledParts += sp.SpilledParts
 		s.PromotedParts += sp.PromotedParts
-		s.CompressedParts += sp.CompressedParts
 		s.SpilledBytes += sp.SpilledBytes
 		s.SpilledBytesPhysical += sp.SpilledBytesPhysical
-		s.ResidentBytesLogical += sp.ResidentBytesLogical
 	}
 	if len(envs) == 1 {
 		s.Levels = publicLevelStats(envs[0].Spill.Levels)

@@ -194,16 +194,11 @@ func (m *Miner) SpilledBytes() int64 { return m.e.SpilledBytes() }
 // occupied on disk — typically 2-4× below SpilledBytes.
 func (m *Miner) SpilledBytesPhysical() int64 { return m.e.SpilledBytesPhysical() }
 
-// CompressedParts reports how many memory-resident CSE level parts were
-// squeezed into the compressed-mem tier, cumulatively (by the mid-build
-// governor under pressure and by cold-level compaction). Zero with
-// ResidentCompression off.
-func (m *Miner) CompressedParts() int { return m.e.CompressedParts() }
-
-// ResidentBytesLogical reports the raw word footprint the currently resident
-// level data stands for — exceeds Bytes while compressed-mem parts are live;
-// the ratio is the budget stretch the compressed-resident tier is buying.
-func (m *Miner) ResidentBytesLogical() int64 { return m.e.ResidentBytesLogical() }
+// CompressedParts always returns 0: a part is raw in memory or on disk.
+//
+// Deprecated: parts are no longer compressed in memory; the method stays for
+// source compatibility and will be removed.
+func (m *Miner) CompressedParts() int { return 0 }
 
 // LevelStat describes the storage placement of one live CSE level.
 type LevelStat struct {
@@ -211,16 +206,18 @@ type LevelStat struct {
 	Len, Groups int
 	// MemParts and DiskParts count the level's parts holding data by
 	// residency — with or without a budget: an unbudgeted level reports the
-	// parts it was built in (all of them MemParts), the base level 1;
-	// CompressedParts is the compressed-mem subset of MemParts.
-	MemParts, CompressedParts, DiskParts int
+	// parts it was built in (all of them MemParts), the base level 1.
+	MemParts, DiskParts int
 	// ResidentBytes is the in-memory footprint (arrays plus the sparse
-	// indexes of disk parts); ResidentBytesLogical is the raw word
-	// footprint the resident parts stand for (equal to ResidentBytes when
-	// none are compressed); DiskBytes is the logical on-disk footprint
+	// indexes of disk parts); DiskBytes is the logical on-disk footprint
 	// (raw word size); DiskBytesPhysical is the bytes the disk parts' codec
 	// blocks actually occupy.
-	ResidentBytes, ResidentBytesLogical, DiskBytes, DiskBytesPhysical int64
+	ResidentBytes, DiskBytes, DiskBytesPhysical int64
+	// ResidentBytesLogical equals ResidentBytes: resident parts are raw.
+	//
+	// Deprecated: use ResidentBytes; the field stays for source
+	// compatibility and will be removed.
+	ResidentBytesLogical int64
 }
 
 // LevelStats reports the placement of every live CSE level, base first —
@@ -237,7 +234,11 @@ func publicLevelStats(in []run.LevelStat) []LevelStat {
 	}
 	out := make([]LevelStat, len(in))
 	for i, s := range in {
-		out[i] = LevelStat(s) // the same fields in the same order
+		out[i] = LevelStat{
+			Len: s.Len, Groups: s.Groups, MemParts: s.MemParts, DiskParts: s.DiskParts,
+			ResidentBytes: s.ResidentBytes, DiskBytes: s.DiskBytes, DiskBytesPhysical: s.DiskBytesPhysical,
+			ResidentBytesLogical: s.ResidentBytes,
+		}
 	}
 	return out
 }

@@ -9,8 +9,8 @@ import (
 
 // minerEmbeddings expands a vertex-induced Miner to depth 3 and returns its
 // embeddings (original ids, in walk order within an embedding) sorted, with
-// the Miner's spill counters and level placement.
-func minerEmbeddings(t *testing.T, newMiner func() (*Miner, error)) (embs []string, spilled, compressed int, levels []LevelStat) {
+// the Miner's spilled part count and level placement.
+func minerEmbeddings(t *testing.T, newMiner func() (*Miner, error)) (embs []string, spilled int, levels []LevelStat) {
 	t.Helper()
 	m, err := newMiner()
 	if err != nil {
@@ -33,14 +33,14 @@ func minerEmbeddings(t *testing.T, newMiner func() (*Miner, error)) (embs []stri
 		t.Fatal(err)
 	}
 	sort.Strings(embs)
-	return embs, m.SpilledParts(), m.CompressedParts(), m.LevelStats()
+	return embs, m.SpilledParts(), m.LevelStats()
 }
 
 // TestRegimeIdentity pins that the storage regime is invisible in results:
 // the four applications and a Miner's stored embeddings are identical with
 // no budget, with a budget nothing comes near (64 × the level bytes) and
 // with a budget nothing fits (1 byte), at 1, 2 and 4 threads and sharded —
-// and that the two regimes with room report no part spilled or compressed.
+// and that the two regimes with room report no part spilled.
 // Without a budget that includes an Engine's Miner, whose tracker is
 // arbiter-backed rather than absent.
 func TestRegimeIdentity(t *testing.T) {
@@ -68,7 +68,7 @@ func TestRegimeIdentity(t *testing.T) {
 	if tcRef == 0 || cqRef == 0 || len(moRef) == 0 || len(fsRef) == 0 {
 		t.Fatalf("degenerate reference: %d triangles, %d cliques, %d motifs, %d frequent", tcRef, cqRef, len(moRef), len(fsRef))
 	}
-	embRef, _, _, levels := minerEmbeddings(t, func() (*Miner, error) { return g.NewMiner(bgCtx, VertexInduced, ref) })
+	embRef, _, levels := minerEmbeddings(t, func() (*Miner, error) { return g.NewMiner(bgCtx, VertexInduced, ref) })
 	var levelBytes int64
 	for _, l := range levels {
 		levelBytes += l.ResidentBytes
@@ -77,7 +77,7 @@ func TestRegimeIdentity(t *testing.T) {
 	regimes := []struct {
 		name   string
 		budget int64
-		roomy  bool // nothing may spill or be compressed
+		roomy  bool // nothing may spill
 	}{
 		{"unbudgeted", 0, true},
 		{"huge", 64 * levelBytes, true},
@@ -91,15 +91,11 @@ func TestRegimeIdentity(t *testing.T) {
 				cfg := Config{Threads: threads, Shards: shards, MemoryBudget: reg.budget, Stats: &st}
 				if reg.budget > 0 {
 					cfg.SpillDir = t.TempDir()
-					// Cold-level compaction squeezes sealed levels whatever
-					// the headroom; with it off, a compressed part can only
-					// mean the governor saw pressure.
-					cfg.ResidentCompression = CompressionOff
 				}
 				placed := func(app string) {
 					t.Helper()
-					if reg.roomy && st.SpilledParts+st.CompressedParts != 0 {
-						t.Fatalf("%s %s: %d parts spilled, %d compressed", name, app, st.SpilledParts, st.CompressedParts)
+					if reg.roomy && st.SpilledParts != 0 {
+						t.Fatalf("%s %s: %d parts spilled", name, app, st.SpilledParts)
 					}
 				}
 				tc, err := g.Triangles(bgCtx, cfg)
@@ -132,11 +128,11 @@ func TestRegimeIdentity(t *testing.T) {
 					"graph": func() (*Miner, error) { return g.NewMiner(bgCtx, VertexInduced, cfg) },
 					"engine": func() (*Miner, error) {
 						eng := &Engine{MemoryBudget: cfg.MemoryBudget, SpillDir: cfg.SpillDir, Threads: threads}
-						return eng.NewMiner(bgCtx, g, VertexInduced, Config{ResidentCompression: cfg.ResidentCompression})
+						return eng.NewMiner(bgCtx, g, VertexInduced, Config{})
 					},
 				}
 				for owner, newMiner := range miners {
-					embs, spilled, compressed, levels := minerEmbeddings(t, newMiner)
+					embs, spilled, levels := minerEmbeddings(t, newMiner)
 					if len(embs) != len(embRef) {
 						t.Fatalf("%s %s miner: %d embeddings, want %d", name, owner, len(embs), len(embRef))
 					}
@@ -145,11 +141,11 @@ func TestRegimeIdentity(t *testing.T) {
 							t.Fatalf("%s %s miner: embedding %d is %s, want %s", name, owner, i, embs[i], embRef[i])
 						}
 					}
-					if reg.roomy && spilled+compressed != 0 {
-						t.Fatalf("%s %s miner: %d parts spilled, %d compressed", name, owner, spilled, compressed)
+					if reg.roomy && spilled != 0 {
+						t.Fatalf("%s %s miner: %d parts spilled", name, owner, spilled)
 					}
 					for l, ls := range levels[1:] {
-						if reg.roomy && (ls.DiskParts != 0 || ls.CompressedParts != 0 || ls.MemParts == 0) {
+						if reg.roomy && (ls.DiskParts != 0 || ls.MemParts == 0) {
 							t.Fatalf("%s %s miner: level %d placed %+v", name, owner, l+2, ls)
 						}
 						if !reg.roomy && ls.MemParts != 0 {
