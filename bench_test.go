@@ -53,7 +53,7 @@ func BenchmarkTable2(b *testing.B) {
 		run  func() error
 	}
 	cells := []cell{
-		{"3FSM300/Kaleido", func() error { _, err := apps.FSM(bgCtx, g, 3, 300, &run.Env{}); return err }},
+		{"3FSM300/Kaleido", func() error { _, _, err := apps.FSM(bgCtx, g, 3, 300, &run.Env{}); return err }},
 		{"3FSM300/Arabesque", func() error { _, err := arabesque.FSM(g, 3, 300, arabesque.Options{Threads: 4}); return err }},
 		{"3FSM300/RStream", func() error { _, _, err := rstream.FSM(g, 3, 300, rstream.Options{Threads: 4}); return err }},
 		{"Motif3/Kaleido", func() error { _, err := apps.MotifCount(bgCtx, g, 3, &run.Env{}); return err }},
@@ -119,7 +119,7 @@ func BenchmarkFig11FSMSupportSweep(b *testing.B) {
 	for _, support := range []uint64{10, 100, 1000, 10000} {
 		b.Run(fmt.Sprintf("support=%d", support), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.FSM(bgCtx, g, 3, support, &run.Env{}); err != nil {
+				if _, _, err := apps.FSM(bgCtx, g, 3, support, &run.Env{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -144,7 +144,7 @@ func BenchmarkFig12Iso(b *testing.B) {
 		})
 		b.Run("4-FSM/"+algo.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.FSM(bgCtx, g, 4, 10, &run.Env{Iso: algo.iso}); err != nil {
+				if _, _, err := apps.FSM(bgCtx, g, 4, 10, &run.Env{Iso: algo.iso}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -170,7 +170,7 @@ func BenchmarkFig13Labels(b *testing.B) {
 		}{{"Eigen", run.IsoEigen}, {"Bliss", run.IsoBliss}} {
 			b.Run(v.name+"/"+algo.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := apps.FSM(bgCtx, v.g, 3, 300, &run.Env{Iso: algo.iso}); err != nil {
+					if _, _, err := apps.FSM(bgCtx, v.g, 3, 300, &run.Env{Iso: algo.iso}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -193,7 +193,7 @@ func BenchmarkFig14Scalability(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("3-FSM-5000/threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := apps.FSM(bgCtx, g, 3, 5000, &run.Env{Threads: threads}); err != nil {
+				if _, _, err := apps.FSM(bgCtx, g, 3, 5000, &run.Env{Threads: threads}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -43,7 +43,6 @@ func main() {
 	dsName := flag.String("dataset", "", "named dataset (citeseer, mico, patent, youtube)")
 	graphPath := flag.String("graph", "", "edge-list file")
 	threads := flag.Int("threads", 0, "worker threads (0 = all CPUs)")
-	shards := flag.Int("shards", 0, "prefix-range shards run concurrently under one budget (0/1 = unsharded)")
 	budget := flag.String("budget", "", "memory budget for intermediate data (e.g. 512MiB); empty = in-memory")
 	spill := flag.String("spill", os.TempDir(), "spill directory for hybrid storage")
 	predict := flag.Bool("predict", true, "prediction-based load balancing for spilled levels")
@@ -61,7 +60,6 @@ func main() {
 		Dataset:   *dsName,
 		GraphPath: *graphPath,
 		Threads:   *threads,
-		Shards:    *shards,
 		Budget:    *budget,
 		Iso:       *iso,
 		MinCount:  *minCount,
@@ -151,11 +149,7 @@ func runServed(ctx context.Context, spec *service.JobSpec) (*service.JobResult, 
 		MemoryBudget: cfg.MemoryBudget,
 		SpillDir:     cfg.SpillDir,
 	}
-	cache, _ := os.UserCacheDir()
-	if cache != "" {
-		cache += "/kaleido-datasets"
-	}
-	srv := service.NewServer(eng, cache, 1)
+	srv := service.NewServer(eng, service.DefaultCacheDir(), 1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -175,7 +169,9 @@ func runServed(ctx context.Context, spec *service.JobSpec) (*service.JobResult, 
 	for {
 		select {
 		case <-ctx.Done():
-			http.Post(ts.URL+"/jobs/"+job.ID+"/cancel", "application/json", nil)
+			if resp, err := http.Post(ts.URL+"/jobs/"+job.ID+"/cancel", "application/json", nil); err == nil {
+				resp.Body.Close()
+			}
 			return nil, ctx.Err()
 		case <-time.After(50 * time.Millisecond):
 		}
@@ -235,11 +231,7 @@ func printResult(spec *service.JobSpec, res *service.JobResult) {
 }
 
 func loadGraph(spec *service.JobSpec) (*kaleido.Graph, error) {
-	cache, _ := os.UserCacheDir()
-	if cache != "" {
-		cache += "/kaleido-datasets"
-	}
-	g, err := spec.LoadGraph(cache)
+	g, err := spec.LoadGraph(service.DefaultCacheDir())
 	if err != nil {
 		return nil, err
 	}

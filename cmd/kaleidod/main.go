@@ -42,7 +42,7 @@ func main() {
 	threads := flag.Int("threads", 0, "default per-job worker threads (0 = all CPUs)")
 	queueLimit := flag.Int("queue-limit", 0, "admission queue bound (0 = default 64)")
 	admitWM := flag.Float64("admit-watermark", 0, "fraction of the budget admitted work may plan to fill (0 = default 0.8)")
-	cacheDir := flag.String("cache-dir", defaultCacheDir(), "on-disk dataset cache (empty = regenerate per load)")
+	cacheDir := flag.String("cache-dir", service.DefaultCacheDir(), "on-disk dataset cache (empty = regenerate per load)")
 	cacheGraphs := flag.Int("cache-graphs", 4, "idle graphs kept in the in-memory cache")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long a shutdown waits for in-flight jobs before canceling them")
 	flag.Parse()
@@ -93,14 +93,6 @@ func main() {
 	}
 	<-done
 	log.Printf("kaleidod: drained, bye")
-}
-
-func defaultCacheDir() string {
-	cache, _ := os.UserCacheDir()
-	if cache == "" {
-		return ""
-	}
-	return cache + "/kaleido-datasets"
 }
 
 func orDash(s string) string {

@@ -14,10 +14,7 @@
 // all-disk write-byte accounting — "compress" — the spill codec's time and
 // logical vs physical bytes on disk — "concurrent" —
 // N concurrent runs sharing one memory budget through a kaleido.Engine,
-// with the combined resident peak the arbiter recorded — "shards" —
-// prefix-range sharded execution scaling the vertex-d4 frontier count over
-// 1/2/4 degree-mass-balanced shards (one worker each), with the summed
-// embedding count pinned across shard counts — and "service" — N jobs
+// with the combined resident peak the arbiter recorded — and "service" — N jobs
 // submitted to an in-process kaleidod HTTP daemon against the same N direct
 // Engine runs, with the admission queue's wait columns and the counts pinned
 // across both paths. See EXPERIMENTS.md for the paper-vs-measured record.
@@ -37,13 +34,14 @@ import (
 	"runtime"
 
 	"kaleido/internal/bench"
+	"kaleido/internal/service"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id or 'all'")
 	quick := flag.Bool("quick", false, "reduced grids (CI-sized)")
 	threads := flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads")
-	cache := flag.String("cache", defaultCache(), "dataset cache directory")
+	cache := flag.String("cache", service.DefaultCacheDir(), "dataset cache directory")
 	spill := flag.String("spill", os.TempDir(), "scratch directory for hybrid storage")
 	faults := flag.Bool("faults", false, "run the fault-injection campaign (shorthand for -exp faults)")
 	faultP := flag.Float64("fault-p", 0, "per-op probability of each transient fault class in the faults campaign (0 = default 0.01)")
@@ -81,12 +79,4 @@ func main() {
 			fmt.Println(r.Render())
 		}
 	}
-}
-
-func defaultCache() string {
-	dir, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return dir + "/kaleido-datasets"
 }

@@ -261,9 +261,9 @@ func aggregateAtDepth(t *testing.T, g *graph.Graph, mode explore.Mode, depth int
 }
 
 // TestRepresentativeDeterministic pins that the pattern representing a class
-// does not depend on which worker or shard met which embedding first: the
-// three aggregating entry points return byte-identical results for every
-// thread and shard count, with every backend.
+// does not depend on which worker met which embedding first: the three
+// aggregating entry points return byte-identical results for every thread
+// count, with every backend.
 func TestRepresentativeDeterministic(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(31)), 60, 260, 3)
 	for name, algo := range isoAlgos {
@@ -275,7 +275,7 @@ func TestRepresentativeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fsm, err := FSM(bgCtx, g, 4, 3, base)
+		fsm, _, err := FSM(bgCtx, g, 4, 3, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,22 +285,17 @@ func TestRepresentativeDeterministic(t *testing.T) {
 			t.Fatalf("%s: weak input: %d motifs, %d fsm, %d/%d aggregated classes", name, len(motifs), len(fsm), len(aggV), len(aggE))
 		}
 		for _, threads := range []int{1, 2, 3} {
-			for _, shards := range []int{1, 2} {
-				what := fmt.Sprintf("%s threads=%d shards=%d", name, threads, shards)
-				opt := &run.Env{Threads: threads, Iso: algo}
-				got, err := MotifCountSharded(bgCtx, g, 4, shardOpts(g, opt, shards, false))
-				if err != nil {
-					t.Fatal(err)
-				}
-				comparePatternCounts(t, what+" motifs", got, motifs)
-				got, _, err = FSMSharded(bgCtx, g, 4, 3, shardOpts(g, opt, shards, true))
-				if err != nil {
-					t.Fatal(err)
-				}
-				comparePatternCounts(t, what+" fsm", got, fsm)
-			}
 			opt := &run.Env{Threads: threads, Iso: algo}
 			what := fmt.Sprintf("%s threads=%d", name, threads)
+			got, err := MotifCount(bgCtx, g, 4, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comparePatternCounts(t, what+" motifs", got, motifs)
+			if got, _, err = FSM(bgCtx, g, 4, 3, opt); err != nil {
+				t.Fatal(err)
+			}
+			comparePatternCounts(t, what+" fsm", got, fsm)
 			comparePatternCounts(t, what+" aggregate vertex-induced", aggregateAtDepth(t, g, explore.VertexInduced, 3, opt), aggV)
 			comparePatternCounts(t, what+" aggregate edge-induced", aggregateAtDepth(t, g, explore.EdgeInduced, 2, opt), aggE)
 		}
@@ -314,7 +309,7 @@ func TestAggregatePatternsEdgeInducedMatchesFSM(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(41)), 18, 40, 3)
 	for _, k := range []int{3, 4} {
 		opt := &run.Env{Threads: 2}
-		want, err := FSM(bgCtx, g, k, 1, opt)
+		want, _, err := FSM(bgCtx, g, k, 1, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,9 +19,11 @@
 // graph.NeighborMarker.
 //
 // An application run is configured by one *run.Env — threads, budget, spill
-// placement, tracker, isomorphism backend, seed range, accounting out-pointer
-// — which each application hands unchanged to its explorer; nothing here
-// copies or re-declares a run knob.
+// placement, tracker, isomorphism backend, accounting out-pointer — which
+// each application hands unchanged to its explorer; nothing here copies or
+// re-declares a run knob. A run is parallel inside itself only: its workers
+// split every level (§4.2) and pull chunks dynamically, and the per-worker
+// PatternMaps meet in one Reducer. There is no seed-range sharding of a run.
 package apps
 
 import (

@@ -247,7 +247,7 @@ func TestFSMTwoStars(t *testing.T) {
 	g := twoStarGraph(t)
 	// 3-FSM (2 edges, ≤3 vertices), support 2: the only 2-edge pattern is
 	// the path 1-0-1, MNI = min(|{0,1}|, |{2,3,4,5}|) = 2 → frequent.
-	got, err := FSM(bgCtx, g, 3, 2, &run.Env{Threads: 2})
+	got, _, err := FSM(bgCtx, g, 3, 2, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestFSMTwoStars(t *testing.T) {
 		t.Fatalf("pattern = %v", got[0].Pattern)
 	}
 	// Support 3: even single edges are infrequent (MNI 2).
-	none, err := FSM(bgCtx, g, 3, 3, &run.Env{Threads: 2})
+	none, _, err := FSM(bgCtx, g, 3, 3, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestFSMTwoStars(t *testing.T) {
 func TestFSMSingleEdgeLevel(t *testing.T) {
 	g := twoStarGraph(t)
 	// 2-FSM = frequent single-edge patterns.
-	got, err := FSM(bgCtx, g, 2, 2, &run.Env{})
+	got, _, err := FSM(bgCtx, g, 2, 2, &run.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestFSMSupportOneMatchesEnumeration(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 7+rng.Intn(5), rng.Intn(20), 2)
 		k := 3 + rng.Intn(2)
-		got, err := FSM(bgCtx, g, k, 1, &run.Env{Threads: 1 + rng.Intn(3)})
+		got, _, err := FSM(bgCtx, g, k, 1, &run.Env{Threads: 1 + rng.Intn(3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,11 +369,11 @@ func edgeSetConnected(g *graph.Graph, set []uint32) bool {
 func TestFSMHybridMatchesMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 30, 90, 3)
-	mem, err := FSM(bgCtx, g, 4, 2, &run.Env{Threads: 2})
+	mem, _, err := FSM(bgCtx, g, 4, 2, &run.Env{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := FSM(bgCtx, g, 4, 2, &run.Env{
+	hyb, _, err := FSM(bgCtx, g, 4, 2, &run.Env{
 		Threads: 2, MemoryBudget: 1, SpillDir: t.TempDir(), Predict: true,
 	})
 	if err != nil {
@@ -391,13 +391,13 @@ func TestFSMHybridMatchesMemory(t *testing.T) {
 
 func TestFSMValidation(t *testing.T) {
 	g := paperGraph(t)
-	if _, err := FSM(bgCtx, g, 1, 1, &run.Env{}); err == nil {
+	if _, _, err := FSM(bgCtx, g, 1, 1, &run.Env{}); err == nil {
 		t.Fatal("k=1 accepted")
 	}
-	if _, err := FSM(bgCtx, g, 3, 0, &run.Env{}); err == nil {
+	if _, _, err := FSM(bgCtx, g, 3, 0, &run.Env{}); err == nil {
 		t.Fatal("support 0 accepted")
 	}
-	if _, err := FSM(bgCtx, g, pattern.MaxK+1, 1, &run.Env{}); err == nil {
+	if _, _, err := FSM(bgCtx, g, pattern.MaxK+1, 1, &run.Env{}); err == nil {
 		t.Fatal("oversized k accepted")
 	}
 	if _, err := MotifCount(bgCtx, g, 1, &run.Env{}); err == nil {
@@ -410,7 +410,7 @@ func TestFSMThreadInvariance(t *testing.T) {
 	g := randomGraph(rng, 25, 70, 3)
 	var ref []PatternCount
 	for _, threads := range []int{1, 2, 4} {
-		got, err := FSM(bgCtx, g, 4, 3, &run.Env{Threads: threads})
+		got, _, err := FSM(bgCtx, g, 4, 3, &run.Env{Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func runAllApps(t *testing.T, opt *run.Env) (appResults, error) {
 	if r.motifs, err = MotifCount(context.Background(), g, 4, opt); err != nil {
 		return r, fmt.Errorf("motifs: %w", err)
 	}
-	if r.fsm, err = FSM(context.Background(), g, 3, 2, opt); err != nil {
+	if r.fsm, _, err = FSM(context.Background(), g, 3, 2, opt); err != nil {
 		return r, fmt.Errorf("fsm: %w", err)
 	}
 	return r, nil

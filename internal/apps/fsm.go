@@ -18,27 +18,23 @@ import (
 // the exact MNI support is not computed: as soon as a pattern's support
 // reaches the threshold it is marked frequent and its domain tracking is
 // dropped, which is why FSM run time is non-monotonic in the support
-// (Fig. 11). ctx cancels the run between blocks of work.
-func FSM(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.Env) ([]PatternCount, error) {
-	res, _, err := fsmRun(ctx, g, k, support, env)
-	return res, err
-}
-
-// fsmRun is FSM returning also the number of final-level embeddings the
-// fused aggregation visited (the CountVisitSink total) — the Count a sharded
-// Result reports.
-func fsmRun(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.Env) ([]PatternCount, uint64, error) {
-	if err := fsmValidate(k, support); err != nil {
-		return nil, 0, err
+// (Fig. 11). Besides the frequent patterns FSM returns the number of
+// final-level embeddings its fused aggregation visited. ctx cancels the run
+// between blocks of work.
+func FSM(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.Env) ([]PatternCount, uint64, error) {
+	if k < 2 || k > pattern.MaxK {
+		return nil, 0, fmt.Errorf("apps: FSM size %d out of [2,%d]", k, pattern.MaxK)
+	}
+	if support == 0 {
+		return nil, 0, fmt.Errorf("apps: FSM support must be positive")
 	}
 
 	// Init (§5.1): MNI support of every single-edge pattern; infrequent
 	// edges are eliminated before exploration starts.
 	freqPairs, edgeCounts := frequentEdgePatterns(g, support)
 	if k == 2 {
-		out := edgeCounts
-		sortCounts(out)
-		return out, uint64(g.M()), nil
+		sortCounts(edgeCounts)
+		return edgeCounts, uint64(g.M()), nil
 	}
 
 	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: env})
@@ -53,47 +49,32 @@ func fsmRun(ctx context.Context, g *graph.Graph, k int, support uint64, env *run
 	filter := fsmEmbeddingFilter(g, k, freqPairs)
 	a := newAggregator(g, support, env)
 
-	var result []PatternCount
-	var total uint64
-	for level := 2; level <= k-1; level++ {
+	for level := 2; level < k-1; level++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		if level < k-1 {
-			if err := e.Expand(ctx, nil, filter); err != nil {
-				return nil, 0, err
-			}
-			merged, err := aggregateFSM(ctx, a, e)
-			if err != nil {
-				return nil, 0, err
-			}
-			if err := fsmFilterTop(ctx, a, e, merged); err != nil {
-				return nil, 0, err
-			}
-			continue
-		}
-		// Final level: the largest level of the run is aggregated at the
-		// expansion frontier and never materialized — the §6.5
-		// terminal-consumption trick applied to FSM.
-		merged, n, err := aggregateFSMFused(ctx, a, e, filter)
-		if err != nil {
+		// Expand, run the Mapper over the stored top level with a's
+		// per-worker PatternMaps, Reduce them into one map keyed by
+		// isomorphism hash, and prune the level against it.
+		if err := e.Expand(ctx, nil, filter); err != nil {
 			return nil, 0, err
 		}
-		total = n
-		result = collectFrequent(result, merged, support)
+		if err := e.ForEach(ctx, a.addEdges); err != nil {
+			return nil, 0, err
+		}
+		if err := fsmFilterTop(ctx, a, e, a.merge()); err != nil {
+			return nil, 0, err
+		}
 	}
-	sortCounts(result)
-	return result, total, nil
-}
-
-func fsmValidate(k int, support uint64) error {
-	if k < 2 || k > pattern.MaxK {
-		return fmt.Errorf("apps: FSM size %d out of [2,%d]", k, pattern.MaxK)
+	// Final level: the largest level of the run is aggregated at the
+	// expansion frontier and never materialized — the §6.5
+	// terminal-consumption trick applied to FSM. The combined Count+Visit
+	// sink counts the level's embeddings in the same pass.
+	total, err := e.ExpandCountVisit(ctx, nil, filter, a.addEdgeExtension)
+	if err != nil {
+		return nil, 0, err
 	}
-	if support == 0 {
-		return fmt.Errorf("apps: FSM support must be positive")
-	}
-	return nil
+	return collectFrequent(a.merge(), support), total, nil
 }
 
 // fsmSeedFilter admits only edges whose 1-edge pattern is frequent.
@@ -130,50 +111,39 @@ func fsmEmbeddingFilter(g *graph.Graph, k int, freqPairs map[uint32]bool) explor
 // and the whole hash pass over the level is skipped. a is the aggregator of
 // the level's aggregation pass: its memos already hold the level's patterns.
 func fsmFilterTop(ctx context.Context, a *aggregator, e *explore.Explorer, merged map[uint64]*mni.Agg) error {
-	if allFrequent(merged) {
-		return nil
-	}
-	return e.FilterTop(ctx, func(w int, emb []uint32) bool {
-		h, err := a.hashEdges(w, emb)
-		if err != nil {
-			return false
-		}
-		agg, ok := merged[h]
-		return ok && agg.Frequent()
-	})
-}
-
-// allFrequent reports whether every aggregated pattern reached the support
-// threshold — then a pruning pass would keep every embedding.
-func allFrequent(m map[uint64]*mni.Agg) bool {
-	for _, agg := range m {
+	for _, agg := range merged {
 		if !agg.Frequent() {
-			return false
+			return e.FilterTop(ctx, func(w int, emb []uint32) bool {
+				h, err := a.hashEdges(w, emb)
+				if err != nil {
+					return false
+				}
+				agg, ok := merged[h]
+				return ok && agg.Frequent()
+			})
 		}
 	}
-	return true
+	return nil
 }
 
-// collectFrequent appends the frequent patterns of a merged map as results.
-// The reported support is saturated at the query threshold: following the
-// paper (§6.2) domains are released the moment a pattern crosses the
-// threshold, so the exact support is never computed and the raw crossing
-// value would vary with worker and shard merge order.
-func collectFrequent(result []PatternCount, merged map[uint64]*mni.Agg, support uint64) []PatternCount {
+// collectFrequent returns the frequent patterns of a merged map as sorted
+// results. The reported support is saturated at the query threshold:
+// following the paper (§6.2) domains are released the moment a pattern
+// crosses the threshold, so the exact support is never computed and the raw
+// crossing value would vary with the worker merge order.
+func collectFrequent(merged map[uint64]*mni.Agg, support uint64) []PatternCount {
+	var result []PatternCount
 	for _, agg := range merged {
 		if !agg.Frequent() {
 			continue
 		}
-		s := agg.Support()
-		if s > support {
-			s = support
-		}
 		result = append(result, PatternCount{
 			Pattern: agg.Pat,
 			Count:   agg.Count,
-			Support: s,
+			Support: min(agg.Support(), support),
 		})
 	}
+	sortCounts(result)
 	return result
 }
 
@@ -234,29 +204,6 @@ func frequentEdgePatterns(g *graph.Graph, support uint64) (map[uint32]bool, []Pa
 		}
 	}
 	return freq, counts
-}
-
-// aggregateFSM runs the Mapper over all top-level embeddings with a's
-// per-worker PatternMaps, then Reduces them into one map keyed by
-// isomorphism hash.
-func aggregateFSM(ctx context.Context, a *aggregator, e *explore.Explorer) (map[uint64]*mni.Agg, error) {
-	if err := e.ForEach(ctx, a.addEdges); err != nil {
-		return nil, err
-	}
-	return a.merge(), nil
-}
-
-// aggregateFSMFused is aggregateFSM fused into the expansion itself: the
-// final level's embeddings are handed to the Mapper as they are produced and
-// never stored, so FSM's largest level writes zero bytes. The sink is the
-// combined Count+Visit sink, so the total embedding count of the final level
-// comes out of the same pass instead of a second walk over the aggregates.
-func aggregateFSMFused(ctx context.Context, a *aggregator, e *explore.Explorer, filter explore.EdgeFilter) (map[uint64]*mni.Agg, uint64, error) {
-	total, err := e.ExpandCountVisit(ctx, nil, filter, a.addEdgeExtension)
-	if err != nil {
-		return nil, 0, err
-	}
-	return a.merge(), total, nil
 }
 
 // sortedContains reports membership in a sorted slice.

@@ -16,7 +16,6 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/iso"
 	"kaleido/internal/memtrack"
-	"kaleido/internal/mni"
 	"kaleido/internal/pattern"
 	"kaleido/internal/run"
 )
@@ -187,10 +186,10 @@ func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, o
 		if err := e.Expand(bgCtx, nil, filter); err != nil {
 			t.Fatal(err)
 		}
-		var merged map[uint64]*mni.Agg
-		if merged, err = aggregateFSM(bgCtx, a, e); err != nil {
+		if err := e.ForEach(bgCtx, a.addEdges); err != nil {
 			t.Fatal(err)
 		}
+		merged := a.merge()
 		if level < k-1 {
 			// The pruning pass hashes every embedding with a fresh backend,
 			// no memo: the reference the memoised fsmFilterTop must match.
@@ -216,9 +215,8 @@ func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, o
 			}
 			continue
 		}
-		result = collectFrequent(result, merged, support)
+		result = collectFrequent(merged, support)
 	}
-	sortCounts(result)
 	return result
 }
 
@@ -233,7 +231,7 @@ func TestFSMFusedMatchesMaterialized(t *testing.T) {
 				// supports must be byte-identical between the fused and the
 				// materialized final level.
 				exact := materializedFSMFinal(t, g, k, support, &run.Env{Threads: 1})
-				got1, err := FSM(bgCtx, g, k, support, &run.Env{Threads: 1})
+				got1, _, err := FSM(bgCtx, g, k, support, &run.Env{Threads: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,7 +254,7 @@ func TestFSMFusedMatchesMaterialized(t *testing.T) {
 					wantByClass[iso.CanonicalBrute(pc.Pattern)] = pc.Count
 				}
 				for i, opt := range appConfigs(t) {
-					got, err := FSM(bgCtx, g, k, support, opt)
+					got, _, err := FSM(bgCtx, g, k, support, opt)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -137,7 +137,7 @@ func TestFSMMatchesKaleido(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(rng, 12+rng.Intn(10), rng.Intn(40), 2)
 		for _, support := range []uint64{1, 2, 4} {
-			want, err := apps.FSM(bgCtx, g, 4, support, &run.Env{Threads: 2})
+			want, _, err := apps.FSM(bgCtx, g, 4, support, &run.Env{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -83,7 +83,7 @@ func (r Result) Render() string {
 // the engine experiments that go beyond the paper's evaluation. Run also
 // accepts "iso" for fig12, the isomorphism layer's experiment.
 func Experiments() []string {
-	return []string{"table2", "table3", "fig11", "fig12", "fig13", "fig14", "table4", "fig16", "fig17", "sinks", "compress", "concurrent", "faults", "shards", "service"}
+	return []string{"table2", "table3", "fig11", "fig12", "fig13", "fig14", "table4", "fig16", "fig17", "sinks", "compress", "concurrent", "faults", "service"}
 }
 
 // Run executes one experiment by id.
@@ -115,8 +115,6 @@ func Run(id string, cfg RunConfig) ([]Result, error) {
 		return concurrent(cfg)
 	case "faults":
 		return faults(cfg)
-	case "shards":
-		return shardsExp(cfg)
 	case "service":
 		return serviceExp(cfg)
 	default:
@@ -187,7 +185,7 @@ func runCell(g *graph.Graph, sys system, w workload, cfg RunConfig) measured {
 			opt := &run.Env{Threads: threads, Tracker: tr}
 			switch w.app {
 			case "3-FSM":
-				_, err := apps.FSM(bgCtx, g, 3, w.option, opt)
+				_, _, err := apps.FSM(bgCtx, g, 3, w.option, opt)
 				return err
 			case "Motif":
 				_, err := apps.MotifCount(bgCtx, g, int(w.option), opt)

@@ -7,7 +7,7 @@ import (
 
 func TestExperimentsListed(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 15 {
+	if len(ids) != 14 {
 		t.Fatalf("experiments = %v", ids)
 	}
 	if _, err := Run("nope", RunConfig{}); err == nil {
@@ -62,28 +62,6 @@ func TestFaultsSmoke(t *testing.T) {
 	for _, row := range res[1].Rows {
 		if got := row[2]; got != "true" {
 			t.Fatalf("hard fault %s missed its sentinel: %v", row[0], row)
-		}
-	}
-}
-
-// TestShardsSmoke runs the sharded-execution scaling experiment at -quick
-// scale: every shard count must report the same summed embedding count (the
-// experiment errors out internally otherwise) and no cell may carry an error.
-func TestShardsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run in -short mode")
-	}
-	res, err := Run("shards", RunConfig{Threads: 4, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || len(res[0].Rows) != 3 {
-		t.Fatalf("results = %+v", res)
-	}
-	want := res[0].Rows[0][3]
-	for _, row := range res[0].Rows {
-		if row[3] != want {
-			t.Fatalf("embedding totals differ across shard counts: %v", res[0].Rows)
 		}
 	}
 }

@@ -165,73 +165,6 @@ func BenchmarkApps(b *testing.B) {
 	}
 }
 
-// shardCase is the prefix-range sharded form of the vertex-d4 expansion:
-// k single-threaded sub-runs over degree-mass-balanced vertex ranges of the
-// relabeled bench graph, counting the depth-4 frontier concurrently.
-type shardCase struct {
-	name   string
-	shards int
-}
-
-func shardCasesBench() []shardCase {
-	return []shardCase{
-		{name: "shards-1", shards: 1},
-		{name: "shards-2", shards: 2},
-		{name: "shards-4", shards: 4},
-	}
-}
-
-// measureShardCase benchmarks one sharded frontier count, returning the
-// result and the summed embedding count (pinned to vertex-d4's).
-func measureShardCase(c shardCase) (testing.BenchmarkResult, int) {
-	var produced uint64
-	r := testing.Benchmark(func(b *testing.B) {
-		g, err := shardsGraph()
-		if err != nil {
-			b.Fatal(err)
-		}
-		exs, err := shardExplorers(g, c.shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer closeExplorers(exs)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v, err := shardedExpandCount(exs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			produced = v
-		}
-	})
-	return r, int(produced)
-}
-
-// BenchmarkShards measures the sharded vertex-d4 frontier count.
-func BenchmarkShards(b *testing.B) {
-	for _, c := range shardCasesBench() {
-		b.Run(c.name, func(b *testing.B) {
-			g, err := shardsGraph()
-			if err != nil {
-				b.Fatal(err)
-			}
-			exs, err := shardExplorers(g, c.shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer closeExplorers(exs)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := shardedExpandCount(exs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // snapshotCases adds the prediction-enabled variant to the snapshot: each
 // child pays a §4.2 candidate-size prediction, making it ~15× slower per op,
 // so it is tracked in BENCH_expand.json but kept out of BenchmarkExpand to
@@ -500,16 +433,6 @@ func TestEmitExpandBenchSnapshot(t *testing.T) {
 			Embeddings:  produced,
 		})
 	}
-	for _, c := range shardCasesBench() {
-		r, produced := measureShardCase(c)
-		snaps = append(snaps, expandSnapshot{
-			Name:        c.name,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Embeddings:  produced,
-		})
-	}
 	data, err := json.MarshalIndent(snaps, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -617,16 +540,6 @@ func TestBenchThroughputGuard(t *testing.T) {
 	for _, c := range appCases() {
 		c := c
 		guardOne(c.name, func() (testing.BenchmarkResult, int) { return measureAppCase(c) })
-	}
-	// Sharded execution: shards=1 guards the relabeled single-shard path and
-	// shards=4 the concurrent fan-out; both pin the summed frontier count to
-	// vertex-d4's (the shard ranges must partition the embedding space).
-	for _, c := range shardCasesBench() {
-		if c.shards == 2 {
-			continue
-		}
-		c := c
-		guardOne(c.name, func() (testing.BenchmarkResult, int) { return measureShardCase(c) })
 	}
 	// Alongside throughput, guard the codec's bytes-on-disk win.
 	assertCompressedSpill(t)

@@ -46,7 +46,7 @@ func fig11(cfg RunConfig) ([]Result, error) {
 		row := []string{ds}
 		for _, s := range supports {
 			m := timed(func(tr *memtrack.Tracker) error {
-				_, err := apps.FSM(bgCtx, g, 3, s, &run.Env{Threads: cfg.Threads, Tracker: tr})
+				_, _, err := apps.FSM(bgCtx, g, 3, s, &run.Env{Threads: cfg.Threads, Tracker: tr})
 				return err
 			})
 			row = append(row, m.timeCell(), m.memCell())
@@ -109,7 +109,7 @@ func fig12(cfg RunConfig) ([]Result, error) {
 				if w.app == "motif" {
 					classes, err = apps.MotifCount(bgCtx, g, w.k, opt)
 				} else {
-					classes, err = apps.FSM(bgCtx, g, w.k, w.support, opt)
+					classes, _, err = apps.FSM(bgCtx, g, w.k, w.support, opt)
 				}
 				return err
 			})
@@ -178,7 +178,7 @@ func fig13(cfg RunConfig) ([]Result, error) {
 	add := func(name string, g *graph.Graph, k int, s uint64) {
 		measure := func(iso run.IsoAlgo) measured {
 			return timed(func(tr *memtrack.Tracker) error {
-				_, err := apps.FSM(bgCtx, g, k, s, &run.Env{Threads: cfg.Threads, Tracker: tr, Iso: iso})
+				_, _, err := apps.FSM(bgCtx, g, k, s, &run.Env{Threads: cfg.Threads, Tracker: tr, Iso: iso})
 				return err
 			})
 		}
@@ -217,7 +217,7 @@ func fig14(cfg RunConfig) ([]Result, error) {
 	for _, t := range threads {
 		row := []string{fmt.Sprint(t)}
 		fsm := timed(func(tr *memtrack.Tracker) error {
-			_, err := apps.FSM(bgCtx, g, 3, 5000, &run.Env{Threads: t, Tracker: tr})
+			_, _, err := apps.FSM(bgCtx, g, 3, 5000, &run.Env{Threads: t, Tracker: tr})
 			return err
 		})
 		motif := timed(func(tr *memtrack.Tracker) error {
@@ -275,7 +275,7 @@ func table4(cfg RunConfig) ([]Result, error) {
 					_, err := apps.MotifCount(bgCtx, g, 4, opt)
 					return err
 				}
-				_, err := apps.FSM(bgCtx, g, 4, w.support, opt)
+				_, _, err := apps.FSM(bgCtx, g, 4, w.support, opt)
 				return err
 			})
 		}
@@ -308,7 +308,7 @@ func fig16(cfg RunConfig) ([]Result, error) {
 	// Baseline in-memory run to size the budgets.
 	const f16support = 150
 	base := timed(func(tr *memtrack.Tracker) error {
-		_, err := apps.FSM(bgCtx, g, 4, f16support, &run.Env{Threads: cfg.Threads, Tracker: tr})
+		_, _, err := apps.FSM(bgCtx, g, 4, f16support, &run.Env{Threads: cfg.Threads, Tracker: tr})
 		return err
 	})
 	if base.skipped != "" {
@@ -335,7 +335,7 @@ func fig16(cfg RunConfig) ([]Result, error) {
 		}
 		tr := memtrack.New()
 		start := time.Now()
-		_, err = apps.FSM(bgCtx, g, 4, f16support, &run.Env{
+		_, _, err = apps.FSM(bgCtx, g, 4, f16support, &run.Env{
 			Threads: cfg.Threads, Tracker: tr,
 			MemoryBudget: budget, SpillDir: dir, Predict: true,
 		})
@@ -403,7 +403,7 @@ func fig17(cfg RunConfig) ([]Result, error) {
 					_, err := apps.MotifCount(bgCtx, g, 4, opt)
 					return err
 				}
-				_, err := apps.FSM(bgCtx, g, 4, w.support, opt)
+				_, _, err := apps.FSM(bgCtx, g, 4, w.support, opt)
 				return err
 			})
 		}
@@ -442,7 +442,7 @@ func sinks(cfg RunConfig) ([]Result, error) {
 	wls := []wl{
 		{"4-Clique (CountSink)", func(opt *run.Env) error { _, err := apps.CliqueCount(bgCtx, g, 4, opt); return err }},
 		{"3-Motif (VisitSink)", func(opt *run.Env) error { _, err := apps.MotifCount(bgCtx, g, 3, opt); return err }},
-		{"3-FSM s=100 (VisitSink+KeepSink)", func(opt *run.Env) error { _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
+		{"3-FSM s=100 (VisitSink+KeepSink)", func(opt *run.Env) error { _, _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
 	}
 	if cfg.Quick {
 		wls = wls[:2]
@@ -492,7 +492,7 @@ func compress(cfg RunConfig) ([]Result, error) {
 	wls := []wl{
 		{"4-Clique", func(opt *run.Env) error { _, err := apps.CliqueCount(bgCtx, g, 4, opt); return err }},
 		{"4-Motif", func(opt *run.Env) error { _, err := apps.MotifCount(bgCtx, g, 4, opt); return err }},
-		{"3-FSM s=100", func(opt *run.Env) error { _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
+		{"3-FSM s=100", func(opt *run.Env) error { _, _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
 	}
 	if cfg.Quick {
 		wls = wls[:1]

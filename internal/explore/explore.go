@@ -241,8 +241,8 @@ func (e *Explorer) watermarkBytes() int64 {
 	return int64(spillWatermark * float64(e.cfg.MemoryBudget))
 }
 
-// InitVertices sets level 1 to the vertices of the run's seed range
-// (optionally filtered) — the Init of vertex-induced applications (§5).
+// InitVertices sets level 1 to the graph's vertices (optionally filtered) —
+// the Init of vertex-induced applications (§5).
 func (e *Explorer) InitVertices(filter func(v uint32) bool) error {
 	if e.cfg.Mode != VertexInduced {
 		return fmt.Errorf("explore: InitVertices on edge-induced explorer")
@@ -250,8 +250,8 @@ func (e *Explorer) InitVertices(filter func(v uint32) bool) error {
 	return e.initUnits(e.cfg.Graph.N(), filter)
 }
 
-// InitEdges sets level 1 to the edge ids of the run's seed range (optionally
-// filtered) — the Init of edge-induced applications (§5).
+// InitEdges sets level 1 to the graph's edge ids (optionally filtered) — the
+// Init of edge-induced applications (§5).
 func (e *Explorer) InitEdges(filter func(eid uint32) bool) error {
 	if e.cfg.Mode != EdgeInduced {
 		return fmt.Errorf("explore: InitEdges on vertex-induced explorer")
@@ -259,21 +259,10 @@ func (e *Explorer) InitEdges(filter func(eid uint32) bool) error {
 	return e.initUnits(e.cfg.Graph.M(), filter)
 }
 
-// initUnits seeds level 1 with the units of [0, n) — or of the run's Seeds,
-// the range of one shard of a prefix-range sharded job — that pass filter.
-// Every canonical embedding is rooted at exactly one level-1 unit, so
-// explorers seeded with disjoint ranges covering [0, n) together enumerate
-// exactly the embeddings of a full run, each exactly once.
+// initUnits seeds level 1 with the units of [0, n) that pass filter.
 func (e *Explorer) initUnits(n int, filter func(u uint32) bool) error {
-	lo, hi := uint32(0), uint32(n)
-	if s := e.cfg.Seeds; s != nil {
-		if s.Hi > hi || s.Lo > s.Hi {
-			return fmt.Errorf("explore: seed range [%d, %d) outside [0, %d)", s.Lo, s.Hi, n)
-		}
-		lo, hi = s.Lo, s.Hi
-	}
-	units := make([]uint32, 0, hi-lo)
-	for u := lo; u < hi; u++ {
+	units := make([]uint32, 0, n)
+	for u := uint32(0); u < uint32(n); u++ {
 		if filter == nil || filter(u) {
 			units = append(units, u)
 		}

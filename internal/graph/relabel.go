@@ -5,8 +5,7 @@ import (
 	"sort"
 )
 
-// This file implements cache-aware degree-ordered relabeling and the
-// degree-mass range partitioner built on top of it.
+// This file implements cache-aware degree-ordered relabeling.
 //
 // Relabel permutes the vertex ids of a graph so that high-degree vertices get
 // dense low ids. The mining hot paths benefit twice: the hub bitset rows
@@ -17,9 +16,7 @@ import (
 //
 // The permutation is carried on the Graph (OrigID / NewID), so loaders can
 // relabel transparently and translate user-facing vertex ids back at the API
-// boundary. Ids are degree-ordered, which also makes prefix-range sharding
-// cheap: a first-fit cut over the degree-mass prefix sums balances per-shard
-// work (DegreeMassVertexRanges / DegreeMassEdgeRanges).
+// boundary.
 
 // Relabeled reports whether the graph's vertex ids were permuted by Relabel.
 func (g *Graph) Relabeled() bool { return g.origID != nil }
@@ -90,59 +87,4 @@ func Relabel(g *Graph) (*Graph, error) {
 	rg.origID = order
 	rg.newID = newID
 	return rg, nil
-}
-
-// degreeMassRanges cuts [0, n) into k contiguous ranges by first fit over the
-// weight prefix sums: each range closes as soon as its accumulated weight
-// reaches an equal share of the remaining mass. weightTo(i) must be the
-// nondecreasing total weight of [0, i). Returns k+1 bounds (trailing ranges
-// may be empty when k exceeds the number of ids).
-func degreeMassRanges(n, k int, weightTo func(int) uint64) []int {
-	if k < 1 {
-		k = 1
-	}
-	bounds := make([]int, k+1)
-	total := weightTo(n)
-	lo := 0
-	for s := 0; s < k; s++ {
-		bounds[s] = lo
-		if lo >= n {
-			continue
-		}
-		// Equal share of what is left, so rounding never starves the tail.
-		target := weightTo(lo) + (total-weightTo(lo)+uint64(k-s)-1)/uint64(k-s)
-		hi := lo + sort.Search(n-lo, func(d int) bool { return weightTo(lo+d+1) >= target })
-		if hi < n {
-			hi++ // include the id that crossed the target (first fit)
-		}
-		if s == k-1 {
-			hi = n
-		}
-		lo = hi
-	}
-	bounds[k] = n
-	return bounds
-}
-
-// DegreeMassVertexRanges splits the vertex id range [0, N) into k contiguous
-// ranges balanced by degree mass (Σ deg over the range): the seed partition of
-// prefix-range sharded vertex-induced runs. With degree-ordered ids the heavy
-// hubs sit at the front, so the first-fit cut lands within one vertex of an
-// equal-work split. Returns k+1 range bounds.
-func (g *Graph) DegreeMassVertexRanges(k int) []int {
-	return degreeMassRanges(g.n, k, func(i int) uint64 {
-		// offsets is exactly the degree prefix sum.
-		return g.offsets[i] + uint64(i) // +i: every vertex carries ≥1 unit of seed work
-	})
-}
-
-// DegreeMassEdgeRanges splits the edge id range [0, M) into k contiguous
-// ranges balanced by endpoint degree mass (deg U + deg V per edge): the seed
-// partition of edge-induced (FSM) sharded runs. Returns k+1 range bounds.
-func (g *Graph) DegreeMassEdgeRanges(k int) []int {
-	pre := make([]uint64, g.m+1)
-	for i, e := range g.edges {
-		pre[i+1] = pre[i] + uint64(g.Degree(e.U)) + uint64(g.Degree(e.V)) + 1
-	}
-	return degreeMassRanges(g.m, k, func(i int) uint64 { return pre[i] })
 }

@@ -134,65 +134,6 @@ func TestRelabelBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDegreeMassRangesBalance(t *testing.T) {
-	g := skewedGraph(t, 2000, 12000, 3)
-	rg, err := Relabel(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mass := func(lo, hi int) uint64 {
-		var s uint64
-		for v := lo; v < hi; v++ {
-			s += uint64(rg.Degree(uint32(v))) + 1
-		}
-		return s
-	}
-	for _, k := range []int{1, 2, 3, 4, 8} {
-		bounds := rg.DegreeMassVertexRanges(k)
-		if len(bounds) != k+1 || bounds[0] != 0 || bounds[k] != rg.N() {
-			t.Fatalf("k=%d: bad bounds %v", k, bounds)
-		}
-		total := mass(0, rg.N())
-		target := total / uint64(k)
-		for s := 0; s < k; s++ {
-			if bounds[s] > bounds[s+1] {
-				t.Fatalf("k=%d: bounds not monotone: %v", k, bounds)
-			}
-			got := mass(bounds[s], bounds[s+1])
-			// First fit over degree-ordered prefix sums: every range's mass
-			// stays within one max-remaining-weight of the equal share. With
-			// ids degree-ordered, late ranges hold only light vertices, so a
-			// generous 1.5x/0.5x envelope pins real balance without being
-			// brittle about rounding.
-			if k > 1 && (got > target+target/2+uint64(rg.Degree(uint32(bounds[s])))+1 ||
-				(s < k-1 && got+got/2 < target/2)) {
-				t.Fatalf("k=%d shard %d: mass %d vs target %d (bounds %v)", k, s, got, target, bounds)
-			}
-		}
-	}
-	// Edge ranges: same shape invariants plus full coverage.
-	for _, k := range []int{1, 3, 4} {
-		bounds := rg.DegreeMassEdgeRanges(k)
-		if len(bounds) != k+1 || bounds[0] != 0 || bounds[k] != rg.M() {
-			t.Fatalf("edge k=%d: bad bounds %v", k, bounds)
-		}
-	}
-	// More shards than vertices: trailing ranges empty, still covering.
-	tiny, err := FromEdges(3, []Edge{{0, 1}, {1, 2}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := tiny.DegreeMassVertexRanges(8)
-	if len(bounds) != 9 || bounds[0] != 0 || bounds[8] != 3 {
-		t.Fatalf("tiny bounds %v", bounds)
-	}
-	for s := 0; s < 8; s++ {
-		if bounds[s] > bounds[s+1] {
-			t.Fatalf("tiny bounds not monotone: %v", bounds)
-		}
-	}
-}
-
 func TestRelabelHubPrefix(t *testing.T) {
 	// With degree-ordered ids every hub must sit in a dense low-id prefix.
 	g := skewedGraph(t, 800, 20000, 4)

@@ -56,7 +56,7 @@ func (a *Agg) Support() uint64 { return a.support }
 // Offer makes (a clone of) the sorted pattern p the class representative if
 // it encodes smaller than the current one. The representative is the minimum
 // over every offer and every merged Agg, so it does not depend on the order
-// embeddings, workers or shards arrive in. The positions' (label, degree)
+// embeddings or workers arrive in. The positions' (label, degree)
 // pairs — all the domains depend on — are the same for every sorted pattern
 // of the class.
 func (a *Agg) Offer(p *pattern.Pattern) {

@@ -136,7 +136,7 @@ func TestFSMMatchesKaleido(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		g := randomGraph(rng, 12+rng.Intn(8), rng.Intn(35), 2)
 		for _, support := range []uint64{1, 3} {
-			want, err := apps.FSM(bgCtx, g, 4, support, &run.Env{Threads: 2})
+			want, _, err := apps.FSM(bgCtx, g, 4, support, &run.Env{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,10 +6,9 @@
 // and the level builder (internal/storage). A new run input is therefore one
 // field here plus one line in Config.env; nothing in between copies fields.
 //
-// An Env is read-only once a run has started (a sharded job gives every shard
-// its own Env). The zero value is a valid run: all CPUs, everything in memory,
-// the real filesystem, the eigenvalue isomorphism backend, the full seed
-// range, no accounting.
+// One job is one run over one Env, which is read-only once the run has
+// started. The zero value is a valid run: all CPUs, everything in memory, the
+// real filesystem, the eigenvalue isomorphism backend, no accounting.
 package run
 
 import (
@@ -53,14 +52,6 @@ type Env struct {
 	// Iso selects the isomorphism backend of pattern aggregation.
 	Iso IsoAlgo
 
-	// Seeds restricts level 1 to a contiguous range of exploration units —
-	// vertex ids for vertex-induced runs, edge ids for edge-induced ones. Nil
-	// seeds the full range. Prefix-range sharded execution gives each shard
-	// one range: every canonical embedding is rooted at exactly one level-1
-	// unit, so disjoint ranges covering the id space partition the embedding
-	// space.
-	Seeds *SeedRange
-
 	// Spill, when non-nil, receives the run's storage accounting: the
 	// explorer fills it when it closes.
 	Spill *SpillInfo
@@ -87,11 +78,6 @@ const (
 	// polynomials (ablation).
 	IsoEigenExact
 )
-
-// SeedRange is a half-open level-1 unit id range [Lo, Hi).
-type SeedRange struct {
-	Lo, Hi uint32
-}
 
 // SpillInfo is the storage accounting of one run, cumulative over its
 // expansions (popped levels keep counting).

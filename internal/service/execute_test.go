@@ -54,7 +54,7 @@ func TestExecuteMatchesDirectCalls(t *testing.T) {
 		{JobSpec{App: "motif", K: 4}, sum(motifs), motifs},
 		{JobSpec{App: "motif", K: 4, MinCount: motifs[1].Count, TopK: 1}, sum(motifs), motifs},
 		{JobSpec{App: "fsm", K: 3, Support: 40}, uint64(len(fsm)), fsm},
-		{JobSpec{App: "fsm", K: 3, Support: 40, MinCount: fsm[2].Count, TopK: 2, Shards: 2}, uint64(len(fsm)), fsm},
+		{JobSpec{App: "fsm", K: 3, Support: 40, MinCount: fsm[2].Count, TopK: 2}, uint64(len(fsm)), fsm},
 	} {
 		c.spec.Threads = 2
 		var stats kaleido.Stats

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -29,10 +30,8 @@ type JobSpec struct {
 	// set.
 	Dataset   string `json:"dataset,omitempty"`
 	GraphPath string `json:"graph,omitempty"`
-	// Threads is the worker count (0 = all CPUs); Shards splits the run into
-	// that many concurrent prefix-range sub-runs (0/1 = unsharded).
+	// Threads is the worker count (0 = all CPUs).
 	Threads int `json:"threads,omitempty"`
-	Shards  int `json:"shards,omitempty"`
 	// Budget is a human byte size ("512MiB") capping resident intermediate
 	// data. Only standalone (CLI) execution honors it — jobs run through an
 	// Engine charge the engine's shared budget instead.
@@ -87,9 +86,6 @@ func (s *JobSpec) Validate() error {
 	if s.Dataset == "" && s.GraphPath == "" {
 		return fmt.Errorf("service: need dataset or graph (datasets: %s)",
 			strings.Join(kaleido.DatasetNames(), ", "))
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("service: negative shards %d", s.Shards)
 	}
 	if s.Budget != "" {
 		if _, err := ParseBytes(s.Budget); err != nil {
@@ -146,7 +142,6 @@ func (s *JobSpec) Config() (kaleido.Config, error) {
 	}
 	cfg := kaleido.Config{
 		Threads: s.Threads,
-		Shards:  s.Shards,
 		Predict: boolOr(s.Predict, true),
 		Iso:     iso,
 	}
@@ -172,6 +167,17 @@ func (s *JobSpec) GraphKey() string {
 		return "dataset:" + s.Dataset
 	}
 	return "file:" + s.GraphPath
+}
+
+// DefaultCacheDir is the on-disk dataset cache the kaleido CLI and the
+// kaleidod daemon share by default: kaleido-datasets under the user's cache
+// directory, or "" (regenerate every load) when there is none.
+func DefaultCacheDir() string {
+	cache, err := os.UserCacheDir()
+	if err != nil {
+		return ""
+	}
+	return filepath.Join(cache, "kaleido-datasets")
 }
 
 // LoadGraph loads the spec's input graph. cacheDir is the on-disk cache for
@@ -256,7 +262,7 @@ func Execute(ctx context.Context, eng *kaleido.Engine, g *kaleido.Graph, spec *J
 		return nil, err
 	}
 	cfg.Stats = stats
-	out, err := eng.RunSharded(ctx, kaleido.Job{Graph: g, App: app, K: spec.K, Support: spec.Support, Config: cfg}, cfg.Shards)
+	out, err := eng.Run(ctx, kaleido.Job{Graph: g, App: app, K: spec.K, Support: spec.Support, Config: cfg})
 	if err != nil {
 		return nil, err
 	}

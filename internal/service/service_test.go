@@ -53,7 +53,6 @@ func TestJobSpecValidate(t *testing.T) {
 		{App: "tc"},                                       // no graph source
 		{App: "tc", Dataset: "mico", GraphPath: "x"},      // both sources
 		{App: "clique", K: 1, Dataset: "mico"},            // k too small
-		{App: "tc", Dataset: "mico", Shards: -1},          // negative shards
 		{App: "tc", Dataset: "mico", Budget: "12XB"},      // bad budget
 		{App: "tc", Dataset: "mico", Iso: "magic"},        // bad iso
 		{App: "tc", Dataset: "mico", QueueDeadlineMS: -5}, // negative deadline
@@ -559,9 +558,9 @@ func TestServiceDrainCancels(t *testing.T) {
 }
 
 // TestSubmitRefusesBadBodies: the submit route decodes strictly and boundedly.
-// A spec carrying a field the server does not know — here compress_resident,
-// a knob that no longer exists — is a 400 naming the unknown field, not a
-// silent accept; a body past the 1 MiB cap is refused without being read
+// A spec carrying a field the server does not know — here compress_resident
+// and shards, knobs that no longer exist — is a 400 naming the unknown field,
+// not a silent accept; a body past the 1 MiB cap is refused without being read
 // whole; and neither leaves the server unable to take the next valid job.
 func TestSubmitRefusesBadBodies(t *testing.T) {
 	path := writeGraphFile(t)
@@ -583,8 +582,12 @@ func TestSubmitRefusesBadBodies(t *testing.T) {
 		return resp.StatusCode, e.Error
 	}
 	graph, _ := json.Marshal(path)
-	if code, msg := post([]byte(`{"app":"tc","graph":` + string(graph) + `,"compress_resident":false}`)); code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") {
-		t.Fatalf("spec with compress_resident: HTTP %d %q, want 400 naming the unknown field", code, msg)
+	for _, field := range []string{`"compress_resident":false`, `"shards":2`} {
+		name := strings.Split(field, ":")[0]
+		body := []byte(`{"app":"tc","graph":` + string(graph) + `,` + field + `}`)
+		if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, "unknown field "+name) {
+			t.Fatalf("spec with %s: HTTP %d %q, want 400 naming the unknown field", name, code, msg)
+		}
 	}
 	huge := []byte(`{"app":"tc","graph":"` + strings.Repeat("a", maxSpecBytes) + `"}`)
 	if code, msg := post(huge); code != http.StatusRequestEntityTooLarge {

@@ -83,15 +83,11 @@ var (
 type Config struct {
 	// Threads is the worker count (0 = GOMAXPROCS).
 	Threads int
-	// Shards splits the run into that many contiguous level-1 seed ranges —
-	// balanced by degree mass over the relabeled id order — executed as
-	// concurrent sub-runs that share this Config's memory budget and merge
-	// their results at the barrier (counts sum; motif aggregates merge by
-	// isomorphism hash; FSM prunes level-synchronously against globally
-	// merged supports, so sharded results equal unsharded ones exactly, down
-	// to the pattern that represents each class).
-	// Threads are divided across the shards, each shard getting at least
-	// one worker. 0 or 1 runs unsharded. See also Engine.RunSharded.
+	// Shards is ignored: a run is parallel inside itself (Threads workers
+	// split every level), never split into seed-range sub-runs.
+	//
+	// Deprecated: in-process sharding was removed; the field stays for
+	// source compatibility and will be removed.
 	Shards int
 	// MemoryBudget caps the resident bytes of intermediate embedding data
 	// (§4.1 hybrid storage). Levels are built in memory part by part; when
@@ -215,8 +211,7 @@ type Stats struct {
 	// (base level first), captured just before the run released them — the
 	// per-level residency view that outlives the run, for metrics endpoints
 	// and post-mortems. Filled for application runs and, at Close, for custom
-	// Miners; empty only when the run had Shards > 1 (each shard's levels are
-	// private).
+	// Miners.
 	Levels []LevelStat
 }
 
@@ -225,14 +220,12 @@ type Stats struct {
 // into the engine: a new run input is one field on run.Env plus one line
 // here. tracker is the run's byte and I/O accounting (nil = untracked): a
 // private one for a standalone run, the child of a budget arbiter when the
-// budget is shared. Shards and Stats stay behind: they shape the run path
-// (runJob), not the run.
+// budget is shared. Stats stays behind: runJob and Miner.Close fill it from
+// the run's accounting.
 func (c Config) env(tracker *memtrack.Tracker) (*run.Env, error) {
 	switch {
 	case c.MemoryBudget > 0 && c.SpillDir == "":
 		return nil, fmt.Errorf("kaleido: MemoryBudget set but SpillDir empty")
-	case c.Shards < 0:
-		return nil, fmt.Errorf("kaleido: negative Shards %d", c.Shards)
 	case c.Iso < IsoEigen || c.Iso > IsoEigenExact:
 		return nil, fmt.Errorf("kaleido: unknown Iso backend %d", c.Iso)
 	}
@@ -249,30 +242,22 @@ func (c Config) env(tracker *memtrack.Tracker) (*run.Env, error) {
 }
 
 // statsOf is the one translation from a run's internal accounting to the
-// public Stats: what each sub-run's tracker counted and what its explorer
-// handed to Env.Spill when it closed. I/O, retry and spill counters sum over
-// the sub-runs (one, unless the job was sharded). PeakBytes is the run's own
-// tracked peak; for sub-runs that shared a pool the caller substitutes the
-// pool's.
-func statsOf(envs ...*run.Env) Stats {
-	var s Stats
-	for _, env := range envs {
-		if t := env.Tracker; t != nil {
-			s.PeakBytes = t.Peak()
-			r, w := t.IOTotals()
-			s.ReadBytes += r
-			s.WriteBytes += w
-			s.IORetries += t.IORetries()
-		}
-		sp := env.Spill
-		s.SpilledLevels += sp.SpilledLevels
-		s.SpilledParts += sp.SpilledParts
-		s.PromotedParts += sp.PromotedParts
-		s.SpilledBytes += sp.SpilledBytes
-		s.SpilledBytesPhysical += sp.SpilledBytesPhysical
+// public Stats: what the run's tracker counted and what its explorer handed
+// to Env.Spill when it closed.
+func statsOf(env *run.Env) Stats {
+	sp := env.Spill
+	s := Stats{
+		SpilledLevels:        sp.SpilledLevels,
+		SpilledParts:         sp.SpilledParts,
+		PromotedParts:        sp.PromotedParts,
+		SpilledBytes:         sp.SpilledBytes,
+		SpilledBytesPhysical: sp.SpilledBytesPhysical,
+		Levels:               publicLevelStats(sp.Levels),
 	}
-	if len(envs) == 1 {
-		s.Levels = publicLevelStats(envs[0].Spill.Levels)
+	if t := env.Tracker; t != nil {
+		s.PeakBytes = t.Peak()
+		s.ReadBytes, s.WriteBytes = t.IOTotals()
+		s.IORetries = t.IORetries()
 	}
 	return s
 }
@@ -291,8 +276,7 @@ func ctxOrBackground(ctx context.Context) context.Context {
 // Graphs built through this package are degree-order relabeled internally:
 // high-degree vertices get dense low internal ids, so the hub bitset rows
 // and the marker/merge probes of the mining hot path touch a compact low-id
-// prefix of their arrays (fewer cache lines on power-law graphs), and
-// prefix-range sharding cuts balanced seed ranges with a first-fit scan.
+// prefix of their arrays (fewer cache lines on power-law graphs).
 // The permutation is carried on the graph and every public API accepts and
 // returns original (load-time) vertex ids — Label, HasEdge, Neighbors,
 // Miner embeddings and filters all translate transparently.

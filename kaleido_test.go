@@ -357,7 +357,7 @@ func TestMinerEdgeInducedAggregate(t *testing.T) {
 
 // TestPublicRepresentativeDeterministic pins that Motifs, FSM and
 // AggregatePatterns return the very same Patterns — not just isomorphic ones
-// — whatever the thread and shard count.
+// — whatever the thread count.
 func TestPublicRepresentativeDeterministic(t *testing.T) {
 	g, err := Synthetic(120, 480, 3, 11)
 	if err != nil {
@@ -378,21 +378,17 @@ func TestPublicRepresentativeDeterministic(t *testing.T) {
 		t.Fatalf("weak input: %d motifs, %d fsm, %d/%d aggregated classes", len(motifs), len(fsm), len(aggV), len(aggE))
 	}
 	for _, threads := range []int{1, 2, 3} {
-		for _, shards := range []int{1, 2} {
-			cfg := Config{Threads: threads, Shards: shards}
-			what := fmt.Sprintf("threads=%d shards=%d", threads, shards)
-			got, err := g.Motifs(bgCtx, 4, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			samePublicCounts(t, what+" motifs", got, motifs)
-			if got, err = g.FSM(bgCtx, 4, 5, cfg); err != nil {
-				t.Fatal(err)
-			}
-			samePublicCounts(t, what+" fsm", got, fsm)
-		}
 		cfg := Config{Threads: threads}
 		what := fmt.Sprintf("threads=%d", threads)
+		got, err := g.Motifs(bgCtx, 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePublicCounts(t, what+" motifs", got, motifs)
+		if got, err = g.FSM(bgCtx, 4, 5, cfg); err != nil {
+			t.Fatal(err)
+		}
+		samePublicCounts(t, what+" fsm", got, fsm)
 		samePublicCounts(t, what+" vertex-induced aggregate", aggregateMiner(t, g, VertexInduced, 2, cfg), aggV)
 		samePublicCounts(t, what+" edge-induced aggregate", aggregateMiner(t, g, EdgeInduced, 2, cfg), aggE)
 	}

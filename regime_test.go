@@ -39,8 +39,7 @@ func minerEmbeddings(t *testing.T, newMiner func() (*Miner, error)) (embs []stri
 // TestRegimeIdentity pins that the storage regime is invisible in results:
 // the four applications and a Miner's stored embeddings are identical with
 // no budget, with a budget nothing comes near (64 × the level bytes) and
-// with a budget nothing fits (1 byte), at 1, 2 and 4 threads and sharded —
-// and that the two regimes with room report no part spilled.
+// with a budget nothing fits (1 byte), at 1, 2 and 4 threads — and that the two regimes with room report no part spilled.
 // Without a budget that includes an Engine's Miner, whose tracker is
 // arbiter-backed rather than absent.
 func TestRegimeIdentity(t *testing.T) {
@@ -85,72 +84,67 @@ func TestRegimeIdentity(t *testing.T) {
 	}
 	for _, reg := range regimes {
 		for _, threads := range []int{1, 2, 4} {
-			for _, shards := range []int{1, 2} {
-				name := fmt.Sprintf("%s/threads=%d/shards=%d", reg.name, threads, shards)
-				var st Stats
-				cfg := Config{Threads: threads, Shards: shards, MemoryBudget: reg.budget, Stats: &st}
-				if reg.budget > 0 {
-					cfg.SpillDir = t.TempDir()
+			name := fmt.Sprintf("%s/threads=%d", reg.name, threads)
+			var st Stats
+			cfg := Config{Threads: threads, MemoryBudget: reg.budget, Stats: &st}
+			if reg.budget > 0 {
+				cfg.SpillDir = t.TempDir()
+			}
+			placed := func(app string) {
+				t.Helper()
+				if reg.roomy && st.SpilledParts != 0 {
+					t.Fatalf("%s %s: %d parts spilled", name, app, st.SpilledParts)
 				}
-				placed := func(app string) {
-					t.Helper()
-					if reg.roomy && st.SpilledParts != 0 {
-						t.Fatalf("%s %s: %d parts spilled", name, app, st.SpilledParts)
+			}
+			tc, err := g.Triangles(bgCtx, cfg)
+			if err != nil || tc != tcRef {
+				t.Fatalf("%s: triangles %d (%v), want %d", name, tc, err, tcRef)
+			}
+			placed("triangles")
+			cq, err := g.Cliques(bgCtx, 4, cfg)
+			if err != nil || cq != cqRef {
+				t.Fatalf("%s: 4-cliques %d (%v), want %d", name, cq, err, cqRef)
+			}
+			placed("cliques")
+			mo, err := g.Motifs(bgCtx, 4, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePublicCounts(t, name+" motifs", mo, moRef)
+			placed("motifs")
+			fs, err := g.FSM(bgCtx, 3, 30, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePublicCounts(t, name+" fsm", fs, fsRef)
+			placed("fsm")
+			cfg.Stats = nil
+			miners := map[string]func() (*Miner, error){
+				"graph": func() (*Miner, error) { return g.NewMiner(bgCtx, VertexInduced, cfg) },
+				"engine": func() (*Miner, error) {
+					eng := &Engine{MemoryBudget: cfg.MemoryBudget, SpillDir: cfg.SpillDir, Threads: threads}
+					return eng.NewMiner(bgCtx, g, VertexInduced, Config{})
+				},
+			}
+			for owner, newMiner := range miners {
+				embs, spilled, levels := minerEmbeddings(t, newMiner)
+				if len(embs) != len(embRef) {
+					t.Fatalf("%s %s miner: %d embeddings, want %d", name, owner, len(embs), len(embRef))
+				}
+				for i := range embs {
+					if embs[i] != embRef[i] {
+						t.Fatalf("%s %s miner: embedding %d is %s, want %s", name, owner, i, embs[i], embRef[i])
 					}
 				}
-				tc, err := g.Triangles(bgCtx, cfg)
-				if err != nil || tc != tcRef {
-					t.Fatalf("%s: triangles %d (%v), want %d", name, tc, err, tcRef)
+				if reg.roomy && spilled != 0 {
+					t.Fatalf("%s %s miner: %d parts spilled", name, owner, spilled)
 				}
-				placed("triangles")
-				cq, err := g.Cliques(bgCtx, 4, cfg)
-				if err != nil || cq != cqRef {
-					t.Fatalf("%s: 4-cliques %d (%v), want %d", name, cq, err, cqRef)
-				}
-				placed("cliques")
-				mo, err := g.Motifs(bgCtx, 4, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samePublicCounts(t, name+" motifs", mo, moRef)
-				placed("motifs")
-				fs, err := g.FSM(bgCtx, 3, 30, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samePublicCounts(t, name+" fsm", fs, fsRef)
-				placed("fsm")
-				if shards > 1 {
-					continue // a Miner is one run
-				}
-				cfg.Stats, cfg.Shards = nil, 0
-				miners := map[string]func() (*Miner, error){
-					"graph": func() (*Miner, error) { return g.NewMiner(bgCtx, VertexInduced, cfg) },
-					"engine": func() (*Miner, error) {
-						eng := &Engine{MemoryBudget: cfg.MemoryBudget, SpillDir: cfg.SpillDir, Threads: threads}
-						return eng.NewMiner(bgCtx, g, VertexInduced, Config{})
-					},
-				}
-				for owner, newMiner := range miners {
-					embs, spilled, levels := minerEmbeddings(t, newMiner)
-					if len(embs) != len(embRef) {
-						t.Fatalf("%s %s miner: %d embeddings, want %d", name, owner, len(embs), len(embRef))
+				for l, ls := range levels[1:] {
+					if reg.roomy && (ls.DiskParts != 0 || ls.MemParts == 0) {
+						t.Fatalf("%s %s miner: level %d placed %+v", name, owner, l+2, ls)
 					}
-					for i := range embs {
-						if embs[i] != embRef[i] {
-							t.Fatalf("%s %s miner: embedding %d is %s, want %s", name, owner, i, embs[i], embRef[i])
-						}
-					}
-					if reg.roomy && spilled != 0 {
-						t.Fatalf("%s %s miner: %d parts spilled", name, owner, spilled)
-					}
-					for l, ls := range levels[1:] {
-						if reg.roomy && (ls.DiskParts != 0 || ls.MemParts == 0) {
-							t.Fatalf("%s %s miner: level %d placed %+v", name, owner, l+2, ls)
-						}
-						if !reg.roomy && ls.MemParts != 0 {
-							t.Fatalf("%s %s miner: level %d kept %d parts in memory under a 1-byte budget", name, owner, l+2, ls.MemParts)
-						}
+					if !reg.roomy && ls.MemParts != 0 {
+						t.Fatalf("%s %s miner: level %d kept %d parts in memory under a 1-byte budget", name, owner, l+2, ls.MemParts)
 					}
 				}
 			}

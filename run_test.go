@@ -7,9 +7,10 @@ import (
 
 // TestConfigReachesEnv keeps the configuration threading from rotting: every
 // Config field, set to a non-zero value, must change the run.Env that
-// Config.env builds — except the fields listed here, which shape the run path
-// (runJob) rather than the run. A field added to Config later and not mapped
-// in Config.env fails here instead of being a silent no-op.
+// Config.env builds — except the fields listed here: Stats, which the run
+// fills rather than reads, and the deprecated Shards, which nothing reads. A
+// field added to Config later and not mapped in Config.env fails here instead
+// of being a silent no-op.
 func TestConfigReachesEnv(t *testing.T) {
 	notOnEnv := map[string]bool{"Shards": true, "Stats": true}
 	base := Config{SpillDir: "spill"} // so that a MemoryBudget validates
@@ -94,9 +95,8 @@ func callApp(en *Engine, job Job) (any, error) {
 }
 
 // TestRunPathsAgree pins the one run path: for each application and storage
-// regime, the Graph method, the Engine method, an explicit Shards: 1 and
-// Engine.RunSharded(job, 1) are the same run — identical results and identical
-// Stats, per-level placement included.
+// regime, the Graph method, the Engine method and Engine.Run are the same run
+// — identical results and identical Stats, per-level placement included.
 func TestRunPathsAgree(t *testing.T) {
 	g, err := Synthetic(150, 600, 4, 1)
 	if err != nil {
@@ -122,12 +122,8 @@ func TestRunPathsAgree(t *testing.T) {
 			paths := map[string]func(Job) (any, error){
 				"Graph":  func(j Job) (any, error) { return callApp(nil, j) },
 				"Engine": func(j Job) (any, error) { return callApp(engine(), j) },
-				"Graph/Shards:1": func(j Job) (any, error) {
-					j.Config.Shards = 1
-					return callApp(nil, j)
-				},
-				"Engine.RunSharded(1)": func(j Job) (any, error) {
-					res, err := engine().RunSharded(bgCtx, j, 1)
+				"Engine.Run": func(j Job) (any, error) {
+					res, err := engine().Run(bgCtx, j)
 					if err != nil {
 						return nil, err
 					}
@@ -167,6 +163,124 @@ func TestRunPathsAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConfigShardsConformance pins that the deprecated Config.Shards is
+// inert: two shards give the same result and the same full Stats, Levels
+// included, as leaving it unset, for every application and storage regime.
+func TestConfigShardsConformance(t *testing.T) {
+	checkShardsInert(t, 2)
+}
+
+// TestConfigShardsValidation pins that nothing validates Config.Shards any
+// more: a negative count, which used to be refused, runs and matches a run
+// with the field unset.
+func TestConfigShardsValidation(t *testing.T) {
+	checkShardsInert(t, -1)
+}
+
+// checkShardsInert runs every application in every regime with Shards unset
+// and with Shards = shards, and requires identical results and Stats.
+func checkShardsInert(t *testing.T, shards int) {
+	t.Helper()
+	g, err := Synthetic(150, 600, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := map[string]Job{
+		"triangles": {Graph: g, App: AppTriangles},
+		"cliques":   {Graph: g, App: AppCliques, K: 4},
+		"motifs":    {Graph: g, App: AppMotifs, K: 4},
+		"fsm":       {Graph: g, App: AppFSM, K: 4, Support: 10},
+	}
+	for regime, cfg := range runPathRegimes(t, g) {
+		for name, job := range jobs {
+			var want any
+			var wantStats Stats
+			for _, n := range []int{0, shards} {
+				var stats Stats
+				job.Config = cfg
+				job.Config.Shards, job.Config.Stats = n, &stats
+				if cfg.MemoryBudget > 0 {
+					job.Config.SpillDir = t.TempDir()
+				}
+				got, err := callApp(nil, job)
+				if err != nil {
+					t.Fatalf("%s/%s Shards=%d: %v", regime, name, n, err)
+				}
+				if n == 0 {
+					if len(stats.Levels) == 0 {
+						t.Fatalf("%s/%s: Stats.Levels empty", regime, name)
+					}
+					want, wantStats = got, stats
+				} else if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(stats, wantStats) {
+					t.Errorf("%s/%s Shards=%d differs from Shards unset:\n got %v %+v\nwant %v %+v",
+						regime, name, n, got, stats, want, wantStats)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineRun drives the explicit job API: Engine.Run returns what the
+// application methods return — patterns, counts and a filled Stats — under
+// the engine's shared budget, and refuses a job without a graph or with an
+// unknown application.
+func TestEngineRun(t *testing.T) {
+	g, err := Synthetic(400, 1600, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moRef, err := g.Motifs(bgCtx, 4, Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moTotal uint64
+	for _, pc := range moRef {
+		moTotal += pc.Count
+	}
+	fsRef, err := g.FSM(bgCtx, 3, 40, Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcRef, err := g.Triangles(bgCtx, Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng := &Engine{MemoryBudget: 256 << 10, SpillDir: t.TempDir(), Threads: 2}
+	res, err := eng.Run(bgCtx, Job{Graph: g, App: AppMotifs, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePublicCounts(t, "engine motifs", res.Patterns, moRef)
+	if res.Count != moTotal {
+		t.Fatalf("motif Count = %d, want %d", res.Count, moTotal)
+	}
+	if res.Stats.PeakBytes == 0 || len(res.Stats.Levels) == 0 {
+		t.Fatalf("Stats not filled: %+v", res.Stats)
+	}
+	res, err = eng.Run(bgCtx, Job{Graph: g, App: AppFSM, K: 3, Support: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePublicCounts(t, "engine fsm", res.Patterns, fsRef)
+	if res.Count == 0 {
+		t.Fatal("FSM fused aggregation reported zero final-level embeddings")
+	}
+	if res, err = eng.Run(bgCtx, Job{Graph: g, App: AppTriangles}); err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != tcRef {
+		t.Fatalf("engine triangles = %d, want %d", res.Count, tcRef)
+	}
+
+	if _, err := eng.Run(bgCtx, Job{App: AppTriangles}); err == nil {
+		t.Fatal("job without a graph accepted")
+	}
+	if _, err := eng.Run(bgCtx, Job{Graph: g, App: App(99)}); err == nil {
+		t.Fatal("unknown app accepted")
 	}
 }
 
