@@ -44,13 +44,22 @@ func newHasher(a run.IsoAlgo) hasher {
 	}
 }
 
-// memoBits sizes the per-worker memo: 2^11 slots of 48 bytes, 96 KiB of
-// fixed scratch per worker whatever the run. Motif counting up to k = 5 fits
-// without a single eviction (see memoSlot); 4-FSM over 4 labels has about as
-// many distinct filled patterns as there are slots and re-hashes under 0.1 %
-// of its embeddings. A run with more keys than slots evicts and pays the
-// backend again, never a wrong answer. Must be at least 10.
-const memoBits = 11
+// memoBits sizes the per-worker memo: 2^12 entries of 48 bytes, 192 KiB of
+// fixed scratch per worker whatever the run, in 4-way sets. Motif counting
+// up to k = 5 fits without a single eviction (see memoSet). On the fsm4-disk
+// graph (4 labels, 1920 vertices, seed 42) each worker meets 1,344 distinct
+// filled patterns in FSM's final pass; at 2 workers that pass runs the
+// backend about 2,790 times for 141,292 embeddings (2.0 %; the floor, one
+// call per key per worker, is 2,688), against about 3,550 with 4-way sets
+// of 2^11 entries and about 12,950 (9.2 %) with a direct-mapped table of
+// 2^11 slots; 2^13 entries reach the floor at twice the footprint. A run
+// with more keys than entries evicts and pays the backend again, never a
+// wrong answer.
+const (
+	memoBits = 12
+	memoWays = 4
+	setBits  = memoBits - 2 // log2(memoWays); at least 8, see memoSet
+)
 
 // memoEntry maps one filled pattern — (k, adjacency word, label array), the
 // whole key held by value so that a hit is an exact match, never a digest
@@ -61,27 +70,33 @@ type memoEntry struct {
 	labels [pattern.MaxK]graph.Label
 	hash   uint64
 	perm   [pattern.MaxK]uint8
-	k      uint8 // 0 marks an empty slot: patterns have at least one vertex
+	k      uint8 // 0 marks an empty entry: patterns have at least one vertex
 }
 
 // classifier is one worker's isomorphism state: the backend behind a
-// direct-mapped memo. It is scratch like the backend's own matrices — fixed
+// set-associative memo. It is scratch like the backend's own matrices — fixed
 // size, not intermediate data, not charged to the memory tracker.
 type classifier struct {
 	backend hasher
 	calls   uint64 // backend invocations, i.e. memo misses
-	slots   [1 << memoBits]memoEntry
+	sets    [1 << setBits][memoWays]memoEntry
 }
 
 // classify returns the memo entry of p's filled form. On a miss the backend
-// runs, the slot's previous occupant is overwritten, and p is left sorted by
-// (label, degree); on a hit p is untouched.
+// runs, the set's oldest entry is overwritten, and p is left sorted by
+// (label, degree); on a hit p is untouched. The entry is valid until the
+// next classify.
 func (c *classifier) classify(p *pattern.Pattern) (e *memoEntry, miss bool) {
 	adj := p.AdjBits()
-	e = &c.slots[memoSlot(adj, &p.Labels)]
-	if e.adj == adj && e.labels == p.Labels && int(e.k) == p.K {
-		return e, false
+	set := &c.sets[memoSet(adj, &p.Labels)]
+	for i := range set {
+		if e = &set[i]; e.adj == adj && e.labels == p.Labels && int(e.k) == p.K {
+			return e, false
+		}
 	}
+	// Ways are kept newest first: the oldest falls off the end.
+	copy(set[1:], set[:memoWays-1])
+	e = &set[0]
 	e.adj, e.labels, e.k = adj, p.Labels, uint8(p.K)
 	p.SortByLabelDegreeTracked(&e.perm)
 	e.hash = c.backend(p)
@@ -89,14 +104,16 @@ func (c *classifier) classify(p *pattern.Pattern) (e *memoEntry, miss bool) {
 	return e, true
 }
 
-// memoSlot picks the slot of a key. The ten pairs among the first five
-// vertices index the table directly and everything else — the remaining
+// memoSet picks the set of a key. The vertex pairs among the first five
+// vertices index the sets directly — as many of the ten as setBits holds,
+// pair (3, 4) being the first to go — and everything else — the remaining
 // pairs and the labels — is hashed and XORed over that index, so keys that
-// differ only in those ten pairs never share a slot. In particular the
-// unlabeled patterns on up to five vertices (all 64 4-motif words, all 1024
-// 5-motif words) each own a slot: motif counting never evicts, and a worker
-// runs the backend once per word it meets.
-func memoSlot(adj uint64, l *[pattern.MaxK]graph.Label) uint64 {
+// differ only in the direct pairs never share a set. In particular every
+// unlabeled pattern on up to four vertices owns a set (their six pairs are
+// direct for setBits ≥ 8), and the 1024 5-motif words share a set at most
+// 2^(10−setBits) at a time — never more than memoWays: motif counting never
+// evicts, and a worker runs the backend once per word it meets.
+func memoSet(adj uint64, l *[pattern.MaxK]graph.Label) uint64 {
 	const (
 		upper = 0x0080C0E0F0F8FCFE // bit i*8+j of the adjacency word, i < j
 		five  = 0x10181C1E         // ... with j < 5
@@ -105,7 +122,7 @@ func memoSlot(adj uint64, l *[pattern.MaxK]graph.Label) uint64 {
 	l0 := uint64(l[0]) | uint64(l[1])<<16 | uint64(l[2])<<32 | uint64(l[3])<<48
 	l1 := uint64(l[4]) | uint64(l[5])<<16 | uint64(l[6])<<32 | uint64(l[7])<<48
 	rest := adj&(upper&^five) ^ l0*0x9E3779B97F4A7C15 ^ l1*0xC2B2AE3D27D4EB4F
-	return direct ^ rest*0xD6E8FEB86659FD93>>(64-memoBits)
+	return direct&(1<<setBits-1) ^ rest*0xD6E8FEB86659FD93>>(64-setBits)
 }
 
 // aggregator is the Mapper state of one aggregation pass: per-worker
@@ -155,7 +172,7 @@ func (a *aggregator) add(ws *aggWorker, verts []uint32) {
 		if a.support == 0 {
 			agg = mni.NewCount(&ws.pat)
 		} else {
-			agg = mni.NewAgg(&ws.pat)
+			agg = mni.NewAgg(&ws.pat, a.g.N())
 		}
 		ws.classes[e.hash] = agg
 	case miss:

@@ -8,6 +8,7 @@ import (
 	"kaleido/internal/explore"
 	"kaleido/internal/graph"
 	"kaleido/internal/iso"
+	"kaleido/internal/mni"
 	"kaleido/internal/pattern"
 	"kaleido/internal/run"
 )
@@ -178,10 +179,12 @@ func TestClassifierPreservesIsomorphism(t *testing.T) {
 	}
 }
 
-// TestMemoSlotSmallMotifsOwnSlots checks memoSlot's guarantee: every
-// unlabeled adjacency word on up to five vertices has a slot of its own.
+// TestMemoSlotSmallMotifsOwnSlots checks memoSet's guarantee: every
+// unlabeled adjacency word on up to four vertices has a set of its own, and
+// the words on five vertices share a set at most 2^(10−setBits) at a time,
+// which fits its ways — so no motif count up to k = 5 ever evicts.
 func TestMemoSlotSmallMotifsOwnSlots(t *testing.T) {
-	owner := map[uint64]uint64{}
+	owners := map[uint64]map[uint64]bool{}
 	for k := 2; k <= 5; k++ {
 		for mask := 0; mask < 1<<(k*(k-1)/2); mask++ {
 			p, _ := pattern.New(k)
@@ -194,14 +197,17 @@ func TestMemoSlotSmallMotifsOwnSlots(t *testing.T) {
 					bit++
 				}
 			}
-			slot := memoSlot(p.AdjBits(), &p.Labels)
-			if slot >= 1<<memoBits {
-				t.Fatalf("slot %d out of range", slot)
+			set := memoSet(p.AdjBits(), &p.Labels)
+			if set >= 1<<setBits {
+				t.Fatalf("set %d out of range", set)
 			}
-			if prev, taken := owner[slot]; taken && prev != p.AdjBits() {
-				t.Fatalf("adjacency words %#x and %#x share slot %d", prev, p.AdjBits(), slot)
+			if owners[set] == nil {
+				owners[set] = map[uint64]bool{}
 			}
-			owner[slot] = p.AdjBits()
+			owners[set][p.AdjBits()] = true
+			if n := len(owners[set]); k <= 4 && n > 1 || n > 1<<(10-setBits) || n > memoWays {
+				t.Fatalf("k=%d: %d adjacency words share set %d: %v", k, n, set, owners[set])
+			}
 		}
 	}
 }
@@ -229,6 +235,67 @@ func TestMotifBackendCallsBounded(t *testing.T) {
 			t.Fatalf("threads=%d: only %d embeddings for %d backend calls; graph too small to show the memo", threads, embeddings, calls)
 		}
 	}
+}
+
+// fsmEmbeddings calls visit with every embedding FSM(k, support 1) folds —
+// the stored levels of 2..k−2 edges and the final level of k−1 edges, all
+// kept since nothing is infrequent at support 1 — through an explorer of its
+// own, one worker, no memo.
+func fsmEmbeddings(t testing.TB, g *graph.Graph, k int, visit func(emb []uint32)) {
+	t.Helper()
+	freqPairs, _ := mni.EdgePairs(g, 1)
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: &run.Env{Threads: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitEdges(nil); err != nil {
+		t.Fatal(err)
+	}
+	for e.Depth() < k-1 {
+		if err := e.Expand(bgCtx, nil, fsmEmbeddingFilter(g, k, freqPairs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ForEach(bgCtx, func(_ int, emb []uint32) error { visit(emb); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFSMBackendCallsBounded pins what the set-associative memo buys FSM: on
+// a labelled graph whose distinct filled patterns fit the memo, a worker
+// runs the backend at most 1.25 times per distinct key it meets — counted
+// here by filling every embedding FSM aggregates — however many embeddings
+// share each key.
+func TestFSMBackendCallsBounded(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(61)), 1500, 3600, 4)
+	const k = 4
+	keys := map[memoEntry]bool{}
+	var embeddings int
+	var p pattern.Pattern
+	var verts []uint32
+	fsmEmbeddings(t, g, k, func(emb []uint32) {
+		var err error
+		if verts, err = fillEdges(g, emb, verts, &p); err != nil {
+			t.Fatal(err)
+		}
+		keys[memoEntry{adj: p.AdjBits(), labels: p.Labels, k: uint8(p.K)}] = true
+		embeddings++
+	})
+	if len(keys) < 1<<memoBits/4 || len(keys) > 1<<memoBits/2 {
+		t.Fatalf("%d distinct keys: want a quarter to a half of the %d-entry memo", len(keys), 1<<memoBits)
+	}
+	var info run.SpillInfo
+	if _, _, err := FSM(bgCtx, g, k, 1, &run.Env{Threads: 1, Spill: &info}); err != nil {
+		t.Fatal(err)
+	}
+	if info.IsoCalls < uint64(len(keys)) || 4*info.IsoCalls > 5*uint64(len(keys)) {
+		t.Fatalf("%d backend calls for %d distinct keys, want at most 1.25 per key", info.IsoCalls, len(keys))
+	}
+	if embeddings < 20*len(keys) {
+		t.Fatalf("only %d embeddings for %d keys; graph too small to show the memo", embeddings, len(keys))
+	}
+	t.Logf("%d embeddings, %d distinct keys, %d backend calls", embeddings, len(keys), info.IsoCalls)
 }
 
 // aggregateAtDepth expands a fresh explorer to depth and runs the default
@@ -426,4 +493,58 @@ func BenchmarkMotifMapper(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(a.workers[0].cl.calls), "backend-calls")
+}
+
+// BenchmarkFSMAggregate measures FSM's per-embedding Mapper cost at the
+// final level — edge-pattern fill, memo lookup, MNI domain inserts — one op
+// per addEdgeExtension over stored (2-edge embedding, candidate edge) pairs
+// of a labelled graph, at support 100 like fsm4-disk. Each pass over the
+// pairs ends with the Reduce (untimed), so every pass starts from empty
+// pattern maps and warm memos, as FSM's passes do.
+func BenchmarkFSMAggregate(b *testing.B) {
+	g := randomGraph(rand.New(rand.NewSource(61)), 1920, 4000, 4)
+	const k = 4
+	freqPairs, _ := mni.EdgePairs(g, 1)
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: &run.Env{Threads: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitEdges(nil); err != nil {
+		b.Fatal(err)
+	}
+	filter := fsmEmbeddingFilter(g, k, freqPairs)
+	if err := e.Expand(bgCtx, nil, filter); err != nil {
+		b.Fatal(err)
+	}
+	type ext struct {
+		emb  [2]uint32
+		cand uint32
+	}
+	var exts []ext
+	_, err = e.ExpandCountVisit(bgCtx, nil, filter, func(_ int, emb []uint32, cand uint32) error {
+		exts = append(exts, ext{[2]uint32(emb), cand})
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := newAggregator(g, 100, &run.Env{Threads: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		for i := range exts {
+			if err := a.addEdgeExtension(0, exts[i].emb[:], exts[i].cand); err != nil {
+				b.Fatal(err)
+			}
+			if done++; done == b.N {
+				break
+			}
+		}
+		b.StopTimer()
+		a.merge()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(exts)), "embeddings/pass")
 }

@@ -31,10 +31,9 @@ func FSM(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.En
 
 	// Init (§5.1): MNI support of every single-edge pattern; infrequent
 	// edges are eliminated before exploration starts.
-	freqPairs, edgeCounts := frequentEdgePatterns(g, support)
+	freqPairs, pairs := mni.EdgePairs(g, support)
 	if k == 2 {
-		sortCounts(edgeCounts)
-		return edgeCounts, uint64(g.M()), nil
+		return edgePairCounts(pairs), uint64(g.M()), nil
 	}
 
 	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: env})
@@ -78,21 +77,18 @@ func FSM(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.En
 }
 
 // fsmSeedFilter admits only edges whose 1-edge pattern is frequent.
-func fsmSeedFilter(g *graph.Graph, freqPairs map[uint32]bool) func(eid uint32) bool {
-	return func(eid uint32) bool {
-		ed := g.EdgeAt(eid)
-		return freqPairs[pairKey(g.Label(ed.U), g.Label(ed.V))]
-	}
+func fsmSeedFilter(g *graph.Graph, freqPairs mni.PairSet) func(eid uint32) bool {
+	return func(eid uint32) bool { return freqPairs.Has(g, eid) }
 }
 
 // fsmEmbeddingFilter is FSM's EmbeddingFilter: the candidate edge must
 // itself be frequent and the embedding must not exceed k distinct vertices.
-func fsmEmbeddingFilter(g *graph.Graph, k int, freqPairs map[uint32]bool) explore.EdgeFilter {
+func fsmEmbeddingFilter(g *graph.Graph, k int, freqPairs mni.PairSet) explore.EdgeFilter {
 	return func(_ int, emb []uint32, verts []uint32, cand uint32) bool {
-		ed := g.EdgeAt(cand)
-		if !freqPairs[pairKey(g.Label(ed.U), g.Label(ed.V))] {
+		if !freqPairs.Has(g, cand) {
 			return false
 		}
+		ed := g.EdgeAt(cand)
 		nv := 0
 		if !sortedContains(verts, ed.U) {
 			nv++
@@ -147,63 +143,14 @@ func collectFrequent(merged map[uint64]*mni.Agg, support uint64) []PatternCount 
 	return result
 }
 
-// pairKey packs an unordered label pair.
-func pairKey(a, b graph.Label) uint32 {
-	if a > b {
-		a, b = b, a
+// edgePairCounts turns the frequent single-edge patterns into sorted results.
+func edgePairCounts(pairs []mni.Pair) []PatternCount {
+	out := make([]PatternCount, len(pairs))
+	for i, pr := range pairs {
+		out[i] = PatternCount{Pattern: pr.Pattern(), Count: pr.Count, Support: pr.Support}
 	}
-	return uint32(a)<<16 | uint32(b)
-}
-
-// frequentEdgePatterns computes the MNI support of every 1-edge pattern.
-// For label pairs (a, a) the two pattern positions are automorphic, so both
-// share one domain; for (a, b) the domains are per label — both exact.
-func frequentEdgePatterns(g *graph.Graph, support uint64) (map[uint32]bool, []PatternCount) {
-	type dom struct {
-		a, b map[uint32]struct{}
-		n    uint64
-	}
-	doms := map[uint32]*dom{}
-	for _, ed := range g.Edges() {
-		la, lb := g.Label(ed.U), g.Label(ed.V)
-		key := pairKey(la, lb)
-		d, ok := doms[key]
-		if !ok {
-			d = &dom{a: map[uint32]struct{}{}, b: map[uint32]struct{}{}}
-			doms[key] = d
-		}
-		d.n++
-		if la == lb {
-			d.a[ed.U] = struct{}{}
-			d.a[ed.V] = struct{}{}
-		} else {
-			// Domain a holds the smaller label's endpoint.
-			u, v := ed.U, ed.V
-			if la > lb {
-				u, v = v, u
-			}
-			d.a[u] = struct{}{}
-			d.b[v] = struct{}{}
-		}
-	}
-	freq := map[uint32]bool{}
-	var counts []PatternCount
-	for key, d := range doms {
-		mni := uint64(len(d.a))
-		if len(d.b) > 0 && uint64(len(d.b)) < mni {
-			mni = uint64(len(d.b))
-		}
-		if mni >= support {
-			freq[key] = true
-			la := graph.Label(key >> 16)
-			lb := graph.Label(key & 0xffff)
-			p, _ := pattern.New(2)
-			p.Labels[0], p.Labels[1] = la, lb
-			p.SetEdge(0, 1)
-			counts = append(counts, PatternCount{Pattern: p, Count: d.n, Support: mni})
-		}
-	}
-	return freq, counts
+	sortCounts(out)
+	return out
 }
 
 // sortedContains reports membership in a sorted slice.

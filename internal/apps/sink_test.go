@@ -16,6 +16,7 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/iso"
 	"kaleido/internal/memtrack"
+	"kaleido/internal/mni"
 	"kaleido/internal/pattern"
 	"kaleido/internal/run"
 )
@@ -149,28 +150,24 @@ func TestMotifFusedMatchesMaterialized(t *testing.T) {
 // byte-for-byte the old implementation.
 func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, opt *run.Env) []PatternCount {
 	t.Helper()
-	freqPairs, edgeCounts := frequentEdgePatterns(g, support)
+	freqPairs, pairs := mni.EdgePairs(g, support)
 	if k == 2 {
-		sortCounts(edgeCounts)
-		return edgeCounts
+		return edgePairCounts(pairs)
 	}
 	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	err = e.InitEdges(func(eid uint32) bool {
-		ed := g.EdgeAt(eid)
-		return freqPairs[pairKey(g.Label(ed.U), g.Label(ed.V))]
-	})
+	err = e.InitEdges(func(eid uint32) bool { return freqPairs.Has(g, eid) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	filter := func(_ int, emb []uint32, verts []uint32, cand uint32) bool {
-		ed := g.EdgeAt(cand)
-		if !freqPairs[pairKey(g.Label(ed.U), g.Label(ed.V))] {
+		if !freqPairs.Has(g, cand) {
 			return false
 		}
+		ed := g.EdgeAt(cand)
 		nv := 0
 		if !sortedContains(verts, ed.U) {
 			nv++

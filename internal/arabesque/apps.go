@@ -155,23 +155,28 @@ func FSM(g *graph.Graph, k int, support uint64, opt Options) ([]PatternCount, er
 	if support == 0 {
 		return nil, fmt.Errorf("arabesque: FSM support must be positive")
 	}
-	freqPairs := frequentEdgePairs(g, support)
+	freqPairs, pairs := mni.EdgePairs(g, support)
+	if k == 2 {
+		var result []PatternCount
+		for _, pr := range pairs {
+			result = append(result, PatternCount{Pattern: pr.Pattern(), Count: pr.Count, Support: pr.Support})
+		}
+		sortCounts(result)
+		return result, nil
+	}
 	e, err := NewEngine(g, EdgeInduced, opt.threads(), opt.Tracker)
 	if err != nil {
 		return nil, err
 	}
-	err = e.Init(func(eid uint32) bool {
-		ed := g.EdgeAt(eid)
-		return freqPairs[pairKey(g.Label(ed.U), g.Label(ed.V))]
-	})
+	err = e.Init(func(eid uint32) bool { return freqPairs.Has(g, eid) })
 	if err != nil {
 		return nil, err
 	}
 	filter := func(emb []uint32, cand uint32) bool {
-		ed := g.EdgeAt(cand)
-		if !freqPairs[pairKey(g.Label(ed.U), g.Label(ed.V))] {
+		if !freqPairs.Has(g, cand) {
 			return false
 		}
+		ed := g.EdgeAt(cand)
 		// Vertex budget: distinct vertices of emb + new endpoints ≤ k.
 		var buf [2 * pattern.MaxK]uint32
 		verts := Vertices(g, emb, buf[:0])
@@ -212,7 +217,9 @@ func FSM(g *graph.Graph, k int, support uint64, opt Options) ([]PatternCount, er
 			if !agg.Frequent() {
 				continue
 			}
-			result = append(result, PatternCount{Pattern: agg.Pat, Count: agg.Count, Support: agg.Support()})
+			// Saturated at the threshold, as Kaleido reports it: the crossing
+			// value depends on the order the workers' domains merged in.
+			result = append(result, PatternCount{Pattern: agg.Pat, Count: agg.Count, Support: min(agg.Support(), support)})
 		}
 	}
 	sortCounts(result)
@@ -237,7 +244,7 @@ func aggregate(g *graph.Graph, e *Engine, support uint64, opt Options) (map[uint
 		h := blisslike.Hash(p)
 		agg, ok := maps[w][h]
 		if !ok {
-			agg = mni.NewAgg(p)
+			agg = mni.NewAgg(p, g.N())
 			maps[w][h] = agg
 		}
 		agg.Insert(verts, &perm, support)
@@ -294,49 +301,6 @@ func unlabeledPattern(g *graph.Graph, verts []uint32) (*pattern.Pattern, error) 
 		}
 	}
 	return p, nil
-}
-
-func frequentEdgePairs(g *graph.Graph, support uint64) map[uint32]bool {
-	type dom struct{ a, b map[uint32]struct{} }
-	doms := map[uint32]*dom{}
-	for _, ed := range g.Edges() {
-		la, lb := g.Label(ed.U), g.Label(ed.V)
-		key := pairKey(la, lb)
-		d, ok := doms[key]
-		if !ok {
-			d = &dom{a: map[uint32]struct{}{}, b: map[uint32]struct{}{}}
-			doms[key] = d
-		}
-		if la == lb {
-			d.a[ed.U] = struct{}{}
-			d.a[ed.V] = struct{}{}
-		} else {
-			u, v := ed.U, ed.V
-			if la > lb {
-				u, v = v, u
-			}
-			d.a[u] = struct{}{}
-			d.b[v] = struct{}{}
-		}
-	}
-	freq := map[uint32]bool{}
-	for key, d := range doms {
-		m := uint64(len(d.a))
-		if len(d.b) > 0 && uint64(len(d.b)) < m {
-			m = uint64(len(d.b))
-		}
-		if m >= support {
-			freq[key] = true
-		}
-	}
-	return freq
-}
-
-func pairKey(a, b graph.Label) uint32 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint32(a)<<16 | uint32(b)
 }
 
 func sortCounts(out []PatternCount) {

@@ -132,25 +132,36 @@ func TestMotifCountMatchesKaleido(t *testing.T) {
 	}
 }
 
+// TestFSMMatchesKaleido: same patterns, counts and reported supports —
+// exact for single edges (k = 2), saturated at the threshold above.
 func TestFSMMatchesKaleido(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(rng, 12+rng.Intn(10), rng.Intn(40), 2)
-		for _, support := range []uint64{1, 2, 4} {
-			want, _, err := apps.FSM(bgCtx, g, 4, support, &run.Env{Threads: 2})
-			if err != nil {
-				t.Fatal(err)
+		for _, k := range []int{2, 4} {
+			for _, support := range []uint64{1, 2, 4} {
+				want, _, err := apps.FSM(bgCtx, g, k, support, &run.Env{Threads: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := FSM(g, k, support, Options{Threads: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wp := make([]*pattern.Pattern, len(want))
+				wc := make([]uint64, len(want))
+				for i := range want {
+					wp[i], wc[i] = want[i].Pattern, want[i].Count
+				}
+				matchCounts(t, got, wp, wc)
+				for _, pc := range got {
+					for _, w := range want {
+						if iso.Isomorphic(pc.Pattern, w.Pattern) && pc.Support != w.Support {
+							t.Fatalf("k=%d s=%d: %v support %d, kaleido %d", k, support, pc.Pattern, pc.Support, w.Support)
+						}
+					}
+				}
 			}
-			got, err := FSM(g, 4, support, Options{Threads: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wp := make([]*pattern.Pattern, len(want))
-			wc := make([]uint64, len(want))
-			for i := range want {
-				wp[i], wc[i] = want[i].Pattern, want[i].Count
-			}
-			matchCounts(t, got, wp, wc)
 		}
 	}
 }

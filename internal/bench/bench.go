@@ -392,7 +392,7 @@ func table3(cfg RunConfig) ([]Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	res.Notes = append(res.Notes,
-		"tracked data-structure peaks (CSE / ODAG / tuple tables + pattern maps), not process RSS:",
+		"tracked data-structure peaks (CSE / ODAG / tuple tables; pattern maps and MNI domains are untracked), not process RSS:",
 		"the paper's Arabesque column is dominated by ~1.8 GB of JVM+Giraph baseline not reproduced here")
 	return []Result{res}, nil
 }

@@ -104,7 +104,8 @@ type Explorer struct {
 
 	// pressure is the external back-pressure flag the budget governor
 	// consults: set by the tracker's high-water callback when total tracked
-	// memory (CSE plus pattern maps and buffers) crosses the budget.
+	// memory (this run's CSE, and sibling runs under a shared budget)
+	// crosses the budget.
 	pressure        atomic.Bool
 	cancelHighWater func()
 
@@ -381,8 +382,10 @@ func levelPlacement(l cse.LevelData) (memParts, diskParts int, diskBytes, diskBy
 // promoteTop promotes disk-resident parts of top back to memory while the
 // (shared, via the arbiter) budget watermark has headroom. The level's
 // resident bytes are already charged, so the headroom is the watermark minus
-// everything tracked: the live-byte cap covers external charges (pattern
-// maps) that buildBudget's CSE-only base misses — and is zero or less
+// everything tracked: the live-byte cap covers the charges buildBudget's
+// CSE-only base misses — sibling runs sharing the budget, anything a caller
+// charges itself (FSM's pattern maps and MNI domains are untracked scratch
+// and charge nothing) — and is zero or less
 // whenever the tracked total is at the watermark, so promotion never fights
 // a governor that is spilling under pressure. (The pressure flag itself is
 // not consulted: it is only kept current while a build runs.) Promotion is
@@ -522,8 +525,8 @@ func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) e
 // across Expand iterations instead of being allocated per level.
 func (e *Explorer) levelBuilderFor(top cse.LevelData, bounds []int, baseBytes int64) *storage.HybridLevelBuilder {
 	// Refresh external pressure: tracked memory may already exceed the
-	// watermark before this build starts (pattern maps, earlier levels —
-	// and, under a shared arbiter, the sibling runs' data).
+	// watermark before this build starts (earlier levels — and, under a
+	// shared arbiter, the sibling runs' data).
 	e.pressure.Store(e.cfg.Tracker != nil && e.cfg.Tracker.SharedLive() >= e.watermarkBytes())
 	nparts, budget := len(bounds)-1, e.buildBudget(baseBytes)
 	if e.builder == nil {

@@ -1,6 +1,6 @@
 // Package memtrack provides the memory and I/O accounting used by the
 // evaluation harness (§6): explicit byte counters for the major data
-// structures (CSE levels, pattern maps, buffers) with peak watermarks, plus
+// structures (CSE levels, the comparators' tables) with peak watermarks, plus
 // read/write I/O counters for the hybrid storage experiments (Fig. 15).
 // Explicit accounting is used instead of runtime.MemStats because the
 // paper's memory-consumption tables compare data-structure footprints, which
@@ -214,8 +214,9 @@ func (t *Tracker) Free(n int64) {
 
 // OnHighWater registers fn to run when live bytes cross limit from below —
 // the back-pressure signal of the §4.1 budget governor: hybrid level builders
-// subscribe so that tracked allocations outside the CSE (pattern maps,
-// buffers) can force mid-build spilling before the budget is blown. The
+// subscribe so that tracked allocations outside their own build (earlier
+// levels, sibling runs) can force mid-build spilling before the budget is
+// blown. The
 // callback is edge-triggered (once per crossing; re-armed when live drops
 // back under limit) and runs on the allocating goroutine, so it must be
 // cheap and non-blocking. The returned cancel removes the registration.

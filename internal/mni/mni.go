@@ -12,10 +12,32 @@
 // Pattern positions are the (label, degree)-sorted positions produced by
 // pattern.SortByLabelDegreeTracked; positions with identical (label, degree)
 // are merged into one domain class (the paper does not specify its tie
-// handling; see DESIGN.md).
+// handling; TestFSMAndTrianglesMatchSubsetOracle in internal/apps licenses
+// the few classes where this differs from the textbook metric).
+//
+// A domain — the vertex set of one class — is a small open-addressing table
+// of uint32 that becomes a bitset over |V| once a larger table would cost
+// more bytes than the bitset, and it keeps a running count, so an insert is
+// a probe or a test-and-set and reading a pattern's support reads k counts.
+// A table holds 8–16 bytes per vertex; no domain ever costs more than the
+// bitset, (|V|+63)/64 words. Domains are untracked scratch, like the pattern
+// maps that hold them and the pattern memo beside them: nothing charges them
+// to a memtrack.Tracker, so MemoryBudget does not see them. They live only
+// until their pattern turns frequent, and the budget governs stored levels —
+// charging short-lived per-worker domains would let FSM's bookkeeping, not
+// its embeddings, decide what spills (on the fsm4-disk graph about 300 KB of
+// domains are live at the end of FSM's final pass, against a tracked peak
+// of 15,848 B).
 package mni
 
-import "kaleido/internal/pattern"
+import (
+	"bytes"
+	"cmp"
+	"slices"
+
+	"kaleido/internal/graph"
+	"kaleido/internal/pattern"
+)
 
 // Agg tracks one pattern's embedding count and MNI domains.
 type Agg struct {
@@ -23,8 +45,9 @@ type Agg struct {
 	Count    uint64
 	frequent bool
 	support  uint64
-	domains  []map[uint32]struct{}
-	tie      []uint8
+	words    int      // bitset length over the graph's vertices
+	domains  []domain // indexed by sorted position; only tie representatives are used
+	tie      [pattern.MaxK]uint8
 }
 
 // NewCount starts a count-only aggregation for (a clone of) the sorted
@@ -34,16 +57,15 @@ func NewCount(p *pattern.Pattern) *Agg {
 	return &Agg{Pat: p.Clone(), frequent: true}
 }
 
-// NewAgg starts aggregation for (a clone of) the sorted pattern p.
-func NewAgg(p *pattern.Pattern) *Agg {
-	a := &Agg{Pat: p.Clone(), domains: make([]map[uint32]struct{}, p.K)}
-	a.tie = TieClasses(a.Pat)
-	for i := range a.domains[:p.K] {
-		if a.tie[i] == uint8(i) {
-			a.domains[i] = map[uint32]struct{}{}
-		}
+// NewAgg starts aggregation for (a clone of) the sorted pattern p over a
+// graph of nv vertices: every vertex Insert sees is below nv.
+func NewAgg(p *pattern.Pattern, nv int) *Agg {
+	return &Agg{
+		Pat:     p.Clone(),
+		words:   (nv + 63) / 64,
+		domains: make([]domain, p.K),
+		tie:     TieClasses(p),
 	}
-	return a
 }
 
 // Frequent reports whether the support threshold has been reached.
@@ -53,15 +75,17 @@ func (a *Agg) Frequent() bool { return a.frequent }
 // value once frequent).
 func (a *Agg) Support() uint64 { return a.support }
 
-// Offer makes (a clone of) the sorted pattern p the class representative if
+// Offer makes (a copy of) the sorted pattern p the class representative if
 // it encodes smaller than the current one. The representative is the minimum
 // over every offer and every merged Agg, so it does not depend on the order
 // embeddings or workers arrive in. The positions' (label, degree)
 // pairs — all the domains depend on — are the same for every sorted pattern
-// of the class.
+// of the class. Both encodings go to stack arrays: an offer allocates
+// nothing.
 func (a *Agg) Offer(p *pattern.Pattern) {
-	if p.Encode() < a.Pat.Encode() {
-		a.Pat = p.Clone()
+	var x, y [pattern.MaxEncodeLen]byte
+	if bytes.Compare(p.AppendEncode(x[:0]), a.Pat.AppendEncode(y[:0])) < 0 {
+		*a.Pat = *p
 	}
 }
 
@@ -73,7 +97,7 @@ func (a *Agg) Insert(verts []uint32, perm *[pattern.MaxK]uint8, support uint64) 
 		return
 	}
 	for i, v := range verts {
-		a.domains[a.tie[perm[i]]][v] = struct{}{}
+		a.domains[a.tie[perm[i]]].add(v, a.words)
 	}
 	a.refresh(support)
 }
@@ -91,12 +115,9 @@ func (a *Agg) Merge(b *Agg, support uint64) {
 		a.domains = nil
 		return
 	}
-	for pos, d := range b.domains[:b.Pat.K] {
-		if d == nil {
-			continue
-		}
-		for v := range d {
-			a.domains[pos][v] = struct{}{}
+	for pos := range a.domains {
+		if a.tie[pos] == uint8(pos) {
+			a.domains[pos].merge(&b.domains[pos], a.words)
 		}
 	}
 	a.refresh(support)
@@ -104,12 +125,9 @@ func (a *Agg) Merge(b *Agg, support uint64) {
 
 func (a *Agg) refresh(support uint64) {
 	m := uint64(1<<63 - 1)
-	for pos, d := range a.domains[:a.Pat.K] {
-		if a.tie[pos] != uint8(pos) {
-			continue
-		}
-		if uint64(len(d)) < m {
-			m = uint64(len(d))
+	for pos := range a.domains {
+		if a.tie[pos] == uint8(pos) {
+			m = min(m, uint64(a.domains[pos].n))
 		}
 	}
 	a.support = m
@@ -120,9 +138,9 @@ func (a *Agg) refresh(support uint64) {
 }
 
 // TieClasses groups sorted pattern positions with identical (label, degree):
-// out[i] is the representative (first) position of i's class.
-func TieClasses(p *pattern.Pattern) []uint8 {
-	out := make([]uint8, p.K)
+// out[i] is the representative (first) position of i's class, for i < p.K.
+func TieClasses(p *pattern.Pattern) [pattern.MaxK]uint8 {
+	var out [pattern.MaxK]uint8
 	for i := 0; i < p.K; i++ {
 		out[i] = uint8(i)
 		if i > 0 && p.Labels[i] == p.Labels[i-1] && p.Deg[i] == p.Deg[i-1] {
@@ -145,4 +163,81 @@ func MergeMaps(maps []map[uint64]*Agg, support uint64) map[uint64]*Agg {
 		}
 	}
 	return merged
+}
+
+// Pair is the MNI aggregate of one single-edge pattern: the labels of its
+// ends (A ≤ B), its embeddings (the edges with those labels) and its exact
+// support.
+type Pair struct {
+	A, B    graph.Label
+	Count   uint64
+	Support uint64
+}
+
+// Pattern returns the pair's sorted single-edge pattern.
+func (pr Pair) Pattern() *pattern.Pattern {
+	p, _ := pattern.New(2)
+	p.Labels[0], p.Labels[1] = pr.A, pr.B
+	p.SetEdge(0, 1)
+	return p
+}
+
+// PairSet holds the label pairs whose single-edge pattern is frequent.
+type PairSet map[uint32]bool
+
+// Has reports whether edge eid of g has a frequent single-edge pattern.
+func (s PairSet) Has(g *graph.Graph, eid uint32) bool {
+	ed := g.EdgeAt(eid)
+	return s[pairKey(g.Label(ed.U), g.Label(ed.V))]
+}
+
+func pairKey(a, b graph.Label) uint32 {
+	return uint32(min(a, b))<<16 | uint32(max(a, b))
+}
+
+// EdgePairs is FSM's Init step (§5.1): the exact MNI support of every
+// single-edge pattern of g, computed in one pass over the edges. It returns
+// the frequent label pairs and their aggregates, ordered by (A, B). For a
+// pair (a, a) the two ends are automorphic and share one domain; for (a, b)
+// each label has its own — both exact, so nothing is released early.
+func EdgePairs(g *graph.Graph, support uint64) (PairSet, []Pair) {
+	type pairAgg struct {
+		a, b  domain // b stays empty for (a, a)
+		count uint64
+	}
+	words := (g.N() + 63) / 64
+	aggs := map[uint32]*pairAgg{}
+	for _, ed := range g.Edges() {
+		u, v := ed.U, ed.V
+		if g.Label(u) > g.Label(v) {
+			u, v = v, u // domain a holds the smaller label's end
+		}
+		key := pairKey(g.Label(u), g.Label(v))
+		d := aggs[key]
+		if d == nil {
+			d = &pairAgg{}
+			aggs[key] = d
+		}
+		d.count++
+		d.a.add(u, words)
+		if g.Label(u) == g.Label(v) {
+			d.a.add(v, words)
+		} else {
+			d.b.add(v, words)
+		}
+	}
+	freq := PairSet{}
+	var out []Pair
+	for key, d := range aggs {
+		s := d.a.n
+		if d.b.n > 0 {
+			s = min(s, d.b.n)
+		}
+		if uint64(s) >= support {
+			freq[key] = true
+			out = append(out, Pair{A: graph.Label(key >> 16), B: graph.Label(key), Count: d.count, Support: uint64(s)})
+		}
+	}
+	slices.SortFunc(out, func(x, y Pair) int { return cmp.Compare(pairKey(x.A, x.B), pairKey(y.A, y.B)) })
+	return freq, out
 }

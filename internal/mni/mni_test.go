@@ -30,7 +30,7 @@ func TestTieClasses(t *testing.T) {
 
 func TestEarlyStop(t *testing.T) {
 	p := pathPattern(t)
-	a := NewAgg(p)
+	a := NewAgg(p, 64)
 	perm := [pattern.MaxK]uint8{0, 1, 2} // already sorted order
 	a.Insert([]uint32{10, 20, 21}, &perm, 2)
 	if a.Frequent() {
@@ -53,7 +53,7 @@ func TestEarlyStop(t *testing.T) {
 func TestMerge(t *testing.T) {
 	p := pathPattern(t)
 	perm := [pattern.MaxK]uint8{0, 1, 2}
-	a, b := NewAgg(p), NewAgg(p)
+	a, b := NewAgg(p, 64), NewAgg(p, 64)
 	a.Insert([]uint32{10, 20, 21}, &perm, 2)
 	b.Insert([]uint32{11, 20, 22}, &perm, 2)
 	a.Merge(b, 2)
@@ -61,7 +61,7 @@ func TestMerge(t *testing.T) {
 		t.Fatalf("merge: frequent=%v count=%d support=%d", a.Frequent(), a.Count, a.Support())
 	}
 	// Merging a frequent agg into a fresh one propagates the flag.
-	c := NewAgg(p)
+	c := NewAgg(p, 64)
 	c.Merge(a, 2)
 	if !c.Frequent() || c.Count != 2 {
 		t.Fatalf("frequent propagation: %v %d", c.Frequent(), c.Count)
@@ -71,8 +71,8 @@ func TestMerge(t *testing.T) {
 func TestMergeMaps(t *testing.T) {
 	p := pathPattern(t)
 	perm := [pattern.MaxK]uint8{0, 1, 2}
-	m1 := map[uint64]*Agg{7: NewAgg(p)}
-	m2 := map[uint64]*Agg{7: NewAgg(p), 9: NewAgg(p)}
+	m1 := map[uint64]*Agg{7: NewAgg(p, 64)}
+	m2 := map[uint64]*Agg{7: NewAgg(p, 64), 9: NewAgg(p, 64)}
 	m1[7].Insert([]uint32{10, 20, 21}, &perm, 5)
 	m2[7].Insert([]uint32{11, 22, 23}, &perm, 5)
 	m2[9].Insert([]uint32{1, 2, 3}, &perm, 5)

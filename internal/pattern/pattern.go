@@ -258,10 +258,18 @@ func (p *Pattern) String() string {
 	return sb.String()
 }
 
+// MaxEncodeLen is the longest encoding, that of a pattern on MaxK vertices.
+const MaxEncodeLen = 1 + 2*MaxK + 4
+
 // Encode packs the pattern into a compact byte string usable as a map key:
 // Fig. 5's layout — label list followed by the upper-triangle bitmap.
 func (p *Pattern) Encode() string {
-	buf := make([]byte, 0, 1+2*p.K+4)
+	return string(p.AppendEncode(make([]byte, 0, 1+2*p.K+4)))
+}
+
+// AppendEncode appends Encode's bytes to buf and returns the extended
+// buffer; with a [MaxEncodeLen]byte array behind buf it does not allocate.
+func (p *Pattern) AppendEncode(buf []byte) []byte {
 	buf = append(buf, byte(p.K))
 	for i := 0; i < p.K; i++ {
 		buf = append(buf, byte(p.Labels[i]), byte(p.Labels[i]>>8))
@@ -277,8 +285,7 @@ func (p *Pattern) Encode() string {
 			n++
 		}
 	}
-	buf = append(buf, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
-	return string(buf)
+	return append(buf, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
 }
 
 // Decode reverses Encode.

@@ -253,20 +253,13 @@ func FSM(g *graph.Graph, k int, support uint64, opt Options) ([]PatternCount, St
 		return nil, Stats{}, err
 	}
 	defer e.close()
-	freq := frequentEdgePairs(g, support)
-	t, err := e.initEdges(func(eid uint32) bool {
-		ed := g.EdgeAt(eid)
-		return freq[pairKey(g.Label(ed.U), g.Label(ed.V))]
-	})
+	freq, _ := mni.EdgePairs(g, support)
+	t, err := e.initEdges(func(eid uint32) bool { return freq.Has(g, eid) })
 	if err != nil {
 		return nil, e.stats, err
 	}
 	emit := func(verts, tuple []uint32, cand uint32) bool {
-		ed := g.EdgeAt(cand)
-		if !freq[pairKey(g.Label(ed.U), g.Label(ed.V))] {
-			return false
-		}
-		return len(verts)+countNew(verts, ed) <= k
+		return freq.Has(g, cand) && len(verts)+countNew(verts, g.EdgeAt(cand)) <= k
 	}
 	var result []PatternCount
 	for level := 2; level <= k-1; level++ {
@@ -306,7 +299,9 @@ func FSM(g *graph.Graph, k int, support uint64, opt Options) ([]PatternCount, St
 			if !agg.Frequent() {
 				continue
 			}
-			result = append(result, PatternCount{Pattern: agg.Pat, Count: agg.Count, Support: agg.Support()})
+			// Saturated at the threshold, as Kaleido reports it: the crossing
+			// value depends on the order the workers' domains merged in.
+			result = append(result, PatternCount{Pattern: agg.Pat, Count: agg.Count, Support: min(agg.Support(), support)})
 		}
 	}
 	t.remove()
@@ -331,7 +326,7 @@ func (e *engine) aggregate(t *table, support uint64) (map[uint64]*mni.Agg, error
 		h := blisslike.Hash(p)
 		agg, ok := maps[w][h]
 		if !ok {
-			agg = mni.NewAgg(p)
+			agg = mni.NewAgg(p, e.g.N())
 			maps[w][h] = agg
 		}
 		agg.Insert(verts, &perm, support)
@@ -456,49 +451,6 @@ func countNew(verts []uint32, ed graph.Edge) int {
 		n++
 	}
 	return n
-}
-
-func frequentEdgePairs(g *graph.Graph, support uint64) map[uint32]bool {
-	type dom struct{ a, b map[uint32]struct{} }
-	doms := map[uint32]*dom{}
-	for _, ed := range g.Edges() {
-		la, lb := g.Label(ed.U), g.Label(ed.V)
-		key := pairKey(la, lb)
-		d, ok := doms[key]
-		if !ok {
-			d = &dom{a: map[uint32]struct{}{}, b: map[uint32]struct{}{}}
-			doms[key] = d
-		}
-		if la == lb {
-			d.a[ed.U] = struct{}{}
-			d.a[ed.V] = struct{}{}
-		} else {
-			u, v := ed.U, ed.V
-			if la > lb {
-				u, v = v, u
-			}
-			d.a[u] = struct{}{}
-			d.b[v] = struct{}{}
-		}
-	}
-	freq := map[uint32]bool{}
-	for key, d := range doms {
-		m := uint64(len(d.a))
-		if len(d.b) > 0 && uint64(len(d.b)) < m {
-			m = uint64(len(d.b))
-		}
-		if m >= support {
-			freq[key] = true
-		}
-	}
-	return freq
-}
-
-func pairKey(a, b graph.Label) uint32 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint32(a)<<16 | uint32(b)
 }
 
 func sortCounts(out []PatternCount) {

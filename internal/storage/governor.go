@@ -25,8 +25,8 @@ import (
 // build's limit. While the external pressure flag is up every group
 // charges, so the reaction to it does not lag.
 //
-// External pressure with a known limit (the tracked total — pattern maps and
-// sibling runs included — is over pressureLimit) follows the same rule for
+// External pressure with a known limit (the tracked total — sibling runs
+// included — is over pressureLimit) follows the same rule for
 // data at rest: flushed parts are spilled only until the marked bytes cover
 // the overshoot, so a spike of a few bytes does not send a whole level to
 // disk. What it condemns beyond that is only what is still growing: marked
