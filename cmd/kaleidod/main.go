@@ -62,9 +62,7 @@ func main() {
 	}
 
 	srv := service.NewServer(eng, *cacheDir, *cacheGraphs)
-	// Bound how long a client may take to send its headers, so idle or
-	// trickling connections cannot pin goroutines and sockets forever.
-	httpSrv := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := service.NewHTTPServer(*addr, srv)
 
 	// SIGTERM/SIGINT: refuse new jobs, let in-flight ones finish (bounded by
 	// -drain-timeout, after which they are canceled and unwind cleanly), then

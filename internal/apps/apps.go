@@ -11,12 +11,13 @@
 // (FilterTop) — so every application writes zero bytes for its
 // terminal level, on any storage regime.
 //
-// Neither CliqueCount nor MotifCount asks the graph about adjacency per
-// candidate: the candidate merge carries every candidate's adjacency to its
-// embedding as a bit mask, so the clique filter is one compare and the motif
-// Mapper reads each child's pattern row from the mask. Only TriangleCount,
-// which intersects two neighbor lists rather than expanding a union, keeps a
-// graph.NeighborMarker.
+// CliqueCount and TriangleCount (= CliqueCount(3)) run the explorer's
+// Clique mode, which intersects neighbour lists instead of filtering their
+// union: each worker stamps a run's common neighbours into a
+// graph.NeighborMarker once and probes every leaf's forward list against it.
+// MotifCount does not ask the graph about adjacency per candidate either: the
+// candidate merge carries every candidate's adjacency to its embedding as a
+// bit mask, and the motif Mapper reads each child's pattern row from it.
 //
 // An application run is configured by one *run.Env — threads, budget, spill
 // placement, tracker, isomorphism backend, accounting out-pointer — which
@@ -56,84 +57,27 @@ func sortCounts(out []PatternCount) {
 	})
 }
 
-// TriangleCount counts triangles (§5.1): explore canonical 2-embeddings,
-// then each Mapper counts common neighbors beyond the larger endpoint so
-// every triangle is counted exactly once. Consecutive embeddings of a
-// worker's range share their first vertex, so each worker marks N(u) once
-// per run with its NeighborMarker and then answers every probe in O(1) —
-// one gallop to the first neighbor past v plus one probe per remaining
-// neighbor, instead of a fresh linear merge of both lists per embedding.
+// TriangleCount counts triangles (§5.1): a triangle is a 3-clique, so this
+// is CliqueCount(3) — the stored level holds every edge once, and its final
+// expansion counts, per edge (u, v), the vertices of N(v) past v that the
+// worker stamped as u's forward neighbours once per run of edges sharing u.
 // ctx cancels the run between blocks of work.
 func TriangleCount(ctx context.Context, g *graph.Graph, env *run.Env) (uint64, error) {
-	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: env})
-	if err != nil {
-		return 0, err
-	}
-	defer e.Close()
-	if err := e.InitVertices(nil); err != nil {
-		return 0, err
-	}
-	if err := e.Expand(ctx, nil, nil); err != nil {
-		return 0, err
-	}
-	nw := env.Workers()
-	counts := make([]uint64, nw)
-	type markState struct {
-		mk     *graph.NeighborMarker
-		u      uint32
-		marked bool
-	}
-	states := make([]*markState, nw)
-	err = e.ForEach(ctx, func(w int, emb []uint32) error {
-		u, v := emb[0], emb[1]
-		st := states[w]
-		if st == nil {
-			st = &markState{mk: g.NewNeighborMarker()}
-			states[w] = st
-		}
-		if !st.marked || st.u != u {
-			st.mk.Begin()
-			st.mk.MarkNeighbors(u)
-			st.u, st.marked = u, true
-		}
-		nv := g.Neighbors(v)
-		var c uint64
-		for j := sort.Search(len(nv), func(x int) bool { return nv[x] > v }); j < len(nv); j++ {
-			if st.mk.Marked(nv[j]) {
-				c++
-			}
-		}
-		counts[w] += c
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	return total, nil
+	return CliqueCount(ctx, g, 3, env)
 }
 
-// cliqueFilter is the clique EmbeddingFilter: a candidate must be adjacent to
-// every embedding vertex — all len(emb) bits of the adjacency mask the
-// candidate merge carried to it, one compare and no probe of the graph.
-func cliqueFilter(_ int, emb []uint32, _, adj uint32) bool {
-	return adj == 1<<len(emb)-1
-}
-
-// CliqueCount counts k-cliques (§5.1): the EmbeddingFilter admits only
-// candidates adjacent to every embedding vertex, so every surviving
-// extension is a k-clique and no pattern computation is needed. Only k−2
-// levels are materialized: the final expansion — the largest level of the
-// run — is consumed by a CountSink at the frontier (§6.5 generalized), so
-// zero bytes are written for it. ctx cancels the run between blocks of work.
+// CliqueCount counts k-cliques (§5.1) by Clique exploration: a clique's
+// extensions are the common neighbours of its vertices, so every embedding
+// the explorer produces is a clique and no filter or pattern computation is
+// needed. Only k−2 levels are materialized: the final expansion — the
+// largest level of the run — is consumed by a CountSink at the frontier
+// (§6.5 generalized), so zero bytes are written for it. ctx cancels the run
+// between blocks of work.
 func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint64, error) {
 	if k < 2 {
 		return 0, fmt.Errorf("apps: clique size %d < 2", k)
 	}
-	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: env})
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.Clique, Env: env})
 	if err != nil {
 		return 0, err
 	}
@@ -145,11 +89,11 @@ func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		if err := e.Expand(ctx, cliqueFilter, nil); err != nil {
+		if err := e.Expand(ctx, nil, nil); err != nil {
 			return 0, err
 		}
 	}
-	return e.ExpandCount(ctx, cliqueFilter, nil)
+	return e.ExpandCount(ctx, nil, nil)
 }
 
 // MotifCount counts the frequency of every k-motif (§5.1): exploration stops

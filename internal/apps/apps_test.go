@@ -2,9 +2,11 @@ package apps
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"kaleido/internal/gen"
 	"kaleido/internal/graph"
 	"kaleido/internal/iso"
 	"kaleido/internal/pattern"
@@ -84,6 +86,34 @@ func TestTriangleCountRandom(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTriangleScaling counts the triangles of a degree-relabelled
+// power-law graph — the id order every public graph gets, hubs first — at 1,
+// 2 and 4 threads, one TriangleCount per op.
+func BenchmarkTriangleScaling(b *testing.B) {
+	g, err := gen.PowerLaw(gen.Config{N: 20000, M: 150000, Alpha: 2.6, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if g, err = graph.Relabel(g); err != nil {
+		b.Fatal(err)
+	}
+	for _, threads := range []int{1, 2, 4} {
+		env := &run.Env{Threads: threads}
+		b.Run(fmt.Sprintf("threads%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				n, err := TriangleCount(bgCtx, g, env)
+				if err != nil {
+					b.Fatal(err)
+				}
+				triangleSink = n
+			}
+		})
+	}
+}
+
+// triangleSink keeps BenchmarkTriangleScaling's count live.
+var triangleSink uint64
 
 func TestCliqueCountPaperExample(t *testing.T) {
 	g := paperGraph(t)

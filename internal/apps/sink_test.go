@@ -32,8 +32,8 @@ func appConfigs(t *testing.T) []*run.Env {
 	}
 }
 
-// naiveCliqueFilter is the per-candidate HasEdge reference the mask-compare
-// cliqueFilter must match.
+// naiveCliqueFilter is the per-candidate HasEdge clique filter: with it the
+// union path is the reference that Clique exploration must match.
 func naiveCliqueFilter(g *graph.Graph) explore.VertexFilter {
 	return func(_ int, emb []uint32, cand, _ uint32) bool {
 		for _, v := range emb {

@@ -1,10 +1,11 @@
 package explore
 
-// Micro-benchmarks of the two loops every expansion spends its time in: the
+// Micro-benchmarks of the loops every expansion spends its time in: the
 // provenance merge that maintains the per-level candidate sets (once per run
-// of leaves) and the fused leaf merge + canonical filter (once per leaf).
-// Both report ns per candidate — per element of the union they produce or
-// consume — and must not allocate in the steady state.
+// of leaves) and the fused leaf merge + canonical filter (once per leaf),
+// both reported in ns per candidate — per element of the union they produce
+// or consume — and the Clique-mode leaf, in ns per leaf. None may allocate
+// in the steady state.
 
 import (
 	"sort"
@@ -127,3 +128,91 @@ func BenchmarkAppendCanonical(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCliqueLeaf measures the Clique-mode leaf over the stored 3-cliques
+// of the power-law graph — the final expansion of Cliques(4) — one op per
+// leaf: count (the CountSink path, nothing written), store (children
+// appended), and, as the baseline the intersection replaced, union — the
+// vertex-induced fused leaf merge under the all-ones mask filter, over the
+// same leaves. Prefix refreshes and stamps are paid once per run of leaves,
+// as in the expansion.
+func BenchmarkCliqueLeaf(b *testing.B) {
+	g := benchGraph(b)
+	e, err := New(Config{Graph: g, Mode: Clique, Env: &run.Env{Threads: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitVertices(nil); err != nil {
+		b.Fatal(err)
+	}
+	const k = 3
+	for e.Depth() < k {
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var embs [][k]uint32 // one worker: stored order
+	err = e.ForEach(bgCtx, func(_ int, emb []uint32) error {
+		if len(embs) < 1<<14 {
+			embs = append(embs, [k]uint32(emb))
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cst, vst := newCliqueState(g, k), newVertexState(g, k)
+	all := func(_ int, emb []uint32, _, adj uint32) bool { return adj == 1<<len(emb)-1 }
+	var x expansion
+	var sum uint64
+	for _, c := range []struct {
+		name string
+		leaf func(emb []uint32, from int)
+	}{
+		{"count", func(emb []uint32, from int) {
+			if from < k {
+				cst.updatePrefix(emb, from, k)
+			}
+			sum += cst.countLeaf(k, emb[k-1])
+		}},
+		{"store", func(emb []uint32, from int) {
+			if from < k {
+				cst.updatePrefix(emb, from, k)
+			}
+			x.children = cst.appendLeaf(k, emb[k-1], x.children[:0])
+		}},
+		{"union", func(emb []uint32, from int) {
+			if from < k {
+				vst.updatePrefix(emb, from, k)
+			}
+			vst.appendCanonical(k, emb[k-1], emb, 0, all, false, &x)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var emb [k]uint32
+			step := func(i int) {
+				next := embs[i%len(embs)]
+				from := 1
+				for from < k && i > 0 && next[from-1] == emb[from-1] {
+					from++
+				}
+				emb = next
+				c.leaf(emb[:], from)
+			}
+			for i := range embs {
+				step(i) // grow the pooled buffers to their steady-state size
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/leaf")
+		})
+	}
+	cliqueLeafSink = sum
+}
+
+// cliqueLeafSink keeps the counting leaf's result live.
+var cliqueLeafSink uint64

@@ -3,6 +3,13 @@
 // iteration under the fused Definition-2 canonical filter, and parallelizes
 // every operation over work-stealing chunks with pooled per-worker scratch.
 //
+// Three exploration units share that machinery (Mode): vertex- and
+// edge-induced embeddings grow from the union of their units' neighbourhoods,
+// filtered at the merge frontier; clique embeddings grow from the
+// intersection — a leaf's children are the stamped entries of its forward
+// neighbour list, the prefix's common neighbours stamped once per run
+// (clique.go).
+//
 // Expansion is sink-driven: Expand produces a stream of (parent embedding,
 // canonical children) pairs and emits it into a pluggable ExpandSink.
 // StoreSink materializes the stream as the next CSE level (a part-structured
@@ -46,6 +53,12 @@ const (
 	VertexInduced Mode = iota
 	// EdgeInduced embeddings are edge-id sequences.
 	EdgeInduced
+	// Clique embeddings are strictly increasing vertex sequences in which
+	// every vertex neighbours every other: the levels VertexInduced stores
+	// under a filter that admits only all-ones adjacency masks, found by
+	// intersecting neighbour lists instead of filtering their union
+	// (clique.go). A Clique explorer takes no user filter.
+	Clique
 )
 
 // VertexFilter is the user-defined EmbeddingFilter of the Kaleido API for
@@ -135,6 +148,7 @@ type workerScratch struct {
 	preds  []uint32
 	vstate *vertexState
 	estate *edgeState
+	cstate *cliqueState
 }
 
 // expansion is what one step of the expansion loop hands to a sink: a parent
@@ -191,6 +205,17 @@ func (e *Explorer) edgeStateFor(worker, k int) *edgeState {
 	return sc.estate
 }
 
+// cliqueStateFor returns the worker's Clique-mode state sized for depth k.
+func (e *Explorer) cliqueStateFor(worker, k int) *cliqueState {
+	sc := &e.scratch[worker]
+	if sc.cstate == nil {
+		sc.cstate = newCliqueState(e.cfg.Graph, k)
+	} else {
+		sc.cstate.ensureDepth(k)
+	}
+	return sc.cstate
+}
+
 // New creates an Explorer. Call InitVertices or InitEdges before Expand.
 func New(cfg Config) (*Explorer, error) {
 	if cfg.Graph == nil {
@@ -243,9 +268,9 @@ func (e *Explorer) watermarkBytes() int64 {
 }
 
 // InitVertices sets level 1 to the graph's vertices (optionally filtered) —
-// the Init of vertex-induced applications (§5).
+// the Init of vertex-induced and clique applications (§5).
 func (e *Explorer) InitVertices(filter func(v uint32) bool) error {
-	if e.cfg.Mode != VertexInduced {
+	if e.cfg.Mode == EdgeInduced {
 		return fmt.Errorf("explore: InitVertices on edge-induced explorer")
 	}
 	return e.initUnits(e.cfg.Graph.N(), filter)
@@ -661,9 +686,10 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	x := &sc.x
 	x.preds = nil
 
-	// Both modes run the fused fast path: per run, refresh the shared prefix
-	// once; per leaf, consume cands[k-2] ∪ N(leaf) as it is merged — the
-	// leaf-level candidate set is never materialized. When the §4.2
+	// The union modes run the fused fast path: per run, refresh the shared
+	// prefix once; per leaf, consume cands[k-2] ∪ N(leaf) as it is merged — the
+	// leaf-level candidate set is never materialized (Clique mode intersects
+	// instead, see expandCliques). When the §4.2
 	// prediction is on (storing sinks only; a consumed expansion has no next
 	// level to balance), only every stride-th group pays the exact per-child
 	// candidate-union count (which needs the materialized level-k candidate
@@ -673,6 +699,9 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	ps := predSampler{
 		stride: e.predictStride(hi - lo),
 		mean:   uint32(e.cfg.Graph.AvgDegree()) + 1,
+	}
+	if e.cfg.Mode == Clique {
+		return e.expandCliques(ctx, w, k, worker, chunk, sink, predicting, &ps)
 	}
 
 	runs := 0
@@ -739,7 +768,7 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 
 // predictor is the slice of worker state the sampled §4.2 prediction needs:
 // materialize the level-k candidate set of the current leaf, then price each
-// child against it. Both vertexState and edgeState implement it.
+// child against it. vertexState, edgeState and cliqueState implement it.
 type predictor interface {
 	refreshLevel(emb []uint32, l int)
 	predict(k int, u uint32) int

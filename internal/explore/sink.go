@@ -13,7 +13,7 @@ package explore
 //	StoreSink — today's Expand: build level k+1 (each part's raw or disk
 //	            placement decided by the budget governor) and push it.
 //	CountSink — per-worker counters; nothing is written. CliqueCount's
-//	            final expansion.
+//	            (and TriangleCount's) final expansion.
 //	VisitSink — per-worker (emb, cand) callback; the engine primitive under
 //	            ForEachExpansion and the Mapper of motif counting and FSM's
 //	            final aggregation.
@@ -112,9 +112,11 @@ func (s *StoreSink) abort() {
 
 // CountSink tallies the expansion stream into per-worker counters — the
 // terminal sink of counting workloads. The final expansion of CliqueCount
-// runs through it: every child is a k-clique, so the count is the answer and
-// the largest level of the run — the one that dominates bytes written — is
-// never materialized.
+// (and so of TriangleCount) runs through it: every child is a k-clique, so
+// the count is the answer and the largest level of the run — the one that
+// dominates bytes written — is never materialized. In Clique mode the
+// expansion recognises this sink and adds each leaf's count to the worker's
+// counter directly: the children are counted, never written.
 type CountSink struct {
 	counts []paddedCount
 	total  uint64
@@ -256,6 +258,9 @@ func (e *Explorer) ExpandTo(ctx context.Context, sink ExpandSink, vf VertexFilte
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
+	if e.cfg.Mode == Clique && (vf != nil || ef != nil) {
+		return fmt.Errorf("explore: clique exploration takes no user filter")
+	}
 	top := e.c.Top()
 	n := top.Len()
 	k := e.c.Depth()
@@ -318,7 +323,8 @@ func (e *Explorer) ExpandVisit(ctx context.Context, vf VertexFilter, ef EdgeFilt
 // In vertex-induced mode adj is parallel to children: bit i of adj[j] is set
 // iff children[j] is adjacent to emb[i], straight from the candidate merge, so
 // the Mapper knows each child's pattern row without probing the graph; in
-// edge-induced mode it is nil. children and adj are reused buffers like emb.
+// edge-induced and Clique mode it is nil (a clique child's mask is all
+// ones). children and adj are reused buffers like emb.
 func (e *Explorer) ExpandVisitGroups(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit func(worker int, emb, children, adj []uint32) error) error {
 	s := VisitSink{visit: visit, adj: true}
 	return e.ExpandTo(ctx, &s, vf, ef)

@@ -11,9 +11,9 @@ import "math"
 //     worst (log d is largest) and, on the power-law graphs graph mining
 //     targets, where most adjacency probes land.
 //  2. NeighborMarker — an epoch-stamped scratch array for batch membership
-//     tests: mark the neighborhoods of a small working set once (O(Σ deg)),
-//     then answer "is u adjacent to a marked vertex" in O(1) per probe,
-//     amortizing list walks across many probes.
+//     tests: mark a vertex set once (O(|set|)), then answer "is u in the
+//     set" in O(1) per probe. Clique exploration stamps a clique's common
+//     neighbours with it and probes every leaf's forward list.
 //
 // Both are built once per graph (the bitsets in Builder.Build, markers on
 // demand per worker) and never mutated afterwards, so they are safe for
@@ -124,16 +124,15 @@ func (g *Graph) IsHub(v uint32) bool {
 	return g.hub != nil && g.hub.rowOf[v] >= 0
 }
 
-// NeighborMarker is a reusable, epoch-stamped scratch for batch adjacency
-// tests against a small working set of vertices. A batch starts with Begin,
-// adds neighborhoods with MarkNeighbors (or single vertices with Mark), and
-// then answers Marked probes in O(1). Begin is O(1): stale stamps from
-// earlier batches are invalidated by bumping the epoch, not by clearing.
+// NeighborMarker is a reusable, epoch-stamped scratch for batch membership
+// tests against a set of vertices. A batch starts with Begin, adds vertices
+// with Mark, and then answers Marked probes in O(1). Begin is O(1): stale
+// stamps from earlier batches are invalidated by bumping the epoch, not by
+// clearing.
 //
 // A marker belongs to one goroutine; concurrent workers each create their
 // own (the scratch is O(N) ints, shared-nothing by design).
 type NeighborMarker struct {
-	g     *Graph
 	epoch uint32
 	stamp []uint32 // stamp[v] == epoch ⇔ v marked in the current batch
 }
@@ -143,7 +142,6 @@ type NeighborMarker struct {
 // as marked before the first Begin).
 func (g *Graph) NewNeighborMarker() *NeighborMarker {
 	return &NeighborMarker{
-		g:     g,
 		epoch: 1,
 		stamp: make([]uint32, g.n),
 	}
@@ -160,15 +158,6 @@ func (m *NeighborMarker) Begin() {
 
 // Mark adds a single vertex to the batch.
 func (m *NeighborMarker) Mark(v uint32) { m.stamp[v] = m.epoch }
-
-// MarkNeighbors adds every neighbor of v to the batch. Marking the
-// neighborhoods of a working set S costs O(Σ_{v∈S} deg v) once; afterwards
-// each probe is O(1) instead of a per-probe binary search.
-func (m *NeighborMarker) MarkNeighbors(v uint32) {
-	for _, u := range m.g.Neighbors(v) {
-		m.Mark(u)
-	}
-}
 
 // Marked reports whether v is in the current batch.
 func (m *NeighborMarker) Marked(v uint32) bool { return m.stamp[v] == m.epoch }

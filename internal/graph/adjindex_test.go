@@ -170,8 +170,9 @@ func TestNeighborMarkerBatch(t *testing.T) {
 	m := g.NewNeighborMarker()
 
 	m.Begin()
-	m.MarkNeighbors(0) // {1, 4}
-	m.MarkNeighbors(1) // {0, 2, 4}
+	for _, v := range [...]uint32{0, 1, 2, 4} { // N(0) ∪ N(1)
+		m.Mark(v)
+	}
 	for v, want := range map[uint32]bool{0: true, 1: true, 2: true, 3: false, 4: true} {
 		if m.Marked(v) != want {
 			t.Errorf("Marked(%d) = %v, want %v", v, m.Marked(v), want)
@@ -226,7 +227,9 @@ func TestNeighborMarkerMatchesHasEdge(t *testing.T) {
 		}
 		m.Begin()
 		for _, v := range set {
-			m.MarkNeighbors(v)
+			for _, u := range g.Neighbors(v) {
+				m.Mark(u)
+			}
 		}
 		for probe := 0; probe < 20; probe++ {
 			u := uint32(rng.Intn(g.N()))

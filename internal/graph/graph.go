@@ -13,7 +13,7 @@
 // whose degree reaches a configurable hub threshold (Builder.SetHubThreshold,
 // default √2m) carry packed bitset rows consulted by HasEdge, and
 // NeighborMarker provides epoch-stamped scratch for batch membership tests
-// against a marked neighborhood (triangle counting).
+// against a marked vertex set (the common neighbours of clique exploration).
 package graph
 
 import (

@@ -9,10 +9,11 @@ import (
 //
 // Relabel permutes the vertex ids of a graph so that high-degree vertices get
 // dense low ids. The mining hot paths benefit twice: the hub bitset rows
-// (adjindex.go) cover a contiguous low-id prefix, and the NeighborMarker /
-// candidate-merge probes — whose addresses are vertex ids — concentrate on a
-// small prefix of the stamp arrays, touching far fewer cache lines on the
-// power-law graphs mining targets.
+// (adjindex.go) cover a contiguous low-id prefix, and the NeighborMarker
+// stamps and probes of clique exploration — whose addresses are vertex ids —
+// concentrate on a small prefix of the stamp array, touching far fewer cache
+// lines on the power-law graphs mining targets. (It is also the worst order
+// for clique forward lists: a hub's neighbours nearly all lie above it.)
 //
 // The permutation is carried on the Graph (OrigID / NewID), so loaders can
 // relabel transparently and translate user-facing vertex ids back at the API

@@ -380,6 +380,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// Timeouts of the daemon's HTTP listener. Clients poll GET /jobs/{id}, so no
+// request is long-lived: a request's headers must arrive within
+// readHeaderTimeout and the whole request within readTimeout, its response
+// must be written within writeTimeout, and a keep-alive connection idle for
+// idleTimeout is closed.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server that serves h on addr with every
+// timeout set, so an idle, trickling or stalled client cannot pin a
+// goroutine and a socket forever.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // maxSpecBytes bounds a submitted job spec: a spec is a few hundred bytes,
 // so anything near this is not one, and reading it whole would let one
 // request hold the daemon's memory.

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -599,5 +602,69 @@ func TestSubmitRefusesBadBodies(t *testing.T) {
 	job := postJob(t, ts.URL, JobSpec{App: "tc", GraphPath: path})
 	if job = waitJob(t, ts.URL, job.ID); job.State != StateDone {
 		t.Fatalf("valid job after the refusals: %s (%s)", job.State, job.Error)
+	}
+}
+
+// TestHTTPServerTimeouts: the daemon's listener bounds every phase of a
+// connection, and a client that stops sending a job spec mid-body is cut off
+// — answered and disconnected, no job registered — instead of holding a
+// goroutine and a socket until it goes away.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := NewServer(&kaleido.Engine{}, "", 2)
+	hs := NewHTTPServer("127.0.0.1:0", srv)
+	for name, got := range map[string]time.Duration{
+		"ReadHeaderTimeout": hs.ReadHeaderTimeout, "ReadTimeout": hs.ReadTimeout,
+		"WriteTimeout": hs.WriteTimeout, "IdleTimeout": hs.IdleTimeout,
+	} {
+		if got <= 0 {
+			t.Errorf("%s not set", name)
+		}
+	}
+	if hs.Handler != srv || hs.Addr != "127.0.0.1:0" {
+		t.Fatalf("server built for %v on %q", hs.Handler, hs.Addr)
+	}
+
+	// Same server, a read timeout short enough to wait out here.
+	hs.ReadTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	fmt.Fprint(conn, "POST /jobs HTTP/1.1\r\nHost: kaleidod\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"app\":")
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // far past the server's timeout
+	r := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(r, nil)
+	if err != nil {
+		t.Fatalf("stalled upload: no answer from the server: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stalled upload: HTTP %d %q (%v), want 400", resp.StatusCode, body, err)
+	}
+	if b, err := r.ReadByte(); err == nil {
+		t.Fatalf("stalled upload: byte %q after the answer", b)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("stalled upload: connection still open after the answer")
+	}
+	if waited := time.Since(start); waited < hs.ReadTimeout {
+		t.Fatalf("stalled upload answered after %v, before the %v read timeout", waited, hs.ReadTimeout)
+	}
+	if n := len(srv.Jobs()); n != 0 {
+		t.Fatalf("stalled upload registered %d jobs", n)
 	}
 }

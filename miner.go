@@ -24,10 +24,9 @@ const (
 // may cand (a vertex id in vertex-induced mode, an edge id in edge-induced
 // mode) extend the embedding emb? The default canonical filter has already
 // been applied. worker identifies the calling goroutine (0..Threads-1) so a
-// filter can keep per-worker scratch. (The built-in clique filter needs none:
-// inside the engine a filter also receives the candidate's adjacency to the
-// embedding, carried through the candidate merge, and a clique is "adjacent
-// to all of it" — the public filter asks the graph instead.)
+// filter can keep per-worker scratch. (The built-in clique and triangle
+// counts use no filter: they run a clique exploration unit that intersects
+// neighbour lists instead. A public clique filter asks the graph.)
 type EmbeddingFilter func(worker int, emb []uint32, cand uint32) bool
 
 // Miner exposes the paper's exploration API (Listing 1: Init,
