@@ -247,7 +247,7 @@ func (en *Engine) abandon(w *admitWaiter) {
 // A run that outgrows its projection is still governed by the spill
 // watermark — it spills, it does not blow the budget.
 func (g *Graph) ProjectResidentBytes(app App, k int) int64 {
-	const unitBytes = 12 // vert word + bounds/pred share, see cse sizing
+	const unitBytes = 12 // vert word + bounds/pred share, see storage.HybridLevel.Bytes
 	seeds := int64(g.N())
 	levels := k - 1 // terminal level is sink-consumed, never stored
 	switch app {

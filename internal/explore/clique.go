@@ -16,8 +16,8 @@ package explore
 import (
 	"context"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/graph"
+	"kaleido/internal/storage"
 )
 
 // cliqueState is one worker's Clique-mode state: common[l-1] holds
@@ -203,7 +203,7 @@ func intersectSorted(dst, a, b []uint32) []uint32 {
 // prefix's common neighbours and re-stamp them only when the prefix changed;
 // per leaf, probe its forward list. Into a CountSink a leaf adds its count to
 // the worker's counter and writes no children.
-func (e *Explorer) expandCliques(ctx context.Context, w *cse.Walker, k, worker, chunk int, sink ExpandSink, predicting bool, ps *predSampler) error {
+func (e *Explorer) expandCliques(ctx context.Context, w *storage.Walker, k, worker, chunk int, sink ExpandSink, predicting bool, ps *predSampler) error {
 	sc := &e.scratch[worker]
 	x := &sc.x
 	st := e.cliqueStateFor(worker, k)

@@ -11,9 +11,9 @@ import (
 	"strings"
 	"testing"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/graph"
 	"kaleido/internal/run"
+	"kaleido/internal/storage"
 )
 
 // allOnesFilter is the clique filter of the union path: a candidate must be
@@ -62,7 +62,7 @@ func cliqueGraph(t *testing.T, rng *rand.Rand, hubThreshold int, relabel bool) *
 func walkLevel(t *testing.T, e *Explorer) (embs [][]uint32, continuations int) {
 	t.Helper()
 	k := e.Depth()
-	w, err := cse.NewWalker(e.CSE(), 0, e.Count())
+	w, err := storage.NewWalker(e.CSE(), 0, e.Count())
 	if err != nil {
 		t.Fatal(err)
 	}

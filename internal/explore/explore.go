@@ -37,7 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/graph"
 	"kaleido/internal/run"
 	"kaleido/internal/storage"
@@ -100,7 +99,7 @@ type Explorer struct {
 	cfg      Config
 	threads  int    // cfg.Workers(), resolved once
 	fs       vfs.FS // resolved cfg.FS (never nil)
-	c        *cse.CSE
+	c        *storage.CSE
 	queue    *storage.WriteQueue
 	runDir   string // per-run spill subdirectory (concurrent runs may share SpillDir)
 	levelSeq int
@@ -143,7 +142,7 @@ type Explorer struct {
 // workerScratch holds one worker's reusable buffers. Workers are indexed
 // 0..threads-1 by runParallel, so slots are never shared.
 type workerScratch struct {
-	walker *cse.Walker
+	walker *storage.Walker
 	x      expansion
 	preds  []uint32
 	vstate *vertexState
@@ -167,10 +166,10 @@ type expansion struct {
 }
 
 // walkerFor returns the worker's walker positioned over [lo, hi).
-func (e *Explorer) walkerFor(worker, lo, hi int) (*cse.Walker, error) {
+func (e *Explorer) walkerFor(worker, lo, hi int) (*storage.Walker, error) {
 	sc := &e.scratch[worker]
 	if sc.walker == nil {
-		w, err := cse.NewWalker(e.c, lo, hi)
+		w, err := storage.NewWalker(e.c, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -300,8 +299,8 @@ func (e *Explorer) initBase(units []uint32) error {
 	if e.c != nil {
 		return fmt.Errorf("explore: already initialized")
 	}
-	base := cse.NewBaseLevel(units)
-	e.c = cse.New(base)
+	base := storage.NewBaseLevel(units)
+	e.c = storage.NewCSE(base)
 	e.charge(base.Bytes())
 	return nil
 }
@@ -385,23 +384,13 @@ func (e *Explorer) LevelStats() []run.LevelStat {
 	out := make([]run.LevelStat, e.c.Depth())
 	for i := range out {
 		l := e.c.Level(i + 1)
-		mp, dp, db, dbp := levelPlacement(l)
 		out[i] = run.LevelStat{
 			Len: l.Len(), Groups: l.Groups(),
-			MemParts: mp, DiskParts: dp, ResidentBytes: l.Bytes(),
-			DiskBytes: db, DiskBytesPhysical: dbp,
+			MemParts: l.MemParts(), DiskParts: l.DiskParts(), ResidentBytes: l.Bytes(),
+			DiskBytes: l.DiskBytes(), DiskBytesPhysical: l.DiskBytesPhysical(),
 		}
 	}
 	return out
-}
-
-// levelPlacement classifies a level's parts by residency; only the base
-// level is not part-structured.
-func levelPlacement(l cse.LevelData) (memParts, diskParts int, diskBytes, diskBytesPhysical int64) {
-	if v, ok := l.(*storage.HybridLevel); ok {
-		return v.MemParts(), v.DiskParts(), v.DiskBytes(), v.DiskBytesPhysical()
-	}
-	return 1, 0, 0, 0
 }
 
 // promoteTop promotes disk-resident parts of top back to memory while the
@@ -440,15 +429,15 @@ func (e *Explorer) promoteLevel(l int, h *storage.HybridLevel) error {
 	return err
 }
 
-// promoteLevels promotes disk-resident parts of every live hybrid level, top
-// level first (its data is the hottest: the next expansion reads it), while
+// promoteLevels promotes disk-resident parts of every live level, top level
+// first (its data is the hottest: the next expansion reads it), while
 // the shared budget watermark keeps headroom. Each promotion recomputes the
 // headroom, so a lower level only reloads what the levels above it left room
 // for.
 func (e *Explorer) promoteLevels() error {
 	for l := e.c.Depth(); l >= 1; l-- {
-		h, ok := e.c.Level(l).(*storage.HybridLevel)
-		if !ok || h.DiskParts() == 0 {
+		h := e.c.Level(l)
+		if h.DiskParts() == 0 {
 			continue
 		}
 		if err := e.promoteLevel(l, h); err != nil {
@@ -477,7 +466,7 @@ func (e *Explorer) PopTop() error {
 }
 
 // CSE exposes the underlying structure (read-only use).
-func (e *Explorer) CSE() *cse.CSE { return e.c }
+func (e *Explorer) CSE() *storage.CSE { return e.c }
 
 // Close releases the CSE (removing spilled files) and stops the write queue,
 // after handing the run's storage accounting — the cumulative counters plus
@@ -548,7 +537,7 @@ func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) e
 // during the build. The builder (and, via the storage part-buffer pool, the
 // buffers of parts whose levels have been popped or filtered) is reused
 // across Expand iterations instead of being allocated per level.
-func (e *Explorer) levelBuilderFor(top cse.LevelData, bounds []int, baseBytes int64) *storage.HybridLevelBuilder {
+func (e *Explorer) levelBuilderFor(top *storage.HybridLevel, bounds []int, baseBytes int64) *storage.HybridLevelBuilder {
 	// Refresh external pressure: tracked memory may already exceed the
 	// watermark before this build starts (earlier levels — and, under a
 	// shared arbiter, the sibling runs' data).
@@ -597,7 +586,7 @@ func (e *Explorer) foreignLive() int64 {
 // of transient growth on the vertex-d4 benchmark) collapses into one
 // allocation per part. The builder caps reserves at its governor watermark,
 // since reserved capacity is real resident memory.
-func (e *Explorer) presizeParts(top cse.LevelData, bounds []int, b *storage.HybridLevelBuilder) {
+func (e *Explorer) presizeParts(top *storage.HybridLevel, bounds []int, b *storage.HybridLevelBuilder) {
 	n := top.Len()
 	if n == 0 {
 		return
@@ -632,7 +621,7 @@ func (e *Explorer) presizeParts(top cse.LevelData, bounds []int, b *storage.Hybr
 // segWorkPerRange distributes the segments' predicted work over the leaf
 // ranges [bounds[i], bounds[i+1]), splitting segments that straddle a cut
 // proportionally.
-func segWorkPerRange(segs []cse.PredSeg, bounds []int) []int {
+func segWorkPerRange(segs []storage.PredSeg, bounds []int) []int {
 	out := make([]int, len(bounds)-1)
 	leaf := 0
 	ci := 0
@@ -917,7 +906,7 @@ func (e *Explorer) chunks(n int) int {
 
 // partition cuts the top level into p contiguous ranges, weighted by the
 // §4.2 predicted candidate sizes when available.
-func (e *Explorer) partition(top cse.LevelData, p int) []int {
+func (e *Explorer) partition(top *storage.HybridLevel, p int) []int {
 	n := top.Len()
 	if e.cfg.Predict {
 		if segs := top.Predicted(); segs != nil {
@@ -941,7 +930,7 @@ func partitionEven(n, p int) []int {
 
 // partitionSegs splits [0, n) into p ranges of near-equal predicted work,
 // cutting only at segment boundaries.
-func partitionSegs(segs []cse.PredSeg, n, p int) []int {
+func partitionSegs(segs []storage.PredSeg, n, p int) []int {
 	if p < 1 {
 		p = 1
 	}

@@ -8,10 +8,10 @@ import (
 	"sync"
 	"testing"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
+	"kaleido/internal/storage"
 )
 
 // paperGraph is the 5-vertex running example of Fig. 3 (0-based).
@@ -496,7 +496,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestSegWorkPerRange(t *testing.T) {
-	segs := []cse.PredSeg{{Leaves: 10, Work: 100}, {Leaves: 10, Work: 50}}
+	segs := []storage.PredSeg{{Leaves: 10, Work: 100}, {Leaves: 10, Work: 50}}
 	bounds := []int{0, 5, 15, 20}
 	got := segWorkPerRange(segs, bounds)
 	want := []int{50, 75, 25}
@@ -504,7 +504,7 @@ func TestSegWorkPerRange(t *testing.T) {
 		t.Fatalf("segWorkPerRange = %v, want %v", got, want)
 	}
 	// Zero-leaf segments are skipped; ranges beyond the segments get 0.
-	got = segWorkPerRange([]cse.PredSeg{{Leaves: 0, Work: 9}, {Leaves: 4, Work: 8}}, []int{0, 4, 10})
+	got = segWorkPerRange([]storage.PredSeg{{Leaves: 0, Work: 9}, {Leaves: 4, Work: 8}}, []int{0, 4, 10})
 	if !reflect.DeepEqual(got, []int{8, 0}) {
 		t.Fatalf("segWorkPerRange = %v, want [8 0]", got)
 	}
@@ -539,7 +539,7 @@ func TestPresizedExpandMatches(t *testing.T) {
 }
 
 func TestPartitionSegs(t *testing.T) {
-	in := []cse.PredSeg{{Leaves: 10, Work: 100}, {Leaves: 10, Work: 1}, {Leaves: 10, Work: 1}, {Leaves: 10, Work: 98}}
+	in := []storage.PredSeg{{Leaves: 10, Work: 100}, {Leaves: 10, Work: 1}, {Leaves: 10, Work: 1}, {Leaves: 10, Work: 98}}
 	bounds := partitionSegs(in, 40, 2)
 	if len(bounds) != 3 || bounds[0] != 0 || bounds[2] != 40 {
 		t.Fatalf("bounds = %v", bounds)

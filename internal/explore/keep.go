@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/storage"
 )
 
@@ -41,7 +40,7 @@ func (e *Explorer) FilterTop(ctx context.Context, keep func(worker int, emb []ui
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	top := e.c.Top().(*storage.HybridLevel) // every level Expand pushes is one
+	top := e.c.Top()
 	rws := make([]*storage.PartRewriter, top.NumParts())
 	for i := range rws {
 		r, err := top.RewritePart(i, e.queue)
@@ -74,7 +73,7 @@ func (e *Explorer) FilterTop(ctx context.Context, keep func(worker int, emb []ui
 // filterRange streams the groups of parents [plo, phi) through kw — Keep for
 // every surviving leaf of the current group, GroupDone when the group closes
 // — asking keep about every leaf.
-func (e *Explorer) filterRange(ctx context.Context, top cse.LevelData, k, plo, phi, worker int, kw *storage.PartRewriter, keep func(int, []uint32) bool) error {
+func (e *Explorer) filterRange(ctx context.Context, top *storage.HybridLevel, k, plo, phi, worker int, kw *storage.PartRewriter, keep func(int, []uint32) bool) error {
 	lo64, err := top.GroupStart(plo)
 	if err != nil {
 		return err

@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/storage"
 )
 
@@ -36,7 +35,7 @@ import (
 type ExpandSink interface {
 	// begin prepares the sink for a walk cut at bounds (len(bounds)-1
 	// chunks) over the current top level.
-	begin(e *Explorer, top cse.LevelData, bounds []int) error
+	begin(e *Explorer, top *storage.HybridLevel, bounds []int) error
 	// emit consumes the canonical children of one parent embedding. It is
 	// called from worker goroutines; chunks are processed one at a time per
 	// worker, in parent order within a chunk. x and its slices are reused
@@ -68,7 +67,7 @@ type StoreSink struct {
 func (s *StoreSink) storing() bool { return true }
 func (s *StoreSink) wantAdj() bool { return false }
 
-func (s *StoreSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
+func (s *StoreSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	s.builder = e.levelBuilderFor(top, bounds, e.c.Bytes())
 	s.parents = top.Len()
 	return nil
@@ -131,7 +130,7 @@ type paddedCount struct {
 func (s *CountSink) storing() bool { return false }
 func (s *CountSink) wantAdj() bool { return false }
 
-func (s *CountSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
+func (s *CountSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	if cap(s.counts) < e.threads {
 		s.counts = make([]paddedCount, e.threads)
 	}
@@ -189,7 +188,7 @@ func perChild(visit func(worker int, emb []uint32, cand uint32) error) func(int,
 func (s *VisitSink) storing() bool { return false }
 func (s *VisitSink) wantAdj() bool { return s.adj }
 
-func (s *VisitSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
+func (s *VisitSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	if s.visit == nil {
 		return fmt.Errorf("explore: VisitSink without a visit callback")
 	}
@@ -215,7 +214,7 @@ type CountVisitSink struct {
 	total  uint64
 }
 
-func (s *CountVisitSink) begin(e *Explorer, top cse.LevelData, bounds []int) error {
+func (s *CountVisitSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	if err := s.VisitSink.begin(e, top, bounds); err != nil {
 		return err
 	}

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
 	"kaleido/internal/storage"
@@ -160,7 +159,7 @@ func TestExpandVisitMatchesExpandEdgeMode(t *testing.T) {
 // firstBlocks returns the addresses of the first unit and the first group
 // boundary a level's cursors deliver. Raw parts hand out zero-copy sub-slices,
 // so these are addresses inside the first part's own arrays.
-func firstBlocks(t *testing.T, l cse.LevelData) (*uint32, *uint64) {
+func firstBlocks(t *testing.T, l *storage.HybridLevel) (*uint32, *uint64) {
 	t.Helper()
 	vc, bc := l.VertBlocks(0, l.Len()), l.BoundBlocks(0)
 	defer vc.Close()
@@ -270,12 +269,12 @@ func TestFilterTopHybridInPlace(t *testing.T) {
 	if topBefore.MemParts == 0 || topBefore.DiskParts == 0 {
 		t.Fatalf("top level not hybrid: %+v", topBefore)
 	}
-	lvl := hy.CSE().Top().(*storage.HybridLevel)
+	lvl := hy.CSE().Top()
 
 	if err := hy.FilterTop(bgCtx, keep); err != nil {
 		t.Fatal(err)
 	}
-	if hy.CSE().Top() != cse.LevelData(lvl) {
+	if hy.CSE().Top() != lvl {
 		t.Fatal("hybrid FilterTop replaced the level instead of rewriting it")
 	}
 	topAfter := hy.LevelStats()[hy.Depth()-1]

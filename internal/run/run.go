@@ -106,8 +106,8 @@ type SpillInfo struct {
 type LevelStat struct {
 	Len, Groups int
 	// MemParts counts the memory-resident parts holding data: the parts the
-	// level was built in, whether or not the run has a budget (the base
-	// level, a plain unit list, counts as one).
+	// level was built in, whether or not the run has a budget. The base level
+	// is one raw part, so it reports 1 (0 when empty, like any empty part).
 	MemParts      int
 	DiskParts     int   // disk-resident parts
 	ResidentBytes int64 // in-memory footprint (arrays + sparse indexes)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
 	"kaleido/internal/storage/vfs"
@@ -120,7 +119,7 @@ type hybridPartWriter struct {
 	dw        diskPartWriter
 
 	// §4.2 prediction accounting, kept here across migration.
-	acc  cse.PredAccum
+	acc  PredAccum
 	pred bool
 }
 

@@ -8,11 +8,70 @@ import (
 	"sort"
 	"testing"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
 	"kaleido/internal/storage/vfs"
 )
+
+// MemLevel is the reference every hybrid level is checked against: the two
+// plain arrays of §3.1.1, plus the §4.2 segments the builder should record.
+type MemLevel struct {
+	Verts []uint32
+	// Offs groups Verts under the previous level: len(Offs) = groups+1,
+	// Offs[0] = 0 and Offs[groups] = len(Verts).
+	Offs []uint64
+	Pred []PredSeg
+}
+
+// Validate checks the structural invariants of the level.
+func (m *MemLevel) Validate() error {
+	if len(m.Offs) < 1 || m.Offs[0] != 0 {
+		return fmt.Errorf("offs must start at 0")
+	}
+	for i := 1; i < len(m.Offs); i++ {
+		if m.Offs[i] < m.Offs[i-1] {
+			return fmt.Errorf("offs not monotone at %d", i)
+		}
+	}
+	if end := m.Offs[len(m.Offs)-1]; end != uint64(len(m.Verts)) {
+		return fmt.Errorf("offs end %d, want %d", end, len(m.Verts))
+	}
+	return nil
+}
+
+// refParent is the reference ParentOf: the largest p with m.Offs[p] <= i.
+func refParent(m *MemLevel, i int) int {
+	return sort.Search(len(m.Offs), func(x int) bool { return m.Offs[x] > uint64(i) }) - 1
+}
+
+// refWalk is the reference walk over top-level embeddings [lo, hi) of the
+// stack units, levels[0] (level 2), …, read off the plain arrays: every
+// embedding, and as its changedFrom the smallest level whose ancestor index
+// moved since the previous one (1 for the first).
+func refWalk(units []uint32, levels []*MemLevel, lo, hi int) ([][]uint32, []int) {
+	k := len(levels) + 1
+	var embs [][]uint32
+	var chs []int
+	prev := make([]int, k)
+	for i := lo; i < hi; i++ {
+		idx := make([]int, k)
+		idx[k-1] = i
+		for l := k - 1; l >= 1; l-- {
+			idx[l-1] = refParent(levels[l-1], idx[l])
+		}
+		emb := make([]uint32, k)
+		emb[0] = units[idx[0]]
+		for l := 1; l < k; l++ {
+			emb[l] = levels[l-1].Verts[idx[l]]
+		}
+		ch := 1
+		for i > lo && idx[ch-1] == prev[ch-1] { // the leaf index always moves
+			ch++
+		}
+		embs, chs, prev = append(embs, emb), append(chs, ch), idx
+	}
+	return embs, chs
+}
 
 // layout says where buildLevels puts each part of the hybrid level.
 type layout struct {
@@ -34,12 +93,12 @@ var (
 )
 
 // buildLevels lays the same groups, split into nparts contiguous ranges, out
-// by hand as a cse.MemLevel (the reference) and writes them through a
+// by hand as a MemLevel (the reference) and writes them through a
 // HybridLevelBuilder whose parts end up where lay says. The tiny queue
 // buffers and 128-byte prefetch windows force frequent queue traffic and
 // codec blocks that straddle windows. fs is the filesystem of the spilled
 // parts (nil = the real one).
-func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPred bool, lay layout) (*cse.MemLevel, *HybridLevel, *memtrack.Tracker) {
+func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, withPred bool, lay layout) (*MemLevel, *HybridLevel, *memtrack.Tracker) {
 	t.Helper()
 	var (
 		tracker *memtrack.Tracker
@@ -52,7 +111,7 @@ func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPre
 		t.Cleanup(func() { q.Close() })
 		dir = t.TempDir()
 	}
-	ml := &cse.MemLevel{Offs: []uint64{0}}
+	ml := &MemLevel{Offs: []uint64{0}}
 	hb := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker}, dir, q, nil, 0)
 	hb.Reset(2, nparts, lay.budget)
 	hb.blockSize = 128
@@ -64,7 +123,7 @@ func buildLevels(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int, withPre
 	per := (len(groups) + nparts - 1) / nparts
 	for i := 0; i < nparts; i++ {
 		lo, hi := min(i*per, len(groups)), min(i*per+per, len(groups))
-		var acc cse.PredAccum // prediction segments restart at every part seam
+		var acc PredAccum // prediction segments restart at every part seam
 		for _, g := range groups[lo:hi] {
 			var preds []uint32
 			if withPred {
@@ -121,7 +180,7 @@ func randGroups(rng *rand.Rand, n int) [][]uint32 {
 }
 
 // readVerts drains a vert block cursor, checking no block is empty.
-func readVerts(t *testing.T, c cse.VertBlockCursor) ([]uint32, error) {
+func readVerts(t *testing.T, c *hybridVertBlocks) ([]uint32, error) {
 	t.Helper()
 	defer c.Close()
 	out := []uint32{}
@@ -138,7 +197,7 @@ func readVerts(t *testing.T, c cse.VertBlockCursor) ([]uint32, error) {
 }
 
 // readBounds drains a bound block cursor.
-func readBounds(c cse.BoundBlockCursor) ([]uint64, error) {
+func readBounds(c *hybridBoundBlocks) ([]uint64, error) {
 	defer c.Close()
 	out := []uint64{}
 	for {
@@ -168,7 +227,7 @@ func around(seams []int, limit int) []int {
 	return out
 }
 
-// TestConformance is the LevelData conformance property: the same random
+// TestConformance is the level conformance property: the same random
 // groups laid out as a MemLevel (the reference) and built as a hybrid level
 // in each residency — all raw, all disk (budget ≤ 0), all spilled and
 // promoted back to raw, mixed, and all raw with nothing of the spill path
@@ -207,7 +266,7 @@ func TestConformance(t *testing.T) {
 		for _, lay := range layouts {
 			t.Run(sh.name+"/"+lay.name, func(t *testing.T) {
 				ml, hl, _ := buildLevels(t, nil, sh.groups, sh.nparts, sh.pred, lay)
-				checkConforms(t, ml, hl, base(ml.Groups()))
+				checkConforms(t, ml, hl, base(hl.Groups()))
 				if lay.name == "disk" && hl.MemParts() != 0 {
 					t.Fatalf("budget ≤ 0 left %d parts in memory", hl.MemParts())
 				}
@@ -228,17 +287,18 @@ func base(n int) []uint32 {
 	return units
 }
 
-// checkConforms compares every LevelData operation of hl against ml.
-func checkConforms(t *testing.T, ml *cse.MemLevel, hl *HybridLevel, units []uint32) {
+// checkConforms compares every operation of hl against the reference ml.
+func checkConforms(t *testing.T, ml *MemLevel, hl *HybridLevel, units []uint32) {
 	t.Helper()
-	if ml.Len() != hl.Len() || ml.Groups() != hl.Groups() {
-		t.Fatalf("shape %d/%d vs %d/%d", ml.Len(), ml.Groups(), hl.Len(), hl.Groups())
+	n, groups := len(ml.Verts), len(ml.Offs)-1
+	if n != hl.Len() || groups != hl.Groups() {
+		t.Fatalf("shape %d/%d vs %d/%d", n, groups, hl.Len(), hl.Groups())
 	}
-	if !reflect.DeepEqual(ml.Predicted(), hl.Predicted()) {
-		t.Fatalf("predictions differ: %v vs %v", ml.Predicted(), hl.Predicted())
+	if !reflect.DeepEqual(ml.Pred, hl.Predicted()) {
+		t.Fatalf("predictions differ: %v vs %v", ml.Pred, hl.Predicted())
 	}
 	// Seams in vert index space and in group index space.
-	vseams, gseams := []int{0, ml.Len()}, []int{0, ml.Groups()}
+	vseams, gseams := []int{0, n}, []int{0, groups}
 	for i := range hl.parts {
 		p := &hl.parts[i]
 		for k := 0; k*codecBlockVals <= p.numVerts; k++ {
@@ -248,17 +308,17 @@ func checkConforms(t *testing.T, ml *cse.MemLevel, hl *HybridLevel, units []uint
 			gseams = append(gseams, p.groupBase+k*CntChunk)
 		}
 	}
-	starts := around(vseams, ml.Len()+1)
+	starts := around(vseams, n+1)
 	for _, lo := range starts {
 		// Ends: one unit, just past each of the next few seams, everything.
-		ends := []int{lo + 1, ml.Len()}
+		ends := []int{lo + 1, n}
 		for _, s := range starts {
 			if s > lo && len(ends) < 12 {
 				ends = append(ends, s)
 			}
 		}
 		for _, hi := range ends {
-			if hi > ml.Len() {
+			if hi > n {
 				continue
 			}
 			got, err := readVerts(t, hl.VertBlocks(lo, hi))
@@ -270,7 +330,7 @@ func checkConforms(t *testing.T, ml *cse.MemLevel, hl *HybridLevel, units []uint
 			}
 		}
 	}
-	for _, first := range around(gseams, ml.Groups()) {
+	for _, first := range around(gseams, groups) {
 		got, err := readBounds(hl.BoundBlocks(first))
 		if err != nil {
 			t.Fatalf("BoundBlocks(%d): %v", first, err)
@@ -279,57 +339,45 @@ func checkConforms(t *testing.T, ml *cse.MemLevel, hl *HybridLevel, units []uint
 			t.Fatalf("BoundBlocks(%d) differs from mem offs", first)
 		}
 	}
-	if got, err := readBounds(hl.BoundBlocks(ml.Groups())); err != nil || len(got) != 0 {
+	if got, err := readBounds(hl.BoundBlocks(groups)); err != nil || len(got) != 0 {
 		t.Fatalf("BoundBlocks past the end: %d bounds, %v", len(got), err)
 	}
 
 	// Random access: every index on small levels, the seams plus a stride on
 	// large ones (each probe of an encoded part decodes a whole block).
-	stride := 1 + ml.Len()/2000
-	verts := around(vseams, ml.Len())
-	for i := 0; i < ml.Len(); i += stride {
+	stride := 1 + n/2000
+	verts := around(vseams, n)
+	for i := 0; i < n; i += stride {
 		verts = append(verts, i)
 	}
-	mem := cse.New(cse.NewBaseLevel(units))
-	hyb := cse.New(cse.NewBaseLevel(units))
-	if err := mem.Push(ml); err != nil {
-		t.Fatal(err)
-	}
+	hyb := NewCSE(NewBaseLevel(units))
 	if err := hyb.Push(hl); err != nil {
 		t.Fatal(err)
 	}
-	want, got := make([]uint32, 2), make([]uint32, 2)
+	got := make([]uint32, 2)
 	for _, i := range verts {
-		mu, merr := ml.UnitAt(i)
-		hu, herr := hl.UnitAt(i)
-		if merr != nil || herr != nil || mu != hu {
-			t.Fatalf("UnitAt(%d) = %d (%v) vs %d (%v)", i, mu, merr, hu, herr)
+		if u, err := hl.UnitAt(i); err != nil || u != ml.Verts[i] {
+			t.Fatalf("UnitAt(%d) = %d (%v), want %d", i, u, err, ml.Verts[i])
 		}
-		mp, merr := ml.ParentOf(i)
-		hp, herr := hl.ParentOf(i)
-		if merr != nil || herr != nil || mp != hp {
-			t.Fatalf("ParentOf(%d) = %d (%v) vs %d (%v)", i, mp, merr, hp, herr)
-		}
-		if err := mem.Extract(i, want); err != nil {
-			t.Fatal(err)
+		want := refParent(ml, i)
+		if p, err := hl.ParentOf(i); err != nil || p != want {
+			t.Fatalf("ParentOf(%d) = %d (%v), want %d", i, p, err, want)
 		}
 		if err := hyb.Extract(i, got); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Extract(%d) = %v, want %v", i, got, want)
+		if got[0] != units[want] || got[1] != ml.Verts[i] {
+			t.Fatalf("Extract(%d) = %v, want [%d %d]", i, got, units[want], ml.Verts[i])
 		}
 	}
-	gstride := 1 + ml.Groups()/2000
-	groups := around(gseams, ml.Groups()+1)
-	for g := 0; g <= ml.Groups(); g += gstride {
-		groups = append(groups, g)
+	gstride := 1 + groups/2000
+	gs := around(gseams, groups+1)
+	for g := 0; g <= groups; g += gstride {
+		gs = append(gs, g)
 	}
-	for _, g := range groups {
-		ms, merr := ml.GroupStart(g)
-		hs, herr := hl.GroupStart(g)
-		if merr != nil || herr != nil || ms != hs {
-			t.Fatalf("GroupStart(%d) = %d (%v) vs %d (%v)", g, ms, merr, hs, herr)
+	for _, g := range gs {
+		if s, err := hl.GroupStart(g); err != nil || s != ml.Offs[g] {
+			t.Fatalf("GroupStart(%d) = %d (%v), want %d", g, s, err, ml.Offs[g])
 		}
 	}
 }

@@ -3,8 +3,6 @@ package storage
 import (
 	"fmt"
 	"sync"
-
-	"kaleido/internal/cse"
 )
 
 // byteCarry reassembles self-delimiting codec blocks from the byte windows a
@@ -157,10 +155,11 @@ var (
 	boundCursorPool = sync.Pool{New: func() any { return new(hybridBoundBlocks) }}
 )
 
-// VertBlocks implements cse.LevelData: raw parts contribute zero-copy
-// sub-slices, disk parts whole decoded codec blocks, stitched across part
-// seams in one stream.
-func (h *HybridLevel) VertBlocks(lo, hi int) cse.VertBlockCursor {
+// VertBlocks returns a sequential cursor over verts[lo:hi]: raw parts
+// contribute zero-copy sub-slices, disk parts whole decoded codec blocks,
+// stitched across part seams in one stream. A returned block is never empty
+// and stays valid only until the following NextBlock call.
+func (h *HybridLevel) VertBlocks(lo, hi int) *hybridVertBlocks {
 	c := vertCursorPool.Get().(*hybridVertBlocks)
 	c.h, c.next, c.end, c.pi, c.streaming, c.cb.err = h, lo, hi, 0, false, nil
 	if lo < hi {
@@ -169,9 +168,10 @@ func (h *HybridLevel) VertBlocks(lo, hi int) cse.VertBlockCursor {
 	return c
 }
 
-// BoundBlocks implements cse.LevelData: the block stream of global group end
-// boundaries from parent index first, across every residency.
-func (h *HybridLevel) BoundBlocks(first int) cse.BoundBlockCursor {
+// BoundBlocks returns a sequential cursor over the group end boundaries
+// offs[first+1 ...] — the successive values of offs[i+1] from parent index
+// first — across every residency, with VertBlocks' block validity rules.
+func (h *HybridLevel) BoundBlocks(first int) *hybridBoundBlocks {
 	c := boundCursorPool.Get().(*hybridBoundBlocks)
 	c.h, c.g, c.pi, c.streaming, c.cb.err = h, first, len(h.parts), false, nil
 	if first < h.totalGroups {
@@ -190,6 +190,8 @@ type hybridVertBlocks struct {
 	streaming bool // cb is mid-way through part pi
 }
 
+// NextBlock returns the next run of units; ok is false once the range is
+// exhausted or a stream error occurred (check Err).
 func (c *hybridVertBlocks) NextBlock() ([]uint32, bool) {
 	for c.cb.err == nil {
 		if c.streaming {
@@ -228,6 +230,8 @@ func (c *hybridVertBlocks) NextBlock() ([]uint32, bool) {
 
 func (c *hybridVertBlocks) Err() error { return c.cb.err }
 
+// Close stops the cursor's prefetch stream, if any, and returns it to its
+// pool.
 func (c *hybridVertBlocks) Close() error {
 	c.cb.close()
 	if c.h != nil { // a second Close must not pool the cursor twice

@@ -4,44 +4,48 @@ import (
 	"fmt"
 	"sort"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/storage/vfs"
 )
 
 // HybridLevel is one CSE level whose parts are individually memory- or
 // disk-resident — the genuinely half-memory-half-disk storage of §4.1, and
-// the cse.LevelData of every level an exploration builds. Placement is per
-// part (see hybridPart for the two residency states), decided during the
-// build by the budget governor (see HybridLevelBuilder): a level slightly
-// over budget keeps most parts in RAM and pays disk I/O only for the
-// migrated remainder, the all-disk regime is simply every part on disk, and
-// without a budget every part is raw, still in the buffer its worker wrote.
+// the one level type: every level of a CSE is one, the base unit list
+// included (NewBaseLevel). Placement is per part (see hybridPart for the two
+// residency states), decided during the build by the budget governor (see
+// HybridLevelBuilder): a level slightly over budget keeps most parts in RAM
+// and pays disk I/O only for the migrated remainder, the all-disk regime is
+// simply every part on disk, and without a budget every part is raw, still in
+// the buffer its worker wrote.
 //
-// All LevelData operations dispatch per part: raw parts hand out zero-copy
-// slices of their own arrays, disk parts decode whole codec blocks read from
-// their files, and cursors stream transparently across the seams.
+// Every operation dispatches per part: raw parts hand out zero-copy slices of
+// their own arrays, disk parts decode whole codec blocks read from their
+// files, and cursors stream transparently across the seams. Sequential
+// cursors (VertBlocks, BoundBlocks) are the hot path; random access (UnitAt,
+// ParentOf, GroupStart) only locates the t partition starts of an iteration
+// and serves Extract.
 type HybridLevel struct {
 	parts       []hybridPart
 	totalVerts  int
 	totalGroups int
-	pred        []cse.PredSeg
+	pred        []PredSeg
 	blockSize   int
 	tracker     *memtrack.Tracker
 	fs          vfs.FS
 	closed      bool
 }
 
-var _ cse.LevelData = (*HybridLevel)(nil)
-
-// Len implements cse.LevelData.
+// Len is the number of embeddings in the level (the length of verts).
 func (h *HybridLevel) Len() int { return h.totalVerts }
 
-// Groups implements cse.LevelData.
+// Groups is the number of parent embeddings (the length of offs minus 1);
+// the base level has none.
 func (h *HybridLevel) Groups() int { return h.totalGroups }
 
-// Predicted implements cse.LevelData.
-func (h *HybridLevel) Predicted() []cse.PredSeg { return h.pred }
+// Predicted returns the §4.2 load-balance summaries: an ordered list of
+// segments covering all embeddings of the level, each with its total
+// predicted candidate size. Nil when no prediction was recorded.
+func (h *HybridLevel) Predicted() []PredSeg { return h.pred }
 
 // Bytes reports the resident footprint: the full arrays of raw parts and the
 // block directories and sparse indexes of disk parts.
@@ -103,7 +107,10 @@ func (h *HybridLevel) DiskParts() int {
 
 // Close removes the backing files of the disk-resident parts; raw parts
 // return their buffers to the part pool, so the next level build reuses
-// them instead of growing fresh arrays.
+// them instead of growing fresh arrays. The base unit list is its caller's
+// allocation, not a part buffer, and is left to the collector: the pool is
+// size-blind, and one more buffer in it changes which buffer every later
+// part is handed.
 func (h *HybridLevel) Close() error {
 	if h.closed {
 		return nil
@@ -115,7 +122,9 @@ func (h *HybridLevel) Close() error {
 		if err := removeFiles(h.fs, p.vf, p.cf); err != nil && first == nil {
 			first = err
 		}
-		poolPutU32(p.verts)
+		if h.totalGroups > 0 {
+			poolPutU32(p.verts)
+		}
 		poolPutU64(p.bounds)
 		p.setRaw(nil, nil)
 	}
@@ -143,8 +152,8 @@ func (h *HybridLevel) partIndexForGroup(g int) int {
 	return sort.Search(len(h.parts), func(x int) bool { return h.parts[x].groupBase > g }) - 1
 }
 
-// UnitAt implements cse.LevelData: a slice index for raw parts, one block
-// decode behind one bounded pread for disk parts.
+// UnitAt returns verts[i]: a slice index for raw parts, one block decode
+// behind one bounded pread for disk parts.
 func (h *HybridLevel) UnitAt(i int) (uint32, error) {
 	if i < 0 || i >= h.totalVerts {
 		return 0, fmt.Errorf("storage: unit %d out of range %d", i, h.totalVerts)
@@ -156,10 +165,11 @@ func (h *HybridLevel) UnitAt(i int) (uint32, error) {
 	return p.unit(i-p.vertBase, h.tracker)
 }
 
-// ParentOf implements cse.LevelData: binary search over the resident bounds
-// for raw parts, sparse index plus one cnt block decode for disk parts.
-// Read errors are returned so walker seeding surfaces corruption instead of
-// silently starting from a wrong parent.
+// ParentOf returns the parent index of embedding i — the unique p with
+// offs[p] <= i < offs[p+1] — by binary search over the resident bounds for
+// raw parts, sparse index plus one cnt block decode for disk parts. Read
+// errors are returned so walker seeding surfaces corruption instead of
+// silently starting from a wrong parent. The base level has no parents.
 func (h *HybridLevel) ParentOf(i int) (int, error) {
 	if i < 0 || i >= h.totalVerts {
 		return 0, fmt.Errorf("storage: parent of %d out of range %d", i, h.totalVerts)
@@ -190,7 +200,8 @@ func (h *HybridLevel) ParentOf(i int) (int, error) {
 	return p.groupBase + hi - 1, nil
 }
 
-// GroupStart implements cse.LevelData.
+// GroupStart returns offs[g], the index of the first child of group g; g may
+// equal Groups(), addressing one past the last child.
 func (h *HybridLevel) GroupStart(g int) (uint64, error) {
 	if g < 0 || g > h.totalGroups {
 		return 0, fmt.Errorf("storage: group %d out of range %d", g, h.totalGroups)

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
 )
@@ -51,7 +50,7 @@ func TestHybridMidBuildSpill(t *testing.T) {
 	if residentVerts > budget+slack {
 		t.Fatalf("resident part bytes %d exceed budget %d + slack %d", residentVerts, budget, slack)
 	}
-	checkConforms(t, ml, hl, base(ml.Groups()))
+	checkConforms(t, ml, hl, base(hl.Groups()))
 	sl, sp := tracker.SpillTotals()
 	if sl == 0 || sp == 0 || sp >= sl {
 		t.Fatalf("spill totals (%d logical, %d physical) not compressed", sl, sp)
@@ -260,7 +259,7 @@ func TestHybridSlabLagBound(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(7))
 	groups := make([][][]uint32, nparts)
-	ml := &cse.MemLevel{Offs: []uint64{0}}
+	ml := &MemLevel{Offs: []uint64{0}}
 	for i := range groups {
 		groups[i] = make([][]uint32, perPart)
 		for j := range groups[i] {
@@ -383,7 +382,7 @@ func TestHybridSlabConservation(t *testing.T) {
 		if hb.gov.slab < 1024 {
 			t.Fatalf("slab %d bytes: too small to lag", hb.gov.slab)
 		}
-		ml := &cse.MemLevel{Offs: []uint64{0}}
+		ml := &MemLevel{Offs: []uint64{0}}
 		var appended [4]int64 // raw bytes appended in memory, in the governor's units
 		fill := func(part, n int) {
 			t.Helper()
@@ -479,7 +478,7 @@ func TestHybridSlabConservation(t *testing.T) {
 			if hl.MemParts() != 2 || hl.DiskParts() != 2 {
 				t.Fatalf("placed %d mem / %d disk parts, want 2 / 2", hl.MemParts(), hl.DiskParts())
 			}
-			checkConforms(t, ml, hl, base(ml.Groups()))
+			checkConforms(t, ml, hl, base(hl.Groups()))
 			if live := tracker.Live(); live != baseline {
 				t.Fatalf("after Finish the tracker holds %d bytes, baseline %d", live, baseline)
 			}
@@ -646,7 +645,7 @@ func TestHybridPromote(t *testing.T) {
 			t.Fatalf("promoted part file %s still exists", f)
 		}
 	}
-	checkConforms(t, ml, hl, base(ml.Groups()))
+	checkConforms(t, ml, hl, base(hl.Groups()))
 }
 
 // TestHybridPromotePartial checks the smallest-first selection: headroom for
@@ -671,7 +670,7 @@ func TestHybridPromotePartial(t *testing.T) {
 	if n != 1 || hl.DiskParts() != 1 {
 		t.Fatalf("promoted %d, %d disk parts remain", n, hl.DiskParts())
 	}
-	checkConforms(t, ml, hl, base(ml.Groups()))
+	checkConforms(t, ml, hl, base(hl.Groups()))
 }
 
 // TestRewriteEveryResidency filters a mixed level in place — raw parts
@@ -711,8 +710,8 @@ func TestRewriteEveryResidency(t *testing.T) {
 	if err := hl.FinishRewrite(rws, q); err != nil {
 		t.Fatal(err)
 	}
-	want := &cse.MemLevel{Offs: make([]uint64, 1, len(ml.Offs))}
-	for g := 0; g < ml.Groups(); g++ {
+	want := &MemLevel{Offs: make([]uint64, 1, len(ml.Offs))}
+	for g := 0; g+1 < len(ml.Offs); g++ {
 		for _, u := range ml.Verts[ml.Offs[g]:ml.Offs[g+1]] {
 			if keep(u) {
 				want.Verts = append(want.Verts, u)
@@ -720,7 +719,7 @@ func TestRewriteEveryResidency(t *testing.T) {
 		}
 		want.Offs = append(want.Offs, uint64(len(want.Verts)))
 	}
-	checkConforms(t, want, hl, base(want.Groups()))
+	checkConforms(t, want, hl, base(hl.Groups()))
 	after := [2]int{hl.MemParts(), hl.DiskParts()}
 	if before != after {
 		t.Fatalf("rewrite moved parts between residencies: raw/disk %v -> %v", before, after)

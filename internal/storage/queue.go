@@ -1,40 +1,3 @@
-// Package storage implements Kaleido's half-memory-half-disk hybrid storage
-// for CSE levels (paper §4.1, Fig. 7). There is one level implementation,
-// HybridLevel, and one way to store a part. Levels are built in t parts;
-// every part starts in memory and a budget governor migrates the largest
-// in-flight parts to disk when the resident bytes cross the spill watermark
-// (HybridLevelBuilder, governor.go), so one level's parts can be split
-// between RAM and disk — the all-disk regime is simply the level whose every
-// part migrated (a zero budget), and an unbudgeted run the level none of
-// whose parts can: its watermark is out of reach, every part stays raw where
-// it was written, and neither a file nor the write queue's goroutine ever
-// comes into being. Migrated parts are written through a
-// single writing queue that keeps disk writes sequential; reading streams
-// them back through sliding-window prefetch cursors, so the I/O of the next
-// window is hidden behind the computation on the current one.
-//
-// Residency is two-state (part.go), as in §4.1: a part is raw in memory
-// (plain []uint32 slices, zero-copy reads) or codec blocks in a file pair on
-// disk. Spilling encodes; promotion (after a filter or a pop frees budget)
-// reads both files and decodes them back to raw arrays. There is one encoded
-// format (codec.go) and no option selecting it: vertex IDs as group-varint
-// zigzag deltas and group counts frame-of-reference coded, in
-// self-delimiting versioned blocks (version 2: a CRC32C of the payload sits
-// between the header and the payload, verified on every whole-block decode).
-// Version-1 blocks — the pre-checksum format — are cleanly rejected, not
-// decoded: spill files are single-run scratch, so no cross-version reader is
-// needed. The per-part block directory gives the cursors and the
-// random-access probes block-granular seeks, and one decoder (cursor.go:
-// codecBlocks) streams every disk part through a prefetching window over
-// its file span. Every byte it decodes was read from a file, so the decoder
-// treats its input as untrusted (FuzzDecodeCodecBlock).
-//
-// The spill path is hardened against I/O failure: all file access goes
-// through the vfs seam (package vfs) so tests inject faults; transient write
-// and read errors are retried with bounded exponential backoff + jitter;
-// checksum or truncation failures surface as ErrSpillCorrupt with block
-// coordinates; ENOSPC is terminal — the governor stops spilling and the run
-// aborts cleanly with ErrNoSpace.
 package storage
 
 import (

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"kaleido/internal/cse"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
 )
@@ -18,9 +17,9 @@ import (
 
 // walkAll collects every embedding and change index a walker over [lo, hi)
 // of c produces.
-func walkAll(t *testing.T, c *cse.CSE, lo, hi int) ([][]uint32, []int) {
+func walkAll(t testing.TB, c *CSE, lo, hi int) ([][]uint32, []int) {
 	t.Helper()
-	w, err := cse.NewWalker(c, lo, hi)
+	w, err := NewWalker(c, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,23 +41,25 @@ func walkAll(t *testing.T, c *cse.CSE, lo, hi int) ([][]uint32, []int) {
 }
 
 // TestWalkerMixedLevelStack walks 3-level stacks (the §4.1 hybrid
-// configuration) with every combination of in-memory, all-disk and
-// mixed-residency levels at depths 2 and 3, and compares to the all-memory
-// walk.
+// configuration) with every combination of raw, all-disk and mixed-residency
+// levels at depths 2 and 3, and compares to the reference walk over the plain
+// arrays.
 func TestWalkerMixedLevelStack(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	units := base(40)
 	groups2 := randGroups(rng, len(units))
 	groups2[0] = []uint32{1, 2, 3} // ensure a non-empty level
-	ml2, dl2, _ := buildLevels(t, nil, groups2, 2, false, layoutDisk)
+	ml2, rl2, _ := buildLevels(t, nil, groups2, 2, false, layoutRaw)
+	_, dl2, _ := buildLevels(t, nil, groups2, 2, false, layoutDisk)
 	_, hl2, _ := buildLevels(t, nil, groups2, 3, false, layoutMixed)
-	groups3 := randGroups(rng, ml2.Len())
-	groups3[ml2.Len()-1] = []uint32{7, 8} // exercise the last group
-	ml3, dl3, _ := buildLevels(t, nil, groups3, 3, false, layoutDisk)
+	groups3 := randGroups(rng, len(ml2.Verts))
+	groups3[len(groups3)-1] = []uint32{7, 8} // exercise the last group
+	ml3, rl3, _ := buildLevels(t, nil, groups3, 3, false, layoutRaw)
+	_, dl3, _ := buildLevels(t, nil, groups3, 3, false, layoutDisk)
 	_, hl3, _ := buildLevels(t, nil, groups3, 4, false, layoutMixed)
 
-	stack := func(l2, l3 cse.LevelData) *cse.CSE {
-		c := cse.New(cse.NewBaseLevel(units))
+	stack := func(l2, l3 *HybridLevel) *CSE {
+		c := NewCSE(NewBaseLevel(units))
 		if err := c.Push(l2); err != nil {
 			t.Fatal(err)
 		}
@@ -67,23 +68,23 @@ func TestWalkerMixedLevelStack(t *testing.T) {
 		}
 		return c
 	}
-	ref := stack(ml2, ml3)
-	n := ml3.Len()
-	variants := map[string]*cse.CSE{
-		"disk2-mem3":  stack(dl2, ml3),
-		"mem2-disk3":  stack(ml2, dl3),
+	n := len(ml3.Verts)
+	variants := map[string]*CSE{
+		"raw2-raw3":   stack(rl2, rl3),
+		"disk2-raw3":  stack(dl2, rl3),
+		"raw2-disk3":  stack(rl2, dl3),
 		"disk2-disk3": stack(dl2, dl3),
-		"hyb2-mem3":   stack(hl2, ml3),
-		"mem2-hyb3":   stack(ml2, hl3),
+		"hyb2-raw3":   stack(hl2, rl3),
+		"raw2-hyb3":   stack(rl2, hl3),
 		"hyb2-hyb3":   stack(hl2, hl3),
 		"disk2-hyb3":  stack(dl2, hl3),
 	}
 	for _, r := range [][2]int{{0, n}, {1, n}, {5, n / 2}, {n / 3, 2 * n / 3}, {n - 1, n}} {
-		wantE, wantC := walkAll(t, ref, r[0], r[1])
+		wantE, wantC := refWalk(units, []*MemLevel{ml2, ml3}, r[0], r[1])
 		for name, c := range variants {
 			gotE, gotC := walkAll(t, c, r[0], r[1])
 			if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotC, wantC) {
-				t.Fatalf("%s range %v: walk differs from all-memory", name, r)
+				t.Fatalf("%s range %v: walk differs from the reference", name, r)
 			}
 		}
 	}
@@ -191,7 +192,7 @@ func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
 	if bounds, err := readBounds(dl.BoundBlocks(0)); err != nil || !reflect.DeepEqual(bounds, []uint64{3, 3, 4, 5, 5, 9}) {
 		t.Fatalf("bounds = %v, %v", bounds, err)
 	}
-	c := cse.New(cse.NewBaseLevel([]uint32{10, 11, 12, 13, 14, 15}))
+	c := NewCSE(NewBaseLevel([]uint32{10, 11, 12, 13, 14, 15}))
 	if err := c.Push(dl); err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +294,11 @@ func TestParentOfSurfacesCorruption(t *testing.T) {
 	if _, err := dl.ParentOf(dl.Len() - 1); !errors.Is(err, ErrSpillCorrupt) {
 		t.Fatalf("ParentOf on truncated cnt file: err = %v", err)
 	}
-	c := cse.New(cse.NewBaseLevel(base(dl.Groups())))
+	c := NewCSE(NewBaseLevel(base(dl.Groups())))
 	if err := c.Push(dl); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cse.NewWalker(c, 1, dl.Len()); err == nil {
+	if _, err := NewWalker(c, 1, dl.Len()); err == nil {
 		t.Fatal("walker seeded from corrupt level without error")
 	}
 }

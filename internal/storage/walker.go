@@ -1,14 +1,14 @@
-package cse
+package storage
 
 import "fmt"
 
 // Walker enumerates the embeddings of a CSE's top level sequentially over an
 // index range, materializing the full unit sequence ⟨u1..uk⟩ of each. It is
 // the sequential engine under parallel exploration: each worker walks its own
-// range. All level access goes through block cursors, so the per-unit work is
-// a slice index increment — the dynamic dispatch and (for disk levels) the
-// channel receive of the prefetch stream are paid once per block, not once
-// per unit. Only the t range starts use random access (ParentOf).
+// range. All level access goes through the levels' block cursors, so the
+// per-unit work is a slice index increment — the part dispatch and (for disk
+// parts) the channel receive of the prefetch stream are paid once per block,
+// not once per unit. Only the t range starts use random access (ParentOf).
 //
 // A Walker is reusable: Reset repositions it over a new range (or a new CSE)
 // without reallocating its per-level buffers; raw level data reaches it as
@@ -25,14 +25,13 @@ type Walker struct {
 
 	// Per-level block state: the current decoded vert/bound block and the
 	// consumption position within it, refilled from the level's block
-	// cursors. A MemLevel — the base level — contributes its verts directly
-	// (vcur stays nil: one zero-copy block).
+	// cursors (level 1 has no bound cursor).
 	vblk [][]uint32
 	vpos []int
 	bblk [][]uint64
 	bpos []int
-	vcur []VertBlockCursor
-	bcur []BoundBlockCursor
+	vcur []*hybridVertBlocks
+	bcur []*hybridBoundBlocks
 
 	// Pending run handed out unit-by-unit when the caller mixes in Next.
 	run    []uint32
@@ -58,7 +57,7 @@ func (w *Walker) Reset(c *CSE, lo, hi int) error {
 	k := c.Depth()
 	top := c.Top()
 	if lo < 0 || hi > top.Len() || lo > hi {
-		return fmt.Errorf("cse: walker range [%d,%d) out of [0,%d]", lo, hi, top.Len())
+		return fmt.Errorf("storage: walker range [%d,%d) out of [0,%d]", lo, hi, top.Len())
 	}
 	w.k = k
 	w.cur, w.hi = lo, hi
@@ -70,8 +69,8 @@ func (w *Walker) Reset(c *CSE, lo, hi int) error {
 	w.vpos = growInt(w.vpos, k)
 	w.bpos = growInt(w.bpos, k)
 	if cap(w.vcur) < k {
-		w.vcur = make([]VertBlockCursor, k)
-		w.bcur = make([]BoundBlockCursor, k)
+		w.vcur = make([]*hybridVertBlocks, k)
+		w.bcur = make([]*hybridBoundBlocks, k)
 		w.vblk = make([][]uint32, k)
 		w.bblk = make([][]uint64, k)
 	} else {
@@ -97,21 +96,17 @@ func (w *Walker) Reset(c *CSE, lo, hi int) error {
 		var err error
 		if a[l-1], err = c.Level(l + 1).ParentOf(a[l]); err != nil {
 			w.closeAll()
-			return fmt.Errorf("cse: walker: parent of %d at level %d: %w", a[l], l+1, err)
+			return fmt.Errorf("storage: walker: parent of %d at level %d: %w", a[l], l+1, err)
 		}
 		if b[l-1], err = c.Level(l + 1).ParentOf(b[l]); err != nil {
 			w.closeAll()
-			return fmt.Errorf("cse: walker: parent of %d at level %d: %w", b[l], l+1, err)
+			return fmt.Errorf("storage: walker: parent of %d at level %d: %w", b[l], l+1, err)
 		}
 	}
 	for l := 1; l <= k; l++ {
 		lv := c.Level(l)
 		w.idx[l-1] = a[l-1]
-		if ml, ok := lv.(*MemLevel); ok {
-			w.vblk[l-1] = ml.Verts[a[l-1] : b[l-1]+1] // the base level: one zero-copy block
-		} else {
-			w.vcur[l-1] = lv.VertBlocks(a[l-1], b[l-1]+1)
-		}
+		w.vcur[l-1] = lv.VertBlocks(a[l-1], b[l-1]+1)
 		if l >= 2 {
 			w.bcur[l-1] = lv.BoundBlocks(a[l-2])
 			ge, ok := w.nextBound(l)
@@ -316,9 +311,9 @@ func (w *Walker) Err() error { return w.err }
 // streamErr wraps a cursor error, or reports premature stream end.
 func streamErr(err error, kind string, level int) error {
 	if err != nil {
-		return fmt.Errorf("cse: walker: %s stream at level %d: %w", kind, level, err)
+		return fmt.Errorf("storage: walker: %s stream at level %d: %w", kind, level, err)
 	}
-	return fmt.Errorf("cse: walker: %s stream ended early at level %d", kind, level)
+	return fmt.Errorf("storage: walker: %s stream ended early at level %d", kind, level)
 }
 
 // Close releases all cursors. The walker stays reusable via Reset.

@@ -154,6 +154,52 @@ func TestMinerLevelStats(t *testing.T) {
 	}
 }
 
+// TestMinerBaseLevelStat pins the base level's placement: one raw part of
+// 4 bytes per vertex, whatever the budget — unbudgeted, all-disk (1 byte) or
+// hybrid — and however many levels were built over it.
+func TestMinerBaseLevelStat(t *testing.T) {
+	g, err := Synthetic(300, 1200, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := g.NewMiner(bgCtx, VertexInduced, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	var sizes []int64
+	for i := 0; i < 2; i++ {
+		if err := ref.Expand(bgCtx, nil); err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, ref.Bytes())
+	}
+	for _, budget := range []int64{0, 1, sizes[0] + (sizes[1]-sizes[0])/2} {
+		cfg := Config{MemoryBudget: budget}
+		if budget > 0 {
+			cfg.SpillDir = t.TempDir()
+		}
+		m, err := g.NewMiner(bgCtx, VertexInduced, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for depth := 1; depth <= 3; depth++ {
+			if depth > 1 {
+				if err := m.Expand(bgCtx, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := m.LevelStats()[0]
+			if got.MemParts != 1 || got.DiskParts != 0 || got.ResidentBytes != int64(4*g.N()) || got.Len != g.N() {
+				t.Fatalf("budget %d, depth %d: base level %+v, want 1 mem part, 0 disk, %d bytes", budget, depth, got, 4*g.N())
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	g := paperGraph(t)
 	if _, err := g.Triangles(bgCtx, Config{MemoryBudget: 10}); err == nil {

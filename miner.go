@@ -205,7 +205,8 @@ type LevelStat struct {
 	Len, Groups int
 	// MemParts and DiskParts count the level's parts holding data by
 	// residency — with or without a budget: an unbudgeted level reports the
-	// parts it was built in (all of them MemParts), the base level 1.
+	// parts it was built in (all of them MemParts), and the base level, one
+	// raw part, MemParts 1 (0 when it is empty, like any empty part).
 	MemParts, DiskParts int
 	// ResidentBytes is the in-memory footprint (arrays plus the sparse
 	// indexes of disk parts); DiskBytes is the logical on-disk footprint
