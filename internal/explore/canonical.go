@@ -24,8 +24,9 @@ import "kaleido/internal/graph"
 // path does not call it: the expansion loop uses the fused filter
 // (vertexState.appendCanonical / edgeState.appendCanonical), which derives
 // property (ii)'s attachment position from merge provenance — the lowest set
-// bit of the candidate's adjacency mask — and checks (i)+(iii) with two
-// integer comparisons against precomputed suffix maxima.
+// bit of the candidate's adjacency mask — and checks (i)+(iii) with integer
+// comparisons against precomputed suffix maxima (in vertex-induced mode once
+// per run of leaves, see vertexState.updatePrefix).
 func CanonicalVertex(g *graph.Graph, emb []uint32, cand uint32) bool {
 	if cand <= emb[0] {
 		return false

@@ -24,20 +24,30 @@ func allOnesFilter(_ int, emb []uint32, _, adj uint32) bool { return adj == 1<<l
 // edges that an all-disk level 2 spans several decoded blocks (the walker
 // then splits groups into continuation runs), and cliques up to size 9.
 func cliqueGraph(t *testing.T, rng *rand.Rand, hubThreshold int, relabel bool) *graph.Graph {
+	return plantedGraph(t, rng, plantedShape{n: 400, edges: 5000, hubDeg: 150, clique: 9}, hubThreshold, relabel)
+}
+
+// plantedShape sizes plantedGraph: n vertices, edges random edges, two hubs
+// of hubDeg extra edges each, and five planted cliques of clique vertices.
+type plantedShape struct{ n, edges, hubDeg, clique int }
+
+// plantedGraph builds a random graph of shape sh, with hub bitset rows from
+// degree hubThreshold on (-1: none), relabelled hubs-first if relabel.
+func plantedGraph(t *testing.T, rng *rand.Rand, sh plantedShape, hubThreshold int, relabel bool) *graph.Graph {
 	t.Helper()
-	const n = 400
+	n := sh.n
 	b := graph.NewBuilder(n)
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < sh.edges; i++ {
 		b.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
 	}
 	for h := 0; h < 2; h++ {
 		hub := uint32(rng.Intn(n))
-		for i := 0; i < 150; i++ {
+		for i := 0; i < sh.hubDeg; i++ {
 			b.AddEdge(hub, uint32(rng.Intn(n)))
 		}
 	}
 	for c := 0; c < 5; c++ {
-		members := rng.Perm(n)[:9]
+		members := rng.Perm(n)[:sh.clique]
 		for i, u := range members {
 			for _, v := range members[i+1:] {
 				b.AddEdge(uint32(u), uint32(v))

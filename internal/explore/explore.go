@@ -398,8 +398,8 @@ func (e *Explorer) LevelStats() []run.LevelStat {
 // resident bytes are already charged, so the headroom is the watermark minus
 // everything tracked: the live-byte cap covers the charges buildBudget's
 // CSE-only base misses — sibling runs sharing the budget, anything a caller
-// charges itself (FSM's pattern maps and MNI domains are untracked scratch
-// and charge nothing) — and is zero or less
+// charges itself (FSM's pattern maps, MNI domains and the workers' 4·|V|-byte
+// leaf markers are untracked scratch and charge nothing) — and is zero or less
 // whenever the tracked total is at the watermark, so promotion never fights
 // a governor that is spilling under pressure. (The pressure flag itself is
 // not consulted: it is only kept current while a build runs.) Promotion is
@@ -676,9 +676,10 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	x.preds = nil
 
 	// The union modes run the fused fast path: per run, refresh the shared
-	// prefix once; per leaf, consume cands[k-2] ∪ N(leaf) as it is merged — the
-	// leaf-level candidate set is never materialized (Clique mode intersects
-	// instead, see expandCliques). When the §4.2
+	// prefix and (vertex-induced) filter it once; per leaf, consume
+	// cands[k-2] ∪ N(leaf) as it is merged — the leaf-level candidate set is
+	// never materialized (Clique mode intersects instead, see
+	// expandCliques). When the §4.2
 	// prediction is on (storing sinks only; a consumed expansion has no next
 	// level to balance), only every stride-th group pays the exact per-child
 	// candidate-union count (which needs the materialized level-k candidate

@@ -16,10 +16,10 @@ const maskBits = 32
 // candidate is adjacent to embedding position i (0-based). Provenance falls
 // out of the candidate-set merge for free (mergeUnionProv ORs one bit per
 // source list) and serves three readers without a single adjacency probe:
-// its lowest set bit — the earliest adjacent position, decoded once per run
-// of leaves into a bound (prefixBounds) — fuses the Definition-2 canonical
-// filter into the merge (properties (ii) and (iii) collapse to two integer
-// comparisons per candidate, see appendCanonical);
+// its lowest set bit — the earliest adjacent position — gives a prefix
+// candidate its Definition-2 bound, which vertexState.updatePrefix checks
+// once per run of leaves (properties (ii) and (iii) collapse to integer
+// comparisons, see appendCanonical);
 // the whole mask is handed to the user's VertexFilter (a clique is "all bits
 // set"); and a sink that asks for it gets the mask of every child (the motif
 // Mapper's new pattern row).
@@ -52,22 +52,27 @@ func (c *candBuf) copyFrom(o *candBuf) {
 // walk: cands[l-1] = N(v1) ∪ … ∪ N(vl), the Fig. 8 structure that lets the
 // candidate set of an extended embedding be computed by one O(d̄) merge with
 // the new vertex's neighbor list. Alongside each candidate it tracks the
-// adjacency mask, and per run of leaves each prefix candidate's canonical
-// bound, which together make the canonical filter O(1) per candidate.
+// adjacency mask. Per run of leaves it filters the prefix candidates once —
+// the keep list plus a stamp per prefix candidate — so that a leaf pays only
+// for its own neighbor list and its children, not for all of cands[k-2].
 type vertexState struct {
 	g     *graph.Graph
 	cands []candBuf
 	// psuf[i] = max(emb[i:k-1]) over the prefix of the last updatePrefix
 	// call, with sentinel psuf[k-1] = 0.
 	psuf []uint32
-	// bound[i] = psuf[a+1] for candidate i of cands[k-2], a its earliest
-	// adjacent position: the prefix half of property (iii), fixed for the run,
-	// so the leaf merge compares against it instead of decoding the mask.
-	bound []uint32
+	// keep holds the entries of cands[k-2] past emb[0] that pass their
+	// prefix bound, with their masks; mk stamps every entry of cands[k-2]
+	// past emb[0]. Both are fixed for a run (see updatePrefix).
+	keep candBuf
+	mk   *graph.NeighborMarker
+	// at is the keep cursor: keep.ids[:at] ≤ the run's latest leaf. Leaves
+	// ascend within a group, so it only moves forward.
+	at int
 }
 
 func newVertexState(g *graph.Graph, depth int) *vertexState {
-	s := &vertexState{g: g}
+	s := &vertexState{g: g, mk: g.NewNeighborMarker()}
 	s.ensureDepth(depth)
 	return s
 }
@@ -101,27 +106,56 @@ func (s *vertexState) update(emb []uint32, from int) {
 	}
 }
 
-// updatePrefix refreshes candidate sets for the prefix levels from..k−1 only,
-// plus the canonical bounds of cands[k-2] — the once-per-run setup of the
-// fused leaf path, which consumes cands[k-2] ∪ N(leaf) without materializing
-// it. Requires k ≥ 2.
+// updatePrefix refreshes candidate sets for the prefix levels from..k−1 and
+// filters cands[k-2] for the run — the once-per-run setup of the fused leaf
+// path, which consumes cands[k-2] ∪ N(leaf) without materializing it. It is
+// called when the prefix changed (from < k); a continuation run of the same
+// group at a block seam (from = k) keeps the keep list, the stamps and the
+// cursor. Requires k ≥ 2.
+//
+// With a = a candidate's earliest adjacent position, properties (ii) and
+// (iii) of Definition 2 reduce to cand > max(emb[a+1:]). For x in cands[k-2],
+// a ≤ k−2, so that maximum is max(psuf[a+1], u) for leaf u: the first half
+// is fixed for the run and checked here, once per candidate instead of once
+// per leaf; the second is a suffix cut of keep, as leaves ascend. Property
+// (i), cand > emb[0], is monotone over the sorted list, so only the entries
+// past emb[0] are kept or stamped.
 func (s *vertexState) updatePrefix(emb []uint32, from, k int) {
 	for l := from; l < k; l++ {
 		s.refreshLevel(emb, l)
 	}
-	s.bound = prefixBounds(s.bound, s.psuf[:k], emb, s.cands[k-2].adj)
+	psuf := suffixMaxima(s.psuf[:k], emb)
+	a := &s.cands[k-2]
+	ids, adj := s.keep.ids[:0], s.keep.adj[:0]
+	mk := s.mk
+	mk.Begin()
+	for i := gallopGE(a.ids, 0, emb[0]+1); i < len(a.ids); i++ {
+		x, m := a.ids[i], a.adj[i]
+		mk.Mark(x)
+		if x > psuf[bits.TrailingZeros32(m)+1] {
+			ids = append(ids, x)
+			adj = append(adj, m)
+		}
+	}
+	s.keep.ids, s.keep.adj, s.at = ids, adj, 0
 }
 
-// prefixBounds fills psuf with the suffix maxima of the prefix emb[:k-1]
-// (k = len(psuf), sentinel psuf[k-1] = 0) and returns, reusing bound, the
-// canonical bound psuf[a+1] of every candidate mask in adj, a its lowest set
-// bit.
-func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
+// suffixMaxima fills psuf with the suffix maxima of the prefix emb[:k-1]
+// (k = len(psuf), sentinel psuf[k-1] = 0) and returns it.
+func suffixMaxima(psuf, emb []uint32) []uint32 {
 	k := len(psuf)
 	psuf[k-1] = 0
 	for i := k - 2; i >= 0; i-- {
 		psuf[i] = max32(emb[i], psuf[i+1])
 	}
+	return psuf
+}
+
+// prefixBounds fills psuf with the suffix maxima of the prefix emb[:k-1]
+// (k = len(psuf)) and returns, reusing bound, the canonical bound psuf[a+1]
+// of every candidate mask in adj, a its lowest set bit.
+func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
+	suffixMaxima(psuf, emb)
 	bound = bound[:0]
 	for _, m := range adj {
 		bound = append(bound, psuf[bits.TrailingZeros32(m)+1])
@@ -130,32 +164,33 @@ func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
 }
 
 // appendCanonical appends to children the canonical extensions of emb (whose
-// leaf emb[k-1] just changed to u), fusing the candidate merge
-// cands[k-2] ∪ N(u) with the Definition-2 filter: the union is consumed as
-// it is produced — no candidate buffer is written or re-read — and, since
-// property (i) is monotone over the sorted inputs, both sides gallop
-// directly to the first candidate exceeding emb[0]. Requires a prior
-// updatePrefix for the current run (any from ≤ k−1).
+// leaf emb[k-1] just changed to u): the Definition-2 survivors of
+// cands[k-2] ∪ N(u), in ascending order, consumed as the union is merged — no
+// candidate buffer is written or re-read. Requires a prior updatePrefix for
+// the current run when k ≥ 2 (any from ≤ k−1).
 //
-// With a = a candidate's earliest adjacent position, the three properties of
-// Definition 2 reduce to (i) cand > emb[0] and (iii) cand > max(emb[a+1:]).
-// For a candidate of cands[k-2], a ≤ k−2, so that maximum is
-// max(bound, u) with the bound updatePrefix fixed for the run; a candidate
-// only in N(u) attaches at the leaf, where the suffix is empty and only
-// property (i) — already galloped past — applies. Duplicates need no explicit
-// check: every stored embedding is connected in order, so a duplicate
-// cand = emb[j] has a < j — it sits after its attachment position and (iii)
-// rejects it (j = 0 falls to property (i)). This is the incremental
-// CanonicalVertex semantics at O(1) per candidate instead of O(k·log d̄); the
-// differential tests verify the equivalence embedding-for-embedding.
+// The prefix side was filtered once per run (updatePrefix), so a leaf walks
+// only N(u) past emb[0] and its own children: O(|N(u)| + children + log) per
+// leaf. It emits, in order,
+//  1. the entries of N(u) in (emb[0], u] that are not stamped — candidates
+//     only the leaf adds, which attach at the leaf, where the suffix is empty
+//     and only property (i) applies; they sort below every kept prefix
+//     candidate, all of which exceed u;
+//  2. keep past u merged with N(u) past u: a tie gains the leaf bit, an entry
+//     only in keep keeps its mask, and an entry only in N(u) is a child iff
+//     it is unstamped — a stamped one is a prefix candidate that failed its
+//     bound.
 //
-// A survivor's adjacency mask m is in hand where the merge produced it: the
-// stored mask for the cands side, bit k−1 for the N(u) side, both on a tie.
-// m is what vf receives, and — when wantAdj is set — what out.adj records
-// for every child, parallel to out.children; otherwise out.adj stays empty and
-// the N(u) tail is one bulk append. The appends go through out on purpose:
-// with the slice headers in locals the merge loop runs out of registers and
-// the storing expansion (nil filter, no adj) measured 15–20 % slower.
+// Duplicates need no explicit check: every stored embedding is connected in
+// order, so a duplicate cand = emb[j] has a < j — it sits after its
+// attachment position and fails its bound (j = 0 falls to property (i)). This
+// is the incremental CanonicalVertex semantics; the differential tests verify
+// the equivalence embedding-for-embedding.
+//
+// A survivor's adjacency mask m is what vf receives, and — when wantAdj is
+// set — what out.adj records for every child, parallel to out.children;
+// otherwise out.adj stays empty. With no filter, the runs of keep between
+// neighbors of u are bulk appends.
 func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int, vf VertexFilter, wantAdj bool, out *expansion) {
 	out.children, out.adj = out.children[:0], out.adj[:0]
 	emb0 := emb[0]
@@ -165,65 +200,90 @@ func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int,
 	nb := s.g.Neighbors(u)
 	leaf := uint32(1) << (k - 1)
 	j := gallopGE(nb, 0, emb0+1)
-	if k > 1 {
-		a := &s.cands[k-2]
-		aids, aadj, bound := a.ids, a.adj, s.bound
-		i := gallopGE(aids, 0, emb0+1)
-		for i < len(aids) && j < len(nb) {
-			x, y := aids[i], nb[j]
-			if x <= y {
-				tie := x == y
-				if tie {
-					j++
-				}
-				if x > u && x > bound[i] {
-					m := aadj[i]
-					if tie {
-						m |= leaf
-					}
-					if vf == nil || vf(worker, emb, x, m) {
-						out.children = append(out.children, x)
-						if wantAdj {
-							out.adj = append(out.adj, m)
-						}
-					}
-				}
-				i++
-			} else {
-				if vf == nil || vf(worker, emb, y, leaf) {
-					out.children = append(out.children, y)
-					if wantAdj {
-						out.adj = append(out.adj, leaf)
-					}
-				}
-				j++
-			}
-		}
-		for ; i < len(aids); i++ {
-			if x := aids[i]; x > u && x > bound[i] && (vf == nil || vf(worker, emb, x, aadj[i])) {
-				out.children = append(out.children, x)
-				if wantAdj {
-					out.adj = append(out.adj, aadj[i])
-				}
-			}
-		}
+	if k == 1 {
+		// emb = ⟨u⟩: every neighbor past u is a child, adjacent to u only.
+		appendLeafOnly(out, nb[j:], leaf, worker, emb, vf, wantAdj)
+		return
 	}
-	// What is left of N(u) — all of it past emb[0] when k = 1 — is adjacent to
-	// the leaf only.
-	if vf == nil {
-		out.children = append(out.children, nb[j:]...)
-		if wantAdj {
-			for range nb[j:] {
+	mk := s.mk
+	for ; j < len(nb) && nb[j] <= u; j++ {
+		if y := nb[j]; !mk.Marked(y) && (vf == nil || vf(worker, emb, y, leaf)) {
+			out.children = append(out.children, y)
+			if wantAdj {
 				out.adj = append(out.adj, leaf)
 			}
 		}
-	} else {
-		for ; j < len(nb); j++ {
-			if vf(worker, emb, nb[j], leaf) {
-				out.children = append(out.children, nb[j])
-				if wantAdj {
-					out.adj = append(out.adj, leaf)
-				}
+	}
+	ids, adj := s.keep.ids, s.keep.adj
+	i := s.at
+	if i > 0 && ids[i-1] > u {
+		i = 0 // a leaf below the last one: not a walker order, start over
+	}
+	i = gallopGE(ids, i, u+1)
+	s.at = i
+	for ; j < len(nb); j++ {
+		y := nb[j]
+		p := i
+		for p < len(ids) && ids[p] < y {
+			p++
+		}
+		appendKeep(out, ids[i:p], adj[i:p], worker, emb, vf, wantAdj)
+		i = p
+		m := leaf
+		if p < len(ids) && ids[p] == y {
+			m |= adj[p]
+			i++
+		} else if mk.Marked(y) {
+			continue
+		}
+		if vf == nil || vf(worker, emb, y, m) {
+			out.children = append(out.children, y)
+			if wantAdj {
+				out.adj = append(out.adj, m)
+			}
+		}
+	}
+	appendKeep(out, ids[i:], adj[i:], worker, emb, vf, wantAdj)
+}
+
+// appendKeep appends the kept prefix candidates ids, with masks adj, that vf
+// admits — all of them, in one append, when there is no filter.
+func appendKeep(out *expansion, ids, adj []uint32, worker int, emb []uint32, vf VertexFilter, wantAdj bool) {
+	if vf == nil {
+		out.children = append(out.children, ids...)
+		if wantAdj {
+			out.adj = append(out.adj, adj...)
+		}
+		return
+	}
+	for q, x := range ids {
+		if vf(worker, emb, x, adj[q]) {
+			out.children = append(out.children, x)
+			if wantAdj {
+				out.adj = append(out.adj, adj[q])
+			}
+		}
+	}
+}
+
+// appendLeafOnly appends the candidates ids, each adjacent to the leaf only
+// (mask leaf), that vf admits — all of them, in one append, when there is no
+// filter.
+func appendLeafOnly(out *expansion, ids []uint32, leaf uint32, worker int, emb []uint32, vf VertexFilter, wantAdj bool) {
+	if vf == nil {
+		out.children = append(out.children, ids...)
+		if wantAdj {
+			for range ids {
+				out.adj = append(out.adj, leaf)
+			}
+		}
+		return
+	}
+	for _, y := range ids {
+		if vf(worker, emb, y, leaf) {
+			out.children = append(out.children, y)
+			if wantAdj {
+				out.adj = append(out.adj, leaf)
 			}
 		}
 	}
@@ -248,7 +308,10 @@ type edgeState struct {
 	verts [][]uint32
 	cands []candBuf
 	tmp   []uint32
-	// psuf and bound mirror vertexState's for the fused leaf path.
+	// psuf mirrors vertexState's; bound[i] = psuf[a+1] for candidate i of
+	// cands[k-2], a its earliest adjacent position: the prefix half of
+	// property (iii), fixed for the run, which the leaf merge compares
+	// against.
 	psuf, bound []uint32
 }
 

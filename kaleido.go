@@ -275,7 +275,7 @@ func ctxOrBackground(ctx context.Context) context.Context {
 //
 // Graphs built through this package are degree-order relabeled internally:
 // high-degree vertices get dense low internal ids, so the hub bitset rows
-// and the clique marker's stamps and probes touch a compact low-id prefix of
+// and the leaf markers' stamps and probes touch a compact low-id prefix of
 // their arrays (fewer cache lines on power-law graphs).
 // The permutation is carried on the graph and every public API accepts and
 // returns original (load-time) vertex ids — Label, HasEdge, Neighbors,
