@@ -233,8 +233,8 @@ func (en *Engine) abandon(w *admitWaiter) {
 }
 
 // ProjectResidentBytes projects the peak resident footprint of running app
-// over the graph — the admission-control input. The projection follows the
-// fan-out trend the §4.2 predictor falls back to before any level exists:
+// over the graph — the admission-control input. No level exists yet, so the
+// projection extrapolates a fan-out trend from the degree alone:
 // level-1 holds one unit per seed (N vertices, or M edges for FSM), each
 // expansion multiplies the frontier by roughly half the average degree (the
 // canonical filter keeps ascending extensions only), and a stored embedding
@@ -247,7 +247,7 @@ func (en *Engine) abandon(w *admitWaiter) {
 // A run that outgrows its projection is still governed by the spill
 // watermark — it spills, it does not blow the budget.
 func (g *Graph) ProjectResidentBytes(app App, k int) int64 {
-	const unitBytes = 12 // vert word + bounds/pred share, see storage.HybridLevel.Bytes
+	const unitBytes = 12 // vert word + bounds/parent share, see storage.HybridLevel.Bytes
 	seeds := int64(g.N())
 	levels := k - 1 // terminal level is sink-consumed, never stored
 	switch app {

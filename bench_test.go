@@ -5,7 +5,7 @@
 //
 // Each family uses the citeseer-like dataset (full scale) or a small seeded
 // synthetic so individual iterations stay sub-second; the full scaled
-// experiments live in cmd/kbench (see EXPERIMENTS.md).
+// experiments live in cmd/kbench.
 package kaleido
 
 import (
@@ -223,7 +223,7 @@ func BenchmarkTable4Hybrid(b *testing.B) {
 		dir := b.TempDir()
 		for i := 0; i < b.N; i++ {
 			if _, err := apps.MotifCount(bgCtx, g, 4, &run.Env{
-				MemoryBudget: 1, SpillDir: dir, Predict: true,
+				MemoryBudget: 1, SpillDir: dir,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func BenchmarkFig16MemoryBudget(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tr := memtrack.New()
 				if _, err := apps.MotifCount(bgCtx, g, 4, &run.Env{
-					MemoryBudget: budgetMB << 20, SpillDir: dir, Predict: true, Tracker: tr,
+					MemoryBudget: budgetMB << 20, SpillDir: dir, Tracker: tr,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -250,28 +250,6 @@ func BenchmarkFig16MemoryBudget(b *testing.B) {
 			}
 			b.ReportMetric(float64(read)/(1<<20), "read-MB")
 			b.ReportMetric(float64(written)/(1<<20), "write-MB")
-		})
-	}
-}
-
-// BenchmarkFig17Prediction regenerates Fig. 17: hybrid-storage exploration
-// with and without the §4.2 candidate-size prediction.
-func BenchmarkFig17Prediction(b *testing.B) {
-	g := benchGraph(b, "mico")
-	for _, predict := range []bool{true, false} {
-		name := "NoPrediction"
-		if predict {
-			name = "Prediction"
-		}
-		b.Run(name, func(b *testing.B) {
-			dir := b.TempDir()
-			for i := 0; i < b.N; i++ {
-				if _, err := apps.MotifCount(bgCtx, g, 4, &run.Env{
-					MemoryBudget: 1, SpillDir: dir, Predict: predict,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -45,7 +45,6 @@ func main() {
 	threads := flag.Int("threads", 0, "worker threads (0 = all CPUs)")
 	budget := flag.String("budget", "", "memory budget for intermediate data (e.g. 512MiB); empty = in-memory")
 	spill := flag.String("spill", os.TempDir(), "spill directory for hybrid storage")
-	predict := flag.Bool("predict", true, "prediction-based load balancing for spilled levels")
 	iso := flag.String("iso", "eigen", "isomorphism backend: eigen | bliss | exact")
 	minCount := flag.Uint64("min-count", 0, "drop motif/fsm patterns below this count")
 	topK := flag.Int("top-k", 0, "keep only the first K patterns after sorting (0 = all)")
@@ -67,12 +66,6 @@ func main() {
 	}
 	if *budget != "" {
 		spec.SpillDir = *spill
-	}
-	// The tri-state spec knob stays nil (= on) unless the flag turned it
-	// off, keeping the emitted JSON minimal.
-	if !*predict {
-		off := false
-		spec.Predict = &off
 	}
 
 	if *printSpec {

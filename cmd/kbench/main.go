@@ -9,7 +9,7 @@
 // Experiments: table2 (+fig10), table3, fig11, fig12 (alias iso: the
 // isomorphism layer — whole-application Eigen vs bliss-like plus classes,
 // backend calls and ns per backend call), fig13, fig14, table4,
-// fig16 (+fig15), fig17 (+fig18), plus "sinks" — the fused terminal-
+// fig16 (+fig15), plus "sinks" — the fused terminal-
 // expansion paths (clique-d4 / motif-d3 of BENCH_expand.json) with their
 // all-disk write-byte accounting — "compress" — the spill codec's time and
 // logical vs physical bytes on disk — "concurrent" —
@@ -17,7 +17,8 @@
 // with the combined resident peak the arbiter recorded — and "service" — N jobs
 // submitted to an in-process kaleidod HTTP daemon against the same N direct
 // Engine runs, with the admission queue's wait columns and the counts pinned
-// across both paths. See EXPERIMENTS.md for the paper-vs-measured record.
+// across both paths. Each result's notes quote the paper's figure next to the
+// measured one.
 //
 // `kbench -faults` runs the fault-injection campaign instead: a seeded
 // vfs.FaultFS injects transient spill faults (EIO, short writes) across the

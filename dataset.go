@@ -8,8 +8,8 @@ import (
 // Dataset returns a named evaluation graph: "citeseer", "mico", "patent" or
 // "youtube" — seeded synthetic equivalents of the paper's Table 1 datasets
 // (same label count and average degree, power-law degrees, scaled vertex
-// counts; see DESIGN.md). cacheDir caches the generated graph on disk ("" to
-// regenerate every call).
+// counts; each descriptor in internal/dataset records its scale factor).
+// cacheDir caches the generated graph on disk ("" to regenerate every call).
 func Dataset(name, cacheDir string) (*Graph, error) {
 	d, err := dataset.ByName(name)
 	if err != nil {

@@ -71,12 +71,11 @@ func main() {
 	var hybStats kaleido.Stats
 	start = time.Now()
 	hybrid, err := g.Motifs(ctx, 4, kaleido.Config{
-		MemoryBudget: memStats.PeakBytes / 8,
-		SpillDir:     spill,
 		// Spilling starts when resident bytes reach 90% of the budget,
 		// keeping 10% headroom for growth between governor decisions.
-		Predict: true, // §4.2 prediction-based load balancing
-		Stats:   &hybStats,
+		MemoryBudget: memStats.PeakBytes / 8,
+		SpillDir:     spill,
+		Stats:        &hybStats,
 	})
 	if err != nil {
 		log.Fatal(err)

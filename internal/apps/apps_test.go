@@ -404,7 +404,7 @@ func TestFSMHybridMatchesMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	hyb, _, err := FSM(bgCtx, g, 4, 2, &run.Env{
-		Threads: 2, MemoryBudget: 1, SpillDir: t.TempDir(), Predict: true,
+		Threads: 2, MemoryBudget: 1, SpillDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

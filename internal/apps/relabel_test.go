@@ -19,8 +19,8 @@ func storageRegimes(t *testing.T) map[string]*run.Env {
 	t.Helper()
 	return map[string]*run.Env{
 		"mem":    {Threads: 2},
-		"hybrid": {Threads: 2, MemoryBudget: 1 << 12, SpillDir: t.TempDir(), Predict: true},
-		"disk":   {Threads: 2, MemoryBudget: 1, SpillDir: t.TempDir(), Predict: true},
+		"hybrid": {Threads: 2, MemoryBudget: 1 << 12, SpillDir: t.TempDir()},
+		"disk":   {Threads: 2, MemoryBudget: 1, SpillDir: t.TempDir()},
 	}
 }
 

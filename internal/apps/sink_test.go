@@ -28,7 +28,7 @@ func appConfigs(t *testing.T) []*run.Env {
 	return []*run.Env{
 		{Threads: 3},
 		{Threads: 3, MemoryBudget: 64 << 10, SpillDir: t.TempDir()},
-		{Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Predict: true},
+		{Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir()},
 	}
 }
 

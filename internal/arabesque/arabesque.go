@@ -14,7 +14,7 @@
 //
 // The Giraph/Hadoop substrate of the original is intentionally not
 // reproduced; measured gaps versus Kaleido therefore reflect algorithmic
-// differences only (see DESIGN.md §2).
+// differences only.
 package arabesque
 
 import (
@@ -331,8 +331,8 @@ func (e *Engine) Rebuild(keep func(worker int, emb []uint32) bool) error {
 }
 
 // candidates recomputes the embedding's candidate set from scratch — the
-// non-incremental path Arabesque takes (contrast Kaleido's Fig. 8 CSE-based
-// prediction and reuse).
+// non-incremental path Arabesque takes (contrast Kaleido's Fig. 8 incremental
+// candidate sets, reused across a CSE run).
 func (e *Engine) candidates(emb []uint32) []uint32 {
 	var out []uint32
 	if e.mode == VertexInduced {

@@ -1,7 +1,8 @@
 // Package bench implements the evaluation harness of §6: one experiment per
 // table and figure of the paper, each regenerating the same rows or series
-// the paper reports, on the scaled synthetic datasets (see DESIGN.md §2 and
-// EXPERIMENTS.md for the scale factors and paper-vs-measured numbers).
+// the paper reports, on the scaled synthetic datasets of internal/dataset
+// (whose descriptors carry the scale factors); each result's notes quote the
+// paper's numbers next to the measured ones.
 package bench
 
 import (
@@ -83,7 +84,7 @@ func (r Result) Render() string {
 // the engine experiments that go beyond the paper's evaluation. Run also
 // accepts "iso" for fig12, the isomorphism layer's experiment.
 func Experiments() []string {
-	return []string{"table2", "table3", "fig11", "fig12", "fig13", "fig14", "table4", "fig16", "fig17", "sinks", "compress", "concurrent", "faults", "service"}
+	return []string{"table2", "table3", "fig11", "fig12", "fig13", "fig14", "table4", "fig16", "sinks", "compress", "concurrent", "faults", "service"}
 }
 
 // Run executes one experiment by id.
@@ -105,8 +106,6 @@ func Run(id string, cfg RunConfig) ([]Result, error) {
 		return table4(cfg)
 	case "fig16":
 		return fig16(cfg)
-	case "fig17":
-		return fig17(cfg)
 	case "sinks":
 		return sinks(cfg)
 	case "compress":

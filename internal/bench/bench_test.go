@@ -7,7 +7,7 @@ import (
 
 func TestExperimentsListed(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 14 {
+	if len(ids) != 13 {
 		t.Fatalf("experiments = %v", ids)
 	}
 	if _, err := Run("nope", RunConfig{}); err == nil {

@@ -43,7 +43,7 @@ func engineGraph(tb testing.TB, n, m int, seed int64) *graph.Graph {
 // engineExplorer builds an explorer expanded to the case's starting depth.
 func engineExplorer(tb testing.TB, g *graph.Graph, c expandCase) *explore.Explorer {
 	tb.Helper()
-	cfg := explore.Config{Graph: g, Mode: c.mode, Env: &run.Env{Threads: c.threads, Predict: c.predict}}
+	cfg := explore.Config{Graph: g, Mode: c.mode, Env: &run.Env{Threads: c.threads}}
 	if c.budget > 0 {
 		cfg.MemoryBudget = c.budget
 		cfg.SpillDir = tb.TempDir()
@@ -75,7 +75,6 @@ type expandCase struct {
 	seed    int64
 	depth   int // expand from depth to depth+1 each iteration
 	threads int
-	predict bool  // enable §4.2 candidate-size prediction
 	budget  int64 // memory budget; > 0 bounds the resident CSE, spilling what does not fit
 }
 
@@ -165,15 +164,6 @@ func BenchmarkApps(b *testing.B) {
 	}
 }
 
-// snapshotCases adds the prediction-enabled variant to the snapshot: each
-// child pays a §4.2 candidate-size prediction, making it ~15× slower per op,
-// so it is tracked in BENCH_expand.json but kept out of BenchmarkExpand to
-// keep CI's benchmark smoke fast.
-func snapshotCases() []expandCase {
-	return append(expandCases(),
-		expandCase{name: "vertex-d4-predict", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 3, threads: 4, predict: true})
-}
-
 // measureExpandCase benchmarks one Expand iteration of c, returning the
 // result and the produced embedding count.
 func measureExpandCase(c expandCase) (testing.BenchmarkResult, int) {
@@ -229,9 +219,9 @@ func BenchmarkExpand(b *testing.B) {
 	}
 }
 
-// BenchmarkForEachExpansion measures the non-materializing expansion walk
+// BenchmarkExpandVisit measures the non-materializing expansion walk
 // (motif counting's exploration step).
-func BenchmarkForEachExpansion(b *testing.B) {
+func BenchmarkExpandVisit(b *testing.B) {
 	c := expandCases()[0]
 	g := engineGraph(b, c.n, c.m, c.seed)
 	ex := engineExplorer(b, g, c)
@@ -240,7 +230,7 @@ func BenchmarkForEachExpansion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := ex.ForEachExpansion(bgCtx, nil, func(worker int, emb []uint32, cand uint32) error {
+		err := ex.ExpandVisit(bgCtx, nil, nil, func(worker int, emb []uint32, cand uint32) error {
 			counts[worker]++
 			return nil
 		})
@@ -413,7 +403,7 @@ func TestEmitExpandBenchSnapshot(t *testing.T) {
 		t.Skip("KALEIDO_BENCH_SNAPSHOT unset")
 	}
 	var snaps []expandSnapshot
-	for _, c := range snapshotCases() {
+	for _, c := range expandCases() {
 		r, produced := measureExpandCase(c)
 		snaps = append(snaps, expandSnapshot{
 			Name:        c.name,

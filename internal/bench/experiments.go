@@ -24,7 +24,7 @@ func coarsenPatent(g *graph.Graph) (*graph.Graph, error) {
 
 // fig11 reproduces Fig. 11: 3-FSM run time and memory over an increasing
 // support sweep. The paper sweeps 100..5M on the full-size graphs; supports
-// here are scaled with the datasets (EXPERIMENTS.md records the mapping).
+// here are scaled with the datasets.
 func fig11(cfg RunConfig) ([]Result, error) {
 	supports := []uint64{10, 50, 100, 300, 1000, 3000, 10000}
 	if cfg.Quick {
@@ -269,7 +269,7 @@ func table4(cfg RunConfig) ([]Result, error) {
 			return timed(func(tr *memtrack.Tracker) error {
 				opt := &run.Env{
 					Threads: cfg.Threads, Tracker: tr,
-					MemoryBudget: budget, SpillDir: dir, Predict: budget > 0,
+					MemoryBudget: budget, SpillDir: dir,
 				}
 				if w.app == "motif" {
 					_, err := apps.MotifCount(bgCtx, g, 4, opt)
@@ -337,7 +337,7 @@ func fig16(cfg RunConfig) ([]Result, error) {
 		start := time.Now()
 		_, _, err = apps.FSM(bgCtx, g, 4, f16support, &run.Env{
 			Threads: cfg.Threads, Tracker: tr,
-			MemoryBudget: budget, SpillDir: dir, Predict: true,
+			MemoryBudget: budget, SpillDir: dir,
 		})
 		secs := time.Since(start).Seconds()
 		os.RemoveAll(dir)
@@ -356,66 +356,6 @@ func fig16(cfg RunConfig) ([]Result, error) {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("in-memory baseline: %.2fs, peak %.1f MB", base.seconds, float64(base.peak)/(1<<20)),
 		"paper: with the cache capped below the working set the run time increases within 20%")
-	return []Result{res}, nil
-}
-
-// fig17 reproduces Fig. 17/18: prediction vs non-prediction load balance in
-// hybrid storage (run time, plus a worker-balance factor standing in for the
-// CPU-utilization timelines of Fig. 18).
-func fig17(cfg RunConfig) ([]Result, error) {
-	res := Result{
-		ID:     "Fig. 17/18",
-		Title:  "hybrid-storage load balance: prediction vs non-prediction",
-		Header: []string{"Workload", "Pred t", "NoPred t", "speedup"},
-	}
-	type wl struct {
-		name    string
-		ds      string
-		app     string
-		support uint64
-	}
-	wls := []wl{
-		{"4-Motif(mico)", "mico", "motif", 0},
-		{"4-Motif(patent)", "patent", "motif", 0},
-		{"4-FSM(patent,150)", "patent", "fsm", 150},
-		{"4-FSM(patent,300)", "patent", "fsm", 300},
-	}
-	if cfg.Quick {
-		wls = []wl{wls[2]}
-	}
-	for _, w := range wls {
-		g, err := loadDataset(w.ds, cfg)
-		if err != nil {
-			return nil, err
-		}
-		measure := func(predict bool) measured {
-			dir, err := os.MkdirTemp(cfg.SpillDir, "f17")
-			if err != nil {
-				return measured{skipped: "err:" + err.Error()}
-			}
-			defer os.RemoveAll(dir)
-			return timed(func(tr *memtrack.Tracker) error {
-				opt := &run.Env{
-					Threads: cfg.Threads, Tracker: tr,
-					MemoryBudget: 1, SpillDir: dir, Predict: predict,
-				}
-				if w.app == "motif" {
-					_, err := apps.MotifCount(bgCtx, g, 4, opt)
-					return err
-				}
-				_, _, err := apps.FSM(bgCtx, g, 4, w.support, opt)
-				return err
-			})
-		}
-		pred := measure(true)
-		nopred := measure(false)
-		speed := "-"
-		if pred.skipped == "" && nopred.skipped == "" && pred.seconds > 0 {
-			speed = fmt.Sprintf("%.2fx", nopred.seconds/pred.seconds)
-		}
-		res.Rows = append(res.Rows, []string{w.name, pred.timeCell(), nopred.timeCell(), speed})
-	}
-	res.Notes = append(res.Notes, "paper: prediction outperforms non-prediction by ~1.2× and smooths CPU utilization (Fig. 18)")
 	return []Result{res}, nil
 }
 

@@ -3,9 +3,8 @@
 // Patents and Youtube files are not redistributable in this offline build, so
 // each named dataset is generated with the same label count and average
 // degree, a power-law degree distribution, and a scaled-down vertex count so
-// the complete experiment suite fits in CI time. The scale factors are part
-// of the dataset descriptor and are reported alongside every experiment in
-// EXPERIMENTS.md.
+// the complete experiment suite fits in CI time. The scale factor is part of
+// the dataset descriptor (Desc.Scale).
 package dataset
 
 import (

@@ -1,8 +1,7 @@
 // Package explore implements Kaleido's embedding exploration engine (§3.1,
 // §4): canonical-filtered vertex- and edge-induced expansion and
-// intersection-based clique expansion over a CSE,
-// parallel iteration with prediction-based load balancing (§4.2), and
-// automatic spilling of large levels to hybrid disk storage (§4.1).
+// intersection-based clique expansion over a CSE, parallel iteration over
+// work-stealing chunks (§4.2), and automatic spilling of large levels to hybrid disk storage (§4.1).
 package explore
 
 import "kaleido/internal/graph"
@@ -228,43 +227,6 @@ func mergeProvGallop(ids, adj, aids, aadj, b []uint32, bBit uint32) int {
 	c := copy(ids[n:], aids[i:])
 	copy(adj[n:], aadj[i:])
 	return n + c
-}
-
-// mergeUnionCount returns |a ∪ b| for sorted slices without materializing
-// the union — the O(d̄) candidate-size prediction of §4.2 (Fig. 8). When one
-// side is much longer, the shorter gallops through it (O(d̄·log) instead of a
-// full rescan); for comparable sizes the element-wise count is cheaper.
-func mergeUnionCount(a, b []uint32) int {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	if len(a) >= gallopRatio*len(b) {
-		common := 0
-		i := 0
-		for _, v := range b {
-			i = gallopGE(a, i, v)
-			if i < len(a) && a[i] == v {
-				common++
-				i++
-			}
-		}
-		return len(a) + len(b) - common
-	}
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		if x <= y {
-			i++
-		}
-		if y <= x {
-			j++
-		}
-		n++
-	}
-	return n + (len(a) - i) + (len(b) - j)
 }
 
 // insertSorted inserts v into sorted slice s if absent.

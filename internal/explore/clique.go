@@ -33,7 +33,6 @@ type cliqueState struct {
 	// last is the largest stamped id (0 when nothing is stamped): a probe
 	// past it cannot hit.
 	last uint32
-	tmp  []uint32
 }
 
 func newCliqueState(g *graph.Graph, depth int) *cliqueState {
@@ -155,15 +154,6 @@ func (s *cliqueState) countLeaf(k int, u uint32) uint64 {
 	return n
 }
 
-// predict returns the §4.2 prediction for child c of the current leaf,
-// whose children refreshLevel(emb, k) put in common[k-1]: c's own children,
-// common[k-1] ∩ N(c) past c — exact, so certainly an upper bound.
-func (s *cliqueState) predict(k int, c uint32) int {
-	a := s.common[k-1]
-	s.tmp = intersectSorted(s.tmp[:0], a[gallopGE(a, 0, c+1):], s.forward(c))
-	return len(s.tmp)
-}
-
 // intersectSorted appends a ∩ b, for sorted a and b, to dst. When one side
 // is gallopRatio times longer, the shorter gallops through it.
 func intersectSorted(dst, a, b []uint32) []uint32 {
@@ -203,9 +193,8 @@ func intersectSorted(dst, a, b []uint32) []uint32 {
 // prefix's common neighbours and re-stamp them only when the prefix changed;
 // per leaf, probe its forward list. Into a CountSink a leaf adds its count to
 // the worker's counter and writes no children.
-func (e *Explorer) expandCliques(ctx context.Context, w *storage.Walker, k, worker, chunk int, sink ExpandSink, predicting bool, ps *predSampler) error {
-	sc := &e.scratch[worker]
-	x := &sc.x
+func (e *Explorer) expandCliques(ctx context.Context, w *storage.Walker, k, worker, chunk int, sink ExpandSink) error {
+	x := &e.scratch[worker].x
 	st := e.cliqueStateFor(worker, k)
 	cs, counting := sink.(*CountSink)
 	runs := 0
@@ -234,10 +223,6 @@ func (e *Explorer) expandCliques(ctx context.Context, w *storage.Walker, k, work
 		for _, u := range leaves {
 			emb[k-1] = u
 			x.children = st.appendLeaf(k, u, x.children[:0])
-			if predicting {
-				sc.preds = ps.groupPreds(st, k, emb, x.children, sc.preds)
-				x.preds = sc.preds
-			}
 			if err := sink.emit(worker, chunk, x); err != nil {
 				return err
 			}

@@ -128,7 +128,7 @@ func TestCliqueModeMatchesMaskFilter(t *testing.T) {
 			if counts[maxDepth-1] == 0 {
 				t.Fatalf("degenerate graph: no %d-cliques", maxDepth+1)
 			}
-			checkCliquePredictions(t, g, levels)
+			checkCliqueLeaves(t, g, levels)
 			regimes := []struct {
 				name   string
 				budget int64
@@ -142,7 +142,7 @@ func TestCliqueModeMatchesMaskFilter(t *testing.T) {
 				for _, rg := range regimes {
 					name := fmt.Sprintf("hub%d/relabel=%v/threads%d/%s", hubThreshold, relabel, threads, rg.name)
 					t.Run(name, func(t *testing.T) {
-						env := &run.Env{Threads: threads, Predict: true}
+						env := &run.Env{Threads: threads}
 						if rg.budget > 0 {
 							env.MemoryBudget, env.SpillDir = rg.budget, t.TempDir()
 						}
@@ -161,9 +161,9 @@ func TestCliqueModeMatchesMaskFilter(t *testing.T) {
 }
 
 // checkCliqueLevels runs Clique mode under env to depth len(levels) and holds
-// every stored level, every ExpandCount and every exactly predicted level to
-// the union path's. It reports the block-seam continuation runs it walked
-// and whether some level was split between memory and disk.
+// every stored level and every ExpandCount to the union path's. It reports
+// the block-seam continuation runs it walked and whether some level was split
+// between memory and disk.
 func checkCliqueLevels(t *testing.T, g *graph.Graph, env *run.Env, levels [][][]uint32, counts []uint64) (continuations int, mixed bool) {
 	t.Helper()
 	e, err := New(Config{Graph: g, Mode: Clique, Env: env})
@@ -171,7 +171,6 @@ func checkCliqueLevels(t *testing.T, g *graph.Graph, env *run.Env, levels [][][]
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.predictSample = -1 // price every group, so a level's predicted work bounds the next level
 	if err := e.InitVertices(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -193,15 +192,6 @@ func checkCliqueLevels(t *testing.T, g *graph.Graph, env *run.Env, levels [][][]
 		if n != counts[d-1] {
 			t.Fatalf("depth %d: ExpandCount %d, union path %d", d, n, counts[d-1])
 		}
-		if d > 1 {
-			var work uint64
-			for _, s := range e.CSE().Top().Predicted() {
-				work += s.Work
-			}
-			if work < n {
-				t.Fatalf("depth %d: predicted work %d below the %d children of the next level", d, work, n)
-			}
-		}
 		if st := e.LevelStats()[d-1]; st.MemParts > 0 && st.DiskParts > 0 {
 			mixed = true
 		}
@@ -212,10 +202,10 @@ func checkCliqueLevels(t *testing.T, g *graph.Graph, env *run.Env, levels [][][]
 	return continuations, mixed
 }
 
-// checkCliquePredictions replays the clique state on every stored embedding
-// of levels: its leaf's children are the next level's group, and the §4.2
-// prediction of every child is at least the child's own child count.
-func checkCliquePredictions(t *testing.T, g *graph.Graph, levels [][][]uint32) {
+// checkCliqueLeaves replays the clique state on every stored embedding of
+// levels, recomputing the prefix from scratch: each leaf's children must be
+// exactly the next level's group under it.
+func checkCliqueLeaves(t *testing.T, g *graph.Graph, levels [][][]uint32) {
 	t.Helper()
 	for d := 1; d < len(levels); d++ {
 		st := newCliqueState(g, d)
@@ -224,24 +214,11 @@ func checkCliquePredictions(t *testing.T, g *graph.Graph, levels [][][]uint32) {
 			if d > 1 {
 				st.updatePrefix(emb, 1, d)
 			}
-			children := st.appendLeaf(d, emb[d-1], nil)
-			for _, c := range children {
+			for _, c := range st.appendLeaf(d, emb[d-1], nil) {
 				if len(next) == 0 || fmt.Sprint(next[0][:d]) != fmt.Sprint(emb) || next[0][d] != c {
 					t.Fatalf("depth %d: %v child %d is not the next stored embedding", d, emb, c)
 				}
 				next = next[1:]
-			}
-			st.refreshLevel(emb, d)
-			for _, c := range children {
-				var actual int
-				for _, w := range children {
-					if w > c && g.HasEdge(c, w) {
-						actual++
-					}
-				}
-				if p := st.predict(d, c); p < actual {
-					t.Fatalf("depth %d: %v child %d predicted %d, has %d children", d, emb, c, p, actual)
-				}
 			}
 		}
 		if len(next) != 0 {

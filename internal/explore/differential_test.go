@@ -147,9 +147,8 @@ func TestDifferentialFusedCanonicalVertex(t *testing.T) {
 		n := 8 + rng.Intn(20)
 		g := randomGraph(rng, n, rng.Intn(4*n)+1)
 		maxDepth := 3 + rng.Intn(2)
-		predict := trial%2 == 0
 
-		e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3, Predict: predict}})
+		e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,9 +223,8 @@ func TestDifferentialFusedCanonicalEdge(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 6 + rng.Intn(12)
 		g := randomGraph(rng, n, rng.Intn(2*n)+1)
-		predict := trial%2 == 1
 
-		e, err := New(Config{Graph: g, Mode: EdgeInduced, Env: &run.Env{Threads: 3, Predict: predict}})
+		e, err := New(Config{Graph: g, Mode: EdgeInduced, Env: &run.Env{Threads: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,8 +251,8 @@ func TestDifferentialFusedCanonicalEdge(t *testing.T) {
 	}
 }
 
-// TestDifferentialForEachExpansion checks the non-materializing walk against
-// the reference on the final expansion step.
+// TestDifferentialForEachExpansion checks the non-materializing walk
+// (ExpandVisit) against the reference on the final expansion step.
 func TestDifferentialForEachExpansion(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	for trial := 0; trial < 10; trial++ {
@@ -278,7 +276,7 @@ func TestDifferentialForEachExpansion(t *testing.T) {
 			}
 			ref = refExpandVertex(g, ref, nil)
 		}
-		// One more step through ForEachExpansion instead of Expand.
+		// One more step through ExpandVisit instead of Expand.
 		ref = refExpandVertex(g, ref, nil)
 		var got [][]uint32
 		gotCh := make(chan []uint32, 64)
@@ -289,7 +287,7 @@ func TestDifferentialForEachExpansion(t *testing.T) {
 			}
 			close(done)
 		}()
-		err = e.ForEachExpansion(bgCtx, nil, func(_ int, emb []uint32, cand uint32) error {
+		err = e.ExpandVisit(bgCtx, nil, nil, func(_ int, emb []uint32, cand uint32) error {
 			gotCh <- append(append([]uint32(nil), emb...), cand)
 			return nil
 		})

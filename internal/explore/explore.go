@@ -24,9 +24,8 @@
 //
 // An Explorer is configured by what it explores (Graph, Mode) and by the
 // run's one *run.Env, which it holds by pointer and passes on to the level
-// builder: no run knob is declared here. The two constants of the storage
-// policy live here — the spill watermark (0.9 of the budget) and the §4.2
-// prediction sample (128 groups per chunk).
+// builder: no run knob is declared here. The one constant of the storage
+// policy lives here — the spill watermark (0.9 of the budget).
 package explore
 
 import (
@@ -88,11 +87,6 @@ type Config struct {
 // between governor decisions.
 const spillWatermark = 0.9
 
-// defaultPredictSample is the number of groups per chunk that pay the exact
-// per-child candidate-union count of the §4.2 prediction; the rest
-// extrapolate the latest sampled mean.
-const defaultPredictSample = 128
-
 // Explorer drives iterative embedding exploration over one input graph,
 // owning the CSE and its spilled levels.
 type Explorer struct {
@@ -109,11 +103,6 @@ type Explorer struct {
 	ledger []int64 // tracker bytes charged per level
 	closed bool
 
-	// predictSample is the §4.2 sampling budget (exactly-predicted groups per
-	// chunk; negative = every group). Only the sampled-vs-exact equivalence
-	// tests set it to anything but the default.
-	predictSample int
-
 	// pressure is the external back-pressure flag the budget governor
 	// consults: set by the tracker's high-water callback when total tracked
 	// memory (this run's CSE, and sibling runs under a shared budget)
@@ -122,8 +111,8 @@ type Explorer struct {
 	cancelHighWater func()
 
 	// scratch[w] is worker w's reusable expansion state, pooled across
-	// Expand/ForEach/ForEachExpansion/FilterTop calls so the steady-state
-	// per-chunk work allocates nothing.
+	// Expand/ForEach/FilterTop calls so the steady-state per-chunk work
+	// allocates nothing.
 	scratch []workerScratch
 	// builder is the pooled level builder (exploration ops run one at a
 	// time, so a single instance suffices), re-armed per build so its
@@ -134,8 +123,7 @@ type Explorer struct {
 	store StoreSink
 
 	// lastFanout/prevFanout are the measured children-per-embedding of the
-	// two most recent expansions — the pre-sizing fallback when no §4.2
-	// prediction segments were recorded.
+	// two most recent expansions, which presizeParts extrapolates.
 	lastFanout, prevFanout float64
 }
 
@@ -144,7 +132,6 @@ type Explorer struct {
 type workerScratch struct {
 	walker *storage.Walker
 	x      expansion
-	preds  []uint32
 	vstate *vertexState
 	estate *edgeState
 	cstate *cliqueState
@@ -160,9 +147,6 @@ type expansion struct {
 	// adj[j] set iff children[j] is adjacent to emb[i]) — collected only in
 	// vertex-induced mode and only for a sink that wantAdj.
 	adj []uint32
-	// preds holds the children's predicted candidate sizes (§4.2), nil unless
-	// the expansion is predicting.
-	preds []uint32
 }
 
 // walkerFor returns the worker's walker positioned over [lo, hi).
@@ -228,7 +212,6 @@ func New(cfg Config) (*Explorer, error) {
 	}
 	e := &Explorer{
 		cfg: cfg, threads: cfg.Workers(), fs: vfs.OrOS(cfg.FS),
-		predictSample: defaultPredictSample,
 		// Idle until something spills: no goroutine, no buffers.
 		queue: storage.NewWriteQueue(0, cfg.Tracker),
 	}
@@ -339,15 +322,6 @@ func (e *Explorer) Depth() int { return e.c.Depth() }
 
 // Count returns the number of embeddings at the top level.
 func (e *Explorer) Count() int { return e.c.Top().Len() }
-
-// LevelSizes returns the embedding count of every level.
-func (e *Explorer) LevelSizes() []int {
-	s := make([]int, e.c.Depth())
-	for i := range s {
-		s[i] = e.c.Level(i + 1).Len()
-	}
-	return s
-}
 
 // Bytes returns the resident footprint of the CSE.
 func (e *Explorer) Bytes() int64 { return e.c.Bytes() }
@@ -522,10 +496,9 @@ func (e *Explorer) Close() error {
 // cancelled explorer keeps its pre-expansion levels and may still be Closed
 // (reclaiming every spilled file) or driven further.
 //
-// Exploration operations (Expand and its sink variants, ForEach,
-// ForEachExpansion, FilterTop) share the explorer's pooled per-worker
-// scratch: they parallelize internally, but at most one of them may run on
-// an Explorer at a time.
+// Exploration operations (Expand and its sink variants, ForEach, FilterTop)
+// share the explorer's pooled per-worker scratch: they parallelize
+// internally, but at most one of them may run on an Explorer at a time.
 func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) error {
 	return e.ExpandTo(ctx, &e.store, vf, ef)
 }
@@ -579,31 +552,17 @@ func (e *Explorer) foreignLive() int64 {
 }
 
 // presizeParts reserves the builder's per-part buffers before expansion
-// begins. With §4.2 prediction segments the per-chunk candidate totals are
-// known (an upper bound on children — the canonical filter only removes);
-// without them the fan-out trend of the previous iterations is extrapolated.
-// Either way the cold-start append-doubling of large level buffers (~170 MB
-// of transient growth on the vertex-d4 benchmark) collapses into one
-// allocation per part. The builder caps reserves at its governor watermark,
-// since reserved capacity is real resident memory.
+// begins by extrapolating the fan-out trend of the previous iterations, so
+// the cold-start append-doubling of large level buffers (~170 MB of transient
+// growth on the vertex-d4 benchmark) collapses into one allocation per part.
+// The builder caps reserves at its governor watermark, since reserved
+// capacity is real resident memory.
 func (e *Explorer) presizeParts(top *storage.HybridLevel, bounds []int, b *storage.HybridLevelBuilder) {
-	n := top.Len()
-	if n == 0 {
-		return
-	}
-	if segs := top.Predicted(); len(segs) > 0 {
-		works := segWorkPerRange(segs, bounds)
-		for i, w := range works {
-			b.ReservePart(i, w, bounds[i+1]-bounds[i])
-		}
-		return
-	}
-	if e.lastFanout <= 0 {
+	if top.Len() == 0 || e.lastFanout <= 0 {
 		return
 	}
 	// Fan-out typically grows with depth; extrapolate the last growth
-	// ratio, capped — an early sparse level can make the ratio explode and
-	// this path is a guess, unlike the prediction segments above.
+	// ratio, capped — an early sparse level can make the ratio explode.
 	f := e.lastFanout
 	if e.prevFanout > 0 && e.prevFanout < f {
 		g := f / e.prevFanout
@@ -616,36 +575,6 @@ func (e *Explorer) presizeParts(top *storage.HybridLevel, bounds []int, b *stora
 		leaves := bounds[i+1] - bounds[i]
 		b.ReservePart(i, int(float64(leaves)*f), leaves)
 	}
-}
-
-// segWorkPerRange distributes the segments' predicted work over the leaf
-// ranges [bounds[i], bounds[i+1]), splitting segments that straddle a cut
-// proportionally.
-func segWorkPerRange(segs []storage.PredSeg, bounds []int) []int {
-	out := make([]int, len(bounds)-1)
-	leaf := 0
-	ci := 0
-	for _, s := range segs {
-		if s.Leaves == 0 {
-			continue
-		}
-		start, end := leaf, leaf+int(s.Leaves)
-		leaf = end
-		for ci < len(out) && start < end {
-			rEnd := bounds[ci+1]
-			ov := min(end, rEnd) - start
-			if ov > 0 {
-				out[ci] += int(uint64(ov) * s.Work / uint64(s.Leaves))
-				start += ov
-			}
-			if start >= rEnd {
-				ci++
-			} else {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // pollEvery is how many walker runs an exploration loop processes between
@@ -664,35 +593,22 @@ func ctxErr(ctx context.Context) error {
 
 // expandRange expands top-level embeddings [lo, hi) into sink chunk, using
 // worker's pooled scratch.
-func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int, sink ExpandSink, predicting bool, vf VertexFilter, ef EdgeFilter) error {
+func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int, sink ExpandSink, vf VertexFilter, ef EdgeFilter) error {
 	w, err := e.walkerFor(worker, lo, hi)
 	if err != nil {
 		return err
 	}
 	defer w.Close()
 
-	sc := &e.scratch[worker]
-	x := &sc.x
-	x.preds = nil
-
 	// The union modes run the fused fast path: per run, refresh the shared
 	// prefix and (vertex-induced) filter it once; per leaf, consume
 	// cands[k-2] ∪ N(leaf) as it is merged — the leaf-level candidate set is
 	// never materialized (Clique mode intersects instead, see
-	// expandCliques). When the §4.2
-	// prediction is on (storing sinks only; a consumed expansion has no next
-	// level to balance), only every stride-th group pays the exact per-child
-	// candidate-union count (which needs the materialized level-k candidate
-	// set, refreshLevel); the groups in between reuse the latest sampled
-	// per-child mean, bounding prediction cost to predictSample groups per
-	// chunk instead of every embedding.
-	ps := predSampler{
-		stride: e.predictStride(hi - lo),
-		mean:   uint32(e.cfg.Graph.AvgDegree()) + 1,
-	}
+	// expandCliques).
 	if e.cfg.Mode == Clique {
-		return e.expandCliques(ctx, w, k, worker, chunk, sink, predicting, &ps)
+		return e.expandCliques(ctx, w, k, worker, chunk, sink)
 	}
+	x := &e.scratch[worker].x
 
 	runs := 0
 	if e.cfg.Mode == VertexInduced {
@@ -715,10 +631,6 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 			for _, u := range leaves {
 				emb[k-1] = u
 				st.appendCanonical(k, u, emb, worker, vf, wantAdj, x)
-				if predicting {
-					sc.preds = ps.groupPreds(st, k, emb, x.children, sc.preds)
-					x.preds = sc.preds
-				}
 				if err := sink.emit(worker, chunk, x); err != nil {
 					return err
 				}
@@ -744,77 +656,12 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 		for _, f := range leaves {
 			emb[k-1] = f
 			x.children = st.appendCanonical(k, f, emb, worker, ef, x.children[:0])
-			if predicting {
-				sc.preds = ps.groupPreds(st, k, emb, x.children, sc.preds)
-				x.preds = sc.preds
-			}
 			if err := sink.emit(worker, chunk, x); err != nil {
 				return err
 			}
 		}
 	}
 	return w.Err()
-}
-
-// predictor is the slice of worker state the sampled §4.2 prediction needs:
-// materialize the level-k candidate set of the current leaf, then price each
-// child against it. vertexState, edgeState and cliqueState implement it.
-type predictor interface {
-	refreshLevel(emb []uint32, l int)
-	predict(k int, u uint32) int
-}
-
-// predSampler applies the predictSample policy over one chunk: every
-// stride-th group is priced exactly (refreshLevel + per-child predict), the
-// groups in between reuse the latest sampled per-child mean.
-type predSampler struct {
-	stride, gi int
-	mean       uint32
-}
-
-// groupPreds returns the per-child predicted sizes of the current group,
-// reusing buf.
-func (s *predSampler) groupPreds(st predictor, k int, emb []uint32, children, buf []uint32) []uint32 {
-	buf = buf[:0]
-	if s.gi%s.stride == 0 && len(children) > 0 {
-		st.refreshLevel(emb, k)
-		var sum uint64
-		for _, c := range children {
-			p := clamp32(st.predict(k, c))
-			buf = append(buf, p)
-			sum += uint64(p)
-		}
-		s.mean = uint32(sum / uint64(len(children)))
-	} else {
-		for range children {
-			buf = append(buf, s.mean)
-		}
-	}
-	s.gi++
-	return buf
-}
-
-// predictStride converts the predictSample budget (exactly-predicted groups
-// per chunk) into a sampling stride over a chunk of the given group count.
-func (e *Explorer) predictStride(groups int) int {
-	if e.predictSample < 0 {
-		return 1 // exact prediction for every group
-	}
-	stride := groups / e.predictSample
-	if stride < 1 {
-		stride = 1
-	}
-	return stride
-}
-
-func clamp32(v int) uint32 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1<<31 {
-		return 1 << 31
-	}
-	return uint32(v)
 }
 
 // ForEach walks all top-level embeddings in parallel. visit receives the
@@ -826,7 +673,7 @@ func clamp32(v int) uint32 {
 func (e *Explorer) ForEach(ctx context.Context, visit func(worker int, emb []uint32) error) error {
 	k := e.c.Depth()
 	top := e.c.Top()
-	bounds := e.partition(top, e.chunks(top.Len()))
+	bounds := partitionEven(top.Len(), e.chunks(top.Len()))
 	return e.runParallel(ctx, len(bounds)-1, func(worker, chunk int) error {
 		w, err := e.walkerFor(worker, bounds[chunk], bounds[chunk+1])
 		if err != nil {
@@ -853,19 +700,6 @@ func (e *Explorer) ForEach(ctx context.Context, visit func(worker int, emb []uin
 		}
 		return w.Err()
 	})
-}
-
-// ForEachExpansion enumerates, for every top-level embedding, its canonical
-// filtered candidate extensions without materializing a new level — the
-// exploration step motif counting's Mapper performs (§5.1). It is a
-// vertex-induced wrapper over ExpandVisit, the sink primitive that serves
-// both modes. Uses the pooled per-worker scratch — do not run it
-// concurrently with another operation on the same Explorer.
-func (e *Explorer) ForEachExpansion(ctx context.Context, vf VertexFilter, visit func(worker int, emb []uint32, cand uint32) error) error {
-	if e.cfg.Mode != VertexInduced {
-		return fmt.Errorf("explore: ForEachExpansion requires vertex-induced mode")
-	}
-	return e.ExpandVisit(ctx, vf, nil, visit)
 }
 
 // buildChunks picks the chunk (= builder part) count of a level build. A
@@ -905,18 +739,6 @@ func (e *Explorer) chunks(n int) int {
 	return c
 }
 
-// partition cuts the top level into p contiguous ranges, weighted by the
-// §4.2 predicted candidate sizes when available.
-func (e *Explorer) partition(top *storage.HybridLevel, p int) []int {
-	n := top.Len()
-	if e.cfg.Predict {
-		if segs := top.Predicted(); segs != nil {
-			return partitionSegs(segs, n, p)
-		}
-	}
-	return partitionEven(n, p)
-}
-
 // partitionEven splits [0, n) into p near-equal ranges.
 func partitionEven(n, p int) []int {
 	if p < 1 {
@@ -925,49 +747,6 @@ func partitionEven(n, p int) []int {
 	bounds := make([]int, p+1)
 	for i := 0; i <= p; i++ {
 		bounds[i] = n * i / p
-	}
-	return bounds
-}
-
-// partitionSegs splits [0, n) into p ranges of near-equal predicted work,
-// cutting only at segment boundaries.
-func partitionSegs(segs []storage.PredSeg, n, p int) []int {
-	if p < 1 {
-		p = 1
-	}
-	var total uint64
-	for _, s := range segs {
-		total += s.Work
-	}
-	if total == 0 {
-		return partitionEven(n, p)
-	}
-	bounds := make([]int, 0, p+1)
-	bounds = append(bounds, 0)
-	var cum uint64
-	leaf := 0
-	next := 1
-	for _, s := range segs {
-		cum += s.Work
-		leaf += int(s.Leaves)
-		for next < p && cum >= total*uint64(next)/uint64(p) {
-			bounds = append(bounds, leaf)
-			next++
-		}
-	}
-	for len(bounds) < p {
-		bounds = append(bounds, leaf)
-	}
-	bounds = append(bounds, n)
-	// Monotonicity guard: segments may end short of n if prediction was
-	// recorded for a filtered level; clamp.
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] < bounds[i-1] {
-			bounds[i] = bounds[i-1]
-		}
-		if bounds[i] > n {
-			bounds[i] = n
-		}
 	}
 	return bounds
 }

@@ -11,7 +11,6 @@ import (
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
-	"kaleido/internal/storage"
 )
 
 // paperGraph is the 5-vertex running example of Fig. 3 (0-based).
@@ -274,7 +273,7 @@ func TestEdgeEnumerationMatchesBruteForce(t *testing.T) {
 }
 
 // TestHybridMatchesInMemory forces every level to disk and checks identical
-// results, with prediction both off and on.
+// results.
 func TestHybridMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 6; trial++ {
@@ -287,35 +286,32 @@ func TestHybridMatchesInMemory(t *testing.T) {
 		}
 		wantSets := collect(t, mem)
 
-		for _, predict := range []bool{false, true} {
-			hy, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
-				Threads:      3,
-				MemoryBudget: 1, // force every level to disk
-				SpillDir:     t.TempDir(),
-				Predict:      predict,
-				Tracker:      memtrack.New(),
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := hy.InitVertices(nil); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 2; i++ {
-				if err := hy.Expand(bgCtx, nil, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if hy.SpilledLevels() != 2 {
-				t.Fatalf("trial %d: spilled %d levels, want 2", trial, hy.SpilledLevels())
-			}
-			got := collect(t, hy)
-			if !reflect.DeepEqual(got, wantSets) {
-				t.Fatalf("trial %d predict=%v: hybrid results differ (%d vs %d embeddings)",
-					trial, predict, len(got), len(wantSets))
-			}
-			hy.Close()
+		hy, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+			Threads:      3,
+			MemoryBudget: 1, // force every level to disk
+			SpillDir:     t.TempDir(),
+			Tracker:      memtrack.New(),
+		}})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := hy.InitVertices(nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := hy.Expand(bgCtx, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if hy.SpilledLevels() != 2 {
+			t.Fatalf("trial %d: spilled %d levels, want 2", trial, hy.SpilledLevels())
+		}
+		got := collect(t, hy)
+		if !reflect.DeepEqual(got, wantSets) {
+			t.Fatalf("trial %d: hybrid results differ (%d vs %d embeddings)",
+				trial, len(got), len(wantSets))
+		}
+		hy.Close()
 	}
 }
 
@@ -366,6 +362,8 @@ func TestUserFilterClique(t *testing.T) {
 	}
 }
 
+// TestForEachExpansionMatchesExpand checks that the per-extension walk
+// (ExpandVisit) visits exactly the children Expand materializes.
 func TestForEachExpansionMatchesExpand(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 25, 80)
@@ -384,7 +382,7 @@ func TestForEachExpansionMatchesExpand(t *testing.T) {
 	}
 	var n int64
 	var mu sync.Mutex
-	if err := b.ForEachExpansion(bgCtx, nil, func(_ int, _ []uint32, _ uint32) error {
+	if err := b.ExpandVisit(bgCtx, nil, nil, func(_ int, _ []uint32, _ uint32) error {
 		mu.Lock()
 		n++
 		mu.Unlock()
@@ -393,7 +391,7 @@ func TestForEachExpansionMatchesExpand(t *testing.T) {
 		t.Fatal(err)
 	}
 	if int(n) != wantCount {
-		t.Fatalf("ForEachExpansion found %d, Expand materialized %d", n, wantCount)
+		t.Fatalf("ExpandVisit found %d, Expand materialized %d", n, wantCount)
 	}
 }
 
@@ -495,62 +493,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSegWorkPerRange(t *testing.T) {
-	segs := []storage.PredSeg{{Leaves: 10, Work: 100}, {Leaves: 10, Work: 50}}
-	bounds := []int{0, 5, 15, 20}
-	got := segWorkPerRange(segs, bounds)
-	want := []int{50, 75, 25}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("segWorkPerRange = %v, want %v", got, want)
-	}
-	// Zero-leaf segments are skipped; ranges beyond the segments get 0.
-	got = segWorkPerRange([]storage.PredSeg{{Leaves: 0, Work: 9}, {Leaves: 4, Work: 8}}, []int{0, 4, 10})
-	if !reflect.DeepEqual(got, []int{8, 0}) {
-		t.Fatalf("segWorkPerRange = %v, want [8 0]", got)
-	}
-}
-
-// TestPresizedExpandMatches runs prediction-enabled expansion (which
-// pre-sizes the builder parts from the recorded segments) against the
-// unpredicted explorer and the brute-force reference.
-func TestPresizedExpandMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := randomGraph(rng, 30, 120)
-	plain := newVertexExplorer(t, g, 3)
-	pred, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3, Predict: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pred.Close()
-	if err := pred.InitVertices(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := plain.Expand(bgCtx, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := pred.Expand(bgCtx, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(collect(t, plain), collect(t, pred)) {
-			t.Fatalf("depth %d: predicted expansion differs", plain.Depth())
-		}
-	}
-}
-
-func TestPartitionSegs(t *testing.T) {
-	in := []storage.PredSeg{{Leaves: 10, Work: 100}, {Leaves: 10, Work: 1}, {Leaves: 10, Work: 1}, {Leaves: 10, Work: 98}}
-	bounds := partitionSegs(in, 40, 2)
-	if len(bounds) != 3 || bounds[0] != 0 || bounds[2] != 40 {
-		t.Fatalf("bounds = %v", bounds)
-	}
-	// Half the work (100 of 200) is in the first segment.
-	if bounds[1] != 10 {
-		t.Fatalf("boundary at %d, want 10", bounds[1])
-	}
-	// Degenerate inputs.
-	if b := partitionSegs(nil, 7, 3); b[len(b)-1] != 7 {
-		t.Fatalf("nil segs bounds = %v", b)
+func TestPartitionEven(t *testing.T) {
+	if b := partitionEven(10, 3); !reflect.DeepEqual(b, []int{0, 3, 6, 10}) {
+		t.Fatalf("partitionEven(10, 3) = %v", b)
 	}
 	if b := partitionEven(0, 4); len(b) != 5 {
 		t.Fatalf("empty partition = %v", b)

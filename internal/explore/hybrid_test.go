@@ -75,73 +75,6 @@ func TestPartialSpillBetweenLevelSizes(t *testing.T) {
 	}
 }
 
-// TestPredictSamplingMatchesExact: sampled §4.2 prediction changes only the
-// work estimates, never the embeddings, at any sampling budget.
-func TestPredictSamplingMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	g := randomGraph(rng, 40, 160)
-	sampled := func(sample int) ([][]uint32, *Explorer) {
-		e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 3, Predict: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.predictSample = sample
-		t.Cleanup(func() { e.Close() })
-		if err := e.InitVertices(nil); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if err := e.Expand(bgCtx, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return collect(t, e), e
-	}
-	exact, ee := sampled(-1)
-	for _, sample := range []int{defaultPredictSample, 1, 4} {
-		got, ge := sampled(sample)
-		if !reflect.DeepEqual(got, exact) {
-			t.Fatalf("sample=%d: embeddings differ from exact prediction", sample)
-		}
-		if ge.Count() != ee.Count() {
-			t.Fatalf("sample=%d: count %d vs exact %d", sample, ge.Count(), ee.Count())
-		}
-	}
-	// Sampled runs must still record work segments for the load balancer.
-	_, se := sampled(2)
-	if se.CSE().Top().Predicted() == nil {
-		t.Fatal("sampled prediction recorded no segments")
-	}
-}
-
-// TestPredictSamplingEdgeMode mirrors the sampling equivalence for the
-// edge-induced expansion path.
-func TestPredictSamplingEdgeMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	g := randomGraph(rng, 20, 60)
-	sampled := func(sample int) [][]uint32 {
-		e, err := New(Config{Graph: g, Mode: EdgeInduced, Env: &run.Env{Threads: 2, Predict: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.predictSample = sample
-		t.Cleanup(func() { e.Close() })
-		if err := e.InitEdges(nil); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			if err := e.Expand(bgCtx, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return collect(t, e)
-	}
-	exact := sampled(-1)
-	if got := sampled(1); !reflect.DeepEqual(got, exact) {
-		t.Fatal("edge-mode sampled prediction changed the embeddings")
-	}
-}
-
 // TestTrackerPressureForcesSpill: when tracked memory outside the CSE
 // already exceeds the budget, the high-water signal must force the next
 // build to spill even though the CSE itself is tiny.

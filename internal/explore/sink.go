@@ -15,8 +15,7 @@ package explore
 //	CountSink — per-worker counters; nothing is written. CliqueCount's
 //	            (and TriangleCount's) final expansion.
 //	VisitSink — per-worker (emb, cand) callback; the engine primitive under
-//	            ForEachExpansion and the Mapper of motif counting and FSM's
-//	            final aggregation.
+//	            the Mapper of motif counting and FSM's final aggregation.
 //	FilterTop — the keep-side analogue (keep.go): rewrite the top level in
 //	            place, part by part, under a keep predicate instead of
 //	            copying it through a fresh builder.
@@ -50,9 +49,8 @@ type ExpandSink interface {
 	finish(e *Explorer) error
 	// abort discards partial output after a failed walk.
 	abort()
-	// storing reports whether finish pushes a new CSE level — it gates the
-	// §4.2 prediction (pointless when nothing is stored) and the chunk
-	// granularity (builder parts vs plain work stealing).
+	// storing reports whether finish pushes a new CSE level — it picks the
+	// chunk granularity (builder parts vs plain work stealing).
 	storing() bool
 }
 
@@ -74,7 +72,7 @@ func (s *StoreSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) e
 }
 
 func (s *StoreSink) emit(worker, chunk int, x *expansion) error {
-	return s.builder.Part(chunk).AppendGroup(x.children, x.preds)
+	return s.builder.Part(chunk).AppendGroup(x.children)
 }
 
 func (s *StoreSink) endChunk(worker, chunk int) error {
@@ -268,19 +266,17 @@ func (e *Explorer) ExpandTo(ctx context.Context, sink ExpandSink, vf VertexFilte
 		return fmt.Errorf("explore: cannot expand past %d units per embedding", maskBits)
 	}
 
-	var bounds []int
+	nchunks := e.chunks(n)
 	if sink.storing() {
-		bounds = e.partition(top, e.buildChunks(n, e.c.Bytes()))
-	} else {
-		bounds = e.partition(top, e.chunks(n))
+		nchunks = e.buildChunks(n, e.c.Bytes())
 	}
+	bounds := partitionEven(n, nchunks)
 	if err := sink.begin(e, top, bounds); err != nil {
 		return err
 	}
-	predicting := e.cfg.Predict && sink.storing()
 	err := e.runParallel(ctx, len(bounds)-1, func(worker, chunk int) error {
 		lo, hi := bounds[chunk], bounds[chunk+1]
-		if err := e.expandRange(ctx, k, lo, hi, worker, chunk, sink, predicting, vf, ef); err != nil {
+		if err := e.expandRange(ctx, k, lo, hi, worker, chunk, sink, vf, ef); err != nil {
 			return err
 		}
 		return sink.endChunk(worker, chunk)

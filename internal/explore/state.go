@@ -294,12 +294,6 @@ func appendLeafOnly(out *expansion, ids []uint32, leaf uint32, worker int, emb [
 // filter those via canonical).
 func (s *vertexState) candidates(k int) *candBuf { return &s.cands[k-1] }
 
-// predict returns the §4.2 prediction of the candidate-set size of the
-// embedding extended with vertex v: |cands ∪ N(v)|.
-func (s *vertexState) predict(k int, v uint32) int {
-	return mergeUnionCount(s.cands[k-1].ids, s.g.Neighbors(v))
-}
-
 // edgeState is the edge-induced analogue: verts[l-1] is the sorted vertex
 // set of the first l edges; cands[l-1] holds the incident edge ids, the lowest
 // set bit of each one's mask being its earliest adjacent position.
@@ -479,43 +473,6 @@ func (s *edgeState) appendCanonical(k int, f uint32, emb []uint32, worker int, e
 
 // candidates returns the candidate edge ids of the full embedding.
 func (s *edgeState) candidates(k int) *candBuf { return &s.cands[k-1] }
-
-// vertices returns the sorted vertex set of the full embedding.
-func (s *edgeState) vertices(k int) []uint32 { return s.verts[k-1] }
-
-// predict estimates the candidate-set size after appending edge id f.
-func (s *edgeState) predict(k int, f uint32) int {
-	e := s.g.EdgeAt(f)
-	vk := s.verts[k-1]
-	newU := !containsSorted(vk, e.U)
-	newV := !containsSorted(vk, e.V)
-	switch {
-	case newU && newV:
-		s.tmp = mergeUnion(s.tmp, s.g.IncidentEdges(e.U), s.g.IncidentEdges(e.V))
-		return mergeUnionCount(s.cands[k-1].ids, s.tmp)
-	case newU:
-		return mergeUnionCount(s.cands[k-1].ids, s.g.IncidentEdges(e.U))
-	case newV:
-		return mergeUnionCount(s.cands[k-1].ids, s.g.IncidentEdges(e.V))
-	default:
-		return len(s.cands[k-1].ids)
-	}
-}
-
-// newVertexCount returns how many endpoints of edge f are outside the
-// current vertex set — used by vertex-budget filters (k-FSM's "at most k
-// vertices" constraint).
-func (s *edgeState) newVertexCount(k int, f uint32) int {
-	e := s.g.EdgeAt(f)
-	n := 0
-	if !containsSorted(s.verts[k-1], e.U) {
-		n++
-	}
-	if !containsSorted(s.verts[k-1], e.V) {
-		n++
-	}
-	return n
-}
 
 func max32(a, b uint32) uint32 {
 	if a > b {

@@ -6,7 +6,7 @@
 // Vertices are dense uint32 ids in [0, N). Every edge {u, v} also carries a
 // dense edge id in [0, M), which edge-induced mining (FSM) uses as its
 // exploration unit. Neighbor lists and incident-edge lists are sorted, which
-// the canonical filter and the candidate-size prediction of §4.2 rely on.
+// the candidate merges and the canonical filter rely on.
 //
 // On top of the CSC arrays sits a hybrid adjacency index (adjindex.go) that
 // makes membership tests O(1) where the binary search is worst: vertices

@@ -130,7 +130,7 @@ func TestMotifCountMatchesKaleido(t *testing.T) {
 // differently across exploration models: RStream's set-based join reaches an
 // embedding through ANY surviving edge subset, while Kaleido extends only
 // the canonical prefix — so RStream's frequent set is a superset with
-// counts at least as large (see DESIGN.md §6). Either way a pattern both
+// counts at least as large. Either way a pattern both
 // find reports the same support: saturated at the threshold.
 func TestFSMMatchesKaleido(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))

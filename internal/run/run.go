@@ -35,11 +35,6 @@ type Env struct {
 	// subdirectory. Required when MemoryBudget > 0.
 	SpillDir string
 
-	// Predict enables the §4.2 candidate-size prediction: per-chunk work
-	// summaries are recorded during expansion and used to cut balanced
-	// partitions in the next iteration.
-	Predict bool
-
 	// FS is the filesystem the spill path goes through. nil means the real
 	// one (vfs.OS); tests and fault campaigns inject a vfs.FaultFS here.
 	FS vfs.FS

@@ -18,7 +18,7 @@ func TestExecuteMatchesDirectCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := kaleido.Config{Threads: 2, Predict: true}
+	cfg := kaleido.Config{Threads: 2}
 	sum := func(pats []kaleido.PatternCount) (n uint64) {
 		for _, pc := range pats {
 			n += pc.Count

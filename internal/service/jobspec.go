@@ -15,9 +15,7 @@ import (
 // JobSpec is the wire description of one mining job — the single encoding
 // shared by the kaleidod HTTP API and the kaleido CLI flags, so a flag added
 // to one cannot silently drift from the other. The zero value of every field
-// means "default"; the tri-state knob Predict uses *bool so that an absent
-// JSON field and an explicit false are distinguishable, matching the CLI
-// flag that defaults to true.
+// means "default".
 type JobSpec struct {
 	// App selects the application: "tc", "clique", "motif" or "fsm".
 	App string `json:"app"`
@@ -39,8 +37,6 @@ type JobSpec struct {
 	// SpillDir receives spilled level parts of a standalone budgeted run
 	// (daemon jobs spill into the engine's directory).
 	SpillDir string `json:"spill_dir,omitempty"`
-	// Predict gates the §4.2 predictor. nil means on.
-	Predict *bool `json:"predict,omitempty"`
 	// Iso selects the isomorphism backend: "eigen" (default), "bliss" or
 	// "exact".
 	Iso string `json:"iso,omitempty"`
@@ -58,14 +54,6 @@ type JobSpec struct {
 	// deterministic sort. 0 disables either.
 	MinCount uint64 `json:"min_count,omitempty"`
 	TopK     int    `json:"top_k,omitempty"`
-}
-
-// boolOr resolves a tri-state knob: nil means the default (true).
-func boolOr(p *bool, def bool) bool {
-	if p == nil {
-		return def
-	}
-	return *p
 }
 
 // Validate checks the spec for early, friendly errors — the same checks for
@@ -94,6 +82,12 @@ func (s *JobSpec) Validate() error {
 	}
 	if _, err := s.isoAlgo(); err != nil {
 		return err
+	}
+	if s.Threads < 0 {
+		return fmt.Errorf("service: negative threads %d", s.Threads)
+	}
+	if s.ProjectedBytes < 0 {
+		return fmt.Errorf("service: negative projected_bytes %d", s.ProjectedBytes)
 	}
 	if s.QueueDeadlineMS < 0 {
 		return fmt.Errorf("service: negative queue_deadline_ms %d", s.QueueDeadlineMS)
@@ -142,7 +136,6 @@ func (s *JobSpec) Config() (kaleido.Config, error) {
 	}
 	cfg := kaleido.Config{
 		Threads: s.Threads,
-		Predict: boolOr(s.Predict, true),
 		Iso:     iso,
 	}
 	if s.Budget != "" {

@@ -60,6 +60,8 @@ func TestJobSpecValidate(t *testing.T) {
 		{App: "tc", Dataset: "mico", Iso: "magic"},        // bad iso
 		{App: "tc", Dataset: "mico", QueueDeadlineMS: -5}, // negative deadline
 		{App: "motif", K: 3, Dataset: "mico", TopK: -1},   // negative top-k
+		{App: "tc", Dataset: "mico", Threads: -1},         // negative threads
+		{App: "tc", Dataset: "mico", ProjectedBytes: -1},  // negative projection
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
@@ -71,8 +73,7 @@ func TestJobSpecValidate(t *testing.T) {
 // TestJobSpecRoundTrip checks the wire encoding stays minimal and stable:
 // defaulted knobs are omitted, and decode(encode(spec)) is the identity.
 func TestJobSpecRoundTrip(t *testing.T) {
-	off := false
-	spec := JobSpec{App: "fsm", K: 3, Support: 7, Dataset: "mico", Predict: &off, TopK: 5}
+	spec := JobSpec{App: "fsm", K: 3, Support: 7, Dataset: "mico", TopK: 5}
 	b, err := json.Marshal(&spec)
 	if err != nil {
 		t.Fatal(err)
@@ -84,20 +85,8 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.App != spec.App || back.K != spec.K || back.Support != spec.Support ||
-		back.TopK != spec.TopK || back.Predict == nil || *back.Predict {
+	if back != spec {
 		t.Fatalf("round trip mangled the spec: %+v", back)
-	}
-	cfg, err := back.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Predict {
-		t.Fatalf("tri-state knob resolved wrong: %+v", cfg)
-	}
-	var dflt JobSpec
-	if cfg, err := dflt.Config(); err != nil || !cfg.Predict {
-		t.Fatalf("absent predict resolved to %+v, %v; want on", cfg, err)
 	}
 }
 
@@ -585,7 +574,7 @@ func TestSubmitRefusesBadBodies(t *testing.T) {
 		return resp.StatusCode, e.Error
 	}
 	graph, _ := json.Marshal(path)
-	for _, field := range []string{`"compress_resident":false`, `"shards":2`} {
+	for _, field := range []string{`"compress_resident":false`, `"shards":2`, `"predict":true`} {
 		name := strings.Split(field, ":")[0]
 		body := []byte(`{"app":"tc","graph":` + string(graph) + `,` + field + `}`)
 		if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, "unknown field "+name) {

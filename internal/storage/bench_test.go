@@ -53,7 +53,7 @@ func BenchmarkAppendGroup(b *testing.B) {
 						go func(p *hybridPartWriter) {
 							defer wg.Done()
 							for j := 0; j < per; j++ {
-								if err := p.AppendGroup(group, nil); err != nil {
+								if err := p.AppendGroup(group); err != nil {
 									b.Error(err)
 									return
 								}
@@ -96,7 +96,7 @@ func benchStack(b *testing.B, lay layout, depth int) *CSE {
 			}
 			groups[p] = g
 		}
-		_, hl, _ := buildLevels(b, nil, groups, 6, false, lay)
+		_, hl, _ := buildLevels(b, nil, groups, 6, lay)
 		hl.blockSize = DefaultBlockSize
 		if err := c.Push(hl); err != nil {
 			b.Fatal(err)

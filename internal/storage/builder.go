@@ -92,8 +92,6 @@ func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
 		p.migrated = false
 		p.dwSealed = false
 		p.dw = diskPartWriter{}
-		p.acc.Reset()
-		p.pred = false
 	}
 }
 
@@ -117,23 +115,18 @@ type hybridPartWriter struct {
 	migrated  bool
 	dwSealed  bool
 	dw        diskPartWriter
-
-	// §4.2 prediction accounting, kept here across migration.
-	acc  PredAccum
-	pred bool
 }
 
 // Part returns the writer of part i of the build's nparts.
 func (b *HybridLevelBuilder) Part(i int) *hybridPartWriter { return &b.parts[i] }
 
 // ReservePart pre-grows part i's memory buffers to hold about verts child
-// units in groups groups — the §4.2 prediction-driven pre-sizing that
-// replaces append-doubling during cold-start expansion with one up-front
-// allocation. It is a hint, not a limit: parts still grow on demand past the
-// reserve. A part's reserve is capped at twice its even share of the memory
-// watermark, and reserves stop once their sum reaches the watermark —
-// capacity is real resident memory, and a part likely to migrate should not
-// pre-claim it.
+// units in groups groups — the pre-sizing that replaces append-doubling
+// during cold-start expansion with one up-front allocation. It is a hint, not
+// a limit: parts still grow on demand past the reserve. A part's reserve is
+// capped at twice its even share of the memory watermark, and reserves stop
+// once their sum reaches the watermark — capacity is real resident memory,
+// and a part likely to migrate should not pre-claim it.
 func (b *HybridLevelBuilder) ReservePart(i, verts, groups int) {
 	if b.gov.budget <= 0 {
 		return
@@ -169,27 +162,18 @@ func (b *HybridLevelBuilder) ReservePart(i, verts, groups int) {
 }
 
 // maxHybridReserve caps a single part's pre-sized capacity (in units) so a
-// wildly overestimated prediction cannot balloon resident memory.
+// wildly overestimated fan-out cannot balloon resident memory.
 const maxHybridReserve = 1 << 27
 
-// AppendGroup appends the children of the next parent embedding. preds
-// optionally carries each child's predicted candidate size for the §4.2 load
-// balancer; it must be all-nil or always len(children) within a level. A
-// part in memory charges the governor once its uncharged bytes reach the
-// build's slab, or at every group while the external pressure flag is up.
-func (p *hybridPartWriter) AppendGroup(children []uint32, preds []uint32) error {
+// AppendGroup appends the children of the next parent embedding. A part in
+// memory charges the governor once its uncharged bytes reach the build's
+// slab, or at every group while the external pressure flag is up.
+func (p *hybridPartWriter) AppendGroup(children []uint32) error {
 	if p.b.queue.Failed() {
 		// The write-behind queue hit a hard error (ENOSPC, retries
 		// exhausted): fail the chunk worker promptly instead of finishing
 		// the whole expansion into a queue that discards everything.
 		return p.b.queue.Err()
-	}
-	if preds != nil {
-		if len(preds) != len(children) {
-			return fmt.Errorf("storage: %d preds for %d children", len(preds), len(children))
-		}
-		p.pred = true
-		p.acc.Add(preds)
 	}
 	// Before Flush only the owner migrates the part, so the plain reads of
 	// p.migrated on the owning goroutine are safe.
@@ -274,7 +258,6 @@ func (p *hybridPartWriter) migrate() error {
 
 // Flush completes the part. Parts may flush in any order.
 func (p *hybridPartWriter) Flush() error {
-	p.acc.Flush()
 	// Charge the tail before publishing the flush: from then on the governor
 	// may migrate the part, which frees all of its bytes.
 	p.charge()
@@ -317,7 +300,6 @@ func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 		}
 	}
 	h := &HybridLevel{blockSize: b.blockSize, tracker: b.tracker, fs: b.fs}
-	sawPred, sawPlainNonEmpty := false, false
 	for i := range b.parts {
 		p := &b.parts[i]
 		hp := hybridPart{vertBase: h.totalVerts, groupBase: h.totalGroups}
@@ -344,19 +326,9 @@ func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 			poolPutU32(p.counts) // bounds replace the counts; recycle them
 			p.counts = nil
 		}
-		if p.pred {
-			sawPred = true
-		} else if hp.numVerts > 0 {
-			sawPlainNonEmpty = true
-		}
 		h.parts = append(h.parts, hp)
 		h.totalVerts += hp.numVerts
 		h.totalGroups += hp.numGroups
-		h.pred = append(h.pred, p.acc.Segs...)
-	}
-	if sawPred && sawPlainNonEmpty {
-		b.Abort()
-		return nil, fmt.Errorf("storage: mixed prediction state across parts")
 	}
 	// Keep the part-writer slice for Reset: the builder is pooled across
 	// level builds (handed-over buffers were nil'ed above; Reset clears the

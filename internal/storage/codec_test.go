@@ -171,7 +171,7 @@ func TestCompressedRatioAndAccounting(t *testing.T) {
 		groups[i] = g
 		next -= 60 // overlap between consecutive groups, still near-sorted
 	}
-	_, dl, tracker := buildLevels(t, nil, groups, 2, false, layoutDisk)
+	_, dl, tracker := buildLevels(t, nil, groups, 2, layoutDisk)
 	logical := dl.DiskBytes()
 	phys := dl.DiskBytesPhysical()
 	if logical == 0 || phys == 0 {

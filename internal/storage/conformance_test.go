@@ -14,13 +14,12 @@ import (
 )
 
 // MemLevel is the reference every hybrid level is checked against: the two
-// plain arrays of §3.1.1, plus the §4.2 segments the builder should record.
+// plain arrays of §3.1.1.
 type MemLevel struct {
 	Verts []uint32
 	// Offs groups Verts under the previous level: len(Offs) = groups+1,
 	// Offs[0] = 0 and Offs[groups] = len(Verts).
 	Offs []uint64
-	Pred []PredSeg
 }
 
 // Validate checks the structural invariants of the level.
@@ -98,7 +97,7 @@ var (
 // buffers and 128-byte prefetch windows force frequent queue traffic and
 // codec blocks that straddle windows. fs is the filesystem of the spilled
 // parts (nil = the real one).
-func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, withPred bool, lay layout) (*MemLevel, *HybridLevel, *memtrack.Tracker) {
+func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, lay layout) (*MemLevel, *HybridLevel, *memtrack.Tracker) {
 	t.Helper()
 	var (
 		tracker *memtrack.Tracker
@@ -123,24 +122,13 @@ func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, withPre
 	per := (len(groups) + nparts - 1) / nparts
 	for i := 0; i < nparts; i++ {
 		lo, hi := min(i*per, len(groups)), min(i*per+per, len(groups))
-		var acc PredAccum // prediction segments restart at every part seam
 		for _, g := range groups[lo:hi] {
-			var preds []uint32
-			if withPred {
-				preds = make([]uint32, len(g))
-				for j := range preds {
-					preds[j] = g[j] % 7
-				}
-				acc.Add(preds)
-			}
 			ml.Verts = append(ml.Verts, g...)
 			ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
-			if err := hb.Part(i).AppendGroup(g, preds); err != nil {
+			if err := hb.Part(i).AppendGroup(g); err != nil {
 				t.Fatal(err)
 			}
 		}
-		acc.Flush()
-		ml.Pred = append(ml.Pred, acc.Segs...)
 		if err := hb.Part(i).Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +229,6 @@ func TestConformance(t *testing.T) {
 		name   string
 		groups [][]uint32
 		nparts int
-		pred   bool
 	}
 	// Big enough that every part spans several codec blocks and CntChunks:
 	// ~2·CntChunk groups and ~3 vert blocks per part.
@@ -258,14 +245,14 @@ func TestConformance(t *testing.T) {
 	for i := range unit {
 		unit[i] = []uint32{uint32(i)}
 	}
-	shapes := []shape{{"seams", big, 3, false}, {"unit-1part", unit, 1, false}, {"unit-2parts", unit, 2, false}}
+	shapes := []shape{{"seams", big, 3}, {"unit-1part", unit, 1}, {"unit-2parts", unit, 2}}
 	for trial := 0; trial < 6; trial++ {
-		shapes = append(shapes, shape{fmt.Sprintf("random%d", trial), randGroups(rng, 1+rng.Intn(400)), 1 + rng.Intn(5), trial%2 == 0})
+		shapes = append(shapes, shape{fmt.Sprintf("random%d", trial), randGroups(rng, 1+rng.Intn(400)), 1 + rng.Intn(5)})
 	}
 	for _, sh := range shapes {
 		for _, lay := range layouts {
 			t.Run(sh.name+"/"+lay.name, func(t *testing.T) {
-				ml, hl, _ := buildLevels(t, nil, sh.groups, sh.nparts, sh.pred, lay)
+				ml, hl, _ := buildLevels(t, nil, sh.groups, sh.nparts, lay)
 				checkConforms(t, ml, hl, base(hl.Groups()))
 				if lay.name == "disk" && hl.MemParts() != 0 {
 					t.Fatalf("budget ≤ 0 left %d parts in memory", hl.MemParts())
@@ -293,9 +280,6 @@ func checkConforms(t *testing.T, ml *MemLevel, hl *HybridLevel, units []uint32) 
 	n, groups := len(ml.Verts), len(ml.Offs)-1
 	if n != hl.Len() || groups != hl.Groups() {
 		t.Fatalf("shape %d/%d vs %d/%d", n, groups, hl.Len(), hl.Groups())
-	}
-	if !reflect.DeepEqual(ml.Pred, hl.Predicted()) {
-		t.Fatalf("predictions differ: %v vs %v", ml.Pred, hl.Predicted())
 	}
 	// Seams in vert index space and in group index space.
 	vseams, gseams := []int{0, n}, []int{0, groups}

@@ -57,53 +57,6 @@ package storage
 
 import "fmt"
 
-// PredictChunk is the granularity of the load balancer's predicted-work
-// summaries: one segment per this many embeddings (segments at part seams
-// may be shorter).
-const PredictChunk = 4096
-
-// PredSeg summarizes the predicted expansion work of a run of consecutive
-// embeddings: Leaves embeddings whose predicted candidate sizes sum to Work.
-type PredSeg struct {
-	Leaves uint32
-	Work   uint64
-}
-
-// PredAccum accumulates per-child predicted sizes into PredictChunk-sized
-// segments — the one shared implementation behind every part writer's §4.2
-// bookkeeping.
-type PredAccum struct {
-	Segs []PredSeg
-	open PredSeg
-}
-
-// Add folds one group's per-child predictions into the open segment,
-// rolling it into Segs at every PredictChunk leaves.
-func (a *PredAccum) Add(preds []uint32) {
-	for _, w := range preds {
-		a.open.Leaves++
-		a.open.Work += uint64(w)
-		if a.open.Leaves == PredictChunk {
-			a.Segs = append(a.Segs, a.open)
-			a.open = PredSeg{}
-		}
-	}
-}
-
-// Flush rolls the open partial segment into Segs.
-func (a *PredAccum) Flush() {
-	if a.open.Leaves > 0 {
-		a.Segs = append(a.Segs, a.open)
-		a.open = PredSeg{}
-	}
-}
-
-// Reset clears the accumulator, keeping Segs capacity.
-func (a *PredAccum) Reset() {
-	a.Segs = a.Segs[:0]
-	a.open = PredSeg{}
-}
-
 // NewBaseLevel wraps a unit list as a base (level 1) level: one raw part with
 // no group bounds, charged 4 bytes per unit. The level keeps units; Close
 // leaves them to the collector instead of the part pool.

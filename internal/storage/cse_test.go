@@ -18,7 +18,7 @@ func stackOf(t testing.TB, lay layout, units []uint32, levels ...[][]uint32) (*C
 	c := NewCSE(NewBaseLevel(units))
 	var refs []*MemLevel
 	for _, groups := range levels {
-		ml, hl, _ := buildLevels(t, nil, groups, 3, false, lay)
+		ml, hl, _ := buildLevels(t, nil, groups, 3, lay)
 		if err := c.Push(hl); err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestWalkerSkipsEmptyGroups(t *testing.T) {
 func TestPushValidation(t *testing.T) {
 	c := NewCSE(NewBaseLevel([]uint32{1, 2, 3}))
 	// Mismatched group count (2 groups for 3 embeddings).
-	_, hl, _ := buildLevels(t, nil, [][]uint32{{9}, {}}, 1, false, layoutRaw)
+	_, hl, _ := buildLevels(t, nil, [][]uint32{{9}, {}}, 1, layoutRaw)
 	if err := c.Push(hl); err == nil {
 		t.Fatal("mismatched level accepted")
 	}
@@ -219,7 +219,7 @@ func TestMemLevelValidate(t *testing.T) {
 
 func TestParentOf(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, lay layout) {
-		_, hl, _ := buildLevels(t, nil, [][]uint32{{9, 9}, {}, {9, 9}}, 2, false, lay)
+		_, hl, _ := buildLevels(t, nil, [][]uint32{{9, 9}, {}, {9, 9}}, 2, lay)
 		want := []int{0, 0, 2, 2}
 		for i, p := range want {
 			if got, err := hl.ParentOf(i); err != nil || got != p {

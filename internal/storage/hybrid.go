@@ -28,7 +28,6 @@ type HybridLevel struct {
 	parts       []hybridPart
 	totalVerts  int
 	totalGroups int
-	pred        []PredSeg
 	blockSize   int
 	tracker     *memtrack.Tracker
 	fs          vfs.FS
@@ -42,11 +41,6 @@ func (h *HybridLevel) Len() int { return h.totalVerts }
 // the base level has none.
 func (h *HybridLevel) Groups() int { return h.totalGroups }
 
-// Predicted returns the §4.2 load-balance summaries: an ordered list of
-// segments covering all embeddings of the level, each with its total
-// predicted candidate size. Nil when no prediction was recorded.
-func (h *HybridLevel) Predicted() []PredSeg { return h.pred }
-
 // Bytes reports the resident footprint: the full arrays of raw parts and the
 // block directories and sparse indexes of disk parts.
 func (h *HybridLevel) Bytes() int64 {
@@ -54,7 +48,7 @@ func (h *HybridLevel) Bytes() int64 {
 	for i := range h.parts {
 		b += h.parts[i].residentBytes()
 	}
-	return b + int64(len(h.pred))*16
+	return b
 }
 
 // DiskBytes reports the logical on-disk footprint of the migrated parts:

@@ -33,7 +33,7 @@ func TestHybridMidBuildSpill(t *testing.T) {
 	}
 	const nparts = 8
 	budget := totalBytes / 2
-	ml, hl, tracker := buildLevels(t, nil, groups, nparts, false,
+	ml, hl, tracker := buildLevels(t, nil, groups, nparts,
 		layout{name: "half", budget: budget, at: func(int) byte { return 'r' }})
 	if hl.DiskParts() == 0 || hl.MemParts() == 0 {
 		t.Fatalf("placement not hybrid: %d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
@@ -69,13 +69,13 @@ func TestHybridPressureSpill(t *testing.T) {
 	hb.Reset(4, 2, 1<<40)
 	group := []uint32{1, 2, 3, 4}
 	for i := 0; i < 50; i++ {
-		if err := hb.Part(0).AppendGroup(group, nil); err != nil {
+		if err := hb.Part(0).AppendGroup(group); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pressure.Store(true) // budget collapses mid-build
 	for i := 0; i < 50; i++ {
-		if err := hb.Part(0).AppendGroup(group, nil); err != nil {
+		if err := hb.Part(0).AppendGroup(group); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestHybridPressureClears(t *testing.T) {
 	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, 1<<20)
 	hb.Reset(7, 1, 1<<40)
 	for i := 0; i < 10; i++ {
-		if err := hb.Part(0).AppendGroup([]uint32{1, 2, 3}, nil); err != nil {
+		if err := hb.Part(0).AppendGroup([]uint32{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 			// this goroutine or with one goroutine per part.
 			build := func(parts ...int) {
 				appendTo := func(i int) {
-					if err := hb.Part(i).AppendGroup(group, nil); err != nil {
+					if err := hb.Part(i).AppendGroup(group); err != nil {
 						t.Error(err)
 					}
 				}
@@ -309,7 +309,7 @@ func TestHybridSlabLagBound(t *testing.T) {
 						for i := w; i < nparts; i += writers {
 							p := hb.Part(i)
 							g := groups[i][j]
-							if err := p.AppendGroup(g, nil); err != nil {
+							if err := p.AppendGroup(g); err != nil {
 								t.Error(err)
 								return
 							}
@@ -390,7 +390,7 @@ func TestHybridSlabConservation(t *testing.T) {
 				g := []uint32{uint32(j), uint32(j + 1), uint32(j + 3)}
 				ml.Verts = append(ml.Verts, g...)
 				ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
-				if err := hb.Part(part).AppendGroup(g, nil); err != nil {
+				if err := hb.Part(part).AppendGroup(g); err != nil {
 					t.Fatal(err)
 				}
 				appended[part] += int64(len(g))*4 + 8
@@ -501,7 +501,7 @@ func TestHybridAllMemFinish(t *testing.T) {
 	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
 	hb.Reset(6, 2, 1<<40)
 	for i := 0; i < 2; i++ {
-		if err := hb.Part(i).AppendGroup([]uint32{uint32(i)}, nil); err != nil {
+		if err := hb.Part(i).AppendGroup([]uint32{uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := hb.Part(i).Flush(); err != nil {
@@ -542,7 +542,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
 			for pi, gs := range groups {
 				for _, g := range gs {
-					if err := hb.Part(pi).AppendGroup(g, nil); err != nil {
+					if err := hb.Part(pi).AppendGroup(g); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -568,7 +568,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 
 			// A build abandoned half-way must not leak into the next one.
 			hb.Reset(3, 2, budget)
-			if err := hb.Part(1).AppendGroup([]uint32{8, 9}, nil); err != nil {
+			if err := hb.Part(1).AppendGroup([]uint32{8, 9}); err != nil {
 				t.Fatal(err)
 			}
 			if err := hb.Abort(); err != nil {
@@ -579,24 +579,6 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 			}
 			hb.Reset(2, 3, budget)
 		}
-	}
-}
-
-// TestBuilderMixedPredRejected: a non-empty part without predictions
-// alongside predicted parts must fail Finish.
-func TestBuilderMixedPredRejected(t *testing.T) {
-	hb := NewHybridLevelBuilder(&run.Env{}, "", nil, nil, 0)
-	hb.Reset(2, 2, math.MaxInt64)
-	if err := hb.Part(0).AppendGroup([]uint32{1}, []uint32{3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := hb.Part(1).AppendGroup([]uint32{2}, nil); err != nil {
-		t.Fatal(err)
-	}
-	hb.Part(0).Flush()
-	hb.Part(1).Flush()
-	if _, err := hb.Finish(); err == nil {
-		t.Fatal("mixed prediction state accepted")
 	}
 }
 
@@ -614,7 +596,7 @@ var spillTwo = layout{name: "two-disk", budget: 1 << 40, at: func(i int) byte {
 func TestHybridPromote(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	groups := randGroups(rng, 300)
-	ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo)
+	ml, hl, _ := buildLevels(t, nil, groups, 4, spillTwo)
 
 	// Headroom below the smallest part's cost promotes nothing.
 	if n, err := hl.Promote(1); err != nil || n != 0 {
@@ -653,7 +635,7 @@ func TestHybridPromote(t *testing.T) {
 func TestHybridPromotePartial(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	groups := randGroups(rng, 240)
-	ml, hl, _ := buildLevels(t, nil, groups, 4, false, spillTwo)
+	ml, hl, _ := buildLevels(t, nil, groups, 4, spillTwo)
 	var costs []int64
 	for i := range hl.parts {
 		if hl.parts[i].onDisk() {
@@ -679,7 +661,7 @@ func TestHybridPromotePartial(t *testing.T) {
 func TestRewriteEveryResidency(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	groups := randGroups(rng, 500)
-	ml, hl, tracker := buildLevels(t, nil, groups, 6, true, layoutMixed)
+	ml, hl, tracker := buildLevels(t, nil, groups, 6, layoutMixed)
 	before := [2]int{hl.MemParts(), hl.DiskParts()}
 	keep := func(u uint32) bool { return u%3 != 0 }
 

@@ -85,8 +85,7 @@ func (r *PartRewriter) Flush() error {
 // queue for restreamed disk parts, verifies and swaps their fresh files in
 // (removing the old ones), turns the memory parts' recorded per-group kept
 // counts back into global boundaries, and rebases every part. Group counts
-// are unchanged; the level shrinks to the kept units and drops its
-// prediction segments. On error the level is left in an unspecified state
+// are unchanged; the level shrinks to the kept units. On error the level is left in an unspecified state
 // and must be Closed.
 func (h *HybridLevel) FinishRewrite(rws []*PartRewriter, q *WriteQueue) error {
 	anyDisk := false
@@ -139,7 +138,6 @@ func (h *HybridLevel) FinishRewrite(rws []*PartRewriter, q *WriteQueue) error {
 		total += p.numVerts
 	}
 	h.totalVerts = total
-	h.pred = nil
 	return swapErr
 }
 

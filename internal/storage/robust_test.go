@@ -31,7 +31,7 @@ func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*Hybri
 	db.blockSize = 128
 	per := (len(groups) + nparts - 1) / nparts
 	for i, g := range groups {
-		if err := db.Part(i/per).AppendGroup(g, nil); err != nil {
+		if err := db.Part(i / per).AppendGroup(g); err != nil {
 			db.Abort()
 			return nil, tracker, err
 		}
@@ -129,7 +129,7 @@ func TestChecksumCorruptionLocatesBlock(t *testing.T) {
 		"version":   func(b []byte) []byte { b[0] = codecVersion + 1; return b },
 	}
 	for name, damage := range faults {
-		_, hl, _ := buildLevels(t, nil, groups, 1, false, layoutDisk)
+		_, hl, _ := buildLevels(t, nil, groups, 1, layoutDisk)
 		p := &hl.parts[0]
 		if _, err := readVerts(t, hl.VertBlocks(0, hl.Len())); err != nil {
 			t.Fatal(err)

@@ -49,14 +49,14 @@ func TestWalkerMixedLevelStack(t *testing.T) {
 	units := base(40)
 	groups2 := randGroups(rng, len(units))
 	groups2[0] = []uint32{1, 2, 3} // ensure a non-empty level
-	ml2, rl2, _ := buildLevels(t, nil, groups2, 2, false, layoutRaw)
-	_, dl2, _ := buildLevels(t, nil, groups2, 2, false, layoutDisk)
-	_, hl2, _ := buildLevels(t, nil, groups2, 3, false, layoutMixed)
+	ml2, rl2, _ := buildLevels(t, nil, groups2, 2, layoutRaw)
+	_, dl2, _ := buildLevels(t, nil, groups2, 2, layoutDisk)
+	_, hl2, _ := buildLevels(t, nil, groups2, 3, layoutMixed)
 	groups3 := randGroups(rng, len(ml2.Verts))
 	groups3[len(groups3)-1] = []uint32{7, 8} // exercise the last group
-	ml3, rl3, _ := buildLevels(t, nil, groups3, 3, false, layoutRaw)
-	_, dl3, _ := buildLevels(t, nil, groups3, 3, false, layoutDisk)
-	_, hl3, _ := buildLevels(t, nil, groups3, 4, false, layoutMixed)
+	ml3, rl3, _ := buildLevels(t, nil, groups3, 3, layoutRaw)
+	_, dl3, _ := buildLevels(t, nil, groups3, 3, layoutDisk)
+	_, hl3, _ := buildLevels(t, nil, groups3, 4, layoutMixed)
 
 	stack := func(l2, l3 *HybridLevel) *CSE {
 		c := NewCSE(NewBaseLevel(units))
@@ -95,7 +95,7 @@ func TestWalkerMixedLevelStack(t *testing.T) {
 func TestIOAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	groups := randGroups(rng, 200)
-	_, dl, tracker := buildLevels(t, nil, groups, 2, false, layoutDisk)
+	_, dl, tracker := buildLevels(t, nil, groups, 2, layoutDisk)
 	_, w := tracker.IOTotals()
 	if want := dl.DiskBytesPhysical(); w != want || w == 0 {
 		t.Fatalf("write bytes = %d, want %d", w, want)
@@ -115,7 +115,7 @@ func TestIOAccounting(t *testing.T) {
 func TestTruncatedVertFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	groups := randGroups(rng, 100)
-	_, dl, _ := buildLevels(t, nil, groups, 1, false, layoutDisk)
+	_, dl, _ := buildLevels(t, nil, groups, 1, layoutDisk)
 	// Truncate the vert file behind the level's back.
 	if err := os.Truncate(dl.parts[0].vf.Name(), dl.parts[0].comp.physVerts/2); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestFinishDetectsShortFiles(t *testing.T) {
 	dir := t.TempDir()
 	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
 	db.Reset(3, 1, 0)
-	if err := db.Part(0).AppendGroup([]uint32{1, 2, 3}, nil); err != nil {
+	if err := db.Part(0).AppendGroup([]uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Finish(); err == nil {
@@ -164,12 +164,12 @@ func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
 	db.blockSize = 64
 	// Parts 0 and 3 get groups; parts 1, 2, 4 stay empty.
 	for _, g := range [][]uint32{{1, 2, 3}, {}, {4}} {
-		if err := db.Part(0).AppendGroup(g, nil); err != nil {
+		if err := db.Part(0).AppendGroup(g); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, g := range [][]uint32{{5}, {}, {6, 7, 8, 9}} {
-		if err := db.Part(3).AppendGroup(g, nil); err != nil {
+		if err := db.Part(3).AppendGroup(g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestEmptyParts(t *testing.T) {
 	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, nil, 0)
 	db.Reset(2, 3, 0)
 	for _, g := range groups {
-		if err := db.Part(0).AppendGroup(g, nil); err != nil {
+		if err := db.Part(0).AppendGroup(g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestCloseRemovesFiles(t *testing.T) {
 				hb.parts[i].spillReq.Store(true)
 				wantFiles += 2
 			}
-			if err := hb.Part(i).AppendGroup([]uint32{uint32(i), uint32(i + 10)}, nil); err != nil {
+			if err := hb.Part(i).AppendGroup([]uint32{uint32(i), uint32(i + 10)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := hb.Part(i).Flush(); err != nil {
@@ -287,7 +287,7 @@ func TestCloseRemovesFiles(t *testing.T) {
 func TestParentOfSurfacesCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	groups := randGroups(rng, 120)
-	_, dl, _ := buildLevels(t, nil, groups, 1, false, layoutDisk)
+	_, dl, _ := buildLevels(t, nil, groups, 1, layoutDisk)
 	if err := os.Truncate(dl.parts[0].cf.Name(), 1); err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,9 @@
 // (§4.1): every level is built in memory part by part, and when the resident
 // bytes cross the spill watermark a budget governor migrates the largest
 // in-flight parts to disk mid-build — so a level slightly over budget keeps
-// most of itself in RAM and pays disk I/O (with sliding-window prefetch and
-// prediction-based load balancing) only for the spilled remainder. Pattern
-// aggregation solves
-// the graph-isomorphism problem for embeddings of fewer than 9 vertices with
+// most of itself in RAM and pays disk I/O (with sliding-window prefetch)
+// only for the spilled remainder. Pattern aggregation solves the
+// graph-isomorphism problem for embeddings of fewer than 9 vertices with
 // a characteristic-polynomial hash (Faddeev–LeVerrier over the label-weighted
 // adjacency matrix) instead of a canonical-labeling search tree.
 //
@@ -104,11 +103,6 @@ type Config struct {
 	// SpillDir receives spilled CSE level parts. Required when
 	// MemoryBudget > 0.
 	SpillDir string
-	// Predict enables the §4.2 candidate-size prediction for balanced
-	// partitioning of spilled levels. Its cost is bounded by sampling: 128
-	// groups per worker chunk pay the exact candidate-union count per child,
-	// the rest extrapolate the latest sampled mean.
-	Predict bool
 	// Iso selects the isomorphism backend for pattern aggregation.
 	Iso IsoAlgo
 	// Stats, when non-nil, receives memory and I/O accounting.
@@ -233,7 +227,6 @@ func (c Config) env(tracker *memtrack.Tracker) (*run.Env, error) {
 		Threads:      c.Threads,
 		MemoryBudget: c.MemoryBudget,
 		SpillDir:     c.SpillDir,
-		Predict:      c.Predict,
 		FS:           c.Faults.fs(),
 		Iso:          run.IsoAlgo(c.Iso),
 		Tracker:      tracker,
