@@ -8,12 +8,15 @@ package explore
 // in the steady state.
 
 import (
+	"math"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"kaleido/internal/gen"
 	"kaleido/internal/graph"
 	"kaleido/internal/run"
+	"kaleido/internal/storage"
 )
 
 func benchGraph(b *testing.B) *graph.Graph {
@@ -58,12 +61,15 @@ func BenchmarkMergeUnionProv(b *testing.B) {
 
 // BenchmarkAppendCanonical measures the fused leaf merge over the stored
 // 3-embeddings of a power-law graph, one op per parent embedding, in its
-// three uses: no filter into a storing or counting sink, a filter that reads
-// the adjacency mask (the clique filter), and a sink that takes the
-// children's masks (the motif Mapper). The prefix filter is paid once per
-// run of leaves, as in the expansion. ns/candidate divides by the size of
-// the leaf's candidate set |cands[k-1]|, which the leaf no longer walks;
-// ns/child divides by the children it emits, which it does.
+// four uses: no filter into a storing sink (store: appendStored writing
+// through the explorer's unbudgeted part writer, NextGroup to CommitGroup,
+// the level finished and closed every 1<<14 groups) or a counting sink
+// (nofilter), a filter that reads the adjacency mask (the clique filter),
+// and a sink that takes the children's masks (the motif Mapper). The prefix
+// filter is paid once per run of leaves, as in the expansion. ns/candidate
+// divides by the size of the leaf's candidate set |cands[k-1]|, which the
+// leaf no longer walks; ns/child divides by the children it emits, which it
+// does.
 func BenchmarkAppendCanonical(b *testing.B) {
 	g := benchGraph(b)
 	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 1}})
@@ -98,16 +104,50 @@ func BenchmarkAppendCanonical(b *testing.B) {
 	}
 	perParent := float64(cands) / float64(len(embs))
 
+	// store writes one leaf's children through an unbudgeted builder wired
+	// as an unbudgeted explorer wires it, one part, len(embs) groups a level.
+	var pressure atomic.Bool
+	hb := storage.NewHybridLevelBuilder(&run.Env{}, "", nil, &pressure, math.MaxInt64)
+	hb.Reset(k+1, 1, math.MaxInt64)
+	defer func() { hb.Abort() }()
+	groups := 0
+	store := func(b *testing.B, emb []uint32) int {
+		p := hb.Part(0)
+		buf, err := p.NextGroup()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := len(buf)
+		buf = st.appendStored(k, emb[k-1], emb[0], buf)
+		n = len(buf) - n
+		p.CommitGroup(buf)
+		if groups++; groups == len(embs) {
+			b.StopTimer()
+			if err := p.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			lvl, err := hb.Finish()
+			if err != nil {
+				b.Fatal(err)
+			}
+			lvl.Close()
+			hb.Reset(k+1, 1, math.MaxInt64)
+			groups = 0
+			b.StartTimer()
+		}
+		return n
+	}
+
 	all := func(_ int, emb []uint32, _, adj uint32) bool { return adj == 1<<len(emb)-1 }
 	for _, c := range []struct {
 		name    string
 		vf      VertexFilter
 		wantAdj bool
-	}{{"nofilter", nil, false}, {"maskfilter", all, false}, {"adjsink", nil, true}} {
+	}{{"store", nil, false}, {"nofilter", nil, false}, {"maskfilter", all, false}, {"adjsink", nil, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			var x expansion
 			var emb [k]uint32
-			step := func(i int) {
+			step := func(i int) int {
 				next := embs[i%len(embs)]
 				from := 1
 				for from < k && i > 0 && next[from-1] == emb[from-1] {
@@ -117,12 +157,20 @@ func BenchmarkAppendCanonical(b *testing.B) {
 				if from < k {
 					st.updatePrefix(emb[:], from, k)
 				}
-				st.appendCanonical(k, emb[k-1], emb[:], 0, c.vf, c.wantAdj, &x)
+				switch {
+				case c.name == "store":
+					return store(b, emb[:])
+				case c.vf == nil && !c.wantAdj:
+					x.children = st.appendStored(k, emb[k-1], emb[0], x.children[:0])
+				default:
+					x.children, x.adj = x.children[:0], x.adj[:0]
+					st.appendCanonical(k, emb[k-1], emb[:], 0, c.vf, c.wantAdj, &x)
+				}
+				return len(x.children)
 			}
 			var children int
 			for i := range embs {
-				step(i) // grow the pooled buffers to their steady-state size
-				children += len(x.children)
+				children += step(i) // grow the pooled buffers to their steady-state size
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -193,6 +241,7 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 			if from < k {
 				vst.updatePrefix(emb, from, k)
 			}
+			x.children, x.adj = x.children[:0], x.adj[:0]
 			vst.appendCanonical(k, emb[k-1], emb, 0, all, false, &x)
 		}},
 	} {

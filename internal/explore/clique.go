@@ -222,7 +222,11 @@ func (e *Explorer) expandCliques(ctx context.Context, w *storage.Walker, k, work
 		x.emb = emb
 		for _, u := range leaves {
 			emb[k-1] = u
-			x.children = st.appendLeaf(k, u, x.children[:0])
+			dst, err := sink.next(worker, chunk, x)
+			if err != nil {
+				return err
+			}
+			x.children = st.appendLeaf(k, u, dst)
 			if err := sink.emit(worker, chunk, x); err != nil {
 				return err
 			}

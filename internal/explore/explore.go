@@ -610,10 +610,13 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	}
 	x := &e.scratch[worker].x
 
+	// Every leaf appends its children to the slice the sink hands out — for a
+	// storing sink the part buffer itself, so a stored child is written once.
 	runs := 0
 	if e.cfg.Mode == VertexInduced {
 		st := e.vertexStateFor(worker, k)
 		wantAdj := sink.wantAdj()
+		stored := vf == nil && !wantAdj
 		for {
 			emb, from, leaves, ok := w.NextRun()
 			if !ok {
@@ -630,7 +633,16 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 			x.emb = emb
 			for _, u := range leaves {
 				emb[k-1] = u
-				st.appendCanonical(k, u, emb, worker, vf, wantAdj, x)
+				dst, err := sink.next(worker, chunk, x)
+				if err != nil {
+					return err
+				}
+				if stored {
+					x.children = st.appendStored(k, u, emb[0], dst)
+				} else {
+					x.children, x.adj = dst, x.adj[:0]
+					st.appendCanonical(k, u, emb, worker, vf, wantAdj, x)
+				}
 				if err := sink.emit(worker, chunk, x); err != nil {
 					return err
 				}
@@ -655,7 +667,11 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 		x.emb = emb
 		for _, f := range leaves {
 			emb[k-1] = f
-			x.children = st.appendCanonical(k, f, emb, worker, ef, x.children[:0])
+			dst, err := sink.next(worker, chunk, x)
+			if err != nil {
+				return err
+			}
+			x.children = st.appendCanonical(k, f, emb, worker, ef, dst)
 			if err := sink.emit(worker, chunk, x); err != nil {
 				return err
 			}

@@ -35,10 +35,15 @@ type ExpandSink interface {
 	// begin prepares the sink for a walk cut at bounds (len(bounds)-1
 	// chunks) over the current top level.
 	begin(e *Explorer, top *storage.HybridLevel, bounds []int) error
-	// emit consumes the canonical children of one parent embedding. It is
-	// called from worker goroutines; chunks are processed one at a time per
-	// worker, in parent order within a chunk. x and its slices are reused
-	// buffers, valid only during the call.
+	// next returns the slice the canonical children of the next parent
+	// embedding are appended to: x.children emptied or, for a storing sink,
+	// the chunk's part buffer, so that a stored child is written once.
+	next(worker, chunk int, x *expansion) ([]uint32, error)
+	// emit consumes the canonical children of one parent embedding: x.children
+	// is next's slice with them appended. It is called from worker
+	// goroutines; chunks are processed one at a time per worker, in parent
+	// order within a chunk. x and its slices are reused buffers, valid only
+	// during the call.
 	emit(worker, chunk int, x *expansion) error
 	// wantAdj reports whether emit reads x.adj, the children's adjacency
 	// masks. The expansion collects them for no other sink.
@@ -71,8 +76,17 @@ func (s *StoreSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) e
 	return nil
 }
 
+func (s *StoreSink) next(worker, chunk int, x *expansion) ([]uint32, error) {
+	return s.builder.Part(chunk).NextGroup()
+}
+
+// emit commits the part buffer the children were written into and drops the
+// worker's reference to it: the buffer becomes a stored level, and a later
+// walk on this explorer must not append into it.
 func (s *StoreSink) emit(worker, chunk int, x *expansion) error {
-	return s.builder.Part(chunk).AppendGroup(x.children)
+	s.builder.Part(chunk).CommitGroup(x.children)
+	x.children = nil
+	return nil
 }
 
 func (s *StoreSink) endChunk(worker, chunk int) error {
@@ -140,6 +154,10 @@ func (s *CountSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) e
 	return nil
 }
 
+func (s *CountSink) next(worker, chunk int, x *expansion) ([]uint32, error) {
+	return x.children[:0], nil
+}
+
 func (s *CountSink) emit(worker, chunk int, x *expansion) error {
 	s.counts[worker].n += uint64(len(x.children))
 	return nil
@@ -191,6 +209,10 @@ func (s *VisitSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) e
 		return fmt.Errorf("explore: VisitSink without a visit callback")
 	}
 	return nil
+}
+
+func (s *VisitSink) next(worker, chunk int, x *expansion) ([]uint32, error) {
+	return x.children[:0], nil
 }
 
 func (s *VisitSink) emit(worker, chunk int, x *expansion) error {

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/bits"
+	"slices"
 
 	"kaleido/internal/graph"
 )
@@ -163,15 +164,17 @@ func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
 	return bound
 }
 
-// appendCanonical appends to children the canonical extensions of emb (whose
-// leaf emb[k-1] just changed to u): the Definition-2 survivors of
+// appendCanonical appends to out.children the canonical extensions of emb
+// (whose leaf emb[k-1] just changed to u): the Definition-2 survivors of
 // cands[k-2] ∪ N(u), in ascending order, consumed as the union is merged — no
-// candidate buffer is written or re-read. Requires a prior updatePrefix for
-// the current run when k ≥ 2 (any from ≤ k−1).
+// candidate buffer is written or re-read. When wantAdj is set it appends
+// their adjacency masks to out.adj, parallel to the children; otherwise
+// out.adj is left alone. Requires a prior updatePrefix for the current run
+// when k ≥ 2 (any from ≤ k−1).
 //
 // The prefix side was filtered once per run (updatePrefix), so a leaf walks
-// only N(u) past emb[0] and its own children: O(|N(u)| + children + log) per
-// leaf. It emits, in order,
+// only N(u) past emb[0] and its own children: O(|N(u)| + children) per leaf.
+// It emits, in order,
 //  1. the entries of N(u) in (emb[0], u] that are not stamped — candidates
 //     only the leaf adds, which attach at the leaf, where the suffix is empty
 //     and only property (i) applies; they sort below every kept prefix
@@ -179,7 +182,8 @@ func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
 //  2. keep past u merged with N(u) past u: a tie gains the leaf bit, an entry
 //     only in keep keeps its mask, and an entry only in N(u) is a child iff
 //     it is unstamped — a stamped one is a prefix candidate that failed its
-//     bound.
+//     bound. The runs of keep between neighbours of u are bulk appends when
+//     there is no filter.
 //
 // Duplicates need no explicit check: every stored embedding is connected in
 // order, so a duplicate cand = emb[j] has a < j — it sits after its
@@ -187,12 +191,9 @@ func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
 // is the incremental CanonicalVertex semantics; the differential tests verify
 // the equivalence embedding-for-embedding.
 //
-// A survivor's adjacency mask m is what vf receives, and — when wantAdj is
-// set — what out.adj records for every child, parallel to out.children;
-// otherwise out.adj stays empty. With no filter, the runs of keep between
-// neighbors of u are bulk appends.
+// A survivor's adjacency mask m is what vf receives. With neither a filter
+// nor masks asked for, appendStored is the same leaf, cheaper.
 func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int, vf VertexFilter, wantAdj bool, out *expansion) {
-	out.children, out.adj = out.children[:0], out.adj[:0]
 	emb0 := emb[0]
 	if emb0 == ^uint32(0) {
 		return // nothing can exceed emb[0]; emb0+1 would wrap below
@@ -215,14 +216,8 @@ func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int,
 		}
 	}
 	ids, adj := s.keep.ids, s.keep.adj
-	i := s.at
-	if i > 0 && ids[i-1] > u {
-		i = 0 // a leaf below the last one: not a walker order, start over
-	}
-	i = gallopGE(ids, i, u+1)
-	s.at = i
-	for ; j < len(nb); j++ {
-		y := nb[j]
+	i := s.cursor(u)
+	for _, y := range nb[j:] {
 		p := i
 		for p < len(ids) && ids[p] < y {
 			p++
@@ -244,6 +239,73 @@ func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int,
 		}
 	}
 	appendKeep(out, ids[i:], adj[i:], worker, emb, vf, wantAdj)
+}
+
+// appendStored is appendCanonical for a sink that takes no masks, under no
+// filter — the storing and counting sinks: it appends u's children to dst
+// and returns it. Masks unread, a stamped neighbour of u needs nothing — it
+// is in keep, which is copied whole, or it failed its bound — so one pass
+// over N(u) past emb[0] probes the marker: the unstamped entries up to u are
+// children at once, and each one past u is inserted into the copy of keep
+// past u (an unstamped entry is never in keep, so there are no ties). The
+// copy runs element by element up to the last insertion point, found by the
+// same forward scan, and in bulk after it. dst is grown once, for every
+// child the leaf can have.
+func (s *vertexState) appendStored(k int, u, emb0 uint32, dst []uint32) []uint32 {
+	if emb0 == ^uint32(0) {
+		return dst // nothing can exceed emb[0], keep included
+	}
+	nb := s.g.Neighbors(u)
+	// A store4 leaf has 1.7 neighbours up to emb[0]: a linear skip, not a
+	// gallop (gallopGE was 6 % of a store4-mem profile here).
+	j := 0
+	for j < len(nb) && nb[j] <= emb0 {
+		j++
+	}
+	if k == 1 {
+		return append(dst, nb[j:]...)
+	}
+	mk, ids := s.mk, s.keep.ids
+	i := s.cursor(u)
+	n := len(dst)
+	out := slices.Grow(dst, len(nb)-j+len(ids)-i)
+	out = out[:cap(out)]
+	for ; j < len(nb) && nb[j] <= u; j++ {
+		if y := nb[j]; !mk.Marked(y) {
+			out[n] = y
+			n++
+		}
+	}
+	for ; j < len(nb); j++ {
+		y := nb[j]
+		if mk.Marked(y) {
+			continue
+		}
+		for i < len(ids) && ids[i] < y {
+			out[n] = ids[i]
+			n++
+			i++
+		}
+		out[n] = y
+		n++
+	}
+	n += copy(out[n:], ids[i:])
+	return out[:n]
+}
+
+// cursor moves the keep cursor to the first kept entry past the leaf u and
+// returns it. An unfiltered run's leaves are its keep list, so the forward
+// scan moves about one entry per leaf.
+func (s *vertexState) cursor(u uint32) int {
+	ids, i := s.keep.ids, s.at
+	if i > 0 && ids[i-1] > u {
+		i = 0 // a leaf below the last one: not a walker order, start over
+	}
+	for i < len(ids) && ids[i] <= u {
+		i++
+	}
+	s.at = i
+	return i
 }
 
 // appendKeep appends the kept prefix candidates ids, with masks adj, that vf

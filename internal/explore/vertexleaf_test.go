@@ -91,7 +91,7 @@ func refLevels(g *graph.Graph, vf VertexFilter, maxDepth int) [][][]uint32 {
 // at every depth, the stored level to ref in stored order and ExpandCount to
 // the next level's size; with no filter, and below the top, also the
 // children and masks an adj sink (ExpandVisitGroups) receives to the next
-// level and refAdjMask. It reports the block-seam continuation runs of the
+// level and refAdjMask; and then the stored level to ref once more. It reports the block-seam continuation runs of the
 // levels it expanded, whether some level was split between memory and disk,
 // and the CSE's resident bytes per depth.
 func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter, ref [][][]uint32) (continuations int, mixed bool, bytes []int64) {
@@ -129,6 +129,12 @@ func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter
 		}
 		if vf == nil && d < maxDepth {
 			checkAdjSink(t, e, g, d, ref[d])
+		}
+		// The walks above reuse the workers' scratch, which the Expand that
+		// stored this level wrote its children through: none of it may
+		// still point into the level.
+		if got, _ := walkLevel(t, e); !embsEqual(got, ref[d-1]) {
+			t.Fatalf("depth %d: stored level changed by later walks: %s", d, diffSample(got, ref[d-1]))
 		}
 	}
 	return continuations, mixed, bytes
@@ -216,37 +222,70 @@ func TestAppendCanonicalCases(t *testing.T) {
 	}
 
 	// Every leaf of the run — ascending, then once more descending, which
-	// restarts the keep cursor — against the reference, under each use.
+	// restarts the keep cursor — against the reference, under each use: the
+	// store call (no filter, no masks: appendStored), an adj sink, and two
+	// filters. Each leaf appends behind an earlier group already in the
+	// destination, as into a part buffer, and must leave it untouched.
 	leaves := []uint32{3, 4, 5, 7, 8, 9}
 	for i := len(leaves) - 1; i >= 0; i-- {
 		leaves = append(leaves, leaves[i])
 	}
-	for _, vf := range []VertexFilter{nil, allOnesFilter, func(_ int, _ []uint32, c, _ uint32) bool { return c%2 == 0 }} {
+	earlier := []uint32{12, 11, 13}
+	for _, use := range []struct {
+		name    string
+		vf      VertexFilter
+		wantAdj bool
+	}{
+		{"store", nil, false},
+		{"adjsink", nil, true},
+		{"maskfilter", allOnesFilter, true},
+		{"evenfilter", func(_ int, _ []uint32, c, _ uint32) bool { return c%2 == 0 }, true},
+	} {
 		for _, u := range leaves {
 			emb[2] = u
-			st.appendCanonical(3, u, emb, 0, vf, true, &x)
+			x.children, x.adj = append(x.children[:0], earlier...), x.adj[:0]
+			if use.vf == nil && !use.wantAdj {
+				x.children = st.appendStored(3, u, emb[0], x.children)
+			} else {
+				st.appendCanonical(3, u, emb, 0, use.vf, use.wantAdj, &x)
+			}
+			if got := x.children[:len(earlier)]; fmt.Sprint(got) != fmt.Sprint(earlier) {
+				t.Fatalf("%s leaf %d: earlier group %v overwritten: %v", use.name, u, earlier, got)
+			}
+			kids := x.children[len(earlier):]
 			var wantKids []uint32
-			for _, c := range refExpandVertex(g, [][]uint32{append(emb[:2:2], u)}, vf) {
+			for _, c := range refExpandVertex(g, [][]uint32{append(emb[:2:2], u)}, use.vf) {
 				wantKids = append(wantKids, c[3])
 			}
-			if fmt.Sprint(x.children) != fmt.Sprint(wantKids) {
-				t.Fatalf("leaf %d: children %v, reference %v", u, x.children, wantKids)
+			if fmt.Sprint(kids) != fmt.Sprint(wantKids) {
+				t.Fatalf("%s leaf %d: children %v, reference %v", use.name, u, kids, wantKids)
 			}
-			for j, c := range x.children {
+			if !use.wantAdj {
+				if len(x.adj) != 0 {
+					t.Fatalf("%s leaf %d: masks %v collected unasked", use.name, u, x.adj)
+				}
+				continue
+			}
+			if len(x.adj) != len(kids) {
+				t.Fatalf("%s leaf %d: %d masks for %d children", use.name, u, len(x.adj), len(kids))
+			}
+			for j, c := range kids {
 				if m := refAdjMask(g, emb, c); x.adj[j] != m {
-					t.Fatalf("leaf %d child %d: mask %b, want %b", u, c, x.adj[j], m)
+					t.Fatalf("%s leaf %d child %d: mask %b, want %b", use.name, u, c, x.adj[j], m)
 				}
 			}
 		}
 	}
 
-	// emb[0] = MaxUint32: nothing exceeds it, at any depth.
+	// emb[0] = MaxUint32: nothing exceeds it, at any depth, so both leaves
+	// append nothing.
 	for k := 1; k <= 3; k++ {
 		top := append([]uint32{^uint32(0)}, emb[1:k]...)
-		x.children = append(x.children[:0], 99)
+		x.children, x.adj = append(x.children[:0], 99), x.adj[:0]
 		st.appendCanonical(k, 4, top, 0, nil, true, &x)
-		if len(x.children) != 0 || len(x.adj) != 0 {
-			t.Fatalf("k=%d, emb[0] = MaxUint32: children %v", k, x.children)
+		x.children = st.appendStored(k, 4, top[0], x.children)
+		if fmt.Sprint(x.children) != "[99]" || len(x.adj) != 0 {
+			t.Fatalf("k=%d, emb[0] = MaxUint32: children %v, masks %v", k, x.children, x.adj)
 		}
 	}
 }

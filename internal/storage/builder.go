@@ -81,7 +81,7 @@ func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
 	for i := range b.parts {
 		p := &b.parts[i]
 		p.b, p.idx = b, i
-		p.verts, p.counts = nil, nil
+		p.verts, p.counts, p.scratch = nil, nil, nil
 		p.bytes.Store(0)
 		// All-disk regime: nothing fits, so skip the pointless memory stay —
 		// the first append migrates with an empty replay.
@@ -104,6 +104,9 @@ type hybridPartWriter struct {
 	// Memory stage (owner-only until flushed).
 	verts  []uint32
 	counts []uint32
+	// scratch is the group buffer NextGroup hands out once the part has
+	// migrated (owner-only).
+	scratch []uint32
 
 	// Placement control.
 	bytes     atomic.Int64 // resident bytes charged to the governor
@@ -165,26 +168,32 @@ func (b *HybridLevelBuilder) ReservePart(i, verts, groups int) {
 // wildly overestimated fan-out cannot balloon resident memory.
 const maxHybridReserve = 1 << 27
 
-// AppendGroup appends the children of the next parent embedding. A part in
-// memory charges the governor once its uncharged bytes reach the build's
-// slab, or at every group while the external pressure flag is up.
-func (p *hybridPartWriter) AppendGroup(children []uint32) error {
+// NextGroup hands the producer the buffer the next parent embedding's
+// children are appended to; CommitGroup takes the grown buffer back. Each
+// child is written once, straight into the part: a part in memory hands out
+// its own verts array, a migrated one a per-part scratch that CommitGroup
+// encodes. A part migrates only here, on its owner, with no buffer out — so
+// a migration never recycles the buffer a producer is still writing. The
+// caller must not keep the buffer past CommitGroup.
+func (p *hybridPartWriter) NextGroup() ([]uint32, error) {
 	if p.b.queue.Failed() {
 		// The write-behind queue hit a hard error (ENOSPC, retries
 		// exhausted): fail the chunk worker promptly instead of finishing
 		// the whole expansion into a queue that discards everything.
-		return p.b.queue.Err()
+		return nil, p.b.queue.Err()
 	}
 	// Before Flush only the owner migrates the part, so the plain reads of
 	// p.migrated on the owning goroutine are safe.
 	if !p.migrated && p.spillReq.Load() {
 		if err := p.migrate(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if p.migrated {
-		p.dw.appendGroup(children)
-		return nil
+		if p.scratch == nil {
+			p.scratch = poolGetU32()
+		}
+		return p.scratch[:0], nil
 	}
 	if p.verts == nil {
 		p.verts = poolGetU32()
@@ -192,15 +201,28 @@ func (p *hybridPartWriter) AppendGroup(children []uint32) error {
 	if p.counts == nil {
 		p.counts = poolGetU32()
 	}
-	p.verts = append(p.verts, children...)
-	p.counts = append(p.counts, uint32(len(children)))
+	return p.verts, nil
+}
+
+// CommitGroup records the group NextGroup handed out: buf is that buffer
+// with the group's children appended. A part in memory charges the governor
+// once its uncharged bytes reach the build's slab, or at every group while
+// the external pressure flag is up.
+func (p *hybridPartWriter) CommitGroup(buf []uint32) {
+	if p.migrated {
+		p.scratch = buf
+		p.dw.appendGroup(buf)
+		return
+	}
+	n := len(buf) - len(p.verts)
+	p.verts = buf
+	p.counts = append(p.counts, uint32(n))
 	// Account the part's eventual resident size: the 4-byte counts become
 	// 8-byte global bounds at Finish, so a group costs 8 bytes for good.
-	p.uncharged += int64(len(children))*4 + 8
+	p.uncharged += int64(n)*4 + 8
 	if p.uncharged >= p.b.gov.slab || p.b.gov.pressed() {
 		p.charge()
 	}
-	return nil
 }
 
 // charge hands the part's uncharged bytes to the governor. Owner only.
@@ -261,6 +283,8 @@ func (p *hybridPartWriter) Flush() error {
 	// Charge the tail before publishing the flush: from then on the governor
 	// may migrate the part, which frees all of its bytes.
 	p.charge()
+	poolPutU32(p.scratch)
+	p.scratch = nil
 	p.flushed.Store(true)
 	if p.spillReq.Load() {
 		if err := p.migrate(); err != nil {
@@ -353,7 +377,8 @@ func (b *HybridLevelBuilder) Abort() error {
 		}
 		poolPutU32(p.verts)
 		poolPutU32(p.counts)
-		p.verts, p.counts = nil, nil
+		poolPutU32(p.scratch)
+		p.verts, p.counts, p.scratch = nil, nil, nil
 	}
 	b.parts = b.parts[:0]
 	return first

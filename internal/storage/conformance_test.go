@@ -125,7 +125,7 @@ func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, lay lay
 		for _, g := range groups[lo:hi] {
 			ml.Verts = append(ml.Verts, g...)
 			ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
-			if err := hb.Part(i).AppendGroup(g); err != nil {
+			if err := appendGroup(hb.Part(i), g); err != nil {
 				t.Fatal(err)
 			}
 		}

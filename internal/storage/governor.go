@@ -156,7 +156,7 @@ func (g *governor) spillOver() {
 	if g.b.queue.Failed() {
 		// The write-behind queue hit a hard error (typically ENOSPC): there
 		// is nowhere for victims to go, so stop marking parts — the run is
-		// failing; AppendGroup surfaces the queue's typed error.
+		// failing; NextGroup surfaces the queue's typed error.
 		return
 	}
 	g.mu.Lock()

@@ -69,13 +69,13 @@ func TestHybridPressureSpill(t *testing.T) {
 	hb.Reset(4, 2, 1<<40)
 	group := []uint32{1, 2, 3, 4}
 	for i := 0; i < 50; i++ {
-		if err := hb.Part(0).AppendGroup(group); err != nil {
+		if err := appendGroup(hb.Part(0), group); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pressure.Store(true) // budget collapses mid-build
 	for i := 0; i < 50; i++ {
-		if err := hb.Part(0).AppendGroup(group); err != nil {
+		if err := appendGroup(hb.Part(0), group); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestHybridPressureClears(t *testing.T) {
 	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, 1<<20)
 	hb.Reset(7, 1, 1<<40)
 	for i := 0; i < 10; i++ {
-		if err := hb.Part(0).AppendGroup([]uint32{1, 2, 3}); err != nil {
+		if err := appendGroup(hb.Part(0), []uint32{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 			// this goroutine or with one goroutine per part.
 			build := func(parts ...int) {
 				appendTo := func(i int) {
-					if err := hb.Part(i).AppendGroup(group); err != nil {
+					if err := appendGroup(hb.Part(i), group); err != nil {
 						t.Error(err)
 					}
 				}
@@ -309,7 +309,7 @@ func TestHybridSlabLagBound(t *testing.T) {
 						for i := w; i < nparts; i += writers {
 							p := hb.Part(i)
 							g := groups[i][j]
-							if err := p.AppendGroup(g); err != nil {
+							if err := appendGroup(p, g); err != nil {
 								t.Error(err)
 								return
 							}
@@ -390,7 +390,7 @@ func TestHybridSlabConservation(t *testing.T) {
 				g := []uint32{uint32(j), uint32(j + 1), uint32(j + 3)}
 				ml.Verts = append(ml.Verts, g...)
 				ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
-				if err := hb.Part(part).AppendGroup(g); err != nil {
+				if err := appendGroup(hb.Part(part), g); err != nil {
 					t.Fatal(err)
 				}
 				appended[part] += int64(len(g))*4 + 8
@@ -501,7 +501,7 @@ func TestHybridAllMemFinish(t *testing.T) {
 	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
 	hb.Reset(6, 2, 1<<40)
 	for i := 0; i < 2; i++ {
-		if err := hb.Part(i).AppendGroup([]uint32{uint32(i)}); err != nil {
+		if err := appendGroup(hb.Part(i), []uint32{uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := hb.Part(i).Flush(); err != nil {
@@ -542,7 +542,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
 			for pi, gs := range groups {
 				for _, g := range gs {
-					if err := hb.Part(pi).AppendGroup(g); err != nil {
+					if err := appendGroup(hb.Part(pi), g); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -568,7 +568,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 
 			// A build abandoned half-way must not leak into the next one.
 			hb.Reset(3, 2, budget)
-			if err := hb.Part(1).AppendGroup([]uint32{8, 9}); err != nil {
+			if err := appendGroup(hb.Part(1), []uint32{8, 9}); err != nil {
 				t.Fatal(err)
 			}
 			if err := hb.Abort(); err != nil {

@@ -31,7 +31,7 @@ func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*Hybri
 	db.blockSize = 128
 	per := (len(groups) + nparts - 1) / nparts
 	for i, g := range groups {
-		if err := db.Part(i / per).AppendGroup(g); err != nil {
+		if err := appendGroup(db.Part(i/per), g); err != nil {
 			db.Abort()
 			return nil, tracker, err
 		}

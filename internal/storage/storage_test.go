@@ -15,6 +15,17 @@ import (
 // The tests below pin the behaviour of spilled parts on an all-disk hybrid
 // level (budget ≤ 0: every part migrates on its first append).
 
+// appendGroup stores one group of children into part p the way a producer
+// does: it appends them to the buffer NextGroup hands out and commits it.
+func appendGroup(p *hybridPartWriter, children []uint32) error {
+	buf, err := p.NextGroup()
+	if err != nil {
+		return err
+	}
+	p.CommitGroup(append(buf, children...))
+	return nil
+}
+
 // walkAll collects every embedding and change index a walker over [lo, hi)
 // of c produces.
 func walkAll(t testing.TB, c *CSE, lo, hi int) ([][]uint32, []int) {
@@ -137,7 +148,7 @@ func TestFinishDetectsShortFiles(t *testing.T) {
 	dir := t.TempDir()
 	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
 	db.Reset(3, 1, 0)
-	if err := db.Part(0).AppendGroup([]uint32{1, 2, 3}); err != nil {
+	if err := appendGroup(db.Part(0), []uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Finish(); err == nil {
@@ -164,12 +175,12 @@ func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
 	db.blockSize = 64
 	// Parts 0 and 3 get groups; parts 1, 2, 4 stay empty.
 	for _, g := range [][]uint32{{1, 2, 3}, {}, {4}} {
-		if err := db.Part(0).AppendGroup(g); err != nil {
+		if err := appendGroup(db.Part(0), g); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, g := range [][]uint32{{5}, {}, {6, 7, 8, 9}} {
-		if err := db.Part(3).AppendGroup(g); err != nil {
+		if err := appendGroup(db.Part(3), g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +225,7 @@ func TestEmptyParts(t *testing.T) {
 	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, nil, 0)
 	db.Reset(2, 3, 0)
 	for _, g := range groups {
-		if err := db.Part(0).AppendGroup(g); err != nil {
+		if err := appendGroup(db.Part(0), g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +263,7 @@ func TestCloseRemovesFiles(t *testing.T) {
 				hb.parts[i].spillReq.Store(true)
 				wantFiles += 2
 			}
-			if err := hb.Part(i).AppendGroup([]uint32{uint32(i), uint32(i + 10)}); err != nil {
+			if err := appendGroup(hb.Part(i), []uint32{uint32(i), uint32(i + 10)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := hb.Part(i).Flush(); err != nil {
