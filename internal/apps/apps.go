@@ -14,7 +14,8 @@
 // CliqueCount and TriangleCount (= CliqueCount(3)) run the explorer's
 // Clique mode, which intersects neighbour lists instead of filtering their
 // union: each worker stamps a run's common neighbours into a
-// graph.NeighborMarker once and probes every leaf's forward list against it.
+// graph.NeighborMarker once and probes every leaf's below-neighbour list
+// (graph.Below) against it.
 // MotifCount does not ask the graph about adjacency per candidate either: the
 // candidate merge carries every candidate's adjacency to its embedding as a
 // bit mask, and the motif Mapper reads each child's pattern row from it.
@@ -58,9 +59,9 @@ func sortCounts(out []PatternCount) {
 }
 
 // TriangleCount counts triangles (§5.1): a triangle is a 3-clique, so this
-// is CliqueCount(3) — the stored level holds every edge once, and its final
-// expansion counts, per edge (u, v), the vertices of N(v) past v that the
-// worker stamped as u's forward neighbours once per run of edges sharing u.
+// is CliqueCount(3) — the stored level holds every edge once as (u, v) with
+// v < u, and its final expansion counts, per edge, the vertices of Below(v)
+// that the worker stamped as Below(u) once per run of edges sharing u.
 // ctx cancels the run between blocks of work.
 func TriangleCount(ctx context.Context, g *graph.Graph, env *run.Env) (uint64, error) {
 	return CliqueCount(ctx, g, 3, env)

@@ -294,9 +294,9 @@ func TestFusedTerminalWritesZeroBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomGraph(rng, 40, 160, 1)
 
-	// Expected: one stored level (depth 2) under the clique filter.
+	// Expected: the one level (depth 2) Clique mode stores.
 	tr := memtrack.New()
-	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.Clique, Env: &run.Env{
 		Threads:      3,
 		MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: tr,
 	}})
@@ -306,7 +306,7 @@ func TestFusedTerminalWritesZeroBytes(t *testing.T) {
 	if err := e.InitVertices(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Expand(bgCtx, naiveCliqueFilter(g), nil); err != nil {
+	if err := e.Expand(bgCtx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, wantCliqueWrites := tr.IOTotals()

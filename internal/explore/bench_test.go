@@ -189,55 +189,61 @@ func BenchmarkAppendCanonical(b *testing.B) {
 // leaf: count (the CountSink path, nothing written), store (children
 // appended), and, as the baseline the intersection replaced, union — the
 // vertex-induced fused leaf merge under the all-ones mask filter, over the
-// same leaves. Prefix refreshes and stamps are paid once per run of leaves,
-// as in the expansion.
+// 3-cliques the union path stores (the same cliques, grown upward). Prefix
+// refreshes and stamps are paid once per run of leaves, as in the expansion.
 func BenchmarkCliqueLeaf(b *testing.B) {
 	g := benchGraph(b)
-	e, err := New(Config{Graph: g, Mode: Clique, Env: &run.Env{Threads: 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.InitVertices(nil); err != nil {
-		b.Fatal(err)
-	}
 	const k = 3
-	for e.Depth() < k {
-		if err := e.Expand(bgCtx, nil, nil); err != nil {
+	all := func(_ int, emb []uint32, _, adj uint32) bool { return adj == 1<<len(emb)-1 }
+	// stored returns the first 1<<14 k-embeddings mode stores under vf, in
+	// stored order.
+	stored := func(mode Mode, vf VertexFilter) (embs [][k]uint32) {
+		e, err := New(Config{Graph: g, Mode: mode, Env: &run.Env{Threads: 1}})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	var embs [][k]uint32 // one worker: stored order
-	err = e.ForEach(bgCtx, func(_ int, emb []uint32) error {
-		if len(embs) < 1<<14 {
-			embs = append(embs, [k]uint32(emb))
+		defer e.Close()
+		if err := e.InitVertices(nil); err != nil {
+			b.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
+		for e.Depth() < k {
+			if err := e.Expand(bgCtx, vf, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		err = e.ForEach(bgCtx, func(_ int, emb []uint32) error {
+			if len(embs) < 1<<14 {
+				embs = append(embs, [k]uint32(emb))
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return embs
 	}
+	cliques, union := stored(Clique, nil), stored(VertexInduced, all)
 	cst, vst := newCliqueState(g, k), newVertexState(g, k)
-	all := func(_ int, emb []uint32, _, adj uint32) bool { return adj == 1<<len(emb)-1 }
 	var x expansion
 	var sum uint64
 	for _, c := range []struct {
 		name string
+		embs [][k]uint32
 		leaf func(emb []uint32, from int)
 	}{
-		{"count", func(emb []uint32, from int) {
+		{"count", cliques, func(emb []uint32, from int) {
 			if from < k {
 				cst.updatePrefix(emb, from, k)
 			}
 			sum += cst.countLeaf(k, emb[k-1])
 		}},
-		{"store", func(emb []uint32, from int) {
+		{"store", cliques, func(emb []uint32, from int) {
 			if from < k {
 				cst.updatePrefix(emb, from, k)
 			}
 			x.children = cst.appendLeaf(k, emb[k-1], x.children[:0])
 		}},
-		{"union", func(emb []uint32, from int) {
+		{"union", union, func(emb []uint32, from int) {
 			if from < k {
 				vst.updatePrefix(emb, from, k)
 			}
@@ -247,6 +253,7 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var emb [k]uint32
+			embs := c.embs
 			step := func(i int) {
 				next := embs[i%len(embs)]
 				from := 1

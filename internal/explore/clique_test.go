@@ -2,12 +2,14 @@ package explore
 
 // Clique mode against the union path it replaces for cliques: VertexInduced
 // plus the all-ones mask filter stores exactly the strictly increasing
-// cliques, so every level a Clique run stores must be the same embeddings in
-// the same order, and every count the same, on every storage regime.
+// cliques, and Clique mode grows each clique toward lower ids, so every level
+// a Clique run stores must be the union path's level with every embedding
+// reversed, and every count the same, on every storage regime.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,26 +98,60 @@ func walkLevel(t *testing.T, e *Explorer) (embs [][]uint32, continuations int) {
 	return embs, continuations
 }
 
-// maskFilterLevels runs the union path to depth maxDepth: levels[d-1] is the
-// stored level of depth d, counts[d-1] what ExpandCount reports there, and
-// bytes[d-1] the CSE's resident bytes at depth d.
-func maskFilterLevels(t *testing.T, g *graph.Graph, maxDepth int) (levels [][][]uint32, counts []uint64, bytes []int64) {
+// levelRun is what one explorer stored and counted, depth by depth:
+// levels[d-1] is the level of depth d in stored order, counts[d-1] what
+// ExpandCount reports there and bytes[d-1] the CSE's resident bytes at
+// depth d.
+type levelRun struct {
+	levels        [][][]uint32
+	counts        []uint64
+	bytes         []int64
+	continuations int  // block-seam continuation runs walked
+	mixed         bool // some level split between memory and disk
+}
+
+// runLevels expands e, which holds level 1, to maxDepth under vf and records
+// every level.
+func runLevels(t *testing.T, e *Explorer, maxDepth int, vf VertexFilter) levelRun {
 	t.Helper()
-	e := newVertexExplorer(t, g, 2)
+	var r levelRun
 	for d := 1; d <= maxDepth; d++ {
 		if d > 1 {
-			if err := e.Expand(bgCtx, allOnesFilter, nil); err != nil {
+			if err := e.Expand(bgCtx, vf, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		lvl, _ := walkLevel(t, e)
-		n, err := e.ExpandCount(bgCtx, allOnesFilter, nil)
+		lvl, c := walkLevel(t, e)
+		n, err := e.ExpandCount(bgCtx, vf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		levels, counts, bytes = append(levels, lvl), append(counts, n), append(bytes, e.Bytes())
+		r.levels, r.counts, r.bytes = append(r.levels, lvl), append(r.counts, n), append(r.bytes, e.Bytes())
+		r.continuations += c
+		if st := e.LevelStats()[d-1]; st.MemParts > 0 && st.DiskParts > 0 {
+			r.mixed = true
+		}
 	}
-	return levels, counts, bytes
+	return r
+}
+
+// runClique runs Clique mode under env to maxDepth, and checks that it
+// refuses a user filter.
+func runClique(t *testing.T, g *graph.Graph, env *run.Env, maxDepth int) levelRun {
+	t.Helper()
+	e, err := New(Config{Graph: g, Mode: Clique, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitVertices(nil); err != nil {
+		t.Fatal(err)
+	}
+	r := runLevels(t, e, maxDepth, nil)
+	if _, err := e.ExpandCount(bgCtx, allOnesFilter, nil); err == nil || !strings.Contains(err.Error(), "no user filter") {
+		t.Fatalf("filtered clique expansion returned %v", err)
+	}
+	return r
 }
 
 func TestCliqueModeMatchesMaskFilter(t *testing.T) {
@@ -124,11 +160,11 @@ func TestCliqueModeMatchesMaskFilter(t *testing.T) {
 	for _, hubThreshold := range []int{-1, 8} { // hub bitset rows off / on
 		for _, relabel := range []bool{false, true} {
 			g := cliqueGraph(t, rng, hubThreshold, relabel)
-			levels, counts, bytes := maskFilterLevels(t, g, maxDepth)
-			if counts[maxDepth-1] == 0 {
+			union := runLevels(t, newVertexExplorer(t, g, 2), maxDepth, allOnesFilter)
+			if union.counts[maxDepth-1] == 0 {
 				t.Fatalf("degenerate graph: no %d-cliques", maxDepth+1)
 			}
-			checkCliqueLeaves(t, g, levels)
+			bytes := runClique(t, g, &run.Env{Threads: 1}, 2).bytes
 			regimes := []struct {
 				name   string
 				budget int64
@@ -146,11 +182,13 @@ func TestCliqueModeMatchesMaskFilter(t *testing.T) {
 						if rg.budget > 0 {
 							env.MemoryBudget, env.SpillDir = rg.budget, t.TempDir()
 						}
-						continuations, mixed := checkCliqueLevels(t, g, env, levels, counts)
-						if rg.name == "disk" && threads == 1 && continuations == 0 {
+						got := runClique(t, g, env, maxDepth)
+						checkAgainstUnion(t, got, union)
+						checkCliqueLeaves(t, g, got.levels)
+						if rg.name == "disk" && threads == 1 && got.continuations == 0 {
 							t.Fatal("no continuation run at a block seam: the all-disk case does not exercise kept stamps")
 						}
-						if rg.name == "hybrid" && !mixed {
+						if rg.name == "hybrid" && !got.mixed {
 							t.Fatal("no level with both memory and disk parts")
 						}
 					})
@@ -160,51 +198,52 @@ func TestCliqueModeMatchesMaskFilter(t *testing.T) {
 	}
 }
 
-// checkCliqueLevels runs Clique mode under env to depth len(levels) and holds
-// every stored level and every ExpandCount to the union path's. It reports
-// the block-seam continuation runs it walked and whether some level was split
-// between memory and disk.
-func checkCliqueLevels(t *testing.T, g *graph.Graph, env *run.Env, levels [][][]uint32, counts []uint64) (continuations int, mixed bool) {
+// checkAgainstUnion holds a Clique-mode run to the union path's: every
+// stored embedding strictly decreasing, the children of every group
+// ascending, every level with each embedding reversed the union path's
+// level as a set with no duplicates, and every ExpandCount the union path's.
+func checkAgainstUnion(t *testing.T, got, union levelRun) {
 	t.Helper()
-	e, err := New(Config{Graph: g, Mode: Clique, Env: env})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.InitVertices(nil); err != nil {
-		t.Fatal(err)
-	}
-	for d := 1; d <= len(levels); d++ {
-		if d > 1 {
-			if err := e.Expand(bgCtx, nil, nil); err != nil {
-				t.Fatal(err)
+	for i, lvl := range got.levels {
+		d := i + 1
+		for j, emb := range lvl {
+			for l := 1; l < d; l++ {
+				if emb[l] >= emb[l-1] {
+					t.Fatalf("depth %d: %v is not strictly decreasing", d, emb)
+				}
+			}
+			if j == 0 {
+				continue
+			}
+			if prev := lvl[j-1]; slices.Equal(prev[:d-1], emb[:d-1]) && prev[d-1] >= emb[d-1] {
+				t.Fatalf("depth %d: children %d, %d of %v do not ascend", d, prev[d-1], emb[d-1], emb[:d-1])
 			}
 		}
-		got, c := walkLevel(t, e)
-		continuations += c
-		if !embsEqual(got, levels[d-1]) {
-			t.Fatalf("depth %d: %d embeddings, union path %d: %s", d, len(got), len(levels[d-1]), diffSample(got, levels[d-1]))
+		rev := make([][]uint32, len(lvl))
+		for j, emb := range lvl {
+			rev[j] = slices.Clone(emb)
+			slices.Reverse(rev[j])
 		}
-		n, err := e.ExpandCount(bgCtx, nil, nil)
-		if err != nil {
-			t.Fatal(err)
+		slices.SortFunc(rev, slices.Compare[[]uint32])
+		want := slices.Clone(union.levels[i])
+		slices.SortFunc(want, slices.Compare[[]uint32])
+		for j := 1; j < len(rev); j++ {
+			if slices.Equal(rev[j-1], rev[j]) {
+				t.Fatalf("depth %d: %v stored twice", d, rev[j])
+			}
 		}
-		if n != counts[d-1] {
-			t.Fatalf("depth %d: ExpandCount %d, union path %d", d, n, counts[d-1])
+		if !embsEqual(rev, want) {
+			t.Fatalf("depth %d: %d embeddings, union path %d: %s", d, len(rev), len(want), diffSample(rev, want))
 		}
-		if st := e.LevelStats()[d-1]; st.MemParts > 0 && st.DiskParts > 0 {
-			mixed = true
+		if got.counts[i] != union.counts[i] {
+			t.Fatalf("depth %d: ExpandCount %d, union path %d", d, got.counts[i], union.counts[i])
 		}
 	}
-	if _, err := e.ExpandCount(bgCtx, allOnesFilter, nil); err == nil || !strings.Contains(err.Error(), "no user filter") {
-		t.Fatalf("filtered clique expansion returned %v", err)
-	}
-	return continuations, mixed
 }
 
-// checkCliqueLeaves replays the clique state on every stored embedding of
-// levels, recomputing the prefix from scratch: each leaf's children must be
-// exactly the next level's group under it.
+// checkCliqueLeaves replays the clique state on every embedding a Clique
+// run stored, recomputing the prefix from scratch: each leaf's children must
+// be exactly the next level's group under it, in stored order.
 func checkCliqueLeaves(t *testing.T, g *graph.Graph, levels [][][]uint32) {
 	t.Helper()
 	for d := 1; d < len(levels); d++ {
@@ -215,7 +254,7 @@ func checkCliqueLeaves(t *testing.T, g *graph.Graph, levels [][][]uint32) {
 				st.updatePrefix(emb, 1, d)
 			}
 			for _, c := range st.appendLeaf(d, emb[d-1], nil) {
-				if len(next) == 0 || fmt.Sprint(next[0][:d]) != fmt.Sprint(emb) || next[0][d] != c {
+				if len(next) == 0 || !slices.Equal(next[0][:d], emb) || next[0][d] != c {
 					t.Fatalf("depth %d: %v child %d is not the next stored embedding", d, emb, c)
 				}
 				next = next[1:]

@@ -51,11 +51,12 @@ const (
 	VertexInduced Mode = iota
 	// EdgeInduced embeddings are edge-id sequences.
 	EdgeInduced
-	// Clique embeddings are strictly increasing vertex sequences in which
-	// every vertex neighbours every other: the levels VertexInduced stores
-	// under a filter that admits only all-ones adjacency masks, found by
-	// intersecting neighbour lists instead of filtering their union
-	// (clique.go). A Clique explorer takes no user filter.
+	// Clique embeddings are strictly decreasing vertex sequences in which
+	// every vertex neighbours every other: the cliques VertexInduced stores
+	// under a filter that admits only all-ones adjacency masks, each grown
+	// toward lower ids instead, and found by intersecting below-neighbour
+	// lists (graph.Below) instead of filtering a union (clique.go). A Clique
+	// explorer takes no user filter.
 	Clique
 )
 

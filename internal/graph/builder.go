@@ -42,7 +42,8 @@ func (b *Builder) AddEdge(u, v uint32) {
 func (b *Builder) SetLabel(v uint32, l Label) { b.labels[v] = l }
 
 // Build finalizes the graph: it sorts and deduplicates edges, assigns dense
-// edge ids in (U, V) order, and materializes CSC adjacency.
+// edge ids in (U, V) order, and materializes CSC adjacency and the
+// below-neighbour counts behind Graph.Below.
 func (b *Builder) Build() (*Graph, error) {
 	for _, e := range b.edges {
 		if int(e.U) >= b.n || int(e.V) >= b.n {
@@ -80,6 +81,7 @@ func (b *Builder) Build() (*Graph, error) {
 		offsets:   make([]uint64, b.n+1),
 		adj:       make([]uint32, 2*m),
 		adjEdge:   make([]uint32, 2*m),
+		below:     make([]uint32, b.n),
 		edges:     edges,
 		labels:    append([]Label(nil), b.labels...),
 		numLabels: numLabels,
@@ -89,6 +91,7 @@ func (b *Builder) Build() (*Graph, error) {
 	for _, e := range edges {
 		deg[e.U]++
 		deg[e.V]++
+		g.below[e.V]++ // U < V
 	}
 	for v := 0; v < b.n; v++ {
 		g.offsets[v+1] = g.offsets[v] + uint64(deg[v])

@@ -40,6 +40,9 @@ type Graph struct {
 	adj     []uint32
 	// adjEdge[i] is the edge id of the edge (v, adj[i]).
 	adjEdge []uint32
+	// below[v] is the number of neighbours of v with a smaller id: Below(v)
+	// is that prefix of v's sorted list.
+	below []uint32
 
 	// Edge list indexed by edge id; always U < V, sorted by (U, V).
 	edges []Edge
@@ -89,6 +92,15 @@ func (g *Graph) AvgDegree() float64 {
 // Neighbors returns the sorted neighbor list of v. Callers must not mutate it.
 func (g *Graph) Neighbors(v uint32) []uint32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
+}
+
+// Below returns the neighbours of v with ids below v, sorted — a prefix of
+// Neighbors(v), found in O(1). On a relabelled graph these are v's
+// neighbours of higher (or equal) degree, the bounded forward lists of
+// clique exploration. Callers must not mutate it.
+func (g *Graph) Below(v uint32) []uint32 {
+	lo := g.offsets[v]
+	return g.adj[lo : lo+uint64(g.below[v])]
 }
 
 // IncidentEdges returns the edge ids incident to v, ordered by neighbor id.
@@ -145,6 +157,7 @@ func (g *Graph) Bytes() int64 {
 	return int64(len(g.offsets))*8 +
 		int64(len(g.adj))*4 +
 		int64(len(g.adjEdge))*4 +
+		int64(len(g.below))*4 +
 		int64(len(g.edges))*8 +
 		int64(len(g.labels))*2 +
 		int64(len(g.origID))*4 +
@@ -161,8 +174,8 @@ func (g *Graph) Validate() error {
 	if len(g.adj) != 2*g.m || len(g.adjEdge) != 2*g.m {
 		return fmt.Errorf("graph: adjacency length %d/%d, want %d", len(g.adj), len(g.adjEdge), 2*g.m)
 	}
-	if len(g.labels) != g.n {
-		return fmt.Errorf("graph: labels length %d, want %d", len(g.labels), g.n)
+	if len(g.labels) != g.n || len(g.below) != g.n {
+		return fmt.Errorf("graph: labels/below length %d/%d, want %d", len(g.labels), len(g.below), g.n)
 	}
 	if g.offsets[0] != 0 || g.offsets[g.n] != uint64(2*g.m) {
 		return fmt.Errorf("graph: offset bounds [%d, %d], want [0, %d]", g.offsets[0], g.offsets[g.n], 2*g.m)
@@ -173,6 +186,7 @@ func (g *Graph) Validate() error {
 		}
 		nb := g.Neighbors(uint32(v))
 		ie := g.IncidentEdges(uint32(v))
+		below := uint32(0)
 		for i, u := range nb {
 			if i > 0 && nb[i-1] >= u {
 				return fmt.Errorf("graph: neighbors of %d not strictly sorted", v)
@@ -183,6 +197,9 @@ func (g *Graph) Validate() error {
 			if int(u) >= g.n {
 				return fmt.Errorf("graph: neighbor %d of %d out of range", u, v)
 			}
+			if u < uint32(v) {
+				below++
+			}
 			e := g.edges[ie[i]]
 			lo, hi := uint32(v), u
 			if lo > hi {
@@ -191,6 +208,9 @@ func (g *Graph) Validate() error {
 			if e.U != lo || e.V != hi {
 				return fmt.Errorf("graph: edge id %d of (%d,%d) maps to (%d,%d)", ie[i], v, u, e.U, e.V)
 			}
+		}
+		if below != g.below[v] {
+			return fmt.Errorf("graph: %d neighbours of %d below it, below count %d", below, v, g.below[v])
 		}
 	}
 	for v := range g.labels {

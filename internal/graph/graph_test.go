@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,6 +137,50 @@ func TestRandomGraphInvariants(t *testing.T) {
 	}
 }
 
+func TestBelowSplitsNeighbors(t *testing.T) {
+	// Property: Below(v) followed by the neighbours above v is exactly N(v),
+	// and Validate rejects a below count that does not split N(v) at v.
+	rng := rand.New(rand.NewSource(5))
+	isolated := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(50)
+		g := randomGraph(rng, n, rng.Intn(3*n))
+		if trial%2 == 1 {
+			var err error
+			if g, err = Relabel(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for v := uint32(0); v < uint32(n); v++ {
+			nb, below := g.Neighbors(v), g.Below(v)
+			if len(nb) == 0 {
+				isolated++
+			}
+			if v == 0 && len(below) != 0 {
+				t.Fatalf("trial %d: Below(0) = %v", trial, below)
+			}
+			want := append([]uint32(nil), below...)
+			for _, u := range nb {
+				if u > v {
+					want = append(want, u)
+				}
+			}
+			if !slices.Equal(want, nb) || slices.ContainsFunc(below, func(u uint32) bool { return u >= v }) {
+				t.Fatalf("trial %d: Below(%d) = %v does not split N(%d) = %v", trial, v, below, v, nb)
+			}
+		}
+		v := rng.Intn(n)
+		g.below[v]++
+		if err := g.Validate(); err == nil {
+			t.Fatalf("trial %d: Validate accepted below[%d] off by one", trial, v)
+		}
+		g.below[v]--
+	}
+	if isolated == 0 {
+		t.Fatal("degenerate: no isolated vertex")
+	}
+}
+
 func TestHasEdgeMatchesNeighborScan(t *testing.T) {
 	// Property: HasEdge agrees with a linear scan of the neighbor list.
 	rng := rand.New(rand.NewSource(7))
@@ -239,6 +286,62 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 }
 
+// binaryHeader is a version-2 header for a graph of n vertices and m edges,
+// with nothing after it.
+func binaryHeader(n, m uint32) []byte {
+	var b []byte
+	for _, w := range []uint32{binaryMagic, 2, n, m, 1, 0} {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+func TestReadBinaryAllocatesByBytesPresent(t *testing.T) {
+	// A 24-byte file whose header claims 2^27 edges (1 GiB of them) must fail
+	// having allocated about what it read, not what it claimed.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(binaryHeader(4, 1<<27)))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated edges") {
+		t.Fatalf("ReadBinary of an empty body returned %v, want truncated edges", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<20 {
+		t.Fatalf("ReadBinary allocated %d MiB for a 24-byte file", got>>20)
+	}
+}
+
+// FuzzReadBinary: any input either errors or yields a graph whose invariants
+// hold.
+func FuzzReadBinary(f *testing.F) {
+	rng := rand.New(rand.NewSource(8))
+	for _, g := range []*Graph{paperGraph(f), randomGraph(rng, 12, 30)} {
+		for _, relabel := range []bool{false, true} {
+			if relabel {
+				var err error
+				if g, err = Relabel(g); err != nil {
+					f.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := g.WriteBinary(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Add(binaryHeader(4, 1<<27))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("ReadBinary returned an invalid graph: %v", err)
+		}
+	})
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 32, 64)
@@ -257,7 +360,7 @@ func TestSaveLoadFile(t *testing.T) {
 
 func TestBytesAccounting(t *testing.T) {
 	g := paperGraph(t)
-	want := int64(6*8 + 14*4 + 14*4 + 7*8 + 5*2)
+	want := int64(6*8 + 14*4 + 14*4 + 5*4 + 7*8 + 5*2)
 	if g.Bytes() != want {
 		t.Fatalf("Bytes = %d, want %d", g.Bytes(), want)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -158,12 +159,12 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if n > 1<<30 || m > 1<<31 {
 		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n, m)
 	}
-	edges := make([]Edge, m)
-	if err := binary.Read(br, binary.LittleEndian, edges); err != nil {
+	edges, err := readChunked[Edge](br, int(m))
+	if err != nil {
 		return nil, fmt.Errorf("graph: truncated edges: %w", err)
 	}
-	labels := make([]Label, n)
-	if err := binary.Read(br, binary.LittleEndian, labels); err != nil {
+	labels, err := readChunked[Label](br, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("graph: truncated labels: %w", err)
 	}
 	g, err := FromEdges(int(n), edges, labels)
@@ -174,6 +175,24 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return Relabel(g)
 	}
 	return g, nil
+}
+
+// readChunk is how many values readChunked reads at a time.
+const readChunk = 1 << 16
+
+// readChunked reads n little-endian values, readChunk at a time, so memory
+// grows with the bytes r actually holds: a header that overstates n fails at
+// the end of the input instead of allocating all n up front.
+func readChunked[T Edge | Label](r io.Reader, n int) ([]T, error) {
+	var out []T
+	for len(out) < n {
+		c := min(n-len(out), readChunk)
+		out = slices.Grow(out, c)[:len(out)+c]
+		if err := binary.Read(r, binary.LittleEndian, out[len(out)-c:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // SaveFile writes the binary format to path.

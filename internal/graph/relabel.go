@@ -12,8 +12,9 @@ import (
 // (adjindex.go) cover a contiguous low-id prefix, and the NeighborMarker
 // stamps and probes of clique exploration — whose addresses are vertex ids —
 // concentrate on a small prefix of the stamp array, touching far fewer cache
-// lines on the power-law graphs mining targets. (It is also the worst order
-// for clique forward lists: a hub's neighbours nearly all lie above it.)
+// lines on the power-law graphs mining targets. Clique exploration grows each
+// clique toward lower ids (Graph.Below), so in this order a vertex's forward
+// list holds only its neighbours of higher degree: few even for a hub.
 //
 // The permutation is carried on the Graph (OrigID / NewID), so loaders can
 // relabel transparently and translate user-facing vertex ids back at the API
