@@ -31,13 +31,6 @@ type RunConfig struct {
 	CacheDir string // dataset cache ("" regenerates)
 	SpillDir string // scratch space for hybrid storage and RStream tables
 	Quick    bool   // reduced grids for CI
-
-	// FaultP and FaultSeed parameterize the "faults" campaign: the
-	// per-operation probability of each transient fault class (EIO read,
-	// EIO write, short write) and the deterministic schedule seed.
-	// Zero values mean p=0.01, seed 42.
-	FaultP    float64
-	FaultSeed int64
 }
 
 // Result is one rendered experiment artifact.
@@ -80,11 +73,28 @@ func (r Result) Render() string {
 	return sb.String()
 }
 
-// Experiments lists the available experiment ids in paper order, followed by
-// the engine experiments that go beyond the paper's evaluation. Run also
-// accepts "iso" for fig12, the isomorphism layer's experiment.
+// Failures lists the cells of r whose run failed, one "row/column: error"
+// line each. The paper's holes ('-', '/', 'skip') are not failures.
+func (r Result) Failures() []string {
+	var out []string
+	for _, row := range r.Rows {
+		for i, c := range row {
+			if strings.HasPrefix(c, errPrefix) {
+				col := fmt.Sprint(i)
+				if i < len(r.Header) {
+					col = r.Header[i]
+				}
+				out = append(out, fmt.Sprintf("%s/%s: %s", row[0], col, c))
+			}
+		}
+	}
+	return out
+}
+
+// Experiments lists the experiment ids, one per table or figure of the
+// paper's evaluation, in paper order.
 func Experiments() []string {
-	return []string{"table2", "table3", "fig11", "fig12", "fig13", "fig14", "table4", "fig16", "sinks", "compress", "concurrent", "faults", "service"}
+	return []string{"table2", "table3", "fig11", "fig12", "fig13", "fig14", "table4", "fig16"}
 }
 
 // Run executes one experiment by id.
@@ -96,7 +106,7 @@ func Run(id string, cfg RunConfig) ([]Result, error) {
 		return table3(cfg)
 	case "fig11":
 		return fig11(cfg)
-	case "fig12", "iso":
+	case "fig12":
 		return fig12(cfg)
 	case "fig13":
 		return fig13(cfg)
@@ -106,16 +116,6 @@ func Run(id string, cfg RunConfig) ([]Result, error) {
 		return table4(cfg)
 	case "fig16":
 		return fig16(cfg)
-	case "sinks":
-		return sinks(cfg)
-	case "compress":
-		return compress(cfg)
-	case "concurrent":
-		return concurrent(cfg)
-	case "faults":
-		return faults(cfg)
-	case "service":
-		return serviceExp(cfg)
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(Experiments(), ", "))
 	}
@@ -142,11 +142,14 @@ func (m measured) memCell() string {
 	return fmt.Sprintf("%.1f", float64(m.peak)/(1<<20))
 }
 
+// errPrefix marks the cell of a run that failed; Failures reports them.
+const errPrefix = "err:"
+
 func timed(fn func(tr *memtrack.Tracker) error) measured {
 	tr := memtrack.New()
 	start := time.Now()
 	if err := fn(tr); err != nil {
-		return measured{skipped: "err:" + err.Error()}
+		return measured{skipped: errPrefix + err.Error()}
 	}
 	return measured{seconds: time.Since(start).Seconds(), peak: tr.Peak()}
 }
@@ -290,9 +293,6 @@ func loadDataset(name string, cfg RunConfig) (*graph.Graph, error) {
 // reduction factors of all three systems over the four datasets.
 func table2(cfg RunConfig) ([]Result, error) {
 	datasets := []string{"citeseer", "mico", "patent", "youtube"}
-	if cfg.Quick {
-		datasets = []string{"citeseer", "mico", "patent", "youtube"}
-	}
 	workloads := table2Workloads(cfg.Quick)
 
 	timeRes := Result{
@@ -409,10 +409,7 @@ func geomean(xs []float64) float64 {
 	}
 	logSum := 0.0
 	for _, x := range xs {
-		logSum += ln(x)
+		logSum += math.Log(x)
 	}
-	return exp(logSum / float64(len(xs)))
+	return math.Exp(logSum / float64(len(xs)))
 }
-
-func ln(x float64) float64  { return math.Log(x) }
-func exp(x float64) float64 { return math.Exp(x) }

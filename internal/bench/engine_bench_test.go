@@ -6,15 +6,13 @@ package bench
 //
 //	go test ./internal/bench -bench=BenchmarkExpand -benchmem
 //
-// TestEmitExpandBenchSnapshot (gated by KALEIDO_BENCH_SNAPSHOT) records the
-// same measurements as a JSON snapshot for the performance trajectory in
-// BENCH_expand.json.
+// TestBenchCaseCounts pins what these cases produce and how many allocations
+// a steady-state iteration makes — machine-independent figures; wall time is
+// gated by the repository benchmark (benchmark/), not here.
 
 import (
-	"encoding/json"
-	"os"
+	"math"
 	"runtime"
-	"strconv"
 	"testing"
 
 	"kaleido/internal/apps"
@@ -68,6 +66,18 @@ func engineExplorer(tb testing.TB, g *graph.Graph, c expandCase) *explore.Explor
 	return ex
 }
 
+// expandCaseNamed returns the expand case called name.
+func expandCaseNamed(tb testing.TB, name string) expandCase {
+	tb.Helper()
+	for _, c := range expandCases() {
+		if c.name == name {
+			return c
+		}
+	}
+	tb.Fatalf("%s case missing", name)
+	return expandCase{}
+}
+
 type expandCase struct {
 	name    string
 	mode    explore.Mode
@@ -101,8 +111,8 @@ func expandCases() []expandCase {
 // workloads whose terminal expansion the sink pipeline consumes instead of
 // materializing (clique's final level through CountSink, motif's Mapper
 // through VisitSink). The measured unit is the whole run, exploration plus
-// terminal consumption, so the snapshot numbers capture the bytes the fused
-// paths stop writing.
+// terminal consumption, so the figures capture the bytes the fused paths
+// stop writing.
 type appCase struct {
 	name    string
 	threads int
@@ -128,27 +138,17 @@ func appCases() []appCase {
 	}
 }
 
-// measureAppCase benchmarks one application run, returning the result and
-// the produced count (clique count / total motif occurrences) so the guard
-// can detect correctness drift alongside throughput regressions.
-func measureAppCase(c appCase) (testing.BenchmarkResult, int) {
-	var produced uint64
-	r := testing.Benchmark(func(b *testing.B) {
-		g := engineGraph(b, 4000, 16000, 42)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v, err := c.run(g, &run.Env{Threads: c.threads})
-			if err != nil {
-				b.Fatal(err)
-			}
-			produced = v
+// appCaseNamed returns the application case called name, if there is one.
+func appCaseNamed(name string) (appCase, bool) {
+	for _, c := range appCases() {
+		if c.name == name {
+			return c, true
 		}
-	})
-	return r, int(produced)
+	}
+	return appCase{}, false
 }
 
-// BenchmarkApps measures the end-to-end application cases of the snapshot.
+// BenchmarkApps measures the end-to-end application cases.
 func BenchmarkApps(b *testing.B) {
 	for _, c := range appCases() {
 		b.Run(c.name, func(b *testing.B) {
@@ -162,29 +162,6 @@ func BenchmarkApps(b *testing.B) {
 			}
 		})
 	}
-}
-
-// measureExpandCase benchmarks one Expand iteration of c, returning the
-// result and the produced embedding count.
-func measureExpandCase(c expandCase) (testing.BenchmarkResult, int) {
-	var produced int
-	r := testing.Benchmark(func(b *testing.B) {
-		g := engineGraph(b, c.n, c.m, c.seed)
-		ex := engineExplorer(b, g, c)
-		defer ex.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ex.Expand(bgCtx, nil, nil); err != nil {
-				b.Fatal(err)
-			}
-			produced = ex.Count()
-			if err := ex.PopTop(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return r, produced
 }
 
 // runExpandCase measures one Expand (depth → depth+1) per iteration, popping
@@ -248,15 +225,7 @@ func BenchmarkExpandVisit(b *testing.B) {
 func TestHybridBenchCasePlacement(t *testing.T) {
 	for _, name := range []string{"vertex-d3-hybrid", "vertex-d4-budget"} {
 		t.Run(name, func(t *testing.T) {
-			var c expandCase
-			for _, ec := range expandCases() {
-				if ec.name == name {
-					c = ec
-				}
-			}
-			if c.name == "" {
-				t.Fatalf("%s case missing", name)
-			}
+			c := expandCaseNamed(t, name)
 			if raceEnabled && c.depth > 2 {
 				t.Skip("depth-4 build: minutes under the race detector; placement is race-covered by the explore and storage suites")
 			}
@@ -327,46 +296,18 @@ func TestUnbudgetedAllocGuard(t *testing.T) {
 	}
 }
 
-// runDiskCase expands the vertex-d3-disk case once, returning the logical /
-// physical spilled byte totals.
-func runDiskCase(tb testing.TB) (logical, physical int64) {
-	tb.Helper()
-	var c expandCase
-	for _, ec := range expandCases() {
-		if ec.name == "vertex-d3-disk" {
-			c = ec
-		}
-	}
-	if c.name == "" {
-		tb.Fatal("vertex-d3-disk case missing")
-	}
-	g := engineGraph(tb, c.n, c.m, c.seed)
-	ex, err := explore.New(explore.Config{Graph: g, Mode: c.mode, Env: &run.Env{
-		Threads:      c.threads,
-		MemoryBudget: c.budget, SpillDir: tb.TempDir(),
-	}})
-	if err != nil {
-		tb.Fatal(err)
-	}
+// TestCompressedSpillBytesGuard pins the codec's headline win on the
+// out-of-core bench case: the spilled level must occupy at most half its
+// logical bytes on disk — logical bytes being exactly what spilling raw words
+// would have written.
+func TestCompressedSpillBytesGuard(t *testing.T) {
+	c := expandCaseNamed(t, "vertex-d3-disk")
+	ex := engineExplorer(t, engineGraph(t, c.n, c.m, c.seed), c)
 	defer ex.Close()
-	if err := ex.InitVertices(nil); err != nil {
-		tb.Fatal(err)
+	if err := ex.Expand(bgCtx, nil, nil); err != nil {
+		t.Fatal(err)
 	}
-	for ex.Depth() < c.depth+1 {
-		if err := ex.Expand(bgCtx, nil, nil); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return ex.SpilledBytes(), ex.SpilledBytesPhysical()
-}
-
-// assertCompressedSpill pins the codec's headline win on the out-of-core
-// bench case: the spilled level must occupy at most half its logical bytes
-// on disk — logical bytes being exactly what spilling raw words would have
-// written.
-func assertCompressedSpill(t *testing.T) {
-	t.Helper()
-	logical, physical := runDiskCase(t)
+	logical, physical := ex.SpilledBytes(), ex.SpilledBytesPhysical()
 	if logical == 0 || physical == 0 {
 		t.Fatalf("vertex-d3-disk spilled %d logical / %d physical bytes", logical, physical)
 	}
@@ -378,159 +319,93 @@ func assertCompressedSpill(t *testing.T) {
 	}
 }
 
-// TestCompressedSpillBytesGuard is the ungated form of the bytes-on-disk
-// guard, so the ratio is checked on every `go test` run, not only where the
-// benchmark job opted in.
-func TestCompressedSpillBytesGuard(t *testing.T) {
-	assertCompressedSpill(t)
-}
-
-// expandSnapshot is one benchmark measurement in BENCH_expand.json.
-type expandSnapshot struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Embeddings  int     `json:"embeddings"`
-}
-
-// TestEmitExpandBenchSnapshot writes the Expand measurements to the file
-// named by KALEIDO_BENCH_SNAPSHOT (skipped when unset), so the perf
-// trajectory can be tracked across changes in BENCH_expand.json.
-func TestEmitExpandBenchSnapshot(t *testing.T) {
-	path := os.Getenv("KALEIDO_BENCH_SNAPSHOT")
-	if path == "" {
-		t.Skip("KALEIDO_BENCH_SNAPSHOT unset")
+// allocsPerOp calls op once to warm the pools, then returns the fewest
+// mallocs per call over three rounds of n calls. It reads MemStats rather
+// than using testing.AllocsPerRun, which would pin GOMAXPROCS to 1 and so
+// measure a different schedule from the one the cases run.
+func allocsPerOp(tb testing.TB, n int, op func() error) float64 {
+	tb.Helper()
+	if err := op(); err != nil {
+		tb.Fatal(err)
 	}
-	var snaps []expandSnapshot
-	for _, c := range expandCases() {
-		r, produced := measureExpandCase(c)
-		snaps = append(snaps, expandSnapshot{
-			Name:        c.name,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Embeddings:  produced,
+	best := math.Inf(1)
+	var before, after runtime.MemStats
+	for round := 0; round < 3; round++ {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if err := op(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		best = math.Min(best, float64(after.Mallocs-before.Mallocs)/float64(n))
+	}
+	return best
+}
+
+// TestBenchCaseCounts pins, per bench case, the count it produces and (without
+// the race detector) its steady-state allocations per iteration. The hot paths pool their per-worker
+// buffers, so an iteration allocates a small, fixed number of objects; a pool
+// that stops being reused shows up here as a multiple of it. The ceilings
+// are twice what the cases allocated when they were first recorded (a bigger
+// iteration count, not a higher ceiling, is the cure for a noisy case).
+func TestBenchCaseCounts(t *testing.T) {
+	for _, w := range []struct {
+		name      string
+		produced  uint64
+		maxAllocs float64
+		iters     int
+	}{
+		{"vertex-d3", 521_975, 36, 100},
+		{"edge-d3", 5_884_033, 68, 10},
+		{"vertex-d3-disk", 521_975, 666, 20},
+		{"vertex-d3-hybrid", 521_975, 368, 20},
+		{"vertex-d4-budget", 43_135_334, 1_762, 10},
+		{"clique-d4", 695, 1_426, 20},
+		{"motif-d3", 521_975, 1_440, 20},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			var produced uint64
+			var op func() error
+			if c, ok := appCaseNamed(w.name); ok {
+				g := engineGraph(t, 4000, 16000, 42)
+				op = func() (err error) {
+					produced, err = c.run(g, &run.Env{Threads: c.threads})
+					return err
+				}
+			} else {
+				c := expandCaseNamed(t, w.name)
+				if raceEnabled && c.depth > 2 {
+					t.Skip("depth-4 build: minutes under the race detector, and allocation counts are not about interleavings")
+				}
+				ex := engineExplorer(t, engineGraph(t, c.n, c.m, c.seed), c)
+				defer ex.Close()
+				op = func() error {
+					if err := ex.Expand(bgCtx, nil, nil); err != nil {
+						return err
+					}
+					produced = uint64(ex.Count())
+					return ex.PopTop()
+				}
+			}
+			var allocs float64
+			if raceEnabled {
+				// Under the race detector sync.Pool drops a random share of
+				// what it is given, so only the count means anything there.
+				if err := op(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				allocs = allocsPerOp(t, w.iters, op)
+			}
+			if produced != w.produced {
+				t.Errorf("produced %d, want %d", produced, w.produced)
+			}
+			if allocs > w.maxAllocs {
+				t.Errorf("%.1f allocs/op, above the ceiling %.0f: a pooled buffer is no longer reused", allocs, w.maxAllocs)
+			} else if !raceEnabled {
+				t.Logf("%.1f allocs/op (ceiling %.0f)", allocs, w.maxAllocs)
+			}
 		})
 	}
-	for _, c := range appCases() {
-		r, produced := measureAppCase(c)
-		snaps = append(snaps, expandSnapshot{
-			Name:        c.name,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Embeddings:  produced,
-		})
-	}
-	data, err := json.MarshalIndent(snaps, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBenchThroughputGuard re-measures the fast benchmark cases and fails on
-// a >30% throughput regression versus the committed BENCH_expand.json
-// "after" section. Gated by KALEIDO_BENCH_GUARD (path to the snapshot) so it
-// only runs where someone — CI's benchmark job — opted in.
-//
-// The comparison is absolute ns/op, so it assumes the runner is roughly
-// comparable to the snapshot machine (recorded in the snapshot's "cpu"
-// field). On persistently slower hardware, widen KALEIDO_BENCH_TOLERANCE
-// (default 1.30) rather than regenerating the snapshot.
-//
-// The vertex-d3-disk and vertex-d3-hybrid cases run the full hardened spill
-// path: since format version 2 every compressed block carries a CRC32C that
-// is verified on every decode, and all file access goes through the vfs
-// seam. The guard therefore prices checksummed decode (and the seam's
-// indirection) into the same regression budget as the rest of the read
-// path — a checksum implementation that fell off its hardware-accelerated
-// fast path would fail here, not just slow CI down silently.
-func TestBenchThroughputGuard(t *testing.T) {
-	path := os.Getenv("KALEIDO_BENCH_GUARD")
-	if path == "" {
-		t.Skip("KALEIDO_BENCH_GUARD unset")
-	}
-	tolerance := 1.30
-	if s := os.Getenv("KALEIDO_BENCH_TOLERANCE"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v < 1 {
-			t.Fatalf("bad KALEIDO_BENCH_TOLERANCE %q", s)
-		}
-		tolerance = v
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		After struct {
-			Results []expandSnapshot `json:"results"`
-		} `json:"after"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]expandSnapshot{}
-	for _, r := range snap.After.Results {
-		byName[r.Name] = r
-	}
-	guardOne := func(name string, measure func() (testing.BenchmarkResult, int)) {
-		want, ok := byName[name]
-		if !ok {
-			t.Errorf("%s: missing from snapshot %s", name, path)
-			return
-		}
-		// Best of three damps scheduler noise; only a sustained slowdown
-		// beyond the tolerance fails.
-		best := float64(0)
-		bestAllocs := int64(-1)
-		produced := 0
-		for rep := 0; rep < 3; rep++ {
-			r, p := measure()
-			if ns := float64(r.NsPerOp()); best == 0 || ns < best {
-				best = ns
-			}
-			if a := r.AllocsPerOp(); bestAllocs < 0 || a < bestAllocs {
-				bestAllocs = a
-			}
-			produced = p
-		}
-		if produced != want.Embeddings {
-			t.Errorf("%s: produced %d embeddings, snapshot says %d — correctness drift, regenerate BENCH_expand.json deliberately",
-				name, produced, want.Embeddings)
-		}
-		if best > want.NsPerOp*tolerance {
-			t.Errorf("%s: %.1fms/op vs snapshot %.1fms/op — >%.0f%% throughput regression",
-				name, best/1e6, want.NsPerOp/1e6, (tolerance-1)*100)
-		} else {
-			t.Logf("%s: %.1fms/op (snapshot %.1fms/op)", name, best/1e6, want.NsPerOp/1e6)
-		}
-		// Allocation regression: the hot paths pool their buffers, so a
-		// doubling of allocs/op means a pool stopped being reused (a much
-		// cheaper symptom to catch here than as GC time in production).
-		if want.AllocsPerOp > 0 && bestAllocs > 2*want.AllocsPerOp {
-			t.Errorf("%s: %d allocs/op vs snapshot %d — >2x allocation regression",
-				name, bestAllocs, want.AllocsPerOp)
-		}
-	}
-	guarded := map[string]bool{"vertex-d3": true, "edge-d3": true, "vertex-d3-disk": true, "vertex-d3-hybrid": true, "vertex-d4-budget": true}
-	for _, c := range expandCases() {
-		if !guarded[c.name] {
-			continue
-		}
-		c := c
-		guardOne(c.name, func() (testing.BenchmarkResult, int) { return measureExpandCase(c) })
-	}
-	// The fused application paths (CountSink / VisitSink) are guarded
-	// end-to-end: both the count they produce and their throughput.
-	for _, c := range appCases() {
-		c := c
-		guardOne(c.name, func() (testing.BenchmarkResult, int) { return measureAppCase(c) })
-	}
-	// Alongside throughput, guard the codec's bytes-on-disk win.
-	assertCompressedSpill(t)
 }

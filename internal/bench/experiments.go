@@ -9,18 +9,11 @@ import (
 	"kaleido/internal/blisslike"
 	"kaleido/internal/dataset"
 	"kaleido/internal/eigen"
-	"kaleido/internal/gen"
 	"kaleido/internal/graph"
 	"kaleido/internal/memtrack"
 	"kaleido/internal/pattern"
 	"kaleido/internal/run"
 )
-
-// coarsenPatent maps the 37 fine labels to 7 coarse categories (Fig. 13's
-// PA-7 variant).
-func coarsenPatent(g *graph.Graph) (*graph.Graph, error) {
-	return dataset.CoarsenPatentLabels(g)
-}
 
 // fig11 reproduces Fig. 11: 3-FSM run time and memory over an increasing
 // support sweep. The paper sweeps 100..5M on the full-size graphs; supports
@@ -160,7 +153,7 @@ func fig13(cfg RunConfig) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g7, err := coarsenPatent(g37)
+	g7, err := dataset.CoarsenPatentLabels(g37) // Fig. 13's PA-7: 37 fine labels → 7 coarse
 	if err != nil {
 		return nil, err
 	}
@@ -356,117 +349,6 @@ func fig16(cfg RunConfig) ([]Result, error) {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("in-memory baseline: %.2fs, peak %.1f MB", base.seconds, float64(base.peak)/(1<<20)),
 		"paper: with the cache capped below the working set the run time increases within 20%")
-	return []Result{res}, nil
-}
-
-// sinks measures the fused terminal paths end-to-end on the benchmark's
-// synthetic power-law graph (the clique-d4 / motif-d3 cases of
-// BENCH_expand.json, plus a small FSM): each workload's final level is
-// consumed at the expansion frontier (CountSink / VisitSink), so under an
-// all-disk budget the run's write bytes cover only its stored levels — the
-// terminal level contributes nothing.
-func sinks(cfg RunConfig) ([]Result, error) {
-	res := Result{
-		ID:     "sinks",
-		Title:  "fused terminal expansion, synthetic power-law (4000 v, 16000 e)",
-		Header: []string{"Workload", "t", "peak MB", "disk writes (budget 1 B)"},
-	}
-	g, err := gen.PowerLaw(gen.Config{N: 4000, M: 16000, Alpha: 2.6, NumLabels: 8, LabelSkew: 0.7, Seed: 42})
-	if err != nil {
-		return nil, err
-	}
-	type wl struct {
-		name string
-		run  func(opt *run.Env) error
-	}
-	wls := []wl{
-		{"4-Clique (CountSink)", func(opt *run.Env) error { _, err := apps.CliqueCount(bgCtx, g, 4, opt); return err }},
-		{"3-Motif (VisitSink)", func(opt *run.Env) error { _, err := apps.MotifCount(bgCtx, g, 3, opt); return err }},
-		{"3-FSM s=100 (VisitSink+KeepSink)", func(opt *run.Env) error { _, _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
-	}
-	if cfg.Quick {
-		wls = wls[:2]
-	}
-	for _, w := range wls {
-		m := timed(func(tr *memtrack.Tracker) error {
-			return w.run(&run.Env{Threads: cfg.Threads, Tracker: tr})
-		})
-		dir, err := os.MkdirTemp(cfg.SpillDir, "sinks")
-		if err != nil {
-			return nil, err
-		}
-		tr := memtrack.New()
-		err = w.run(&run.Env{
-			Threads: cfg.Threads, Tracker: tr, MemoryBudget: 1, SpillDir: dir,
-		})
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s under all-disk budget: %w", w.name, err)
-		}
-		_, wr := tr.IOTotals()
-		res.Rows = append(res.Rows, []string{w.name, m.timeCell(), m.memCell(), fmt.Sprintf("%.1f KB", float64(wr)/1024)})
-	}
-	res.Notes = append(res.Notes,
-		"terminal levels write zero bytes: the disk-writes column counts only the k-2 stored levels (differential tests in internal/apps pin the counts)")
-	return []Result{res}, nil
-}
-
-// compress measures the spill codec end-to-end: out-of-core workloads with
-// every level on disk, reporting wall time and the logical/physical split of
-// the spilled level data (logical bytes are exactly what spilling raw words
-// would have written).
-func compress(cfg RunConfig) ([]Result, error) {
-	res := Result{
-		ID:     "compress",
-		Title:  "spill compression (budget 1 B, all levels out of core), synthetic power-law (4000 v, 16000 e)",
-		Header: []string{"Workload", "t", "spill MB logical", "spill MB physical", "ratio"},
-	}
-	g, err := gen.PowerLaw(gen.Config{N: 4000, M: 16000, Alpha: 2.6, NumLabels: 8, LabelSkew: 0.7, Seed: 42})
-	if err != nil {
-		return nil, err
-	}
-	type wl struct {
-		name string
-		run  func(opt *run.Env) error
-	}
-	wls := []wl{
-		{"4-Clique", func(opt *run.Env) error { _, err := apps.CliqueCount(bgCtx, g, 4, opt); return err }},
-		{"4-Motif", func(opt *run.Env) error { _, err := apps.MotifCount(bgCtx, g, 4, opt); return err }},
-		{"3-FSM s=100", func(opt *run.Env) error { _, _, err := apps.FSM(bgCtx, g, 3, 100, opt); return err }},
-	}
-	if cfg.Quick {
-		wls = wls[:1]
-	}
-	for _, w := range wls {
-		dir, err := os.MkdirTemp(cfg.SpillDir, "compress")
-		if err != nil {
-			return nil, err
-		}
-		var spill run.SpillInfo
-		m := timed(func(tr *memtrack.Tracker) error {
-			return w.run(&run.Env{
-				Threads: cfg.Threads, Tracker: tr, MemoryBudget: 1, SpillDir: dir,
-				Spill: &spill,
-			})
-		})
-		os.RemoveAll(dir)
-		if m.skipped != "" {
-			return nil, fmt.Errorf("bench: %s: %s", w.name, m.skipped)
-		}
-		ratio := "-"
-		if p := spill.SpilledBytesPhysical; p > 0 {
-			ratio = fmt.Sprintf("%.2fx", float64(spill.SpilledBytes)/float64(p))
-		}
-		res.Rows = append(res.Rows, []string{
-			w.name, m.timeCell(),
-			fmt.Sprintf("%.2f", float64(spill.SpilledBytes)/(1<<20)),
-			fmt.Sprintf("%.2f", float64(spill.SpilledBytesPhysical)/(1<<20)),
-			ratio,
-		})
-	}
-	res.Notes = append(res.Notes,
-		"logical MB is the raw word size of the spilled level parts, physical MB what their codec blocks occupy on disk; ratio = logical/physical",
-		"the codec is block-aligned with the sparse group index, so random access stays one block per probe")
 	return []Result{res}, nil
 }
 

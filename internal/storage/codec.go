@@ -51,8 +51,8 @@ const (
 )
 
 // castagnoli is the CRC32C table: crc32.Checksum with it uses the SSE4.2 /
-// ARMv8 CRC instructions, so the per-block checksum is nanoseconds, not a
-// measurable cost against the ±3% throughput guard.
+// ARMv8 CRC instructions, so the per-block checksum costs nanoseconds, not a
+// measurable share of a spilled run.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // partComp is the block directory of one spilled part: the physical offset

@@ -2,7 +2,7 @@
 // create/read/write/sync/remove interface threaded through the write queue,
 // the level builders, the part rewriter, and the prefetch readers. Production
 // code runs on the zero-value OS implementation (plain *os.File); tests and
-// kbench -faults substitute a deterministic fault-injecting implementation
+// Config.Faults substitute a deterministic fault-injecting implementation
 // (FaultFS) to exercise the retry, integrity, and abort paths against seeded
 // ENOSPC, EIO, short writes, latency, and bit flips.
 package vfs
