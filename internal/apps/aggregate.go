@@ -2,8 +2,8 @@ package apps
 
 // Pattern aggregation, shared by every application that classifies
 // embeddings: MotifCount's Mapper, FSM's per-level aggregation and pruning
-// pass, and the Miner's default ResultAggregator all fill a pattern per
-// embedding and fold it into a per-worker PatternMap through one aggregator.
+// pass, and the Miner's default ResultAggregator all fold their embeddings'
+// patterns into a per-worker PatternMap through one aggregator.
 //
 // The isomorphism backend is cheap per pattern but a run has orders of
 // magnitude more embeddings than distinct filled patterns (k-motifs on an
@@ -13,6 +13,14 @@ package apps
 // (label, degree) sort permutation of a pattern seen before without sorting
 // or hashing again — Arabesque's two-level "quick pattern" aggregation, at
 // the one seam every backend sits behind.
+//
+// FSM and the ResultAggregator fill a pattern per embedding and classify it
+// through the memo. Motifs go one step further, because an unlabeled child's
+// filled pattern is just two masks the explorer already holds: the parent's
+// adjacency word and the child's row. MotifCount's Mapper counts each child
+// under that pair in a fixed per-worker tally — one increment per child, one
+// slot lookup per parent — and fills, classifies and folds each non-zero pair
+// once, when the tally is Reduced (or flushed because it is full).
 
 import (
 	"context"
@@ -137,10 +145,11 @@ type aggregator struct {
 }
 
 type aggWorker struct {
-	cl          classifier
-	classes     map[uint64]*mni.Agg
-	pat, prefix pattern.Pattern
-	verts, emb  []uint32
+	cl         classifier
+	classes    map[uint64]*mni.Agg
+	pat        pattern.Pattern
+	verts, emb []uint32
+	tally      *motifTally // allocated by the first addMotifs
 }
 
 func newAggregator(g *graph.Graph, support uint64, env *run.Env) *aggregator {
@@ -156,12 +165,20 @@ func newAggregator(g *graph.Graph, support uint64, env *run.Env) *aggregator {
 
 // add folds the filled pattern ws.pat into the worker's PatternMap; verts
 // lists the embedding's vertices in fill order (nil when only counting).
-// Every distinct filled pattern misses the memo at least once per worker, so
-// offering the sorted form on misses alone makes each class's representative
-// the smallest encoding over all its embeddings — the same pattern whatever
-// the schedule. (A memo outlives a pass only in FSM, whose passes have
-// patterns of different edge counts: no key of one pass hits in another.)
 func (a *aggregator) add(ws *aggWorker, verts []uint32) {
+	agg, e := a.class(ws)
+	agg.Insert(verts, &e.perm, a.support)
+}
+
+// class classifies the filled pattern ws.pat and returns its class's Agg in
+// the worker's PatternMap, created on first sight, with the memo entry (valid
+// until the next classify). Every distinct filled pattern misses the memo at
+// least once per worker, so offering the sorted form on misses alone makes
+// each class's representative the smallest encoding over all its embeddings —
+// the same pattern whatever the schedule. (A memo outlives a pass only in
+// FSM, whose passes have patterns of different edge counts: no key of one
+// pass hits in another.)
+func (a *aggregator) class(ws *aggWorker) (*mni.Agg, *memoEntry) {
 	e, miss := ws.cl.classify(&ws.pat)
 	agg := ws.classes[e.hash]
 	switch {
@@ -178,7 +195,7 @@ func (a *aggregator) add(ws *aggWorker, verts []uint32) {
 	case miss:
 		agg.Offer(&ws.pat)
 	}
-	agg.Insert(verts, &e.perm, a.support)
+	return agg, e
 }
 
 // addVertices folds one vertex-induced embedding, with its labels.
@@ -191,31 +208,125 @@ func (a *aggregator) addVertices(w int, emb []uint32) error {
 	return nil
 }
 
-// addMotifs folds the unlabeled patterns of one parent embedding's
-// extensions. The children share the parent's adjacency, so that part of the
-// pattern is filled once per parent; each child then adds only its own row,
-// which is its adjacency mask adj[j] (bit i ⇔ adjacent to emb[i]) as the
-// candidate merge produced it — no probe of the graph per child.
-func (a *aggregator) addMotifs(w int, emb, children, adj []uint32) error {
+// addMotifs counts the unlabeled patterns of one parent embedding's
+// extensions — the explorer's group visitor of MotifCount. An unlabeled
+// child's pattern is fixed by two masks: the parent's adjacency word, packed
+// from the parent's own masks embAdj once per parent, and the child's row,
+// its mask adj[j] (bit i ⇔ adjacent to emb[i]). So a child costs one counter
+// increment in the worker's tally under (word, row); nothing is filled,
+// classified or looked up per child, and the graph is never probed.
+func (a *aggregator) addMotifs(w int, emb, embAdj, children, adj []uint32) error {
 	if len(children) == 0 {
 		return nil
 	}
 	ws := a.workers[w]
-	if err := fillVertices(a.g, emb, true, &ws.prefix); err != nil {
-		return err
+	t := ws.tally
+	if t == nil || t.p != len(emb) {
+		if len(emb)+1 > pattern.MaxK {
+			return fmt.Errorf("apps: motif size %d exceeds pattern capacity %d", len(emb)+1, pattern.MaxK)
+		}
+		if t == nil {
+			t = new(motifTally)
+			ws.tally = t
+		}
+		a.flush(ws)
+		t.p = len(emb)
 	}
-	k, err := ws.prefix.AddVertex()
-	if err != nil {
-		return err
+	word := uint64(0)
+	for l := len(emb) - 1; l > 0; l-- {
+		word = word<<l | uint64(embAdj[l])
+	}
+	rows := t.slot(word)
+	if rows == nil {
+		a.flush(ws)
+		rows = t.slot(word)
 	}
 	for _, row := range adj {
-		ws.pat = ws.prefix
-		for ; row != 0; row &= row - 1 {
-			ws.pat.SetEdge(bits.TrailingZeros32(row), k)
-		}
-		a.add(ws, nil)
+		rows[row]++
 	}
 	return nil
+}
+
+// The motif tally: per worker, 2^tallyBits counters (64 KiB) in slots of
+// 2^p rows, one slot per parent adjacency word met, at most tallyWords of
+// them (a 2^11-entry index at load ≤ ½ maps a word to its slot). Like the
+// memo it is fixed scratch, not intermediate data, and is not charged to the
+// memory tracker. Up to k = 5 every parent word fits at once (k = 4: 1024
+// slots of 8 rows for at most 2^3 words; k = 5: 512 of 16 for 2^6); from
+// k = 6 on a run may meet more words than slots, and the tally is flushed
+// into the PatternMap whenever a new word finds it full.
+const (
+	tallyBits  = 13
+	tallyWords = 1 << 10
+	indexBits  = 11 // log2(2 * tallyWords)
+)
+
+// motifTally counts the children of a pass by (parent word, row). A parent
+// word packs the parent's masks embAdj[1:p]: embAdj[l] at bit l(l−1)/2, so
+// bit l(l−1)/2+i is the pair (i, l).
+type motifTally struct {
+	p      int // parent size: a slot holds 2^p rows
+	used   int // slots in use
+	words  [tallyWords]uint64
+	index  [1 << indexBits]uint16 // open addressing: slot+1 of a word, 0 = empty
+	counts [1 << tallyBits]uint64
+}
+
+// slot returns the rows of word's slot, taking a new slot on first sight, or
+// nil when the word is new and every slot is taken.
+func (t *motifTally) slot(word uint64) []uint64 {
+	h := word * 0x9E3779B97F4A7C15 >> (64 - indexBits)
+	for ; ; h = (h + 1) & (1<<indexBits - 1) {
+		s := int(t.index[h]) - 1
+		if s < 0 {
+			if t.used == min(tallyWords, 1<<tallyBits>>t.p) {
+				return nil
+			}
+			s = t.used
+			t.used++
+			t.index[h] = uint16(s + 1)
+			t.words[s] = word
+		} else if t.words[s] != word {
+			continue
+		}
+		return t.counts[s<<t.p : (s+1)<<t.p]
+	}
+}
+
+// flush folds the worker's tally into its PatternMap and empties it: each
+// non-zero (word, row) is filled once, classified through the memo and
+// added with its count — the Reduce-side half of addMotifs.
+func (a *aggregator) flush(ws *aggWorker) {
+	t := ws.tally
+	if t == nil || t.used == 0 {
+		return
+	}
+	k := t.p + 1
+	for s, word := range t.words[:t.used] {
+		parent := pattern.Pattern{K: k}
+		for l := 1; l < t.p; l++ {
+			for i := 0; i < l; i++ {
+				if word>>(l*(l-1)/2+i)&1 != 0 {
+					parent.SetEdge(i, l)
+				}
+			}
+		}
+		rows := t.counts[s<<t.p : (s+1)<<t.p]
+		for row, n := range rows {
+			if n == 0 {
+				continue
+			}
+			rows[row] = 0
+			ws.pat = parent
+			for r := row; r != 0; r &= r - 1 {
+				ws.pat.SetEdge(bits.TrailingZeros(uint(r)), t.p)
+			}
+			agg, _ := a.class(ws)
+			agg.Count += n
+		}
+	}
+	t.used = 0
+	t.index = [len(t.index)]uint16{}
 }
 
 // fillEdges sets ws.pat and ws.verts to the pattern and vertices of one
@@ -256,12 +367,14 @@ func (a *aggregator) hashEdges(w int, emb []uint32) (uint64, error) {
 }
 
 // merge Reduces the per-worker maps into one (the paper notes this merge is
-// the scalability cost of FSM, Fig. 14) and leaves the workers with empty
-// maps — and warm memos — for the next pass.
+// the scalability cost of FSM, Fig. 14), each after its pending motif tally,
+// and leaves the workers with empty maps — and warm memos — for the next
+// pass.
 func (a *aggregator) merge() map[uint64]*mni.Agg {
 	maps := make([]map[uint64]*mni.Agg, len(a.workers))
 	var calls uint64
 	for i, ws := range a.workers {
+		a.flush(ws)
 		maps[i], ws.classes = ws.classes, map[uint64]*mni.Agg{}
 		calls += ws.cl.calls
 		ws.cl.calls = 0

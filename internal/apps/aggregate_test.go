@@ -237,6 +237,109 @@ func TestMotifBackendCallsBounded(t *testing.T) {
 	}
 }
 
+// TestMotifTallyMatchesOracles holds the tally path — each child counted
+// under (parent word, row), each non-zero pair classified once per flush — to
+// both motif oracles, the materialized final level and the brute-force
+// subgraph enumeration, for k = 2..6 at 1, 2 and 4 threads, with the same
+// classes, counts and representative bytes at every thread count. The
+// second graph meets more distinct 5-vertex parent words than a tally has
+// slots at k = 6, so a one-worker run flushes mid-pass; the test watches the
+// tally empty between two parents to prove it.
+func TestMotifTallyMatchesOracles(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		ks   []int
+	}{
+		{"sparse", randomGraph(rand.New(rand.NewSource(37)), 14, 34, 1), []int{2, 3, 4, 5, 6}},
+		{"overflow", randomGraph(rand.New(rand.NewSource(2)), 18, 90, 1), []int{6}},
+	}
+	for _, c := range cases {
+		for _, k := range c.ks {
+			want := materializedMotifCount(t, c.g, k)
+			brute := bruteMotifs(t, c.g, k)
+			if len(want) != len(brute) {
+				t.Fatalf("%s k=%d: oracles disagree: %d materialized classes, %d brute", c.name, k, len(want), len(brute))
+			}
+			var one []PatternCount
+			for _, threads := range []int{1, 2, 4} {
+				what := fmt.Sprintf("%s k=%d threads=%d", c.name, k, threads)
+				got, err := MotifCount(bgCtx, c.g, k, &run.Env{Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d classes, want %d", what, len(got), len(want))
+				}
+				for _, pc := range got {
+					key := iso.CanonicalBrute(pc.Pattern)
+					if pc.Count != want[key] || pc.Count != brute[key] {
+						t.Fatalf("%s: motif %v count %d, materialized %d, brute %d", what, pc.Pattern, pc.Count, want[key], brute[key])
+					}
+				}
+				if threads == 1 {
+					one = got
+				} else {
+					comparePatternCounts(t, what, got, one)
+				}
+			}
+			if c.name == "overflow" {
+				if got := tallyFlushes(t, c.g, k); got.flushes == 0 {
+					t.Fatalf("%s k=%d: no mid-pass flush in a one-worker run", c.name, k)
+				} else {
+					comparePatternCounts(t, c.name+" watched", got.counts, one)
+				}
+			}
+		}
+	}
+}
+
+type watchedTally struct {
+	counts  []PatternCount
+	flushes int
+}
+
+// tallyFlushes runs k-motif counting on one worker through an aggregator of
+// its own and counts the mid-pass flushes: the parents after which the
+// tally holds fewer slots than before.
+func tallyFlushes(t *testing.T, g *graph.Graph, k int) watchedTally {
+	t.Helper()
+	env := &run.Env{Threads: 1}
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitVertices(nil); err != nil {
+		t.Fatal(err)
+	}
+	for e.Depth() < k-1 {
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := newAggregator(g, 0, env)
+	var w watchedTally
+	used := 0
+	err = e.ExpandVisitGroups(bgCtx, nil, nil, func(worker int, emb, embAdj, children, adj []uint32) error {
+		if err := a.addMotifs(worker, emb, embAdj, children, adj); err != nil {
+			return err
+		}
+		if tl := a.workers[worker].tally; tl != nil {
+			if tl.used < used {
+				w.flushes++
+			}
+			used = tl.used
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.counts = a.counts()
+	return w
+}
+
 // fsmEmbeddings calls visit with every embedding FSM(k, support 1) folds —
 // the stored levels of 2..k−2 edges and the final level of k−1 edges, all
 // kept since nothing is infrequent at support 1 — through an explorer of its
@@ -443,14 +546,15 @@ func BenchmarkHashMemo(b *testing.B) {
 }
 
 // BenchmarkMotifMapper measures the whole per-embedding Mapper cost of
-// 4-motif counting — pattern fill (the parent's pairs probed once per parent,
-// each child's row taken from its adjacency mask) plus memo lookup plus tally
-// — over stored 3-embeddings, one op per 4-embedding, without the expansion
-// that produces the candidates and their masks.
+// 4-motif counting — the parent word packed from the parent's own masks and
+// its tally slot found once per parent, one counter increment per child, and
+// the final flush that classifies each non-zero (word, row) through the memo
+// into the PatternMap — over stored 3-embeddings, one op per 4-embedding,
+// without the expansion that produces the candidates and their masks.
 func BenchmarkMotifMapper(b *testing.B) {
 	g := randomGraph(rand.New(rand.NewSource(3)), 400, 2400, 1)
 	type group struct {
-		emb           [3]uint32
+		emb, embAdj   [3]uint32
 		children, adj []uint32
 	}
 	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{Threads: 1}})
@@ -468,9 +572,9 @@ func BenchmarkMotifMapper(b *testing.B) {
 	}
 	var groups []group
 	var embeddings int
-	err = e.ExpandVisitGroups(bgCtx, nil, nil, func(_ int, emb, children, adj []uint32) error {
+	err = e.ExpandVisitGroups(bgCtx, nil, nil, func(_ int, emb, embAdj, children, adj []uint32) error {
 		if len(children) > 0 && embeddings < 1<<20 {
-			groups = append(groups, group{[3]uint32(emb), append([]uint32(nil), children...), append([]uint32(nil), adj...)})
+			groups = append(groups, group{[3]uint32(emb), [3]uint32(embAdj), append([]uint32(nil), children...), append([]uint32(nil), adj...)})
 			embeddings += len(children)
 		}
 		return nil
@@ -483,7 +587,7 @@ func BenchmarkMotifMapper(b *testing.B) {
 	done := 0
 	for done < b.N {
 		for i := range groups {
-			if err := a.addMotifs(0, groups[i].emb[:], groups[i].children, groups[i].adj); err != nil {
+			if err := a.addMotifs(0, groups[i].emb[:], groups[i].embAdj[:], groups[i].children, groups[i].adj); err != nil {
 				b.Fatal(err)
 			}
 			if done += len(groups[i].children); done >= b.N {
@@ -491,6 +595,7 @@ func BenchmarkMotifMapper(b *testing.B) {
 			}
 		}
 	}
+	a.flush(a.workers[0])
 	b.StopTimer()
 	b.ReportMetric(float64(a.workers[0].cl.calls), "backend-calls")
 }

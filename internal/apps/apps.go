@@ -16,9 +16,11 @@
 // union: each worker stamps a run's common neighbours into a
 // graph.NeighborMarker once and probes every leaf's below-neighbour list
 // (graph.Below) against it.
-// MotifCount does not ask the graph about adjacency per candidate either: the
-// candidate merge carries every candidate's adjacency to its embedding as a
-// bit mask, and the motif Mapper reads each child's pattern row from it.
+// MotifCount does not ask the graph about adjacency at all: the explorer
+// hands its Mapper every parent's own adjacency masks and every child's (the
+// candidate merge carries each candidate's adjacency to its embedding as a
+// bit mask), so the Mapper counts each child under (parent word, row) with
+// one increment and classifies each distinct pair once, at the Reduce.
 //
 // An application run is configured by one *run.Env — threads, budget, spill
 // placement, tracker, isomorphism backend, accounting out-pointer — which
@@ -99,8 +101,9 @@ func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint
 
 // MotifCount counts the frequency of every k-motif (§5.1): exploration stops
 // at (k−1)-embeddings; the Mapper explores each one's canonical extensions
-// on the fly and aggregates their pattern classes. Labels are ignored: motifs
-// are structural. ctx cancels the run between blocks of work.
+// on the fly, tallies them by (parent adjacency word, child row) and
+// aggregates the pattern class of each tallied pair. Labels are ignored:
+// motifs are structural. ctx cancels the run between blocks of work.
 func MotifCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) ([]PatternCount, error) {
 	if k < 2 || k > pattern.MaxK {
 		return nil, fmt.Errorf("apps: motif size %d out of [2,%d]", k, pattern.MaxK)

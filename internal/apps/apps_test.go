@@ -179,10 +179,28 @@ func TestMotifCountPaperExample(t *testing.T) {
 	}
 }
 
+// canonicalMemo returns iso.CanonicalBrute behind a memo keyed by the
+// pattern exactly as filled (its encoding), so an oracle pays the k!
+// permutations once per filled form, not once per subgraph. It is not safe
+// for concurrent use.
+func canonicalMemo() func(p *pattern.Pattern) string {
+	memo := map[string]string{}
+	return func(p *pattern.Pattern) string {
+		key := p.Encode()
+		c, ok := memo[key]
+		if !ok {
+			c = iso.CanonicalBrute(p)
+			memo[key] = c
+		}
+		return c
+	}
+}
+
 // bruteMotifs classifies all connected induced k-subgraphs by canonical form.
 func bruteMotifs(t *testing.T, g *graph.Graph, k int) map[string]uint64 {
 	t.Helper()
 	out := map[string]uint64{}
+	canonical := canonicalMemo()
 	set := make([]uint32, 0, k)
 	var rec func(start uint32)
 	rec = func(start uint32) {
@@ -192,7 +210,7 @@ func bruteMotifs(t *testing.T, g *graph.Graph, k int) map[string]uint64 {
 				t.Fatal(err)
 			}
 			if p.Connected() {
-				out[iso.CanonicalBrute(&p)]++
+				out[canonical(&p)]++
 			}
 			return
 		}

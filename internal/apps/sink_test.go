@@ -102,15 +102,15 @@ func materializedMotifCount(t *testing.T, g *graph.Graph, k int) map[string]uint
 		}
 	}
 	out := map[string]uint64{}
+	canonical := canonicalMemo()
 	var mu sync.Mutex
 	err = e.ForEach(bgCtx, func(_ int, emb []uint32) error {
 		var p pattern.Pattern
 		if err := fillVertices(g, emb, true, &p); err != nil {
 			return err
 		}
-		key := iso.CanonicalBrute(&p)
 		mu.Lock()
-		out[key]++
+		out[canonical(&p)]++
 		mu.Unlock()
 		return nil
 	})

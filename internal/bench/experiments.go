@@ -25,11 +25,11 @@ func fig11(cfg RunConfig) ([]Result, error) {
 	}
 	res := Result{
 		ID:     "Fig. 11",
-		Title:  "3-FSM run time (s) and memory (MB) vs support",
+		Title:  "3-FSM run time (s) and memory (KB) vs support",
 		Header: []string{"Dataset"},
 	}
 	for _, s := range supports {
-		res.Header = append(res.Header, fmt.Sprintf("t@%d", s), fmt.Sprintf("MB@%d", s))
+		res.Header = append(res.Header, fmt.Sprintf("t@%d", s), fmt.Sprintf("KB@%d", s))
 	}
 	for _, ds := range []string{"mico", "patent", "youtube"} {
 		g, err := loadDataset(ds, cfg)
@@ -60,9 +60,9 @@ func fig11(cfg RunConfig) ([]Result, error) {
 func fig12(cfg RunConfig) ([]Result, error) {
 	res := Result{
 		ID:    "Fig. 12",
-		Title: "isomorphism backends: EigenHash vs bliss-like (run time s / backend calls / ns per call / memory MB)",
+		Title: "isomorphism backends: EigenHash vs bliss-like (run time s / backend calls / ns per call / memory KB)",
 		Header: []string{"Workload", "Eigen t", "Bliss t", "speedup", "classes", "calls",
-			"Eigen ns/call", "Bliss ns/call", "per-call", "Eigen MB", "Bliss MB"},
+			"Eigen ns/call", "Bliss ns/call", "per-call", "Eigen KB", "Bliss KB"},
 	}
 	type wl struct {
 		name    string
@@ -165,8 +165,8 @@ func fig13(cfg RunConfig) ([]Result, error) {
 	}
 	res := Result{
 		ID:     "Fig. 13",
-		Title:  "FSM on patent-like, 7 vs 37 labels (run time s / memory MB)",
-		Header: []string{"Workload", "Eigen t", "Bliss t", "Eigen MB", "Bliss MB"},
+		Title:  "FSM on patent-like, 7 vs 37 labels (run time s / memory KB)",
+		Header: []string{"Workload", "Eigen t", "Bliss t", "Eigen KB", "Bliss KB"},
 	}
 	add := func(name string, g *graph.Graph, k int, s uint64) {
 		measure := func(iso run.IsoAlgo) measured {
@@ -204,8 +204,8 @@ func fig14(cfg RunConfig) ([]Result, error) {
 	}
 	res := Result{
 		ID:     "Fig. 14",
-		Title:  "scalability on patent-like (run time s / memory MB)",
-		Header: []string{"Threads", "3-FSM-5000 t", "3-FSM MB", "3-Motif t", "3-Motif MB", "5-Clique t", "5-Clique MB"},
+		Title:  "scalability on patent-like (run time s / memory KB)",
+		Header: []string{"Threads", "3-FSM-5000 t", "3-FSM KB", "3-Motif t", "3-Motif KB", "5-Clique t", "5-Clique KB"},
 	}
 	for _, t := range threads {
 		row := []string{fmt.Sprint(t)}
@@ -235,8 +235,8 @@ func fig14(cfg RunConfig) ([]Result, error) {
 func table4(cfg RunConfig) ([]Result, error) {
 	res := Result{
 		ID:     "Table 4",
-		Title:  "in-memory vs hybrid storage (run time s / memory MB)",
-		Header: []string{"App", "InMem t", "InMem MB", "Hybrid t", "Hybrid MB", "slowdown"},
+		Title:  "in-memory vs hybrid storage (run time s / memory KB)",
+		Header: []string{"App", "InMem t", "InMem KB", "Hybrid t", "Hybrid KB", "slowdown"},
 	}
 	type wl struct {
 		name    string
@@ -347,7 +347,7 @@ func fig16(cfg RunConfig) ([]Result, error) {
 		})
 	}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("in-memory baseline: %.2fs, peak %.1f MB", base.seconds, float64(base.peak)/(1<<20)),
+		fmt.Sprintf("in-memory baseline: %.2fs, peak %.1f KB", base.seconds, float64(base.peak)/(1<<10)),
 		"paper: with the cache capped below the working set the run time increases within 20%")
 	return []Result{res}, nil
 }

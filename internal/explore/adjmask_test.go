@@ -3,8 +3,9 @@ package explore
 // The adjacency mask is the one fact the candidate merge hands to filters and
 // sinks in place of graph probes, so these tests hold it to the definition —
 // bit i ⇔ HasEdge(emb[i], cand) — on every (embedding, candidate) pair a
-// filter or an ExpandVisitGroups consumer ever sees, and pin the depth bound a
-// bit per position implies.
+// filter or an ExpandVisitGroups consumer ever sees, and on every parent's
+// own masks (embAdj[l] against emb[:l]) a group visitor gets, and pin the
+// depth bound a bit per position implies.
 
 import (
 	"fmt"
@@ -66,8 +67,9 @@ func TestAdjMaskMatchesHasEdge(t *testing.T) {
 }
 
 // checkAdjMasks expands g from depth 1 to 5 and, at each depth, checks every
-// mask the filter and the group visitor receive and the emitted children
-// against the reference enumeration.
+// mask the filter and the group visitor receive — the children's and the
+// parent's own — and the emitted children against the reference enumeration,
+// with and without a filter.
 func checkAdjMasks(t *testing.T, g *graph.Graph, threads int) {
 	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: threads}})
 	if err != nil {
@@ -91,33 +93,45 @@ func checkAdjMasks(t *testing.T, g *graph.Graph, threads int) {
 	for depth := 1; depth <= 5; depth++ {
 		want := refExpandVertex(g, collect(t, e), nil)
 		sortEmbs(want)
-		var mu sync.Mutex
-		var got [][]uint32
-		err := e.ExpandVisitGroups(bgCtx, filter, nil, func(_ int, emb, children, adj []uint32) error {
-			if len(adj) != len(children) {
-				t.Errorf("emb %v: %d masks for %d children", emb, len(adj), len(children))
+		for _, vf := range []VertexFilter{filter, nil} {
+			var mu sync.Mutex
+			var got [][]uint32
+			var parents atomic.Int64
+			err := e.ExpandVisitGroups(bgCtx, vf, nil, func(_ int, emb, embAdj, children, adj []uint32) error {
+				parents.Add(1)
+				if msg := embAdjMismatch(g, emb, embAdj); msg != "" {
+					t.Errorf("visitor: %s", msg)
+				}
+				if len(adj) != len(children) {
+					t.Errorf("emb %v: %d masks for %d children", emb, len(adj), len(children))
+					return nil
+				}
+				ext := make([][]uint32, len(children))
+				for j, c := range children {
+					if vf != nil {
+						visited.Add(1)
+					}
+					check("visitor", emb, c, adj[j])
+					ext[j] = append(append([]uint32(nil), emb...), c)
+				}
+				mu.Lock()
+				got = append(got, ext...)
+				mu.Unlock()
 				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			ext := make([][]uint32, len(children))
-			for j, c := range children {
-				visited.Add(1)
-				check("visitor", emb, c, adj[j])
-				ext[j] = append(append([]uint32(nil), emb...), c)
+			if n := parents.Load(); n != int64(e.Count()) {
+				t.Fatalf("depth %d: visitor saw %d parents, level holds %d", depth, n, e.Count())
 			}
-			mu.Lock()
-			got = append(got, ext...)
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sortEmbs(got)
-		if !embsEqual(got, want) {
-			t.Fatalf("depth %d: %d children, reference %d: %s", depth, len(got), len(want), diffSample(got, want))
-		}
-		if t.Failed() {
-			t.FailNow()
+			sortEmbs(got)
+			if !embsEqual(got, want) {
+				t.Fatalf("depth %d filter=%v: %d children, reference %d: %s", depth, vf != nil, len(got), len(want), diffSample(got, want))
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
 		}
 		if err := e.Expand(bgCtx, nil, nil); err != nil {
 			t.Fatal(err)
@@ -126,6 +140,20 @@ func checkAdjMasks(t *testing.T, g *graph.Graph, threads int) {
 	if filtered.Load() == 0 || filtered.Load() != visited.Load() {
 		t.Fatalf("filter saw %d candidates, visitor %d", filtered.Load(), visited.Load())
 	}
+}
+
+// embAdjMismatch describes the first of a parent's own masks that is not
+// refAdjMask(g, emb[:l], emb[l]), or returns "" when all of them match.
+func embAdjMismatch(g *graph.Graph, emb, embAdj []uint32) string {
+	if len(embAdj) != len(emb) {
+		return fmt.Sprintf("emb %v: %d parent masks", emb, len(embAdj))
+	}
+	for l, m := range embAdj {
+		if want := refAdjMask(g, emb[:l], emb[l]); m != want {
+			return fmt.Sprintf("emb %v: embAdj[%d] = %b, want %b", emb, l, m, want)
+		}
+	}
+	return ""
 }
 
 // refMergeFirstAdj is the position merge the masks replaced, kept as the

@@ -145,9 +145,11 @@ type expansion struct {
 	emb      []uint32 // the parent, leaf filled
 	children []uint32
 	// adj holds the children's adjacency masks, parallel to children (bit i of
-	// adj[j] set iff children[j] is adjacent to emb[i]) — collected only in
-	// vertex-induced mode and only for a sink that wantAdj.
-	adj []uint32
+	// adj[j] set iff children[j] is adjacent to emb[i]), and embAdj the
+	// parent's own, parallel to emb (bit i of embAdj[l] set iff emb[l] is
+	// adjacent to emb[i], i < l) — both collected only in vertex-induced mode
+	// and only for a sink that wantAdj.
+	adj, embAdj []uint32
 }
 
 // walkerFor returns the worker's walker positioned over [lo, hi).
@@ -618,6 +620,9 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 		st := e.vertexStateFor(worker, k)
 		wantAdj := sink.wantAdj()
 		stored := vf == nil && !wantAdj
+		if wantAdj {
+			x.embAdj = st.embAdj[:k]
+		}
 		for {
 			emb, from, leaves, ok := w.NextRun()
 			if !ok {
@@ -630,6 +635,9 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 			}
 			if from < k {
 				st.updatePrefix(emb, from, k)
+				if wantAdj {
+					st.prefixAdj(emb, from, k)
+				}
 			}
 			x.emb = emb
 			for _, u := range leaves {
@@ -642,6 +650,9 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 					x.children = st.appendStored(k, u, emb[0], dst)
 				} else {
 					x.children, x.adj = dst, x.adj[:0]
+					if wantAdj {
+						x.embAdj[k-1] = st.leafAdj(k, u)
+					}
 					st.appendCanonical(k, u, emb, worker, vf, wantAdj, x)
 				}
 				if err := sink.emit(worker, chunk, x); err != nil {

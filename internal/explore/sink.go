@@ -45,8 +45,9 @@ type ExpandSink interface {
 	// order within a chunk. x and its slices are reused buffers, valid only
 	// during the call.
 	emit(worker, chunk int, x *expansion) error
-	// wantAdj reports whether emit reads x.adj, the children's adjacency
-	// masks. The expansion collects them for no other sink.
+	// wantAdj reports whether emit reads x.adj and x.embAdj, the children's
+	// and the parent's adjacency masks. The expansion collects them for no
+	// other sink.
 	wantAdj() bool
 	// endChunk completes one chunk after its last emit.
 	endChunk(worker, chunk int) error
@@ -180,18 +181,21 @@ func (s *CountSink) Total() uint64 { return s.total }
 // VisitSink hands the expansion stream to a per-worker callback, one parent
 // embedding with all its canonical extensions per call — the Mapper-side
 // consumption of §5.1 (motif counting, FSM's final aggregation). Nothing is
-// materialized. adj is set when visit reads the children's adjacency masks.
+// materialized. adj is set when visit reads the adjacency masks.
 type VisitSink struct {
-	visit func(worker int, emb, children, adj []uint32) error
+	visit GroupVisitor
 	adj   bool
 }
 
+// GroupVisitor is the per-parent callback of ExpandVisitGroups.
+type GroupVisitor func(worker int, emb, embAdj, children, adj []uint32) error
+
 // perChild adapts a per-extension callback to the sink's per-parent one.
-func perChild(visit func(worker int, emb []uint32, cand uint32) error) func(int, []uint32, []uint32, []uint32) error {
+func perChild(visit func(worker int, emb []uint32, cand uint32) error) GroupVisitor {
 	if visit == nil {
 		return nil
 	}
-	return func(worker int, emb, children, _ []uint32) error {
+	return func(worker int, emb, _, children, _ []uint32) error {
 		for _, c := range children {
 			if err := visit(worker, emb, c); err != nil {
 				return err
@@ -216,7 +220,7 @@ func (s *VisitSink) next(worker, chunk int, x *expansion) ([]uint32, error) {
 }
 
 func (s *VisitSink) emit(worker, chunk int, x *expansion) error {
-	return s.visit(worker, x.emb, x.children, x.adj)
+	return s.visit(worker, x.emb, x.embAdj, x.children, x.adj)
 }
 
 func (s *VisitSink) endChunk(worker, chunk int) error { return nil }
@@ -331,18 +335,28 @@ func (e *Explorer) ExpandCount(ctx context.Context, vf VertexFilter, ef EdgeFilt
 // mode, an edge id in edge-induced mode). The CSE is unchanged. ctx cancels
 // the walk (see Expand).
 func (e *Explorer) ExpandVisit(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit func(worker int, emb []uint32, cand uint32) error) error {
-	return e.ExpandVisitGroups(ctx, vf, ef, perChild(visit))
+	s := VisitSink{visit: perChild(visit)}
+	return e.ExpandTo(ctx, &s, vf, ef)
 }
 
 // ExpandVisitGroups is ExpandVisit handing over each parent embedding once,
 // with all its canonical extensions (possibly none), so a Mapper can do the
 // work the extensions share — the parent's own adjacency — once per parent.
-// In vertex-induced mode adj is parallel to children: bit i of adj[j] is set
-// iff children[j] is adjacent to emb[i], straight from the candidate merge, so
-// the Mapper knows each child's pattern row without probing the graph; in
-// edge-induced and Clique mode it is nil (a clique child's mask is all
-// ones). children and adj are reused buffers like emb.
-func (e *Explorer) ExpandVisitGroups(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit func(worker int, emb, children, adj []uint32) error) error {
+// In vertex-induced mode the visitor gets the whole adjacency of the parent
+// and its children as masks, and never needs to probe the graph:
+//   - embAdj is parallel to emb: bit i of embAdj[l] is set iff emb[l] is
+//     adjacent to emb[i], for i < l (embAdj[0] = 0). The masks are the
+//     parent's own provenance — emb[l]'s entry in the candidate set of
+//     emb[:l], and the leaf's in the run's keep list — found once per run
+//     and once per leaf, not once per child;
+//   - adj is parallel to children: bit i of adj[j] is set iff children[j] is
+//     adjacent to emb[i], straight from the candidate merge.
+//
+// So a Mapper knows the pattern of every child, row by row, from the masks
+// alone. In edge-induced and Clique mode embAdj and adj are nil (a clique's
+// masks are all ones). emb, embAdj, children and adj are reused buffers,
+// valid only during the call.
+func (e *Explorer) ExpandVisitGroups(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit GroupVisitor) error {
 	s := VisitSink{visit: visit, adj: true}
 	return e.ExpandTo(ctx, &s, vf, ef)
 }

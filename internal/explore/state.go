@@ -23,7 +23,8 @@ const maskBits = 32
 // comparisons, see appendCanonical);
 // the whole mask is handed to the user's VertexFilter (a clique is "all bits
 // set"); and a sink that asks for it gets the mask of every child (the motif
-// Mapper's new pattern row).
+// Mapper's new pattern row) and of every parent vertex, read back from the
+// candidate set it joined (the rest of the Mapper's pattern).
 //
 // In edge-induced mode a candidate enters only through the new endpoints of
 // an edge (edgeState.update), so only the lowest set bit is meaningful there
@@ -70,6 +71,9 @@ type vertexState struct {
 	// at is the keep cursor: keep.ids[:at] ≤ the run's latest leaf. Leaves
 	// ascend within a group, so it only moves forward.
 	at int
+	// embAdj[l] is the mask of emb[l] against emb[:l] — the parent's own
+	// adjacency, handed to a sink that wantAdj (see prefixAdj and leafAdj).
+	embAdj []uint32
 }
 
 func newVertexState(g *graph.Graph, depth int) *vertexState {
@@ -86,6 +90,9 @@ func (s *vertexState) ensureDepth(depth int) {
 	}
 	if cap(s.psuf) < depth+1 {
 		s.psuf = make([]uint32, depth+1)
+	}
+	if cap(s.embAdj) < depth {
+		s.embAdj = make([]uint32, depth)
 	}
 }
 
@@ -139,6 +146,46 @@ func (s *vertexState) updatePrefix(emb []uint32, from, k int) {
 		}
 	}
 	s.keep.ids, s.keep.adj, s.at = ids, adj, 0
+}
+
+// prefixAdj fills embAdj[l] for the prefix positions the run changed, l from
+// from−1 to k−2 (the rest carry over from the previous run; embAdj[0] is
+// always 0, and leafAdj fills the leaf's slot per leaf). The mask of emb[l]
+// is its entry in cands[l-1], which updatePrefix just refreshed: one search
+// per changed level and run, no graph probe. emb[1] joined as a neighbour of
+// emb[0], so its mask is 1. Call it after updatePrefix.
+func (s *vertexState) prefixAdj(emb []uint32, from, k int) {
+	for l := max(from-1, 1); l < k-1; l++ {
+		if l == 1 {
+			s.embAdj[1] = 1
+			continue
+		}
+		s.embAdj[l] = s.cands[l-1].maskOf(emb[l])
+	}
+}
+
+// leafAdj returns the mask of the leaf u against the prefix emb[:k-1]. A
+// leaf is a canonical child of the prefix, so it is in the keep list, right
+// behind the keep cursor appendCanonical moves to anyway; a leaf missing
+// there (a level the explorer did not build under this prefix filter) is
+// looked up in cands[k-2] itself.
+func (s *vertexState) leafAdj(k int, u uint32) uint32 {
+	if k == 1 {
+		return 0
+	}
+	if i := s.cursor(u); i > 0 && s.keep.ids[i-1] == u {
+		return s.keep.adj[i-1]
+	}
+	return s.cands[k-2].maskOf(u)
+}
+
+// maskOf returns the mask of id in c, 0 if id is not a candidate — adjacent
+// to no embedding vertex.
+func (c *candBuf) maskOf(id uint32) uint32 {
+	if i := gallopGE(c.ids, 0, id); i < len(c.ids) && c.ids[i] == id {
+		return c.adj[i]
+	}
+	return 0
 }
 
 // suffixMaxima fills psuf with the suffix maxima of the prefix emb[:k-1]

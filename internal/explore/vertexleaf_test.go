@@ -141,14 +141,19 @@ func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter
 }
 
 // checkAdjSink expands the level of depth d into an adj sink and holds the
-// children it receives to want (the reference level d+1) and every mask to
-// refAdjMask.
+// children it receives to want (the reference level d+1) and every mask, the
+// children's and the parent's own, to refAdjMask.
 func checkAdjSink(t *testing.T, e *Explorer, g *graph.Graph, d int, want [][]uint32) {
 	t.Helper()
 	var mu sync.Mutex
 	var got [][]uint32
 	var bad string
-	err := e.ExpandVisitGroups(bgCtx, nil, nil, func(_ int, emb, children, adj []uint32) error {
+	err := e.ExpandVisitGroups(bgCtx, nil, nil, func(_ int, emb, embAdj, children, adj []uint32) error {
+		if msg := embAdjMismatch(g, emb, embAdj); msg != "" {
+			mu.Lock()
+			bad = msg
+			mu.Unlock()
+		}
 		ext := make([][]uint32, len(children))
 		for j, c := range children {
 			ext[j] = append(append([]uint32(nil), emb...), c)

@@ -48,15 +48,6 @@ func (p *Pattern) Reset(k int) error {
 	return nil
 }
 
-// AddVertex appends one isolated unlabeled vertex to p and returns its index.
-func (p *Pattern) AddVertex() (int, error) {
-	if p.K == MaxK {
-		return 0, fmt.Errorf("pattern: k=%d out of range [1,%d]", p.K+1, MaxK)
-	}
-	p.K++
-	return p.K - 1, nil
-}
-
 // FromEdgeEmbedding builds the pattern of an edge-induced embedding: verts
 // lists the distinct vertices and edges lists index pairs into verts. Only
 // the listed edges are present, even if the input graph has more edges among
