@@ -14,13 +14,19 @@ package apps
 // or hashing again — Arabesque's two-level "quick pattern" aggregation, at
 // the one seam every backend sits behind.
 //
-// FSM and the ResultAggregator fill a pattern per embedding and classify it
-// through the memo. Motifs go one step further, because an unlabeled child's
-// filled pattern is just two masks the explorer already holds: the parent's
-// adjacency word and the child's row. MotifCount's Mapper counts each child
-// under that pair in a fixed per-worker tally — one increment per child, one
-// slot lookup per parent — and fills, classifies and folds each non-zero pair
-// once, when the tally is Reduced (or flushed because it is full).
+// FSM's level passes and the ResultAggregator fill a pattern per embedding
+// and classify it through the memo. FSM's final pass gets each parent with
+// all its extensions and fills the parent once: a child edge is one more
+// edge (and at most one more vertex) on the parent's pattern. On a miss the
+// memo is probed again with the sorted pattern, so the backend runs once per
+// distinct sorted pattern, and an entry caches its class's Agg for the pass,
+// so a hit skips the PatternMap too. Motifs go one step further, because an
+// unlabeled child's filled pattern is just two masks the explorer already
+// holds: the parent's adjacency word and the child's row. MotifCount's
+// Mapper counts each child under that pair in a fixed per-worker tally — one
+// increment per child, one slot lookup per parent — and fills, classifies
+// and folds each non-zero pair once, when the tally is Reduced (or flushed
+// because it is full).
 
 import (
 	"context"
@@ -52,17 +58,17 @@ func newHasher(a run.IsoAlgo) hasher {
 	}
 }
 
-// memoBits sizes the per-worker memo: 2^12 entries of 48 bytes, 192 KiB of
+// memoBits sizes the per-worker memo: 2^12 entries of 56 bytes, 224 KiB of
 // fixed scratch per worker whatever the run, in 4-way sets. Motif counting
 // up to k = 5 fits without a single eviction (see memoSet). On the fsm4-disk
-// graph (4 labels, 1920 vertices, seed 42) each worker meets 1,344 distinct
-// filled patterns in FSM's final pass; at 2 workers that pass runs the
-// backend about 2,790 times for 141,292 embeddings (2.0 %; the floor, one
-// call per key per worker, is 2,688), against about 3,550 with 4-way sets
-// of 2^11 entries and about 12,950 (9.2 %) with a direct-mapped table of
-// 2^11 slots; 2^13 entries reach the floor at twice the footprint. A run
-// with more keys than entries evicts and pays the backend again, never a
-// wrong answer.
+// graph (4 labels, 1920 vertices, seed 42) FSM's final pass visits 180,132
+// extensions; each worker meets about 1,344 distinct filled patterns there
+// but only 294 distinct sorted ones, and at 2 workers the pass runs the
+// backend about 600 times (0.3 %; the floor, one call per sorted form per
+// worker, is 588). Keyed by filled patterns alone it ran it about 2,790
+// times (floor 2,688), and about 3,550 with 4-way sets of 2^11 entries. A
+// run with more keys than entries evicts and pays the backend again, never
+// a wrong answer.
 const (
 	memoBits = 12
 	memoWays = 4
@@ -72,44 +78,82 @@ const (
 // memoEntry maps one filled pattern — (k, adjacency word, label array), the
 // whole key held by value so that a hit is an exact match, never a digest
 // match — to its class hash and sort permutation (perm[i] is the sorted
-// position of the vertex filled at index i).
+// position of the vertex filled at index i). agg caches the class's Agg in
+// the worker's PatternMap of the aggregation pass numbered gen: a memo
+// outlives its passes (FSM's), a PatternMap does not, so a stale stamp means
+// "look the class up again" (and a stale agg keeps an earlier pass's Agg
+// reachable until the entry is overwritten or the aggregator dropped).
+// 56 bytes.
 type memoEntry struct {
 	adj    uint64
 	labels [pattern.MaxK]graph.Label
 	hash   uint64
+	agg    *mni.Agg
 	perm   [pattern.MaxK]uint8
-	k      uint8 // 0 marks an empty entry: patterns have at least one vertex
+	gen    uint32 // 0 until an aggregator stamps agg
+	k      uint8  // 0 marks an empty entry: patterns have at least one vertex
 }
+
+// identity is the sort permutation of a pattern already sorted by
+// (label, degree): the selection sort swaps nothing.
+var identity = [pattern.MaxK]uint8{0, 1, 2, 3, 4, 5, 6, 7}
 
 // classifier is one worker's isomorphism state: the backend behind a
 // set-associative memo. It is scratch like the backend's own matrices — fixed
 // size, not intermediate data, not charged to the memory tracker.
 type classifier struct {
 	backend hasher
-	calls   uint64 // backend invocations, i.e. memo misses
+	calls   uint64 // backend invocations
 	sets    [1 << setBits][memoWays]memoEntry
 }
 
-// classify returns the memo entry of p's filled form. On a miss the backend
-// runs, the set's oldest entry is overwritten, and p is left sorted by
-// (label, degree); on a hit p is untouched. The entry is valid until the
-// next classify.
+// classify returns the memo entry of p's filled form. On a miss p is sorted
+// by (label, degree) and its sorted form is looked up in the same memo before
+// the backend runs: a sorted pattern's own permutation is the identity, so
+// its entry holds exactly the backend's hash for it, and the backend runs
+// once per distinct sorted form the memo holds, not once per filled form.
+// A backend call stores the sorted form's entry beside the filled one. The
+// set's oldest entry is overwritten on every store; on a hit p is untouched.
+// The entry is valid until the next classify.
 func (c *classifier) classify(p *pattern.Pattern) (e *memoEntry, miss bool) {
-	adj := p.AdjBits()
-	set := &c.sets[memoSet(adj, &p.Labels)]
-	for i := range set {
-		if e = &set[i]; e.adj == adj && e.labels == p.Labels && int(e.k) == p.K {
-			return e, false
+	adj, labels := p.AdjBits(), p.Labels
+	if e = c.lookup(adj, &labels, p.K); e != nil {
+		return e, false
+	}
+	var perm [pattern.MaxK]uint8
+	p.SortByLabelDegreeTracked(&perm)
+	sorted := p.AdjBits()
+	var hash uint64
+	if s := c.lookup(sorted, &p.Labels, p.K); s != nil {
+		hash = s.hash
+	} else {
+		hash = c.backend(p)
+		c.calls++
+		if sorted != adj || p.Labels != labels {
+			c.store(sorted, &p.Labels, p.K, hash, &identity)
 		}
 	}
-	// Ways are kept newest first: the oldest falls off the end.
+	return c.store(adj, &labels, p.K, hash, &perm), true
+}
+
+// lookup returns the entry of key (adj, labels, k), or nil.
+func (c *classifier) lookup(adj uint64, labels *[pattern.MaxK]graph.Label, k int) *memoEntry {
+	set := &c.sets[memoSet(adj, labels)]
+	for i := range set {
+		if e := &set[i]; e.adj == adj && e.labels == *labels && int(e.k) == k {
+			return e
+		}
+	}
+	return nil
+}
+
+// store writes key's entry over the oldest of its set and returns it. Ways
+// are kept newest first: the oldest falls off the end.
+func (c *classifier) store(adj uint64, labels *[pattern.MaxK]graph.Label, k int, hash uint64, perm *[pattern.MaxK]uint8) *memoEntry {
+	set := &c.sets[memoSet(adj, labels)]
 	copy(set[1:], set[:memoWays-1])
-	e = &set[0]
-	e.adj, e.labels, e.k = adj, p.Labels, uint8(p.K)
-	p.SortByLabelDegreeTracked(&e.perm)
-	e.hash = c.backend(p)
-	c.calls++
-	return e, true
+	set[0] = memoEntry{adj: adj, labels: *labels, hash: hash, perm: *perm, k: uint8(k)}
+	return &set[0]
 }
 
 // memoSet picks the set of a key. The vertex pairs among the first five
@@ -136,24 +180,26 @@ func memoSet(adj uint64, l *[pattern.MaxK]graph.Label) uint64 {
 // aggregator is the Mapper state of one aggregation pass: per-worker
 // classifiers and PatternMaps keyed by class hash. support is the MNI
 // threshold of FSM; 0 aggregates counts only (motifs, the Miner's default
-// aggregator).
+// aggregator). gen numbers the pass: a memo entry's cached Agg belongs to
+// the worker's current PatternMap only when its stamp equals gen.
 type aggregator struct {
 	g       *graph.Graph
 	support uint64
 	info    *run.SpillInfo // receives the backend-call count; may be nil
+	gen     uint32
 	workers []*aggWorker
 }
 
 type aggWorker struct {
-	cl         classifier
-	classes    map[uint64]*mni.Agg
-	pat        pattern.Pattern
-	verts, emb []uint32
-	tally      *motifTally // allocated by the first addMotifs
+	cl      classifier
+	classes map[uint64]*mni.Agg
+	pat     pattern.Pattern
+	verts   []uint32
+	tally   *motifTally // allocated by the first addMotifs
 }
 
 func newAggregator(g *graph.Graph, support uint64, env *run.Env) *aggregator {
-	a := &aggregator{g: g, support: support, info: env.Spill, workers: make([]*aggWorker, env.Workers())}
+	a := &aggregator{g: g, support: support, info: env.Spill, gen: 1, workers: make([]*aggWorker, env.Workers())}
 	for i := range a.workers {
 		a.workers[i] = &aggWorker{
 			cl:      classifier{backend: newHasher(env.Iso)},
@@ -166,20 +212,25 @@ func newAggregator(g *graph.Graph, support uint64, env *run.Env) *aggregator {
 // add folds the filled pattern ws.pat into the worker's PatternMap; verts
 // lists the embedding's vertices in fill order (nil when only counting).
 func (a *aggregator) add(ws *aggWorker, verts []uint32) {
-	agg, e := a.class(ws)
-	agg.Insert(verts, &e.perm, a.support)
+	e := a.class(ws)
+	e.agg.Insert(verts, &e.perm, a.support)
 }
 
-// class classifies the filled pattern ws.pat and returns its class's Agg in
-// the worker's PatternMap, created on first sight, with the memo entry (valid
-// until the next classify). Every distinct filled pattern misses the memo at
-// least once per worker, so offering the sorted form on misses alone makes
-// each class's representative the smallest encoding over all its embeddings —
-// the same pattern whatever the schedule. (A memo outlives a pass only in
-// FSM, whose passes have patterns of different edge counts: no key of one
-// pass hits in another.)
-func (a *aggregator) class(ws *aggWorker) (*mni.Agg, *memoEntry) {
+// class classifies the filled pattern ws.pat and returns its memo entry
+// (valid until the next classify), whose agg is the class's Agg in the
+// worker's PatternMap, created on first sight. A hit stamped with this pass
+// returns at once: no map lookup. Every distinct filled pattern misses the
+// memo at least once per worker — or hits the entry a miss stored for its
+// sorted form, which is then the form that miss offered — so offering the
+// sorted form on misses alone makes each class's representative the
+// smallest encoding over all its embeddings — the same pattern whatever the
+// schedule. (A memo outlives a pass only in FSM, whose passes have patterns
+// of different edge counts: no key of one pass hits in another.)
+func (a *aggregator) class(ws *aggWorker) *memoEntry {
 	e, miss := ws.cl.classify(&ws.pat)
+	if e.gen == a.gen {
+		return e // a store zeroes gen, so this is never a miss
+	}
 	agg := ws.classes[e.hash]
 	switch {
 	case agg == nil:
@@ -195,7 +246,8 @@ func (a *aggregator) class(ws *aggWorker) (*mni.Agg, *memoEntry) {
 	case miss:
 		agg.Offer(&ws.pat)
 	}
-	return agg, e
+	e.agg, e.gen = agg, a.gen
+	return e
 }
 
 // addVertices folds one vertex-induced embedding, with its labels.
@@ -321,8 +373,7 @@ func (a *aggregator) flush(ws *aggWorker) {
 			for r := row; r != 0; r &= r - 1 {
 				ws.pat.SetEdge(bits.TrailingZeros(uint(r)), t.p)
 			}
-			agg, _ := a.class(ws)
-			agg.Count += n
+			a.class(ws).agg.Count += n
 		}
 	}
 	t.used = 0
@@ -347,12 +398,64 @@ func (a *aggregator) addEdges(w int, emb []uint32) error {
 	return nil
 }
 
-// addEdgeExtension is addEdges for the extension (emb, cand) of a fused
-// terminal expansion.
-func (a *aggregator) addEdgeExtension(w int, emb []uint32, cand uint32) error {
+// addEdgeGroup folds the extensions of one edge-induced parent embedding —
+// the explorer's group visitor of FSM's final pass. The parent's pattern
+// and vertices are filled once. A child edge adds one edge and at most one
+// vertex, which goes last, where fillEdges of the extended embedding puts
+// it: so a child's pattern is the parent's plus that edge — the same memo
+// key, class and representative as filling the child from scratch, for the
+// cost of finding the edge's endpoints among the parent's few vertices.
+func (a *aggregator) addEdgeGroup(w int, emb, _, children, _ []uint32) error {
+	if len(children) == 0 {
+		return nil
+	}
 	ws := a.workers[w]
-	ws.emb = append(append(ws.emb[:0], emb...), cand)
-	return a.addEdges(w, ws.emb)
+	if err := ws.fillEdges(a.g, emb); err != nil {
+		return err
+	}
+	parent, nv := ws.pat, len(ws.verts)
+	for _, c := range children {
+		if err := ws.extend(a.g, &parent, nv, c); err != nil {
+			return err
+		}
+		a.add(ws, ws.verts)
+	}
+	return nil
+}
+
+// extend sets ws.pat and ws.verts to the pattern and vertices of a parent
+// extended by edge c: the parent's pattern, and its vertices as
+// ws.verts[:nv], with c's endpoints found among them (or appended) and the
+// edge set.
+func (ws *aggWorker) extend(g *graph.Graph, parent *pattern.Pattern, nv int, c uint32) error {
+	ws.pat, ws.verts = *parent, ws.verts[:nv]
+	ed := g.EdgeAt(c)
+	i, err := ws.vertex(g, ed.U)
+	if err != nil {
+		return err
+	}
+	j, err := ws.vertex(g, ed.V)
+	if err != nil {
+		return err
+	}
+	ws.pat.SetEdge(i, j)
+	return nil
+}
+
+// vertex returns v's index in the worker's filled pattern, appending v with
+// its label as the last vertex when the pattern does not hold it yet.
+func (ws *aggWorker) vertex(g *graph.Graph, v uint32) (int, error) {
+	for i, u := range ws.verts {
+		if u == v {
+			return i, nil
+		}
+	}
+	i, err := ws.pat.AddVertex(g.Label(v))
+	if err != nil {
+		return 0, err
+	}
+	ws.verts = append(ws.verts, v)
+	return i, nil
 }
 
 // hashEdges returns the class hash of one edge-induced embedding without
@@ -379,6 +482,7 @@ func (a *aggregator) merge() map[uint64]*mni.Agg {
 		calls += ws.cl.calls
 		ws.cl.calls = 0
 	}
+	a.gen++ // the memos' cached Aggs now belong to the merged map
 	if a.info != nil {
 		a.info.IsoCalls += calls
 	}

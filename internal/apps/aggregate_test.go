@@ -3,7 +3,9 @@ package apps
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"kaleido/internal/explore"
 	"kaleido/internal/graph"
@@ -62,15 +64,66 @@ func TestFillVertices(t *testing.T) {
 	}
 }
 
+// A memo entry stays within 64 bytes.
+var _ [64 - unsafe.Sizeof(memoEntry{})]byte
+
+// memoKey is the memo key of p's current vertex order.
+func memoKey(p *pattern.Pattern) memoEntry {
+	return memoEntry{adj: p.AdjBits(), labels: p.Labels, k: uint8(p.K)}
+}
+
 // TestClassifierMatchesBackend is the memo's differential property: for
 // random labeled patterns of every size, classify returns exactly what a
 // fresh backend computes for the sorted pattern — hash and permutation — on
 // first sight, on a hit, and after the entry was evicted and recomputed. The
 // key set is several times the table, so slots are overwritten constantly.
+// The backend runs once per distinct sorted form the memo does not hold: on
+// a key set that stays resident, exactly once per sorted form met; under
+// evictions at least that often and at most once per miss.
 func TestClassifierMatchesBackend(t *testing.T) {
 	for name, algo := range isoAlgos {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
+			fresh := newHasher(algo)
+			check := func(i int, p *pattern.Pattern, e *memoEntry) {
+				t.Helper()
+				want := p.Clone()
+				var perm [pattern.MaxK]uint8
+				want.SortByLabelDegreeTracked(&perm)
+				if wantHash := fresh(want); e.hash != wantHash {
+					t.Fatalf("key %d (%v): memo hash %#x, backend %#x", i, p, e.hash, wantHash)
+				}
+				if string(e.perm[:p.K]) != string(perm[:p.K]) {
+					t.Fatalf("key %d (%v): memo perm %v, want %v", i, p, e.perm[:p.K], perm[:p.K])
+				}
+			}
+
+			// Resident: every vertex order of a few random patterns, a few
+			// hundred filled keys sharing far fewer sorted forms.
+			small := &classifier{backend: newHasher(algo)}
+			filled, forms := map[memoEntry]bool{}, map[memoEntry]bool{}
+			smallMisses := 0
+			for i := 0; i < 40; i++ {
+				p := randomPattern(rng, 3+i%(pattern.MaxK-2), 3, 2)
+				for rep := 0; rep < 6; rep++ {
+					q := p.Permuted(rng.Perm(p.K))
+					filled[memoKey(q)] = true
+					sorted := q.Clone()
+					sorted.SortByLabelDegree()
+					forms[memoKey(sorted)] = true
+					e, miss := small.classify(q.Clone())
+					if miss {
+						smallMisses++
+					}
+					check(i, q, e)
+				}
+			}
+			if small.calls != uint64(len(forms)) || smallMisses > len(filled) || 2*len(forms) > len(filled) {
+				t.Fatalf("resident keys: %d backend calls, %d misses for %d filled keys and %d sorted forms; want one call per sorted form",
+					small.calls, smallMisses, len(filled), len(forms))
+			}
+			t.Logf("resident: %d filled keys, %d sorted forms, %d misses, %d backend calls", len(filled), len(forms), smallMisses, small.calls)
+
 			keys, kmin := 3<<memoBits, 2
 			if algo != run.IsoEigen {
 				// The slow backends get fewer keys, all from the large sizes
@@ -87,7 +140,6 @@ func TestClassifierMatchesBackend(t *testing.T) {
 				t.Fatalf("%d distinct keys do not overflow the %d-slot table", len(distinct), 1<<memoBits)
 			}
 			cl := &classifier{backend: newHasher(algo)}
-			fresh := newHasher(algo)
 			var hits, misses int
 			for round := 0; round < 2; round++ {
 				for i, p := range pats {
@@ -126,8 +178,14 @@ func TestClassifierMatchesBackend(t *testing.T) {
 					}
 				}
 			}
-			if uint64(misses) != cl.calls {
-				t.Fatalf("%d misses but %d backend calls", misses, cl.calls)
+			forms = map[memoEntry]bool{}
+			for _, p := range pats {
+				sorted := p.Clone()
+				sorted.SortByLabelDegree()
+				forms[memoKey(sorted)] = true
+			}
+			if cl.calls < uint64(len(forms)) || cl.calls > uint64(misses) {
+				t.Fatalf("%d backend calls for %d sorted forms and %d misses", cl.calls, len(forms), misses)
 			}
 			if misses < len(distinct)+1<<(memoBits-1) {
 				t.Fatalf("%d misses over %d distinct keys in 2 rounds: too few evictions to test the overwrite path", misses, len(distinct))
@@ -365,15 +423,18 @@ func fsmEmbeddings(t testing.TB, g *graph.Graph, k int, visit func(emb []uint32)
 	}
 }
 
-// TestFSMBackendCallsBounded pins what the set-associative memo buys FSM: on
-// a labelled graph whose distinct filled patterns fit the memo, a worker
-// runs the backend at most 1.25 times per distinct key it meets — counted
-// here by filling every embedding FSM aggregates — however many embeddings
-// share each key.
+// TestFSMBackendCallsBounded pins what the memo buys FSM: a worker runs the
+// backend once per distinct sorted pattern it meets — counted here by
+// filling and sorting every embedding FSM aggregates — not once per distinct
+// filled pattern, however many filled patterns and embeddings share each
+// sorted form. The graph's filled and sorted keys together take a quarter
+// to a half of the memo, so a few of its 4-way sets overflow: an evicted
+// sorted entry costs one more call when a filled form of it misses later,
+// allowed up to a quarter of the sorted forms (1.25 calls per form).
 func TestFSMBackendCallsBounded(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(61)), 1500, 3600, 4)
 	const k = 4
-	keys := map[memoEntry]bool{}
+	keys, sorted := map[memoEntry]bool{}, map[memoEntry]bool{}
 	var embeddings int
 	var p pattern.Pattern
 	var verts []uint32
@@ -382,23 +443,184 @@ func TestFSMBackendCallsBounded(t *testing.T) {
 		if verts, err = fillEdges(g, emb, verts, &p); err != nil {
 			t.Fatal(err)
 		}
-		keys[memoEntry{adj: p.AdjBits(), labels: p.Labels, k: uint8(p.K)}] = true
+		keys[memoKey(&p)] = true
+		p.SortByLabelDegree()
+		sorted[memoKey(&p)] = true
 		embeddings++
 	})
-	if len(keys) < 1<<memoBits/4 || len(keys) > 1<<memoBits/2 {
-		t.Fatalf("%d distinct keys: want a quarter to a half of the %d-entry memo", len(keys), 1<<memoBits)
+	if n := len(keys) + len(sorted); n < 1<<memoBits/4 || n > 1<<memoBits/2 {
+		t.Fatalf("%d filled + %d sorted keys: want a quarter to a half of the %d-entry memo", len(keys), len(sorted), 1<<memoBits)
+	}
+	if 2*len(sorted) > len(keys) {
+		t.Fatalf("%d sorted forms for %d filled keys: too few filled forms per sorted one to show the sorted probe", len(sorted), len(keys))
 	}
 	var info run.SpillInfo
 	if _, _, err := FSM(bgCtx, g, k, 1, &run.Env{Threads: 1, Spill: &info}); err != nil {
 		t.Fatal(err)
 	}
-	if info.IsoCalls < uint64(len(keys)) || 4*info.IsoCalls > 5*uint64(len(keys)) {
-		t.Fatalf("%d backend calls for %d distinct keys, want at most 1.25 per key", info.IsoCalls, len(keys))
+	if info.IsoCalls < uint64(len(sorted)) || 4*info.IsoCalls > 5*uint64(len(sorted)) {
+		t.Fatalf("%d backend calls for %d distinct sorted forms, want at most 1.25 per form", info.IsoCalls, len(sorted))
 	}
 	if embeddings < 20*len(keys) {
 		t.Fatalf("only %d embeddings for %d keys; graph too small to show the memo", embeddings, len(keys))
 	}
-	t.Logf("%d embeddings, %d distinct keys, %d backend calls", embeddings, len(keys), info.IsoCalls)
+	t.Logf("%d embeddings, %d filled keys, %d sorted forms, %d backend calls", embeddings, len(keys), len(sorted), info.IsoCalls)
+}
+
+// TestFSMEdgeGroupMatchesFill holds FSM's grouped final pass to the
+// per-embedding fill it replaced. Every final-pass extension's pattern and
+// vertices, built by addEdgeGroup's extend from its parent's, equal
+// fillEdges of the extended embedding, vertex order included; and FSM's
+// results — pattern bytes, counts and supports — equal those of the
+// materialized final level, which fills each stored embedding from scratch,
+// at 1, 2 and 4 threads, unbudgeted and at budget 1.
+func TestFSMEdgeGroupMatchesFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 3; trial++ {
+		g := randomGraph(rng, 24+rng.Intn(12), 70+rng.Intn(40), 3)
+		for _, k := range []int{3, 4, 5} {
+			what := fmt.Sprintf("trial %d k=%d", trial, k)
+			freqPairs, _ := mni.EdgePairs(g, 1)
+			e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: &run.Env{Threads: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.InitEdges(nil); err != nil {
+				t.Fatal(err)
+			}
+			filter := fsmEmbeddingFilter(g, k, freqPairs)
+			for e.Depth() < k-2 {
+				if err := e.Expand(bgCtx, nil, filter); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ws := make([]aggWorker, 2)
+			var mu sync.Mutex
+			var checked uint64
+			total, err := e.ExpandCountVisit(bgCtx, nil, filter, func(w int, emb, embAdj, children, adj []uint32) error {
+				if embAdj != nil || adj != nil {
+					return fmt.Errorf("edge-induced group got masks")
+				}
+				x := &ws[w]
+				if err := x.fillEdges(g, emb); err != nil {
+					return err
+				}
+				parent, nv := x.pat, len(x.verts)
+				var want pattern.Pattern
+				var verts []uint32
+				for _, c := range children {
+					if err := x.extend(g, &parent, nv, c); err != nil {
+						return err
+					}
+					v, err := fillEdges(g, append(append([]uint32(nil), emb...), c), verts, &want)
+					if err != nil {
+						return err
+					}
+					verts = v
+					if !x.pat.Equal(&want) || x.pat.Deg != want.Deg || fmt.Sprint(x.verts) != fmt.Sprint(verts) {
+						return fmt.Errorf("extension %v+%d: grouped %v on %v, filled %v on %v", emb, c, &x.pat, x.verts, &want, verts)
+					}
+				}
+				mu.Lock()
+				checked += uint64(len(children))
+				mu.Unlock()
+				return nil
+			})
+			e.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if checked != total || total < 100 {
+				t.Fatalf("%s: checked %d of %d extensions", what, checked, total)
+			}
+			for _, support := range []uint64{1, 3} {
+				want := materializedFSMFinal(t, g, k, support, &run.Env{Threads: 1})
+				if support > 1 && len(want) < 3 {
+					t.Fatalf("%s s=%d: only %d frequent patterns", what, support, len(want))
+				}
+				for _, threads := range []int{1, 2, 4} {
+					for _, budget := range []int64{0, 1} {
+						env := &run.Env{Threads: threads}
+						if budget > 0 {
+							env.MemoryBudget, env.SpillDir = budget, t.TempDir()
+						}
+						got, _, err := FSM(bgCtx, g, k, support, env)
+						if err != nil {
+							t.Fatal(err)
+						}
+						comparePatternCounts(t, fmt.Sprintf("%s s=%d threads=%d budget=%d", what, support, threads, budget), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMemoAggStampedPerPass replays one final pass twice through the same
+// aggregator, merging after each as FSM merges after every pass. The second
+// pass meets a warm memo, so every extension hits an entry that caches an
+// Agg of the first pass's PatternMap; a hit must still fold into the second
+// pass's own map: the same classes, counts and supports, in fresh Aggs.
+// (Not the same representatives: with no miss in the second pass nothing is
+// offered, which FSM never meets, since its passes share no key.)
+func TestMemoAggStampedPerPass(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(73)), 60, 220, 3)
+	const k, support = 4, 3
+	freqPairs, _ := mni.EdgePairs(g, 1)
+	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: &run.Env{Threads: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitEdges(nil); err != nil {
+		t.Fatal(err)
+	}
+	filter := fsmEmbeddingFilter(g, k, freqPairs)
+	if err := e.Expand(bgCtx, nil, filter); err != nil {
+		t.Fatal(err)
+	}
+	type group struct{ emb, children []uint32 }
+	var groups []group
+	_, err = e.ExpandCountVisit(bgCtx, nil, filter, func(_ int, emb, _, children, _ []uint32) error {
+		groups = append(groups, group{append([]uint32(nil), emb...), append([]uint32(nil), children...)})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info run.SpillInfo
+	a := newAggregator(g, support, &run.Env{Threads: 1, Spill: &info})
+	var passes [2]map[uint64]*mni.Agg
+	var calls [2]uint64
+	for i := range passes {
+		for _, gr := range groups {
+			if err := a.addEdgeGroup(0, gr.emb, nil, gr.children, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		passes[i] = a.merge()
+		calls[i] = info.IsoCalls
+	}
+	if calls[0] == 0 || calls[1] != calls[0] {
+		t.Fatalf("backend calls %d after the first pass, %d after the second: want a cold first pass and an all-hit second", calls[0], calls[1])
+	}
+	frequent := 0
+	for h, want := range passes[0] {
+		got := passes[1][h]
+		if got == nil || got == want {
+			t.Fatalf("class %v: second pass Agg %p, first %p", want.Pat, got, want)
+		}
+		if got.Count != want.Count || got.Frequent() != want.Frequent() || got.Support() != want.Support() {
+			t.Fatalf("class %v: second pass (%d, %v, %d), first (%d, %v, %d)", want.Pat,
+				got.Count, got.Frequent(), got.Support(), want.Count, want.Frequent(), want.Support())
+		}
+		if want.Frequent() {
+			frequent++
+		}
+	}
+	if len(passes[1]) != len(passes[0]) || frequent == 0 || frequent == len(passes[0]) {
+		t.Fatalf("%d classes in the second pass, %d in the first, %d frequent", len(passes[1]), len(passes[0]), frequent)
+	}
 }
 
 // aggregateAtDepth expands a fresh explorer to depth and runs the default
@@ -600,12 +822,14 @@ func BenchmarkMotifMapper(b *testing.B) {
 	b.ReportMetric(float64(a.workers[0].cl.calls), "backend-calls")
 }
 
-// BenchmarkFSMAggregate measures FSM's per-embedding Mapper cost at the
-// final level — edge-pattern fill, memo lookup, MNI domain inserts — one op
-// per addEdgeExtension over stored (2-edge embedding, candidate edge) pairs
-// of a labelled graph, at support 100 like fsm4-disk. Each pass over the
-// pairs ends with the Reduce (untimed), so every pass starts from empty
-// pattern maps and warm memos, as FSM's passes do.
+// BenchmarkFSMAggregate measures FSM's final-pass Mapper cost — the
+// parent's edge pattern filled once, then per extension one edge added, one
+// memo probe and the MNI domain inserts — replaying the (2-edge parent,
+// candidate edges) groups of a labelled graph into addEdgeGroup at support
+// 100, like fsm4-disk, one op per extension. Each pass over the groups ends
+// with the Reduce (untimed), so every pass starts from empty pattern maps
+// and warm memos, as FSM's passes do; backend-calls/pass is the first
+// (cold-memo) pass's count.
 func BenchmarkFSMAggregate(b *testing.B) {
 	g := randomGraph(rand.New(rand.NewSource(61)), 1920, 4000, 4)
 	const k = 4
@@ -622,34 +846,42 @@ func BenchmarkFSMAggregate(b *testing.B) {
 	if err := e.Expand(bgCtx, nil, filter); err != nil {
 		b.Fatal(err)
 	}
-	type ext struct {
-		emb  [2]uint32
-		cand uint32
+	type group struct {
+		emb      [2]uint32
+		children []uint32
 	}
-	var exts []ext
-	_, err = e.ExpandCountVisit(bgCtx, nil, filter, func(_ int, emb []uint32, cand uint32) error {
-		exts = append(exts, ext{[2]uint32(emb), cand})
+	var groups []group
+	exts, err := e.ExpandCountVisit(bgCtx, nil, filter, func(_ int, emb, _, children, _ []uint32) error {
+		if len(children) > 0 {
+			groups = append(groups, group{[2]uint32(emb), append([]uint32(nil), children...)})
+		}
 		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := newAggregator(g, 100, &run.Env{Threads: 1})
+	var info run.SpillInfo
+	a := newAggregator(g, 100, &run.Env{Threads: 1, Spill: &info})
+	coldCalls := uint64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
-		for i := range exts {
-			if err := a.addEdgeExtension(0, exts[i].emb[:], exts[i].cand); err != nil {
+		for i := range groups {
+			if err := a.addEdgeGroup(0, groups[i].emb[:], nil, groups[i].children, nil); err != nil {
 				b.Fatal(err)
 			}
-			if done++; done == b.N {
+			if done += len(groups[i].children); done >= b.N {
 				break
 			}
 		}
 		b.StopTimer()
 		a.merge()
+		if coldCalls == 0 {
+			coldCalls = info.IsoCalls
+		}
 		b.StartTimer()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(len(exts)), "embeddings/pass")
+	b.ReportMetric(float64(exts), "extensions/pass")
+	b.ReportMetric(float64(coldCalls), "backend-calls/pass")
 }

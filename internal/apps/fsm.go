@@ -41,7 +41,7 @@ func FSM(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.En
 		return nil, 0, err
 	}
 	defer e.Close()
-	if err := e.InitEdges(fsmSeedFilter(g, freqPairs)); err != nil {
+	if err := e.InitEdges(freqPairs.Has); err != nil {
 		return nil, 0, err
 	}
 
@@ -68,35 +68,30 @@ func FSM(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.En
 	// Final level: the largest level of the run is aggregated at the
 	// expansion frontier and never materialized — the §6.5
 	// terminal-consumption trick applied to FSM. The combined Count+Visit
-	// sink counts the level's embeddings in the same pass.
-	total, err := e.ExpandCountVisit(ctx, nil, filter, a.addEdgeExtension)
+	// sink counts the level's embeddings in the same pass, and hands the
+	// Mapper each parent with all its extensions, so the parent's pattern
+	// is filled once.
+	total, err := e.ExpandCountVisit(ctx, nil, filter, a.addEdgeGroup)
 	if err != nil {
 		return nil, 0, err
 	}
 	return collectFrequent(a.merge(), support), total, nil
 }
 
-// fsmSeedFilter admits only edges whose 1-edge pattern is frequent.
-func fsmSeedFilter(g *graph.Graph, freqPairs mni.PairSet) func(eid uint32) bool {
-	return func(eid uint32) bool { return freqPairs.Has(g, eid) }
-}
-
 // fsmEmbeddingFilter is FSM's EmbeddingFilter: the candidate edge must
 // itself be frequent and the embedding must not exceed k distinct vertices.
-func fsmEmbeddingFilter(g *graph.Graph, k int, freqPairs mni.PairSet) explore.EdgeFilter {
-	return func(_ int, emb []uint32, verts []uint32, cand uint32) bool {
-		if !freqPairs.Has(g, cand) {
+// A candidate is incident to the embedding and adds at most one vertex, so
+// only an embedding that already spans k vertices looks its endpoints up.
+func fsmEmbeddingFilter(g *graph.Graph, k int, freqPairs mni.EdgeSet) explore.EdgeFilter {
+	return func(_ int, _, verts []uint32, cand uint32) bool {
+		if !freqPairs.Has(cand) {
 			return false
 		}
+		if len(verts) < k {
+			return true
+		}
 		ed := g.EdgeAt(cand)
-		nv := 0
-		if !sortedContains(verts, ed.U) {
-			nv++
-		}
-		if !sortedContains(verts, ed.V) {
-			nv++
-		}
-		return len(verts)+nv <= k
+		return sortedContains(verts, ed.U) && sortedContains(verts, ed.V)
 	}
 }
 

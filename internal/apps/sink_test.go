@@ -159,12 +159,12 @@ func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, o
 		t.Fatal(err)
 	}
 	defer e.Close()
-	err = e.InitEdges(func(eid uint32) bool { return freqPairs.Has(g, eid) })
+	err = e.InitEdges(freqPairs.Has)
 	if err != nil {
 		t.Fatal(err)
 	}
 	filter := func(_ int, emb []uint32, verts []uint32, cand uint32) bool {
-		if !freqPairs.Has(g, cand) {
+		if !freqPairs.Has(cand) {
 			return false
 		}
 		ed := g.EdgeAt(cand)

@@ -168,12 +168,12 @@ func FSM(g *graph.Graph, k int, support uint64, opt Options) ([]PatternCount, er
 	if err != nil {
 		return nil, err
 	}
-	err = e.Init(func(eid uint32) bool { return freqPairs.Has(g, eid) })
+	err = e.Init(freqPairs.Has)
 	if err != nil {
 		return nil, err
 	}
 	filter := func(emb []uint32, cand uint32) bool {
-		if !freqPairs.Has(g, cand) {
+		if !freqPairs.Has(cand) {
 			return false
 		}
 		ed := g.EdgeAt(cand)

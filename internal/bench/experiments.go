@@ -127,7 +127,7 @@ func fig12(cfg RunConfig) ([]Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		"paper: 5.8× speedup for motif counting, 2.1× for FSM (whole-application times; the iso check is one component)",
-		"the backend runs once per distinct filled pattern per worker (calls), not once per embedding, so hashing is off the critical path and the whole-application speedup collapses toward 1×; the paper's Fig. 12 quantity — what one isomorphism check costs under each backend — is the per-call column, timed on the run's class representatives")
+		"the backend runs once per distinct sorted pattern per worker (calls), not once per embedding, so hashing is off the critical path and the whole-application speedup collapses toward 1×; the paper's Fig. 12 quantity — what one isomorphism check costs under each backend — is the per-call column, timed on the run's class representatives")
 	return []Result{res}, nil
 }
 

@@ -71,8 +71,9 @@ const (
 type VertexFilter func(worker int, emb []uint32, cand, adj uint32) bool
 
 // EdgeFilter is the edge-induced EmbeddingFilter: emb holds edge ids, verts
-// the sorted vertex set, cand the candidate edge id. worker identifies the
-// calling goroutine for per-worker filter scratch.
+// the sorted vertex set, cand the candidate edge id — an edge incident to
+// the embedding, so at most one of its endpoints is outside verts. worker
+// identifies the calling goroutine for per-worker filter scratch.
 type EdgeFilter func(worker int, emb []uint32, verts []uint32, cand uint32) bool
 
 // Config configures an Explorer: what to explore, and the run's one

@@ -227,11 +227,12 @@ func (s *VisitSink) endChunk(worker, chunk int) error { return nil }
 func (s *VisitSink) finish(e *Explorer) error         { return nil }
 func (s *VisitSink) abort()                           {}
 
-// CountVisitSink fuses CountSink and VisitSink: every extension reaches the
-// per-worker callback and is tallied into a padded per-worker counter in the
-// same pass. A workload whose terminal expansion both aggregates and needs
-// the total embedding count (FSM's final MNI aggregation) gets the count for
-// free instead of re-deriving it with a second hash pass over its aggregates.
+// CountVisitSink fuses CountSink and VisitSink: every parent's extensions
+// reach the per-worker callback and are tallied into a padded per-worker
+// counter in the same pass. A workload whose terminal expansion both
+// aggregates and needs the total embedding count (FSM's final MNI
+// aggregation) gets the count for free instead of re-deriving it with a
+// second hash pass over its aggregates.
 type CountVisitSink struct {
 	VisitSink
 	counts []paddedCount
@@ -361,12 +362,14 @@ func (e *Explorer) ExpandVisitGroups(ctx context.Context, vf VertexFilter, ef Ed
 	return e.ExpandTo(ctx, &s, vf, ef)
 }
 
-// ExpandCountVisit is ExpandVisit plus the embedding count of the same pass
-// (CountVisitSink): the walk visits every canonical extension and returns how
-// many there were, so terminal aggregations that also report a count do not
-// need a second pass over their aggregate state. The CSE is unchanged.
-func (e *Explorer) ExpandCountVisit(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit func(worker int, emb []uint32, cand uint32) error) (uint64, error) {
-	s := CountVisitSink{VisitSink: VisitSink{visit: perChild(visit)}}
+// ExpandCountVisit is ExpandVisitGroups plus the embedding count of the same
+// pass (CountVisitSink): the walk hands visit each parent embedding once with
+// all its canonical extensions and returns how many extensions there were,
+// so terminal aggregations that also report a count do not need a second
+// pass over their aggregate state. Its visitor gets no masks: embAdj and adj
+// are nil in every mode. The CSE is unchanged.
+func (e *Explorer) ExpandCountVisit(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit GroupVisitor) (uint64, error) {
+	s := CountVisitSink{VisitSink: VisitSink{visit: visit}}
 	if err := e.ExpandTo(ctx, &s, vf, ef); err != nil {
 		return 0, err
 	}

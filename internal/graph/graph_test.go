@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -230,6 +231,87 @@ func TestReadEdgeListErrors(t *testing.T) {
 			t.Errorf("ReadEdgeList(%q) succeeded, want error", in)
 		}
 	}
+}
+
+// FuzzReadEdgeList feeds arbitrary text to the edge-list parser. It must
+// not panic, and a graph it accepts must agree with an independent scan of
+// the same lines that numbers ids in first-seen order: one vertex per
+// distinct id (edge and label lines alike), the last label given to each,
+// no self loop, an edge for every edge line between two distinct ids, and
+// no other edge.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, s := range []string{
+		"0 1\n1 2\n2 0\n0 label=3\n",
+		"# c\n% c\n\n10 20\r\n20 10\n7 7\n7 label=1\n7 label=2",
+		"18446744073709551615 0\n", "0 label=65535\n5 label=1\n",
+		"0\n", "a b\n", "0 1 2\n", "0 label=99999\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := ReadEdgeList(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("ReadEdgeList returned an invalid graph: %v", err)
+		}
+		ids := map[uint64]uint32{}
+		id := func(raw uint64) uint32 {
+			v, ok := ids[raw]
+			if !ok {
+				v = uint32(len(ids))
+				ids[raw] = v
+			}
+			return v
+		}
+		labels := map[uint32]Label{}
+		pairs := map[Edge]bool{}
+		for _, line := range strings.Split(in, "\n") {
+			fields := strings.Fields(line)
+			if len(fields) == 0 || fields[0][0] == '#' || fields[0][0] == '%' {
+				continue
+			}
+			u, err := strconv.ParseUint(fields[0], 10, 64)
+			if err != nil || len(fields) != 2 {
+				t.Fatalf("accepted line %q", line)
+			}
+			if lv, ok := strings.CutPrefix(fields[1], "label="); ok {
+				l, err := strconv.ParseUint(lv, 10, 16)
+				if err != nil {
+					t.Fatalf("accepted label line %q", line)
+				}
+				labels[id(u)] = Label(l)
+				continue
+			}
+			v, err := strconv.ParseUint(fields[1], 10, 64)
+			if err != nil {
+				t.Fatalf("accepted edge line %q", line)
+			}
+			a, b := id(u), id(v)
+			if a != b {
+				pairs[Edge{min(a, b), max(a, b)}] = true
+			}
+		}
+		if g.N() != len(ids) || g.M() != len(pairs) {
+			t.Fatalf("N=%d M=%d, want %d distinct ids and %d distinct edges", g.N(), g.M(), len(ids), len(pairs))
+		}
+		for _, e := range g.Edges() {
+			if e.U == e.V {
+				t.Fatalf("self loop on %d", e.U)
+			}
+		}
+		for e := range pairs {
+			if !g.HasEdge(e.U, e.V) {
+				t.Fatalf("edge line %v has no edge", e)
+			}
+		}
+		for v := uint32(0); int(v) < g.N(); v++ {
+			if g.Label(v) != labels[v] {
+				t.Fatalf("vertex %d: label %d, want %d", v, g.Label(v), labels[v])
+			}
+		}
+	})
 }
 
 func TestBinaryRoundTrip(t *testing.T) {

@@ -20,15 +20,17 @@ type domain struct {
 const minSet = 4
 
 // add inserts vertex v (< |V|): a probe into the table, or a test-and-set on
-// the bitset. words is the bitset length over |V|.
-func (d *domain) add(v uint32, words int) {
+// the bitset. words is the bitset length over |V|. It reports whether v was
+// new, i.e. whether the count grew.
+func (d *domain) add(v uint32, words int) bool {
 	if d.bits != nil {
 		w, m := &d.bits[v>>6], uint64(1)<<(v&63)
-		if *w&m == 0 {
-			*w |= m
-			d.n++
+		if *w&m != 0 {
+			return false
 		}
-		return
+		*w |= m
+		d.n++
+		return true
 	}
 	key := v + 1
 	if len(d.set) > 0 {
@@ -36,17 +38,17 @@ func (d *domain) add(v uint32, words int) {
 		i := slot(key, len(d.set))
 		for ; d.set[i] != 0; i = (i + 1) & mask {
 			if d.set[i] == key {
-				return
+				return false
 			}
 		}
 		if 2*(d.n+1) <= len(d.set) {
 			d.set[i] = key
 			d.n++
-			return
+			return true
 		}
 	}
 	d.grow(words)
-	d.add(v, words)
+	return d.add(v, words)
 }
 
 // slot is key's home slot in a table of length size: the top bits of a

@@ -102,7 +102,10 @@ func TestDomainMatchesMap(t *testing.T) {
 				var a, b domain
 				ra, rb := map[uint32]struct{}{}, map[uint32]struct{}{}
 				for _, v := range randomVertices(rng, nv, size()) {
-					a.add(v, words)
+					_, had := ra[v]
+					if grew := a.add(v, words); grew == had {
+						t.Fatalf("add(%d) reported growth %v, held before: %v", v, grew, had)
+					}
 					ra[v] = struct{}{}
 				}
 				for _, v := range randomVertices(rng, nv, size()) {
@@ -120,7 +123,10 @@ func TestDomainMatchesMap(t *testing.T) {
 				checkDomain(t, "b after merge", &b, rb, words)
 				// Inserting after a merge goes on from the merged state.
 				for _, v := range randomVertices(rng, nv, rng.Intn(40)) {
-					a.add(v, words)
+					_, had := ra[v]
+					if grew := a.add(v, words); grew == had {
+						t.Fatalf("add(%d) after merge reported growth %v, held before: %v", v, grew, had)
+					}
 					ra[v] = struct{}{}
 				}
 				checkDomain(t, "merged then inserted", &a, ra, words)
@@ -271,7 +277,7 @@ func TestEdgePairs(t *testing.T) {
 	}
 	for eid, e := range g.Edges() {
 		wantHas := g.Label(e.U) == g.Label(e.V)
-		if freq.Has(g, uint32(eid)) != wantHas {
+		if freq.Has(uint32(eid)) != wantHas {
 			t.Fatalf("edge %v: Has = %v", e, !wantHas)
 		}
 	}

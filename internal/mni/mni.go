@@ -90,16 +90,23 @@ func (a *Agg) Offer(p *pattern.Pattern) {
 }
 
 // Insert records one embedding: verts[i] is the graph vertex at original
-// pattern index i, perm maps original indices to sorted positions.
+// pattern index i, perm maps original indices to sorted positions. The
+// support is re-read only when a domain grew: an embedding whose vertices
+// every domain already holds cannot change it.
 func (a *Agg) Insert(verts []uint32, perm *[pattern.MaxK]uint8, support uint64) {
 	a.Count++
 	if a.frequent {
 		return
 	}
+	grew := false
 	for i, v := range verts {
-		a.domains[a.tie[perm[i]]].add(v, a.words)
+		if a.domains[a.tie[perm[i]]].add(v, a.words) {
+			grew = true
+		}
 	}
-	a.refresh(support)
+	if grew {
+		a.refresh(support)
+	}
 }
 
 // Merge folds b (an Agg of the same pattern from another worker) into a.
@@ -182,14 +189,14 @@ func (pr Pair) Pattern() *pattern.Pattern {
 	return p
 }
 
-// PairSet holds the label pairs whose single-edge pattern is frequent.
-type PairSet map[uint32]bool
+// EdgeSet is a bitset over a graph's edge ids: bit eid is set iff edge eid's
+// single-edge pattern is frequent. It costs |E|/8 bytes (rounded up to a
+// word) and, like Graph.Below, is derived from the input graph and not
+// charged to a memory tracker.
+type EdgeSet []uint64
 
-// Has reports whether edge eid of g has a frequent single-edge pattern.
-func (s PairSet) Has(g *graph.Graph, eid uint32) bool {
-	ed := g.EdgeAt(eid)
-	return s[pairKey(g.Label(ed.U), g.Label(ed.V))]
-}
+// Has reports whether edge eid has a frequent single-edge pattern.
+func (s EdgeSet) Has(eid uint32) bool { return s[eid>>6]>>(eid&63)&1 != 0 }
 
 func pairKey(a, b graph.Label) uint32 {
 	return uint32(min(a, b))<<16 | uint32(max(a, b))
@@ -197,13 +204,15 @@ func pairKey(a, b graph.Label) uint32 {
 
 // EdgePairs is FSM's Init step (§5.1): the exact MNI support of every
 // single-edge pattern of g, computed in one pass over the edges. It returns
-// the frequent label pairs and their aggregates, ordered by (A, B). For a
-// pair (a, a) the two ends are automorphic and share one domain; for (a, b)
-// each label has its own — both exact, so nothing is released early.
-func EdgePairs(g *graph.Graph, support uint64) (PairSet, []Pair) {
+// the edges whose single-edge pattern is frequent and the frequent pairs'
+// aggregates, ordered by (A, B). For a pair (a, a) the two ends are
+// automorphic and share one domain; for (a, b) each label has its own — both
+// exact, so nothing is released early.
+func EdgePairs(g *graph.Graph, support uint64) (EdgeSet, []Pair) {
 	type pairAgg struct {
-		a, b  domain // b stays empty for (a, a)
-		count uint64
+		a, b     domain // b stays empty for (a, a)
+		count    uint64
+		frequent bool
 	}
 	words := (g.N() + 63) / 64
 	aggs := map[uint32]*pairAgg{}
@@ -226,7 +235,6 @@ func EdgePairs(g *graph.Graph, support uint64) (PairSet, []Pair) {
 			d.b.add(v, words)
 		}
 	}
-	freq := PairSet{}
 	var out []Pair
 	for key, d := range aggs {
 		s := d.a.n
@@ -234,10 +242,16 @@ func EdgePairs(g *graph.Graph, support uint64) (PairSet, []Pair) {
 			s = min(s, d.b.n)
 		}
 		if uint64(s) >= support {
-			freq[key] = true
+			d.frequent = true
 			out = append(out, Pair{A: graph.Label(key >> 16), B: graph.Label(key), Count: d.count, Support: uint64(s)})
 		}
 	}
 	slices.SortFunc(out, func(x, y Pair) int { return cmp.Compare(pairKey(x.A, x.B), pairKey(y.A, y.B)) })
+	freq := make(EdgeSet, (g.M()+63)/64)
+	for eid, ed := range g.Edges() {
+		if aggs[pairKey(g.Label(ed.U), g.Label(ed.V))].frequent {
+			freq[eid>>6] |= 1 << (eid & 63)
+		}
+	}
 	return freq, out
 }

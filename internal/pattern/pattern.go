@@ -69,6 +69,16 @@ func FromEdgeEmbedding(g *graph.Graph, verts []uint32, edges [][2]int) (*Pattern
 	return p, nil
 }
 
+// AddVertex appends an isolated vertex labelled l and returns its index.
+func (p *Pattern) AddVertex(l graph.Label) (int, error) {
+	if p.K >= MaxK {
+		return 0, fmt.Errorf("pattern: k=%d out of range [1,%d]", p.K+1, MaxK)
+	}
+	p.Labels[p.K] = l
+	p.K++
+	return p.K - 1, nil
+}
+
 // SetEdge adds the undirected edge {i, j}.
 func (p *Pattern) SetEdge(i, j int) {
 	bit := uint64(1)<<(i*8+j) | uint64(1)<<(j*8+i)

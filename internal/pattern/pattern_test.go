@@ -32,6 +32,32 @@ func TestNewBounds(t *testing.T) {
 	}
 }
 
+// TestAddVertex grows a pattern one labelled vertex at a time: the result
+// equals the pattern New builds at the final size, and a ninth vertex is
+// refused.
+func TestAddVertex(t *testing.T) {
+	p, _ := New(1)
+	p.Labels[0] = 3
+	for k := 1; k < MaxK; k++ {
+		i, err := p.AddVertex(graph.Label(k))
+		if err != nil || i != k || p.K != k+1 {
+			t.Fatalf("AddVertex #%d = %d, %v; K = %d", k, i, err, p.K)
+		}
+		p.SetEdge(i-1, i)
+	}
+	want, _ := New(MaxK)
+	want.Labels = [MaxK]graph.Label{3, 1, 2, 3, 4, 5, 6, 7}
+	for i := 1; i < MaxK; i++ {
+		want.SetEdge(i-1, i)
+	}
+	if !p.Equal(want) || p.Deg != want.Deg {
+		t.Fatalf("grown %v, want %v", p, want)
+	}
+	if _, err := p.AddVertex(0); err == nil || p.K != MaxK {
+		t.Fatalf("vertex %d accepted (K = %d)", MaxK+1, p.K)
+	}
+}
+
 func TestSetEdgeIdempotent(t *testing.T) {
 	p, _ := New(3)
 	p.SetEdge(0, 1)

@@ -254,12 +254,12 @@ func FSM(g *graph.Graph, k int, support uint64, opt Options) ([]PatternCount, St
 	}
 	defer e.close()
 	freq, _ := mni.EdgePairs(g, support)
-	t, err := e.initEdges(func(eid uint32) bool { return freq.Has(g, eid) })
+	t, err := e.initEdges(freq.Has)
 	if err != nil {
 		return nil, e.stats, err
 	}
 	emit := func(verts, tuple []uint32, cand uint32) bool {
-		return freq.Has(g, cand) && len(verts)+countNew(verts, g.EdgeAt(cand)) <= k
+		return freq.Has(cand) && len(verts)+countNew(verts, g.EdgeAt(cand)) <= k
 	}
 	var result []PatternCount
 	for level := 2; level <= k-1; level++ {

@@ -92,8 +92,9 @@ type SpillInfo struct {
 	// per-level view a metrics endpoint can report after the run is gone.
 	Levels []LevelStat
 	// IsoCalls counts how often the run's pattern aggregation ran the
-	// isomorphism backend — its memo misses, where the hashing time goes
-	// (the aggregator adds to it at every merge).
+	// isomorphism backend — once per distinct sorted pattern per worker,
+	// give or take memo evictions: where the hashing time goes (the
+	// aggregator adds to it at every merge).
 	IsoCalls uint64
 }
 

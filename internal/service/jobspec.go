@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -192,7 +193,9 @@ func (s *JobSpec) Deadline(now time.Time) time.Time {
 }
 
 // ParseBytes parses a human byte size: a plain integer, or one with a KB/MB/
-// GB (decimal) or KiB/MiB/GiB (binary) suffix, case-insensitive.
+// GB (decimal) or KiB/MiB/GiB (binary) suffix, case-insensitive. A negative
+// size, or one whose bytes overflow int64, is an error: a budget ≤ 0 means
+// "unbudgeted", so neither may pass for one.
 func ParseBytes(s string) (int64, error) {
 	mult := int64(1)
 	upper := strings.ToUpper(strings.TrimSpace(s))
@@ -213,6 +216,12 @@ func ParseBytes(s string) (int64, error) {
 	v, err := strconv.ParseInt(strings.TrimSpace(upper), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("service: bad byte size %q: %w", s, err)
+	}
+	if v < 0 {
+		return 0, fmt.Errorf("service: negative byte size %q", s)
+	}
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("service: byte size %q overflows int64", s)
 	}
 	return v * mult, nil
 }

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/big"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -31,7 +33,8 @@ func TestParseBytes(t *testing.T) {
 	}{
 		{"0", 0}, {"123", 123}, {"1KiB", 1024}, {"2MiB", 2 << 20},
 		{"1GiB", 1 << 30}, {"1kb", 1000}, {"3MB", 3000000}, {"2GB", 2000000000},
-		{" 64MiB ", 64 << 20},
+		{" 64MiB ", 64 << 20}, {"-0", 0},
+		{"9223372036854775807", math.MaxInt64}, {"8589934591GiB", math.MaxInt64 &^ (1<<30 - 1)},
 	}
 	for _, c := range cases {
 		got, err := ParseBytes(c.in)
@@ -39,11 +42,55 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"", "MiB", "12XB", "1.5GiB"} {
+	// A negative or overflowing size would read as "unbudgeted" (≤ 0), or
+	// wrap to some other budget, if it were accepted.
+	for _, bad := range []string{"", "MiB", "12XB", "1.5GiB", "-1", "-1MiB",
+		"17179869184GiB", "9000000000GiB", "8589934592GiB", "9223372036854775808"} {
 		if _, err := ParseBytes(bad); err == nil {
 			t.Errorf("ParseBytes(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseBytes checks every size ParseBytes accepts against exact
+// arithmetic: the value is ≥ 0 and equals the digits times the suffix's
+// multiplier, computed with math/big, so no accepted size has wrapped.
+func FuzzParseBytes(f *testing.F) {
+	for _, s := range []string{"0", "123", "1KiB", "2mib", "3GB", " 64MiB ", "-1MiB",
+		"17179869184GiB", "9000000000GiB", "8589934591GiB", "9223372036854775807", "+7kb"} {
+		f.Add(s)
+	}
+	mults := []struct {
+		suf string
+		m   int64
+	}{
+		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30},
+		{"KB", 1000}, {"MB", 1000 * 1000}, {"GB", 1000 * 1000 * 1000},
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseBytes(s)
+		if err != nil {
+			return
+		}
+		if got < 0 {
+			t.Fatalf("ParseBytes(%q) = %d < 0", s, got)
+		}
+		digits, mult := strings.ToUpper(strings.TrimSpace(s)), int64(1)
+		for _, sm := range mults {
+			if d, ok := strings.CutSuffix(digits, sm.suf); ok {
+				digits, mult = d, sm.m
+				break
+			}
+		}
+		want, ok := new(big.Int).SetString(strings.TrimSpace(digits), 10)
+		if !ok {
+			t.Fatalf("ParseBytes(%q) = %d, but %q is not a decimal integer", s, got, digits)
+		}
+		want.Mul(want, big.NewInt(mult))
+		if want.Cmp(big.NewInt(got)) != 0 {
+			t.Fatalf("ParseBytes(%q) = %d, want %v", s, got, want)
+		}
+	})
 }
 
 func TestJobSpecValidate(t *testing.T) {
