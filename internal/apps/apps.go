@@ -12,10 +12,11 @@
 // terminal level, on any storage regime.
 //
 // CliqueCount and TriangleCount (= CliqueCount(3)) run the explorer's
-// Clique mode, which intersects neighbour lists instead of filtering their
-// union: each worker stamps a run's common neighbours into a
-// graph.NeighborMarker once and probes every leaf's below-neighbour list
-// (graph.Below) against it.
+// Clique mode, which reads common neighbours instead of filtering a union:
+// the group stored under a clique is its common neighbours, so each worker
+// stamps a group's leaves into a graph.NeighborMarker as it walks them and
+// probes every leaf's below-neighbour list (graph.Below) against the leaves
+// before it.
 // MotifCount does not ask the graph about adjacency at all: the explorer
 // hands its Mapper every parent's own adjacency masks and every child's (the
 // candidate merge carries each candidate's adjacency to its embedding as a

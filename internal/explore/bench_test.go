@@ -187,10 +187,12 @@ func BenchmarkAppendCanonical(b *testing.B) {
 // BenchmarkCliqueLeaf measures the Clique-mode leaf over the stored 3-cliques
 // of the power-law graph — the final expansion of Cliques(4) — one op per
 // leaf: count (the CountSink path, nothing written), store (children
-// appended), and, as the baseline the intersection replaced, union — the
-// vertex-induced fused leaf merge under the all-ones mask filter, over the
-// 3-cliques the union path stores (the same cliques, grown upward). Prefix
-// refreshes and stamps are paid once per run of leaves, as in the expansion.
+// appended), and, as the baseline the common-neighbour probe replaced, union
+// — the vertex-induced fused leaf merge under the all-ones mask filter, over
+// the 3-cliques the union path stores (the same cliques, grown upward). The
+// Clique leaves replay their stored groups as the expansion does: the stamp
+// starts empty per group and grows by each leaf after it is probed; the union
+// leaf refreshes its prefix once per group.
 func BenchmarkCliqueLeaf(b *testing.B) {
 	g := benchGraph(b)
 	const k = 3
@@ -223,7 +225,7 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 		return embs
 	}
 	cliques, union := stored(Clique, nil), stored(VertexInduced, all)
-	cst, vst := newCliqueState(g, k), newVertexState(g, k)
+	mk, vst := g.NewNeighborMarker(), newVertexState(g, k)
 	var x expansion
 	var sum uint64
 	for _, c := range []struct {
@@ -233,15 +235,17 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 	}{
 		{"count", cliques, func(emb []uint32, from int) {
 			if from < k {
-				cst.updatePrefix(emb, from, k)
+				mk.Begin()
 			}
-			sum += cst.countLeaf(k, emb[k-1])
+			sum += countCliqueLeaf(g, mk, k, emb[k-1])
+			mk.Mark(emb[k-1])
 		}},
 		{"store", cliques, func(emb []uint32, from int) {
 			if from < k {
-				cst.updatePrefix(emb, from, k)
+				mk.Begin()
 			}
-			x.children = cst.appendLeaf(k, emb[k-1], x.children[:0])
+			x.children = appendCliqueLeaf(g, mk, k, emb[k-1], x.children[:0])
+			mk.Mark(emb[k-1])
 		}},
 		{"union", union, func(emb []uint32, from int) {
 			if from < k {

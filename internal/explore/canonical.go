@@ -1,6 +1,6 @@
 // Package explore implements Kaleido's embedding exploration engine (§3.1,
 // §4): canonical-filtered vertex- and edge-induced expansion and
-// intersection-based clique expansion over a CSE, parallel iteration over
+// common-neighbour clique expansion over a CSE, parallel iteration over
 // work-stealing chunks (§4.2), and automatic spilling of large levels to hybrid disk storage (§4.1).
 package explore
 

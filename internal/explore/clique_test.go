@@ -108,17 +108,58 @@ type levelRun struct {
 	bytes         []int64
 	continuations int  // block-seam continuation runs walked
 	mixed         bool // some level split between memory and disk
+	moved         int  // interior chunk bounds Clique mode moved to a group start
+	emptied       int  // chunks those moves left empty: a group outgrew a chunk
+}
+
+// boundsSink records the chunk bounds of the walk whose sink it wraps.
+type boundsSink struct {
+	ExpandSink
+	bounds []int
+}
+
+func (s *boundsSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
+	s.bounds = slices.Clone(bounds)
+	return s.ExpandSink.begin(e, top, bounds)
+}
+
+// checkGroupBounds fails unless every chunk bound of a walk over lvl, a
+// level of depth d in stored order, is a group start — an end of the level
+// or an index whose prefix differs from its predecessor's — and returns how
+// many interior bounds differ from the even partition they were cut from and
+// how many of its non-empty chunks they left empty.
+func checkGroupBounds(t *testing.T, lvl [][]uint32, d int, bounds []int) (moved, emptied int) {
+	t.Helper()
+	even := partitionEven(len(lvl), len(bounds)-1)
+	for i, b := range bounds {
+		if b > 0 && b < len(lvl) && slices.Equal(lvl[b][:d-1], lvl[b-1][:d-1]) {
+			t.Fatalf("depth %d: chunk bound %d (%v) splits the group of %v", d, b, bounds, lvl[b][:d-1])
+		}
+		if b != even[i] {
+			moved++
+		}
+		if i > 0 && b == bounds[i-1] && even[i] > even[i-1] {
+			emptied++
+		}
+	}
+	return moved, emptied
 }
 
 // runLevels expands e, which holds level 1, to maxDepth under vf and records
-// every level.
+// every level. In Clique mode it checks that every expansion's walk was cut
+// on group starts.
 func runLevels(t *testing.T, e *Explorer, maxDepth int, vf VertexFilter) levelRun {
 	t.Helper()
 	var r levelRun
 	for d := 1; d <= maxDepth; d++ {
 		if d > 1 {
-			if err := e.Expand(bgCtx, vf, nil); err != nil {
+			rec := boundsSink{ExpandSink: &e.store}
+			if err := e.ExpandTo(bgCtx, &rec, vf, nil); err != nil {
 				t.Fatal(err)
+			}
+			if e.cfg.Mode == Clique && d > 2 {
+				moved, emptied := checkGroupBounds(t, r.levels[d-2], d-1, rec.bounds)
+				r.moved, r.emptied = r.moved+moved, r.emptied+emptied
 			}
 		}
 		lvl, c := walkLevel(t, e)
@@ -136,7 +177,7 @@ func runLevels(t *testing.T, e *Explorer, maxDepth int, vf VertexFilter) levelRu
 }
 
 // runClique runs Clique mode under env to maxDepth, and checks that it
-// refuses a user filter.
+// refuses a user filter and FilterTop, leaving the top level as it was.
 func runClique(t *testing.T, g *graph.Graph, env *run.Env, maxDepth int) levelRun {
 	t.Helper()
 	e, err := New(Config{Graph: g, Mode: Clique, Env: env})
@@ -150,6 +191,13 @@ func runClique(t *testing.T, g *graph.Graph, env *run.Env, maxDepth int) levelRu
 	r := runLevels(t, e, maxDepth, nil)
 	if _, err := e.ExpandCount(bgCtx, allOnesFilter, nil); err == nil || !strings.Contains(err.Error(), "no user filter") {
 		t.Fatalf("filtered clique expansion returned %v", err)
+	}
+	dropAll := func(int, []uint32) bool { return false }
+	if err := e.FilterTop(bgCtx, dropAll); err == nil || !strings.Contains(err.Error(), "clique exploration takes no filter") {
+		t.Fatalf("FilterTop on a clique explorer returned %v", err)
+	}
+	if top, _ := walkLevel(t, e); !embsEqual(top, r.levels[maxDepth-1]) {
+		t.Fatalf("refused FilterTop changed the top level: %s", diffSample(top, r.levels[maxDepth-1]))
 	}
 	return r
 }
@@ -190,6 +238,9 @@ func TestCliqueModeMatchesMaskFilter(t *testing.T) {
 						}
 						if rg.name == "hybrid" && !got.mixed {
 							t.Fatal("no level with both memory and disk parts")
+						}
+						if threads > 1 && got.moved == 0 {
+							t.Fatal("no interior chunk bound was moved: no walk would have started mid-group")
 						}
 					})
 				}
@@ -241,19 +292,15 @@ func checkAgainstUnion(t *testing.T, got, union levelRun) {
 	}
 }
 
-// checkCliqueLeaves replays the clique state on every embedding a Clique
-// run stored, recomputing the prefix from scratch: each leaf's children must
-// be exactly the next level's group under it, in stored order.
+// checkCliqueLeaves recomputes, for every embedding a Clique run stored,
+// its common below-neighbours Below(v1) ∩ … ∩ Below(vd) from scratch: they
+// must be exactly the next level's group under it, in stored order.
 func checkCliqueLeaves(t *testing.T, g *graph.Graph, levels [][][]uint32) {
 	t.Helper()
 	for d := 1; d < len(levels); d++ {
-		st := newCliqueState(g, d)
 		next := levels[d]
 		for _, emb := range levels[d-1] {
-			if d > 1 {
-				st.updatePrefix(emb, 1, d)
-			}
-			for _, c := range st.appendLeaf(d, emb[d-1], nil) {
+			for _, c := range commonBelow(g, emb) {
 				if len(next) == 0 || !slices.Equal(next[0][:d], emb) || next[0][d] != c {
 					t.Fatalf("depth %d: %v child %d is not the next stored embedding", d, emb, c)
 				}
@@ -262,6 +309,108 @@ func checkCliqueLeaves(t *testing.T, g *graph.Graph, levels [][][]uint32) {
 		}
 		if len(next) != 0 {
 			t.Fatalf("depth %d: %d stored embeddings no leaf produced", d+1, len(next))
+		}
+	}
+}
+
+// commonBelow returns the ascending vertices below every vertex of emb and
+// adjacent to all of them.
+func commonBelow(g *graph.Graph, emb []uint32) []uint32 {
+	common := slices.Clone(g.Below(emb[0]))
+	for _, v := range emb[1:] {
+		common = slices.DeleteFunc(common, func(w uint32) bool {
+			_, ok := slices.BinarySearch(g.Below(v), w)
+			return !ok
+		})
+	}
+	return common
+}
+
+// TestCliqueWalksStartAtGroups plants a 30-clique in a sparse random graph,
+// so the groups of its cliques are longer than a chunk, and checks at every
+// thread count, unbudgeted and all-disk (where the bounds are found through
+// the disk parts' ParentOf), that every expansion's chunk bounds are group
+// starts and that CliqueCount(k), k = 3..6, is the count of an adjacency
+// matrix search.
+func TestCliqueWalksStartAtGroups(t *testing.T) {
+	const n, maxK = 150, 6
+	rng := rand.New(rand.NewSource(61))
+	var adj [n][n]bool
+	b := graph.NewBuilder(n)
+	addEdge := func(u, v int) {
+		if u != v {
+			adj[u][v], adj[v][u] = true, true
+			b.AddEdge(uint32(u), uint32(v))
+		}
+	}
+	for i := 0; i < 2*n; i++ {
+		addEdge(rng.Intn(n), rng.Intn(n))
+	}
+	members := rng.Perm(n)[:30]
+	for i, u := range members {
+		for _, v := range members[i+1:] {
+			addEdge(u, v)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// want[k] counts the k-cliques: vertex sets grown in ascending order,
+	// each new vertex adjacent to every one before it.
+	want := make([]uint64, maxK+1)
+	set := make([]int, 0, maxK)
+	var grow func(start int)
+	grow = func(start int) {
+		want[len(set)]++
+		if len(set) == maxK {
+			return
+		}
+	next:
+		for v := start; v < n; v++ {
+			for _, u := range set {
+				if !adj[u][v] {
+					continue next
+				}
+			}
+			set = append(set, v)
+			grow(v + 1)
+			set = set[:len(set)-1]
+		}
+	}
+	grow(0)
+
+	for _, disk := range []bool{false, true} {
+		for _, threads := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("disk=%v/threads%d", disk, threads), func(t *testing.T) {
+				env := &run.Env{Threads: threads}
+				if disk {
+					env.MemoryBudget, env.SpillDir = 1, t.TempDir()
+				}
+				e, err := New(Config{Graph: g, Mode: Clique, Env: env})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				if err := e.InitVertices(nil); err != nil {
+					t.Fatal(err)
+				}
+				r := runLevels(t, e, maxK-1, nil)
+				for k := 3; k <= maxK; k++ {
+					if got := r.counts[k-2]; got != want[k] {
+						t.Fatalf("CliqueCount(%d) = %d, oracle %d", k, got, want[k])
+					}
+				}
+				if disk && e.LevelStats()[maxK-2].MemParts > 0 {
+					t.Fatal("all-disk run kept a part of the top level in memory")
+				}
+				if threads > 1 && r.moved == 0 {
+					t.Fatal("no interior chunk bound was moved")
+				}
+				if !disk && threads == 8 && r.emptied == 0 {
+					t.Fatal("no chunk was emptied: no group outgrew a chunk")
+				}
+			})
 		}
 	}
 }

@@ -5,10 +5,10 @@
 //
 // Three exploration units share that machinery (Mode): vertex- and
 // edge-induced embeddings grow from the union of their units' neighbourhoods,
-// filtered at the merge frontier; clique embeddings grow from the
-// intersection — a leaf's children are the stamped entries of its forward
-// neighbour list, the prefix's common neighbours stamped once per run
-// (clique.go).
+// filtered at the merge frontier; clique embeddings grow from their common
+// neighbours, which the CSE already stores — a leaf's children are the
+// stamped entries of its below-neighbour list, the stamp holding the leaves
+// before it in its group (clique.go).
 //
 // Expansion is sink-driven: Expand produces a stream of (parent embedding,
 // canonical children) pairs and emits it into a pluggable ExpandSink.
@@ -54,9 +54,9 @@ const (
 	// Clique embeddings are strictly decreasing vertex sequences in which
 	// every vertex neighbours every other: the cliques VertexInduced stores
 	// under a filter that admits only all-ones adjacency masks, each grown
-	// toward lower ids instead, and found by intersecting below-neighbour
-	// lists (graph.Below) instead of filtering a union (clique.go). A Clique
-	// explorer takes no user filter.
+	// toward lower ids instead, and found by probing below-neighbour lists
+	// (graph.Below) against the leaf's stored group instead of filtering a
+	// union (clique.go). A Clique explorer takes no filter.
 	Clique
 )
 
@@ -136,7 +136,7 @@ type workerScratch struct {
 	x      expansion
 	vstate *vertexState
 	estate *edgeState
-	cstate *cliqueState
+	mk     *graph.NeighborMarker // Clique mode's leaf stamp
 }
 
 // expansion is what one step of the expansion loop hands to a sink: a parent
@@ -190,17 +190,6 @@ func (e *Explorer) edgeStateFor(worker, k int) *edgeState {
 		sc.estate.ensureDepth(k)
 	}
 	return sc.estate
-}
-
-// cliqueStateFor returns the worker's Clique-mode state sized for depth k.
-func (e *Explorer) cliqueStateFor(worker, k int) *cliqueState {
-	sc := &e.scratch[worker]
-	if sc.cstate == nil {
-		sc.cstate = newCliqueState(e.cfg.Graph, k)
-	} else {
-		sc.cstate.ensureDepth(k)
-	}
-	return sc.cstate
 }
 
 // New creates an Explorer. Call InitVertices or InitEdges before Expand.
@@ -607,8 +596,8 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	// The union modes run the fused fast path: per run, refresh the shared
 	// prefix and (vertex-induced) filter it once; per leaf, consume
 	// cands[k-2] ∪ N(leaf) as it is merged — the leaf-level candidate set is
-	// never materialized (Clique mode intersects instead, see
-	// expandCliques).
+	// never materialized (Clique mode probes each leaf's below-neighbours
+	// instead, see expandCliques).
 	if e.cfg.Mode == Clique {
 		return e.expandCliques(ctx, w, k, worker, chunk, sink)
 	}

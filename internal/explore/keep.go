@@ -25,7 +25,9 @@ import (
 // so every chunk's reads and writes stay within one part), memory parts
 // compact in place, disk parts restream into fresh files swapped in at
 // FinishRewrite. Afterwards, disk parts whose shrunken data now fits the
-// (shared) budget watermark are promoted back to memory.
+// (shared) budget watermark are promoted back to memory. A Clique explorer
+// refuses it: its next expansion reads each stored group as the whole common
+// neighbour set of its parent (clique.go).
 // ctx cancels the pass (workers poll between chunks and every few runs);
 // note that an in-place rewrite may already have compacted resident data, so
 // treat a cancelled or failed FilterTop as fatal for the top level and Close
@@ -33,6 +35,9 @@ import (
 // per-worker scratch — do not run it concurrently with another operation on
 // the same Explorer.
 func (e *Explorer) FilterTop(ctx context.Context, keep func(worker int, emb []uint32) bool) error {
+	if e.cfg.Mode == Clique {
+		return fmt.Errorf("explore: clique exploration takes no filter")
+	}
 	k := e.c.Depth()
 	if k < 2 {
 		return fmt.Errorf("explore: FilterTop requires depth ≥ 2")

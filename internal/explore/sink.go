@@ -298,6 +298,12 @@ func (e *Explorer) ExpandTo(ctx context.Context, sink ExpandSink, vf VertexFilte
 		nchunks = e.buildChunks(n, e.c.Bytes())
 	}
 	bounds := partitionEven(n, nchunks)
+	if e.cfg.Mode == Clique && k >= 2 {
+		// A Clique leaf's stamp holds the leaves before it in its group.
+		if err := alignToGroups(top, bounds); err != nil {
+			return err
+		}
+	}
 	if err := sink.begin(e, top, bounds); err != nil {
 		return err
 	}

@@ -674,12 +674,14 @@ func TestHTTPServerTimeouts(t *testing.T) {
 			t.Errorf("Serve: %v", err)
 		}
 	}()
+	// The server starts its read clock when it accepts the connection, which
+	// may happen before Dial returns here: start the client's clock first.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	fmt.Fprint(conn, "POST /jobs HTTP/1.1\r\nHost: kaleidod\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"app\":")
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // far past the server's timeout
 	r := bufio.NewReader(conn)

@@ -25,8 +25,9 @@ const (
 // mode) extend the embedding emb? The default canonical filter has already
 // been applied. worker identifies the calling goroutine (0..Threads-1) so a
 // filter can keep per-worker scratch. (The built-in clique and triangle
-// counts use no filter: they run a clique exploration unit that intersects
-// neighbour lists instead. A public clique filter asks the graph.)
+// counts use no filter: they run a clique exploration unit that reads each
+// clique's common neighbours from its stored group instead. A public clique
+// filter asks the graph.)
 type EmbeddingFilter func(worker int, emb []uint32, cand uint32) bool
 
 // Miner exposes the paper's exploration API (Listing 1: Init,
