@@ -22,11 +22,13 @@ package apps
 // distinct sorted pattern, and an entry caches its class's Agg for the pass,
 // so a hit skips the PatternMap too. Motifs go one step further, because an
 // unlabeled child's filled pattern is just two masks the explorer already
-// holds: the parent's adjacency word and the child's row. MotifCount's
-// Mapper counts each child under that pair in a fixed per-worker tally — one
-// increment per child, one slot lookup per parent — and fills, classifies
-// and folds each non-zero pair once, when the tally is Reduced (or flushed
-// because it is full).
+// holds: the parent's adjacency word and the child's row. The explorer
+// hands MotifCount's Mapper each parent's children already counted by row,
+// and the Mapper adds that histogram into the parent word's slot of a fixed
+// per-worker tally — one slot lookup and 2^(k−1) additions per parent,
+// nothing per child — and fills, classifies and folds each non-zero
+// (word, row) pair once, when the tally is Reduced (or flushed because it
+// is full).
 
 import (
 	"context"
@@ -261,14 +263,19 @@ func (a *aggregator) addVertices(w int, emb []uint32) error {
 }
 
 // addMotifs counts the unlabeled patterns of one parent embedding's
-// extensions — the explorer's group visitor of MotifCount. An unlabeled
+// extensions — the explorer's row visitor of MotifCount. An unlabeled
 // child's pattern is fixed by two masks: the parent's adjacency word, packed
 // from the parent's own masks embAdj once per parent, and the child's row,
-// its mask adj[j] (bit i ⇔ adjacent to emb[i]). So a child costs one counter
-// increment in the worker's tally under (word, row); nothing is filled,
-// classified or looked up per child, and the graph is never probed.
-func (a *aggregator) addMotifs(w int, emb, embAdj, children, adj []uint32) error {
-	if len(children) == 0 {
+// its mask (bit i ⇔ adjacent to emb[i]). rows[r] counts the children with
+// row r, so the parent adds rows into its word's slot of the worker's tally;
+// nothing is filled, classified or looked up per child, and the graph is
+// never probed. A parent without children takes no slot.
+func (a *aggregator) addMotifs(w int, emb, embAdj, rows []uint32) error {
+	var some uint32
+	for _, n := range rows {
+		some |= n
+	}
+	if some == 0 {
 		return nil
 	}
 	ws := a.workers[w]
@@ -288,13 +295,13 @@ func (a *aggregator) addMotifs(w int, emb, embAdj, children, adj []uint32) error
 	for l := len(emb) - 1; l > 0; l-- {
 		word = word<<l | uint64(embAdj[l])
 	}
-	rows := t.slot(word)
-	if rows == nil {
+	slot := t.slot(word)
+	if slot == nil {
 		a.flush(ws)
-		rows = t.slot(word)
+		slot = t.slot(word)
 	}
-	for _, row := range adj {
-		rows[row]++
+	for row, n := range rows {
+		slot[row] += uint64(n)
 	}
 	return nil
 }
@@ -405,7 +412,7 @@ func (a *aggregator) addEdges(w int, emb []uint32) error {
 // it: so a child's pattern is the parent's plus that edge — the same memo
 // key, class and representative as filling the child from scratch, for the
 // cost of finding the edge's endpoints among the parent's few vertices.
-func (a *aggregator) addEdgeGroup(w int, emb, _, children, _ []uint32) error {
+func (a *aggregator) addEdgeGroup(w int, emb, children []uint32) error {
 	if len(children) == 0 {
 		return nil
 	}

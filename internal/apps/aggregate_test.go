@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -295,14 +296,14 @@ func TestMotifBackendCallsBounded(t *testing.T) {
 	}
 }
 
-// TestMotifTallyMatchesOracles holds the tally path — each child counted
-// under (parent word, row), each non-zero pair classified once per flush — to
-// both motif oracles, the materialized final level and the brute-force
-// subgraph enumeration, for k = 2..6 at 1, 2 and 4 threads, with the same
-// classes, counts and representative bytes at every thread count. The
-// second graph meets more distinct 5-vertex parent words than a tally has
-// slots at k = 6, so a one-worker run flushes mid-pass; the test watches the
-// tally empty between two parents to prove it.
+// TestMotifTallyMatchesOracles holds the tally path — each parent's row
+// histogram added under its word, each non-zero (word, row) pair classified
+// once per flush — to both motif oracles, the materialized final level and
+// the brute-force subgraph enumeration, for k = 2..6 at 1, 2 and 4 threads,
+// with the same classes, counts and representative bytes at every thread
+// count. The second graph meets more distinct 5-vertex parent words than a
+// tally has slots at k = 6, so a one-worker run flushes mid-pass; the test
+// watches the tally empty between two parents to prove it.
 func TestMotifTallyMatchesOracles(t *testing.T) {
 	cases := []struct {
 		name string
@@ -359,7 +360,8 @@ type watchedTally struct {
 
 // tallyFlushes runs k-motif counting on one worker through an aggregator of
 // its own and counts the mid-pass flushes: the parents after which the
-// tally holds fewer slots than before.
+// tally holds fewer slots than before. A parent without children must leave
+// the tally as it was.
 func tallyFlushes(t *testing.T, g *graph.Graph, k int) watchedTally {
 	t.Helper()
 	env := &run.Env{Threads: 1}
@@ -379,11 +381,14 @@ func tallyFlushes(t *testing.T, g *graph.Graph, k int) watchedTally {
 	a := newAggregator(g, 0, env)
 	var w watchedTally
 	used := 0
-	err = e.ExpandVisitGroups(bgCtx, nil, nil, func(worker int, emb, embAdj, children, adj []uint32) error {
-		if err := a.addMotifs(worker, emb, embAdj, children, adj); err != nil {
+	err = e.ExpandVisitGroups(bgCtx, func(worker int, emb, embAdj, rows []uint32) error {
+		if err := a.addMotifs(worker, emb, embAdj, rows); err != nil {
 			return err
 		}
 		if tl := a.workers[worker].tally; tl != nil {
+			if slices.Max(rows) == 0 && tl.used != used {
+				return fmt.Errorf("emb %v without children took a tally slot", emb)
+			}
 			if tl.used < used {
 				w.flushes++
 			}
@@ -497,10 +502,7 @@ func TestFSMEdgeGroupMatchesFill(t *testing.T) {
 			ws := make([]aggWorker, 2)
 			var mu sync.Mutex
 			var checked uint64
-			total, err := e.ExpandCountVisit(bgCtx, nil, filter, func(w int, emb, embAdj, children, adj []uint32) error {
-				if embAdj != nil || adj != nil {
-					return fmt.Errorf("edge-induced group got masks")
-				}
+			total, err := e.ExpandCountVisit(bgCtx, nil, filter, func(w int, emb, children []uint32) error {
 				x := &ws[w]
 				if err := x.fillEdges(g, emb); err != nil {
 					return err
@@ -581,7 +583,7 @@ func TestMemoAggStampedPerPass(t *testing.T) {
 	}
 	type group struct{ emb, children []uint32 }
 	var groups []group
-	_, err = e.ExpandCountVisit(bgCtx, nil, filter, func(_ int, emb, _, children, _ []uint32) error {
+	_, err = e.ExpandCountVisit(bgCtx, nil, filter, func(_ int, emb, children []uint32) error {
 		groups = append(groups, group{append([]uint32(nil), emb...), append([]uint32(nil), children...)})
 		return nil
 	})
@@ -594,7 +596,7 @@ func TestMemoAggStampedPerPass(t *testing.T) {
 	var calls [2]uint64
 	for i := range passes {
 		for _, gr := range groups {
-			if err := a.addEdgeGroup(0, gr.emb, nil, gr.children, nil); err != nil {
+			if err := a.addEdgeGroup(0, gr.emb, gr.children); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -767,17 +769,19 @@ func BenchmarkHashMemo(b *testing.B) {
 	}
 }
 
-// BenchmarkMotifMapper measures the whole per-embedding Mapper cost of
-// 4-motif counting — the parent word packed from the parent's own masks and
-// its tally slot found once per parent, one counter increment per child, and
-// the final flush that classifies each non-zero (word, row) through the memo
-// into the PatternMap — over stored 3-embeddings, one op per 4-embedding,
-// without the expansion that produces the candidates and their masks.
+// BenchmarkMotifMapper measures the whole Mapper cost of 4-motif counting —
+// per parent, the word packed from the parent's own masks, its tally slot
+// found and the parent's row histogram added into it, and the final flush
+// that classifies each non-zero (word, row) through the memo into the
+// PatternMap — replaying the (emb, embAdj, rows) groups of the stored
+// 3-embeddings, one op per 4-embedding, without the expansion that counts
+// the rows.
 func BenchmarkMotifMapper(b *testing.B) {
 	g := randomGraph(rand.New(rand.NewSource(3)), 400, 2400, 1)
 	type group struct {
-		emb, embAdj   [3]uint32
-		children, adj []uint32
+		emb, embAdj [3]uint32
+		rows        [8]uint32
+		children    int
 	}
 	e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{Threads: 1}})
 	if err != nil {
@@ -794,10 +798,14 @@ func BenchmarkMotifMapper(b *testing.B) {
 	}
 	var groups []group
 	var embeddings int
-	err = e.ExpandVisitGroups(bgCtx, nil, nil, func(_ int, emb, embAdj, children, adj []uint32) error {
-		if len(children) > 0 && embeddings < 1<<20 {
-			groups = append(groups, group{[3]uint32(emb), [3]uint32(embAdj), append([]uint32(nil), children...), append([]uint32(nil), adj...)})
-			embeddings += len(children)
+	err = e.ExpandVisitGroups(bgCtx, func(_ int, emb, embAdj, rows []uint32) error {
+		n := 0
+		for _, r := range rows {
+			n += int(r)
+		}
+		if n > 0 && embeddings < 1<<20 {
+			groups = append(groups, group{[3]uint32(emb), [3]uint32(embAdj), [8]uint32(rows), n})
+			embeddings += n
 		}
 		return nil
 	})
@@ -809,10 +817,10 @@ func BenchmarkMotifMapper(b *testing.B) {
 	done := 0
 	for done < b.N {
 		for i := range groups {
-			if err := a.addMotifs(0, groups[i].emb[:], groups[i].embAdj[:], groups[i].children, groups[i].adj); err != nil {
+			if err := a.addMotifs(0, groups[i].emb[:], groups[i].embAdj[:], groups[i].rows[:]); err != nil {
 				b.Fatal(err)
 			}
-			if done += len(groups[i].children); done >= b.N {
+			if done += groups[i].children; done >= b.N {
 				break
 			}
 		}
@@ -851,7 +859,7 @@ func BenchmarkFSMAggregate(b *testing.B) {
 		children []uint32
 	}
 	var groups []group
-	exts, err := e.ExpandCountVisit(bgCtx, nil, filter, func(_ int, emb, _, children, _ []uint32) error {
+	exts, err := e.ExpandCountVisit(bgCtx, nil, filter, func(_ int, emb, children []uint32) error {
 		if len(children) > 0 {
 			groups = append(groups, group{[2]uint32(emb), append([]uint32(nil), children...)})
 		}
@@ -867,7 +875,7 @@ func BenchmarkFSMAggregate(b *testing.B) {
 	b.ResetTimer()
 	for done := 0; done < b.N; {
 		for i := range groups {
-			if err := a.addEdgeGroup(0, groups[i].emb[:], nil, groups[i].children, nil); err != nil {
+			if err := a.addEdgeGroup(0, groups[i].emb[:], groups[i].children); err != nil {
 				b.Fatal(err)
 			}
 			if done += len(groups[i].children); done >= b.N {

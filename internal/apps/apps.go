@@ -101,10 +101,11 @@ func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint
 }
 
 // MotifCount counts the frequency of every k-motif (§5.1): exploration stops
-// at (k−1)-embeddings; the Mapper explores each one's canonical extensions
-// on the fly, tallies them by (parent adjacency word, child row) and
-// aggregates the pattern class of each tallied pair. Labels are ignored:
-// motifs are structural. ctx cancels the run between blocks of work.
+// at (k−1)-embeddings; the explorer counts each one's canonical extensions
+// by row (adjacency mask) on the fly, the Mapper tallies those counts by
+// (parent adjacency word, child row) and aggregates the pattern class of
+// each tallied pair. Labels are ignored: motifs are structural. ctx cancels
+// the run between blocks of work.
 func MotifCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) ([]PatternCount, error) {
 	if k < 2 || k > pattern.MaxK {
 		return nil, fmt.Errorf("apps: motif size %d out of [2,%d]", k, pattern.MaxK)
@@ -128,7 +129,7 @@ func MotifCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) ([]Pat
 		}
 	}
 	a := newAggregator(g, 0, env)
-	if err := e.ExpandVisitGroups(ctx, nil, nil, a.addMotifs); err != nil {
+	if err := e.ExpandVisitGroups(ctx, a.addMotifs); err != nil {
 		return nil, err
 	}
 	return a.counts(), nil

@@ -3,11 +3,13 @@ package explore
 // The adjacency mask is the one fact the candidate merge hands to filters and
 // sinks in place of graph probes, so these tests hold it to the definition —
 // bit i ⇔ HasEdge(emb[i], cand) — on every (embedding, candidate) pair a
-// filter or an ExpandVisitGroups consumer ever sees, and on every parent's
-// own masks (embAdj[l] against emb[:l]) a group visitor gets, and pin the
-// depth bound a bit per position implies.
+// filter ever sees, on every parent's own masks (embAdj[l] against emb[:l])
+// a row visitor (ExpandVisitGroups) gets, and on every row histogram it
+// gets, which counts the children by that mask; and pin the depth bound a
+// bit per position implies.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -59,7 +61,10 @@ func TestAdjMaskMatchesHasEdge(t *testing.T) {
 			}
 			for _, threads := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("hub%d/relabel=%v/threads%d", hubThreshold, relabel, threads), func(t *testing.T) {
-					checkAdjMasks(t, g, threads)
+					checkAdjMasks(t, g, &run.Env{Threads: threads})
+					// Every part on disk: the walks decode blocks, and a run
+					// may continue across a block seam.
+					checkAdjMasks(t, g, &run.Env{Threads: threads, MemoryBudget: 1, SpillDir: t.TempDir()})
 				})
 			}
 		}
@@ -67,11 +72,11 @@ func TestAdjMaskMatchesHasEdge(t *testing.T) {
 }
 
 // checkAdjMasks expands g from depth 1 to 5 and, at each depth, checks every
-// mask the filter and the group visitor receive — the children's and the
-// parent's own — and the emitted children against the reference enumeration,
-// with and without a filter.
-func checkAdjMasks(t *testing.T, g *graph.Graph, threads int) {
-	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: threads}})
+// mask a filter receives (ExpandVisit, whose children must be the reference
+// level) and every parent's own masks and row histogram a row visitor
+// receives (ExpandVisitGroups).
+func checkAdjMasks(t *testing.T, g *graph.Graph, env *run.Env) {
+	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: env})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,59 +85,36 @@ func checkAdjMasks(t *testing.T, g *graph.Graph, threads int) {
 		t.Fatal(err)
 	}
 	var filtered, visited atomic.Int64
-	check := func(who string, emb []uint32, cand, adj uint32) {
-		if want := refAdjMask(g, emb, cand); adj != want {
-			t.Errorf("%s: emb %v cand %d: adj %b, want %b", who, emb, cand, adj, want)
-		}
-	}
 	filter := func(_ int, emb []uint32, cand, adj uint32) bool {
 		filtered.Add(1)
-		check("filter", emb, cand, adj)
+		if want := refAdjMask(g, emb, cand); adj != want {
+			t.Errorf("filter: emb %v cand %d: adj %b, want %b", emb, cand, adj, want)
+		}
 		return true
 	}
 	for depth := 1; depth <= 5; depth++ {
 		want := refExpandVertex(g, collect(t, e), nil)
-		sortEmbs(want)
-		for _, vf := range []VertexFilter{filter, nil} {
-			var mu sync.Mutex
-			var got [][]uint32
-			var parents atomic.Int64
-			err := e.ExpandVisitGroups(bgCtx, vf, nil, func(_ int, emb, embAdj, children, adj []uint32) error {
-				parents.Add(1)
-				if msg := embAdjMismatch(g, emb, embAdj); msg != "" {
-					t.Errorf("visitor: %s", msg)
-				}
-				if len(adj) != len(children) {
-					t.Errorf("emb %v: %d masks for %d children", emb, len(adj), len(children))
-					return nil
-				}
-				ext := make([][]uint32, len(children))
-				for j, c := range children {
-					if vf != nil {
-						visited.Add(1)
-					}
-					check("visitor", emb, c, adj[j])
-					ext[j] = append(append([]uint32(nil), emb...), c)
-				}
-				mu.Lock()
-				got = append(got, ext...)
-				mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := parents.Load(); n != int64(e.Count()) {
-				t.Fatalf("depth %d: visitor saw %d parents, level holds %d", depth, n, e.Count())
-			}
-			sortEmbs(got)
-			if !embsEqual(got, want) {
-				t.Fatalf("depth %d filter=%v: %d children, reference %d: %s", depth, vf != nil, len(got), len(want), diffSample(got, want))
-			}
-			if t.Failed() {
-				t.FailNow()
-			}
+		var mu sync.Mutex
+		var got [][]uint32
+		err := e.ExpandVisit(bgCtx, filter, nil, func(_ int, emb []uint32, c uint32) error {
+			visited.Add(1)
+			mu.Lock()
+			got = append(got, append(append([]uint32(nil), emb...), c))
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		sortEmbs(got)
+		sortEmbs(want)
+		if !embsEqual(got, want) {
+			t.Fatalf("depth %d filter: %d children, reference %d: %s", depth, len(got), len(want), diffSample(got, want))
+		}
+		checkRows(t, e, g, depth, refRows(g, want), len(want))
 		if err := e.Expand(bgCtx, nil, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -140,6 +122,102 @@ func checkAdjMasks(t *testing.T, g *graph.Graph, threads int) {
 	if filtered.Load() == 0 || filtered.Load() != visited.Load() {
 		t.Fatalf("filter saw %d candidates, visitor %d", filtered.Load(), visited.Load())
 	}
+}
+
+// checkRows walks the top level of e, depth d, into a row visitor
+// (ExpandVisitGroups) and holds what it receives to the reference level
+// d+1, total embeddings whose refRows are want: every parent is visited
+// once, its own masks are refAdjMask's, its rows are the histogram of
+// refAdjMask over its reference children, and the rows of all parents sum
+// to ExpandCount and to total.
+func checkRows(t *testing.T, e *Explorer, g *graph.Graph, d int, want map[string][]uint32, total int) {
+	t.Helper()
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	var sum uint64
+	var bad string
+	err := e.ExpandVisitGroups(bgCtx, func(_ int, emb, embAdj, rows []uint32) error {
+		msg := embAdjMismatch(g, emb, embAdj)
+		if msg == "" {
+			msg = rowsMismatch(emb, rows, want[embKey(emb)])
+		}
+		var n uint64
+		for _, c := range rows {
+			n += uint64(c)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[embKey(emb)] && msg == "" {
+			msg = fmt.Sprintf("emb %v visited twice", emb)
+		}
+		if msg != "" && bad == "" {
+			bad = msg
+		}
+		seen[embKey(emb)] = true
+		sum += n
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != "" {
+		t.Fatalf("depth %d row visitor: %s", d, bad)
+	}
+	if len(seen) != e.Count() {
+		t.Fatalf("depth %d: row visitor saw %d parents, level holds %d", d, len(seen), e.Count())
+	}
+	count, err := e.ExpandCount(bgCtx, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != count || sum != uint64(total) {
+		t.Fatalf("depth %d: rows sum to %d, ExpandCount %d, reference %d", d, sum, count, total)
+	}
+}
+
+// refRows returns the reference row histogram of every parent of next (a
+// reference level), keyed by embKey: rows[m] counts its children whose
+// refAdjMask is m. A parent without children has no entry.
+func refRows(g *graph.Graph, next [][]uint32) map[string][]uint32 {
+	out := map[string][]uint32{}
+	for _, c := range next {
+		p := c[:len(c)-1]
+		key := embKey(p)
+		h := out[key]
+		if h == nil {
+			h = make([]uint32, 1<<len(p))
+			out[key] = h
+		}
+		h[refAdjMask(g, p, c[len(c)-1])]++
+	}
+	return out
+}
+
+// rowsMismatch describes the first row of rows, a parent emb's histogram,
+// that differs from want (nil: no children), or returns "".
+func rowsMismatch(emb, rows, want []uint32) string {
+	if len(rows) != 1<<len(emb) {
+		return fmt.Sprintf("emb %v: %d rows", emb, len(rows))
+	}
+	for m, n := range rows {
+		var w uint32
+		if want != nil {
+			w = want[m]
+		}
+		if n != w {
+			return fmt.Sprintf("emb %v: rows[%b] = %d, want %d (rows %v, want %v)", emb, m, n, w, rows, want)
+		}
+	}
+	return ""
+}
+
+// embKey is an embedding as a map key, in order.
+func embKey(emb []uint32) string {
+	b := make([]byte, 0, 4*len(emb))
+	for _, v := range emb {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return string(b)
 }
 
 // embAdjMismatch describes the first of a parent's own masks that is not
@@ -350,5 +428,67 @@ func TestExpandBeyondMaskWidth(t *testing.T) {
 			t.Fatalf("mode %d: re-expanded level differs: %s", mode, diffSample(got, ref))
 		}
 		e.Close()
+	}
+}
+
+// TestCountRowsOnlyVertexInduced: a row walk refuses the modes whose masks
+// it cannot count (edge-induced, Clique) and depths past maxRowDepth, with
+// the CSE left as it was, and counts a vertex-induced level at exactly
+// maxRowDepth.
+func TestCountRowsOnlyVertexInduced(t *testing.T) {
+	g := paperGraph(t)
+	visit := func(int, []uint32, []uint32, []uint32) error { return nil }
+	for _, mode := range []Mode{EdgeInduced, Clique} {
+		e, err := New(Config{Graph: g, Mode: mode, Env: &run.Env{Threads: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode == EdgeInduced {
+			err = e.InitEdges(nil)
+		} else {
+			err = e.InitVertices(nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ExpandVisitGroups(bgCtx, visit); err == nil || !strings.Contains(err.Error(), "vertex-induced") {
+			t.Fatalf("mode %d: row walk returned %v", mode, err)
+		}
+		if e.Depth() != 1 {
+			t.Fatalf("mode %d: refused row walk changed the depth to %d", mode, e.Depth())
+		}
+		e.Close()
+	}
+
+	const n = maxRowDepth + 4
+	b := graph.NewBuilder(n)
+	for v := uint32(0); v+1 < n; v++ {
+		b.AddEdge(v, v+1)
+	}
+	path, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newVertexExplorer(t, path, 2)
+	for e.Depth() < maxRowDepth {
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sum atomic.Int64
+	err = e.ExpandVisitGroups(bgCtx, func(_ int, _, _, rows []uint32) error {
+		for _, r := range rows {
+			sum.Add(int64(r))
+		}
+		return nil
+	})
+	if err != nil || sum.Load() != n-maxRowDepth {
+		t.Fatalf("depth %d: row walk counted %d children (%v), want %d", maxRowDepth, sum.Load(), err, n-maxRowDepth)
+	}
+	if err := e.Expand(bgCtx, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ExpandVisitGroups(bgCtx, visit); err == nil || !strings.Contains(err.Error(), "row histograms stop") {
+		t.Fatalf("depth %d: row walk returned %v", maxRowDepth+1, err)
 	}
 }

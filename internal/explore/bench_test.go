@@ -59,17 +59,19 @@ func BenchmarkMergeUnionProv(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendCanonical measures the fused leaf merge over the stored
+// BenchmarkAppendCanonical measures the fused leaf over the stored
 // 3-embeddings of a power-law graph, one op per parent embedding, in its
 // four uses: no filter into a storing sink (store: appendStored writing
 // through the explorer's unbudgeted part writer, NextGroup to CommitGroup,
 // the level finished and closed every 1<<14 groups) or a counting sink
 // (nofilter), a filter that reads the adjacency mask (the clique filter),
-// and a sink that takes the children's masks (the motif Mapper). The prefix
-// filter is paid once per run of leaves, as in the expansion. ns/candidate
-// divides by the size of the leaf's candidate set |cands[k-1]|, which the
-// leaf no longer walks; ns/child divides by the children it emits, which it
-// does.
+// and the row count of the motif Mapper's sink (rows: countRows, with the
+// running histogram of the keep list built per run and kept by the cursor).
+// The prefix filter is paid once per run of leaves, as in the expansion.
+// ns/candidate divides by the size of the leaf's candidate set |cands[k-1]|,
+// which the leaf no longer walks; ns/child divides by the children it emits
+// or counts, which the merging leaves walk; ns/leaf is the op itself, the
+// figure of rows, which never walks its children.
 func BenchmarkAppendCanonical(b *testing.B) {
 	g := benchGraph(b)
 	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 1}})
@@ -140,12 +142,12 @@ func BenchmarkAppendCanonical(b *testing.B) {
 
 	all := func(_ int, emb []uint32, _, adj uint32) bool { return adj == 1<<len(emb)-1 }
 	for _, c := range []struct {
-		name    string
-		vf      VertexFilter
-		wantAdj bool
-	}{{"store", nil, false}, {"nofilter", nil, false}, {"maskfilter", all, false}, {"adjsink", nil, true}} {
+		name string
+		vf   VertexFilter
+	}{{"store", nil}, {"nofilter", nil}, {"maskfilter", all}, {"rows", nil}} {
 		b.Run(c.name, func(b *testing.B) {
 			var x expansion
+			rows := make([]uint32, 1<<k)
 			var emb [k]uint32
 			step := func(i int) int {
 				next := embs[i%len(embs)]
@@ -156,15 +158,24 @@ func BenchmarkAppendCanonical(b *testing.B) {
 				emb = next
 				if from < k {
 					st.updatePrefix(emb[:], from, k)
+					if c.name == "rows" {
+						st.keepRows(k)
+					}
 				}
 				switch {
 				case c.name == "store":
 					return store(b, emb[:])
-				case c.vf == nil && !c.wantAdj:
+				case c.name == "rows":
+					st.countRows(k, emb[k-1], emb[0], rows)
+					n := 0
+					for _, r := range rows {
+						n += int(r)
+					}
+					return n
+				case c.vf == nil:
 					x.children = st.appendStored(k, emb[k-1], emb[0], x.children[:0])
 				default:
-					x.children, x.adj = x.children[:0], x.adj[:0]
-					st.appendCanonical(k, emb[k-1], emb[:], 0, c.vf, c.wantAdj, &x)
+					x.children = st.appendCanonical(k, emb[k-1], emb[:], 0, c.vf, x.children[:0])
 				}
 				return len(x.children)
 			}
@@ -180,6 +191,7 @@ func BenchmarkAppendCanonical(b *testing.B) {
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(ns/perParent, "ns/candidate")
 			b.ReportMetric(ns*float64(len(embs))/float64(children), "ns/child")
+			b.ReportMetric(ns, "ns/leaf")
 		})
 	}
 }
@@ -251,8 +263,7 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 			if from < k {
 				vst.updatePrefix(emb, from, k)
 			}
-			x.children, x.adj = x.children[:0], x.adj[:0]
-			vst.appendCanonical(k, emb[k-1], emb, 0, all, false, &x)
+			x.children = vst.appendCanonical(k, emb[k-1], emb, 0, all, x.children[:0])
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

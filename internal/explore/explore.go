@@ -16,9 +16,10 @@
 // storage.HybridLevel: every part raw in memory without a budget, placed per
 // part by the governor with one); the terminal sinks consume it
 // at the frontier instead — CountSink tallies it (ExpandCount), VisitSink
-// hands every extension to a per-worker callback (ExpandVisit), so the
-// largest level of a counting or aggregating workload is never written
-// (§6.5 generalized). FilterTop is the keep-side analogue: the top level is
+// hands every extension to a per-worker callback (ExpandVisit), RowSink
+// hands it over as one histogram of the children's adjacency masks per
+// parent (ExpandVisitGroups), so the largest level of a counting or
+// aggregating workload is never written (§6.5 generalized). FilterTop is the keep-side analogue: the top level is
 // rewritten in place, part by part, rather than copied through a fresh
 // builder.
 //
@@ -140,17 +141,18 @@ type workerScratch struct {
 }
 
 // expansion is what one step of the expansion loop hands to a sink: a parent
-// embedding and its canonical extensions. The slices are the worker's pooled
-// buffers, valid only during emit.
+// embedding and its canonical extensions — as children, or, for a sink that
+// wantRows, as the histogram of their masks. The slices are the worker's
+// pooled buffers, valid only during emit.
 type expansion struct {
 	emb      []uint32 // the parent, leaf filled
 	children []uint32
-	// adj holds the children's adjacency masks, parallel to children (bit i of
-	// adj[j] set iff children[j] is adjacent to emb[i]), and embAdj the
-	// parent's own, parallel to emb (bit i of embAdj[l] set iff emb[l] is
-	// adjacent to emb[i], i < l) — both collected only in vertex-induced mode
-	// and only for a sink that wantAdj.
-	adj, embAdj []uint32
+	// embAdj holds the parent's own adjacency masks, parallel to emb (bit i
+	// of embAdj[l] set iff emb[l] is adjacent to emb[i], i < l), and rows
+	// the histogram of its children's (rows[m] children adjacent to exactly
+	// the emb[i] with bit i of m set), length 2^len(emb) — both filled only
+	// for a sink that wantRows, which gets no children.
+	embAdj, rows []uint32
 }
 
 // walkerFor returns the worker's walker positioned over [lo, hi).
@@ -608,10 +610,8 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	runs := 0
 	if e.cfg.Mode == VertexInduced {
 		st := e.vertexStateFor(worker, k)
-		wantAdj := sink.wantAdj()
-		stored := vf == nil && !wantAdj
-		if wantAdj {
-			x.embAdj = st.embAdj[:k]
+		if sink.wantRows() {
+			return e.expandRows(ctx, w, st, k, worker, chunk, sink)
 		}
 		for {
 			emb, from, leaves, ok := w.NextRun()
@@ -625,9 +625,6 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 			}
 			if from < k {
 				st.updatePrefix(emb, from, k)
-				if wantAdj {
-					st.prefixAdj(emb, from, k)
-				}
 			}
 			x.emb = emb
 			for _, u := range leaves {
@@ -636,14 +633,10 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 				if err != nil {
 					return err
 				}
-				if stored {
+				if vf == nil {
 					x.children = st.appendStored(k, u, emb[0], dst)
 				} else {
-					x.children, x.adj = dst, x.adj[:0]
-					if wantAdj {
-						x.embAdj[k-1] = st.leafAdj(k, u)
-					}
-					st.appendCanonical(k, u, emb, worker, vf, wantAdj, x)
+					x.children = st.appendCanonical(k, u, emb, worker, vf, dst)
 				}
 				if err := sink.emit(worker, chunk, x); err != nil {
 					return err
@@ -674,6 +667,46 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 				return err
 			}
 			x.children = st.appendCanonical(k, f, emb, worker, ef, dst)
+			if err := sink.emit(worker, chunk, x); err != nil {
+				return err
+			}
+		}
+	}
+	return w.Err()
+}
+
+// expandRows is expandRange's vertex-induced loop into a sink that
+// wantRows: per run the prefix is filtered, its masks found and the keep
+// list's row histogram built once; per leaf countRows turns that histogram
+// into the leaf's, which the sink gets with the parent's masks. No child is
+// written.
+func (e *Explorer) expandRows(ctx context.Context, w *storage.Walker, st *vertexState, k, worker, chunk int, sink ExpandSink) error {
+	x := &e.scratch[worker].x
+	x.embAdj = st.embAdj[:k]
+	if cap(x.rows) < 1<<k {
+		x.rows = make([]uint32, 1<<k)
+	}
+	x.rows = x.rows[:1<<k]
+	runs := 0
+	for {
+		emb, from, leaves, ok := w.NextRun()
+		if !ok {
+			break
+		}
+		if runs++; runs%pollEvery == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
+		}
+		if from < k {
+			st.updatePrefix(emb, from, k)
+			st.prefixAdj(emb, from, k)
+			st.keepRows(k)
+		}
+		x.emb = emb
+		for _, u := range leaves {
+			emb[k-1] = u
+			x.embAdj[k-1] = st.countRows(k, u, emb[0], x.rows)
 			if err := sink.emit(worker, chunk, x); err != nil {
 				return err
 			}

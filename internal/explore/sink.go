@@ -14,8 +14,12 @@ package explore
 //	            placement decided by the budget governor) and push it.
 //	CountSink — per-worker counters; nothing is written. CliqueCount's
 //	            (and TriangleCount's) final expansion.
-//	VisitSink — per-worker (emb, cand) callback; the engine primitive under
-//	            the Mapper of motif counting and FSM's final aggregation.
+//	VisitSink — per-worker (emb, children) callback; the engine primitive
+//	            under the Mapper of FSM's final aggregation.
+//	RowSink   — per-worker (emb, embAdj, rows) callback: each parent's
+//	            children as the histogram of their adjacency masks, counted
+//	            from the parent's keep list and the leaf's neighbours without
+//	            a child ever being written — the Mapper of motif counting.
 //	FilterTop — the keep-side analogue (keep.go): rewrite the top level in
 //	            place, part by part, under a keep predicate instead of
 //	            copying it through a fresh builder.
@@ -29,8 +33,8 @@ import (
 
 // ExpandSink consumes the output stream of one exploration iteration. The
 // method set is unexported: sinks are provided by the engine (StoreSink,
-// CountSink, VisitSink) and selected per call via ExpandTo or the
-// Expand/ExpandCount/ExpandVisit wrappers.
+// CountSink, VisitSink, RowSink) and selected per call via ExpandTo or the
+// Expand/ExpandCount/ExpandVisit/ExpandVisitGroups wrappers.
 type ExpandSink interface {
 	// begin prepares the sink for a walk cut at bounds (len(bounds)-1
 	// chunks) over the current top level.
@@ -45,10 +49,11 @@ type ExpandSink interface {
 	// order within a chunk. x and its slices are reused buffers, valid only
 	// during the call.
 	emit(worker, chunk int, x *expansion) error
-	// wantAdj reports whether emit reads x.adj and x.embAdj, the children's
-	// and the parent's adjacency masks. The expansion collects them for no
-	// other sink.
-	wantAdj() bool
+	// wantRows reports whether emit reads x.rows and x.embAdj — the
+	// histogram of the children's adjacency masks and the parent's own
+	// masks — instead of x.children. The expansion counts them for no other
+	// sink, and for this one writes no children (next is not called).
+	wantRows() bool
 	// endChunk completes one chunk after its last emit.
 	endChunk(worker, chunk int) error
 	// finish completes the sink after every chunk succeeded.
@@ -68,8 +73,8 @@ type StoreSink struct {
 	parents int
 }
 
-func (s *StoreSink) storing() bool { return true }
-func (s *StoreSink) wantAdj() bool { return false }
+func (s *StoreSink) storing() bool  { return true }
+func (s *StoreSink) wantRows() bool { return false }
 
 func (s *StoreSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	s.builder = e.levelBuilderFor(top, bounds, e.c.Bytes())
@@ -140,8 +145,8 @@ type paddedCount struct {
 	_ [56]byte
 }
 
-func (s *CountSink) storing() bool { return false }
-func (s *CountSink) wantAdj() bool { return false }
+func (s *CountSink) storing() bool  { return false }
+func (s *CountSink) wantRows() bool { return false }
 
 func (s *CountSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	if cap(s.counts) < e.threads {
@@ -180,22 +185,21 @@ func (s *CountSink) Total() uint64 { return s.total }
 
 // VisitSink hands the expansion stream to a per-worker callback, one parent
 // embedding with all its canonical extensions per call — the Mapper-side
-// consumption of §5.1 (motif counting, FSM's final aggregation). Nothing is
-// materialized. adj is set when visit reads the adjacency masks.
+// consumption of §5.1 (FSM's final aggregation). Nothing is materialized.
 type VisitSink struct {
 	visit GroupVisitor
-	adj   bool
 }
 
-// GroupVisitor is the per-parent callback of ExpandVisitGroups.
-type GroupVisitor func(worker int, emb, embAdj, children, adj []uint32) error
+// GroupVisitor is the per-parent callback of VisitSink and ExpandCountVisit:
+// a parent embedding with all its canonical extensions (possibly none).
+type GroupVisitor func(worker int, emb, children []uint32) error
 
 // perChild adapts a per-extension callback to the sink's per-parent one.
 func perChild(visit func(worker int, emb []uint32, cand uint32) error) GroupVisitor {
 	if visit == nil {
 		return nil
 	}
-	return func(worker int, emb, _, children, _ []uint32) error {
+	return func(worker int, emb, children []uint32) error {
 		for _, c := range children {
 			if err := visit(worker, emb, c); err != nil {
 				return err
@@ -205,8 +209,8 @@ func perChild(visit func(worker int, emb []uint32, cand uint32) error) GroupVisi
 	}
 }
 
-func (s *VisitSink) storing() bool { return false }
-func (s *VisitSink) wantAdj() bool { return s.adj }
+func (s *VisitSink) storing() bool  { return false }
+func (s *VisitSink) wantRows() bool { return false }
 
 func (s *VisitSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	if s.visit == nil {
@@ -220,12 +224,54 @@ func (s *VisitSink) next(worker, chunk int, x *expansion) ([]uint32, error) {
 }
 
 func (s *VisitSink) emit(worker, chunk int, x *expansion) error {
-	return s.visit(worker, x.emb, x.embAdj, x.children, x.adj)
+	return s.visit(worker, x.emb, x.children)
 }
 
 func (s *VisitSink) endChunk(worker, chunk int) error { return nil }
 func (s *VisitSink) finish(e *Explorer) error         { return nil }
 func (s *VisitSink) abort()                           {}
+
+// RowSink hands the expansion stream to a per-worker callback as one row
+// histogram per parent embedding: rows[m] is the number of its canonical
+// extensions whose adjacency mask is m — all a Mapper needs whose pattern
+// of a child is fixed by the parent's masks and the child's row (unlabeled
+// motifs). The children themselves are never written: the expansion keeps a
+// running histogram of the run's kept prefix candidates and corrects it per
+// leaf from the leaf's neighbour list (countRows). Vertex-induced mode only,
+// under no filter (ExpandVisitGroups passes none), and at most maxRowDepth
+// units deep.
+type RowSink struct {
+	visit RowVisitor
+}
+
+// RowVisitor is the per-parent callback of RowSink (ExpandVisitGroups).
+type RowVisitor func(worker int, emb, embAdj, rows []uint32) error
+
+// maxRowDepth bounds the depth of a row walk: a histogram has 2^depth
+// counters per worker, 256 KiB at this depth.
+const maxRowDepth = 16
+
+func (s *RowSink) storing() bool  { return false }
+func (s *RowSink) wantRows() bool { return true }
+
+func (s *RowSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
+	if s.visit == nil {
+		return fmt.Errorf("explore: RowSink without a visit callback")
+	}
+	return nil
+}
+
+func (s *RowSink) next(worker, chunk int, x *expansion) ([]uint32, error) {
+	return nil, nil
+}
+
+func (s *RowSink) emit(worker, chunk int, x *expansion) error {
+	return s.visit(worker, x.emb, x.embAdj, x.rows)
+}
+
+func (s *RowSink) endChunk(worker, chunk int) error { return nil }
+func (s *RowSink) finish(e *Explorer) error         { return nil }
+func (s *RowSink) abort()                           {}
 
 // CountVisitSink fuses CountSink and VisitSink: every parent's extensions
 // reach the per-worker callback and are tallied into a padded per-worker
@@ -292,6 +338,14 @@ func (e *Explorer) ExpandTo(ctx context.Context, sink ExpandSink, vf VertexFilte
 		// A bit per embedding position: a deeper level would mis-filter.
 		return fmt.Errorf("explore: cannot expand past %d units per embedding", maskBits)
 	}
+	if sink.wantRows() {
+		if e.cfg.Mode != VertexInduced {
+			return fmt.Errorf("explore: row histograms need vertex-induced exploration")
+		}
+		if k > maxRowDepth {
+			return fmt.Errorf("explore: row histograms stop at %d units per embedding", maxRowDepth)
+		}
+	}
 
 	nchunks := e.chunks(n)
 	if sink.storing() {
@@ -346,34 +400,34 @@ func (e *Explorer) ExpandVisit(ctx context.Context, vf VertexFilter, ef EdgeFilt
 	return e.ExpandTo(ctx, &s, vf, ef)
 }
 
-// ExpandVisitGroups is ExpandVisit handing over each parent embedding once,
-// with all its canonical extensions (possibly none), so a Mapper can do the
-// work the extensions share — the parent's own adjacency — once per parent.
-// In vertex-induced mode the visitor gets the whole adjacency of the parent
-// and its children as masks, and never needs to probe the graph:
+// ExpandVisitGroups runs one vertex-induced exploration iteration under the
+// canonical filter alone and hands over each parent embedding once, with the
+// row histogram of its canonical extensions instead of the extensions
+// (RowSink), so a Mapper whose child pattern is fixed by the masks does the
+// work the extensions share once per parent and nothing per child:
 //   - embAdj is parallel to emb: bit i of embAdj[l] is set iff emb[l] is
 //     adjacent to emb[i], for i < l (embAdj[0] = 0). The masks are the
 //     parent's own provenance — emb[l]'s entry in the candidate set of
 //     emb[:l], and the leaf's in the run's keep list — found once per run
 //     and once per leaf, not once per child;
-//   - adj is parallel to children: bit i of adj[j] is set iff children[j] is
-//     adjacent to emb[i], straight from the candidate merge.
+//   - rows has length 2^len(emb): rows[m] is the number of extensions c
+//     whose mask is m, i.e. c is adjacent to exactly the emb[i] with bit i
+//     of m set (m ≠ 0: every extension neighbours the parent). The sum of
+//     rows is the parent's extension count, possibly 0.
 //
-// So a Mapper knows the pattern of every child, row by row, from the masks
-// alone. In edge-induced and Clique mode embAdj and adj are nil (a clique's
-// masks are all ones). emb, embAdj, children and adj are reused buffers,
-// valid only during the call.
-func (e *Explorer) ExpandVisitGroups(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit GroupVisitor) error {
-	s := VisitSink{visit: visit, adj: true}
-	return e.ExpandTo(ctx, &s, vf, ef)
+// It fails in edge-induced and Clique mode and past maxRowDepth units. emb,
+// embAdj and rows are reused buffers, valid only during the call. The CSE
+// is unchanged. ctx cancels the walk (see Expand).
+func (e *Explorer) ExpandVisitGroups(ctx context.Context, visit RowVisitor) error {
+	s := RowSink{visit: visit}
+	return e.ExpandTo(ctx, &s, nil, nil)
 }
 
-// ExpandCountVisit is ExpandVisitGroups plus the embedding count of the same
-// pass (CountVisitSink): the walk hands visit each parent embedding once with
-// all its canonical extensions and returns how many extensions there were,
-// so terminal aggregations that also report a count do not need a second
-// pass over their aggregate state. Its visitor gets no masks: embAdj and adj
-// are nil in every mode. The CSE is unchanged.
+// ExpandCountVisit is ExpandVisit handing over each parent embedding once,
+// with all its canonical extensions (possibly none), plus the embedding
+// count of the same pass (CountVisitSink): terminal aggregations that also
+// report a count do not need a second pass over their aggregate state. The
+// CSE is unchanged.
 func (e *Explorer) ExpandCountVisit(ctx context.Context, vf VertexFilter, ef EdgeFilter, visit GroupVisitor) (uint64, error) {
 	s := CountVisitSink{VisitSink: VisitSink{visit: visit}}
 	if err := e.ExpandTo(ctx, &s, vf, ef); err != nil {

@@ -22,9 +22,9 @@ const maskBits = 32
 // once per run of leaves (properties (ii) and (iii) collapse to integer
 // comparisons, see appendCanonical);
 // the whole mask is handed to the user's VertexFilter (a clique is "all bits
-// set"); and a sink that asks for it gets the mask of every child (the motif
-// Mapper's new pattern row) and of every parent vertex, read back from the
-// candidate set it joined (the rest of the Mapper's pattern).
+// set"); and the row sink gets the masks of every parent vertex, read back
+// from the candidate set it joined, and the histogram of its children's
+// masks (the rows of the motif Mapper's patterns, see countRows).
 //
 // In edge-induced mode a candidate enters only through the new endpoints of
 // an edge (edgeState.update), so only the lowest set bit is meaningful there
@@ -56,7 +56,8 @@ func (c *candBuf) copyFrom(o *candBuf) {
 // the new vertex's neighbor list. Alongside each candidate it tracks the
 // adjacency mask. Per run of leaves it filters the prefix candidates once —
 // the keep list plus a stamp per prefix candidate — so that a leaf pays only
-// for its own neighbor list and its children, not for all of cands[k-2].
+// for its own neighbor list and its children, not for all of cands[k-2]; a
+// row-counting leaf pays only for its neighbor list (countRows).
 type vertexState struct {
 	g     *graph.Graph
 	cands []candBuf
@@ -71,8 +72,13 @@ type vertexState struct {
 	// at is the keep cursor: keep.ids[:at] ≤ the run's latest leaf. Leaves
 	// ascend within a group, so it only moves forward.
 	at int
+	// hist is the row path's running histogram of the keep masks past the
+	// cursor: hist[m] counts the entries of keep.adj[at:] equal to m. It is
+	// built per run (keepRows) and kept current by rowCursor; the other
+	// leaves neither read nor maintain it.
+	hist []uint32
 	// embAdj[l] is the mask of emb[l] against emb[:l] — the parent's own
-	// adjacency, handed to a sink that wantAdj (see prefixAdj and leafAdj).
+	// adjacency, handed to the row sink (see prefixAdj and countRows).
 	embAdj []uint32
 }
 
@@ -150,10 +156,10 @@ func (s *vertexState) updatePrefix(emb []uint32, from, k int) {
 
 // prefixAdj fills embAdj[l] for the prefix positions the run changed, l from
 // from−1 to k−2 (the rest carry over from the previous run; embAdj[0] is
-// always 0, and leafAdj fills the leaf's slot per leaf). The mask of emb[l]
-// is its entry in cands[l-1], which updatePrefix just refreshed: one search
-// per changed level and run, no graph probe. emb[1] joined as a neighbour of
-// emb[0], so its mask is 1. Call it after updatePrefix.
+// always 0, and countRows returns the leaf's mask per leaf). The mask of
+// emb[l] is its entry in cands[l-1], which updatePrefix just refreshed: one
+// search per changed level and run, no graph probe. emb[1] joined as a
+// neighbour of emb[0], so its mask is 1. Call it after updatePrefix.
 func (s *vertexState) prefixAdj(emb []uint32, from, k int) {
 	for l := max(from-1, 1); l < k-1; l++ {
 		if l == 1 {
@@ -162,21 +168,6 @@ func (s *vertexState) prefixAdj(emb []uint32, from, k int) {
 		}
 		s.embAdj[l] = s.cands[l-1].maskOf(emb[l])
 	}
-}
-
-// leafAdj returns the mask of the leaf u against the prefix emb[:k-1]. A
-// leaf is a canonical child of the prefix, so it is in the keep list, right
-// behind the keep cursor appendCanonical moves to anyway; a leaf missing
-// there (a level the explorer did not build under this prefix filter) is
-// looked up in cands[k-2] itself.
-func (s *vertexState) leafAdj(k int, u uint32) uint32 {
-	if k == 1 {
-		return 0
-	}
-	if i := s.cursor(u); i > 0 && s.keep.ids[i-1] == u {
-		return s.keep.adj[i-1]
-	}
-	return s.cands[k-2].maskOf(u)
 }
 
 // maskOf returns the mask of id in c, 0 if id is not a candidate — adjacent
@@ -211,17 +202,16 @@ func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
 	return bound
 }
 
-// appendCanonical appends to out.children the canonical extensions of emb
-// (whose leaf emb[k-1] just changed to u): the Definition-2 survivors of
-// cands[k-2] ∪ N(u), in ascending order, consumed as the union is merged — no
-// candidate buffer is written or re-read. When wantAdj is set it appends
-// their adjacency masks to out.adj, parallel to the children; otherwise
-// out.adj is left alone. Requires a prior updatePrefix for the current run
-// when k ≥ 2 (any from ≤ k−1).
+// appendCanonical appends to children the canonical extensions of emb
+// (whose leaf emb[k-1] just changed to u) that the filter vf admits — the
+// Definition-2 survivors of cands[k-2] ∪ N(u), in ascending order, consumed
+// as the union is merged: no candidate buffer is written or re-read. vf
+// receives each survivor's adjacency mask. Requires a prior updatePrefix for
+// the current run when k ≥ 2 (any from ≤ k−1).
 //
 // The prefix side was filtered once per run (updatePrefix), so a leaf walks
 // only N(u) past emb[0] and its own children: O(|N(u)| + children) per leaf.
-// It emits, in order,
+// It offers vf, in order,
 //  1. the entries of N(u) in (emb[0], u] that are not stamped — candidates
 //     only the leaf adds, which attach at the leaf, where the suffix is empty
 //     and only property (i) applies; they sort below every kept prefix
@@ -229,8 +219,7 @@ func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
 //  2. keep past u merged with N(u) past u: a tie gains the leaf bit, an entry
 //     only in keep keeps its mask, and an entry only in N(u) is a child iff
 //     it is unstamped — a stamped one is a prefix candidate that failed its
-//     bound. The runs of keep between neighbours of u are bulk appends when
-//     there is no filter.
+//     bound.
 //
 // Duplicates need no explicit check: every stored embedding is connected in
 // order, so a duplicate cand = emb[j] has a < j — it sits after its
@@ -238,28 +227,29 @@ func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
 // is the incremental CanonicalVertex semantics; the differential tests verify
 // the equivalence embedding-for-embedding.
 //
-// A survivor's adjacency mask m is what vf receives. With neither a filter
-// nor masks asked for, appendStored is the same leaf, cheaper.
-func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int, vf VertexFilter, wantAdj bool, out *expansion) {
+// Without a filter, appendStored is the same leaf, cheaper, and countRows
+// the same leaf for a sink that only counts its children's masks.
+func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int, vf VertexFilter, children []uint32) []uint32 {
 	emb0 := emb[0]
 	if emb0 == ^uint32(0) {
-		return // nothing can exceed emb[0]; emb0+1 would wrap below
+		return children // nothing can exceed emb[0]; emb0+1 would wrap below
 	}
 	nb := s.g.Neighbors(u)
 	leaf := uint32(1) << (k - 1)
 	j := gallopGE(nb, 0, emb0+1)
 	if k == 1 {
 		// emb = ⟨u⟩: every neighbor past u is a child, adjacent to u only.
-		appendLeafOnly(out, nb[j:], leaf, worker, emb, vf, wantAdj)
-		return
+		for _, y := range nb[j:] {
+			if vf(worker, emb, y, leaf) {
+				children = append(children, y)
+			}
+		}
+		return children
 	}
 	mk := s.mk
 	for ; j < len(nb) && nb[j] <= u; j++ {
-		if y := nb[j]; !mk.Marked(y) && (vf == nil || vf(worker, emb, y, leaf)) {
-			out.children = append(out.children, y)
-			if wantAdj {
-				out.adj = append(out.adj, leaf)
-			}
+		if y := nb[j]; !mk.Marked(y) && vf(worker, emb, y, leaf) {
+			children = append(children, y)
 		}
 	}
 	ids, adj := s.keep.ids, s.keep.adj
@@ -269,7 +259,7 @@ func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int,
 		for p < len(ids) && ids[p] < y {
 			p++
 		}
-		appendKeep(out, ids[i:p], adj[i:p], worker, emb, vf, wantAdj)
+		children = appendKeep(children, ids[i:p], adj[i:p], worker, emb, vf)
 		i = p
 		m := leaf
 		if p < len(ids) && ids[p] == y {
@@ -278,26 +268,23 @@ func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int,
 		} else if mk.Marked(y) {
 			continue
 		}
-		if vf == nil || vf(worker, emb, y, m) {
-			out.children = append(out.children, y)
-			if wantAdj {
-				out.adj = append(out.adj, m)
-			}
+		if vf(worker, emb, y, m) {
+			children = append(children, y)
 		}
 	}
-	appendKeep(out, ids[i:], adj[i:], worker, emb, vf, wantAdj)
+	return appendKeep(children, ids[i:], adj[i:], worker, emb, vf)
 }
 
-// appendStored is appendCanonical for a sink that takes no masks, under no
-// filter — the storing and counting sinks: it appends u's children to dst
-// and returns it. Masks unread, a stamped neighbour of u needs nothing — it
-// is in keep, which is copied whole, or it failed its bound — so one pass
-// over N(u) past emb[0] probes the marker: the unstamped entries up to u are
-// children at once, and each one past u is inserted into the copy of keep
-// past u (an unstamped entry is never in keep, so there are no ties). The
-// copy runs element by element up to the last insertion point, found by the
-// same forward scan, and in bulk after it. dst is grown once, for every
-// child the leaf can have.
+// appendStored is appendCanonical under no filter, for every sink that takes
+// the children — the storing, counting and visiting sinks: it appends u's
+// children to dst and returns it. Masks unread, a stamped neighbour of u
+// needs nothing — it is in keep, which is copied whole, or it failed its
+// bound — so one pass over N(u) past emb[0] probes the marker: the
+// unstamped entries up to u are children at once, and each one past u is
+// inserted into the copy of keep past u (an unstamped entry is never in
+// keep, so there are no ties). The copy runs element by element up to the
+// last insertion point, found by the same forward scan, and in bulk after
+// it. dst is grown once, for every child the leaf can have.
 func (s *vertexState) appendStored(k int, u, emb0 uint32, dst []uint32) []uint32 {
 	if emb0 == ^uint32(0) {
 		return dst // nothing can exceed emb[0], keep included
@@ -355,47 +342,121 @@ func (s *vertexState) cursor(u uint32) int {
 	return i
 }
 
-// appendKeep appends the kept prefix candidates ids, with masks adj, that vf
-// admits — all of them, in one append, when there is no filter.
-func appendKeep(out *expansion, ids, adj []uint32, worker int, emb []uint32, vf VertexFilter, wantAdj bool) {
-	if vf == nil {
-		out.children = append(out.children, ids...)
-		if wantAdj {
-			out.adj = append(out.adj, adj...)
-		}
-		return
-	}
+// appendKeep appends to children the kept prefix candidates ids, with masks
+// adj, that vf admits.
+func appendKeep(children, ids, adj []uint32, worker int, emb []uint32, vf VertexFilter) []uint32 {
 	for q, x := range ids {
 		if vf(worker, emb, x, adj[q]) {
-			out.children = append(out.children, x)
-			if wantAdj {
-				out.adj = append(out.adj, adj[q])
-			}
+			children = append(children, x)
 		}
 	}
+	return children
 }
 
-// appendLeafOnly appends the candidates ids, each adjacent to the leaf only
-// (mask leaf), that vf admits — all of them, in one append, when there is no
-// filter.
-func appendLeafOnly(out *expansion, ids []uint32, leaf uint32, worker int, emb []uint32, vf VertexFilter, wantAdj bool) {
-	if vf == nil {
-		out.children = append(out.children, ids...)
-		if wantAdj {
-			for range ids {
-				out.adj = append(out.adj, leaf)
-			}
-		}
-		return
+// keepRows builds the run's row histogram, hist[m] = the number of keep
+// entries with mask m, over the whole keep list (the cursor is at 0) — the
+// once-per-run setup of countRows, after updatePrefix. Keep masks have bits
+// below the leaf's, k−1 of them. Requires k ≥ 2.
+func (s *vertexState) keepRows(k int) {
+	h := s.hist
+	if n := 1 << (k - 1); cap(h) < n {
+		h = make([]uint32, n)
+	} else {
+		h = h[:n]
+		clear(h)
 	}
-	for _, y := range ids {
-		if vf(worker, emb, y, leaf) {
-			out.children = append(out.children, y)
-			if wantAdj {
-				out.adj = append(out.adj, leaf)
-			}
+	for _, m := range s.keep.adj {
+		h[m]++
+	}
+	s.hist = h
+}
+
+// rowCursor is cursor for the row path: every entry it moves past leaves
+// the histogram, so hist covers keep[at:] — the kept entries past the leaf
+// — at O(|keep|) per run, whatever the leaves. A leaf below the last one
+// restarts the cursor and rebuilds the histogram.
+func (s *vertexState) rowCursor(k int, u uint32) int {
+	ids, adj, i := s.keep.ids, s.keep.adj, s.at
+	if i > 0 && ids[i-1] > u {
+		s.keepRows(k) // not a walker order, start over
+		i = 0
+	}
+	for i < len(ids) && ids[i] <= u {
+		s.hist[adj[i]]--
+		i++
+	}
+	s.at = i
+	return i
+}
+
+// countRows is the leaf of a sink that reads only its children's masks: it
+// fills rows (length 2^k) with their histogram — rows[m] is the number of
+// canonical children of emb, leaf u, with adjacency mask m — and returns
+// the leaf's own mask against the prefix emb[:k-1]. No child is written.
+// Requires a prior updatePrefix and keepRows for the current run when k ≥ 2.
+//
+// The children are the two sets appendCanonical merges: keep past u, each
+// with its prefix mask, plus the leaf bit where it neighbours u; and the
+// unstamped entries of N(u) past emb[0], each with the leaf bit alone. So
+// rows starts from the running histogram of keep past u (rowCursor) and one
+// pass over N(u) past emb[0] corrects it: an unstamped entry adds one to row
+// leaf, and a stamped one past u that is in keep — a tie — moves one from its
+// row m to row m|leaf. A stamped entry not in keep failed its bound, and one
+// up to u is not a child. A leaf costs O(|N(u)| + 2^k) and a lookup per tie,
+// whatever its children.
+//
+// The leaf is a canonical child of the prefix, so its mask is in the keep
+// list right behind the cursor; a leaf missing there (a level the explorer
+// did not build under this prefix filter) is looked up in cands[k-2].
+func (s *vertexState) countRows(k int, u, emb0 uint32, rows []uint32) uint32 {
+	leaf := uint32(1) << (k - 1)
+	var self uint32
+	if k > 1 {
+		at := s.rowCursor(k, u)
+		if at > 0 && s.keep.ids[at-1] == u {
+			self = s.keep.adj[at-1]
+		} else {
+			self = s.cands[k-2].maskOf(u)
+		}
+		// A loop, not copy and clear: the rows are a few words.
+		for m, n := range s.hist {
+			rows[m], rows[uint32(m)|leaf] = n, 0
+		}
+	} else {
+		rows[0], rows[1] = 0, 0
+	}
+	nb := s.g.Neighbors(u)
+	// The pass below walks the rest of N(u) anyway: a linear skip.
+	j := 0
+	for j < len(nb) && nb[j] <= emb0 {
+		j++
+	}
+	if k == 1 {
+		// emb = ⟨u⟩: every neighbor past u is a child, adjacent to u only.
+		rows[leaf] = uint32(len(nb) - j)
+		return self
+	}
+	mk := s.mk
+	ids, adj := s.keep.ids, s.keep.adj
+	p, only := s.at, uint32(0)
+	for _, y := range nb[j:] {
+		if !mk.Marked(y) {
+			only++
+			continue
+		}
+		if y <= u {
+			continue
+		}
+		p = gallopGE(ids, p, y)
+		if p < len(ids) && ids[p] == y {
+			m := adj[p]
+			rows[m]--
+			rows[m|leaf]++
+			p++
 		}
 	}
+	rows[leaf] += only
+	return self
 }
 
 // candidates returns the candidate set of the full embedding (neighbors of

@@ -2,15 +2,17 @@ package explore
 
 // The vertex-induced leaf against the Definition-2 reference: the prefix is
 // filtered once per run (keep list + stamps, vertexState.updatePrefix) and a
-// leaf merges only its own neighbor list with it, so every level, count and
-// adjacency mask must still be exactly what refExpandVertex and refAdjMask
-// produce — on every storage regime, at every thread count, and across the
-// block-seam continuation runs that keep the run's keep list and stamps.
+// leaf merges only its own neighbor list with it — or, counting rows,
+// corrects the keep list's running histogram from it — so every level,
+// count, adjacency mask and row histogram must still be exactly what
+// refExpandVertex and refAdjMask produce — on every storage regime, at every
+// thread count, and across the block-seam continuation runs that keep the
+// run's keep list, stamps and histogram.
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
 
 	"kaleido/internal/graph"
@@ -23,7 +25,7 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 	for _, hubThreshold := range []int{-1, 8} { // hub bitset rows off / on
 		for _, relabel := range []bool{false, true} {
 			// plantedGraph in two densities: unfiltered levels grow too fast
-			// on cliqueGraph's, so the nil filter and the adj sink run on a
+			// on cliqueGraph's, so the nil filter and the row sink run on a
 			// sparser graph, and the clique levels on a denser one, whose
 			// levels 2 and 3 span several decoded blocks in the all-disk
 			// regime.
@@ -39,7 +41,13 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 				if len(ref[maxDepth]) == 0 {
 					t.Fatalf("%s: degenerate graph, no level %d", use.name, maxDepth+1)
 				}
-				_, _, bytes := checkLeafLevels(t, use.g, &run.Env{Threads: 1}, use.vf, ref)
+				var rows []map[string][]uint32 // rows[d-1]: the row walk of depth d
+				if use.vf == nil {
+					for d := 1; d <= maxDepth; d++ {
+						rows = append(rows, refRows(use.g, ref[d]))
+					}
+				}
+				_, _, bytes := checkLeafLevels(t, use.g, &run.Env{Threads: 1}, use.vf, ref, rows)
 				regimes := []struct {
 					name   string
 					budget int64
@@ -57,7 +65,7 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 							if rg.budget > 0 {
 								env.MemoryBudget, env.SpillDir = rg.budget, t.TempDir()
 							}
-							continuations, mixed, _ := checkLeafLevels(t, use.g, env, use.vf, ref)
+							continuations, mixed, _ := checkLeafLevels(t, use.g, env, use.vf, ref, rows)
 							if rg.name == "disk" && threads == 1 && continuations == 0 {
 								t.Fatal("no continuation run at a block seam: the all-disk case does not exercise a kept keep list and kept stamps")
 							}
@@ -89,12 +97,12 @@ func refLevels(g *graph.Graph, vf VertexFilter, maxDepth int) [][][]uint32 {
 
 // checkLeafLevels expands g under env and vf to depth len(ref)−1 and holds,
 // at every depth, the stored level to ref in stored order and ExpandCount to
-// the next level's size; with no filter, and below the top, also the
-// children and masks an adj sink (ExpandVisitGroups) receives to the next
-// level and refAdjMask; and then the stored level to ref once more. It reports the block-seam continuation runs of the
-// levels it expanded, whether some level was split between memory and disk,
-// and the CSE's resident bytes per depth.
-func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter, ref [][][]uint32) (continuations int, mixed bool, bytes []int64) {
+// the next level's size; given the next levels' refRows (no filter), also
+// the masks and row histograms a row visitor (ExpandVisitGroups) receives
+// (checkRows); and then the stored level to ref once more. It reports the
+// block-seam continuation runs of the levels it expanded, whether some level
+// was split between memory and disk, and the CSE's resident bytes per depth.
+func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter, ref [][][]uint32, rows []map[string][]uint32) (continuations int, mixed bool, bytes []int64) {
 	t.Helper()
 	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: env})
 	if err != nil {
@@ -127,8 +135,8 @@ func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter
 		if n != uint64(len(ref[d])) {
 			t.Fatalf("depth %d: ExpandCount %d, reference %d", d, n, len(ref[d]))
 		}
-		if vf == nil && d < maxDepth {
-			checkAdjSink(t, e, g, d, ref[d])
+		if rows != nil {
+			checkRows(t, e, g, d, rows[d-1], len(ref[d]))
 		}
 		// The walks above reuse the workers' scratch, which the Expand that
 		// stored this level wrote its children through: none of it may
@@ -138,48 +146,6 @@ func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter
 		}
 	}
 	return continuations, mixed, bytes
-}
-
-// checkAdjSink expands the level of depth d into an adj sink and holds the
-// children it receives to want (the reference level d+1) and every mask, the
-// children's and the parent's own, to refAdjMask.
-func checkAdjSink(t *testing.T, e *Explorer, g *graph.Graph, d int, want [][]uint32) {
-	t.Helper()
-	var mu sync.Mutex
-	var got [][]uint32
-	var bad string
-	err := e.ExpandVisitGroups(bgCtx, nil, nil, func(_ int, emb, embAdj, children, adj []uint32) error {
-		if msg := embAdjMismatch(g, emb, embAdj); msg != "" {
-			mu.Lock()
-			bad = msg
-			mu.Unlock()
-		}
-		ext := make([][]uint32, len(children))
-		for j, c := range children {
-			ext[j] = append(append([]uint32(nil), emb...), c)
-			if j >= len(adj) || adj[j] != refAdjMask(g, emb, c) {
-				mu.Lock()
-				bad = fmt.Sprintf("emb %v child %d: masks %b", emb, c, adj)
-				mu.Unlock()
-			}
-		}
-		mu.Lock()
-		got = append(got, ext...)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != "" {
-		t.Fatalf("depth %d adj sink: %s", d, bad)
-	}
-	want = append([][]uint32(nil), want...)
-	sortEmbs(got)
-	sortEmbs(want)
-	if !embsEqual(got, want) {
-		t.Fatalf("depth %d adj sink: %d children, reference %d: %s", d, len(got), len(want), diffSample(got, want))
-	}
 }
 
 // leafGraph is the hand-built case of TestAppendCanonicalCases. For the
@@ -214,83 +180,139 @@ func TestAppendCanonicalCases(t *testing.T) {
 	st := newVertexState(g, 3)
 	emb := []uint32{1, 6, 0}
 	st.updatePrefix(emb, 1, 3)
-	if got := fmt.Sprint(st.keep.ids, st.keep.adj); got != "[7 8 9] [2 2 1]" {
-		t.Fatalf("keep list %s, want [7 8 9] [2 2 1]", got)
+	st.keepRows(3)
+	if got := fmt.Sprint(st.keep.ids, st.keep.adj, st.hist); got != "[7 8 9] [2 2 1] [0 1 2 0]" {
+		t.Fatalf("keep list and histogram %s, want [7 8 9] [2 2 1] [0 1 2 0]", got)
 	}
-	var x expansion
+	var masks []uint32
+	admit := func(_ int, _ []uint32, _, adj uint32) bool {
+		masks = append(masks, adj)
+		return true
+	}
 	emb[2] = 4
-	st.appendCanonical(3, 4, emb, 0, nil, true, &x)
+	kids := st.appendCanonical(3, 4, emb, 0, admit, nil)
 	// 2 (only the leaf's, ≤ 4) sorts ahead of the kept 7; 3 and 5 are
 	// stamped and dropped; 8 is a tie; 10 is only the leaf's.
-	if got, want := fmt.Sprint(x.children, x.adj), "[2 7 8 9 10] [4 2 6 1 4]"; got != want {
+	if got, want := fmt.Sprint(kids, masks), "[2 7 8 9 10] [4 2 6 1 4]"; got != want {
 		t.Fatalf("leaf 4: children and masks %s, want %s", got, want)
+	}
+	// The same children as rows: two with mask 4 (2 and 10), one each with
+	// 1, 2 and 6. Leaf 4 is not kept (it attaches at 0, below 6), so its own
+	// mask, 1, comes from the candidate set.
+	rows := make([]uint32, 8)
+	if self := st.countRows(3, 4, emb[0], rows); self != 1 || fmt.Sprint(rows) != "[0 1 1 0 2 0 1 0]" {
+		t.Fatalf("leaf 4: rows %v, own mask %b, want [0 1 1 0 2 0 1 0] and 1", rows, self)
 	}
 
 	// Every leaf of the run — ascending, then once more descending, which
 	// restarts the keep cursor — against the reference, under each use: the
-	// store call (no filter, no masks: appendStored), an adj sink, and two
-	// filters. Each leaf appends behind an earlier group already in the
-	// destination, as into a part buffer, and must leave it untouched.
+	// store call (no filter: appendStored), the row count, and two filters.
+	// Each leaf appends behind an earlier group already in the destination,
+	// as into a part buffer, and must leave it untouched.
 	leaves := []uint32{3, 4, 5, 7, 8, 9}
 	for i := len(leaves) - 1; i >= 0; i-- {
 		leaves = append(leaves, leaves[i])
 	}
 	earlier := []uint32{12, 11, 13}
 	for _, use := range []struct {
-		name    string
-		vf      VertexFilter
-		wantAdj bool
+		name string
+		vf   VertexFilter
 	}{
-		{"store", nil, false},
-		{"adjsink", nil, true},
-		{"maskfilter", allOnesFilter, true},
-		{"evenfilter", func(_ int, _ []uint32, c, _ uint32) bool { return c%2 == 0 }, true},
+		{"store", nil},
+		{"rows", nil},
+		{"maskfilter", allOnesFilter},
+		{"evenfilter", func(_ int, _ []uint32, c, _ uint32) bool { return c%2 == 0 }},
 	} {
 		for _, u := range leaves {
 			emb[2] = u
-			x.children, x.adj = append(x.children[:0], earlier...), x.adj[:0]
-			if use.vf == nil && !use.wantAdj {
-				x.children = st.appendStored(3, u, emb[0], x.children)
-			} else {
-				st.appendCanonical(3, u, emb, 0, use.vf, use.wantAdj, &x)
-			}
-			if got := x.children[:len(earlier)]; fmt.Sprint(got) != fmt.Sprint(earlier) {
-				t.Fatalf("%s leaf %d: earlier group %v overwritten: %v", use.name, u, earlier, got)
-			}
-			kids := x.children[len(earlier):]
 			var wantKids []uint32
 			for _, c := range refExpandVertex(g, [][]uint32{append(emb[:2:2], u)}, use.vf) {
 				wantKids = append(wantKids, c[3])
 			}
-			if fmt.Sprint(kids) != fmt.Sprint(wantKids) {
-				t.Fatalf("%s leaf %d: children %v, reference %v", use.name, u, kids, wantKids)
-			}
-			if !use.wantAdj {
-				if len(x.adj) != 0 {
-					t.Fatalf("%s leaf %d: masks %v collected unasked", use.name, u, x.adj)
+			if use.name == "rows" {
+				want := refRows(g, refExpandVertex(g, [][]uint32{emb}, nil))[embKey(emb)]
+				self := st.countRows(3, u, emb[0], rows)
+				if msg := rowsMismatch(emb, rows, want); msg != "" {
+					t.Fatalf("leaf %d: %s", u, msg)
+				}
+				if m := refAdjMask(g, emb[:2], u); self != m {
+					t.Fatalf("leaf %d: own mask %b, want %b", u, self, m)
 				}
 				continue
 			}
-			if len(x.adj) != len(kids) {
-				t.Fatalf("%s leaf %d: %d masks for %d children", use.name, u, len(x.adj), len(kids))
+			kids := append([]uint32(nil), earlier...)
+			if use.vf == nil {
+				kids = st.appendStored(3, u, emb[0], kids)
+			} else {
+				kids = st.appendCanonical(3, u, emb, 0, use.vf, kids)
 			}
-			for j, c := range kids {
-				if m := refAdjMask(g, emb, c); x.adj[j] != m {
-					t.Fatalf("%s leaf %d child %d: mask %b, want %b", use.name, u, c, x.adj[j], m)
-				}
+			if got := kids[:len(earlier)]; fmt.Sprint(got) != fmt.Sprint(earlier) {
+				t.Fatalf("%s leaf %d: earlier group %v overwritten: %v", use.name, u, earlier, got)
+			}
+			if got := kids[len(earlier):]; fmt.Sprint(got) != fmt.Sprint(wantKids) {
+				t.Fatalf("%s leaf %d: children %v, reference %v", use.name, u, got, wantKids)
 			}
 		}
 	}
 
-	// emb[0] = MaxUint32: nothing exceeds it, at any depth, so both leaves
-	// append nothing.
+	// emb[0] = MaxUint32: nothing exceeds it, at any depth, so both merging
+	// leaves append nothing.
 	for k := 1; k <= 3; k++ {
 		top := append([]uint32{^uint32(0)}, emb[1:k]...)
-		x.children, x.adj = append(x.children[:0], 99), x.adj[:0]
-		st.appendCanonical(k, 4, top, 0, nil, true, &x)
-		x.children = st.appendStored(k, 4, top[0], x.children)
-		if fmt.Sprint(x.children) != "[99]" || len(x.adj) != 0 {
-			t.Fatalf("k=%d, emb[0] = MaxUint32: children %v, masks %v", k, x.children, x.adj)
+		kids := st.appendCanonical(k, 4, top, 0, admit, []uint32{99})
+		kids = st.appendStored(k, 4, top[0], kids)
+		if fmt.Sprint(kids) != "[99]" {
+			t.Fatalf("k=%d, emb[0] = MaxUint32: children %v", k, kids)
 		}
+	}
+}
+
+// TestCountRowsAnyLeafOrder feeds countRows the stored leaves of every
+// group of a level in shuffled order, so the keep cursor moves backwards
+// and the running histogram is rebuilt mid-run over and over: every leaf's
+// rows and own mask must still be the reference's, at parent depths 2 to 4,
+// with hub rows on and off.
+func TestCountRowsAnyLeafOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	restarts := 0
+	for _, hubThreshold := range []int{-1, 4} {
+		g := hubGraph(t, rng, 40, 60, 2, 18, hubThreshold)
+		e := newVertexExplorer(t, g, 1)
+		for k := 2; k <= 4; k++ {
+			if err := e.Expand(bgCtx, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			level := collect(t, e)
+			want := refRows(g, refExpandVertex(g, level, nil))
+			st := newVertexState(g, k)
+			rows := make([]uint32, 1<<k)
+			for lo := 0; lo < len(level); {
+				hi := lo + 1
+				for hi < len(level) && slices.Equal(level[hi][:k-1], level[lo][:k-1]) {
+					hi++
+				}
+				emb := slices.Clone(level[lo])
+				st.updatePrefix(emb, 1, k)
+				st.keepRows(k)
+				for _, i := range rng.Perm(hi - lo) {
+					u := level[lo+i][k-1]
+					if st.at > 0 && st.keep.ids[st.at-1] > u {
+						restarts++
+					}
+					emb[k-1] = u
+					self := st.countRows(k, u, emb[0], rows)
+					if msg := rowsMismatch(emb, rows, want[embKey(emb)]); msg != "" {
+						t.Fatalf("hub%d k=%d: %s", hubThreshold, k, msg)
+					}
+					if m := refAdjMask(g, emb[:k-1], u); self != m {
+						t.Fatalf("hub%d k=%d emb %v: own mask %b, want %b", hubThreshold, k, emb, self, m)
+					}
+				}
+				lo = hi
+			}
+		}
+	}
+	if restarts == 0 {
+		t.Fatal("no leaf restarted the keep cursor")
 	}
 }

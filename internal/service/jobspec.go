@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"kaleido"
+	"kaleido/internal/pattern"
 )
 
 // JobSpec is the wire description of one mining job — the single encoding
@@ -67,6 +68,14 @@ func (s *JobSpec) Validate() error {
 	case "clique", "motif", "fsm":
 		if s.K < 2 {
 			return fmt.Errorf("service: app %q needs k >= 2 (got %d)", s.App, s.K)
+		}
+	}
+	switch s.App {
+	case "motif", "fsm":
+		// Their patterns hold at most pattern.MaxK vertices: refuse a larger k
+		// here, not after the graph is loaded and the job admitted.
+		if s.K > pattern.MaxK {
+			return fmt.Errorf("service: app %q needs k <= %d (got %d)", s.App, pattern.MaxK, s.K)
 		}
 	}
 	if s.Dataset != "" && s.GraphPath != "" {

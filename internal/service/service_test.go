@@ -94,11 +94,18 @@ func FuzzParseBytes(f *testing.F) {
 }
 
 func TestJobSpecValidate(t *testing.T) {
-	good := JobSpec{App: "motif", K: 4, Dataset: "mico"}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+	for _, good := range []JobSpec{
+		{App: "motif", K: 4, Dataset: "mico"},
+		{App: "motif", K: 8, Dataset: "mico"}, // the largest pattern
+		{App: "fsm", K: 8, Dataset: "mico"},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid spec %+v rejected: %v", good, err)
+		}
 	}
 	bad := []JobSpec{
+		{App: "motif", K: 9, Dataset: "mico"}, // k past the pattern size
+		{App: "fsm", K: 9, Dataset: "mico"},   // k past the pattern size
 		{App: "nope", Dataset: "mico"},
 		{App: "tc"},                                       // no graph source
 		{App: "tc", Dataset: "mico", GraphPath: "x"},      // both sources
@@ -599,7 +606,8 @@ func TestServiceDrainCancels(t *testing.T) {
 // TestSubmitRefusesBadBodies: the submit route decodes strictly and boundedly.
 // A spec carrying a field the server does not know — here compress_resident
 // and shards, knobs that no longer exist — is a 400 naming the unknown field,
-// not a silent accept; a body past the 1 MiB cap is refused without being read
+// not a silent accept; so is a motif or FSM k past the pattern size, before
+// any graph is loaded; a body past the 1 MiB cap is refused without being read
 // whole; and neither leaves the server unable to take the next valid job.
 func TestSubmitRefusesBadBodies(t *testing.T) {
 	path := writeGraphFile(t)
@@ -626,6 +634,12 @@ func TestSubmitRefusesBadBodies(t *testing.T) {
 		body := []byte(`{"app":"tc","graph":` + string(graph) + `,` + field + `}`)
 		if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, "unknown field "+name) {
 			t.Fatalf("spec with %s: HTTP %d %q, want 400 naming the unknown field", name, code, msg)
+		}
+	}
+	for _, app := range []string{"motif", "fsm"} {
+		body := []byte(`{"app":"` + app + `","k":9,"graph":` + string(graph) + `}`)
+		if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, "k <= 8") {
+			t.Fatalf("%s with k = 9: HTTP %d %q, want 400 naming the bound", app, code, msg)
 		}
 	}
 	huge := []byte(`{"app":"tc","graph":"` + strings.Repeat("a", maxSpecBytes) + `"}`)
