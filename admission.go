@@ -238,9 +238,9 @@ func (en *Engine) abandon(w *admitWaiter) {
 // level-1 holds one unit per seed (N vertices, or M edges for FSM), each
 // expansion multiplies the frontier by roughly half the average degree (the
 // canonical filter keeps ascending extensions only), and a stored embedding
-// costs a vertex word plus its share of the bounds and parent arrays. The
-// terminal level of every built-in app is consumed at the frontier (sinks),
-// so only k−1 levels are priced.
+// costs a vertex word plus its share of the bounds and parent arrays. Only
+// the levels the app stores are priced (storedLevels): the levels every
+// built-in app counts or aggregates at the frontier are never written.
 //
 // This is a coarse upper-band estimate, not a promise: admission only needs
 // projections that are deterministic and ordered like the true footprints.
@@ -249,16 +249,10 @@ func (en *Engine) abandon(w *admitWaiter) {
 func (g *Graph) ProjectResidentBytes(app App, k int) int64 {
 	const unitBytes = 12 // vert word + bounds/parent share, see storage.HybridLevel.Bytes
 	seeds := int64(g.N())
-	levels := k - 1 // terminal level is sink-consumed, never stored
-	switch app {
-	case AppTriangles:
-		levels = 2 // stored 1- and 2-vertex levels; triangles counted at the frontier
-	case AppFSM:
+	if app == AppFSM {
 		seeds = int64(g.M()) // edge-induced: level 1 is the edge set
 	}
-	if levels < 1 {
-		levels = 1
-	}
+	levels := storedLevels(app, k)
 	growth := g.AvgDegree() / 2
 	if growth < 1 {
 		growth = 1
@@ -274,4 +268,21 @@ func (g *Graph) ProjectResidentBytes(app App, k int) int64 {
 		count *= growth
 	}
 	return total
+}
+
+// storedLevels is the number of CSE levels a k-run of app stores, the base
+// level included (at least 1):
+//   - triangles: the 1- and 2-vertex levels; the third is counted.
+//   - k-cliques: k−1 levels; level k is counted.
+//   - k-motifs: k−2 levels; the row walk counts levels k−1 and k.
+//   - k-FSM (k−1 edges): k−2 levels; the last is aggregated.
+func storedLevels(app App, k int) int {
+	levels := k - 2
+	switch app {
+	case AppTriangles:
+		levels = 2
+	case AppCliques:
+		levels = k - 1
+	}
+	return max(levels, 1)
 }

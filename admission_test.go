@@ -283,4 +283,27 @@ func TestProjectResidentBytes(t *testing.T) {
 	if p := g.ProjectResidentBytes(AppMotifs, 200); p != int64(1)<<50 {
 		t.Fatalf("deep projection = %d, want the %d ceiling", p, int64(1)<<50)
 	}
+	// The projection prices the levels a real run stores, no more.
+	for _, app := range []App{AppMotifs, AppFSM, AppCliques, AppTriangles} {
+		for k := 3; k <= 5; k++ {
+			var st Stats
+			cfg := Config{Threads: 2, Stats: &st}
+			switch app {
+			case AppMotifs:
+				_, err = g.Motifs(bgCtx, k, cfg)
+			case AppFSM:
+				_, err = g.FSM(bgCtx, k, 100, cfg)
+			case AppCliques:
+				_, err = g.Cliques(bgCtx, k, cfg)
+			case AppTriangles:
+				_, err = g.Triangles(bgCtx, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := storedLevels(app, k); got != len(st.Levels) {
+				t.Fatalf("app %d k=%d: priced %d stored levels, the run stored %d", app, k, got, len(st.Levels))
+			}
+		}
+	}
 }

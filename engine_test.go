@@ -41,9 +41,10 @@ func TestEngineSharedBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference: solo in-memory run sizes the budget so that one run almost
-	// fills it — two concurrent runs must arbitrate.
+	// fills it — two concurrent runs must arbitrate. Motifs(5) stores levels
+	// 1..3, whose top level is what each run spills under contention.
 	var solo Stats
-	want, err := g.Motifs(bgCtx, 4, Config{Threads: 2, Stats: &solo})
+	want, err := g.Motifs(bgCtx, 5, Config{Threads: 2, Stats: &solo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestEngineSharedBudget(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = eng.Motifs(bgCtx, g, 4, Config{Stats: &stats[i]})
+			results[i], errs[i] = eng.Motifs(bgCtx, g, 5, Config{Stats: &stats[i]})
 		}(i)
 	}
 	wg.Wait()

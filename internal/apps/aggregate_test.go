@@ -373,7 +373,7 @@ func tallyFlushes(t *testing.T, g *graph.Graph, k int) watchedTally {
 	if err := e.InitVertices(nil); err != nil {
 		t.Fatal(err)
 	}
-	for e.Depth() < k-1 {
+	for e.Depth() < k-2 { // as MotifCount: the row walk counts levels k−1 and k
 		if err := e.Expand(bgCtx, nil, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -773,9 +773,9 @@ func BenchmarkHashMemo(b *testing.B) {
 // per parent, the word packed from the parent's own masks, its tally slot
 // found and the parent's row histogram added into it, and the final flush
 // that classifies each non-zero (word, row) through the memo into the
-// PatternMap — replaying the (emb, embAdj, rows) groups of the stored
+// PatternMap — replaying the (emb, embAdj, rows) groups of the
 // 3-embeddings, one op per 4-embedding, without the expansion that counts
-// the rows.
+// the rows (the row walk over the stored 2-embeddings).
 func BenchmarkMotifMapper(b *testing.B) {
 	g := randomGraph(rand.New(rand.NewSource(3)), 400, 2400, 1)
 	type group struct {
@@ -791,7 +791,7 @@ func BenchmarkMotifMapper(b *testing.B) {
 	if err := e.InitVertices(nil); err != nil {
 		b.Fatal(err)
 	}
-	for e.Depth() < 3 {
+	for e.Depth() < 2 {
 		if err := e.Expand(bgCtx, nil, nil); err != nil {
 			b.Fatal(err)
 		}

@@ -6,8 +6,8 @@
 // is fused into the exploration through the engine's expansion sinks: the
 // final (largest) level of a run is consumed where it is produced instead
 // of being stored. CliqueCount counts its last expansion with a CountSink,
-// MotifCount's Mapper and FSM's final aggregation ride a VisitSink, and
-// FSM's level-synchronous pruning rewrites the top level in place
+// FSM's final aggregation rides a VisitSink, MotifCount's Mapper a RowSink,
+// and FSM's level-synchronous pruning rewrites the top level in place
 // (FilterTop) — so every application writes zero bytes for its
 // terminal level, on any storage regime.
 //
@@ -18,10 +18,15 @@
 // probes every leaf's below-neighbour list (graph.Below) against the leaves
 // before it.
 // MotifCount does not ask the graph about adjacency at all: the explorer
-// hands its Mapper every parent's own adjacency masks and every child's (the
-// candidate merge carries each candidate's adjacency to its embedding as a
-// bit mask), so the Mapper counts each child under (parent word, row) with
-// one increment and classifies each distinct pair once, at the Reduce.
+// hands its Mapper every parent's own adjacency masks and its children
+// counted by mask (the candidate merge carries each candidate's adjacency
+// to its embedding as a bit mask), so the Mapper adds each parent's rows
+// under its word and classifies each distinct (word, row) once, at the
+// Reduce. It stores k−2 levels, a deliberate departure from §6.5's k−1:
+// the row walk lists each stored leaf's children once — they are the keep
+// list of the prefix ending in the leaf — and counts their extensions
+// against that list, so level k−1 is neither stored nor walked and
+// re-filtered run by run, the largest cost the row count had left.
 //
 // An application run is configured by one *run.Env — threads, budget, spill
 // placement, tracker, isomorphism backend, accounting out-pointer — which
@@ -100,12 +105,16 @@ func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint
 	return e.ExpandCount(ctx, nil, nil)
 }
 
-// MotifCount counts the frequency of every k-motif (§5.1): exploration stops
-// at (k−1)-embeddings; the explorer counts each one's canonical extensions
-// by row (adjacency mask) on the fly, the Mapper tallies those counts by
-// (parent adjacency word, child row) and aggregates the pattern class of
-// each tallied pair. Labels are ignored: motifs are structural. ctx cancels
-// the run between blocks of work.
+// MotifCount counts the frequency of every k-motif (§5.1). Exploration
+// stores k−2 levels, one fewer than §6.5's k−1: for each stored leaf the
+// explorer lists its canonical children once — which are exactly the keep
+// list of the prefix ending in the leaf — and counts each child's
+// extensions by row (adjacency mask) against that list, so level k−1 is
+// never written, walked or filtered again. The Mapper tallies those counts
+// by (parent adjacency word, child row) and aggregates the pattern class of
+// each tallied pair. A 2-motif is an edge: its count is the depth-1
+// expansion's. Labels are ignored: motifs are structural. ctx cancels the
+// run between blocks of work.
 func MotifCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) ([]PatternCount, error) {
 	if k < 2 || k > pattern.MaxK {
 		return nil, fmt.Errorf("apps: motif size %d out of [2,%d]", k, pattern.MaxK)
@@ -118,9 +127,25 @@ func MotifCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) ([]Pat
 	if err := e.InitVertices(nil); err != nil {
 		return nil, err
 	}
-	// k-Motif stores only k−1 levels (§6.5): the last expansion is consumed
-	// by the Mapper at the frontier through a VisitSink.
-	for i := 1; i < k-1; i++ {
+	a := newAggregator(g, 0, env)
+	if k == 2 {
+		n, err := e.ExpandCount(ctx, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		if n > 0 {
+			// The one edge pattern, classified as the Reduce classifies a
+			// tallied row (aggregator.flush).
+			ws := a.workers[0]
+			ws.pat = pattern.Pattern{K: 2}
+			ws.pat.SetEdge(0, 1)
+			a.class(ws).agg.Count += n
+		}
+		return a.counts(), nil
+	}
+	// Store levels 1..k−2; the row walk counts levels k−1 and k at the
+	// frontier.
+	for i := 1; i < k-2; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -128,7 +153,6 @@ func MotifCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) ([]Pat
 			return nil, err
 		}
 	}
-	a := newAggregator(g, 0, env)
 	if err := e.ExpandVisitGroups(ctx, a.addMotifs); err != nil {
 		return nil, err
 	}

@@ -289,7 +289,8 @@ func TestTriangleCountAcrossConfigs(t *testing.T) {
 
 // TestFusedTerminalWritesZeroBytes is the storage-side acceptance check:
 // under an all-disk budget, a clique or motif run writes exactly the bytes
-// of its k−2 stored levels — the terminal level contributes nothing.
+// of its k−2 stored levels — the levels counted at the frontier contribute
+// nothing.
 func TestFusedTerminalWritesZeroBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomGraph(rng, 40, 160, 1)
@@ -325,31 +326,40 @@ func TestFusedTerminalWritesZeroBytes(t *testing.T) {
 		t.Fatalf("3-clique run wrote %d bytes, want %d (terminal level must write zero)", w, wantCliqueWrites)
 	}
 
-	// Expected: one stored unfiltered level (depth 2) for 3-motifs.
-	tr2 := memtrack.New()
-	e2, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{
-		Threads:      3,
-		MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: tr2,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.InitVertices(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, wantMotifWrites := tr2.IOTotals()
-	e2.Close()
+	// Motifs(k) stores the unfiltered levels 1..k−2. Level 1 is the base
+	// unit list, one raw part that is never written, so a 3-motif run
+	// writes nothing and a 4-motif run writes exactly one Expand to depth 2.
+	for _, k := range []int{3, 4} {
+		tr := memtrack.New()
+		e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{
+			Threads:      3,
+			MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: tr,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.InitVertices(nil); err != nil {
+			t.Fatal(err)
+		}
+		for e.Depth() < k-2 {
+			if err := e.Expand(bgCtx, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, want := tr.IOTotals()
+		e.Close()
+		if k == 4 && want == 0 {
+			t.Fatal("degenerate: level 2 wrote nothing")
+		}
 
-	trMotif := memtrack.New()
-	if _, err := MotifCount(bgCtx, g, 3, &run.Env{
-		Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: trMotif,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, w := trMotif.IOTotals(); w != wantMotifWrites {
-		t.Fatalf("3-motif run wrote %d bytes, want %d (terminal level must write zero)", w, wantMotifWrites)
+		trMotif := memtrack.New()
+		if _, err := MotifCount(bgCtx, g, k, &run.Env{
+			Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: trMotif,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, w := trMotif.IOTotals(); w != want {
+			t.Fatalf("%d-motif run wrote %d bytes, want %d (levels k−1 and k must write zero)", k, w, want)
+		}
 	}
 }

@@ -4,9 +4,9 @@ package explore
 // sinks in place of graph probes, so these tests hold it to the definition —
 // bit i ⇔ HasEdge(emb[i], cand) — on every (embedding, candidate) pair a
 // filter ever sees, on every parent's own masks (embAdj[l] against emb[:l])
-// a row visitor (ExpandVisitGroups) gets, and on every row histogram it
-// gets, which counts the children by that mask; and pin the depth bound a
-// bit per position implies.
+// a row visitor (ExpandVisitGroups) gets — one level past the stored top
+// level — and on every row histogram it gets, which counts the parent's
+// children by that mask; and pin the depth bound a bit per position implies.
 
 import (
 	"encoding/binary"
@@ -73,8 +73,8 @@ func TestAdjMaskMatchesHasEdge(t *testing.T) {
 
 // checkAdjMasks expands g from depth 1 to 5 and, at each depth, checks every
 // mask a filter receives (ExpandVisit, whose children must be the reference
-// level) and every parent's own masks and row histogram a row visitor
-// receives (ExpandVisitGroups).
+// level) and every own mask and row histogram a row visitor receives
+// (ExpandVisitGroups, whose parents are that reference level).
 func checkAdjMasks(t *testing.T, g *graph.Graph, env *run.Env) {
 	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: env})
 	if err != nil {
@@ -114,7 +114,7 @@ func checkAdjMasks(t *testing.T, g *graph.Graph, env *run.Env) {
 		if !embsEqual(got, want) {
 			t.Fatalf("depth %d filter: %d children, reference %d: %s", depth, len(got), len(want), diffSample(got, want))
 		}
-		checkRows(t, e, g, depth, refRows(g, want), len(want))
+		checkRows(t, e, g, depth, newRowRef(g, want, refExpandVertex(g, want, nil)))
 		if err := e.Expand(bgCtx, nil, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -124,37 +124,71 @@ func checkAdjMasks(t *testing.T, g *graph.Graph, env *run.Env) {
 	}
 }
 
+// rowRef is what a row walk over a level of depth d is held to: every
+// embedding of the reference level d+1, by embKey, with the reference rows
+// of its children (refRows of level d+2), and the size of level d+2.
+type rowRef struct {
+	parents map[string]*refParent
+	total   int
+	pass    int32 // numbers the checkRows calls, for refParent.seen
+}
+
+type refParent struct {
+	rows []uint32     // nil: no children
+	seen atomic.Int32 // the last checkRows pass that visited it
+}
+
+// newRowRef builds the rowRef of the reference levels parents (d+1) and next
+// (d+2).
+func newRowRef(g *graph.Graph, parents, next [][]uint32) *rowRef {
+	rows := refRows(g, next)
+	r := &rowRef{parents: make(map[string]*refParent, len(parents)), total: len(next)}
+	for _, p := range parents {
+		key := embKey(p)
+		r.parents[key] = &refParent{rows: rows[key]}
+	}
+	return r
+}
+
 // checkRows walks the top level of e, depth d, into a row visitor
-// (ExpandVisitGroups) and holds what it receives to the reference level
-// d+1, total embeddings whose refRows are want: every parent is visited
-// once, its own masks are refAdjMask's, its rows are the histogram of
-// refAdjMask over its reference children, and the rows of all parents sum
-// to ExpandCount and to total.
-func checkRows(t *testing.T, e *Explorer, g *graph.Graph, d int, want map[string][]uint32, total int) {
+// (ExpandVisitGroups) and holds what it receives to ref: every embedding of
+// the reference level d+1 is visited once and no other, its own masks are
+// refAdjMask's, its rows are the histogram of refAdjMask over its reference
+// children, and the rows of all visits sum to the size of level d+2. The
+// visitor takes no lock: one read of ref per visit, and atomics.
+func checkRows(t *testing.T, e *Explorer, g *graph.Graph, d int, ref *rowRef) {
 	t.Helper()
+	ref.pass++
+	pass := ref.pass
+	var sum, visits atomic.Uint64
 	var mu sync.Mutex
-	seen := map[string]bool{}
-	var sum uint64
 	var bad string
 	err := e.ExpandVisitGroups(bgCtx, func(_ int, emb, embAdj, rows []uint32) error {
-		msg := embAdjMismatch(g, emb, embAdj)
-		if msg == "" {
-			msg = rowsMismatch(emb, rows, want[embKey(emb)])
-		}
 		var n uint64
 		for _, c := range rows {
 			n += uint64(c)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if seen[embKey(emb)] && msg == "" {
+		sum.Add(n)
+		visits.Add(1)
+		msg := ""
+		p := ref.parents[embKey(emb)]
+		switch {
+		case len(emb) != d+1 || p == nil:
+			msg = fmt.Sprintf("emb %v is no reference %d-embedding", emb, d+1)
+		case p.seen.Swap(pass) == pass:
 			msg = fmt.Sprintf("emb %v visited twice", emb)
+		default:
+			if msg = embAdjMismatch(g, emb, embAdj); msg == "" {
+				msg = rowsMismatch(emb, rows, p.rows)
+			}
 		}
-		if msg != "" && bad == "" {
-			bad = msg
+		if msg != "" {
+			mu.Lock()
+			if bad == "" {
+				bad = msg
+			}
+			mu.Unlock()
 		}
-		seen[embKey(emb)] = true
-		sum += n
 		return nil
 	})
 	if err != nil {
@@ -163,15 +197,11 @@ func checkRows(t *testing.T, e *Explorer, g *graph.Graph, d int, want map[string
 	if bad != "" {
 		t.Fatalf("depth %d row visitor: %s", d, bad)
 	}
-	if len(seen) != e.Count() {
-		t.Fatalf("depth %d: row visitor saw %d parents, level holds %d", d, len(seen), e.Count())
+	if visits.Load() != uint64(len(ref.parents)) {
+		t.Fatalf("depth %d: row visitor made %d visits, reference level %d holds %d", d, visits.Load(), d+1, len(ref.parents))
 	}
-	count, err := e.ExpandCount(bgCtx, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != count || sum != uint64(total) {
-		t.Fatalf("depth %d: rows sum to %d, ExpandCount %d, reference %d", d, sum, count, total)
+	if sum.Load() != uint64(ref.total) {
+		t.Fatalf("depth %d: rows sum to %d, reference level %d holds %d", d, sum.Load(), d+2, ref.total)
 	}
 }
 
@@ -432,9 +462,9 @@ func TestExpandBeyondMaskWidth(t *testing.T) {
 }
 
 // TestCountRowsOnlyVertexInduced: a row walk refuses the modes whose masks
-// it cannot count (edge-induced, Clique) and depths past maxRowDepth, with
-// the CSE left as it was, and counts a vertex-induced level at exactly
-// maxRowDepth.
+// it cannot count (edge-induced, Clique) and a top level whose visits —
+// one level further down — would pass maxRowDepth, with the CSE left as it
+// was, and visits embeddings of exactly maxRowDepth units.
 func TestCountRowsOnlyVertexInduced(t *testing.T) {
 	g := paperGraph(t)
 	visit := func(int, []uint32, []uint32, []uint32) error { return nil }
@@ -470,25 +500,34 @@ func TestCountRowsOnlyVertexInduced(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newVertexExplorer(t, path, 2)
-	for e.Depth() < maxRowDepth {
+	for e.Depth() < maxRowDepth-1 {
 		if err := e.Expand(bgCtx, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var sum atomic.Int64
-	err = e.ExpandVisitGroups(bgCtx, func(_ int, _, _, rows []uint32) error {
+	var sum, visits atomic.Int64
+	err = e.ExpandVisitGroups(bgCtx, func(_ int, emb, _, rows []uint32) error {
+		if len(emb) == maxRowDepth && len(rows) == 1<<maxRowDepth {
+			visits.Add(1)
+		}
 		for _, r := range rows {
 			sum.Add(int64(r))
 		}
 		return nil
 	})
-	if err != nil || sum.Load() != n-maxRowDepth {
-		t.Fatalf("depth %d: row walk counted %d children (%v), want %d", maxRowDepth, sum.Load(), err, n-maxRowDepth)
+	// The visits are the n−maxRowDepth+1 subpaths of maxRowDepth vertices;
+	// their rows count the subpaths one vertex longer.
+	if err != nil || visits.Load() != n-maxRowDepth+1 || sum.Load() != n-maxRowDepth {
+		t.Fatalf("depth %d: row walk made %d visits of %d units and counted %d children (%v), want %d and %d",
+			maxRowDepth-1, visits.Load(), maxRowDepth, sum.Load(), err, n-maxRowDepth+1, n-maxRowDepth)
 	}
 	if err := e.Expand(bgCtx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.ExpandVisitGroups(bgCtx, visit); err == nil || !strings.Contains(err.Error(), "row histograms stop") {
-		t.Fatalf("depth %d: row walk returned %v", maxRowDepth+1, err)
+		t.Fatalf("depth %d: row walk returned %v", maxRowDepth, err)
+	}
+	if e.Depth() != maxRowDepth {
+		t.Fatalf("refused row walk changed the depth to %d", e.Depth())
 	}
 }

@@ -60,18 +60,21 @@ func BenchmarkMergeUnionProv(b *testing.B) {
 }
 
 // BenchmarkAppendCanonical measures the fused leaf over the stored
-// 3-embeddings of a power-law graph, one op per parent embedding, in its
-// four uses: no filter into a storing sink (store: appendStored writing
-// through the explorer's unbudgeted part writer, NextGroup to CommitGroup,
-// the level finished and closed every 1<<14 groups) or a counting sink
-// (nofilter), a filter that reads the adjacency mask (the clique filter),
-// and the row count of the motif Mapper's sink (rows: countRows, with the
-// running histogram of the keep list built per run and kept by the cursor).
-// The prefix filter is paid once per run of leaves, as in the expansion.
-// ns/candidate divides by the size of the leaf's candidate set |cands[k-1]|,
-// which the leaf no longer walks; ns/child divides by the children it emits
-// or counts, which the merging leaves walk; ns/leaf is the op itself, the
-// figure of rows, which never walks its children.
+// 3-embeddings of a power-law graph, one op per parent embedding, in three
+// uses: no filter into a storing sink (store: appendStored writing through
+// the explorer's unbudgeted part writer, NextGroup to CommitGroup, the level
+// finished and closed every 1<<14 groups) or a counting sink (nofilter), and
+// a filter that reads the adjacency mask (the clique filter). The prefix
+// filter is paid once per run of leaves, as in the expansion. ns/candidate
+// divides by the size of the leaf's candidate set |cands[k-1]|, which the
+// leaf no longer walks; ns/child divides by the children it emits or counts,
+// which the merging leaves walk; ns/leaf is the op itself.
+//
+// The fourth case, rows, is the row walk's leaf of 4-motif counting
+// (expandLeafRows): one op per stored 2-embedding, the parents of those
+// 3-embeddings — its child list (childList), one row count per child
+// (countRows) and the unstamp. ns/child is per counted 3-embedding, the
+// figure comparable across row walks; ns/leaf is the op.
 func BenchmarkAppendCanonical(b *testing.B) {
 	g := benchGraph(b)
 	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{Threads: 1}})
@@ -144,10 +147,9 @@ func BenchmarkAppendCanonical(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		vf   VertexFilter
-	}{{"store", nil}, {"nofilter", nil}, {"maskfilter", all}, {"rows", nil}} {
+	}{{"store", nil}, {"nofilter", nil}, {"maskfilter", all}} {
 		b.Run(c.name, func(b *testing.B) {
 			var x expansion
-			rows := make([]uint32, 1<<k)
 			var emb [k]uint32
 			step := func(i int) int {
 				next := embs[i%len(embs)]
@@ -158,20 +160,10 @@ func BenchmarkAppendCanonical(b *testing.B) {
 				emb = next
 				if from < k {
 					st.updatePrefix(emb[:], from, k)
-					if c.name == "rows" {
-						st.keepRows(k)
-					}
 				}
 				switch {
 				case c.name == "store":
 					return store(b, emb[:])
-				case c.name == "rows":
-					st.countRows(k, emb[k-1], emb[0], rows)
-					n := 0
-					for _, r := range rows {
-						n += int(r)
-					}
-					return n
 				case c.vf == nil:
 					x.children = st.appendStored(k, emb[k-1], emb[0], x.children[:0])
 				default:
@@ -194,6 +186,44 @@ func BenchmarkAppendCanonical(b *testing.B) {
 			b.ReportMetric(ns, "ns/leaf")
 		})
 	}
+
+	const d = k - 1
+	var leaves [][d]uint32
+	for i := range embs {
+		if p := [d]uint32(embs[i][:d]); i == 0 || p != leaves[len(leaves)-1] {
+			leaves = append(leaves, p)
+		}
+	}
+	rst := newVertexState(g, d+1)
+	b.Run("rows", func(b *testing.B) {
+		rows := make([]uint32, 2<<d)
+		var emb [d]uint32
+		step := func(i int) int {
+			next := leaves[i%len(leaves)]
+			if i == 0 || [d - 1]uint32(next[:d-1]) != [d - 1]uint32(emb[:d-1]) {
+				rst.updatePrefix(next[:], 1, d)
+			}
+			emb = next
+			rst.childList(d, emb[d-1], emb[0])
+			for t := range rst.kids.ids {
+				rst.countRows(d+1, t, emb[0], rows)
+			}
+			rst.unstamp(d)
+			return len(rst.kids.ids)
+		}
+		var children int
+		for i := range leaves {
+			children += step(i) // grow the pooled buffers to their steady-state size
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i)
+		}
+		ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(ns*float64(len(leaves))/float64(children), "ns/child")
+		b.ReportMetric(ns, "ns/leaf")
+	})
 }
 
 // BenchmarkCliqueLeaf measures the Clique-mode leaf over the stored 3-cliques

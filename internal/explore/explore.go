@@ -17,11 +17,12 @@
 // part by the governor with one); the terminal sinks consume it
 // at the frontier instead — CountSink tallies it (ExpandCount), VisitSink
 // hands every extension to a per-worker callback (ExpandVisit), RowSink
-// hands it over as one histogram of the children's adjacency masks per
-// parent (ExpandVisitGroups), so the largest level of a counting or
-// aggregating workload is never written (§6.5 generalized). FilterTop is the keep-side analogue: the top level is
-// rewritten in place, part by part, rather than copied through a fresh
-// builder.
+// walks one level further and hands each extension over with the
+// histogram of its own children's adjacency masks (ExpandVisitGroups), so
+// the largest level of a counting or aggregating workload — for motifs,
+// the largest two — is never written (§6.5 generalized). FilterTop is the
+// keep-side analogue: the top level is rewritten in place, part by part,
+// rather than copied through a fresh builder.
 //
 // An Explorer is configured by what it explores (Graph, Mode) and by the
 // run's one *run.Env, which it holds by pointer and passes on to the level
@@ -142,8 +143,9 @@ type workerScratch struct {
 
 // expansion is what one step of the expansion loop hands to a sink: a parent
 // embedding and its canonical extensions — as children, or, for a sink that
-// wantRows, as the histogram of their masks. The slices are the worker's
-// pooled buffers, valid only during emit.
+// wantRows, as the histogram of their masks, the parent then being an
+// extension of the top level. The slices are the worker's pooled buffers,
+// valid only during emit.
 type expansion struct {
 	emb      []uint32 // the parent, leaf filled
 	children []uint32
@@ -609,10 +611,10 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	// storing sink the part buffer itself, so a stored child is written once.
 	runs := 0
 	if e.cfg.Mode == VertexInduced {
-		st := e.vertexStateFor(worker, k)
 		if sink.wantRows() {
-			return e.expandRows(ctx, w, st, k, worker, chunk, sink)
+			return e.expandLeafRows(ctx, w, e.vertexStateFor(worker, k+1), k, worker, chunk, sink)
 		}
+		st := e.vertexStateFor(worker, k)
 		for {
 			emb, from, leaves, ok := w.NextRun()
 			if !ok {
@@ -675,18 +677,20 @@ func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int
 	return w.Err()
 }
 
-// expandRows is expandRange's vertex-induced loop into a sink that
-// wantRows: per run the prefix is filtered, its masks found and the keep
-// list's row histogram built once; per leaf countRows turns that histogram
-// into the leaf's, which the sink gets with the parent's masks. No child is
-// written.
-func (e *Explorer) expandRows(ctx context.Context, w *storage.Walker, st *vertexState, k, worker, chunk int, sink ExpandSink) error {
+// expandLeafRows is expandRange's vertex-induced loop into a sink that
+// wantRows, which walks one level past the stored top level (depth d): per
+// run the prefix is filtered and its masks found once; per leaf v childList
+// lists v's children once, with their masks and histogram; per child u
+// countRows turns that histogram into u's, which the sink gets with the
+// masks of ⟨emb, u⟩. Nothing is written, and the children's level is never
+// stored or walked.
+func (e *Explorer) expandLeafRows(ctx context.Context, w *storage.Walker, st *vertexState, d, worker, chunk int, sink ExpandSink) error {
 	x := &e.scratch[worker].x
-	x.embAdj = st.embAdj[:k]
-	if cap(x.rows) < 1<<k {
-		x.rows = make([]uint32, 1<<k)
+	x.emb, x.embAdj = st.ext[:d+1], st.embAdj[:d+1]
+	if cap(x.rows) < 2<<d {
+		x.rows = make([]uint32, 2<<d)
 	}
-	x.rows = x.rows[:1<<k]
+	x.rows = x.rows[:2<<d]
 	runs := 0
 	for {
 		emb, from, leaves, ok := w.NextRun()
@@ -698,18 +702,22 @@ func (e *Explorer) expandRows(ctx context.Context, w *storage.Walker, st *vertex
 				return err
 			}
 		}
-		if from < k {
-			st.updatePrefix(emb, from, k)
-			st.prefixAdj(emb, from, k)
-			st.keepRows(k)
+		if from < d {
+			st.updatePrefix(emb, from, d)
+			st.prefixAdj(emb, from, d)
 		}
-		x.emb = emb
-		for _, u := range leaves {
-			emb[k-1] = u
-			x.embAdj[k-1] = st.countRows(k, u, emb[0], x.rows)
-			if err := sink.emit(worker, chunk, x); err != nil {
-				return err
+		copy(x.emb, emb[:d-1])
+		for _, v := range leaves {
+			x.emb[d-1] = v
+			x.embAdj[d-1] = st.childList(d, v, x.emb[0])
+			for t, u := range st.kids.ids {
+				x.emb[d] = u
+				x.embAdj[d] = st.countRows(d+1, t, x.emb[0], x.rows)
+				if err := sink.emit(worker, chunk, x); err != nil {
+					return err
+				}
 			}
+			st.unstamp(d)
 		}
 	}
 	return w.Err()

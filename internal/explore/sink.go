@@ -8,7 +8,9 @@ package explore
 // consumes the stream where it is produced, so the largest level of the run
 // is never materialized (§6.5: k-motif stores only k−1 levels because the
 // final expansion happens inside the Mapper; the sinks generalize that trick
-// to every application).
+// to every application, and the row walk takes it one level further: it
+// visits the level past the stored top level and counts the one past that,
+// so k-motif stores k−2 levels).
 //
 //	StoreSink — today's Expand: build level k+1 (each part's raw or disk
 //	            placement decided by the budget governor) and push it.
@@ -16,10 +18,12 @@ package explore
 //	            (and TriangleCount's) final expansion.
 //	VisitSink — per-worker (emb, children) callback; the engine primitive
 //	            under the Mapper of FSM's final aggregation.
-//	RowSink   — per-worker (emb, embAdj, rows) callback: each parent's
+//	RowSink   — per-worker (emb, embAdj, rows) callback, one level past
+//	            the top: each extension of a stored leaf, with its
 //	            children as the histogram of their adjacency masks, counted
-//	            from the parent's keep list and the leaf's neighbours without
-//	            a child ever being written — the Mapper of motif counting.
+//	            from the leaf's child list and the extension's neighbours
+//	            without either level ever being written — the Mapper of
+//	            motif counting.
 //	FilterTop — the keep-side analogue (keep.go): rewrite the top level in
 //	            place, part by part, under a keep predicate instead of
 //	            copying it through a fresh builder.
@@ -52,7 +56,8 @@ type ExpandSink interface {
 	// wantRows reports whether emit reads x.rows and x.embAdj — the
 	// histogram of the children's adjacency masks and the parent's own
 	// masks — instead of x.children. The expansion counts them for no other
-	// sink, and for this one writes no children (next is not called).
+	// sink, and for this one writes no children (next is not called) and
+	// hands over the parents one level past the top level.
 	wantRows() bool
 	// endChunk completes one chunk after its last emit.
 	endChunk(worker, chunk int) error
@@ -231,15 +236,16 @@ func (s *VisitSink) endChunk(worker, chunk int) error { return nil }
 func (s *VisitSink) finish(e *Explorer) error         { return nil }
 func (s *VisitSink) abort()                           {}
 
-// RowSink hands the expansion stream to a per-worker callback as one row
-// histogram per parent embedding: rows[m] is the number of its canonical
-// extensions whose adjacency mask is m — all a Mapper needs whose pattern
-// of a child is fixed by the parent's masks and the child's row (unlabeled
-// motifs). The children themselves are never written: the expansion keeps a
-// running histogram of the run's kept prefix candidates and corrects it per
-// leaf from the leaf's neighbour list (countRows). Vertex-induced mode only,
-// under no filter (ExpandVisitGroups passes none), and at most maxRowDepth
-// units deep.
+// RowSink hands the expansion one level past the top level to a per-worker
+// callback, as one row histogram per extension: rows[m] is the number of
+// the extension's own canonical extensions whose adjacency mask is m — all
+// a Mapper needs whose pattern of a child is fixed by the parent's masks
+// and the child's row (unlabeled motifs). Neither level is written: per
+// stored leaf the expansion lists the leaf's children once, with their
+// masks and the histogram of those masks (childList), and per child
+// corrects that histogram from the child's neighbour list (countRows).
+// Vertex-induced mode only, under no filter (ExpandVisitGroups passes
+// none), and visiting at most maxRowDepth units.
 type RowSink struct {
 	visit RowVisitor
 }
@@ -247,8 +253,9 @@ type RowSink struct {
 // RowVisitor is the per-parent callback of RowSink (ExpandVisitGroups).
 type RowVisitor func(worker int, emb, embAdj, rows []uint32) error
 
-// maxRowDepth bounds the depth of a row walk: a histogram has 2^depth
-// counters per worker, 256 KiB at this depth.
+// maxRowDepth bounds the depth of the embeddings a row walk visits, one
+// past the top level: a histogram has 2^depth counters per worker, 256 KiB
+// at this depth.
 const maxRowDepth = 16
 
 func (s *RowSink) storing() bool  { return false }
@@ -342,7 +349,7 @@ func (e *Explorer) ExpandTo(ctx context.Context, sink ExpandSink, vf VertexFilte
 		if e.cfg.Mode != VertexInduced {
 			return fmt.Errorf("explore: row histograms need vertex-induced exploration")
 		}
-		if k > maxRowDepth {
+		if k+1 > maxRowDepth { // the walk visits the (k+1)-embeddings
 			return fmt.Errorf("explore: row histograms stop at %d units per embedding", maxRowDepth)
 		}
 	}
@@ -400,24 +407,27 @@ func (e *Explorer) ExpandVisit(ctx context.Context, vf VertexFilter, ef EdgeFilt
 	return e.ExpandTo(ctx, &s, vf, ef)
 }
 
-// ExpandVisitGroups runs one vertex-induced exploration iteration under the
-// canonical filter alone and hands over each parent embedding once, with the
-// row histogram of its canonical extensions instead of the extensions
-// (RowSink), so a Mapper whose child pattern is fixed by the masks does the
-// work the extensions share once per parent and nothing per child:
-//   - embAdj is parallel to emb: bit i of embAdj[l] is set iff emb[l] is
-//     adjacent to emb[i], for i < l (embAdj[0] = 0). The masks are the
-//     parent's own provenance — emb[l]'s entry in the candidate set of
-//     emb[:l], and the leaf's in the run's keep list — found once per run
-//     and once per leaf, not once per child;
-//   - rows has length 2^len(emb): rows[m] is the number of extensions c
-//     whose mask is m, i.e. c is adjacent to exactly the emb[i] with bit i
-//     of m set (m ≠ 0: every extension neighbours the parent). The sum of
-//     rows is the parent's extension count, possibly 0.
+// ExpandVisitGroups runs two vertex-induced exploration iterations under
+// the canonical filter alone without materializing either: on a CSE of
+// depth d ≥ 1 it visits every canonical (d+1)-extension of the top level
+// once, with the row histogram of its own canonical extensions instead of
+// the extensions (RowSink), so a Mapper whose child pattern is fixed by the
+// masks does the work the extensions share once per visit and nothing per
+// extension:
+//   - emb is the visited (d+1)-embedding and embAdj is parallel to it: bit
+//     i of embAdj[l] is set iff emb[l] is adjacent to emb[i], for i < l
+//     (embAdj[0] = 0). The masks are the embedding's own provenance —
+//     emb[l]'s entry in the candidate set of emb[:l], the stored leaf's in
+//     the run's keep list, the new vertex's in the leaf's child list —
+//     found once per run, leaf and child, not once per extension;
+//   - rows has length 2^(d+1): rows[m] is the number of extensions c whose
+//     mask is m, i.e. c is adjacent to exactly the emb[i] with bit i of m
+//     set (m ≠ 0: every extension neighbours emb). The sum of rows is the
+//     visited embedding's extension count, possibly 0.
 //
-// It fails in edge-induced and Clique mode and past maxRowDepth units. emb,
-// embAdj and rows are reused buffers, valid only during the call. The CSE
-// is unchanged. ctx cancels the walk (see Expand).
+// It fails in edge-induced and Clique mode and when the visits would pass
+// maxRowDepth units. emb, embAdj and rows are reused buffers, valid only
+// during the call. The CSE is unchanged. ctx cancels the walk (see Expand).
 func (e *Explorer) ExpandVisitGroups(ctx context.Context, visit RowVisitor) error {
 	s := RowSink{visit: visit}
 	return e.ExpandTo(ctx, &s, nil, nil)

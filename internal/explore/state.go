@@ -56,8 +56,10 @@ func (c *candBuf) copyFrom(o *candBuf) {
 // the new vertex's neighbor list. Alongside each candidate it tracks the
 // adjacency mask. Per run of leaves it filters the prefix candidates once —
 // the keep list plus a stamp per prefix candidate — so that a leaf pays only
-// for its own neighbor list and its children, not for all of cands[k-2]; a
-// row-counting leaf pays only for its neighbor list (countRows).
+// for its own neighbor list and its children, not for all of cands[k-2]. The
+// row walk goes one level further: a leaf's children, listed once
+// (childList), are the keep list of the prefix that ends in the leaf, and
+// each child then pays only for its own neighbor list (countRows).
 type vertexState struct {
 	g     *graph.Graph
 	cands []candBuf
@@ -72,14 +74,17 @@ type vertexState struct {
 	// at is the keep cursor: keep.ids[:at] ≤ the run's latest leaf. Leaves
 	// ascend within a group, so it only moves forward.
 	at int
-	// hist is the row path's running histogram of the keep masks past the
-	// cursor: hist[m] counts the entries of keep.adj[at:] equal to m. It is
-	// built per run (keepRows) and kept current by rowCursor; the other
-	// leaves neither read nor maintain it.
+	// kids is the row walk's child list of the latest leaf v, masks in the
+	// frame of the prefix ending in v, and hist the histogram of the masks
+	// of the children not yet counted. Only childList and countRows read or
+	// write them.
+	kids candBuf
 	hist []uint32
 	// embAdj[l] is the mask of emb[l] against emb[:l] — the parent's own
-	// adjacency, handed to the row sink (see prefixAdj and countRows).
-	embAdj []uint32
+	// adjacency, handed to the row sink (see prefixAdj and childList) — and
+	// ext the row walk's own embedding buffer, the walker's prefix plus the
+	// leaf and the child.
+	embAdj, ext []uint32
 }
 
 func newVertexState(g *graph.Graph, depth int) *vertexState {
@@ -99,6 +104,7 @@ func (s *vertexState) ensureDepth(depth int) {
 	}
 	if cap(s.embAdj) < depth {
 		s.embAdj = make([]uint32, depth)
+		s.ext = make([]uint32, depth)
 	}
 }
 
@@ -156,7 +162,7 @@ func (s *vertexState) updatePrefix(emb []uint32, from, k int) {
 
 // prefixAdj fills embAdj[l] for the prefix positions the run changed, l from
 // from−1 to k−2 (the rest carry over from the previous run; embAdj[0] is
-// always 0, and countRows returns the leaf's mask per leaf). The mask of
+// always 0, and childList returns the leaf's mask per leaf). The mask of
 // emb[l] is its entry in cands[l-1], which updatePrefix just refreshed: one
 // search per changed level and run, no graph probe. emb[1] joined as a
 // neighbour of emb[0], so its mask is 1. Call it after updatePrefix.
@@ -227,8 +233,8 @@ func prefixBounds(bound, psuf, emb, adj []uint32) []uint32 {
 // is the incremental CanonicalVertex semantics; the differential tests verify
 // the equivalence embedding-for-embedding.
 //
-// Without a filter, appendStored is the same leaf, cheaper, and countRows
-// the same leaf for a sink that only counts its children's masks.
+// Without a filter, appendStored is the same leaf, cheaper, and childList
+// the same leaf for the row walk, which keeps the children's masks.
 func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int, vf VertexFilter, children []uint32) []uint32 {
 	emb0 := emb[0]
 	if emb0 == ^uint32(0) {
@@ -353,77 +359,129 @@ func appendKeep(children, ids, adj []uint32, worker int, emb []uint32, vf Vertex
 	return children
 }
 
-// keepRows builds the run's row histogram, hist[m] = the number of keep
-// entries with mask m, over the whole keep list (the cursor is at 0) — the
-// once-per-run setup of countRows, after updatePrefix. Keep masks have bits
-// below the leaf's, k−1 of them. Requires k ≥ 2.
-func (s *vertexState) keepRows(k int) {
+// childList is the leaf of the row walk (ExpandVisitGroups over a level of
+// depth d): for the leaf v = emb[d-1] it builds the keep list of the next
+// prefix ⟨emb[:d-1], v⟩ and returns v's own mask against emb[:d-1]. The
+// next prefix's keep list is v's canonical children — appendStored's list —
+// so it is computed once, here, and neither stored nor merged again:
+//   - kids.ids: v's children, ascending;
+//   - kids.adj: each child's mask in the frame of ⟨emb[:d-1], v⟩, its keep
+//     mask plus the leaf bit where it neighbours v, or the leaf bit alone
+//     for an unstamped neighbour of v;
+//   - hist: the histogram of those masks (length 2^d).
+//
+// It also stamps N(v) past emb[0] into mk, so that mk holds every candidate
+// of the next prefix past emb[0] — the stamp countRows tests. The entries it
+// adds are exactly the children whose mask is the leaf bit alone, which
+// unstamp takes out again. At d = 1 the prefix is empty: the children are
+// N(v) past v, and mk holds them alone. Requires a prior updatePrefix for
+// the current run when d ≥ 2, and unstamp after the leaf's children.
+func (s *vertexState) childList(d int, v, emb0 uint32) uint32 {
+	leaf := uint32(1) << (d - 1)
 	h := s.hist
-	if n := 1 << (k - 1); cap(h) < n {
+	if n := 1 << d; cap(h) < n {
 		h = make([]uint32, n)
 	} else {
 		h = h[:n]
 		clear(h)
 	}
-	for _, m := range s.keep.adj {
+	s.hist = h
+	kids, kadj := s.kids.ids[:0], s.kids.adj[:0]
+	mk := s.mk
+	var self uint32
+	if emb0 != ^uint32(0) { // else nothing can exceed emb[0]
+		nb := s.g.Neighbors(v)
+		j := 0
+		for j < len(nb) && nb[j] <= emb0 {
+			j++
+		}
+		if d == 1 {
+			mk.Begin()
+		}
+		var ids, adj []uint32
+		i := 0
+		if d > 1 {
+			ids, adj = s.keep.ids, s.keep.adj
+			i = s.cursor(v)
+			// The leaf is a canonical child of the prefix, so its mask is in
+			// the keep list right behind the cursor; a leaf missing there
+			// (a level the explorer did not build under this prefix filter)
+			// is looked up in cands[d-2].
+			if i > 0 && ids[i-1] == v {
+				self = adj[i-1]
+			} else {
+				self = s.cands[d-2].maskOf(v)
+			}
+		}
+		for ; j < len(nb) && nb[j] <= v; j++ {
+			if y := nb[j]; !mk.Marked(y) {
+				mk.Mark(y)
+				kids, kadj = append(kids, y), append(kadj, leaf)
+			}
+		}
+		for _, y := range nb[j:] {
+			for i < len(ids) && ids[i] < y {
+				kids, kadj = append(kids, ids[i]), append(kadj, adj[i])
+				i++
+			}
+			if i < len(ids) && ids[i] == y {
+				kids, kadj = append(kids, y), append(kadj, adj[i]|leaf)
+				i++
+			} else if !mk.Marked(y) {
+				mk.Mark(y)
+				kids, kadj = append(kids, y), append(kadj, leaf)
+			}
+		}
+		kids, kadj = append(kids, ids[i:]...), append(kadj, adj[i:]...)
+	}
+	for _, m := range kadj {
 		h[m]++
 	}
-	s.hist = h
+	s.kids.ids, s.kids.adj = kids, kadj
+	return self
 }
 
-// rowCursor is cursor for the row path: every entry it moves past leaves
-// the histogram, so hist covers keep[at:] — the kept entries past the leaf
-// — at O(|keep|) per run, whatever the leaves. A leaf below the last one
-// restarts the cursor and rebuilds the histogram.
-func (s *vertexState) rowCursor(k int, u uint32) int {
-	ids, adj, i := s.keep.ids, s.keep.adj, s.at
-	if i > 0 && ids[i-1] > u {
-		s.keepRows(k) // not a walker order, start over
-		i = 0
+// unstamp takes the stamps childList added for a leaf at depth d back out of
+// mk — its children with the leaf bit alone — leaving the run's prefix
+// stamps for the next leaf. At d = 1 the next childList begins a new batch
+// instead.
+func (s *vertexState) unstamp(d int) {
+	if d == 1 {
+		return
 	}
-	for i < len(ids) && ids[i] <= u {
-		s.hist[adj[i]]--
-		i++
+	leaf := uint32(1) << (d - 1)
+	for t, m := range s.kids.adj {
+		if m == leaf {
+			s.mk.Unmark(s.kids.ids[t])
+		}
 	}
-	s.at = i
-	return i
 }
 
-// countRows is the leaf of a sink that reads only its children's masks: it
-// fills rows (length 2^k) with their histogram — rows[m] is the number of
-// canonical children of emb, leaf u, with adjacency mask m — and returns
-// the leaf's own mask against the prefix emb[:k-1]. No child is written.
-// Requires a prior updatePrefix and keepRows for the current run when k ≥ 2.
+// countRows is the leaf of a sink that reads only its children's masks, one
+// level past childList: for the child u = kids.ids[t] of the latest leaf it
+// fills rows (length 2^k, u at position k−1) with the histogram of u's
+// canonical children's masks and returns u's own mask, kids.adj[t]. No
+// child of u is written. The children of one leaf are counted in their
+// order, t = 0, 1, …: each call takes u's mask out of hist, which then holds
+// the masks of the kids past u.
 //
-// The children are the two sets appendCanonical merges: keep past u, each
-// with its prefix mask, plus the leaf bit where it neighbours u; and the
-// unstamped entries of N(u) past emb[0], each with the leaf bit alone. So
-// rows starts from the running histogram of keep past u (rowCursor) and one
-// pass over N(u) past emb[0] corrects it: an unstamped entry adds one to row
-// leaf, and a stamped one past u that is in keep — a tie — moves one from its
-// row m to row m|leaf. A stamped entry not in keep failed its bound, and one
-// up to u is not a child. A leaf costs O(|N(u)| + 2^k) and a lookup per tie,
-// whatever its children.
-//
-// The leaf is a canonical child of the prefix, so its mask is in the keep
-// list right behind the cursor; a leaf missing there (a level the explorer
-// did not build under this prefix filter) is looked up in cands[k-2].
-func (s *vertexState) countRows(k int, u, emb0 uint32, rows []uint32) uint32 {
+// u's children are the two sets appendCanonical merges, with kids as the
+// keep list: the kids past u, each with its mask plus the leaf bit where it
+// neighbours u; and the unstamped entries of N(u) past emb[0], each with the
+// leaf bit alone. So rows starts from hist and one pass over N(u) past
+// emb[0] corrects it: an unstamped entry adds one to row leaf, and a stamped
+// one past u that is a kid — a tie, found by a gallop from t+1 — moves one
+// from its row m to row m|leaf. A stamped entry that is no kid failed its
+// bound, and one up to u is not a child. A child costs O(|N(u)| + 2^k) and a
+// lookup per tie, whatever its own children.
+func (s *vertexState) countRows(k, t int, emb0 uint32, rows []uint32) uint32 {
 	leaf := uint32(1) << (k - 1)
-	var self uint32
-	if k > 1 {
-		at := s.rowCursor(k, u)
-		if at > 0 && s.keep.ids[at-1] == u {
-			self = s.keep.adj[at-1]
-		} else {
-			self = s.cands[k-2].maskOf(u)
-		}
-		// A loop, not copy and clear: the rows are a few words.
-		for m, n := range s.hist {
-			rows[m], rows[uint32(m)|leaf] = n, 0
-		}
-	} else {
-		rows[0], rows[1] = 0, 0
+	ids, adj := s.kids.ids, s.kids.adj
+	u, self := ids[t], adj[t]
+	s.hist[self]--
+	// A loop, not copy and clear: the rows are a few words.
+	for m, n := range s.hist {
+		rows[m], rows[uint32(m)|leaf] = n, 0
 	}
 	nb := s.g.Neighbors(u)
 	// The pass below walks the rest of N(u) anyway: a linear skip.
@@ -431,14 +489,8 @@ func (s *vertexState) countRows(k int, u, emb0 uint32, rows []uint32) uint32 {
 	for j < len(nb) && nb[j] <= emb0 {
 		j++
 	}
-	if k == 1 {
-		// emb = ⟨u⟩: every neighbor past u is a child, adjacent to u only.
-		rows[leaf] = uint32(len(nb) - j)
-		return self
-	}
 	mk := s.mk
-	ids, adj := s.keep.ids, s.keep.adj
-	p, only := s.at, uint32(0)
+	p, only := t+1, uint32(0)
 	for _, y := range nb[j:] {
 		if !mk.Marked(y) {
 			only++

@@ -2,12 +2,13 @@ package explore
 
 // The vertex-induced leaf against the Definition-2 reference: the prefix is
 // filtered once per run (keep list + stamps, vertexState.updatePrefix) and a
-// leaf merges only its own neighbor list with it — or, counting rows,
-// corrects the keep list's running histogram from it — so every level,
-// count, adjacency mask and row histogram must still be exactly what
+// leaf merges only its own neighbor list with it — or, in the row walk,
+// lists its children once as the next prefix's keep list, and each child
+// corrects that list's histogram from its own neighbor list — so every
+// level, count, adjacency mask and row histogram must still be exactly what
 // refExpandVertex and refAdjMask produce — on every storage regime, at every
 // thread count, and across the block-seam continuation runs that keep the
-// run's keep list, stamps and histogram.
+// run's keep list and stamps.
 
 import (
 	"fmt"
@@ -41,10 +42,13 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 				if len(ref[maxDepth]) == 0 {
 					t.Fatalf("%s: degenerate graph, no level %d", use.name, maxDepth+1)
 				}
-				var rows []map[string][]uint32 // rows[d-1]: the row walk of depth d
+				var rows []*rowRef // rows[d-1]: the row walk over depth d
 				if use.vf == nil {
+					// The row walk over depth d visits level d+1 and counts
+					// level d+2: two levels past maxDepth.
+					next := append(slices.Clone(ref[2:]), refExpandVertex(use.g, ref[maxDepth], nil))
 					for d := 1; d <= maxDepth; d++ {
-						rows = append(rows, refRows(use.g, ref[d]))
+						rows = append(rows, newRowRef(use.g, ref[d], next[d-1]))
 					}
 				}
 				_, _, bytes := checkLeafLevels(t, use.g, &run.Env{Threads: 1}, use.vf, ref, rows)
@@ -97,12 +101,12 @@ func refLevels(g *graph.Graph, vf VertexFilter, maxDepth int) [][][]uint32 {
 
 // checkLeafLevels expands g under env and vf to depth len(ref)−1 and holds,
 // at every depth, the stored level to ref in stored order and ExpandCount to
-// the next level's size; given the next levels' refRows (no filter), also
+// the next level's size; given the row walks' references (no filter), also
 // the masks and row histograms a row visitor (ExpandVisitGroups) receives
 // (checkRows); and then the stored level to ref once more. It reports the
 // block-seam continuation runs of the levels it expanded, whether some level
 // was split between memory and disk, and the CSE's resident bytes per depth.
-func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter, ref [][][]uint32, rows []map[string][]uint32) (continuations int, mixed bool, bytes []int64) {
+func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter, ref [][][]uint32, rows []*rowRef) (continuations int, mixed bool, bytes []int64) {
 	t.Helper()
 	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: env})
 	if err != nil {
@@ -136,7 +140,7 @@ func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter
 			t.Fatalf("depth %d: ExpandCount %d, reference %d", d, n, len(ref[d]))
 		}
 		if rows != nil {
-			checkRows(t, e, g, d, rows[d-1], len(ref[d]))
+			checkRows(t, e, g, d, rows[d-1])
 		}
 		// The walks above reuse the workers' scratch, which the Expand that
 		// stored this level wrote its children through: none of it may
@@ -177,12 +181,11 @@ func leafGraph(t *testing.T) *graph.Graph {
 
 func TestAppendCanonicalCases(t *testing.T) {
 	g := leafGraph(t)
-	st := newVertexState(g, 3)
+	st := newVertexState(g, 4)
 	emb := []uint32{1, 6, 0}
 	st.updatePrefix(emb, 1, 3)
-	st.keepRows(3)
-	if got := fmt.Sprint(st.keep.ids, st.keep.adj, st.hist); got != "[7 8 9] [2 2 1] [0 1 2 0]" {
-		t.Fatalf("keep list and histogram %s, want [7 8 9] [2 2 1] [0 1 2 0]", got)
+	if got := fmt.Sprint(st.keep.ids, st.keep.adj); got != "[7 8 9] [2 2 1]" {
+		t.Fatalf("keep list %s, want [7 8 9] [2 2 1]", got)
 	}
 	var masks []uint32
 	admit := func(_ int, _ []uint32, _, adj uint32) bool {
@@ -196,19 +199,23 @@ func TestAppendCanonicalCases(t *testing.T) {
 	if got, want := fmt.Sprint(kids, masks), "[2 7 8 9 10] [4 2 6 1 4]"; got != want {
 		t.Fatalf("leaf 4: children and masks %s, want %s", got, want)
 	}
-	// The same children as rows: two with mask 4 (2 and 10), one each with
-	// 1, 2 and 6. Leaf 4 is not kept (it attaches at 0, below 6), so its own
+	// The same children as the row walk's child list, with the same masks,
+	// and their histogram: two with mask 4 (2 and 10), one each with 1, 2
+	// and 6. Leaf 4 is not kept (it attaches at 0, below 6), so its own
 	// mask, 1, comes from the candidate set.
-	rows := make([]uint32, 8)
-	if self := st.countRows(3, 4, emb[0], rows); self != 1 || fmt.Sprint(rows) != "[0 1 1 0 2 0 1 0]" {
-		t.Fatalf("leaf 4: rows %v, own mask %b, want [0 1 1 0 2 0 1 0] and 1", rows, self)
+	self := st.childList(3, 4, emb[0])
+	if got, want := fmt.Sprint(st.kids.ids, st.kids.adj, st.hist), "[2 7 8 9 10] [4 2 6 1 4] [0 1 1 0 2 0 1 0]"; self != 1 || got != want {
+		t.Fatalf("leaf 4: child list %s, own mask %b, want %s and 1", got, self, want)
 	}
+	st.unstamp(3)
+	rows := make([]uint32, 16)
 
 	// Every leaf of the run — ascending, then once more descending, which
 	// restarts the keep cursor — against the reference, under each use: the
-	// store call (no filter: appendStored), the row count, and two filters.
-	// Each leaf appends behind an earlier group already in the destination,
-	// as into a part buffer, and must leave it untouched.
+	// store call (no filter: appendStored), the row walk (childList, then
+	// countRows for each child), and two filters. Each leaf appends behind
+	// an earlier group already in the destination, as into a part buffer,
+	// and must leave it untouched.
 	leaves := []uint32{3, 4, 5, 7, 8, 9}
 	for i := len(leaves) - 1; i >= 0; i-- {
 		leaves = append(leaves, leaves[i])
@@ -230,13 +237,8 @@ func TestAppendCanonicalCases(t *testing.T) {
 				wantKids = append(wantKids, c[3])
 			}
 			if use.name == "rows" {
-				want := refRows(g, refExpandVertex(g, [][]uint32{emb}, nil))[embKey(emb)]
-				self := st.countRows(3, u, emb[0], rows)
-				if msg := rowsMismatch(emb, rows, want); msg != "" {
+				if msg := checkChildRows(g, st, emb, rows); msg != "" {
 					t.Fatalf("leaf %d: %s", u, msg)
-				}
-				if m := refAdjMask(g, emb[:2], u); self != m {
-					t.Fatalf("leaf %d: own mask %b, want %b", u, self, m)
 				}
 				continue
 			}
@@ -267,45 +269,78 @@ func TestAppendCanonicalCases(t *testing.T) {
 	}
 }
 
-// TestCountRowsAnyLeafOrder feeds countRows the stored leaves of every
-// group of a level in shuffled order, so the keep cursor moves backwards
-// and the running histogram is rebuilt mid-run over and over: every leaf's
-// rows and own mask must still be the reference's, at parent depths 2 to 4,
-// with hub rows on and off.
+// checkChildRows runs the row walk's leaf on emb, leaf emb[len(emb)-1], as
+// expandLeafRows does — childList, countRows for each child in order,
+// unstamp — and describes the first of its outputs that differs from the
+// reference, or returns "": the leaf's own mask, its child list (ids and
+// masks) and histogram, and each child's own mask and rows. The caller has
+// run updatePrefix for the prefix emb[:len(emb)-1] when len(emb) ≥ 2.
+func checkChildRows(g *graph.Graph, st *vertexState, emb, rows []uint32) string {
+	d := len(emb)
+	defer st.unstamp(d)
+	if self := st.childList(d, emb[d-1], emb[0]); self != refAdjMask(g, emb[:d-1], emb[d-1]) {
+		return fmt.Sprintf("emb %v: own mask %b, want %b", emb, self, refAdjMask(g, emb[:d-1], emb[d-1]))
+	}
+	kids := refExpandVertex(g, [][]uint32{emb}, nil)
+	hist := make([]uint32, 1<<d)
+	var ids, adj []uint32
+	for _, c := range kids {
+		ids, adj = append(ids, c[d]), append(adj, refAdjMask(g, emb, c[d]))
+		hist[adj[len(adj)-1]]++
+	}
+	if fmt.Sprint(st.kids.ids, st.kids.adj, st.hist) != fmt.Sprint(ids, adj, hist) {
+		return fmt.Sprintf("emb %v: child list %v %v histogram %v, want %v %v %v", emb, st.kids.ids, st.kids.adj, st.hist, ids, adj, hist)
+	}
+	want := refRows(g, refExpandVertex(g, kids, nil))
+	for t, c := range kids {
+		if self := st.countRows(d+1, t, emb[0], rows[:2<<d]); self != adj[t] {
+			return fmt.Sprintf("emb %v: own mask %b, want %b", c, self, adj[t])
+		}
+		if msg := rowsMismatch(c, rows[:2<<d], want[embKey(c)]); msg != "" {
+			return msg
+		}
+	}
+	return ""
+}
+
+// TestCountRowsAnyLeafOrder runs the row walk's leaf on the stored leaves of
+// every group of a level in shuffled order, so the keep cursor moves
+// backwards over and over: every leaf's own mask, child list and histogram,
+// and every child's own mask and rows, must still be the reference's, at
+// leaf depths 1 to 4, with hub rows on and off. A leaf's stamps on the
+// prefix marker must be gone before the next leaf, whatever its order.
 func TestCountRowsAnyLeafOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	restarts := 0
 	for _, hubThreshold := range []int{-1, 4} {
 		g := hubGraph(t, rng, 40, 60, 2, 18, hubThreshold)
 		e := newVertexExplorer(t, g, 1)
-		for k := 2; k <= 4; k++ {
-			if err := e.Expand(bgCtx, nil, nil); err != nil {
-				t.Fatal(err)
+		for d := 1; d <= 4; d++ {
+			if d > 1 {
+				if err := e.Expand(bgCtx, nil, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
 			level := collect(t, e)
-			want := refRows(g, refExpandVertex(g, level, nil))
-			st := newVertexState(g, k)
-			rows := make([]uint32, 1<<k)
+			st := newVertexState(g, d+1)
+			rows := make([]uint32, 2<<d)
 			for lo := 0; lo < len(level); {
 				hi := lo + 1
-				for hi < len(level) && slices.Equal(level[hi][:k-1], level[lo][:k-1]) {
+				for hi < len(level) && slices.Equal(level[hi][:d-1], level[lo][:d-1]) {
 					hi++
 				}
 				emb := slices.Clone(level[lo])
-				st.updatePrefix(emb, 1, k)
-				st.keepRows(k)
+				if d > 1 {
+					st.updatePrefix(emb, 1, d)
+				}
 				for _, i := range rng.Perm(hi - lo) {
-					u := level[lo+i][k-1]
-					if st.at > 0 && st.keep.ids[st.at-1] > u {
+					v := level[lo+i][d-1]
+					if d > 1 && st.at > 0 && st.keep.ids[st.at-1] > v {
 						restarts++
 					}
-					emb[k-1] = u
-					self := st.countRows(k, u, emb[0], rows)
-					if msg := rowsMismatch(emb, rows, want[embKey(emb)]); msg != "" {
-						t.Fatalf("hub%d k=%d: %s", hubThreshold, k, msg)
-					}
-					if m := refAdjMask(g, emb[:k-1], u); self != m {
-						t.Fatalf("hub%d k=%d emb %v: own mask %b, want %b", hubThreshold, k, emb, self, m)
+					emb[d-1] = v
+					if msg := checkChildRows(g, st, emb, rows); msg != "" {
+						t.Fatalf("hub%d d=%d: %s", hubThreshold, d, msg)
 					}
 				}
 				lo = hi

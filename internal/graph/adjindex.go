@@ -160,5 +160,10 @@ func (m *NeighborMarker) Begin() {
 // Mark adds a single vertex to the batch.
 func (m *NeighborMarker) Mark(v uint32) { m.stamp[v] = m.epoch }
 
+// Unmark removes a single vertex from the batch — an undo of its Mark that
+// keeps the rest of the batch. (No epoch is 0, so a 0 stamp never reads as
+// marked.)
+func (m *NeighborMarker) Unmark(v uint32) { m.stamp[v] = 0 }
+
 // Marked reports whether v is in the current batch.
 func (m *NeighborMarker) Marked(v uint32) bool { return m.stamp[v] == m.epoch }

@@ -191,6 +191,13 @@ func TestNeighborMarkerBatch(t *testing.T) {
 	if !m.Marked(3) || m.Marked(2) {
 		t.Fatalf("Marked(3) = %v, Marked(2) = %v after Mark(3)", m.Marked(3), m.Marked(2))
 	}
+
+	// Unmark undoes one Mark and keeps the rest of the batch.
+	m.Mark(1)
+	m.Unmark(3)
+	if m.Marked(3) || !m.Marked(1) {
+		t.Fatalf("Marked(3) = %v, Marked(1) = %v after Unmark(3)", m.Marked(3), m.Marked(1))
+	}
 }
 
 func TestNeighborMarkerEpochWrap(t *testing.T) {
