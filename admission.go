@@ -272,17 +272,15 @@ func (g *Graph) ProjectResidentBytes(app App, k int) int64 {
 
 // storedLevels is the number of CSE levels a k-run of app stores, the base
 // level included (at least 1):
-//   - triangles: the 1- and 2-vertex levels; the third is counted.
-//   - k-cliques: k−1 levels; level k is counted.
+//   - triangles: the base level alone, whatever k; one walk over it counts
+//     the 2- and 3-vertex levels.
+//   - k-cliques: k−2 levels; the two-level count walks level k−2 and counts
+//     levels k−1 and k.
 //   - k-motifs: k−2 levels; the row walk counts levels k−1 and k.
 //   - k-FSM (k−1 edges): k−2 levels; the last is aggregated.
 func storedLevels(app App, k int) int {
-	levels := k - 2
-	switch app {
-	case AppTriangles:
-		levels = 2
-	case AppCliques:
-		levels = k - 1
+	if app == AppTriangles {
+		return 1
 	}
-	return max(levels, 1)
+	return max(k-2, 1)
 }

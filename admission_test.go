@@ -275,7 +275,7 @@ func TestProjectResidentBytes(t *testing.T) {
 	if fsm, mot := g.ProjectResidentBytes(AppFSM, 3), g.ProjectResidentBytes(AppMotifs, 3); fsm <= mot {
 		t.Fatalf("FSM projection %d not above motif %d despite M > N", fsm, mot)
 	}
-	// Triangles price a fixed two levels regardless of K.
+	// Triangles price the base level alone regardless of K.
 	if a, b := g.ProjectResidentBytes(AppTriangles, 3), g.ProjectResidentBytes(AppTriangles, 9); a != b {
 		t.Fatalf("triangle projection depends on k: %d vs %d", a, b)
 	}

@@ -7,9 +7,10 @@
 // skewed network is star-heavy while the uniform one carries relatively more
 // paths — the kind of structural fingerprint motif counting exists for.
 //
-// Motifs runs on the sink pipeline: only k−1 levels are ever stored — the
-// final expansion streams through the Mapper at the frontier
-// (Miner.ExpandVisit is the same primitive for custom aggregations). If all
+// Motifs runs on the sink pipeline: only k−2 levels are ever stored — the
+// last two are counted by row at the frontier, inside the Mapper
+// (Miner.ExpandVisit streams one level the same way for custom
+// aggregations). If all
 // you need is the total number of k-embeddings, not the per-motif split,
 // Miner.ExpandCount does the last step with per-worker counters and no
 // pattern hashing at all. Filters passed to Miner.Expand* are worker-aware:

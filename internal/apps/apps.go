@@ -5,7 +5,7 @@
 // with per-worker PatternMaps merged by a Reducer — but the terminal phase
 // is fused into the exploration through the engine's expansion sinks: the
 // final (largest) level of a run is consumed where it is produced instead
-// of being stored. CliqueCount counts its last expansion with a CountSink,
+// of being stored. CliqueCount counts its last two levels with a CountSink,
 // FSM's final aggregation rides a VisitSink, MotifCount's Mapper a RowSink,
 // and FSM's level-synchronous pruning rewrites the top level in place
 // (FilterTop) — so every application writes zero bytes for its
@@ -16,7 +16,10 @@
 // the group stored under a clique is its common neighbours, so each worker
 // stamps a group's leaves into a graph.NeighborMarker as it walks them and
 // probes every leaf's below-neighbour list (graph.Below) against the leaves
-// before it.
+// before it. A leaf's children are a group of their own, so a second
+// marker counts their children the same way: a k-clique run stores k−2
+// levels (a triangle run the base level alone), one fewer than §6.5's k−1,
+// and counts levels k−1 and k in one walk over level k−2.
 // MotifCount does not ask the graph about adjacency at all: the explorer
 // hands its Mapper every parent's own adjacency masks and its children
 // counted by mask (the candidate merge carries each candidate's adjacency
@@ -67,9 +70,9 @@ func sortCounts(out []PatternCount) {
 }
 
 // TriangleCount counts triangles (§5.1): a triangle is a 3-clique, so this
-// is CliqueCount(3) — the stored level holds every edge once as (u, v) with
-// v < u, and its final expansion counts, per edge, the vertices of Below(v)
-// that the worker stamped as Below(u) once per run of edges sharing u.
+// is CliqueCount(3) — only the base level is stored, and one walk over it
+// takes, per vertex v, the vertices u of Below(v) in ascending order, adds
+// how many of those already stamped lie in Below(u), then stamps u.
 // ctx cancels the run between blocks of work.
 func TriangleCount(ctx context.Context, g *graph.Graph, env *run.Env) (uint64, error) {
 	return CliqueCount(ctx, g, 3, env)
@@ -78,10 +81,11 @@ func TriangleCount(ctx context.Context, g *graph.Graph, env *run.Env) (uint64, e
 // CliqueCount counts k-cliques (§5.1) by Clique exploration: a clique's
 // extensions are the common neighbours of its vertices, so every embedding
 // the explorer produces is a clique and no filter or pattern computation is
-// needed. Only k−2 levels are materialized: the final expansion — the
-// largest level of the run — is consumed by a CountSink at the frontier
-// (§6.5 generalized), so zero bytes are written for it. ctx cancels the run
-// between blocks of work.
+// needed. Only k−2 levels are materialized (at least the base level): the
+// last two — the largest of the run — are counted in one walk over level
+// k−2 (ExpandCountTwo), so zero bytes are written for them and level k−1
+// is never walked. A 2-clique is an edge: its count is the depth-1
+// expansion's. ctx cancels the run between blocks of work.
 func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint64, error) {
 	if k < 2 {
 		return 0, fmt.Errorf("apps: clique size %d < 2", k)
@@ -94,7 +98,10 @@ func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint
 	if err := e.InitVertices(nil); err != nil {
 		return 0, err
 	}
-	for i := 1; i < k-1; i++ {
+	if k == 2 {
+		return e.ExpandCount(ctx, nil, nil)
+	}
+	for i := 1; i < k-2; i++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -102,7 +109,7 @@ func CliqueCount(ctx context.Context, g *graph.Graph, k int, env *run.Env) (uint
 			return 0, err
 		}
 	}
-	return e.ExpandCount(ctx, nil, nil)
+	return e.ExpandCountTwo(ctx)
 }
 
 // MotifCount counts the frequency of every k-motif (§5.1). Exploration

@@ -290,76 +290,60 @@ func TestTriangleCountAcrossConfigs(t *testing.T) {
 // TestFusedTerminalWritesZeroBytes is the storage-side acceptance check:
 // under an all-disk budget, a clique or motif run writes exactly the bytes
 // of its k−2 stored levels — the levels counted at the frontier contribute
-// nothing.
+// nothing. Level 1 is the base unit list, one raw part that is never
+// written, so a 3-clique or 3-motif run writes nothing and a 4-clique or
+// 4-motif run writes exactly one Expand to depth 2 in its mode.
 func TestFusedTerminalWritesZeroBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomGraph(rng, 40, 160, 1)
-
-	// Expected: the one level (depth 2) Clique mode stores.
-	tr := memtrack.New()
-	e, err := explore.New(explore.Config{Graph: g, Mode: explore.Clique, Env: &run.Env{
-		Threads:      3,
-		MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: tr,
-	}})
-	if err != nil {
-		t.Fatal(err)
+	apps := []struct {
+		name string
+		mode explore.Mode
+		run  func(k int, env *run.Env) error
+	}{
+		{"clique", explore.Clique, func(k int, env *run.Env) error {
+			_, err := CliqueCount(bgCtx, g, k, env)
+			return err
+		}},
+		{"motif", explore.VertexInduced, func(k int, env *run.Env) error {
+			_, err := MotifCount(bgCtx, g, k, env)
+			return err
+		}},
 	}
-	if err := e.InitVertices(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, wantCliqueWrites := tr.IOTotals()
-	e.Close()
-	if wantCliqueWrites == 0 {
-		t.Fatal("degenerate: level 2 wrote nothing")
-	}
-
-	trClique := memtrack.New()
-	if _, err := CliqueCount(bgCtx, g, 3, &run.Env{
-		Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: trClique,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, w := trClique.IOTotals(); w != wantCliqueWrites {
-		t.Fatalf("3-clique run wrote %d bytes, want %d (terminal level must write zero)", w, wantCliqueWrites)
-	}
-
-	// Motifs(k) stores the unfiltered levels 1..k−2. Level 1 is the base
-	// unit list, one raw part that is never written, so a 3-motif run
-	// writes nothing and a 4-motif run writes exactly one Expand to depth 2.
-	for _, k := range []int{3, 4} {
-		tr := memtrack.New()
-		e, err := explore.New(explore.Config{Graph: g, Mode: explore.VertexInduced, Env: &run.Env{
-			Threads:      3,
-			MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: tr,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.InitVertices(nil); err != nil {
-			t.Fatal(err)
-		}
-		for e.Depth() < k-2 {
-			if err := e.Expand(bgCtx, nil, nil); err != nil {
+	for _, app := range apps {
+		for _, k := range []int{3, 4} {
+			// Expected: the writes of the levels 1..k−2 the run stores.
+			tr := memtrack.New()
+			e, err := explore.New(explore.Config{Graph: g, Mode: app.mode, Env: &run.Env{
+				Threads:      3,
+				MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: tr,
+			}})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		_, want := tr.IOTotals()
-		e.Close()
-		if k == 4 && want == 0 {
-			t.Fatal("degenerate: level 2 wrote nothing")
-		}
+			if err := e.InitVertices(nil); err != nil {
+				t.Fatal(err)
+			}
+			for e.Depth() < k-2 {
+				if err := e.Expand(bgCtx, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, want := tr.IOTotals()
+			e.Close()
+			if k == 4 && want == 0 {
+				t.Fatalf("degenerate: %s level 2 wrote nothing", app.name)
+			}
 
-		trMotif := memtrack.New()
-		if _, err := MotifCount(bgCtx, g, k, &run.Env{
-			Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: trMotif,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, w := trMotif.IOTotals(); w != want {
-			t.Fatalf("%d-motif run wrote %d bytes, want %d (levels k−1 and k must write zero)", k, w, want)
+			trApp := memtrack.New()
+			if err := app.run(k, &run.Env{
+				Threads: 3, MemoryBudget: 1, SpillDir: t.TempDir(), Tracker: trApp,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, w := trApp.IOTotals(); w != want {
+				t.Fatalf("%d-%s run wrote %d bytes, want %d (levels k−1 and k must write zero)", k, app.name, w, want)
+			}
 		}
 	}
 }

@@ -9,10 +9,10 @@ package explore
 // children by that mask; and pin the depth bound a bit per position implies.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,29 +125,66 @@ func checkAdjMasks(t *testing.T, g *graph.Graph, env *run.Env) {
 }
 
 // rowRef is what a row walk over a level of depth d is held to: every
-// embedding of the reference level d+1, by embKey, with the reference rows
-// of its children (refRows of level d+2), and the size of level d+2.
+// embedding of the reference level d+1, with the reference rows of its
+// children (refRows of level d+2), and the size of level d+2. An embedding
+// is keyed by its index in parents, found through its embHash.
 type rowRef struct {
-	parents map[string]*refParent
+	parents [][]uint32
+	at      map[uint64]int32 // embHash(parents[i]) → i
+	adj     [][]uint32       // adj[i]: parents[i]'s own reference masks (refEmbAdj)
+	rows    [][]uint32       // rows[i]: parents[i]'s reference rows, nil: no children
+	seen    []atomic.Int32   // seen[i]: the last checkRows pass that visited parents[i]
 	total   int
-	pass    int32 // numbers the checkRows calls, for refParent.seen
-}
-
-type refParent struct {
-	rows []uint32     // nil: no children
-	seen atomic.Int32 // the last checkRows pass that visited it
+	pass    int32 // numbers the checkRows calls
 }
 
 // newRowRef builds the rowRef of the reference levels parents (d+1) and next
 // (d+2).
 func newRowRef(g *graph.Graph, parents, next [][]uint32) *rowRef {
-	rows := refRows(g, next)
-	r := &rowRef{parents: make(map[string]*refParent, len(parents)), total: len(next)}
-	for _, p := range parents {
-		key := embKey(p)
-		r.parents[key] = &refParent{rows: rows[key]}
+	r := &rowRef{
+		parents: parents,
+		at:      embIndex(parents),
+		seen:    make([]atomic.Int32, len(parents)),
+		total:   len(next),
+	}
+	r.rows = refRows(g, r.find, len(parents), next)
+	r.adj = make([][]uint32, len(parents))
+	for i, p := range parents {
+		r.adj[i] = refEmbAdj(g, p)
 	}
 	return r
+}
+
+// find returns the index of emb in r.parents, or -1.
+func (r *rowRef) find(emb []uint32) int {
+	if i, ok := r.at[embHash(emb)]; ok && slices.Equal(r.parents[i], emb) {
+		return int(i)
+	}
+	return -1
+}
+
+// embHash mixes an embedding's vertices, in order, into 64 bits.
+func embHash(emb []uint32) uint64 {
+	h := uint64(len(emb))
+	for _, v := range emb {
+		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
+}
+
+// embIndex maps the embHash of each of embs to its index. It panics on two
+// embeddings with one hash: find could not tell them apart.
+func embIndex(embs [][]uint32) map[uint64]int32 {
+	at := make(map[uint64]int32, len(embs))
+	for i, emb := range embs {
+		h := embHash(emb)
+		if j, dup := at[h]; dup {
+			panic(fmt.Sprintf("embHash collision: %v and %v", embs[j], emb))
+		}
+		at[h] = int32(i)
+	}
+	return at
 }
 
 // checkRows walks the top level of e, depth d, into a row visitor
@@ -155,7 +192,7 @@ func newRowRef(g *graph.Graph, parents, next [][]uint32) *rowRef {
 // the reference level d+1 is visited once and no other, its own masks are
 // refAdjMask's, its rows are the histogram of refAdjMask over its reference
 // children, and the rows of all visits sum to the size of level d+2. The
-// visitor takes no lock: one read of ref per visit, and atomics.
+// visitor takes no lock: one map read of ref per visit, and atomics.
 func checkRows(t *testing.T, e *Explorer, g *graph.Graph, d int, ref *rowRef) {
 	t.Helper()
 	ref.pass++
@@ -171,15 +208,15 @@ func checkRows(t *testing.T, e *Explorer, g *graph.Graph, d int, ref *rowRef) {
 		sum.Add(n)
 		visits.Add(1)
 		msg := ""
-		p := ref.parents[embKey(emb)]
+		i := ref.find(emb)
 		switch {
-		case len(emb) != d+1 || p == nil:
+		case len(emb) != d+1 || i < 0:
 			msg = fmt.Sprintf("emb %v is no reference %d-embedding", emb, d+1)
-		case p.seen.Swap(pass) == pass:
+		case ref.seen[i].Swap(pass) == pass:
 			msg = fmt.Sprintf("emb %v visited twice", emb)
 		default:
-			if msg = embAdjMismatch(g, emb, embAdj); msg == "" {
-				msg = rowsMismatch(emb, rows, p.rows)
+			if msg = embAdjMismatch(emb, embAdj, ref.adj[i]); msg == "" {
+				msg = rowsMismatch(emb, rows, ref.rows[i])
 			}
 		}
 		if msg != "" {
@@ -205,20 +242,19 @@ func checkRows(t *testing.T, e *Explorer, g *graph.Graph, d int, ref *rowRef) {
 	}
 }
 
-// refRows returns the reference row histogram of every parent of next (a
-// reference level), keyed by embKey: rows[m] counts its children whose
-// refAdjMask is m. A parent without children has no entry.
-func refRows(g *graph.Graph, next [][]uint32) map[string][]uint32 {
-	out := map[string][]uint32{}
+// refRows returns the reference row histogram of each of n parents of
+// next (a reference level), by the parent's index, which find returns:
+// rows[i][m] counts parent i's children whose refAdjMask is m. A parent
+// without children has a nil entry; every child's parent must be found.
+func refRows(g *graph.Graph, find func([]uint32) int, n int, next [][]uint32) [][]uint32 {
+	out := make([][]uint32, n)
 	for _, c := range next {
 		p := c[:len(c)-1]
-		key := embKey(p)
-		h := out[key]
-		if h == nil {
-			h = make([]uint32, 1<<len(p))
-			out[key] = h
+		i := find(p)
+		if out[i] == nil {
+			out[i] = make([]uint32, 1<<len(p))
 		}
-		h[refAdjMask(g, p, c[len(c)-1])]++
+		out[i][refAdjMask(g, p, c[len(c)-1])]++
 	}
 	return out
 }
@@ -241,24 +277,25 @@ func rowsMismatch(emb, rows, want []uint32) string {
 	return ""
 }
 
-// embKey is an embedding as a map key, in order.
-func embKey(emb []uint32) string {
-	b := make([]byte, 0, 4*len(emb))
-	for _, v := range emb {
-		b = binary.LittleEndian.AppendUint32(b, v)
+// refEmbAdj returns an embedding's own masks by definition: entry l is
+// refAdjMask(g, emb[:l], emb[l]).
+func refEmbAdj(g *graph.Graph, emb []uint32) []uint32 {
+	adj := make([]uint32, len(emb))
+	for l, v := range emb {
+		adj[l] = refAdjMask(g, emb[:l], v)
 	}
-	return string(b)
+	return adj
 }
 
 // embAdjMismatch describes the first of a parent's own masks that is not
-// refAdjMask(g, emb[:l], emb[l]), or returns "" when all of them match.
-func embAdjMismatch(g *graph.Graph, emb, embAdj []uint32) string {
+// want's (refEmbAdj), or returns "" when all of them match.
+func embAdjMismatch(emb, embAdj, want []uint32) string {
 	if len(embAdj) != len(emb) {
 		return fmt.Sprintf("emb %v: %d parent masks", emb, len(embAdj))
 	}
 	for l, m := range embAdj {
-		if want := refAdjMask(g, emb[:l], emb[l]); m != want {
-			return fmt.Sprintf("emb %v: embAdj[%d] = %b, want %b", emb, l, m, want)
+		if m != want[l] {
+			return fmt.Sprintf("emb %v: embAdj[%d] = %b, want %b", emb, l, m, want[l])
 		}
 	}
 	return ""
@@ -395,7 +432,8 @@ func TestEdgeMaskLowestBitIsFirstAdjacentEdge(t *testing.T) {
 // TestExpandBeyondMaskWidth walks a path graph — O(n) embeddings per level at
 // any depth — up to the mask width in both modes: every level matches the
 // reference enumeration, the expansion past the width fails with an error,
-// and the levels built before it stay usable.
+// and the levels built before it stay usable — and in Clique mode, where the
+// two-level count stops one level earlier.
 func TestExpandBeyondMaskWidth(t *testing.T) {
 	const n = maskBits + 8
 	b := graph.NewBuilder(n)
@@ -457,7 +495,39 @@ func TestExpandBeyondMaskWidth(t *testing.T) {
 		if got := collect(t, e); !embsEqual(got, ref) {
 			t.Fatalf("mode %d: re-expanded level differs: %s", mode, diffSample(got, ref))
 		}
+		if _, err := e.ExpandCountTwo(bgCtx); err == nil || !strings.Contains(err.Error(), "needs clique exploration") {
+			t.Fatalf("mode %d: two-level count returned %v", mode, err)
+		}
 		e.Close()
+	}
+
+	// A Clique run stores no clique past the path's edges, but its depth
+	// grows: the two-level count, whose cliques are two units past the top
+	// level, stops one level below the width.
+	e, err := New(Config{Graph: g, Mode: Clique, Env: &run.Env{Threads: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitVertices(nil); err != nil {
+		t.Fatal(err)
+	}
+	for e.Depth() < maskBits-2 {
+		if err := e.Expand(bgCtx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := e.ExpandCountTwo(bgCtx); err != nil || n != 0 {
+		t.Fatalf("two-level count to the width: %d, %v", n, err)
+	}
+	if err := e.Expand(bgCtx, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ExpandCountTwo(bgCtx); err == nil || !strings.Contains(err.Error(), "cannot expand past") {
+		t.Fatalf("two-level count past the mask width returned %v", err)
+	}
+	if n, err := e.ExpandCount(bgCtx, nil, nil); err != nil || n != 0 {
+		t.Fatalf("count to the width: %d, %v", n, err)
 	}
 }
 

@@ -4,11 +4,13 @@ package explore
 // provenance merge that maintains the per-level candidate sets (once per run
 // of leaves) and the fused leaf merge + canonical filter (once per leaf),
 // both reported in ns per candidate — per element of the union they produce
-// or consume — and the Clique-mode leaf, in ns per leaf. None may allocate
-// in the steady state.
+// or consume — and the Clique-mode leaf, in ns per leaf (and, for the
+// two-level count, per counted clique). None may allocate in the steady
+// state.
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -226,22 +228,23 @@ func BenchmarkAppendCanonical(b *testing.B) {
 	})
 }
 
-// BenchmarkCliqueLeaf measures the Clique-mode leaf over the stored 3-cliques
-// of the power-law graph — the final expansion of Cliques(4) — one op per
-// leaf: count (the CountSink path, nothing written), store (children
-// appended), and, as the baseline the common-neighbour probe replaced, union
-// — the vertex-induced fused leaf merge under the all-ones mask filter, over
-// the 3-cliques the union path stores (the same cliques, grown upward). The
-// Clique leaves replay their stored groups as the expansion does: the stamp
-// starts empty per group and grows by each leaf after it is probed; the union
-// leaf refreshes its prefix once per group.
+// BenchmarkCliqueLeaf measures the Clique-mode leaf over the power-law
+// graph, one op per leaf: count2 — the final walk of Cliques(4), over the
+// stored 2-cliques: each leaf's children stamped and their children counted,
+// nothing written, reported per counted 4-clique (ns/clique) as well; store
+// — over the stored 3-cliques, children appended; and, as the baseline the
+// common-neighbour probe replaced, union — the vertex-induced fused leaf
+// merge under the all-ones mask filter, over the 3-cliques the union path
+// stores (the same cliques, grown upward). The Clique leaves replay their
+// stored groups as the expansion does: the stamp starts empty per group and
+// grows by each leaf after it is probed; the union leaf refreshes its prefix
+// once per group.
 func BenchmarkCliqueLeaf(b *testing.B) {
 	g := benchGraph(b)
-	const k = 3
 	all := func(_ int, emb []uint32, _, adj uint32) bool { return adj == 1<<len(emb)-1 }
-	// stored returns the first 1<<14 k-embeddings mode stores under vf, in
+	// stored returns the first 1<<14 d-embeddings mode stores under vf, in
 	// stored order.
-	stored := func(mode Mode, vf VertexFilter) (embs [][k]uint32) {
+	stored := func(mode Mode, vf VertexFilter, d int) (embs [][]uint32) {
 		e, err := New(Config{Graph: g, Mode: mode, Env: &run.Env{Threads: 1}})
 		if err != nil {
 			b.Fatal(err)
@@ -250,14 +253,14 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 		if err := e.InitVertices(nil); err != nil {
 			b.Fatal(err)
 		}
-		for e.Depth() < k {
+		for e.Depth() < d {
 			if err := e.Expand(bgCtx, vf, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 		err = e.ForEach(bgCtx, func(_ int, emb []uint32) error {
 			if len(embs) < 1<<14 {
-				embs = append(embs, [k]uint32(emb))
+				embs = append(embs, slices.Clone(emb))
 			}
 			return nil
 		})
@@ -266,57 +269,63 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 		}
 		return embs
 	}
-	cliques, union := stored(Clique, nil), stored(VertexInduced, all)
-	mk, vst := g.NewNeighborMarker(), newVertexState(g, k)
+	pairs, cliques, union := stored(Clique, nil, 2), stored(Clique, nil, 3), stored(VertexInduced, all, 3)
+	mk, kids, vst := g.NewNeighborMarker(), g.NewNeighborMarker(), newVertexState(g, 3)
 	var x expansion
 	var sum uint64
 	for _, c := range []struct {
 		name string
-		embs [][k]uint32
+		embs [][]uint32
 		leaf func(emb []uint32, from int)
 	}{
-		{"count", cliques, func(emb []uint32, from int) {
-			if from < k {
+		{"count2", pairs, func(emb []uint32, from int) {
+			if from < 2 {
 				mk.Begin()
 			}
-			sum += countCliqueLeaf(g, mk, k, emb[k-1])
-			mk.Mark(emb[k-1])
+			sum += countCliqueTwo(g, mk, kids, 2, emb[1])
+			mk.Mark(emb[1])
 		}},
 		{"store", cliques, func(emb []uint32, from int) {
-			if from < k {
+			if from < 3 {
 				mk.Begin()
 			}
-			x.children = appendCliqueLeaf(g, mk, k, emb[k-1], x.children[:0])
-			mk.Mark(emb[k-1])
+			x.children = appendCliqueLeaf(g, mk, 3, emb[2], x.children[:0])
+			mk.Mark(emb[2])
 		}},
 		{"union", union, func(emb []uint32, from int) {
-			if from < k {
-				vst.updatePrefix(emb, from, k)
+			if from < 3 {
+				vst.updatePrefix(emb, from, 3)
 			}
-			x.children = vst.appendCanonical(k, emb[k-1], emb, 0, all, x.children[:0])
+			x.children = vst.appendCanonical(3, emb[2], emb, 0, all, x.children[:0])
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			var emb [k]uint32
 			embs := c.embs
+			k := len(embs[0])
+			emb := make([]uint32, k)
 			step := func(i int) {
 				next := embs[i%len(embs)]
 				from := 1
 				for from < k && i > 0 && next[from-1] == emb[from-1] {
 					from++
 				}
-				emb = next
-				c.leaf(emb[:], from)
+				copy(emb, next)
+				c.leaf(emb, from)
 			}
 			for i := range embs {
 				step(i) // grow the pooled buffers to their steady-state size
 			}
 			b.ReportAllocs()
+			before := sum
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				step(i)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/leaf")
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(b.N), "ns/leaf")
+			if counted := sum - before; counted > 0 {
+				b.ReportMetric(ns/float64(counted), "ns/clique")
+			}
 		})
 	}
 	cliqueLeafSink = sum

@@ -26,6 +26,13 @@ package explore
 // earlier leaf of the group: ExpandTo starts every Clique walk on a group
 // boundary (alignToGroups), and FilterTop, which could store a strict
 // subset of C(P), refuses a Clique explorer.
+//
+// The same argument, one level down, counts two levels without storing
+// either (ExpandCountTwo, kClist's oriented count at the CSE frontier): a
+// leaf v's children, found as above, form a group of their own, so a
+// second per-worker marker stamps them in ascending order and each child
+// u's children are the stamped entries of Below(u). CliqueCount(k) stores
+// levels 1..k−2 and counts levels k−1 and k in one walk over level k−2.
 
 import (
 	"context"
@@ -34,13 +41,23 @@ import (
 	"kaleido/internal/storage"
 )
 
-// markerFor returns the worker's Clique-mode leaf marker.
-func (e *Explorer) markerFor(worker int) *graph.NeighborMarker {
+// cliqueMarks are one worker's Clique-mode stamps: group holds the leaves
+// of a group, kids the children of a leaf in a two-level count (allocated
+// on the first one).
+type cliqueMarks struct {
+	group, kids *graph.NeighborMarker
+}
+
+// markersFor returns the worker's Clique-mode stamps.
+func (e *Explorer) markersFor(worker int, two bool) (mk, kids *graph.NeighborMarker) {
 	sc := &e.scratch[worker]
-	if sc.mk == nil {
-		sc.mk = e.cfg.Graph.NewNeighborMarker()
+	if sc.marks == nil {
+		sc.marks = &cliqueMarks{group: e.cfg.Graph.NewNeighborMarker()}
 	}
-	return sc.mk
+	if two && sc.marks.kids == nil {
+		sc.marks.kids = e.cfg.Graph.NewNeighborMarker()
+	}
+	return sc.marks.group, sc.marks.kids
 }
 
 // alignToGroups moves every interior chunk bound back to the start of the
@@ -77,30 +94,40 @@ func appendCliqueLeaf(g *graph.Graph, mk *graph.NeighborMarker, k int, u uint32,
 	return children
 }
 
-// countCliqueLeaf is appendCliqueLeaf for a counting sink: the number of
-// children, with nothing written.
-func countCliqueLeaf(g *graph.Graph, mk *graph.NeighborMarker, k int, u uint32) uint64 {
-	nb := g.Below(u)
-	if k == 1 {
-		return uint64(len(nb))
-	}
+// countCliqueTwo returns the number of grandchildren of the clique whose
+// leaf emb[k-1] is v, with neither level listed: v's children are the
+// entries of Below(v) that mk stamps (all of them at k = 1), ascending; each
+// child u adds the entries of Below(u) that kids stamps — the children below
+// u, and every entry of Below(u) is below u, so they are u's children — and
+// is then stamped into kids.
+func countCliqueTwo(g *graph.Graph, mk, kids *graph.NeighborMarker, k int, v uint32) uint64 {
+	kids.Begin()
 	var n uint64
-	for _, w := range nb {
-		if mk.Marked(w) {
-			n++
+	for _, u := range g.Below(v) {
+		if k > 1 && !mk.Marked(u) {
+			continue
 		}
+		for _, w := range g.Below(u) {
+			if kids.Marked(w) {
+				n++
+			}
+		}
+		kids.Mark(u)
 	}
 	return n
 }
 
 // expandCliques is expandRange's loop in Clique mode: a run that starts a
 // group clears the stamp (a block-seam continuation keeps it); each leaf
-// probes its below-neighbour list and is then stamped. Into a CountSink a
-// leaf adds its count to the worker's counter and writes no children.
+// probes its below-neighbour list and is then stamped. Into a two-level
+// CountSink (ExpandCountTwo) a leaf adds its grandchildren to the worker's
+// counter and nothing is written; any other sink gets each leaf's children.
 func (e *Explorer) expandCliques(ctx context.Context, w *storage.Walker, k, worker, chunk int, sink ExpandSink) error {
 	x := &e.scratch[worker].x
-	g, mk := e.cfg.Graph, e.markerFor(worker)
-	cs, counting := sink.(*CountSink)
+	cs := sink.countsTwo()
+	two := cs != nil
+	g := e.cfg.Graph
+	mk, kids := e.markersFor(worker, two)
 	runs := 0
 	for {
 		emb, from, leaves, ok := w.NextRun()
@@ -115,11 +142,11 @@ func (e *Explorer) expandCliques(ctx context.Context, w *storage.Walker, k, work
 		if from < k {
 			mk.Begin()
 		}
-		if counting {
+		if two {
 			var n uint64
-			for _, u := range leaves {
-				n += countCliqueLeaf(g, mk, k, u)
-				mk.Mark(u)
+			for _, v := range leaves {
+				n += countCliqueTwo(g, mk, kids, k, v)
+				mk.Mark(v)
 			}
 			cs.counts[worker].n += n
 			continue

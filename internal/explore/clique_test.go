@@ -100,16 +100,18 @@ func walkLevel(t *testing.T, e *Explorer) (embs [][]uint32, continuations int) {
 
 // levelRun is what one explorer stored and counted, depth by depth:
 // levels[d-1] is the level of depth d in stored order, counts[d-1] what
-// ExpandCount reports there and bytes[d-1] the CSE's resident bytes at
-// depth d.
+// ExpandCount reports there, counts2[d-1] what ExpandCountTwo reports there
+// (Clique mode) and bytes[d-1] the CSE's resident bytes at depth d.
 type levelRun struct {
 	levels        [][][]uint32
 	counts        []uint64
+	counts2       []uint64
 	bytes         []int64
 	continuations int  // block-seam continuation runs walked
 	mixed         bool // some level split between memory and disk
 	moved         int  // interior chunk bounds Clique mode moved to a group start
 	emptied       int  // chunks those moves left empty: a group outgrew a chunk
+	moved2        int  // moved, of the two-level counts' walks
 }
 
 // boundsSink records the chunk bounds of the walk whose sink it wraps.
@@ -146,8 +148,9 @@ func checkGroupBounds(t *testing.T, lvl [][]uint32, d int, bounds []int) (moved,
 }
 
 // runLevels expands e, which holds level 1, to maxDepth under vf and records
-// every level. In Clique mode it checks that every expansion's walk was cut
-// on group starts.
+// every level. In Clique mode it also counts two levels past every depth
+// d, which must be ExpandCount's count at depth d+1, and checks that every
+// expansion's and every two-level count's walk was cut on group starts.
 func runLevels(t *testing.T, e *Explorer, maxDepth int, vf VertexFilter) levelRun {
 	t.Helper()
 	var r levelRun
@@ -171,6 +174,20 @@ func runLevels(t *testing.T, e *Explorer, maxDepth int, vf VertexFilter) levelRu
 		r.continuations += c
 		if st := e.LevelStats()[d-1]; st.MemParts > 0 && st.DiskParts > 0 {
 			r.mixed = true
+		}
+		if e.cfg.Mode == Clique {
+			rec := boundsSink{ExpandSink: &CountSink{two: true}}
+			if err := e.ExpandTo(bgCtx, &rec, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if d > 1 {
+				moved, _ := checkGroupBounds(t, lvl, d, rec.bounds)
+				r.moved2 += moved
+			}
+			r.counts2 = append(r.counts2, rec.ExpandSink.(*CountSink).Total())
+			if d > 1 && r.counts2[d-2] != n {
+				t.Fatalf("depth %d: two-level count %d, ExpandCount at depth %d: %d", d-1, r.counts2[d-2], d, n)
+			}
 		}
 	}
 	return r
@@ -329,9 +346,10 @@ func commonBelow(g *graph.Graph, emb []uint32) []uint32 {
 // TestCliqueWalksStartAtGroups plants a 30-clique in a sparse random graph,
 // so the groups of its cliques are longer than a chunk, and checks at every
 // thread count, unbudgeted and all-disk (where the bounds are found through
-// the disk parts' ParentOf), that every expansion's chunk bounds are group
-// starts and that CliqueCount(k), k = 3..6, is the count of an adjacency
-// matrix search.
+// the disk parts' ParentOf), that the chunk bounds of every expansion and
+// every two-level count are group starts and that the k-clique counts,
+// k = 3..6 — ExpandCount at depth k−1 and ExpandCountTwo at depth k−2, as
+// CliqueCount(k) runs it — are the counts of an adjacency matrix search.
 func TestCliqueWalksStartAtGroups(t *testing.T) {
 	const n, maxK = 150, 6
 	rng := rand.New(rand.NewSource(61))
@@ -398,6 +416,9 @@ func TestCliqueWalksStartAtGroups(t *testing.T) {
 				r := runLevels(t, e, maxK-1, nil)
 				for k := 3; k <= maxK; k++ {
 					if got := r.counts[k-2]; got != want[k] {
+						t.Fatalf("ExpandCount at depth %d = %d, oracle %d", k-1, got, want[k])
+					}
+					if got := r.counts2[k-3]; got != want[k] {
 						t.Fatalf("CliqueCount(%d) = %d, oracle %d", k, got, want[k])
 					}
 				}
@@ -406,6 +427,9 @@ func TestCliqueWalksStartAtGroups(t *testing.T) {
 				}
 				if threads > 1 && r.moved == 0 {
 					t.Fatal("no interior chunk bound was moved")
+				}
+				if threads > 1 && r.moved2 == 0 {
+					t.Fatal("no interior chunk bound of a two-level count was moved")
 				}
 				if !disk && threads == 8 && r.emptied == 0 {
 					t.Fatal("no chunk was emptied: no group outgrew a chunk")

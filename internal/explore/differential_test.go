@@ -27,30 +27,49 @@ func refAdjMask(g *graph.Graph, emb []uint32, cand uint32) uint32 {
 	return m
 }
 
-// refExpandVertex expands every embedding with the reference filter.
+// refExpandVertex expands every embedding with the reference filter. The
+// candidates of an embedding are the union of its vertices' neighbour
+// lists past emb[0] (nothing else passes Definition 2's property (i)),
+// enumerated ascending by a k-way merge: each step takes the least head and
+// advances every list holding it. The children share slabs of backing
+// memory, each capped at its own length.
 func refExpandVertex(g *graph.Graph, embs [][]uint32, vf VertexFilter) [][]uint32 {
 	var out [][]uint32
+	var heads [][]uint32
+	var slab []uint32
 	for _, emb := range embs {
-		seen := map[uint32]bool{}
-		var cands []uint32
+		heads = heads[:0]
 		for _, v := range emb {
-			for _, u := range g.Neighbors(v) {
-				if !seen[u] {
-					seen[u] = true
-					cands = append(cands, u)
+			nb := g.Neighbors(v)
+			heads = append(heads, nb[sort.Search(len(nb), func(i int) bool { return nb[i] > emb[0] }):])
+		}
+		for {
+			u, found := uint32(0), false
+			for _, h := range heads {
+				if len(h) > 0 && (!found || h[0] < u) {
+					u, found = h[0], true
 				}
 			}
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-		for _, u := range cands {
+			if !found {
+				break
+			}
+			for i, h := range heads {
+				if len(h) > 0 && h[0] == u {
+					heads[i] = h[1:]
+				}
+			}
 			if !CanonicalVertex(g, emb, u) {
 				continue
 			}
 			if vf != nil && !vf(0, emb, u, refAdjMask(g, emb, u)) {
 				continue
 			}
-			child := append(append([]uint32(nil), emb...), u)
-			out = append(out, child)
+			if len(slab)+len(emb)+1 > cap(slab) {
+				slab = make([]uint32, 0, max(1<<16, len(emb)+1))
+			}
+			n := len(slab)
+			slab = append(append(slab, emb...), u)
+			out = append(out, slab[n:len(slab):len(slab)])
 		}
 	}
 	return out

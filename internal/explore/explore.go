@@ -15,12 +15,13 @@
 // StoreSink materializes the stream as the next CSE level (a part-structured
 // storage.HybridLevel: every part raw in memory without a budget, placed per
 // part by the governor with one); the terminal sinks consume it
-// at the frontier instead — CountSink tallies it (ExpandCount), VisitSink
-// hands every extension to a per-worker callback (ExpandVisit), RowSink
-// walks one level further and hands each extension over with the
-// histogram of its own children's adjacency masks (ExpandVisitGroups), so
-// the largest level of a counting or aggregating workload — for motifs,
-// the largest two — is never written (§6.5 generalized). FilterTop is the
+// at the frontier instead — CountSink tallies it (ExpandCount) or, in
+// Clique mode, the level past it (ExpandCountTwo), VisitSink hands every
+// extension to a per-worker callback (ExpandVisit), RowSink walks one level
+// further and hands each extension over with the histogram of its own
+// children's adjacency masks (ExpandVisitGroups), so the largest level of a
+// counting or aggregating workload — for motifs and cliques, the largest
+// two — is never written (§6.5 generalized). FilterTop is the
 // keep-side analogue: the top level is rewritten in place, part by part,
 // rather than copied through a fresh builder.
 //
@@ -138,7 +139,9 @@ type workerScratch struct {
 	x      expansion
 	vstate *vertexState
 	estate *edgeState
-	mk     *graph.NeighborMarker // Clique mode's leaf stamp
+	// marks are Clique mode's stamps, behind one pointer so that a
+	// worker's slot is 128 bytes: two whole cache lines.
+	marks *cliqueMarks
 }
 
 // expansion is what one step of the expansion loop hands to a sink: a parent
@@ -369,8 +372,8 @@ func (e *Explorer) LevelStats() []run.LevelStat {
 // resident bytes are already charged, so the headroom is the watermark minus
 // everything tracked: the live-byte cap covers the charges buildBudget's
 // CSE-only base misses — sibling runs sharing the budget, anything a caller
-// charges itself (FSM's pattern maps, MNI domains and the workers' 4·|V|-byte
-// leaf markers are untracked scratch and charge nothing) — and is zero or less
+// charges itself (FSM's pattern maps, MNI domains and the workers' leaf
+// markers, 4·|V| bytes each, are untracked scratch and charge nothing) — and is zero or less
 // whenever the tracked total is at the watermark, so promotion never fights
 // a governor that is spilling under pressure. (The pressure flag itself is
 // not consulted: it is only kept current while a build runs.) Promotion is

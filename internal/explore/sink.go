@@ -8,14 +8,17 @@ package explore
 // consumes the stream where it is produced, so the largest level of the run
 // is never materialized (§6.5: k-motif stores only k−1 levels because the
 // final expansion happens inside the Mapper; the sinks generalize that trick
-// to every application, and the row walk takes it one level further: it
-// visits the level past the stored top level and counts the one past that,
-// so k-motif stores k−2 levels).
+// to every application, and the row walk and the two-level clique count
+// take it one level further: they count the level past the next one
+// without storing or (for cliques) walking the next, so k-motif and
+// k-clique store k−2 levels).
 //
 //	StoreSink — today's Expand: build level k+1 (each part's raw or disk
 //	            placement decided by the budget governor) and push it.
-//	CountSink — per-worker counters; nothing is written. CliqueCount's
-//	            (and TriangleCount's) final expansion.
+//	CountSink — per-worker counters; nothing is written. In Clique mode
+//	            it can count two levels past the top (ExpandCountTwo):
+//	            CliqueCount's (and TriangleCount's) final walk, so a
+//	            k-clique run stores k−2 levels.
 //	VisitSink — per-worker (emb, children) callback; the engine primitive
 //	            under the Mapper of FSM's final aggregation.
 //	RowSink   — per-worker (emb, embAdj, rows) callback, one level past
@@ -59,6 +62,10 @@ type ExpandSink interface {
 	// sink, and for this one writes no children (next is not called) and
 	// hands over the parents one level past the top level.
 	wantRows() bool
+	// countsTwo returns the sink when it is a two-level CountSink
+	// (ExpandCountTwo), whose counters a Clique walk adds each leaf's
+	// grandchildren to directly, and nil otherwise.
+	countsTwo() *CountSink
 	// endChunk completes one chunk after its last emit.
 	endChunk(worker, chunk int) error
 	// finish completes the sink after every chunk succeeded.
@@ -78,8 +85,9 @@ type StoreSink struct {
 	parents int
 }
 
-func (s *StoreSink) storing() bool  { return true }
-func (s *StoreSink) wantRows() bool { return false }
+func (s *StoreSink) storing() bool         { return true }
+func (s *StoreSink) wantRows() bool        { return false }
+func (s *StoreSink) countsTwo() *CountSink { return nil }
 
 func (s *StoreSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	s.builder = e.levelBuilderFor(top, bounds, e.c.Bytes())
@@ -133,15 +141,16 @@ func (s *StoreSink) abort() {
 }
 
 // CountSink tallies the expansion stream into per-worker counters — the
-// terminal sink of counting workloads. The final expansion of CliqueCount
-// (and so of TriangleCount) runs through it: every child is a k-clique, so
-// the count is the answer and the largest level of the run — the one that
-// dominates bytes written — is never materialized. In Clique mode the
-// expansion recognises this sink and adds each leaf's count to the worker's
-// counter directly: the children are counted, never written.
+// terminal sink of counting workloads, so the largest level of the run —
+// the one that dominates bytes written — is never materialized. With two
+// set (ExpandCountTwo, Clique mode only) the expansion counts the level
+// past the next one instead and hands it nothing: each leaf adds its
+// grandchildren to the worker's counter, and neither level is written.
+// That is the final walk of CliqueCount (and so of TriangleCount).
 type CountSink struct {
 	counts []paddedCount
 	total  uint64
+	two    bool
 }
 
 // paddedCount keeps each worker's counter on its own cache line.
@@ -152,6 +161,13 @@ type paddedCount struct {
 
 func (s *CountSink) storing() bool  { return false }
 func (s *CountSink) wantRows() bool { return false }
+
+func (s *CountSink) countsTwo() *CountSink {
+	if s.two {
+		return s
+	}
+	return nil
+}
 
 func (s *CountSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	if cap(s.counts) < e.threads {
@@ -185,7 +201,8 @@ func (s *CountSink) finish(e *Explorer) error {
 
 func (s *CountSink) abort() {}
 
-// Total returns the number of children the expansion produced.
+// Total returns the number of embeddings counted: the children the
+// expansion produced or, with two set, their children.
 func (s *CountSink) Total() uint64 { return s.total }
 
 // VisitSink hands the expansion stream to a per-worker callback, one parent
@@ -214,8 +231,9 @@ func perChild(visit func(worker int, emb []uint32, cand uint32) error) GroupVisi
 	}
 }
 
-func (s *VisitSink) storing() bool  { return false }
-func (s *VisitSink) wantRows() bool { return false }
+func (s *VisitSink) storing() bool         { return false }
+func (s *VisitSink) wantRows() bool        { return false }
+func (s *VisitSink) countsTwo() *CountSink { return nil }
 
 func (s *VisitSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	if s.visit == nil {
@@ -258,8 +276,9 @@ type RowVisitor func(worker int, emb, embAdj, rows []uint32) error
 // at this depth.
 const maxRowDepth = 16
 
-func (s *RowSink) storing() bool  { return false }
-func (s *RowSink) wantRows() bool { return true }
+func (s *RowSink) storing() bool         { return false }
+func (s *RowSink) wantRows() bool        { return true }
+func (s *RowSink) countsTwo() *CountSink { return nil }
 
 func (s *RowSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
 	if s.visit == nil {
@@ -324,10 +343,11 @@ func (s *CountVisitSink) Total() uint64 { return s.total }
 
 // ExpandTo runs one exploration iteration under the default canonical filter
 // plus the optional user filter, emitting the output stream into sink. It is
-// the engine primitive behind Expand (StoreSink), ExpandCount (CountSink)
-// and ExpandVisit (VisitSink). ctx cancels the iteration (see Expand). Like
-// every exploration operation it uses the pooled per-worker scratch: at most
-// one operation may run on an Explorer at a time.
+// the engine primitive behind Expand (StoreSink), ExpandCount and
+// ExpandCountTwo (CountSink) and ExpandVisit (VisitSink). ctx cancels the
+// iteration (see Expand). Like every exploration operation it uses the
+// pooled per-worker scratch: at most one operation may run on an Explorer
+// at a time.
 func (e *Explorer) ExpandTo(ctx context.Context, sink ExpandSink, vf VertexFilter, ef EdgeFilter) error {
 	if e.c == nil {
 		return fmt.Errorf("explore: not initialized")
@@ -341,7 +361,14 @@ func (e *Explorer) ExpandTo(ctx context.Context, sink ExpandSink, vf VertexFilte
 	top := e.c.Top()
 	n := top.Len()
 	k := e.c.Depth()
-	if k >= maskBits {
+	deepest := k + 1 // units per embedding the walk produces
+	if sink.countsTwo() != nil {
+		if e.cfg.Mode != Clique {
+			return fmt.Errorf("explore: a two-level count needs clique exploration")
+		}
+		deepest++
+	}
+	if deepest > maskBits {
 		// A bit per embedding position: a deeper level would mis-filter.
 		return fmt.Errorf("explore: cannot expand past %d units per embedding", maskBits)
 	}
@@ -390,6 +417,21 @@ func (e *Explorer) ExpandTo(ctx context.Context, sink ExpandSink, vf VertexFilte
 func (e *Explorer) ExpandCount(ctx context.Context, vf VertexFilter, ef EdgeFilter) (uint64, error) {
 	var s CountSink
 	if err := e.ExpandTo(ctx, &s, vf, ef); err != nil {
+		return 0, err
+	}
+	return s.Total(), nil
+}
+
+// ExpandCountTwo runs two Clique exploration iterations without
+// materializing either and returns how many embeddings the second would
+// produce: on a CSE of depth d, the number of (d+2)-cliques (CountSink with
+// two set). Each stored leaf's children are found once and stamped, and
+// each child's are counted against that stamp (clique.go), so level d+1 is
+// never written or walked. It fails in the union modes. The CSE is
+// unchanged. ctx cancels the count (see Expand).
+func (e *Explorer) ExpandCountTwo(ctx context.Context) (uint64, error) {
+	s := CountSink{two: true}
+	if err := e.ExpandTo(ctx, &s, nil, nil); err != nil {
 		return 0, err
 	}
 	return s.Total(), nil

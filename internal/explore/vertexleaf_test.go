@@ -291,12 +291,16 @@ func checkChildRows(g *graph.Graph, st *vertexState, emb, rows []uint32) string 
 	if fmt.Sprint(st.kids.ids, st.kids.adj, st.hist) != fmt.Sprint(ids, adj, hist) {
 		return fmt.Sprintf("emb %v: child list %v %v histogram %v, want %v %v %v", emb, st.kids.ids, st.kids.adj, st.hist, ids, adj, hist)
 	}
-	want := refRows(g, refExpandVertex(g, kids, nil))
+	// The reference rows of kids[i] are want[i].
+	find := func(p []uint32) int {
+		return slices.IndexFunc(kids, func(c []uint32) bool { return slices.Equal(c, p) })
+	}
+	want := refRows(g, find, len(kids), refExpandVertex(g, kids, nil))
 	for t, c := range kids {
 		if self := st.countRows(d+1, t, emb[0], rows[:2<<d]); self != adj[t] {
 			return fmt.Sprintf("emb %v: own mask %b, want %b", c, self, adj[t])
 		}
-		if msg := rowsMismatch(c, rows[:2<<d], want[embKey(c)]); msg != "" {
+		if msg := rowsMismatch(c, rows[:2<<d], want[t]); msg != "" {
 			return msg
 		}
 	}

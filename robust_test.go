@@ -136,13 +136,14 @@ func TestEngineRunPanicIsolation(t *testing.T) {
 
 // TestEngineRunNoSpaceIsolation: one run hitting ENOSPC fails typed while a
 // concurrent sibling on the same engine (but a healthy filesystem) finishes
-// with the right answer.
+// with the right answer. Both count 4-cliques, which store (and so spill)
+// level 2.
 func TestEngineRunNoSpaceIsolation(t *testing.T) {
 	g, err := Synthetic(400, 1600, 4, 37)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := g.Triangles(bgCtx, Config{Threads: 2})
+	want, err := g.Cliques(bgCtx, 4, Config{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +157,11 @@ func TestEngineRunNoSpaceIsolation(t *testing.T) {
 	healthy := make(chan res, 1)
 	doomed := make(chan res, 1)
 	go func() {
-		n, err := eng.Triangles(bgCtx, g, Config{})
+		n, err := eng.Cliques(bgCtx, g, 4, Config{})
 		healthy <- res{n, err}
 	}()
 	go func() {
-		n, err := eng.Triangles(bgCtx, g, Config{Faults: &FaultSpec{Seed: 3, WriteCapBytes: 512}})
+		n, err := eng.Cliques(bgCtx, g, 4, Config{Faults: &FaultSpec{Seed: 3, WriteCapBytes: 512}})
 		doomed <- res{n, err}
 	}()
 	h, d := <-healthy, <-doomed
