@@ -289,7 +289,7 @@ func (a *aggregator) addMotifs(w int, emb, embAdj, rows []uint32) error {
 			ws.tally = t
 		}
 		a.flush(ws)
-		t.p = len(emb)
+		t.setParent(len(emb))
 	}
 	word := uint64(0)
 	for l := len(emb) - 1; l > 0; l-- {
@@ -307,33 +307,46 @@ func (a *aggregator) addMotifs(w int, emb, embAdj, rows []uint32) error {
 }
 
 // The motif tally: per worker, 2^tallyBits counters (64 KiB) in slots of
-// 2^p rows, one slot per parent adjacency word met, at most tallyWords of
-// them (a 2^11-entry index at load ≤ ½ maps a word to its slot). Like the
-// memo it is fixed scratch, not intermediate data, and is not charged to the
-// memory tracker. Up to k = 5 every parent word fits at once (k = 4: 1024
-// slots of 8 rows for at most 2^3 words; k = 5: 512 of 16 for 2^6); from
-// k = 6 on a run may meet more words than slots, and the tally is flushed
-// into the PatternMap whenever a new word finds it full.
+// 2^p rows, one slot per parent adjacency word met. Like the memo it is
+// fixed scratch, not intermediate data, and is not charged to the memory
+// tracker. Up to k = 5 (p ≤ 4, words of at most 6 bits) every parent word
+// has a slot of its own, the word itself: 2^6 words of 16 rows fill 1024
+// counters, and a 64-bit mask records the words met. From k = 6 on, a
+// 2^11-entry index at load ≤ ½ maps each word met to one of at most
+// tallyWords slots; a run may then meet more words than slots, and the
+// tally is flushed into the PatternMap whenever a new word finds it full.
 const (
 	tallyBits  = 13
 	tallyWords = 1 << 10
 	indexBits  = 11 // log2(2 * tallyWords)
+	directBits = 6  // the widest parent word indexed directly: p = 4
 )
 
 // motifTally counts the children of a pass by (parent word, row). A parent
 // word packs the parent's masks embAdj[1:p]: embAdj[l] at bit l(l−1)/2, so
 // bit l(l−1)/2+i is the pair (i, l).
 type motifTally struct {
-	p      int // parent size: a slot holds 2^p rows
-	used   int // slots in use
+	p      int    // parent size: a slot holds 2^p rows
+	direct bool   // every word is its own slot (p(p−1)/2 ≤ directBits)
+	seen   uint64 // direct: bit w set ⇔ slot w was taken
+	used   int    // hashed: slots in use
 	words  [tallyWords]uint64
 	index  [1 << indexBits]uint16 // open addressing: slot+1 of a word, 0 = empty
 	counts [1 << tallyBits]uint64
 }
 
+// setParent sizes an empty tally for parents of p vertices.
+func (t *motifTally) setParent(p int) {
+	t.p, t.direct = p, p*(p-1)/2 <= directBits
+}
+
 // slot returns the rows of word's slot, taking a new slot on first sight, or
 // nil when the word is new and every slot is taken.
 func (t *motifTally) slot(word uint64) []uint64 {
+	if t.direct {
+		t.seen |= 1 << word
+		return t.counts[word<<t.p : (word+1)<<t.p]
+	}
 	h := word * 0x9E3779B97F4A7C15 >> (64 - indexBits)
 	for ; ; h = (h + 1) & (1<<indexBits - 1) {
 		s := int(t.index[h]) - 1
@@ -357,34 +370,48 @@ func (t *motifTally) slot(word uint64) []uint64 {
 // added with its count — the Reduce-side half of addMotifs.
 func (a *aggregator) flush(ws *aggWorker) {
 	t := ws.tally
-	if t == nil || t.used == 0 {
+	if t == nil {
 		return
 	}
-	k := t.p + 1
-	for s, word := range t.words[:t.used] {
-		parent := pattern.Pattern{K: k}
-		for l := 1; l < t.p; l++ {
-			for i := 0; i < l; i++ {
-				if word>>(l*(l-1)/2+i)&1 != 0 {
-					parent.SetEdge(i, l)
-				}
-			}
+	if t.direct {
+		for seen := t.seen; seen != 0; seen &= seen - 1 {
+			word := uint64(bits.TrailingZeros64(seen))
+			a.flushSlot(ws, word, t.counts[word<<t.p:(word+1)<<t.p])
 		}
-		rows := t.counts[s<<t.p : (s+1)<<t.p]
-		for row, n := range rows {
-			if n == 0 {
-				continue
+		t.seen = 0
+		return
+	}
+	for s, word := range t.words[:t.used] {
+		a.flushSlot(ws, word, t.counts[s<<t.p:(s+1)<<t.p])
+	}
+	if t.used > 0 {
+		t.used = 0
+		t.index = [len(t.index)]uint16{}
+	}
+}
+
+// flushSlot folds and zeroes the rows of one parent word's slot.
+func (a *aggregator) flushSlot(ws *aggWorker, word uint64, rows []uint64) {
+	p := ws.tally.p
+	parent := pattern.Pattern{K: p + 1}
+	for l := 1; l < p; l++ {
+		for i := 0; i < l; i++ {
+			if word>>(l*(l-1)/2+i)&1 != 0 {
+				parent.SetEdge(i, l)
 			}
-			rows[row] = 0
-			ws.pat = parent
-			for r := row; r != 0; r &= r - 1 {
-				ws.pat.SetEdge(bits.TrailingZeros(uint(r)), t.p)
-			}
-			a.class(ws).agg.Count += n
 		}
 	}
-	t.used = 0
-	t.index = [len(t.index)]uint16{}
+	for row, n := range rows {
+		if n == 0 {
+			continue
+		}
+		rows[row] = 0
+		ws.pat = parent
+		for r := row; r != 0; r &= r - 1 {
+			ws.pat.SetEdge(bits.TrailingZeros(uint(r)), p)
+		}
+		a.class(ws).agg.Count += n
+	}
 }
 
 // fillEdges sets ws.pat and ws.verts to the pattern and vertices of one

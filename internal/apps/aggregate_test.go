@@ -271,6 +271,54 @@ func TestMemoSlotSmallMotifsOwnSlots(t *testing.T) {
 	}
 }
 
+// TestMotifTallySlots checks the tally's two ways to find a slot: up to
+// p = 4 parent vertices (k = 5) every parent word is its own slot and every
+// word fits at once, with no index probed; from p = 5 on the words go
+// through the hashed index, distinct slots for distinct words, and one more
+// word than the slots finds the tally full.
+func TestMotifTallySlots(t *testing.T) {
+	tl := new(motifTally)
+	for p := 1; p <= 5; p++ {
+		tl.setParent(p)
+		bitsPerWord := p * (p - 1) / 2
+		if tl.direct != (p <= 4) {
+			t.Fatalf("p=%d: direct %v", p, tl.direct)
+		}
+		nwords := 1 << bitsPerWord
+		taken := map[*uint64]uint64{}
+		for word := uint64(0); word < uint64(nwords); word++ {
+			rows := tl.slot(word)
+			if rows == nil {
+				if !tl.direct && len(taken) == min(tallyWords, 1<<tallyBits>>p) {
+					break // full, as it should be
+				}
+				t.Fatalf("p=%d: no slot for word %d after %d", p, word, len(taken))
+			}
+			if len(rows) != 1<<p {
+				t.Fatalf("p=%d: slot of %d rows", p, len(rows))
+			}
+			if w, dup := taken[&rows[0]]; dup {
+				t.Fatalf("p=%d: words %d and %d share a slot", p, w, word)
+			}
+			taken[&rows[0]] = word
+			if again := tl.slot(word); &again[0] != &rows[0] {
+				t.Fatalf("p=%d: word %d moved slots", p, word)
+			}
+		}
+		if tl.direct {
+			if len(taken) != nwords || tl.used != 0 || tl.index != [len(tl.index)]uint16{} {
+				t.Fatalf("p=%d: %d direct slots, %d hashed, index touched", p, len(taken), tl.used)
+			}
+			tl.seen = 0
+		} else {
+			if len(taken) != min(tallyWords, 1<<tallyBits>>p) {
+				t.Fatalf("p=%d: %d hashed slots before full", p, len(taken))
+			}
+			tl.used, tl.index = 0, [len(tl.index)]uint16{}
+		}
+	}
+}
+
 // TestMotifBackendCallsBounded pins what the memo is for: 4-motifs have at
 // most 2^6 distinct adjacency words, so a worker runs the backend at most 64
 // times however many embeddings it classifies.

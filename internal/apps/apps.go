@@ -14,12 +14,13 @@
 // CliqueCount and TriangleCount (= CliqueCount(3)) run the explorer's
 // Clique mode, which reads common neighbours instead of filtering a union:
 // the group stored under a clique is its common neighbours, so each worker
-// stamps a group's leaves into a graph.NeighborMarker as it walks them and
-// probes every leaf's below-neighbour list (graph.Below) against the leaves
-// before it. A leaf's children are a group of their own, so a second
-// marker counts their children the same way: a k-clique run stores k−2
-// levels (a triangle run the base level alone), one fewer than §6.5's k−1,
-// and counts levels k−1 and k in one walk over level k−2.
+// stamps a group's leaves with their positions as it walks them and probes
+// every leaf's below-neighbour list (graph.Below) against the leaves before
+// it. The probe also gives each leaf a bit row over its group — its
+// children — and a child's children are its row ANDed with the leaf's: a
+// k-clique run stores k−2 levels (a triangle run the base level alone), one
+// fewer than §6.5's k−1, and counts levels k−1 and k in one walk over level
+// k−2.
 // MotifCount does not ask the graph about adjacency at all: the explorer
 // hands its Mapper every parent's own adjacency masks and its children
 // counted by mask (the candidate merge carries each candidate's adjacency

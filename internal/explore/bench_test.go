@@ -10,6 +10,7 @@ package explore
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -230,21 +231,22 @@ func BenchmarkAppendCanonical(b *testing.B) {
 
 // BenchmarkCliqueLeaf measures the Clique-mode leaf over the power-law
 // graph, one op per leaf: count2 — the final walk of Cliques(4), over the
-// stored 2-cliques: each leaf's children stamped and their children counted,
-// nothing written, reported per counted 4-clique (ns/clique) as well; store
-// — over the stored 3-cliques, children appended; and, as the baseline the
-// common-neighbour probe replaced, union — the vertex-induced fused leaf
-// merge under the all-ones mask filter, over the 3-cliques the union path
-// stores (the same cliques, grown upward). The Clique leaves replay their
-// stored groups as the expansion does: the stamp starts empty per group and
-// grows by each leaf after it is probed; the union leaf refreshes its prefix
-// once per group.
+// stored 2-cliques: each leaf stamped, its row built and its children's
+// rows ANDed with it, nothing written, reported per counted 4-clique
+// (ns/clique) as well; count2-wide — the same over wideCliqueGraph, whose
+// planted clique's groups reach past one row word; store — over the stored
+// 3-cliques, children appended; and, as the baseline the common-neighbour
+// probe replaced, union — the vertex-induced fused leaf merge under the
+// all-ones mask filter, over the 3-cliques the union path stores (the same
+// cliques, grown upward). The Clique leaves replay their stored groups as
+// the expansion does: the stamp begins per group and grows by each leaf
+// after it is probed; the union leaf refreshes its prefix once per group.
 func BenchmarkCliqueLeaf(b *testing.B) {
-	g := benchGraph(b)
+	g, wide := benchGraph(b), wideCliqueGraph(b)
 	all := func(_ int, emb []uint32, _, adj uint32) bool { return adj == 1<<len(emb)-1 }
-	// stored returns the first 1<<14 d-embeddings mode stores under vf, in
-	// stored order.
-	stored := func(mode Mode, vf VertexFilter, d int) (embs [][]uint32) {
+	// stored returns the first 1<<14 d-embeddings mode stores over g under
+	// vf, in stored order.
+	stored := func(g *graph.Graph, mode Mode, vf VertexFilter, d int) (embs [][]uint32) {
 		e, err := New(Config{Graph: g, Mode: mode, Env: &run.Env{Threads: 1}})
 		if err != nil {
 			b.Fatal(err)
@@ -269,28 +271,34 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 		}
 		return embs
 	}
-	pairs, cliques, union := stored(Clique, nil, 2), stored(Clique, nil, 3), stored(VertexInduced, all, 3)
-	mk, kids, vst := g.NewNeighborMarker(), g.NewNeighborMarker(), newVertexState(g, 3)
-	var x expansion
+	pairs, widePairs := stored(g, Clique, nil, 2), stored(wide, Clique, nil, 2)
+	cliques, union := stored(g, Clique, nil, 3), stored(g, VertexInduced, all, 3)
+	cs, wcs, vst := newCliqueScratch(g), newCliqueScratch(wide), newVertexState(g, 3)
+	cs.ensureRows(g)
+	wcs.ensureRows(wide)
 	var sum uint64
+	count2 := func(g *graph.Graph, c *cliqueScratch) func(emb []uint32, from int) {
+		return func(emb []uint32, from int) {
+			if from < 2 {
+				c.begin()
+			}
+			sum += c.countLeaf(g, emb[1])
+		}
+	}
+	var x expansion
 	for _, c := range []struct {
 		name string
 		embs [][]uint32
 		leaf func(emb []uint32, from int)
 	}{
-		{"count2", pairs, func(emb []uint32, from int) {
-			if from < 2 {
-				mk.Begin()
-			}
-			sum += countCliqueTwo(g, mk, kids, 2, emb[1])
-			mk.Mark(emb[1])
-		}},
+		{"count2", pairs, count2(g, cs)},
+		{"count2-wide", widePairs, count2(wide, wcs)},
 		{"store", cliques, func(emb []uint32, from int) {
 			if from < 3 {
-				mk.Begin()
+				cs.begin()
 			}
-			x.children = appendCliqueLeaf(g, mk, 3, emb[2], x.children[:0])
-			mk.Mark(emb[2])
+			x.children = cs.appendLeaf(g, emb[2], x.children[:0])
+			cs.mark(emb[2])
 		}},
 		{"union", union, func(emb []uint32, from int) {
 			if from < 3 {
@@ -331,5 +339,37 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 	cliqueLeafSink = sum
 }
 
-// cliqueLeafSink keeps the counting leaf's result live.
+// cliqueLeafSink keeps the counting leaves' result live.
 var cliqueLeafSink uint64
+
+// wideCliqueGraph is a sparse relabelled power-law graph with a planted
+// 130-clique: its vertices' level-2 groups run up to 129 leaves, three row
+// words.
+func wideCliqueGraph(b *testing.B) *graph.Graph {
+	b.Helper()
+	base, err := gen.PowerLaw(gen.Config{N: 4000, M: 24000, Alpha: 2.1, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gb := graph.NewBuilder(base.N())
+	for _, e := range base.Edges() {
+		gb.AddEdge(e.U, e.V)
+	}
+	members := rand.New(rand.NewSource(3)).Perm(base.N())[:130]
+	for i, u := range members {
+		for _, v := range members[i+1:] {
+			gb.AddEdge(uint32(u), uint32(v))
+		}
+	}
+	g, err := gb.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if g, err = graph.Relabel(g); err != nil {
+		b.Fatal(err)
+	}
+	if g.MaxBelow() <= 64 {
+		b.Fatalf("widest group %d fits one row word", g.MaxBelow())
+	}
+	return g
+}

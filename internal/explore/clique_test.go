@@ -8,6 +8,7 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -353,7 +354,10 @@ func commonBelow(g *graph.Graph, emb []uint32) []uint32 {
 func TestCliqueWalksStartAtGroups(t *testing.T) {
 	const n, maxK = 150, 6
 	rng := rand.New(rand.NewSource(61))
-	var adj [n][n]bool
+	adj := make([][]bool, n)
+	for u := range adj {
+		adj[u] = make([]bool, n)
+	}
 	b := graph.NewBuilder(n)
 	addEdge := func(u, v int) {
 		if u != v {
@@ -374,29 +378,7 @@ func TestCliqueWalksStartAtGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// want[k] counts the k-cliques: vertex sets grown in ascending order,
-	// each new vertex adjacent to every one before it.
-	want := make([]uint64, maxK+1)
-	set := make([]int, 0, maxK)
-	var grow func(start int)
-	grow = func(start int) {
-		want[len(set)]++
-		if len(set) == maxK {
-			return
-		}
-	next:
-		for v := start; v < n; v++ {
-			for _, u := range set {
-				if !adj[u][v] {
-					continue next
-				}
-			}
-			set = append(set, v)
-			grow(v + 1)
-			set = set[:len(set)-1]
-		}
-	}
-	grow(0)
+	want := matrixCliques(adj, maxK)
 
 	for _, disk := range []bool{false, true} {
 		for _, threads := range []int{1, 2, 4, 8} {
@@ -436,5 +418,246 @@ func TestCliqueWalksStartAtGroups(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// matrixCliques returns want[k], the number of k-cliques of the graph with
+// adjacency matrix adj for k ≤ maxK: vertex sets grown in ascending order,
+// each new vertex adjacent to every one before it.
+func matrixCliques(adj [][]bool, maxK int) []uint64 {
+	want := make([]uint64, maxK+1)
+	set := make([]int, 0, maxK)
+	var grow func(start int)
+	grow = func(start int) {
+		want[len(set)]++
+		if len(set) == maxK {
+			return
+		}
+	next:
+		for v := start; v < len(adj); v++ {
+			for _, u := range set {
+				if !adj[u][v] {
+					continue next
+				}
+			}
+			set = append(set, v)
+			grow(v + 1)
+			set = set[:len(set)-1]
+		}
+	}
+	grow(0)
+	return want
+}
+
+// wideCount is what countCliques saw of one Clique run.
+type wideCount struct {
+	counts    []uint64 // counts[k]: the k-cliques, k = 3..maxK
+	wideSeams int      // block-seam continuation runs inside groups of more than 64 leaves
+	wrapped   bool     // some worker's position stamp wrapped and restarted
+}
+
+// countCliques counts the k-cliques of g for k = 3..maxK as CliqueCount(k)
+// does — ExpandCountTwo over the stored level k−2 — and walks each stored
+// level for the block-seam continuation runs that fall inside a group of
+// more than one row word. A wrapAt other than 0 starts every worker's
+// position stamp at the top of its range and lowers the position past which
+// a group clears the stamps and restarts them to wrapAt.
+func countCliques(t *testing.T, g *graph.Graph, env *run.Env, maxK int, wrapAt uint32) wideCount {
+	t.Helper()
+	e, err := New(Config{Graph: g, Mode: Clique, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InitVertices(nil); err != nil {
+		t.Fatal(err)
+	}
+	if wrapAt != 0 {
+		for w := range e.scratch {
+			// Start at the top of the stamp range, and wrap every time the
+			// positions pass wrapAt: each wrap leaves the stamps of the
+			// groups before it in the range the next groups take, which only
+			// the clear at the wrap keeps from reading as their leaves.
+			c := e.cliqueFor(w, false)
+			c.pos, c.top = math.MaxUint32, wrapAt
+		}
+	}
+	r := wideCount{counts: make([]uint64, maxK+1)}
+	for k := 3; k <= maxK; k++ {
+		for e.Depth() < k-2 {
+			if err := e.Expand(bgCtx, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			r.wideSeams += wideSeams(t, e)
+		}
+		n, err := e.ExpandCountTwo(bgCtx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.counts[k] = n
+	}
+	for w := range e.scratch {
+		if c := e.scratch[w].clique; wrapAt != 0 && c != nil && c.pos < math.MaxUint32 {
+			r.wrapped = true
+		}
+	}
+	return r
+}
+
+// wideSeams walks the top level of e and returns how many of its block-seam
+// continuation runs fall inside a group of more than 64 leaves.
+func wideSeams(t *testing.T, e *Explorer) int {
+	t.Helper()
+	d := e.Depth()
+	w, err := storage.NewWalker(e.CSE(), 0, e.Count())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	seams, size, cont := 0, 0, 0
+	end := func() {
+		if size > 64 {
+			seams += cont
+		}
+	}
+	for {
+		_, from, leaves, ok := w.NextRun()
+		if !ok {
+			break
+		}
+		if from < d {
+			end()
+			size, cont = 0, 0
+		} else if size > 0 {
+			cont++
+		}
+		size += len(leaves)
+	}
+	end()
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return seams
+}
+
+// TestCliqueWalksWideGroups counts cliques on graphs whose groups outgrow
+// one row word: K_70 and K_130 (rows of 2 and 3 words), where the k-cliques
+// number C(n, k), and a 70-clique planted in a sparse 200-vertex graph, which
+// mixes one- and two-word groups, held to the adjacency matrix search — at
+// every thread count, unbudgeted and all-disk, where on the complete graphs
+// some continuation run must fall inside a group of more than 64 leaves, so
+// the rows carry over a block seam. One more run starts every position stamp near the top of its
+// range, so the stamps wrap, clear and restart mid-walk.
+func TestCliqueWalksWideGroups(t *testing.T) {
+	complete := func(n int) (*graph.Graph, [][]bool) {
+		b := graph.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				b.AddEdge(uint32(u), uint32(v))
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, nil
+	}
+	planted := func() (*graph.Graph, [][]bool) {
+		const n = 200
+		rng := rand.New(rand.NewSource(70))
+		adj := make([][]bool, n)
+		for u := range adj {
+			adj[u] = make([]bool, n)
+		}
+		b := graph.NewBuilder(n)
+		addEdge := func(u, v int) {
+			if u != v {
+				adj[u][v], adj[v][u] = true, true
+				b.AddEdge(uint32(u), uint32(v))
+			}
+		}
+		for i := 0; i < 3*n; i++ {
+			addEdge(rng.Intn(n), rng.Intn(n))
+		}
+		members := rng.Perm(n)[:70]
+		for i, u := range members {
+			for _, v := range members[i+1:] {
+				addEdge(u, v)
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, err = graph.Relabel(g); err != nil {
+			t.Fatal(err)
+		}
+		return g, adj
+	}
+	binom := func(n, k int) uint64 {
+		c := uint64(1)
+		for i := 0; i < k; i++ {
+			c = c * uint64(n-i) / uint64(i+1)
+		}
+		return c
+	}
+	wideSeams := map[string]int{} // of the all-disk runs, per graph
+	for _, c := range []struct {
+		name  string
+		build func() (*graph.Graph, [][]bool)
+		maxK  int
+	}{
+		{"K70", func() (*graph.Graph, [][]bool) { return complete(70) }, 5},
+		{"K130", func() (*graph.Graph, [][]bool) { return complete(130) }, 5},
+		{"planted70", planted, 4},
+	} {
+		g, adj := c.build()
+		want := make([]uint64, c.maxK+1)
+		if adj != nil {
+			want = matrixCliques(adj, c.maxK)
+		} else {
+			for k := 3; k <= c.maxK; k++ {
+				want[k] = binom(g.N(), k)
+			}
+		}
+		words := (g.MaxBelow() + 63) / 64
+		if words < 2 {
+			t.Fatalf("%s: widest group %d fits one row word", c.name, g.MaxBelow())
+		}
+		check := func(t *testing.T, got wideCount) {
+			t.Helper()
+			for k := 3; k <= c.maxK; k++ {
+				if got.counts[k] != want[k] {
+					t.Fatalf("CliqueCount(%d) = %d, want %d", k, got.counts[k], want[k])
+				}
+			}
+		}
+		for _, disk := range []bool{false, true} {
+			for _, threads := range []int{1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("%s/disk=%v/threads%d", c.name, disk, threads), func(t *testing.T) {
+					env := &run.Env{Threads: threads}
+					if disk {
+						env.MemoryBudget, env.SpillDir = 1, t.TempDir()
+					}
+					got := countCliques(t, g, env, c.maxK, 0)
+					check(t, got)
+					if disk {
+						wideSeams[c.name] += got.wideSeams
+					}
+				})
+			}
+		}
+		t.Run(c.name+"/stamp-wrap", func(t *testing.T) {
+			got := countCliques(t, g, &run.Env{Threads: 2}, c.maxK, uint32(2*g.MaxBelow()))
+			check(t, got)
+			if !got.wrapped {
+				t.Fatal("no position stamp wrapped")
+			}
+		})
+	}
+	// The planted graph stores too little for a block seam; the complete
+	// graphs' levels 2 and 3 span several blocks.
+	if wideSeams["K70"] == 0 || wideSeams["K130"] == 0 {
+		t.Fatalf("continuation runs inside groups of more than 64 leaves, all-disk: %v", wideSeams)
 	}
 }

@@ -139,9 +139,9 @@ type workerScratch struct {
 	x      expansion
 	vstate *vertexState
 	estate *edgeState
-	// marks are Clique mode's stamps, behind one pointer so that a
-	// worker's slot is 128 bytes: two whole cache lines.
-	marks *cliqueMarks
+	// clique is Clique mode's stamps and rows, behind one pointer so that
+	// a worker's slot is 128 bytes: two whole cache lines.
+	clique *cliqueScratch
 }
 
 // expansion is what one step of the expansion loop hands to a sink: a parent
@@ -373,7 +373,8 @@ func (e *Explorer) LevelStats() []run.LevelStat {
 // everything tracked: the live-byte cap covers the charges buildBudget's
 // CSE-only base misses — sibling runs sharing the budget, anything a caller
 // charges itself (FSM's pattern maps, MNI domains and the workers' leaf
-// markers, 4·|V| bytes each, are untracked scratch and charge nothing) — and is zero or less
+// stamps, 4·|V| bytes each, and Clique rows are untracked scratch and
+// charge nothing) — and is zero or less
 // whenever the tracked total is at the watermark, so promotion never fights
 // a governor that is spilling under pressure. (The pressure flag itself is
 // not consulted: it is only kept current while a build runs.) Promotion is

@@ -145,7 +145,8 @@ func (s *StoreSink) abort() {
 // the one that dominates bytes written — is never materialized. With two
 // set (ExpandCountTwo, Clique mode only) the expansion counts the level
 // past the next one instead and hands it nothing: each leaf adds its
-// grandchildren to the worker's counter, and neither level is written.
+// grandchildren, counted on its group's bit rows, to the worker's counter,
+// and neither level is written.
 // That is the final walk of CliqueCount (and so of TriangleCount).
 type CountSink struct {
 	counts []paddedCount
@@ -425,10 +426,10 @@ func (e *Explorer) ExpandCount(ctx context.Context, vf VertexFilter, ef EdgeFilt
 // ExpandCountTwo runs two Clique exploration iterations without
 // materializing either and returns how many embeddings the second would
 // produce: on a CSE of depth d, the number of (d+2)-cliques (CountSink with
-// two set). Each stored leaf's children are found once and stamped, and
-// each child's are counted against that stamp (clique.go), so level d+1 is
-// never written or walked. It fails in the union modes. The CSE is
-// unchanged. ctx cancels the count (see Expand).
+// two set). Each stored leaf's children are found once, as a bit row over
+// its group, and each child's children are that row ANDed with the child's
+// own (clique.go), so level d+1 is never written or walked. It fails in the
+// union modes. The CSE is unchanged. ctx cancels the count (see Expand).
 func (e *Explorer) ExpandCountTwo(ctx context.Context) (uint64, error) {
 	s := CountSink{two: true}
 	if err := e.ExpandTo(ctx, &s, nil, nil); err != nil {

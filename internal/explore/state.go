@@ -80,6 +80,9 @@ type vertexState struct {
 	// write them.
 	kids candBuf
 	hist []uint32
+	// fresh lists the entries childList stamped for the latest leaf, the
+	// ones unstamp takes out again.
+	fresh []uint32
 	// embAdj[l] is the mask of emb[l] against emb[:l] — the parent's own
 	// adjacency, handed to the row sink (see prefixAdj and childList) — and
 	// ext the row walk's own embedding buffer, the walker's prefix plus the
@@ -386,7 +389,7 @@ func (s *vertexState) childList(d int, v, emb0 uint32) uint32 {
 		clear(h)
 	}
 	s.hist = h
-	kids, kadj := s.kids.ids[:0], s.kids.adj[:0]
+	kids, kadj, fresh := s.kids.ids[:0], s.kids.adj[:0], s.fresh[:0]
 	mk := s.mk
 	var self uint32
 	if emb0 != ^uint32(0) { // else nothing can exceed emb[0]
@@ -416,7 +419,7 @@ func (s *vertexState) childList(d int, v, emb0 uint32) uint32 {
 		for ; j < len(nb) && nb[j] <= v; j++ {
 			if y := nb[j]; !mk.Marked(y) {
 				mk.Mark(y)
-				kids, kadj = append(kids, y), append(kadj, leaf)
+				kids, kadj, fresh = append(kids, y), append(kadj, leaf), append(fresh, y)
 			}
 		}
 		for _, y := range nb[j:] {
@@ -429,7 +432,7 @@ func (s *vertexState) childList(d int, v, emb0 uint32) uint32 {
 				i++
 			} else if !mk.Marked(y) {
 				mk.Mark(y)
-				kids, kadj = append(kids, y), append(kadj, leaf)
+				kids, kadj, fresh = append(kids, y), append(kadj, leaf), append(fresh, y)
 			}
 		}
 		kids, kadj = append(kids, ids[i:]...), append(kadj, adj[i:]...)
@@ -437,23 +440,20 @@ func (s *vertexState) childList(d int, v, emb0 uint32) uint32 {
 	for _, m := range kadj {
 		h[m]++
 	}
-	s.kids.ids, s.kids.adj = kids, kadj
+	s.kids.ids, s.kids.adj, s.fresh = kids, kadj, fresh
 	return self
 }
 
 // unstamp takes the stamps childList added for a leaf at depth d back out of
-// mk — its children with the leaf bit alone — leaving the run's prefix
-// stamps for the next leaf. At d = 1 the next childList begins a new batch
-// instead.
+// mk — the children it listed in fresh, those with the leaf bit alone —
+// leaving the run's prefix stamps for the next leaf. At d = 1 the next
+// childList begins a new batch instead.
 func (s *vertexState) unstamp(d int) {
 	if d == 1 {
 		return
 	}
-	leaf := uint32(1) << (d - 1)
-	for t, m := range s.kids.adj {
-		if m == leaf {
-			s.mk.Unmark(s.kids.ids[t])
-		}
+	for _, y := range s.fresh {
+		s.mk.Unmark(y)
 	}
 }
 

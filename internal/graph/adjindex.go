@@ -12,9 +12,8 @@ import "math"
 //     targets, where most adjacency probes land.
 //  2. NeighborMarker — an epoch-stamped scratch array for batch membership
 //     tests: mark a vertex set once (O(|set|)), then answer "is u in the
-//     set" in O(1) per probe. Clique exploration stamps a group's leaves —
-//     a prefix of the parent clique's common neighbours — as it walks them
-//     and probes every leaf's Below list.
+//     set" in O(1) per probe. The vertex-induced leaf stamps a prefix's
+//     candidates once per run and probes every leaf's neighbours.
 //
 // Both are built once per graph (the bitsets in Builder.Build, markers on
 // demand per worker) and never mutated afterwards, so they are safe for

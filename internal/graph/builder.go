@@ -43,7 +43,7 @@ func (b *Builder) SetLabel(v uint32, l Label) { b.labels[v] = l }
 
 // Build finalizes the graph: it sorts and deduplicates edges, assigns dense
 // edge ids in (U, V) order, and materializes CSC adjacency and the
-// below-neighbour counts behind Graph.Below.
+// below-neighbour counts behind Graph.Below and Graph.MaxBelow.
 func (b *Builder) Build() (*Graph, error) {
 	for _, e := range b.edges {
 		if int(e.U) >= b.n || int(e.V) >= b.n {
@@ -78,26 +78,27 @@ func (b *Builder) Build() (*Graph, error) {
 	g := &Graph{
 		n:         b.n,
 		m:         m,
-		offsets:   make([]uint64, b.n+1),
+		spans:     make([]span, b.n),
 		adj:       make([]uint32, 2*m),
 		adjEdge:   make([]uint32, 2*m),
-		below:     make([]uint32, b.n),
 		edges:     edges,
 		labels:    append([]Label(nil), b.labels...),
 		numLabels: numLabels,
 	}
 
-	deg := make([]uint32, b.n)
 	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
-		g.below[e.V]++ // U < V
-	}
-	for v := 0; v < b.n; v++ {
-		g.offsets[v+1] = g.offsets[v] + uint64(deg[v])
+		g.spans[e.U].deg++
+		g.spans[e.V].deg++
+		g.spans[e.V].below++ // U < V
 	}
 	cursor := make([]uint64, b.n)
-	copy(cursor, g.offsets[:b.n])
+	off := uint64(0)
+	for v := range g.spans {
+		s := &g.spans[v]
+		s.off, cursor[v] = off, off
+		off += uint64(s.deg)
+		g.maxBelow = max(g.maxBelow, int(s.below))
+	}
 	for id, e := range edges {
 		g.adj[cursor[e.U]] = e.V
 		g.adjEdge[cursor[e.U]] = uint32(id)
@@ -110,9 +111,7 @@ func (b *Builder) Build() (*Graph, error) {
 	// list from the U side is sorted, but V-side arrivals interleave: sort
 	// each list together with its edge ids.
 	for v := 0; v < b.n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		nb, ie := g.adj[lo:hi], g.adjEdge[lo:hi]
-		sort.Sort(&adjSorter{nb: nb, ie: ie})
+		sort.Sort(&adjSorter{nb: g.Neighbors(uint32(v)), ie: g.IncidentEdges(uint32(v))})
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -13,7 +13,8 @@
 // whose degree reaches a configurable hub threshold (Builder.SetHubThreshold,
 // default √2m) carry packed bitset rows consulted by HasEdge, and
 // NeighborMarker provides epoch-stamped scratch for batch membership tests
-// against a marked vertex set (the common neighbours of clique exploration).
+// against a marked vertex set (a prefix's candidates in vertex-induced
+// exploration).
 package graph
 
 import (
@@ -30,19 +31,27 @@ type Edge struct {
 	U, V uint32
 }
 
+// span is one vertex's slice of the CSC arrays: its neighbours are
+// adj[off:off+deg], and the first below of them are the ones with smaller
+// ids. The three sit side by side, so Neighbors, Below and Degree each read
+// one 16-byte entry — one cache line — before the list itself.
+type span struct {
+	off        uint64
+	deg, below uint32
+}
+
 // Graph is an immutable labeled undirected graph in CSC form.
 type Graph struct {
 	n int // number of vertices
 	m int // number of undirected edges
 
-	// CSC adjacency: neighbors of v are adj[offsets[v]:offsets[v+1]], sorted.
-	offsets []uint64
-	adj     []uint32
+	// CSC adjacency: spans[v] locates v's sorted neighbour list in adj.
+	spans []span
+	adj   []uint32
 	// adjEdge[i] is the edge id of the edge (v, adj[i]).
 	adjEdge []uint32
-	// below[v] is the number of neighbours of v with a smaller id: Below(v)
-	// is that prefix of v's sorted list.
-	below []uint32
+	// maxBelow is the longest Below list.
+	maxBelow int
 
 	// Edge list indexed by edge id; always U < V, sorted by (U, V).
 	edges []Edge
@@ -77,9 +86,7 @@ func (g *Graph) Label(v uint32) Label { return g.labels[v] }
 func (g *Graph) Labels() []Label { return g.labels }
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v uint32) int {
-	return int(g.offsets[v+1] - g.offsets[v])
-}
+func (g *Graph) Degree(v uint32) int { return int(g.spans[v].deg) }
 
 // AvgDegree returns the average vertex degree 2M/N.
 func (g *Graph) AvgDegree() float64 {
@@ -91,7 +98,8 @@ func (g *Graph) AvgDegree() float64 {
 
 // Neighbors returns the sorted neighbor list of v. Callers must not mutate it.
 func (g *Graph) Neighbors(v uint32) []uint32 {
-	return g.adj[g.offsets[v]:g.offsets[v+1]]
+	s := g.spans[v]
+	return g.adj[s.off : s.off+uint64(s.deg)]
 }
 
 // Below returns the neighbours of v with ids below v, sorted — a prefix of
@@ -99,14 +107,21 @@ func (g *Graph) Neighbors(v uint32) []uint32 {
 // neighbours of higher (or equal) degree, the bounded forward lists of
 // clique exploration. Callers must not mutate it.
 func (g *Graph) Below(v uint32) []uint32 {
-	lo := g.offsets[v]
-	return g.adj[lo : lo+uint64(g.below[v])]
+	s := g.spans[v]
+	return g.adj[s.off : s.off+uint64(s.below)]
 }
+
+// MaxBelow returns the length of the longest Below list. On a relabelled
+// graph it is at most √(2m): the b neighbours below a vertex each have at
+// least its degree, itself at least b, so b² ≤ 2m. A set of common
+// below-neighbours is a subset of one Below list, so this bounds it too.
+func (g *Graph) MaxBelow() int { return g.maxBelow }
 
 // IncidentEdges returns the edge ids incident to v, ordered by neighbor id.
 // Callers must not mutate the returned slice.
 func (g *Graph) IncidentEdges(v uint32) []uint32 {
-	return g.adjEdge[g.offsets[v]:g.offsets[v+1]]
+	s := g.spans[v]
+	return g.adjEdge[s.off : s.off+uint64(s.deg)]
 }
 
 // EdgeAt returns the endpoints of edge id e (U < V).
@@ -154,10 +169,9 @@ func (g *Graph) EdgeID(u, v uint32) (uint32, bool) {
 // Bytes returns the in-memory footprint of the graph structure, used by the
 // memory-consumption experiments (§6).
 func (g *Graph) Bytes() int64 {
-	return int64(len(g.offsets))*8 +
+	return int64(len(g.spans))*16 +
 		int64(len(g.adj))*4 +
 		int64(len(g.adjEdge))*4 +
-		int64(len(g.below))*4 +
 		int64(len(g.edges))*8 +
 		int64(len(g.labels))*2 +
 		int64(len(g.origID))*4 +
@@ -168,22 +182,23 @@ func (g *Graph) Bytes() int64 {
 // Validate checks internal invariants; it is used by tests and by loaders of
 // untrusted binary files.
 func (g *Graph) Validate() error {
-	if len(g.offsets) != g.n+1 {
-		return fmt.Errorf("graph: offsets length %d, want %d", len(g.offsets), g.n+1)
+	if len(g.spans) != g.n {
+		return fmt.Errorf("graph: spans length %d, want %d", len(g.spans), g.n)
 	}
 	if len(g.adj) != 2*g.m || len(g.adjEdge) != 2*g.m {
 		return fmt.Errorf("graph: adjacency length %d/%d, want %d", len(g.adj), len(g.adjEdge), 2*g.m)
 	}
-	if len(g.labels) != g.n || len(g.below) != g.n {
-		return fmt.Errorf("graph: labels/below length %d/%d, want %d", len(g.labels), len(g.below), g.n)
+	if len(g.labels) != g.n {
+		return fmt.Errorf("graph: labels length %d, want %d", len(g.labels), g.n)
 	}
-	if g.offsets[0] != 0 || g.offsets[g.n] != uint64(2*g.m) {
-		return fmt.Errorf("graph: offset bounds [%d, %d], want [0, %d]", g.offsets[0], g.offsets[g.n], 2*g.m)
-	}
+	off, maxBelow := uint64(0), 0
 	for v := 0; v < g.n; v++ {
-		if g.offsets[v] > g.offsets[v+1] {
-			return fmt.Errorf("graph: offsets not monotone at vertex %d", v)
+		s := g.spans[v]
+		if s.off != off || s.off+uint64(s.deg) > uint64(2*g.m) || s.below > s.deg {
+			return fmt.Errorf("graph: span %+v of vertex %d does not follow offset %d within %d", s, v, off, 2*g.m)
 		}
+		off += uint64(s.deg)
+		maxBelow = max(maxBelow, int(s.below))
 		nb := g.Neighbors(uint32(v))
 		ie := g.IncidentEdges(uint32(v))
 		below := uint32(0)
@@ -209,9 +224,12 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: edge id %d of (%d,%d) maps to (%d,%d)", ie[i], v, u, e.U, e.V)
 			}
 		}
-		if below != g.below[v] {
-			return fmt.Errorf("graph: %d neighbours of %d below it, below count %d", below, v, g.below[v])
+		if below != s.below {
+			return fmt.Errorf("graph: %d neighbours of %d below it, below count %d", below, v, s.below)
 		}
+	}
+	if off != uint64(2*g.m) || maxBelow != g.maxBelow {
+		return fmt.Errorf("graph: spans cover %d of %d entries, longest below list %d recorded as %d", off, 2*g.m, maxBelow, g.maxBelow)
 	}
 	for v := range g.labels {
 		if int(g.labels[v]) >= g.numLabels {

@@ -140,7 +140,8 @@ func TestRandomGraphInvariants(t *testing.T) {
 
 func TestBelowSplitsNeighbors(t *testing.T) {
 	// Property: Below(v) followed by the neighbours above v is exactly N(v),
-	// and Validate rejects a below count that does not split N(v) at v.
+	// MaxBelow is the longest Below list (at most √(2m) once relabelled), and
+	// Validate rejects a below count that does not split N(v) at v.
 	rng := rand.New(rand.NewSource(5))
 	isolated := 0
 	for trial := 0; trial < 60; trial++ {
@@ -152,8 +153,10 @@ func TestBelowSplitsNeighbors(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		longest := 0
 		for v := uint32(0); v < uint32(n); v++ {
 			nb, below := g.Neighbors(v), g.Below(v)
+			longest = max(longest, len(below))
 			if len(nb) == 0 {
 				isolated++
 			}
@@ -170,12 +173,18 @@ func TestBelowSplitsNeighbors(t *testing.T) {
 				t.Fatalf("trial %d: Below(%d) = %v does not split N(%d) = %v", trial, v, below, v, nb)
 			}
 		}
+		if g.MaxBelow() != longest {
+			t.Fatalf("trial %d: MaxBelow %d, longest Below list %d", trial, g.MaxBelow(), longest)
+		}
+		if g.Relabeled() && longest*longest > 2*g.M() {
+			t.Fatalf("trial %d: relabelled MaxBelow %d exceeds √(2·%d)", trial, longest, g.M())
+		}
 		v := rng.Intn(n)
-		g.below[v]++
+		g.spans[v].below++
 		if err := g.Validate(); err == nil {
 			t.Fatalf("trial %d: Validate accepted below[%d] off by one", trial, v)
 		}
-		g.below[v]--
+		g.spans[v].below--
 	}
 	if isolated == 0 {
 		t.Fatal("degenerate: no isolated vertex")
@@ -442,7 +451,7 @@ func TestSaveLoadFile(t *testing.T) {
 
 func TestBytesAccounting(t *testing.T) {
 	g := paperGraph(t)
-	want := int64(6*8 + 14*4 + 14*4 + 5*4 + 7*8 + 5*2)
+	want := int64(5*16 + 14*4 + 14*4 + 7*8 + 5*2)
 	if g.Bytes() != want {
 		t.Fatalf("Bytes = %d, want %d", g.Bytes(), want)
 	}

@@ -9,8 +9,8 @@ import (
 //
 // Relabel permutes the vertex ids of a graph so that high-degree vertices get
 // dense low ids. The mining hot paths benefit twice: the hub bitset rows
-// (adjindex.go) cover a contiguous low-id prefix, and the NeighborMarker
-// stamps and probes of clique exploration — whose addresses are vertex ids —
+// (adjindex.go) cover a contiguous low-id prefix, and the position stamps
+// and probes of clique exploration — whose addresses are vertex ids —
 // concentrate on a small prefix of the stamp array, touching far fewer cache
 // lines on the power-law graphs mining targets. Clique exploration grows each
 // clique toward lower ids (Graph.Below), so in this order a vertex's forward
