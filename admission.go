@@ -35,8 +35,8 @@ const DefaultAdmitWatermark = 0.8
 
 // admitPoll is how often a queued request re-checks headroom between events.
 // Release/run-completion kick the dispatcher immediately; the poll only picks
-// up headroom freed mid-run (level pops, in-place filters) that has no
-// release edge of its own.
+// up headroom freed mid-run (a cancelled expansion dropping its partial
+// level) that has no release edge of its own.
 const admitPoll = 10 * time.Millisecond
 
 // AdmitRequest describes one run asking to start under the engine's budget.

@@ -16,8 +16,8 @@ import (
 // Without an Engine, two concurrent runs each believe they own the whole
 // budget and can together blow it; with one, the runs arbitrate — a run that
 // starts while its siblings hold most of the pool builds its levels mostly
-// on disk, and wins the memory back (part promotion, level pops) as the
-// siblings release theirs.
+// on disk, and its later levels get the memory back as the siblings release
+// theirs.
 //
 // The zero value is usable: populate the fields and share the Engine by
 // pointer. All methods are safe for concurrent use; runs may share a
@@ -59,11 +59,10 @@ type Engine struct {
 	failedRuns    atomic.Int64
 	spilledLevels atomic.Int64
 	spilledParts  atomic.Int64
-	promotedParts atomic.Int64
 }
 
 // EngineStats is one race-clean snapshot of an Engine's aggregate state: the
-// shared pool, the run lifecycle counts, and the cumulative spill/promote/
+// shared pool, the run lifecycle counts, and the cumulative spill and
 // retry counters of every run the engine has vended. Metrics endpoints and
 // benchmarks read this one view instead of poking fields mid-run.
 type EngineStats struct {
@@ -80,9 +79,8 @@ type EngineStats struct {
 	// (cancellation counts as failed — the run did not produce a result).
 	CompletedRuns, FailedRuns int64
 	// Cumulative part-residency transitions across all runs: levels that
-	// spilled at least one part, parts migrated to disk, disk parts promoted
-	// back.
-	SpilledLevels, SpilledParts, PromotedParts int64
+	// spilled at least one part, and parts migrated to disk.
+	SpilledLevels, SpilledParts int64
 	// SpilledBytes is the cumulative logical size of the spilled parts,
 	// SpilledBytesPhysical what they occupied on disk.
 	SpilledBytes, SpilledBytesPhysical int64
@@ -115,7 +113,6 @@ func (en *Engine) Stats() EngineStats {
 		FailedRuns:           en.failedRuns.Load(),
 		SpilledLevels:        en.spilledLevels.Load(),
 		SpilledParts:         en.spilledParts.Load(),
-		PromotedParts:        en.promotedParts.Load(),
 		SpilledBytes:         sl,
 		SpilledBytesPhysical: sp,
 		ReadBytes:            r,
@@ -138,7 +135,6 @@ func (en *Engine) endRun(s Stats, err error) {
 	}
 	en.spilledLevels.Add(int64(s.SpilledLevels))
 	en.spilledParts.Add(int64(s.SpilledParts))
-	en.promotedParts.Add(int64(s.PromotedParts))
 	en.kickAdmission()
 }
 

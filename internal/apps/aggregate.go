@@ -14,26 +14,27 @@ package apps
 // or hashing again — Arabesque's two-level "quick pattern" aggregation, at
 // the one seam every backend sits behind.
 //
-// FSM's level passes and the ResultAggregator fill a pattern per embedding
-// and classify it through the memo. FSM's final pass gets each parent with
-// all its extensions and fills the parent once: a child edge is one more
-// edge (and at most one more vertex) on the parent's pattern. On a miss the
-// memo is probed again with the sorted pattern, so the backend runs once per
-// distinct sorted pattern, and an entry caches its class's Agg for the pass,
-// so a hit skips the PatternMap too. Motifs go one step further, because an
-// unlabeled child's filled pattern is just two masks the explorer already
-// holds: the parent's adjacency word and the child's row. The explorer
-// hands MotifCount's Mapper each parent's children already counted by row,
-// and the Mapper adds that histogram into the parent word's slot of a fixed
-// per-worker tally — one slot lookup and 2^(k−1) additions per parent,
-// nothing per child — and fills, classifies and folds each non-zero
-// (word, row) pair once, when the tally is Reduced (or flushed because it
-// is full).
+// The ResultAggregator fills a pattern per embedding and classifies it
+// through the memo. FSM's passes get each parent with all its extensions and
+// fill the parent once: a child edge is one more edge (and at most one more
+// vertex) on the parent's pattern, and FSM's pruning classifies the children
+// it stores the same way. On a miss the memo is probed again with the sorted
+// pattern, so the backend runs once per distinct sorted pattern, and an
+// entry caches its class's Agg for the pass, so a hit skips the PatternMap
+// too. Motifs go one step further, because an unlabeled child's filled
+// pattern is just two masks the explorer already holds: the parent's
+// adjacency word and the child's row. The explorer hands MotifCount's Mapper
+// each parent's children already counted by row, and the Mapper adds that
+// histogram into the parent word's slot of a fixed per-worker tally — one
+// slot lookup and 2^(k−1) additions per parent, nothing per child — and
+// fills, classifies and folds each non-zero (word, row) pair once, when the
+// tally is Reduced (or flushed because it is full).
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"kaleido/internal/blisslike"
 	"kaleido/internal/eigen"
@@ -198,6 +199,12 @@ type aggWorker struct {
 	pat     pattern.Pattern
 	verts   []uint32
 	tally   *motifTally // allocated by the first addMotifs
+
+	// frequentOnly's last parent: its edges, pattern and vertex count.
+	last   []uint32
+	parent pattern.Pattern
+	nv     int
+	fail   error // first fill error of a frequentOnly pass
 }
 
 func newAggregator(g *graph.Graph, support uint64, env *run.Env) *aggregator {
@@ -433,7 +440,7 @@ func (a *aggregator) addEdges(w int, emb []uint32) error {
 }
 
 // addEdgeGroup folds the extensions of one edge-induced parent embedding —
-// the explorer's group visitor of FSM's final pass. The parent's pattern
+// the explorer's group visitor of FSM's passes. The parent's pattern
 // and vertices are filled once. A child edge adds one edge and at most one
 // vertex, which goes last, where fillEdges of the extended embedding puts
 // it: so a child's pattern is the parent's plus that edge — the same memo
@@ -492,15 +499,65 @@ func (ws *aggWorker) vertex(g *graph.Graph, v uint32) (int, error) {
 	return i, nil
 }
 
-// hashEdges returns the class hash of one edge-induced embedding without
-// aggregating it — the lookup key of FSM's pruning pass.
-func (a *aggregator) hashEdges(w int, emb []uint32) (uint64, error) {
-	ws := a.workers[w]
-	if err := ws.fillEdges(a.g, emb); err != nil {
-		return 0, err
+// frequentOnly narrows filter to the children whose class is frequent in
+// merged — FSM's pruning, applied while an intermediate level is stored, so
+// a child of an infrequent pattern is never written — or returns filter
+// itself when every class is frequent. A worker fills a parent's pattern on
+// the parent's first candidate (the last parent filled is kept by its
+// edges); a child is that pattern plus one edge, as in addEdgeGroup, and is
+// classified through the memo. A fill that fails rejects the child and is
+// kept for err.
+func (a *aggregator) frequentOnly(filter explore.EdgeFilter, merged map[uint64]*mni.Agg) explore.EdgeFilter {
+	all := true
+	for _, agg := range merged {
+		all = all && agg.Frequent()
+	}
+	if all {
+		return filter
+	}
+	for _, ws := range a.workers {
+		ws.last = ws.last[:0]
+	}
+	return func(w int, emb, verts []uint32, cand uint32) bool {
+		if !filter(w, emb, verts, cand) {
+			return false
+		}
+		ws := a.workers[w]
+		ok, err := ws.frequent(a.g, emb, cand, merged)
+		if err != nil && ws.fail == nil {
+			ws.fail = err
+		}
+		return ok
+	}
+}
+
+// frequent reports whether the class of parent emb extended by edge c is
+// frequent in merged.
+func (ws *aggWorker) frequent(g *graph.Graph, emb []uint32, c uint32, merged map[uint64]*mni.Agg) (bool, error) {
+	if !slices.Equal(ws.last, emb) {
+		if err := ws.fillEdges(g, emb); err != nil {
+			return false, err
+		}
+		ws.last, ws.parent, ws.nv = append(ws.last[:0], emb...), ws.pat, len(ws.verts)
+	}
+	if err := ws.extend(g, &ws.parent, ws.nv, c); err != nil {
+		return false, err
 	}
 	e, _ := ws.cl.classify(&ws.pat)
-	return e.hash, nil
+	agg := merged[e.hash]
+	return agg != nil && agg.Frequent(), nil
+}
+
+// err returns and clears the first fill error of a frequentOnly pass.
+func (a *aggregator) err() error {
+	var first error
+	for _, ws := range a.workers {
+		if first == nil {
+			first = ws.fail
+		}
+		ws.fail = nil
+	}
+	return first
 }
 
 // merge Reduces the per-worker maps into one (the paper notes this merge is

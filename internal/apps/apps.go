@@ -6,10 +6,10 @@
 // is fused into the exploration through the engine's expansion sinks: the
 // final (largest) level of a run is consumed where it is produced instead
 // of being stored. CliqueCount counts its last two levels with a CountSink,
-// FSM's final aggregation rides a VisitSink, MotifCount's Mapper a RowSink,
-// and FSM's level-synchronous pruning rewrites the top level in place
-// (FilterTop) — so every application writes zero bytes for its
-// terminal level, on any storage regime.
+// FSM's aggregation rides a VisitSink at every level, MotifCount's Mapper a
+// RowSink — so every application writes zero bytes for its terminal level,
+// on any storage regime — and FSM prunes each intermediate level as it
+// stores it: a child of an infrequent pattern is never written.
 //
 // CliqueCount and TriangleCount (= CliqueCount(3)) run the explorer's
 // Clique mode, which reads common neighbours instead of filtering a union:

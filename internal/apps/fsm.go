@@ -52,16 +52,17 @@ func FSM(ctx context.Context, g *graph.Graph, k int, support uint64, env *run.En
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		// Expand, run the Mapper over the stored top level with a's
-		// per-worker PatternMaps, Reduce them into one map keyed by
-		// isomorphism hash, and prune the level against it.
-		if err := e.Expand(ctx, nil, filter); err != nil {
+		// Run the Mapper over the level at the expansion frontier, as the
+		// final pass does, Reduce the per-worker PatternMaps into one map
+		// keyed by isomorphism hash, then store the level pruned against
+		// it: a child of an infrequent pattern is never written.
+		if _, err := e.ExpandCountVisit(ctx, nil, filter, a.addEdgeGroup); err != nil {
 			return nil, 0, err
 		}
-		if err := e.ForEach(ctx, a.addEdges); err != nil {
+		if err := e.Expand(ctx, nil, a.frequentOnly(filter, a.merge())); err != nil {
 			return nil, 0, err
 		}
-		if err := fsmFilterTop(ctx, a, e, a.merge()); err != nil {
+		if err := a.err(); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -93,28 +94,6 @@ func fsmEmbeddingFilter(g *graph.Graph, k int, freqPairs mni.EdgeSet) explore.Ed
 		ed := g.EdgeAt(cand)
 		return sortedContains(verts, ed.U) && sortedContains(verts, ed.V)
 	}
-}
-
-// fsmFilterTop is the Reducer pruning pass: drop embeddings of infrequent
-// patterns, rewriting the top level in place (keep sink) so resident data is
-// compacted where it sits instead of being copied through a fresh builder.
-// When the merged map shows every pattern frequent, nothing would be pruned
-// and the whole hash pass over the level is skipped. a is the aggregator of
-// the level's aggregation pass: its memos already hold the level's patterns.
-func fsmFilterTop(ctx context.Context, a *aggregator, e *explore.Explorer, merged map[uint64]*mni.Agg) error {
-	for _, agg := range merged {
-		if !agg.Frequent() {
-			return e.FilterTop(ctx, func(w int, emb []uint32) bool {
-				h, err := a.hashEdges(w, emb)
-				if err != nil {
-					return false
-				}
-				agg, ok := merged[h]
-				return ok && agg.Frequent()
-			})
-		}
-	}
-	return nil
 }
 
 // collectFrequent returns the frequent patterns of a merged map as sorted

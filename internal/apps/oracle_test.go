@@ -298,13 +298,7 @@ func fsmOracle(labels []int, edges [][2]int, k int) map[string]*fsmClass {
 
 // TestFSMAndTrianglesMatchSubsetOracle pins FSM and TriangleCount against
 // the brute-force oracles on random labelled graphs, at 1, 2 and 4 threads,
-// unbudgeted and all on disk. FSM must report every class the oracle finds
-// frequent, with the oracle's embedding count and its saturated support
-// (k = 2 reports the exact MNI; deeper levels report the threshold, §6.2).
-// The one licensed difference is the documented tie rule: FSM merges the
-// domains of positions with equal (label, degree), which can only enlarge a
-// support, so it may report an extra class — but only one whose tie classes
-// split an orbit, and with no more embeddings than the oracle counts.
+// unbudgeted and all on disk (checkFSMOracle).
 func TestFSMAndTrianglesMatchSubsetOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	frequent, extra := 0, 0
@@ -360,43 +354,8 @@ func TestFSMAndTrianglesMatchSubsetOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got := map[string]PatternCount{}
-						for _, pc := range res {
-							ls := make([]int, pc.Pattern.K)
-							for i := range ls {
-								ls[i] = int(pc.Pattern.Labels[i])
-							}
-							key, _ := canonicalForm(ls, pc.Pattern.HasEdge)
-							got[key] = pc
-						}
-						if len(got) != len(res) {
-							t.Errorf("%s k=%d s=%d: %d results name %d classes", what, k, support, len(res), len(got))
-						}
-						for key, c := range classes[k] {
-							pc, reported := got[key]
-							wantSupport := support
-							if k == 2 {
-								wantSupport = c.support()
-							}
-							switch {
-							case c.support() >= support:
-								frequent++
-								if !reported || pc.Count != c.count || pc.Support != wantSupport {
-									t.Errorf("%s k=%d s=%d: class %s = %+v (reported %v), oracle count %d support %d",
-										what, k, support, key, pc, reported, c.count, wantSupport)
-								}
-							case reported:
-								extra++
-								if !c.tieSplitsOrbit || pc.Count > c.count || pc.Support != support {
-									t.Errorf("%s k=%d s=%d: infrequent class %s reported as %+v (oracle count %d support %d, tie splits an orbit: %v)",
-										what, k, support, key, pc, c.count, c.support(), c.tieSplitsOrbit)
-								}
-							}
-							delete(got, key)
-						}
-						for key := range got {
-							t.Errorf("%s k=%d s=%d: class %s has no embedding in the oracle", what, k, support, key)
-						}
+						f, x := checkFSMOracle(t, fmt.Sprintf("%s k=%d s=%d", what, k, support), res, classes[k], k, support)
+						frequent, extra = frequent+f, extra+x
 					}
 				}
 			}
@@ -406,4 +365,55 @@ func TestFSMAndTrianglesMatchSubsetOracle(t *testing.T) {
 		t.Fatalf("weak inputs: only %d frequent classes checked", frequent)
 	}
 	t.Logf("%d frequent classes matched the oracle; %d extra classes from the (label, degree) tie rule", frequent, extra)
+}
+
+// checkFSMOracle holds one FSM result to the oracle's classes: FSM must
+// report every class the oracle finds frequent, with the oracle's embedding
+// count and its saturated support (k = 2 reports the exact MNI; deeper
+// levels report the threshold, §6.2). The one licensed difference is the
+// documented tie rule: FSM merges the domains of positions with equal
+// (label, degree), which can only enlarge a support, so it may report an
+// extra class — but only one whose tie classes split an orbit, and with no
+// more embeddings than the oracle counts. It returns how many frequent and
+// extra classes it checked.
+func checkFSMOracle(t *testing.T, what string, res []PatternCount, classes map[string]*fsmClass, k int, support uint64) (frequent, extra int) {
+	t.Helper()
+	got := map[string]PatternCount{}
+	for _, pc := range res {
+		ls := make([]int, pc.Pattern.K)
+		for i := range ls {
+			ls[i] = int(pc.Pattern.Labels[i])
+		}
+		key, _ := canonicalForm(ls, pc.Pattern.HasEdge)
+		got[key] = pc
+	}
+	if len(got) != len(res) {
+		t.Errorf("%s: %d results name %d classes", what, len(res), len(got))
+	}
+	for key, c := range classes {
+		pc, reported := got[key]
+		wantSupport := support
+		if k == 2 {
+			wantSupport = c.support()
+		}
+		switch {
+		case c.support() >= support:
+			frequent++
+			if !reported || pc.Count != c.count || pc.Support != wantSupport {
+				t.Errorf("%s: class %s = %+v (reported %v), oracle count %d support %d",
+					what, key, pc, reported, c.count, wantSupport)
+			}
+		case reported:
+			extra++
+			if !c.tieSplitsOrbit || pc.Count > c.count || pc.Support != support {
+				t.Errorf("%s: infrequent class %s reported as %+v (oracle count %d support %d, tie splits an orbit: %v)",
+					what, key, pc, c.count, c.support(), c.tieSplitsOrbit)
+			}
+		}
+		delete(got, key)
+	}
+	for key := range got {
+		t.Errorf("%s: class %s has no embedding in the oracle", what, key)
+	}
+	return frequent, extra
 }

@@ -1,9 +1,9 @@
 package apps
 
 // Differential fused-vs-materialized tests: every application that consumes
-// its terminal expansion at the frontier (clique → CountSink, motif and
-// FSM's final level → VisitSink) must produce byte-identical counts and
-// supports to a run that materializes the final level, on all three storage
+// its terminal expansion at the frontier (clique → CountSink, motif →
+// RowSink, FSM's levels → VisitSink) must produce byte-identical counts and
+// supports to a run that materializes every level, on all three storage
 // regimes (all-memory, budgeted hybrid, all-disk) — and the fused terminal
 // level must write zero bytes to the spill directory.
 
@@ -145,23 +145,17 @@ func TestMotifFusedMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// materializedFSMFinal replays FSM but materializes the final level
-// (Expand + ForEach aggregation) instead of fusing it — the pre-sink path,
-// byte-for-byte the old implementation.
+// materializedFSMFinal is FSM without its fused passes: every level is
+// stored unpruned and aggregated by ForEach, each filling every embedding
+// from scratch. An intermediate level is then pruned by storing the run
+// again, on a fresh explorer, through keep filters that fill each child from
+// scratch and hash it with a fresh backend, no memo — the reference FSM's
+// memoised pruning must match.
 func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, opt *run.Env) []PatternCount {
 	t.Helper()
 	freqPairs, pairs := mni.EdgePairs(g, support)
 	if k == 2 {
 		return edgePairCounts(pairs)
-	}
-	e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	err = e.InitEdges(freqPairs.Has)
-	if err != nil {
-		t.Fatal(err)
 	}
 	filter := func(_ int, emb []uint32, verts []uint32, cand uint32) bool {
 		if !freqPairs.Has(cand) {
@@ -177,44 +171,58 @@ func materializedFSMFinal(t *testing.T, g *graph.Graph, k int, support uint64, o
 		}
 		return len(verts)+nv <= k
 	}
+	nw := opt.Workers()
+	hashers := make([]hasher, nw)
+	pats := make([]pattern.Pattern, nw)
+	children := make([][]uint32, nw)
+	vbufs := make([][]uint32, nw)
+	for i := range hashers {
+		hashers[i] = newHasher(opt.Iso)
+	}
+	keep := func(merged map[uint64]*mni.Agg) explore.EdgeFilter {
+		return func(w int, emb []uint32, verts []uint32, cand uint32) bool {
+			if !filter(w, emb, verts, cand) {
+				return false
+			}
+			children[w] = append(append(children[w][:0], emb...), cand)
+			vs, err := fillEdges(g, children[w], vbufs[w], &pats[w])
+			vbufs[w] = vs[:0]
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			pats[w].SortByLabelDegree()
+			agg, ok := merged[hashers[w](&pats[w])]
+			return ok && agg.Frequent()
+		}
+	}
 	a := newAggregator(g, support, opt)
-	var result []PatternCount
-	for level := 2; level <= k-1; level++ {
-		if err := e.Expand(bgCtx, nil, filter); err != nil {
+	var keeps []explore.EdgeFilter // the pruned levels 2..level−1
+	for level := 2; ; level++ {
+		e, err := explore.New(explore.Config{Graph: g, Mode: explore.EdgeInduced, Env: opt})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if err := e.InitEdges(freqPairs.Has); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range append(keeps, filter) {
+			if err := e.Expand(bgCtx, nil, f); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := e.ForEach(bgCtx, a.addEdges); err != nil {
 			t.Fatal(err)
 		}
-		merged := a.merge()
-		if level < k-1 {
-			// The pruning pass hashes every embedding with a fresh backend,
-			// no memo: the reference the memoised fsmFilterTop must match.
-			nw := opt.Workers()
-			hashers := make([]hasher, nw)
-			pats := make([]pattern.Pattern, nw)
-			bufs := make([][]uint32, nw)
-			for i := range hashers {
-				hashers[i] = newHasher(opt.Iso)
-			}
-			err = e.FilterTop(bgCtx, func(w int, emb []uint32) bool {
-				verts, err := fillEdges(g, emb, bufs[w], &pats[w])
-				bufs[w] = verts[:0]
-				if err != nil {
-					return false
-				}
-				pats[w].SortByLabelDegree()
-				agg, ok := merged[hashers[w](&pats[w])]
-				return ok && agg.Frequent()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			continue
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
 		}
-		result = collectFrequent(merged, support)
+		merged := a.merge()
+		if level == k-1 {
+			return collectFrequent(merged, support)
+		}
+		keeps = append(keeps, keep(merged))
 	}
-	return result
 }
 
 func TestFSMFusedMatchesMaterialized(t *testing.T) {

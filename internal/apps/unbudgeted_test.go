@@ -30,9 +30,9 @@ func (f *noFS) MkdirTemp(string, string) (string, error) {
 // TestUnbudgetedTouchesNoFilesystem: a run without a memory budget never
 // migrates a part, so it must need nothing of the spill path — no directory,
 // no file, no write-queue goroutine. The four applications and an explorer
-// driven to depth 4 (FilterTop included) complete over a filesystem whose
-// every operation fails, without calling it once, and leave the goroutine
-// count where it was.
+// driven to depth 4 complete over a filesystem whose every operation fails,
+// without calling it once, and leave the goroutine count where it was
+// (TestFSMPrunesBeforeStore holds FSM's pruned levels to the same).
 func TestUnbudgetedTouchesNoFilesystem(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	fs := &noFS{}
@@ -64,9 +64,6 @@ func TestUnbudgetedTouchesNoFilesystem(t *testing.T) {
 		if during := runtime.NumGoroutine(); during > baseGoroutines+2 {
 			t.Fatalf("depth %d: %d goroutines between operations (baseline %d): something was started", e.Depth(), during, baseGoroutines)
 		}
-	}
-	if err := e.FilterTop(context.Background(), func(_ int, emb []uint32) bool { return emb[3]%2 == 0 }); err != nil {
-		t.Fatal(err)
 	}
 	if e.Count() == 0 || e.SpilledParts() != 0 {
 		t.Fatalf("%d embeddings, %d parts spilled", e.Count(), e.SpilledParts())

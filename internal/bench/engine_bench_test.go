@@ -164,21 +164,51 @@ func BenchmarkApps(b *testing.B) {
 	}
 }
 
-// runExpandCase measures one Expand (depth → depth+1) per iteration, popping
-// the produced level so every iteration does identical work.
+// freshExpand expands case c from its starting depth on a fresh explorer
+// each time, so every expansion does identical work: ready closes the last
+// explorer, builds the next and walks its top level once with ExpandCount,
+// so the per-worker scratch is grown as in a steady-state iteration, all
+// outside any measurement; expand is the measured Expand.
+type freshExpand struct {
+	tb testing.TB
+	c  expandCase
+	ex *explore.Explorer
+}
+
+func (f *freshExpand) ready() error {
+	f.close()
+	f.ex = engineExplorer(f.tb, engineGraph(f.tb, f.c.n, f.c.m, f.c.seed), f.c)
+	_, err := f.ex.ExpandCount(bgCtx, nil, nil)
+	return err
+}
+
+func (f *freshExpand) expand() (int, error) {
+	if err := f.ex.Expand(bgCtx, nil, nil); err != nil {
+		return 0, err
+	}
+	return f.ex.Count(), nil
+}
+
+func (f *freshExpand) close() {
+	if f.ex != nil {
+		f.ex.Close()
+		f.ex = nil
+	}
+}
+
+// runExpandCase measures one Expand (depth → depth+1) per iteration.
 func runExpandCase(b *testing.B, c expandCase) {
-	g := engineGraph(b, c.n, c.m, c.seed)
-	ex := engineExplorer(b, g, c)
-	defer ex.Close()
+	f := &freshExpand{tb: b, c: c}
+	defer f.close()
 	var produced int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ex.Expand(bgCtx, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-		produced = ex.Count()
-		if err := ex.PopTop(); err != nil {
+		b.StopTimer()
+		f.ready()
+		b.StartTimer()
+		var err error
+		if produced, err = f.expand(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,25 +350,34 @@ func TestCompressedSpillBytesGuard(t *testing.T) {
 }
 
 // allocsPerOp calls op once to warm the pools, then returns the fewest
-// mallocs per call over three rounds of n calls. It reads MemStats rather
-// than using testing.AllocsPerRun, which would pin GOMAXPROCS to 1 and so
-// measure a different schedule from the one the cases run.
-func allocsPerOp(tb testing.TB, n int, op func() error) float64 {
+// mallocs per call over three rounds of n calls. setup, when not nil, runs
+// before every call and its mallocs are not counted. It reads MemStats
+// rather than using testing.AllocsPerRun, which would pin GOMAXPROCS to 1
+// and so measure a different schedule from the one the cases run.
+func allocsPerOp(tb testing.TB, n int, setup, op func() error) float64 {
 	tb.Helper()
-	if err := op(); err != nil {
-		tb.Fatal(err)
-	}
-	best := math.Inf(1)
-	var before, after runtime.MemStats
-	for round := 0; round < 3; round++ {
-		runtime.ReadMemStats(&before)
-		for i := 0; i < n; i++ {
-			if err := op(); err != nil {
+	call := func() uint64 {
+		if setup != nil {
+			if err := setup(); err != nil {
 				tb.Fatal(err)
 			}
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := op(); err != nil {
+			tb.Fatal(err)
+		}
 		runtime.ReadMemStats(&after)
-		best = math.Min(best, float64(after.Mallocs-before.Mallocs)/float64(n))
+		return after.Mallocs - before.Mallocs
+	}
+	call()
+	best := math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var mallocs uint64
+		for i := 0; i < n; i++ {
+			mallocs += call()
+		}
+		best = math.Min(best, float64(mallocs)/float64(n))
 	}
 	return best
 }
@@ -366,7 +405,7 @@ func TestBenchCaseCounts(t *testing.T) {
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			var produced uint64
-			var op func() error
+			var setup, op func() error
 			if c, ok := appCaseNamed(w.name); ok {
 				g := engineGraph(t, 4000, 16000, 42)
 				op = func() (err error) {
@@ -378,25 +417,29 @@ func TestBenchCaseCounts(t *testing.T) {
 				if raceEnabled && c.depth > 2 {
 					t.Skip("depth-4 build: minutes under the race detector, and allocation counts are not about interleavings")
 				}
-				ex := engineExplorer(t, engineGraph(t, c.n, c.m, c.seed), c)
-				defer ex.Close()
+				f := &freshExpand{tb: t, c: c}
+				defer f.close()
+				setup = f.ready
 				op = func() error {
-					if err := ex.Expand(bgCtx, nil, nil); err != nil {
-						return err
-					}
-					produced = uint64(ex.Count())
-					return ex.PopTop()
+					n, err := f.expand()
+					produced = uint64(n)
+					return err
 				}
 			}
 			var allocs float64
 			if raceEnabled {
 				// Under the race detector sync.Pool drops a random share of
 				// what it is given, so only the count means anything there.
+				if setup != nil {
+					if err := setup(); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if err := op(); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				allocs = allocsPerOp(t, w.iters, op)
+				allocs = allocsPerOp(t, w.iters, setup, op)
 			}
 			if produced != w.produced {
 				t.Errorf("produced %d, want %d", produced, w.produced)

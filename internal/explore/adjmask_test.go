@@ -486,15 +486,6 @@ func TestExpandBeyondMaskWidth(t *testing.T) {
 		if e.Depth() != maskBits || !embsEqual(collect(t, e), ref) {
 			t.Fatalf("mode %d: top level changed by the refused expansion", mode)
 		}
-		if err := e.PopTop(); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Expand(bgCtx, nil, nil); err != nil {
-			t.Fatalf("mode %d: re-expand to the width after PopTop: %v", mode, err)
-		}
-		if got := collect(t, e); !embsEqual(got, ref) {
-			t.Fatalf("mode %d: re-expanded level differs: %s", mode, diffSample(got, ref))
-		}
 		if _, err := e.ExpandCountTwo(bgCtx); err == nil || !strings.Contains(err.Error(), "needs clique exploration") {
 			t.Fatalf("mode %d: two-level count returned %v", mode, err)
 		}

@@ -162,9 +162,6 @@ func TestExpandCancelInMemory(t *testing.T) {
 	if err := e.ForEach(ctx, func(int, []uint32) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ForEach on cancelled ctx returned %v", err)
 	}
-	if err := e.FilterTop(ctx, func(int, []uint32) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FilterTop on cancelled ctx returned %v", err)
-	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,119 +188,5 @@ func TestExpandVisitCancel(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ExpandVisit returned %v", err)
-	}
-}
-
-// TestFilterTopPromotesParts drives the post-filter promotion end to end: an
-// expansion under a tight budget spills parts, a filter shrinks the level,
-// and the freed headroom pulls disk parts back into memory.
-func TestFilterTopPromotesParts(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	g := randomGraph(rng, 60, 240)
-
-	ref := newVertexExplorer(t, g, 4)
-	if err := ref.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	after2 := ref.Bytes()
-	if err := ref.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	after3 := ref.Bytes()
-	// Keep a thin slice of the level so the post-filter footprint fits the
-	// watermark with room to spare.
-	keep := func(_ int, emb []uint32) bool { return emb[len(emb)-1]%4 == 0 }
-	if err := ref.FilterTop(bgCtx, keep); err != nil {
-		t.Fatal(err)
-	}
-	want := collect(t, ref)
-
-	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
-		Threads:      4,
-		MemoryBudget: after2 + (after3-after2)/2, SpillDir: t.TempDir(),
-		Tracker: memtrack.New(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.InitVertices(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := e.Expand(bgCtx, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := e.LevelStats()[e.Depth()-1]
-	if before.DiskParts == 0 {
-		t.Fatalf("top level did not spill: %+v", before)
-	}
-	if err := e.FilterTop(bgCtx, keep); err != nil {
-		t.Fatal(err)
-	}
-	if e.PromotedParts() == 0 {
-		t.Fatalf("no parts promoted despite headroom (before: %+v, after: %+v, resident %d of %d)",
-			before, e.LevelStats()[e.Depth()-1], e.Bytes(), after2+(after3-after2)/2)
-	}
-	if e.Bytes() > after2+(after3-after2)/2 {
-		t.Fatalf("promotion overshot the budget: %d resident", e.Bytes())
-	}
-	if got := collect(t, e); !reflect.DeepEqual(got, want) {
-		t.Fatalf("promoted level differs: %d vs %d embeddings", len(got), len(want))
-	}
-	// The promoted structure must survive further exploration.
-	if err := e.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := collect(t, e); !reflect.DeepEqual(got, collect(t, ref)) {
-		t.Fatal("expansion after promotion differs")
-	}
-}
-
-// TestFilterTopKeepRates pins the in-place rewrite of raw parts against the
-// straightforward expectation at keep rates that leave the parts differently
-// full: keep-all, sparse keeps, half, and empty.
-func TestFilterTopKeepRates(t *testing.T) {
-	rng := rand.New(rand.NewSource(113))
-	g := randomGraph(rng, 120, 700)
-	for _, tc := range []struct {
-		name string
-		keep func(emb []uint32) bool
-	}{
-		{"all", func([]uint32) bool { return true }},
-		{"sparse", func(emb []uint32) bool { return emb[len(emb)-1]%13 == 0 }},
-		{"half", func(emb []uint32) bool { return emb[len(emb)-1]%2 == 0 }},
-		{"none", func([]uint32) bool { return false }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := newVertexExplorer(t, g, 4)
-			for i := 0; i < 2; i++ {
-				if err := e.Expand(bgCtx, nil, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := map[string]bool{}
-			for _, emb := range collect(t, e) {
-				if tc.keep(emb) {
-					want[setKey(emb)] = true
-				}
-			}
-			if err := e.FilterTop(bgCtx, func(_ int, emb []uint32) bool { return tc.keep(emb) }); err != nil {
-				t.Fatal(err)
-			}
-			got := collect(t, e)
-			if len(got) != len(want) {
-				t.Fatalf("kept %d embeddings, want %d", len(got), len(want))
-			}
-			for _, emb := range got {
-				if !want[setKey(emb)] {
-					t.Fatalf("spurious embedding %v", emb)
-				}
-			}
-		})
 	}
 }

@@ -25,8 +25,8 @@ package explore
 // Every id of Below(u) lies below u, so the stamped entries of Below(u) are
 // Below(u) ∩ C(P) — u's children, already sorted. The stamp needs every
 // earlier leaf of the group: ExpandTo starts every Clique walk on a group
-// boundary (alignToGroups), and FilterTop, which could store a strict
-// subset of C(P), refuses a Clique explorer.
+// boundary (alignToGroups), and refuses a filter, which could store a strict
+// subset of C(P).
 //
 // One level down the same argument counts two levels without storing either
 // (ExpandCountTwo, kClist's oriented count at the CSE frontier), on bit rows

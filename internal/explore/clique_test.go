@@ -195,7 +195,7 @@ func runLevels(t *testing.T, e *Explorer, maxDepth int, vf VertexFilter) levelRu
 }
 
 // runClique runs Clique mode under env to maxDepth, and checks that it
-// refuses a user filter and FilterTop, leaving the top level as it was.
+// refuses a user filter, leaving the top level as it was.
 func runClique(t *testing.T, g *graph.Graph, env *run.Env, maxDepth int) levelRun {
 	t.Helper()
 	e, err := New(Config{Graph: g, Mode: Clique, Env: env})
@@ -210,12 +210,8 @@ func runClique(t *testing.T, g *graph.Graph, env *run.Env, maxDepth int) levelRu
 	if _, err := e.ExpandCount(bgCtx, allOnesFilter, nil); err == nil || !strings.Contains(err.Error(), "no user filter") {
 		t.Fatalf("filtered clique expansion returned %v", err)
 	}
-	dropAll := func(int, []uint32) bool { return false }
-	if err := e.FilterTop(bgCtx, dropAll); err == nil || !strings.Contains(err.Error(), "clique exploration takes no filter") {
-		t.Fatalf("FilterTop on a clique explorer returned %v", err)
-	}
 	if top, _ := walkLevel(t, e); !embsEqual(top, r.levels[maxDepth-1]) {
-		t.Fatalf("refused FilterTop changed the top level: %s", diffSample(top, r.levels[maxDepth-1]))
+		t.Fatalf("refused filter changed the top level: %s", diffSample(top, r.levels[maxDepth-1]))
 	}
 	return r
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
 )
 
@@ -95,70 +94,5 @@ func TestCompressionPlacementConformance(t *testing.T) {
 		if sp >= sl {
 			t.Fatalf("budget[%d]: physical %d not below logical %d", bi, sp, sl)
 		}
-	}
-}
-
-// TestPopTopPromotesSpilledParts: a level spilled under (external) memory
-// pressure keeps its disk parts — codec blocks, physically smaller than
-// their logical size — until the level above is popped; PopTop must release
-// the popped charge and promote the spilled parts back to raw memory,
-// leaving the data intact.
-func TestPopTopPromotesSpilledParts(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	g := randomGraph(rng, 40, 160)
-	tr := memtrack.New()
-	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
-		Threads:      2,
-		MemoryBudget: 1 << 30, SpillDir: t.TempDir(), Tracker: tr,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.InitVertices(nil); err != nil {
-		t.Fatal(err)
-	}
-	// External pressure forces the depth-3 build to spill.
-	tr.Alloc(2 << 30)
-	if err := e.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	tr.Free(2 << 30)
-	if e.SpilledParts() == 0 {
-		t.Fatal("pressured build spilled nothing")
-	}
-	if e.SpilledBytesPhysical() >= e.SpilledBytes() {
-		t.Fatalf("spill not compressed: %d physical / %d logical", e.SpilledBytesPhysical(), e.SpilledBytes())
-	}
-	want := collect(t, e)
-	// Build one more (all-memory, pressure gone) level, then pop it.
-	if err := e.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	liveBefore := tr.Live()
-	if err := e.PopTop(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Live() >= liveBefore {
-		t.Fatalf("PopTop did not release bytes: live %d -> %d", liveBefore, tr.Live())
-	}
-	if e.PromotedParts() == 0 {
-		t.Fatal("PopTop left headroom but promoted no disk parts")
-	}
-	stats := e.LevelStats()
-	if top := stats[len(stats)-1]; top.DiskParts != 0 {
-		t.Fatalf("disk parts remain after promotion: %+v", top)
-	}
-	if got := collect(t, e); !reflect.DeepEqual(got, want) {
-		t.Fatal("embeddings differ after PopTop promotion")
-	}
-	// The base level cannot be popped.
-	for e.Depth() > 1 {
-		if err := e.PopTop(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.PopTop(); err == nil {
-		t.Fatal("PopTop removed the base level")
 	}
 }

@@ -21,9 +21,8 @@
 // further and hands each extension over with the histogram of its own
 // children's adjacency masks (ExpandVisitGroups), so the largest level of a
 // counting or aggregating workload — for motifs and cliques, the largest
-// two — is never written (§6.5 generalized). FilterTop is the
-// keep-side analogue: the top level is rewritten in place, part by part,
-// rather than copied through a fresh builder.
+// two — is never written (§6.5 generalized). A stored level is write-once:
+// nothing rewrites it or moves its parts after its build.
 //
 // An Explorer is configured by what it explores (Graph, Mode) and by the
 // run's one *run.Env, which it holds by pointer and passes on to the level
@@ -102,7 +101,7 @@ type Explorer struct {
 	queue    *storage.WriteQueue
 	runDir   string // per-run spill subdirectory (concurrent runs may share SpillDir)
 	levelSeq int
-	// acct holds the cumulative spill/promote counters; Close adds
+	// acct holds the cumulative spill counters; Close adds
 	// the final placement snapshot and hands it to cfg.Spill.
 	acct   run.SpillInfo
 	ledger []int64 // tracker bytes charged per level
@@ -116,7 +115,7 @@ type Explorer struct {
 	cancelHighWater func()
 
 	// scratch[w] is worker w's reusable expansion state, pooled across
-	// Expand/ForEach/FilterTop calls so the steady-state per-chunk work
+	// Expand/ForEach calls so the steady-state per-chunk work
 	// allocates nothing.
 	scratch []workerScratch
 	// builder is the pooled level builder (exploration ops run one at a
@@ -305,18 +304,6 @@ func (e *Explorer) uncharge() {
 	}
 }
 
-// rechargeLevel replaces the ledger entry of level l (1-based) with b,
-// adjusting the tracker by the delta. Unlike uncharge/charge this works for
-// any resident level, which promotion below the top needs.
-func (e *Explorer) rechargeLevel(l int, b int64) {
-	old := e.ledger[l-1]
-	e.ledger[l-1] = b
-	if e.cfg.Tracker != nil {
-		e.cfg.Tracker.Free(old)
-		e.cfg.Tracker.Alloc(b)
-	}
-}
-
 // Depth returns the current embedding size.
 func (e *Explorer) Depth() int { return e.c.Depth() }
 
@@ -327,7 +314,7 @@ func (e *Explorer) Count() int { return e.c.Top().Len() }
 func (e *Explorer) Bytes() int64 { return e.c.Bytes() }
 
 // SpilledLevels reports how many expansions migrated at least one part to
-// disk (cumulative; popped levels keep counting).
+// disk (cumulative).
 func (e *Explorer) SpilledLevels() int { return e.acct.SpilledLevels }
 
 // SpilledParts reports how many level parts expansions migrated to disk
@@ -335,14 +322,8 @@ func (e *Explorer) SpilledLevels() int { return e.acct.SpilledLevels }
 // its parts, so this exceeds SpilledLevels by the per-level spill fan-out.
 func (e *Explorer) SpilledParts() int { return e.acct.SpilledParts }
 
-// PromotedParts reports how many disk-resident parts were promoted back to
-// memory after an in-place FilterTop or a PopTop left the (shared) budget
-// with headroom (cumulative).
-func (e *Explorer) PromotedParts() int { return e.acct.PromotedParts }
-
 // SpilledBytes reports the logical bytes (raw word size) of the disk parts
-// finished levels held when they were built (cumulative; popped levels keep
-// counting).
+// finished levels held when they were built (cumulative).
 func (e *Explorer) SpilledBytes() int64 { return e.acct.SpilledBytes }
 
 // SpilledBytesPhysical reports the bytes those same parts actually occupied
@@ -365,79 +346,6 @@ func (e *Explorer) LevelStats() []run.LevelStat {
 		}
 	}
 	return out
-}
-
-// promoteTop promotes disk-resident parts of top back to memory while the
-// (shared, via the arbiter) budget watermark has headroom. The level's
-// resident bytes are already charged, so the headroom is the watermark minus
-// everything tracked: the live-byte cap covers the charges buildBudget's
-// CSE-only base misses — sibling runs sharing the budget, anything a caller
-// charges itself (FSM's pattern maps, MNI domains and the workers' leaf
-// stamps, 4·|V| bytes each, and Clique rows are untracked scratch and
-// charge nothing) — and is zero or less
-// whenever the tracked total is at the watermark, so promotion never fights
-// a governor that is spilling under pressure. (The pressure flag itself is
-// not consulted: it is only kept current while a build runs.) Promotion is
-// gated on the raw resident cost of a part but ordered by its physical read
-// cost, so the parts whose files are smallest promote first.
-func (e *Explorer) promoteTop(top *storage.HybridLevel) error {
-	return e.promoteLevel(e.c.Depth(), top)
-}
-
-// promoteLevel is promoteTop generalized to any resident level l (1-based):
-// the only difference is which ledger slot absorbs the grown resident bytes.
-func (e *Explorer) promoteLevel(l int, h *storage.HybridLevel) error {
-	headroom := e.buildBudget(e.c.Bytes())
-	if t := e.cfg.Tracker; t != nil {
-		if g := e.watermarkBytes() - t.SharedLive(); g < headroom {
-			headroom = g
-		}
-	}
-	if headroom <= 0 {
-		return nil
-	}
-	n, err := h.Promote(headroom)
-	if n > 0 {
-		e.acct.PromotedParts += n
-		e.rechargeLevel(l, h.Bytes())
-	}
-	return err
-}
-
-// promoteLevels promotes disk-resident parts of every live level, top level
-// first (its data is the hottest: the next expansion reads it), while
-// the shared budget watermark keeps headroom. Each promotion recomputes the
-// headroom, so a lower level only reloads what the levels above it left room
-// for.
-func (e *Explorer) promoteLevels() error {
-	for l := e.c.Depth(); l >= 1; l-- {
-		h := e.c.Level(l)
-		if h.DiskParts() == 0 {
-			continue
-		}
-		if err := e.promoteLevel(l, h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PopTop discards the top level — releasing its budget charge and deleting
-// any spilled files — and returns the CSE to the previous depth. The base
-// level cannot be popped. Popping frees budget, so disk-resident parts of
-// any still-live level that now fit — the newly exposed top first, then the
-// levels below it — are promoted back to memory, exactly as after an
-// in-place FilterTop. Uses the pooled per-worker scratch — do not run it
-// concurrently with another operation on the same Explorer.
-func (e *Explorer) PopTop() error {
-	if e.c == nil {
-		return fmt.Errorf("explore: not initialized")
-	}
-	if err := e.c.PopTop(); err != nil {
-		return err
-	}
-	e.uncharge()
-	return e.promoteLevels()
 }
 
 // CSE exposes the underlying structure (read-only use).
@@ -475,7 +383,7 @@ func (e *Explorer) Close() error {
 	}
 	if e.runDir != "" {
 		// Belt and braces: the levels and builders remove their own files;
-		// the run directory itself (and anything a crashed rewrite left
+		// the run directory itself (and anything a crashed build left
 		// behind) goes with it.
 		if err := e.fs.RemoveAll(e.runDir); err != nil && first == nil {
 			first = err
@@ -497,7 +405,7 @@ func (e *Explorer) Close() error {
 // cancelled explorer keeps its pre-expansion levels and may still be Closed
 // (reclaiming every spilled file) or driven further.
 //
-// Exploration operations (Expand and its sink variants, ForEach, FilterTop)
+// Exploration operations (Expand and its sink variants, ForEach)
 // share the explorer's pooled per-worker scratch: they parallelize
 // internally, but at most one of them may run on an Explorer at a time.
 func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) error {
@@ -509,7 +417,7 @@ func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) e
 // that will remain resident alongside the new one: the governor watermark is
 // the budget share left after them, and placement is decided per part,
 // during the build. The builder (and, via the storage part-buffer pool, the
-// buffers of parts whose levels have been popped or filtered) is reused
+// buffers of parts whose levels have been closed) is reused
 // across Expand iterations instead of being allocated per level.
 func (e *Explorer) levelBuilderFor(top *storage.HybridLevel, bounds []int, baseBytes int64) *storage.HybridLevelBuilder {
 	// Refresh external pressure: tracked memory may already exceed the

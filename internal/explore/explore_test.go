@@ -395,79 +395,6 @@ func TestForEachExpansionMatchesExpand(t *testing.T) {
 	}
 }
 
-func TestFilterTop(t *testing.T) {
-	g := paperGraph(t)
-	e := newVertexExplorer(t, g, 2)
-	if err := e.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Keep only embeddings containing vertex 4.
-	if err := e.FilterTop(bgCtx, func(_ int, emb []uint32) bool {
-		for _, v := range emb {
-			if v == 4 {
-				return true
-			}
-		}
-		return false
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := collect(t, e)
-	want := [][]uint32{{0, 1, 4}, {0, 4, 2}, {0, 4, 3}, {1, 2, 4}, {1, 4, 3}, {2, 3, 4}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("filtered = %v\nwant %v", got, want)
-	}
-	// The structure must still support further expansion.
-	if err := e.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, emb := range collect(t, e) {
-		found := false
-		for _, v := range emb[:3] {
-			if v == 4 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("expansion of filtered level produced %v without vertex 4 prefix", emb)
-		}
-	}
-}
-
-func TestFilterTopOnDisk(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := randomGraph(rng, 30, 90)
-	mem := newVertexExplorer(t, g, 2)
-	hyb, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
-		Threads:      2,
-		MemoryBudget: 1, SpillDir: t.TempDir(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hyb.Close()
-	if err := hyb.InitVertices(nil); err != nil {
-		t.Fatal(err)
-	}
-	keep := func(_ int, emb []uint32) bool { return emb[len(emb)-1]%2 == 0 }
-	for _, e := range []*Explorer{mem, hyb} {
-		for i := 0; i < 2; i++ {
-			if err := e.Expand(bgCtx, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.FilterTop(bgCtx, keep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(collect(t, mem), collect(t, hyb)) {
-		t.Fatal("disk FilterTop differs from memory FilterTop")
-	}
-}
-
 func TestInitEdgesOnVertexModeRejected(t *testing.T) {
 	g := paperGraph(t)
 	e, err := New(Config{Graph: g, Mode: VertexInduced})

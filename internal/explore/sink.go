@@ -20,16 +20,13 @@ package explore
 //	            CliqueCount's (and TriangleCount's) final walk, so a
 //	            k-clique run stores k−2 levels.
 //	VisitSink — per-worker (emb, children) callback; the engine primitive
-//	            under the Mapper of FSM's final aggregation.
+//	            under the Mapper of FSM's per-level aggregation.
 //	RowSink   — per-worker (emb, embAdj, rows) callback, one level past
 //	            the top: each extension of a stored leaf, with its
 //	            children as the histogram of their adjacency masks, counted
 //	            from the leaf's child list and the extension's neighbours
 //	            without either level ever being written — the Mapper of
 //	            motif counting.
-//	FilterTop — the keep-side analogue (keep.go): rewrite the top level in
-//	            place, part by part, under a keep predicate instead of
-//	            copying it through a fresh builder.
 
 import (
 	"context"

@@ -4,8 +4,7 @@ package explore
 // see exactly the embeddings the materializing StoreSink would store, on
 // every storage configuration (all-memory, genuinely hybrid, all-disk), and
 // a consumed expansion must leave the CSE untouched — no new level, no new
-// bytes, no write I/O. The keep sink's in-place FilterTop rewrites are
-// checked for both result equivalence and actual in-place-ness.
+// bytes, no write I/O.
 
 import (
 	"math/rand"
@@ -16,7 +15,6 @@ import (
 
 	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
-	"kaleido/internal/storage"
 )
 
 // sinkConfig enumerates the storage regimes of the conformance tests.
@@ -156,166 +154,9 @@ func TestExpandVisitMatchesExpandEdgeMode(t *testing.T) {
 	}
 }
 
-// firstBlocks returns the addresses of the first unit and the first group
-// boundary a level's cursors deliver. Raw parts hand out zero-copy sub-slices,
-// so these are addresses inside the first part's own arrays.
-func firstBlocks(t *testing.T, l *storage.HybridLevel) (*uint32, *uint64) {
-	t.Helper()
-	vc, bc := l.VertBlocks(0, l.Len()), l.BoundBlocks(0)
-	defer vc.Close()
-	defer bc.Close()
-	verts, vok := vc.NextBlock()
-	bounds, bok := bc.NextBlock()
-	if !vok || !bok {
-		t.Fatalf("empty level: %v %v", vc.Err(), bc.Err())
-	}
-	return &verts[0], &bounds[0]
-}
-
-// TestFilterTopRawRewritesInPlace pins FilterTop's central property for
-// resident levels: a filtered raw part keeps its backing arrays — the pass
-// compacts, it does not copy.
-func TestFilterTopRawRewritesInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	g := randomGraph(rng, 40, 160)
-	e := newVertexExplorer(t, g, 3)
-	for i := 0; i < 2; i++ {
-		if err := e.Expand(bgCtx, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	top := e.CSE().Top()
-	beforeVerts, beforeBounds := firstBlocks(t, top)
-	beforeLen := top.Len()
-
-	if err := e.FilterTop(bgCtx, func(_ int, emb []uint32) bool { return emb[len(emb)-1]%2 == 0 }); err != nil {
-		t.Fatal(err)
-	}
-	after := e.CSE().Top()
-	if after != top {
-		t.Fatal("FilterTop replaced the level instead of rewriting it")
-	}
-	if v, b := firstBlocks(t, after); v != beforeVerts || b != beforeBounds {
-		t.Fatal("FilterTop reallocated the part's arrays")
-	}
-	if after.Len() >= beforeLen {
-		t.Fatalf("nothing filtered: %d -> %d", beforeLen, after.Len())
-	}
-	// The rewritten level must agree with a filter-from-scratch enumeration.
-	fresh := newVertexExplorer(t, g, 3)
-	for i := 0; i < 2; i++ {
-		if err := fresh.Expand(bgCtx, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := map[string]bool{}
-	for _, emb := range collect(t, fresh) {
-		if emb[len(emb)-1]%2 == 0 {
-			want[setKey(emb)] = true
-		}
-	}
-	got := collect(t, e)
-	if len(got) != len(want) {
-		t.Fatalf("filtered level has %d embeddings, want %d", len(got), len(want))
-	}
-	for _, emb := range got {
-		if !want[setKey(emb)] {
-			t.Fatalf("spurious embedding %v", emb)
-		}
-	}
-}
-
-// TestFilterTopHybridInPlace checks the keep sink on a genuinely hybrid top
-// level: identical results to the all-memory pass, memory parts compacted
-// where they sit (placement preserved, resident bytes shrink), disk parts
-// restreamed (disk bytes shrink, still on disk).
-func TestFilterTopHybridInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	g := randomGraph(rng, 60, 240)
-
-	ref := newVertexExplorer(t, g, 4)
-	if err := ref.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	after2 := ref.Bytes()
-	if err := ref.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	after3 := ref.Bytes()
-	keep := func(_ int, emb []uint32) bool { return emb[len(emb)-1]%3 != 0 }
-	if err := ref.FilterTop(bgCtx, keep); err != nil {
-		t.Fatal(err)
-	}
-	want := collect(t, ref)
-
-	hy, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
-		Threads:      4,
-		MemoryBudget: after2 + (after3-after2)/2, SpillDir: t.TempDir(),
-		Tracker: memtrack.New(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hy.Close()
-	if err := hy.InitVertices(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := hy.Expand(bgCtx, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	topBefore := hy.LevelStats()[hy.Depth()-1]
-	if topBefore.MemParts == 0 || topBefore.DiskParts == 0 {
-		t.Fatalf("top level not hybrid: %+v", topBefore)
-	}
-	lvl := hy.CSE().Top()
-
-	if err := hy.FilterTop(bgCtx, keep); err != nil {
-		t.Fatal(err)
-	}
-	if hy.CSE().Top() != lvl {
-		t.Fatal("hybrid FilterTop replaced the level instead of rewriting it")
-	}
-	topAfter := hy.LevelStats()[hy.Depth()-1]
-	// The filter shrinks the level, so the budget may regain headroom and
-	// promote restreamed disk parts back to memory — every disk part is
-	// either still on disk or accounted for as promoted.
-	promoted := hy.PromotedParts()
-	if topAfter.DiskParts+promoted != topBefore.DiskParts {
-		t.Fatalf("disk parts %d -> %d with %d promoted", topBefore.DiskParts, topAfter.DiskParts, promoted)
-	}
-	if topAfter.MemParts > topBefore.MemParts+promoted {
-		t.Fatalf("mem parts grew beyond promotions: %d -> %d (%d promoted)",
-			topBefore.MemParts, topAfter.MemParts, promoted)
-	}
-	if promoted == 0 && topAfter.ResidentBytes >= topBefore.ResidentBytes {
-		t.Fatalf("resident bytes did not shrink: %d -> %d", topBefore.ResidentBytes, topAfter.ResidentBytes)
-	}
-	if promoted > 0 && hy.Bytes() > after2+(after3-after2)/2 {
-		t.Fatalf("promotion overshot the budget: %d resident", hy.Bytes())
-	}
-	if topAfter.DiskBytes >= topBefore.DiskBytes {
-		t.Fatalf("disk bytes did not shrink: %d -> %d", topBefore.DiskBytes, topAfter.DiskBytes)
-	}
-	if got := collect(t, hy); !reflect.DeepEqual(got, want) {
-		t.Fatalf("hybrid in-place FilterTop differs: %d vs %d embeddings", len(got), len(want))
-	}
-	// The rewritten structure must survive further exploration.
-	if err := hy.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := collect(t, hy); !reflect.DeepEqual(got, collect(t, ref)) {
-		t.Fatal("expansion after hybrid in-place FilterTop differs")
-	}
-}
-
-// TestHybridBuilderPooling drives several expand/pop cycles on one budgeted
-// explorer so the pooled HybridLevelBuilder's Reset path is exercised, and
-// checks every rebuilt level against the first.
+// TestHybridBuilderPooling drives several builds through one budgeted
+// explorer's pooled HybridLevelBuilder, so its Reset path is exercised, and
+// checks every level it builds against an unbudgeted explorer's.
 func TestHybridBuilderPooling(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	g := randomGraph(rng, 40, 160)
@@ -330,22 +171,18 @@ func TestHybridBuilderPooling(t *testing.T) {
 	if err := e.InitVertices(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Expand(bgCtx, nil, nil); err != nil {
-		t.Fatal(err)
+	ref := newVertexExplorer(t, g, 3)
+	for e.Depth() < 4 {
+		for _, x := range []*Explorer{e, ref} {
+			if err := x.Expand(bgCtx, nil, nil); err != nil {
+				t.Fatalf("depth %d: %v", x.Depth(), err)
+			}
+		}
+		if !reflect.DeepEqual(collect(t, e), collect(t, ref)) {
+			t.Fatalf("depth %d: pooled build differs", e.Depth())
+		}
 	}
-	var want [][]uint32
-	for round := 0; round < 3; round++ {
-		if err := e.Expand(bgCtx, nil, nil); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		got := collect(t, e)
-		if want == nil {
-			want = got
-		} else if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: rebuilt level differs", round)
-		}
-		if err := e.PopTop(); err != nil {
-			t.Fatal(err)
-		}
+	if e.SpilledLevels() != 3 {
+		t.Fatalf("%d of 3 builds spilled", e.SpilledLevels())
 	}
 }

@@ -75,14 +75,11 @@ const (
 )
 
 // SpillInfo is the storage accounting of one run, cumulative over its
-// expansions (popped levels keep counting).
+// expansions.
 type SpillInfo struct {
 	// SpilledLevels counts expansions that migrated at least one part to
 	// disk; SpilledParts counts the migrated parts themselves.
 	SpilledLevels, SpilledParts int
-	// PromotedParts counts disk parts promoted back to memory after an
-	// in-place filter or a pop left the (shared) budget with headroom.
-	PromotedParts int
 	// SpilledBytes is the logical size (raw word bytes) of the spilled
 	// parts; SpilledBytesPhysical is what their codec blocks occupied on
 	// disk.

@@ -402,8 +402,8 @@ func openFilePair(fs vfs.FS, vname, cname string) (vf, cf vfs.File, err error) {
 
 // diskPartWriter encodes one part's groups into codec blocks and streams
 // them to the part's vert/cnt files through the write queue, building the
-// block directory and sparse cnt index as it goes. It serves the migrated
-// parts of a build and the restreamed disk parts of an in-place rewrite.
+// block directory and sparse cnt index as it goes. It serves the parts a
+// build migrates to disk.
 type diskPartWriter struct {
 	q          *WriteQueue
 	vf, cf     vfs.File
@@ -529,8 +529,7 @@ func (p *diskPartWriter) physBytes() int64 { return p.comp.physVerts + p.comp.ph
 // verify checks, once the queue has drained, that the directory accounts for
 // every value the part took in (an unflushed part still holds its tail
 // blocks open) and that the files hold exactly the bytes the directory
-// recorded — the check both level assembly and the in-place rewrite run
-// before installing files.
+// recorded — the check level assembly runs before installing files.
 func (p *diskPartWriter) verify() error {
 	blocks := func(n int) int { return (n + codecBlockVals - 1) / codecBlockVals }
 	if len(p.comp.vOffs) != blocks(p.numVerts) || len(p.comp.cOffs) != blocks(p.numGroups) {

@@ -488,30 +488,3 @@ func decodeCntPayload(payload []byte, dst []uint32) error {
 	}
 	return nil
 }
-
-// decodeAllBlocks decodes a complete sequence of codec blocks from buf into
-// dst, whose length must equal the sequence's logical value count. name, the
-// file the bytes were read from, labels corruption errors.
-func decodeAllBlocks(buf []byte, vert bool, dst []uint32, name string) error {
-	blk := make([]uint32, codecBlockVals)
-	pos, got, b := 0, 0, 0
-	for pos < len(buf) {
-		vals, consumed, err := decodeCodecBlock(buf[pos:], vert, blk)
-		if err != nil {
-			return corruptAt(name, b, err)
-		}
-		if consumed == 0 {
-			return corruptAt(name, b, fmt.Errorf("truncated compressed block at byte %d", pos))
-		}
-		pos += consumed
-		b++
-		if got+len(vals) > len(dst) {
-			return corruptAt(name, b-1, fmt.Errorf("compressed blocks decode past %d values", len(dst)))
-		}
-		got += copy(dst[got:], vals)
-	}
-	if got != len(dst) {
-		return corruptAt(name, b, fmt.Errorf("compressed blocks decoded %d values, want %d", got, len(dst)))
-	}
-	return nil
-}

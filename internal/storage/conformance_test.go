@@ -76,19 +76,18 @@ func refWalk(units []uint32, levels []*MemLevel, lo, hi int) ([][]uint32, []int)
 type layout struct {
 	name   string
 	budget int64               // builder watermark; ≤ 0 is the all-disk regime
-	at     func(part int) byte // 'r' raw, 'd' disk (forced spill), 'p' spilled then promoted back to raw
+	at     func(part int) byte // 'r' raw, 'd' disk (forced spill)
 	bare   bool                // no spill dir, no write queue, no tracker: the build may need none
 }
 
 var (
-	layoutRaw      = layout{name: "raw", budget: 1 << 40, at: func(int) byte { return 'r' }}
-	layoutPromoted = layout{name: "promoted", budget: 1 << 40, at: func(int) byte { return 'p' }}
-	layoutDisk     = layout{name: "disk", budget: 0, at: func(int) byte { return 'd' }}
-	layoutMixed    = layout{name: "mixed", budget: 1 << 40, at: func(i int) byte { return "drp"[i%3] }}
+	layoutRaw   = layout{name: "raw", budget: 1 << 40, at: func(int) byte { return 'r' }}
+	layoutDisk  = layout{name: "disk", budget: 0, at: func(int) byte { return 'd' }}
+	layoutMixed = layout{name: "mixed", budget: 1 << 40, at: func(i int) byte { return "dr"[i%2] }}
 	// An unbudgeted run: the watermark is out of reach, so nothing the spill
 	// path needs is even there.
 	layoutUnbudgeted = layout{name: "unbudgeted", budget: math.MaxInt64, at: func(int) byte { return 'r' }, bare: true}
-	layouts          = []layout{layoutRaw, layoutPromoted, layoutDisk, layoutMixed, layoutUnbudgeted}
+	layouts          = []layout{layoutRaw, layoutDisk, layoutMixed, layoutUnbudgeted}
 )
 
 // buildLevels lays the same groups, split into nparts contiguous ranges, out
@@ -115,7 +114,7 @@ func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, lay lay
 	hb.Reset(2, nparts, lay.budget)
 	hb.blockSize = 128
 	for i := 0; i < nparts; i++ {
-		if at := lay.at(i); at == 'd' || at == 'p' {
+		if lay.at(i) == 'd' {
 			hb.parts[i].spillReq.Store(true)
 		}
 	}
@@ -141,13 +140,6 @@ func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, lay lay
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { hl.Close() })
-	for i := 0; i < nparts; i++ {
-		if lay.at(i) == 'p' {
-			if err := hl.takeOffDisk(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	return ml, hl, tracker
 }
 
@@ -217,12 +209,12 @@ func around(seams []int, limit int) []int {
 
 // TestConformance is the level conformance property: the same random
 // groups laid out as a MemLevel (the reference) and built as a hybrid level
-// in each residency — all raw, all disk (budget ≤ 0), all spilled and
-// promoted back to raw, mixed, and all raw with nothing of the spill path
-// present (unbudgeted) — must agree on every operation. Sequential cursors
-// are compared from every start offset that straddles a part seam, a
-// codec-block seam or a CntChunk seam; random access at those offsets plus a
-// stride over the whole level (every index on the small shapes).
+// in each residency — all raw, all disk (budget ≤ 0), mixed, and all raw
+// with nothing of the spill path present (unbudgeted) — must agree on every
+// operation. Sequential cursors are compared from every start offset that
+// straddles a part seam, a codec-block seam or a CntChunk seam; random access
+// at those offsets plus a stride over the whole level (every index on the
+// small shapes).
 func TestConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	type shape struct {
@@ -257,7 +249,7 @@ func TestConformance(t *testing.T) {
 				if lay.name == "disk" && hl.MemParts() != 0 {
 					t.Fatalf("budget ≤ 0 left %d parts in memory", hl.MemParts())
 				}
-				if (lay.bare || lay.name == "promoted") && hl.DiskParts() != 0 {
+				if lay.bare && hl.DiskParts() != 0 {
 					t.Fatalf("%s: %d parts on disk", lay.name, hl.DiskParts())
 				}
 			})

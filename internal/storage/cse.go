@@ -32,8 +32,8 @@
 //
 // Residency is two-state (part.go), as in §4.1: a part is raw in memory
 // (plain []uint32 slices, zero-copy reads) or codec blocks in a file pair on
-// disk. Spilling encodes; promotion (after a filter or a pop frees budget)
-// reads both files and decodes them back to raw arrays. One pair of block
+// disk. Spilling encodes, during the part's build; a finished level is
+// write-once — no part is rewritten or comes back to memory. One pair of block
 // cursors (cursor.go) streams a level across both states and its part seams.
 // There is one encoded format (codec.go) and no option selecting it: vertex
 // IDs as group-varint zigzag deltas and group counts frame-of-reference
@@ -94,17 +94,6 @@ func (c *CSE) Push(l *HybridLevel) error {
 	}
 	c.levels = append(c.levels, l)
 	return nil
-}
-
-// PopTop removes and closes the deepest level (used by level-synchronous
-// pruning in FSM).
-func (c *CSE) PopTop() error {
-	if len(c.levels) == 1 {
-		return fmt.Errorf("storage: cannot pop base level")
-	}
-	top := c.levels[len(c.levels)-1]
-	c.levels = c.levels[:len(c.levels)-1]
-	return top.Close()
 }
 
 // Bytes sums the resident footprint of all levels.

@@ -182,22 +182,6 @@ func TestPushValidation(t *testing.T) {
 	}
 }
 
-func TestPopTop(t *testing.T) {
-	forEachLayout(t, func(t *testing.T, lay layout) {
-		c := fig4CSE(t, lay)
-		if err := c.PopTop(); err != nil {
-			t.Fatal(err)
-		}
-		if c.Depth() != 2 || c.Top().Len() != 7 {
-			t.Fatalf("depth %d, top len %d after pop", c.Depth(), c.Top().Len())
-		}
-		one := NewCSE(NewBaseLevel([]uint32{1}))
-		if err := one.PopTop(); err == nil {
-			t.Fatal("popped base level")
-		}
-	})
-}
-
 // TestMemLevelValidate pins the structural checks of the reference level
 // every conformance and walker test builds against.
 func TestMemLevelValidate(t *testing.T) {

@@ -120,20 +120,10 @@ func (h *HybridLevel) Close() error {
 			poolPutU32(p.verts)
 		}
 		poolPutU64(p.bounds)
-		p.setRaw(nil, nil)
+		p.verts, p.bounds = nil, nil
+		p.vf, p.cf, p.comp, p.chunkCum = nil, nil, nil, nil
 	}
 	return first
-}
-
-// NumParts returns the part count of the level, including empty parts.
-func (h *HybridLevel) NumParts() int { return len(h.parts) }
-
-// PartGroups returns the global group range [lo, hi) of part i. Part
-// boundaries are group-aligned, which is what lets an in-place filter pass
-// treat every part as an independent chunk.
-func (h *HybridLevel) PartGroups(i int) (lo, hi int) {
-	p := &h.parts[i]
-	return p.groupBase, p.groupBase + p.numGroups
 }
 
 // partIndexForVert returns the index of the part containing global vert i.
@@ -212,68 +202,4 @@ func (h *HybridLevel) GroupStart(g int) (uint64, error) {
 		return uint64(p.vertBase), nil
 	}
 	return p.bounds[lg-1], nil
-}
-
-// takeOffDisk moves disk part i into memory as raw arrays and removes its
-// files: both files are read whole and decoded. Bases must already be final.
-// On a read or decode error the part is left on disk, untouched.
-func (h *HybridLevel) takeOffDisk(i int) error {
-	p := &h.parts[i]
-	vbytes := make([]byte, p.comp.physVerts)
-	cbytes := make([]byte, p.comp.physCnts)
-	for _, r := range []struct {
-		f   vfs.File
-		buf []byte
-	}{{p.vf, vbytes}, {p.cf, cbytes}} {
-		if len(r.buf) == 0 {
-			continue
-		}
-		if err := retryReadAt(r.f, r.buf, 0, nil, h.tracker); err != nil {
-			return fmt.Errorf("storage: promote read of %s: %w", r.f.Name(), err)
-		}
-	}
-	if h.tracker != nil {
-		h.tracker.ReadIO(int64(len(vbytes) + len(cbytes)))
-	}
-	verts, bounds, err := p.decodeArrays(vbytes, cbytes)
-	if err != nil {
-		return fmt.Errorf("storage: promote of %s: %w", p.vf.Name(), err)
-	}
-	vf, cf := p.vf, p.cf
-	p.setRaw(verts, bounds)
-	return removeFiles(h.fs, vf, cf)
-}
-
-// Promote takes disk parts back into memory as raw arrays while headroom
-// allows, smallest physical read first, and returns how many it promoted.
-// This is the recovery path after an in-place filter or a PopTop left the
-// (shared) budget with headroom: parts spilled under build-time pressure may
-// now fit again. A part is admitted on its raw cost net of the directory and
-// index it frees.
-func (h *HybridLevel) Promote(headroom int64) (int, error) {
-	promoted := 0
-	for {
-		best, bestCost, bestSize := -1, int64(0), int64(0)
-		for i := range h.parts {
-			p := &h.parts[i]
-			if !p.onDisk() {
-				continue
-			}
-			c := p.promoteCost()
-			if c > headroom {
-				continue
-			}
-			if size := p.encodedBytes(); best < 0 || size < bestSize {
-				best, bestCost, bestSize = i, c, size
-			}
-		}
-		if best < 0 {
-			return promoted, nil
-		}
-		if err := h.takeOffDisk(best); err != nil {
-			return promoted, err
-		}
-		headroom -= bestCost
-		promoted++
-	}
 }

@@ -581,129 +581,3 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 		}
 	}
 }
-
-// spillTwo puts parts 1 and 3 of four on disk and keeps the rest raw.
-var spillTwo = layout{name: "two-disk", budget: 1 << 40, at: func(i int) byte {
-	if i%2 == 1 {
-		return 'd'
-	}
-	return 'r'
-}}
-
-// TestHybridPromote takes disk parts back into memory as raw arrays and
-// checks the level still matches the all-memory reference, the files are
-// gone, and the headroom policy promotes only what fits.
-func TestHybridPromote(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	groups := randGroups(rng, 300)
-	ml, hl, _ := buildLevels(t, nil, groups, 4, spillTwo)
-
-	// Headroom below the smallest part's cost promotes nothing.
-	if n, err := hl.Promote(1); err != nil || n != 0 {
-		t.Fatalf("Promote(1) = %d, %v", n, err)
-	}
-	if hl.DiskParts() != 2 {
-		t.Fatalf("disk parts = %d after no-op promote", hl.DiskParts())
-	}
-	var files []string
-	for i := range hl.parts {
-		if hl.parts[i].onDisk() {
-			files = append(files, hl.parts[i].vf.Name(), hl.parts[i].cf.Name())
-		}
-	}
-	n, err := hl.Promote(1 << 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("promoted %d parts, want 2", n)
-	}
-	if hl.DiskParts() != 0 || hl.DiskBytes() != 0 || hl.DiskBytesPhysical() != 0 {
-		t.Fatalf("after full promotion: %d disk parts, %d/%d disk bytes",
-			hl.DiskParts(), hl.DiskBytes(), hl.DiskBytesPhysical())
-	}
-	for _, f := range files {
-		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Fatalf("promoted part file %s still exists", f)
-		}
-	}
-	checkConforms(t, ml, hl, base(hl.Groups()))
-}
-
-// TestHybridPromotePartial checks the smallest-first selection: headroom for
-// one part promotes exactly the cheaper one, still matching the reference.
-func TestHybridPromotePartial(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	groups := randGroups(rng, 240)
-	ml, hl, _ := buildLevels(t, nil, groups, 4, spillTwo)
-	var costs []int64
-	for i := range hl.parts {
-		if hl.parts[i].onDisk() {
-			costs = append(costs, hl.parts[i].promoteCost())
-		}
-	}
-	if len(costs) != 2 {
-		t.Fatalf("disk parts = %d", len(costs))
-	}
-	n, err := hl.Promote(min(costs[0], costs[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || hl.DiskParts() != 1 {
-		t.Fatalf("promoted %d, %d disk parts remain", n, hl.DiskParts())
-	}
-	checkConforms(t, ml, hl, base(hl.Groups()))
-}
-
-// TestRewriteEveryResidency filters a mixed level in place — raw parts
-// (promoted ones included) compact, disk parts restream into fresh files —
-// and compares against filtering the reference.
-func TestRewriteEveryResidency(t *testing.T) {
-	rng := rand.New(rand.NewSource(113))
-	groups := randGroups(rng, 500)
-	ml, hl, tracker := buildLevels(t, nil, groups, 6, layoutMixed)
-	before := [2]int{hl.MemParts(), hl.DiskParts()}
-	keep := func(u uint32) bool { return u%3 != 0 }
-
-	q := NewWriteQueue(64, tracker)
-	defer q.Close()
-	rws := make([]*PartRewriter, hl.NumParts())
-	for i := range rws {
-		r, err := hl.RewritePart(i, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rws[i] = r
-		lo, hi := hl.PartGroups(i)
-		for g := lo; g < hi; g++ {
-			for _, u := range ml.Verts[ml.Offs[g]:ml.Offs[g+1]] {
-				if keep(u) {
-					r.Keep(u)
-				}
-			}
-			if err := r.GroupDone(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := r.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := hl.FinishRewrite(rws, q); err != nil {
-		t.Fatal(err)
-	}
-	want := &MemLevel{Offs: make([]uint64, 1, len(ml.Offs))}
-	for g := 0; g+1 < len(ml.Offs); g++ {
-		for _, u := range ml.Verts[ml.Offs[g]:ml.Offs[g+1]] {
-			if keep(u) {
-				want.Verts = append(want.Verts, u)
-			}
-		}
-		want.Offs = append(want.Offs, uint64(len(want.Verts)))
-	}
-	checkConforms(t, want, hl, base(hl.Groups()))
-	after := [2]int{hl.MemParts(), hl.DiskParts()}
-	if before != after {
-		t.Fatalf("rewrite moved parts between residencies: raw/disk %v -> %v", before, after)
-	}
-}

@@ -20,9 +20,8 @@ const CntChunk = 4096
 //   - raw: verts+bounds populated, read as zero-copy slices;
 //   - disk: vf/cf hold the part's v2 codec blocks, comp indexes them.
 //
-// A part moves to disk while its level is built (the governor migrates it)
-// and back to raw when a promotion decodes its files; nothing else changes
-// its state.
+// A part moves to disk while its level is built (the governor migrates it);
+// nothing else changes its state, so a finished level is never rewritten.
 type hybridPart struct {
 	// Raw residency.
 	verts  []uint32
@@ -56,10 +55,6 @@ func (p *hybridPart) logicalBytes() int64 {
 
 // encodedBytes is the size of a disk part's codec blocks — its two files.
 func (p *hybridPart) encodedBytes() int64 { return p.comp.physVerts + p.comp.physCnts }
-
-// promoteCost returns the extra resident bytes decoding a disk part to raw
-// arrays costs, net of the directory and index it frees.
-func (p *hybridPart) promoteCost() int64 { return p.logicalBytes() - p.residentBytes() }
 
 // cntScratch pools the buffers of the random-access probes: ParentOf and
 // GroupStart run once per walker seeding — t workers per iteration — and
@@ -194,37 +189,6 @@ func (p *hybridPart) offAtLocal(lg int, tracker *memtrack.Tracker) (uint64, erro
 	return uint64(p.vertBase) + cum, nil
 }
 
-// decodeArrays decodes a disk part's complete vert and cnt files, read into
-// vbytes and cbytes, into pooled raw arrays: the verts, and the global group
-// end boundaries — so the part's bases must already be final.
-func (p *hybridPart) decodeArrays(vbytes, cbytes []byte) ([]uint32, []uint64, error) {
-	verts := poolGetU32Len(p.numVerts)
-	cnts := poolGetU32Len(p.numGroups)
-	defer poolPutU32(cnts)
-	err := decodeAllBlocks(vbytes, true, verts, p.vf.Name())
-	if err == nil {
-		err = decodeAllBlocks(cbytes, false, cnts, p.cf.Name())
-	}
-	if err != nil {
-		poolPutU32(verts)
-		return nil, nil, err
-	}
-	bounds := poolGetU64(p.numGroups)
-	off := uint64(p.vertBase)
-	for j, c := range cnts {
-		off += uint64(c)
-		bounds[j] = off
-	}
-	return verts, bounds, nil
-}
-
-// setRaw installs decoded arrays as the part's raw residency, dropping the
-// disk state (the caller has already disposed of the files).
-func (p *hybridPart) setRaw(verts []uint32, bounds []uint64) {
-	p.verts, p.bounds = verts, bounds
-	p.vf, p.cf, p.comp, p.chunkCum = nil, nil, nil, nil
-}
-
 // removeFiles closes and removes spill files (nil entries are skipped),
 // returning the first failure instead of swallowing it. The data is scratch
 // output of one exploration run, useless once its part is dropped.
@@ -288,15 +252,6 @@ var (
 )
 
 func poolGetU32() []uint32 { return partBufPool.get() }
-
-// poolGetU32Len returns a pooled buffer of length n (contents unspecified).
-func poolGetU32Len(n int) []uint32 {
-	s := poolGetU32()
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	return s[:n]
-}
 
 func poolPutU32(s []uint32) { partBufPool.put(s) }
 

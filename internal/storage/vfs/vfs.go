@@ -1,6 +1,6 @@
 // Package vfs is the filesystem seam under Kaleido's spill path: a minimal
 // create/read/write/sync/remove interface threaded through the write queue,
-// the level builders, the part rewriter, and the prefetch readers. Production
+// the level builders and the prefetch readers. Production
 // code runs on the zero-value OS implementation (plain *os.File); tests and
 // Config.Faults substitute a deterministic fault-injecting implementation
 // (FaultFS) to exercise the retry, integrity, and abort paths against seeded

@@ -333,7 +333,7 @@ func (w *Walker) closeAll() {
 			w.bcur[i] = nil
 		}
 		// Drop block references into the walked levels so a pooled idle
-		// walker does not keep a replaced or popped level's arrays alive.
+		// walker does not keep a closed level's arrays alive.
 		w.vblk[i] = nil
 		w.bblk[i] = nil
 	}

@@ -97,8 +97,8 @@ type Config struct {
 	// memory or on disk; what reaches disk is always version-2 checksummed
 	// codec blocks (delta+varint verts, frame-of-reference counts, a CRC32C
 	// per block verified on every decode — typically 2-4× smaller than the
-	// raw words), and spilled parts come back raw once a filter or a pop
-	// frees budget. 0 keeps everything in memory.
+	// raw words). A part's placement is final once its level is built.
+	// 0 keeps everything in memory.
 	MemoryBudget int64
 	// SpillDir receives spilled CSE level parts. Required when
 	// MemoryBudget > 0.
@@ -182,9 +182,11 @@ type Stats struct {
 	// some of its parts, so SpilledParts/SpilledLevels measures how partial
 	// the spilling was.
 	SpilledLevels, SpilledParts int
-	// PromotedParts counts disk parts loaded back into memory after an
-	// in-place filter or a pop shrank the resident total under the (shared)
-	// budget watermark.
+	// PromotedParts is always 0: a stored level never changes after its
+	// build, so no part goes back from disk to memory.
+	//
+	// Deprecated: parts are no longer promoted; the field stays for source
+	// compatibility and will be removed.
 	PromotedParts int
 	// CompressedParts is always 0: a part is raw in memory or on disk.
 	//
@@ -242,7 +244,6 @@ func statsOf(env *run.Env) Stats {
 	s := Stats{
 		SpilledLevels:        sp.SpilledLevels,
 		SpilledParts:         sp.SpilledParts,
-		PromotedParts:        sp.PromotedParts,
 		SpilledBytes:         sp.SpilledBytes,
 		SpilledBytesPhysical: sp.SpilledBytesPhysical,
 		Levels:               publicLevelStats(sp.Levels),

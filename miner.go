@@ -182,9 +182,12 @@ func (m *Miner) SpilledLevels() int { return m.e.SpilledLevels() }
 // keeps most parts resident and spills only the largest few.
 func (m *Miner) SpilledParts() int { return m.e.SpilledParts() }
 
-// PromotedParts reports how many disk-resident parts were promoted back to
-// memory after an in-place FilterTop left the (shared) budget with headroom.
-func (m *Miner) PromotedParts() int { return m.e.PromotedParts() }
+// PromotedParts always returns 0: a stored level never changes after its
+// build, so no part goes back from disk to memory.
+//
+// Deprecated: parts are no longer promoted; the method stays for source
+// compatibility and will be removed.
+func (m *Miner) PromotedParts() int { return 0 }
 
 // SpilledBytes reports the logical size (raw word bytes) of every part the
 // run migrated to disk, cumulatively.
