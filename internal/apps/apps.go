@@ -3,11 +3,12 @@
 // motif counting, clique discovery, and triangle counting. Each follows the
 // paper's two-phase shape — embedding exploration, then pattern aggregation
 // with per-worker PatternMaps merged by a Reducer — but the terminal phase
-// is fused into the exploration through the engine's expansion sinks: the
-// final (largest) level of a run is consumed where it is produced instead
-// of being stored. CliqueCount counts its last two levels with a CountSink,
-// FSM's aggregation rides a VisitSink at every level, MotifCount's Mapper a
-// RowSink — so every application writes zero bytes for its terminal level,
+// is fused into the exploration through the explorer's frontier operations:
+// the final (largest) level of a run is consumed where it is produced
+// instead of being stored. CliqueCount counts its last two levels with
+// ExpandCountTwo, FSM's aggregation rides ExpandCountVisit at every level,
+// MotifCount's Mapper ExpandVisitGroups — so every application writes zero
+// bytes for its terminal level,
 // on any storage regime — and FSM prunes each intermediate level as it
 // stores it: a child of an infrequent pattern is never written.
 //

@@ -1,8 +1,8 @@
 package apps
 
 // Differential fused-vs-materialized tests: every application that consumes
-// its terminal expansion at the frontier (clique → CountSink, motif →
-// RowSink, FSM's levels → VisitSink) must produce byte-identical counts and
+// its terminal expansion at the frontier (clique → ExpandCountTwo, motif →
+// ExpandVisitGroups, FSM's levels → ExpandCountVisit) must produce byte-identical counts and
 // supports to a run that materializes every level, on all three storage
 // regimes (all-memory, budgeted hybrid, all-disk) — and the fused terminal
 // level must write zero bytes to the spill directory.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -70,5 +71,33 @@ func TestTable3Smoke(t *testing.T) {
 	}
 	if f := res[0].Failures(); len(f) > 0 {
 		t.Fatalf("failed runs: %v", f)
+	}
+}
+
+// TestTable4Smoke runs Table 4's quick row (4-FSM on patent, well under a
+// second) and checks that its hybrid run spilled: a budget the in-memory run's levels fit under would make the
+// hybrid column a second in-memory run. Which parts spill depends on the
+// schedule, so no mem/disk split is asserted.
+func TestTable4Smoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run in -short mode")
+	}
+	res, err := Run("table4", RunConfig{Threads: 2, Quick: true, CacheDir: t.TempDir(), SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || len(res[0].Rows) != 1 {
+		t.Fatalf("results = %+v", res)
+	}
+	if f := res[0].Failures(); len(f) > 0 {
+		t.Fatalf("failed runs: %v", f)
+	}
+	row := res[0].Rows[0]
+	var disk, parts int
+	if _, err := fmt.Sscanf(row[5], "%d/%d", &disk, &parts); err != nil {
+		t.Fatalf("disk parts cell %q: %v", row[5], err)
+	}
+	if disk < 1 || disk > parts || row[6] == "no spill" {
+		t.Fatalf("hybrid run spilled %d of %d parts (row %q)", disk, parts, row)
 	}
 }

@@ -108,9 +108,9 @@ func expandCases() []expandCase {
 }
 
 // appCase is an end-to-end application run on the bench graph — the
-// workloads whose terminal expansion the sink pipeline consumes instead of
-// materializing (clique's final level through CountSink, motif's Mapper
-// through VisitSink). The measured unit is the whole run, exploration plus
+// workloads whose terminal expansion the explorer consumes instead of
+// materializing (clique's last two levels through ExpandCountTwo, motif's
+// Mapper through ExpandVisitGroups). The measured unit is the whole run, exploration plus
 // terminal consumption, so the figures capture the bytes the fused paths
 // stop writing.
 type appCase struct {

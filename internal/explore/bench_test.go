@@ -152,7 +152,7 @@ func BenchmarkAppendCanonical(b *testing.B) {
 		vf   VertexFilter
 	}{{"store", nil}, {"nofilter", nil}, {"maskfilter", all}} {
 		b.Run(c.name, func(b *testing.B) {
-			var x expansion
+			var buf []uint32
 			var emb [k]uint32
 			step := func(i int) int {
 				next := embs[i%len(embs)]
@@ -168,11 +168,11 @@ func BenchmarkAppendCanonical(b *testing.B) {
 				case c.name == "store":
 					return store(b, emb[:])
 				case c.vf == nil:
-					x.children = st.appendStored(k, emb[k-1], emb[0], x.children[:0])
+					buf = st.appendStored(k, emb[k-1], emb[0], buf[:0])
 				default:
-					x.children = st.appendCanonical(k, emb[k-1], emb[:], 0, c.vf, x.children[:0])
+					buf = st.appendCanonical(k, emb[k-1], emb[:], 0, c.vf, buf[:0])
 				}
-				return len(x.children)
+				return len(buf)
 			}
 			var children int
 			for i := range embs {
@@ -285,7 +285,7 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 			sum += c.countLeaf(g, emb[1])
 		}
 	}
-	var x expansion
+	var children []uint32
 	for _, c := range []struct {
 		name string
 		embs [][]uint32
@@ -297,14 +297,14 @@ func BenchmarkCliqueLeaf(b *testing.B) {
 			if from < 3 {
 				cs.begin()
 			}
-			x.children = cs.appendLeaf(g, emb[2], x.children[:0])
+			children = cs.appendLeaf(g, emb[2], children[:0])
 			cs.mark(emb[2])
 		}},
 		{"union", union, func(emb []uint32, from int) {
 			if from < 3 {
 				vst.updatePrefix(emb, from, 3)
 			}
-			x.children = vst.appendCanonical(3, emb[2], emb, 0, all, x.children[:0])
+			children = vst.appendCanonical(3, emb[2], emb, 0, all, children[:0])
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

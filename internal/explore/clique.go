@@ -24,9 +24,9 @@ package explore
 // set is the group's leaves before u.
 // Every id of Below(u) lies below u, so the stamped entries of Below(u) are
 // Below(u) ∩ C(P) — u's children, already sorted. The stamp needs every
-// earlier leaf of the group: ExpandTo starts every Clique walk on a group
-// boundary (alignToGroups), and refuses a filter, which could store a strict
-// subset of C(P).
+// earlier leaf of the group: the walk driver starts every Clique expansion's
+// chunk on a group boundary (cut, alignToGroups), and Clique mode refuses a
+// filter, which could store a strict subset of C(P).
 //
 // One level down the same argument counts two levels without storing either
 // (ExpandCountTwo, kClist's oriented count at the CSE frontier), on bit rows
@@ -45,7 +45,6 @@ package explore
 // and counts levels k−1 and k in one walk over level k−2.
 
 import (
-	"context"
 	"math"
 	"math/bits"
 
@@ -220,59 +219,60 @@ func (c *cliqueScratch) countTriangles(g *graph.Graph, v uint32) uint64 {
 	return n
 }
 
-// expandCliques is expandRange's loop in Clique mode: a run that starts a
+// expandCliques is expandChunk's loop in Clique mode: a run that starts a
 // group begins a new stamp (a block-seam continuation keeps it); each leaf
-// probes its below-neighbour list and is then stamped. Into a two-level
-// CountSink (ExpandCountTwo) a leaf adds its grandchildren to the worker's
-// counter and nothing is written; any other sink gets each leaf's children.
-func (e *Explorer) expandCliques(ctx context.Context, w *storage.Walker, k, worker, chunk int, sink ExpandSink) error {
-	x := &e.scratch[worker].x
-	cs := sink.countsTwo()
+// probes its below-neighbour list into o and is then stamped.
+func (e *Explorer) expandCliques(c *chunkWalk, k int, o *leafOut) error {
 	g := e.cfg.Graph
-	c := e.cliqueFor(worker, cs != nil)
-	runs := 0
+	cs := e.cliqueFor(c.worker, false)
 	for {
-		emb, from, leaves, ok := w.NextRun()
+		emb, from, leaves, ok := c.next()
 		if !ok {
-			break
-		}
-		if runs++; runs%pollEvery == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
+			return c.done()
 		}
 		if from < k {
-			c.begin()
+			cs.begin()
 		}
-		if cs != nil {
-			var n uint64
-			for _, v := range leaves {
-				if k == 1 {
-					n += c.countTriangles(g, v)
-				} else {
-					n += c.countLeaf(g, v)
-				}
-			}
-			cs.counts[worker].n += n
-			continue
-		}
-		x.emb = emb
 		for _, u := range leaves {
 			emb[k-1] = u
-			dst, err := sink.next(worker, chunk, x)
+			dst, err := o.dst()
 			if err != nil {
 				return err
 			}
 			if k == 1 {
-				x.children = append(dst, g.Below(u)...)
+				dst = append(dst, g.Below(u)...)
 			} else {
-				x.children = c.appendLeaf(g, u, dst)
-				c.mark(u)
+				dst = cs.appendLeaf(g, u, dst)
+				cs.mark(u)
 			}
-			if err := sink.emit(worker, chunk, x); err != nil {
+			if err := o.put(emb, dst); err != nil {
 				return err
 			}
 		}
 	}
-	return w.Err()
+}
+
+// countCliquesTwo is ExpandCountTwo's loop over a chunk: it returns the
+// grandchildren of the chunk's leaves, each leaf's counted on its group's
+// bit rows (countLeaf; countTriangles at depth 1). Nothing is written.
+func (e *Explorer) countCliquesTwo(c *chunkWalk) (uint64, error) {
+	g, k := e.cfg.Graph, e.c.Depth()
+	cs := e.cliqueFor(c.worker, true)
+	var n uint64
+	for {
+		_, from, leaves, ok := c.next()
+		if !ok {
+			return n, c.done()
+		}
+		if from < k {
+			cs.begin()
+		}
+		for _, v := range leaves {
+			if k == 1 {
+				n += cs.countTriangles(g, v)
+			} else {
+				n += cs.countLeaf(g, v)
+			}
+		}
+	}
 }

@@ -115,17 +115,6 @@ type levelRun struct {
 	moved2        int  // moved, of the two-level counts' walks
 }
 
-// boundsSink records the chunk bounds of the walk whose sink it wraps.
-type boundsSink struct {
-	ExpandSink
-	bounds []int
-}
-
-func (s *boundsSink) begin(e *Explorer, top *storage.HybridLevel, bounds []int) error {
-	s.bounds = slices.Clone(bounds)
-	return s.ExpandSink.begin(e, top, bounds)
-}
-
 // checkGroupBounds fails unless every chunk bound of a walk over lvl, a
 // level of depth d in stored order, is a group start — an end of the level
 // or an index whose prefix differs from its predecessor's — and returns how
@@ -150,19 +139,20 @@ func checkGroupBounds(t *testing.T, lvl [][]uint32, d int, bounds []int) (moved,
 
 // runLevels expands e, which holds level 1, to maxDepth under vf and records
 // every level. In Clique mode it also counts two levels past every depth
-// d, which must be ExpandCount's count at depth d+1, and checks that every
-// expansion's and every two-level count's walk was cut on group starts.
+// d, which must be ExpandCount's count at depth d+1, and checks that the
+// chunks the walk driver cuts (cut) for every expansion and every two-level
+// count start on group starts.
 func runLevels(t *testing.T, e *Explorer, maxDepth int, vf VertexFilter) levelRun {
 	t.Helper()
 	var r levelRun
 	for d := 1; d <= maxDepth; d++ {
 		if d > 1 {
-			rec := boundsSink{ExpandSink: &e.store}
-			if err := e.ExpandTo(bgCtx, &rec, vf, nil); err != nil {
+			bounds := cutBounds(t, e, storePass)
+			if err := e.Expand(bgCtx, vf, nil); err != nil {
 				t.Fatal(err)
 			}
 			if e.cfg.Mode == Clique && d > 2 {
-				moved, emptied := checkGroupBounds(t, r.levels[d-2], d-1, rec.bounds)
+				moved, emptied := checkGroupBounds(t, r.levels[d-2], d-1, bounds)
 				r.moved, r.emptied = r.moved+moved, r.emptied+emptied
 			}
 		}
@@ -177,21 +167,33 @@ func runLevels(t *testing.T, e *Explorer, maxDepth int, vf VertexFilter) levelRu
 			r.mixed = true
 		}
 		if e.cfg.Mode == Clique {
-			rec := boundsSink{ExpandSink: &CountSink{two: true}}
-			if err := e.ExpandTo(bgCtx, &rec, nil, nil); err != nil {
+			bounds := cutBounds(t, e, frontierPass)
+			n2, err := e.ExpandCountTwo(bgCtx)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if d > 1 {
-				moved, _ := checkGroupBounds(t, lvl, d, rec.bounds)
+				moved, _ := checkGroupBounds(t, lvl, d, bounds)
 				r.moved2 += moved
 			}
-			r.counts2 = append(r.counts2, rec.ExpandSink.(*CountSink).Total())
+			r.counts2 = append(r.counts2, n2)
 			if d > 1 && r.counts2[d-2] != n {
 				t.Fatalf("depth %d: two-level count %d, ExpandCount at depth %d: %d", d-1, r.counts2[d-2], d, n)
 			}
 		}
 	}
 	return r
+}
+
+// cutBounds returns the chunk bounds the walk driver cuts for a pass over
+// e's top level.
+func cutBounds(t *testing.T, e *Explorer, p pass) []int {
+	t.Helper()
+	bounds, err := e.cut(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bounds
 }
 
 // runClique runs Clique mode under env to maxDepth, and checks that it

@@ -10,19 +10,18 @@
 // stamped entries of its below-neighbour list, the stamp holding the leaves
 // before it in its group (clique.go).
 //
-// Expansion is sink-driven: Expand produces a stream of (parent embedding,
-// canonical children) pairs and emits it into a pluggable ExpandSink.
-// StoreSink materializes the stream as the next CSE level (a part-structured
+// Every operation is one parallel walk over the top level, run by one driver
+// (walk.go). Expand stores the next level (a part-structured
 // storage.HybridLevel: every part raw in memory without a budget, placed per
-// part by the governor with one); the terminal sinks consume it
-// at the frontier instead — CountSink tallies it (ExpandCount) or, in
-// Clique mode, the level past it (ExpandCountTwo), VisitSink hands every
-// extension to a per-worker callback (ExpandVisit), RowSink walks one level
-// further and hands each extension over with the histogram of its own
-// children's adjacency masks (ExpandVisitGroups), so the largest level of a
-// counting or aggregating workload — for motifs and cliques, the largest
-// two — is never written (§6.5 generalized). A stored level is write-once:
-// nothing rewrites it or moves its parts after its build.
+// part by the governor with one), each child written once, straight into its
+// part; the other expansions consume what they find where it is produced —
+// ExpandCountVisit counts each parent's children and hands them to a
+// per-worker callback, ExpandCountTwo counts the Clique level past them, and
+// ExpandVisitGroups hands each child over with the histogram of its own
+// children's adjacency masks — so the largest level of a counting or
+// aggregating workload — for motifs and cliques, the largest two — is never
+// written (§6.5 generalized). A stored level is write-once: nothing rewrites
+// it or moves its parts after its build.
 //
 // An Explorer is configured by what it explores (Graph, Mode) and by the
 // run's one *run.Env, which it holds by pointer and passes on to the level
@@ -123,8 +122,6 @@ type Explorer struct {
 	// part-writer slice (and, via the storage part pool, the part buffers)
 	// survive across Expand iterations.
 	builder *storage.HybridLevelBuilder
-	// store is the pooled StoreSink behind Expand.
-	store StoreSink
 
 	// lastFanout/prevFanout are the measured children-per-embedding of the
 	// two most recent expansions, which presizeParts extrapolates.
@@ -135,28 +132,13 @@ type Explorer struct {
 // 0..threads-1 by runParallel, so slots are never shared.
 type workerScratch struct {
 	walker *storage.Walker
-	x      expansion
-	vstate *vertexState
-	estate *edgeState
-	// clique is Clique mode's stamps and rows, behind one pointer so that
-	// a worker's slot is 128 bytes: two whole cache lines.
-	clique *cliqueScratch
-}
-
-// expansion is what one step of the expansion loop hands to a sink: a parent
-// embedding and its canonical extensions — as children, or, for a sink that
-// wantRows, as the histogram of their masks, the parent then being an
-// extension of the top level. The slices are the worker's pooled buffers,
-// valid only during emit.
-type expansion struct {
-	emb      []uint32 // the parent, leaf filled
+	// children is the buffer a walk that does not store appends each
+	// parent's children to.
 	children []uint32
-	// embAdj holds the parent's own adjacency masks, parallel to emb (bit i
-	// of embAdj[l] set iff emb[l] is adjacent to emb[i], i < l), and rows
-	// the histogram of its children's (rows[m] children adjacent to exactly
-	// the emb[i] with bit i of m set), length 2^len(emb) — both filled only
-	// for a sink that wantRows, which gets no children.
-	embAdj, rows []uint32
+	vstate   *vertexState
+	estate   *edgeState
+	// clique is Clique mode's stamps and rows.
+	clique *cliqueScratch
 }
 
 // walkerFor returns the worker's walker positioned over [lo, hi).
@@ -392,46 +374,23 @@ func (e *Explorer) Close() error {
 	return first
 }
 
-// Expand runs one exploration iteration, deriving level k+1 from level k
-// under the default canonical filter plus the optional user filter (vf for
-// vertex-induced mode, ef for edge-induced mode; pass the one matching the
-// explorer's mode, nil for none). It is ExpandTo with the pooled StoreSink;
-// see ExpandCount and ExpandVisit for the terminal sinks that skip the
-// materialization.
-//
-// ctx cancels the iteration: workers poll it between chunks and every few
-// walker runs, pending spill writes are discarded (the one in flight
-// drains), the partial level is removed, and ctx.Err() is returned. A
-// cancelled explorer keeps its pre-expansion levels and may still be Closed
-// (reclaiming every spilled file) or driven further.
-//
-// Exploration operations (Expand and its sink variants, ForEach)
-// share the explorer's pooled per-worker scratch: they parallelize
-// internally, but at most one of them may run on an Explorer at a time.
-func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) error {
-	return e.ExpandTo(ctx, &e.store, vf, ef)
-}
-
-// levelBuilderFor arms the pooled level builder for the parts cut at
-// bounds over top, where baseBytes of the budget are already held by levels
-// that will remain resident alongside the new one: the governor watermark is
-// the budget share left after them, and placement is decided per part,
-// during the build. The builder (and, via the storage part-buffer pool, the
-// buffers of parts whose levels have been closed) is reused
-// across Expand iterations instead of being allocated per level.
-func (e *Explorer) levelBuilderFor(top *storage.HybridLevel, bounds []int, baseBytes int64) *storage.HybridLevelBuilder {
+// armBuilder arms the pooled level builder for the parts cut at bounds over
+// the top level. The stored levels stay resident alongside the new one: the
+// governor watermark is the budget share left after them, and placement is
+// decided per part, during the build. The builder (and, via the storage
+// part-buffer pool, the buffers of parts whose levels have been closed) is
+// reused across Expand iterations instead of being allocated per level.
+func (e *Explorer) armBuilder(bounds []int) {
 	// Refresh external pressure: tracked memory may already exceed the
 	// watermark before this build starts (earlier levels — and, under a
 	// shared arbiter, the sibling runs' data).
 	e.pressure.Store(e.cfg.Tracker != nil && e.cfg.Tracker.SharedLive() >= e.watermarkBytes())
-	nparts, budget := len(bounds)-1, e.buildBudget(baseBytes)
 	if e.builder == nil {
 		e.builder = storage.NewHybridLevelBuilder(e.cfg.Env, e.runDir, e.queue, &e.pressure, e.watermarkBytes())
 	}
-	e.builder.Reset(e.levelSeq, nparts, budget)
+	e.builder.Reset(e.levelSeq, len(bounds)-1, e.buildBudget(e.c.Bytes()))
 	e.levelSeq++
-	e.presizeParts(top, bounds, e.builder)
-	return e.builder
+	e.presizeParts(bounds)
 }
 
 // buildBudget returns the governor watermark for a new level build: the
@@ -466,8 +425,8 @@ func (e *Explorer) foreignLive() int64 {
 // growth on the vertex-d4 benchmark) collapses into one allocation per part.
 // The builder caps reserves at its governor watermark, since reserved
 // capacity is real resident memory.
-func (e *Explorer) presizeParts(top *storage.HybridLevel, bounds []int, b *storage.HybridLevelBuilder) {
-	if top.Len() == 0 || e.lastFanout <= 0 {
+func (e *Explorer) presizeParts(bounds []int) {
+	if e.c.Top().Len() == 0 || e.lastFanout <= 0 {
 		return
 	}
 	// Fan-out typically grows with depth; extrapolate the last growth
@@ -482,7 +441,7 @@ func (e *Explorer) presizeParts(top *storage.HybridLevel, bounds []int, b *stora
 	}
 	for i := 0; i+1 < len(bounds); i++ {
 		leaves := bounds[i+1] - bounds[i]
-		b.ReservePart(i, int(float64(leaves)*f), leaves)
+		e.builder.ReservePart(i, int(float64(leaves)*f), leaves)
 	}
 }
 
@@ -500,177 +459,99 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// expandRange expands top-level embeddings [lo, hi) into sink chunk, using
-// worker's pooled scratch.
-func (e *Explorer) expandRange(ctx context.Context, k, lo, hi, worker, chunk int, sink ExpandSink, vf VertexFilter, ef EdgeFilter) error {
-	w, err := e.walkerFor(worker, lo, hi)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-
-	// The union modes run the fused fast path: per run, refresh the shared
-	// prefix and (vertex-induced) filter it once; per leaf, consume
-	// cands[k-2] ∪ N(leaf) as it is merged — the leaf-level candidate set is
-	// never materialized (Clique mode probes each leaf's below-neighbours
-	// instead, see expandCliques).
-	if e.cfg.Mode == Clique {
-		return e.expandCliques(ctx, w, k, worker, chunk, sink)
-	}
-	x := &e.scratch[worker].x
-
-	// Every leaf appends its children to the slice the sink hands out — for a
-	// storing sink the part buffer itself, so a stored child is written once.
-	runs := 0
-	if e.cfg.Mode == VertexInduced {
-		if sink.wantRows() {
-			return e.expandLeafRows(ctx, w, e.vertexStateFor(worker, k+1), k, worker, chunk, sink)
-		}
-		st := e.vertexStateFor(worker, k)
+// expandChunk expands the chunk's top-level embeddings into o under the
+// canonical filter plus vf or ef, using the worker's pooled scratch. The
+// union modes run the fused fast path: per run, refresh the shared prefix
+// and (vertex-induced) filter it once; per leaf, consume cands[k-2] ∪ N(leaf)
+// as it is merged — the leaf-level candidate set is never materialized
+// (Clique mode probes each leaf's below-neighbours instead, see
+// expandCliques). Every leaf appends its children to the slice o hands out —
+// when storing, the part buffer itself.
+func (e *Explorer) expandChunk(c *chunkWalk, o *leafOut, vf VertexFilter, ef EdgeFilter) error {
+	k := e.c.Depth()
+	switch e.cfg.Mode {
+	case Clique:
+		return e.expandCliques(c, k, o)
+	case VertexInduced:
+		st := e.vertexStateFor(c.worker, k)
 		for {
-			emb, from, leaves, ok := w.NextRun()
+			emb, from, leaves, ok := c.next()
 			if !ok {
-				break
-			}
-			if runs++; runs%pollEvery == 0 {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
+				return c.done()
 			}
 			if from < k {
 				st.updatePrefix(emb, from, k)
 			}
-			x.emb = emb
 			for _, u := range leaves {
 				emb[k-1] = u
-				dst, err := sink.next(worker, chunk, x)
+				dst, err := o.dst()
 				if err != nil {
 					return err
 				}
 				if vf == nil {
-					x.children = st.appendStored(k, u, emb[0], dst)
+					dst = st.appendStored(k, u, emb[0], dst)
 				} else {
-					x.children = st.appendCanonical(k, u, emb, worker, vf, dst)
+					dst = st.appendCanonical(k, u, emb, c.worker, vf, dst)
 				}
-				if err := sink.emit(worker, chunk, x); err != nil {
+				if err := o.put(emb, dst); err != nil {
 					return err
 				}
 			}
 		}
-		return w.Err()
 	}
-	st := e.edgeStateFor(worker, k)
+	st := e.edgeStateFor(c.worker, k)
 	for {
-		emb, from, leaves, ok := w.NextRun()
+		emb, from, leaves, ok := c.next()
 		if !ok {
-			break
-		}
-		if runs++; runs%pollEvery == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
+			return c.done()
 		}
 		if from < k {
 			st.updatePrefix(emb, from, k)
 		}
-		x.emb = emb
 		for _, f := range leaves {
 			emb[k-1] = f
-			dst, err := sink.next(worker, chunk, x)
+			dst, err := o.dst()
 			if err != nil {
 				return err
 			}
-			x.children = st.appendCanonical(k, f, emb, worker, ef, dst)
-			if err := sink.emit(worker, chunk, x); err != nil {
+			if err := o.put(emb, st.appendCanonical(k, f, emb, c.worker, ef, dst)); err != nil {
 				return err
 			}
 		}
 	}
-	return w.Err()
 }
 
-// expandLeafRows is expandRange's vertex-induced loop into a sink that
-// wantRows, which walks one level past the stored top level (depth d): per
-// run the prefix is filtered and its masks found once; per leaf v childList
-// lists v's children once, with their masks and histogram; per child u
-// countRows turns that histogram into u's, which the sink gets with the
-// masks of ⟨emb, u⟩. Nothing is written, and the children's level is never
-// stored or walked.
-func (e *Explorer) expandLeafRows(ctx context.Context, w *storage.Walker, st *vertexState, d, worker, chunk int, sink ExpandSink) error {
-	x := &e.scratch[worker].x
-	x.emb, x.embAdj = st.ext[:d+1], st.embAdj[:d+1]
-	if cap(x.rows) < 2<<d {
-		x.rows = make([]uint32, 2<<d)
-	}
-	x.rows = x.rows[:2<<d]
-	runs := 0
+// expandLeafRows is ExpandVisitGroups' loop over a chunk of the stored top
+// level (depth d): per run the prefix is filtered and its masks found once;
+// per leaf v childList lists v's children once, with their masks and
+// histogram; per child u countRows turns that histogram into u's, which
+// visit gets with the masks of ⟨emb, u⟩. Nothing is written, and the
+// children's level is never stored or walked.
+func (e *Explorer) expandLeafRows(c *chunkWalk, st *vertexState, d int, visit RowVisitor) error {
+	ext, embAdj, rows := st.ext[:d+1], st.embAdj[:d+1], st.rowsFor(d+1)
 	for {
-		emb, from, leaves, ok := w.NextRun()
+		emb, from, leaves, ok := c.next()
 		if !ok {
-			break
-		}
-		if runs++; runs%pollEvery == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
+			return c.done()
 		}
 		if from < d {
 			st.updatePrefix(emb, from, d)
 			st.prefixAdj(emb, from, d)
 		}
-		copy(x.emb, emb[:d-1])
+		copy(ext, emb[:d-1])
 		for _, v := range leaves {
-			x.emb[d-1] = v
-			x.embAdj[d-1] = st.childList(d, v, x.emb[0])
+			ext[d-1] = v
+			embAdj[d-1] = st.childList(d, v, ext[0])
 			for t, u := range st.kids.ids {
-				x.emb[d] = u
-				x.embAdj[d] = st.countRows(d+1, t, x.emb[0], x.rows)
-				if err := sink.emit(worker, chunk, x); err != nil {
+				ext[d] = u
+				embAdj[d] = st.countRows(d+1, t, ext[0], rows)
+				if err := visit(c.worker, ext, embAdj, rows); err != nil {
 					return err
 				}
 			}
 			st.unstamp(d)
 		}
 	}
-	return w.Err()
-}
-
-// ForEach walks all top-level embeddings in parallel. visit receives the
-// worker index (0..Threads-1) for worker-local aggregation state and a
-// reused embedding buffer it must not retain. ctx cancels the walk between
-// chunks and every few runs. Like all exploration operations it uses the
-// pooled per-worker scratch — do not run it concurrently with another
-// operation on the same Explorer.
-func (e *Explorer) ForEach(ctx context.Context, visit func(worker int, emb []uint32) error) error {
-	k := e.c.Depth()
-	top := e.c.Top()
-	bounds := partitionEven(top.Len(), e.chunks(top.Len()))
-	return e.runParallel(ctx, len(bounds)-1, func(worker, chunk int) error {
-		w, err := e.walkerFor(worker, bounds[chunk], bounds[chunk+1])
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		runs := 0
-		for {
-			emb, _, leaves, ok := w.NextRun()
-			if !ok {
-				break
-			}
-			if runs++; runs%pollEvery == 0 {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-			}
-			for _, u := range leaves {
-				emb[k-1] = u
-				if err := visit(worker, emb); err != nil {
-					return err
-				}
-			}
-		}
-		return w.Err()
-	})
 }
 
 // buildChunks picks the chunk (= builder part) count of a level build. A
@@ -783,16 +664,18 @@ func (e *Explorer) runParallel(ctx context.Context, nchunks int, fn func(worker,
 	return nil
 }
 
-// abortOp tears down a failed or cancelled exploration operation in the
-// order cancellation demands: pending write-queue buffers are discarded
-// first (the write in flight drains), then abort closes and removes the
-// partial output's files — so no late write lands on a closed file — and the
+// abortOp tears down a failed or cancelled walk in the order cancellation
+// demands: pending write-queue buffers are discarded first (the write in
+// flight drains), then a storing walk's partial level is aborted — its files
+// closed and removed, so no late write lands on a closed file — and the
 // queue is re-armed for the next operation.
-func (e *Explorer) abortOp(abort func()) {
+func (e *Explorer) abortOp(store bool) {
 	e.queue.Abort()
 	// Drain: discarded jobs only recycle their buffers. The error state is
 	// irrelevant here — the operation already failed.
 	_ = e.queue.Barrier()
-	abort()
+	if store {
+		e.builder.Abort()
+	}
 	_ = e.queue.Reset()
 }

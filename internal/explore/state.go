@@ -9,7 +9,7 @@ import (
 
 // maskBits is the width of an adjacency mask, and with it the largest
 // embedding (in units: vertices or edge ids) the engine explores: a level of
-// depth maskBits cannot be expanded further (ExpandTo reports an error).
+// depth maskBits cannot be expanded further (the expansions report an error).
 const maskBits = 32
 
 // candBuf is a struct-of-arrays candidate buffer: the sorted candidate ids
@@ -22,7 +22,7 @@ const maskBits = 32
 // once per run of leaves (properties (ii) and (iii) collapse to integer
 // comparisons, see appendCanonical);
 // the whole mask is handed to the user's VertexFilter (a clique is "all bits
-// set"); and the row sink gets the masks of every parent vertex, read back
+// set"); and the row walk gets the masks of every parent vertex, read back
 // from the candidate set it joined, and the histogram of its children's
 // masks (the rows of the motif Mapper's patterns, see countRows).
 //
@@ -84,10 +84,12 @@ type vertexState struct {
 	// ones unstamp takes out again.
 	fresh []uint32
 	// embAdj[l] is the mask of emb[l] against emb[:l] — the parent's own
-	// adjacency, handed to the row sink (see prefixAdj and childList) — and
+	// adjacency, handed to the row visitor (see prefixAdj and childList) — and
 	// ext the row walk's own embedding buffer, the walker's prefix plus the
 	// leaf and the child.
 	embAdj, ext []uint32
+	// rows is the row walk's histogram of a child's children (rowsFor).
+	rows []uint32
 }
 
 func newVertexState(g *graph.Graph, depth int) *vertexState {
@@ -109,6 +111,14 @@ func (s *vertexState) ensureDepth(depth int) {
 		s.embAdj = make([]uint32, depth)
 		s.ext = make([]uint32, depth)
 	}
+}
+
+// rowsFor returns the row buffer of a child at depth k: 2^k counters.
+func (s *vertexState) rowsFor(k int) []uint32 {
+	if cap(s.rows) < 1<<k {
+		s.rows = make([]uint32, 1<<k)
+	}
+	return s.rows[:1<<k]
 }
 
 // refreshLevel recomputes the candidate set of level l from level l−1.
@@ -284,8 +294,8 @@ func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int,
 	return appendKeep(children, ids[i:], adj[i:], worker, emb, vf)
 }
 
-// appendStored is appendCanonical under no filter, for every sink that takes
-// the children — the storing, counting and visiting sinks: it appends u's
+// appendStored is appendCanonical under no filter, for every walk that takes
+// the children — the storing, counting and visiting walks: it appends u's
 // children to dst and returns it. Masks unread, a stamped neighbour of u
 // needs nothing — it is in keep, which is copied whole, or it failed its
 // bound — so one pass over N(u) past emb[0] probes the marker: the
@@ -457,7 +467,7 @@ func (s *vertexState) unstamp(d int) {
 	}
 }
 
-// countRows is the leaf of a sink that reads only its children's masks, one
+// countRows is the leaf of a walk that reads only its children's masks, one
 // level past childList: for the child u = kids.ids[t] of the latest leaf it
 // fills rows (length 2^k, u at position k−1) with the histogram of u's
 // canonical children's masks and returns u's own mask, kids.adj[t]. No

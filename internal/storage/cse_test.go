@@ -127,9 +127,6 @@ func TestWalkerEmptyRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		if _, _, ok := w.Next(); ok {
-			t.Fatal("empty range emitted an embedding")
-		}
 		if _, _, _, ok := w.NextRun(); ok {
 			t.Fatal("empty range emitted a run")
 		}
@@ -157,14 +154,14 @@ func TestWalkerSkipsEmptyGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		emb, ch, ok := w.Next()
-		if !ok || !reflect.DeepEqual(append([]uint32(nil), emb...), []uint32{10, 6, 8}) {
-			t.Fatalf("got %v ok=%v", emb, ok)
+		emb, ch, leaves, ok := w.NextRun()
+		if !ok || !reflect.DeepEqual(emb[:2], []uint32{10, 6}) || !reflect.DeepEqual(leaves, []uint32{8}) {
+			t.Fatalf("got %v %v ok=%v", emb, leaves, ok)
 		}
 		if ch != 1 {
 			t.Fatalf("changedFrom = %d, want 1", ch)
 		}
-		if _, _, ok := w.Next(); ok {
+		if _, _, _, ok := w.NextRun(); ok {
 			t.Fatal("walker emitted past end")
 		}
 	})
@@ -282,57 +279,65 @@ func TestWalkerRandomTrie(t *testing.T) {
 	})
 }
 
-// TestWalkerNextRunMatchesNext: the batch API must enumerate exactly the
-// embeddings of the unit API, with changedFrom applying to the first leaf of
-// each run and Depth() within a run.
+// TestWalkerNextRunMatchesNext: the batch API, read one leaf at a time,
+// must enumerate exactly the embeddings of the reference walk (refWalk), in
+// order, with a run's changedFrom applying to its first leaf and Depth() to
+// the rest — 1 on the first run, and Depth() on a continuation run that a
+// decoded-block seam split off its group. Random stacks, plus one group
+// longer than a codec block, which a disk part splits at the seam.
 func TestWalkerNextRunMatchesNext(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, lay layout) {
-		rng := rand.New(rand.NewSource(17))
-		for trial := 0; trial < 30; trial++ {
-			depth := 1 + rng.Intn(4)
-			c, _, _ := randStack(t, rng, lay, depth, 8)
-			lo, hi := randRange(rng, c.Top().Len())
-
-			type emit struct {
-				emb []uint32
-				ch  int
-			}
-			var unit, batch []emit
+		seams := 0
+		check := func(c *CSE, units []uint32, levels []*MemLevel, lo, hi int) {
+			t.Helper()
+			depth := c.Depth()
+			want, wantC := refWalk(units, levels, lo, hi)
 			w, err := NewWalker(c, lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for {
-				emb, ch, ok := w.Next()
-				if !ok {
-					break
-				}
-				unit = append(unit, emit{append([]uint32(nil), emb...), ch})
-			}
-			if err := w.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Reset(c, lo, hi); err != nil {
-				t.Fatal(err)
-			}
+			defer w.Close()
+			var got [][]uint32
+			var gotC []int
 			for {
 				emb, ch, leaves, ok := w.NextRun()
 				if !ok {
 					break
 				}
+				if len(got) == 0 && ch != 1 {
+					t.Fatalf("first run changedFrom = %d, want 1", ch)
+				}
+				if len(got) > 0 && ch == depth && depth > 1 {
+					seams++
+				}
 				for _, u := range leaves {
 					emb[depth-1] = u
-					batch = append(batch, emit{append([]uint32(nil), emb...), ch})
+					got, gotC = append(got, append([]uint32(nil), emb...)), append(gotC, ch)
 					ch = depth
 				}
 			}
 			if err := w.Err(); err != nil {
 				t.Fatal(err)
 			}
-			w.Close()
-			if !reflect.DeepEqual(unit, batch) {
-				t.Fatalf("trial %d range [%d,%d): unit %v\nbatch %v", trial, lo, hi, unit, batch)
+			if len(want) == 0 {
+				want, wantC = nil, nil
 			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotC, wantC) {
+				t.Fatalf("range [%d,%d): NextRun %v %v\nreference %v %v", lo, hi, got, gotC, want, wantC)
+			}
+		}
+		rng := rand.New(rand.NewSource(17))
+		for trial := 0; trial < 30; trial++ {
+			c, units, levels := randStack(t, rng, lay, 1+rng.Intn(4), 8)
+			lo, hi := randRange(rng, c.Top().Len())
+			check(c, units, levels, lo, hi)
+		}
+		long := randUnits(rng, codecBlockVals+100)
+		units := []uint32{1, 2, 3}
+		c, levels := stackOf(t, lay, units, [][]uint32{long, {7}, {8}})
+		check(c, units, levels, 0, c.Top().Len())
+		if lay.name != "raw" && seams == 0 {
+			t.Fatal("no continuation run: no group was split at a block seam")
 		}
 	})
 }

@@ -26,8 +26,10 @@ func appendGroup(p *hybridPartWriter, children []uint32) error {
 	return nil
 }
 
-// walkAll collects every embedding and change index a walker over [lo, hi)
-// of c produces.
+// walkAll collects every embedding a walker over [lo, hi) of c produces,
+// with its change index: the run's changedFrom for the first leaf of a run,
+// Depth() for the rest, whose embeddings differ from the previous one only
+// at the leaf.
 func walkAll(t testing.TB, c *CSE, lo, hi int) ([][]uint32, []int) {
 	t.Helper()
 	w, err := NewWalker(c, lo, hi)
@@ -38,12 +40,16 @@ func walkAll(t testing.TB, c *CSE, lo, hi int) ([][]uint32, []int) {
 	var embs [][]uint32
 	var chs []int
 	for {
-		emb, ch, ok := w.Next()
+		emb, ch, leaves, ok := w.NextRun()
 		if !ok {
 			break
 		}
-		embs = append(embs, append([]uint32(nil), emb...))
-		chs = append(chs, ch)
+		for _, u := range leaves {
+			emb[len(emb)-1] = u
+			embs = append(embs, append([]uint32(nil), emb...))
+			chs = append(chs, ch)
+			ch = len(emb)
+		}
 	}
 	if err := w.Err(); err != nil {
 		t.Fatal(err)

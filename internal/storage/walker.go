@@ -33,10 +33,6 @@ type Walker struct {
 	vcur []*hybridVertBlocks
 	bcur []*hybridBoundBlocks
 
-	// Pending run handed out unit-by-unit when the caller mixes in Next.
-	run    []uint32
-	runPos int
-
 	// Reusable ancestor-chain scratch.
 	anca, ancb []int
 }
@@ -202,8 +198,6 @@ func (w *Walker) boundErr(l int) error {
 // within a run change only at level Depth(). A run never crosses a
 // level-(k−1) group boundary, but one group may split into several runs at
 // decoded-block seams; continuation runs report changedFrom = Depth().
-//
-// Use either NextRun or Next on a given walk, not both.
 func (w *Walker) NextRun() (emb []uint32, changedFrom int, leaves []uint32, ok bool) {
 	if w.err != nil || w.cur >= w.hi {
 		return nil, 0, nil, false
@@ -251,27 +245,6 @@ func (w *Walker) NextRun() (emb []uint32, changedFrom int, leaves []uint32, ok b
 		changed = 1
 	}
 	return w.prefix, changed, leaves, true
-}
-
-// Next returns the next embedding in range. emb is a reused buffer of length
-// Depth(); callers must copy it to retain it. changedFrom is the smallest
-// level (1-based) whose unit differs from the previous emission — on the
-// first emission it is 1; when only the leaf advanced it is Depth(). Callers
-// use it to recompute incremental per-prefix state (candidate sets) only for
-// the levels that actually changed.
-func (w *Walker) Next() (emb []uint32, changedFrom int, ok bool) {
-	if w.runPos < len(w.run) {
-		w.prefix[w.k-1] = w.run[w.runPos]
-		w.runPos++
-		return w.prefix, w.k, true
-	}
-	emb, ch, leaves, ok := w.NextRun()
-	if !ok {
-		return nil, 0, false
-	}
-	w.run, w.runPos = leaves, 1
-	w.prefix[w.k-1] = leaves[0]
-	return emb, ch, true
 }
 
 // advance moves level l to its next embedding, cascading group-boundary
@@ -337,7 +310,6 @@ func (w *Walker) closeAll() {
 		w.vblk[i] = nil
 		w.bblk[i] = nil
 	}
-	w.run, w.runPos = nil, 0
 }
 
 func growU32(s []uint32, n int) []uint32 {

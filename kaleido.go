@@ -15,9 +15,9 @@
 // a characteristic-polynomial hash (Faddeev–LeVerrier over the label-weighted
 // adjacency matrix) instead of a canonical-labeling search tree.
 //
-// Expansion is sink-driven: a mining run's final — and largest — level can
-// be consumed at the expansion frontier instead of stored (Miner.ExpandCount
-// and Miner.ExpandVisit; §6.5 generalized), so counting and aggregating
+// A mining run's final — and largest — level can be consumed at the
+// expansion frontier instead of stored (Miner.ExpandCount and
+// Miner.ExpandVisit; §6.5 generalized), so counting and aggregating
 // workloads write zero bytes for their terminal level. Four mining
 // applications ship ready-made on this pipeline — frequent subgraph mining,
 // motif counting, clique discovery and triangle counting — and the Miner

@@ -86,18 +86,18 @@ func newMiner(ctx context.Context, g *Graph, mode Mode, env *run.Env, stats *Sta
 }
 
 // Expand runs one exploration iteration under the canonical filter plus the
-// optional user filter, materializing the new level in the CSE (the
-// StoreSink of the expansion pipeline). Cancelling ctx aborts the iteration
-// with ctx.Err(): the partial level is discarded, the previous levels stay
-// usable, and Close still reclaims every spilled file.
+// optional user filter, materializing the new level in the CSE. Cancelling
+// ctx aborts the iteration with ctx.Err(): the partial level is discarded,
+// the previous levels stay usable, and Close still reclaims every spilled
+// file.
 func (m *Miner) Expand(ctx context.Context, filter EmbeddingFilter) error {
 	vf, ef := m.filters(filter)
 	return m.e.Expand(ctxOrBackground(ctx), vf, ef)
 }
 
 // ExpandCount runs one exploration iteration and returns how many
-// embeddings it would produce without materializing them (CountSink): depth
-// and intermediate data are unchanged, and zero bytes are written for the
+// embeddings it would produce without materializing them: depth and
+// intermediate data are unchanged, and zero bytes are written for the
 // counted level. Use it for the final iteration of a counting workload —
 // the last level dominates the bytes a run writes, and a count is all such
 // workloads need (CliqueCount works this way; see §6.5 of the paper for the
@@ -109,9 +109,9 @@ func (m *Miner) ExpandCount(ctx context.Context, filter EmbeddingFilter) (uint64
 }
 
 // ExpandVisit runs one exploration iteration and hands every canonical
-// extension (emb, cand) to visit instead of materializing the new level
-// (VisitSink) — the Mapper-side consumption of a terminal expansion (motif
-// counting, FSM's final aggregation). worker identifies the calling
+// extension (emb, cand) to visit instead of materializing the new level —
+// the Mapper-side consumption of a terminal expansion (motif counting,
+// FSM's final aggregation). worker identifies the calling
 // goroutine for per-worker aggregation state; emb is a reused buffer that
 // must not be retained. Cancelling ctx aborts the walk with ctx.Err().
 func (m *Miner) ExpandVisit(ctx context.Context, filter EmbeddingFilter, visit func(worker int, emb []uint32, cand uint32) error) error {
