@@ -7,12 +7,12 @@
 // memory budget instead of each assuming it owns the whole machine.
 //
 // Spilling is per part, governed during the build: every level starts in
-// memory, and when the resident bytes cross the spill watermark — 90 % of
-// MemoryBudget — the governor migrates the largest in-flight parts to SpillDir while the rest
-// stay in RAM. A level slightly over budget therefore pays disk I/O only for
+// memory, and when the resident bytes reach the spill watermark — 90 % of
+// MemoryBudget — the governor migrates the parts still growing to SpillDir
+// while the finished ones stay in RAM. A level slightly over budget therefore pays disk I/O only for
 // its spilled share — Stats.SpilledParts vs Stats.SpilledLevels below shows
 // how partial the spilling was. Under an Engine the same watermark is a
-// cross-run property: the governor fires on the combined resident bytes of
+// cross-run property: the governor reads the combined resident bytes of
 // every run the engine has vended.
 //
 // Worked example: with MemoryBudget = 64 MB, a run whose levels reach 40 MB

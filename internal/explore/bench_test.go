@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"kaleido/internal/gen"
@@ -114,9 +113,8 @@ func BenchmarkAppendCanonical(b *testing.B) {
 
 	// store writes one leaf's children through an unbudgeted builder wired
 	// as an unbudgeted explorer wires it, one part, len(embs) groups a level.
-	var pressure atomic.Bool
-	hb := storage.NewHybridLevelBuilder(&run.Env{}, "", nil, &pressure, math.MaxInt64)
-	hb.Reset(k+1, 1, math.MaxInt64)
+	hb := storage.NewHybridLevelBuilder(&run.Env{}, "", nil, math.MaxInt64)
+	hb.Reset(k+1, 1)
 	defer func() { hb.Abort() }()
 	groups := 0
 	store := func(b *testing.B, emb []uint32) int {
@@ -139,7 +137,7 @@ func BenchmarkAppendCanonical(b *testing.B) {
 				b.Fatal(err)
 			}
 			lvl.Close()
-			hb.Reset(k+1, 1, math.MaxInt64)
+			hb.Reset(k+1, 1)
 			groups = 0
 			b.StartTimer()
 		}

@@ -26,7 +26,10 @@
 // An Explorer is configured by what it explores (Graph, Mode) and by the
 // run's one *run.Env, which it holds by pointer and passes on to the level
 // builder: no run knob is declared here. The one constant of the storage
-// policy lives here — the spill watermark (0.9 of the budget).
+// policy lives here — the spill watermark (0.9 of the budget), an absolute
+// limit on the tracker's SharedLive that the governor reads at every charge.
+// A budgeted Env without a tracker is copied once with a private one, so
+// placement does not depend on whether the caller reads the counts.
 package explore
 
 import (
@@ -38,6 +41,7 @@ import (
 	"sync/atomic"
 
 	"kaleido/internal/graph"
+	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
 	"kaleido/internal/storage"
 	"kaleido/internal/storage/vfs"
@@ -105,13 +109,6 @@ type Explorer struct {
 	acct   run.SpillInfo
 	ledger []int64 // tracker bytes charged per level
 	closed bool
-
-	// pressure is the external back-pressure flag the budget governor
-	// consults: set by the tracker's high-water callback when total tracked
-	// memory (this run's CSE, and sibling runs under a shared budget)
-	// crosses the budget.
-	pressure        atomic.Bool
-	cancelHighWater func()
 
 	// scratch[w] is worker w's reusable expansion state, pooled across
 	// Expand/ForEach calls so the steady-state per-chunk work
@@ -191,6 +188,14 @@ func New(cfg Config) (*Explorer, error) {
 	if cfg.MemoryBudget > 0 && cfg.SpillDir == "" {
 		return nil, fmt.Errorf("explore: memory budget set but no spill directory")
 	}
+	if cfg.MemoryBudget > 0 && cfg.Tracker == nil {
+		// The governor reads the budget from tracked bytes, the stored
+		// levels' included: a budget implies tracking, whether or not the
+		// caller reads the counts.
+		env := *cfg.Env
+		env.Tracker = memtrack.New()
+		cfg.Env = &env
+	}
 	e := &Explorer{
 		cfg: cfg, threads: cfg.Workers(), fs: vfs.OrOS(cfg.FS),
 		// Idle until something spills: no goroutine, no buffers.
@@ -207,22 +212,15 @@ func New(cfg Config) (*Explorer, error) {
 		}
 		e.runDir = dir
 	}
-	if cfg.Tracker != nil && cfg.MemoryBudget > 0 {
-		// Register at the budget scope: with an arbiter-backed tracker the
-		// high-water mark is the combined live bytes of every sibling run —
-		// including their in-flight builds, which the hybrid builders charge
-		// to the tracker as they grow. Firing at the watermark (not the full
-		// budget) keeps the headroom above it as slack, so the combined
-		// resident bytes stay under the budget itself.
-		e.cancelHighWater = cfg.Tracker.OnSharedHighWater(e.watermarkBytes(), func(int64) {
-			e.pressure.Store(true)
-		})
-	}
 	return e, nil
 }
 
-// watermarkBytes is the absolute spill watermark: spillWatermark of the
-// memory budget, or out of reach without one.
+// watermarkBytes is the absolute spill watermark on the budget scope's live
+// bytes: spillWatermark of the memory budget, or out of reach without one.
+// The scope is the run's tracker — under an Engine the combined live bytes
+// of every sibling run, their in-flight builds included — so the headroom
+// above the watermark is slack that keeps the combined resident bytes under
+// the budget itself.
 func (e *Explorer) watermarkBytes() int64 {
 	if e.cfg.MemoryBudget <= 0 {
 		return math.MaxInt64
@@ -348,10 +346,6 @@ func (e *Explorer) Close() error {
 		*out = e.acct
 	}
 	var first error
-	if e.cancelHighWater != nil {
-		e.cancelHighWater()
-		e.cancelHighWater = nil
-	}
 	if e.c != nil {
 		if err := e.c.Close(); err != nil {
 			first = err
@@ -375,48 +369,19 @@ func (e *Explorer) Close() error {
 }
 
 // armBuilder arms the pooled level builder for the parts cut at bounds over
-// the top level. The stored levels stay resident alongside the new one: the
-// governor watermark is the budget share left after them, and placement is
-// decided per part, during the build. The builder (and, via the storage
-// part-buffer pool, the buffers of parts whose levels have been closed) is
-// reused across Expand iterations instead of being allocated per level.
+// the top level. The stored levels stay resident alongside the new one, and
+// the tracker holds them, so the governor's one watermark on the scope's
+// live bytes accounts for them; placement is decided per part, during the
+// build. The builder (and, via the storage part-buffer pool, the buffers of
+// parts whose levels have been closed) is reused across Expand iterations
+// instead of being allocated per level.
 func (e *Explorer) armBuilder(bounds []int) {
-	// Refresh external pressure: tracked memory may already exceed the
-	// watermark before this build starts (earlier levels — and, under a
-	// shared arbiter, the sibling runs' data).
-	e.pressure.Store(e.cfg.Tracker != nil && e.cfg.Tracker.SharedLive() >= e.watermarkBytes())
 	if e.builder == nil {
-		e.builder = storage.NewHybridLevelBuilder(e.cfg.Env, e.runDir, e.queue, &e.pressure, e.watermarkBytes())
+		e.builder = storage.NewHybridLevelBuilder(e.cfg.Env, e.runDir, e.queue, e.watermarkBytes())
 	}
-	e.builder.Reset(e.levelSeq, len(bounds)-1, e.buildBudget(e.c.Bytes()))
+	e.builder.Reset(e.levelSeq, len(bounds)-1)
 	e.levelSeq++
 	e.presizeParts(bounds)
-}
-
-// buildBudget returns the governor watermark for a new level build: the
-// spill watermark minus the bytes the resident levels already hold and minus
-// the bytes the sibling runs of a shared arbiter hold (the watermark is a
-// cross-run property: N runs charging one pool must together stay under one
-// budget). Negative means nothing fits — every part goes straight to disk;
-// without a memory budget there is no limit to take anything from.
-func (e *Explorer) buildBudget(baseBytes int64) int64 {
-	if e.cfg.MemoryBudget <= 0 {
-		return math.MaxInt64
-	}
-	return e.watermarkBytes() - baseBytes - e.foreignLive()
-}
-
-// foreignLive returns the tracked live bytes held by the sibling runs of a
-// shared budget arbiter (zero for a standalone tracker or none at all).
-func (e *Explorer) foreignLive() int64 {
-	t := e.cfg.Tracker
-	if t == nil {
-		return 0
-	}
-	if f := t.SharedLive() - t.Live(); f > 0 {
-		return f
-	}
-	return 0
 }
 
 // presizeParts reserves the builder's per-part buffers before expansion
@@ -558,16 +523,17 @@ func (e *Explorer) expandLeafRows(c *chunkWalk, st *vertexState, d int, visit Ro
 // part that may migrate pays real fixed costs (files, write buffers, governor
 // bookkeeping), so a budgeted build uses two parts per thread — enough
 // placement granularity for a meaningful mem/disk split — and the all-disk
-// regime (budget exhausted before the build starts), where every part
+// regime (the scope's live bytes already at the watermark when the build
+// starts, the question the builder's Reset asks too), where every part
 // migrates anyway, falls back to one part per thread. A part that cannot
 // migrate is a pair of pooled slices, nearly free, so an unbudgeted build
 // keeps the fine work-stealing chunking of every other parallel walk.
-func (e *Explorer) buildChunks(n int, baseBytes int64) int {
+func (e *Explorer) buildChunks(n int) int {
 	if e.cfg.MemoryBudget <= 0 {
 		return e.chunks(n)
 	}
 	t := e.threads
-	if e.buildBudget(baseBytes) > 0 {
+	if e.cfg.Tracker.SharedLive() < e.watermarkBytes() {
 		t *= 2
 	}
 	if n < t {

@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"kaleido/internal/memtrack"
@@ -76,8 +78,8 @@ func TestPartialSpillBetweenLevelSizes(t *testing.T) {
 }
 
 // TestTrackerPressureForcesSpill: when tracked memory outside the CSE
-// already exceeds the budget, the high-water signal must force the next
-// build to spill even though the CSE itself is tiny.
+// already exceeds the budget, the next build must spill even though the CSE
+// itself is tiny: the governor reads the tracker, not the CSE.
 func TestTrackerPressureForcesSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	g := randomGraph(rng, 30, 90)
@@ -105,5 +107,81 @@ func TestTrackerPressureForcesSpill(t *testing.T) {
 	stats := e.LevelStats()
 	if stats[len(stats)-1].DiskParts == 0 {
 		t.Fatal("top level has no disk parts despite pressure")
+	}
+}
+
+// TestBudgetFollowsLiveSiblingBytes: under a shared budget the governor reads
+// the scope's live bytes at every charge, not a picture of them taken when
+// the build starts. The explorer runs on one child tracker of an arbiter and
+// a sibling child holds or takes bytes while the level is being built; a
+// filter that admits everything moves them on its first call, before any
+// child is stored. The level plus the base is about half the watermark W.
+//
+//   - the sibling holds 0.8·W at the start and frees it: the build has the
+//     whole watermark to itself, so nothing spills (a budget fixed at the
+//     start would have left the build 0.2·W and spilled most of the level);
+//   - the sibling holds nothing at the start and takes W: the build crosses
+//     at its first charge and must spill.
+//
+// Either way the level equals the unbudgeted one.
+func TestBudgetFollowsLiveSiblingBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	g := randomGraph(rng, 200, 3000)
+	ref := newVertexExplorer(t, g, 2)
+	if err := ref.Expand(bgCtx, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := collect(t, ref)
+	budget := int64(float64(2*ref.Bytes()) / spillWatermark)
+	for _, tc := range []struct {
+		name      string
+		wantSpill bool
+	}{
+		{"sibling frees", false},
+		{"sibling allocates", true},
+	} {
+		for _, threads := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/%dthreads", tc.name, threads), func(t *testing.T) {
+				a := memtrack.NewArbiter(budget)
+				sibling := a.NewTracker()
+				e, err := New(Config{Graph: g, Mode: VertexInduced, Env: &run.Env{
+					Threads: threads, MemoryBudget: budget, SpillDir: t.TempDir(), Tracker: a.NewTracker(),
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				if err := e.InitVertices(nil); err != nil {
+					t.Fatal(err)
+				}
+				w := e.watermarkBytes()
+				if base := e.Bytes(); 2*ref.Bytes() > w+w/100 || base > w/10 {
+					t.Fatalf("watermark %d for a level plus base of %d, base %d", w, ref.Bytes(), base)
+				}
+				var once sync.Once
+				var move func()
+				if tc.wantSpill {
+					move = func() { sibling.Alloc(w) }
+					defer sibling.Free(w)
+				} else {
+					sibling.Alloc(w * 8 / 10)
+					move = func() { sibling.Free(w * 8 / 10) }
+				}
+				all := func(int, []uint32, uint32, uint32) bool {
+					once.Do(move)
+					return true
+				}
+				if err := e.Expand(bgCtx, all, nil); err != nil {
+					t.Fatal(err)
+				}
+				top := e.LevelStats()[1]
+				if spilled := top.DiskParts > 0; spilled != tc.wantSpill {
+					t.Fatalf("%d mem / %d disk parts, want spilled = %v", top.MemParts, top.DiskParts, tc.wantSpill)
+				}
+				if got := collect(t, e); !reflect.DeepEqual(got, want) {
+					t.Fatalf("the level differs from the unbudgeted one: %d vs %d embeddings", len(got), len(want))
+				}
+			})
+		}
 	}
 }

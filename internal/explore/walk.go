@@ -52,7 +52,7 @@ func (e *Explorer) cut(p pass) ([]int, error) {
 	n := top.Len()
 	nchunks := e.chunks(n)
 	if p == storePass {
-		nchunks = e.buildChunks(n, e.c.Bytes())
+		nchunks = e.buildChunks(n)
 	}
 	bounds := partitionEven(n, nchunks)
 	if p != topPass && e.cfg.Mode == Clique && e.c.Depth() >= 2 {

@@ -9,10 +9,14 @@
 // An Arbiter extends the accounting across concurrent runs: child trackers
 // forward every charge to a combined pool, so one memory budget can be
 // shared by N co-located runs (the engine's multi-run surface).
+//
+// The counters only count: nothing here reacts when a count crosses a
+// limit. The one reader that does is the hybrid level builder's governor
+// (internal/storage), which compares SharedLive with its spill watermark at
+// every charge.
 package memtrack
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -43,23 +47,8 @@ type Tracker struct {
 	// Stats.IORetries.
 	ioRetries atomic.Int64
 
-	// marks is a copy-on-write list of high-water callbacks; Alloc/Free read
-	// it with one atomic load so untriggered watermarks cost nothing on the
-	// hot path.
-	marks   atomic.Pointer[[]*watermark]
-	marksMu sync.Mutex
-
 	samples  []IOSample
 	sampleMu chan struct{} // 1-buffered semaphore guarding samples
-}
-
-// watermark is one registered high-water callback. fired keeps the callback
-// edge-triggered: it runs once when live crosses limit from below and is
-// re-armed only after live drops back under limit.
-type watermark struct {
-	limit int64
-	fired atomic.Bool
-	fn    func(live int64)
 }
 
 type dialAtomic struct{ v atomic.Int64 }
@@ -81,9 +70,9 @@ func New() *Tracker {
 // Arbiter shares one memory budget across the trackers of concurrent runs.
 // Each run keeps its own child Tracker (per-run Stats stay per-run), but
 // every allocation is also charged to the arbiter's combined pool, so the
-// §4.1 spill governor can fire on the total resident bytes of all co-located
-// runs — N runs together respect one budget instead of each believing it
-// owns the whole machine. The Arbiter embeds a Tracker holding the combined
+// §4.1 spill governor reads the total resident bytes of all co-located runs
+// — N runs together respect one budget instead of each believing it owns the
+// whole machine. The Arbiter embeds a Tracker holding the combined
 // accounting.
 type Arbiter struct {
 	Tracker
@@ -155,25 +144,14 @@ func (a *Arbiter) NewTracker() *Tracker {
 
 // SharedLive returns the live bytes of the whole budget scope: the combined
 // total of all sibling trackers when this tracker is the child of an
-// Arbiter, the tracker's own live bytes otherwise. Budget and watermark
-// decisions must use this, not Live — under an arbiter the watermark is a
-// cross-run property.
+// Arbiter, the tracker's own live bytes otherwise. It is the spill
+// governor's one input: budget and watermark decisions must use this, not
+// Live — under an arbiter the watermark is a cross-run property.
 func (t *Tracker) SharedLive() int64 {
 	if t.parent != nil {
 		return t.parent.Live()
 	}
 	return t.Live()
-}
-
-// OnSharedHighWater is OnHighWater registered at the budget scope: on the
-// arbiter's combined live bytes when this tracker has one, on the tracker
-// itself otherwise. Callbacks may fire on any sibling run's allocating
-// goroutine.
-func (t *Tracker) OnSharedHighWater(limit int64, fn func(live int64)) (cancel func()) {
-	if t.parent != nil {
-		return t.parent.OnHighWater(limit, fn)
-	}
-	return t.OnHighWater(limit, fn)
 }
 
 // Alloc records n live bytes and updates the peak watermark.
@@ -182,13 +160,6 @@ func (t *Tracker) Alloc(n int64) {
 		t.parent.Tracker.Alloc(n)
 	}
 	live := t.live.v.Add(n)
-	if ms := t.marks.Load(); ms != nil {
-		for _, m := range *ms {
-			if live >= m.limit && m.fired.CompareAndSwap(false, true) {
-				m.fn(live)
-			}
-		}
-	}
 	for {
 		p := t.peak.Load()
 		if live <= p || t.peak.CompareAndSwap(p, live) {
@@ -202,49 +173,7 @@ func (t *Tracker) Free(n int64) {
 	if t.parent != nil {
 		t.parent.Tracker.Free(n)
 	}
-	live := t.live.v.Add(-n)
-	if ms := t.marks.Load(); ms != nil {
-		for _, m := range *ms {
-			if live < m.limit {
-				m.fired.Store(false) // re-arm for the next crossing
-			}
-		}
-	}
-}
-
-// OnHighWater registers fn to run when live bytes cross limit from below —
-// the back-pressure signal of the §4.1 budget governor: hybrid level builders
-// subscribe so that tracked allocations outside their own build (earlier
-// levels, sibling runs) can force mid-build spilling before the budget is
-// blown. The
-// callback is edge-triggered (once per crossing; re-armed when live drops
-// back under limit) and runs on the allocating goroutine, so it must be
-// cheap and non-blocking. The returned cancel removes the registration.
-func (t *Tracker) OnHighWater(limit int64, fn func(live int64)) (cancel func()) {
-	m := &watermark{limit: limit, fn: fn}
-	t.marksMu.Lock()
-	var next []*watermark
-	if cur := t.marks.Load(); cur != nil {
-		next = append(next, *cur...)
-	}
-	next = append(next, m)
-	t.marks.Store(&next)
-	t.marksMu.Unlock()
-	return func() {
-		t.marksMu.Lock()
-		defer t.marksMu.Unlock()
-		cur := t.marks.Load()
-		if cur == nil {
-			return
-		}
-		trimmed := make([]*watermark, 0, len(*cur))
-		for _, w := range *cur {
-			if w != m {
-				trimmed = append(trimmed, w)
-			}
-		}
-		t.marks.Store(&trimmed)
-	}
+	t.live.v.Add(-n)
 }
 
 // Live returns the current live byte count.

@@ -2,7 +2,6 @@ package memtrack
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -76,59 +75,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestOnHighWater(t *testing.T) {
-	tr := New()
-	var fired int
-	var lastLive int64
-	cancel := tr.OnHighWater(100, func(live int64) {
-		fired++
-		lastLive = live
-	})
-	tr.Alloc(50)
-	if fired != 0 {
-		t.Fatal("fired below the limit")
-	}
-	tr.Alloc(60) // crosses 100
-	if fired != 1 || lastLive != 110 {
-		t.Fatalf("fired=%d live=%d after crossing", fired, lastLive)
-	}
-	tr.Alloc(5) // still above: edge-triggered, no refire
-	if fired != 1 {
-		t.Fatalf("refired while above the limit (fired=%d)", fired)
-	}
-	tr.Free(20) // drops to 95: re-arms
-	tr.Alloc(10)
-	if fired != 2 {
-		t.Fatalf("did not refire after re-arming (fired=%d)", fired)
-	}
-	tr.Free(105)
-	cancel()
-	tr.Alloc(200)
-	if fired != 2 {
-		t.Fatalf("fired after cancel (fired=%d)", fired)
-	}
-}
-
-func TestOnHighWaterConcurrent(t *testing.T) {
-	tr := New()
-	var fired atomic.Int64
-	tr.OnHighWater(1000, func(int64) { fired.Add(1) })
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				tr.Alloc(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := fired.Load(); got != 1 {
-		t.Fatalf("high-water fired %d times for one crossing", got)
-	}
-}
-
 func TestArbiterCombinedAccounting(t *testing.T) {
 	a := NewArbiter(1000)
 	if a.Budget() != 1000 {
@@ -155,24 +101,6 @@ func TestArbiterCombinedAccounting(t *testing.T) {
 	solo.Alloc(10)
 	if solo.SharedLive() != 10 {
 		t.Fatalf("solo SharedLive = %d", solo.SharedLive())
-	}
-}
-
-func TestArbiterSharedHighWater(t *testing.T) {
-	a := NewArbiter(100)
-	t1, t2 := a.NewTracker(), a.NewTracker()
-	var fired atomic.Int64
-	cancel := t1.OnSharedHighWater(100, func(int64) { fired.Add(1) })
-	defer cancel()
-	t1.Alloc(60)
-	if fired.Load() != 0 {
-		t.Fatal("fired below the shared limit")
-	}
-	// The sibling's allocation crosses the combined limit — the callback
-	// must fire even though neither tracker crossed it alone.
-	t2.Alloc(60)
-	if fired.Load() != 1 {
-		t.Fatalf("fired=%d after a cross-run crossing", fired.Load())
 	}
 }
 

@@ -25,11 +25,13 @@ type Env struct {
 	Threads int
 
 	// MemoryBudget caps the resident bytes of the CSE (hybrid storage, §4.1).
-	// Levels are built part by part in memory; when the resident total
-	// crosses the spill watermark the budget governor migrates the largest
-	// in-flight parts to SpillDir mid-build, so a single level can end up
-	// half in memory and half on disk. 0 means no limit: every part stays raw
-	// in memory and the run touches neither SpillDir nor the filesystem.
+	// Levels are built part by part in memory; when the tracked live bytes
+	// of the budget scope (Tracker's SharedLive) reach the spill watermark
+	// the budget governor migrates the parts still growing to SpillDir
+	// mid-build, so a single level can end up half in memory and half on
+	// disk. A budget implies tracking: with a nil Tracker the explorer
+	// counts into a private one. 0 means no limit: every part stays raw in
+	// memory and the run touches neither SpillDir nor the filesystem.
 	MemoryBudget int64
 	// SpillDir receives the spilled level parts, each run in a private
 	// subdirectory. Required when MemoryBudget > 0.
@@ -41,7 +43,7 @@ type Env struct {
 
 	// Tracker, when non-nil, is charged the run's resident bytes and spill
 	// I/O. Under a budget shared by several runs it is the child of their
-	// memtrack.Arbiter, so the governor fires on the combined total.
+	// memtrack.Arbiter, so the governor reads the combined total.
 	Tracker *memtrack.Tracker
 
 	// Iso selects the isomorphism backend of pattern aggregation.

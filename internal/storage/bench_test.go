@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"kaleido/internal/memtrack"
@@ -20,7 +19,7 @@ import (
 // never reaches, so every part stays raw and what differs from unbudgeted is
 // the governor's accounting; and all-disk, where every group is encoded into
 // codec blocks and written behind. The builder is wired as the explorer wires
-// it — a tracker, a pressure flag, the watermark as pressure limit. A round
+// it — a tracker and the watermark on its live bytes. A round
 // appends at most roundGroups groups per writer, then Finishes and Closes
 // the level, so the resident bytes stay small whatever b.N is.
 func BenchmarkAppendGroup(b *testing.B) {
@@ -44,14 +43,13 @@ func BenchmarkAppendGroup(b *testing.B) {
 				tracker := memtrack.New()
 				q := NewWriteQueue(0, tracker)
 				defer q.Close()
-				var pressure atomic.Bool
-				hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, b.TempDir(), q, &pressure, regime.budget)
+				hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, b.TempDir(), q, regime.budget)
 				b.ReportAllocs()
 				b.ResetTimer()
 				appended := 0
 				for appended < b.N {
 					per := min(roundGroups, (b.N-appended+writers-1)/writers)
-					hb.Reset(2, writers, regime.budget)
+					hb.Reset(2, writers)
 					var wg sync.WaitGroup
 					for w := 0; w < writers; w++ {
 						wg.Add(1)

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -18,17 +19,17 @@ import (
 // range of parent embeddings; distinct parts may be written concurrently,
 // each by a single goroutine.
 //
-// Every part starts in memory; the budget governor watches the total
-// resident bytes of the in-flight parts and, when they cross the watermark,
-// marks the largest parts for migration. A marked part is drained to disk
-// through the WriteQueue (write-behind: the part's accumulated — oldest —
-// data goes out, the still-growing parts stay hot in RAM) and keeps
-// appending to disk from then on. Parts charge the governor a slab of bytes
-// at a time (see governor), so with a watermark the build can never over-run
-// the memory budget by more than one part's growth between charges, and a
-// level that fits — every level of an unbudgeted run, whose watermark is out
-// of reach — stays entirely in memory: each part finishes raw and is handed
-// to the level where it was written, with no copy, no filesystem call and no
+// Every part starts in memory; the budget governor reads the budget scope's
+// live bytes at every charge and, when they reach the watermark, marks the
+// parts still growing for migration (and sheds flushed parts as far as the
+// overshoot requires). A marked part is drained to disk through the
+// WriteQueue (write-behind: the part's accumulated — oldest — data goes out)
+// and keeps appending to disk from then on. Parts charge the governor a slab
+// of bytes at a time (see governor), so with a watermark the build can never
+// over-run it by more than one slab per part between charges, and a level
+// that fits — every level of an unbudgeted run, whose watermark is out of
+// reach — stays entirely in memory: each part finishes raw and is handed to
+// the level where it was written, with no copy, no filesystem call and no
 // I/O goroutine.
 type HybridLevelBuilder struct {
 	dir       string
@@ -39,6 +40,7 @@ type HybridLevelBuilder struct {
 	fs        vfs.FS
 	gov       governor
 	parts     []hybridPartWriter
+	headroom  int64 // the build's bytes under the watermark, read at Reset
 	reserved  int64
 }
 
@@ -47,29 +49,26 @@ type HybridLevelBuilder struct {
 // spill files live on and the tracker — and the remaining arguments are the
 // run-scoped resources its explorer owns. dir and the part files in it are
 // created lazily, only when a part actually migrates (a build that cannot
-// migrate may pass a nil queue), and the files always hold v2 codec blocks. pressure, when non-nil, is an external back-pressure flag
-// (e.g. a memtrack high-water callback): while set, the governor spills as if
-// the budget were exhausted. A positive pressureLimit tells the governor how
-// far the tracker's live bytes have to come down, so it sheds flushed parts
-// only as far as the overshoot requires (parts still growing spill
-// regardless) and clears the flag once live is back under the limit — a
-// transient spike does not condemn the whole level to disk.
-func NewHybridLevelBuilder(env *run.Env, dir string, q *WriteQueue, pressure *atomic.Bool, pressureLimit int64) *HybridLevelBuilder {
+// migrate may pass a nil queue), and the files always hold v2 codec blocks.
+// watermark is the absolute limit on the budget scope's live bytes
+// (env.Tracker's SharedLive) at which the governor spills; math.MaxInt64 is
+// no budget. A watermark needs bytes to read: without a tracker the builder
+// counts its own in a private one.
+func NewHybridLevelBuilder(env *run.Env, dir string, q *WriteQueue, watermark int64) *HybridLevelBuilder {
 	b := &HybridLevelBuilder{dir: dir, queue: q, tracker: env.Tracker, fs: vfs.OrOS(env.FS)}
-	b.gov.pressure = pressure
-	b.gov.pressureLimit = pressureLimit
-	b.gov.tracker = env.Tracker
-	b.gov.b = b
+	b.gov = governor{watermark: watermark, tracker: env.Tracker, b: b}
+	if b.gov.tracker == nil && watermark != math.MaxInt64 {
+		b.gov.tracker = memtrack.New()
+	}
 	return b
 }
 
 // Reset arms the builder for a level build of nparts parts, reusing its
 // part-writer slice (and, through the part pool, the buffers of levels that
-// have since been closed). level names the new level's spill files. memBudget
-// is the resident-byte watermark for this build: ≤ 0 sends every part to disk
-// immediately (the all-disk regime), math.MaxInt64 is no limit at all (an
-// unbudgeted run).
-func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
+// have since been closed). level names the new level's spill files. The
+// build's headroom under the watermark is read once, here: with none left
+// every part goes to disk immediately (the all-disk regime).
+func (b *HybridLevelBuilder) Reset(level, nparts int) {
 	b.level = level
 	if cap(b.parts) < nparts {
 		b.parts = make([]hybridPartWriter, nparts)
@@ -77,7 +76,7 @@ func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
 		b.parts = b.parts[:nparts]
 	}
 	b.reserved = 0
-	b.gov.reset(memBudget, nparts)
+	b.headroom = b.gov.reset(nparts)
 	for i := range b.parts {
 		p := &b.parts[i]
 		p.b, p.idx = b, i
@@ -85,10 +84,11 @@ func (b *HybridLevelBuilder) Reset(level, nparts int, memBudget int64) {
 		p.bytes.Store(0)
 		// All-disk regime: nothing fits, so skip the pointless memory stay —
 		// the first append migrates with an empty replay.
-		p.spillReq.Store(memBudget <= 0)
+		p.spillReq.Store(b.headroom <= 0)
 		p.flushed.Store(false)
 		p.claimed = 0
 		p.uncharged = 0
+		p.pressed = false
 		p.migrated = false
 		p.dwSealed = false
 		p.dw = diskPartWriter{}
@@ -114,6 +114,7 @@ type hybridPartWriter struct {
 	flushed   atomic.Bool
 	claimed   int64      // bytes credited to governor.pending at mark time
 	uncharged int64      // owner-only: bytes appended since the last charge; 0 once flushed or migrated
+	pressed   bool       // owner-only: the last charge found the scope at or over the watermark
 	mu        sync.Mutex // guards migration and dw sealing
 	migrated  bool
 	dwSealed  bool
@@ -127,21 +128,21 @@ func (b *HybridLevelBuilder) Part(i int) *hybridPartWriter { return &b.parts[i] 
 // units in groups groups — the pre-sizing that replaces append-doubling
 // during cold-start expansion with one up-front allocation. It is a hint, not
 // a limit: parts still grow on demand past the reserve. A part's reserve is
-// capped at twice its even share of the memory watermark, and reserves stop
-// once their sum reaches the watermark — capacity is real resident memory,
+// capped at twice its even share of the build's headroom, and reserves stop
+// once their sum reaches the headroom — capacity is real resident memory,
 // and a part likely to migrate should not pre-claim it.
 func (b *HybridLevelBuilder) ReservePart(i, verts, groups int) {
-	if b.gov.budget <= 0 {
+	if b.headroom <= 0 {
 		return
 	}
 	if verts > maxHybridReserve {
 		verts = maxHybridReserve
 	}
-	if perPart := int(b.gov.budget / int64(4*len(b.parts)) * 2); verts > perPart {
+	if perPart := int(b.headroom / int64(4*len(b.parts)) * 2); verts > perPart {
 		verts = perPart
 	}
 	bytes := int64(verts)*4 + int64(groups)*4
-	if b.reserved+bytes > b.gov.budget {
+	if b.reserved+bytes > b.headroom {
 		return
 	}
 	b.reserved += bytes
@@ -207,7 +208,7 @@ func (p *hybridPartWriter) NextGroup() ([]uint32, error) {
 // CommitGroup records the group NextGroup handed out: buf is that buffer
 // with the group's children appended. A part in memory charges the governor
 // once its uncharged bytes reach the build's slab, or at every group while
-// the external pressure flag is up.
+// its last charge found the scope pressed.
 func (p *hybridPartWriter) CommitGroup(buf []uint32) {
 	if p.migrated {
 		p.scratch = buf
@@ -220,7 +221,7 @@ func (p *hybridPartWriter) CommitGroup(buf []uint32) {
 	// Account the part's eventual resident size: the 4-byte counts become
 	// 8-byte global bounds at Finish, so a group costs 8 bytes for good.
 	p.uncharged += int64(n)*4 + 8
-	if p.uncharged >= p.b.gov.slab || p.b.gov.pressed() {
+	if p.uncharged >= p.b.gov.slab || p.pressed {
 		p.charge()
 	}
 }
@@ -230,7 +231,7 @@ func (p *hybridPartWriter) charge() {
 	if n := p.uncharged; n != 0 {
 		p.uncharged = 0
 		p.bytes.Add(n)
-		p.b.gov.noteAlloc(n)
+		p.pressed = p.b.gov.noteAlloc(n)
 	}
 }
 

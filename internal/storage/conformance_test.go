@@ -110,8 +110,8 @@ func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, lay lay
 		dir = t.TempDir()
 	}
 	ml := &MemLevel{Offs: []uint64{0}}
-	hb := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker}, dir, q, nil, 0)
-	hb.Reset(2, nparts, lay.budget)
+	hb := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker}, dir, q, lay.budget)
+	hb.Reset(2, nparts)
 	hb.blockSize = 128
 	for i := 0; i < nparts; i++ {
 		if lay.at(i) == 'd' {

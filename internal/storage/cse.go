@@ -18,9 +18,11 @@
 //
 // Every level is a HybridLevel, the base unit list included (NewBaseLevel: one
 // raw part, no group bounds). Levels above it are built in t parts; every
-// part starts in memory and a budget governor migrates the largest in-flight
-// parts to disk when the resident bytes cross the spill watermark
-// (HybridLevelBuilder, governor.go), so one level's parts can be split
+// part starts in memory and a budget governor migrates the parts still
+// growing to disk when the budget scope's live bytes (the run's tracker, an
+// Engine's siblings included) reach the spill watermark, shedding sealed
+// parts only as far as the overshoot requires (HybridLevelBuilder,
+// governor.go), so one level's parts can be split
 // between RAM and disk — the all-disk regime is simply the level whose every
 // part migrated (a zero budget), and an unbudgeted run the level none of
 // whose parts can: its watermark is out of reach, every part stays raw where

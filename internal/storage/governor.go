@@ -1,19 +1,29 @@
 package storage
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"kaleido/internal/memtrack"
 )
 
-// governor is the placement policy of a hybrid build: an atomic running
-// total of in-flight resident bytes, compared against the build's watermark
-// at every charge. Crossing it marks the largest unmarked parts until the
-// bytes marked cover the overshoot — never more. pending tracks the bytes of
-// parts marked but not yet migrated, so the post-crossing fast path stays a
-// few atomic loads — the full part scan runs only when a new victim is
-// needed.
+// governor is the placement policy of a hybrid build. It has one input, the
+// budget scope's live bytes (tracker.SharedLive: the run's stored levels,
+// this build's charged parts and, under an Engine, every sibling run), read
+// at every charge and compared with one absolute watermark. The scope is
+// pressed while live is at or over the watermark; at such a charge every
+// part still growing is marked for disk, and then flushed parts are shed,
+// largest first, until the bytes marked cover the overshoot (live − pending −
+// watermark) — never more, so a spike of a few bytes does not send a whole
+// level to disk. Marked bytes stay resident until their migration completes,
+// and letting the other workers keep appending in memory meanwhile is what
+// overruns the watermark (measured on the repo benchmark's store4-hybrid,
+// two workers: covering the overshoot with one growing victim raised the
+// tracked peak from the watermark to 10-30% above it). pending tracks the
+// bytes of parts marked but not yet migrated, so the post-crossing fast path
+// stays a few atomic loads — the full part scan runs only when a new victim
+// is needed.
 //
 // A part charges its appended bytes once per slab, not once per group, and
 // the rest at its Flush — budgeted or not, one rule. A charge writes the
@@ -22,32 +32,19 @@ import (
 // quarter of the CPU of the repo benchmark's store4-hybrid job. Tracked
 // bytes therefore lag the resident bytes by less than one slab per part
 // still growing, and the slabs of all parts add up to at most 1/64 of the
-// build's limit. While the external pressure flag is up every group
-// charges, so the reaction to it does not lag.
-//
-// External pressure with a known limit (the tracked total — sibling runs
-// included — is over pressureLimit) follows the same rule for
-// data at rest: flushed parts are spilled only until the marked bytes cover
-// the overshoot, so a spike of a few bytes does not send a whole level to
-// disk. What it condemns beyond that is only what is still growing: marked
-// bytes stay resident until their migration completes, and letting the
-// other workers keep appending in memory meanwhile is what overruns the
-// limit (measured on the repo benchmark's store4-hybrid, two workers:
-// covering the overshoot with one victim raised the tracked peak from the
-// watermark to 10-30% above it).
+// headroom the build started with. A part whose last charge found the scope
+// pressed charges every group, so its reaction does not lag.
 type governor struct {
 	// Fixed for the length of a build, and read by every append.
-	budget        int64
-	slab          int64 // bytes a part appends between charges; ≤ 0 charges every group
-	pressure      *atomic.Bool
-	pressureLimit int64
-	tracker       *memtrack.Tracker
-	b             *HybridLevelBuilder
+	watermark int64             // on SharedLive; math.MaxInt64 is no budget
+	slab      int64             // bytes a part appends between charges; ≤ 0 charges every group
+	tracker   *memtrack.Tracker // nil only without a budget
+	b         *HybridLevelBuilder
 
 	// The counters every charge of every worker writes sit a cache line away
 	// from the fields above: sharing one, each charge's first read of the
-	// budget fetched the line its own add then had to fetch again for
-	// writing (measured when every append charged, on the repo benchmark's
+	// slab fetched the line its own add then had to fetch again for writing
+	// (measured when every append charged, on the repo benchmark's
 	// store4-hybrid job, two workers: 0.62 s together, 0.55 s apart).
 	_        [64]byte
 	inflight atomic.Int64
@@ -61,37 +58,43 @@ type governor struct {
 // a few thousand per level, off the profile.
 const maxSlab = 32 << 10
 
-// reset re-arms the governor for a new build of nparts parts under
-// memBudget. The slab is 1/64 of each part's share of the smaller of the
-// build's two limits, capped at maxSlab: an unbudgeted build charges every
-// 32 KiB, a tiny budget (or an unknown pressure limit, ≤ 0) every group.
-func (g *governor) reset(memBudget int64, nparts int) {
-	g.budget = memBudget
-	g.slab = min(maxSlab, min(memBudget, g.pressureLimit)/int64(64*max(nparts, 1)))
+// reset re-arms the governor for a new build of nparts parts and returns the
+// build's headroom: the bytes the scope has left under the watermark now
+// (negative once it is crossed), or math.MaxInt64 without a budget. The slab
+// is 1/64 of each part's share of the headroom, capped at maxSlab: an
+// unbudgeted build charges every 32 KiB, one with little or no headroom every
+// group.
+func (g *governor) reset(nparts int) (headroom int64) {
 	g.releaseInflight() // no-op after a completed Finish/Abort
 	g.pending.Store(0)
 	g.mu.Lock()
 	g.err = nil
 	g.mu.Unlock()
+	headroom = math.MaxInt64
+	if g.tracker != nil {
+		headroom = g.watermark - g.tracker.SharedLive()
+	}
+	g.slab = min(maxSlab, headroom/int64(64*max(nparts, 1)))
+	return headroom
 }
 
-// pressed reports whether the external pressure flag is up.
-func (g *governor) pressed() bool { return g.pressure != nil && g.pressure.Load() }
-
-func (g *governor) noteAlloc(delta int64) {
-	// In-flight build bytes are charged to the tracker as they grow (slab by
-	// slab), not just at Finish: under a shared arbiter this is what makes
-	// one run's half-built level visible to its siblings' governors — the
-	// cross-run watermark fires on genuinely resident bytes, not only
-	// completed levels. Finish/Abort release the in-flight charge (the
-	// finished level is then charged by its owner).
-	if g.tracker != nil {
-		g.tracker.Alloc(delta)
-	}
+// noteAlloc charges delta appended bytes and reports whether the scope is
+// pressed, after spilling over if it is. In-flight build bytes are charged
+// to the tracker as they grow (slab by slab), not just at Finish: under a
+// shared arbiter this is what makes one run's half-built level visible to
+// its siblings' governors. Finish/Abort release the in-flight charge (the
+// finished level is then charged by its owner).
+func (g *governor) noteAlloc(delta int64) (pressed bool) {
 	g.inflight.Add(delta)
-	if over, pressed := g.overshoot(); over > 0 || pressed {
-		g.spillOver()
+	if g.tracker == nil {
+		return false
 	}
+	g.tracker.Alloc(delta)
+	if g.tracker.SharedLive() < g.watermark {
+		return false
+	}
+	g.spillOver()
+	return true
 }
 
 func (g *governor) noteFree(n int64) {
@@ -110,34 +113,6 @@ func (g *governor) releaseInflight() {
 	}
 }
 
-// overshoot returns how many resident bytes still have to be marked for
-// spilling: the in-flight bytes above the build's watermark and, while the
-// external pressure flag is up, the tracked live bytes above pressureLimit —
-// whichever is larger — less the bytes already marked (pending migrations
-// will free them). pressed reports that such a measured limit is exceeded
-// right now, marked bytes or not: the caller, an unmarked part that just
-// grew, has to stop growing. Without a limit (or a tracker to measure
-// against) the flag carries no size, so the governor spills everything while
-// it is up.
-func (g *governor) overshoot() (over int64, pressed bool) {
-	resident := g.inflight.Load() - g.pending.Load()
-	over = resident - g.budget
-	if !g.pressed() {
-		return over, false
-	}
-	if g.pressureLimit <= 0 || g.tracker == nil {
-		return resident, false
-	}
-	live := g.tracker.SharedLive()
-	if live < g.pressureLimit {
-		// The spike has passed: stop force-spilling. The high-water callback
-		// re-arms below the limit, so a second crossing sets the flag again.
-		g.pressure.Store(false)
-		return over, false
-	}
-	return max(over, live-g.pending.Load()-g.pressureLimit), true
-}
-
 // mark condemns part p, holding bytes resident bytes, to disk: its owner
 // migrates it at its next append or Flush (spillOver does it for parts
 // already flushed).
@@ -147,11 +122,10 @@ func (g *governor) mark(p *hybridPartWriter, bytes int64) {
 	p.spillReq.Store(true)
 }
 
-// spillOver marks resident bytes until the marked bytes cover the overshoot
-// and, under measured pressure, nothing grows in memory any more: every part
-// still growing is marked at once under pressure, then the largest unmarked
-// parts one by one. Already-flushed victims are migrated on the calling
-// goroutine (their owner is done with them).
+// spillOver marks resident bytes while the scope is pressed: every part
+// still growing at once, then the largest flushed parts one by one until the
+// marked bytes cover the overshoot. Flushed victims are migrated on the
+// calling goroutine (their owner is done with them).
 func (g *governor) spillOver() {
 	if g.b.queue.Failed() {
 		// The write-behind queue hit a hard error (typically ENOSPC): there
@@ -162,7 +136,7 @@ func (g *governor) spillOver() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for {
-		over, pressed := g.overshoot()
+		live := g.tracker.SharedLive()
 		// One scan: the largest unmarked part (the next victim), and whether
 		// any unmarked part is still being appended to.
 		var victim *hybridPartWriter
@@ -182,25 +156,24 @@ func (g *governor) spillOver() {
 			}
 		}
 		switch {
-		case pressed && growing:
+		case live >= g.watermark && growing:
 			for i := range g.b.parts {
 				p := &g.b.parts[i]
 				if bb := p.bytes.Load(); bb > 0 && !p.spillReq.Load() && !p.flushed.Load() {
 					g.mark(p, bb)
 				}
 			}
-		case over <= 0 || victim == nil:
+		case live-g.pending.Load() <= g.watermark || victim == nil:
 			return // covered — or everything is marked and migrations will catch up
 		default:
+			// Nothing unmarked grows, so the victim is flushed: its owner
+			// has moved on, migrate here.
 			g.mark(victim, victimBytes)
-			if victim.flushed.Load() {
-				// The owner has moved on; migrate here.
-				g.mu.Unlock()
-				err := victim.migrate()
-				g.mu.Lock()
-				if err != nil && g.err == nil {
-					g.err = err
-				}
+			g.mu.Unlock()
+			err := victim.migrate()
+			g.mu.Lock()
+			if err != nil && g.err == nil {
+				g.err = err
 			}
 		}
 	}

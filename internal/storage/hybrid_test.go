@@ -15,7 +15,7 @@ import (
 )
 
 // TestHybridMidBuildSpill drives a build against a budget sized to roughly
-// half the level: the governor must migrate the largest in-flight parts mid
+// half the level: the governor must migrate in-flight parts mid
 // build (raw arrays drained into codec blocks, partial blocks continuing to
 // fill), ending with both residencies present and the resident bytes near
 // the watermark, while the data stays bit-identical to the mem reference.
@@ -57,23 +57,25 @@ func TestHybridMidBuildSpill(t *testing.T) {
 	}
 }
 
-// TestHybridPressureSpill shrinks the effective budget mid-build through the
-// external pressure flag (the memtrack high-water signal): parts that fit
-// comfortably before the flag must migrate after it.
+// TestHybridPressureSpill shrinks the headroom mid-build through a tracker
+// charge outside the build (another structure of the run, or a sibling run
+// under a shared budget): parts that fit comfortably before the charge must
+// migrate after it.
 func TestHybridPressureSpill(t *testing.T) {
+	const watermark = 1 << 20
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	var pressure atomic.Bool
-	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, 0)
-	hb.Reset(4, 2, 1<<40)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, watermark)
+	hb.Reset(4, 2)
 	group := []uint32{1, 2, 3, 4}
 	for i := 0; i < 50; i++ {
 		if err := appendGroup(hb.Part(0), group); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pressure.Store(true) // budget collapses mid-build
+	tracker.Alloc(watermark) // the headroom collapses mid-build
+	defer tracker.Free(watermark)
 	for i := 0; i < 50; i++ {
 		if err := appendGroup(hb.Part(0), group); err != nil {
 			t.Fatal(err)
@@ -91,32 +93,35 @@ func TestHybridPressureSpill(t *testing.T) {
 	}
 	defer hl.Close()
 	if hl.DiskParts() != 1 {
-		t.Fatalf("pressure flag did not migrate the active part: %d disk parts", hl.DiskParts())
+		t.Fatalf("the charge over the watermark did not migrate the active part: %d disk parts", hl.DiskParts())
 	}
 	if hl.Len() != 400 {
 		t.Fatalf("level len = %d, want 400", hl.Len())
 	}
 }
 
-// TestHybridPressureClears: with a positive pressureLimit, a stale pressure
-// flag (the tracked spike has passed, live is back under the limit) must be
-// cleared by the governor instead of condemning the rest of the level to
-// disk.
+// TestHybridPressureClears: a spike of tracked bytes over the watermark that
+// is already freed (live is back under it) when the build next charges must
+// spill nothing — the governor reads live bytes, not a record of the
+// crossing. The watermark is small enough that every group charges.
 func TestHybridPressureClears(t *testing.T) {
+	const watermark = 1 << 10
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	var pressure atomic.Bool
-	pressure.Store(true) // spike already over: live (0) < limit
-	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, 1<<20)
-	hb.Reset(7, 1, 1<<40)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, watermark)
+	hb.Reset(7, 1)
+	if hb.gov.slab >= 3*4+8 {
+		t.Fatalf("slab %d bytes: groups do not charge one by one", hb.gov.slab)
+	}
 	for i := 0; i < 10; i++ {
+		if i == 5 {
+			tracker.Alloc(2 * watermark) // the spike, over before the next charge
+			tracker.Free(2 * watermark)
+		}
 		if err := appendGroup(hb.Part(0), []uint32{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if pressure.Load() {
-		t.Fatal("governor did not clear the stale pressure flag")
 	}
 	if err := hb.Part(0).Flush(); err != nil {
 		t.Fatal(err)
@@ -127,18 +132,17 @@ func TestHybridPressureClears(t *testing.T) {
 	}
 	defer lvl.Close()
 	if lvl.DiskParts() != 0 {
-		t.Fatal("stale pressure spilled parts despite live bytes under the limit")
+		t.Fatal("a freed spike spilled parts despite live bytes under the watermark")
 	}
 }
 
 // TestPressureSpillsOnlyTheOvershoot pins the governor's pressure invariant:
-// with a known pressureLimit, data at rest is shed only until the marked
-// bytes cover SharedLive − pressureLimit, never more; what is condemned
-// beyond that is only what is still growing. Six parts are built and flushed
-// under an unlimited build budget, then two more grow side by side —
-// interleaved on one goroutine, or one goroutine each, the outcome must not
-// depend on it — while an external charge puts the tracked total over the
-// limit:
+// data at rest is shed only until the marked bytes cover SharedLive −
+// watermark, never more; what is condemned beyond that is only what is
+// still growing. Six parts are built and flushed under the watermark, then
+// two more grow side by side — interleaved on one goroutine, or one
+// goroutine each, the outcome must not depend on it — while an external
+// charge puts the tracked total over the watermark:
 //
 //   - by a few bytes, late in the growth: the two growing parts spill and
 //     cover it; every flushed part stays resident (a collapsed budget sent
@@ -156,7 +160,7 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 		partSize = ngroups * delta
 		external = 1 << 20
 		// Crossed when the two growing parts are 90% built.
-		limit = external + cold*partSize + 2*partSize*9/10
+		watermark = external + cold*partSize + 2*partSize*9/10
 	)
 	group := make([]uint32, groupLen)
 	for _, tc := range []struct {
@@ -165,16 +169,14 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 		wantCold int   // flushed parts still resident at the end
 	}{
 		{"a few bytes", 0, cold},
-		{"a part and a half", (limit - external - cold*partSize) + partSize*3/2, cold - 2},
+		{"a part and a half", (watermark - external - cold*partSize) + partSize*3/2, cold - 2},
 	} {
 		for _, concurrent := range []bool{false, true} {
 			tracker := memtrack.New()
 			q := NewWriteQueue(0, tracker)
-			var pressure atomic.Bool
-			cancel := tracker.OnSharedHighWater(limit, func(int64) { pressure.Store(true) })
 			tracker.Alloc(external)
-			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, limit)
-			hb.Reset(2, nparts, 1<<40)
+			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, watermark)
+			hb.Reset(2, nparts)
 			// build appends ngroups groups to each of parts, round-robin on
 			// this goroutine or with one goroutine per part.
 			build := func(parts ...int) {
@@ -234,7 +236,6 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 					tc.name, concurrent, resident, hl.MemParts(), hl.DiskParts(), want)
 			}
 			hl.Close()
-			cancel()
 			q.Close()
 		}
 	}
@@ -277,9 +278,8 @@ func TestHybridSlabLagBound(t *testing.T) {
 			tracker := memtrack.New()
 			q := NewWriteQueue(0, tracker)
 			defer q.Close()
-			var pressure atomic.Bool
-			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, watermark)
-			hb.Reset(2, nparts, watermark)
+			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, watermark)
+			hb.Reset(2, nparts)
 			// The lag is at most 1/64 of the watermark, and still many groups.
 			slab := hb.gov.slab
 			if slab > watermark/(64*nparts) || slab < 16*maxGroup {
@@ -303,12 +303,12 @@ func TestHybridSlabLagBound(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					// Writer w owns parts w, w+writers, … and appends to them
-					// round-robin.
-					for j := 0; j < perPart; j++ {
-						for i := w; i < nparts; i += writers {
-							p := hb.Part(i)
-							g := groups[i][j]
+					// Writer w owns parts w, w+writers, … and fills them one
+					// after another, as an explorer worker fills the chunks it
+					// pulls.
+					for i := w; i < nparts; i += writers {
+						p := hb.Part(i)
+						for _, g := range groups[i] {
 							if err := appendGroup(p, g); err != nil {
 								t.Error(err)
 								return
@@ -320,9 +320,7 @@ func TestHybridSlabLagBound(t *testing.T) {
 							}
 							worst[w] = max(worst[w], unmarked())
 						}
-					}
-					for i := w; i < nparts; i += writers {
-						if err := hb.Part(i).Flush(); err != nil {
+						if err := p.Flush(); err != nil {
 							t.Error(err)
 						}
 					}
@@ -376,9 +374,8 @@ func TestHybridSlabConservation(t *testing.T) {
 		tracker := memtrack.New()
 		tracker.Alloc(baseline)
 		q := NewWriteQueue(0, tracker)
-		var pressure atomic.Bool
-		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, &pressure, 1<<20)
-		hb.Reset(2, 4, 1<<20)
+		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 1<<20+baseline)
+		hb.Reset(2, 4)
 		if hb.gov.slab < 1024 {
 			t.Fatalf("slab %d bytes: too small to lag", hb.gov.slab)
 		}
@@ -498,8 +495,8 @@ func TestHybridAllMemFinish(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
-	hb.Reset(6, 2, 1<<40)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, 1<<40)
+	hb.Reset(6, 2)
 	for i := 0; i < 2; i++ {
 		if err := appendGroup(hb.Part(i), []uint32{uint32(i)}); err != nil {
 			t.Fatal(err)
@@ -537,8 +534,8 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 	for _, budget := range []int64{math.MaxInt64, 0} {
 		q := NewWriteQueue(0, nil)
 		defer q.Close()
-		hb := NewHybridLevelBuilder(&run.Env{}, t.TempDir(), q, nil, 0)
-		hb.Reset(2, 3, budget)
+		hb := NewHybridLevelBuilder(&run.Env{}, t.TempDir(), q, budget)
+		hb.Reset(2, 3)
 		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
 			for pi, gs := range groups {
 				for _, g := range gs {
@@ -567,7 +564,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 			hl.Close()
 
 			// A build abandoned half-way must not leak into the next one.
-			hb.Reset(3, 2, budget)
+			hb.Reset(3, 2)
 			if err := appendGroup(hb.Part(1), []uint32{8, 9}); err != nil {
 				t.Fatal(err)
 			}
@@ -577,7 +574,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 			if cap(hb.parts) < 2 || hb.parts[:2][1].verts != nil {
 				t.Fatalf("Abort kept a part buffer or dropped the part slice (cap %d)", cap(hb.parts))
 			}
-			hb.Reset(2, 3, budget)
+			hb.Reset(2, 3)
 		}
 	}
 }

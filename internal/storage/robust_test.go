@@ -26,8 +26,8 @@ func buildDiskOn(t *testing.T, fs vfs.FS, groups [][]uint32, nparts int) (*Hybri
 	tracker := memtrack.New()
 	q := NewWriteQueue(256, tracker) // tiny buffers: many queue writes
 	t.Cleanup(func() { q.Close() })
-	db := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker}, t.TempDir(), q, nil, 0)
-	db.Reset(2, nparts, 0)
+	db := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker}, t.TempDir(), q, 0)
+	db.Reset(2, nparts)
 	db.blockSize = 128
 	per := (len(groups) + nparts - 1) / nparts
 	for i, g := range groups {

@@ -152,8 +152,8 @@ func TestFinishDetectsShortFiles(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	dir := t.TempDir()
-	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
-	db.Reset(3, 1, 0)
+	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, 0)
+	db.Reset(3, 1)
 	if err := appendGroup(db.Part(0), []uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,8 @@ func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, nil, 0)
-	db.Reset(2, 5, 0)
+	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 0)
+	db.Reset(2, 5)
 	db.blockSize = 64
 	// Parts 0 and 3 get groups; parts 1, 2, 4 stay empty.
 	for _, g := range [][]uint32{{1, 2, 3}, {}, {4}} {
@@ -228,8 +228,8 @@ func TestEmptyParts(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, nil, 0)
-	db.Reset(2, 3, 0)
+	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 0)
+	db.Reset(2, 3)
 	for _, g := range groups {
 		if err := appendGroup(db.Part(0), g); err != nil {
 			t.Fatal(err)
@@ -261,8 +261,8 @@ func TestCloseRemovesFiles(t *testing.T) {
 		q := NewWriteQueue(0, tracker)
 		defer q.Close()
 		dir := t.TempDir()
-		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, nil, 0)
-		hb.Reset(5, 3, lay.budget)
+		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, lay.budget)
+		hb.Reset(5, 3)
 		wantFiles := 0
 		for i := 0; i < 3; i++ {
 			if lay.at(i) == 'd' {

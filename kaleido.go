@@ -90,10 +90,12 @@ type Config struct {
 	Shards int
 	// MemoryBudget caps the resident bytes of intermediate embedding data
 	// (§4.1 hybrid storage). Levels are built in memory part by part; when
-	// the resident total crosses the spill watermark — 0.9·MemoryBudget; the
+	// the resident total reaches the spill watermark — 0.9·MemoryBudget; the
 	// headroom above it absorbs allocation growth between spill decisions —
-	// mid-build, the largest in-flight parts migrate to SpillDir, so a single
-	// level can be half in memory and half on disk. A part is either raw in
+	// mid-build, the parts still growing migrate to SpillDir, so a single
+	// level can be half in memory and half on disk. A budgeted run tracks
+	// its bytes whether or not Stats is set: placement does not depend on
+	// it. A part is either raw in
 	// memory or on disk; what reaches disk is always version-2 checksummed
 	// codec blocks (delta+varint verts, frame-of-reference counts, a CRC32C
 	// per block verified on every decode — typically 2-4× smaller than the
