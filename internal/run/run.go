@@ -4,7 +4,10 @@
 // kaleido.Config.env — and the same *Env is then handed down, by pointer, to
 // the applications (internal/apps), the exploration engine (internal/explore)
 // and the level builder (internal/storage). A new run input is therefore one
-// field here plus one line in Config.env; nothing in between copies fields.
+// field here plus one line in Config.env; nothing in between copies fields,
+// but for one copy: an explorer given a MemoryBudget and no Tracker runs on
+// a copy of its Env that carries a private one, since the budget governor
+// reads tracked bytes.
 //
 // One job is one run over one Env, which is read-only once the run has
 // started. The zero value is a valid run: all CPUs, everything in memory, the

@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -17,14 +16,15 @@ import (
 // the output side of one exploration iteration (paper Fig. 7) and the only
 // level builder. Part i receives the child groups of the i-th contiguous
 // range of parent embeddings; distinct parts may be written concurrently,
-// each by a single goroutine.
+// each by a single goroutine, its owner.
 //
 // Every part starts in memory; the budget governor reads the budget scope's
 // live bytes at every charge and, when they reach the watermark, marks the
 // parts still growing for migration (and sheds flushed parts as far as the
 // overshoot requires). A marked part is drained to disk through the
-// WriteQueue (write-behind: the part's accumulated — oldest — data goes out)
-// and keeps appending to disk from then on. Parts charge the governor a slab
+// WriteQueue (write-behind: the part's accumulated — oldest — data goes out),
+// by its owner at its next append or by the governor, and keeps appending to
+// disk from then on. Parts charge the governor a slab
 // of bytes at a time (see governor), so with a watermark the build can never
 // over-run it by more than one slab per part between charges, and a level
 // that fits — every level of an unbudgeted run, whose watermark is out of
@@ -52,14 +52,11 @@ type HybridLevelBuilder struct {
 // migrate may pass a nil queue), and the files always hold v2 codec blocks.
 // watermark is the absolute limit on the budget scope's live bytes
 // (env.Tracker's SharedLive) at which the governor spills; math.MaxInt64 is
-// no budget. A watermark needs bytes to read: without a tracker the builder
-// counts its own in a private one.
+// no budget. A watermark needs bytes to read: without a tracker nothing
+// spills.
 func NewHybridLevelBuilder(env *run.Env, dir string, q *WriteQueue, watermark int64) *HybridLevelBuilder {
 	b := &HybridLevelBuilder{dir: dir, queue: q, tracker: env.Tracker, fs: vfs.OrOS(env.FS)}
 	b.gov = governor{watermark: watermark, tracker: env.Tracker, b: b}
-	if b.gov.tracker == nil && watermark != math.MaxInt64 {
-		b.gov.tracker = memtrack.New()
-	}
 	return b
 }
 
@@ -81,6 +78,7 @@ func (b *HybridLevelBuilder) Reset(level, nparts int) {
 		p := &b.parts[i]
 		p.b, p.idx = b, i
 		p.verts, p.counts, p.scratch = nil, nil, nil
+		p.shownVerts, p.shownCounts = nil, nil
 		p.bytes.Store(0)
 		// All-disk regime: nothing fits, so skip the pointless memory stay —
 		// the first append migrates with an empty replay.
@@ -89,6 +87,7 @@ func (b *HybridLevelBuilder) Reset(level, nparts int) {
 		p.claimed = 0
 		p.uncharged = 0
 		p.pressed = false
+		p.onDisk = false
 		p.migrated = false
 		p.dwSealed = false
 		p.dw = diskPartWriter{}
@@ -96,7 +95,8 @@ func (b *HybridLevelBuilder) Reset(level, nparts int) {
 }
 
 // hybridPartWriter receives one part's groups. Each part is appended by a
-// single goroutine; the governor only touches a part after its Flush.
+// single goroutine, its owner. Another goroutine may migrate a marked part
+// (see migrate), but reads only what the owner showed at its last charge.
 type hybridPartWriter struct {
 	b   *HybridLevelBuilder
 	idx int
@@ -112,13 +112,19 @@ type hybridPartWriter struct {
 	bytes     atomic.Int64 // resident bytes charged to the governor
 	spillReq  atomic.Bool
 	flushed   atomic.Bool
-	claimed   int64      // bytes credited to governor.pending at mark time
-	uncharged int64      // owner-only: bytes appended since the last charge; 0 once flushed or migrated
-	pressed   bool       // owner-only: the last charge found the scope at or over the watermark
-	mu        sync.Mutex // guards migration and dw sealing
-	migrated  bool
-	dwSealed  bool
-	dw        diskPartWriter
+	claimed   int64 // bytes credited to governor.pending at mark time
+	uncharged int64 // owner-only: bytes appended since the last charge; 0 once flushed or migrated
+	pressed   bool  // owner-only: the last charge found the scope at or over the watermark
+	onDisk    bool  // owner-only: the owner appends to dw
+
+	mu sync.Mutex // guards the fields below
+	// shownVerts and shownCounts are verts and counts as of the owner's
+	// last charge before the part migrated: all a non-owner may drain. The
+	// owner appends only past their ends, so their elements do not change.
+	shownVerts, shownCounts []uint32
+	migrated                bool // dw holds the part's files and at least the shown groups
+	dwSealed                bool
+	dw                      diskPartWriter
 }
 
 // Part returns the writer of part i of the build's nparts.
@@ -173,9 +179,11 @@ const maxHybridReserve = 1 << 27
 // children are appended to; CommitGroup takes the grown buffer back. Each
 // child is written once, straight into the part: a part in memory hands out
 // its own verts array, a migrated one a per-part scratch that CommitGroup
-// encodes. A part migrates only here, on its owner, with no buffer out — so
-// a migration never recycles the buffer a producer is still writing. The
-// caller must not keep the buffer past CommitGroup.
+// encodes. The owner switches a part to disk only here, with no buffer out,
+// and a migration by the governor drains only the groups already charged
+// and leaves the arrays to the owner — so no migration recycles the buffer
+// a producer is still writing. The caller must not keep the buffer past
+// CommitGroup.
 func (p *hybridPartWriter) NextGroup() ([]uint32, error) {
 	if p.b.queue.Failed() {
 		// The write-behind queue hit a hard error (ENOSPC, retries
@@ -183,14 +191,12 @@ func (p *hybridPartWriter) NextGroup() ([]uint32, error) {
 		// the whole expansion into a queue that discards everything.
 		return nil, p.b.queue.Err()
 	}
-	// Before Flush only the owner migrates the part, so the plain reads of
-	// p.migrated on the owning goroutine are safe.
-	if !p.migrated && p.spillReq.Load() {
-		if err := p.migrate(); err != nil {
+	if !p.onDisk && p.spillReq.Load() {
+		if err := p.migrate(true); err != nil {
 			return nil, err
 		}
 	}
-	if p.migrated {
+	if p.onDisk {
 		if p.scratch == nil {
 			p.scratch = poolGetU32()
 		}
@@ -210,7 +216,7 @@ func (p *hybridPartWriter) NextGroup() ([]uint32, error) {
 // once its uncharged bytes reach the build's slab, or at every group while
 // its last charge found the scope pressed.
 func (p *hybridPartWriter) CommitGroup(buf []uint32) {
-	if p.migrated {
+	if p.onDisk {
 		p.scratch = buf
 		p.dw.appendGroup(buf)
 		return
@@ -226,51 +232,76 @@ func (p *hybridPartWriter) CommitGroup(buf []uint32) {
 	}
 }
 
-// charge hands the part's uncharged bytes to the governor. Owner only.
+// charge hands the part's uncharged bytes to the governor, and shows the
+// groups they complete to a goroutine that may migrate the part meanwhile.
+// Owner only.
 func (p *hybridPartWriter) charge() {
 	if n := p.uncharged; n != 0 {
 		p.uncharged = 0
+		p.mu.Lock()
+		if !p.migrated {
+			p.shownVerts, p.shownCounts = p.verts, p.counts
+		}
 		p.bytes.Add(n)
+		p.mu.Unlock()
 		p.pressed = p.b.gov.noteAlloc(n)
 	}
 }
 
-// migrate drains the part's accumulated memory data to freshly created part
-// files through the write queue and switches the part to disk appends.
-func (p *hybridPartWriter) migrate() error {
+// migrate drains the part's memory data to freshly created part files
+// through the write queue. Its owner (owner set) drains everything and
+// switches the part to disk appends. Any other goroutine drains the groups
+// shown at the owner's last charge and frees their bytes, so a marked part
+// whose owner has not reached its next append stops holding the budget; the
+// owner then drains the rest, and the memory arrays stay its own until it
+// has flushed the part.
+func (p *hybridPartWriter) migrate(owner bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.migrated {
-		return nil
-	}
 	b := p.b
-	if err := b.fs.MkdirAll(b.dir); err != nil {
-		return wrapIO("mkdir", b.dir, err)
+	if !p.migrated {
+		if err := b.fs.MkdirAll(b.dir); err != nil {
+			return wrapIO("mkdir", b.dir, err)
+		}
+		vf, cf, err := openFilePair(b.fs,
+			filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.vert", b.level, p.idx)),
+			filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.cnt", b.level, p.idx)))
+		if err != nil {
+			return err
+		}
+		p.dw = newDiskPartWriter(b.queue, vf, cf)
+		// Bulk-drain the shown arrays (no per-group bookkeeping — this runs
+		// on the critical path of whichever worker triggered the
+		// migration): full codec blocks are sealed, the partial tails stay
+		// open in the writer, so later appends extend the same blocks.
+		p.dw.appendVerts(p.shownVerts)
+		for _, c := range p.shownCounts {
+			p.dw.appendCnt(c)
+		}
+		// Free what was charged.
+		b.gov.noteFree(p.bytes.Swap(0))
+		b.gov.pending.Add(-p.claimed)
+		p.claimed = 0
+		p.migrated = true
 	}
-	vf, cf, err := openFilePair(b.fs,
-		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.vert", b.level, p.idx)),
-		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.cnt", b.level, p.idx)))
-	if err != nil {
-		return err
+	if owner || p.flushed.Load() {
+		// The owner is here, or done with the arrays: drain what it
+		// appended after the groups shown, and recycle the arrays. Bytes
+		// charged since a non-owner migrated the part are freed; the bytes
+		// appended since the last charge never were, so they are dropped.
+		p.dw.appendVerts(p.verts[len(p.shownVerts):])
+		for _, c := range p.counts[len(p.shownCounts):] {
+			p.dw.appendCnt(c)
+		}
+		b.gov.noteFree(p.bytes.Swap(0))
+		poolPutU32(p.verts)
+		poolPutU32(p.counts)
+		p.verts, p.counts, p.shownVerts, p.shownCounts = nil, nil, nil, nil
 	}
-	p.dw = newDiskPartWriter(b.queue, vf, cf)
-	// Bulk-drain the accumulated arrays (no per-group bookkeeping — this runs
-	// on the critical path of whichever worker triggered the migration): full
-	// codec blocks are sealed, the partial tails stay open in the writer, so
-	// later appends extend the same blocks.
-	p.dw.appendVerts(p.verts)
-	for _, c := range p.counts {
-		p.dw.appendCnt(c)
+	if owner {
+		p.uncharged = 0
+		p.onDisk = true
 	}
-	poolPutU32(p.verts)
-	poolPutU32(p.counts)
-	p.verts, p.counts = nil, nil
-	// Free what was charged. The bytes the owner appended since its last
-	// charge never were, so they are dropped, not freed.
-	b.gov.noteFree(p.bytes.Swap(0))
-	b.gov.pending.Add(-p.claimed)
-	p.claimed, p.uncharged = 0, 0
-	p.migrated = true
 	if p.flushed.Load() && !p.dwSealed {
 		// Migrated after the owner's Flush (governor path): seal now.
 		p.dw.flush()
@@ -287,8 +318,8 @@ func (p *hybridPartWriter) Flush() error {
 	poolPutU32(p.scratch)
 	p.scratch = nil
 	p.flushed.Store(true)
-	if p.spillReq.Load() {
-		if err := p.migrate(); err != nil {
+	if !p.onDisk && p.spillReq.Load() {
+		if err := p.migrate(true); err != nil {
 			return err
 		}
 	}

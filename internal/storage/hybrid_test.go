@@ -248,9 +248,13 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 // watermark + nparts·slab + one group per writer. Resident bytes are tallied
 // by the test, not read from the builder: each writer publishes what its
 // parts hold in memory after every append, and sums the parts not marked for
-// disk under the governor's lock. 1, 2 and 4 writers share eight parts. The
-// build must actually spill and actually lag (a slab is many groups), and the
-// level must still equal the reference.
+// disk under the governor's lock. 1, 2 and 4 writers share eight parts, and
+// append to the parts they own round-robin, so all eight grow at once — the
+// worst case of the bound. The build must actually spill and actually lag (a
+// slab is many groups), and the level must still equal the reference. The
+// sequential cases fill each writer's parts one after another instead, as
+// explorer workers fill the chunks they pull, and there the level must end
+// up with parts both in memory and on disk.
 func TestHybridSlabLagBound(t *testing.T) {
 	const (
 		nparts    = 8
@@ -273,8 +277,16 @@ func TestHybridSlabLagBound(t *testing.T) {
 			ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
 		}
 	}
-	for _, writers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("%dwriters", writers), func(t *testing.T) {
+	for _, tc := range []struct {
+		writers    int
+		sequential bool
+	}{{1, false}, {2, false}, {4, false}, {1, true}, {2, true}, {4, true}} {
+		writers := tc.writers
+		name := fmt.Sprintf("%dwriters", writers)
+		if tc.sequential {
+			name += "-sequential"
+		}
+		t.Run(name, func(t *testing.T) {
 			tracker := memtrack.New()
 			q := NewWriteQueue(0, tracker)
 			defer q.Close()
@@ -303,26 +315,46 @@ func TestHybridSlabLagBound(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					// Writer w owns parts w, w+writers, … and fills them one
-					// after another, as an explorer worker fills the chunks it
-					// pulls.
-					for i := w; i < nparts; i += writers {
-						p := hb.Part(i)
-						for _, g := range groups[i] {
-							if err := appendGroup(p, g); err != nil {
-								t.Error(err)
-								return
-							}
-							if p.migrated {
-								resident[i].Store(0)
-							} else {
-								resident[i].Add(int64(len(g))*4 + 8)
-							}
-							worst[w] = max(worst[w], unmarked())
+					// Writer w owns parts w, w+writers, …
+					add := func(i, j int) bool {
+						p, g := hb.Part(i), groups[i][j]
+						if err := appendGroup(p, g); err != nil {
+							t.Error(err)
+							return false
 						}
-						if err := p.Flush(); err != nil {
+						if p.onDisk {
+							resident[i].Store(0)
+						} else {
+							resident[i].Add(int64(len(g))*4 + 8)
+						}
+						worst[w] = max(worst[w], unmarked())
+						return true
+					}
+					flush := func(i int) {
+						if err := hb.Part(i).Flush(); err != nil {
 							t.Error(err)
 						}
+					}
+					if tc.sequential {
+						for i := w; i < nparts; i += writers {
+							for j := 0; j < perPart; j++ {
+								if !add(i, j) {
+									return
+								}
+							}
+							flush(i)
+						}
+						return
+					}
+					for j := 0; j < perPart; j++ {
+						for i := w; i < nparts; i += writers {
+							if !add(i, j) {
+								return
+							}
+						}
+					}
+					for i := w; i < nparts; i += writers {
+						flush(i)
 					}
 				}(w)
 			}
@@ -342,7 +374,10 @@ func TestHybridSlabLagBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer hl.Close()
-			if hl.DiskParts() == 0 || hl.MemParts() == 0 {
+			if hl.DiskParts() == 0 {
+				t.Fatalf("nothing spilled: %d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
+			}
+			if tc.sequential && hl.MemParts() == 0 {
 				t.Fatalf("placement not hybrid: %d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
 			}
 			verts, verr := readVerts(t, hl.VertBlocks(0, hl.Len()))
@@ -360,12 +395,68 @@ func TestHybridSlabLagBound(t *testing.T) {
 	}
 }
 
+// TestHybridDrainWhileOwnerAppends: the governor marks and drains a part
+// from another goroutine while its owner keeps appending, as drainMarked does
+// for a descheduled owner. Whichever of the two migrates first, every group
+// lands once and in order, and no byte stays charged. Run it under -race.
+func TestHybridDrainWhileOwnerAppends(t *testing.T) {
+	tracker := memtrack.New()
+	q := NewWriteQueue(0, tracker)
+	defer q.Close()
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 1<<20)
+	hb.Reset(2, 1)
+	p := hb.Part(0)
+	ml := &MemLevel{Offs: []uint64{0}}
+	charged := make(chan struct{})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		<-charged
+		hb.gov.mu.Lock()
+		defer hb.gov.mu.Unlock()
+		hb.gov.mark(p, p.bytes.Load())
+		hb.gov.drainMarked()
+	}()
+	for j := 0; j < 20000; j++ {
+		g := []uint32{uint32(j), uint32(j + 1), uint32(j + 2)}
+		ml.Verts = append(ml.Verts, g...)
+		ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
+		if err := appendGroup(p, g); err != nil {
+			t.Fatal(err)
+		}
+		if j == 5000 {
+			if p.bytes.Load() == 0 {
+				t.Fatal("no slab charged after 5,000 groups")
+			}
+			close(charged)
+		}
+	}
+	<-drained
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	hl, err := hb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hl.Close()
+	if hl.DiskParts() != 1 {
+		t.Fatalf("%d mem / %d disk parts, want the part on disk", hl.MemParts(), hl.DiskParts())
+	}
+	checkConforms(t, ml, hl, base(hl.Groups()))
+	if live := tracker.Live(); live != 0 {
+		t.Fatalf("tracker holds %d bytes after Finish", live)
+	}
+}
+
 // TestHybridSlabConservation: charging a slab at a time must not leak a
 // byte. One level holds a part on each path — raw, migrated by the governor
-// after its Flush, and migrated by its owner while it held uncharged bytes
-// (which are then dropped, never freed). At every step a raw
-// part's charged plus uncharged bytes are what was appended to it, a migrated
-// part holds neither, the governor's in-flight bytes are the parts' charged
+// after its Flush, migrated by its owner while it held uncharged bytes
+// (which are then dropped, never freed), and drained by the governor while
+// its owner was mid-group, the owner draining the rest at its next append.
+// At every step a part still in memory holds, as charged plus uncharged
+// bytes, what was appended to it since it last drained, a part wholly on
+// disk holds neither, the governor's in-flight bytes are the parts' charged
 // bytes and the tracker holds exactly those over its baseline; Live() is back
 // at the baseline after Finish and Close, and after an Abort.
 func TestHybridSlabConservation(t *testing.T) {
@@ -375,12 +466,12 @@ func TestHybridSlabConservation(t *testing.T) {
 		tracker.Alloc(baseline)
 		q := NewWriteQueue(0, tracker)
 		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 1<<20+baseline)
-		hb.Reset(2, 4)
+		hb.Reset(2, 5)
 		if hb.gov.slab < 1024 {
 			t.Fatalf("slab %d bytes: too small to lag", hb.gov.slab)
 		}
 		ml := &MemLevel{Offs: []uint64{0}}
-		var appended [4]int64 // raw bytes appended in memory, in the governor's units
+		var appended [5]int64 // raw bytes appended in memory, in the governor's units
 		fill := func(part, n int) {
 			t.Helper()
 			for j := 0; j < n; j++ {
@@ -400,7 +491,7 @@ func TestHybridSlabConservation(t *testing.T) {
 				p := &hb.parts[i]
 				charged += p.bytes.Load()
 				switch {
-				case p.migrated:
+				case p.onDisk || p.migrated && p.flushed.Load():
 					if p.bytes.Load() != 0 || p.uncharged != 0 {
 						t.Fatalf("abort=%v, %s: migrated part %d holds %d charged + %d uncharged bytes", abort, step, i, p.bytes.Load(), p.uncharged)
 					}
@@ -436,7 +527,7 @@ func TestHybridSlabConservation(t *testing.T) {
 		hb.gov.mu.Lock()
 		hb.gov.mark(p1, p1.bytes.Load())
 		hb.gov.mu.Unlock()
-		if err := p1.migrate(); err != nil {
+		if err := p1.migrate(false); err != nil {
 			t.Fatal(err)
 		}
 		conserved("flushed part migrated by the governor")
@@ -455,6 +546,38 @@ func TestHybridSlabConservation(t *testing.T) {
 		conserved("part migrated by its owner")
 
 		fill(3, 100) // raw, still growing
+		conserved("raw part growing")
+
+		fill(4, 700) // drained by the governor while its owner is mid-group
+		buf, err := hb.parts[4].NextGroup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p4 := &hb.parts[4]
+		hb.gov.mu.Lock()
+		hb.gov.mark(p4, p4.bytes.Load())
+		drained := hb.gov.drainMarked()
+		hb.gov.mu.Unlock()
+		if !drained || !p4.migrated || p4.onDisk {
+			t.Fatalf("drained %v: part 4 migrated %v, on its owner's disk path %v", drained, p4.migrated, p4.onDisk)
+		}
+		appended[4] = p4.uncharged         // the shown groups are on disk, the rest is not
+		g := make([]uint32, hb.gov.slab/4) // a group that charges a slab
+		for j := range g {
+			g[j] = uint32(j)
+		}
+		ml.Verts = append(ml.Verts, g...)
+		ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
+		p4.CommitGroup(append(buf, g...))
+		appended[4] += int64(len(g))*4 + 8
+		if p4.bytes.Load() == 0 {
+			t.Fatal("part 4's owner charged nothing after the drain")
+		}
+		conserved("part drained by the governor mid-group")
+		fill(4, 300)
+		if !p4.onDisk {
+			t.Fatal("part 4's owner did not switch to disk")
+		}
 		conserved("every path taken")
 
 		if abort {
@@ -462,7 +585,7 @@ func TestHybridSlabConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			for i := 2; i < 4; i++ {
+			for i := 2; i < 5; i++ {
 				if err := hb.Part(i).Flush(); err != nil {
 					t.Fatal(err)
 				}
@@ -472,8 +595,8 @@ func TestHybridSlabConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hl.MemParts() != 2 || hl.DiskParts() != 2 {
-				t.Fatalf("placed %d mem / %d disk parts, want 2 / 2", hl.MemParts(), hl.DiskParts())
+			if hl.MemParts() != 2 || hl.DiskParts() != 3 {
+				t.Fatalf("placed %d mem / %d disk parts, want 2 / 3", hl.MemParts(), hl.DiskParts())
 			}
 			checkConforms(t, ml, hl, base(hl.Groups()))
 			if live := tracker.Live(); live != baseline {
@@ -534,7 +657,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 	for _, budget := range []int64{math.MaxInt64, 0} {
 		q := NewWriteQueue(0, nil)
 		defer q.Close()
-		hb := NewHybridLevelBuilder(&run.Env{}, t.TempDir(), q, budget)
+		hb := NewHybridLevelBuilder(&run.Env{Tracker: memtrack.New()}, t.TempDir(), q, budget)
 		hb.Reset(2, 3)
 		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
 			for pi, gs := range groups {
