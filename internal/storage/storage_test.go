@@ -266,7 +266,9 @@ func TestCloseRemovesFiles(t *testing.T) {
 		wantFiles := 0
 		for i := 0; i < 3; i++ {
 			if lay.at(i) == 'd' {
-				hb.parts[i].spillReq.Store(true)
+				if err := hb.gov.spill(&hb.parts[i]); err != nil {
+					t.Fatal(err)
+				}
 				wantFiles += 2
 			}
 			if err := appendGroup(hb.Part(i), []uint32{uint32(i), uint32(i + 10)}); err != nil {
