@@ -8,7 +8,7 @@
 //
 // Spilling is per part, governed during the build: every level starts in
 // memory, and when the resident bytes reach the spill watermark — 90 % of
-// MemoryBudget — the part whose charge crosses it migrates to SpillDir
+// MemoryBudget — the governor migrates the parts still growing to SpillDir
 // while the finished ones stay in RAM. A level slightly over budget therefore pays disk I/O only for
 // its spilled share — Stats.SpilledParts vs Stats.SpilledLevels below shows
 // how partial the spilling was. Under an Engine the same watermark is a

@@ -389,7 +389,7 @@ func binaryHeader(n, m uint32) []byte {
 
 func TestReadBinaryAllocatesByBytesPresent(t *testing.T) {
 	// A 24-byte file whose header claims 2^27 edges (1 GiB of them) must fail
-	// having allocated about what it read, not what it declared.
+	// having allocated about what it read, not what it claimed.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := ReadBinary(bytes.NewReader(binaryHeader(4, 1<<27)))

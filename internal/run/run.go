@@ -30,8 +30,8 @@ type Env struct {
 	// MemoryBudget caps the resident bytes of the CSE (hybrid storage, §4.1).
 	// Levels are built part by part in memory; when the tracked live bytes
 	// of the budget scope (Tracker's SharedLive) reach the spill watermark
-	// the owner whose charge finds them there migrates its part to
-	// SpillDir mid-build, unless the migrations under way cover the overshoot, so a single level can end up half in memory and half on
+	// the budget governor migrates the parts still growing to SpillDir
+	// mid-build, so a single level can end up half in memory and half on
 	// disk. A budget implies tracking: with a nil Tracker the explorer
 	// counts into a private one. 0 means no limit: every part stays raw in
 	// memory and the run touches neither SpillDir nor the filesystem.

@@ -447,7 +447,7 @@ func TestServiceE2E(t *testing.T) {
 		t.Fatalf("listing: %d jobs, first %s", len(list), list[0].ID)
 	}
 
-	// All spill files removed once the runs are done.
+	// All spill files reclaimed once the runs are done.
 	if files := spillFiles(t, spill); len(files) != 0 {
 		t.Fatalf("spill files leaked: %v", files)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 
 	"kaleido/internal/memtrack"
@@ -17,15 +18,14 @@ import (
 // range of parent embeddings; distinct parts may be written concurrently,
 // each by a single goroutine, its owner.
 //
-// Every part starts in memory, and a growing part's arrays are its owner's
-// alone. The budget governor reads the budget scope's live bytes at every
-// charge; an owner whose charge finds them at or over the watermark waits out
-// the migrations under way if they cover the overshoot, and otherwise
-// migrates its own part on the spot (then sheds flushed parts as far as the
-// overshoot requires; see governor). A migrated part is drained to disk
-// through the WriteQueue (write-behind: the part's accumulated — oldest —
-// data goes out) and keeps appending to disk from then on. Parts charge the
-// governor a slab of bytes at a time, so with a watermark the build can never
+// Every part starts in memory; the budget governor reads the budget scope's
+// live bytes at every charge and, when they reach the watermark, marks the
+// parts still growing for migration (and sheds flushed parts as far as the
+// overshoot requires). A marked part is drained to disk through the
+// WriteQueue (write-behind: the part's accumulated — oldest — data goes out),
+// by its owner at its next append or by the governor, and keeps appending to
+// disk from then on. Parts charge the governor a slab
+// of bytes at a time (see governor), so with a watermark the build can never
 // over-run it by more than one slab per part between charges, and a level
 // that fits — every level of an unbudgeted run, whose watermark is out of
 // reach — stays entirely in memory: each part finishes raw and is handed to
@@ -57,7 +57,6 @@ type HybridLevelBuilder struct {
 func NewHybridLevelBuilder(env *run.Env, dir string, q *WriteQueue, watermark int64) *HybridLevelBuilder {
 	b := &HybridLevelBuilder{dir: dir, queue: q, tracker: env.Tracker, fs: vfs.OrOS(env.FS)}
 	b.gov = governor{watermark: watermark, tracker: env.Tracker, b: b}
-	b.gov.moved.L = &b.gov.mu
 	return b
 }
 
@@ -65,7 +64,7 @@ func NewHybridLevelBuilder(env *run.Env, dir string, q *WriteQueue, watermark in
 // part-writer slice (and, through the part pool, the buffers of levels that
 // have since been closed). level names the new level's spill files. The
 // build's headroom under the watermark is read once, here: with none left
-// every part goes to disk before its first group (the all-disk regime).
+// every part goes to disk immediately (the all-disk regime).
 func (b *HybridLevelBuilder) Reset(level, nparts int) {
 	b.level = level
 	if cap(b.parts) < nparts {
@@ -79,37 +78,53 @@ func (b *HybridLevelBuilder) Reset(level, nparts int) {
 		p := &b.parts[i]
 		p.b, p.idx = b, i
 		p.verts, p.counts, p.scratch = nil, nil, nil
-		p.bytes, p.uncharged = 0, 0
-		p.pressed, p.onDisk = false, false
-		p.err = nil
+		p.shownVerts, p.shownCounts = nil, nil
+		p.bytes.Store(0)
+		// All-disk regime: nothing fits, so skip the pointless memory stay —
+		// the first append migrates with an empty replay.
+		p.spillReq.Store(b.headroom <= 0)
 		p.flushed.Store(false)
+		p.claimed = 0
+		p.uncharged = 0
+		p.pressed = false
+		p.onDisk = false
+		p.migrated = false
+		p.dwSealed = false
 		p.dw = diskPartWriter{}
 	}
 }
 
 // hybridPartWriter receives one part's groups. Each part is appended by a
-// single goroutine, its owner, and everything in it is the owner's alone
-// until it publishes flushed; after that the governor may migrate the part
-// from any charging goroutine (see governor.largestFlushed).
+// single goroutine, its owner. Another goroutine may migrate a marked part
+// (see migrate), but reads only what the owner showed at its last charge.
 type hybridPartWriter struct {
 	b   *HybridLevelBuilder
 	idx int
 
-	// Memory stage.
+	// Memory stage (owner-only until flushed).
 	verts  []uint32
 	counts []uint32
 	// scratch is the group buffer NextGroup hands out once the part has
-	// migrated.
+	// migrated (owner-only).
 	scratch []uint32
 
 	// Placement control.
-	bytes     int64 // resident bytes charged to the governor
-	uncharged int64 // bytes appended since the last charge; 0 once flushed or migrated
-	pressed   bool  // the last charge found the scope at or over the watermark
-	onDisk    bool  // the part is (being) migrated, and appends to dw; set under the governor's lock
-	err       error // the build's first failed migration, once a charge of this part saw it
-	dw        diskPartWriter
-	flushed   atomic.Bool // the owner is done: the governor may shed the part
+	bytes     atomic.Int64 // resident bytes charged to the governor
+	spillReq  atomic.Bool
+	flushed   atomic.Bool
+	claimed   int64 // bytes credited to governor.pending at mark time
+	uncharged int64 // owner-only: bytes appended since the last charge; 0 once flushed or migrated
+	pressed   bool  // owner-only: the last charge found the scope at or over the watermark
+	onDisk    bool  // owner-only: the owner appends to dw
+
+	mu sync.Mutex // guards the fields below
+	// shownVerts and shownCounts are verts and counts as of the owner's
+	// last charge before the part migrated: all a non-owner may drain. The
+	// owner appends only past their ends, so their elements do not change.
+	shownVerts, shownCounts []uint32
+	migrated                bool // dw holds the part's files and at least the shown groups
+	dwSealed                bool
+	dw                      diskPartWriter
 }
 
 // Part returns the writer of part i of the build's nparts.
@@ -164,10 +179,10 @@ const maxHybridReserve = 1 << 27
 // children are appended to; CommitGroup takes the grown buffer back. Each
 // child is written once, straight into the part: a part in memory hands out
 // its own verts array, a migrated one a per-part scratch that CommitGroup
-// encodes. A growing part moves to disk only on its owner, at a charge in
-// CommitGroup or Flush, or here before its first group in the all-disk
-// regime — never with a buffer out, so no migration recycles the buffer a
-// producer is still writing. The caller must not keep the buffer past
+// encodes. The owner switches a part to disk only here, with no buffer out,
+// and a migration by the governor drains only the groups already charged
+// and leaves the arrays to the owner — so no migration recycles the buffer
+// a producer is still writing. The caller must not keep the buffer past
 // CommitGroup.
 func (p *hybridPartWriter) NextGroup() ([]uint32, error) {
 	if p.b.queue.Failed() {
@@ -176,8 +191,10 @@ func (p *hybridPartWriter) NextGroup() ([]uint32, error) {
 		// the whole expansion into a queue that discards everything.
 		return nil, p.b.queue.Err()
 	}
-	if err := p.ready(); err != nil {
-		return nil, err
+	if !p.onDisk && p.spillReq.Load() {
+		if err := p.migrate(true); err != nil {
+			return nil, err
+		}
 	}
 	if p.onDisk {
 		if p.scratch == nil {
@@ -197,8 +214,7 @@ func (p *hybridPartWriter) NextGroup() ([]uint32, error) {
 // CommitGroup records the group NextGroup handed out: buf is that buffer
 // with the group's children appended. A part in memory charges the governor
 // once its uncharged bytes reach the build's slab, or at every group while
-// its last charge found the scope pressed; a charge over the watermark may
-// migrate the part (see governor).
+// its last charge found the scope pressed.
 func (p *hybridPartWriter) CommitGroup(buf []uint32) {
 	if p.onDisk {
 		p.scratch = buf
@@ -216,80 +232,103 @@ func (p *hybridPartWriter) CommitGroup(buf []uint32) {
 	}
 }
 
-// charge hands the part's uncharged bytes to the governor, and applies the
-// governor's rule if the scope is pressed. Owner only.
-func (p *hybridPartWriter) charge() {
-	n := p.uncharged
-	if n == 0 {
-		return
-	}
-	p.uncharged = 0
-	p.bytes += n
-	if p.pressed = p.b.gov.noteAlloc(n); p.pressed {
-		if err := p.b.gov.spillOver(p); err != nil {
-			p.err = err
-		}
-	}
-}
-
-// ready reports the error that stops the part: a failed migration of its
-// build. In the all-disk regime it first moves a part still in memory — one
-// with no group yet — to disk: nothing fits, so the memory stay is skipped.
+// charge hands the part's uncharged bytes to the governor, and shows the
+// groups they complete to a goroutine that may migrate the part meanwhile.
 // Owner only.
-func (p *hybridPartWriter) ready() error {
-	if !p.onDisk && p.b.headroom <= 0 && p.err == nil {
-		p.err = p.b.gov.spill(p)
+func (p *hybridPartWriter) charge() {
+	if n := p.uncharged; n != 0 {
+		p.uncharged = 0
+		p.mu.Lock()
+		if !p.migrated {
+			p.shownVerts, p.shownCounts = p.verts, p.counts
+		}
+		p.bytes.Add(n)
+		p.mu.Unlock()
+		p.pressed = p.b.gov.noteAlloc(n)
 	}
-	return p.err
 }
 
-// migrate drains the part's memory arrays to freshly created part files
-// through the write queue, frees their bytes and recycles the arrays; the
-// part appends to disk from then on. Its caller owns the arrays: the part's
-// owner, or a charge of the governor once the part is flushed.
-func (p *hybridPartWriter) migrate() error {
+// migrate drains the part's memory data to freshly created part files
+// through the write queue. Its owner (owner set) drains everything and
+// switches the part to disk appends. Any other goroutine drains the groups
+// shown at the owner's last charge and frees their bytes, so a marked part
+// whose owner has not reached its next append stops holding the budget; the
+// owner then drains the rest, and the memory arrays stay its own until it
+// has flushed the part.
+func (p *hybridPartWriter) migrate(owner bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	b := p.b
-	if err := b.fs.MkdirAll(b.dir); err != nil {
-		return wrapIO("mkdir", b.dir, err)
+	if !p.migrated {
+		if err := b.fs.MkdirAll(b.dir); err != nil {
+			return wrapIO("mkdir", b.dir, err)
+		}
+		vf, cf, err := openFilePair(b.fs,
+			filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.vert", b.level, p.idx)),
+			filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.cnt", b.level, p.idx)))
+		if err != nil {
+			return err
+		}
+		p.dw = newDiskPartWriter(b.queue, vf, cf)
+		// Bulk-drain the shown arrays (no per-group bookkeeping — this runs
+		// on the critical path of whichever worker triggered the
+		// migration): full codec blocks are sealed, the partial tails stay
+		// open in the writer, so later appends extend the same blocks.
+		p.dw.appendVerts(p.shownVerts)
+		for _, c := range p.shownCounts {
+			p.dw.appendCnt(c)
+		}
+		// Free what was charged.
+		b.gov.noteFree(p.bytes.Swap(0))
+		b.gov.pending.Add(-p.claimed)
+		p.claimed = 0
+		p.migrated = true
 	}
-	vf, cf, err := openFilePair(b.fs,
-		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.vert", b.level, p.idx)),
-		filepath.Join(b.dir, fmt.Sprintf("L%d.p%d.cnt", b.level, p.idx)))
-	if err != nil {
-		return err
+	if owner || p.flushed.Load() {
+		// The owner is here, or done with the arrays: drain what it
+		// appended after the groups shown, and recycle the arrays. Bytes
+		// charged since a non-owner migrated the part are freed; the bytes
+		// appended since the last charge never were, so they are dropped.
+		p.dw.appendVerts(p.verts[len(p.shownVerts):])
+		for _, c := range p.counts[len(p.shownCounts):] {
+			p.dw.appendCnt(c)
+		}
+		b.gov.noteFree(p.bytes.Swap(0))
+		poolPutU32(p.verts)
+		poolPutU32(p.counts)
+		p.verts, p.counts, p.shownVerts, p.shownCounts = nil, nil, nil, nil
 	}
-	p.dw = newDiskPartWriter(b.queue, vf, cf)
-	// Bulk-drain the arrays (no per-group bookkeeping — this runs on the
-	// critical path of the charging worker): full codec blocks are sealed,
-	// the partial tails stay open in the writer, so later appends extend the
-	// same blocks.
-	p.dw.appendVerts(p.verts)
-	for _, c := range p.counts {
-		p.dw.appendCnt(c)
+	if owner {
+		p.uncharged = 0
+		p.onDisk = true
 	}
-	b.gov.noteFree(p.bytes)
-	p.bytes = 0
-	poolPutU32(p.verts)
-	poolPutU32(p.counts)
-	p.verts, p.counts = nil, nil
-	if p.flushed.Load() {
-		p.dw.flush() // shed after its owner's Flush: seal now
+	if p.flushed.Load() && !p.dwSealed {
+		// Migrated after the owner's Flush (governor path): seal now.
+		p.dw.flush()
+		p.dwSealed = true
 	}
 	return nil
 }
 
 // Flush completes the part. Parts may flush in any order.
 func (p *hybridPartWriter) Flush() error {
-	p.charge() // the tail, before the governor may shed the part
-	if err := p.ready(); err != nil {
-		return err
-	}
+	// Charge the tail before publishing the flush: from then on the governor
+	// may migrate the part, which frees all of its bytes.
+	p.charge()
 	poolPutU32(p.scratch)
 	p.scratch = nil
-	if p.onDisk {
-		p.dw.flush()
-	}
 	p.flushed.Store(true)
+	if !p.onDisk && p.spillReq.Load() {
+		if err := p.migrate(true); err != nil {
+			return err
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.migrated && !p.dwSealed {
+		p.dw.flush()
+		p.dwSealed = true
+	}
 	return nil
 }
 
@@ -306,7 +345,7 @@ func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 	}
 	anyDisk := false
 	for i := range b.parts {
-		if b.parts[i].onDisk {
+		if b.parts[i].migrated {
 			anyDisk = true
 		}
 	}
@@ -320,7 +359,7 @@ func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 	for i := range b.parts {
 		p := &b.parts[i]
 		hp := hybridPart{vertBase: h.totalVerts, groupBase: h.totalGroups}
-		if p.onDisk {
+		if p.migrated {
 			if err := p.dw.verify(); err != nil {
 				b.Abort()
 				return nil, err
@@ -363,7 +402,7 @@ func (b *HybridLevelBuilder) Abort() error {
 	var first error
 	for i := range b.parts {
 		p := &b.parts[i]
-		if p.onDisk {
+		if p.migrated {
 			if err := removeFiles(b.fs, p.dw.vf, p.dw.cf); err != nil && first == nil {
 				first = err
 			}

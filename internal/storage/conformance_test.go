@@ -114,10 +114,8 @@ func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, lay lay
 	hb.Reset(2, nparts)
 	hb.blockSize = 128
 	for i := 0; i < nparts; i++ {
-		if lay.at(i) == 'd' { // moved to disk by its owner before its first group
-			if err := hb.gov.spill(&hb.parts[i]); err != nil {
-				t.Fatal(err)
-			}
+		if lay.at(i) == 'd' {
+			hb.parts[i].spillReq.Store(true)
 		}
 	}
 	per := (len(groups) + nparts - 1) / nparts

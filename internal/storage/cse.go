@@ -18,8 +18,8 @@
 //
 // Every level is a HybridLevel, the base unit list included (NewBaseLevel: one
 // raw part, no group bounds). Levels above it are built in t parts; every
-// part starts in memory and a growing part's owner migrates it to disk
-// (unless the migrations under way cover the overshoot) when the budget scope's live bytes (the run's tracker, an
+// part starts in memory and a budget governor migrates the parts still
+// growing to disk when the budget scope's live bytes (the run's tracker, an
 // Engine's siblings included) reach the spill watermark, shedding sealed
 // parts only as far as the overshoot requires (HybridLevelBuilder,
 // governor.go), so one level's parts can be split

@@ -12,25 +12,29 @@ import (
 // budget scope's live bytes (tracker.SharedLive: the run's stored levels,
 // this build's charged parts and, under an Engine, every sibling run), read
 // at every charge and compared with one absolute watermark. The scope is
-// pressed while live is at or over the watermark, and a growing part's
-// arrays are its owner's alone, so there is one rule, applied by the owner
-// whose charge found the scope pressed (spillOver):
+// pressed while live is at or over the watermark; at such a charge every
+// part still growing is marked for disk, and then flushed parts are shed,
+// largest first, until the bytes marked cover the overshoot (live − pending −
+// watermark) — never more, so a spike of a few bytes does not send a whole
+// level to disk. Marked bytes stay resident until their migration completes,
+// and letting the other workers keep appending in memory meanwhile is what
+// overruns the watermark (measured on the repo benchmark's store4-hybrid,
+// two workers: covering the overshoot with one growing victim raised the
+// tracked peak from the watermark to 10-30% above it). pending tracks the
+// bytes of parts marked but not yet migrated, so the post-crossing fast path
+// stays a few atomic loads — the full part scan runs only when a new victim
+// is needed.
 //
-//   - if the migrations under way already cover the overshoot (live −
-//     pending < watermark), wait for them;
-//   - if live is still at or over the watermark, migrate the charging part
-//     on the spot;
-//   - then shed flushed parts, largest first, until the bytes under way
-//     cover the overshoot — never more, so a spike of a few bytes does not
-//     send a whole level to disk.
-//
-// pending holds the charged bytes of the parts whose migration is under way:
-// they stay resident until the migration frees them, and a charge that
-// counted them as live would migrate its own part for an overshoot already
-// being removed — one owner slow to create its part files, or descheduled,
-// would then send every part that grew meanwhile to disk. With one worker
-// one part grows at a time, so only that part can migrate mid-group; with
-// more, only the part whose charge crosses does, not every part in flight.
+// Marked bytes are not left to their owners alone, though. A charge that
+// finds the scope pressed while pending covers the overshoot first drains
+// them (drainMarked): it waits out a migration under way and migrates a
+// marked part whose owner has not reached its next append, from the groups
+// the owner showed at its last charge. Only if that frees nothing are the
+// parts still growing marked. Otherwise one owner slow to migrate — busy
+// creating its part files, or descheduled — would send every part started
+// meanwhile to disk (measured on kaleido's TestMinerLevelStats level, two
+// workers on 2 vCPUs beside two busy loops: all parts on disk in 121 of
+// 3,000 builds before, 0 of 3,000 after).
 //
 // A part charges its appended bytes once per slab, not once per group, and
 // the rest at its Flush — budgeted or not, one rule. A charge writes the
@@ -48,18 +52,17 @@ type governor struct {
 	tracker   *memtrack.Tracker // nil: nothing spills
 	b         *HybridLevelBuilder
 
-	// The counter every charge of every worker writes sits a cache line away
+	// The counters every charge of every worker writes sit a cache line away
 	// from the fields above: sharing one, each charge's first read of the
 	// slab fetched the line its own add then had to fetch again for writing
 	// (measured when every append charged, on the repo benchmark's
 	// store4-hybrid job, two workers: 0.62 s together, 0.55 s apart).
 	_        [64]byte
 	inflight atomic.Int64
+	pending  atomic.Int64
 
-	mu      sync.Mutex // serializes spilling decisions; guards the fields below and every part's onDisk claim
-	moved   sync.Cond  // on mu: broadcast at the end of every migration
-	pending int64      // charged bytes of the parts whose migration is under way
-	err     error      // the build's first failed migration
+	mu  sync.Mutex // serializes victim selection and error recording
+	err error
 }
 
 // maxSlab caps the slab: at 32 KiB the charges of a store4-sized build are
@@ -74,8 +77,9 @@ const maxSlab = 32 << 10
 // group.
 func (g *governor) reset(nparts int) (headroom int64) {
 	g.releaseInflight() // no-op after a completed Finish/Abort
+	g.pending.Store(0)
 	g.mu.Lock()
-	g.pending, g.err = 0, nil
+	g.err = nil
 	g.mu.Unlock()
 	headroom = math.MaxInt64
 	if g.tracker != nil {
@@ -86,18 +90,22 @@ func (g *governor) reset(nparts int) (headroom int64) {
 }
 
 // noteAlloc charges delta appended bytes and reports whether the scope is
-// pressed. In-flight build bytes are charged to the tracker as they grow
-// (slab by slab), not just at Finish: under a shared arbiter this is what
-// makes one run's half-built level visible to its siblings' governors.
-// Finish/Abort release the in-flight charge (the finished level is then
-// charged by its owner).
+// pressed, after spilling over if it is. In-flight build bytes are charged
+// to the tracker as they grow (slab by slab), not just at Finish: under a
+// shared arbiter this is what makes one run's half-built level visible to
+// its siblings' governors. Finish/Abort release the in-flight charge (the
+// finished level is then charged by its owner).
 func (g *governor) noteAlloc(delta int64) (pressed bool) {
 	g.inflight.Add(delta)
 	if g.tracker == nil {
 		return false
 	}
 	g.tracker.Alloc(delta)
-	return g.tracker.SharedLive() >= g.watermark
+	if g.tracker.SharedLive() < g.watermark {
+		return false
+	}
+	g.spillOver()
+	return true
 }
 
 func (g *governor) noteFree(n int64) {
@@ -116,73 +124,94 @@ func (g *governor) releaseInflight() {
 	}
 }
 
-// spillOver applies the rule at a charge of growing part p that found the
-// scope pressed, on p's owner, and returns the build's first migration
-// error.
-func (g *governor) spillOver(p *hybridPartWriter) error {
+// mark condemns part p, holding bytes resident bytes, to disk: its owner
+// migrates it at its next append or Flush (spillOver does it for parts
+// already flushed).
+func (g *governor) mark(p *hybridPartWriter, bytes int64) {
+	p.claimed = bytes
+	g.pending.Add(bytes)
+	p.spillReq.Store(true)
+}
+
+// spillOver marks resident bytes while the scope is pressed: every part
+// still growing at once, then the largest flushed parts one by one until the
+// marked bytes cover the overshoot. Flushed victims are migrated on the
+// calling goroutine (their owner is done with them).
+func (g *governor) spillOver() {
+	if g.b.queue.Failed() {
+		// The write-behind queue hit a hard error (typically ENOSPC): there
+		// is nowhere for victims to go, so stop marking parts — the run is
+		// failing; NextGroup surfaces the queue's typed error.
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	// A failed write-behind queue (typically ENOSPC) has nowhere to put a
-	// victim: the run is failing, and NextGroup surfaces the queue's error.
-	for g.err == nil && !g.b.queue.Failed() {
+	for {
 		live := g.tracker.SharedLive()
-		if live < g.watermark {
-			return nil
-		}
-		if live-g.pending < g.watermark {
-			g.moved.Wait() // the migrations under way cover the overshoot
-			continue
-		}
-		for v := p; v != nil && g.err == nil; v = g.largestFlushed() {
-			g.migrate(v)
-			if g.tracker.SharedLive()-g.pending <= g.watermark {
-				break
+		// One scan: the largest unmarked part (the next victim), and whether
+		// any unmarked part is still being appended to.
+		var victim *hybridPartWriter
+		var victimBytes int64
+		growing := false
+		for i := range g.b.parts {
+			p := &g.b.parts[i]
+			bb := p.bytes.Load()
+			if p.spillReq.Load() || bb == 0 {
+				continue
+			}
+			if !p.flushed.Load() {
+				growing = true
+			}
+			if bb > victimBytes {
+				victim, victimBytes = p, bb
 			}
 		}
-		break
-	}
-	return g.err
-}
-
-// largestFlushed returns the flushed part, still in memory, that holds the
-// most charged bytes, or nil. Called with g.mu held.
-func (g *governor) largestFlushed() (victim *hybridPartWriter) {
-	var most int64
-	for i := range g.b.parts {
-		p := &g.b.parts[i]
-		if p.flushed.Load() && !p.onDisk && p.bytes > most {
-			victim, most = p, p.bytes
+		switch {
+		case live >= g.watermark && growing:
+			if live-g.pending.Load() < g.watermark && g.drainMarked() {
+				continue // the bytes already condemned covered the overshoot
+			}
+			for i := range g.b.parts {
+				p := &g.b.parts[i]
+				if bb := p.bytes.Load(); bb > 0 && !p.spillReq.Load() && !p.flushed.Load() {
+					g.mark(p, bb)
+				}
+			}
+		case live-g.pending.Load() <= g.watermark || victim == nil:
+			return // covered — or everything is marked and migrations will catch up
+		default:
+			// Nothing unmarked grows, so the victim is flushed: its owner
+			// has moved on, migrate here.
+			g.mark(victim, victimBytes)
+			g.mu.Unlock()
+			err := victim.migrate(false)
+			g.mu.Lock()
+			if err != nil && g.err == nil {
+				g.err = err
+			}
 		}
 	}
-	return victim
 }
 
-// migrate moves part p to disk on the calling goroutine — p's owner, or any
-// charge once p is flushed — with p's bytes pending until the move ends.
-// Called with g.mu held, which the move itself runs without; every end of a
-// move, failed or not, wakes the charges waiting it out.
-func (g *governor) migrate(p *hybridPartWriter) {
-	n := p.bytes
-	p.onDisk = true
-	g.pending += n
-	g.mu.Unlock()
-	err := p.migrate()
-	g.mu.Lock()
-	g.pending -= n
-	if err != nil && g.err == nil {
-		g.err = err
+// drainMarked migrates the marked parts that still hold charged bytes —
+// waiting out a migration under way, draining the shown groups of a part
+// whose owner has not reached its next append — and reports whether pending
+// fell. Marked bytes stay resident until they migrate, and a part started
+// meanwhile would otherwise find the scope still over the watermark and be
+// marked too: one descheduled owner could send a whole level to disk.
+// Called with g.mu held; a migration takes no governor lock.
+func (g *governor) drainMarked() bool {
+	before := g.pending.Load()
+	for i := range g.b.parts {
+		p := &g.b.parts[i]
+		if !p.spillReq.Load() || p.bytes.Load() == 0 {
+			continue
+		}
+		if err := p.migrate(false); err != nil && g.err == nil {
+			g.err = err
+		}
 	}
-	g.moved.Broadcast()
-}
-
-// spill migrates part p on its owner's goroutine, whatever the scope's live
-// bytes, and returns the build's first migration error: the start of a part
-// in a build with no headroom.
-func (g *governor) spill(p *hybridPartWriter) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.migrate(p)
-	return g.err
+	return g.pending.Load() < before
 }
 
 func (g *governor) takeErr() error {

@@ -5,16 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"kaleido/internal/memtrack"
 	"kaleido/internal/run"
-	"kaleido/internal/storage/vfs"
 )
 
 // TestHybridMidBuildSpill drives a build against a budget sized to roughly
@@ -140,25 +137,19 @@ func TestHybridPressureClears(t *testing.T) {
 }
 
 // TestPressureSpillsOnlyTheOvershoot pins the governor's pressure invariant:
-// a charge over the watermark migrates the charging part, and data at rest
-// is shed only until the bytes under way cover SharedLive − watermark, never
-// more. Six parts are built and flushed under the watermark, then two more
-// grow side by side — interleaved on one goroutine, or one goroutine each,
-// the outcome must not depend on it — while an external charge puts the
-// tracked total over the watermark:
+// data at rest is shed only until the marked bytes cover SharedLive −
+// watermark, never more; what is condemned beyond that is only what is
+// still growing. Six parts are built and flushed under the watermark, then
+// two more grow side by side — interleaved on one goroutine, or one
+// goroutine each, the outcome must not depend on it — while an external
+// charge puts the tracked total over the watermark:
 //
-//   - by a few bytes, late in the growth: the growing part whose charge
-//     crosses migrates itself, and its 90% of a part covers the overshoot.
-//     A charge of the other part meanwhile waits that migration out, and
-//     the other part then ends resident: live stays at most the external
-//     charge plus cold + 1 parts, 0.8 part under the watermark. Every
-//     flushed part stays resident too: cold + 1 parts;
-//   - by a part and a half before the growth starts: the first growing part
-//     to charge migrates itself holding a slab at most, so flushed parts are
-//     shed, largest first, until the bytes under way cover the spike — two
-//     of them, not six. Live is then half a part under the watermark, so a
-//     growing part still in memory crosses again half-way and migrates
-//     itself: cold − 2 parts.
+//   - by a few bytes, late in the growth: the two growing parts spill and
+//     cover it; every flushed part stays resident (a collapsed budget sent
+//     all eight to disk);
+//   - by a part and a half before the growth starts: the growing parts
+//     cover next to nothing, so flushed parts are shed, largest first,
+//     until the marked bytes cover the spike — two of them, not six.
 func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 	const (
 		cold     = 6 // parts flushed before the pressure
@@ -173,11 +164,11 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 	)
 	group := make([]uint32, groupLen)
 	for _, tc := range []struct {
-		name         string
-		spike        int64 // charged after the cold parts are flushed
-		wantResident int   // parts still resident at the end
+		name     string
+		spike    int64 // charged after the cold parts are flushed
+		wantCold int   // flushed parts still resident at the end
 	}{
-		{"a few bytes", 0, cold + 1},
+		{"a few bytes", 0, cold},
 		{"a part and a half", (watermark - external - cold*partSize) + partSize*3/2, cold - 2},
 	} {
 		for _, concurrent := range []bool{false, true} {
@@ -240,7 +231,7 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 					resident += p.logicalBytes()
 				}
 			}
-			if want := int64(tc.wantResident * partSize); resident != want {
+			if want := int64(tc.wantCold * partSize); resident != want {
 				t.Errorf("over by %s, concurrent=%v: %d bytes stayed resident (%d mem / %d disk parts), want %d",
 					tc.name, concurrent, resident, hl.MemParts(), hl.DiskParts(), want)
 			}
@@ -253,19 +244,17 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 // TestHybridSlabLagBound pins what charging the governor a slab at a time
 // costs the watermark. Tracked bytes lag the resident ones by less than one
 // slab per part, plus the group a writer may have appended but not yet
-// charged, so the resident bytes of the parts not migrating stay within
+// charged, so the resident bytes the governor has not condemned stay within
 // watermark + nparts·slab + one group per writer. Resident bytes are tallied
 // by the test, not read from the builder: each writer publishes what its
-// parts hold in memory after every append, and sums the parts not migrating
-// under the governor's lock. 1, 2 and 4 writers share eight parts, and
+// parts hold in memory after every append, and sums the parts not marked for
+// disk under the governor's lock. 1, 2 and 4 writers share eight parts, and
 // append to the parts they own round-robin, so all eight grow at once — the
 // worst case of the bound. The build must actually spill and actually lag (a
-// slab is many groups), and the level must still equal the reference. Only
-// the part whose charge crosses migrates, and the watermark holds about four
-// of the eight parts' final sizes, so at least three parts must end in
-// memory. The sequential cases fill each writer's parts one after another
-// instead, as explorer workers fill the chunks they pull, and there too the
-// level must end up with parts both in memory and on disk.
+// slab is many groups), and the level must still equal the reference. The
+// sequential cases fill each writer's parts one after another instead, as
+// explorer workers fill the chunks they pull, and there the level must end
+// up with parts both in memory and on disk.
 func TestHybridSlabLagBound(t *testing.T) {
 	const (
 		nparts    = 8
@@ -309,12 +298,12 @@ func TestHybridSlabLagBound(t *testing.T) {
 				t.Fatalf("slab %d bytes for %d parts under a %d-byte watermark", slab, nparts, watermark)
 			}
 			var resident [nparts]atomic.Int64 // in the governor's units
-			notMigrating := func() int64 {
+			unmarked := func() int64 {
 				hb.gov.mu.Lock()
 				defer hb.gov.mu.Unlock()
 				var n int64
 				for i := range hb.parts {
-					if !hb.parts[i].onDisk {
+					if !hb.parts[i].spillReq.Load() {
 						n += resident[i].Load()
 					}
 				}
@@ -338,7 +327,7 @@ func TestHybridSlabLagBound(t *testing.T) {
 						} else {
 							resident[i].Add(int64(len(g))*4 + 8)
 						}
-						worst[w] = max(worst[w], notMigrating())
+						worst[w] = max(worst[w], unmarked())
 						return true
 					}
 					flush := func(i int) {
@@ -376,7 +365,7 @@ func TestHybridSlabLagBound(t *testing.T) {
 			bound := watermark + nparts*slab + int64(writers*maxGroup)
 			for w, got := range worst {
 				if got > bound {
-					t.Errorf("writer %d saw %d resident bytes in parts not migrating, bound %d (watermark %d + %d parts × slab %d + %d × group %d)",
+					t.Errorf("writer %d saw %d unmarked resident bytes, bound %d (watermark %d + %d parts × slab %d + %d × group %d)",
 						w, got, bound, watermark, nparts, slab, writers, maxGroup)
 				}
 			}
@@ -385,15 +374,11 @@ func TestHybridSlabLagBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer hl.Close()
-			t.Logf("%d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
 			if hl.DiskParts() == 0 {
 				t.Fatalf("nothing spilled: %d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
 			}
 			if tc.sequential && hl.MemParts() == 0 {
 				t.Fatalf("placement not hybrid: %d mem / %d disk parts", hl.MemParts(), hl.DiskParts())
-			}
-			if !tc.sequential && hl.MemParts() < 3 {
-				t.Fatalf("round-robin placement kept %d of %d parts in memory, want at least 3", hl.MemParts(), nparts)
 			}
 			verts, verr := readVerts(t, hl.VertBlocks(0, hl.Len()))
 			bounds, berr := readBounds(hl.BoundBlocks(0))
@@ -410,95 +395,53 @@ func TestHybridSlabLagBound(t *testing.T) {
 	}
 }
 
-// slowCreateFS holds the Create of one file name until release is closed,
-// and closes entered when that Create begins.
-type slowCreateFS struct {
-	vfs.OS
-	name             string
-	entered, release chan struct{}
-}
-
-func (f *slowCreateFS) Create(name string) (vfs.File, error) {
-	if filepath.Base(name) == f.name {
-		close(f.entered)
-		<-f.release
-	}
-	return f.OS.Create(name)
-}
-
-// TestHybridWaitsOutSlowMigration pins the governor's wait as one schedule.
-// Part A crosses the watermark on its own and migrates, and its Create is
-// held until part B, on another goroutine, has charged over the watermark.
-// A's bytes are then still live but under way, and cover the overshoot, so
-// B's charge must wait the migration out rather than migrate B: B ends in
-// memory, A on disk, the level equals the reference, and the tracker reads 0
-// after Finish. (B reads the scope right after its tracker charge, while A
-// still has its files to create and its arrays to encode.) Run it under
-// -race.
-func TestHybridWaitsOutSlowMigration(t *testing.T) {
-	const (
-		watermark = 1 << 16
-		groupsA   = 5000 // 100,000 bytes in the governor's units: over the watermark alone
-		groupsB   = 500  // 10,000 bytes: well under it
-	)
-	fs := &slowCreateFS{name: "L2.p0.vert", entered: make(chan struct{}), release: make(chan struct{})}
+// TestHybridDrainWhileOwnerAppends: the governor marks and drains a part
+// from another goroutine while its owner keeps appending, as drainMarked does
+// for a descheduled owner. Whichever of the two migrates first, every group
+// lands once and in order, and no byte stays charged. Run it under -race.
+func TestHybridDrainWhileOwnerAppends(t *testing.T) {
 	tracker := memtrack.New()
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
-	hb := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker}, t.TempDir(), q, watermark)
-	hb.Reset(2, 2)
+	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 1<<20)
+	hb.Reset(2, 1)
+	p := hb.Part(0)
 	ml := &MemLevel{Offs: []uint64{0}}
-	groups := [2][][]uint32{make([][]uint32, groupsA), make([][]uint32, groupsB)}
-	for i := range groups {
-		for j := range groups[i] {
-			g := []uint32{uint32(i), uint32(j), uint32(j + 1)}
-			groups[i][j] = g
-			ml.Verts = append(ml.Verts, g...)
-			ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
+	charged := make(chan struct{})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		<-charged
+		hb.gov.mu.Lock()
+		defer hb.gov.mu.Unlock()
+		hb.gov.mark(p, p.bytes.Load())
+		hb.gov.drainMarked()
+	}()
+	for j := 0; j < 20000; j++ {
+		g := []uint32{uint32(j), uint32(j + 1), uint32(j + 2)}
+		ml.Verts = append(ml.Verts, g...)
+		ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
+		if err := appendGroup(p, g); err != nil {
+			t.Fatal(err)
 		}
-	}
-	fill := func(part int, done chan<- struct{}) {
-		defer close(done)
-		for _, g := range groups[part] {
-			if err := appendGroup(hb.Part(part), g); err != nil {
-				t.Error(err)
-				return
+		if j == 5000 {
+			if p.bytes.Load() == 0 {
+				t.Fatal("no slab charged after 5,000 groups")
 			}
-		}
-		if err := hb.Part(part).Flush(); err != nil {
-			t.Error(err)
+			close(charged)
 		}
 	}
-	doneA, doneB := make(chan struct{}), make(chan struct{})
-	go fill(0, doneA)
-	select {
-	case <-fs.entered: // A's migration is held in Create
-	case <-doneA:
-		t.Fatal("part A finished without migrating")
-	}
-	before := tracker.Live()
-	go fill(1, doneB)
-	for tracker.Live() == before { // B's first charge, over the watermark
-		select {
-		case <-doneB:
-			t.Fatal("part B finished without charging")
-		default:
-			runtime.Gosched()
-		}
-	}
-	close(fs.release)
-	<-doneA
-	<-doneB
-	if t.Failed() {
-		return
+	<-drained
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	hl, err := hb.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hl.Close()
-	if !hl.parts[0].onDisk() || hl.parts[1].onDisk() {
-		t.Fatalf("part A on disk %v, part B on disk %v: want A on disk and B in memory", hl.parts[0].onDisk(), hl.parts[1].onDisk())
+	if hl.DiskParts() != 1 {
+		t.Fatalf("%d mem / %d disk parts, want the part on disk", hl.MemParts(), hl.DiskParts())
 	}
 	checkConforms(t, ml, hl, base(hl.Groups()))
 	if live := tracker.Live(); live != 0 {
@@ -507,14 +450,15 @@ func TestHybridWaitsOutSlowMigration(t *testing.T) {
 }
 
 // TestHybridSlabConservation: charging a slab at a time must not leak a
-// byte. One level holds a part on each path — raw; flushed and then shed by
-// the governor; migrated by its owner at a charge over the watermark, which
-// first hands over the bytes it had not charged. At every step a part still
-// in memory holds, as charged plus uncharged bytes, what was appended to it,
-// a part on disk holds neither, the governor's in-flight bytes are the
-// parts' charged bytes and the tracker holds exactly those over its
-// baseline; Live() is back at the baseline after Finish and Close, and after
-// an Abort.
+// byte. One level holds a part on each path — raw, migrated by the governor
+// after its Flush, migrated by its owner while it held uncharged bytes
+// (which are then dropped, never freed), and drained by the governor while
+// its owner was mid-group, the owner draining the rest at its next append.
+// At every step a part still in memory holds, as charged plus uncharged
+// bytes, what was appended to it since it last drained, a part wholly on
+// disk holds neither, the governor's in-flight bytes are the parts' charged
+// bytes and the tracker holds exactly those over its baseline; Live() is back
+// at the baseline after Finish and Close, and after an Abort.
 func TestHybridSlabConservation(t *testing.T) {
 	const baseline = 12345 // charged by someone else before the build
 	for _, abort := range []bool{false, true} {
@@ -522,12 +466,12 @@ func TestHybridSlabConservation(t *testing.T) {
 		tracker.Alloc(baseline)
 		q := NewWriteQueue(0, tracker)
 		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 1<<20+baseline)
-		hb.Reset(2, 4)
+		hb.Reset(2, 5)
 		if hb.gov.slab < 1024 {
 			t.Fatalf("slab %d bytes: too small to lag", hb.gov.slab)
 		}
 		ml := &MemLevel{Offs: []uint64{0}}
-		var appended [4]int64 // raw bytes appended in memory, in the governor's units
+		var appended [5]int64 // raw bytes appended in memory, in the governor's units
 		fill := func(part, n int) {
 			t.Helper()
 			for j := 0; j < n; j++ {
@@ -545,14 +489,14 @@ func TestHybridSlabConservation(t *testing.T) {
 			var charged int64
 			for i := range hb.parts {
 				p := &hb.parts[i]
-				charged += p.bytes
+				charged += p.bytes.Load()
 				switch {
-				case p.onDisk:
-					if p.bytes != 0 || p.uncharged != 0 {
-						t.Fatalf("abort=%v, %s: migrated part %d holds %d charged + %d uncharged bytes", abort, step, i, p.bytes, p.uncharged)
+				case p.onDisk || p.migrated && p.flushed.Load():
+					if p.bytes.Load() != 0 || p.uncharged != 0 {
+						t.Fatalf("abort=%v, %s: migrated part %d holds %d charged + %d uncharged bytes", abort, step, i, p.bytes.Load(), p.uncharged)
 					}
 				default:
-					if got := p.bytes + p.uncharged; got != appended[i] {
+					if got := p.bytes.Load() + p.uncharged; got != appended[i] {
 						t.Fatalf("abort=%v, %s: raw part %d accounts for %d bytes, %d appended", abort, step, i, got, appended[i])
 					}
 				}
@@ -575,29 +519,65 @@ func TestHybridSlabConservation(t *testing.T) {
 			t.Fatalf("flushed part holds %d uncharged bytes", p0.uncharged)
 		}
 		conserved("raw part flushed")
-		fill(1, 800) // the largest flushed part: the one shed below
+
+		fill(1, 700) // migrated by the governor after its Flush
 		if err := p1.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		conserved("second part flushed")
+		hb.gov.mu.Lock()
+		hb.gov.mark(p1, p1.bytes.Load())
+		hb.gov.mu.Unlock()
+		if err := p1.migrate(false); err != nil {
+			t.Fatal(err)
+		}
+		conserved("flushed part migrated by the governor")
 
-		fill(2, 700)
+		fill(2, 700) // marked while holding uncharged bytes; its owner migrates it
 		if p2.uncharged == 0 {
-			t.Fatal("part 2 holds no uncharged bytes: the hand-over before its migration is not exercised")
+			t.Fatal("part 2 holds no uncharged bytes: the owner's migration path is not exercised")
 		}
-		// Press the scope so that, once part 2 has migrated itself, the
-		// overshoot is half of part 1: shedding part 1 covers it, part 0
-		// stays.
-		spike := hb.gov.watermark - tracker.Live() + p2.bytes + p1.bytes/2
-		tracker.Alloc(spike)
+		hb.gov.mu.Lock()
+		hb.gov.mark(p2, p2.bytes.Load())
+		hb.gov.mu.Unlock()
 		fill(2, 300)
-		tracker.Free(spike)
-		if !p2.onDisk || !p1.onDisk || p0.onDisk {
-			t.Fatalf("on disk after the pressed charge: part 0 %v, part 1 %v, part 2 %v; want parts 1 and 2", p0.onDisk, p1.onDisk, p2.onDisk)
+		if !p2.migrated {
+			t.Fatal("part 2 did not migrate")
 		}
-		conserved("part migrated by its owner, flushed part shed by the governor")
+		conserved("part migrated by its owner")
 
 		fill(3, 100) // raw, still growing
+		conserved("raw part growing")
+
+		fill(4, 700) // drained by the governor while its owner is mid-group
+		buf, err := hb.parts[4].NextGroup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p4 := &hb.parts[4]
+		hb.gov.mu.Lock()
+		hb.gov.mark(p4, p4.bytes.Load())
+		drained := hb.gov.drainMarked()
+		hb.gov.mu.Unlock()
+		if !drained || !p4.migrated || p4.onDisk {
+			t.Fatalf("drained %v: part 4 migrated %v, on its owner's disk path %v", drained, p4.migrated, p4.onDisk)
+		}
+		appended[4] = p4.uncharged         // the shown groups are on disk, the rest is not
+		g := make([]uint32, hb.gov.slab/4) // a group that charges a slab
+		for j := range g {
+			g[j] = uint32(j)
+		}
+		ml.Verts = append(ml.Verts, g...)
+		ml.Offs = append(ml.Offs, uint64(len(ml.Verts)))
+		p4.CommitGroup(append(buf, g...))
+		appended[4] += int64(len(g))*4 + 8
+		if p4.bytes.Load() == 0 {
+			t.Fatal("part 4's owner charged nothing after the drain")
+		}
+		conserved("part drained by the governor mid-group")
+		fill(4, 300)
+		if !p4.onDisk {
+			t.Fatal("part 4's owner did not switch to disk")
+		}
 		conserved("every path taken")
 
 		if abort {
@@ -605,7 +585,7 @@ func TestHybridSlabConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			for i := 2; i < 4; i++ {
+			for i := 2; i < 5; i++ {
 				if err := hb.Part(i).Flush(); err != nil {
 					t.Fatal(err)
 				}
@@ -615,8 +595,8 @@ func TestHybridSlabConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hl.MemParts() != 2 || hl.DiskParts() != 2 {
-				t.Fatalf("placed %d mem / %d disk parts, want 2 / 2", hl.MemParts(), hl.DiskParts())
+			if hl.MemParts() != 2 || hl.DiskParts() != 3 {
+				t.Fatalf("placed %d mem / %d disk parts, want 2 / 3", hl.MemParts(), hl.DiskParts())
 			}
 			checkConforms(t, ml, hl, base(hl.Groups()))
 			if live := tracker.Live(); live != baseline {

@@ -266,9 +266,7 @@ func TestCloseRemovesFiles(t *testing.T) {
 		wantFiles := 0
 		for i := 0; i < 3; i++ {
 			if lay.at(i) == 'd' {
-				if err := hb.gov.spill(&hb.parts[i]); err != nil {
-					t.Fatal(err)
-				}
+				hb.parts[i].spillReq.Store(true)
 				wantFiles += 2
 			}
 			if err := appendGroup(hb.Part(i), []uint32{uint32(i), uint32(i + 10)}); err != nil {

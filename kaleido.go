@@ -92,7 +92,7 @@ type Config struct {
 	// (§4.1 hybrid storage). Levels are built in memory part by part; when
 	// the resident total reaches the spill watermark — 0.9·MemoryBudget; the
 	// headroom above it absorbs allocation growth between spill decisions —
-	// mid-build, the part whose charge crosses it migrates to SpillDir, so a single
+	// mid-build, the parts still growing migrate to SpillDir, so a single
 	// level can be half in memory and half on disk. A budgeted run tracks
 	// its bytes whether or not Stats is set: placement does not depend on
 	// it. A part is either raw in
