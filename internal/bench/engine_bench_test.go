@@ -95,15 +95,16 @@ func expandCases() []expandCase {
 		{name: "edge-d3", mode: explore.EdgeInduced, n: 2000, m: 6000, seed: 7, depth: 2, threads: 4},
 		{name: "vertex-d3-disk", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1},
 		// The hybrid case sizes the budget so the governor sends roughly
-		// half of the ~2.2 MB leaf level to disk and keeps the rest
+		// half of the ~1.5 MB leaf level (a delta level: own children and
+		// full bounds) to disk and keeps the rest
 		// resident (the §4.1 half-memory-half-disk configuration); its
 		// throughput must land strictly between vertex-d3 (all-mem) and
 		// vertex-d3-disk (all-disk).
-		{name: "vertex-d3-hybrid", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1_350_000},
+		{name: "vertex-d3-hybrid", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 2, threads: 4, budget: 1_000_000},
 		// The budgeted d4 case is the same configuration one level deeper:
-		// the budget sits below the ~179 MB leaf level, so the governor
-		// spills part of it and keeps the rest resident.
-		{name: "vertex-d4-budget", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 3, threads: 4, budget: 140 << 20},
+		// the budget sits below the ~37 MB leaf level (a delta level), so
+		// the governor spills part of it and keeps the rest resident.
+		{name: "vertex-d4-budget", mode: explore.VertexInduced, n: 4000, m: 16000, seed: 42, depth: 3, threads: 4, budget: 28 << 20},
 	}
 }
 

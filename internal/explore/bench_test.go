@@ -114,7 +114,7 @@ func BenchmarkAppendCanonical(b *testing.B) {
 	// store writes one leaf's children through an unbudgeted builder wired
 	// as an unbudgeted explorer wires it, one part, len(embs) groups a level.
 	hb := storage.NewHybridLevelBuilder(&run.Env{}, "", nil, math.MaxInt64)
-	hb.Reset(k+1, 1)
+	hb.Reset(k+1, 1, nil)
 	defer func() { hb.Abort() }()
 	groups := 0
 	store := func(b *testing.B, emb []uint32) int {
@@ -137,7 +137,7 @@ func BenchmarkAppendCanonical(b *testing.B) {
 				b.Fatal(err)
 			}
 			lvl.Close()
-			hb.Reset(k+1, 1)
+			hb.Reset(k+1, 1, nil)
 			groups = 0
 			b.StartTimer()
 		}

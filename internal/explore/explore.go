@@ -120,9 +120,15 @@ type Explorer struct {
 	// survive across Expand iterations.
 	builder *storage.HybridLevelBuilder
 
-	// lastFanout/prevFanout are the measured children-per-embedding of the
-	// two most recent expansions, which presizeParts extrapolates.
-	lastFanout, prevFanout float64
+	// lastFanout/prevFanout are the measured children per embedding of the
+	// two most recent expansions, which presizeParts extrapolates, and
+	// lastStored the stored units per embedding of the last one.
+	lastFanout, prevFanout, lastStored float64
+	// complete reports that every group of the top level holds all the
+	// canonical extensions of its parent: the level came from a
+	// vertex-induced Expand without a filter. A level built over it the same
+	// way is stored as a delta level (see Expand).
+	complete bool
 }
 
 // workerScratch holds one worker's reusable buffers. Workers are indexed
@@ -369,35 +375,41 @@ func (e *Explorer) Close() error {
 }
 
 // armBuilder arms the pooled level builder for the parts cut at bounds over
-// the top level. The stored levels stay resident alongside the new one, and
+// the top level, as a delta level over it when over is not nil (see
+// Expand). The stored levels stay resident alongside the new one, and
 // the tracker holds them, so the governor's one watermark on the scope's
 // live bytes accounts for them; placement is decided per part, during the
 // build. The builder (and, via the storage part-buffer pool, the buffers of
 // parts whose levels have been closed) is reused across Expand iterations
 // instead of being allocated per level.
-func (e *Explorer) armBuilder(bounds []int) {
+func (e *Explorer) armBuilder(bounds []int, over *storage.HybridLevel) {
 	if e.builder == nil {
 		e.builder = storage.NewHybridLevelBuilder(e.cfg.Env, e.runDir, e.queue, e.watermarkBytes())
 	}
-	e.builder.Reset(e.levelSeq, len(bounds)-1)
+	e.builder.Reset(e.levelSeq, len(bounds)-1, over)
 	e.levelSeq++
-	e.presizeParts(bounds)
+	e.presizeParts(bounds, over != nil)
 }
 
 // presizeParts reserves the builder's per-part buffers before expansion
 // begins by extrapolating the fan-out trend of the previous iterations, so
 // the cold-start append-doubling of large level buffers (~170 MB of transient
 // growth on the vertex-d4 benchmark) collapses into one allocation per part.
-// The builder caps reserves at its governor watermark, since reserved
-// capacity is real resident memory.
-func (e *Explorer) presizeParts(bounds []int) {
+// A delta level stores a leaf's own children, as many as a leaf of the last
+// level stored, give or take: they do not accumulate with depth the way the
+// keep list does, so their count is not extrapolated. The builder caps
+// reserves at its governor watermark, since reserved capacity is real
+// resident memory.
+func (e *Explorer) presizeParts(bounds []int, delta bool) {
 	if e.c.Top().Len() == 0 || e.lastFanout <= 0 {
 		return
 	}
 	// Fan-out typically grows with depth; extrapolate the last growth
 	// ratio, capped — an early sparse level can make the ratio explode.
 	f := e.lastFanout
-	if e.prevFanout > 0 && e.prevFanout < f {
+	if delta {
+		f = e.lastStored
+	} else if e.prevFanout > 0 && e.prevFanout < f {
 		g := f / e.prevFanout
 		if g > 3 {
 			g = 3
@@ -439,6 +451,7 @@ func (e *Explorer) expandChunk(c *chunkWalk, o *leafOut, vf VertexFilter, ef Edg
 		return e.expandCliques(c, k, o)
 	case VertexInduced:
 		st := e.vertexStateFor(c.worker, k)
+		count := vf == nil && o.build == nil && o.visit == nil
 		for {
 			emb, from, leaves, ok := c.next()
 			if !ok {
@@ -449,13 +462,22 @@ func (e *Explorer) expandChunk(c *chunkWalk, o *leafOut, vf VertexFilter, ef Edg
 			}
 			for _, u := range leaves {
 				emb[k-1] = u
+				if count {
+					o.n += uint64(st.countStored(k, u, emb[0]))
+					continue
+				}
 				dst, err := o.dst()
 				if err != nil {
 					return err
 				}
-				if vf == nil {
+				switch {
+				case o.delta:
+					own, later := st.appendOwn(u, emb[0], dst)
+					o.putOwn(dst, own, later)
+					continue
+				case vf == nil:
 					dst = st.appendStored(k, u, emb[0], dst)
-				} else {
+				default:
 					dst = st.appendCanonical(k, u, emb, c.worker, vf, dst)
 				}
 				if err := o.put(emb, dst); err != nil {

@@ -294,9 +294,10 @@ func (s *vertexState) appendCanonical(k int, u uint32, emb []uint32, worker int,
 	return appendKeep(children, ids[i:], adj[i:], worker, emb, vf)
 }
 
-// appendStored is appendCanonical under no filter, for every walk that takes
-// the children — the storing, counting and visiting walks: it appends u's
-// children to dst and returns it. Masks unread, a stamped neighbour of u
+// appendStored is appendCanonical under no filter, for the walks that take
+// the children — a plain level's storing walk and the visiting walks (a
+// delta level stores appendOwn's share, the count walk countStored's): it
+// appends u's children to dst and returns it. Masks unread, a stamped neighbour of u
 // needs nothing — it is in keep, which is copied whole, or it failed its
 // bound — so one pass over N(u) past emb[0] probes the marker: the
 // unstamped entries up to u are children at once, and each one past u is
@@ -346,9 +347,60 @@ func (s *vertexState) appendStored(k int, u, emb0 uint32, dst []uint32) []uint32
 	return out[:n]
 }
 
+// appendOwn is appendStored for a delta level (storage.HybridLevel): it
+// appends to dst only the children u adds, the unstamped entries of N(u)
+// past emb[0], and returns with them how many kept entries lie past u. Over
+// a complete level an unfiltered run's leaves are its keep list, so those
+// are u's later siblings, already stored one level down, and the two sets
+// make u's group; the merge appendStored does is left to the reader.
+// Requires k ≥ 2.
+func (s *vertexState) appendOwn(u, emb0 uint32, dst []uint32) ([]uint32, int) {
+	if emb0 == ^uint32(0) {
+		return dst, 0 // nothing can exceed emb[0], keep included
+	}
+	nb := s.g.Neighbors(u)
+	j := 0
+	for j < len(nb) && nb[j] <= emb0 {
+		j++
+	}
+	mk := s.mk
+	for _, y := range nb[j:] {
+		if !mk.Marked(y) {
+			dst = append(dst, y)
+		}
+	}
+	return dst, len(s.keep.ids) - s.cursor(u)
+}
+
+// countStored is the number of children appendStored appends for u: the
+// unstamped entries of N(u) past emb[0] plus the kept entries past u, which
+// never coincide, so nothing is merged.
+func (s *vertexState) countStored(k int, u, emb0 uint32) int {
+	if emb0 == ^uint32(0) {
+		return 0
+	}
+	nb := s.g.Neighbors(u)
+	j := 0
+	for j < len(nb) && nb[j] <= emb0 {
+		j++
+	}
+	if k == 1 {
+		return len(nb) - j
+	}
+	n, mk := 0, s.mk
+	for _, y := range nb[j:] {
+		if !mk.Marked(y) {
+			n++
+		}
+	}
+	return n + len(s.keep.ids) - s.cursor(u)
+}
+
 // cursor moves the keep cursor to the first kept entry past the leaf u and
 // returns it. An unfiltered run's leaves are its keep list, so the forward
-// scan moves about one entry per leaf.
+// scan moves about one entry per leaf, and the entries past the cursor are
+// u's later siblings: the part of u's group a delta level does not store
+// (appendOwn).
 func (s *vertexState) cursor(u uint32) int {
 	ids, i := s.keep.ids, s.at
 	if i > 0 && ids[i-1] > u {

@@ -8,7 +8,10 @@ package explore
 // level, count, adjacency mask and row histogram must still be exactly what
 // refExpandVertex and refAdjMask produce — on every storage regime, at every
 // thread count, and across the block-seam continuation runs that keep the
-// run's keep list and stamps.
+// run's keep list and stamps. An unfiltered level over a complete one is a
+// delta level (only the children the leaf adds are stored), an unfiltered
+// level over a filtered one stays plain, and both must read back as the
+// reference's full groups.
 
 import (
 	"fmt"
@@ -35,20 +38,36 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 			for _, use := range []struct {
 				name string
 				g    *graph.Graph
-				vf   VertexFilter
-			}{{"nofilter", sparse, nil}, {"maskfilter", dense, allOnesFilter}} {
+				vf   func(d int) VertexFilter // the filter level d is built under
+			}{
+				{"nofilter", sparse, func(int) VertexFilter { return nil }},
+				{"maskfilter", dense, func(int) VertexFilter { return allOnesFilter }},
+				// Level 3 is unfiltered over a filtered level 2, so it stays
+				// plain; levels 4 and 5 are delta levels again.
+				{"overfiltered", sparse, func(d int) VertexFilter {
+					if d == 2 {
+						return evenFilter
+					}
+					return nil
+				}},
+			} {
 				// One level past maxDepth: ExpandCount walks the top level too.
 				ref := refLevels(use.g, use.vf, maxDepth+1)
 				if len(ref[maxDepth]) == 0 {
 					t.Fatalf("%s: degenerate graph, no level %d", use.name, maxDepth+1)
 				}
 				var rows []*rowRef // rows[d-1]: the row walk over depth d
-				if use.vf == nil {
+				if use.vf(maxDepth+1) == nil {
 					// The row walk over depth d visits level d+1 and counts
-					// level d+2: two levels past maxDepth.
+					// level d+2, two levels past maxDepth, all unfiltered: it
+					// is checked where the reference levels are.
 					next := append(slices.Clone(ref[2:]), refExpandVertex(use.g, ref[maxDepth], nil))
 					for d := 1; d <= maxDepth; d++ {
-						rows = append(rows, newRowRef(use.g, ref[d], next[d-1]))
+						var r *rowRef
+						if use.vf(d+1) == nil && use.vf(d+2) == nil {
+							r = newRowRef(use.g, ref[d], next[d-1])
+						}
+						rows = append(rows, r)
 					}
 				}
 				_, _, bytes := checkLeafLevels(t, use.g, &run.Env{Threads: 1}, use.vf, ref, rows)
@@ -70,7 +89,10 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 								env.MemoryBudget, env.SpillDir = rg.budget, t.TempDir()
 							}
 							continuations, mixed, _ := checkLeafLevels(t, use.g, env, use.vf, ref, rows)
-							if rg.name == "disk" && threads == 1 && continuations == 0 {
+							// A delta level is walked a group at a time, so
+							// only the filtered levels have block-seam
+							// continuation runs.
+							if use.name == "maskfilter" && rg.name == "disk" && threads == 1 && continuations == 0 {
 								t.Fatal("no continuation run at a block seam: the all-disk case does not exercise a kept keep list and kept stamps")
 							}
 							if rg.name == "hybrid" && !mixed {
@@ -84,29 +106,34 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 	}
 }
 
-// refLevels returns the reference levels 1..maxDepth of g under vf: every
-// vertex, then each level refExpandVertex of the one before, in stored
-// order (parents in order, each parent's children ascending).
-func refLevels(g *graph.Graph, vf VertexFilter, maxDepth int) [][][]uint32 {
+// evenFilter admits the even candidates.
+func evenFilter(_ int, _ []uint32, c, _ uint32) bool { return c%2 == 0 }
+
+// refLevels returns the reference levels 1..maxDepth of g, level d under
+// vf(d): every vertex, then each level refExpandVertex of the one before, in
+// stored order (parents in order, each parent's children ascending).
+func refLevels(g *graph.Graph, vf func(d int) VertexFilter, maxDepth int) [][][]uint32 {
 	lvl := make([][]uint32, g.N())
 	for v := range lvl {
 		lvl[v] = []uint32{uint32(v)}
 	}
 	levels := [][][]uint32{lvl}
 	for d := 2; d <= maxDepth; d++ {
-		levels = append(levels, refExpandVertex(g, levels[d-2], vf))
+		levels = append(levels, refExpandVertex(g, levels[d-2], vf(d)))
 	}
 	return levels
 }
 
-// checkLeafLevels expands g under env and vf to depth len(ref)−1 and holds,
-// at every depth, the stored level to ref in stored order and ExpandCount to
-// the next level's size; given the row walks' references (no filter), also
-// the masks and row histograms a row visitor (ExpandVisitGroups) receives
-// (checkRows); and then the stored level to ref once more. It reports the
+// checkLeafLevels expands g under env to depth len(ref)−1, level d under
+// vf(d), and holds, at every depth, the stored level to ref in stored order,
+// its delta bit to the rule (unfiltered over an unfiltered level past the
+// base) and ExpandCount to the next level's size; where the row walks'
+// references are given (no filter), also the masks and row histograms a
+// row visitor (ExpandVisitGroups) receives (checkRows); and then the stored
+// level to ref once more. It reports the
 // block-seam continuation runs of the levels it expanded, whether some level
 // was split between memory and disk, and the CSE's resident bytes per depth.
-func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter, ref [][][]uint32, rows []*rowRef) (continuations int, mixed bool, bytes []int64) {
+func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf func(d int) VertexFilter, ref [][][]uint32, rows []*rowRef) (continuations int, mixed bool, bytes []int64) {
 	t.Helper()
 	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: env})
 	if err != nil {
@@ -119,9 +146,12 @@ func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter
 	maxDepth := len(ref) - 1
 	for d := 1; d <= maxDepth; d++ {
 		if d > 1 {
-			if err := e.Expand(bgCtx, vf, nil); err != nil {
+			if err := e.Expand(bgCtx, vf(d), nil); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if want := d >= 3 && vf(d) == nil && vf(d-1) == nil; e.CSE().Top().Delta() != want {
+			t.Fatalf("depth %d: delta level %v, want %v", d, e.CSE().Top().Delta(), want)
 		}
 		got, c := walkLevel(t, e)
 		if !embsEqual(got, ref[d-1]) {
@@ -132,14 +162,14 @@ func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf VertexFilter
 			mixed = true
 		}
 		continuations += c
-		n, err := e.ExpandCount(bgCtx, vf, nil)
+		n, err := e.ExpandCount(bgCtx, vf(d+1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != uint64(len(ref[d])) {
 			t.Fatalf("depth %d: ExpandCount %d, reference %d", d, n, len(ref[d]))
 		}
-		if rows != nil {
+		if rows != nil && rows[d-1] != nil {
 			checkRows(t, e, g, d, rows[d-1])
 		}
 		// The walks above reuse the workers' scratch, which the Expand that

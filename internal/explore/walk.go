@@ -62,17 +62,18 @@ func (e *Explorer) cut(p pass) ([]int, error) {
 }
 
 // walk is the driver of every exploration operation: it cuts the top level
-// for p, arms the pooled level builder with one part per chunk when storing,
-// and runs body once per chunk through runParallel, with the worker's walker
-// positioned on the chunk. A failed walk is torn down through abortOp, which
-// discards a storing walk's partial level.
-func (e *Explorer) walk(ctx context.Context, p pass, body func(c chunkWalk) error) error {
+// for p, arms the pooled level builder with one part per chunk when storing
+// — for a delta level over over when that is not nil — and runs body once
+// per chunk through runParallel, with the worker's walker positioned on the
+// chunk. A failed walk is torn down through abortOp, which discards a
+// storing walk's partial level.
+func (e *Explorer) walk(ctx context.Context, p pass, over *storage.HybridLevel, body func(c chunkWalk) error) error {
 	bounds, err := e.cut(p)
 	if err != nil {
 		return err
 	}
 	if p == storePass {
-		e.armBuilder(bounds)
+		e.armBuilder(bounds, over)
 	}
 	err = e.runParallel(ctx, len(bounds)-1, func(worker, chunk int) error {
 		w, err := e.walkerFor(worker, bounds[chunk], bounds[chunk+1])
@@ -119,10 +120,12 @@ func (c *chunkWalk) done() error {
 
 // leafOut is where an expansion chunk puts each parent's children: straight
 // into the chunk's builder part when storing, so a stored child is written
-// once, and otherwise into the worker's pooled buffer, counted and handed to
-// the optional visitor.
+// once — on a delta level only the children the leaf adds (putOwn) — and
+// otherwise into the worker's pooled buffer, counted and handed to the
+// optional visitor.
 type leafOut struct {
 	build  *storage.HybridLevelBuilder // storing walks only
+	delta  bool                        // the build is a delta level
 	chunk  int
 	worker int
 	buf    []uint32
@@ -153,6 +156,13 @@ func (o *leafOut) put(emb, children []uint32) error {
 	return nil
 }
 
+// putOwn commits a delta group: own is dst's slice with the children only
+// the leaf adds appended, later the number of the leaf's later siblings,
+// which complete the group.
+func (o *leafOut) putOwn(dst, own []uint32, later int) {
+	o.build.Part(o.chunk).CommitOwn(own, len(own)-len(dst)+later)
+}
+
 // ready checks what an expansion needs: an initialized explorer, a live
 // ctx, no user filter in Clique mode, and at most maskBits units in the
 // embeddings it reaches, levels past the top level — a mask has a bit per
@@ -181,7 +191,7 @@ func (e *Explorer) ready(ctx context.Context, levels int, filtered bool) error {
 // operation on the same Explorer.
 func (e *Explorer) ForEach(ctx context.Context, visit func(worker int, emb []uint32) error) error {
 	k := e.c.Depth()
-	return e.walk(ctx, topPass, func(c chunkWalk) error {
+	return e.walk(ctx, topPass, nil, func(c chunkWalk) error {
 		for {
 			emb, _, leaves, ok := c.next()
 			if !ok {
@@ -213,13 +223,25 @@ func (e *Explorer) ForEach(ctx context.Context, visit func(worker int, emb []uin
 // Exploration operations (the Expand family and ForEach) share the
 // explorer's pooled per-worker scratch: they parallelize internally, but at
 // most one of them may run on an Explorer at a time.
+//
+// A vertex-induced level built without a filter holds every canonical
+// extension of its parents, so its groups are complete. A level built the
+// same way over a complete level (depth ≥ 2) is stored as a delta level: a
+// leaf's group there is the children only it adds plus its later siblings,
+// and only the first are written (storage.HybridLevel).
 func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) error {
 	if err := e.ready(ctx, 1, vf != nil || ef != nil); err != nil {
 		return err
 	}
-	parents := e.c.Top().Len()
-	err := e.walk(ctx, storePass, func(c chunkWalk) error {
-		if err := e.expandChunk(&c, &leafOut{build: e.builder, chunk: c.chunk}, vf, ef); err != nil {
+	top := e.c.Top()
+	parents := top.Len()
+	unfiltered := e.cfg.Mode == VertexInduced && vf == nil
+	var over *storage.HybridLevel
+	if unfiltered && e.complete && e.c.Depth() >= 2 {
+		over = top
+	}
+	err := e.walk(ctx, storePass, over, func(c chunkWalk) error {
+		if err := e.expandChunk(&c, &leafOut{build: e.builder, delta: over != nil, chunk: c.chunk}, vf, ef); err != nil {
 			return err
 		}
 		return e.builder.Part(c.chunk).Flush()
@@ -242,8 +264,10 @@ func (e *Explorer) Expand(ctx context.Context, vf VertexFilter, ef EdgeFilter) e
 		e.acct.SpilledBytesPhysical += lvl.DiskBytesPhysical()
 	}
 	e.charge(lvl.Bytes())
+	e.complete = unfiltered
 	if parents > 0 {
 		e.prevFanout, e.lastFanout = e.lastFanout, float64(lvl.Len())/float64(parents)
+		e.lastStored = float64(lvl.Stored()) / float64(parents)
 	}
 	return nil
 }
@@ -266,7 +290,7 @@ func (e *Explorer) ExpandCountVisit(ctx context.Context, vf VertexFilter, ef Edg
 		return 0, err
 	}
 	var total atomic.Uint64
-	err := e.walk(ctx, frontierPass, func(c chunkWalk) error {
+	err := e.walk(ctx, frontierPass, nil, func(c chunkWalk) error {
 		sc := &e.scratch[c.worker]
 		o := leafOut{worker: c.worker, buf: sc.children, visit: visit}
 		err := e.expandChunk(&c, &o, vf, ef)
@@ -326,7 +350,7 @@ func (e *Explorer) ExpandCountTwo(ctx context.Context) (uint64, error) {
 		return 0, err
 	}
 	var total atomic.Uint64
-	err := e.walk(ctx, frontierPass, func(c chunkWalk) error {
+	err := e.walk(ctx, frontierPass, nil, func(c chunkWalk) error {
 		n, err := e.countCliquesTwo(&c)
 		total.Add(n)
 		return err
@@ -383,7 +407,7 @@ func (e *Explorer) ExpandVisitGroups(ctx context.Context, visit RowVisitor) erro
 	if visit == nil {
 		return fmt.Errorf("explore: ExpandVisitGroups without a visit callback")
 	}
-	return e.walk(ctx, frontierPass, func(c chunkWalk) error {
+	return e.walk(ctx, frontierPass, nil, func(c chunkWalk) error {
 		return e.expandLeafRows(&c, e.vertexStateFor(c.worker, d+1), d, visit)
 	})
 }

@@ -49,7 +49,7 @@ func BenchmarkAppendGroup(b *testing.B) {
 				appended := 0
 				for appended < b.N {
 					per := min(roundGroups, (b.N-appended+writers-1)/writers)
-					hb.Reset(2, writers)
+					hb.Reset(2, writers, nil)
 					var wg sync.WaitGroup
 					for w := 0; w < writers; w++ {
 						wg.Add(1)

@@ -34,6 +34,7 @@ import (
 type HybridLevelBuilder struct {
 	dir       string
 	level     int
+	over      *HybridLevel // a delta build's parent level; nil for a plain one
 	queue     *WriteQueue
 	blockSize int // prefetch block size handed to the level; 0 = DefaultBlockSize (tests shrink it)
 	tracker   *memtrack.Tracker
@@ -62,11 +63,19 @@ func NewHybridLevelBuilder(env *run.Env, dir string, q *WriteQueue, watermark in
 
 // Reset arms the builder for a level build of nparts parts, reusing its
 // part-writer slice (and, through the part pool, the buffers of levels that
-// have since been closed). level names the new level's spill files. The
-// build's headroom under the watermark is read once, here: with none left
-// every part goes to disk immediately (the all-disk regime).
-func (b *HybridLevelBuilder) Reset(level, nparts int) {
+// have since been closed). level names the new level's spill files. over,
+// when not nil, makes the new level a delta level over it (see
+// HybridLevel): every group is committed as its own children and its full
+// count (CommitOwn), and group g's rest is the units after embedding g in
+// its group of over. over must have groups — it cannot be the base level.
+// The build's headroom under the watermark is read once, here: with none
+// left every part goes to disk immediately (the all-disk regime).
+func (b *HybridLevelBuilder) Reset(level, nparts int, over *HybridLevel) {
+	if over != nil && over.totalGroups == 0 && over.totalVerts > 0 {
+		panic("storage: a delta level over the base level")
+	}
 	b.level = level
+	b.over = over
 	if cap(b.parts) < nparts {
 		b.parts = make([]hybridPartWriter, nparts)
 	} else {
@@ -77,8 +86,8 @@ func (b *HybridLevelBuilder) Reset(level, nparts int) {
 	for i := range b.parts {
 		p := &b.parts[i]
 		p.b, p.idx = b, i
-		p.verts, p.counts, p.scratch = nil, nil, nil
-		p.shownVerts, p.shownCounts = nil, nil
+		p.verts, p.counts, p.scratch, p.ownCum = nil, nil, nil, nil
+		p.shownVerts, p.shownCounts, p.shownOwnCum = nil, nil, nil
 		p.bytes.Store(0)
 		// All-disk regime: nothing fits, so skip the pointless memory stay —
 		// the first append migrates with an empty replay.
@@ -101,9 +110,12 @@ type hybridPartWriter struct {
 	b   *HybridLevelBuilder
 	idx int
 
-	// Memory stage (owner-only until flushed).
+	// Memory stage (owner-only until flushed): the stored units, the full
+	// group counts and, on a delta level, the stored units before every
+	// CntChunk-th group (hybridPart.ownCum).
 	verts  []uint32
 	counts []uint32
+	ownCum []uint64
 	// scratch is the group buffer NextGroup hands out once the part has
 	// migrated (owner-only).
 	scratch []uint32
@@ -118,10 +130,12 @@ type hybridPartWriter struct {
 	onDisk    bool  // owner-only: the owner appends to dw
 
 	mu sync.Mutex // guards the fields below
-	// shownVerts and shownCounts are verts and counts as of the owner's
-	// last charge before the part migrated: all a non-owner may drain. The
-	// owner appends only past their ends, so their elements do not change.
+	// shownVerts, shownCounts and shownOwnCum are verts, counts and ownCum
+	// as of the owner's last charge before the part migrated: all a
+	// non-owner may drain. The owner appends only past their ends, so their
+	// elements do not change.
 	shownVerts, shownCounts []uint32
+	shownOwnCum             []uint64
 	migrated                bool // dw holds the part's files and at least the shown groups
 	dwSealed                bool
 	dw                      diskPartWriter
@@ -216,14 +230,27 @@ func (p *hybridPartWriter) NextGroup() ([]uint32, error) {
 // once its uncharged bytes reach the build's slab, or at every group while
 // its last charge found the scope pressed.
 func (p *hybridPartWriter) CommitGroup(buf []uint32) {
+	n := len(buf)
+	if !p.onDisk {
+		n -= len(p.verts)
+	}
+	p.CommitOwn(buf, n)
+}
+
+// CommitOwn is CommitGroup for a delta level: buf holds the group's own
+// children, full is its child count with the leaf's later siblings.
+func (p *hybridPartWriter) CommitOwn(buf []uint32, full int) {
 	if p.onDisk {
 		p.scratch = buf
-		p.dw.appendGroup(buf)
+		p.dw.appendGroup(buf, full)
 		return
+	}
+	if p.b.over != nil && len(p.counts)%CntChunk == 0 && len(p.counts) > 0 {
+		p.ownCum = append(p.ownCum, uint64(len(p.verts)))
 	}
 	n := len(buf) - len(p.verts)
 	p.verts = buf
-	p.counts = append(p.counts, uint32(n))
+	p.counts = append(p.counts, uint32(full))
 	// Account the part's eventual resident size: the 4-byte counts become
 	// 8-byte global bounds at Finish, so a group costs 8 bytes for good.
 	p.uncharged += int64(n)*4 + 8
@@ -240,7 +267,7 @@ func (p *hybridPartWriter) charge() {
 		p.uncharged = 0
 		p.mu.Lock()
 		if !p.migrated {
-			p.shownVerts, p.shownCounts = p.verts, p.counts
+			p.shownVerts, p.shownCounts, p.shownOwnCum = p.verts, p.counts, p.ownCum
 		}
 		p.bytes.Add(n)
 		p.mu.Unlock()
@@ -269,11 +296,12 @@ func (p *hybridPartWriter) migrate(owner bool) error {
 		if err != nil {
 			return err
 		}
-		p.dw = newDiskPartWriter(b.queue, vf, cf)
+		p.dw = newDiskPartWriter(b.queue, vf, cf, b.over != nil)
 		// Bulk-drain the shown arrays (no per-group bookkeeping — this runs
 		// on the critical path of whichever worker triggered the
 		// migration): full codec blocks are sealed, the partial tails stay
 		// open in the writer, so later appends extend the same blocks.
+		p.dw.ownCum = append(p.dw.ownCum, p.shownOwnCum...)
 		p.dw.appendVerts(p.shownVerts)
 		for _, c := range p.shownCounts {
 			p.dw.appendCnt(c)
@@ -289,6 +317,7 @@ func (p *hybridPartWriter) migrate(owner bool) error {
 		// appended after the groups shown, and recycle the arrays. Bytes
 		// charged since a non-owner migrated the part are freed; the bytes
 		// appended since the last charge never were, so they are dropped.
+		p.dw.ownCum = append(p.dw.ownCum, p.ownCum[len(p.shownOwnCum):]...)
 		p.dw.appendVerts(p.verts[len(p.shownVerts):])
 		for _, c := range p.counts[len(p.shownCounts):] {
 			p.dw.appendCnt(c)
@@ -297,6 +326,7 @@ func (p *hybridPartWriter) migrate(owner bool) error {
 		poolPutU32(p.verts)
 		poolPutU32(p.counts)
 		p.verts, p.counts, p.shownVerts, p.shownCounts = nil, nil, nil, nil
+		p.ownCum, p.shownOwnCum = nil, nil
 	}
 	if owner {
 		p.uncharged = 0
@@ -355,10 +385,10 @@ func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 			return nil, err
 		}
 	}
-	h := &HybridLevel{blockSize: b.blockSize, tracker: b.tracker, fs: b.fs}
+	h := &HybridLevel{blockSize: b.blockSize, tracker: b.tracker, fs: b.fs, parent: b.over}
 	for i := range b.parts {
 		p := &b.parts[i]
-		hp := hybridPart{vertBase: h.totalVerts, groupBase: h.totalGroups}
+		hp := hybridPart{vertBase: h.totalVerts, ownBase: h.totalOwn, groupBase: h.totalGroups}
 		if p.migrated {
 			if err := p.dw.verify(); err != nil {
 				b.Abort()
@@ -367,23 +397,25 @@ func (b *HybridLevelBuilder) Finish() (*HybridLevel, error) {
 			if b.tracker != nil {
 				b.tracker.SpillIO(p.dw.logicalBytes(), p.dw.physBytes())
 			}
-			hp.vf, hp.cf, hp.chunkCum, hp.comp = p.dw.vf, p.dw.cf, p.dw.chunkCum, p.dw.comp
-			hp.numVerts, hp.numGroups = p.dw.numVerts, p.dw.numGroups
+			hp.vf, hp.cf, hp.chunkCum, hp.comp, hp.ownCum = p.dw.vf, p.dw.cf, p.dw.chunkCum, p.dw.comp, p.dw.ownCum
+			hp.numVerts, hp.numOwn, hp.numGroups = int(p.dw.children), p.dw.numVerts, p.dw.numGroups
 		} else {
-			hp.verts = p.verts
-			p.verts = nil // owned by the level now; recycled at its Close
-			hp.numVerts, hp.numGroups = len(hp.verts), len(p.counts)
+			hp.verts, hp.ownCum = p.verts, p.ownCum
+			p.verts, p.ownCum = nil, nil // owned by the level now; recycled at its Close
+			hp.numOwn, hp.numGroups = len(hp.verts), len(p.counts)
 			hp.bounds = poolGetU64(len(p.counts))
 			off := uint64(h.totalVerts)
 			for j, c := range p.counts {
 				off += uint64(c)
 				hp.bounds[j] = off
 			}
+			hp.numVerts = int(off) - h.totalVerts
 			poolPutU32(p.counts) // bounds replace the counts; recycle them
 			p.counts = nil
 		}
 		h.parts = append(h.parts, hp)
 		h.totalVerts += hp.numVerts
+		h.totalOwn += hp.numOwn
 		h.totalGroups += hp.numGroups
 	}
 	// Keep the part-writer slice for Reset: the builder is pooled across
@@ -410,7 +442,7 @@ func (b *HybridLevelBuilder) Abort() error {
 		poolPutU32(p.verts)
 		poolPutU32(p.counts)
 		poolPutU32(p.scratch)
-		p.verts, p.counts, p.scratch = nil, nil, nil
+		p.verts, p.counts, p.scratch, p.ownCum = nil, nil, nil, nil
 	}
 	b.parts = b.parts[:0]
 	return first
@@ -440,10 +472,12 @@ type diskPartWriter struct {
 	q          *WriteQueue
 	vf, cf     vfs.File
 	vbuf, cbuf []byte // open (unsubmitted) queue buffers
-	numVerts   int
+	numVerts   int    // stored units: the own stream of a delta level
 	numGroups  int
 	children   uint64 // sum of the counts appended so far
 	chunkCum   []uint64
+	ownCum     []uint64 // delta levels: numVerts before every CntChunk-th group past the first
+	delta      bool
 	comp       *partComp
 
 	// The open (not yet sealed) codec blocks and encode scratch.
@@ -451,14 +485,19 @@ type diskPartWriter struct {
 	enc, payload   []byte
 }
 
-func newDiskPartWriter(q *WriteQueue, vf, cf vfs.File) diskPartWriter {
-	return diskPartWriter{q: q, vf: vf, cf: cf, vbuf: q.GetBuf(), cbuf: q.GetBuf(), comp: &partComp{}}
+// newDiskPartWriter starts a part's writer with no queue buffers: the
+// first of each file grows with what the part writes (WriteQueue.grow).
+func newDiskPartWriter(q *WriteQueue, vf, cf vfs.File, delta bool) diskPartWriter {
+	return diskPartWriter{q: q, vf: vf, cf: cf, comp: &partComp{}, delta: delta}
 }
 
-// appendGroup appends one group's children and its count.
-func (p *diskPartWriter) appendGroup(children []uint32) {
+// appendGroup appends one group's stored children and its full count.
+func (p *diskPartWriter) appendGroup(children []uint32, full int) {
+	if p.delta && p.numGroups%CntChunk == 0 && p.numGroups > 0 {
+		p.ownCum = append(p.ownCum, uint64(p.numVerts))
+	}
 	p.appendVerts(children)
-	p.appendCnt(uint32(len(children)))
+	p.appendCnt(uint32(full))
 }
 
 // appendVerts buffers verts into the open codec block, sealing full blocks
@@ -517,14 +556,13 @@ func (p *diskPartWriter) sealCntBlock() {
 	p.cblock = p.cblock[:0]
 }
 
-// appendQueueBytes copies data into the open queue buffer, submitting and
-// replacing it as it fills.
+// appendQueueBytes copies data into the open queue buffer, growing or
+// submitting and replacing it as it fills.
 func appendQueueBytes(q *WriteQueue, f vfs.File, buf, data []byte) []byte {
 	for len(data) > 0 {
 		space := cap(buf) - len(buf)
 		if space == 0 {
-			q.Submit(f, buf)
-			buf = q.GetBuf()
+			buf = q.grow(f, buf, len(buf)+len(data))
 			continue
 		}
 		n := min(space, len(data))

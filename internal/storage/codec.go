@@ -266,6 +266,44 @@ func appendCntBlock(dst []byte, vals []uint32, scratch *[]byte) []byte {
 	return append(dst, s[:n]...)
 }
 
+// maxCodecHeader bounds a block header: the version byte, two uvarints and
+// the CRC.
+const maxCodecHeader = 1 + 2*binary.MaxVarintLen64 + 4
+
+// codecBlockHeader parses the header of the block at the front of buf and
+// returns its value count, payload length and header size — hdr == 0 with
+// a nil error when buf ends inside the header. Validation errors are plain,
+// like decodeCodecBlock's.
+func codecBlockHeader(buf []byte) (count, plen uint64, hdr int, err error) {
+	if len(buf) == 0 {
+		return 0, 0, 0, nil
+	}
+	if buf[0] != codecVersion {
+		return 0, 0, 0, fmt.Errorf("unknown compressed block version %d (want %d); refusing to decode", buf[0], codecVersion)
+	}
+	p := 1
+	count, n := binary.Uvarint(buf[p:])
+	if n == 0 {
+		return 0, 0, 0, nil
+	}
+	if n < 0 || count > codecBlockVals {
+		return 0, 0, 0, fmt.Errorf("count %d exceeds %d", count, codecBlockVals)
+	}
+	p += n
+	plen, n = binary.Uvarint(buf[p:])
+	if n == 0 {
+		return 0, 0, 0, nil
+	}
+	if n < 0 || plen > maxCodecPayload {
+		return 0, 0, 0, fmt.Errorf("payload length %d exceeds %d", plen, maxCodecPayload)
+	}
+	p += n
+	if len(buf)-p < 4 {
+		return 0, 0, 0, nil
+	}
+	return count, plen, p + 4, nil
+}
+
 // decodeCodecBlock decodes one complete block from the front of buf into
 // dst (cap ≥ codecBlockVals), verifying the payload CRC32C before trusting a
 // single byte of it. It returns the decoded values and the bytes consumed,
@@ -274,42 +312,18 @@ func appendCntBlock(dst []byte, vals []uint32, scratch *[]byte) []byte {
 // are plain; callers wrap them into CorruptError with the file and block
 // coordinates they alone know.
 func decodeCodecBlock(buf []byte, vert bool, dst []uint32) ([]uint32, int, error) {
-	if len(buf) == 0 {
-		return nil, 0, nil
+	count, plen, p, err := codecBlockHeader(buf)
+	if err != nil || p == 0 {
+		return nil, 0, err
 	}
-	if buf[0] != codecVersion {
-		return nil, 0, fmt.Errorf("unknown compressed block version %d (want %d); refusing to decode", buf[0], codecVersion)
-	}
-	p := 1
-	count, n := binary.Uvarint(buf[p:])
-	if n == 0 {
-		return nil, 0, nil
-	}
-	if n < 0 || count > codecBlockVals {
-		return nil, 0, fmt.Errorf("count %d exceeds %d", count, codecBlockVals)
-	}
-	p += n
-	plen, n := binary.Uvarint(buf[p:])
-	if n == 0 {
-		return nil, 0, nil
-	}
-	if n < 0 || plen > maxCodecPayload {
-		return nil, 0, fmt.Errorf("payload length %d exceeds %d", plen, maxCodecPayload)
-	}
-	p += n
-	if len(buf)-p < 4 {
-		return nil, 0, nil
-	}
-	wantCRC := binary.LittleEndian.Uint32(buf[p:])
-	p += 4
 	if uint64(len(buf)-p) < plen {
 		return nil, 0, nil
 	}
+	wantCRC := binary.LittleEndian.Uint32(buf[p-4:])
 	payload := buf[p : p+int(plen)]
 	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
 		return nil, 0, fmt.Errorf("checksum mismatch: payload CRC32C %08x, header says %08x", got, wantCRC)
 	}
-	var err error
 	if vert {
 		err = decodeVertPayload(payload, dst[:count])
 	} else {

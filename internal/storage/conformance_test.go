@@ -111,7 +111,7 @@ func buildLevels(t testing.TB, fs vfs.FS, groups [][]uint32, nparts int, lay lay
 	}
 	ml := &MemLevel{Offs: []uint64{0}}
 	hb := NewHybridLevelBuilder(&run.Env{FS: fs, Tracker: tracker}, dir, q, lay.budget)
-	hb.Reset(2, nparts)
+	hb.Reset(2, nparts, nil)
 	hb.blockSize = 128
 	for i := 0; i < nparts; i++ {
 		if lay.at(i) == 'd' {

@@ -3,11 +3,20 @@
 // live in (§4.1, Fig. 7).
 //
 // A CSE views the set of k-embeddings as a sparse k-dimensional tensor and
-// stores it level by level. Level l holds two arrays:
+// stores it level by level. Level l stands for two arrays:
 //
 //	vert[l] — the last unit (vertex or edge id) of every l-embedding;
 //	off[l]  — one entry per (l−1)-embedding: off[l][i] .. off[l][i+1] is the
-//	          slice of vert[l] holding the extensions of embedding i.
+//	          slice of vert[l] holding the extensions of embedding i, its
+//	          group.
+//
+// A plain level stores both. A delta level stores off[l] and, of each group,
+// only the units its leaf adds (its own children): the rest of group i is
+// the units after embedding i in its own group of level l−1, which that
+// level already stores — AutoMine's candidate-set reuse applied to the
+// stored level. The explorer builds one from an unfiltered vertex-induced
+// expansion of a level whose groups are complete (package explore); every
+// reader still sees vert[l] whole (HybridLevel, Walker, Extract).
 //
 // Each exploration iteration ascends one dimension of the tensor by pushing
 // one more level. The same structure stores vertex-induced embeddings (units
@@ -64,8 +73,9 @@ import "fmt"
 // leaves them to the collector instead of the part pool.
 func NewBaseLevel(units []uint32) *HybridLevel {
 	return &HybridLevel{
-		parts:      []hybridPart{{verts: units, numVerts: len(units)}},
+		parts:      []hybridPart{{verts: units, numVerts: len(units), numOwn: len(units)}},
 		totalVerts: len(units),
+		totalOwn:   len(units),
 	}
 }
 

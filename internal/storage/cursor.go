@@ -5,40 +5,20 @@ import (
 	"sync"
 )
 
-// byteCarry reassembles self-delimiting codec blocks from the byte windows a
-// blockStream delivers: a block may straddle two prefetch windows, so the
-// unconsumed tail of one window is carried into the next. The leftover is
-// always smaller than one encoded block, so the compaction copy is cheap.
-type byteCarry struct {
-	buf []byte
-	off int
-}
-
-func (c *byteCarry) rest() []byte { return c.buf[c.off:] }
-
-func (c *byteCarry) consume(n int) { c.off += n }
-
-func (c *byteCarry) add(raw []byte) {
-	if c.off >= len(c.buf) {
-		c.buf = c.buf[:0]
-	} else if c.off > 0 {
-		n := copy(c.buf, c.buf[c.off:])
-		c.buf = c.buf[:n]
-	}
-	c.off = 0
-	c.buf = append(c.buf, raw...)
-}
-
 // codecBlocks is the one decoder of disk parts: it streams a value range of
 // one part's vert or cnt file by decoding whole codec blocks into a reused
 // buffer, dropping the leading values of the first block (the range may
 // start mid-block — block granularity of the directory) and trimming the
 // tail. The bytes have one source: a prefetching blockStream over the file
-// span, whose windows the carry reassembles.
+// span. Blocks are decoded where they lie in its windows; only a block that
+// straddles a window seam is reassembled, in carry.
 type codecBlocks struct {
 	vert      bool
 	src       *blockStream
-	carry     byteCarry
+	win       [2][]byte // the stream's windows, kept across streams
+	cur       []byte    // the window being decoded, from pos
+	pos       int
+	carry     []byte // the bytes so far of a block straddling windows
 	dec       []uint32
 	skip      int
 	remaining int
@@ -61,7 +41,7 @@ func (c *codecBlocks) start(h *HybridLevel, p *hybridPart, vert bool, from, n in
 	b0 := from / codecBlockVals
 	b1 := (from + n - 1) / codecBlockVals
 	f, off, end := p.span(vert, b0, b1)
-	c.src = newBlockStream([]fileSpan{{f: f, off: off, n: end - off}}, h.blockSize, h.tracker)
+	c.src = newBlockStream(fileSpan{f: f, off: off, n: end - off}, h.blockSize, h.tracker, &c.win)
 	c.path = f.Name()
 	if c.dec == nil {
 		c.dec = make([]uint32, codecBlockVals)
@@ -73,7 +53,11 @@ func (c *codecBlocks) start(h *HybridLevel, p *hybridPart, vert bool, from, n in
 // range is delivered or an error occurred (see err).
 func (c *codecBlocks) next() ([]uint32, bool) {
 	for c.err == nil && c.remaining > 0 {
-		vals, consumed, err := decodeCodecBlock(c.carry.rest(), c.vert, c.dec)
+		buf := c.cur[c.pos:]
+		if len(c.carry) > 0 {
+			buf = c.carry
+		}
+		vals, consumed, err := decodeCodecBlock(buf, c.vert, c.dec)
 		if err != nil {
 			c.err = corruptAt(c.path, c.blk, err)
 			break
@@ -82,7 +66,13 @@ func (c *codecBlocks) next() ([]uint32, bool) {
 			c.fill()
 			continue
 		}
-		c.carry.consume(consumed)
+		if len(c.carry) > 0 {
+			// Bytes carried past the block's end go back to the window.
+			c.pos -= len(c.carry) - consumed
+			c.carry = c.carry[:0]
+		} else {
+			c.pos += consumed
+		}
 		c.blk++
 		if c.skip >= len(vals) {
 			c.skip -= len(vals)
@@ -101,19 +91,50 @@ func (c *codecBlocks) next() ([]uint32, bool) {
 	return nil, false
 }
 
-// fill pulls the next prefetch window into the carry. Running out of bytes
-// with values still owed means the file is shorter than the directory
+// fill carries what is left of the current window — the front of a block
+// straddling the seam — hands the window back and takes the next one, from
+// which it carries only the bytes the block still needs. Running out of
+// bytes with values still owed means the file is shorter than the directory
 // promised: truncation.
 func (c *codecBlocks) fill() {
-	if raw, ok := c.src.nextBlock(); ok {
-		c.carry.add(raw)
+	c.carry = append(c.carry, c.cur[c.pos:]...)
+	if c.cur != nil {
+		c.src.release(c.cur)
+		c.cur, c.pos = nil, 0
+	}
+	raw, ok := c.src.next()
+	if !ok {
+		if err := c.src.Err(); err != nil {
+			c.err = locateCorrupt(err, c.path, c.blk) // the file ends mid-window
+			return
+		}
+		c.err = corruptAt(c.path, c.blk, fmt.Errorf("truncated block stream (%d values missing)", c.remaining))
 		return
 	}
-	if err := c.src.Err(); err != nil {
-		c.err = locateCorrupt(err, c.path, c.blk) // the file ends mid-window
-		return
+	c.cur = raw
+	for len(c.carry) > 0 && c.pos < len(c.cur) {
+		n := c.need()
+		if n <= 0 {
+			break
+		}
+		n = min(n, len(c.cur)-c.pos)
+		c.carry = append(c.carry, c.cur[c.pos:c.pos+n]...)
+		c.pos += n
 	}
-	c.err = corruptAt(c.path, c.blk, fmt.Errorf("truncated block stream (%d values missing)", c.remaining))
+}
+
+// need is how many more bytes the carried block takes: the rest of its
+// payload once its header is whole, else enough for any header (a block
+// shorter than that gives the bytes past its end back, see next).
+func (c *codecBlocks) need() int {
+	_, plen, hdr, err := codecBlockHeader(c.carry)
+	switch {
+	case err != nil:
+		return 0 // the decode reports it
+	case hdr == 0:
+		return maxCodecHeader - len(c.carry)
+	}
+	return hdr + int(plen) - len(c.carry)
 }
 
 // nextBounds is next for a cnt stream, delivered as global group end
@@ -138,24 +159,26 @@ func (c *codecBlocks) nextBounds() ([]uint64, bool) {
 }
 
 // close stops the prefetch goroutine, if a stream is open, and drops the
-// carried bytes; the decode buffers are kept for the next start.
+// carried bytes; the windows and decode buffers are kept for the next start.
 func (c *codecBlocks) close() {
 	if c.src != nil {
 		c.src.Close()
 		c.src = nil
 	}
-	c.carry = byteCarry{}
+	c.cur, c.pos, c.carry = nil, 0, c.carry[:0]
 }
 
 // The cursors are recycled: every walker seeding opens two per level, and a
-// cursor over encoded parts carries 48 KB of decode buffers. Close returns a
-// cursor to its pool, so it must not be used afterwards.
+// cursor over encoded parts carries 48 KB of decode buffers and its two
+// prefetch windows. Close returns a cursor to its pool, so it must not be
+// used afterwards.
 var (
 	vertCursorPool  = sync.Pool{New: func() any { return new(hybridVertBlocks) }}
 	boundCursorPool = sync.Pool{New: func() any { return new(hybridBoundBlocks) }}
 )
 
-// VertBlocks returns a sequential cursor over verts[lo:hi]: raw parts
+// VertBlocks returns a sequential cursor over the stored units [lo, hi) —
+// verts[lo:hi] of a plain level, the own stream of a delta level: raw parts
 // contribute zero-copy sub-slices, disk parts whole decoded codec blocks,
 // stitched across part seams in one stream. A returned block is never empty
 // and stays valid only until the following NextBlock call.
@@ -163,7 +186,7 @@ func (h *HybridLevel) VertBlocks(lo, hi int) *hybridVertBlocks {
 	c := vertCursorPool.Get().(*hybridVertBlocks)
 	c.h, c.next, c.end, c.pi, c.streaming, c.cb.err = h, lo, hi, 0, false, nil
 	if lo < hi {
-		c.pi = h.partIndexForVert(lo)
+		c.pi = h.partIndexForOwn(lo)
 	}
 	return c
 }
@@ -210,13 +233,13 @@ func (c *hybridVertBlocks) NextBlock() ([]uint32, bool) {
 			return nil, false
 		}
 		p := &c.h.parts[c.pi]
-		pEnd := p.vertBase + p.numVerts
+		pEnd := p.ownBase + p.numOwn
 		if c.next >= pEnd {
 			c.pi++
 			continue
 		}
 		take := min(c.end, pEnd) - c.next
-		from := c.next - p.vertBase
+		from := c.next - p.ownBase
 		if !p.onDisk() {
 			c.next += take
 			c.pi++

@@ -24,18 +24,35 @@ import (
 // cursors (VertBlocks, BoundBlocks) are the hot path; random access (UnitAt,
 // ParentOf, GroupStart) only locates the t partition starts of an iteration
 // and serves Extract.
+//
+// A delta level stores of each group only the children its leaf adds — its
+// own children; the rest of the group is the leaf's later siblings in its
+// parent group, which the level it was built over (parent) already stores.
+// Every reader still sees full ascending groups: the Walker rebuilds each
+// group as the merge of the two, Extract does the same for one group, and
+// the counts, bounds, Len, ParentOf and GroupStart are the full ones. A level
+// is a delta level when its builder was given the level it grows (Reset);
+// the explorer does so for a vertex-induced expansion without a filter over
+// a level whose groups are complete, where the two sets are disjoint and
+// their union is the group (see explore's appendOwn).
 type HybridLevel struct {
 	parts       []hybridPart
 	totalVerts  int
+	totalOwn    int // stored units: totalVerts on a plain level
 	totalGroups int
 	blockSize   int
 	tracker     *memtrack.Tracker
 	fs          vfs.FS
+	parent      *HybridLevel // delta levels only: the level the leaves are in
 	closed      bool
 }
 
 // Len is the number of embeddings in the level (the length of verts).
 func (h *HybridLevel) Len() int { return h.totalVerts }
+
+// Stored is the number of units the level stores: Len on a plain level,
+// the own children on a delta level.
+func (h *HybridLevel) Stored() int { return h.totalOwn }
 
 // Groups is the number of parent embeddings (the length of offs minus 1);
 // the base level has none.
@@ -51,13 +68,16 @@ func (h *HybridLevel) Bytes() int64 {
 	return b
 }
 
+// Delta reports whether the level stores only its groups' own children.
+func (h *HybridLevel) Delta() bool { return h.parent != nil }
+
 // DiskBytes reports the logical on-disk footprint of the migrated parts:
-// their raw word size (4 bytes per vert and per group).
+// their raw word size (4 bytes per stored unit and per group).
 func (h *HybridLevel) DiskBytes() int64 {
 	var b int64
 	for i := range h.parts {
 		if p := &h.parts[i]; p.onDisk() {
-			b += int64(p.numVerts)*4 + int64(p.numGroups)*4
+			b += int64(p.numOwn)*4 + int64(p.numGroups)*4
 		}
 	}
 	return b
@@ -121,8 +141,9 @@ func (h *HybridLevel) Close() error {
 		}
 		poolPutU64(p.bounds)
 		p.verts, p.bounds = nil, nil
-		p.vf, p.cf, p.comp, p.chunkCum = nil, nil, nil, nil
+		p.vf, p.cf, p.comp, p.chunkCum, p.ownCum = nil, nil, nil, nil, nil
 	}
+	h.parent = nil
 	return first
 }
 
@@ -131,16 +152,37 @@ func (h *HybridLevel) partIndexForVert(i int) int {
 	return sort.Search(len(h.parts), func(x int) bool { return h.parts[x].vertBase > i }) - 1
 }
 
+// partIndexForOwn returns the index of the part containing stored unit i.
+func (h *HybridLevel) partIndexForOwn(i int) int {
+	return sort.Search(len(h.parts), func(x int) bool { return h.parts[x].ownBase > i }) - 1
+}
+
 // partIndexForGroup returns the index of the part containing global group g.
 func (h *HybridLevel) partIndexForGroup(g int) int {
 	return sort.Search(len(h.parts), func(x int) bool { return h.parts[x].groupBase > g }) - 1
 }
 
 // UnitAt returns verts[i]: a slice index for raw parts, one block decode
-// behind one bounded pread for disk parts.
+// behind one bounded pread for disk parts. On a delta level it rebuilds the
+// group holding i (group).
 func (h *HybridLevel) UnitAt(i int) (uint32, error) {
 	if i < 0 || i >= h.totalVerts {
 		return 0, fmt.Errorf("storage: unit %d out of range %d", i, h.totalVerts)
+	}
+	if h.parent != nil {
+		g, err := h.ParentOf(i)
+		if err != nil {
+			return 0, err
+		}
+		s, err := h.GroupStart(g)
+		if err != nil {
+			return 0, err
+		}
+		units, err := h.group(g)
+		if err != nil {
+			return 0, err
+		}
+		return units[uint64(i)-s], nil
 	}
 	p := &h.parts[h.partIndexForVert(i)]
 	if !p.onDisk() {
@@ -202,4 +244,165 @@ func (h *HybridLevel) GroupStart(g int) (uint64, error) {
 		return uint64(p.vertBase), nil
 	}
 	return p.bounds[lg-1], nil
+}
+
+// group returns the units of group g, full and ascending, in a fresh slice:
+// a delta group is rebuilt from its own children and, recursively, the
+// parent group of its leaf. Random access only (UnitAt); the Walker keeps
+// its groups materialized as it goes instead.
+func (h *HybridLevel) group(g int) ([]uint32, error) {
+	s, err := h.GroupStart(g)
+	if err != nil {
+		return nil, err
+	}
+	e, err := h.GroupStart(g + 1)
+	if err != nil {
+		return nil, err
+	}
+	full := int(e - s)
+	if h.parent == nil {
+		return h.stored(int(s), int(s)+full)
+	}
+	q, err := h.parent.ParentOf(g)
+	if err != nil {
+		return nil, err
+	}
+	pg, err := h.parent.group(q)
+	if err != nil {
+		return nil, err
+	}
+	qs, err := h.parent.GroupStart(q)
+	if err != nil {
+		return nil, err
+	}
+	later := pg[uint64(g)-qs+1:]
+	os, err := h.ownStart(g)
+	if err != nil {
+		return nil, err
+	}
+	if full < len(later) {
+		return nil, fmt.Errorf("storage: delta group %d holds %d units, fewer than its leaf's %d later siblings", g, full, len(later))
+	}
+	own, err := h.stored(os, os+full-len(later))
+	if err != nil {
+		return nil, err
+	}
+	return mergeSorted(nil, own, later), nil
+}
+
+// stored returns the stored units [lo, hi) in a fresh slice: slices of raw
+// parts, one bounded pread per disk part.
+func (h *HybridLevel) stored(lo, hi int) ([]uint32, error) {
+	out := make([]uint32, 0, hi-lo)
+	for lo < hi {
+		p := &h.parts[h.partIndexForOwn(lo)]
+		end := min(hi, p.ownBase+p.numOwn)
+		if !p.onDisk() {
+			out = append(out, p.verts[lo-p.ownBase:end-p.ownBase]...)
+		} else {
+			sc := cntPool.Get().(*cntScratch)
+			vals, err := p.values(true, lo-p.ownBase, end-p.ownBase, h.tracker, sc)
+			out = append(out, vals...)
+			cntPool.Put(sc)
+			if err != nil {
+				return nil, err
+			}
+		}
+		lo = end
+	}
+	return out, nil
+}
+
+// ownStart returns the stored index at which group g's own children start
+// (g may equal Groups()); on a plain level, GroupStart(g). A delta part keeps
+// it every CntChunk groups (ownCum); in between, the groups' own children
+// are their full children less their leaves' later siblings, which the
+// parent level's bounds give (laterSiblings).
+func (h *HybridLevel) ownStart(g int) (int, error) {
+	if h.parent == nil {
+		s, err := h.GroupStart(g)
+		return int(s), err
+	}
+	if g == h.totalGroups {
+		return h.totalOwn, nil
+	}
+	p := &h.parts[h.partIndexForGroup(g)]
+	j := (g - p.groupBase) / CntChunk
+	own := p.ownBase
+	if j > 0 {
+		own += int(p.ownCum[j-1])
+	}
+	g0 := p.groupBase + j*CntChunk
+	if g0 == g {
+		return own, nil
+	}
+	s0, err := h.GroupStart(g0)
+	if err != nil {
+		return 0, err
+	}
+	s1, err := h.GroupStart(g)
+	if err != nil {
+		return 0, err
+	}
+	later, err := h.parent.laterSiblings(g0, g)
+	if err != nil {
+		return 0, err
+	}
+	return own + int(s1-s0) - later, nil
+}
+
+// laterSiblings returns the sum, over the embeddings x in [x0, x1), of the
+// number of embeddings after x in x's group: one pass of a bound cursor
+// over the groups the range touches.
+func (h *HybridLevel) laterSiblings(x0, x1 int) (int, error) {
+	q, err := h.ParentOf(x0)
+	if err != nil {
+		return 0, err
+	}
+	c := h.BoundBlocks(q)
+	defer c.Close()
+	total, x := 0, x0
+	for x < x1 {
+		blk, ok := c.NextBlock()
+		if !ok {
+			return 0, fmt.Errorf("storage: bounds of groups from %d ended before embedding %d: %v", q, x1, c.Err())
+		}
+		for _, b := range blk {
+			e := int(b)
+			if hi := min(e, x1); hi > x {
+				// Σ_{y=x}^{hi−1} (e−1−y)
+				n := hi - x
+				total += n*(e-1) - n*(x+hi-1)/2
+				x = hi
+			}
+			if x >= x1 {
+				break
+			}
+		}
+	}
+	return total, nil
+}
+
+// mergeSorted writes the union of the ascending disjoint lists a and b to
+// dst, reused, and returns it.
+func mergeSorted(dst, a, b []uint32) []uint32 {
+	n := len(a) + len(b)
+	if cap(dst) < n {
+		dst = make([]uint32, n, n+n/4)
+	}
+	dst = dst[:n]
+	i, j, o := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			dst[o] = a[i]
+			i++
+		} else {
+			dst[o] = b[j]
+			j++
+		}
+		o++
+	}
+	o += copy(dst[o:], a[i:])
+	copy(dst[o:], b[j:])
+	return dst
 }

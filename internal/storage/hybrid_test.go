@@ -67,7 +67,7 @@ func TestHybridPressureSpill(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, watermark)
-	hb.Reset(4, 2)
+	hb.Reset(4, 2, nil)
 	group := []uint32{1, 2, 3, 4}
 	for i := 0; i < 50; i++ {
 		if err := appendGroup(hb.Part(0), group); err != nil {
@@ -110,7 +110,7 @@ func TestHybridPressureClears(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, watermark)
-	hb.Reset(7, 1)
+	hb.Reset(7, 1, nil)
 	if hb.gov.slab >= 3*4+8 {
 		t.Fatalf("slab %d bytes: groups do not charge one by one", hb.gov.slab)
 	}
@@ -176,7 +176,7 @@ func TestPressureSpillsOnlyTheOvershoot(t *testing.T) {
 			q := NewWriteQueue(0, tracker)
 			tracker.Alloc(external)
 			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, watermark)
-			hb.Reset(2, nparts)
+			hb.Reset(2, nparts, nil)
 			// build appends ngroups groups to each of parts, round-robin on
 			// this goroutine or with one goroutine per part.
 			build := func(parts ...int) {
@@ -291,7 +291,7 @@ func TestHybridSlabLagBound(t *testing.T) {
 			q := NewWriteQueue(0, tracker)
 			defer q.Close()
 			hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, watermark)
-			hb.Reset(2, nparts)
+			hb.Reset(2, nparts, nil)
 			// The lag is at most 1/64 of the watermark, and still many groups.
 			slab := hb.gov.slab
 			if slab > watermark/(64*nparts) || slab < 16*maxGroup {
@@ -404,7 +404,7 @@ func TestHybridDrainWhileOwnerAppends(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 1<<20)
-	hb.Reset(2, 1)
+	hb.Reset(2, 1, nil)
 	p := hb.Part(0)
 	ml := &MemLevel{Offs: []uint64{0}}
 	charged := make(chan struct{})
@@ -466,7 +466,7 @@ func TestHybridSlabConservation(t *testing.T) {
 		tracker.Alloc(baseline)
 		q := NewWriteQueue(0, tracker)
 		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 1<<20+baseline)
-		hb.Reset(2, 5)
+		hb.Reset(2, 5, nil)
 		if hb.gov.slab < 1024 {
 			t.Fatalf("slab %d bytes: too small to lag", hb.gov.slab)
 		}
@@ -619,7 +619,7 @@ func TestHybridAllMemFinish(t *testing.T) {
 	defer q.Close()
 	dir := t.TempDir()
 	hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, 1<<40)
-	hb.Reset(6, 2)
+	hb.Reset(6, 2, nil)
 	for i := 0; i < 2; i++ {
 		if err := appendGroup(hb.Part(i), []uint32{uint32(i)}); err != nil {
 			t.Fatal(err)
@@ -658,7 +658,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 		q := NewWriteQueue(0, nil)
 		defer q.Close()
 		hb := NewHybridLevelBuilder(&run.Env{Tracker: memtrack.New()}, t.TempDir(), q, budget)
-		hb.Reset(2, 3)
+		hb.Reset(2, 3, nil)
 		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
 			for pi, gs := range groups {
 				for _, g := range gs {
@@ -687,7 +687,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 			hl.Close()
 
 			// A build abandoned half-way must not leak into the next one.
-			hb.Reset(3, 2)
+			hb.Reset(3, 2, nil)
 			if err := appendGroup(hb.Part(1), []uint32{8, 9}); err != nil {
 				t.Fatal(err)
 			}
@@ -697,7 +697,7 @@ func TestBuilderFlushAnyOrder(t *testing.T) {
 			if cap(hb.parts) < 2 || hb.parts[:2][1].verts != nil {
 				t.Fatalf("Abort kept a part buffer or dropped the part slice (cap %d)", cap(hb.parts))
 			}
-			hb.Reset(2, 3)
+			hb.Reset(2, 3, nil)
 		}
 	}
 }

@@ -22,6 +22,10 @@ const CntChunk = 4096
 //
 // A part moves to disk while its level is built (the governor migrates it);
 // nothing else changes its state, so a finished level is never rewritten.
+//
+// verts (or the vert file) is the part's stored stream: every unit of a
+// plain level, only the own children of a delta level's groups (see
+// HybridLevel). The group counts and bounds are always the full ones.
 type hybridPart struct {
 	// Raw residency.
 	verts  []uint32
@@ -32,9 +36,18 @@ type hybridPart struct {
 	comp     *partComp // block directory; nil exactly when the part is raw
 	chunkCum []uint64  // chunkCum[j] = children in local groups [0, j·CntChunk)
 
-	numVerts  int
+	// ownCum[j-1] = stored units of local groups [0, j·CntChunk), j ≥ 1,
+	// in either residency: a delta level's seek index into the own stream
+	// (j = 0 is the part's start, so a part of at most CntChunk groups
+	// needs none). nil on a plain level, whose stored units are its
+	// children.
+	ownCum []uint64
+
+	numVerts  int // embeddings: the sum of the full group counts
+	numOwn    int // stored units; numVerts on a plain level
 	numGroups int
 	vertBase  int
+	ownBase   int
 	groupBase int
 }
 
@@ -44,13 +57,13 @@ func (p *hybridPart) onDisk() bool { return p.vf != nil }
 // footprint: full arrays for raw parts, directory and sparse index for disk
 // parts. Every term is zero in the state that does not hold it.
 func (p *hybridPart) residentBytes() int64 {
-	return int64(len(p.verts))*4 + int64(len(p.bounds))*8 + int64(len(p.chunkCum))*8 + p.comp.dirBytes()
+	return int64(len(p.verts))*4 + int64(len(p.bounds))*8 + int64(len(p.chunkCum)+len(p.ownCum))*8 + p.comp.dirBytes()
 }
 
 // logicalBytes is the raw word footprint the part would have fully decoded
-// in memory: verts as uint32s plus one uint64 bound per group.
+// in memory: its stored units as uint32s plus one uint64 bound per group.
 func (p *hybridPart) logicalBytes() int64 {
-	return int64(p.numVerts)*4 + int64(p.numGroups)*8
+	return int64(p.numOwn)*4 + int64(p.numGroups)*8
 }
 
 // encodedBytes is the size of a disk part's codec blocks — its two files.
@@ -113,36 +126,34 @@ func (sc *cntScratch) decodeBlock(buf []byte, vert bool, path string, b int) ([]
 	return vals, consumed, nil
 }
 
-// unit returns the vert at local index li of a disk part: one block decode
-// behind one bounded pread, with no streaming cursor or prefetch goroutine;
-// the random access Extract needs.
+// unit returns the stored unit at local index li of a disk part: one block
+// decode behind one bounded pread, with no streaming cursor or prefetch
+// goroutine; the random access Extract needs.
 func (p *hybridPart) unit(li int, tracker *memtrack.Tracker) (uint32, error) {
-	b := li / codecBlockVals
 	sc := cntPool.Get().(*cntScratch)
 	defer cntPool.Put(sc)
-	buf, path, err := p.blockBytes(true, b, b, tracker, sc)
+	vals, err := p.values(true, li, li+1, tracker, sc)
 	if err != nil {
 		return 0, err
 	}
-	vals, _, err := sc.decodeBlock(buf, true, path, b)
-	if err != nil {
-		return 0, err
-	}
-	k := li - b*codecBlockVals
-	if k >= len(vals) {
-		return 0, corruptAt(path, b, fmt.Errorf("block holds %d units, need index %d", len(vals), k))
-	}
-	return vals[k], nil
+	return vals[0], nil
 }
 
 // cnts decodes the per-group child counts [lo, hi) of a disk part into
-// sc's buffers; the returned slice is valid until sc is reused or returned
-// to the pool. codecBlockVals equals CntChunk, so the sparse-index probes
-// behind ParentOf and GroupStart touch exactly one block.
+// sc's buffers (values of the cnt stream). codecBlockVals equals CntChunk,
+// so the sparse-index probes behind ParentOf and GroupStart touch exactly
+// one block.
 func (p *hybridPart) cnts(lo, hi int, tracker *memtrack.Tracker, sc *cntScratch) ([]uint32, error) {
+	return p.values(false, lo, hi, tracker, sc)
+}
+
+// values decodes the local values [lo, hi) of a disk part's vert or cnt
+// stream into sc's buffers with one bounded pread; the returned slice is
+// valid until sc is reused or returned to the pool.
+func (p *hybridPart) values(vert bool, lo, hi int, tracker *memtrack.Tracker, sc *cntScratch) ([]uint32, error) {
 	b0 := lo / codecBlockVals
 	b1 := (hi - 1) / codecBlockVals
-	buf, path, err := p.blockBytes(false, b0, b1, tracker, sc)
+	buf, path, err := p.blockBytes(vert, b0, b1, tracker, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +163,7 @@ func (p *hybridPart) cnts(lo, hi int, tracker *memtrack.Tracker, sc *cntScratch)
 	}
 	out := sc.out[:0]
 	for b := b0; b <= b1; b++ {
-		vals, consumed, err := sc.decodeBlock(buf, false, path, b)
+		vals, consumed, err := sc.decodeBlock(buf, vert, path, b)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +176,7 @@ func (p *hybridPart) cnts(lo, hi int, tracker *memtrack.Tracker, sc *cntScratch)
 	}
 	sc.out = out
 	if len(out) != want {
-		return nil, corruptAt(path, b0, fmt.Errorf("cnt blocks [%d,%d] decoded %d entries, want %d", b0, b1, len(out), want))
+		return nil, corruptAt(path, b0, fmt.Errorf("blocks [%d,%d] decoded %d values, want %d", b0, b1, len(out), want))
 	}
 	return out, nil
 }

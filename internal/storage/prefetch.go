@@ -17,16 +17,17 @@ type fileSpan struct {
 	n   int64
 }
 
-// blockStream reads a sequence of file spans as fixed-size blocks with one
-// block of read-ahead — the sliding window of §4.1: while the caller
-// processes the main block, the goroutine loads the candidate block; when
-// the main block is consumed the window slides.
+// blockStream reads one file span as fixed-size windows with one window of
+// read-ahead — the sliding window of §4.1: while the caller processes the
+// main window, the goroutine loads the candidate window into the other; when
+// the caller hands the main window back (release), the window slides. The
+// two windows are the caller's, reused from stream to stream, so a stream
+// allocates no window of its own.
 type blockStream struct {
 	ch       chan rblock
+	free     chan []byte // windows the goroutine may fill
 	stop     chan struct{}
 	stopOnce func()
-	cur      []byte
-	pos      int
 	err      error
 	done     bool
 }
@@ -36,7 +37,9 @@ type rblock struct {
 	err  error
 }
 
-func newBlockStream(spans []fileSpan, blockSize int, tracker *memtrack.Tracker) *blockStream {
+// newBlockStream starts the read-ahead goroutine over sp, filling win's two
+// windows (grown to the window size as needed) in turn.
+func newBlockStream(sp fileSpan, blockSize int, tracker *memtrack.Tracker, win *[2][]byte) *blockStream {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
@@ -46,73 +49,79 @@ func newBlockStream(spans []fileSpan, blockSize int, tracker *memtrack.Tracker) 
 	}
 	s := &blockStream{
 		ch:   make(chan rblock, 1),
+		free: make(chan []byte, len(win)),
 		stop: make(chan struct{}),
+	}
+	for i := range win {
+		if cap(win[i]) < blockSize {
+			win[i] = make([]byte, blockSize)
+		}
+		s.free <- win[i][:blockSize]
 	}
 	var once sync.Once
 	s.stopOnce = func() { once.Do(func() { close(s.stop) }) }
 	go func() {
 		defer close(s.ch)
-		for _, sp := range spans {
-			for off := int64(0); off < sp.n; off += int64(blockSize) {
-				n := int64(blockSize)
-				if off+n > sp.n {
-					n = sp.n - off
-				}
-				buf := make([]byte, n)
-				// Transient read errors retry with backoff; Close (s.stop)
-				// interrupts a backoff sleep so teardown never waits one out.
-				// EOF means the spill file is shorter than its directory says
-				// — truncation, surfaced as corruption inside retryReadAt.
-				if err := retryReadAt(sp.f, buf, sp.off+off, s.stop, tracker); err != nil {
-					select {
-					case s.ch <- rblock{err: err}:
-					case <-s.stop:
-					}
-					return
-				}
-				if tracker != nil {
-					tracker.ReadIO(n)
-				}
+		for off := int64(0); off < sp.n; off += int64(blockSize) {
+			var buf []byte
+			select {
+			case buf = <-s.free:
+			case <-s.stop:
+				return
+			}
+			buf = buf[:min(int64(blockSize), sp.n-off)]
+			// Transient read errors retry with backoff; Close (s.stop)
+			// interrupts a backoff sleep so teardown never waits one out.
+			// EOF means the spill file is shorter than its directory says
+			// — truncation, surfaced as corruption inside retryReadAt.
+			if err := retryReadAt(sp.f, buf, sp.off+off, s.stop, tracker); err != nil {
 				select {
-				case s.ch <- rblock{data: buf}:
+				case s.ch <- rblock{err: err}:
 				case <-s.stop:
-					return
 				}
+				return
+			}
+			if tracker != nil {
+				tracker.ReadIO(int64(len(buf)))
+			}
+			select {
+			case s.ch <- rblock{data: buf}:
+			case <-s.stop:
+				return
 			}
 		}
 	}()
 	return s
 }
 
-// nextBlock returns the unread remainder of the current block, receiving the
-// following prefetched block once the current one is consumed — one channel
-// receive per block instead of one dynamic call per word. The returned slice
-// is valid until the next nextBlock call.
-func (s *blockStream) nextBlock() ([]byte, bool) {
+// next returns the next window, one channel receive per window instead of
+// one dynamic call per word. The caller hands it back with release once it
+// is done with its bytes; it holds at most one window at a time.
+func (s *blockStream) next() ([]byte, bool) {
 	if s.err != nil || s.done {
 		return nil, false
 	}
-	for s.pos >= len(s.cur) {
-		b, ok := <-s.ch
-		if !ok {
-			s.done = true
-			return nil, false
-		}
-		if b.err != nil {
-			s.err = b.err
-			return nil, false
-		}
-		s.cur, s.pos = b.data, 0
+	b, ok := <-s.ch
+	if !ok {
+		s.done = true
+		return nil, false
 	}
-	out := s.cur[s.pos:]
-	s.pos = len(s.cur)
-	return out, true
+	if b.err != nil {
+		s.err = b.err
+		return nil, false
+	}
+	return b.data, true
 }
+
+// release hands a window next returned back to the goroutine. It never
+// blocks: only two windows exist.
+func (s *blockStream) release(buf []byte) { s.free <- buf }
 
 // Err returns the first stream error.
 func (s *blockStream) Err() error { return s.err }
 
-// Close stops the prefetch goroutine. Safe to call multiple times.
+// Close stops the prefetch goroutine, after which its windows are the
+// caller's again. Safe to call multiple times.
 func (s *blockStream) Close() error {
 	s.stopOnce()
 	// Drain so the goroutine is not blocked on send.

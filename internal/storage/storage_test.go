@@ -153,7 +153,7 @@ func TestFinishDetectsShortFiles(t *testing.T) {
 	defer q.Close()
 	dir := t.TempDir()
 	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, 0)
-	db.Reset(3, 1)
+	db.Reset(3, 1, nil)
 	if err := appendGroup(db.Part(0), []uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestBlockCursorsAcrossEmptyParts(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 0)
-	db.Reset(2, 5)
+	db.Reset(2, 5, nil)
 	db.blockSize = 64
 	// Parts 0 and 3 get groups; parts 1, 2, 4 stay empty.
 	for _, g := range [][]uint32{{1, 2, 3}, {}, {4}} {
@@ -229,7 +229,7 @@ func TestEmptyParts(t *testing.T) {
 	q := NewWriteQueue(0, tracker)
 	defer q.Close()
 	db := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, t.TempDir(), q, 0)
-	db.Reset(2, 3)
+	db.Reset(2, 3, nil)
 	for _, g := range groups {
 		if err := appendGroup(db.Part(0), g); err != nil {
 			t.Fatal(err)
@@ -262,7 +262,7 @@ func TestCloseRemovesFiles(t *testing.T) {
 		defer q.Close()
 		dir := t.TempDir()
 		hb := NewHybridLevelBuilder(&run.Env{Tracker: tracker}, dir, q, lay.budget)
-		hb.Reset(5, 3)
+		hb.Reset(5, 3, nil)
 		wantFiles := 0
 		for i := 0; i < 3; i++ {
 			if lay.at(i) == 'd' {

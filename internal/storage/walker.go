@@ -14,6 +14,12 @@ import "fmt"
 // without reallocating its per-level buffers; raw level data reaches it as
 // zero-copy blocks of the levels' own arrays. Workers therefore keep one
 // Walker each and Reset it per chunk.
+//
+// A delta level, and the level under one, is walked a group at a time: the
+// walker keeps the level's current group materialized (grp), and rebuilds
+// a delta group as the merge of its own children with the parent group's
+// units after the leaf. A range that starts mid-group seeds the whole group
+// of every delta level on the ancestor chain.
 type Walker struct {
 	k        int
 	cur, hi  int // current and end index at level k
@@ -32,6 +38,14 @@ type Walker struct {
 	bpos []int
 	vcur []*hybridVertBlocks
 	bcur []*hybridBoundBlocks
+
+	// Group-at-a-time levels (mat): grp[l-1] holds the units of the current
+	// group of level l from global index gbase[l-1] to its end, either a
+	// zero-copy slice of vblk or gbuf[l-1]; delta marks a delta level.
+	mat, delta []bool
+	grp, gbuf  [][]uint32
+	gbase      []int
+	obuf       []uint32 // a delta group's own children, when they straddle blocks
 
 	// Reusable ancestor-chain scratch.
 	anca, ancb []int
@@ -64,21 +78,36 @@ func (w *Walker) Reset(c *CSE, lo, hi int) error {
 	w.groupEnd = growU64(w.groupEnd, k)
 	w.vpos = growInt(w.vpos, k)
 	w.bpos = growInt(w.bpos, k)
+	w.gbase = growInt(w.gbase, k)
 	if cap(w.vcur) < k {
 		w.vcur = make([]*hybridVertBlocks, k)
 		w.bcur = make([]*hybridBoundBlocks, k)
 		w.vblk = make([][]uint32, k)
 		w.bblk = make([][]uint64, k)
+		w.mat = make([]bool, k)
+		w.delta = make([]bool, k)
+		w.grp = make([][]uint32, k)
 	} else {
 		w.vcur = w.vcur[:k]
 		w.bcur = w.bcur[:k]
 		w.vblk = w.vblk[:k]
 		w.bblk = w.bblk[:k]
+		w.mat = w.mat[:k]
+		w.delta = w.delta[:k]
+		w.grp = w.grp[:k]
 	}
 	for i := 0; i < k; i++ {
 		w.vcur[i], w.bcur[i] = nil, nil
 		w.vblk[i], w.bblk[i] = nil, nil
 		w.vpos[i], w.bpos[i] = 0, 0
+		w.grp[i] = nil
+		w.delta[i] = c.Level(i+1).parent != nil
+	}
+	for i := 0; i < k; i++ {
+		w.mat[i] = w.delta[i] || (i+1 < k && w.delta[i+1])
+	}
+	for len(w.gbuf) < k {
+		w.gbuf = append(w.gbuf, nil)
 	}
 	if lo == hi {
 		return nil
@@ -100,23 +129,18 @@ func (w *Walker) Reset(c *CSE, lo, hi int) error {
 		}
 	}
 	for l := 1; l <= k; l++ {
-		lv := c.Level(l)
-		w.idx[l-1] = a[l-1]
-		w.vcur[l-1] = lv.VertBlocks(a[l-1], b[l-1]+1)
-		if l >= 2 {
-			w.bcur[l-1] = lv.BoundBlocks(a[l-2])
-			ge, ok := w.nextBound(l)
-			if !ok {
-				err := streamErr(w.boundErr(l), "boundary", l)
-				w.closeAll()
-				return err
-			}
-			w.groupEnd[l-1] = ge
+		if err := w.seed(c.Level(l), l, a, b); err != nil {
+			w.closeAll()
+			return err
 		}
 	}
 	// Materialize the starting prefix for levels 1..k−1; level k units are
 	// consumed inside Next/NextRun.
 	for l := 1; l < k; l++ {
+		if w.mat[l-1] {
+			w.prefix[l-1] = w.grp[l-1][w.idx[l-1]-w.gbase[l-1]]
+			continue
+		}
 		v, ok := w.nextVert(l)
 		if !ok {
 			err := streamErr(w.vertErr(l), "vert", l)
@@ -126,6 +150,107 @@ func (w *Walker) Reset(c *CSE, lo, hi int) error {
 		w.prefix[l-1] = v
 	}
 	return nil
+}
+
+// seed opens level l's cursors for the walk from embedding a[l-1] to
+// b[l-1] (the ancestor chains of the range ends) and reads its first group
+// end; a group-at-a-time level also loads its first group — a delta level's
+// whole, the rest of it past a[l-1] for the level under one — so its
+// cursor spans the groups of a[l-2] through b[l-2] whole.
+func (w *Walker) seed(lv *HybridLevel, l int, a, b []int) error {
+	i := l - 1
+	w.idx[i] = a[i]
+	lo, hi := a[i], b[i]+1
+	if w.mat[i] {
+		var err error
+		if w.delta[i] {
+			lo, err = lv.ownStart(a[i-1])
+		}
+		if err == nil {
+			hi, err = lv.ownStart(b[i-1] + 1)
+		}
+		if err != nil {
+			return fmt.Errorf("storage: walker: group seek at level %d: %w", l, err)
+		}
+	}
+	w.vcur[i] = lv.VertBlocks(lo, hi)
+	if l == 1 {
+		return nil
+	}
+	w.bcur[i] = lv.BoundBlocks(a[i-1])
+	ge, ok := w.nextBound(l)
+	if !ok {
+		return streamErr(w.boundErr(l), "boundary", l)
+	}
+	w.groupEnd[i] = ge
+	if !w.mat[i] {
+		return nil
+	}
+	from := uint64(a[i])
+	if w.delta[i] {
+		gs, err := lv.GroupStart(a[i-1])
+		if err != nil {
+			return fmt.Errorf("storage: walker: group start at level %d: %w", l, err)
+		}
+		from = gs
+	}
+	return w.loadGroup(l, from)
+}
+
+// loadGroup reads the units of level l's current group from index from to
+// its end into grp: stored units of a plain level, and of a delta level its
+// own children merged with the units after the leaf in the parent level's
+// current group — the leaf's later siblings.
+func (w *Walker) loadGroup(l int, from uint64) error {
+	i := l - 1
+	n := int(w.groupEnd[i] - from)
+	w.gbase[i] = int(from)
+	if !w.delta[i] {
+		g, ok := w.readStored(i, n, &w.gbuf[i])
+		if !ok {
+			return streamErr(w.vertErr(l), "vert", l)
+		}
+		w.grp[i] = g
+		return nil
+	}
+	later := w.grp[i-1][w.idx[i-1]-w.gbase[i-1]+1:]
+	if n < len(later) {
+		return fmt.Errorf("storage: walker: level %d group of %d units has %d later siblings", l, n, len(later))
+	}
+	own, ok := w.readStored(i, n-len(later), &w.obuf)
+	if !ok {
+		return streamErr(w.vertErr(l), "vert", l)
+	}
+	w.gbuf[i] = mergeSorted(w.gbuf[i], own, later)
+	w.grp[i] = w.gbuf[i]
+	return nil
+}
+
+// readStored returns the next n stored units of level i+1: a slice of the
+// current block when they lie in it, else copied into *buf.
+func (w *Walker) readStored(i, n int, buf *[]uint32) ([]uint32, bool) {
+	if n == 0 {
+		return nil, true
+	}
+	if !w.ensureVertBlock(i) {
+		return nil, false
+	}
+	if p := w.vpos[i]; p+n <= len(w.vblk[i]) {
+		w.vpos[i] += n
+		return w.vblk[i][p : p+n], true
+	}
+	out := (*buf)[:0]
+	for len(out) < n {
+		if !w.ensureVertBlock(i) {
+			return nil, false
+		}
+		p := w.vpos[i]
+		t := min(n-len(out), len(w.vblk[i])-p)
+		out = append(out, w.vblk[i][p:p+t]...)
+		w.vpos[i] += t
+	}
+	*buf = out
+	return out, true
 }
 
 // ensureVertBlock makes vblk[i][vpos[i]] addressable, pulling decoded blocks
@@ -213,15 +338,23 @@ func (w *Walker) NextRun() (emb []uint32, changedFrom int, leaves []uint32, ok b
 			if c < changed {
 				changed = c
 			}
-			ge, bok := w.nextBound(k)
-			if !bok {
-				w.err = streamErr(w.boundErr(k), "boundary", k)
+			if !w.nextGroup(k) {
 				return nil, 0, nil, false
 			}
-			w.groupEnd[k-1] = ge
 		}
 	}
 	i := k - 1
+	if w.mat[i] {
+		take := min(int(w.groupEnd[i])-w.cur, w.hi-w.cur)
+		leaves = w.grp[i][w.cur-w.gbase[i]:][:take]
+		w.cur += take
+		w.idx[i] = w.cur - 1
+		if w.first {
+			w.first = false
+			changed = 1
+		}
+		return w.prefix, changed, leaves, true
+	}
 	if !w.ensureVertBlock(i) {
 		w.err = streamErr(w.vertErr(k), "vert", k)
 		return nil, 0, nil, false
@@ -261,13 +394,14 @@ func (w *Walker) advance(l int) int {
 			if c < changed {
 				changed = c
 			}
-			ge, ok := w.nextBound(l)
-			if !ok {
-				w.err = streamErr(w.boundErr(l), "boundary", l)
+			if !w.nextGroup(l) {
 				return changed
 			}
-			w.groupEnd[l-1] = ge
 		}
+	}
+	if w.mat[l-1] {
+		w.prefix[l-1] = w.grp[l-1][w.idx[l-1]-w.gbase[l-1]]
+		return changed
 	}
 	v, ok := w.nextVert(l)
 	if !ok {
@@ -276,6 +410,26 @@ func (w *Walker) advance(l int) int {
 	}
 	w.prefix[l-1] = v
 	return changed
+}
+
+// nextGroup moves level l to the group of its parent level's new current
+// embedding: it reads the group's end and, on a group-at-a-time level, loads
+// the group. false means the walk failed (see Err).
+func (w *Walker) nextGroup(l int) bool {
+	ge, ok := w.nextBound(l)
+	if !ok {
+		w.err = streamErr(w.boundErr(l), "boundary", l)
+		return false
+	}
+	from := w.groupEnd[l-1]
+	w.groupEnd[l-1] = ge
+	if w.mat[l-1] {
+		if err := w.loadGroup(l, from); err != nil {
+			w.err = err
+			return false
+		}
+	}
+	return true
 }
 
 // Err returns the first stream error encountered, if any.
@@ -309,6 +463,7 @@ func (w *Walker) closeAll() {
 		// walker does not keep a closed level's arrays alive.
 		w.vblk[i] = nil
 		w.bblk[i] = nil
+		w.grp[i] = nil
 	}
 }
 
