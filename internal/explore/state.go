@@ -81,8 +81,8 @@ type vertexState struct {
 	kids candBuf
 	hist []uint32
 	// fresh lists the entries childList stamped for the latest leaf, the
-	// ones unstamp takes out again.
-	fresh []uint32
+	// ones unstamp takes out again; own is countStored's scratch.
+	fresh, own []uint32
 	// embAdj[l] is the mask of emb[l] against emb[:l] — the parent's own
 	// adjacency, handed to the row visitor (see prefixAdj and childList) — and
 	// ext the row walk's own embedding buffer, the walker's prefix plus the
@@ -309,21 +309,16 @@ func (s *vertexState) appendStored(k int, u, emb0 uint32, dst []uint32) []uint32
 	if emb0 == ^uint32(0) {
 		return dst // nothing can exceed emb[0], keep included
 	}
-	nb := s.g.Neighbors(u)
-	// A store4 leaf has 1.7 neighbours up to emb[0]: a linear skip, not a
-	// gallop (gallopGE was 6 % of a store4-mem profile here).
-	j := 0
-	for j < len(nb) && nb[j] <= emb0 {
-		j++
-	}
+	nb := s.past(u, emb0)
 	if k == 1 {
-		return append(dst, nb[j:]...)
+		return append(dst, nb...)
 	}
 	mk, ids := s.mk, s.keep.ids
 	i := s.cursor(u)
 	n := len(dst)
-	out := slices.Grow(dst, len(nb)-j+len(ids)-i)
+	out := slices.Grow(dst, len(nb)+len(ids)-i)
 	out = out[:cap(out)]
+	j := 0
 	for ; j < len(nb) && nb[j] <= u; j++ {
 		if y := nb[j]; !mk.Marked(y) {
 			out[n] = y
@@ -358,13 +353,8 @@ func (s *vertexState) appendOwn(u, emb0 uint32, dst []uint32) ([]uint32, int) {
 	if emb0 == ^uint32(0) {
 		return dst, 0 // nothing can exceed emb[0], keep included
 	}
-	nb := s.g.Neighbors(u)
-	j := 0
-	for j < len(nb) && nb[j] <= emb0 {
-		j++
-	}
 	mk := s.mk
-	for _, y := range nb[j:] {
+	for _, y := range s.past(u, emb0) {
 		if !mk.Marked(y) {
 			dst = append(dst, y)
 		}
@@ -372,28 +362,28 @@ func (s *vertexState) appendOwn(u, emb0 uint32, dst []uint32) ([]uint32, int) {
 	return dst, len(s.keep.ids) - s.cursor(u)
 }
 
-// countStored is the number of children appendStored appends for u: the
-// unstamped entries of N(u) past emb[0] plus the kept entries past u, which
-// never coincide, so nothing is merged.
+// countStored is the number of children appendStored appends for u:
+// appendOwn's own children plus the kept entries past u, which never
+// coincide, so nothing is merged. The own children go to the scratch own.
 func (s *vertexState) countStored(k int, u, emb0 uint32) int {
-	if emb0 == ^uint32(0) {
-		return 0
+	if k == 1 {
+		return len(s.past(u, emb0))
 	}
+	own, later := s.appendOwn(u, emb0, s.own[:0])
+	s.own = own
+	return len(own) + later
+}
+
+// past returns N(u) past emb[0], the only neighbours that can be u's
+// children. A store4 leaf has 1.7 neighbours up to emb[0]: a linear skip,
+// not a gallop (gallopGE was 6 % of a store4-mem profile here).
+func (s *vertexState) past(u, emb0 uint32) []uint32 {
 	nb := s.g.Neighbors(u)
 	j := 0
 	for j < len(nb) && nb[j] <= emb0 {
 		j++
 	}
-	if k == 1 {
-		return len(nb) - j
-	}
-	n, mk := 0, s.mk
-	for _, y := range nb[j:] {
-		if !mk.Marked(y) {
-			n++
-		}
-	}
-	return n + len(s.keep.ids) - s.cursor(u)
+	return nb[j:]
 }
 
 // cursor moves the keep cursor to the first kept entry past the leaf u and

@@ -28,41 +28,61 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, hubThreshold := range []int{-1, 8} { // hub bitset rows off / on
 		for _, relabel := range []bool{false, true} {
-			// plantedGraph in two densities: unfiltered levels grow too fast
-			// on cliqueGraph's, so the nil filter and the row sink run on a
-			// sparser graph, and the clique levels on a denser one, whose
-			// levels 2 and 3 span several decoded blocks in the all-disk
-			// regime.
+			// plantedGraph in three densities: unfiltered levels grow too
+			// fast on cliqueGraph's, so the nil filter and the row sink run
+			// on a sparser graph, and the clique levels on a denser one,
+			// whose levels 2 and 3 span several decoded blocks in the
+			// all-disk regime. The uses with one filtered level run on a
+			// graph between the two, whose plain levels 4 and 5 span
+			// several decoded blocks too, unrelabelled only.
 			sparse := plantedGraph(t, rng, plantedShape{n: 400, edges: 500, hubDeg: 12, clique: 5}, hubThreshold, relabel)
 			dense := plantedGraph(t, rng, plantedShape{n: 400, edges: 8000, hubDeg: 150, clique: 9}, hubThreshold, relabel)
+			mid := plantedGraph(t, rng, plantedShape{n: 1200, edges: 1500, hubDeg: 12, clique: 5}, hubThreshold, relabel)
 			for _, use := range []struct {
 				name string
 				g    *graph.Graph
 				vf   func(d int) VertexFilter // the filter level d is built under
+				// rows is the deepest depth whose row walk is checked (the
+				// deeper references are costly), seams the depths whose
+				// all-disk, one-thread walk must split a group at a block
+				// seam.
+				rows  int
+				seams []int
 			}{
-				{"nofilter", sparse, func(int) VertexFilter { return nil }},
-				{"maskfilter", dense, func(int) VertexFilter { return allOnesFilter }},
-				// Level 3 is unfiltered over a filtered level 2, so it stays
-				// plain; levels 4 and 5 are delta levels again.
-				{"overfiltered", sparse, func(d int) VertexFilter {
-					if d == 2 {
-						return evenFilter
-					}
-					return nil
-				}},
+				// Levels 3..5 are delta levels, walked a group at a time,
+				// and level 2 fits one block: no seams.
+				{"nofilter", sparse, func(int) VertexFilter { return nil }, maxDepth, nil},
+				// appendCanonical across seams.
+				{"maskfilter", dense, func(int) VertexFilter { return allOnesFilter }, 0, []int{2, 3}},
+				// Level 3 drops an eighth of its children, so level 4,
+				// unfiltered over it, stays plain and level 5 is a delta
+				// level again: appendOwn (building level 5), countStored
+				// and the row walk across level 4's seams.
+				{"filter3", mid, filterAt(3), maxDepth - 1, []int{4}},
+				// Level 4 drops an eighth and level 5 over it stays plain:
+				// appendStored (building level 5) and countStored across
+				// level 4's seams, countStored across level 5's.
+				{"filter4", mid, filterAt(4), maxDepth - 1, []int{4, 5}},
 			} {
+				if use.g == mid && relabel {
+					continue // these uses are for the seams: one labelling suffices
+				}
 				// One level past maxDepth: ExpandCount walks the top level too.
 				ref := refLevels(use.g, use.vf, maxDepth+1)
 				if len(ref[maxDepth]) == 0 {
 					t.Fatalf("%s: degenerate graph, no level %d", use.name, maxDepth+1)
 				}
-				var rows []*rowRef // rows[d-1]: the row walk over depth d
-				if use.vf(maxDepth+1) == nil {
+				var rows []*rowRef // rows[d-1]: the row walk over depth d, nil if unchecked
+				if use.rows > 0 {
 					// The row walk over depth d visits level d+1 and counts
-					// level d+2, two levels past maxDepth, all unfiltered: it
-					// is checked where the reference levels are.
-					next := append(slices.Clone(ref[2:]), refExpandVertex(use.g, ref[maxDepth], nil))
-					for d := 1; d <= maxDepth; d++ {
+					// level d+2, up to two levels past maxDepth, all
+					// unfiltered: it is checked where the reference levels
+					// are.
+					next := slices.Clone(ref[2:])
+					if use.rows == maxDepth {
+						next = append(next, refExpandVertex(use.g, ref[maxDepth], nil))
+					}
+					for d := 1; d <= use.rows; d++ {
 						var r *rowRef
 						if use.vf(d+1) == nil && use.vf(d+2) == nil {
 							r = newRowRef(use.g, ref[d], next[d-1])
@@ -89,11 +109,10 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 								env.MemoryBudget, env.SpillDir = rg.budget, t.TempDir()
 							}
 							continuations, mixed, _ := checkLeafLevels(t, use.g, env, use.vf, ref, rows)
-							// A delta level is walked a group at a time, so
-							// only the filtered levels have block-seam
-							// continuation runs.
-							if use.name == "maskfilter" && rg.name == "disk" && threads == 1 && continuations == 0 {
-								t.Fatal("no continuation run at a block seam: the all-disk case does not exercise a kept keep list and kept stamps")
+							for _, d := range use.seams {
+								if rg.name == "disk" && threads == 1 && continuations[d-1] == 0 {
+									t.Fatalf("depth %d: no continuation run at a block seam: the all-disk case does not exercise a kept keep list and kept stamps", d)
+								}
 							}
 							if rg.name == "hybrid" && !mixed {
 								t.Fatal("no level with both memory and disk parts")
@@ -106,8 +125,16 @@ func TestVertexLeafMatchesReference(t *testing.T) {
 	}
 }
 
-// evenFilter admits the even candidates.
-func evenFilter(_ int, _ []uint32, c, _ uint32) bool { return c%2 == 0 }
+// filterAt builds level f under a filter that drops the candidates
+// divisible by 8, and every other level unfiltered.
+func filterAt(f int) func(d int) VertexFilter {
+	return func(d int) VertexFilter {
+		if d == f {
+			return func(_ int, _ []uint32, c, _ uint32) bool { return c%8 != 0 }
+		}
+		return nil
+	}
+}
 
 // refLevels returns the reference levels 1..maxDepth of g, level d under
 // vf(d): every vertex, then each level refExpandVertex of the one before, in
@@ -128,12 +155,12 @@ func refLevels(g *graph.Graph, vf func(d int) VertexFilter, maxDepth int) [][][]
 // vf(d), and holds, at every depth, the stored level to ref in stored order,
 // its delta bit to the rule (unfiltered over an unfiltered level past the
 // base) and ExpandCount to the next level's size; where the row walks'
-// references are given (no filter), also the masks and row histograms a
-// row visitor (ExpandVisitGroups) receives (checkRows); and then the stored
-// level to ref once more. It reports the
-// block-seam continuation runs of the levels it expanded, whether some level
-// was split between memory and disk, and the CSE's resident bytes per depth.
-func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf func(d int) VertexFilter, ref [][][]uint32, rows []*rowRef) (continuations int, mixed bool, bytes []int64) {
+// references are given (rows[d-1], unfiltered levels), also the masks and
+// row histograms a row visitor (ExpandVisitGroups) receives (checkRows); and
+// then the stored level to ref once more. It reports, per depth, the
+// block-seam continuation runs of a walk over the level; whether some level
+// was split between memory and disk; and the CSE's resident bytes per depth.
+func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf func(d int) VertexFilter, ref [][][]uint32, rows []*rowRef) (continuations []int, mixed bool, bytes []int64) {
 	t.Helper()
 	e, err := New(Config{Graph: g, Mode: VertexInduced, Env: env})
 	if err != nil {
@@ -161,7 +188,7 @@ func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf func(d int) 
 		if st := e.LevelStats()[d-1]; st.MemParts > 0 && st.DiskParts > 0 {
 			mixed = true
 		}
-		continuations += c
+		continuations = append(continuations, c)
 		n, err := e.ExpandCount(bgCtx, vf(d+1), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +196,7 @@ func checkLeafLevels(t *testing.T, g *graph.Graph, env *run.Env, vf func(d int) 
 		if n != uint64(len(ref[d])) {
 			t.Fatalf("depth %d: ExpandCount %d, reference %d", d, n, len(ref[d]))
 		}
-		if rows != nil && rows[d-1] != nil {
+		if d <= len(rows) && rows[d-1] != nil {
 			checkRows(t, e, g, d, rows[d-1])
 		}
 		// The walks above reuse the workers' scratch, which the Expand that

@@ -485,10 +485,8 @@ type diskPartWriter struct {
 	enc, payload   []byte
 }
 
-// newDiskPartWriter starts a part's writer with no queue buffers: the
-// first of each file grows with what the part writes (WriteQueue.grow).
 func newDiskPartWriter(q *WriteQueue, vf, cf vfs.File, delta bool) diskPartWriter {
-	return diskPartWriter{q: q, vf: vf, cf: cf, comp: &partComp{}, delta: delta}
+	return diskPartWriter{q: q, vf: vf, cf: cf, vbuf: q.GetBuf(), cbuf: q.GetBuf(), comp: &partComp{}, delta: delta}
 }
 
 // appendGroup appends one group's stored children and its full count.
@@ -556,13 +554,14 @@ func (p *diskPartWriter) sealCntBlock() {
 	p.cblock = p.cblock[:0]
 }
 
-// appendQueueBytes copies data into the open queue buffer, growing or
-// submitting and replacing it as it fills.
+// appendQueueBytes copies data into the open queue buffer, submitting and
+// replacing it as it fills.
 func appendQueueBytes(q *WriteQueue, f vfs.File, buf, data []byte) []byte {
 	for len(data) > 0 {
 		space := cap(buf) - len(buf)
 		if space == 0 {
-			buf = q.grow(f, buf, len(buf)+len(data))
+			q.Submit(f, buf)
+			buf = q.GetBuf()
 			continue
 		}
 		n := min(space, len(data))

@@ -99,10 +99,15 @@ func (c *CSE) Level(l int) *HybridLevel { return c.levels[l-1] }
 func (c *CSE) Top() *HybridLevel { return c.levels[len(c.levels)-1] }
 
 // Push appends a new deepest level. The new level's group count must match
-// the current top's embedding count.
+// the current top's embedding count, and a delta level must have been built
+// over the current top: the Walker takes its groups' later siblings from the
+// level below it, random access from the level it records.
 func (c *CSE) Push(l *HybridLevel) error {
 	if l.Groups() != c.Top().Len() {
 		return fmt.Errorf("storage: new level has %d groups, top has %d embeddings", l.Groups(), c.Top().Len())
+	}
+	if l.parent != nil && l.parent != c.Top() {
+		return fmt.Errorf("storage: delta level was built over another level than the top")
 	}
 	c.levels = append(c.levels, l)
 	return nil

@@ -170,6 +170,28 @@ func TestDeltaConformance(t *testing.T) {
 	}
 }
 
+// TestPushRejectsForeignParent: a delta level pushed onto a CSE whose top
+// is not the level it was built over is refused, even when the group counts
+// agree, since the Walker and Extract would then rebuild different groups.
+func TestPushRejectsForeignParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sh := deltaShape{units: 40, fan: 3, own: 2, nparts: 2}
+	groups2 := make([][]uint32, sh.units)
+	for i := range groups2 {
+		groups2[i] = randOwn(rng, rng.Intn(2*sh.fan+1), nil)
+	}
+	ml2, hl2, _ := buildLevels(t, nil, groups2, sh.nparts, layoutUnbudgeted)
+	_, other, _ := buildLevels(t, nil, groups2, sh.nparts, layoutUnbudgeted)
+	_, hl3 := buildDelta(t, rng, ml2, hl2, sh, 3, layoutUnbudgeted, false)
+	c := NewCSE(NewBaseLevel(base(sh.units)))
+	if err := c.Push(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Push(hl3); err == nil {
+		t.Fatal("Push accepted a delta level built over another level than the top")
+	}
+}
+
 // checkDeltaWalks walks the top level of c split into 1..8 random ranges,
 // by 1, 2 and 4 goroutines at once, against the reference walk.
 func checkDeltaWalks(t *testing.T, c *CSE, units []uint32, levels []*MemLevel) {

@@ -37,8 +37,8 @@ type rblock struct {
 	err  error
 }
 
-// newBlockStream starts the read-ahead goroutine over sp, filling win's two
-// windows (grown to the window size as needed) in turn.
+// newBlockStream starts the read-ahead goroutine over sp, filling win's
+// windows in turn, each grown only as far as sp needs.
 func newBlockStream(sp fileSpan, blockSize int, tracker *memtrack.Tracker, win *[2][]byte) *blockStream {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
@@ -52,11 +52,18 @@ func newBlockStream(sp fileSpan, blockSize int, tracker *memtrack.Tracker, win *
 		free: make(chan []byte, len(win)),
 		stop: make(chan struct{}),
 	}
-	for i := range win {
-		if cap(win[i]) < blockSize {
-			win[i] = make([]byte, blockSize)
+	// A window is as long as the span needs, up to blockSize, and a span
+	// that fits in one window uses only one: a cursor over small spans keeps
+	// small windows.
+	size, nwin := int(min(int64(blockSize), sp.n)), 1
+	if sp.n > int64(blockSize) {
+		nwin = 2
+	}
+	for i := 0; i < nwin; i++ {
+		if cap(win[i]) < size {
+			win[i] = make([]byte, size)
 		}
-		s.free <- win[i][:blockSize]
+		s.free <- win[i][:size]
 	}
 	var once sync.Once
 	s.stopOnce = func() { once.Do(func() { close(s.stop) }) }

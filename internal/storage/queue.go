@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"io"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +30,7 @@ type WriteQueue struct {
 	start   sync.Once // starts the I/O goroutine, at the first Submit
 	jobs    chan wjob // nil until started
 	wg      sync.WaitGroup
-	pool    sync.Pool // buffers of bufSize capacity
-	bufSize int
+	pool    sync.Pool
 	tracker *memtrack.Tracker
 
 	// aborted makes the I/O goroutine discard buffers instead of writing
@@ -61,7 +59,7 @@ func NewWriteQueue(bufSize int, tracker *memtrack.Tracker) *WriteQueue {
 	if bufSize <= 0 {
 		bufSize = DefaultBufSize
 	}
-	q := &WriteQueue{bufSize: bufSize, tracker: tracker, abortCh: make(chan struct{})}
+	q := &WriteQueue{tracker: tracker, abortCh: make(chan struct{})}
 	q.pool.New = func() any { return make([]byte, 0, bufSize) }
 	return q
 }
@@ -74,7 +72,7 @@ func (q *WriteQueue) run() {
 			continue
 		}
 		if q.aborted.Load() || q.failed.Load() {
-			q.recycle(j.buf)
+			q.pool.Put(j.buf[:0])
 			continue
 		}
 		if err := q.writeAll(j.f, j.buf); err != nil {
@@ -89,29 +87,8 @@ func (q *WriteQueue) run() {
 		} else if q.tracker != nil {
 			q.tracker.WriteIO(int64(len(j.buf)))
 		}
-		q.recycle(j.buf)
+		q.pool.Put(j.buf[:0])
 	}
-}
-
-// recycle pools a written buffer. A part's first buffers are smaller (see
-// grow) and are left to the collector, so GetBuf always hands out full ones.
-func (q *WriteQueue) recycle(buf []byte) {
-	if cap(buf) >= q.bufSize {
-		q.pool.Put(buf[:0])
-	}
-}
-
-// grow makes room in buf, a part's open buffer, for more bytes, n of which
-// are pending: a part's first buffer grows with what the part writes, from
-// nothing up to the queue's buffer size, so a small part never holds a
-// full-size buffer; a full-size buffer is submitted to f and replaced from
-// the pool.
-func (q *WriteQueue) grow(f vfs.File, buf []byte, n int) []byte {
-	if c := cap(buf); c < q.bufSize {
-		return slices.Grow(buf, min(max(n, 2*c, 512), q.bufSize)-len(buf))
-	}
-	q.Submit(f, buf)
-	return q.GetBuf()
 }
 
 // writeAll appends buf to f, retrying transient errors and short writes with
@@ -159,7 +136,7 @@ func (q *WriteQueue) GetBuf() []byte { return q.pool.Get().([]byte)[:0] }
 // after the call; get a fresh one with GetBuf.
 func (q *WriteQueue) Submit(f vfs.File, buf []byte) {
 	if len(buf) == 0 {
-		q.recycle(buf)
+		q.pool.Put(buf[:0])
 		return
 	}
 	q.start.Do(func() {
